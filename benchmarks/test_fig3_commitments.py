@@ -6,11 +6,23 @@ observes: commitment time is linear in the parameter count, minutes-scale
 for 5-10M-parameter models, and orders of magnitude above SHA-256; the
 two curves behave almost identically.
 
-We measure real multi-exponentiations (Pippenger) at sizes up to 20k
-parameters and check linearity, then extrapolate the per-parameter slope
-to 5M parameters and assert the paper's minutes-scale bottleneck claim.
+We measure real multi-exponentiations (Pippenger) at sizes up to 16k
+parameters, as two Pedersen series per curve:
+
+- **gradient** — what the protocol commits to: an ``N(0, 1)`` vector
+  quantised to 16 fractional bits.  The multi-exponentiation works on
+  the centred lift of its scalars, so these cost their ≈ 18 magnitude
+  bits (2 bucket windows) whatever their sign.
+- **full-width** — uniform ``Z_n`` scalars, the paper's regime (its
+  testbed exponentiates by full 256-bit values): ≈ 32 windows.
+
+Both must be linear in the parameter count, near-identical across the
+two curves and orders of magnitude above SHA-256; the paper's
+minutes-scale claim for a 5M-parameter model is asserted on the
+full-width series, the one that matches its exponents.
 """
 
+import random
 import time
 
 import numpy as np
@@ -18,7 +30,7 @@ from _helpers import save_table
 
 from repro.analysis import format_table
 from repro.core import PartitionCommitter
-from repro.crypto import sha256
+from repro.crypto import PedersenParams, curve_by_name, sha256
 
 SIZES = [1_000, 4_000, 16_000]
 EXTRAPOLATION_PARAMS = 5_000_000  # "medium-sized models like MobileNetV1"
@@ -39,6 +51,18 @@ def measure_commit(size: int, curve: str, vector: np.ndarray) -> float:
     return time.perf_counter() - started
 
 
+def measure_full_width(size: int, curve: str) -> float:
+    params = PedersenParams.setup(curve_by_name(curve), size)
+    rng = random.Random(size)
+    scalars = [rng.randrange(params.curve.n) for _ in range(size)]
+    started = time.perf_counter()
+    params.commit(scalars)
+    return time.perf_counter() - started
+
+
+SERIES = ("secp256k1_s", "secp256r1_s", "secp256k1_full_s", "secp256r1_full_s")
+
+
 def run_sweep():
     rng = np.random.default_rng(0)
     rows = []
@@ -49,6 +73,8 @@ def run_sweep():
             "sha256_s": measure_sha256(size, vector),
             "secp256k1_s": measure_commit(size, "secp256k1", vector),
             "secp256r1_s": measure_commit(size, "secp256r1", vector),
+            "secp256k1_full_s": measure_full_width(size, "secp256k1"),
+            "secp256r1_full_s": measure_full_width(size, "secp256r1"),
         })
     return rows
 
@@ -63,51 +89,54 @@ def test_fig3_commitment_cost(benchmark):
     rows = outcome["rows"]
 
     # Per-parameter slope from the largest measurement (most amortized).
-    slope_k1 = rows[-1]["secp256k1_s"] / rows[-1]["params"]
-    slope_r1 = rows[-1]["secp256r1_s"] / rows[-1]["params"]
-    extrapolated_k1_min = slope_k1 * EXTRAPOLATION_PARAMS / 60.0
-    extrapolated_r1_min = slope_r1 * EXTRAPOLATION_PARAMS / 60.0
+    slopes = {name: rows[-1][name] / rows[-1]["params"] for name in SERIES}
+    extrapolated_s = {name: slope * EXTRAPOLATION_PARAMS
+                      for name, slope in slopes.items()}
 
     table_rows = [
-        [row["params"], row["sha256_s"], row["secp256k1_s"],
-         row["secp256r1_s"],
-         row["secp256k1_s"] / max(row["sha256_s"], 1e-9)]
+        [row["params"], row["sha256_s"]] + [row[name] for name in SERIES]
+        + [row["secp256k1_s"] / max(row["sha256_s"], 1e-9)]
         for row in rows
     ]
-    table_rows.append([
-        EXTRAPOLATION_PARAMS, None,
-        extrapolated_k1_min * 60.0, extrapolated_r1_min * 60.0, None,
-    ])
+    table_rows.append([EXTRAPOLATION_PARAMS, None]
+                      + [extrapolated_s[name] for name in SERIES] + [None])
     table = format_table(
-        ["params", "sha256 (s)", "secp256k1 (s)", "secp256r1 (s)",
-         "commit/hash ratio"],
+        ["params", "sha256 (s)", "k1 gradient (s)", "r1 gradient (s)",
+         "k1 full-width (s)", "r1 full-width (s)", "gradient/hash ratio"],
         table_rows,
         title="Fig. 3 — commitment vs hash cost by model size "
               "(last row: linear extrapolation)",
     )
     save_table("fig3_commitments", table)
     benchmark.extra_info.update({
-        "slope_us_per_param_k1": round(slope_k1 * 1e6, 3),
-        "extrapolated_5M_minutes_k1": round(extrapolated_k1_min, 2),
-        "extrapolated_5M_minutes_r1": round(extrapolated_r1_min, 2),
+        "slope_us_per_param_k1": round(slopes["secp256k1_s"] * 1e6, 3),
+        "slope_us_per_param_k1_full":
+            round(slopes["secp256k1_full_s"] * 1e6, 3),
+        "extrapolated_5M_minutes_k1":
+            round(extrapolated_s["secp256k1_s"] / 60.0, 2),
+        "extrapolated_5M_minutes_k1_full":
+            round(extrapolated_s["secp256k1_full_s"] / 60.0, 2),
     })
 
-    # Commitments are orders of magnitude above SHA-256 at every size.
-    for row in rows:
-        assert row["secp256k1_s"] > 100 * row["sha256_s"]
-        assert row["secp256r1_s"] > 100 * row["sha256_s"]
-
-    # Cost grows roughly linearly with size (within 2x of proportional —
-    # Pippenger's window choice makes it mildly sublinear).
-    ratio = rows[-1]["secp256k1_s"] / rows[0]["secp256k1_s"]
     size_ratio = rows[-1]["params"] / rows[0]["params"]
-    assert size_ratio / 2.5 < ratio < size_ratio * 2.5
+    for k1, r1 in (SERIES[:2], SERIES[2:]):
+        for row in rows:
+            # Commitments are orders of magnitude above SHA-256 at every
+            # size, and the two curves within a small constant of each
+            # other.
+            assert row[k1] > 100 * row["sha256_s"]
+            assert row[r1] > 100 * row["sha256_s"]
+            assert 0.3 < row[k1] / row[r1] < 3.0
+        # Cost grows roughly linearly with size (within 2.5x of
+        # proportional — Pippenger's window choice makes it mildly
+        # sublinear).
+        ratio = rows[-1][k1] / rows[0][k1]
+        assert size_ratio / 2.5 < ratio < size_ratio * 2.5
 
-    # The two curves are within a small constant of each other.
-    for row in rows:
-        assert 0.3 < row["secp256k1_s"] / row["secp256r1_s"] < 3.0
-
-    # The paper's bottleneck claim: minutes for a 5M-parameter model.
-    # (Their Java testbed: ~4-9 minutes; any pure-Python slope lands
-    # comfortably above one minute.)
-    assert extrapolated_k1_min > 1.0
+    # Short scalars are what the centred lift buys: the gradient series
+    # scans ~2 windows where the full-width one scans ~32.
+    assert slopes["secp256k1_full_s"] > 4 * slopes["secp256k1_s"]
+    # The paper's bottleneck claim: minutes for a 5M-parameter model at
+    # full-width exponents.  (Their Java testbed: ~4-9 minutes; any
+    # pure-Python slope lands comfortably above one minute.)
+    assert extrapolated_s["secp256k1_full_s"] / 60.0 > 1.0

@@ -1,14 +1,20 @@
 """Sec. V "Impact of verifiability on performance" — end-to-end view.
 
-Three runs on the same deployment:
+Four runs on the same deployment:
 
-- ``plain``: a 20k-parameter model without verifiability,
+- ``plain``: an 8k-parameter model without verifiability,
 - ``verifiable``: the same with real Pedersen commitments end to end
   (commit at trainers, accumulate at the directory, verify the update),
-- ``verifiable + cost model``: additionally charging the measured Fig. 3
-  slope (~120 us/param in pure Python) inside the *simulated* clock, so
-  the iteration timeline shows commitment computation overtaking
-  communication — the paper's bottleneck finding.
+- ``verifiable + full-width cost``: additionally charging the measured
+  Fig. 3 *full-width* slope (~170 us/param in pure Python: uniform Z_n
+  exponents, the paper's regime) inside the *simulated* clock, so the
+  iteration timeline shows commitment computation overtaking
+  communication — the paper's bottleneck finding,
+- ``verifiable + gradient cost``: charging the Fig. 3 *gradient* slope
+  instead (~15 us/param: what a commitment to 16-bit fixed-point
+  gradients costs once the multi-exponentiation works on centred
+  scalars) — how far the bottleneck recedes for the traffic the
+  protocol actually has.
 """
 
 from _helpers import dummy_datasets, save_table
@@ -19,7 +25,8 @@ from repro.ml import SyntheticModel
 
 NUM_TRAINERS = 4
 MODEL_PARAMS = 8_000  # kept small: the commitments are computed for real
-FIG3_SLOPE_S_PER_PARAM = 120e-6
+FIG3_FULL_WIDTH_S_PER_PARAM = 170e-6
+FIG3_GRADIENT_S_PER_PARAM = 15e-6
 
 
 def make_session(verifiable: bool, commit_seconds_per_param=None):
@@ -50,12 +57,17 @@ def test_verification_overhead(benchmark):
         outcome["verified"] = make_session(verifiable=True).run_iteration()
         outcome["charged"] = make_session(
             verifiable=True,
-            commit_seconds_per_param=FIG3_SLOPE_S_PER_PARAM,
+            commit_seconds_per_param=FIG3_FULL_WIDTH_S_PER_PARAM,
+        ).run_iteration()
+        outcome["lifted"] = make_session(
+            verifiable=True,
+            commit_seconds_per_param=FIG3_GRADIENT_S_PER_PARAM,
         ).run_iteration()
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
-    plain, verified, charged = (
-        outcome["plain"], outcome["verified"], outcome["charged"]
+    plain, verified, charged, lifted = (
+        outcome["plain"], outcome["verified"], outcome["charged"],
+        outcome["lifted"],
     )
 
     crypto_seconds = sum(verified.commit_seconds.values())
@@ -64,9 +76,12 @@ def test_verification_overhead(benchmark):
          len(plain.trainers_completed)],
         ["verifiable", verified.end_to_end_delay, crypto_seconds,
          len(verified.trainers_completed)],
-        ["verifiable + cost model", charged.end_to_end_delay,
+        ["verifiable + full-width cost", charged.end_to_end_delay,
          sum(charged.commit_seconds.values()),
          len(charged.trainers_completed)],
+        ["verifiable + gradient cost", lifted.end_to_end_delay,
+         sum(lifted.commit_seconds.values()),
+         len(lifted.trainers_completed)],
     ]
     save_table("verification_overhead", format_table(
         ["mode", "end-to-end (sim s)", "commit wall-clock (s)",
@@ -78,16 +93,22 @@ def test_verification_overhead(benchmark):
     benchmark.extra_info["crypto_seconds"] = round(crypto_seconds, 4)
 
     # Everyone completes in all modes; real crypto work was performed.
-    for metrics in (plain, verified, charged):
+    for metrics in (plain, verified, charged, lifted):
         assert len(metrics.trainers_completed) == NUM_TRAINERS
     assert crypto_seconds > 0
     assert not verified.verification_failures
     # Verifiability adds protocol latency (commitments on the wire,
     # accumulated-commitment queries, directory verification download).
     assert verified.end_to_end_delay >= plain.end_to_end_delay
-    # With the Fig. 3 slope charged on the simulated clock, commitment
-    # time dominates the iteration — the paper's bottleneck observation.
+    # With the full-width Fig. 3 slope charged on the simulated clock,
+    # commitment time dominates the iteration — the paper's bottleneck
+    # observation.
     assert charged.end_to_end_delay > 3 * plain.end_to_end_delay
-    expected_commit_delay = FIG3_SLOPE_S_PER_PARAM * (MODEL_PARAMS / 2)
-    assert (charged.end_to_end_delay - verified.end_to_end_delay
-            > expected_commit_delay)
+    expected_commit_delay = FIG3_FULL_WIDTH_S_PER_PARAM * (MODEL_PARAMS / 2)
+    charged_overhead = charged.end_to_end_delay - verified.end_to_end_delay
+    assert charged_overhead > expected_commit_delay
+    # At the gradient slope the same protocol steps are charged; the
+    # overhead shrinks at least by the ratio of the two slopes (at this
+    # size it hides inside the 0.25 s poll interval altogether).
+    lifted_overhead = lifted.end_to_end_delay - verified.end_to_end_delay
+    assert lifted_overhead < charged_overhead / 5

@@ -1077,7 +1077,7 @@ def _run_chaos(args) -> int:
     return 0
 
 
-def _run_scale(args) -> int:
+def _run_scale(args, clock=None) -> int:
     scenario = ScaleScenario(
         exact_trainers=args.sample,
         cohorts=args.cohorts,
@@ -1094,7 +1094,7 @@ def _run_scale(args) -> int:
     points = run_scale_sweep(args.populations, scenario,
                              repeats=args.repeats,
                              progress_jsonl=args.progress,
-                             progress_stream=progress_stream)
+                             progress_stream=progress_stream, clock=clock)
     print(format_scale_table(
         points,
         title=f"Scaling in population ({scenario.exact_trainers} exact "
@@ -1115,7 +1115,7 @@ def _run_scale(args) -> int:
     return 0
 
 
-def _run_dirshard(args) -> int:
+def _run_dirshard(args, clock=None) -> int:
     scenario = DirshardScenario(
         exact_trainers=args.sample,
         cohorts=args.cohorts,
@@ -1130,7 +1130,8 @@ def _run_dirshard(args) -> int:
         processing_delay=args.processing_delay,
     )
     points = run_dirshard_sweep(args.populations, args.shards,
-                                scenario=scenario, repeats=args.repeats)
+                                scenario=scenario, repeats=args.repeats,
+                                clock=clock)
     print(format_dirshard_table(
         points,
         title=f"Directory sharding ({scenario.placement} placement, "

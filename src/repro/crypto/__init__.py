@@ -7,13 +7,13 @@ Public surface:
 
 - :data:`SECP256K1` / :data:`SECP256R1` — the paper's two curves.
 - :class:`Point`, :func:`generator`, :func:`scalar_mult` — group ops.
-- :func:`multi_scalar_mult` (Straus / Pippenger dispatch).
+- :func:`multi_scalar_mult` (Straus / Pippenger, chosen by counted
+  group additions over the centred lift of the scalars).
 - :class:`PedersenParams` / :class:`Commitment` — vector commitments.
 - :class:`FixedPointCodec` — gradient <-> scalar encoding.
 - :func:`hash_to_curve`, :func:`derive_generators`, :func:`sha256`.
 """
 
-from .batch import batch_verify, random_scalars
 from .curves import CurveParams, SECP256K1, SECP256R1, curve_by_name
 from .encoding import FixedPointCodec
 from .field import inverse_mod, is_quadratic_residue, legendre_symbol, sqrt_mod
@@ -24,8 +24,6 @@ from .pedersen import Commitment, PedersenParams
 
 __all__ = [
     "Commitment",
-    "batch_verify",
-    "random_scalars",
     "CurveParams",
     "FixedPointCodec",
     "PedersenParams",

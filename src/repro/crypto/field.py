@@ -45,10 +45,15 @@ def sqrt_mod(value: int, prime: int) -> int:
     value %= prime
     if value == 0:
         return 0
+    if prime % 4 == 3:
+        # One exponentiation: the candidate root squares back to
+        # ``value`` exactly when ``value`` is a residue.
+        root = pow(value, (prime + 1) // 4, prime)
+        if root * root % prime != value:
+            raise ValueError(f"{value} is not a quadratic residue mod {prime}")
+        return root
     if legendre_symbol(value, prime) != 1:
         raise ValueError(f"{value} is not a quadratic residue mod {prime}")
-    if prime % 4 == 3:
-        return pow(value, (prime + 1) // 4, prime)
     # Tonelli–Shanks for p ≡ 1 (mod 4).
     q, s = prime - 1, 0
     while q % 2 == 0:

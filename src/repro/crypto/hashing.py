@@ -12,7 +12,7 @@ import hashlib
 from typing import Iterator, List
 
 from .curves import CurveParams
-from .field import is_quadratic_residue, sqrt_mod
+from .field import sqrt_mod
 from .group import Point
 
 __all__ = ["sha256", "hash_to_curve", "derive_generators", "generator_stream"]
@@ -39,15 +39,15 @@ def hash_to_curve(curve: CurveParams, seed: bytes) -> Point:
         ).digest()
         x = int.from_bytes(digest, "big") % curve.p
         rhs = (x * x * x + curve.a * x + curve.b) % curve.p
-        if is_quadratic_residue(rhs, curve.p):
+        try:
             y = sqrt_mod(rhs, curve.p)
-            parity_bit = digest[-1] & 1
-            if (y & 1) != parity_bit:
-                y = curve.p - y
-            point = Point(curve, x, y, _skip_check=True)
-            if not point.is_identity:
-                return point
-        counter += 1
+        except ValueError:  # non-residue: next candidate
+            counter += 1
+            continue
+        parity_bit = digest[-1] & 1
+        if (y & 1) != parity_bit:
+            y = curve.p - y
+        return Point(curve, x, y, _skip_check=True)
 
 
 def generator_stream(curve: CurveParams,

@@ -10,11 +10,19 @@ measures in Fig. 3, and the paper names multi-exponentiation algorithms
   thousands-to-millions of terms a model-sized commitment needs,
 
 plus an auto-dispatching :func:`multi_scalar_mult`.
+
+Every path works on the **centred lift** of its scalars: ``s·P`` becomes
+``|s̃|·(±P)`` with ``s̃ ∈ (−n/2, n/2]`` (negating an affine point is
+free), so a quantised gradient costs its 17–19 magnitude bits whatever
+its sign, not the 256 bits of ``n − |v|``.  Window widths and the
+Straus/Pippenger choice minimise counted group additions for the term
+count and bit length actually present; the ≈ ``bits`` doublings both
+algorithms share are left out of the comparison.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .curves import CurveParams
 from .group import (
@@ -26,10 +34,18 @@ from .group import (
     wnaf,
 )
 
-__all__ = ["multi_scalar_mult", "straus", "pippenger", "pippenger_window"]
+__all__ = ["multi_scalar_mult", "straus", "pippenger"]
+
+#: A lifted term ``(magnitude > 0, x, ±y)``.
+Term = Tuple[int, int, int]
 
 
-def _validate(scalars: Sequence[int], points: Sequence[Point]) -> CurveParams:
+def _lift(scalars: Sequence[int],
+          points: Sequence[Point]) -> Tuple[CurveParams, List[Term], int]:
+    """Validate, centre and prune: ``(curve, terms, max magnitude bits)``.
+
+    Zero scalars and identity points are dropped here, once.
+    """
     if len(scalars) != len(points):
         raise ValueError(
             f"{len(scalars)} scalars vs {len(points)} points"
@@ -37,42 +53,71 @@ def _validate(scalars: Sequence[int], points: Sequence[Point]) -> CurveParams:
     if not points:
         raise ValueError("empty multi-exponentiation; handle upstream")
     curve = points[0].curve
-    for point in points:
+    order, p = curve.n, curve.p
+    half = order >> 1
+    terms: List[Term] = []
+    union = 0  # OR of the magnitudes: same bit length as their maximum
+    for scalar, point in zip(scalars, points):
         if point.curve.name != curve.name:
             raise ValueError("all points must live on the same curve")
-    return curve
-
-
-def straus(scalars: Sequence[int], points: Sequence[Point],
-           width: int = 4) -> Point:
-    """Interleaved wNAF: shared doublings across all terms.
-
-    Efficient for small batches (tens of points), e.g. re-checking a
-    handful of accumulated commitments.
-    """
-    curve = _validate(scalars, points)
-    reduced = [s % curve.n for s in scalars]
-
-    precomp: List[List] = []
-    naf_digits: List[List[int]] = []
-    for scalar, point in zip(reduced, points):
-        if scalar == 0 or point.is_identity:
-            precomp.append([])
-            naf_digits.append([])
+        scalar %= order
+        if scalar == 0 or point.x is None:
             continue
-        base = point.to_jacobian()
-        table = [base]
-        twice = _jac_double(curve, base)
-        for _ in range((1 << (width - 2)) - 1):
-            table.append(_jac_add(curve, table[-1], twice))
-        precomp.append(table)
-        naf_digits.append(wnaf(scalar, width))
+        if scalar > half:
+            scalar = order - scalar
+            terms.append((scalar, point.x, -point.y % p))
+        else:
+            terms.append((scalar, point.x, point.y))
+        union |= scalar
+    return curve, terms, union.bit_length()
 
-    length = max((len(d) for d in naf_digits), default=0)
+
+# -- counted group additions ------------------------------------------------------
+
+
+def _straus_adds(count: int, bits: int, width: int) -> float:
+    """Per term: the table of odd multiples (``2^(w-2)`` operations; none
+    at width 2) plus one addition per ``w + 1`` of its wNAF digits."""
+    table = (1 << (width - 2)) if width > 2 else 0
+    return count * (table + (bits + 1) / (width + 1))
+
+
+def _pippenger_adds(count: int, bits: int, window: int) -> int:
+    """Per window: one addition per term — into its bucket or, for the
+    point a bucket was seeded with, when the sweep reaches that bucket —
+    plus one running-total addition per bucket."""
+    return -(-bits // window) * (count + (1 << window))
+
+
+def _cheapest(adds, count: int, bits: int, candidates) -> Tuple[float, int]:
+    """``(additions, parameter)`` of the cheapest candidate parameter."""
+    return min([(adds(count, bits, c), c) for c in candidates])
+
+
+_WIDTHS = range(2, 8)
+_WINDOWS = range(1, 17)
+
+
+# -- the two algorithms, on lifted terms ------------------------------------------
+
+
+def _straus(curve: CurveParams, terms: List[Term], width: int):
+    p = curve.p
+    tables = []
+    digit_rows = []
+    for magnitude, x, y in terms:
+        table = [(x, y, 1)]
+        if width > 2:  # odd multiples P, 3P, ..., (2^(w-1) - 1)P
+            twice = _jac_double(curve, table[0])
+            for _ in range((1 << (width - 2)) - 1):
+                table.append(_jac_add(curve, table[-1], twice))
+        tables.append(table)
+        digit_rows.append(wnaf(magnitude, width))
+
     accumulator = _JAC_IDENTITY
-    for position in range(length - 1, -1, -1):
+    for position in range(max(map(len, digit_rows), default=0) - 1, -1, -1):
         accumulator = _jac_double(curve, accumulator)
-        for digits, table in zip(naf_digits, precomp):
+        for digits, table in zip(digit_rows, tables):
             if position >= len(digits):
                 continue
             digit = digits[position]
@@ -80,80 +125,88 @@ def straus(scalars: Sequence[int], points: Sequence[Point],
                 accumulator = _jac_add(curve, accumulator, table[digit >> 1])
             elif digit < 0:
                 x, y, z = table[(-digit) >> 1]
-                accumulator = _jac_add(
-                    curve, accumulator, (x, (-y) % curve.p, z)
-                )
-    return Point.from_jacobian(curve, accumulator)
+                accumulator = _jac_add(curve, accumulator, (x, -y % p, z))
+    return accumulator
 
 
-def pippenger_window(count: int) -> int:
-    """Bucket width (bits) minimizing adds for ``count`` terms."""
-    if count < 4:
-        return 1
-    # Rule of thumb: c ≈ log2(n) - 2, clamped to a practical range.
-    return max(2, min(16, count.bit_length() - 2))
+def _pippenger(curve: CurveParams, terms: List[Term], bits: int, window: int):
+    mask = (1 << window) - 1
+    accumulator = _JAC_IDENTITY
+    # Only the windows some magnitude reaches, most significant first.
+    for shift in range((bits - 1) // window * window, -1, -window):
+        if accumulator[2]:
+            for _ in range(window):
+                accumulator = _jac_double(curve, accumulator)
+        buckets: List = [None] * (mask + 1)  # by digit; slot 0 unused
+        for magnitude, x, y in terms:
+            digit = (magnitude >> shift) & mask
+            if digit:
+                held = buckets[digit]
+                # The first point of a bucket is seeded from its affine
+                # coordinates: no group operation.
+                buckets[digit] = (x, y, 1) if held is None else \
+                    _jac_add_mixed(curve, held, x, y)
+        # Σ digit · bucket[digit] by running sums, starting at the
+        # highest occupied bucket.
+        running = window_sum = None
+        for digit in range(mask, 0, -1):
+            bucket = buckets[digit]
+            if bucket is not None:
+                running = bucket if running is None else \
+                    _jac_add(curve, running, bucket)
+            if running is not None:
+                window_sum = running if window_sum is None else \
+                    _jac_add(curve, window_sum, running)
+        if window_sum is not None:
+            accumulator = _jac_add(curve, accumulator, window_sum)
+    return accumulator
+
+
+# -- public surface -----------------------------------------------------------------
+
+
+def straus(scalars: Sequence[int], points: Sequence[Point],
+           width: int = 0) -> Point:
+    """Interleaved wNAF: shared doublings across all terms.
+
+    Efficient for small batches (tens of points), e.g. re-checking a
+    handful of accumulated commitments.  ``width = 0`` picks the wNAF
+    width from the counted-additions model.
+    """
+    curve, terms, bits = _lift(scalars, points)
+    width = width or _cheapest(_straus_adds, len(terms), bits, _WIDTHS)[1]
+    return Point.from_jacobian(curve, _straus(curve, terms, width))
 
 
 def pippenger(scalars: Sequence[int], points: Sequence[Point],
               window: int = 0) -> Point:
     """Bucket-method multi-exponentiation.
 
-    Cost ≈ ``(bits/c) · (n + 2^c)`` point additions for n terms and
-    bucket width c, versus ``n · bits/2`` for naive per-term wNAF — the
-    difference between minutes and hours at model scale.
+    Cost ≈ ``(bits/c) · (n + 2^c)`` point additions for n terms of at
+    most ``bits`` centred magnitude bits and bucket width c, versus
+    ``n · bits/2`` for naive per-term wNAF — the difference between
+    minutes and hours at model scale.  ``window = 0`` picks c from that
+    count.
     """
-    curve = _validate(scalars, points)
-    pairs = [
-        (scalar % curve.n, point)
-        for scalar, point in zip(scalars, points)
-        if scalar % curve.n != 0 and not point.is_identity
-    ]
-    if not pairs:
-        return Point.identity(curve)
-    c = window or pippenger_window(len(pairs))
-    total_bits = curve.n.bit_length()
-    num_windows = -(-total_bits // c)
-    mask = (1 << c) - 1
-
-    accumulator = _JAC_IDENTITY
-    for window_index in range(num_windows - 1, -1, -1):
-        if accumulator != _JAC_IDENTITY:
-            for _ in range(c):
-                accumulator = _jac_double(curve, accumulator)
-        shift = window_index * c
-        buckets: List = [None] * ((1 << c) - 1)
-        for scalar, point in pairs:
-            digit = (scalar >> shift) & mask
-            if digit == 0:
-                continue
-            slot = digit - 1
-            if buckets[slot] is None:
-                buckets[slot] = point.to_jacobian()
-            else:
-                buckets[slot] = _jac_add_mixed(
-                    curve, buckets[slot], point.x, point.y
-                )
-        running = _JAC_IDENTITY
-        window_sum = _JAC_IDENTITY
-        for bucket in reversed(buckets):
-            if bucket is not None:
-                running = _jac_add(curve, running, bucket)
-            window_sum = _jac_add(curve, window_sum, running)
-        accumulator = _jac_add(curve, accumulator, window_sum)
-    return Point.from_jacobian(curve, accumulator)
+    curve, terms, bits = _lift(scalars, points)
+    window = window or _cheapest(
+        _pippenger_adds, len(terms), bits, _WINDOWS)[1]
+    return Point.from_jacobian(
+        curve, _pippenger(curve, terms, bits, window)
+    )
 
 
 def multi_scalar_mult(scalars: Sequence[int],
                       points: Sequence[Point]) -> Point:
-    """Auto-dispatching ``∑ scalar_i · point_i`` (``∏ h_i^{v_i}``)."""
-    if len(scalars) != len(points):
-        raise ValueError(
-            f"{len(scalars)} scalars vs {len(points)} points"
-        )
-    if not points:
-        raise ValueError("cannot infer curve from an empty input")
-    if len(points) == 1:
-        return scalars[0] * points[0]
-    if len(points) <= 16:
-        return straus(scalars, points)
-    return pippenger(scalars, points)
+    """``∑ scalar_i · point_i`` (``∏ h_i^{v_i}``) by whichever of Straus
+    and Pippenger counts fewer group additions for this input."""
+    curve, terms, bits = _lift(scalars, points)
+    count = len(terms)
+    straus_adds, width = _cheapest(_straus_adds, count, bits, _WIDTHS)
+    pippenger_adds, window = _cheapest(
+        _pippenger_adds, count, bits, _WINDOWS)
+    if straus_adds <= pippenger_adds:
+        result = _straus(curve, terms, width)
+    else:
+        result = _pippenger(curve, terms, bits, window)
+    return Point.from_jacobian(curve, result)

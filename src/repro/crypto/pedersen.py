@@ -112,15 +112,14 @@ class PedersenParams:
             )
         scalars = list(values)
         points = self.generators[:len(scalars)]
-        if randomness % self.curve.n != 0:
-            scalars = scalars + [randomness]
-            points = points + [self._blinding_base]
-        nonzero = [(s, p) for s, p in zip(scalars, points) if s % self.curve.n]
-        if not nonzero:
+        if randomness:
+            scalars.append(randomness)
+            points.append(self._blinding_base)
+        if not scalars:
             return Commitment.identity(self.curve)
-        return Commitment(multi_scalar_mult(
-            [s for s, _ in nonzero], [p for _, p in nonzero]
-        ))
+        # Reduction, zero-dropping and the centred lift happen once, in
+        # the multi-exponentiation's own normalisation pass.
+        return Commitment(multi_scalar_mult(scalars, points))
 
     def verify(self, commitment: Commitment, values: Sequence[int],
                randomness: int = 0) -> bool:

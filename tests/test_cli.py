@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _run_dirshard, _run_scale, build_parser, main
+from repro.obs import FakeWallClock
+
+
+def run_on_fake_clock(runner, argv):
+    """Run a wall-measuring subcommand on a ticking fake clock, so the
+    recorded ``wall_per_iteration`` repeats exactly: tier-1 never diffs
+    host time between two runs."""
+    return runner(build_parser().parse_args(argv),
+                  clock=FakeWallClock(tick=0.01))
 
 
 def test_parser_requires_command():
@@ -189,14 +198,14 @@ def test_scale_writes_manifest_and_compares_clean(tmp_path, capsys):
     small = ["scale", "--populations", "40", "--sample", "4",
              "--cohorts", "4", "--partitions", "2", "--params", "2000",
              "--ipfs-nodes", "4"]
-    code = main(small + ["--output", str(baseline)])
+    code = run_on_fake_clock(_run_scale, small + ["--output", str(baseline)])
     assert code == 0
     out = capsys.readouterr().out
     assert "population" in out and "40" in out
     assert baseline.exists()
 
-    code = main(small + ["--baseline", str(baseline),
-                         "--threshold", "0.5"])
+    code = run_on_fake_clock(_run_scale, small + ["--baseline", str(baseline),
+                                                  "--threshold", "0.5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "0 regression(s)" in out
@@ -239,7 +248,8 @@ def test_scale_observed_with_progress_and_status(tmp_path, capsys):
                 "--ipfs-nodes", "4", "--observe",
                 "--event-sample-rate", "0.5",
                 "--progress", str(progress_path)]
-    assert main(observed + ["--output", str(manifest_path)]) == 0
+    assert run_on_fake_clock(
+        _run_scale, observed + ["--output", str(manifest_path)]) == 0
     out = capsys.readouterr().out
     assert "telemetry peak (B)" in out
 
@@ -255,8 +265,9 @@ def test_scale_observed_with_progress_and_status(tmp_path, capsys):
 
     # A rerun against the observed baseline is regression-free: the
     # telemetry counters are deterministic.
-    assert main(observed + ["--baseline", str(manifest_path),
-                            "--threshold", "0.5"]) == 0
+    assert run_on_fake_clock(
+        _run_scale, observed + ["--baseline", str(manifest_path),
+                                "--threshold", "0.5"]) == 0
     assert "0 regression(s)" in capsys.readouterr().out
 
     assert main(["status", str(progress_path)]) == 0
@@ -284,14 +295,16 @@ def test_dirshard_sweep_compares_clean_and_shares_never_gate(tmp_path,
     small = ["dirshard", "--populations", "40", "--shards", "1", "2",
              "--sample", "4", "--cohorts", "4", "--partitions", "2",
              "--params", "2000", "--ipfs-nodes", "4"]
-    code = main(small + ["--output", str(baseline)])
+    code = run_on_fake_clock(_run_dirshard,
+                             small + ["--output", str(baseline)])
     assert code == 0
     out = capsys.readouterr().out
     assert "regs/sec" in out
     assert baseline.exists()
 
-    code = main(small + ["--baseline", str(baseline),
-                         "--threshold", "0.5"])
+    code = run_on_fake_clock(_run_dirshard,
+                             small + ["--baseline", str(baseline),
+                                      "--threshold", "0.5"])
     assert code == 0
     assert "0 regression(s)" in capsys.readouterr().out
 
@@ -300,8 +313,9 @@ def test_dirshard_sweep_compares_clean_and_shares_never_gate(tmp_path,
     assert share_key in doctored["counters"]
     doctored["counters"][share_key] /= 100.0
     baseline.write_text(json.dumps(doctored))
-    assert main(small + ["--baseline", str(baseline),
-                         "--threshold", "0.5"]) == 0
+    assert run_on_fake_clock(_run_dirshard,
+                             small + ["--baseline", str(baseline),
+                                      "--threshold", "0.5"]) == 0
 
 
 def test_dirshard_detects_a_throughput_regression(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Tests for multi-exponentiation, hash-to-curve, Pedersen commitments
 and the fixed-point codec."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PartitionCommitter
+from repro.core.partition import decode_partition, encode_partition
 from repro.crypto import (
     Commitment,
     FixedPointCodec,
@@ -22,7 +27,7 @@ from repro.crypto import (
     sha256,
     straus,
 )
-from repro.crypto.multiexp import pippenger_window
+from repro.crypto import multiexp
 
 
 def reference_msm(scalars, points):
@@ -94,10 +99,31 @@ def test_dispatch_small_vs_large_agree():
             == reference_msm(scalars, points))
 
 
-def test_pippenger_window_monotone():
-    assert pippenger_window(2) == 1
-    assert pippenger_window(100) >= pippenger_window(10)
-    assert pippenger_window(10**7) <= 16
+def test_window_and_width_follow_the_counted_model():
+    def straus_plan(count, bits):
+        return multiexp._cheapest(
+            multiexp._straus_adds, count, bits, multiexp._WIDTHS)
+
+    def pippenger_plan(count, bits):
+        return multiexp._cheapest(
+            multiexp._pippenger_adds, count, bits, multiexp._WINDOWS)
+
+    def window(count, bits):
+        return pippenger_plan(count, bits)[1]
+
+    # More terms amortise more buckets; shorter scalars scan fewer windows.
+    assert window(100, 256) >= window(10, 256) >= window(2, 256)
+    assert window(10**7, 256) <= 16
+    assert window(2018, 17) == 9  # 2 windows, not 29
+    # No table of odd multiples for short scalars.
+    assert straus_plan(4, 256)[1] > straus_plan(4, 20)[1] == 2
+
+    def straus_is_cheaper(count, bits):
+        return straus_plan(count, bits)[0] <= pippenger_plan(count, bits)[0]
+
+    # The crossover moves with the bit length, not with a constant.
+    assert straus_is_cheaper(16, 20) and not straus_is_cheaper(64, 20)
+    assert straus_is_cheaper(64, 256) and not straus_is_cheaper(2018, 256)
 
 
 @settings(max_examples=5, deadline=None)
@@ -107,6 +133,120 @@ def test_multiexp_property(scalars):
     g = generator(SECP256K1)
     points = [scalar_mult(i + 3, g) for i in range(len(scalars))]
     assert multi_scalar_mult(scalars, points) == reference_msm(scalars, points)
+
+
+def _edge_scalars(order):
+    small = st.integers(min_value=0, max_value=2**20)
+    return st.one_of(
+        st.just(0), small, small.map(lambda s: order - s),
+        st.sampled_from([order // 2, order // 2 + 1]),
+        st.integers(min_value=0, max_value=order - 1),
+        st.integers(min_value=order, max_value=2 * order + 7),
+        st.integers(min_value=-2**40, max_value=-1),
+    )
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+def test_all_paths_equal_naive_sum_on_edge_inputs(curve):
+    """The centred lift flips points: duplicates ``P, P`` (bucket
+    doubling), opposites ``P, -P`` (bucket cancellation), identities and
+    scalars on both sides of ``n/2`` must still sum to the naive result."""
+    g = generator(curve)
+    pool = [scalar_mult(k, g) for k in (1, 2, 3)]
+    pool += [-point for point in pool] + [Point.identity(curve)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(_edge_scalars(curve.n), st.sampled_from(pool)),
+                    min_size=1, max_size=7))
+    def check(pairs):
+        scalars = [scalar for scalar, _ in pairs]
+        points = [point for _, point in pairs]
+        expected = reference_msm(scalars, points)
+        assert multi_scalar_mult(scalars, points) == expected
+        assert pippenger(scalars, points) == expected
+        assert straus(scalars, points) == expected
+
+    check()
+
+
+def test_sign_flip_reaches_bucket_doubling_and_cancellation():
+    g = generator(SECP256K1)
+    order = SECP256K1.n
+    # n - 5 lifts to 5 * (-P): meets 5 * P in the same bucket and cancels.
+    assert pippenger([5, order - 5], [g, g]).is_identity
+    assert pippenger([5, order - 5], [g, -g]) == scalar_mult(10, g)
+    assert pippenger([5, 5, 9], [g, g, g.double()]) == scalar_mult(28, g)
+    assert straus([5, order - 5], [g, g]).is_identity
+
+
+# -- group-operation counts: the noise-free regression gate -----------------------
+
+
+def count_group_operations(monkeypatch, function, *args):
+    """Calls of the three Jacobian primitives as seen from ``multiexp``."""
+    calls = [0]
+
+    def counting(primitive):
+        def counted(*primitive_args):
+            calls[0] += 1
+            return primitive(*primitive_args)
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in ("_jac_add", "_jac_add_mixed", "_jac_double"):
+            patch.setattr(multiexp, name, counting(getattr(multiexp, name)))
+        result = function(*args)
+    return calls[0], result
+
+
+@pytest.fixture(scope="module")
+def model_generators():
+    """One ``verifiable_mlp`` partition: 2 017 values + the counter."""
+    return PedersenParams.setup(SECP256K1, 2018).generators
+
+
+def signed_scalars(bits, count, order, seed=7):
+    rng = random.Random(seed)
+    bound = 1 << bits
+    return [rng.randrange(-bound + 1, bound) % order for _ in range(count)]
+
+
+@pytest.mark.parametrize("bits, budget", [(17, 6_000), (19, 6_500)])
+def test_quantised_gradient_commit_scans_only_its_bits(
+        monkeypatch, model_generators, bits, budget):
+    """Before the centred lift these inputs cost 47 938 / 48 425 group
+    operations: every negative value was a 256-bit scalar."""
+    scalars = signed_scalars(bits, 2018, SECP256K1.n)
+    operations, result = count_group_operations(
+        monkeypatch, multi_scalar_mult, scalars, model_generators)
+    assert operations <= budget
+    assert result == pippenger(scalars, model_generators, window=4)
+
+
+def test_full_width_scalars_cost_no_more_than_before(
+        monkeypatch, model_generators):
+    rng = random.Random(7)
+    scalars = [rng.randrange(SECP256K1.n) for _ in model_generators]
+    operations, _ = count_group_operations(
+        monkeypatch, multi_scalar_mult, scalars, model_generators)
+    # The 256-bit scan under the old c = 9 rule: 73 392 on this input.
+    assert operations <= 73_375
+
+
+@pytest.mark.parametrize("bits", [20, 256])
+def test_dispatch_picks_the_cheaper_algorithm_by_count(
+        monkeypatch, model_generators, bits):
+    for count in (1, 2, 8, 32, 48, 64):
+        points = model_generators[:count]
+        scalars = signed_scalars(bits, count, SECP256K1.n, seed=count)
+        spent = {
+            function: count_group_operations(
+                monkeypatch, function, scalars, points)[0]
+            for function in (multi_scalar_mult, straus, pippenger)
+        }
+        assert spent[multi_scalar_mult] <= 1.1 * min(
+            spent[straus], spent[pippenger])
 
 
 # -- hash-to-curve / generators ----------------------------------------------------------
@@ -137,6 +277,18 @@ def test_derive_generators_deterministic_prefix():
 def test_derive_generators_validation():
     with pytest.raises(ValueError):
         derive_generators(SECP256K1, -1)
+
+
+@pytest.mark.parametrize("curve, digest", [
+    (SECP256K1,
+     "e40180926b9636c7ca12bf484a484f9485e3f136259851a170cf9b22428865e4"),
+    (SECP256R1,
+     "316b1f56656c17a8f337c4a1f5d44fd4706b44aa081672505863b0d9b07d1a47"),
+], ids=lambda value: getattr(value, "name", ""))
+def test_derive_generators_pinned(curve, digest):
+    """The single-exponentiation square root derives the same points."""
+    encoded = b"".join(g.to_bytes() for g in derive_generators(curve, 64))
+    assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 def test_sha256_wrapper():
@@ -247,6 +399,27 @@ def test_homomorphism_property(v1, v2):
     v2 = v2 + [0] * (length - len(v2))
     assert (params.commit(v1) * params.commit(v2)
             == params.commit([a + b for a, b in zip(v1, v2)]))
+
+
+@pytest.mark.parametrize("curve, commitment_hex", [
+    ("secp256k1",
+     "0317577affba7eab219ab025e77da06fdc5fb9af39ed312b7ac564147f10f674b5"),
+    ("secp256r1",
+     "02d71b28e2b7a668d22cc3ea09693a209d69dcef7302ed58518daee45974ac3af7"),
+])
+def test_partition_commitment_bytes_pinned(curve, commitment_hex):
+    """A faster multi-exponentiation must return the same group element:
+    these are the bytes the directory accumulates and monitors recompute."""
+    committer = PartitionCommitter(48, curve=curve)
+    values = np.random.default_rng(15).normal(size=48)
+    blob, commitment = committer.encode_and_commit(values, counter=3.0)
+    assert commitment.to_bytes().hex() == commitment_hex
+    assert committer.verify_blob(blob, commitment)
+
+    quantized, counter = decode_partition(blob)
+    quantized[0] += 2.0 ** -16  # one quantum
+    assert not committer.verify_blob(
+        encode_partition(quantized, counter), commitment)
 
 
 # -- fixed-point codec ------------------------------------------------------------
