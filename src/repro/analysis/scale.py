@@ -220,7 +220,7 @@ def run_scale_point(population: int,
             registry.close()
         if reporter is not None:
             reporter.close()
-    scheduler = session.testbed.network._scheduler
+    network = session.testbed.network
     return ScalePoint(
         population=population,
         wall_seconds=best_wall,
@@ -228,9 +228,9 @@ def run_scale_point(population: int,
         iterations=scenario.iterations,
         registrations=session.directory.register_count,
         lookups=session.directory.lookup_count,
-        recomputed_flows=scheduler.recomputed_flows,
-        cancelled_wakeups=scheduler.cancelled_wakeups,
-        stale_wakeups=scheduler.stale_wakeups,
+        recomputed_flows=network.recomputed_flows,
+        cancelled_wakeups=network.cancelled_wakeups,
+        stale_wakeups=network.stale_wakeups,
         cohorts_completed=sum(
             cohort.completed_iterations for cohort in session.cohorts
         ),

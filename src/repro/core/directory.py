@@ -247,6 +247,14 @@ class DirectoryService:
         self.trainer_assignment = trainer_assignment or {}
         self.expected_trainers = expected_trainers
         self._entries: Dict[Address, DirectoryEntry] = {}
+        #: ``_entries`` bucketed the two ways it is asked for, so a lookup
+        #: costs its answer and GC costs the old rounds — not every entry
+        #: ever registered.  Buckets are address-keyed like ``_entries``:
+        #: a re-registration replaces the entry in its first-insertion
+        #: position, which is the order lookups have always replied in.
+        self._by_key: Dict[Tuple[int, int, str],
+                           Dict[Address, DirectoryEntry]] = {}
+        self._by_iteration: Dict[int, Dict[Address, DirectoryEntry]] = {}
         self._accumulators: Dict[Tuple[int, int], _PartitionAccumulator] = {}
         #: iteration -> gradient-registration cutoff (the schedule's
         #: t_train).  Closes the race between a late-straddling upload
@@ -286,20 +294,26 @@ class DirectoryService:
 
     def entries_for(self, partition_id: int, iteration: int,
                     kind: str) -> List[DirectoryEntry]:
-        return [
-            entry for entry in self._entries.values()
-            if entry.address.partition_id == partition_id
-            and entry.address.iteration == iteration
-            and entry.address.kind == kind
-        ]
+        bucket = self._by_key.get((partition_id, iteration, kind))
+        return list(bucket.values()) if bucket else []
 
     def entries_before(self, iteration: int) -> List[DirectoryEntry]:
         """All entries from iterations strictly before ``iteration``
-        (candidates for storage garbage collection)."""
+        (candidates for storage garbage collection), oldest iteration
+        first."""
         return [
-            entry for entry in self._entries.values()
-            if entry.address.iteration < iteration
+            entry
+            for older in sorted(self._by_iteration) if older < iteration
+            for entry in self._by_iteration[older].values()
         ]
+
+    def _store(self, entry: DirectoryEntry) -> None:
+        """Record ``entry`` under its address in every index."""
+        address = entry.address
+        self._entries[address] = entry
+        key = (address.partition_id, address.iteration, address.kind)
+        self._by_key.setdefault(key, {})[address] = entry
+        self._by_iteration.setdefault(address.iteration, {})[address] = entry
 
     def inbox_depth(self) -> int:
         """Requests queued behind the serve loop (load telemetry)."""
@@ -390,10 +404,10 @@ class DirectoryService:
             return
 
         if address.kind == PARTIAL_UPDATE:
-            self._entries[address] = DirectoryEntry(
+            self._store(DirectoryEntry(
                 address=address, cid=cid, commitment=commitment,
                 registered_at=self.sim.now,
-            )
+            ))
             self.endpoint.respond(message, KIND_REGISTER_ACK,
                                   payload={"accepted": True},
                                   size=ENTRY_WIRE_SIZE)
@@ -426,7 +440,7 @@ class DirectoryService:
             registered_at=self.sim.now,
             verified=None if self.verifiable else True,
         )
-        self._entries[address] = entry
+        self._store(entry)
         self.endpoint.respond(message, KIND_REGISTER_ACK,
                               payload={"accepted": True},
                               size=ENTRY_WIRE_SIZE)
@@ -501,10 +515,10 @@ class DirectoryService:
         cutoff = self._gradient_cutoff.get(address.iteration)
         if cutoff is not None and self.sim.now > cutoff:
             return False
-        self._entries[address] = DirectoryEntry(
+        self._store(DirectoryEntry(
             address=address, cid=cid, commitment=commitment,
             registered_at=self.sim.now,
-        )
+        ))
         self.first_gradient_time.setdefault(address.iteration, self.sim.now)
         bus = self.sim.bus
         if bus.wants(GradientRegistered):

@@ -8,26 +8,29 @@ bottleneck, while spreading uploads over four providers is not.
 The model is *flow-level*: a transfer is a fluid flow with a remaining byte
 count, and the set of concurrent flows receives a max-min fair allocation
 subject to each host's uplink and downlink capacities (progressive-filling
-algorithm).  Whenever a flow starts or finishes, every flow's progress is
-advanced and rates are recomputed; the next completion is scheduled by a
-cancellable kernel timeout, so superseded wakeups are removed from the heap
-instead of polluting it.
+algorithm).  Rates are solved **once per simulated instant**: a start,
+finish, abort or capacity change only marks its links dirty and arms one
+*settle* event at the kernel's ``PRIORITY_LATE``, which runs after every
+other event of that timestamp, re-solves the touched flows and re-arms the
+next-completion wakeup (a cancellable kernel timeout, so superseded wakeups
+leave the heap instead of polluting it).  No byte moves while the clock
+stands still and a max-min allocation depends only on the flow set, so N
+uploads starting together cost one solve over N flows instead of N solves
+over 1..N — with the same rates and finish times, float for float.
 
 Scaling
 -------
-Rate recomputation is *incremental*: a flow arrival or departure can only
-change the allocation inside the connected component of the flow-link
-bipartite graph it touches (max-min progressive filling decomposes across
-components — rounds in one component never read or write another's residual
-capacity).  The scheduler therefore keeps a link -> flows index, finds the
-affected component by BFS from the changed links, and re-runs allocation on
-that component only.  Component flows are allocated in ``flow_id`` order —
-the same relative order a global recomputation would visit them — so the
-incremental rates are bit-identical to the :func:`max_min_rates` oracle run
-over all flows (there is a property test for this).  Large components fall
-back to :func:`max_min_rates_vectorized`, a numpy formulation of the same
-arithmetic; small in-flight sets skip component discovery entirely (the
-BFS would cost more than it saves).  See ``docs/SCALING.md``.
+The solve is *incremental*: a change can only move the allocation inside the
+connected component of the flow-link bipartite graph it touches (max-min
+progressive filling decomposes across components — rounds in one component
+never read or write another's residual capacity).  The scheduler therefore
+keeps a link -> flows index, finds the component(s) of the instant's dirty
+links by BFS and re-solves only those.  Component flows are allocated in
+``flow_id`` order — the same relative order a global recomputation would
+visit them — so the rates are bit-identical to the :func:`max_min_rates`
+oracle run over all flows (there is a property test for this).  Large
+components go to :func:`max_min_rates_vectorized`, a numpy formulation of
+the same arithmetic.  See ``docs/SCALING.md``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..sim import Event, Simulator, Timeout
+from ..sim import PRIORITY_LATE, Event, Simulator, Timeout
 
 __all__ = ["Link", "Flow", "FlowScheduler", "TransferAbortedError",
            "max_min_rates", "max_min_rates_vectorized"]
@@ -46,19 +49,11 @@ __all__ = ["Link", "Flow", "FlowScheduler", "TransferAbortedError",
 #: against float round-off never quite reaching zero.
 _EPSILON_BYTES = 1e-6
 
-#: Components at least this large are allocated via the numpy path.
-#: High enough that unit-test and golden-run topologies always take the
-#: scalar oracle, low enough that 10^4-trainer fan-ins vectorize.
+#: Components at least this large are allocated via the numpy path.  The
+#: two solvers cost the same at a few hundred flows; numpy is 2x faster at
+#: 10^3 and 6x at 4 * 10^3, the scalar oracle 3x faster at 32 (table in
+#: EXPERIMENTS.md, "One solve per instant").
 _VECTORIZE_THRESHOLD = 192
-
-#: In-flight flow counts at or below this skip component discovery and
-#: re-allocate every flow.  At paper-figure scale (dozens of flows) the
-#: BFS + sort of component discovery costs more than the allocation it
-#: would save; a global allocation assigns identical rates, because the
-#: max-min allocation depends only on the flow set (components never
-#: interact) and ``_flows`` is kept in flow_id order — the oracle's
-#: visit order.
-_SMALL_RECOMPUTE_LIMIT = 64
 
 
 class TransferAbortedError(Exception):
@@ -252,9 +247,7 @@ class FlowScheduler:
         yield done   # fires when the last byte is delivered
     """
 
-    def __init__(self, sim: Simulator,
-                 vectorize_threshold: int = _VECTORIZE_THRESHOLD,
-                 small_recompute_limit: int = _SMALL_RECOMPUTE_LIMIT):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self._flows: List[Flow] = []
         #: Link -> {flow: None} index (dict-as-ordered-set, insertion =
@@ -262,12 +255,14 @@ class FlowScheduler:
         #: including infinite-capacity ones (abort_flows looks those up).
         self._link_flows: Dict[Link, Dict[Flow, None]] = {}
         self._next_id = 0
-        #: Incremented on every rate change; guards the armed wakeup.
-        self._epoch = 0
         self._last_update = sim.now
+        #: Links whose flow set or capacity changed since the last solve.
+        self._dirty: List[Link] = []
+        #: The LATE-priority event that will re-solve ``_dirty`` once this
+        #: instant's other events are done; None when rates are settled.
+        self._settle_timer: Optional[Timeout] = None
+        #: The armed next-completion wakeup.
         self._wakeup: Optional[Timeout] = None
-        self.vectorize_threshold = vectorize_threshold
-        self.small_recompute_limit = small_recompute_limit
         #: Total bytes delivered since construction (telemetry).
         self.bytes_delivered = 0.0
         #: Superseded wakeups that still fired (telemetry; stays 0 while
@@ -275,9 +270,8 @@ class FlowScheduler:
         self.stale_wakeups = 0
         #: Superseded wakeups removed from the kernel heap before firing.
         self.cancelled_wakeups = 0
-        #: Flows whose rate was recomputed, cumulative (telemetry: the
-        #: incremental scheduler's work; a from-scratch scheduler would
-        #: count len(flows) per change).
+        #: Flows whose rate was re-solved, cumulative (telemetry: one
+        #: solve per busy instant, over the touched component only).
         self.recomputed_flows = 0
 
     @property
@@ -289,12 +283,18 @@ class FlowScheduler:
         """Instantaneous allocated-rate / capacity per busy link.
 
         Only links crossed by at least one in-flight flow appear; links
-        of infinite capacity report 0.0.  Rates are the current max-min
-        allocation, so between scheduler events this is exact.
+        of infinite capacity report 0.0.  Rates are the max-min
+        allocation of the current flow set: a read that lands between a
+        change and its settle solves the pending component on the side
+        (nothing is stored), so observers never see a half-settled instant
+        and never perturb the run.
         """
+        pending = self._solve_dirty() if self._dirty else {}
         allocated: Dict[Link, float] = {}
         for flow in self._flows:
-            rate = 0.0 if math.isinf(flow.rate) else flow.rate
+            rate = pending.get(flow, flow.rate)
+            if math.isinf(rate):
+                rate = 0.0
             for link in flow.links:
                 allocated[link] = allocated.get(link, 0.0) + rate
         return {
@@ -321,7 +321,7 @@ class FlowScheduler:
         self._flows.append(flow)
         for link in flow.links:
             self._link_flows.setdefault(link, {})[flow] = None
-        self._recompute(flow.links)
+        self._touch(flow.links)
         return done
 
     def abort_flows(self, links: Iterable[Link],
@@ -329,8 +329,8 @@ class FlowScheduler:
         """Fail every in-flight flow crossing any of ``links``.
 
         Each aborted flow's completion event fails with a
-        :class:`TransferAbortedError`; survivors get re-allocated rates.
-        Returns the aborted flows.
+        :class:`TransferAbortedError`; survivors get re-allocated rates
+        at the end of the instant.  Returns the aborted flows.
         """
         self._advance()
         # One pass over the dead links' indexed flows instead of
@@ -342,27 +342,20 @@ class FlowScheduler:
         if not doomed:
             return []
         aborted = sorted(doomed, key=lambda flow: flow.flow_id)
-        seeds: List[Link] = []
-        for flow in aborted:
-            self._unindex(flow)
-            seeds.extend(flow.links)
-        doomed_set = set(aborted)
-        self._flows = [f for f in self._flows if f not in doomed_set]
+        self._remove(aborted)
         for flow in aborted:
             flow.done.fail(TransferAbortedError(reason))
-        self._recompute(seeds)
         return aborted
 
-    def rates_changed(self, links: Optional[Iterable[Link]] = None) -> None:
-        """Re-allocate rates after a link capacity mutation.
+    def rates_changed(self, links: Iterable[Link]) -> None:
+        """Re-allocate rates after the capacity of ``links`` was mutated.
 
-        ``links`` names the mutated links so only their component is
-        recomputed; None recomputes everything (legacy callers).
-        Progress up to now is accounted at the old rates; the completion
-        wakeup scheduled against them is cancelled and re-armed.
+        Progress up to now is accounted at the old rates; the new
+        allocation and completion wakeup are installed by this
+        instant's settle.
         """
         self._advance()
-        self._recompute(tuple(links) if links is not None else None)
+        self._touch(links)
 
     # -- internals ----------------------------------------------------------
 
@@ -372,86 +365,100 @@ class FlowScheduler:
         self._last_update = self.sim.now
         if elapsed <= 0:
             return
+        if self._settle_timer is not None:
+            # LATE priority runs the settle before the kernel leaves its
+            # timestamp; progress at unsettled rates would be wrong bytes.
+            raise RuntimeError("clock advanced with a rate settle pending")
         for flow in self._flows:
             if math.isinf(flow.rate):
                 flow.remaining = 0.0
             else:
                 flow.remaining -= flow.rate * elapsed
 
-    def _unindex(self, flow: Flow) -> None:
-        for link in flow.links:
-            members = self._link_flows.get(link)
-            if members is not None:
-                members.pop(flow, None)
-                if not members:
-                    del self._link_flows[link]
+    def _remove(self, flows: Sequence[Flow]) -> None:
+        """Drop departed ``flows`` from the indexes; their links go dirty."""
+        seeds: List[Link] = []
+        for flow in flows:
+            seeds.extend(flow.links)
+            for link in flow.links:
+                members = self._link_flows.get(link)
+                if members is not None:
+                    members.pop(flow, None)
+                    if not members:
+                        del self._link_flows[link]
+        gone = set(flows)
+        self._flows = [f for f in self._flows if f not in gone]
+        self._touch(seeds)
 
-    def _component_flows(self,
-                         seed_links: Optional[Sequence[Link]]) -> List[Flow]:
-        """Flows in the connected component(s) touching ``seed_links``.
+    def _touch(self, links: Iterable[Link]) -> None:
+        """Mark ``links`` dirty and arm this instant's one settle.
+
+        However many changes share a timestamp, only the allocation of the
+        flow set they leave behind is ever used (no byte moves meanwhile):
+        it is solved once, after the instant's last ordinary event.
+        """
+        self._dirty.extend(links)
+        if self._settle_timer is None:
+            self._settle_timer = self.sim.timeout(0.0, priority=PRIORITY_LATE)
+            self._settle_timer._add_callback(self._settle)
+
+    def _solve_dirty(self) -> Dict[Flow, float]:
+        """Max-min rates of the component(s) touching the dirty links.
 
         Components are taken over *finite* links only: an infinite-capacity
         link never bottlenecks, so it couples nothing — treating it as a
         non-edge keeps a shared directory host from merging every
-        component.  Seed links expand unconditionally (a capacity mutation
-        may have just made one infinite).  Returned in flow_id order, the
+        component.  Dirty links expand unconditionally (a capacity mutation
+        may have just made one infinite).  Solved in flow_id order, the
         relative order a global recomputation would use.
         """
-        if seed_links is None:
-            return list(self._flows)
         frontier: List[Link] = []
         seen_links: Set[Link] = set()
-        for link in seed_links:
+        for link in self._dirty:
             if link not in seen_links and link in self._link_flows:
                 seen_links.add(link)
                 frontier.append(link)
-        component: Set[Flow] = set()
+        members: Set[Flow] = set()
         while frontier:
             link = frontier.pop()
             for flow in self._link_flows[link]:
-                if flow in component:
+                if flow in members:
                     continue
-                component.add(flow)
+                members.add(flow)
                 for other in flow.links:
                     if (other not in seen_links
                             and not math.isinf(other.capacity)
                             and other in self._link_flows):
                         seen_links.add(other)
                         frontier.append(other)
-        return sorted(component, key=lambda flow: flow.flow_id)
+        if not members:
+            return {}
+        component = sorted(members, key=lambda flow: flow.flow_id)
+        profiler = self.sim.profiler
+        frame = (profiler.begin("net", "recompute")
+                 if profiler is not None else None)
+        try:
+            if len(component) >= _VECTORIZE_THRESHOLD:
+                return max_min_rates_vectorized(component)
+            return max_min_rates(component)
+        finally:
+            if frame is not None:
+                profiler.end(frame)
 
-    def _recompute(self, seed_links: Optional[Sequence[Link]]) -> None:
-        """Re-allocate the affected component and re-arm the wakeup."""
-        self._epoch += 1
+    def _settle(self, _event: Event) -> None:
+        """Install the instant's allocation and re-arm the wakeup."""
+        self._settle_timer = None
         if self._wakeup is not None:
             if self._wakeup.cancel():
                 self.cancelled_wakeups += 1
             self._wakeup = None
+        rates = self._solve_dirty()
+        self._dirty = []
+        for flow, rate in rates.items():
+            flow.rate = rate
+        self.recomputed_flows += len(rates)
         if not self._flows:
             return
-        if (seed_links is None
-                or len(self._flows) <= self.small_recompute_limit):
-            # Small in-flight sets: skip component discovery and
-            # re-allocate everything — rate-identical (see
-            # _SMALL_RECOMPUTE_LIMIT) and cheaper than the BFS.
-            component = self._flows
-        else:
-            component = self._component_flows(seed_links)
-        if component:
-            profiler = self.sim.profiler
-            frame = (profiler.begin("net", "recompute")
-                     if profiler is not None else None)
-            try:
-                if len(component) >= self.vectorize_threshold:
-                    rates = max_min_rates_vectorized(component)
-                else:
-                    rates = max_min_rates(component)
-                for flow in component:
-                    flow.rate = rates[flow]
-            finally:
-                if frame is not None:
-                    profiler.end(frame)
-            self.recomputed_flows += len(component)
         next_finish = math.inf
         for flow in self._flows:
             if flow.rate <= 0:
@@ -460,13 +467,11 @@ class FlowScheduler:
             next_finish = min(next_finish, finish)
         if math.isinf(next_finish):
             raise RuntimeError("active flows but no flow can make progress")
-        epoch = self._epoch
-        wakeup = self.sim.timeout(max(next_finish, 0.0))
-        wakeup._add_callback(lambda _event: self._on_wakeup(epoch))
-        self._wakeup = wakeup
+        self._wakeup = self.sim.timeout(max(next_finish, 0.0))
+        self._wakeup._add_callback(self._on_wakeup)
 
-    def _on_wakeup(self, epoch: int) -> None:
-        if epoch != self._epoch:
+    def _on_wakeup(self, event: Event) -> None:
+        if event is not self._wakeup:
             # Should be unreachable: superseded wakeups are cancelled on
             # the kernel heap.  Counted, not silent, so heap pollution
             # regressions surface in telemetry.
@@ -489,12 +494,7 @@ class FlowScheduler:
                     flow.remaining = 0.0
             finished = [f for f in self._flows
                         if f.remaining <= _EPSILON_BYTES]
-        self._flows = [f for f in self._flows if f.remaining > _EPSILON_BYTES]
-        seeds: List[Link] = []
-        for flow in finished:
-            self._unindex(flow)
-            seeds.extend(flow.links)
+        self._remove(finished)
         for flow in finished:
             self.bytes_delivered += flow.total
             flow.done.succeed(flow.total)
-        self._recompute(seeds)

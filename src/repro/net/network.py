@@ -260,9 +260,16 @@ class Network:
         """Superseded scheduler wakeups removed from the kernel heap."""
         return self._scheduler.cancelled_wakeups
 
+    @property
+    def recomputed_flows(self) -> int:
+        """Flows whose rate the scheduler re-solved, cumulative (one
+        solve per busy simulated instant, over the touched component)."""
+        return self._scheduler.recomputed_flows
+
     def link_utilization(self) -> Dict[str, float]:
         """Instantaneous utilization of every link carrying traffic,
-        keyed by link name (``host/up``, ``host/down``)."""
+        keyed by link name (``host/up``, ``host/down``): the max-min
+        allocation of the flows in flight now, also mid-instant."""
         return {
             link.name: utilization
             for link, utilization in

@@ -570,9 +570,8 @@ class ResourceSampler:
     constructs one, so the zero-subscriber overhead contract holds — the
     same reasoning as the ``bus.wants()`` guards at emission sites, with
     construction standing in for subscription.  Wakeups are
-    epoch-validated (the :class:`~repro.net.bandwidth.FlowScheduler`
-    pattern), so :meth:`stop` leaves at most one stale no-op timeout on
-    the queue; stop the sampler before draining the simulator with
+    epoch-validated, so :meth:`stop` leaves at most one stale no-op
+    timeout on the queue; stop the sampler before draining the simulator with
     ``sim.run()`` or the rescheduling tick keeps the queue alive
     forever.  ``session.run(...)`` / ``run_iteration()`` use
     ``run_until`` and are safe with a live sampler.

@@ -6,11 +6,16 @@ Public surface:
 - :class:`Event`, :class:`Timeout`, :class:`Process` — core event types.
 - :class:`AllOf` / :class:`AnyOf` — condition events.
 - :class:`Interrupt` — exception thrown into interrupted processes.
+- ``PRIORITY_URGENT`` / ``PRIORITY_NORMAL`` / ``PRIORITY_LATE`` — order of
+  events sharing a timestamp (LATE: after everything else of that instant).
 - :class:`Store`, :class:`FilterStore`, :class:`Resource`,
   :class:`Container` — waitable primitives.
 """
 
 from .core import (
+    PRIORITY_LATE,
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
     AllOf,
     AnyOf,
     Condition,
@@ -31,6 +36,9 @@ __all__ = [
     "Event",
     "FilterStore",
     "Interrupt",
+    "PRIORITY_LATE",
+    "PRIORITY_NORMAL",
+    "PRIORITY_URGENT",
     "Process",
     "Resource",
     "SimulationError",

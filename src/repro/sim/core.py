@@ -41,12 +41,20 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "Simulator",
+    "PRIORITY_URGENT",
+    "PRIORITY_NORMAL",
+    "PRIORITY_LATE",
 ]
 
 # Scheduling priorities: events scheduled at the same simulated time are
-# processed in priority order, then in FIFO order of scheduling.
+# processed in priority order, then in FIFO order of scheduling.  URGENT is
+# kernel plumbing (process start, interrupts, late waiters), NORMAL is every
+# ordinary event, LATE runs once everything else of its timestamp is done —
+# including NORMAL events scheduled after it — and before the clock moves:
+# the slot for end-of-instant work such as the flow scheduler's settle.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
+PRIORITY_LATE = 2
 
 _PENDING = object()  # sentinel: event value not yet decided
 
@@ -171,14 +179,15 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+                 priority: int = PRIORITY_NORMAL):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._schedule(self, PRIORITY_NORMAL, delay)
+        sim._schedule(self, priority, delay)
 
     def cancel(self) -> bool:
         """Remove this timeout from the simulator queue before it fires.
@@ -422,9 +431,14 @@ class Simulator:
         """Create a new pending event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None,
+                priority: int = PRIORITY_NORMAL) -> Timeout:
+        """Create an event that fires ``delay`` time units from now.
+
+        ``priority`` orders it among the events of its timestamp;
+        ``PRIORITY_LATE`` makes it the last thing that instant does.
+        """
+        return Timeout(self, delay, value, priority)
 
     def timeout_many(self, delays: Iterable[float],
                      value: Any = None) -> List[Timeout]:

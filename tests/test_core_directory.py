@@ -281,3 +281,66 @@ def test_verifiable_requires_committers():
     dht = DHT(sim)
     with pytest.raises(ValueError):
         DirectoryService(sim, transport, dht, verifiable=True)
+
+
+def test_indexed_entries_equal_the_brute_force_filter():
+    """``entries_for`` / ``entries_before`` answer from per-key indexes;
+    every answer must be the filter over all entries it replaced, element
+    for element — including the slot a re-registration keeps."""
+    sim, transport, dht, node, directory, committer = make_world()
+    client = DirectoryClient("client-0", transport)
+    cids = [node.store_object(f"blob-{i}".encode()) for i in range(8)]
+
+    def scenario():
+        # Interleave iterations, partitions and kinds.
+        for iteration in (0, 1):
+            for uploader in ("t0", "t1", "t2"):
+                yield from client.register(
+                    Address(uploader, iteration % 2, iteration, GRADIENT),
+                    cids[0])
+            yield from client.register_batch([
+                {"address": Address("t3", partition, iteration, GRADIENT),
+                 "cid": cids[1 + partition]}
+                for partition in (0, 1)
+            ])
+            yield from client.register(
+                Address("agg-0", 0, iteration, PARTIAL_UPDATE), cids[3])
+            yield from client.register(
+                Address("agg-0", 0, iteration, UPDATE), cids[4])
+        # Re-registrations: an idempotent retry (same CID), a replacement
+        # (new CID, same address) and a late entry for the older round.
+        yield from client.register(Address("t1", 0, 0, GRADIENT), cids[0])
+        yield from client.register(Address("t0", 0, 0, GRADIENT), cids[5])
+        yield from client.register(
+            Address("agg-0", 0, 0, PARTIAL_UPDATE), cids[6])
+        yield from client.register(Address("t9", 0, 0, GRADIENT), cids[7])
+        # Cohort load carries no addresses: must leave the indexes alone.
+        yield from client.register_cohort(1, members=50, num_partitions=2,
+                                          cohort="cohort-0")
+
+    run(sim, scenario())
+    everything = list(directory._entries.values())
+    assert len(everything) == 15
+    assert directory.entry(Address("t0", 0, 0, GRADIENT)).cid == cids[5]
+    for partition in (0, 1, 2):
+        for iteration in (0, 1, 2):
+            for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
+                brute = [
+                    entry for entry in everything
+                    if entry.address.partition_id == partition
+                    and entry.address.iteration == iteration
+                    and entry.address.kind == kind
+                ]
+                indexed = directory.entries_for(partition, iteration, kind)
+                assert [id(e) for e in indexed] == [id(e) for e in brute]
+    # The replaced entry kept t0's first slot, ahead of t1 and t2.
+    assert [entry.address.uploader_id
+            for entry in directory.entries_for(0, 0, GRADIENT)] \
+        == ["t0", "t1", "t2", "t3", "t9"]
+    for cutoff in (0, 1, 2, 3):
+        brute = [entry for entry in everything
+                 if entry.address.iteration < cutoff]
+        # Oldest iteration first; stable within one iteration.
+        brute.sort(key=lambda entry: entry.address.iteration)
+        indexed = directory.entries_before(cutoff)
+        assert [id(e) for e in indexed] == [id(e) for e in brute]

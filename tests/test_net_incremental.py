@@ -1,12 +1,12 @@
 """Incremental fair-share vs the from-scratch oracle.
 
-The delta-based :class:`FlowScheduler` recomputation (only the
-connected component whose flow set changed) and the numpy-vectorized
-allocator must both be *float-equal* to the original progressive-fill
-``max_min_rates`` — that equality is what lets the committed golden
-manifests survive the scaling refactor.  Also covers the satellite
-fixes that rode along: the residual clamp, the single-pass abort, the
-wakeup cancellation counters, and the sub-ulp completion guard.
+The delta-based :class:`FlowScheduler` recomputation (once per busy
+instant, only the connected component whose flow set changed) and the
+numpy-vectorized allocator must both be *float-equal* to the original
+progressive-fill ``max_min_rates`` — that equality is what lets the
+committed golden manifests survive the scaling refactor.  Also covers
+the satellite fixes that rode along: the residual clamp, the single-pass
+abort, the wakeup cancellation counters, and the sub-ulp completion guard.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import bandwidth
 from repro.net.bandwidth import (
     Flow,
     FlowScheduler,
@@ -27,64 +28,85 @@ from repro.sim import Simulator
 
 NUM_LINKS = 5
 
-# One scheduler mutation: start a flow over a link subset, let simulated
-# time pass, kill a link's flows, or mutate a link's capacity.
-_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("start"),
-            st.sets(st.integers(0, NUM_LINKS - 1), min_size=1, max_size=3),
-            st.floats(1.0, 1000.0, allow_nan=False, allow_infinity=False),
-        ),
-        st.tuples(
-            st.just("advance"),
-            st.floats(0.01, 5.0, allow_nan=False, allow_infinity=False),
-        ),
-        st.tuples(st.just("abort"), st.integers(0, NUM_LINKS - 1)),
-        st.tuples(
-            st.just("capacity"),
-            st.integers(0, NUM_LINKS - 1),
-            st.floats(1.0, 500.0, allow_nan=False, allow_infinity=False),
-        ),
+# One scheduler mutation: start a flow over a link subset, kill a link's
+# flows, or mutate a link's capacity.
+_mutation = st.one_of(
+    st.tuples(
+        st.just("start"),
+        st.sets(st.integers(0, NUM_LINKS - 1), min_size=1, max_size=3),
+        st.floats(1.0, 1000.0, allow_nan=False, allow_infinity=False),
+    ),
+    st.tuples(st.just("abort"), st.integers(0, NUM_LINKS - 1)),
+    st.tuples(
+        st.just("capacity"),
+        st.integers(0, NUM_LINKS - 1),
+        st.floats(1.0, 500.0, allow_nan=False, allow_infinity=False),
+    ),
+)
+
+# One simulated instant: a burst of mutations sharing a timestamp (all
+# coalesced into one settle), then the clock moves on.
+_instants = st.lists(
+    st.tuples(
+        st.lists(_mutation, min_size=1, max_size=12),
+        st.floats(0.01, 5.0, allow_nan=False, allow_infinity=False),
     ),
     min_size=1,
-    max_size=25,
+    max_size=10,
 )
 
 
+def utilization_oracle(scheduler):
+    """Per-link utilization under the oracle's rates for the live flows."""
+    rates = max_min_rates(list(scheduler._flows))
+    allocated = {}
+    for flow in scheduler._flows:
+        for link in flow.links:
+            allocated[link] = allocated.get(link, 0.0) + rates[flow]
+    return {link: rate / link.capacity for link, rate in allocated.items()}
+
+
+def _assert_rates_match_oracle(scheduler):
+    assert scheduler._settle_timer is None
+    expected = max_min_rates(list(scheduler._flows))
+    for flow in scheduler._flows:
+        assert flow.rate == expected[flow]
+
+
 @settings(max_examples=60, deadline=None)
-@given(ops=_ops)
-def test_incremental_allocation_matches_oracle(ops):
-    """After any interleaving, every live rate equals the oracle's.
+@given(instants=_instants)
+def test_incremental_allocation_matches_oracle(instants):
+    """At the end of every instant, every live rate equals the oracle's.
 
     Equality is ``==``, not approx: the incremental path must follow
     the oracle's float arithmetic exactly, or seeded replays diverge.
+    Inside an instant the stored rates lag the burst, but a utilization
+    read must already agree with the oracle on the flows in flight.
     """
     sim = Simulator()
-    # limit=0 forces component discovery even for tiny flow sets — the
-    # production fast path would short-circuit to a global allocation.
-    scheduler = FlowScheduler(sim, small_recompute_limit=0)
+    scheduler = FlowScheduler(sim)
     links = [Link(f"l{i}", 10.0 * (i + 1)) for i in range(NUM_LINKS)]
     clock = 0.0
-    for op in ops:
-        if op[0] == "start":
-            _, indices, size = op
-            done = scheduler.start_flow(
-                tuple(links[i] for i in sorted(indices)), size
-            )
-            done.defused()  # aborts are expected, not failures
-        elif op[0] == "advance":
-            clock += op[1]
-            sim.run(until=clock)
-        elif op[0] == "abort":
-            scheduler.abort_flows([links[op[1]]])
-        else:
-            _, index, capacity = op
-            links[index].capacity = capacity
-            scheduler.rates_changed([links[index]])
-        expected = max_min_rates(list(scheduler._flows))
-        for flow in scheduler._flows:
-            assert flow.rate == expected[flow]
+    for burst, pause in instants:
+        for op in burst:
+            if op[0] == "start":
+                _, indices, size = op
+                done = scheduler.start_flow(
+                    tuple(links[i] for i in sorted(indices)), size
+                )
+                done.defused()  # aborts are expected, not failures
+            elif op[0] == "abort":
+                scheduler.abort_flows([links[op[1]]])
+            else:
+                _, index, capacity = op
+                links[index].capacity = capacity
+                scheduler.rates_changed([links[index]])
+        assert scheduler.link_utilization() == utilization_oracle(scheduler)
+        sim.run(until=sim.now)  # the instant's one settle
+        _assert_rates_match_oracle(scheduler)
+        clock += pause
+        sim.run(until=clock)  # finishes on the way settle themselves
+        _assert_rates_match_oracle(scheduler)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,24 +139,23 @@ def test_vectorized_allocator_matches_oracle(topology, capacities):
         assert vectorized[flow] == scalar[flow]
 
 
-def test_small_recompute_fast_path_matches_component_path():
-    """Below the limit the scheduler allocates globally; rates must be
-    identical to component-restricted recomputation (components never
-    interact, so the extra flows just re-receive their old rates)."""
-    def run(limit):
-        sim = Simulator()
-        scheduler = FlowScheduler(sim, small_recompute_limit=limit)
-        links = [Link(f"l{i}", 10.0 + i) for i in range(4)]
-        # Two independent components: {l0, l1} and {l2, l3}.
-        for pair in [(0, 1), (0,), (2, 3), (3,), (1,), (2,)]:
-            scheduler.start_flow(
-                tuple(links[i] for i in pair), 500.0
-            ).defused()
-        sim.run(until=1.0)
-        scheduler.abort_flows([links[3]])
-        return {f.flow_id: f.rate for f in scheduler._flows}
-
-    assert run(limit=64) == run(limit=0)
+def test_settle_resolves_only_the_touched_component():
+    """A change re-solves its own component and nothing else; the rates
+    still equal a global allocation (components never interact, so the
+    untouched flows would just re-receive the rates they hold)."""
+    sim = Simulator()
+    scheduler = FlowScheduler(sim)
+    links = [Link(f"l{i}", 10.0 + i) for i in range(4)]
+    # Two independent components: {l0, l1} and {l2, l3}.
+    for pair in [(0, 1), (0,), (2, 3), (3,), (1,), (2,)]:
+        scheduler.start_flow(tuple(links[i] for i in pair), 500.0).defused()
+    sim.run(until=1.0)
+    assert scheduler.recomputed_flows == 6  # one settle, both components
+    scheduler.abort_flows([links[3]])
+    sim.run(until=sim.now)
+    assert scheduler.active_flows == 4
+    assert scheduler.recomputed_flows == 6 + 1  # only the l2 survivor
+    _assert_rates_match_oracle(scheduler)
 
 
 def test_vectorized_allocator_handles_infinite_links():
@@ -147,18 +168,25 @@ def test_vectorized_allocator_handles_infinite_links():
     assert math.isinf(rates[free])
 
 
-def test_scheduler_uses_vectorized_path_above_threshold():
+def test_scheduler_uses_vectorized_path_above_threshold(monkeypatch):
     """A large component goes through numpy and still matches the oracle."""
+    vectorized_sizes = []
+
+    def spy(flows):
+        vectorized_sizes.append(len(flows))
+        return max_min_rates_vectorized(flows)
+
+    monkeypatch.setattr(bandwidth, "max_min_rates_vectorized", spy)
+    monkeypatch.setattr(bandwidth, "_VECTORIZE_THRESHOLD", 8)
     sim = Simulator()
-    scheduler = FlowScheduler(sim, vectorize_threshold=8)
+    scheduler = FlowScheduler(sim)
     shared = Link("shared", 100.0)
     spurs = [Link(f"spur{i}", 5.0 + i) for i in range(12)]
     for spur in spurs:
         scheduler.start_flow((shared, spur), 1000.0).defused()
-    expected = max_min_rates(list(scheduler._flows))
-    assert len(scheduler._flows) >= 8
-    for flow in scheduler._flows:
-        assert flow.rate == expected[flow]
+    sim.run(until=sim.now)  # settle: one solve over the whole burst
+    assert vectorized_sizes == [12]
+    _assert_rates_match_oracle(scheduler)
 
 
 # -- residual clamp (satellite) ------------------------------------------------
@@ -193,11 +221,14 @@ def test_abort_is_single_pass_and_sorted():
               scheduler.start_flow((dead, alive), 100.0)]
     for event in events:
         event.defused()
+    sim.run(until=sim.now)  # settle the starts
     aborted = scheduler.abort_flows([dead])
     assert [flow.flow_id for flow in aborted] == [0, 2]
     assert scheduler.active_flows == 1
-    # Survivor reclaims the full link after the shared flow died.
+    # Survivor reclaims the full link once the abort's instant settles.
     survivor = scheduler._flows[0]
+    assert survivor.rate == 5.0
+    sim.run(until=sim.now)
     assert survivor.rate == 10.0
 
 

@@ -9,7 +9,7 @@ relies on (a superseded wakeup must never fire).
 
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import PRIORITY_LATE, SimulationError, Simulator
 
 
 def test_cancel_prevents_firing():
@@ -169,3 +169,69 @@ def test_processes_still_wait_on_cancelled_peers_timeouts():
         timeout.cancel()
     sim.run()
     assert log == [2.0]
+
+
+# -- PRIORITY_LATE: the end-of-instant slot -----------------------------------
+
+
+def test_late_priority_runs_after_normal_events_scheduled_later():
+    """A LATE event waits for every NORMAL event of its timestamp —
+    also those scheduled after it, and those they go on to schedule."""
+    sim = Simulator()
+    order = []
+    sim.timeout(1.0, priority=PRIORITY_LATE)._add_callback(
+        lambda _event: order.append("late"))
+
+    def chain(_event):
+        order.append("normal")
+        sim.timeout(0.0)._add_callback(
+            lambda _event: order.append("normal-child"))
+
+    sim.timeout(1.0)._add_callback(chain)
+    sim.event().succeed()._add_callback(lambda _event: order.append("now"))
+    sim.run()
+    assert order == ["now", "normal", "normal-child", "late"]
+
+
+def test_late_priority_runs_before_any_later_timestamp():
+    sim = Simulator()
+    order = []
+    sim.timeout(1.0 + 1e-9)._add_callback(
+        lambda _event: order.append(("next", sim.now)))
+    sim.timeout(1.0, priority=PRIORITY_LATE)._add_callback(
+        lambda _event: order.append(("late", sim.now)))
+    sim.run(until=1.0)  # stops at the boundary, LATE included
+    assert order == [("late", 1.0)]
+    sim.run()
+    assert order == [("late", 1.0), ("next", 1.0 + 1e-9)]
+
+
+def test_late_events_keep_fifo_order_and_may_spawn_same_instant_work():
+    sim = Simulator()
+    order = []
+    first = sim.timeout(0.0, priority=PRIORITY_LATE)
+    first._add_callback(lambda _event: (
+        order.append("late-1"),
+        sim.timeout(0.0)._add_callback(
+            lambda _event: order.append("normal-after-late")),
+    ))
+    sim.timeout(0.0, priority=PRIORITY_LATE)._add_callback(
+        lambda _event: order.append("late-2"))
+    sim.run()
+    # The NORMAL event a LATE one schedules outranks the remaining LATE.
+    assert order == ["late-1", "normal-after-late", "late-2"]
+    assert sim.now == 0.0
+
+
+def test_late_timeout_cancels_and_tombstones_like_any_entry():
+    sim = Simulator()
+    fired = []
+    late = sim.timeout(1.0, priority=PRIORITY_LATE)
+    late._add_callback(lambda _event: fired.append("late"))
+    assert late.cancel() is True
+    assert late.cancel() is False
+    assert not late.triggered
+    assert sim.peek() == float("inf")  # tombstone purged from the head
+    sim.timeout(2.0)
+    sim.run()
+    assert fired == [] and sim.now == 2.0
