@@ -18,6 +18,7 @@ from repro.baselines import (
 )
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 
 NUM_TRAINERS = 16
 MODEL_PARAMS = 130_000  # ~1 MB model
@@ -48,7 +49,8 @@ def test_baseline_comparison(benchmark):
 
         ours = FLSession(
             config(merge_and_download=True, providers_per_aggregator=4),
-            factory, shards, num_ipfs_nodes=8, bandwidth_mbps=10.0,
+            factory, shards,
+            network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
         )
         metrics = ours.run_iteration()
         results["ours (merge)"] = {
@@ -59,7 +61,8 @@ def test_baseline_comparison(benchmark):
 
         naive = FLSession(
             config(merge_and_download=False),
-            factory, shards, num_ipfs_nodes=8, bandwidth_mbps=10.0,
+            factory, shards,
+            network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
         )
         metrics = naive.run_iteration()
         results["ours (naive)"] = {

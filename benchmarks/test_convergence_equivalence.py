@@ -22,6 +22,7 @@ from repro.ml import (
     split_dirichlet,
     train_test_split,
 )
+from repro.net import NetworkProfile
 
 ROUNDS = 4
 NUM_TRAINERS = 8
@@ -40,8 +41,9 @@ def build(kind: str, shards):
         num_features=NUM_FEATURES, num_classes=2, seed=0
     )
     if kind == "ours":
-        return FLSession(config, factory, shards, num_ipfs_nodes=4,
-                         bandwidth_mbps=20.0)
+        return FLSession(config, factory, shards,
+                         network=NetworkProfile(num_ipfs_nodes=4,
+                                                bandwidth_mbps=20.0))
     if kind == "centralized":
         return CentralizedSession(config, factory, shards,
                                   bandwidth_mbps=20.0)

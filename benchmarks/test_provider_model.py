@@ -17,7 +17,7 @@ from repro.analysis import (
 )
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
-from repro.net import mbps, megabytes
+from repro.net import NetworkProfile, mbps, megabytes
 
 NUM_TRAINERS = 16
 PARTITION_PARAMS = 162_500  # ~1.3 MB
@@ -40,9 +40,11 @@ def simulated_delay(providers: int,
         config,
         lambda: SyntheticModel(PARTITION_PARAMS),
         dummy_datasets(NUM_TRAINERS),
-        num_ipfs_nodes=max(PROVIDER_COUNTS),
-        bandwidth_mbps=BANDWIDTH_MBPS,
-        aggregator_bandwidth_mbps=aggregator_bandwidth_mbps,
+        network=NetworkProfile(
+            num_ipfs_nodes=max(PROVIDER_COUNTS),
+            bandwidth_mbps=BANDWIDTH_MBPS,
+            aggregator_bandwidth_mbps=aggregator_bandwidth_mbps,
+        ),
     )
     metrics = session.run_iteration()
     return metrics.end_to_end_delay

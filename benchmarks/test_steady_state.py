@@ -12,6 +12,7 @@ from _helpers import save_table
 from repro.analysis import format_table
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 ROUNDS = 5
 NUM_TRAINERS = 8
@@ -26,7 +27,7 @@ def build_session():
     return FLSession(
         config,
         lambda: LogisticRegression(num_features=32, num_classes=2, seed=0),
-        shards, num_ipfs_nodes=4, bandwidth_mbps=10.0,
+        shards, network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
 
 

@@ -22,6 +22,7 @@ from _helpers import dummy_datasets, save_table
 from repro.analysis import format_table
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 
 NUM_TRAINERS = 4
 MODEL_PARAMS = 8_000  # kept small: the commitments are computed for real
@@ -44,8 +45,7 @@ def make_session(verifiable: bool, commit_seconds_per_param=None):
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
         dummy_datasets(NUM_TRAINERS),
-        num_ipfs_nodes=4,
-        bandwidth_mbps=10.0,
+        network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
 
 

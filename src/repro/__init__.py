@@ -44,11 +44,9 @@ Quickstart
 """
 
 from .core import (
-    Directory,
     DirectoryProfile,
     FLSession,
     ProtocolConfig,
-    ShardRouter,
     ShardedDirectory,
 )
 from .core.telemetry import IterationMetrics, SessionMetrics
@@ -74,7 +72,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CountersRegistry",
-    "Directory",
     "DirectoryProfile",
     "EventBus",
     "FLSession",
@@ -91,7 +88,6 @@ __all__ = [
     "RetryPolicy",
     "RunManifest",
     "SessionMetrics",
-    "ShardRouter",
     "ShardedDirectory",
     "TelemetryCollector",
     "__version__",

@@ -463,17 +463,12 @@ def run_dirshard_point(population: int, shards: int,
         wall = (clock.seconds() - started) / scenario.iterations
         best_wall = min(best_wall, wall)
     directory = session.directory
-    shard_servers = getattr(directory, "shards", None)
-    if shard_servers is None:
-        max_busy = directory.busy_seconds
-        shares = {"directory": 1.0}
-    else:
-        max_busy = directory.max_busy_seconds
-        total_units = max(1, directory.served_units)
-        shares = {
-            shard.name: shard.served_units / total_units
-            for shard in shard_servers
-        }
+    max_busy = directory.max_busy_seconds
+    total_units = max(1, directory.served_units)
+    shares = {
+        shard.name: shard.served_units / total_units
+        for shard in directory.shards
+    }
     registrations = directory.register_count
     return DirshardPoint(
         population=population,

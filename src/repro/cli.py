@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     dirshard.add_argument("--shards", type=int, nargs="+",
                           default=list(DEFAULT_SHARD_COUNTS),
                           help="directory shard counts to sweep "
-                               "(1 = classic single server)")
+                               "(1 = the paper's single directory)")
     dirshard.add_argument("--replication", type=int, default=1,
                           help="replicas per key range (capped at the "
                                "shard count)")

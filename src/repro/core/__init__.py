@@ -10,9 +10,9 @@ Public surface:
 - :class:`CohortPlan` — scale a session past its exact trainer sample by
   modeling the remaining population statistically per cohort.
 - :class:`DirectoryProfile` — deploy the directory as N consistent-hash
-  shards (:class:`ShardedDirectory` server group, :class:`ShardRouter`
-  client); :class:`Directory` is the abstract protocol both the classic
-  client and the router implement.
+  shards (:class:`ShardedDirectory` server group, reached through
+  :class:`DirectoryClient` and the shared :class:`ShardMap`); the
+  default is the paper's single directory, a group of one.
 - :class:`PartitionCommitter` — verifiable-aggregation crypto glue.
 - adversary behaviours: :class:`DropGradientsBehavior`,
   :class:`AlterUpdateBehavior`, :class:`LazyBehavior`.
@@ -38,19 +38,13 @@ from .bootstrapper import (
 from .cohort import CohortCoordinator, CohortPlan
 from .config import ProtocolConfig
 from .directory import (
-    Directory,
     DirectoryClient,
     DirectoryEntry,
     DirectoryService,
     RejectionRecord,
-)
-from .dirshard import (
-    DirectoryProfile,
-    ShardMap,
-    ShardRouter,
     ShardedDirectory,
-    directory_key,
 )
+from .dirshard import DirectoryProfile, ShardMap, directory_key
 from .offload import (
     SnapshotPublisher,
     SnapshotReader,
@@ -80,7 +74,6 @@ __all__ = [
     "CohortCoordinator",
     "CohortPlan",
     "CommitmentCostModel",
-    "Directory",
     "DirectoryClient",
     "DirectoryEntry",
     "DirectoryProfile",
@@ -100,7 +93,6 @@ __all__ = [
     "ReplayUpdateBehavior",
     "SessionMetrics",
     "ShardMap",
-    "ShardRouter",
     "ShardedDirectory",
     "SnapshotPublisher",
     "SnapshotReader",

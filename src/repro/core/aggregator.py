@@ -44,6 +44,7 @@ from .adversary import AggregatorBehavior, HonestBehavior
 from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
+from .dirshard import ShardMap
 from .partition import decode_partition, encode_partition, \
     sum_encoded_partitions
 from .schedule import IterationSchedule
@@ -77,7 +78,7 @@ class Aggregator:
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
         ipfs_request_timeout: float = 120.0,
-        directory_factory=None,
+        shard_map: Optional[ShardMap] = None,
     ):
         self.name = name
         self.sim = sim
@@ -95,18 +96,10 @@ class Aggregator:
                                request_timeout=ipfs_request_timeout,
                                chunk_size=config.chunk_size,
                                retry=retry)
-        #: Directory access behind the abstract protocol (see
-        #: :class:`repro.core.directory.Directory`).
-        if directory_factory is None:
-            self.directory = DirectoryClient(
-                name, transport, retry=retry,
-                request_timeout=directory_request_timeout,
-            )
-        else:
-            self.directory = directory_factory(
-                name, transport, retry=retry,
-                request_timeout=directory_request_timeout,
-            )
+        self.directory = DirectoryClient(
+            name, transport, shard_map, retry=retry,
+            request_timeout=directory_request_timeout,
+        )
         self.cost_model = CommitmentCostModel(config.commit_seconds_per_param)
         self.dht = dht
         #: Child processes of the current round (download fan-out).

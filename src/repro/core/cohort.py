@@ -36,7 +36,8 @@ import numpy as np
 
 from ..net.bandwidth import TransferAbortedError
 from ..obs.events import CohortLoadApplied
-from .directory import Directory, DirectoryClient
+from .directory import DirectoryClient
+from .dirshard import ShardMap
 from .schedule import IterationSchedule
 
 __all__ = ["CohortPlan", "CohortCoordinator"]
@@ -94,8 +95,7 @@ class CohortCoordinator:
     def __init__(self, name: str, sim, transport, network,
                  config, members: int, upload_bytes_per_trainer: float,
                  download_bytes_per_trainer: float, storage_node: str,
-                 directory_name: str = "directory", seed: int = 0,
-                 directory: Optional[Directory] = None):
+                 shard_map: Optional[ShardMap] = None, seed: int = 0):
         self.name = name
         self.sim = sim
         self.network = network
@@ -104,18 +104,11 @@ class CohortCoordinator:
         self.upload_bytes = float(upload_bytes_per_trainer)
         self.download_bytes = float(download_bytes_per_trainer)
         self.storage_node = storage_node
-        self.directory_name = directory_name
         self.seed = seed
         self.endpoint = transport.endpoint(name)
-        #: Directory access behind the abstract protocol.  Built bare
-        #: (no retry policy, no timeout): cohort bulk load either lands
-        #: or the cohort degrades silently, matching the pre-interface
-        #: direct sends byte for byte.
-        self.directory: Directory = (
-            directory if directory is not None
-            else DirectoryClient(name, transport,
-                                 directory_name=directory_name)
-        )
+        #: Built bare (no retry policy, no timeout): cohort bulk load
+        #: either lands or the cohort degrades silently.
+        self.directory = DirectoryClient(name, transport, shard_map)
         #: Rounds whose full load (register + upload + lookup + download)
         #: was applied.
         self.completed_iterations = 0

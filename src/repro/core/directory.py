@@ -6,16 +6,45 @@ verifiable mode — checks every claimed global update against the
 accumulated commitment before revealing it to trainers.
 
 Run by the trusted bootstrapper: "the directory service receives orders of
-magnitude fewer data per iteration than the aggregators combined do".  The
-implementation is a server process on the emulated network answering
-register/lookup/accumulate queries.
+magnitude fewer data per iteration than the aggregators combined do".
+
+There is one deployment shape and one way in:
+
+- :class:`DirectoryService` is one server process on the emulated
+  network answering register/lookup/accumulate queries for the keys
+  that arrive at its host.
+- :class:`ShardedDirectory` is the service as a session deploys it: a
+  group of 1..N such servers, each on its own host.  The paper's single
+  well-known directory is the group of one (on host ``"directory"``);
+  the Sec. VI load study spreads the ``(partition, iteration)`` key
+  space over more (see :mod:`repro.core.dirshard` for the placement).
+- :class:`DirectoryClient` is what every participant holds: it places
+  each request on the key's owners through the shared
+  :class:`~repro.core.dirshard.ShardMap`, fails over down the owner
+  list, and splits key-spanning verbs (batches, cohort bulk load) per
+  owner.
+
+Commitment merge: every server folds gradient commitments into its own
+:class:`_PartitionAccumulator`; the accumulated commitment is the
+servers' subtotals combined in shard order.  Pedersen commitments add
+on an elliptic curve — commutative and associative — so the merged
+product is byte-equal to the product one server would have folded in
+arrival order, and the :mod:`repro.obs.monitors` independent
+recomputation still gates it (a hypothesis property test pins this).
+
+Simulation compromise (documented in DESIGN.md): server *reads* — entry
+lookups, duplicate checks and accumulated-commitment queries — fold
+over the peer servers' state locally instead of exchanging inter-shard
+replication traffic, standing in for a replicated log kept in sync out
+of band (Cassano et al.'s smart-contract directory).  Writes, wire
+messages, queueing and the serialized processing delay stay strictly
+per-server; those are what the evaluation measures.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto import Commitment
 from ..faults.retry import RetryExhaustedError, RetryPolicy
@@ -31,11 +60,12 @@ from ..obs.events import (
 )
 from ..sim import Simulator
 from .addressing import Address, GRADIENT, PARTIAL_UPDATE, UPDATE
+from .dirshard import ShardMap
 from .verification import PartitionCommitter
 
-__all__ = ["Directory", "DirectoryClient", "DirectoryEntry",
-           "DirectoryService", "RejectionRecord", "RequestSpec",
-           "REQUEST_TABLE"]
+__all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryService",
+           "RejectionRecord", "RequestSpec", "REQUEST_TABLE",
+           "ShardedDirectory"]
 
 KIND_REGISTER = "dir.register"
 KIND_REGISTER_BATCH = "dir.register.batch"
@@ -64,30 +94,21 @@ class RequestSpec:
     """The wire shape of one directory operation.
 
     One row per client verb: the message ``kind``, the retry-policy
-    ``operation`` label, the payload-dependent wire ``size``, and — for
-    operations addressed to a single ``(partition, iteration)`` key —
-    the routing ``key`` extractor the sharded router hashes.  Operations
-    with ``key=None`` span keys (batches, cohort bulk load) and are
-    split per shard by the router instead.
+    ``operation`` label and the payload-dependent wire ``size``.
     """
 
     kind: str
     operation: str
     size: Callable[[Any], float]
-    key: Optional[Callable[[Any], Tuple[int, int]]] = None
 
 
-#: The single typed table every directory client verb goes through;
-#: shared by :class:`DirectoryClient` and the sharded router
-#: (:class:`repro.core.dirshard.ShardRouter`), so kind/size/operation
-#: plumbing lives in exactly one place.
+#: The single typed table every :class:`DirectoryClient` verb goes
+#: through, so kind/size/operation plumbing lives in exactly one place.
 REQUEST_TABLE: Dict[str, RequestSpec] = {
     "register": RequestSpec(
         kind=KIND_REGISTER,
         operation="directory.register",
         size=lambda payload: REGISTER_SIZE,
-        key=lambda payload: (payload["address"].partition_id,
-                             payload["address"].iteration),
     ),
     "register_batch": RequestSpec(
         kind=KIND_REGISTER_BATCH,
@@ -105,8 +126,6 @@ REQUEST_TABLE: Dict[str, RequestSpec] = {
         kind=KIND_LOOKUP,
         operation="directory.lookup",
         size=lambda payload: QUERY_SIZE,
-        key=lambda payload: (payload["partition_id"],
-                             payload["iteration"]),
     ),
     "lookup_cohort": RequestSpec(
         kind=KIND_LOOKUP_COHORT,
@@ -117,8 +136,6 @@ REQUEST_TABLE: Dict[str, RequestSpec] = {
         kind=KIND_ACCUMULATED,
         operation="directory.accumulated",
         size=lambda payload: QUERY_SIZE,
-        key=lambda payload: (payload["partition_id"],
-                             payload["iteration"]),
     ),
 }
 
@@ -144,56 +161,6 @@ class RejectionRecord:
     rejected_at: float
 
 
-class Directory(abc.ABC):
-    """The abstract directory-access protocol participants code against.
-
-    Implemented by :class:`DirectoryClient` (one well-known server) and
-    :class:`repro.core.dirshard.ShardRouter` (key-ranged shards), so
-    ``trainer.py``/``aggregator.py``/``cohort.py`` never name a concrete
-    transport-level class.  Every method is a simulation generator
-    (``yield from`` it inside a process).
-    """
-
-    @abc.abstractmethod
-    def register(self, address: Address, cid: CID,
-                 commitment: Optional[Commitment] = None):
-        """Register one object; returns the ack payload."""
-
-    @abc.abstractmethod
-    def register_batch(self, records):
-        """Register many objects (Sec. VI batching); returns the ack."""
-
-    @abc.abstractmethod
-    def lookup(self, partition_id: int, iteration: int, kind: str,
-               aggregator_id: Optional[str] = None,
-               uploader_id: Optional[str] = None):
-        """Query entries; returns a list of result dicts."""
-
-    @abc.abstractmethod
-    def accumulated(self, partition_id: int, iteration: int,
-                    aggregator_id: Optional[str] = None):
-        """Fetch an accumulated commitment; returns (commitment, count)."""
-
-    def entries_for(self, partition_id: int, iteration: int, kind: str):
-        """All visible entries of one ``(partition, iteration, kind)``.
-
-        The remote counterpart of
-        :meth:`DirectoryService.entries_for`; result rows are the
-        ``lookup`` dicts (uploader, CID, commitment).
-        """
-        return (yield from self.lookup(partition_id, iteration, kind))
-
-    @abc.abstractmethod
-    def register_cohort(self, iteration: int, members: int,
-                        num_partitions: int, cohort: str):
-        """Charge the registration load of a statistical cohort."""
-
-    @abc.abstractmethod
-    def lookup_cohort(self, iteration: int, members: int,
-                      num_partitions: int, cohort: str):
-        """Charge the lookup load of a statistical cohort."""
-
-
 @dataclass
 class _PartitionAccumulator:
     """Running commitment products for one (partition, iteration)."""
@@ -205,7 +172,13 @@ class _PartitionAccumulator:
 
 
 class DirectoryService:
-    """The bootstrapper-run metadata server."""
+    """One bootstrapper-run metadata server (one shard of the group).
+
+    Writes (entries, accumulators, counters, queueing) stay local; the
+    read accessors fold over :attr:`peers` so duplicate checks,
+    verification and client reads see the whole group — the
+    replicated-log stand-in described in the module docstring.
+    """
 
     def __init__(
         self,
@@ -274,10 +247,12 @@ class DirectoryService:
         #: in for ``count`` units) and serialized server seconds spent.
         self.served_units = 0
         self.busy_seconds = 0.0
-        #: The shard this server is, when it is one of a
-        #: :class:`repro.core.dirshard.ShardedDirectory`'s replicas;
-        #: None for the classic single server.  Stamped onto
-        #: ``DirectoryRequest``/``CommitmentAccumulated`` events.
+        #: The servers whose state the read accessors fold over, in
+        #: shard order (stable, so replays are byte-identical): this one
+        #: alone until a :class:`ShardedDirectory` joins it to its group.
+        self.peers: List["DirectoryService"] = [self]
+        #: Stamped onto ``DirectoryRequest``/``CommitmentAccumulated``
+        #: events; the group names its members when it has several.
         self.shard_label: Optional[str] = None
         self.endpoint = transport.endpoint(name)
         self._ipfs = IPFSClient(name, transport, dht)
@@ -290,12 +265,21 @@ class DirectoryService:
         self._gradient_cutoff[iteration] = t_train
 
     def entry(self, address: Address) -> Optional[DirectoryEntry]:
-        return self._entries.get(address)
+        for peer in self.peers:
+            found = peer._entries.get(address)
+            if found is not None:
+                return found
+        return None
 
     def entries_for(self, partition_id: int, iteration: int,
                     kind: str) -> List[DirectoryEntry]:
-        bucket = self._by_key.get((partition_id, iteration, kind))
-        return list(bucket.values()) if bucket else []
+        key = (partition_id, iteration, kind)
+        results: List[DirectoryEntry] = []
+        for peer in self.peers:
+            bucket = peer._by_key.get(key)
+            if bucket:
+                results.extend(bucket.values())
+        return results
 
     def entries_before(self, iteration: int) -> List[DirectoryEntry]:
         """All entries from iterations strictly before ``iteration``
@@ -323,16 +307,32 @@ class DirectoryService:
         self, partition_id: int, iteration: int,
         aggregator_id: Optional[str] = None,
     ) -> Tuple[Optional[Commitment], int]:
-        """(product, contributor count) for a partition or one aggregator."""
-        accumulator = self._accumulators.get((partition_id, iteration))
-        if accumulator is None:
-            return None, 0
-        if aggregator_id is None:
-            return accumulator.total, accumulator.count
-        return (
-            accumulator.per_aggregator.get(aggregator_id),
-            accumulator.per_aggregator_count.get(aggregator_id, 0),
-        )
+        """(product, contributor count) for a partition or one aggregator.
+
+        The peers' subtotals folded in shard order.  EC-point addition
+        is commutative and associative, so this equals one server's
+        product over the same contributions in arrival order — the
+        property the merge-algebra tests pin down.
+        """
+        key = (partition_id, iteration)
+        total: Optional[Commitment] = None
+        count = 0
+        for peer in self.peers:
+            accumulator = peer._accumulators.get(key)
+            if accumulator is None:
+                continue
+            if aggregator_id is None:
+                commitment = accumulator.total
+                contributions = accumulator.count
+            else:
+                commitment = accumulator.per_aggregator.get(aggregator_id)
+                contributions = accumulator.per_aggregator_count.get(
+                    aggregator_id, 0)
+            if commitment is not None:
+                total = commitment if total is None \
+                    else total.combine(commitment)
+                count += contributions
+        return total, count
 
     # -- server -------------------------------------------------------------------
 
@@ -503,7 +503,7 @@ class DirectoryService:
     def _register_gradient(self, address: Address, cid: CID,
                            commitment: Optional[Commitment]) -> bool:
         """Record a gradient; False if past the iteration's cutoff."""
-        # ``entry`` (not ``_entries.get``): a sharded replica must see a
+        # ``entry`` (not ``_entries.get``): a replica must see a
         # registration its peer already accepted, or a failover retry
         # would accumulate the same commitment twice.
         existing = self.entry(address)
@@ -668,101 +668,249 @@ class DirectoryService:
         )
 
 
-class DirectoryClient(Directory):
-    """Participant-side helper for talking to one directory server.
+class ShardedDirectory:
+    """The directory service as deployed: a group of 1..N shard servers.
 
-    With ``request_timeout`` unset (the legacy default) every call waits
-    for its response indefinitely — correct on honest infrastructure,
-    where the directory always answers.  Under fault injection, give the
-    client a timeout plus a :class:`~repro.faults.RetryPolicy`: each
-    request then retries with bounded backoff and raises
-    :class:`~repro.faults.RetryExhaustedError` when the directory stays
+    Presents one server's surface everywhere the session, the fault
+    injector and the observability layer touch it — ``begin_iteration``/
+    ``entry``/``entries_for``/``entries_before``/
+    ``accumulated_commitment``/``rejections``/``first_gradient_time``/
+    the load counters/``inbox_depth`` — with each accessor aggregating
+    over the shard list in shard order (stable, so replays are
+    byte-identical).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        transport: Transport,
+        dht: DHT,
+        shard_names: Sequence[str],
+        committers: Optional[Dict[int, PartitionCommitter]] = None,
+        trainer_assignment: Optional[Dict[Tuple[str, int], str]] = None,
+        verifiable: bool = False,
+        expected_trainers: int = 0,
+        processing_delay: float = 0.0,
+    ):
+        if not shard_names:
+            raise ValueError("need at least one shard")
+        self.sim = sim
+        self.shards: List[DirectoryService] = [
+            DirectoryService(
+                sim, transport, dht,
+                name=name,
+                committers=committers,
+                trainer_assignment=trainer_assignment,
+                verifiable=verifiable,
+                expected_trainers=expected_trainers,
+                processing_delay=processing_delay,
+            )
+            for name in shard_names
+        ]
+        self.shard_names: List[str] = [shard.name for shard in self.shards]
+        self._by_name = {shard.name: shard for shard in self.shards}
+        for shard in self.shards:
+            shard.peers = self.shards
+            # A group of one is the paper's single directory and stays
+            # invisible: its events carry no shard label, so no
+            # ``dir.shard.*`` counter appears.
+            if len(self.shards) > 1:
+                shard.shard_label = shard.name
+
+    def shard(self, name: str) -> DirectoryService:
+        """The shard named ``name`` (raises ``KeyError`` if unknown)."""
+        return self._by_name[name]
+
+    # -- the DirectoryService surface ----------------------------------------------
+
+    def begin_iteration(self, iteration: int, t_train: float) -> None:
+        for shard in self.shards:
+            shard.begin_iteration(iteration, t_train)
+
+    # Group-wide reads: every member folds over the same peer list, so
+    # any one of them answers for the group.
+
+    def entry(self, address: Address) -> Optional[DirectoryEntry]:
+        return self.shards[0].entry(address)
+
+    def entries_for(self, partition_id: int, iteration: int,
+                    kind: str) -> List[DirectoryEntry]:
+        return self.shards[0].entries_for(partition_id, iteration, kind)
+
+    def accumulated_commitment(
+        self, partition_id: int, iteration: int,
+        aggregator_id: Optional[str] = None,
+    ) -> Tuple[Optional[Commitment], int]:
+        return self.shards[0].accumulated_commitment(
+            partition_id, iteration, aggregator_id
+        )
+
+    def entries_before(self, iteration: int) -> List[DirectoryEntry]:
+        results: List[DirectoryEntry] = []
+        for shard in self.shards:
+            results.extend(shard.entries_before(iteration))
+        return results
+
+    # -- aggregated telemetry ------------------------------------------------------
+
+    @property
+    def rejections(self) -> List[RejectionRecord]:
+        records: List[RejectionRecord] = []
+        for shard in self.shards:
+            records.extend(shard.rejections)
+        return records
+
+    @property
+    def first_gradient_time(self) -> Dict[int, float]:
+        merged: Dict[int, float] = {}
+        for shard in self.shards:
+            for iteration, at in shard.first_gradient_time.items():
+                if iteration not in merged or at < merged[iteration]:
+                    merged[iteration] = at
+        return merged
+
+    @property
+    def register_count(self) -> int:
+        return sum(shard.register_count for shard in self.shards)
+
+    @property
+    def lookup_count(self) -> int:
+        return sum(shard.lookup_count for shard in self.shards)
+
+    @property
+    def served_units(self) -> int:
+        return sum(shard.served_units for shard in self.shards)
+
+    @property
+    def busy_seconds(self) -> float:
+        """Serialized server seconds summed over all shards."""
+        return sum(shard.busy_seconds for shard in self.shards)
+
+    @property
+    def max_busy_seconds(self) -> float:
+        """The critical path: the busiest single shard's serialized work.
+
+        Sustained registrations/sec is ``register_count /
+        max_busy_seconds`` — the load-balance-sensitive figure the
+        dirshard benchmark gates on.
+        """
+        return max(shard.busy_seconds for shard in self.shards)
+
+    def inbox_depth(self) -> int:
+        return sum(shard.inbox_depth() for shard in self.shards)
+
+
+class DirectoryClient:
+    """Participant-side access to the directory group.
+
+    Key-addressed verbs place their ``(partition, iteration)`` key
+    through the :class:`~repro.core.dirshard.ShardMap` shared with the
+    session; key-spanning verbs — batched registration and cohort bulk
+    load — split per owner list, one message per owner list touched.  A
+    client built without a map talks to the one well-known
+    ``"directory"`` host.
+
+    With ``request_timeout`` unset every call waits on the key's primary
+    indefinitely — correct on honest infrastructure, where the directory
+    always answers.  Under fault injection, give the client a timeout
+    plus a :class:`~repro.faults.RetryPolicy`: each request then retries
+    with bounded backoff, fails over down the owner list when an owner
+    exhausts its budget, and raises
+    :class:`~repro.faults.RetryExhaustedError` when every owner stays
     unreachable.  Server-side registration is idempotent, so a retried
     register whose first ack was lost is acknowledged harmlessly.
-
-    Every verb goes through :data:`REQUEST_TABLE` (one typed row per
-    operation); the sharded router reuses the same rows and request
-    machinery, overriding only destination selection.
     """
 
     def __init__(self, name: str, transport: Transport,
-                 directory_name: str = "directory",
+                 shard_map: Optional[ShardMap] = None,
                  retry: Optional[RetryPolicy] = None,
                  request_timeout: Optional[float] = None):
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
         self.name = name
-        self.directory_name = directory_name
+        self.shard_map = (shard_map if shard_map is not None
+                          else ShardMap(("directory",)))
         self.endpoint = transport.endpoint(name)
         self.sim = transport.sim
         self.retry = retry
         self.request_timeout = request_timeout
 
-    def _call(self, op: str, payload):
-        """Issue one table-driven operation (single well-known server)."""
-        spec = REQUEST_TABLE[op]
-        return (yield from self._request(
-            spec.kind, payload, spec.size(payload), spec.operation,
-        ))
+    def _call(self, op: str, payload, owners: Sequence[str]):
+        """One :data:`REQUEST_TABLE` operation against ``owners``.
 
-    def _request(self, kind: str, payload, size: float, operation: str,
-                 dst: Optional[str] = None):
-        """One directory round-trip under the retry/timeout policy."""
-        if dst is None:
-            dst = self.directory_name
+        The owner loop lives inside this one generator (not a frame per
+        owner or per attempt): a directory poll is the hottest path of a
+        run, and every extra ``yield from`` level is resumed per event.
+        """
+        spec = REQUEST_TABLE[op]
+        size = spec.size(payload)
         if self.request_timeout is None:
             response = yield from self.endpoint.request(
-                dst, kind, payload=payload, size=size,
+                owners[0], spec.kind, payload=payload, size=size,
             )
             return response.payload
         policy = self.retry
         attempts = max(1, policy.max_attempts) if policy is not None else 1
         transport = self.endpoint.transport
-        for attempt in range(attempts):
-            request_id = transport.next_request_id()
-            transport.send(Message(
-                src=self.name, dst=dst, kind=kind,
-                payload=payload, size=size, request_id=request_id,
-            ))
-            response_event = self.endpoint.inbox.get(
-                lambda m, rid=request_id: m.request_id == rid
-            )
-            timeout = self.sim.timeout(self.request_timeout)
-            outcome = yield self.sim.any_of([response_event, timeout])
-            if response_event in outcome:
-                return outcome[response_event].payload
-            if attempt + 1 < attempts:
-                yield self.sim.timeout(policy.backoff(
-                    attempt, key=f"{self.name}:{operation}"
-                ))
         bus = self.sim.bus
-        if bus.wants(RetryExhausted):
-            bus.publish(RetryExhausted(
-                at=self.sim.now, actor=self.name, operation=operation,
-                attempts=attempts,
-            ))
-        raise RetryExhaustedError(operation, attempts)
+        for dst in owners:
+            for attempt in range(attempts):
+                request_id = transport.next_request_id()
+                transport.send(Message(
+                    src=self.name, dst=dst, kind=spec.kind,
+                    payload=payload, size=size, request_id=request_id,
+                ))
+                response_event = self.endpoint.inbox.get(
+                    lambda m, rid=request_id: m.request_id == rid
+                )
+                timeout = self.sim.timeout(self.request_timeout)
+                outcome = yield self.sim.any_of([response_event, timeout])
+                if response_event in outcome:
+                    return outcome[response_event].payload
+                if attempt + 1 < attempts:
+                    yield self.sim.timeout(policy.backoff(
+                        attempt, key=f"{self.name}:{spec.operation}"
+                    ))
+            # This owner's budget is spent: fail over to the next one.
+            if bus.wants(RetryExhausted):
+                bus.publish(RetryExhausted(
+                    at=self.sim.now, actor=self.name,
+                    operation=spec.operation, attempts=attempts,
+                ))
+        raise RetryExhaustedError(spec.operation, attempts)
 
     def register(self, address: Address, cid: CID,
                  commitment: Optional[Commitment] = None):
         """Register an object; returns the ack payload."""
         return (yield from self._call("register", {
             "address": address, "cid": cid, "commitment": commitment,
-        }))
+        }, self.shard_map.owners(address.partition_id, address.iteration)))
 
     def register_batch(self, records):
-        """Register many objects in one message (Sec. VI batching).
+        """Register many objects (Sec. VI batching), one message per
+        owner list.
 
         ``records`` is a list of dicts with ``address``, ``cid`` and
-        optional ``commitment``.  The wire carries one accumulated digest
-        over the CIDs; the directory recomputes and checks it.
+        optional ``commitment``.  Each message carries one accumulated
+        digest over its CIDs, which the server recomputes and checks;
+        the merged ack is accepted only if every owner accepted its
+        part.
         """
         from .offload import accumulate_cids  # local import: avoid cycle
 
-        accumulation = accumulate_cids([r["cid"] for r in records])
-        return (yield from self._call("register_batch", {
-            "records": list(records), "accumulation": accumulation,
-        }))
+        groups: Dict[Tuple[str, ...], list] = {}
+        for record in records:
+            address = record["address"]
+            groups.setdefault(self.shard_map.owners(
+                address.partition_id, address.iteration), []).append(record)
+        accepted = True
+        for owners, group in groups.items():
+            ack = yield from self._call("register_batch", {
+                "records": group,
+                "accumulation": accumulate_cids([r["cid"] for r in group]),
+            }, owners)
+            accepted &= bool(ack.get("accepted"))
+        return {"accepted": accepted}
 
     def lookup(self, partition_id: int, iteration: int, kind: str,
                aggregator_id: Optional[str] = None,
@@ -774,7 +922,7 @@ class DirectoryClient(Directory):
             "kind": kind,
             "aggregator_id": aggregator_id,
             "uploader_id": uploader_id,
-        }))
+        }, self.shard_map.owners(partition_id, iteration)))
 
     def accumulated(self, partition_id: int, iteration: int,
                     aggregator_id: Optional[str] = None):
@@ -783,21 +931,36 @@ class DirectoryClient(Directory):
             "partition_id": partition_id,
             "iteration": iteration,
             "aggregator_id": aggregator_id,
-        })
+        }, self.shard_map.owners(partition_id, iteration))
         return payload["commitment"], payload["count"]
+
+    def _cohort_call(self, op: str, iteration: int, members: int,
+                     num_partitions: int, cohort: str):
+        """Charge a cohort's bulk load — ``members`` units per partition
+        — in one ``op`` message per owner list; returns the replies."""
+        load: Dict[Tuple[str, ...], int] = {}
+        for partition_id in range(num_partitions):
+            owners = self.shard_map.owners(partition_id, iteration)
+            load[owners] = load.get(owners, 0) + members
+        replies = []
+        for owners, count in load.items():
+            replies.append((yield from self._call(
+                op, {"count": count, "cohort": cohort}, owners)))
+        return replies
 
     def register_cohort(self, iteration: int, members: int,
                         num_partitions: int, cohort: str):
-        """Charge a cohort's bulk registration load in one message."""
-        count = members * num_partitions
-        return (yield from self._call("register_cohort", {
-            "count": count, "cohort": cohort,
-        }))
+        """Charge a cohort's bulk registration load; returns the merged
+        ack (``count`` summed over the owner lists)."""
+        acks = yield from self._cohort_call(
+            "register_cohort", iteration, members, num_partitions, cohort)
+        return {"accepted": all(ack.get("accepted") for ack in acks),
+                "count": sum(ack.get("count", 0) for ack in acks)}
 
     def lookup_cohort(self, iteration: int, members: int,
                       num_partitions: int, cohort: str):
-        """Charge a cohort's bulk lookup load in one message."""
-        count = members * num_partitions
-        return (yield from self._call("lookup_cohort", {
-            "count": count, "cohort": cohort,
-        }))
+        """Charge a cohort's bulk lookup load; returns the result rows
+        (a cohort lookup carries load, not state: there are none)."""
+        replies = yield from self._cohort_call(
+            "lookup_cohort", iteration, members, num_partitions, cohort)
+        return [row for reply in replies for row in reply]

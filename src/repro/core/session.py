@@ -8,20 +8,21 @@ figures report.
 The deployment shape is described by three composable profiles — a
 :class:`~repro.net.NetworkProfile`, an optional
 :class:`~repro.faults.FaultPlan` and a
-:class:`~repro.core.dirshard.DirectoryProfile`::
+:class:`~repro.core.dirshard.DirectoryProfile` — and by nothing else::
 
     session = FLSession(config, model_factory, datasets,
                         network=NetworkProfile(bandwidth_mbps=20.0),
                         faults=FaultPlan.of(...),
                         directory=DirectoryProfile(shards=4))
 
-The nine legacy network keyword arguments (``num_ipfs_nodes``,
-``bandwidth_mbps``, ...) still work through a deprecation shim.
+Every session deploys the directory the same way: one
+:class:`~repro.core.directory.ShardedDirectory` group (of one server by
+default) and one :class:`~repro.core.dirshard.ShardMap`, which every
+participant's :class:`~repro.core.directory.DirectoryClient` shares.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -42,9 +43,8 @@ from .aggregator import Aggregator
 from .bootstrapper import Assignment, Bootstrapper, build_assignment
 from .cohort import CohortCoordinator, CohortPlan
 from .config import ProtocolConfig
-from .directory import DirectoryService
-from .dirshard import DirectoryProfile, ShardMap, ShardRouter, \
-    ShardedDirectory
+from .directory import ShardedDirectory
+from .dirshard import DirectoryProfile, ShardMap
 from .partition import ModelPartitioner
 from .schedule import IterationSchedule
 from .telemetry import IterationMetrics, SessionMetrics
@@ -68,7 +68,6 @@ class FLSession:
         behaviors: Optional[Dict[str, AggregatorBehavior]] = None,
         sim: Optional[Simulator] = None,
         cohort: Optional[CohortPlan] = None,
-        **legacy,
     ):
         """
         Parameters
@@ -95,11 +94,10 @@ class FLSession:
         directory:
             How the directory service is deployed
             (:class:`~repro.core.dirshard.DirectoryProfile`).  The
-            default — and any profile with ``shards=1`` — is the classic
-            single well-known server, byte-identical to pre-profile
-            sessions; ``shards >= 2`` runs one shard per key range on
-            its own host, with participants routing through a
-            :class:`~repro.core.dirshard.ShardRouter`.
+            default, ``shards=1``, is the paper's single directory on
+            the well-known ``"directory"`` host; ``shards >= 2`` runs
+            one shard per key range on its own host.  Either way it is
+            one server group behind one client class.
         behaviors:
             Optional per-aggregator behaviours keyed by aggregator name
             ("aggregator-0", ...); unnamed aggregators are honest.
@@ -111,39 +109,9 @@ class FLSession:
             and link load applied in aggregate, no protocol state).  A
             plan whose population equals ``len(datasets)`` is exact mode
             and builds no cohort machinery at all.
-        **legacy:
-            The nine pre-profile network keyword arguments
-            (``num_ipfs_nodes``, ``bandwidth_mbps``, ...), accepted with
-            a :class:`DeprecationWarning`.
         """
         if not datasets:
             raise ValueError("need at least one trainer dataset")
-        if legacy:
-            unknown = set(legacy) - set(NetworkProfile.LEGACY_FIELDS)
-            if unknown:
-                raise TypeError(
-                    "FLSession got unexpected keyword argument(s): "
-                    + ", ".join(sorted(unknown))
-                )
-            if network is not None:
-                raise TypeError(
-                    "pass network=NetworkProfile(...) or the legacy "
-                    "network keyword arguments, not both"
-                )
-            if "directory_processing_delay" in legacy:
-                # The directory knobs moved to their own profile.
-                warnings.warn(
-                    "FLSession's directory_processing_delay keyword is "
-                    "deprecated; pass directory=DirectoryProfile("
-                    "processing_delay=...) instead",
-                    DeprecationWarning, stacklevel=2,
-                )
-            warnings.warn(
-                "FLSession's individual network keyword arguments are "
-                "deprecated; pass network=NetworkProfile(...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            network = NetworkProfile(**legacy)
         profile = network if network is not None else NetworkProfile()
         if faults:
             # A chaos run must degrade, not wedge: default the robustness
@@ -156,6 +124,14 @@ class FLSession:
         self.network_profile: NetworkProfile = profile
         #: The fault schedule (None or an empty plan means honest infra).
         self.faults: Optional[FaultPlan] = faults if faults else None
+        #: The resolved directory deployment profile.
+        self.directory_profile: DirectoryProfile = (
+            directory if directory is not None else DirectoryProfile()
+        )
+        dir_profile = self.directory_profile
+        # A one-shard directory *is* the testbed's well-known
+        # "directory" host; more shards get a host each (below).
+        single_shard = dir_profile.shards == 1
         self.config = config
         num_trainers = len(datasets)
         num_aggregators = (
@@ -170,6 +146,9 @@ class FLSession:
             aggregator_bandwidth_mbps=profile.aggregator_bandwidth_mbps,
             trainer_bandwidths_mbps=profile.trainer_bandwidths_mbps,
             latency=profile.latency,
+            directory_bandwidth_mbps=(
+                dir_profile.bandwidth_mbps if single_shard else None
+            ),
         )
         self.sim = self.testbed.sim
         if profile.dht_mode == "kademlia":
@@ -219,77 +198,36 @@ class FLSession:
             aggregator_names=self.testbed.aggregator_names,
             ipfs_names=self.testbed.ipfs_names,
         )
-        #: The resolved directory deployment profile.
-        self.directory_profile: DirectoryProfile = (
-            directory if directory is not None else DirectoryProfile()
-        )
-        dir_profile = self.directory_profile
-        directory_delay = (
-            dir_profile.processing_delay
-            if dir_profile.processing_delay is not None
-            else profile.directory_processing_delay
-        )
-        #: Key placement when sharded; None on the single-server path.
-        self._shard_map: Optional[ShardMap] = None
-        if dir_profile.shards <= 1:
-            # The classic single well-known server — the exact pre-shard
-            # construction path, byte-identical under seeded replay.
-            self.directory = DirectoryService(
-                self.sim,
-                self.testbed.transport,
-                self.dht,
-                name=self.testbed.directory_name,
-                committers=self.committers,
-                trainer_assignment=self.assignment.aggregator_of,
-                verifiable=config.verifiable
-                and config.directory_verification,
-                expected_trainers=num_trainers,
-                processing_delay=directory_delay,
-            )
-        else:
-            shard_names = add_directory_shards(
+        shard_names = (
+            [self.testbed.directory_name] if single_shard
+            else add_directory_shards(
                 self.testbed.network,
                 self.testbed.transport,
                 dir_profile.shards,
                 bandwidth_mbps=dir_profile.bandwidth_mbps,
             )
-            self.directory = ShardedDirectory(
-                self.sim,
-                self.testbed.transport,
-                self.dht,
-                shard_names=shard_names,
-                committers=self.committers,
-                trainer_assignment=self.assignment.aggregator_of,
-                verifiable=config.verifiable
-                and config.directory_verification,
-                expected_trainers=num_trainers,
-                processing_delay=directory_delay,
-            )
-            self._shard_map = ShardMap(
-                shard_names,
-                replication=dir_profile.replication,
-                placement=dir_profile.placement,
-            )
+        )
+        self.directory = ShardedDirectory(
+            self.sim,
+            self.testbed.transport,
+            self.dht,
+            shard_names=shard_names,
+            committers=self.committers,
+            trainer_assignment=self.assignment.aggregator_of,
+            verifiable=config.verifiable and config.directory_verification,
+            expected_trainers=num_trainers,
+            processing_delay=dir_profile.processing_delay,
+        )
+        #: Key placement, shared by every participant's directory client.
+        self._shard_map = ShardMap(
+            shard_names,
+            replication=dir_profile.replication,
+            placement=dir_profile.placement,
+        )
         self.bootstrapper = Bootstrapper(
             self.sim, self.testbed.transport,
             name=self.testbed.directory_name,
         )
-
-        #: None on the single-server path (participants then build the
-        #: classic :class:`DirectoryClient` themselves — the byte-exact
-        #: legacy code path); a ShardRouter factory when sharded.
-        self._directory_factory = None
-        if self._shard_map is not None:
-            shard_map = self._shard_map
-
-            def directory_factory(name, transport, retry=None,
-                                  request_timeout=None):
-                return ShardRouter(
-                    name, transport, shard_map=shard_map,
-                    retry=retry, request_timeout=request_timeout,
-                )
-
-            self._directory_factory = directory_factory
 
         # -- participants ----------------------------------------------------------
         behaviors = behaviors or {}
@@ -311,7 +249,7 @@ class FLSession:
                 retry=profile.retry,
                 directory_request_timeout=profile.directory_request_timeout,
                 ipfs_request_timeout=profile.ipfs_request_timeout,
-                directory_factory=self._directory_factory,
+                shard_map=self._shard_map,
             ))
         self.aggregators: List[Aggregator] = []
         for name in self.testbed.aggregator_names:
@@ -330,7 +268,7 @@ class FLSession:
                 retry=profile.retry,
                 directory_request_timeout=profile.directory_request_timeout,
                 ipfs_request_timeout=profile.ipfs_request_timeout,
-                directory_factory=self._directory_factory,
+                shard_map=self._shard_map,
             ))
 
         # -- statistical cohorts (scaling beyond the exact sample) --------------
@@ -366,17 +304,8 @@ class FLSession:
                     download_bytes_per_trainer=bytes_per_trainer,
                     storage_node=self.testbed.ipfs_names[
                         index % len(self.testbed.ipfs_names)],
-                    directory_name=self.testbed.directory_name,
+                    shard_map=self._shard_map,
                     seed=cohort.seed + index,
-                    directory=(
-                        None if self._directory_factory is None
-                        # Cohorts carry no retry policy (bulk load either
-                        # lands or the cohort degrades), so their routers
-                        # are built bare too.
-                        else self._directory_factory(
-                            name, self.testbed.transport
-                        )
-                    ),
                 ))
 
         #: Telemetry is an ordinary bus subscriber: the protocol publishes
@@ -544,9 +473,9 @@ class FLSession:
             for host in self.testbed.network.hosts()
         })
         extra: Dict[str, object] = {}
-        if self._shard_map is not None:
-            # Sharded mode only: a shards=1 profile must fingerprint
-            # identically to a session built with no profile at all.
+        if self.directory_profile.shards > 1:
+            # A group of one is invisible: it fingerprints like a
+            # session built with no directory profile at all.
             extra["directory_shards"] = self.directory_profile.shards
             extra["directory_replication"] = \
                 self.directory_profile.replication

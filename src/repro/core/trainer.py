@@ -38,6 +38,7 @@ from .addressing import Address, GRADIENT, UPDATE
 from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
+from .dirshard import ShardMap
 from .partition import ModelPartitioner, decode_partition, encode_partition
 from .schedule import IterationSchedule
 from .verification import CommitmentCostModel, PartitionCommitter
@@ -64,7 +65,7 @@ class Trainer:
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
         ipfs_request_timeout: float = 120.0,
-        directory_factory=None,
+        shard_map: Optional[ShardMap] = None,
     ):
         self.name = name
         self.sim = sim
@@ -79,19 +80,10 @@ class Trainer:
                                request_timeout=ipfs_request_timeout,
                                chunk_size=config.chunk_size,
                                retry=retry)
-        #: Directory access behind the abstract protocol: the classic
-        #: well-known server client by default, or whatever the session's
-        #: factory builds (e.g. a sharded router).
-        if directory_factory is None:
-            self.directory = DirectoryClient(
-                name, transport, retry=retry,
-                request_timeout=directory_request_timeout,
-            )
-        else:
-            self.directory = directory_factory(
-                name, transport, retry=retry,
-                request_timeout=directory_request_timeout,
-            )
+        self.directory = DirectoryClient(
+            name, transport, shard_map, retry=retry,
+            request_timeout=directory_request_timeout,
+        )
         self.cost_model = CommitmentCostModel(config.commit_seconds_per_param)
         #: Wall-clock source for the ``CommitmentComputed.seconds``
         #: measurement; injectable so tests can fake wall time.

@@ -71,9 +71,7 @@ class FaultInjector:
                 raise ValueError(f"{label}: unknown host {spec.target!r}")
             if spec.kind == "directory_brownout" \
                     and spec.target is not None:
-                shard_names = getattr(
-                    self.session.directory, "shard_names", ()
-                )
+                shard_names = self.session.directory.shard_names
                 if spec.target not in shard_names:
                     raise ValueError(
                         f"{label}: unknown directory shard "
@@ -183,36 +181,19 @@ class FaultInjector:
 
     def _directory_brownout(self, spec: FaultSpec):
         directory = self.session.directory
-        if spec.target is not None:
-            # Sharded directory, one shard named: only its key range
-            # degrades (validated against shard_names in _validate).
-            shard = directory.shard(spec.target)
-            saved_delay = shard.processing_delay
+        # One shard named (validated against shard_names in _validate):
+        # only its key range degrades; otherwise the whole service.
+        shards = (directory.shards if spec.target is None
+                  else [directory.shard(spec.target)])
+        # Save each shard's own delay (they may have diverged under an
+        # earlier targeted fault) and restore them individually.
+        saved = [shard.processing_delay for shard in shards]
+        for shard in shards:
             shard.processing_delay = spec.processing_delay
 
-            def heal():
-                shard.processing_delay = saved_delay
-
-            return heal
-        shards = getattr(directory, "shards", None)
-        if shards is not None:
-            # Whole-service brownout of a sharded directory: save each
-            # shard's own delay (they may have diverged under an earlier
-            # targeted fault) and restore them individually.
-            saved = [shard.processing_delay for shard in shards]
-            for shard in shards:
-                shard.processing_delay = spec.processing_delay
-
-            def heal():
-                for shard, delay in zip(shards, saved):
-                    shard.processing_delay = delay
-
-            return heal
-        saved_delay = directory.processing_delay
-        directory.processing_delay = spec.processing_delay
-
         def heal():
-            directory.processing_delay = saved_delay
+            for shard, delay in zip(shards, saved):
+                shard.processing_delay = delay
 
         return heal
 

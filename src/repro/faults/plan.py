@@ -26,10 +26,10 @@ Fault taxonomy (``FaultSpec.kind``):
     ``bandwidth_mbps``) for ``duration`` seconds.
 ``directory_brownout``
     Elevate the directory service's ``processing_delay`` to
-    ``processing_delay`` seconds for ``duration`` seconds.  On a sharded
-    directory an optional ``target`` names one shard host
-    (``directory-shard-2``): only that shard's key range degrades, the
-    rest keep serving at full speed.
+    ``processing_delay`` seconds for ``duration`` seconds.  An optional
+    ``target`` names one shard host (``directory-shard-2``, or
+    ``directory`` for the default one-shard group): only that shard's
+    key range degrades, the rest keep serving at full speed.
 ``message_loss``
     Drop each pubsub delivery independently with ``probability`` for
     ``duration`` seconds (seeded from the plan seed and spec index).

@@ -158,10 +158,9 @@ class DhtLookup(Event):
 class DirectoryRequest(Event):
     """The directory service dequeued one request for processing.
 
-    ``shard`` names the owning shard when the directory is sharded
-    (:class:`~repro.core.dirshard.ShardedDirectory`); it stays ``None``
-    on the single well-known server so legacy consumers see identical
-    events.
+    ``shard`` names the serving shard when the directory group
+    (:class:`~repro.core.directory.ShardedDirectory`) has several; it
+    stays ``None`` for the default group of one.
     """
 
     at: float

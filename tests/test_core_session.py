@@ -20,6 +20,7 @@ from repro.ml import (
     split_iid,
     train_test_split,
 )
+from repro.net import NetworkProfile
 
 
 def make_shards(num_trainers=4, num_features=8, num_samples=240, seed=0):
@@ -47,7 +48,7 @@ def base_config(**overrides):
 def test_single_iteration_all_trainers_complete():
     shards, _ = make_shards()
     session = FLSession(base_config(), model_factory(), shards,
-                        num_ipfs_nodes=4)
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert sorted(metrics.trainers_completed) == [
         f"trainer-{i}" for i in range(4)
@@ -60,7 +61,7 @@ def test_single_iteration_all_trainers_complete():
 def test_models_agree_across_trainers_after_each_round():
     shards, _ = make_shards()
     session = FLSession(base_config(), model_factory(), shards,
-                        num_ipfs_nodes=4)
+                        network=NetworkProfile(num_ipfs_nodes=4))
     for _ in range(2):
         session.run_iteration()
         session.consensus_params()  # raises on divergence
@@ -72,7 +73,8 @@ def test_decentralized_equals_reference_fedavg():
     claim)."""
     shards, _ = make_shards()
     config = base_config()
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
 
     # Reference: replicate each trainer's local step with its exact seed.
     template = model_factory()()
@@ -91,7 +93,8 @@ def test_decentralized_equals_reference_fedavg():
 def test_gradient_mode_equals_fedsgd():
     shards, _ = make_shards()
     config = base_config(update_mode="gradient", learning_rate=0.3)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
 
     template = model_factory()()
     gradients = [compute_gradient(template, shard) for shard in shards]
@@ -109,7 +112,8 @@ def test_multiple_rounds_improve_accuracy():
     shards = split_iid(train, 4, seed=3)
     config = base_config()
     config.train = TrainConfig(epochs=2, learning_rate=0.5)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     initial_accuracy = accuracy(session.model_of(0), test)
     session.run(rounds=3)
     final_accuracy = accuracy(session.model_of(0), test)
@@ -123,7 +127,7 @@ def test_multiple_rounds_improve_accuracy():
 def test_verifiable_honest_run_completes():
     shards, _ = make_shards()
     session = FLSession(base_config(verifiable=True), model_factory(),
-                        shards, num_ipfs_nodes=4)
+                        shards, network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
     assert metrics.verification_failures == []
@@ -136,9 +140,10 @@ def test_verifiable_matches_unverified_model():
     the quantization step."""
     shards, _ = make_shards()
     plain = FLSession(base_config(), model_factory(), shards,
-                      num_ipfs_nodes=4)
+                      network=NetworkProfile(num_ipfs_nodes=4))
     verified = FLSession(base_config(verifiable=True, fractional_bits=24),
-                         model_factory(), shards, num_ipfs_nodes=4)
+                         model_factory(), shards,
+                         network=NetworkProfile(num_ipfs_nodes=4))
     plain.run_iteration()
     verified.run_iteration()
     difference = np.max(np.abs(
@@ -155,7 +160,8 @@ def test_verifiable_matches_unverified_model():
 def test_verifiable_rejects_malicious_aggregator(behavior):
     shards, _ = make_shards()
     config = base_config(verifiable=True, t_train=60.0, t_sync=90.0)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4,
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4),
                         behaviors={"aggregator-0": behavior})
     metrics = session.run_iteration()
     assert metrics.verification_failures  # rejected at the directory
@@ -167,12 +173,12 @@ def test_unverified_protocol_accepts_poisoned_update():
     """The contrast case: without commitments the alteration goes through."""
     shards, _ = make_shards()
     session = FLSession(base_config(), model_factory(), shards,
-                        num_ipfs_nodes=4,
+                        network=NetworkProfile(num_ipfs_nodes=4),
                         behaviors={"aggregator-0": AlterUpdateBehavior(5.0)})
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
     honest = FLSession(base_config(), model_factory(), shards,
-                       num_ipfs_nodes=4)
+                       network=NetworkProfile(num_ipfs_nodes=4))
     honest.run_iteration()
     poisoned_distance = np.max(np.abs(
         session.consensus_params() - honest.consensus_params()
@@ -186,7 +192,8 @@ def test_unverified_protocol_accepts_poisoned_update():
 def test_multi_aggregator_sync_produces_full_average():
     shards, _ = make_shards(num_trainers=8)
     config = base_config(aggregators_per_partition=2)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 8
     assert metrics.sync_delays  # the sync phase actually ran
@@ -205,7 +212,8 @@ def test_multi_aggregator_sync_produces_full_average():
 def test_multi_aggregator_verifiable():
     shards, _ = make_shards(num_trainers=8)
     config = base_config(aggregators_per_partition=2, verifiable=True)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 8
     assert not metrics.verification_failures
@@ -215,7 +223,8 @@ def test_dead_aggregator_taken_over_by_peer():
     shards, _ = make_shards(num_trainers=8)
     config = base_config(aggregators_per_partition=2, t_train=60.0,
                          t_sync=300.0, takeover_grace=10.0)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     # Silence one aggregator entirely (process never spawned = dropout).
     dead = session.aggregators.pop(0)
     metrics = session.run_iteration()
@@ -240,7 +249,8 @@ def test_malicious_partial_update_detected_by_peer():
     config = base_config(aggregators_per_partition=2, verifiable=True,
                          t_train=60.0, t_sync=300.0, takeover_grace=10.0)
     session = FLSession(
-        config, model_factory(), shards, num_ipfs_nodes=4,
+        config, model_factory(), shards,
+        network=NetworkProfile(num_ipfs_nodes=4),
         behaviors={"aggregator-0": AlterUpdateBehavior(offset=1.0)},
     )
     metrics = session.run_iteration()
@@ -255,7 +265,8 @@ def test_merge_and_download_correctness():
     shards, _ = make_shards(num_trainers=8)
     config = base_config(merge_and_download=True,
                          providers_per_aggregator=2)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 8
     assert sum(node.merges_served for node in session.nodes) > 0
@@ -274,7 +285,8 @@ def test_merge_and_download_verifiable():
     shards, _ = make_shards(num_trainers=8)
     config = base_config(merge_and_download=True,
                          providers_per_aggregator=2, verifiable=True)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=4)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 8
     assert not metrics.verification_failures
@@ -284,9 +296,11 @@ def test_merge_reduces_aggregator_download_bytes():
     shards, _ = make_shards(num_trainers=8)
     merged = FLSession(base_config(merge_and_download=True,
                                    providers_per_aggregator=2),
-                       model_factory(), shards, num_ipfs_nodes=4)
+                       model_factory(), shards,
+                       network=NetworkProfile(num_ipfs_nodes=4))
     naive = FLSession(base_config(merge_and_download=False),
-                      model_factory(), shards, num_ipfs_nodes=4)
+                      model_factory(), shards,
+                      network=NetworkProfile(num_ipfs_nodes=4))
     merged_metrics = merged.run_iteration()
     naive_metrics = naive.run_iteration()
     assert (merged_metrics.mean_bytes_received
@@ -297,7 +311,8 @@ def test_corrupt_merge_provider_falls_back_to_individual_downloads():
     shards, _ = make_shards(num_trainers=4)
     config = base_config(merge_and_download=True,
                          providers_per_aggregator=1, verifiable=True)
-    session = FLSession(config, model_factory(), shards, num_ipfs_nodes=2)
+    session = FLSession(config, model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=2))
     # Corrupt every node AFTER trainers upload would break gets too; so
     # corrupt only merge responses by flipping served merges: mark the
     # provider corrupt, which taints both merge and get responses from it,
@@ -314,7 +329,7 @@ def test_corrupt_merge_provider_falls_back_to_individual_downloads():
 def test_telemetry_fields_populated():
     shards, _ = make_shards()
     session = FLSession(base_config(), model_factory(), shards,
-                        num_ipfs_nodes=4)
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert metrics.first_gradient_at is not None
     assert metrics.mean_upload_delay > 0
@@ -326,7 +341,7 @@ def test_telemetry_fields_populated():
 def test_session_metrics_averaging():
     shards, _ = make_shards()
     session = FLSession(base_config(), model_factory(), shards,
-                        num_ipfs_nodes=4)
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.run(rounds=2)
     mean_delay = session.metrics.mean_over_iterations("aggregation_delay")
     assert mean_delay is not None and mean_delay > 0

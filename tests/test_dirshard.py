@@ -1,14 +1,14 @@
-"""Tests for the sharded directory service (repro.core.dirshard).
+"""Tests for the sharded directory deployment (repro.core.dirshard and
+the server group / client in repro.core.directory).
 
-Covers the DirectoryProfile surface, key placement, the shards=1
-identity guarantee (fingerprint- and counter-identical to the classic
-single server), load distribution and the ``dir.shard.*`` counters,
-the shard-order merge of the commitment accumulators, failover across
-replicas, shard-targeted brownouts, the deprecation shim, and the
-registrations/sec trajectory the sharding exists to improve.
+Covers the DirectoryProfile surface, key placement, the invisibility of
+the one-shard group (fingerprint- and counter-identical to a session
+built without a profile), load distribution and the ``dir.shard.*``
+counters, the shard-order merge of the commitment accumulators,
+failover across replicas, shard-targeted brownouts, the one client
+class, and the registrations/sec trajectory the sharding exists to
+improve.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -16,21 +16,26 @@ from hypothesis import strategies as st
 
 from repro.analysis import DirshardScenario, run_dirshard_point
 from repro.core import (
+    Address,
     CohortPlan,
-    Directory,
     DirectoryClient,
     DirectoryProfile,
     FLSession,
+    GRADIENT,
+    PARTIAL_UPDATE,
+    PartitionCommitter,
     ProtocolConfig,
     ShardMap,
-    ShardRouter,
     ShardedDirectory,
+    UPDATE,
 )
 from repro.crypto import Commitment, PedersenParams, SECP256K1
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.ipfs import DHT, compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import NetworkProfile
+from repro.net import Network, NetworkProfile, Transport, mbps
 from repro.obs import CountersRegistry, FlightRecorder, InvariantMonitors
+from repro.sim import Simulator
 
 NUM_TRAINERS = 4
 
@@ -159,24 +164,30 @@ def test_sharded_session_distributes_load_and_counts():
     assert per_shard == snapshot["dir.shard.requests"]
 
 
-def test_trainers_and_aggregators_route_through_shard_router():
-    session = make_session(directory=DirectoryProfile(shards=2))
-    for participant in list(session.trainers) + list(session.aggregators):
-        assert isinstance(participant.directory, ShardRouter)
-        assert isinstance(participant.directory, Directory)
+def test_every_participant_holds_the_one_client_class():
+    for shards in (1, 2):
+        session = make_session(
+            directory=DirectoryProfile(shards=shards),
+            cohort=CohortPlan(population=NUM_TRAINERS + 8, cohorts=2),
+        )
+        assert isinstance(session.directory, ShardedDirectory)
+        assert len(session.directory.shards) == shards
+        participants = (session.trainers + session.aggregators
+                        + session.cohorts)
+        assert len(participants) > NUM_TRAINERS + len(session.cohorts)
+        for participant in participants:
+            assert type(participant.directory) is DirectoryClient
+            # ... placing keys through the session's one shared map.
+            shard_map = participant.directory.shard_map
+            assert shard_map is session._shard_map
+            assert list(shard_map.shard_names) \
+                == session.directory.shard_names
 
 
-def test_unsharded_participants_keep_the_classic_client():
+def test_one_shard_group_lives_on_the_well_known_host():
     session = make_session()
-    for participant in list(session.trainers) + list(session.aggregators):
-        assert isinstance(participant.directory, DirectoryClient)
-        assert not isinstance(participant.directory, ShardRouter)
-        assert isinstance(participant.directory, Directory)
-
-
-def test_directory_protocol_is_abstract():
-    with pytest.raises(TypeError):
-        Directory()
+    assert session.directory.shard_names == ["directory"]
+    assert session.directory.shard("directory").shard_label is None
 
 
 # -- the merged accumulator -------------------------------------------------------
@@ -244,6 +255,144 @@ def _pedersen_params():
     return _PARAMS_CACHE[0]
 
 
+_COMMITTER_CACHE = []
+
+
+def _committer():
+    if not _COMMITTER_CACHE:
+        _COMMITTER_CACHE.append(PartitionCommitter(4))
+    return _COMMITTER_CACHE[0]
+
+
+# -- sharding invariance: one client, any group ------------------------------------
+
+UPLOADERS = ["t0", "t1", "t2", "t3"]
+ASSIGNMENT = {(uploader, partition): f"agg-{index % 2}"
+              for index, uploader in enumerate(UPLOADERS)
+              for partition in range(3)}
+GROUPS = [(shards, replication, placement)
+          for shards in (1, 2, 3)
+          for replication in (1, 2) if replication <= shards
+          for placement in ("consistent-hash", "modulo")]
+
+
+def make_group(shards, replication, placement):
+    """A bare directory group and one client of it (no session)."""
+    sim = Simulator()
+    network = Network(sim)
+    names = (["directory"] if shards == 1
+             else [f"directory-shard-{i}" for i in range(shards)])
+    for name in names + ["client-0"]:
+        network.add_host(name, up_bandwidth=mbps(50))
+    transport = Transport(network)
+    for name in names:
+        transport.endpoint(name)
+    committer = _committer()
+    directory = ShardedDirectory(
+        sim, transport, DHT(sim, lookup_delay=0.0), shard_names=names,
+        committers={partition: committer for partition in range(3)},
+        trainer_assignment=ASSIGNMENT,
+    )
+    client = DirectoryClient(
+        "client-0", transport,
+        ShardMap(names, replication=replication, placement=placement),
+    )
+    return sim, directory, client
+
+
+def drive(group, operations):
+    """Run ``operations`` through the client; returns what it observed
+    (acks, lookup rows as sets, accumulated bytes + counts) and the
+    group's final state."""
+    sim, directory, client = group
+    params = _pedersen_params()
+    cids = [compute_cid(b"blob-%d" % index) for index in range(4)]
+    commitments = [params.commit([index + 1, 2, 3, 4]) for index in range(4)]
+
+    def record(row):
+        uploader, partition, iteration, kind, blob = row
+        return {"address": Address(uploader, partition, iteration, kind),
+                "cid": cids[blob],
+                "commitment": commitments[blob] if kind == GRADIENT
+                else None}
+
+    def scenario():
+        observed = []
+        for op in operations:
+            if op[0] == "register":
+                observed.append(
+                    (yield from client.register(**record(op[1]))))
+            elif op[0] == "batch":
+                observed.append((yield from client.register_batch(
+                    [record(row) for row in op[1]])))
+            elif op[0] == "lookup":
+                rows = yield from client.lookup(*op[1:])
+                observed.append({
+                    (row["uploader_id"], str(row["cid"]),
+                     row["commitment"] and row["commitment"].to_bytes())
+                    for row in rows
+                })
+            else:
+                total, count = yield from client.accumulated(*op[1:])
+                observed.append((total and total.to_bytes(), count))
+        return observed
+
+    process = sim.process(scenario())
+    sim.run()
+    assert process.ok, process.value
+    stored = sum(len(shard._entries) for shard in directory.shards)
+    return process.value, stored, directory.lookup_count
+
+
+registrations = st.tuples(
+    st.sampled_from(UPLOADERS), st.integers(0, 2), st.integers(0, 1),
+    st.sampled_from([GRADIENT, GRADIENT, PARTIAL_UPDATE, UPDATE]),
+    st.integers(0, 3),
+)
+aggregator_ids = st.sampled_from([None, "agg-0", "agg-1"])
+operation = st.one_of(
+    registrations.map(lambda row: ("register", row)),
+    st.lists(registrations.filter(lambda row: row[3] == GRADIENT),
+             min_size=1, max_size=4).map(lambda rows: ("batch", rows)),
+    st.tuples(st.just("lookup"), st.integers(0, 2), st.integers(0, 1),
+              st.sampled_from([GRADIENT, PARTIAL_UPDATE, UPDATE]),
+              aggregator_ids, st.sampled_from([None] + UPLOADERS)),
+    st.tuples(st.just("accumulated"), st.integers(0, 2),
+              st.integers(0, 1), aggregator_ids),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(operation, min_size=1, max_size=24))
+def test_sharding_is_invisible_through_the_one_client(operations):
+    """The same register / re-register / batch / lookup / accumulated
+    sequence gives the same acks, rows, accumulated bytes and counts
+    whatever the shard count, replication and placement."""
+    reference = drive(make_group(1, 1, "consistent-hash"), operations)
+    for shards, replication, placement in GROUPS[1:]:
+        assert drive(make_group(shards, replication, placement),
+                     operations) == reference, (shards, replication,
+                                                placement)
+
+
+def test_split_cohort_ack_reports_the_whole_cohort():
+    sim, directory, client = make_group(2, 1, "modulo")
+
+    def scenario():
+        ack = yield from client.register_cohort(
+            0, members=50, num_partitions=3, cohort="cohort-0")
+        rows = yield from client.lookup_cohort(
+            0, members=50, num_partitions=3, cohort="cohort-0")
+        return ack, rows
+
+    process = sim.process(scenario())
+    sim.run()
+    # Modulo placement puts partitions 0 and 2 on shard 0, 1 on shard 1.
+    assert [shard.register_count for shard in directory.shards] == [100, 50]
+    assert [shard.lookup_count for shard in directory.shards] == [100, 50]
+    assert process.value == ({"accepted": True, "count": 150}, [])
+
+
 # -- faults: brownout and failover ------------------------------------------------
 
 
@@ -277,6 +426,49 @@ def test_brownout_target_must_name_a_shard():
     )
     with pytest.raises(ValueError):
         make_session(directory=DirectoryProfile(shards=2), faults=plan)
+
+
+def test_one_shard_group_accepts_a_brownout_naming_its_host():
+    plan = FaultPlan.of(
+        FaultSpec(kind="directory_brownout", at=0.5, target="directory",
+                  processing_delay=0.05, duration=30.0),
+    )
+    session = make_session(faults=plan)
+    server = session.directory.shard("directory")
+    session.sim.run(until=1.0)
+    assert server.processing_delay == 0.05
+    session.sim.run(until=31.0)
+    assert server.processing_delay == 0.0
+    with pytest.raises(ValueError, match="unknown directory shard"):
+        make_session(faults=FaultPlan.of(FaultSpec(
+            kind="directory_brownout", at=0.5, target="directory-shard-0",
+            processing_delay=0.05, duration=30.0)))
+
+
+def test_whole_service_brownout_restores_each_shards_own_delay():
+    """A whole-service brownout that starts and ends inside a targeted
+    one must hand shard 0 back its browned-out delay, not the base."""
+    plan = FaultPlan.of(
+        FaultSpec(kind="directory_brownout", at=1.0,
+                  target="directory-shard-0",
+                  processing_delay=0.05, duration=100.0),
+        FaultSpec(kind="directory_brownout", at=2.0,
+                  processing_delay=0.2, duration=10.0),
+    )
+    session = make_session(
+        directory=DirectoryProfile(shards=2, processing_delay=0.001),
+        faults=plan,
+    )
+    delays = lambda: [shard.processing_delay
+                      for shard in session.directory.shards]
+    session.sim.run(until=1.5)
+    assert delays() == [0.05, 0.001]
+    session.sim.run(until=3.0)
+    assert delays() == [0.2, 0.2]
+    session.sim.run(until=13.0)
+    assert delays() == [0.05, 0.001]
+    session.sim.run(until=102.0)
+    assert delays() == [0.001, 0.001]
 
 
 def test_router_fails_over_to_the_replica_when_the_primary_is_down():
@@ -319,28 +511,28 @@ def test_cohort_load_fans_out_across_shards():
     assert directory.register_count > NUM_TRAINERS * 2
 
 
-# -- deprecation shim -------------------------------------------------------------
-
-
-def test_legacy_directory_kwarg_warns_and_still_works():
-    with pytest.warns(DeprecationWarning,
-                      match="directory_processing_delay"):
-        session = FLSession(
-            make_config(), model_factory, make_shards(),
-            num_ipfs_nodes=4, bandwidth_mbps=10.0,
-            directory_processing_delay=0.001,
-        )
-    assert session.directory.processing_delay == 0.001
+# -- the profile is the only processing-delay and link knob -------------------------
 
 
 def test_profile_overrides_the_network_processing_delay():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        session = make_session(
-            directory=DirectoryProfile(shards=2, processing_delay=0.002),
-        )
+    session = make_session(
+        directory=DirectoryProfile(shards=2, processing_delay=0.002),
+    )
     for name in session.directory.shard_names:
         assert session.directory.shard(name).processing_delay == 0.002
+
+
+def test_profile_bandwidth_constrains_the_one_shard_host_too():
+    from repro.net.units import mbps
+
+    for shards in (1, 2):
+        session = make_session(
+            directory=DirectoryProfile(shards=shards, bandwidth_mbps=1.0))
+        for name in session.directory.shard_names:
+            host = session.testbed.network.host(name)
+            assert host.up_bandwidth == host.down_bandwidth == mbps(1.0)
+    unconstrained = make_session().testbed.network.host("directory")
+    assert unconstrained.up_bandwidth == float("inf")
 
 
 # -- the point of it all: registrations/sec ---------------------------------------

@@ -19,6 +19,7 @@ from repro.core import (
 from repro.core.directory import DirectoryClient
 from repro.ipfs import IPFSClient, compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 from tests.test_core_directory import make_world, run
 
@@ -103,12 +104,12 @@ def test_session_with_batch_registration_matches_plain():
 
     plain = FLSession(
         ProtocolConfig(num_partitions=3, t_train=300, t_sync=500),
-        factory, shards, num_ipfs_nodes=4,
+        factory, shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     batched = FLSession(
         ProtocolConfig(num_partitions=3, t_train=300, t_sync=500,
                        batch_registration=True),
-        factory, shards, num_ipfs_nodes=4,
+        factory, shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     plain.run_iteration()
     metrics = batched.run_iteration()
@@ -128,7 +129,7 @@ def test_batch_registration_with_verifiability():
         ProtocolConfig(num_partitions=2, t_train=300, t_sync=500,
                        batch_registration=True, verifiable=True),
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4

@@ -12,6 +12,7 @@ import pytest
 from repro.core import FLSession, ProtocolConfig
 from repro.ipfs import IPFSClient, IPFSError, NotFoundError
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 
 def make_shards(num_trainers=4, seed=0):
@@ -30,8 +31,9 @@ def test_dead_upload_node_falls_back_to_live_nodes():
     whole round completes."""
     shards = make_shards(num_trainers=4)
     config = ProtocolConfig(num_partitions=2, t_train=400.0, t_sync=800.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4,
-                        bandwidth_mbps=10.0)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4,
+                                               bandwidth_mbps=10.0))
     dead_node = session.nodes[0]
     dead_node.online = False
     victims = {
@@ -50,7 +52,8 @@ def test_all_trainers_too_slow_round_times_out_cleanly():
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=10.0, t_sync=30.0,
                             local_train_seconds=20.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert metrics.trainers_completed == []
     assert metrics.update_registered_at == {}
@@ -61,7 +64,8 @@ def test_next_iteration_recovers_after_failed_round():
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=10.0, t_sync=30.0,
                             local_train_seconds=20.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.run_iteration()  # fails: everyone too slow
     for trainer in session.trainers:
         trainer.local_train_seconds = 0.0
@@ -75,8 +79,9 @@ def test_replication_keeps_gradients_available_after_origin_death():
     after a round still leaves every gradient retrievable."""
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=200.0, t_sync=400.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4,
-                        replication_factor=2)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4,
+                                               replication_factor=2))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
 
@@ -122,7 +127,8 @@ def test_merge_mode_with_dead_provider_partial_round():
     config = ProtocolConfig(num_partitions=2, t_train=200.0, t_sync=400.0,
                             merge_and_download=True,
                             providers_per_aggregator=2)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     # Kill one provider of aggregator-0.
     dead_name = session.assignment.providers_of["aggregator-0"][0]
     next(node for node in session.nodes if node.name == dead_name) \
@@ -142,7 +148,8 @@ def test_mid_iteration_node_death_times_out_gracefully():
     session: affected requests time out and the round ends."""
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=200.0, t_sync=400.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
 
     def killer():
         yield session.sim.timeout(0.05)  # mid-upload for some trainer

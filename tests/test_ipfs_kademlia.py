@@ -18,7 +18,7 @@ from repro.ipfs import (
 )
 from repro.ipfs.kademlia import content_key
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import Network, Transport, mbps
+from repro.net import Network, NetworkProfile, Transport, mbps
 from repro.sim import Simulator
 
 
@@ -218,8 +218,7 @@ def test_full_session_over_kademlia_dht():
         ProtocolConfig(num_partitions=2, t_train=300, t_sync=600),
         lambda: LogisticRegression(num_features=8, seed=0),
         shards,
-        num_ipfs_nodes=8,
-        dht_mode="kademlia",
+        network=NetworkProfile(num_ipfs_nodes=8, dht_mode="kademlia"),
     )
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
@@ -234,5 +233,5 @@ def test_session_rejects_unknown_dht_mode():
         FLSession(
             ProtocolConfig(num_partitions=1, t_train=10, t_sync=20),
             lambda: LogisticRegression(num_features=4, seed=0),
-            shards, dht_mode="chord",
+            shards, network=NetworkProfile(dht_mode="chord"),
         )

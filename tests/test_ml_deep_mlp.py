@@ -12,6 +12,7 @@ from repro.ml import (
     accuracy,
     TrainConfig,
 )
+from repro.net import NetworkProfile
 
 from tests.test_ml_models import numerical_gradient
 
@@ -115,7 +116,7 @@ def test_deep_mlp_in_full_protocol():
         config,
         lambda: DeepMLPClassifier(num_features=10, hidden_layers=(16, 8),
                                   num_classes=3, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     initial = accuracy(session.model_of(0), test)
     session.run(rounds=3)

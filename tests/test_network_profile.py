@@ -1,7 +1,8 @@
-"""The NetworkProfile API redesign: the composable profile, the legacy
-keyword-argument shim, and the curated top-level ``repro`` surface."""
+"""The NetworkProfile API: the composable profile, the one session
+signature, and the curated top-level ``repro`` surface."""
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_default_profile_matches_legacy_defaults():
     {"latency": -0.1},
     {"dht_lookup_delay": -0.1},
     {"dht_mode": "gossip"},
-    {"directory_processing_delay": -1.0},
+    {"trainer_bandwidths_mbps": (0.0,)},
     {"replication_factor": 0},
     {"directory_request_timeout": 0.0},
     {"ipfs_request_timeout": 0.0},
@@ -62,24 +63,17 @@ def test_profile_rejects_invalid_values(kwargs):
         NetworkProfile(**kwargs)
 
 
-# -- the legacy shim --------------------------------------------------------------
+# -- one session signature ---------------------------------------------------------
 
 
-def test_legacy_kwargs_warn_and_build_identical_testbed():
-    shards = make_shards()
-    with pytest.warns(DeprecationWarning, match="NetworkProfile"):
-        legacy = FLSession(config(), factory, shards,
-                           num_ipfs_nodes=4, bandwidth_mbps=12.0,
-                           latency=0.01, replication_factor=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the new path must not warn
-        modern = FLSession(
-            config(), factory, shards,
-            network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=12.0,
-                                   latency=0.01, replication_factor=2),
-        )
-    assert legacy.fingerprint() == modern.fingerprint()
-    assert legacy.network_profile == modern.network_profile
+def test_loose_network_kwargs_raise_type_error():
+    """The pre-profile keyword arguments are gone, not deprecated."""
+    for kwargs in ({"num_ipfs_nodes": 4}, {"bandwidth_mbps": 12.0},
+                   {"directory_processing_delay": 0.001}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            FLSession(config(), factory, make_shards(), **kwargs)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        NetworkProfile(directory_processing_delay=0.001)
 
 
 def test_new_path_defaults_match_no_arguments_at_all():
@@ -93,12 +87,6 @@ def test_new_path_defaults_match_no_arguments_at_all():
 def test_unknown_kwarg_raises_type_error():
     with pytest.raises(TypeError, match="unexpected keyword"):
         FLSession(config(), factory, make_shards(), bandwith_mbps=10.0)
-
-
-def test_network_plus_legacy_kwargs_raises_type_error():
-    with pytest.raises(TypeError, match="not both"):
-        FLSession(config(), factory, make_shards(),
-                  network=NetworkProfile(), num_ipfs_nodes=4)
 
 
 # -- fault-plan robustness defaults ------------------------------------------------
@@ -144,6 +132,22 @@ def test_empty_fault_plan_counts_as_honest():
 
 
 # -- the curated public surface ----------------------------------------------------
+
+
+def test_public_surface_only_shrinks():
+    """API ratchet: lower these numbers when something goes, never
+    raise them to make room."""
+    import repro
+
+    assert len(repro.__all__) <= 20
+    parameters = inspect.signature(FLSession.__init__).parameters
+    assert list(parameters) == [
+        "self", "config", "model_factory", "datasets", "network", "faults",
+        "directory", "behaviors", "sim", "cohort",
+    ]
+    assert not any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+    assert "directory_processing_delay" not in {
+        f.name for f in dataclasses.fields(NetworkProfile)}
 
 
 def test_top_level_surface_is_complete():

@@ -12,7 +12,7 @@ from repro.core import FLSession, ProtocolConfig
 from repro.core.partition import encode_partition
 from repro.ipfs.node import CID_WIRE_SIZE, REQUEST_OVERHEAD
 from repro.ml import Dataset, SyntheticModel
-from repro.net import mbps
+from repro.net import NetworkProfile, mbps
 from repro.obs import CriticalPathAnalyzer, SpanCollector, build_span_tree
 from repro.obs.events import (
     BlockFetched,
@@ -182,10 +182,9 @@ def fig1_naive_session():
         config,
         model_factory=lambda: SyntheticModel(PARTITION_PARAMS),
         datasets=shards,
-        num_ipfs_nodes=8,
-        bandwidth_mbps=BANDWIDTH_MBPS,
-        latency=0.0,
-        dht_lookup_delay=0.0,
+        network=NetworkProfile(num_ipfs_nodes=8,
+                               bandwidth_mbps=BANDWIDTH_MBPS, latency=0.0,
+                               dht_lookup_delay=0.0),
     )
 
 

@@ -22,6 +22,7 @@ from repro.core.adversary import (
     ReplayUpdateBehavior,
 )
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 from repro.obs import (
     EventBus,
     FlightRecorder,
@@ -45,7 +46,7 @@ def run_with_recorder(behavior=None, rounds=1):
     session = FLSession(
         config,
         lambda: LogisticRegression(num_features=8, num_classes=2, seed=0),
-        shards, num_ipfs_nodes=4, bandwidth_mbps=10.0,
+        shards, network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
         behaviors=behaviors,
     )
     recorder = FlightRecorder(session.sim.bus)

@@ -10,6 +10,7 @@ from repro.core import (
     ProtocolConfig,
 )
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 
 def make_shards(num_trainers=4, seed=0):
@@ -30,7 +31,8 @@ def test_trainer_verification_accepts_honest_update():
         num_partitions=2, t_train=300.0, t_sync=600.0,
         verifiable=True, trainer_verification=True,
     )
-    session = FLSession(config, factory, make_shards(), num_ipfs_nodes=4)
+    session = FLSession(config, factory, make_shards(),
+                        network=NetworkProfile(num_ipfs_nodes=4))
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
     assert all(trainer.rejected_updates == 0
@@ -47,7 +49,8 @@ def test_trainer_verification_catches_poison_without_directory():
         trainer_verification=True,
     )
     session = FLSession(
-        config, factory, make_shards(), num_ipfs_nodes=4,
+        config, factory, make_shards(),
+        network=NetworkProfile(num_ipfs_nodes=4),
         behaviors={"aggregator-0": AlterUpdateBehavior(offset=1.0)},
     )
     metrics = session.run_iteration()
@@ -71,7 +74,8 @@ def test_directory_verification_off_poison_lands_without_trainer_check():
         trainer_verification=False,
     )
     session = FLSession(
-        config, factory, make_shards(), num_ipfs_nodes=4,
+        config, factory, make_shards(),
+        network=NetworkProfile(num_ipfs_nodes=4),
         behaviors={"aggregator-0": AlterUpdateBehavior(offset=1.0)},
     )
     metrics = session.run_iteration()
@@ -86,7 +90,8 @@ def test_slow_trainers_miss_round_fast_ones_proceed():
     completes with the punctual trainers' average."""
     shards = make_shards(num_trainers=4)
     config = ProtocolConfig(num_partitions=2, t_train=30.0, t_sync=200.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.trainers[0].local_train_seconds = 100.0  # past t_train
     session.trainers[1].local_train_seconds = 100.0
     metrics = session.run_iteration()
@@ -104,7 +109,8 @@ def test_slow_trainers_miss_round_fast_ones_proceed():
 def test_straggler_rejoins_next_round():
     shards = make_shards(num_trainers=4)
     config = ProtocolConfig(num_partitions=2, t_train=30.0, t_sync=200.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.trainers[0].local_train_seconds = 100.0
     session.run_iteration()
     session.trainers[0].local_train_seconds = 0.0
@@ -118,7 +124,8 @@ def test_straggler_rejoins_next_round():
 def test_collect_garbage_reclaims_old_iterations():
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=300.0, t_sync=600.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.run(rounds=3)
     before = session.storage_bytes
     reclaimed = session.collect_garbage(keep_iterations=1)
@@ -135,7 +142,8 @@ def test_collect_garbage_reclaims_old_iterations():
 def test_collect_garbage_keeps_protocol_working():
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=300.0, t_sync=600.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.run_iteration()
     session.collect_garbage(keep_iterations=0)  # drop everything
     metrics = session.run_iteration()
@@ -146,7 +154,8 @@ def test_collect_garbage_keeps_protocol_working():
 def test_collect_garbage_idempotent():
     shards = make_shards()
     config = ProtocolConfig(num_partitions=2, t_train=300.0, t_sync=600.0)
-    session = FLSession(config, factory, shards, num_ipfs_nodes=4)
+    session = FLSession(config, factory, shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
     session.run(rounds=2)
     session.collect_garbage()
     assert session.collect_garbage() == 0.0

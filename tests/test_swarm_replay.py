@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.ipfs import NotFoundError, ReplicationCluster, compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 from tests.util import make_ipfs_world
 
@@ -203,7 +204,7 @@ def test_replay_attack_detected_in_second_round():
     session = FLSession(
         config,
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
         behaviors={"aggregator-0": ReplayUpdateBehavior()},
     )
     first = session.run_iteration()
@@ -222,7 +223,7 @@ def test_replay_attack_succeeds_without_verification():
     session = FLSession(
         config,
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
         behaviors={"aggregator-0": ReplayUpdateBehavior()},
     )
     session.run_iteration()

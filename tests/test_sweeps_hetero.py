@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import Sweep, SweepResults, grid
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import build_testbed, mbps
+from repro.net import NetworkProfile, build_testbed, mbps
 
 
 # -- Sweep / grid -----------------------------------------------------------------
@@ -73,12 +73,15 @@ def test_slow_trainer_stretches_upload_window():
 
     uniform = FLSession(
         config, lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4, bandwidth_mbps=10.0,
+        shards, network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
     skewed = FLSession(
         config, lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4, bandwidth_mbps=10.0,
-        trainer_bandwidths_mbps=[0.5, 10.0, 10.0, 10.0],
+        shards,
+        network=NetworkProfile(
+            num_ipfs_nodes=4, bandwidth_mbps=10.0,
+            trainer_bandwidths_mbps=[0.5, 10.0, 10.0, 10.0],
+        ),
     )
     uniform_metrics = uniform.run_iteration()
     skewed_metrics = skewed.run_iteration()
