@@ -337,6 +337,7 @@ class Aggregator:
             )
         else:
             partial_blob = None
+        del blobs  # summed: the downloads are not needed again
 
         contributions: Dict[str, bytes] = {}
         if partial_blob is not None:
@@ -437,6 +438,7 @@ class Aggregator:
             timeout_event = self.sim.timeout(wait)
             outcome = yield self.sim.any_of([message_event, timeout_event])
             if message_event in outcome:
+                timeout_event.cancel()  # lost its race; nothing waits on it
                 payload = outcome[message_event].payload
                 message_event = subscription.get()
                 peer = payload["aggregator"]

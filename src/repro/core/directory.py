@@ -844,29 +844,16 @@ class DirectoryClient:
         """
         spec = REQUEST_TABLE[op]
         size = spec.size(payload)
-        if self.request_timeout is None:
-            response = yield from self.endpoint.request(
-                owners[0], spec.kind, payload=payload, size=size,
-            )
-            return response.payload
         policy = self.retry
         attempts = max(1, policy.max_attempts) if policy is not None else 1
-        transport = self.endpoint.transport
         bus = self.sim.bus
         for dst in owners:
             for attempt in range(attempts):
-                request_id = transport.next_request_id()
-                transport.send(Message(
-                    src=self.name, dst=dst, kind=spec.kind,
-                    payload=payload, size=size, request_id=request_id,
-                ))
-                response_event = self.endpoint.inbox.get(
-                    lambda m, rid=request_id: m.request_id == rid
-                )
-                timeout = self.sim.timeout(self.request_timeout)
-                outcome = yield self.sim.any_of([response_event, timeout])
-                if response_event in outcome:
-                    return outcome[response_event].payload
+                # (No timeout waits forever: the first owner answers.)
+                response = yield self.endpoint.request(
+                    dst, spec.kind, payload, size, self.request_timeout)
+                if response is not None:
+                    return response.payload
                 if attempt + 1 < attempts:
                     yield self.sim.timeout(policy.backoff(
                         attempt, key=f"{self.name}:{spec.operation}"

@@ -54,13 +54,15 @@ class ModelPartitioner:
         return end - start
 
     def split(self, vector: np.ndarray) -> List[np.ndarray]:
-        """Slice a flat vector into its partitions (views copied)."""
-        vector = np.asarray(vector, dtype=np.float64).ravel()
+        """Slice a flat vector into its partitions: read-only views of
+        ``vector`` (no copy; encoding a partition is what copies it)."""
+        vector = np.asarray(vector, dtype=np.float64).ravel().view()
+        vector.flags.writeable = False
         if vector.shape[0] != self.num_params:
             raise ValueError(
                 f"expected {self.num_params} values, got {vector.shape[0]}"
             )
-        return [vector[start:end].copy() for start, end in self._bounds]
+        return [vector[start:end] for start, end in self._bounds]
 
     def join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenate partitions back into the flat vector."""

@@ -208,6 +208,7 @@ class Trainer:
             ))
 
         parts = self.partitioner.split(vector)
+        del vector  # lives on through the views, until they are encoded
 
         # Commit sequentially (CPU-bound work on one core), then upload all
         # partitions concurrently and register each CID as its put
@@ -230,6 +231,7 @@ class Trainer:
             else:
                 blob, commitment = encode_partition(values, 1.0), None
             prepared.append((partition_id, blob, commitment))
+        del parts, values, blob  # encoded: only the blobs travel on
 
         upload_delays = []
         failures = []
@@ -282,6 +284,7 @@ class Trainer:
             )
             for partition_id, blob, commitment in prepared
         ]
+        del prepared  # each upload holds its blob, until the node does
         yield self.sim.all_of(uploads)
         if self._child_errors:
             raise self._child_errors[0]

@@ -6,18 +6,24 @@ partitions; go-ipfs chunks files at 256 KiB) are represented by
 :func:`chunk_object`: leaf blocks plus a root *manifest* block listing the
 leaf CIDs in order, so retrieving the root is enough to fetch and
 reassemble the object with per-chunk integrity.
+
+Chunking copies nothing: the leaves are read-only ``memoryview`` slices of
+the object's one immutable ``bytes`` buffer (mutable input is snapshotted
+once), and :func:`join_leaves` hands that buffer back when asked for the
+bytes of all its slices in order.  Hashing is never skipped — every block
+computes its CID from its bytes at construction.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cid import CID, compute_cid
 
 __all__ = ["Block", "DEFAULT_CHUNK_SIZE", "chunk_object", "is_manifest",
-           "parse_manifest", "reassemble"]
+           "join_leaves", "parse_manifest", "reassemble"]
 
 #: go-ipfs default chunker size.
 DEFAULT_CHUNK_SIZE = 256 * 1024
@@ -27,13 +33,26 @@ _MANIFEST_MAGIC = "repro-ipfs-manifest-v1"
 
 @dataclass(frozen=True)
 class Block:
-    """Raw bytes plus their content address."""
+    """Immutable bytes plus their content address.
+
+    ``data`` is ``bytes`` or a view of ``bytes``; anything else — a
+    ``bytearray``, a view of memory somebody can still write — is
+    snapshotted here, so the bytes can never change under the CID.
+    ``offset`` is where a leaf cut by :func:`chunk_object` starts in the
+    buffer it views (None: not known to be such a slice).
+    """
 
     data: bytes
+    offset: Optional[int] = field(default=None, compare=False, repr=False)
     cid: CID = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cid", compute_cid(self.data))
+        data = self.data
+        if not isinstance(data, bytes) and not (
+                isinstance(data, memoryview) and isinstance(data.obj, bytes)):
+            data = bytes(data)
+            object.__setattr__(self, "data", data)
+        object.__setattr__(self, "cid", compute_cid(data))
 
     @property
     def size(self) -> int:
@@ -48,17 +67,19 @@ def chunk_object(data: bytes,
     """Split ``data`` into leaf blocks plus a root manifest block.
 
     Returns ``(root, leaves)``.  Data that fits in one chunk still gets a
-    manifest so callers handle one uniform shape.
+    manifest so callers handle one uniform shape.  The leaves alias
+    ``data`` when it is ``bytes``, and one snapshot of it otherwise.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
+    view = memoryview(data if isinstance(data, bytes) else bytes(data))
     leaves = [
-        Block(bytes(data[offset:offset + chunk_size]))
-        for offset in range(0, len(data), chunk_size)
+        Block(view[offset:offset + chunk_size], offset)
+        for offset in range(0, len(view), chunk_size)
     ] or [Block(b"")]
     manifest = {
         "magic": _MANIFEST_MAGIC,
-        "total_size": len(data),
+        "total_size": len(view),
         "chunks": [leaf.cid.encode() for leaf in leaves],
     }
     root = Block(json.dumps(manifest, sort_keys=True).encode("utf-8"))
@@ -68,7 +89,7 @@ def chunk_object(data: bytes,
 def parse_manifest(root: Block) -> List[CID]:
     """Extract the ordered leaf CIDs from a manifest block."""
     try:
-        manifest = json.loads(root.data.decode("utf-8"))
+        manifest = json.loads(str(root.data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError("not a manifest block") from exc
     if not isinstance(manifest, dict) or manifest.get("magic") != _MANIFEST_MAGIC:
@@ -85,6 +106,26 @@ def is_manifest(block: Block) -> bool:
         return False
 
 
+def join_leaves(leaves: Sequence[Block]) -> bytes:
+    """The bytes of ``leaves``, concatenated in the order given.
+
+    Leaves that are the consecutive slices of one whole buffer — an object
+    stored by :func:`chunk_object` and still held complete — yield that
+    buffer itself; anything else (leaves fetched one by one, leaves shared
+    with another object) is joined into a fresh one.
+    """
+    whole = getattr(leaves[0].data, "obj", None) if leaves else None
+    end = 0
+    for leaf in leaves:
+        if getattr(leaf.data, "obj", None) is not whole or leaf.offset != end:
+            break
+        end += leaf.size
+    else:
+        if whole is not None and end == len(whole):
+            return whole
+    return b"".join(leaf.data for leaf in leaves)
+
+
 def reassemble(root: Block, leaves: List[Block]) -> bytes:
     """Rebuild the original object from its manifest and leaf blocks.
 
@@ -96,4 +137,4 @@ def reassemble(root: Block, leaves: List[Block]) -> bytes:
     missing = [cid for cid in wanted if cid not in by_cid]
     if missing:
         raise ValueError(f"missing {len(missing)} leaf block(s)")
-    return b"".join(by_cid[cid].data for cid in wanted)
+    return join_leaves([by_cid[cid] for cid in wanted])

@@ -80,38 +80,29 @@ class Blockstore:
     def cids(self) -> Iterable[CID]:
         return self._blocks.keys()
 
-    def wipe(self) -> List[CID]:
-        """Drop *everything*, pinned or not (disk loss on a node crash).
-
-        Evictions are reported on the bus like GC evictions so leak
-        monitors account for the vanished blocks.  Returns the CIDs
-        removed.
-        """
-        removed = list(self._blocks)
+    def _evict(self, cids: List[CID]) -> List[CID]:
+        """Drop ``cids`` — the one way a block, and the buffer it aliases,
+        leaves the store — reporting each eviction on the bus so leak
+        monitors account for it.  Returns ``cids``."""
         sim = self.sim
         emit = sim is not None and sim.bus.wants(BlockEvicted)
-        for cid in removed:
-            size = self._blocks[cid].size
+        for cid in cids:
+            size = self._blocks.pop(cid).size
             self.total_bytes -= size
-            del self._blocks[cid]
             if emit:
                 sim.bus.publish(BlockEvicted(
                     at=sim.now, node=self.owner, cid=cid, size=size,
                 ))
+        return cids
+
+    def wipe(self) -> List[CID]:
+        """Drop *everything*, pinned or not (disk loss on a node crash);
+        returns the CIDs removed."""
+        removed = self._evict(list(self._blocks))
         self._pins.clear()
         return removed
 
     def collect_garbage(self) -> List[CID]:
         """Drop every unpinned block; returns the CIDs removed."""
-        removed = [cid for cid in self._blocks if cid not in self._pins]
-        sim = self.sim
-        emit = sim is not None and sim.bus.wants(BlockEvicted)
-        for cid in removed:
-            size = self._blocks[cid].size
-            self.total_bytes -= size
-            del self._blocks[cid]
-            if emit:
-                sim.bus.publish(BlockEvicted(
-                    at=sim.now, node=self.owner, cid=cid, size=size,
-                ))
-        return removed
+        return self._evict([cid for cid in self._blocks
+                            if cid not in self._pins])

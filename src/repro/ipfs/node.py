@@ -9,7 +9,14 @@ and ``merge_and_download`` as process generators (``yield from``).
 Retrieval verifies content against the CID — the adversarial model
 assumes availability but "we do not assume correctness of retrieved data;
 this is up to the parties to check" — and falls back to other DHT
-providers on corruption or timeouts.
+providers on corruption or timeouts.  That check hashes every fetched
+object and block on every fetch; nothing is remembered between fetches.
+
+Memory: a stored object is one immutable buffer that its leaf blocks
+alias (:mod:`repro.ipfs.block`).  A node that holds an object complete
+serves that buffer itself — to gets, merges and replication — and keeps
+no table of buffers: they go when unpin + GC, or a crash that loses the
+disk, drops the blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from ..net import Endpoint, Message, Transport
 from ..obs.events import BlockFetched, BlockStored, MergeServed, \
     NodeCrashed, NodeRestarted, RetryExhausted
 from ..sim import Simulator
-from .block import Block, DEFAULT_CHUNK_SIZE, chunk_object, parse_manifest, reassemble
+from .block import Block, DEFAULT_CHUNK_SIZE, chunk_object, join_leaves, \
+    parse_manifest, reassemble
 from .blockstore import Blockstore
 from .cid import CID, compute_cid
 from .dht import DHT
@@ -103,52 +111,34 @@ class IPFSNode:
             ))
         return root.cid
 
-    def load_object(self, root_cid: CID) -> Optional[bytes]:
-        """Reassemble a stored object; None if any block is missing."""
+    def _stored_blocks(self, root_cid: CID) -> Optional[List[Optional[Block]]]:
+        """Root block, then the leaves its manifest lists (None in place
+        of each one missing); None when the root itself is missing."""
         root = self.store.get(root_cid)
         if root is None:
             return None
         try:
-            leaf_cids = parse_manifest(root)
+            return [root] + [self.store.get(cid)
+                             for cid in parse_manifest(root)]
         except ValueError:
-            # A bare (unchunked) block stored directly.
-            return root.data
-        leaves = []
-        for cid in leaf_cids:
-            leaf = self.store.get(cid)
-            if leaf is None:
-                return None
-            leaves.append(leaf)
-        return reassemble(root, leaves)
+            return [root]  # a bare (unchunked) block stored directly
 
-    def object_blocks(self, root_cid: CID) -> Optional[List[Block]]:
-        """Root plus leaf blocks of a stored object, or None if missing."""
-        root = self.store.get(root_cid)
-        if root is None:
+    def load_object(self, root_cid: CID) -> Optional[bytes]:
+        """The bytes of a stored object; None if any block is missing.
+
+        An object held complete as it was stored is its one buffer — no
+        copy per request; see :func:`~repro.ipfs.block.join_leaves`.
+        """
+        blocks = self._stored_blocks(root_cid)
+        if blocks is None or any(block is None for block in blocks):
             return None
-        try:
-            leaf_cids = parse_manifest(root)
-        except ValueError:
-            return [root]
-        blocks = [root]
-        for cid in leaf_cids:
-            leaf = self.store.get(cid)
-            if leaf is None:
-                return None
-            blocks.append(leaf)
-        return blocks
+        return join_leaves(blocks[1:] or blocks)  # bare block: its own leaf
 
     def unpin_object(self, root_cid: CID) -> None:
         """Unpin a whole object (root and leaves)."""
-        root = self.store.get(root_cid)
-        if root is None:
-            return
-        self.store.unpin(root_cid)
-        try:
-            for cid in parse_manifest(root):
-                self.store.unpin(cid)
-        except ValueError:
-            pass
+        for block in self._stored_blocks(root_cid) or ():
+            if block is not None:  # a missing block holds no pin
+                self.store.unpin(block.cid)
 
     # -- fault surface (crash / restart) ---------------------------------------
 
@@ -217,9 +207,14 @@ class IPFSNode:
         if message.kind == KIND_PUT:
             yield from self._handle_put(message)
         elif message.kind == KIND_GET:
-            yield from self._handle_get(message)
+            yield from self._serve_bytes(message, KIND_GET_DATA,
+                                         self.load_object(message.payload))
         elif message.kind == KIND_GET_BLOCK:
-            yield from self._handle_get_block(message)
+            # One raw block: the bitswap-style exchange unit.
+            block = self.store.get(message.payload)
+            yield from self._serve_bytes(
+                message, KIND_GET_BLOCK_DATA,
+                None if block is None else block.data)
         elif message.kind == KIND_MERGE:
             yield from self._handle_merge(message)
         elif message.kind == KIND_REPLICATE:
@@ -246,35 +241,18 @@ class IPFSNode:
         flipped[0] ^= 0xFF
         return bytes(flipped)
 
-    def _handle_get(self, message: Message):
-        root_cid: CID = message.payload
-        data = self.load_object(root_cid)
+    def _serve_bytes(self, message: Message, kind: str,
+                     data: Optional[bytes]):
+        """Answer a get with ``data`` (None: a miss).  Whichever path
+        produced the bytes, they leave through :meth:`_maybe_corrupt`."""
         self.gets_served += 1
         if data is None:
-            yield self.endpoint.respond(
-                message, KIND_GET_DATA, payload=None, size=ACK_SIZE
-            )
+            yield self.endpoint.respond(message, kind, payload=None,
+                                        size=ACK_SIZE)
             return
         data = self._maybe_corrupt(data)
-        yield self.endpoint.respond(
-            message, KIND_GET_DATA, payload=data,
-            size=len(data) + REQUEST_OVERHEAD,
-        )
-
-    def _handle_get_block(self, message: Message):
-        """Serve one raw block (bitswap-style exchange unit)."""
-        block = self.store.get(message.payload)
-        self.gets_served += 1
-        if block is None:
-            yield self.endpoint.respond(
-                message, KIND_GET_BLOCK_DATA, payload=None, size=ACK_SIZE
-            )
-            return
-        data = self._maybe_corrupt(block.data)
-        yield self.endpoint.respond(
-            message, KIND_GET_BLOCK_DATA, payload=data,
-            size=len(data) + REQUEST_OVERHEAD,
-        )
+        yield self.endpoint.respond(message, kind, payload=data,
+                                    size=len(data) + REQUEST_OVERHEAD)
 
     def _handle_merge(self, message: Message):
         request = message.payload  # {"cids": [...], "merger": str}
@@ -332,7 +310,6 @@ class IPFSClient:
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  retry: Optional[RetryPolicy] = None):
         self.name = name
-        self.transport = transport
         self.dht = dht
         self.sim: Simulator = transport.sim
         self.request_timeout = request_timeout
@@ -346,24 +323,6 @@ class IPFSClient:
         self.bytes_uploaded = 0.0
         self.bytes_downloaded = 0.0
 
-    # -- request helper -------------------------------------------------------
-
-    def _request(self, dst: str, kind: str, payload, size: float):
-        """Request/response with a timeout; returns the response or None."""
-        request_id = self.transport.next_request_id()
-        self.transport.send(Message(
-            src=self.name, dst=dst, kind=kind, payload=payload,
-            size=size, request_id=request_id,
-        ))
-        response_event = self.endpoint.inbox.get(
-            lambda message: message.request_id == request_id
-        )
-        timeout = self.sim.timeout(self.request_timeout)
-        outcome = yield self.sim.any_of([response_event, timeout])
-        if response_event in outcome:
-            return outcome[response_event]
-        return None
-
     # -- public API -------------------------------------------------------------
 
     def put(self, data: bytes, node: str, pin: bool = True):
@@ -374,7 +333,8 @@ class IPFSClient:
         exactly the duration of this call.
         """
         size = len(data) + REQUEST_OVERHEAD
-        response = yield from self._request(node, KIND_PUT, bytes(data), size)
+        response = yield self.endpoint.request(
+            node, KIND_PUT, bytes(data), size, self.request_timeout)
         if response is None:
             raise NodeOfflineError(f"put to {node!r} timed out")
         self.bytes_uploaded += size
@@ -432,9 +392,9 @@ class IPFSClient:
             raise NotFoundError(f"no providers for {cid!r}")
         last_error: Optional[Exception] = None
         for node in candidates:
-            response = yield from self._request(
-                node, KIND_GET, cid, REQUEST_OVERHEAD + CID_WIRE_SIZE
-            )
+            response = yield self.endpoint.request(
+                node, KIND_GET, cid, REQUEST_OVERHEAD + CID_WIRE_SIZE,
+                self.request_timeout)
             if response is None:
                 last_error = NodeOfflineError(f"get from {node!r} timed out")
                 continue
@@ -442,8 +402,7 @@ class IPFSClient:
             if data is None:
                 last_error = NotFoundError(f"{node!r} no longer has {cid!r}")
                 continue
-            if compute_cid(self._object_bytes_for_cid(cid, data,
-                                                      self.chunk_size)) != cid:
+            if not self._is_object(cid, data):
                 last_error = IntegrityError(
                     f"{node!r} served bytes not matching {cid!r}"
                 )
@@ -459,18 +418,15 @@ class IPFSClient:
             return data
         raise last_error or NotFoundError(f"could not retrieve {cid!r}")
 
-    @staticmethod
-    def _object_bytes_for_cid(cid: CID, data: bytes,
-                              chunk_size: int) -> bytes:
-        """Bytes whose hash must equal ``cid`` for object ``data``.
+    def _is_object(self, cid: CID, data: bytes) -> bool:
+        """Integrity check of a fetched object, run on every fetch.
 
         Objects are stored chunked under a manifest root, so the CID binds
-        the manifest; recompute it from the data to check integrity.
+        the manifest: re-chunk the data (over views — every byte hashed,
+        none copied) and compare.  A bare block's CID binds the data itself.
         """
-        root, _leaves = chunk_object(data, chunk_size)
-        if root.cid == cid:
-            return root.data
-        return data  # bare block: the CID binds the data directly
+        root, _leaves = chunk_object(data, self.chunk_size)
+        return root.cid == cid or compute_cid(data) == cid
 
     def get_block(self, cid: CID, node: str):
         """Fetch and verify one raw block from ``node``.
@@ -478,9 +434,9 @@ class IPFSClient:
         Returns the block bytes, or None on miss/timeout/corruption.
         """
         fetch_started = self.sim.now
-        response = yield from self._request(
-            node, KIND_GET_BLOCK, cid, REQUEST_OVERHEAD + CID_WIRE_SIZE
-        )
+        response = yield self.endpoint.request(
+            node, KIND_GET_BLOCK, cid, REQUEST_OVERHEAD + CID_WIRE_SIZE,
+            self.request_timeout)
         if response is None or response.payload is None:
             return None
         data: bytes = response.payload
@@ -570,7 +526,8 @@ class IPFSClient:
         cid_list = list(cids)
         request = {"cids": cid_list, "merger": merger}
         size = REQUEST_OVERHEAD + CID_WIRE_SIZE * len(cid_list)
-        response = yield from self._request(node, KIND_MERGE, request, size)
+        response = yield self.endpoint.request(
+            node, KIND_MERGE, request, size, self.request_timeout)
         if response is None:
             raise NodeOfflineError(f"merge on {node!r} timed out")
         payload = response.payload

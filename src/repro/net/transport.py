@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..sim import Event, FilterStore, Simulator
+from ..sim import AnyOf, Event, FilterStore, Simulator
 from .bandwidth import TransferAbortedError
 from .network import Network
 
@@ -35,6 +35,20 @@ class Message:
     delivered_at: float = field(default=0.0, compare=False)
 
 
+class _Reply(AnyOf):
+    """First of a response getter and its deadline: the response, or None."""
+
+    __slots__ = ()
+
+    def _collect(self) -> Optional[Message]:
+        response, deadline = self._events
+        if not response.processed:
+            return None
+        # Left queued, a lost deadline holds the reply for its whole delay.
+        deadline.cancel()
+        return response._value
+
+
 class Endpoint:
     """A host's mailbox plus convenience send/receive methods."""
 
@@ -44,11 +58,11 @@ class Endpoint:
         self.inbox = FilterStore(transport.sim)
 
     def send(self, dst: str, kind: str, payload: Any = None,
-             size: float = 0.0) -> Event:
-        """Send a one-way message; the event fires when it is delivered."""
+             size: float = 0.0, request_id: Optional[int] = None) -> Event:
+        """Send a message; the event fires when it is delivered."""
         return self.transport.send(
             Message(src=self.name, dst=dst, kind=kind, payload=payload,
-                    size=size)
+                    size=size, request_id=request_id)
         )
 
     def receive(self, kind: Optional[str] = None) -> Event:
@@ -58,29 +72,27 @@ class Endpoint:
         return self.inbox.get(lambda message: message.kind == kind)
 
     def request(self, dst: str, kind: str, payload: Any = None,
-                size: float = 0.0):
-        """Send a request and wait for the matching response.
+                size: float = 0.0, timeout: Optional[float] = None) -> Event:
+        """Send a request; the event fires with the matching response.
 
-        This is a process generator: ``response = yield from ep.request(...)``.
+        ``response = yield ep.request(...)``.  If ``timeout`` (simulated
+        seconds; None = wait forever) elapses first it fires with None, and
+        the abandoned getter stays behind to swallow the late reply.
         """
-        request_id = self.transport.next_request_id()
-        self.transport.send(
-            Message(src=self.name, dst=dst, kind=kind, payload=payload,
-                    size=size, request_id=request_id)
-        )
-        response = yield self.inbox.get(
+        request_id = next(self.transport._request_ids)
+        self.send(dst, kind, payload, size, request_id)
+        response = self.inbox.get(
             lambda message: message.request_id == request_id
         )
-        return response
+        if timeout is None:
+            return response
+        sim = self.transport.sim
+        return _Reply(sim, [response, sim.timeout(timeout)])
 
     def respond(self, request: Message, kind: str, payload: Any = None,
                 size: float = 0.0) -> Event:
         """Answer ``request``, echoing its correlation id."""
-        return self.transport.send(
-            Message(src=self.name, dst=request.src, kind=kind,
-                    payload=payload, size=size,
-                    request_id=request.request_id)
-        )
+        return self.send(request.src, kind, payload, size, request.request_id)
 
 
 class Transport:
@@ -106,9 +118,6 @@ class Transport:
         if name not in self._endpoints:
             self._endpoints[name] = Endpoint(self, name)
         return self._endpoints[name]
-
-    def next_request_id(self) -> int:
-        return next(self._request_ids)
 
     def send(self, message: Message) -> Event:
         """Queue ``message`` for delivery; the event fires at delivery."""

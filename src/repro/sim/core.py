@@ -99,8 +99,9 @@ class Event:
         #: Set when a failure was delivered to at least one waiter, or
         #: explicitly via :meth:`defused`.  Undefused failures crash the run.
         self._defused = False
-        #: The queue entry this event is scheduled under, if any.  Kept so
-        #: the entry can be tombstoned in O(1) by :meth:`Timeout.cancel`.
+        #: The entry this event is queued under, so :meth:`Timeout.cancel`
+        #: can tombstone it in O(1).  Cleared on dispatch: the two refer to
+        #: each other, and only a collector pass frees what a cycle holds.
         self._heap_entry: Optional[list] = None
 
     @property
@@ -196,16 +197,15 @@ class Timeout(Event):
         it already fired (or was already cancelled).  Cancellation is O(1):
         the queue entry is tombstoned in place and skipped (or compacted
         away) by the kernel, so cancelled wakeups no longer pollute the
-        heap.  Only cancel timeouts nothing waits on — a process that
-        yielded this timeout would never be resumed.
+        heap.  Its callbacks are dropped, so only cancel timeouts nothing
+        waits on — a process that yielded this one would never be resumed.
         """
-        if self.callbacks is None:
-            return False  # already processed
         entry = self._heap_entry
-        if entry is None or entry[3] is not self:
-            return False  # never scheduled, or already cancelled
+        if entry is None:
+            return False  # already dispatched, or already cancelled
         entry[3] = None
         self._heap_entry = None
+        self.callbacks.clear()
         # Back to "pending" so `triggered` reflects that it never fired.
         self._value = _PENDING
         self._ok = None
@@ -365,10 +365,16 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate(len(self._events), self._count):
+        else:
+            self._count += 1
+            if not self._evaluate(len(self._events), self._count):
+                return
             self.succeed(self._collect())
+        # Decided: detach from the sub-events still pending, so a loser that
+        # stays queued or waited on keeps neither this event nor its value.
+        for other in self._events:
+            if other.callbacks and self._check in other.callbacks:
+                other.callbacks.remove(self._check)
 
 
 class AllOf(Condition):
@@ -524,6 +530,7 @@ class Simulator:
                 break
             self._tombstones -= 1
         self._now = entry[0]
+        event._heap_entry = None  # break the entry <-> event cycle
         profiler = self.profiler
         if profiler is None:
             callbacks, event.callbacks = event.callbacks, None
@@ -548,9 +555,8 @@ class Simulator:
         """Process events until ``event`` has been processed.
 
         Unlike :meth:`run`, this stops as soon as the awaited event's
-        callbacks ran, leaving later-scheduled events (e.g. pending
-        request timeouts that lost their race) on the queue — the clock
-        then reflects the event's time, not the queue drain.
+        callbacks ran, leaving later-scheduled events on the queue — the
+        clock then reflects the event's time, not the queue drain.
         """
         while not event.processed:
             self._purge_head()

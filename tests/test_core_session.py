@@ -348,6 +348,36 @@ def test_session_metrics_averaging():
     assert session.metrics.latest().iteration == 1
 
 
+# -- storage ------------------------------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "collect_garbage unpins by CID: when round r re-stores the objects of "
+    "round r-1 (gradients that do not depend on the parameters), unpinning "
+    "r-1 evicts what r registered.  Fix: skip CIDs still referenced by an "
+    "entry at iteration >= cutoff — it moves the BlockEvicted counters of "
+    "the benchmark's GC workloads, so it waits for a PR that re-pins them "
+    "(ROADMAP item 4)."))
+def test_collect_garbage_keeps_the_iteration_it_was_told_to_keep():
+    """Two rounds with identical gradients, then
+    ``collect_garbage(keep_iterations=1)``: the newest iteration's update
+    is still retrievable."""
+    from repro.ml import Dataset, SyntheticModel
+
+    datasets = [Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
+                for index in range(4)]
+    session = FLSession(
+        base_config(update_mode="gradient"), lambda: SyntheticModel(64),
+        datasets, network=NetworkProfile(num_ipfs_nodes=4))
+    session.run(rounds=2)
+    newest, previous = (session.directory.entries_for(0, iteration, "update")
+                        for iteration in (1, 0))
+    assert newest[0].cid == previous[0].cid  # the premise: same objects
+    session.collect_garbage(keep_iterations=1)
+    assert any(node.store.has(newest[0].cid) for node in session.nodes)
+    assert session.storage_bytes > 0
+
+
 def test_session_validation():
     with pytest.raises(ValueError):
         FLSession(base_config(), model_factory(), datasets=[])

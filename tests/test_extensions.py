@@ -83,7 +83,7 @@ def test_batch_registration_rejects_bad_accumulation():
     def scenario():
         # Bypass the client helper to send a corrupted accumulation.
         from repro.core.directory import KIND_REGISTER_BATCH, REGISTER_SIZE
-        response = yield from client.endpoint.request(
+        response = yield client.endpoint.request(
             "directory", KIND_REGISTER_BATCH,
             payload={"records": records, "accumulation": bytes(32)},
             size=REGISTER_SIZE,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import format_row
-from repro.ipfs import Block, chunk_object
 from repro.net import Message, gbps, kib, kilobytes, mib
 
 from tests.util import make_ipfs_world
@@ -26,29 +25,6 @@ def test_message_defaults():
     assert message.payload is None
     assert message.size == 0.0
     assert message.request_id is None
-
-
-def test_node_object_blocks():
-    world = make_ipfs_world(num_nodes=1)
-    node = world.node(0)
-    data = bytes(range(256)) * 10
-    cid = node.store_object(data)
-    blocks = node.object_blocks(cid)
-    assert blocks is not None
-    assert blocks[0].cid == cid  # manifest first
-    root, leaves = chunk_object(data, node.chunk_size)
-    assert len(blocks) == 1 + len(leaves)
-    from repro.ipfs import compute_cid
-    assert node.object_blocks(compute_cid(b"missing")) is None
-
-
-def test_node_object_blocks_bare_block():
-    world = make_ipfs_world(num_nodes=1)
-    node = world.node(0)
-    block = Block(b"raw bytes, no manifest")
-    node.store.put(block)
-    blocks = node.object_blocks(block.cid)
-    assert blocks == [block]
 
 
 def test_unpin_object_missing_is_noop():

@@ -212,7 +212,7 @@ def test_request_response_correlation():
         b.respond(request, "pong", payload=request.payload + 1)
 
     def client(sim, a):
-        response = yield from a.request("b", "ping", payload=41)
+        response = yield a.request("b", "ping", payload=41)
         got.append((response.kind, response.payload))
 
     sim.process(server(sim, b))
@@ -231,7 +231,7 @@ def test_concurrent_requests_not_crossed():
             b.respond(request, "echo-reply", payload=request.payload)
 
     def client(sim, a, value):
-        response = yield from a.request("b", "echo", payload=value)
+        response = yield a.request("b", "echo", payload=value)
         got[value] = response.payload
 
     sim.process(server(sim, b))
@@ -239,6 +239,52 @@ def test_concurrent_requests_not_crossed():
     sim.process(client(sim, a, "second"))
     sim.run()
     assert got == {"first": "first", "second": "second"}
+
+
+def test_request_answered_in_time_cancels_its_deadline():
+    """The response wins the race: the deadline is cancelled, so the run
+    drains at the reply's time and nothing keeps the reply alive."""
+    sim, transport, a, b = make_pair()
+    got = []
+
+    def server(sim, b):
+        request = yield b.receive(kind="ping")
+        b.respond(request, "pong", payload="reply")
+
+    def client(sim, a):
+        response = yield a.request("b", "ping", timeout=120.0)
+        got.append((sim.now, response.payload))
+
+    sim.process(server(sim, b))
+    sim.process(client(sim, a))
+    sim.run()
+    assert got and got[0][1] == "reply"
+    # No lost-race timeout left to drain: the clock did not run on to 120.
+    assert sim.now == got[0][0] < 120.0
+    assert sim.peek() == math.inf
+
+
+def test_request_timeout_yields_none_and_late_reply_is_swallowed():
+    """The deadline wins: the event fires with None, and the abandoned
+    getter still takes the late reply out of the inbox when it comes."""
+    sim, transport, a, b = make_pair()
+    got = []
+
+    def slow_server(sim, b):
+        request = yield b.receive(kind="ping")
+        yield sim.timeout(10.0)
+        yield b.respond(request, "pong", payload="late")
+
+    def client(sim, a):
+        response = yield a.request("b", "ping", timeout=5.0)
+        got.append((sim.now, response))
+
+    sim.process(slow_server(sim, b))
+    sim.process(client(sim, a))
+    sim.run()
+    assert got == [(5.0, None)]
+    assert transport.delivered_by_kind["pong"] == 1
+    assert len(a.inbox) == 0  # swallowed, not left to pile up
 
 
 def test_endpoint_requires_known_host():

@@ -9,7 +9,7 @@ relies on (a superseded wakeup must never fire).
 
 import pytest
 
-from repro.sim import PRIORITY_LATE, SimulationError, Simulator
+from repro.sim import PRIORITY_LATE, FilterStore, SimulationError, Simulator
 
 
 def test_cancel_prevents_firing():
@@ -52,6 +52,19 @@ def test_cancelled_timeout_can_be_rescheduled_conceptually():
     sim.run()
     assert fired == ["fresh"]
     assert sim.now == 1.0
+
+
+def test_cancelled_timeout_references_nothing():
+    """A dead timeout keeps neither its heap entry nor its callbacks, so
+    whatever those callbacks closed over dies with the last caller-side
+    reference — not when the tombstone is finally compacted away."""
+    sim = Simulator()
+    timeout = sim.timeout(5.0)
+    timeout._add_callback(lambda event: None)
+    assert timeout.cancel()
+    assert timeout.callbacks == []
+    assert timeout._heap_entry is None
+    assert not timeout.triggered and not timeout.processed
 
 
 def test_peek_skips_tombstones():
@@ -169,6 +182,30 @@ def test_processes_still_wait_on_cancelled_peers_timeouts():
         timeout.cancel()
     sim.run()
     assert log == [2.0]
+
+
+def test_getter_that_lost_to_a_timeout_still_swallows_a_late_put():
+    """A FilterStore getter abandoned by its AnyOf stays queued: a late
+    matching put is consumed by it (and dropped), not left in the store.
+    Request/response relies on this to keep inboxes from accumulating
+    replies that arrive after their deadline."""
+    sim = Simulator()
+    store = FilterStore(sim)
+    outcomes = []
+
+    def waiter():
+        getter = store.get(lambda item: item == "reply")
+        deadline = sim.timeout(1.0)
+        outcome = yield sim.any_of([getter, deadline])
+        outcomes.append((getter in outcome, deadline in outcome))
+        assert getter.callbacks == []  # detached from the fired condition
+
+    sim.process(waiter())
+    sim.timeout(2.0)._add_callback(lambda _event: store.put("reply"))
+    sim.timeout(2.0)._add_callback(lambda _event: store.put("other"))
+    sim.run()
+    assert outcomes == [(False, True)]
+    assert store.items == ["other"]
 
 
 # -- PRIORITY_LATE: the end-of-instant slot -----------------------------------

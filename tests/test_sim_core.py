@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -365,6 +368,89 @@ def test_any_of_fires_on_first():
     sim.process(proc(sim))
     sim.run()
     assert log == [(1.0, ["fast"])]
+
+
+def test_processed_event_keeps_no_heap_entry():
+    """Entry and event refer to each other while queued; the kernel breaks
+    that cycle on dispatch so reference counting frees what it touched."""
+    sim = Simulator()
+    timeout = sim.timeout(1.0)
+    event = sim.event().succeed("v")
+    assert timeout._heap_entry[3] is timeout and event._heap_entry is not None
+    sim.run()
+    assert timeout.processed and timeout._heap_entry is None
+    assert event.processed and event._heap_entry is None
+
+
+def test_any_of_detaches_from_the_loser_and_frees_the_winners_value():
+    """After an AnyOf fires, the sub-event that lost no longer calls back
+    into it, so nothing but the waiter holds the winner's value: it dies
+    when the waiter drops it, with the collector off and the loser still
+    queued."""
+    class Payload:
+        pass
+
+    sim = Simulator()
+    box = {}
+
+    def proc(sim):
+        winner = sim.event()
+        box["loser"] = sim.timeout(100.0)
+        box["condition"] = sim.any_of([winner, box["loser"]])
+        payload = Payload()
+        box["ref"] = weakref.ref(payload)
+        winner.succeed(payload)
+        del payload, winner
+        outcome = yield box.pop("condition")
+        assert isinstance(next(iter(outcome.values())), Payload)
+        del outcome
+        yield sim.timeout(1.0)  # moves the process off the condition
+        box["alive_after_drop"] = box["ref"]() is not None
+
+    gc.disable()
+    try:
+        sim.process(proc(sim))
+        sim.run(until=50.0)
+        assert box["alive_after_drop"] is False
+        loser = box["loser"]
+        assert not loser.processed and loser.callbacks == []
+    finally:
+        gc.enable()
+    sim.run()
+    assert loser.processed  # detached, not cancelled: it still fires
+
+
+def test_all_of_values_and_trigger_order_unchanged():
+    """The condition's value maps each sub-event to its value, in the
+    order they fired — detaching losers changes none of that."""
+    sim = Simulator()
+    slow = sim.timeout(3.0, value="slow")
+    fast = sim.timeout(1.0, value="fast")
+    manual = sim.event()
+    log = []
+
+    def proc(sim):
+        results = yield sim.all_of([slow, fast, manual])
+        log.append((sim.now, list(results.items())))
+
+    sim.process(proc(sim))
+    sim.timeout(2.0)._add_callback(lambda _event: manual.succeed("manual"))
+    sim.run()
+    # Keyed in the order given; every value present; fires with the last.
+    assert log == [(3.0, [(slow, "slow"), (fast, "fast"),
+                          (manual, "manual")])]
+
+
+def test_failed_condition_detaches_from_pending_sub_events():
+    sim = Simulator()
+    pending = sim.timeout(10.0)
+    bad = sim.event()
+    condition = sim.all_of([pending, bad])
+    condition.defused()
+    bad.fail(RuntimeError("bad"))
+    sim.run(until=1.0)
+    assert condition.processed and not condition.ok
+    assert pending.callbacks == []
 
 
 def test_all_of_empty_fires_immediately():
