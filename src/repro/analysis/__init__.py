@@ -10,20 +10,11 @@
 - :func:`run_dirshard_sweep` / :func:`dirshard_manifest` — the
   directory-sharding trajectory (registrations/sec vs shard count) and
   its gate against ``benchmarks/BENCH_dirshard.json``.
-- :class:`BenchRecord` / :class:`BenchTrajectory` — the host-cost bench
-  trajectory recorded by ``python -m repro.cli profile`` and gated
-  against ``benchmarks/BENCH_profile.json``.
 - :func:`diagnose_runs` / :class:`DiagnosisReport` — differential run
   diagnosis over manifest + profile pairs
   (``python -m repro.cli explain``).
 """
 
-from .bench import (
-    BENCH_VERSION,
-    BenchRecord,
-    BenchTrajectory,
-    DEFAULT_BENCH_THRESHOLD,
-)
 from .diagnose import (
     Attribution,
     DiagnosisReport,
@@ -65,10 +56,6 @@ from .sweeps import Sweep, SweepResults, grid
 
 __all__ = [
     "Attribution",
-    "BENCH_VERSION",
-    "BenchRecord",
-    "BenchTrajectory",
-    "DEFAULT_BENCH_THRESHOLD",
     "DEFAULT_DIRSHARD_POPULATIONS",
     "DEFAULT_POPULATIONS",
     "DEFAULT_SHARD_COUNTS",

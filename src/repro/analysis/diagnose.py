@@ -224,15 +224,8 @@ def _config_changes(base: RunManifest, current: RunManifest,
 
 def _subsystem_shifts(base: HostProfile, current: HostProfile,
                       ) -> List[SubsystemShift]:
-    def seconds_by_subsystem(profile: HostProfile) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for scope in profile.scopes:
-            totals[scope.subsystem] = (
-                totals.get(scope.subsystem, 0.0) + scope.self_seconds)
-        return totals
-
-    base_seconds = seconds_by_subsystem(base)
-    current_seconds = seconds_by_subsystem(current)
+    base_seconds = base.subsystem_seconds()
+    current_seconds = current.subsystem_seconds()
     base_shares = base.shares()
     current_shares = current.shares()
     shifts = [

@@ -181,7 +181,7 @@ def run_scale_point(population: int,
                     scenario: ScaleScenario = ScaleScenario(),
                     repeats: int = 1,
                     progress=None,
-                    clock: Optional[WallClock] = None) -> ScalePoint:
+                    clock: WallClock = SYSTEM_WALL_CLOCK) -> ScalePoint:
     """Run one population point; wall-clock is the min over ``repeats``.
 
     The minimum is the right statistic for a regression gate: scheduler
@@ -197,8 +197,6 @@ def run_scale_point(population: int,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if clock is None:
-        clock = SYSTEM_WALL_CLOCK
     best_wall = float("inf")
     session = registry = sampler = None
     for repeat in range(repeats):
@@ -246,7 +244,8 @@ def run_scale_sweep(populations: Sequence[int] = DEFAULT_POPULATIONS,
                     repeats: int = 1,
                     progress_jsonl=None,
                     progress_stream=None,
-                    clock: Optional[WallClock] = None) -> List[ScalePoint]:
+                    clock: WallClock = SYSTEM_WALL_CLOCK
+                    ) -> List[ScalePoint]:
     """Run every population point, in order.
 
     ``progress_jsonl`` (path or writable stream) and/or
@@ -267,7 +266,7 @@ def run_scale_sweep(populations: Sequence[int] = DEFAULT_POPULATIONS,
                 return ProgressReporter(
                     session.sim.bus, registry=registry,
                     stream=progress_stream, jsonl=progress_jsonl,
-                    label=f"p{_pop}",
+                    label=f"p{_pop}", clock=clock,
                 )
         points.append(run_scale_point(
             population, scenario, repeats=repeats,
@@ -442,7 +441,8 @@ def _build_dirshard_session(population: int, shards: int,
 def run_dirshard_point(population: int, shards: int,
                        scenario: DirshardScenario = DirshardScenario(),
                        repeats: int = 1,
-                       clock: Optional[WallClock] = None) -> DirshardPoint:
+                       clock: WallClock = SYSTEM_WALL_CLOCK
+                       ) -> DirshardPoint:
     """Run one (population, shard count) point.
 
     Wall-clock is the min over ``repeats`` (see
@@ -451,8 +451,6 @@ def run_dirshard_point(population: int, shards: int,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if clock is None:
-        clock = SYSTEM_WALL_CLOCK
     best_wall = float("inf")
     session = None
     for _ in range(repeats):
@@ -493,7 +491,7 @@ def run_dirshard_sweep(
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
     scenario: DirshardScenario = DirshardScenario(),
     repeats: int = 1,
-    clock: Optional[WallClock] = None,
+    clock: WallClock = SYSTEM_WALL_CLOCK,
 ) -> List[DirshardPoint]:
     """Every (population, shard count) pair, populations outer."""
     if not populations:

@@ -56,16 +56,14 @@ Subcommands
     latest heartbeat as one machine-readable JSON object under the
     same exit contract.
 ``profile``
-    Run a session under the host-cost profiler and print where the
-    *wall* clock went: exclusive time per (subsystem, phase, actor)
-    scope, per-subsystem shares and the sim-seconds-per-wall-second
-    throughput gauge (see docs/OBSERVABILITY.md).  ``--output`` writes
-    the JSON profile artifact, ``--perfetto`` a counter/slice trace
-    for ui.perfetto.dev.  With ``--scenario``, ``--record`` appends a
-    bench record to a committed trajectory file
-    (``benchmarks/BENCH_profile.json``) and ``--baseline`` diffs
-    against the trajectory's latest record, exiting non-zero on
-    regression (``--warn-only`` in noisy CI).
+    Run a session under the host-cost profiler (cProfile folded by
+    package) and print where the *wall* clock went: exclusive time per
+    function, the share of each ``repro`` package and the
+    sim-seconds-per-wall-second throughput gauge (see
+    docs/OBSERVABILITY.md).  ``--output`` writes the JSON profile
+    artifact, ``--perfetto`` a slice trace for ui.perfetto.dev.  Two
+    profiles are compared with ``explain --profile-base A
+    --profile-current B``.
 ``compare``
     Diff two run manifests with a relative-change threshold; exits
     non-zero when a metric regressed (use ``--warn-only`` in advisory
@@ -115,9 +113,6 @@ from typing import List, Optional
 import numpy as np
 
 from .analysis import (
-    BenchRecord,
-    BenchTrajectory,
-    DEFAULT_BENCH_THRESHOLD,
     DEFAULT_DIRSHARD_POPULATIONS,
     DEFAULT_POPULATIONS,
     DEFAULT_SHARD_COUNTS,
@@ -512,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = subparsers.add_parser(
         "profile",
         help="run a session under the host-cost profiler; print the "
-             "wall-clock hotspot report and optionally record/gate a "
-             "bench trajectory",
+             "wall-clock hotspot report",
     )
     add_trace_session_args(profile)
     profile.add_argument("--providers", type=int, default=0,
@@ -527,32 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="statistical cohorts with --population")
     profile.add_argument("--observe", action="store_true",
                          help="attach the metrics registry so the "
-                              "per-subscriber telemetry cost shows up "
-                              "in the obs subsystem")
+                              "telemetry cost shows up in the obs "
+                              "subsystem")
     profile.add_argument("--top", type=int, default=12,
-                         help="scopes to list in the hotspot table")
+                         help="functions to list in the hotspot table")
     profile.add_argument("--output", default=None,
                          help="write the JSON profile artifact here")
     profile.add_argument("--perfetto", default=None,
-                         help="write a Perfetto counter/slice trace "
-                              "here (open in ui.perfetto.dev)")
-    profile.add_argument("--scenario", default=None,
-                         help="bench scenario name keying --record / "
-                              "--baseline")
-    profile.add_argument("--baseline", default=None,
-                         help="bench trajectory JSON to diff against "
-                              "(e.g. benchmarks/BENCH_profile.json); "
-                              "requires --scenario")
-    profile.add_argument("--record", default=None,
-                         help="append this run's bench record to the "
-                              "trajectory JSON here; requires "
-                              "--scenario")
-    profile.add_argument("--threshold", type=float,
-                         default=DEFAULT_BENCH_THRESHOLD,
-                         help="relative regression tolerance vs the "
-                              "baseline record")
-    profile.add_argument("--warn-only", action="store_true",
-                         help="report regressions but exit 0")
+                         help="write a Perfetto slice trace here "
+                              "(open in ui.perfetto.dev)")
 
     reproduce = subparsers.add_parser(
         "reproduce",
@@ -676,9 +653,7 @@ def _run_providers_sweep(args) -> int:
 # -- commit-cost ---------------------------------------------------------------------
 
 
-def _run_commit_cost(args, clock=None) -> int:
-    if clock is None:
-        clock = SYSTEM_WALL_CLOCK
+def _run_commit_cost(args, clock=SYSTEM_WALL_CLOCK) -> int:
     rng = np.random.default_rng(0)
     rows = []
     for size in args.sizes:
@@ -1077,7 +1052,7 @@ def _run_chaos(args) -> int:
     return 0
 
 
-def _run_scale(args, clock=None) -> int:
+def _run_scale(args, clock=SYSTEM_WALL_CLOCK) -> int:
     scenario = ScaleScenario(
         exact_trainers=args.sample,
         cohorts=args.cohorts,
@@ -1115,7 +1090,7 @@ def _run_scale(args, clock=None) -> int:
     return 0
 
 
-def _run_dirshard(args, clock=None) -> int:
+def _run_dirshard(args, clock=SYSTEM_WALL_CLOCK) -> int:
     scenario = DirshardScenario(
         exact_trainers=args.sample,
         cohorts=args.cohorts,
@@ -1171,8 +1146,7 @@ def _run_profile(args) -> int:
                             cohorts=args.cohorts, seed=args.seed)
     session = _build_trace_session(args, cohort=cohort)
     registry = MetricsRegistry(session.sim.bus) if args.observe else None
-    profiler = HostProfiler()
-    profiler.attach(session)
+    profiler = HostProfiler().install(session.sim)
     try:
         failure = _run_rounds(session, args.rounds)
     finally:
@@ -1186,38 +1160,11 @@ def _run_profile(args) -> int:
         print(f"profile -> {args.output}", file=sys.stderr)
     if args.perfetto:
         exporter = PerfettoExporter()
-        exporter.add_profile(profile, label=args.scenario or "profile")
+        exporter.add_profile(profile)
         exporter.write(args.perfetto)
         print(f"perfetto trace -> {args.perfetto} "
               "(open in ui.perfetto.dev)", file=sys.stderr)
-    status = _report_failure(failure)
-    if status:
-        return status
-    if (args.baseline or args.record) and not args.scenario:
-        print("--baseline/--record require --scenario", file=sys.stderr)
-        return 2
-    if args.scenario:
-        record = BenchRecord.from_profile(
-            profile, scenario=args.scenario, iterations=args.rounds,
-        )
-        if args.baseline:
-            trajectory = BenchTrajectory.load(args.baseline)
-            diff = trajectory.compare(record, threshold=args.threshold)
-            if diff is None:
-                print(f"no committed record for scenario "
-                      f"{args.scenario!r} in {args.baseline}; "
-                      "nothing to compare")
-            else:
-                print(diff.format())
-                if diff.has_regressions and not args.warn_only:
-                    return 1
-        if args.record:
-            trajectory = BenchTrajectory.load(args.record)
-            trajectory.append(record)
-            trajectory.save(args.record)
-            print(f"bench record ({args.scenario}) -> {args.record}",
-                  file=sys.stderr)
-    return 0
+    return _report_failure(failure)
 
 
 def _run_status(args) -> int:

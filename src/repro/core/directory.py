@@ -365,26 +365,19 @@ class DirectoryService:
                 # Serialized server work: requests queue behind it.
                 self.busy_seconds += self.processing_delay * units
                 yield self.sim.timeout(self.processing_delay * units)
-            profiler = self.sim.profiler
-            frame = (profiler.begin("directory", "serve", message.kind)
-                     if profiler is not None else None)
-            try:
-                if message.kind == KIND_REGISTER:
-                    self.sim.process(self._handle_register(message),
-                                     name=f"directory:{message.kind}")
-                elif message.kind == KIND_REGISTER_BATCH:
-                    self._handle_register_batch(message)
-                elif message.kind == KIND_REGISTER_COHORT:
-                    self._handle_register_cohort(message)
-                elif message.kind == KIND_LOOKUP_COHORT:
-                    self._handle_lookup_cohort(message)
-                elif message.kind == KIND_LOOKUP:
-                    self._handle_lookup(message)
-                elif message.kind == KIND_ACCUMULATED:
-                    self._handle_accumulated(message)
-            finally:
-                if frame is not None:
-                    profiler.end(frame)
+            if message.kind == KIND_REGISTER:
+                self.sim.process(self._handle_register(message),
+                                 name=f"directory:{message.kind}")
+            elif message.kind == KIND_REGISTER_BATCH:
+                self._handle_register_batch(message)
+            elif message.kind == KIND_REGISTER_COHORT:
+                self._handle_register_cohort(message)
+            elif message.kind == KIND_LOOKUP_COHORT:
+                self._handle_lookup_cohort(message)
+            elif message.kind == KIND_LOOKUP:
+                self._handle_lookup(message)
+            elif message.kind == KIND_ACCUMULATED:
+                self._handle_accumulated(message)
 
     def _handle_register(self, message: Message):
         payload = message.payload

@@ -126,20 +126,13 @@ class Trainer:
 
     def _compute_update_vector(self, iteration: int) -> np.ndarray:
         """The flat vector to upload, per the configured update mode."""
-        profiler = self.sim.profiler
-        frame = (profiler.begin("ml", "train", "trainer")
-                 if profiler is not None else None)
-        try:
-            if self.config.update_mode == "params":
-                delta = local_update(
-                    self.model, self.dataset, self.config.train,
-                    seed=self.seed + 7919 * iteration,
-                )
-                return self.model.get_params() + delta
-            return compute_gradient(self.model, self.dataset)
-        finally:
-            if frame is not None:
-                profiler.end(frame)
+        if self.config.update_mode == "params":
+            delta = local_update(
+                self.model, self.dataset, self.config.train,
+                seed=self.seed + 7919 * iteration,
+            )
+            return self.model.get_params() + delta
+        return compute_gradient(self.model, self.dataset)
 
     def _verify_update(self, partition_id: int, iteration: int,
                        blob: bytes):

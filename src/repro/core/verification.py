@@ -43,11 +43,6 @@ class PartitionCommitter:
         )
         # One extra generator for the appended averaging counter.
         self.params = PedersenParams.setup(self.curve, partition_len + 1)
-        #: Optional :class:`~repro.obs.profiling.HostProfiler` hook,
-        #: wired by ``HostProfiler.attach``; attributes commit/verify
-        #: (and the inner multi-exponentiation) wall time to the actor
-        #: role whose kernel dispatch frame is active.
-        self.profiler = None
 
     # -- trainer side -------------------------------------------------------------
 
@@ -64,30 +59,12 @@ class PartitionCommitter:
             raise ValueError(
                 f"expected {self.partition_len} values, got {values.shape[0]}"
             )
-        profiler = self.profiler
-        frame = (profiler.begin("crypto", "commit", profiler.current_role())
-                 if profiler is not None else None)
-        try:
-            quantized = self.codec.quantize(values)
-            blob = encode_partition(quantized, counter)
-            scalars = self.codec.encode(quantized) + [
-                self.codec.encode_value(counter)
-            ]
-            return blob, self._commit(scalars)
-        finally:
-            if frame is not None:
-                profiler.end(frame)
-
-    def _commit(self, scalars) -> Commitment:
-        """The Pedersen multi-exponentiation, under its own scope."""
-        profiler = self.profiler
-        if profiler is None:
-            return self.params.commit(scalars)
-        frame = profiler.begin("crypto", "multiexp", profiler.current_role())
-        try:
-            return self.params.commit(scalars)
-        finally:
-            profiler.end(frame)
+        quantized = self.codec.quantize(values)
+        blob = encode_partition(quantized, counter)
+        scalars = self.codec.encode(quantized) + [
+            self.codec.encode_value(counter)
+        ]
+        return blob, self.params.commit(scalars)
 
     # -- verifier side ----------------------------------------------------------------
 
@@ -100,18 +77,11 @@ class PartitionCommitter:
         dropped/lazy aggregate (counter < contributors) from an altered
         one (counter intact, commitment mismatched).
         """
-        profiler = self.profiler
-        frame = (profiler.begin("crypto", "verify", profiler.current_role())
-                 if profiler is not None else None)
-        try:
-            values, counter = decode_partition(blob)
-            scalars = self.codec.encode(values) + [
-                self.codec.encode_value(counter)
-            ]
-            return self._commit(scalars), float(counter)
-        finally:
-            if frame is not None:
-                profiler.end(frame)
+        values, counter = decode_partition(blob)
+        scalars = self.codec.encode(values) + [
+            self.codec.encode_value(counter)
+        ]
+        return self.params.commit(scalars), float(counter)
 
     def commitment_of_blob(self, blob: bytes) -> Commitment:
         """Recompute the commitment that binds an encoded partition."""

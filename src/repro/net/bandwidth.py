@@ -434,16 +434,9 @@ class FlowScheduler:
         if not members:
             return {}
         component = sorted(members, key=lambda flow: flow.flow_id)
-        profiler = self.sim.profiler
-        frame = (profiler.begin("net", "recompute")
-                 if profiler is not None else None)
-        try:
-            if len(component) >= _VECTORIZE_THRESHOLD:
-                return max_min_rates_vectorized(component)
-            return max_min_rates(component)
-        finally:
-            if frame is not None:
-                profiler.end(frame)
+        if len(component) >= _VECTORIZE_THRESHOLD:
+            return max_min_rates_vectorized(component)
+        return max_min_rates(component)
 
     def _settle(self, _event: Event) -> None:
         """Install the instant's allocation and re-arm the wakeup."""

@@ -38,9 +38,10 @@ histograms spill to a mergeable :class:`QuantileSketch`
 and a :class:`ProgressReporter` (:mod:`repro.obs.progress`) heartbeats
 liveness and telemetry cost.  A :class:`HostProfiler`
 (:mod:`repro.obs.profiling`) attributes *wall-clock* (host) cost to
-subsystem scopes — kernel dispatch, bandwidth recompute, crypto,
-directory, ML, per-subscriber telemetry — without touching the
-simulated clock or any RNG (``python -m repro.cli profile``).  An
+the ``repro`` package whose functions spent it — cProfile folded on
+the benchmark's ``sim`` / ``net`` / ``ipfs`` / ``crypto`` / ``ml`` /
+``core`` / ``obs`` / ``faults`` partition, no hook in any layer
+(``python -m repro.cli profile``).  An
 :class:`AnomalyWatchdog` (:mod:`repro.obs.anomaly`) hosts online
 detectors — retry storms, throughput collapse, queue runaway,
 simulation stall, convergence stall/divergence — that publish typed

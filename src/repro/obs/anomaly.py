@@ -74,6 +74,7 @@ from .events import (
     TrainingEvaluated,
     TransferAborted,
 )
+from .metrics import SimTicker
 from .profiling import SYSTEM_WALL_CLOCK
 
 __all__ = [
@@ -473,14 +474,14 @@ def default_detectors(directory=None,
     ]
 
 
-class AnomalyWatchdog:
+class AnomalyWatchdog(SimTicker):
     """Hosts detectors over a bus; publishes classified anomalies.
 
     Subscribes each detector's exact event taps (never the wildcard —
     the hot path must stay cheap) after checking every tap against
-    :data:`SAMPLED_EVENT_FAMILIES`, and runs an epoch-validated
-    sim-clock tick loop (the :class:`~repro.obs.metrics.ResourceSampler`
-    pattern) for absence-of-events conditions.  Every anomaly a
+    :data:`SAMPLED_EVENT_FAMILIES`, and ticks on the sim clock (a
+    :class:`~repro.obs.metrics.SimTicker`, like the resource sampler)
+    for absence-of-events conditions.  Every anomaly a
     detector yields is appended to :attr:`anomalies` and published on
     the bus, where counters, forensics, traces and progress pick it up.
 
@@ -494,11 +495,8 @@ class AnomalyWatchdog:
                  sim=None, interval: float = 5.0, wall_clock=None,
                  wall_stall_seconds: float = 300.0,
                  autostart: bool = True):
-        if interval <= 0:
-            raise ValueError("tick interval must be positive")
+        super().__init__(sim, interval, self._on_tick)
         self.bus = bus
-        self.sim = sim
-        self.interval = float(interval)
         self.detectors = (detectors if detectors is not None
                           else default_detectors())
         self.wall_clock = wall_clock or SYSTEM_WALL_CLOCK
@@ -509,8 +507,6 @@ class AnomalyWatchdog:
         #: :meth:`check_wall`).
         self.wall_stalls: List[dict] = []
         self.ticks = 0
-        self.active = False
-        self._epoch = 0
         self._last_wall: Optional[float] = None
         self._last_sim: Optional[float] = None
         self._taps: Dict[type, List[Detector]] = {}
@@ -546,18 +542,6 @@ class AnomalyWatchdog:
                    sim=session.sim, interval=interval, **kwargs)
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin ticking every :attr:`interval` simulated seconds."""
-        if self.active or self.sim is None:
-            return
-        self.active = True
-        self._schedule()
-
-    def stop(self) -> None:
-        """Stop ticking; safe to call more than once."""
-        self.active = False
-        self._epoch += 1
 
     def finalize(self) -> List[AnomalyDetected]:
         """Detach: stop ticking, run detector finalizers, unsubscribe.
@@ -606,21 +590,13 @@ class AnomalyWatchdog:
             for anomaly in detector.observe(event):
                 self._publish(anomaly)
 
-    def _schedule(self) -> None:
-        epoch = self._epoch
-        wakeup = self.sim.timeout(self.interval)
-        wakeup._add_callback(lambda _event: self._tick(epoch))
-
-    def _tick(self, epoch: int) -> None:
-        if not self.active or epoch != self._epoch:
-            return  # stopped (or restarted) since this wakeup was set
+    def _on_tick(self) -> None:
         self.ticks += 1
         now = self.sim.now
         for detector in self.detectors:
             for anomaly in detector.on_tick(now):
                 self._publish(anomaly)
         self.check_wall()
-        self._schedule()
 
     # -- the host-side livelock probe --------------------------------------------
 

@@ -162,8 +162,7 @@ class Subscription:
 class EventBus:
     """Exact-type pub/sub dispatch for :class:`~repro.obs.events.Event`."""
 
-    __slots__ = ("_handlers", "_has_all", "sampling", "events_published",
-                 "profiler")
+    __slots__ = ("_handlers", "_has_all", "sampling", "events_published")
 
     def __init__(self, sampling: Optional[SamplingPolicy] = None):
         self._handlers: Dict[object, List[Handler]] = {}
@@ -173,11 +172,6 @@ class EventBus:
         self.sampling = sampling
         #: Events actually dispatched to at least one handler.
         self.events_published = 0
-        #: Optional :class:`~repro.obs.profiling.HostProfiler` hook;
-        #: when set, every handler call is timed under an
-        #: ``obs.subscriber.<Owner>`` scope.  ``None`` (the default)
-        #: costs one attribute load and one branch per publish.
-        self.profiler = None
 
     # -- subscription ----------------------------------------------------------
 
@@ -246,9 +240,6 @@ class EventBus:
         if not handlers:
             return
         self.events_published += 1
-        if self.profiler is not None:
-            self._publish_profiled(event)
-            return
         typed = handlers.get(type(event))
         if typed:
             # Copy: a handler may unsubscribe (itself or others) mid-dispatch.
@@ -257,27 +248,3 @@ class EventBus:
         if self._has_all:
             for handler in tuple(handlers[_ALL]):
                 handler(event)
-
-    def _publish_profiled(self, event: Event) -> None:
-        """Same dispatch order as :meth:`publish`, with every handler
-        call timed under an ``obs.subscriber.<Owner>`` scope — this is
-        what prices the overhead budgets component-wise."""
-        profiler = self.profiler
-        handlers = self._handlers
-        typed = handlers.get(type(event))
-        if typed:
-            for handler in tuple(typed):
-                frame = profiler.begin(
-                    "obs", "subscriber", profiler.subscriber_name(handler))
-                try:
-                    handler(event)
-                finally:
-                    profiler.end(frame)
-        if self._has_all:
-            for handler in tuple(handlers[_ALL]):
-                frame = profiler.begin(
-                    "obs", "subscriber", profiler.subscriber_name(handler))
-                try:
-                    handler(event)
-                finally:
-                    profiler.end(frame)

@@ -542,7 +542,52 @@ class MetricsRegistry:
         self._histograms["protocol.commit.seconds"].observe(event.seconds)
 
 
-class ResourceSampler:
+class SimTicker:
+    """The sim-clock tick loop: ``tick()`` runs every ``interval``
+    simulated seconds between :meth:`start` and :meth:`stop`.
+
+    The pending wakeup is kept and cancelled on stop (an O(1)
+    tombstone), so a stopped ticker leaves nothing on the queue.  Stop
+    it before draining the simulator with ``sim.run()`` or the
+    re-arming tick keeps the queue alive forever;
+    ``session.run(...)`` / ``run_iteration()`` use ``run_until`` and
+    are safe with a live ticker.  ``sim=None`` never ticks.
+    """
+
+    def __init__(self, sim, interval: float, tick):
+        if interval <= 0:
+            raise ValueError("tick interval must be positive")
+        self.sim = sim
+        self.interval = float(interval)
+        self._tick = tick
+        self._wakeup = None
+
+    @property
+    def active(self) -> bool:
+        return self._wakeup is not None
+
+    def start(self) -> None:
+        """Begin ticking; a no-op when already active."""
+        if self._wakeup is None and self.sim is not None:
+            self._arm()
+
+    def stop(self) -> None:
+        """Stop ticking; safe to call more than once."""
+        wakeup, self._wakeup = self._wakeup, None
+        if wakeup is not None:
+            wakeup.cancel()
+
+    def _arm(self) -> None:
+        self._wakeup = self.sim.timeout(self.interval)
+        self._wakeup._add_callback(self._fire)
+
+    def _fire(self, wakeup) -> None:
+        self._tick()
+        if self._wakeup is wakeup:  # the tick did not stop or restart us
+            self._arm()
+
+
+class ResourceSampler(SimTicker):
     """Periodic sim-clock sampling of substrate state into a registry.
 
     Every ``interval`` simulated seconds (and once immediately on
@@ -569,29 +614,20 @@ class ResourceSampler:
     The sampler is pull-based and opt-in: an unobserved run never
     constructs one, so the zero-subscriber overhead contract holds — the
     same reasoning as the ``bus.wants()`` guards at emission sites, with
-    construction standing in for subscription.  Wakeups are
-    epoch-validated, so :meth:`stop` leaves at most one stale no-op
-    timeout on the queue; stop the sampler before draining the simulator with
-    ``sim.run()`` or the rescheduling tick keeps the queue alive
-    forever.  ``session.run(...)`` / ``run_iteration()`` use
-    ``run_until`` and are safe with a live sampler.
+    construction standing in for subscription.  See :class:`SimTicker`
+    for the stop-before-``sim.run()`` rule.
     """
 
     def __init__(self, sim, registry: MetricsRegistry,
                  interval: float = 1.0, network=None,
                  nodes: Iterable = (), directory=None,
                  autostart: bool = True):
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
-        self.sim = sim
+        super().__init__(sim, interval, self.sample)
         self.registry = registry
-        self.interval = float(interval)
         self.network = network
         self.nodes = list(nodes)
         self.directory = directory
         self.samples_taken = 0
-        self.active = False
-        self._epoch = 0
         #: (name, label value) -> TimeSeries, so the per-tick hot path
         #: skips the registry's label-freezing lookup.  Safe to hold:
         #: the registry never drops a created series.
@@ -623,16 +659,13 @@ class ResourceSampler:
 
     def start(self) -> None:
         """Sample immediately, then every :attr:`interval` sim-seconds."""
-        if self.active:
-            return
-        self.active = True
-        self.sample()
-        self._schedule()
+        if not self.active:
+            self.sample()
+            super().start()
 
     def stop(self) -> None:
         """Stop sampling; safe to call more than once."""
-        self.active = False
-        self._epoch += 1
+        super().stop()
         self.registry.telemetry_bytes()  # final peak refresh
 
     # Alias so samplers read like the other obs resources.
@@ -691,16 +724,3 @@ class ResourceSampler:
         # (and stop()) take the final reading.
         if self.samples_taken % _FOOTPRINT_REFRESH_TICKS == 0:
             registry.telemetry_bytes()
-
-    # -- internals ---------------------------------------------------------------
-
-    def _schedule(self) -> None:
-        epoch = self._epoch
-        wakeup = self.sim.timeout(self.interval)
-        wakeup._add_callback(lambda _event: self._tick(epoch))
-
-    def _tick(self, epoch: int) -> None:
-        if not self.active or epoch != self._epoch:
-            return  # stopped (or restarted) since this wakeup was set
-        self.sample()
-        self._schedule()

@@ -19,9 +19,7 @@ so export works on live collectors and replayed trees alike::
 :class:`~repro.obs.profiling.HostProfile` — host (wall-clock) cost, a
 different time base than the simulated span tracks — under its own
 synthetic process (pid 2): one thread track per subsystem carrying the
-scope self-time slices laid end to end, plus counter tracks
-(``"ph": "C"``) for the sim-seconds-per-wall-second throughput gauge
-and the dispatch rate, derived from the profiler's periodic samples.
+scope self-time slices laid end to end.
 """
 
 from __future__ import annotations
@@ -109,9 +107,7 @@ class PerfettoExporter:
         Scope self-times become complete slices laid end to end on one
         thread track per subsystem (a synthetic wall-time axis: slice
         *widths* are real attributed seconds, positions are not a
-        timeline).  The profiler's periodic samples become ``"C"``
-        counter tracks — throughput (sim-s per wall-s) and dispatch
-        rate — on the real wall-time axis.
+        timeline).
         """
         by_subsystem: Dict[str, List] = {}
         for scope in profile.scopes:
@@ -143,29 +139,6 @@ class PerfettoExporter:
                     },
                 })
                 cursor += scope.self_seconds
-        prev = {"wall_seconds": 0.0, "sim_seconds": 0.0, "dispatches": 0}
-        for sample in profile.samples:
-            wall_delta = sample["wall_seconds"] - prev["wall_seconds"]
-            if wall_delta <= 0:
-                continue
-            sim_delta = sample["sim_seconds"] - prev["sim_seconds"]
-            dispatch_delta = sample["dispatches"] - prev["dispatches"]
-            ts = sample["wall_seconds"] * _MICROS
-            self._events.append({
-                "name": f"{label}:sim_s_per_wall_s",
-                "ph": "C",
-                "pid": _PROFILE_PID,
-                "ts": ts,
-                "args": {"value": sim_delta / wall_delta},
-            })
-            self._events.append({
-                "name": f"{label}:dispatches_per_s",
-                "ph": "C",
-                "pid": _PROFILE_PID,
-                "ts": ts,
-                "args": {"value": dispatch_delta / wall_delta},
-            })
-            prev = sample
         self._events.append({
             "name": "process_name",
             "ph": "M",

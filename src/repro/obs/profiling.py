@@ -1,53 +1,37 @@
 """Host-cost profiler: where does the *wall* clock go?
 
 Every other layer of :mod:`repro.obs` measures the simulated clock;
-this module measures the host.  A :class:`HostProfiler` hooks the two
-places all host work funnels through — the :class:`~repro.sim.Simulator`
-dispatch loop and the :class:`~repro.obs.bus.EventBus` subscriber
-dispatch — and attributes ``perf_counter_ns`` deltas to a hierarchy of
-``(subsystem, phase, actor)`` scopes:
+this module measures the host.  A :class:`HostProfiler` runs
+``cProfile`` over the installed window and folds it by package, the
+partition ``benchmarks/perf/trace.py`` reports as ``*.share``:
 
-=============  ==============================  =======================
-subsystem      phase                           actor
-=============  ==============================  =======================
-``kernel``     ``dispatch``                    process role (``trainer``,
-                                               ``aggregator``,
-                                               ``directory``, ``cohort``,
-                                               ``msg``, ``xfer``, ...)
-``net``        ``recompute``                   --
-``crypto``     ``commit``/``verify``/          the role whose dispatch
-               ``multiexp``                    frame is active
-``ml``         ``train``                       ``trainer``
-``directory``  ``serve``                       the request kind
-``obs``        ``subscriber``                  the handler owner class
-=============  ==============================  =======================
+- a function's own time belongs to the ``repro.<package>`` that
+  defines it (:data:`LAYERS`; any other ``repro`` package is ``other``);
+- builtins, numpy, hashlib and the standard library have no package,
+  so their time is charged through the callers table to whoever
+  called them (``other`` when nothing profiled did).
 
-Scope accounting is *exclusive*: a frame's children are subtracted
-from its self time, so the self times of all scopes partition the
-attributed wall time and subsystem shares sum to ~100%.
+One scope is one ``repro`` function (subsystem = package, phase =
+module, actor = function name).  Self times are exclusive, so they
+partition the profiled time and the subsystem shares sum to 1.
 
 Contracts (pinned by ``tests/test_obs_profiling.py``):
 
-- **Zero cost when disabled.**  No hooks exist by default:
-  ``sim.profiler``/``bus.profiler`` are ``None`` and the hot paths pay
-  one attribute load and one ``is None`` branch — exactly the
-  :meth:`EventBus.wants` deal.
-- **Never observable by the run.**  The profiler reads the sim clock
-  and touches no RNG; fingerprints and seeded replays are
-  byte-identical with profiling on or off.
-- **Throughput gauge.**  The profiler tracks simulated seconds per
-  wall second over the installed window (and samples it over time for
-  the Perfetto counter track).
+- **Nothing in the run knows.**  No layer carries a profiler hook; an
+  unprofiled run pays nothing and a profiled one is byte-identical to
+  it (fingerprints, manifests, model parameters, ``sim.now``).
+- **The price is cProfile's.**  Every Python call is slowed and native
+  code is not: a profiled Fig. 1 round takes ~2x the bare wall and
+  shares lean towards call-heavy code.  Read *where*, not *how long*;
+  wall is measured unprofiled by ``benchmarks/perf``.
+- **Deterministic on a fake clock.**  The profile's timer is the
+  injected :class:`WallClock` — the one clock every wall-time read in
+  the repo goes through (:data:`SYSTEM_WALL_CLOCK` by default) — so
+  under :class:`FakeWallClock` a profile is a pure function of the
+  call sequence.
 
-The wall clock itself is an injectable :class:`WallClock`
-(:data:`SYSTEM_WALL_CLOCK` by default, :class:`FakeWallClock` in
-tests); every ad-hoc ``time.perf_counter`` call site in the repo
-(``cli commit-cost``, :func:`repro.analysis.scale.run_scale_point`,
-trainer commitment timing) routes through it.
-
-See the "Profiling" section of ``docs/OBSERVABILITY.md`` for the
-artifact schema and ``python -m repro.cli profile`` for the end-to-end
-command.
+See "Profiling" in ``docs/OBSERVABILITY.md`` for the artifact schema
+and ``python -m repro.cli profile`` for the end-to-end command.
 """
 
 from __future__ import annotations
@@ -55,21 +39,31 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
 __all__ = [
     "FakeWallClock",
     "HostProfile",
     "HostProfiler",
+    "LAYERS",
     "PROFILE_VERSION",
     "SYSTEM_WALL_CLOCK",
     "ScopeStat",
     "WallClock",
+    "fold_by_package",
 ]
 
-PROFILE_VERSION = 1
+#: 2 = the package partition; 1 was the hand-placed ``kernel`` /
+#: ``directory`` scopes and is refused, never diffed against this one.
+PROFILE_VERSION = 2
+
+#: The packages host time is attributed to (plus ``other``).
+LAYERS = ("sim", "net", "ipfs", "crypto", "ml", "core", "obs", "faults")
+_LAYER_OF_PATH = re.compile(r"[\\/]repro[\\/](\w+)[\\/]")
 
 _NS = 1_000_000_000
 
@@ -84,13 +78,11 @@ class WallClock:
 
     __slots__ = ()
 
-    def seconds(self) -> float:
-        """Monotonic seconds (``time.perf_counter``)."""
-        return time.perf_counter()
-
-    def nanoseconds(self) -> int:
-        """Monotonic integer nanoseconds (``time.perf_counter_ns``)."""
-        return time.perf_counter_ns()
+    #: Monotonic float seconds / integer nanoseconds: the builtins
+    #: themselves, because the profiler reads ``nanoseconds`` twice
+    #: per profiled call and a Python wrapper there costs 0.3x the run.
+    seconds = staticmethod(time.perf_counter)
+    nanoseconds = staticmethod(time.perf_counter_ns)
 
 
 #: The process-wide default clock.  Components take a ``clock``
@@ -129,23 +121,74 @@ class FakeWallClock(WallClock):
         self._now_ns += int(round(seconds * _NS))
 
 
-def _role_from_name(name: str) -> str:
-    """Actor role of a kernel process name.
+def _layer_of(function) -> Optional[str]:
+    """Package of a ``(file, line, name)`` stats key; None off-repo."""
+    match = _LAYER_OF_PATH.search(function[0])
+    if match is None:
+        return None
+    return match.group(1) if match.group(1) in LAYERS else "other"
 
-    ``"trainer-3:up:p1" -> "trainer"``, ``"directory:dir.lookup" ->
-    "directory"``, ``"cohort-12:i0" -> "cohort"``, ``"round:2" ->
-    "round"``.  The head segment with its trailing instance number
-    stripped — purely lexical, so the kernel needs no registry of
-    roles.
+
+def fold_by_package(stats) -> Dict[Tuple[str, str, str], List[float]]:
+    """Fold ``cProfile`` stats into exclusive per-function scopes.
+
+    ``stats`` is ``cProfile.Profile.stats``: function -> (primitive
+    calls, calls, self s, total s, callers), callers: function ->
+    (calls, primitive calls, self s, total s) spent in the callee on
+    that caller's behalf.  Returns ``(package, module, function) ->
+    [calls, self s, total s]`` with one scope per ``repro`` function,
+    its self seconds including the off-repo work done on its behalf;
+    they add up to the profiled time.
     """
-    head = name.split(":", 1)[0]
-    stripped = head.rstrip("0123456789").rstrip("-")
-    return stripped or head
+    memo: dict = {}
+
+    def owners(function, visiting) -> dict:
+        """The functions on whose behalf ``function`` ran, as shares."""
+        if _layer_of(function) is not None:
+            return {function: 1.0}
+        if function in memo:
+            return memo[function]
+        callers = stats[function][4]
+        weight = sum(edge[3] for edge in callers.values())
+        if not callers or weight <= 0 or function in visiting:
+            return {function: 1.0}  # nobody to charge: lands in "other"
+        visiting.add(function)
+        shares: dict = {}
+        for caller, edge in callers.items():
+            for owner, share in owners(caller, visiting).items():
+                shares[owner] = shares.get(owner, 0.0) \
+                    + share * edge[3] / weight
+        visiting.discard(function)
+        memo[function] = shares
+        return shares
+
+    scopes: Dict[Tuple[str, str, str], List[float]] = {}
+
+    def scope_of(function) -> List[float]:
+        path = function[0]
+        module = ("builtin" if path == "~" else
+                  re.sub(r"\.py$", "", os.path.basename(path)))
+        return scopes.setdefault(
+            (_layer_of(function) or "other", module, function[2]),
+            [0, 0.0, 0.0])
+
+    for function, (_, calls, own, total, callers) in stats.items():
+        if _layer_of(function) is not None or not callers:
+            stat = scope_of(function)
+            stat[0] += calls
+            stat[1] += own
+            stat[2] += total
+            continue
+        for caller, edge in callers.items():
+            for owner, share in owners(caller, set()).items():
+                scope_of(owner)[1] += edge[2] * share
+    return scopes
 
 
 @dataclass(frozen=True)
 class ScopeStat:
-    """Aggregated cost of one ``(subsystem, phase, actor)`` scope."""
+    """Cost of one function: ``(subsystem, phase, actor)`` is its
+    (package, module, name)."""
 
     subsystem: str
     phase: str
@@ -158,29 +201,14 @@ class ScopeStat:
 
     @property
     def label(self) -> str:
-        base = f"{self.subsystem}.{self.phase}"
-        return f"{base}.{self.actor}" if self.actor else base
+        return f"{self.subsystem}.{self.phase}.{self.actor}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "subsystem": self.subsystem,
-            "phase": self.phase,
-            "actor": self.actor,
-            "calls": self.calls,
-            "self_seconds": self.self_seconds,
-            "total_seconds": self.total_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScopeStat":
-        return cls(
-            subsystem=data["subsystem"],
-            phase=data["phase"],
-            actor=data.get("actor", ""),
-            calls=int(data["calls"]),
-            self_seconds=float(data["self_seconds"]),
-            total_seconds=float(data["total_seconds"]),
-        )
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -195,9 +223,6 @@ class HostProfile:
     dispatches: int = 0
     #: Sorted by descending self time.
     scopes: Tuple[ScopeStat, ...] = ()
-    #: Periodic ``{"wall_seconds", "sim_seconds", "dispatches"}``
-    #: samples over the profiled window (throughput over time).
-    samples: Tuple[Dict[str, float], ...] = ()
 
     # -- derived ----------------------------------------------------------
 
@@ -213,21 +238,21 @@ class HostProfile:
             return 0.0
         return self.sim_seconds / self.wall_seconds
 
+    def subsystem_seconds(self) -> Dict[str, float]:
+        """Exclusive wall seconds per subsystem, largest first."""
+        totals: Dict[str, float] = {}
+        for scope in self.scopes:
+            totals[scope.subsystem] = (
+                totals.get(scope.subsystem, 0.0) + scope.self_seconds)
+        return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
+
     def shares(self) -> Dict[str, float]:
         """Fraction of attributed time per subsystem; sums to ~1.0."""
         attributed = self.attributed_seconds
         if attributed <= 0:
             return {}
-        by_subsystem: Dict[str, float] = {}
-        for scope in self.scopes:
-            by_subsystem[scope.subsystem] = (
-                by_subsystem.get(scope.subsystem, 0.0) + scope.self_seconds
-            )
-        return {
-            subsystem: total / attributed
-            for subsystem, total in sorted(
-                by_subsystem.items(), key=lambda kv: -kv[1])
-        }
+        return {subsystem: total / attributed
+                for subsystem, total in self.subsystem_seconds().items()}
 
     def hotspots(self, n: int = 10) -> List[ScopeStat]:
         """The ``n`` most expensive scopes by exclusive time."""
@@ -287,14 +312,15 @@ class HostProfile:
             "attributed_seconds": self.attributed_seconds,
             "shares": self.shares(),
             "scopes": [scope.to_dict() for scope in self.scopes],
-            "samples": [dict(sample) for sample in self.samples],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "HostProfile":
         version = data.get("version", PROFILE_VERSION)
         if version != PROFILE_VERSION:
-            raise ValueError(f"unsupported profile version {version!r}")
+            raise ValueError(
+                f"unsupported profile version {version!r}: this build "
+                f"reads version {PROFILE_VERSION} (package partition)")
         return cls(
             fingerprint=dict(data.get("fingerprint", {})),
             wall_seconds=float(data.get("wall_seconds", 0.0)),
@@ -302,8 +328,6 @@ class HostProfile:
             dispatches=int(data.get("dispatches", 0)),
             scopes=tuple(ScopeStat.from_dict(scope)
                          for scope in data.get("scopes", [])),
-            samples=tuple(dict(sample)
-                          for sample in data.get("samples", [])),
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -324,246 +348,86 @@ class HostProfile:
 
 
 class HostProfiler:
-    """Attributes host wall time to ``(subsystem, phase, actor)`` scopes.
+    """``cProfile`` over a simulator's run, folded by package.
 
-    Install on a simulator (:meth:`install`) or a whole session
-    (:meth:`attach`, which also wires the crypto scopes on the
-    session's :class:`~repro.core.verification.PartitionCommitter`
-    instances); :meth:`uninstall` removes every hook and finalizes the
-    window.  :meth:`profile` snapshots an immutable
-    :class:`HostProfile` at any point.
-
-    The hot API is :meth:`begin`/:meth:`end` (a mutable frame, no
-    context-manager overhead); :meth:`scope` wraps them for coarse
-    call sites.  Frames nest: on :meth:`end`, a frame's elapsed time
-    is charged to its own inclusive total, its *exclusive* total
-    (elapsed minus children) and its parent's child accumulator — so
-    exclusive times always partition the attributed wall time.
+    :meth:`install` starts the profile on the calling thread,
+    :meth:`uninstall` stops it and closes the window (windows
+    accumulate across re-installs), :meth:`profile` folds whatever has
+    been collected so far into an immutable :class:`HostProfile`.
     """
 
-    def __init__(self, clock: WallClock = SYSTEM_WALL_CLOCK,
-                 sample_interval: float = 0.25):
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+    def __init__(self, clock: WallClock = SYSTEM_WALL_CLOCK):
         self.clock = clock
-        #: (subsystem, phase, actor) -> [calls, self_ns, total_ns]
-        self._stats: Dict[Tuple[str, str, str], List[int]] = {}
-        #: Open frames: [key, start_ns, child_ns].
-        self._stack: List[list] = []
-        #: Actor roles of the open kernel dispatch frames.
-        self._roles: List[str] = []
-        self._role_cache: Dict[str, str] = {}
-        self._subscriber_names: Dict[Any, str] = {}
-        self.dispatches = 0
-        self.samples: List[Dict[str, float]] = []
-        self._sample_interval_ns = int(round(sample_interval * _NS))
+        self._profile = None
         self._sim = None
-        self._committers: List[Any] = []
-        self._wall_start_ns: Optional[int] = None
+        self._wall_start_ns = 0
         self._sim_start = 0.0
-        self._next_sample_ns = 0
-        #: Finalized (uninstalled) window totals.
+        #: Closed (uninstalled) window totals.
         self.wall_seconds = 0.0
         self.sim_seconds = 0.0
-
-    # -- install / uninstall ----------------------------------------------
 
     @property
     def installed(self) -> bool:
         return self._sim is not None
 
     def install(self, sim) -> "HostProfiler":
-        """Hook the kernel dispatch loop and the bus subscriber dispatch."""
+        """Start profiling; ``sim`` supplies the simulated clock."""
         if self._sim is not None:
             raise RuntimeError("profiler is already installed")
-        if sim.profiler is not None:
-            raise RuntimeError(
-                "another profiler is already installed on this simulator")
+        if self._profile is None:
+            # Imported here so ``import repro`` does not pay for it.
+            import cProfile
+            self._profile = cProfile.Profile(self.clock.nanoseconds, 1 / _NS)
+        self._wall_start_ns = self.clock.nanoseconds()
+        try:
+            if sys.getprofile() is not None:  # 3.12+ checks in enable();
+                raise ValueError              # earlier ones replace it
+            self._profile.enable()
+        except ValueError:
+            raise RuntimeError("another profiler is already active "
+                               "on this thread") from None
         self._sim = sim
-        sim.profiler = self
-        sim.bus.profiler = self
-        now = self.clock.nanoseconds()
-        self._wall_start_ns = now
         self._sim_start = sim.now
-        self._next_sample_ns = now + self._sample_interval_ns
-        return self
-
-    def attach(self, session) -> "HostProfiler":
-        """Install on a session and wire its crypto commit/verify scopes."""
-        self.install(session.sim)
-        seen = set()
-        for committer in session.committers.values():
-            if id(committer) in seen:
-                continue
-            seen.add(id(committer))
-            committer.profiler = self
-            self._committers.append(committer)
         return self
 
     def uninstall(self) -> None:
-        """Remove every hook and fold the window into the totals."""
+        """Stop profiling and fold the window into the totals."""
         sim = self._sim
         if sim is None:
             return
+        self._profile.disable()
         now = self.clock.nanoseconds()
-        self._take_sample(now)
         self.wall_seconds += (now - self._wall_start_ns) / _NS
         self.sim_seconds += sim.now - self._sim_start
-        sim.profiler = None
-        sim.bus.profiler = None
-        for committer in self._committers:
-            committer.profiler = None
-        self._committers = []
         self._sim = None
-        self._wall_start_ns = None
 
-    # -- scope accounting (hot path) --------------------------------------
-
-    def begin(self, subsystem: str, phase: str, actor: str = "") -> list:
-        """Open a frame; pass the returned token to :meth:`end`."""
-        frame = [(subsystem, phase, actor), self.clock.nanoseconds(), 0]
-        self._stack.append(frame)
-        return frame
-
-    def end(self, frame: list) -> int:
-        """Close ``frame``; returns the clock reading (nanoseconds)."""
-        now = self.clock.nanoseconds()
-        stack = self._stack
-        if stack and stack[-1] is frame:
-            stack.pop()
-        else:  # pragma: no cover - only on mispaired begin/end
-            try:
-                stack.remove(frame)
-            except ValueError:
-                return now
-        key, start_ns, child_ns = frame
-        elapsed = now - start_ns
-        stat = self._stats.get(key)
-        if stat is None:
-            self._stats[key] = stat = [0, 0, 0]
-        stat[0] += 1
-        stat[1] += elapsed - child_ns
-        stat[2] += elapsed
-        if stack:
-            stack[-1][2] += elapsed
-        return now
-
-    def scope(self, subsystem: str, phase: str, actor: str = ""):
-        """Context-manager form of :meth:`begin`/:meth:`end`."""
-        return _Scope(self, subsystem, phase, actor)
-
-    def current_role(self) -> str:
-        """Actor role of the innermost kernel dispatch frame."""
-        roles = self._roles
-        return roles[-1] if roles else ""
-
-    # -- kernel hook -------------------------------------------------------
-
-    def dispatch_begin(self, event) -> list:
-        """Called by ``Simulator.step`` before running callbacks."""
-        self.dispatches += 1
-        role = self._role_of(event)
-        self._roles.append(role)
-        return self.begin("kernel", "dispatch", role)
-
-    def dispatch_end(self, frame: list) -> None:
-        """Called by ``Simulator.step`` after the callbacks ran."""
-        now = self.end(frame)
-        self._roles.pop()
-        if now >= self._next_sample_ns:
-            self._take_sample(now)
-
-    def _role_of(self, event) -> str:
-        """Classify a dispatched event by the process it resumes/ends."""
-        callbacks = event.callbacks
-        owner = None
-        if callbacks:
-            owner = getattr(callbacks[0], "__self__", None)
-        name = getattr(owner, "name", None) if owner is not None else None
-        if name is None and hasattr(event, "_generator"):
-            name = event.name  # a process ending with no waiters
-        if not name or not isinstance(name, str):
-            return ""
-        role = self._role_cache.get(name)
-        if role is None:
-            role = _role_from_name(name)
-            self._role_cache[name] = role
-        return role
-
-    # -- bus hook ----------------------------------------------------------
-
-    def subscriber_name(self, handler) -> str:
-        """Attribution label for one bus handler (its owner's class)."""
-        name = self._subscriber_names.get(handler)
-        if name is None:
-            owner = getattr(handler, "__self__", None)
-            if owner is not None:
-                name = type(owner).__name__
-            else:
-                name = (getattr(handler, "__qualname__", None)
-                        or getattr(handler, "__name__", None)
-                        or type(handler).__name__)
-            self._subscriber_names[handler] = name
-        return name
-
-    # -- throughput sampling ----------------------------------------------
-
-    def _take_sample(self, now_ns: int) -> None:
-        if self._wall_start_ns is None or self._sim is None:
-            return
-        self.samples.append({
-            "wall_seconds": (now_ns - self._wall_start_ns) / _NS
-                            + self.wall_seconds,
-            "sim_seconds": (self._sim.now - self._sim_start)
-                           + self.sim_seconds,
-            "dispatches": float(self.dispatches),
-        })
-        self._next_sample_ns = now_ns + self._sample_interval_ns
-
-    # -- snapshot ----------------------------------------------------------
-
-    def profile(self,
-                fingerprint: Optional[Dict[str, Any]] = None
+    def profile(self, fingerprint: Optional[Dict[str, Any]] = None
                 ) -> HostProfile:
         """Snapshot the current attribution as a :class:`HostProfile`."""
+        from ..sim import Simulator
+
         wall = self.wall_seconds
         sim_seconds = self.sim_seconds
+        stats: dict = {}
         if self._sim is not None:
-            now = self.clock.nanoseconds()
-            wall += (now - self._wall_start_ns) / _NS
+            wall += (self.clock.nanoseconds() - self._wall_start_ns) / _NS
             sim_seconds += self._sim.now - self._sim_start
+        if self._profile is not None:
+            self._profile.snapshot_stats()  # create_stats() would disable
+            stats = self._profile.stats
+        code = Simulator.step.__code__
+        step = (code.co_filename, code.co_firstlineno, code.co_name)
         scopes = sorted(
             (ScopeStat(subsystem=key[0], phase=key[1], actor=key[2],
-                       calls=stat[0], self_seconds=stat[1] / _NS,
-                       total_seconds=stat[2] / _NS)
-             for key, stat in self._stats.items()),
-            key=lambda scope: -scope.self_seconds,
+                       calls=stat[0], self_seconds=stat[1],
+                       total_seconds=stat[2])
+             for key, stat in fold_by_package(stats).items()),
+            key=lambda scope: (-scope.self_seconds, scope.label),
         )
         return HostProfile(
             fingerprint=dict(fingerprint or {}),
             wall_seconds=wall,
             sim_seconds=sim_seconds,
-            dispatches=self.dispatches,
+            dispatches=stats[step][1] if step in stats else 0,
             scopes=tuple(scopes),
-            samples=tuple(dict(sample) for sample in self.samples),
         )
-
-
-class _Scope:
-    """Reusable-per-call context manager over begin/end."""
-
-    __slots__ = ("_profiler", "_key", "_frame")
-
-    def __init__(self, profiler: HostProfiler, subsystem: str, phase: str,
-                 actor: str):
-        self._profiler = profiler
-        self._key = (subsystem, phase, actor)
-        self._frame = None
-
-    def __enter__(self) -> "_Scope":
-        self._frame = self._profiler.begin(*self._key)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._profiler.end(self._frame)
-        self._frame = None

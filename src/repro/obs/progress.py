@@ -33,11 +33,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from typing import Dict, IO, List, Optional, Union
 
 from .bus import EventBus
 from .events import IterationFinished, IterationStarted
+from .profiling import SYSTEM_WALL_CLOCK, WallClock
 
 __all__ = ["ProgressReporter", "read_progress", "format_heartbeat"]
 
@@ -98,7 +98,8 @@ class ProgressReporter:
     label:
         Tag carried in every record (e.g. ``p10000``).
     clock:
-        Wall-clock source (monotonic seconds); injectable for tests.
+        The :class:`~repro.obs.profiling.WallClock` heartbeats are
+        paced by; injectable for tests.
     """
 
     def __init__(self, bus: EventBus,
@@ -107,7 +108,7 @@ class ProgressReporter:
                  jsonl: Union[str, "os.PathLike[str]", IO[str], None] = None,
                  interval: float = 1.0,
                  label: str = "",
-                 clock=time.monotonic):
+                 clock: WallClock = SYSTEM_WALL_CLOCK):
         if interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         self.registry = registry
@@ -116,7 +117,7 @@ class ProgressReporter:
         self.stream = stream
         self.interval = float(interval)
         self.label = label
-        self._clock = clock
+        self._clock = clock.seconds
         if jsonl is None or hasattr(jsonl, "write"):
             self._jsonl: Optional[IO[str]] = jsonl  # type: ignore[assignment]
             self._owns_jsonl = False
@@ -127,7 +128,7 @@ class ProgressReporter:
         self.heartbeats = 0
         self.iteration = -1
         self.sim_seconds = 0.0
-        self._started = clock()
+        self._started = self._clock()
         self._last_beat = self._started
         self._last_events = 0
         self._subscription = bus.subscribe(self._handle)

@@ -413,11 +413,6 @@ class Simulator:
         #: kernel (network, IPFS, protocol roles) publishes typed events
         #: here; telemetry/tracing subscribe.  See :mod:`repro.obs`.
         self.bus = EventBus()
-        #: Optional host-cost profiler hook
-        #: (:class:`repro.obs.profiling.HostProfiler`).  ``None`` by
-        #: default — the disabled path pays one attribute load and one
-        #: branch per step, mirroring the ``bus.wants()`` contract.
-        self.profiler = None
 
     # -- clock ------------------------------------------------------------
 
@@ -531,22 +526,9 @@ class Simulator:
             self._tombstones -= 1
         self._now = entry[0]
         event._heap_entry = None  # break the entry <-> event cycle
-        profiler = self.profiler
-        if profiler is None:
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-        else:
-            # Classify before detaching: the dispatched event's first
-            # callback identifies the process (and so the actor role)
-            # this step's host work belongs to.
-            frame = profiler.dispatch_begin(event)
-            callbacks, event.callbacks = event.callbacks, None
-            try:
-                for callback in callbacks:
-                    callback(event)
-            finally:
-                profiler.dispatch_end(frame)
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
         if not event._ok and not event._defused:
             exc = event._value
             raise exc

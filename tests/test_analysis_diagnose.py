@@ -14,8 +14,8 @@ from repro.cli import main
 from repro.obs import HostProfile, RunManifest, ScopeStat
 
 
-def scope(subsystem, self_seconds, phase="dispatch"):
-    return ScopeStat(subsystem=subsystem, phase=phase, actor="",
+def scope(subsystem, self_seconds, phase="core", actor="step"):
+    return ScopeStat(subsystem=subsystem, phase=phase, actor=actor,
                      calls=100, self_seconds=self_seconds,
                      total_seconds=self_seconds)
 
@@ -24,16 +24,16 @@ def fast_profile():
     return HostProfile(
         fingerprint={"digest": "abc", "trainers": 4},
         wall_seconds=2.0, sim_seconds=1200.0, dispatches=1000,
-        scopes=(scope("kernel", 0.5), scope("net", 0.4)),
+        scopes=(scope("sim", 0.5), scope("net", 0.4)),
     )
 
 
 def slow_profile():
-    # net blew up 0.4s -> 3.4s; kernel barely moved.
+    # net blew up 0.4s -> 3.4s; sim barely moved.
     return HostProfile(
         fingerprint={"digest": "abc", "trainers": 4},
         wall_seconds=5.0, sim_seconds=1200.0, dispatches=1000,
-        scopes=(scope("net", 3.4), scope("kernel", 0.6)),
+        scopes=(scope("net", 3.4), scope("sim", 0.6)),
     )
 
 
@@ -66,7 +66,7 @@ def test_profile_pair_names_the_regressing_subsystem():
     assert report.slowdown == pytest.approx(2.5)
     # Shifts are sorted by grown self-seconds, worst first.
     assert [s.subsystem for s in report.subsystem_shifts[:2]] \
-        == ["net", "kernel"]
+        == ["net", "sim"]
 
 
 def test_anomaly_differential_is_attributed_by_kind():

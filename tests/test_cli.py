@@ -259,7 +259,11 @@ def test_scale_observed_with_progress_and_status(tmp_path, capsys):
 
     records = [json.loads(line)
                for line in progress_path.read_text().splitlines()]
-    assert records
+    # The sweep's clock paces the reporter too: 263 events at one
+    # 10 ms read each is two paced beats plus the closing one, exactly.
+    # (Paced off the host clock this sub-second run had only the last.)
+    assert [record["seq"] for record in records] == [0, 1, 2]
+    assert records[-1]["wall_seconds"] == pytest.approx(2.71)
     assert records[-1]["label"] == "p40"
     assert records[-1]["peak_telemetry_bytes"] > 0
 
@@ -449,58 +453,15 @@ def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     data = json.loads(out_path.read_text())
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert sum(data["shares"].values()) == pytest.approx(1.0)
     assert "obs" in data["shares"]  # --observe priced the registry
+    assert "kernel" not in data["shares"]
     assert data["dispatches"] > 0
     assert data["fingerprint"]["digest"]
     trace = json.loads(trace_path.read_text())
     assert any(event.get("ph") == "X" and event.get("pid") == 2
                for event in trace["traceEvents"])
-
-
-def test_profile_records_then_gates_a_doctored_regression(tmp_path, capsys):
-    import json
-
-    trajectory_path = tmp_path / "BENCH_profile.json"
-    assert main(_profile_args([
-        "--scenario", "smoke", "--record", str(trajectory_path),
-    ])) == 0
-    capsys.readouterr()
-
-    # Doctor the committed record to claim the run used to be 100x
-    # faster: the next gated run must regress.
-    data = json.loads(trajectory_path.read_text())
-    (record,) = data["scenarios"]["smoke"]
-    record["wall_per_iteration"] /= 100.0
-    record["wall_per_sim"] /= 100.0
-    trajectory_path.write_text(json.dumps(data))
-
-    assert main(_profile_args([
-        "--scenario", "smoke", "--baseline", str(trajectory_path),
-    ])) == 1
-    out = capsys.readouterr().out
-    assert "regression" in out
-    assert main(_profile_args([
-        "--scenario", "smoke", "--baseline", str(trajectory_path),
-        "--warn-only",
-    ])) == 0
-    capsys.readouterr()
-
-
-def test_profile_baseline_without_scenario_is_a_usage_error(
-        tmp_path, capsys):
-    assert main(_profile_args(
-        ["--baseline", str(tmp_path / "t.json")])) == 2
-    assert "--scenario" in capsys.readouterr().err
-
-
-def test_profile_baseline_without_a_record_reports_and_passes(
-        tmp_path, capsys):
-    path = tmp_path / "empty.json"
-    assert main(_profile_args(
-        ["--scenario", "fresh", "--baseline", str(path)])) == 0
-    assert "nothing to compare" in capsys.readouterr().out
 
 
 def test_profile_with_a_population_covers_the_cohort_role(
@@ -516,9 +477,9 @@ def test_profile_with_a_population_covers_the_cohort_role(
     assert code == 0
     import json
     data = json.loads(out_path.read_text())
-    actors = {scope["actor"] for scope in data["scopes"]
-              if scope["subsystem"] == "kernel"}
-    assert "cohort" in actors
+    modules = {scope["phase"] for scope in data["scopes"]
+               if scope["subsystem"] == "core"}
+    assert "cohort" in modules
 
 
 # -- status exit-code contract / clock injection ------------------------------

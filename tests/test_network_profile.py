@@ -149,6 +149,22 @@ def test_public_surface_only_shrinks():
     assert "directory_processing_delay" not in {
         f.name for f in dataclasses.fields(NetworkProfile)}
 
+    import repro.analysis
+    import repro.obs
+    from repro.core.verification import PartitionCommitter
+    from repro.obs import EventBus
+    from repro.sim import Simulator
+
+    assert len(repro.obs.__all__) <= 91
+    assert len(repro.analysis.__all__) <= 37
+    # The host profile is cProfile from outside: no layer carries a
+    # hook for it, and the two hot loops have one body each.
+    for hooked in (Simulator(), EventBus(),
+                   PartitionCommitter(partition_len=1)):
+        assert not hasattr(hooked, "profiler"), type(hooked).__name__
+    for hot in (Simulator.step, EventBus.publish):
+        assert "profiler" not in inspect.getsource(hot), hot.__qualname__
+
 
 def test_top_level_surface_is_complete():
     import repro

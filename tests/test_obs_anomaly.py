@@ -340,8 +340,9 @@ def test_watchdog_tick_loop_follows_sim_clock_and_stops():
     assert watchdog.ticks == 5
     assert watchdog.summary() == {"queue_runaway": 1}
     watchdog.stop()
+    assert sim.peek() == float("inf")  # no stale wakeup left behind
     sim.run(until=100.0)
-    assert watchdog.ticks == 5  # epoch bump cancelled the loop
+    assert watchdog.ticks == 5  # stop() cancelled the pending wakeup
 
 
 def test_watchdog_wall_stall_recorded_locally_never_published():
@@ -368,7 +369,7 @@ def test_progress_heartbeat_surfaces_watchdog_state():
                                detectors=[RetryStormDetector()],
                                wall_clock=FakeWallClock(tick=0.0))
     reporter = ProgressReporter(bus, watchdog=watchdog, stream=None,
-                                clock=lambda: 0.0)
+                                clock=FakeWallClock())
     for at in (1.0, 2.0, 3.0):
         bus.publish(abort(at))
     record = reporter.snapshot()

@@ -204,6 +204,7 @@ def test_sampler_records_on_the_sim_clock_and_stops():
     sim.run(until=3.5)
     assert sampler.samples_taken == 4  # t = 0, 1, 2, 3
     sampler.stop()
+    assert sim.peek() == float("inf")  # the pending wakeup is cancelled
     sim.run(until=10.0)
     assert sampler.samples_taken == 4  # no ticks after stop
     sampler.stop()  # idempotent

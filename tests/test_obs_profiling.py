@@ -1,11 +1,16 @@
 """Tests for the host-cost profiler (repro.obs.profiling).
 
-Pins the module's three contracts: exclusive-time accounting whose
-subsystem shares sum to ~100%, strictly zero hooks when disabled, and
-byte-identical runs with profiling on or off.
+Pins the module's contracts: the profile is the benchmark's package
+partition (exclusive self times that sum to the profiled time), runs
+are byte-identical with profiling on or off, and on a fake clock the
+profile itself is deterministic.  No test reads the host clock.
 """
 
+import gc
+import importlib.util
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -14,21 +19,19 @@ from repro.core import FLSession, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.net import NetworkProfile
 from repro.obs import (
-    EventBus,
     HostProfile,
     HostProfiler,
     MetricsRegistry,
     PerfettoExporter,
     RunManifest,
     SYSTEM_WALL_CLOCK,
-    TelemetryCollector,
 )
-from repro.obs.events import IterationStarted
 from repro.obs.profiling import (
     FakeWallClock,
+    LAYERS,
     ScopeStat,
     WallClock,
-    _role_from_name,
+    fold_by_package,
 )
 from repro.sim import Simulator
 
@@ -43,10 +46,45 @@ def _small_session(seed=3, params=500, trainers=4, verifiable=True):
         Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
         for index in range(trainers)
     ]
-    return FLSession(
+    session = FLSession(
         config, lambda: SyntheticModel(params), datasets,
         network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
+    # ``CommitmentComputed.seconds`` is wall time; fake it so two runs
+    # of one seed publish identical events.
+    for trainer in session.trainers:
+        trainer.wall_clock = FakeWallClock(tick=1e-4)
+    return session
+
+
+def _profiled_run(rounds=1):
+    """One observed session under a ticking fake clock -> HostProfile.
+
+    Garbage of an earlier session finalised inside the window (its
+    suspended generators are ``close()``d) would be profiled calls, so
+    it is collected first and the collector held off meanwhile.
+    """
+    session = _small_session()
+    registry = MetricsRegistry(session.sim.bus)
+    profiler = HostProfiler(clock=FakeWallClock(tick=1e-6))
+    gc.collect()
+    gc.disable()
+    try:
+        profiler.install(session.sim)
+        session.run(rounds=rounds)
+        profiler.uninstall()
+    finally:
+        gc.enable()
+    registry.close()
+    return session, profiler.profile(fingerprint=session.fingerprint())
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """``(session, profile)`` of a second run: the first one in a
+    process also pays (and profiles) the lazy imports."""
+    _profiled_run()
+    return _profiled_run()
 
 
 # -- wall clocks -----------------------------------------------------------------
@@ -71,99 +109,100 @@ def test_fake_wall_clock_ticks_per_read_and_advances():
         clock.advance(-1.0)
 
 
-# -- role classification ---------------------------------------------------------
+# -- the fold --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,role", [
-    ("trainer-3:up:p1", "trainer"),
-    ("trainer-12", "trainer"),
-    ("aggregator-0:merge:p0", "aggregator"),
-    ("directory:dir.lookup", "directory"),
-    ("cohort-12:i0", "cohort"),
-    ("round:2", "round"),
-    ("msg:dir.lookup:a->b", "msg"),
-    ("xfer:a->b", "xfer"),
-    ("ipfs-node:n3", "ipfs-node"),
-    ("kad:publish:n1", "kad"),
-    ("central:t0", "central"),
-])
-def test_role_from_name(name, role):
-    assert _role_from_name(name) == role
+def test_fold_charges_off_repo_time_through_the_callers_table():
+    """A hand-built stats table: own time goes to the defining package,
+    builtin / numpy time to whoever called it (split by the callers'
+    cumulative time when several did), a caller-less builtin and a
+    ``repro`` package outside the layer set to ``other``."""
+    step = ("/x/src/repro/sim/core.py", 10, "step")
+    put = ("/x/src/repro/ipfs/node.py", 20, "put")
+    main = ("/x/src/repro/cli.py", 5, "main")
+    helper = ("/x/src/repro/analysis/scale.py", 7, "run")
+    sha = ("~", 0, "<built-in method _hashlib.openssl_sha256>")
+    asarray = ("/lib/numpy/core/numeric.py", 1, "asarray")
+    empty = ("~", 0, "<built-in method numpy.empty>")
+    disable = ("~", 0, "<method 'disable' of '_lsprof.Profiler' objects>")
+    stats = {
+        main: (1, 1, 0.5, 9.0, {}),
+        step: (4, 4, 1.0, 8.0, {main: (4, 4, 1.0, 8.0)}),
+        put: (2, 2, 2.0, 6.0, {step: (2, 2, 2.0, 6.0)}),
+        helper: (1, 1, 0.25, 0.25, {main: (1, 1, 0.25, 0.25)}),
+        sha: (3, 3, 3.0, 3.0, {put: (3, 3, 3.0, 3.0)}),
+        # numpy wrapper called from two packages, 3:1 by total time.
+        asarray: (4, 4, 0.4, 1.2, {put: (3, 3, 0.3, 0.9),
+                                   step: (1, 1, 0.1, 0.3)}),
+        empty: (4, 4, 0.8, 0.8, {asarray: (4, 4, 0.8, 0.8)}),
+        disable: (1, 1, 0.125, 0.125, {}),
+    }
+    scopes = fold_by_package(stats)
+    assert scopes[("sim", "core", "step")] \
+        == [4, pytest.approx(1.0 + 0.1 + 0.8 * 0.25), 8.0]
+    assert scopes[("ipfs", "node", "put")] \
+        == [2, pytest.approx(2.0 + 3.0 + 0.3 + 0.8 * 0.75), 6.0]
+    assert scopes[("other", "cli", "main")] == [1, 0.5, 9.0]
+    assert scopes[("other", "scale", "run")] == [1, 0.25, 0.25]
+    assert scopes[("other", "builtin", disable[2])] == [1, 0.125, 0.125]
+    assert len(scopes) == 5  # off-repo functions own no scope
+    assert sum(stat[1] for stat in scopes.values()) \
+        == pytest.approx(sum(entry[2] for entry in stats.values()))
 
 
-# -- exclusive-time accounting ---------------------------------------------------
+def test_fold_is_the_benchmarks_partition_on_a_real_run():
+    """``benchmarks/perf/trace.py`` folds its own cProfile run into the
+    ``*.self_s`` the benchmark reports; the same stats through
+    :func:`fold_by_package` give the same seconds per layer."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_trace", pathlib.Path(__file__).resolve().parents[1]
+        / "benchmarks" / "perf" / "trace.py")
+    perf_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_trace)
+    assert perf_trace.LAYERS == LAYERS
 
-
-def test_nested_scopes_account_exclusively():
-    # tick=1ms: each begin/end reads the clock once, so durations are
-    # exact multiples of the tick and the partition identity is exact.
-    clock = FakeWallClock(tick=1e-3)
-    profiler = HostProfiler(clock=clock)
-    outer = profiler.begin("crypto", "commit", "trainer")
-    inner = profiler.begin("crypto", "multiexp", "trainer")
-    profiler.end(inner)   # elapsed 1ms, all self
-    profiler.end(outer)   # elapsed 3ms, self 2ms
-    profile = profiler.profile()
-    by_label = {scope.label: scope for scope in profile.scopes}
-    assert by_label["crypto.multiexp.trainer"].self_seconds \
-        == pytest.approx(1e-3)
-    assert by_label["crypto.multiexp.trainer"].total_seconds \
-        == pytest.approx(1e-3)
-    assert by_label["crypto.commit.trainer"].self_seconds \
-        == pytest.approx(2e-3)
-    assert by_label["crypto.commit.trainer"].total_seconds \
-        == pytest.approx(3e-3)
-    # Self times partition the attributed window.
-    assert profile.attributed_seconds == pytest.approx(3e-3)
-
-
-def test_scope_context_manager_and_call_counts():
-    clock = FakeWallClock(tick=1e-3)
-    profiler = HostProfiler(clock=clock)
-    for _ in range(3):
-        with profiler.scope("net", "recompute"):
-            pass
-    profile = profiler.profile()
-    (scope,) = profile.scopes
-    assert scope.calls == 3
-    assert scope.label == "net.recompute"
-    assert scope.self_seconds == pytest.approx(3e-3)
-
-
-def test_current_role_follows_the_dispatch_stack():
-    profiler = HostProfiler(clock=FakeWallClock(tick=1e-6))
-    assert profiler.current_role() == ""
-
-    class FakeEvent:
-        def __init__(self, name):
-            self.callbacks = []
-            self.name = name
-            self._generator = iter(())
-
-    frame = profiler.dispatch_begin(FakeEvent("trainer-1:up:p0"))
-    assert profiler.current_role() == "trainer"
-    profiler.dispatch_end(frame)
-    assert profiler.current_role() == ""
-    assert profiler.dispatches == 1
+    session = _small_session()
+    registry = MetricsRegistry(session.sim.bus)
+    tracer = perf_trace.Tracer()
+    tracer.enable()
+    session.run(rounds=1)
+    tracer.disable()
+    registry.close()
+    expected = tracer.fold()["self_s"]
+    folded = dict.fromkeys(expected, 0.0)
+    for (layer, _module, _name), stat in \
+            fold_by_package(tracer.stats).items():
+        folded[layer] += stat[1]
+    assert folded == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    assert sum(folded.values()) == pytest.approx(
+        sum(entry[2] for entry in tracer.stats.values()))
 
 
 # -- install / uninstall ---------------------------------------------------------
 
 
 def test_disabled_by_default_and_hooks_removed_on_uninstall():
+    """The only hook is the interpreter's profile slot, held between
+    install and uninstall; closed windows accumulate."""
     sim = Simulator()
-    assert sim.profiler is None
-    assert sim.bus.profiler is None
-    profiler = HostProfiler()
+    profiler = HostProfiler(clock=FakeWallClock(tick=1e-3))
+    assert not profiler.installed and sys.getprofile() is None
+    assert profiler.profile().scopes == ()  # never installed: empty
     profiler.install(sim)
-    assert sim.profiler is profiler
-    assert sim.bus.profiler is profiler
     assert profiler.installed
+    sim.run(until=2.0)
     profiler.uninstall()
-    assert sim.profiler is None
-    assert sim.bus.profiler is None
-    assert not profiler.installed
+    assert not profiler.installed and sys.getprofile() is None
     profiler.uninstall()  # idempotent
+    first = profiler.profile()
+    assert first.sim_seconds == 2.0
+    profiler.install(sim)
+    sim.run(until=5.0)
+    profiler.uninstall()
+    second = profiler.profile()
+    assert second.sim_seconds == 5.0
+    assert second.wall_seconds > first.wall_seconds
+    assert second.attributed_seconds > first.attributed_seconds
 
 
 def test_double_install_raises():
@@ -172,93 +211,85 @@ def test_double_install_raises():
     with pytest.raises(RuntimeError):
         profiler.install(Simulator())
     with pytest.raises(RuntimeError):
-        HostProfiler().install(sim)
+        HostProfiler().install(sim)  # one profile per thread
     profiler.uninstall()
     HostProfiler().install(sim).uninstall()
 
 
-def test_attach_wires_and_unwires_the_session_committers():
-    session = _small_session()
-    committers = {id(c) for c in session.committers.values()}
-    assert committers  # verifiable session has shared committers
-    profiler = HostProfiler()
-    profiler.attach(session)
-    for committer in session.committers.values():
-        assert committer.profiler is profiler
+def test_a_live_profiler_can_be_snapshotted_without_stopping_it():
+    sim = Simulator()
+    profiler = HostProfiler(clock=FakeWallClock(tick=1e-3)).install(sim)
+    sim.run(until=1.0)
+    live = profiler.profile()
+    assert live.sim_seconds == 1.0 and live.attributed_seconds > 0
+    sim.run(until=2.0)
     profiler.uninstall()
-    for committer in session.committers.values():
-        assert committer.profiler is None
-
-
-def test_sample_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        HostProfiler(sample_interval=0.0)
+    assert profiler.profile().attributed_seconds > live.attributed_seconds
 
 
 # -- end-to-end attribution on a real session ------------------------------------
 
 
-def test_session_profile_covers_the_subsystems_and_shares_sum_to_one():
-    session = _small_session()
-    registry = MetricsRegistry(session.sim.bus)
-    profiler = HostProfiler()
-    profiler.attach(session)
-    session.run(rounds=1)
-    profiler.uninstall()
-    registry.close()
-    profile = profiler.profile(fingerprint=session.fingerprint())
-
+def test_session_profile_covers_the_subsystems_and_shares_sum_to_one(warm):
+    session, profile = warm
     shares = profile.shares()
-    assert set(shares) >= {"kernel", "crypto", "net", "directory", "ml",
-                           "obs"}
+    assert set(shares) <= set(LAYERS) | {"other"}
+    assert set(shares) >= {"sim", "net", "ipfs", "crypto", "core", "obs"}
+    assert "kernel" not in shares and "directory" not in shares
     assert sum(shares.values()) == pytest.approx(1.0)
-    assert profile.dispatches > 0
-    assert profile.wall_seconds > 0
+    assert list(shares.values()) == sorted(shares.values(), reverse=True)
     assert profile.sim_seconds == pytest.approx(session.sim.now)
     assert profile.sim_per_wall == pytest.approx(
         profile.sim_seconds / profile.wall_seconds)
-    # Attribution never exceeds the window it measured.
-    assert profile.attributed_seconds <= profile.wall_seconds
-
-    labels = {scope.label for scope in profile.scopes}
-    assert "net.recompute" in labels
-    assert "ml.train.trainer" in labels
-    assert "crypto.commit.trainer" in labels
-    assert "crypto.multiexp.trainer" in labels
-    # Directory-side verification attributes to the directory role.
-    assert "crypto.verify.directory" in labels
-    assert any(label.startswith("directory.serve.") for label in labels)
-    # Bus subscriber cost is attributed per handler owner class; the
-    # session's own TelemetryCollector and the attached MetricsRegistry
-    # both show up.
-    subscriber_actors = {scope.actor for scope in profile.scopes
-                         if scope.subsystem == "obs"}
-    assert "TelemetryCollector" in subscriber_actors
-    assert "MetricsRegistry" in subscriber_actors
-    # Kernel dispatch frames carry actor roles.
-    kernel_actors = {scope.actor for scope in profile.scopes
-                     if scope.subsystem == "kernel"}
-    assert "trainer" in kernel_actors
-    assert "directory" in kernel_actors
-
     assert profile.fingerprint["digest"] \
         == session.fingerprint()["digest"]
 
+    # One scope is one repro function: package, module, name.
+    labels = {scope.label for scope in profile.scopes}
+    assert {"sim.core.step", "net.bandwidth.max_min_rates",
+            "ipfs.cid.compute_cid", "crypto.pedersen.commit",
+            "core.verification.encode_and_commit",
+            "core.directory._serve", "obs.bus.publish",
+            "ml.training.compute_gradient"} <= labels
+    # The attached registry's subscriber cost is obs cost.
+    assert any(scope.subsystem == "obs" and scope.phase == "metrics"
+               for scope in profile.scopes)
+    # Dispatches are calls of Simulator.step, as the benchmark counts.
+    (step,) = [scope for scope in profile.scopes
+               if scope.label == "sim.core.step"]
+    assert profile.dispatches == step.calls > 0
+
+
+def test_self_seconds_partition_the_profiled_time_exactly(warm):
+    """On a clock that ticks 1 us per read, cProfile's total is a count
+    of its own reads; the fold must hand every one of them to exactly
+    one scope, and the window (two more reads) bounds it."""
+    _session, profile = warm
+    ticks = [scope.self_seconds * 1e6 for scope in profile.scopes]
+    assert profile.attributed_seconds * 1e6 \
+        == pytest.approx(round(sum(ticks)), abs=1e-3)
+    by_subsystem = profile.subsystem_seconds()
+    assert sum(by_subsystem.values()) \
+        == pytest.approx(profile.attributed_seconds)
+    assert all(seconds >= 0 for seconds in by_subsystem.values())
+    assert 0.95 * profile.wall_seconds \
+        < profile.attributed_seconds <= profile.wall_seconds
+
+
+def test_warm_profiles_on_a_fake_clock_are_equal_to_the_last_digit(warm):
+    _session, profile = warm
+    _again, replay = _profiled_run()
+    assert replay.to_json() == profile.to_json()
+
 
 def test_profiling_does_not_perturb_the_run():
-    """Fingerprint, manifest and model bytes are identical with the
-    profiler on or off (the sim-clock-only contract).
-
-    The trainer's wall clock is faked on both sides: the
-    ``CommitmentComputed.seconds`` histogram measures real wall time
-    and differs between *any* two runs otherwise.
-    """
+    """Manifest, model bytes and the sim clock are identical with the
+    profiler on or off: nothing in the run knows it is profiled."""
     def run(profiled):
         session = _small_session()
-        for trainer in session.trainers:
-            trainer.wall_clock = FakeWallClock(tick=1e-4)
         registry = MetricsRegistry(session.sim.bus)
-        profiler = HostProfiler().attach(session) if profiled else None
+        profiler = (HostProfiler(clock=FakeWallClock(tick=1e-6))
+                    .install(session.sim) if profiled else None)
         session.run(rounds=2)
         if profiler is not None:
             profiler.uninstall()
@@ -274,68 +305,36 @@ def test_profiling_does_not_perturb_the_run():
     assert prof_now == bare_now
 
 
-def test_throughput_samples_accumulate_monotonically():
-    session = _small_session(verifiable=False)
-    profiler = HostProfiler(sample_interval=1e-9)  # sample every dispatch
-    profiler.attach(session)
-    session.run(rounds=1)
-    profiler.uninstall()
-    profile = profiler.profile()
-    assert len(profile.samples) >= 2
-    walls = [sample["wall_seconds"] for sample in profile.samples]
-    sims = [sample["sim_seconds"] for sample in profile.samples]
-    dispatches = [sample["dispatches"] for sample in profile.samples]
-    assert walls == sorted(walls)
-    assert sims == sorted(sims)
-    assert dispatches == sorted(dispatches)
-    # The final (uninstall) sample covers the whole window.
-    assert walls[-1] == pytest.approx(profile.wall_seconds)
-    assert sims[-1] == pytest.approx(profile.sim_seconds)
-    assert dispatches[-1] == profile.dispatches
-
-
-# -- bus subscriber hook ----------------------------------------------------------
-
-
-def test_publish_profiled_preserves_delivery_and_attributes_handlers():
-    bus = EventBus()
-    collector = TelemetryCollector(bus)
-    seen = []
-    bus.subscribe(seen.append, IterationStarted)
-    profiler = HostProfiler(clock=FakeWallClock(tick=1e-3))
-    bus.profiler = profiler
-    event = IterationStarted(at=0.0, iteration=0)
-    bus.publish(event)
-    bus.profiler = None
-    assert seen == [event]
-    actors = {scope.actor for scope in profiler.profile().scopes}
-    assert "TelemetryCollector" in actors
-    collector.close()
-
-
 # -- serialization / report -------------------------------------------------------
 
 
 def test_profile_json_round_trip(tmp_path):
     scopes = (
-        ScopeStat("kernel", "dispatch", "trainer", 10, 0.5, 0.9),
-        ScopeStat("net", "recompute", "", 4, 0.25, 0.25),
+        ScopeStat("sim", "core", "step", 10, 0.5, 0.9),
+        ScopeStat("net", "bandwidth", "max_min_rates", 4, 0.25, 0.25),
     )
     profile = HostProfile(
         fingerprint={"digest": "abc"}, wall_seconds=1.0, sim_seconds=50.0,
         dispatches=10, scopes=scopes,
-        samples=({"wall_seconds": 1.0, "sim_seconds": 50.0,
-                  "dispatches": 10.0},),
     )
     path = tmp_path / "profile.json"
     profile.write(path)
     loaded = HostProfile.load(path)
     assert loaded == profile
     data = json.loads(path.read_text())
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert data["sim_per_wall"] == pytest.approx(50.0)
-    assert data["shares"]["kernel"] == pytest.approx(0.5 / 0.75)
-    with pytest.raises(ValueError):
+    assert data["shares"]["sim"] == pytest.approx(0.5 / 0.75)
+    assert "samples" not in data
+
+
+def test_other_profile_versions_are_refused_loudly():
+    """A v1 artifact partitions the wall by hand-placed ``kernel`` /
+    ``directory`` scopes: diffing it against the package partition
+    would attribute the whole run to a renamed subsystem."""
+    with pytest.raises(ValueError, match="version 1"):
+        HostProfile.from_dict({"version": 1, "scopes": [], "shares": {}})
+    with pytest.raises(ValueError, match="version 99"):
         HostProfile.from_dict({"version": 99})
 
 
@@ -343,31 +342,27 @@ def test_hotspots_are_ordered_and_format_reports_the_gauge():
     profile = HostProfile(
         wall_seconds=2.0, sim_seconds=100.0, dispatches=7,
         scopes=(
-            ScopeStat("kernel", "dispatch", "trainer", 5, 1.0, 1.0),
-            ScopeStat("crypto", "commit", "trainer", 2, 0.5, 0.5),
-            ScopeStat("net", "recompute", "", 1, 0.1, 0.1),
+            ScopeStat("sim", "core", "step", 5, 1.0, 1.0),
+            ScopeStat("crypto", "pedersen", "commit", 2, 0.5, 0.5),
+            ScopeStat("net", "bandwidth", "max_min_rates", 1, 0.1, 0.1),
         ),
     )
     assert [scope.label for scope in profile.hotspots(2)] \
-        == ["kernel.dispatch.trainer", "crypto.commit.trainer"]
+        == ["sim.core.step", "crypto.pedersen.commit"]
     report = profile.format(top=2)
     assert "50.0 sim-s/wall-s" in report
-    assert "kernel.dispatch.trainer" in report
-    assert "net.recompute" not in report  # beyond top
-    assert "shares:" in report
+    assert "sim.core.step" in report
+    assert "max_min_rates" not in report  # beyond top
+    assert "shares: sim 62.5% | crypto 31.2% | net 6.2%" in report
 
 
-def test_perfetto_add_profile_emits_slices_and_counters():
+def test_perfetto_add_profile_emits_slices():
     profile = HostProfile(
         wall_seconds=1.0, sim_seconds=10.0, dispatches=4,
         scopes=(
-            ScopeStat("kernel", "dispatch", "trainer", 2, 0.4, 0.4),
-            ScopeStat("kernel", "dispatch", "msg", 2, 0.2, 0.2),
-            ScopeStat("net", "recompute", "", 1, 0.1, 0.1),
-        ),
-        samples=(
-            {"wall_seconds": 0.5, "sim_seconds": 4.0, "dispatches": 2.0},
-            {"wall_seconds": 1.0, "sim_seconds": 10.0, "dispatches": 4.0},
+            ScopeStat("sim", "core", "step", 2, 0.4, 0.4),
+            ScopeStat("sim", "core", "_resume", 2, 0.2, 0.2),
+            ScopeStat("net", "bandwidth", "max_min_rates", 1, 0.1, 0.1),
         ),
     )
     exporter = PerfettoExporter()
@@ -378,20 +373,14 @@ def test_perfetto_add_profile_emits_slices_and_counters():
     # One slice per scope, grouped on one track per subsystem.
     assert len(slices) == 3
     assert len({e["tid"] for e in slices}) == 2
-    kernel = [e for e in slices
-              if e["name"].startswith("kernel.dispatch")]
+    sim = [e for e in slices if e["name"].startswith("sim.core")]
     # Slices on a track are laid end to end, ordered by self time.
-    assert kernel[0]["ts"] == 0.0
-    assert kernel[1]["ts"] == pytest.approx(kernel[0]["dur"])
-    counters = [e for e in events if e.get("ph") == "C"]
-    assert {e["name"] for e in counters} \
-        == {"smoke:sim_s_per_wall_s", "smoke:dispatches_per_s"}
-    throughput = sorted((e for e in counters
-                         if e["name"] == "smoke:sim_s_per_wall_s"),
-                        key=lambda e: e["ts"])
-    # First window: 4 sim-s over 0.5 wall-s; second: 6 over 0.5.
-    assert throughput[0]["args"]["value"] == pytest.approx(8.0)
-    assert throughput[1]["args"]["value"] == pytest.approx(12.0)
+    assert sim[0]["ts"] == 0.0
+    assert sim[1]["ts"] == pytest.approx(sim[0]["dur"])
+    assert not [e for e in events if e.get("ph") == "C"]
+    tracks = {e["args"]["name"] for e in events if e.get("ph") == "M"
+              and e["name"] == "thread_name"}
+    assert tracks == {"smoke:sim", "smoke:net"}
     names = {e["args"]["name"] for e in events if e.get("ph") == "M"
              and e["name"] == "process_name"}
     assert "host profile" in names

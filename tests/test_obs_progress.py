@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.scale import ScaleScenario, run_scale_point, scale_manifest
 from repro.obs import (
     EventBus,
+    FakeWallClock,
     FlightRecorder,
     InvariantMonitors,
     MetricsRegistry,
@@ -198,24 +199,16 @@ def test_sampling_reduces_observed_events():
 # -- ProgressReporter ------------------------------------------------------------
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 def test_heartbeat_schema_and_pacing():
     bus = EventBus()
-    clock = FakeClock()
+    clock = FakeWallClock()
     human = io.StringIO()
     jsonl = io.StringIO()
     reporter = ProgressReporter(bus, stream=human, jsonl=jsonl,
                                 interval=1.0, label="demo", clock=clock)
     bus.publish(IterationStarted(at=10.0, iteration=0))
     assert reporter.heartbeats == 0  # no wall time elapsed yet
-    clock.now = 1.5
+    clock.advance(1.5)
     bus.publish(IterationFinished(at=42.0, iteration=0))
     assert reporter.heartbeats == 1
     record = json.loads(jsonl.getvalue().splitlines()[0])
@@ -240,7 +233,7 @@ def test_heartbeat_reports_registry_and_recorder_occupancy():
     bus = EventBus()
     registry = MetricsRegistry(bus)
     recorder = FlightRecorder(bus, capacity=16)
-    clock = FakeClock()
+    clock = FakeWallClock()
     reporter = ProgressReporter(bus, registry=registry, recorder=recorder,
                                 stream=None, interval=1.0, clock=clock)
     bus.publish(IterationStarted(at=1.0, iteration=0))
@@ -260,7 +253,7 @@ def test_reporter_validates_interval_and_owns_path_files(tmp_path):
     with pytest.raises(ValueError):
         ProgressReporter(bus, interval=0.0, stream=None)
     path = tmp_path / "progress.jsonl"
-    clock = FakeClock()
+    clock = FakeWallClock()
     with ProgressReporter(bus, stream=None, jsonl=path, clock=clock,
                           label="a"):
         bus.publish(IterationStarted(at=1.0, iteration=0))
@@ -289,7 +282,8 @@ def test_reporter_never_touches_the_simulated_clock():
     bare.run_iteration()
     watched = _build_session(200, scenario)
     reporter = ProgressReporter(watched.sim.bus, stream=None,
-                                jsonl=io.StringIO(), interval=1e-9)
+                                jsonl=io.StringIO(), interval=1e-9,
+                                clock=FakeWallClock(tick=1e-6))
     watched.run_iteration()
     reporter.close()
     assert reporter.heartbeats > 0
