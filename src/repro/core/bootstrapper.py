@@ -25,7 +25,6 @@ __all__ = ["Assignment", "build_assignment", "Bootstrapper",
            "optimal_provider_count"]
 
 SCHEDULE_WIRE_SIZE = 96
-KIND_SCHEDULE = "boot.schedule"
 
 
 def optimal_provider_count(num_trainers: int,
@@ -174,16 +173,17 @@ class Bootstrapper:
         # The bootstrapper shares the directory's well-connected host.
         self.sim = sim
         self.name = name
-        self.endpoint = transport.endpoint(name)
+        self.network = transport.network
 
     def announce(self, schedule: IterationSchedule,
                  participants: Sequence[str]):
-        """Send the schedule to every participant; returns when delivered."""
-        deliveries = [
-            self.endpoint.send(
-                participant, KIND_SCHEDULE, payload=schedule,
-                size=SCHEDULE_WIRE_SIZE,
-            )
+        """Send the schedule to every participant; returns when delivered.
+
+        Only its wire size travels: the session hands ``schedule`` itself
+        to the roles it starts, so a message in each inbox would be one
+        nobody ever receives.
+        """
+        return self.sim.all_of([
+            self.network.transfer(self.name, participant, SCHEDULE_WIRE_SIZE)
             for participant in participants
-        ]
-        return self.sim.all_of(deliveries)
+        ])

@@ -366,8 +366,7 @@ class DirectoryService:
                 self.busy_seconds += self.processing_delay * units
                 yield self.sim.timeout(self.processing_delay * units)
             if message.kind == KIND_REGISTER:
-                self.sim.process(self._handle_register(message),
-                                 name=f"directory:{message.kind}")
+                self._handle_register(message)
             elif message.kind == KIND_REGISTER_BATCH:
                 self._handle_register_batch(message)
             elif message.kind == KIND_REGISTER_COHORT:
@@ -379,7 +378,10 @@ class DirectoryService:
             elif message.kind == KIND_ACCUMULATED:
                 self._handle_accumulated(message)
 
-    def _handle_register(self, message: Message):
+    def _handle_register(self, message: Message) -> None:
+        """Gradients and partial updates are answered on the spot; a
+        global update may have to be fetched and verified first, which
+        takes simulated time, so only that one runs as a process."""
         payload = message.payload
         address: Address = payload["address"]
         cid: CID = payload["cid"]
@@ -393,10 +395,7 @@ class DirectoryService:
                 payload["reason"] = "past t_train"
             self.endpoint.respond(message, KIND_REGISTER_ACK,
                                   payload=payload, size=ENTRY_WIRE_SIZE)
-            yield self.sim.timeout(0)
-            return
-
-        if address.kind == PARTIAL_UPDATE:
+        elif address.kind == PARTIAL_UPDATE:
             self._store(DirectoryEntry(
                 address=address, cid=cid, commitment=commitment,
                 registered_at=self.sim.now,
@@ -404,9 +403,14 @@ class DirectoryService:
             self.endpoint.respond(message, KIND_REGISTER_ACK,
                                   payload={"accepted": True},
                                   size=ENTRY_WIRE_SIZE)
-            yield self.sim.timeout(0)
-            return
+        else:
+            self.sim.process(
+                self._register_update(message, address, cid, commitment),
+                name=f"directory:{message.kind}",
+            )
 
+    def _register_update(self, message: Message, address: Address, cid: CID,
+                         commitment: Optional[Commitment]):
         # Global update: only the first (verified) one is kept.
         existing = [
             entry for entry in self.entries_for(

@@ -93,16 +93,20 @@ class Link:
 class Flow:
     """A fluid transfer crossing a set of links."""
 
-    __slots__ = ("flow_id", "links", "remaining", "rate", "done", "total")
+    __slots__ = ("flow_id", "links", "remaining", "rate", "done", "total",
+                 "transfer")
 
     def __init__(self, flow_id: int, links: Tuple[Link, ...], size: float,
-                 done: Event):
+                 done: Event, transfer: tuple = ()):
         self.flow_id = flow_id
         self.links = links
         self.total = float(size)
         self.remaining = float(size)
         self.rate = 0.0
         self.done = done
+        #: ``(src, dst, size)`` of the network transfer this flow carries:
+        #: what an abort's :class:`TransferAbortedError` is built from.
+        self.transfer = transfer
 
     def __repr__(self) -> str:
         return (
@@ -303,20 +307,25 @@ class FlowScheduler:
             for link, rate in allocated.items()
         }
 
-    def start_flow(self, links: Tuple[Link, ...], size: float) -> Event:
+    def start_flow(self, links: Tuple[Link, ...], size: float,
+                   done: Optional[Event] = None,
+                   transfer: tuple = ()) -> Event:
         """Begin transferring ``size`` bytes across ``links``.
 
-        Returns an event that fires (with value ``size``) when delivery
-        completes.  Zero-sized flows complete immediately.
+        Returns the event that fires (with value ``size``) when delivery
+        completes: ``done`` if the caller brought its own, else a new one.
+        Zero-sized flows complete immediately.  ``transfer`` is the
+        ``(src, dst, size)`` an abort reports in its error.
         """
         if size < 0:
             raise ValueError("flow size must be non-negative")
-        done = self.sim.event()
+        if done is None:
+            done = self.sim.event()
         if size <= _EPSILON_BYTES:
             done.succeed(size)
             return done
         self._advance()
-        flow = Flow(self._next_id, tuple(links), size, done)
+        flow = Flow(self._next_id, tuple(links), size, done, transfer)
         self._next_id += 1
         self._flows.append(flow)
         for link in flow.links:
@@ -344,7 +353,7 @@ class FlowScheduler:
         aborted = sorted(doomed, key=lambda flow: flow.flow_id)
         self._remove(aborted)
         for flow in aborted:
-            flow.done.fail(TransferAbortedError(reason))
+            flow.done.fail(TransferAbortedError(reason, *flow.transfer))
         return aborted
 
     def rates_changed(self, links: Iterable[Link]) -> None:

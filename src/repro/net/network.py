@@ -5,6 +5,14 @@ uplink and a downlink capacity, and moves byte payloads between them through
 the max-min fair :class:`~repro.net.bandwidth.FlowScheduler`.  Propagation
 latency is charged once per transfer before bytes start flowing.
 
+A transfer is its completion event and nothing else — no process.  The
+offline check runs inline, a latency wait (only when latency > 0) is one
+timeout whose callback checks again, and the scheduler fires the very event
+``transfer()`` returned when the last byte is through: one kernel step per
+transfer, plus the scheduler's settle and wakeup, which all transfers of an
+instant share.  An abort fails that event with a
+:class:`~repro.net.bandwidth.TransferAbortedError` naming route and size.
+
 This replaces the paper's mininet testbed: the experiments there configure
 per-host bandwidths (10 or 20 Mbps) and measure transfer and queueing
 delays, which is exactly the fidelity this model provides.
@@ -122,7 +130,9 @@ class Network:
         if name in self._offline:
             return
         self._offline.add(name)
-        self._scheduler.abort_flows((host.uplink, host.downlink), reason)
+        for flow in self._scheduler.abort_flows(
+                (host.uplink, host.downlink), reason):
+            self._publish_aborted(*flow.transfer, reason)
 
     def set_host_bandwidth(self, name: str,
                            up_bandwidth: Optional[float] = None,
@@ -197,45 +207,36 @@ class Network:
             done._add_callback(flow_event)
         if src == dst:
             done.succeed(size)
-            return done
-        self.sim.process(
-            self._transfer_proc(source, destination, size, done),
-            name=f"xfer:{src}->{dst}",
-        )
+        else:
+            self._start(source, destination, size, done,
+                        self.latency(src, dst))
         return done
 
-    def _transfer_proc(self, source: Host, destination: Host, size: float,
-                       done: Event):
-        try:
-            if source.name in self._offline \
-                    or destination.name in self._offline:
-                raise TransferAbortedError(
-                    "host offline", source.name, destination.name, size
-                )
-            delay = self.latency(source.name, destination.name)
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            if source.name in self._offline \
-                    or destination.name in self._offline:
-                raise TransferAbortedError(
-                    "host offline", source.name, destination.name, size
-                )
-            flow_done = self._scheduler.start_flow(
-                (source.uplink, destination.downlink), size
+    def _start(self, source: Host, destination: Host, size: float,
+               done: Event, delay: float = 0.0) -> None:
+        """Put the transfer on the wire ``delay`` from now, unless an end
+        of it is down now — or by then."""
+        src, dst = source.name, destination.name
+        if src in self._offline or dst in self._offline:
+            self._publish_aborted(src, dst, size, "host offline")
+            done.fail(TransferAbortedError("host offline", src, dst, size))
+        elif delay > 0:
+            self.sim.timeout(delay)._add_callback(
+                lambda _arrived: self._start(source, destination, size, done)
             )
-            yield flow_done
-        except TransferAbortedError as exc:
-            bus = self.sim.bus
-            if bus.wants(TransferAborted):
-                bus.publish(TransferAborted(
-                    at=self.sim.now, src=source.name, dst=destination.name,
-                    size=size, reason=exc.reason,
-                ))
-            done.fail(TransferAbortedError(
-                exc.reason, source.name, destination.name, size
+        else:
+            self._scheduler.start_flow(
+                (source.uplink, destination.downlink), size, done,
+                (src, dst, size),
+            )
+
+    def _publish_aborted(self, src: str, dst: str, size: float,
+                         reason: str) -> None:
+        bus = self.sim.bus
+        if bus.wants(TransferAborted):
+            bus.publish(TransferAborted(
+                at=self.sim.now, src=src, dst=dst, size=size, reason=reason,
             ))
-            return
-        done.succeed(size)
 
     # -- telemetry --------------------------------------------------------------
 

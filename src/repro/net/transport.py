@@ -4,6 +4,13 @@ Gives every host a mailbox and a request/response discipline.  Participants
 and IPFS nodes in the protocol stack exchange :class:`Message` objects whose
 ``size`` charges the network and whose ``payload`` carries simulation-side
 Python objects (no serialization needed inside the simulator).
+
+A message costs no process: one callback on its transfer's completion
+event files it in the destination inbox and fires the sender's delivery
+event (three kernel steps with the waiting getter's, see
+:mod:`repro.net.network`).  A message whose transfer aborts is lost, not
+an error: ``dropped`` counts it and the sender's event never fires;
+request/response callers recover via timeout + retry.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..sim import AnyOf, Event, FilterStore, Simulator
-from .bandwidth import TransferAbortedError
 from .network import Network
 
 __all__ = ["Message", "Transport", "Endpoint"]
@@ -120,30 +126,25 @@ class Transport:
         return self._endpoints[name]
 
     def send(self, message: Message) -> Event:
-        """Queue ``message`` for delivery; the event fires at delivery."""
+        """Queue ``message`` for delivery; the event fires at delivery —
+        never, if a dead link eats the message."""
         if message.dst not in self._endpoints:
             raise KeyError(f"no endpoint registered for {message.dst!r}")
         delivered = self.sim.event()
-        self.sim.process(
-            self._deliver(message, delivered),
-            name=f"msg:{message.kind}:{message.src}->{message.dst}",
-        )
-        return delivered
 
-    def _deliver(self, message: Message, delivered: Event):
-        try:
-            yield self.network.transfer(
-                message.src, message.dst, message.size
+        def arrive(transfer: Event) -> None:
+            if not transfer._ok:
+                transfer.defused()
+                self.dropped += 1
+                return
+            message.delivered_at = self.sim.now
+            self.delivered_by_kind[message.kind] = (
+                self.delivered_by_kind.get(message.kind, 0) + 1
             )
-        except TransferAbortedError:
-            # A dead link ate the message.  Message loss, not an error:
-            # the sender's delivery event simply never fires, and
-            # request/response callers recover via timeout + retry.
-            self.dropped += 1
-            return
-        message.delivered_at = self.sim.now
-        self.delivered_by_kind[message.kind] = (
-            self.delivered_by_kind.get(message.kind, 0) + 1
-        )
-        yield self._endpoints[message.dst].inbox.put(message)
-        delivered.succeed(message)
+            self._endpoints[message.dst].inbox.deposit(message)
+            delivered.succeed(message)
+
+        self.network.transfer(
+            message.src, message.dst, message.size
+        )._add_callback(arrive)
+        return delivered

@@ -8,8 +8,8 @@ These mirror the classic discrete-event primitives:
 - :class:`Resource` — a counted resource (semaphore) with blocking ``request``.
 - :class:`Container` — a continuous-level tank with blocking ``put``/``get``.
 
-All operations return :class:`~repro.sim.core.Event` objects to be yielded
-from a process.
+Blocking operations return :class:`~repro.sim.core.Event` objects to be
+yielded from a process.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ class Store:
         self._dispatch()
         return event
 
+    def deposit(self, item: Any) -> None:
+        """:meth:`put` into an unbounded store, minus the event: for a
+        producer that never waits to hear that ``item`` is buffered."""
+        if self.capacity != float("inf"):
+            raise SimulationError("deposit into a bounded store")
+        self.items.append(item)
+        self._dispatch()
+
     def get(self) -> Event:
         """Retrieve the oldest item; the event's value is the item."""
         event = _StoreGet(self)
@@ -92,18 +100,15 @@ class Store:
                 put_event = self._put_waiters.popleft()
                 self.items.append(put_event.item)
                 put_event.succeed()
-                progress = True
-            remaining: Deque[_StoreGet] = deque()
-            while self._get_waiters:
-                get_event = self._get_waiters.popleft()
+            waiting, self._get_waiters = self._get_waiters, deque()
+            for get_event in waiting:
                 index = self._match(get_event)
                 if index is None:
-                    remaining.append(get_event)
+                    self._get_waiters.append(get_event)
                 else:
-                    item = self.items.pop(index)
-                    get_event.succeed(item)
-                    progress = True
-            self._get_waiters = remaining
+                    get_event.succeed(self.items.pop(index))
+                    # Only a blocked put can use the room this made.
+                    progress = bool(self._put_waiters)
 
 
 class FilterStore(Store):
@@ -184,15 +189,9 @@ class Resource:
             request.succeed(request)
 
 
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
+class _ContainerRequest(Event):
+    """A pending put or get of ``amount``."""
 
-    def __init__(self, sim: Simulator, amount: float):
-        super().__init__(sim)
-        self.amount = amount
-
-
-class _ContainerGet(Event):
     __slots__ = ("amount",)
 
     def __init__(self, sim: Simulator, amount: float):
@@ -212,8 +211,8 @@ class Container:
         self.sim = sim
         self.capacity = capacity
         self._level = float(init)
-        self._put_waiters: Deque[_ContainerPut] = deque()
-        self._get_waiters: Deque[_ContainerGet] = deque()
+        self._put_waiters: Deque[_ContainerRequest] = deque()
+        self._get_waiters: Deque[_ContainerRequest] = deque()
 
     @property
     def level(self) -> float:
@@ -225,7 +224,7 @@ class Container:
             raise ValueError("amount must be positive")
         if amount > self.capacity:
             raise ValueError("amount exceeds capacity, would never fit")
-        event = _ContainerPut(self.sim, amount)
+        event = _ContainerRequest(self.sim, amount)
         self._put_waiters.append(event)
         self._dispatch()
         return event
@@ -233,7 +232,7 @@ class Container:
     def get(self, amount: float) -> Event:
         if amount <= 0:
             raise ValueError("amount must be positive")
-        event = _ContainerGet(self.sim, amount)
+        event = _ContainerRequest(self.sim, amount)
         self._get_waiters.append(event)
         self._dispatch()
         return event

@@ -258,6 +258,38 @@ def test_partial_updates_stored_without_verification():
     assert len(results) == 1
 
 
+def test_only_a_global_update_registration_runs_as_a_process(monkeypatch):
+    """Gradient and partial-update registrations never wait, so the
+    server answers them inline: no process, no zero-delay timeout.  A
+    global update may be fetched and verified, and stays a process."""
+    sim, transport, dht, node, directory, committer = make_world()
+    client = DirectoryClient("client-0", transport)
+    cid = node.store_object(b"data")
+    spawned, timeouts = [], []
+    process, timeout = Simulator.process, Simulator.timeout
+
+    def counting_process(self, generator, name=""):
+        spawned.append(name)
+        return process(self, generator, name=name)
+
+    def counting_timeout(self, delay, *args, **kwargs):
+        timeouts.append(delay)
+        return timeout(self, delay, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "process", counting_process)
+    monkeypatch.setattr(Simulator, "timeout", counting_timeout)
+    served = {}
+    for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
+        del spawned[:], timeouts[:]
+        ack = run(sim, client.register(Address("agg-a", 0, 0, kind), cid))
+        assert ack["accepted"]
+        served[kind] = (spawned[1:], len(timeouts))  # [0]: run()'s own
+    # Every kind pays the settles and wakeups of its request and its ack.
+    assert served[GRADIENT] == served[PARTIAL_UPDATE] == ([], 5)
+    assert served[UPDATE] == (["directory:dir.register"], 6)
+    assert directory.register_count == 3
+
+
 def test_first_gradient_time_recorded():
     sim, transport, dht, node, directory, committer = make_world()
     client = DirectoryClient("client-0", transport)

@@ -21,6 +21,7 @@ from repro.ml import (
     train_test_split,
 )
 from repro.net import NetworkProfile
+from repro.sim import Store
 
 
 def make_shards(num_trainers=4, num_features=8, num_samples=240, seed=0):
@@ -346,6 +347,36 @@ def test_session_metrics_averaging():
     mean_delay = session.metrics.mean_over_iterations("aggregation_delay")
     assert mean_delay is not None and mean_delay > 0
     assert session.metrics.latest().iteration == 1
+
+
+def test_rounds_leave_no_mail_behind(monkeypatch):
+    """The schedule announcement used to park one message nobody receives
+    in every participant's inbox each round, so every later reply getter
+    scanned past one more of them.  After each of 3 rounds every inbox is
+    empty, and a getter looks at no more buffered messages per match in
+    round 3 than in round 2 (round 1 polls a little differently)."""
+    scanned = []
+    match = Store._match
+
+    def counting_match(self, get_event):
+        scanned.append(len(self.items))
+        return match(self, get_event)
+
+    monkeypatch.setattr(Store, "_match", counting_match)
+    shards, _ = make_shards()
+    session = FLSession(base_config(), model_factory(), shards,
+                        network=NetworkProfile(num_ipfs_nodes=4))
+    per_match = []
+    for _ in range(3):
+        scanned.clear()
+        session.run_iteration()
+        per_match.append(sum(scanned) / len(scanned))
+        transport = session.testbed.transport
+        inboxes = [transport.endpoint(participant.name).inbox
+                   for participant in session.trainers + session.aggregators]
+        assert len(inboxes) == 6
+        assert [inbox.items for inbox in inboxes] == [[]] * 6
+    assert per_match[2] <= per_match[1] < 1.0
 
 
 # -- storage ------------------------------------------------------------------------------

@@ -1,0 +1,128 @@
+"""What one message costs the kernel: events and steps, counted exactly.
+
+A message is one chain of callbacks on events that exist anyway — the
+transfer's completion event, the receiver's getter, the sender's
+delivery event — plus its share of the flow scheduler's per-instant
+settle and wakeup.  No process, no process-start or process-end event,
+no put event.  These tests count ``Simulator.step`` calls and
+``Process`` constructions around fixed traffic; no host timing.
+"""
+
+import numpy as np
+import pytest
+
+from repro import FLSession, NetworkProfile, ProtocolConfig
+from repro.ml import Dataset, SyntheticModel
+from repro.net import Network, Transport
+from repro.sim import Process, Simulator
+from tests.reference_message_path import ReferenceNetwork, ReferenceTransport
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Counts of kernel steps and of the generators started as processes."""
+    work = {"steps": 0, "processes": []}
+    step, init = Simulator.step, Process.__init__
+
+    def counting_step(self):
+        work["steps"] += 1
+        step(self)
+
+    def counting_init(self, sim, generator, name=""):
+        work["processes"].append(generator.gi_code.co_filename)
+        init(self, sim, generator, name=name)
+
+    monkeypatch.setattr(Simulator, "step", counting_step)
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return work
+
+
+def _pair(network_class=Network, transport_class=Transport):
+    sim = Simulator()
+    network = network_class(sim)
+    network.add_host("a", up_bandwidth=100.0)
+    network.add_host("b", up_bandwidth=100.0)
+    transport = transport_class(network)
+    return sim, transport.endpoint("a"), transport.endpoint("b")
+
+
+def _round_trip(sim, a, b):
+    """One request -> respond between callback-driven ends; returns the
+    reply event."""
+    b.receive(kind="ping")._add_callback(
+        lambda got: b.respond(got.value, "pong", payload="reply", size=50.0))
+    reply = a.request("b", "ping", size=100.0)
+    sim.run()
+    return reply
+
+
+def test_request_response_round_trip_spawns_no_process(kernel_work):
+    """11 steps for the round trip, against 23 steps and 4 processes on
+    the process-per-message path (measured at the parent commit; its
+    generator pair is kept under ``tests/`` and counted here next to it).
+    Per message: the transfer's event, the getter, the delivery event and
+    the flow's wakeup; the 3 settles are the scheduler's, one per busy
+    instant."""
+    sim, a, b = _pair()
+    reply = _round_trip(sim, a, b)
+    assert reply.value.payload == "reply" and sim.now == 1.5
+    assert kernel_work["processes"] == []
+    assert kernel_work["steps"] == 11
+
+    kernel_work.update(steps=0, processes=[])
+    sim, a, b = _pair(ReferenceNetwork, ReferenceTransport)
+    reply = _round_trip(sim, a, b)
+    assert reply.value.payload == "reply" and sim.now == 1.5
+    assert len(kernel_work["processes"]) == 4
+    assert kernel_work["steps"] == 23
+
+
+def test_same_instant_burst_costs_two_steps_a_message(kernel_work):
+    """64 sends at one timestamp, all through at one timestamp: two steps
+    each (the transfer's event, the delivery event) plus three scheduler
+    events for the lot, and the inbox holds them in send order."""
+    sim = Simulator()
+    network = Network(sim)
+    network.add_host("hub", up_bandwidth=64e6)
+    spokes = [f"spoke-{index}" for index in range(64)]
+    for name in spokes:
+        network.add_host(name, up_bandwidth=1e6)
+    transport = Transport(network)
+    hub = transport.endpoint("hub")
+    delivered = [transport.endpoint(name).send("hub", "burst", payload=index,
+                                               size=1e5)
+                 for index, name in enumerate(spokes)]
+    sim.run()
+    assert all(event.processed for event in delivered)
+    assert [message.payload for message in hub.inbox.items] == list(range(64))
+    assert {message.delivered_at for message in hub.inbox.items} == {0.1}
+    assert kernel_work["processes"] == []
+    assert kernel_work["steps"] == 2 * 64 + 3
+
+
+def test_directory_poll_spawns_no_process_in_net(kernel_work):
+    """A whole round of a small session starts no process out of
+    ``repro/net`` (the parent started two per message: 298 processes and
+    1 307 steps for this round, now 54 and 569), and one poll of the
+    directory after it costs the poller's own process and 12 steps (the
+    parent: 5 processes, 24 steps)."""
+    config = ProtocolConfig(num_partitions=2, t_train=600.0, t_sync=1200.0,
+                            update_mode="gradient", poll_interval=0.25,
+                            seed=5)
+    datasets = [Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
+                for index in range(4)]
+    session = FLSession(config, lambda: SyntheticModel(2000), datasets,
+                        network=NetworkProfile(num_ipfs_nodes=2,
+                                               bandwidth_mbps=10.0))
+    session.run_iteration()
+    assert kernel_work["processes"]
+    assert not [path for path in kernel_work["processes"]
+                if "/repro/net/" in path]
+
+    kernel_work.update(steps=0, processes=[])
+    client = session.trainers[0].directory
+    poll = session.sim.process(client.lookup(0, 0, "update"))
+    session.sim.run_until(poll)
+    assert [entry["cid"] for entry in poll.value]
+    assert len(kernel_work["processes"]) == 1  # the poll itself
+    assert kernel_work["steps"] <= 12
