@@ -21,11 +21,11 @@ the unprofiled cost: the budgets below are on the share as measured.
 - metrics: :class:`~repro.obs.MetricsRegistry` + a quarter-second
   :class:`~repro.obs.ResourceSampler` on top of telemetry;
 - audit: :class:`~repro.obs.InvariantMonitors` +
-  :class:`~repro.obs.FlightRecorder` (the ``cli audit`` wiring), which
-  must find nothing on an honest run;
-- watch: audit + :class:`~repro.obs.AnomalyWatchdog` (``cli chaos
-  --watch``), whose detectors must stay silent on the honest run — a
-  false positive here is a correctness failure, not a perf one.
+  :class:`~repro.obs.FlightRecorder` (the correctness half of the
+  ``cli run`` stack), which must find nothing on an honest run;
+- watch: audit + :class:`~repro.obs.AnomalyWatchdog`, whose detectors
+  must stay silent on the honest run — a false positive here is a
+  correctness failure, not a perf one.
 """
 
 import types
@@ -136,8 +136,8 @@ def _one_metrics_run():
 
 def _one_audit_run(watch: bool):
     """The audit stack: telemetry + flight recorder + invariant
-    monitors (the ``cli audit`` wiring), plus the anomaly watchdog
-    with ``watch`` (the ``cli chaos --watch`` wiring)."""
+    monitors, plus the anomaly watchdog with ``watch`` (together the
+    correctness half of the ``cli run`` stack)."""
     session = _make_session()
     recorder = FlightRecorder(session.sim.bus)
     monitors = InvariantMonitors(session.sim.bus)

@@ -9,8 +9,8 @@ distribution — plus the traffic matrix by host role.
 A span collector rides along on the same bus and reconstructs the causal
 span tree of the round, from which the example prints the per-node phase
 windows, the critical path through the aggregation delay, and the
-straggler ranking.  (``python -m repro.cli timeline`` exports the same
-tree as a Perfetto trace.)
+straggler ranking.  (``python -m repro.cli run`` writes the same tree
+as a Perfetto trace, ``timeline.perfetto.json``.)
 
 Run:  python examples/iteration_timeline.py
 """

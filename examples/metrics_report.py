@@ -2,12 +2,12 @@
 """The metrics layer end to end: sketches, sampling, manifest diffs.
 
 Runs a short merge-and-download session with a ``MetricsRegistry`` and
-a ``ResourceSampler`` attached, prints the interesting part of the
-OpenMetrics exposition, then reruns the same scenario with one extra
-provider per aggregator and diffs the two run manifests — the same
-machinery ``python -m repro.cli metrics`` / ``compare`` exposes, and
-the extra provider shows up as an *improvement* in the transfer and
-upload distributions (the Fig. 1 effect).
+a ``ResourceSampler`` attached, prints the interesting part of its run
+manifest, then reruns the same scenario with one extra provider per
+aggregator and diffs the two manifests — the same machinery behind
+``manifest.json`` in a ``python -m repro.cli run`` bundle and ``cli
+explain`` — and the extra provider shows up as an *improvement* in the
+transfer and upload distributions (the Fig. 1 effect).
 
 Histograms are backed by a mergeable quantile sketch (exact below a
 configurable threshold, bounded relative error above it — see
@@ -29,7 +29,6 @@ from repro.obs import (
     ResourceSampler,
     RunManifest,
     compare_manifests,
-    render_openmetrics,
 )
 
 NUM_TRAINERS = 8
@@ -66,16 +65,19 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
     sampler.stop()
     registry.close()
 
-    if providers_per_aggregator == 1:  # print the baseline's exposition
+    manifest = RunManifest.collect(registry, session.fingerprint())
+    if providers_per_aggregator == 1:  # print the baseline's manifest
         print(f"baseline run ({providers_per_aggregator} provider, "
               f"{NUM_TRAINERS} trainers, {sampler.samples_taken} resource "
-              f"samples) — OpenMetrics excerpt:")
-        for line in render_openmetrics(registry).splitlines():
-            if line.startswith(("net_transfer_duration",
-                                "# TYPE net_transfer_duration",
-                                "net_flows_active",
-                                "ipfs_blockstore_bytes")):
-                print(f"  {line}")
+              f"samples) — run manifest excerpt:")
+        for name, summary in (
+                ("net.transfer.duration",
+                 manifest.histograms["net.transfer.duration"]),
+                ("net.flows.active", manifest.series["net.flows.active"]),
+                ("ipfs.blockstore.bytes",
+                 manifest.series["ipfs.blockstore.bytes"])):
+            print(f"  {name}: " + ", ".join(
+                f"{stat}={value:.4g}" for stat, value in summary.items()))
         print()
         duration = registry.histogram("net.transfer.duration")
         mode = "exact" if duration.exact else \
@@ -90,7 +92,7 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
               f"(deterministic memory model)")
         print()
 
-    return RunManifest.collect(registry, session.fingerprint())
+    return manifest
 
 
 def merge_demo():

@@ -49,7 +49,7 @@ from .core import (
     ProtocolConfig,
     ShardedDirectory,
 )
-from .core.telemetry import IterationMetrics, SessionMetrics
+from .obs.telemetry import IterationMetrics, SessionMetrics
 from .faults import (
     FaultInjector,
     FaultPlan,

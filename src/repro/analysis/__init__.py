@@ -20,7 +20,6 @@ from .diagnose import (
     DiagnosisReport,
     SubsystemShift,
     diagnose_runs,
-    load_run_artifact,
 )
 from .delays import (
     aggregator_download_bytes,
@@ -81,7 +80,6 @@ __all__ = [
     "dirshard_manifest",
     "format_dirshard_table",
     "grid",
-    "load_run_artifact",
     "percentile",
     "run_dirshard_point",
     "run_dirshard_sweep",

@@ -1,9 +1,9 @@
 """Differential run diagnosis: *why* is run B worse than run A?
 
-``compare`` (:func:`repro.obs.manifest.compare_manifests`) answers
-*whether* metrics moved; this module answers *what to blame*.  Given
-two runs' artifacts — :class:`~repro.obs.manifest.RunManifest` and
-optionally :class:`~repro.obs.profiling.HostProfile` for each side —
+:func:`repro.obs.manifest.compare_manifests` answers *whether* metrics
+moved; this module answers *what to blame*.  Given two runs' artifacts
+— the :class:`~repro.obs.manifest.RunManifest` and
+:class:`~repro.obs.profiling.HostProfile` of each run bundle —
 :func:`diagnose_runs` builds a :class:`DiagnosisReport` that fuses four
 signals into one ranked attribution list:
 
@@ -19,17 +19,16 @@ signals into one ranked attribution list:
    flagged loudly when the digests differ — an apples-to-oranges
    comparison should say so before anything else is believed.
 
-Exposed as ``python -m repro.cli explain A B [--json]``; the report
-schema is documented in ``docs/OBSERVABILITY.md``.
+Exposed as ``python -m repro.cli explain A B [--json]`` over two
+``run --artifacts`` bundle directories; the report schema is documented
+in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.manifest import ManifestDiff, RunManifest, compare_manifests
 from ..obs.profiling import HostProfile
@@ -39,7 +38,6 @@ __all__ = [
     "DiagnosisReport",
     "SubsystemShift",
     "diagnose_runs",
-    "load_run_artifact",
 ]
 
 #: Counter prefix the watchdog's per-kind detections land under.
@@ -336,25 +334,3 @@ def diagnose_runs(
 
     report.attributions = attributions
     return report
-
-
-def load_run_artifact(
-    path: Union[str, "os.PathLike[str]"],
-) -> Tuple[str, Union[RunManifest, HostProfile]]:
-    """Load a run artifact, sniffing its type from the JSON shape.
-
-    Returns ``("manifest", RunManifest)`` or ``("profile",
-    HostProfile)``; raises ``ValueError`` for anything else.  The two
-    artifacts are unambiguous: a manifest has ``counters``/``gauges``,
-    a profile has ``scopes``/``shares``.
-    """
-    with open(os.fspath(path), encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    if "scopes" in raw and "shares" in raw:
-        return "profile", HostProfile.from_dict(raw)
-    if "counters" in raw or "gauges" in raw:
-        return "manifest", RunManifest.from_json(json.dumps(raw))
-    raise ValueError(
-        f"{path}: neither a RunManifest nor a HostProfile")

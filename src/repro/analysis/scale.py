@@ -5,8 +5,9 @@ trainers at O(sample + cohorts) simulation cost: an exact seeded sample
 runs the full protocol while the remainder is modeled statistically per
 cohort (see ``docs/SCALING.md`` and :class:`repro.core.CohortPlan`).
 This module measures that trajectory and packages it as a
-:class:`~repro.obs.manifest.RunManifest` so the PR-3 ``compare``
-machinery can gate regressions in CI:
+:class:`~repro.obs.manifest.RunManifest` so the manifest diff
+(:func:`~repro.obs.manifest.compare_manifests`) can gate regressions in
+CI:
 
 - :func:`run_scale_sweep` runs one session per population point and
   records wall-clock per simulated iteration alongside the
@@ -283,7 +284,7 @@ def scale_manifest(points: Sequence[ScalePoint],
     full trajectory, with the big points reported as absent rather
     than as regressions.  Observed sweeps add per-point
     ``telemetry_peak_bytes`` / ``events_observed`` counters, so the
-    same ``compare`` gate also catches observability-cost growth.
+    same manifest-diff gate also catches observability-cost growth.
     """
     from ..obs.manifest import RunManifest, config_fingerprint
 

@@ -29,7 +29,7 @@ from ..sim import Simulator
 from ..core.config import ProtocolConfig
 from ..core.partition import decode_partition, encode_partition, \
     sum_encoded_partitions
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..obs.telemetry import IterationMetrics, SessionMetrics
 
 __all__ = ["CentralizedSession"]
 

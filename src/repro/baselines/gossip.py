@@ -32,7 +32,7 @@ from ..obs.events import (
 from ..sim import Simulator
 from ..core.config import ProtocolConfig
 from ..core.partition import decode_partition, encode_partition
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..obs.telemetry import IterationMetrics, SessionMetrics
 
 __all__ = ["GossipFLSession"]
 

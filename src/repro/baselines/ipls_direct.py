@@ -38,7 +38,7 @@ from ..core.partition import (
     encode_partition,
     sum_encoded_partitions,
 )
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..obs.telemetry import IterationMetrics, SessionMetrics
 
 __all__ = ["DirectIPLSSession"]
 

@@ -3,8 +3,8 @@
 Run protocol experiments without writing code::
 
     python -m repro.cli train --trainers 8 --rounds 3 --verifiable
-    python -m repro.cli providers-sweep --trainers 16
-    python -m repro.cli commit-cost --sizes 1000 4000
+    python -m repro.cli run --rounds 2 --artifacts out/control
+    python -m repro.cli explain out/control out/churn
 
 Subcommands
 -----------
@@ -15,21 +15,39 @@ Subcommands
     The Fig. 1 experiment: merge-and-download delays vs provider count.
 ``commit-cost``
     The Fig. 3 experiment: SHA-256 vs Pedersen commitment cost by size.
-``trace``
-    Run a session with the event-bus trace exporter attached and write
-    every event as one JSON line (see docs/OBSERVABILITY.md), plus a
-    counter summary to stderr.
-``timeline``
-    Run a session, reconstruct per-iteration span trees and write a
-    Perfetto / Chrome trace-event JSON timeline (open the file in
-    ui.perfetto.dev).
-``critical-path``
-    Run a session and print each iteration's critical-path
-    decomposition and straggler ranking.
-``metrics``
-    Run a session with the metrics registry and resource sampler
-    attached; print the OpenMetrics exposition and (optionally) write a
-    JSON run manifest.
+``reproduce``
+    Run the paper-figure benchmarks (tables under benchmarks/results/).
+``run``
+    Run one session under the whole observer stack — flight recorder,
+    invariant monitors, metrics registry + resource sampler, anomaly
+    watchdog, span collector, JSONL trace, progress heartbeat, host
+    profiler — and write the run bundle into ``--artifacts DIR``:
+    ``manifest.json``, ``trace.jsonl``, ``timeline.perfetto.json`` and
+    ``incidents/`` (pure functions of seed + configuration: a replay
+    reproduces them byte for byte), ``report.txt`` (what was printed:
+    critical path and stragglers per iteration, the host-profile table,
+    violations / anomalies / incidents, the fault-plan line, the
+    verdict) and the host-side ``profile.json`` and ``progress.jsonl``.
+    ``--plan`` runs it under a fault plan (docs/FAULTS.md), ``--inject``
+    seeds a misbehaving aggregator, ``--population`` adds a cohort-
+    modeled remainder.  The bundle is written even when the run dies
+    mid-round, and the exit status is one rule (``_verdict``; "The run
+    bundle" in docs/OBSERVABILITY.md); ``--warn-only`` reports what the
+    rule found and exits 0.
+``explain``
+    Differential run diagnosis over two bundle directories: a ranked
+    attribution of what changed — subsystem wall-cost shifts
+    (``profile.json``), anomaly kinds that fired in one run only, metric
+    regressions and config drift (``manifest.json``); ``--json`` for the
+    machine-readable report.
+``status``
+    Summarize the heartbeats of a live or finished run from a progress
+    JSONL file (``DIR/progress.jsonl`` of a bundle, or a ``scale
+    --progress`` file): last iteration, sim clock, event rate and
+    telemetry peak per label.  Exits non-zero (with a stderr message)
+    when the file is missing, unreadable or holds no heartbeats yet, so
+    scripts can poll it; ``--json`` prints the latest heartbeat as one
+    JSON object under the same exit contract.
 ``scale``
     Population scaling sweep: run the cohort-modeled scenario at each
     ``--populations`` point, print the wall-clock-per-iteration
@@ -47,68 +65,16 @@ Subcommands
     diff it against a committed baseline
     (``benchmarks/BENCH_dirshard.json``); per-shard load-share
     counters are always compared warn-only (see docs/SCALING.md).
-``status``
-    Summarize the heartbeats of a live or finished run from a
-    ``--progress`` JSONL file: last iteration, sim clock, event rate
-    and telemetry peak per label.  Exits non-zero (with a stderr
-    message) when the file is missing, unreadable or holds no
-    heartbeats yet, so scripts can poll it; ``--json`` prints the
-    latest heartbeat as one machine-readable JSON object under the
-    same exit contract.
-``profile``
-    Run a session under the host-cost profiler (cProfile folded by
-    package) and print where the *wall* clock went: exclusive time per
-    function, the share of each ``repro`` package and the
-    sim-seconds-per-wall-second throughput gauge (see
-    docs/OBSERVABILITY.md).  ``--output`` writes the JSON profile
-    artifact, ``--perfetto`` a slice trace for ui.perfetto.dev.  Two
-    profiles are compared with ``explain --profile-base A
-    --profile-current B``.
-``compare``
-    Diff two run manifests with a relative-change threshold; exits
-    non-zero when a metric regressed (use ``--warn-only`` in advisory
-    contexts like a new CI baseline).
-``explain``
-    Differential run diagnosis: given two runs' artifacts (a
-    RunManifest and/or HostProfile JSON per side, type sniffed from
-    the file), print a ranked attribution of what changed — subsystem
-    wall-cost shifts, anomaly kinds that fired in one run only, metric
-    regressions and config drift (``--json`` for the machine-readable
-    report; see docs/OBSERVABILITY.md).
-``audit``
-    Run a session with the invariant monitors and flight recorder
-    attached; print every invariant violation and sealed incident and
-    exit non-zero when any fired (``--warn-only`` to report without
-    failing).  ``--inject`` seeds a misbehaving aggregator to prove the
-    pipeline catches it.
-``incidents``
-    Run a seeded-adversary session and write each sealed incident
-    bundle (event window, span chain, blame report, Perfetto slice) as
-    JSON — the forensics artifact a failed audit would leave behind.
-``chaos``
-    Run a session under a deterministic fault plan (crashes, link
-    outages, directory brown-outs, message loss — see docs/FAULTS.md)
-    with the invariant monitors and flight recorder attached; exit
-    non-zero when the surviving trainers fail to converge or any
-    invariant fired.  Without ``--plan`` it is the honest-infrastructure
-    control run (pair with ``--forbid-retry-exhausted`` in CI).
-    ``--watch`` attaches the online anomaly watchdog
-    (:mod:`repro.obs.anomaly`); ``--expect-anomaly KIND`` fails the run
-    unless that kind was classified, ``--forbid-anomalies`` fails it if
-    anything fired.
-
-The trace-family subcommands (``trace``/``timeline``/``critical-path``/
-``metrics``) share the same session knobs and flush their output even
-when the run fails mid-round (the partial timeline is exactly what you
-want for debugging that failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -123,13 +89,12 @@ from .analysis import (
     format_dirshard_table,
     format_scale_table,
     format_table,
-    load_run_artifact,
     optimal_providers,
     run_dirshard_sweep,
     run_scale_sweep,
     scale_manifest,
 )
-from .core import FLSession, ProtocolConfig
+from .core import CohortPlan, FLSession, ProtocolConfig
 from .core.adversary import (
     AlterUpdateBehavior,
     DropGradientsBehavior,
@@ -139,15 +104,17 @@ from .core.adversary import (
 from .crypto import sha256
 from .faults import FaultPlan, RetryPolicy
 from .obs import (
+    ANOMALY_KINDS,
     AnomalyWatchdog,
-    CountersRegistry,
     CriticalPathAnalyzer,
     FlightRecorder,
+    HostProfile,
     HostProfiler,
     InvariantMonitors,
     JsonlTraceExporter,
     MetricsRegistry,
     PerfettoExporter,
+    ProgressReporter,
     ResourceSampler,
     RunManifest,
     SYSTEM_WALL_CLOCK,
@@ -155,7 +122,6 @@ from .obs import (
     compare_manifests,
     format_heartbeat,
     read_progress,
-    render_openmetrics,
 )
 from .core.verification import PartitionCommitter
 from .ml import (
@@ -229,174 +195,72 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--curves", nargs="+",
                       default=["secp256k1", "secp256r1"])
 
-    def add_trace_session_args(sub) -> None:
-        """Session knobs shared by trace/timeline/critical-path."""
-        sub.add_argument("--trainers", type=int, default=4)
-        sub.add_argument("--rounds", type=int, default=1)
-        sub.add_argument("--partitions", type=int, default=2)
-        sub.add_argument("--aggregators-per-partition", type=int, default=1)
-        sub.add_argument("--ipfs-nodes", type=int, default=4)
-        sub.add_argument("--bandwidth-mbps", type=float, default=10.0)
-        sub.add_argument("--params", type=int, default=20_000,
-                         help="synthetic model size (flat parameter count)")
-        sub.add_argument("--merge-and-download", action="store_true")
-        sub.add_argument("--verifiable", action="store_true")
-        sub.add_argument("--seed", type=int, default=0)
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="run a session and export its event timeline as JSONL",
+    run = subparsers.add_parser(
+        "run",
+        help="run a session under the whole observer stack and write "
+             "the run bundle (manifest, trace, timeline, incidents, "
+             "report, host profile, progress); non-zero exit unless "
+             "the run was correct",
     )
-    trace.add_argument("--output", default="-",
-                       help="destination file ('-' = stdout)")
-    add_trace_session_args(trace)
-
-    timeline = subparsers.add_parser(
-        "timeline",
-        help="run a session and export a Perfetto span timeline "
-             "(open in ui.perfetto.dev)",
-    )
-    timeline.add_argument("--output", default="-",
-                          help="destination file ('-' = stdout)")
-    add_trace_session_args(timeline)
-
-    critical = subparsers.add_parser(
-        "critical-path",
-        help="run a session and print each iteration's critical-path "
-             "decomposition and straggler ranking",
-    )
-    critical.add_argument("--straggler-threshold", type=float, default=0.0,
-                          help="slack (sim-seconds) within which a "
-                               "participant counts as a straggler")
-    add_trace_session_args(critical)
-
-    metrics = subparsers.add_parser(
-        "metrics",
-        help="run a session and export aggregated metrics "
-             "(OpenMetrics text + JSON run manifest)",
-    )
-    metrics.add_argument("--output", default="-",
-                         help="OpenMetrics destination ('-' = stdout)")
-    metrics.add_argument("--manifest", default=None,
-                         help="also write a JSON run manifest here")
-    metrics.add_argument("--sample-interval", type=float, default=0.25,
-                         help="resource-sampler period (simulated "
-                              "seconds)")
-    add_trace_session_args(metrics)
-
-    compare = subparsers.add_parser(
-        "compare",
-        help="diff two run manifests; non-zero exit on regression",
-    )
-    compare.add_argument("baseline", help="baseline manifest JSON")
-    compare.add_argument("current", help="candidate manifest JSON")
-    compare.add_argument("--threshold", type=float, default=0.10,
-                         help="relative-change tolerance (0.10 = 10%%)")
-    compare.add_argument("--warn-only", action="store_true",
-                         help="report regressions but exit 0")
+    run.add_argument("--trainers", type=int, default=4)
+    run.add_argument("--rounds", type=int, default=1)
+    run.add_argument("--partitions", type=int, default=2)
+    run.add_argument("--aggregators-per-partition", type=int, default=1)
+    run.add_argument("--ipfs-nodes", type=int, default=4)
+    run.add_argument("--bandwidth-mbps", type=float, default=10.0)
+    run.add_argument("--params", type=int, default=20_000,
+                     help="synthetic model size (flat parameter count)")
+    run.add_argument("--merge-and-download", action="store_true")
+    run.add_argument("--verifiable", action="store_true")
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--providers", type=int, default=0,
+                     help="providers per aggregator with "
+                          "--merge-and-download (0 = sqrt optimum)")
+    run.add_argument("--population", type=int, default=0,
+                     help="total trainer population; > 0 attaches a "
+                          "cohort plan for the remainder beyond "
+                          "--trainers")
+    run.add_argument("--cohorts", type=int, default=16,
+                     help="statistical cohorts with --population")
+    run.add_argument("--plan", default=None,
+                     help="fault plan file (JSON always; YAML when "
+                          "PyYAML is importable); omit for honest "
+                          "infrastructure")
+    run.add_argument("--request-timeout", type=float, default=None,
+                     help="per-attempt directory request timeout in "
+                          "simulated seconds; setting it turns on the "
+                          "retry policy (pass one with --plan)")
+    run.add_argument("--inject", choices=sorted(_INJECTABLE),
+                     default=None,
+                     help="seed aggregator-0 with a misbehaviour "
+                          "(forces --verifiable; 'replay' runs the "
+                          "logistic model over real data, since the "
+                          "synthetic model's constant gradients make "
+                          "a replayed aggregate value-identical)")
+    run.add_argument("--expect-anomaly", action="append", default=[],
+                     choices=ANOMALY_KINDS, metavar="KIND",
+                     help="an anomaly kind the watchdog must classify "
+                          "(repeatable); any kind not listed here "
+                          "fails the run, as does a listed kind that "
+                          "never fired")
+    run.add_argument("--warn-only", action="store_true",
+                     help="report problems but exit 0 (a run that "
+                          "raised still exits 1)")
+    run.add_argument("--artifacts", required=True, metavar="DIR",
+                     help="bundle directory (created or overwritten)")
 
     explain = subparsers.add_parser(
         "explain",
         help="differential run diagnosis: which subsystems, anomalies, "
-             "metrics and config keys moved between two runs (each "
-             "side a RunManifest or HostProfile JSON, sniffed by "
-             "shape)",
+             "metrics and config keys moved between two run bundles",
     )
-    explain.add_argument("base",
-                         help="baseline artifact (RunManifest or "
-                              "HostProfile JSON)")
-    explain.add_argument("current",
-                         help="candidate artifact (RunManifest or "
-                              "HostProfile JSON)")
-    explain.add_argument("--profile-base", default=None,
-                         help="baseline HostProfile JSON, when the "
-                              "positional is a manifest")
-    explain.add_argument("--profile-current", default=None,
-                         help="candidate HostProfile JSON, when the "
-                              "positional is a manifest")
+    explain.add_argument("base", help="baseline bundle directory")
+    explain.add_argument("current", help="candidate bundle directory")
     explain.add_argument("--threshold", type=float, default=0.10,
                          help="relative-change tolerance for the "
                               "metric diff (0.10 = 10%%)")
     explain.add_argument("--json", action="store_true",
                          help="emit the diagnosis as one JSON object")
-
-    audit = subparsers.add_parser(
-        "audit",
-        help="run a session under the invariant monitors and flight "
-             "recorder; non-zero exit on any violation or incident",
-    )
-    add_trace_session_args(audit)
-    audit.add_argument("--providers", type=int, default=0,
-                       help="providers per aggregator with "
-                            "--merge-and-download (0 = sqrt optimum)")
-    audit.add_argument("--inject", choices=sorted(_INJECTABLE),
-                       default=None,
-                       help="seed aggregator-0 with a misbehaviour "
-                            "(forces --verifiable; 'replay' runs the "
-                            "logistic model over real data, since the "
-                            "synthetic model's constant gradients make "
-                            "a replayed aggregate value-identical)")
-    audit.add_argument("--warn-only", action="store_true",
-                       help="report violations/incidents but exit 0")
-    audit.add_argument("--incidents-dir", default=None,
-                       help="also write sealed incident bundles (JSON) "
-                            "into this directory")
-
-    incidents = subparsers.add_parser(
-        "incidents",
-        help="run a seeded-adversary session and write its incident "
-             "bundles as JSON",
-    )
-    add_trace_session_args(incidents)
-    incidents.add_argument("--inject", choices=sorted(_INJECTABLE),
-                           default="drop",
-                           help="the misbehaviour to seed (see audit)")
-    incidents.add_argument("--output-dir", default="incidents",
-                           help="directory for the bundle JSON files")
-
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="run a session under a fault plan with the monitors and "
-             "flight recorder attached; non-zero exit on "
-             "non-convergence or any invariant violation",
-    )
-    add_trace_session_args(chaos)
-    chaos.add_argument("--plan", default=None,
-                       help="fault plan file (JSON always; YAML when "
-                            "PyYAML is importable); omit for the "
-                            "honest-infrastructure control run")
-    chaos.add_argument("--request-timeout", type=float, default=5.0,
-                       help="per-attempt directory request timeout in "
-                            "simulated seconds (default 5.0)")
-    chaos.add_argument("--manifest", default=None,
-                       help="write a JSON run manifest here (two runs "
-                            "of the same seeded plan produce identical "
-                            "manifests)")
-    chaos.add_argument("--incidents-dir", default=None,
-                       help="write sealed incident bundles (JSON) into "
-                            "this directory")
-    chaos.add_argument("--forbid-retry-exhausted", action="store_true",
-                       help="fail if any retry budget was exhausted "
-                            "(the CI control-run tripwire: honest "
-                            "infrastructure must never exhaust "
-                            "retries)")
-    chaos.add_argument("--warn-only", action="store_true",
-                       help="report problems but exit 0")
-    chaos.add_argument("--watch", action="store_true",
-                       help="attach the anomaly watchdog (online "
-                            "detectors: retry storms, throughput "
-                            "collapse, queue runaway, sim stall, "
-                            "convergence); anomalies seal incident "
-                            "bundles and are summarized at the end")
-    chaos.add_argument("--expect-anomaly", action="append",
-                       default=None, metavar="KIND",
-                       help="fail unless the watchdog classified this "
-                            "anomaly kind (repeatable; implies "
-                            "--watch) — the CI chaos-detection gate")
-    chaos.add_argument("--forbid-anomalies", action="store_true",
-                       help="fail if the watchdog classified any "
-                            "anomaly (implies --watch) — the control-"
-                            "run false-positive tripwire")
 
     scale = subparsers.add_parser(
         "scale",
@@ -492,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     status = subparsers.add_parser(
         "status",
         help="summarize the heartbeats of a live or finished run "
-             "(reads a --progress JSONL file); non-zero exit when the "
-             "file is missing or holds no heartbeats yet",
+             "(a bundle's progress.jsonl or a scale --progress file); "
+             "non-zero exit when the file is missing or holds no "
+             "heartbeats yet",
     )
     status.add_argument("progress", help="progress JSONL file to read")
     status.add_argument("--tail", type=int, default=1,
@@ -503,33 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "object instead of the human summary "
                              "(same non-zero exit when there is "
                              "nothing to report)")
-
-    profile = subparsers.add_parser(
-        "profile",
-        help="run a session under the host-cost profiler; print the "
-             "wall-clock hotspot report",
-    )
-    add_trace_session_args(profile)
-    profile.add_argument("--providers", type=int, default=0,
-                         help="providers per aggregator with "
-                              "--merge-and-download (0 = sqrt optimum)")
-    profile.add_argument("--population", type=int, default=0,
-                         help="total trainer population; > 0 attaches "
-                              "a cohort plan so the cohort-modeled "
-                              "remainder is profiled too")
-    profile.add_argument("--cohorts", type=int, default=16,
-                         help="statistical cohorts with --population")
-    profile.add_argument("--observe", action="store_true",
-                         help="attach the metrics registry so the "
-                              "telemetry cost shows up in the obs "
-                              "subsystem")
-    profile.add_argument("--top", type=int, default=12,
-                         help="functions to list in the hotspot table")
-    profile.add_argument("--output", default=None,
-                         help="write the JSON profile artifact here")
-    profile.add_argument("--perfetto", default=None,
-                         help="write a Perfetto slice trace here "
-                              "(open in ui.perfetto.dev)")
 
     reproduce = subparsers.add_parser(
         "reproduce",
@@ -676,186 +514,24 @@ def _run_commit_cost(args, clock=SYSTEM_WALL_CLOCK) -> int:
     return 0
 
 
-# -- trace / timeline / critical-path ----------------------------------------------
+# -- run -----------------------------------------------------------------------------
 
 
-def _build_trace_session(args, behaviors=None, model_factory=None,
-                         datasets=None, faults=None,
-                         cohort=None) -> FLSession:
-    """The shared session the trace-family subcommands run.
-
-    ``behaviors``/``model_factory``/``datasets`` let the audit-family
-    subcommands seed adversaries or swap in a real model; the
-    trace-family callers use the synthetic defaults.  ``faults`` is the
-    chaos subcommand's :class:`~repro.faults.FaultPlan`; chaos also
-    defines ``args.request_timeout``, which bounds directory requests
-    and turns on the shared retry policy even for its control run.
-    ``cohort`` is the profile subcommand's
-    :class:`~repro.core.CohortPlan` for population-scale runs.
-    """
-    config = ProtocolConfig(
-        num_partitions=args.partitions,
-        aggregators_per_partition=args.aggregators_per_partition,
-        t_train=600.0,
-        t_sync=1200.0,
-        update_mode="gradient",
-        poll_interval=0.25,
-        verifiable=args.verifiable,
-        merge_and_download=args.merge_and_download,
-        providers_per_aggregator=getattr(args, "providers", 0),
-        seed=args.seed,
-    )
-    if datasets is None:
-        datasets = [
-            Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
-            for index in range(args.trainers)
-        ]
-    if model_factory is None:
-        model_factory = lambda: SyntheticModel(args.params)  # noqa: E731
-    request_timeout = getattr(args, "request_timeout", None)
-    profile = NetworkProfile(
-        num_ipfs_nodes=args.ipfs_nodes,
-        bandwidth_mbps=args.bandwidth_mbps,
-        directory_request_timeout=request_timeout,
-        retry=RetryPolicy() if request_timeout is not None else None,
-    )
-    return FLSession(
-        config,
-        model_factory=model_factory,
-        datasets=datasets,
-        network=profile,
-        faults=faults,
-        behaviors=behaviors,
-        cohort=cohort,
-    )
-
-
-def _run_rounds(session: FLSession, rounds: int) -> Optional[BaseException]:
-    """Run ``rounds`` iterations, capturing (not raising) a failure so
-    callers can flush whatever the run produced before reporting it."""
-    try:
-        session.run(rounds=rounds)
-    except Exception as exc:
-        return exc
-    return None
-
-
-def _report_failure(failure: Optional[BaseException]) -> int:
-    if failure is None:
-        return 0
-    print(f"run failed: {failure!r} (partial output kept)",
-          file=sys.stderr)
-    return 1
-
-
-def _run_trace(args) -> int:
-    session = _build_trace_session(args)
-    counters = CountersRegistry(session.sim.bus)
-    destination = sys.stdout if args.output == "-" else args.output
-    # The context manager closes/flushes the exporter even when the run
-    # dies mid-round, so the timeline file stays valid JSONL.
-    with JsonlTraceExporter(session.sim.bus, destination) as exporter:
-        failure = _run_rounds(session, args.rounds)
-        events_written = exporter.events_written
-    print(f"{events_written} events"
-          + ("" if args.output == "-" else f" -> {args.output}"),
-          file=sys.stderr)
-    for name, value in counters.snapshot().items():
-        print(f"{name:44s} {value:g}", file=sys.stderr)
-    return _report_failure(failure)
-
-
-def _run_timeline(args) -> int:
-    session = _build_trace_session(args)
-    collector = SpanCollector(session.sim.bus)
-    try:
-        failure = _run_rounds(session, args.rounds)
-    finally:
-        collector.close()
-    exporter = PerfettoExporter(
-        collector.trees[iteration] for iteration in sorted(collector.trees)
-    )
-    if args.output == "-":
-        exporter.write(sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        exporter.write(args.output)
-    print(f"{len(collector.trees)} iteration(s)"
-          + ("" if args.output == "-"
-             else f" -> {args.output} (open in ui.perfetto.dev)"),
-          file=sys.stderr)
-    return _report_failure(failure)
-
-
-def _run_critical_path(args) -> int:
-    session = _build_trace_session(args)
-    collector = SpanCollector(session.sim.bus)
-    try:
-        failure = _run_rounds(session, args.rounds)
-    finally:
-        collector.close()
-    analyzer = CriticalPathAnalyzer(collector)
-    for iteration in analyzer.iterations():
-        path = analyzer.analyze(iteration)
-        if path is None:
-            print(f"iteration {iteration}: no critical path "
-                  "(no aggregation completed)")
-            continue
-        print(path.format())
-        report = analyzer.straggler_report(
-            iteration, threshold=args.straggler_threshold
-        )
-        if report is not None and report.entries:
-            print(report.format())
-        print()
-    return _report_failure(failure)
-
-
-def _run_metrics(args) -> int:
-    session = _build_trace_session(args)
-    registry = MetricsRegistry(session.sim.bus)
-    sampler = ResourceSampler.for_session(
-        session, registry, interval=args.sample_interval
-    )
-    try:
-        failure = _run_rounds(session, args.rounds)
-    finally:
-        sampler.stop()
-        registry.close()
-    exposition = render_openmetrics(registry)
-    if args.output == "-":
-        sys.stdout.write(exposition)
-    else:
-        with open(args.output, "w", encoding="utf-8") as stream:
-            stream.write(exposition)
-    if args.manifest is not None:
-        manifest = RunManifest.collect(registry, session.fingerprint())
-        manifest.write(args.manifest)
-    observed = sum(h.count for h in registry.histograms().values())
-    print(f"{observed} observations across "
-          f"{sum(1 for h in registry.histograms().values() if h.count)} "
-          f"histograms, {sampler.samples_taken} resource samples"
-          + ("" if args.output == "-" else f" -> {args.output}")
-          + ("" if args.manifest is None
-             else f", manifest -> {args.manifest}"),
-          file=sys.stderr)
-    return _report_failure(failure)
-
-
-# -- audit / incidents -------------------------------------------------------------
-
-
-def _audit_session(args):
-    """Build the (session, rounds) pair for audit-family subcommands,
-    applying the ``--inject`` adjustments."""
-    behaviors = None
-    model_factory = None
-    datasets = None
+def _build_run_session(args, plan: FaultPlan) -> Tuple[FLSession, int]:
+    """The session ``run`` observes and how many rounds to drive it,
+    after the ``--inject`` adjustments."""
+    verifiable = args.verifiable
     rounds = args.rounds
+    behaviors = None
+    datasets = [
+        Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
+        for index in range(args.trainers)
+    ]
+    model_factory = lambda: SyntheticModel(args.params)  # noqa: E731
     if args.inject is not None:
         behaviors = {"aggregator-0": _INJECTABLE[args.inject]()}
-        if not args.verifiable:
-            args.verifiable = True  # detection needs commitments
+        if not verifiable:
+            verifiable = True  # detection needs commitments
             print("--inject forces --verifiable", file=sys.stderr)
         if args.inject == "replay":
             # A replayed aggregate is only distinguishable when the
@@ -872,108 +548,102 @@ def _audit_session(args):
                 rounds = 2  # round 0 has nothing to replay
                 print("--inject replay needs 2 rounds; running 2",
                       file=sys.stderr)
-    session = _build_trace_session(
-        args, behaviors=behaviors, model_factory=model_factory,
+    config = ProtocolConfig(
+        num_partitions=args.partitions,
+        aggregators_per_partition=args.aggregators_per_partition,
+        t_train=600.0,
+        t_sync=1200.0,
+        update_mode="gradient",
+        poll_interval=0.25,
+        verifiable=verifiable,
+        merge_and_download=args.merge_and_download,
+        providers_per_aggregator=args.providers,
+        seed=args.seed,
+    )
+    network = NetworkProfile(
+        num_ipfs_nodes=args.ipfs_nodes,
+        bandwidth_mbps=args.bandwidth_mbps,
+        directory_request_timeout=args.request_timeout,
+        retry=RetryPolicy() if args.request_timeout is not None else None,
+    )
+    cohort = None
+    if args.population > 0:
+        cohort = CohortPlan(population=args.population,
+                            cohorts=args.cohorts, seed=args.seed)
+    session = FLSession(
+        config,
+        model_factory=model_factory,
         datasets=datasets,
+        network=network,
+        faults=plan,
+        behaviors=behaviors,
+        cohort=cohort,
     )
     return session, rounds
 
 
-def _write_bundles(incidents, directory: str) -> List[str]:
-    import os
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for index, bundle in enumerate(incidents):
-        name = (f"incident-{index:02d}-i{bundle.iteration}"
-                f"-{bundle.kind}.json")
-        path = os.path.join(directory, name)
-        bundle.write(path)
-        paths.append(path)
-    return paths
+class _ObserverStack:
+    """Every observer ``run`` attaches — the one place that knows the
+    subscription order.
+
+    The flight recorder subscribes first: the monitors and the watchdog
+    publish ``InvariantViolated`` / ``AnomalyDetected`` from inside
+    their own handlers, and the recorder's ring must already hold the
+    event that triggered them when that nested publish reaches its seal
+    check.  Nothing else depends on order.  The profiler starts last,
+    so its window is the rounds and nothing else.
+    """
+
+    def __init__(self, session: FLSession, directory: str, clock):
+        bus = session.sim.bus
+        self.recorder = FlightRecorder(bus)
+        self.monitors = InvariantMonitors(bus)
+        self.registry = MetricsRegistry(bus)
+        self.sampler = ResourceSampler.for_session(session, self.registry)
+        self.watchdog = AnomalyWatchdog.for_session(session,
+                                                    wall_clock=clock)
+        self.spans = SpanCollector(bus)
+        self.trace = JsonlTraceExporter(
+            bus, os.path.join(directory, "trace.jsonl"))
+        # Opened here, not by the reporter (which appends): a bundle
+        # holds one run.
+        self._heartbeats = open(os.path.join(directory, "progress.jsonl"),
+                                "w", encoding="utf-8")
+        self.progress = ProgressReporter(
+            bus, registry=self.registry, recorder=self.recorder,
+            watchdog=self.watchdog, stream=None, jsonl=self._heartbeats,
+            clock=clock)
+        self.profiler = HostProfiler(clock).install(session.sim)
+
+    def detach(self, session: FLSession, completed: bool) -> list:
+        """Stop everything, flush the streamed files and return the
+        run's invariant violations."""
+        self.profiler.uninstall()
+        self.sampler.stop()
+        self.watchdog.finalize()
+        if completed:
+            # Evict every finished round's objects first, so the
+            # end-of-run leak check only flags storage the protocol
+            # truly abandoned (a crashed trainer's orphaned upload is
+            # reclaimed by GC, not a leak).
+            session.collect_garbage(keep_iterations=0)
+        violations = self.monitors.finalize()
+        self.recorder.close()
+        self.spans.close()
+        self.registry.close()
+        self.progress.close()
+        self._heartbeats.close()
+        self.trace.close()
+        return violations
 
 
-def _run_audit(args) -> int:
-    session, rounds = _audit_session(args)
-    # The recorder subscribes first so its ring already holds the
-    # triggering event when a monitor's InvariantViolated arrives.
-    recorder = FlightRecorder(session.sim.bus)
-    monitors = InvariantMonitors(session.sim.bus)
-    failure = _run_rounds(session, rounds)
-    violations = monitors.finalize()  # runs end-of-run leak checks too
-    recorder.close()
-    for violation in violations:
-        print(f"VIOLATION [{violation.invariant}] {violation.subject}: "
-              f"{violation.detail}")
-    for bundle in recorder.incidents:
-        print(bundle.summary())
-    if recorder.suppressed:
-        print(f"({recorder.suppressed} further incident(s) suppressed)")
-    if args.incidents_dir and recorder.incidents:
-        for path in _write_bundles(recorder.incidents, args.incidents_dir):
-            print(f"bundle -> {path}", file=sys.stderr)
-    clean = not violations and not recorder.incidents
-    print("audit clean" if clean else
-          f"audit FAILED: {len(violations)} violation(s), "
-          f"{len(recorder.incidents)} incident(s)")
-    status = _report_failure(failure)
-    if status:
-        return status
-    if not clean and not args.warn_only:
-        return 1
-    return 0
-
-
-def _run_incidents(args) -> int:
-    session, rounds = _audit_session(args)
-    recorder = FlightRecorder(session.sim.bus)
-    monitors = InvariantMonitors(session.sim.bus)
-    failure = _run_rounds(session, rounds)
-    monitors.finalize()
-    recorder.close()
-    if not recorder.incidents:
-        print("no incidents sealed (nothing misbehaved?)")
-        return _report_failure(failure)
-    for bundle in recorder.incidents:
-        print(bundle.summary())
-    for path in _write_bundles(recorder.incidents, args.output_dir):
-        print(f"bundle -> {path}")
-    return _report_failure(failure)
-
-
-# -- chaos ---------------------------------------------------------------------------
-
-
-def _run_chaos(args) -> int:
-    plan = FaultPlan.load(args.plan) if args.plan else FaultPlan()
-    session = _build_trace_session(args, faults=plan)
-    # Subscription order matters: the recorder first, so its ring
-    # already holds a watchdog anomaly when the seal check runs.
-    recorder = FlightRecorder(session.sim.bus)
-    monitors = InvariantMonitors(session.sim.bus)
-    counters = CountersRegistry(session.sim.bus)
-    registry = MetricsRegistry(session.sim.bus) if args.manifest else None
-    watch = bool(args.watch or args.expect_anomaly
-                 or args.forbid_anomalies)
-    watchdog = AnomalyWatchdog.for_session(session) if watch else None
-    failure = _run_rounds(session, args.rounds)
-    if watchdog is not None:
-        watchdog.finalize()
-    if failure is None:
-        # Evict every finished round's objects first, so the end-of-run
-        # leak check only flags storage the protocol truly abandoned
-        # (a crashed trainer's orphaned upload is reclaimed by GC, not
-        # a leak).
-        session.collect_garbage(keep_iterations=0)
-    violations = monitors.finalize()
-    recorder.close()
-    if registry is not None:
-        registry.close()
-        manifest = RunManifest.collect(registry, session.fingerprint())
-        manifest.write(args.manifest)
-        print(f"manifest -> {args.manifest}", file=sys.stderr)
-    snapshot = counters.snapshot()
-
+def _verdict(args, session: FLSession, failure, violations, stack,
+             retries_exhausted: int) -> Tuple[List[str], List[str]]:
+    """The one exit-code rule: the final round's survivors and every
+    reason this run does not count as correct."""
     problems: List[str] = []
+    if failure is not None:
+        problems.append(f"the run raised {failure!r}")
     final = (session.metrics.iterations[-1]
              if session.metrics.iterations else None)
     survivors = list(final.trainers_completed) if final is not None else []
@@ -990,66 +660,148 @@ def _run_chaos(args) -> int:
         if diverged:
             problems.append("surviving trainers diverged: "
                             + ", ".join(diverged))
-    retries_exhausted = int(snapshot.get("protocol.retries_exhausted", 0))
-    if args.forbid_retry_exhausted and retries_exhausted:
-        problems.append(f"{retries_exhausted} retry budget(s) exhausted "
-                        "on a run that forbids it")
     if violations:
         problems.append(f"{len(violations)} invariant violation(s)")
-    if watchdog is not None:
-        observed_kinds = watchdog.kinds()
-        missing = [kind for kind in (args.expect_anomaly or ())
-                   if kind not in observed_kinds]
-        if missing:
-            problems.append("expected anomaly kind(s) not detected: "
-                            + ", ".join(missing))
-        if args.forbid_anomalies and watchdog.anomalies:
-            problems.append(
-                f"{len(watchdog.anomalies)} anomaly(ies) classified on "
-                "a run that forbids them: "
-                + ", ".join(f"{kind}={count}" for kind, count
-                            in watchdog.summary().items()))
+    rejected = sum(bundle.kind == "verification_failed"
+                   for bundle in stack.recorder.incidents)
+    if rejected:
+        problems.append(f"{rejected} verification failure(s)")
+    kinds = stack.watchdog.kinds()
+    unexpected = [kind for kind in kinds if kind not in args.expect_anomaly]
+    if unexpected:
+        problems.append("unexpected anomaly kind(s): "
+                        + ", ".join(unexpected))
+    missing = [kind for kind in args.expect_anomaly if kind not in kinds]
+    if missing:
+        problems.append("expected anomaly kind(s) not detected: "
+                        + ", ".join(missing))
+    if retries_exhausted and not args.plan:
+        # Only a fault plan can excuse it: honest infrastructure must
+        # never exhaust a retry budget.
+        problems.append(f"{retries_exhausted} retry budget(s) exhausted "
+                        "with no fault plan")
+    return survivors, problems
 
+
+def _write_bundle(args, plan: FaultPlan, session: FLSession, failure,
+                  violations, stack: _ObserverStack) -> Tuple[str, bool]:
+    """Write the bundle's files; returns the report (also written as
+    ``report.txt``) and whether the run was correct."""
+    directory = args.artifacts
+    recorder, registry = stack.recorder, stack.registry
+    watchdog = stack.watchdog
+    fingerprint = session.fingerprint()
+    RunManifest.collect(registry, fingerprint).write(
+        os.path.join(directory, "manifest.json"))
+    trees = stack.spans.trees
+    timeline = PerfettoExporter(trees[i] for i in sorted(trees))
+    timeline.add_anomalies(watchdog.anomalies)
+    timeline.write(os.path.join(directory, "timeline.perfetto.json"))
+    for index, bundle in enumerate(recorder.incidents):
+        bundle.write(os.path.join(
+            directory, "incidents",
+            f"incident-{index:02d}-i{bundle.iteration}-{bundle.kind}.json"))
+    profile = stack.profiler.profile(fingerprint=fingerprint)
+    profile.write(os.path.join(directory, "profile.json"))
+
+    counters = registry.counters.snapshot()
+    retries_exhausted = int(counters.get("protocol.retries_exhausted", 0))
+    survivors, problems = _verdict(args, session, failure, violations,
+                                   stack, retries_exhausted)
+
+    lines = [f"run: {len(session.trainers)} trainers, {args.partitions} "
+             f"partitions x {args.aggregators_per_partition} aggregators, "
+             f"{args.ipfs_nodes} IPFS nodes @ {args.bandwidth_mbps:g} "
+             f"Mbps, seed {args.seed}, config "
+             f"{fingerprint['digest'][:12]}", ""]
+    analyzer = CriticalPathAnalyzer(stack.spans)
+    for iteration in analyzer.iterations():
+        path = analyzer.analyze(iteration)
+        if path is None:
+            lines += [f"iteration {iteration}: no critical path "
+                      "(no aggregation completed)", ""]
+            continue
+        lines.append(path.format())
+        stragglers = analyzer.straggler_report(iteration)
+        if stragglers is not None and stragglers.entries:
+            lines.append(stragglers.format())
+        lines.append("")
+    lines += [profile.format(), ""]
+    histograms = registry.histograms().values()
+    lines.append(
+        f"bundle {directory}: {stack.trace.events_written} events -> "
+        f"trace.jsonl; {len(trees)} iteration(s) -> "
+        "timeline.perfetto.json (open in ui.perfetto.dev); "
+        f"{sum(h.count for h in histograms)} observations across "
+        f"{sum(1 for h in histograms if h.count)} histograms, "
+        f"{stack.sampler.samples_taken} resource samples -> "
+        f"manifest.json; {len(recorder.incidents)} incident(s) -> "
+        "incidents/")
     for violation in violations:
-        print(f"VIOLATION [{violation.invariant}] {violation.subject}: "
-              f"{violation.detail}")
-    if watchdog is not None:
-        for anomaly in watchdog.anomalies:
-            evidence = " ".join(
-                f"{key}={value}" for key, value in anomaly.evidence)
-            print(f"ANOMALY [{anomaly.kind}/{anomaly.severity}] "
-                  f"t={anomaly.at:.3f} iter={anomaly.iteration} "
-                  f"{anomaly.detector}: {evidence}")
-        print("watchdog: no anomalies" if not watchdog.anomalies else
-              "watchdog: " + ", ".join(
-                  f"{kind}={count}" for kind, count
-                  in watchdog.summary().items()))
-    for bundle in recorder.incidents:
-        print(bundle.summary())
-    if args.incidents_dir and recorder.incidents:
-        for path in _write_bundles(recorder.incidents, args.incidents_dir):
-            print(f"bundle -> {path}", file=sys.stderr)
-    print(f"plan: {len(plan)} spec(s) (seed {plan.seed}), "
-          f"{int(snapshot.get('faults.injected', 0))} injected, "
-          f"{int(snapshot.get('faults.healed', 0))} healed; "
-          f"{int(snapshot.get('protocol.participants_degraded', 0))} "
-          f"participant-round(s) degraded, "
-          f"{int(snapshot.get('net.transfers_aborted', 0))} transfer(s) "
-          f"aborted, {retries_exhausted} retry budget(s) exhausted")
+        lines.append(f"VIOLATION [{violation.invariant}] "
+                     f"{violation.subject}: {violation.detail}")
+    for anomaly in watchdog.anomalies:
+        evidence = " ".join(
+            f"{key}={value}" for key, value in anomaly.evidence)
+        lines.append(f"ANOMALY [{anomaly.kind}/{anomaly.severity}] "
+                     f"t={anomaly.at:.3f} iter={anomaly.iteration} "
+                     f"{anomaly.detector}: {evidence}")
+    lines.append("watchdog: no anomalies" if not watchdog.anomalies else
+                 "watchdog: " + ", ".join(
+                     f"{kind}={count}" for kind, count
+                     in watchdog.summary().items()))
+    lines += [bundle.summary() for bundle in recorder.incidents]
+    if recorder.suppressed:
+        lines.append(f"({recorder.suppressed} further incident(s) "
+                     "suppressed)")
+    lines.append(
+        f"plan: {len(plan)} spec(s) (seed {plan.seed}), "
+        f"{int(counters.get('faults.injected', 0))} injected, "
+        f"{int(counters.get('faults.healed', 0))} healed; "
+        f"{int(counters.get('protocol.participants_degraded', 0))} "
+        f"participant-round(s) degraded, "
+        f"{int(counters.get('net.transfers_aborted', 0))} transfer(s) "
+        f"aborted, {retries_exhausted} retry budget(s) exhausted")
     if survivors:
-        print(f"{len(survivors)}/{len(session.trainers)} trainers "
-              f"completed the final round in consensus"
-              if not problems else
-              f"{len(survivors)}/{len(session.trainers)} trainers "
-              f"completed the final round")
-    print("chaos clean" if not problems
-          else "chaos FAILED: " + "; ".join(problems))
-    status = _report_failure(failure)
-    if status:
-        return status
-    if problems and not args.warn_only:
+        lines.append(f"{len(survivors)}/{len(session.trainers)} trainers "
+                     "completed the final round"
+                     + ("" if problems else " in consensus"))
+    lines.append("run clean" if not problems
+                 else "run FAILED: " + "; ".join(problems))
+    report = "\n".join(lines) + "\n"
+    with open(os.path.join(directory, "report.txt"), "w",
+              encoding="utf-8") as stream:
+        stream.write(report)
+    return report, not problems
+
+
+def _run_run(args, clock=SYSTEM_WALL_CLOCK) -> int:
+    plan = FaultPlan.load(args.plan) if args.plan else FaultPlan()
+    session, rounds = _build_run_session(args, plan)
+    incidents = os.path.join(args.artifacts, "incidents")
+    os.makedirs(incidents, exist_ok=True)
+    for stale in glob.glob(os.path.join(incidents, "incident-*.json")):
+        os.remove(stale)  # a bundle holds one run
+    stack = _ObserverStack(session, args.artifacts, clock)
+    failure = None
+    completed = False
+    try:
+        session.run(rounds=rounds)
+        completed = True
+    except Exception as exc:
+        failure = exc
+    finally:
+        # Whatever ended the run — the last round, an exception, ^C —
+        # the bundle is written, so every file in it parses.
+        violations = stack.detach(session, completed)
+        report, correct = _write_bundle(args, plan, session, failure,
+                                        violations, stack)
+    print(report, end="")
+    if failure is not None:
+        print(f"run failed: {failure!r} (partial bundle kept)",
+              file=sys.stderr)
         return 1
-    return 0
+    return 0 if correct or args.warn_only else 1
 
 
 def _run_scale(args, clock=SYSTEM_WALL_CLOCK) -> int:
@@ -1137,36 +889,6 @@ def _run_dirshard(args, clock=SYSTEM_WALL_CLOCK) -> int:
     return 0
 
 
-def _run_profile(args) -> int:
-    from .core import CohortPlan
-
-    cohort = None
-    if args.population > 0:
-        cohort = CohortPlan(population=args.population,
-                            cohorts=args.cohorts, seed=args.seed)
-    session = _build_trace_session(args, cohort=cohort)
-    registry = MetricsRegistry(session.sim.bus) if args.observe else None
-    profiler = HostProfiler().install(session.sim)
-    try:
-        failure = _run_rounds(session, args.rounds)
-    finally:
-        profiler.uninstall()
-        if registry is not None:
-            registry.close()
-    profile = profiler.profile(fingerprint=session.fingerprint())
-    print(profile.format(top=args.top))
-    if args.output:
-        profile.write(args.output)
-        print(f"profile -> {args.output}", file=sys.stderr)
-    if args.perfetto:
-        exporter = PerfettoExporter()
-        exporter.add_profile(profile)
-        exporter.write(args.perfetto)
-        print(f"perfetto trace -> {args.perfetto} "
-              "(open in ui.perfetto.dev)", file=sys.stderr)
-    return _report_failure(failure)
-
-
 def _run_status(args) -> int:
     try:
         records = read_progress(args.progress)
@@ -1204,43 +926,18 @@ def _run_status(args) -> int:
     return 0
 
 
-def _run_compare(args) -> int:
-    baseline = RunManifest.load(args.baseline)
-    current = RunManifest.load(args.current)
-    diff = compare_manifests(baseline, current, threshold=args.threshold)
-    print(diff.format())
-    if diff.has_regressions and not args.warn_only:
-        return 1
-    return 0
-
-
 def _run_explain(args) -> int:
-    artifacts = {"manifest": {}, "profile": {}}
     try:
-        for side, path in (("base", args.base),
-                           ("current", args.current)):
-            kind, artifact = load_run_artifact(path)
-            artifacts[kind][side] = artifact
-        for side, path in (("base", args.profile_base),
-                           ("current", args.profile_current)):
-            if not path:
-                continue
-            kind, artifact = load_run_artifact(path)
-            if kind != "profile":
-                raise ValueError(f"{path}: expected a HostProfile")
-            artifacts["profile"][side] = artifact
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        print(f"explain: {error}", file=sys.stderr)
-        return 1
-    try:
+        manifests = [RunManifest.load(os.path.join(bundle, "manifest.json"))
+                     for bundle in (args.base, args.current)]
+        profiles = [HostProfile.load(os.path.join(bundle, "profile.json"))
+                    for bundle in (args.base, args.current)]
         report = diagnose_runs(
-            base_manifest=artifacts["manifest"].get("base"),
-            current_manifest=artifacts["manifest"].get("current"),
-            base_profile=artifacts["profile"].get("base"),
-            current_profile=artifacts["profile"].get("current"),
+            base_manifest=manifests[0], current_manifest=manifests[1],
+            base_profile=profiles[0], current_profile=profiles[1],
             threshold=args.threshold,
         )
-    except ValueError as error:
+    except (OSError, ValueError) as error:  # ValueError: not that JSON
         print(f"explain: {error}", file=sys.stderr)
         return 1
     if args.json:
@@ -1262,7 +959,6 @@ def _run_reproduce(args) -> int:
         selection = None  # the whole benchmarks directory
     else:
         selection = [targets[figure] for figure in figures]
-    import os
     bench_dir = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__)
@@ -1278,44 +974,23 @@ def _run_reproduce(args) -> int:
     return pytest_module.main(paths + ["--benchmark-only", "-q"])
 
 
+_COMMANDS = {
+    "train": _run_train,
+    "providers-sweep": _run_providers_sweep,
+    "commit-cost": _run_commit_cost,
+    "reproduce": _run_reproduce,
+    "run": _run_run,
+    "explain": _run_explain,
+    "status": _run_status,
+    "scale": _run_scale,
+    "dirshard": _run_dirshard,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "train":
-        return _run_train(args)
-    if args.command == "providers-sweep":
-        return _run_providers_sweep(args)
-    if args.command == "commit-cost":
-        return _run_commit_cost(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "timeline":
-        return _run_timeline(args)
-    if args.command == "critical-path":
-        return _run_critical_path(args)
-    if args.command == "metrics":
-        return _run_metrics(args)
-    if args.command == "scale":
-        return _run_scale(args)
-    if args.command == "dirshard":
-        return _run_dirshard(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "compare":
-        return _run_compare(args)
-    if args.command == "explain":
-        return _run_explain(args)
-    if args.command == "audit":
-        return _run_audit(args)
-    if args.command == "incidents":
-        return _run_incidents(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "reproduce":
-        return _run_reproduce(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ from .partition import (
 )
 from .schedule import IterationSchedule
 from .session import FLSession
-from .telemetry import IterationMetrics, SessionMetrics
+from ..obs.telemetry import IterationMetrics, SessionMetrics
 from .trainer import Trainer
 from .verification import CommitmentCostModel, PartitionCommitter
 

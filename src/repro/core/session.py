@@ -47,7 +47,7 @@ from .directory import ShardedDirectory
 from .dirshard import DirectoryProfile, ShardMap
 from .partition import ModelPartitioner
 from .schedule import IterationSchedule
-from .telemetry import IterationMetrics, SessionMetrics
+from ..obs.telemetry import IterationMetrics, SessionMetrics
 from .trainer import Trainer
 from .verification import PartitionCommitter
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from ..sim import Event, Store
 from ..net import Transport
@@ -60,7 +60,11 @@ class PubSub:
     def __init__(self, transport: Transport):
         self.transport = transport
         self.sim = transport.sim
-        self._topics: Dict[str, Set[Subscription]] = {}
+        #: topic -> subscriptions in join order (a dict, not a set: a set
+        #: of objects iterates in address order, which would make the
+        #: fan-out order — and with it the event trace and which
+        #: deliveries a seeded loss drops — differ between replays).
+        self._topics: Dict[str, Dict[Subscription, None]] = {}
         #: Telemetry: messages published per topic.
         self.published: Dict[str, int] = {}
         #: Telemetry: deliveries lost (fault injection / dead links).
@@ -86,13 +90,13 @@ class PubSub:
     def subscribe(self, topic: str, subscriber: str) -> Subscription:
         """Join ``topic``; returns the queue to consume from."""
         subscription = Subscription(self, topic, subscriber)
-        self._topics.setdefault(topic, set()).add(subscription)
+        self._topics.setdefault(topic, {})[subscription] = None
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
         subscribers = self._topics.get(subscription.topic)
         if subscribers:
-            subscribers.discard(subscription)
+            subscribers.pop(subscription, None)
             if not subscribers:
                 del self._topics[subscription.topic]
 

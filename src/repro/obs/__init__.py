@@ -7,27 +7,26 @@ and aggregators — publish small typed events
 (``sim.bus``); consumers subscribe:
 
 - :class:`TelemetryCollector` — rebuilds the paper's per-iteration
-  metrics (:class:`~repro.core.telemetry.IterationMetrics`) from the
+  metrics (:class:`~repro.obs.telemetry.IterationMetrics`) from the
   event stream; every session owns one.
 - :class:`CountersRegistry` — named counters/gauges (directory load,
   DHT hops, bytes by layer).
 - :class:`JsonlTraceExporter` — streams every event to a JSON-lines
-  timeline file (``python -m repro.cli trace``).
+  timeline file.
 - :class:`SpanCollector` — reconstructs per-iteration causal span trees
   (:mod:`repro.obs.spans`); :class:`CriticalPathAnalyzer` decomposes the
   aggregation delay along the slowest chain and ranks stragglers;
-  :class:`PerfettoExporter` renders the trees as a Perfetto timeline
-  (``python -m repro.cli timeline`` / ``critical-path``).
+  :class:`PerfettoExporter` renders the trees as a Perfetto timeline.
 - :class:`~repro.net.trace.TransferTrace` — flow records, now a thin
   subscriber over ``TransferStarted``/``TransferCompleted``.
 - :class:`InvariantMonitors` — online protocol invariants (byte
   conservation, commitment-accumulator consistency, protocol ordering,
   blockstore leaks); violations re-enter the bus as
-  :class:`InvariantViolated` events (``python -m repro.cli audit``).
+  :class:`InvariantViolated` events.
 - :class:`FlightRecorder` — bounded ring-buffer forensics; seals an
   :class:`IncidentBundle` (event window, span chain, blame report,
-  Perfetto slice) on ``VerificationFailed``/``InvariantViolated``
-  (``python -m repro.cli incidents``).
+  Perfetto slice) on ``VerificationFailed``/``InvariantViolated``/
+  ``AnomalyDetected``.
 
 The bus is zero-overhead when unsubscribed: emission sites guard event
 construction behind :meth:`EventBus.wants`, so unobserved runs pay one
@@ -40,14 +39,14 @@ liveness and telemetry cost.  A :class:`HostProfiler`
 (:mod:`repro.obs.profiling`) attributes *wall-clock* (host) cost to
 the ``repro`` package whose functions spent it — cProfile folded on
 the benchmark's ``sim`` / ``net`` / ``ipfs`` / ``crypto`` / ``ml`` /
-``core`` / ``obs`` / ``faults`` partition, no hook in any layer
-(``python -m repro.cli profile``).  An
+``core`` / ``obs`` / ``faults`` partition, no hook in any layer.  An
 :class:`AnomalyWatchdog` (:mod:`repro.obs.anomaly`) hosts online
 detectors — retry storms, throughput collapse, queue runaway,
 simulation stall, convergence stall/divergence — that publish typed
 :class:`AnomalyDetected` events back onto the bus, auto-sealing
-incident bundles and feeding ``obs.anomaly.*`` manifest gauges
-(``python -m repro.cli chaos --watch``).  See
+incident bundles and feeding ``obs.anomaly.*`` manifest gauges.
+``python -m repro.cli run --artifacts DIR`` attaches all of them, in
+the one correct order, and writes what they saw as one run bundle; see
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -127,11 +126,6 @@ from .manifest import (
 )
 from .metrics import Histogram, MetricsRegistry, ResourceSampler, TimeSeries
 from .monitors import InvariantMonitors
-from .openmetrics import (
-    parse_openmetrics,
-    render_histogram,
-    render_openmetrics,
-)
 from .perfetto import PerfettoExporter
 from .profiling import (
     FakeWallClock,
@@ -234,9 +228,6 @@ __all__ = [
     "compare_manifests",
     "config_fingerprint",
     "format_heartbeat",
-    "parse_openmetrics",
     "read_progress",
-    "render_histogram",
-    "render_openmetrics",
     "sample_key",
 ]

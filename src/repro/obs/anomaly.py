@@ -60,6 +60,7 @@ Contracts, in order of importance:
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
@@ -130,7 +131,11 @@ class Detector:
     def _anomaly(self, at: float, severity: str, *, kind: Optional[str]
                  = None, iteration: int = -1, window: float = 0.0,
                  **evidence) -> AnomalyDetected:
-        """Build a canonically ordered anomaly event."""
+        """Build a canonically ordered anomaly event.
+
+        Leave ``iteration`` at -1 unless the anomaly is about a round
+        other than the open one: the watchdog stamps the open round.
+        """
         return AnomalyDetected(
             at=at, iteration=iteration, kind=kind or self.kind,
             severity=severity, detector=type(self).__name__,
@@ -243,7 +248,6 @@ class ThroughputCollapseDetector(Detector):
         self.warmup_gaps = int(warmup_gaps)
         #: Inter-registration gaps, across rounds (the trailing floor).
         self._gaps: Deque[float] = deque(maxlen=int(gap_history))
-        self._iteration = -1
         self._open = False
         self._fired = False
         self._started_at = 0.0
@@ -253,7 +257,6 @@ class ThroughputCollapseDetector(Detector):
 
     def observe(self, event):
         if isinstance(event, IterationStarted):
-            self._iteration = event.iteration
             self._open = True
             self._fired = False
             self._started_at = event.at
@@ -282,17 +285,15 @@ class ThroughputCollapseDetector(Detector):
             if gap > floor:
                 self._fired = True
                 return (self._anomaly(
-                    now, "warning", iteration=self._iteration,
-                    window=floor, observed=self._observed,
-                    expected=expected, gap=gap,
+                    now, "warning", window=floor,
+                    observed=self._observed, expected=expected, gap=gap,
                     median_gap=statistics.median(self._gaps),
                     last_registration_at=self._last_at,
                 ),)
         if self._t_train is not None and now > self._t_train:
             self._fired = True
             return (self._anomaly(
-                now, "critical", iteration=self._iteration,
-                window=self._t_train - self._started_at,
+                now, "critical", window=self._t_train - self._started_at,
                 observed=self._observed, expected=expected,
                 t_train=self._t_train,
             ),)
@@ -353,7 +354,6 @@ class SimStallDetector(Detector):
 
     def __init__(self, stall_factor: float = 0.25):
         self.stall_factor = float(stall_factor)
-        self._iteration = -1
         self._open = False
         self._fired = False
         self._started_at = 0.0
@@ -361,7 +361,6 @@ class SimStallDetector(Detector):
 
     def observe(self, event):
         if isinstance(event, IterationStarted):
-            self._iteration = event.iteration
             self._open = True
             self._fired = False
             self._started_at = event.at
@@ -379,8 +378,7 @@ class SimStallDetector(Detector):
             return ()
         self._fired = True
         return (self._anomaly(
-            now, "critical", iteration=self._iteration,
-            window=margin, t_sync=self._t_sync,
+            now, "critical", window=margin, t_sync=self._t_sync,
             overrun=now - self._t_sync,
         ),)
 
@@ -509,7 +507,12 @@ class AnomalyWatchdog(SimTicker):
         self.ticks = 0
         self._last_wall: Optional[float] = None
         self._last_sim: Optional[float] = None
-        self._taps: Dict[type, List[Detector]] = {}
+        #: The open iteration (-1 between rounds), tracked here once and
+        #: stamped on every anomaly a detector left iteration-less.
+        self._iteration = -1
+        self._taps: Dict[type, List[Detector]] = {
+            IterationStarted: [], IterationFinished: [],
+        }
         for detector in self.detectors:
             for event_type in detector.event_types:
                 if issubclass(event_type, SAMPLED_EVENT_FAMILIES):
@@ -519,10 +522,7 @@ class AnomalyWatchdog(SimTicker):
                         "must observe pre-sample events only"
                     )
                 self._taps.setdefault(event_type, []).append(detector)
-        self._subscription = (
-            bus.subscribe(self._handle, *self._taps)
-            if self._taps else None
-        )
+        self._subscription = bus.subscribe(self._handle, *self._taps)
         if autostart and sim is not None:
             self.start()
 
@@ -582,13 +582,21 @@ class AnomalyWatchdog(SimTicker):
     # -- the hot paths -----------------------------------------------------------
 
     def _publish(self, anomaly: AnomalyDetected) -> None:
+        if anomaly.iteration == -1 and self._iteration != -1:
+            anomaly = dataclasses.replace(anomaly,
+                                          iteration=self._iteration)
         self.anomalies.append(anomaly)
         self.bus.publish(anomaly)
 
     def _handle(self, event) -> None:
-        for detector in self._taps.get(type(event), ()):
+        kind = type(event)
+        if kind is IterationStarted:
+            self._iteration = event.iteration
+        for detector in self._taps[kind]:
             for anomaly in detector.observe(event):
                 self._publish(anomaly)
+        if kind is IterationFinished:
+            self._iteration = -1
 
     def _on_tick(self) -> None:
         self.ticks += 1

@@ -616,7 +616,8 @@ class AnomalyDetected(Event):
     canonically ordered tuple of ``(key, value)`` pairs — kept as pairs
     (not a dict) so the event stays hashable and serializes with a
     stable field order; :meth:`evidence_dict` gives the mapping view.
-    ``iteration`` is -1 for infrastructure-scoped anomalies.
+    ``iteration`` is the round open when the watchdog published it, -1
+    between rounds.
     """
 
     at: float

@@ -8,7 +8,7 @@ Every record has ``event`` (the event class name) and ``at`` (simulated
 seconds); the remaining keys are the event dataclass's fields.  Values
 that are not JSON-native (e.g. CIDs) are stringified.  The format is
 tail-able and concatenation-safe — the raw material for timeline
-analysis, exposed on the command line as ``python -m repro.cli trace``.
+analysis; ``python -m repro.cli run`` writes one as ``trace.jsonl``.
 Path destinations are truncated by default; pass ``append=True`` to
 extend an existing timeline instead (e.g. across separate runs).
 

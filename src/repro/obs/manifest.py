@@ -4,10 +4,10 @@ A :class:`RunManifest` is the durable, diffable record every perf PR
 needs: the configuration fingerprint (so two manifests are only
 compared when they describe the same scenario), the counters, the
 histogram summaries (count/sum/min/max/mean and exact p50/p95/p99) and
-the resource-series digests.  ``python -m repro.cli metrics`` writes
-one per run; ``python -m repro.cli compare`` diffs two with per-metric
-relative-change thresholds and exits non-zero on regression, which is
-what the CI baseline job runs.
+the resource-series digests.  ``python -m repro.cli run`` writes one
+per run (``manifest.json``); :func:`compare_manifests` diffs two with
+per-metric relative-change thresholds, which ``cli explain`` ranks and
+the ``scale`` / ``dirshard`` baseline gates exit non-zero on.
 
 The manifest stores *summaries*, not raw events — the JSONL trace is
 the raw record; this is the comparable one.  Nothing in it depends on
@@ -69,8 +69,8 @@ class RunManifest:
 
         Folds the registry's self-accounting in as gauges
         (``obs.telemetry.bytes`` / ``obs.telemetry.peak_bytes`` /
-        ``obs.events.observed``) so ``compare`` gates observability-cost
-        regressions alongside protocol metrics.  All three are
+        ``obs.events.observed``) so the manifest diff sees
+        observability-cost regressions alongside protocol metrics.  All three are
         deterministic functions of the event stream and the memory
         model, never of wall-clock time, so manifest byte-identity
         across replays is preserved.

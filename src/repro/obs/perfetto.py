@@ -15,11 +15,9 @@ so export works on live collectors and replayed trees alike::
     session.run(rounds=3)
     PerfettoExporter(collector.trees.values()).write("timeline.json")
 
-:meth:`PerfettoExporter.add_profile` additionally renders a
-:class:`~repro.obs.profiling.HostProfile` — host (wall-clock) cost, a
-different time base than the simulated span tracks — under its own
-synthetic process (pid 2): one thread track per subsystem carrying the
-scope self-time slices laid end to end.
+Every timestamp is simulated time, so the trace of a seeded run is
+byte-identical on replay; host (wall-clock) cost lives in the
+:class:`~repro.obs.profiling.HostProfile` artifact instead.
 """
 
 from __future__ import annotations
@@ -37,12 +35,6 @@ __all__ = ["PerfettoExporter"]
 _PID = 1
 _PROCESS_NAME = "repro"
 
-#: Host-cost profile tracks live under their own process: they measure
-#: wall time, not simulated time, and must not share an axis meaning
-#: with the span tracks.
-_PROFILE_PID = 2
-_PROFILE_PROCESS_NAME = "host profile"
-
 #: Simulated seconds -> trace microseconds.
 _MICROS = 1_000_000.0
 
@@ -53,7 +45,6 @@ class PerfettoExporter:
     def __init__(self, trees: Optional[Iterable[SpanTree]] = None):
         self._events: List[dict] = []
         self._tids: Dict[str, int] = {}
-        self._profile_tid = 1
         if trees is not None:
             for tree in trees:
                 self.add_tree(tree)
@@ -100,51 +91,6 @@ class PerfettoExporter:
                 "ts": anomaly.at * _MICROS,
                 "args": {"value": index + 1},
             })
-
-    def add_profile(self, profile, label: str = "profile") -> None:
-        """Render a :class:`~repro.obs.profiling.HostProfile` (pid 2).
-
-        Scope self-times become complete slices laid end to end on one
-        thread track per subsystem (a synthetic wall-time axis: slice
-        *widths* are real attributed seconds, positions are not a
-        timeline).
-        """
-        by_subsystem: Dict[str, List] = {}
-        for scope in profile.scopes:
-            by_subsystem.setdefault(scope.subsystem, []).append(scope)
-        for subsystem, scopes in sorted(by_subsystem.items()):
-            tid = self._profile_tid
-            self._profile_tid += 1
-            self._events.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": _PROFILE_PID,
-                "tid": tid,
-                "args": {"name": f"{label}:{subsystem}"},
-            })
-            cursor = 0.0
-            for scope in sorted(scopes, key=lambda s: -s.self_seconds):
-                self._events.append({
-                    "name": scope.label,
-                    "cat": "host",
-                    "ph": "X",
-                    "pid": _PROFILE_PID,
-                    "tid": tid,
-                    "ts": cursor * _MICROS,
-                    "dur": scope.self_seconds * _MICROS,
-                    "args": {
-                        "calls": scope.calls,
-                        "self_seconds": scope.self_seconds,
-                        "total_seconds": scope.total_seconds,
-                    },
-                })
-                cursor += scope.self_seconds
-        self._events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": _PROFILE_PID,
-            "args": {"name": _PROFILE_PROCESS_NAME},
-        })
 
     def to_dict(self) -> dict:
         """The complete trace as a JSON-object-format dict."""

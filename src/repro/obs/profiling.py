@@ -31,7 +31,7 @@ Contracts (pinned by ``tests/test_obs_profiling.py``):
   call sequence.
 
 See "Profiling" in ``docs/OBSERVABILITY.md`` for the artifact schema
-and ``python -m repro.cli profile`` for the end-to-end command.
+(``python -m repro.cli run`` writes one as ``profile.json``).
 """
 
 from __future__ import annotations

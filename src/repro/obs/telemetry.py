@@ -1,12 +1,19 @@
-"""Telemetry rebuilt as a bus subscriber.
+"""Telemetry: the measurements the paper's evaluation reports.
 
-:class:`TelemetryCollector` derives the exact quantities the paper's
-evaluation reports (upload/aggregation/synchronization delays, bytes
-per aggregator — Sec. V) from the protocol event stream, populating the
-same :class:`~repro.core.telemetry.IterationMetrics` /
-:class:`~repro.core.telemetry.SessionMetrics` dataclasses the repo has
-always exposed.  No protocol class mutates metrics any more; they only
-publish events.
+The paper measures (Sec. V):
+
+- *upload delay* — trainer put until the IPFS store acknowledgment,
+- *aggregation delay* — first gradient hash written to the directory
+  until all uploaded gradients are aggregated,
+- *synchronization delay* — multi-aggregator partial-update exchange,
+- *data received per aggregator per iteration*,
+- commitment computation/verification time.
+
+Protocol participants only publish :mod:`repro.obs` events; a
+:class:`TelemetryCollector` (every session owns one) folds the event
+stream into :class:`IterationMetrics` / :class:`SessionMetrics`, the
+stable analysis-facing API.  Archived runs round-trip through
+:meth:`SessionMetrics.to_json` / :meth:`SessionMetrics.from_json`.
 
 Routing: events carry an ``iteration``; the collector only applies them
 while that iteration is *open* (between ``IterationStarted`` and
@@ -18,7 +25,9 @@ state at round end.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import json
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from .bus import EventBus, Subscription
 from .events import (
@@ -38,19 +47,212 @@ from .events import (
     VerificationFailed,
 )
 
-__all__ = ["TelemetryCollector"]
-
-# Imported lazily so repro.obs stays import-time independent of
-# repro.core (whose modules themselves publish repro.obs events).
-_metric_types = None
+__all__ = ["IterationMetrics", "SessionMetrics", "TelemetryCollector"]
 
 
-def _metrics_classes():
-    global _metric_types
-    if _metric_types is None:
-        from ..core.telemetry import IterationMetrics, SessionMetrics
-        _metric_types = (IterationMetrics, SessionMetrics)
-    return _metric_types
+@dataclass
+class IterationMetrics:
+    """Everything measured during one training round."""
+
+    iteration: int
+    started_at: float = 0.0
+    finished_at: float = 0.0
+    #: trainer -> seconds from gradient put to store ack (mean over
+    #: partitions).
+    upload_delays: Dict[str, float] = field(default_factory=dict)
+    #: Simulated time the first gradient CID reached the directory.
+    first_gradient_at: Optional[float] = None
+    #: aggregator -> time it finished aggregating its trainers' gradients.
+    gradients_aggregated_at: Dict[str, float] = field(default_factory=dict)
+    #: aggregator -> time its (or its partition's) global update was
+    #: registered.
+    update_registered_at: Dict[str, float] = field(default_factory=dict)
+    #: aggregator -> bytes downloaded this iteration.
+    bytes_received: Dict[str, float] = field(default_factory=dict)
+    #: aggregator -> seconds spent in the synchronization phase.
+    sync_delays: Dict[str, float] = field(default_factory=dict)
+    #: Commitment computation seconds per participant (verifiable mode).
+    commit_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Verification failures observed (addresses as strings).
+    verification_failures: List[str] = field(default_factory=list)
+    #: Trainers that completed the round with an updated model.
+    trainers_completed: List[str] = field(default_factory=list)
+    #: Aggregator takeovers performed (dead aggregator ids).
+    takeovers: List[str] = field(default_factory=list)
+    #: participant -> why it dropped out of this round (crashed,
+    #: retries exhausted, offline fault window, missed deadline).
+    degraded: Dict[str, str] = field(default_factory=dict)
+
+    # -- derived quantities -----------------------------------------------------
+
+    @property
+    def aggregation_delay(self) -> Optional[float]:
+        """First gradient registration -> all aggregators done (paper's
+        definition of the gradients-aggregation delay)."""
+        if self.first_gradient_at is None or not self.gradients_aggregated_at:
+            return None
+        return max(self.gradients_aggregated_at.values()) - self.first_gradient_at
+
+    @property
+    def sync_delay(self) -> Optional[float]:
+        """Mean synchronization time across aggregators."""
+        if not self.sync_delays:
+            return None
+        return sum(self.sync_delays.values()) / len(self.sync_delays)
+
+    @property
+    def total_aggregation_delay(self) -> Optional[float]:
+        """First gradient registration -> last global update registered
+        (the Fig. 2 'total aggregation delay')."""
+        if self.first_gradient_at is None or not self.update_registered_at:
+            return None
+        return max(self.update_registered_at.values()) - self.first_gradient_at
+
+    @property
+    def collection_time(self) -> Optional[float]:
+        """Iteration start -> all aggregators hold all their gradients.
+
+        The system-comparable form of the aggregation delay: unlike
+        :attr:`aggregation_delay` it does not depend on when the first
+        registration lands, so it is meaningful for the direct baseline
+        (which has no directory) too."""
+        if not self.gradients_aggregated_at:
+            return None
+        return max(self.gradients_aggregated_at.values()) - self.started_at
+
+    @property
+    def end_to_end_delay(self) -> Optional[float]:
+        """Iteration start -> last global update registered: the combined
+        objective the provider-count trade-off (Fig. 1) optimizes."""
+        if not self.update_registered_at:
+            return None
+        return max(self.update_registered_at.values()) - self.started_at
+
+    @property
+    def mean_upload_delay(self) -> Optional[float]:
+        if not self.upload_delays:
+            return None
+        return sum(self.upload_delays.values()) / len(self.upload_delays)
+
+    @property
+    def mean_bytes_received(self) -> Optional[float]:
+        if not self.bytes_received:
+            return None
+        return sum(self.bytes_received.values()) / len(self.bytes_received)
+
+    @property
+    def duration(self) -> float:
+        return self.finished_at - self.started_at
+
+    def to_dict(self) -> dict:
+        """A JSON-serializable snapshot (raw fields + derived values).
+
+        ``degraded`` appears only when non-empty, keeping honest-run
+        snapshots identical to those captured before fault injection
+        existed.
+        """
+        snapshot = self._base_dict()
+        if self.degraded:
+            snapshot["degraded"] = dict(self.degraded)
+        return snapshot
+
+    def _base_dict(self) -> dict:
+        return {
+            "iteration": self.iteration,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "duration": self.duration,
+            "upload_delays": dict(self.upload_delays),
+            "first_gradient_at": self.first_gradient_at,
+            "gradients_aggregated_at": dict(self.gradients_aggregated_at),
+            "update_registered_at": dict(self.update_registered_at),
+            "bytes_received": dict(self.bytes_received),
+            "sync_delays": dict(self.sync_delays),
+            "commit_seconds": dict(self.commit_seconds),
+            "verification_failures": list(self.verification_failures),
+            "trainers_completed": list(self.trainers_completed),
+            "takeovers": list(self.takeovers),
+            "aggregation_delay": self.aggregation_delay,
+            "sync_delay": self.sync_delay,
+            "total_aggregation_delay": self.total_aggregation_delay,
+            "collection_time": self.collection_time,
+            "end_to_end_delay": self.end_to_end_delay,
+            "mean_upload_delay": self.mean_upload_delay,
+            "mean_bytes_received": self.mean_bytes_received,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "IterationMetrics":
+        """Rebuild from a :meth:`to_dict` snapshot.
+
+        Derived values present in the snapshot are ignored — they are
+        recomputed from the raw fields, so a loaded run answers every
+        property exactly as the live one did.
+        """
+        return cls(
+            iteration=data["iteration"],
+            started_at=data.get("started_at", 0.0),
+            finished_at=data.get("finished_at", 0.0),
+            upload_delays=dict(data.get("upload_delays", {})),
+            first_gradient_at=data.get("first_gradient_at"),
+            gradients_aggregated_at=dict(
+                data.get("gradients_aggregated_at", {})),
+            update_registered_at=dict(
+                data.get("update_registered_at", {})),
+            bytes_received=dict(data.get("bytes_received", {})),
+            sync_delays=dict(data.get("sync_delays", {})),
+            commit_seconds=dict(data.get("commit_seconds", {})),
+            verification_failures=list(
+                data.get("verification_failures", [])),
+            trainers_completed=list(data.get("trainers_completed", [])),
+            takeovers=list(data.get("takeovers", [])),
+            degraded=dict(data.get("degraded", {})),
+        )
+
+
+@dataclass
+class SessionMetrics:
+    """Per-iteration metrics for a whole run."""
+
+    iterations: List[IterationMetrics] = field(default_factory=list)
+
+    def latest(self) -> IterationMetrics:
+        if not self.iterations:
+            raise IndexError("no iterations recorded")
+        return self.iterations[-1]
+
+    def mean_over_iterations(self, attribute: str) -> Optional[float]:
+        """Average a derived property over recorded iterations."""
+        values = [
+            getattr(metrics, attribute) for metrics in self.iterations
+        ]
+        values = [value for value in values if value is not None]
+        if not values:
+            return None
+        return sum(values) / len(values)
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form of the whole run."""
+        return {
+            "iterations": [m.to_dict() for m in self.iterations],
+        }
+
+    def to_json(self, indent: int = 2) -> str:
+        """Serialize the run's telemetry for archival/plotting."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SessionMetrics":
+        """Rebuild a run from a :meth:`to_dict` snapshot."""
+        return cls(iterations=[
+            IterationMetrics.from_dict(entry)
+            for entry in data.get("iterations", [])
+        ])
+
+    @classmethod
+    def from_json(cls, text: str) -> "SessionMetrics":
+        """Load an archived run; inverse of :meth:`to_json`."""
+        return cls.from_dict(json.loads(text))
 
 
 class TelemetryCollector:
@@ -86,12 +288,10 @@ class TelemetryCollector:
         return tuple(cls._HANDLERS)
 
     def __init__(self, bus: EventBus):
-        iteration_cls, session_cls = _metrics_classes()
-        self._iteration_cls = iteration_cls
         #: The run's accumulated metrics (same object for the session's
         #: whole lifetime, so holders never see a stale copy).
-        self.session = session_cls()
-        self._open: Dict[int, object] = {}
+        self.session = SessionMetrics()
+        self._open: Dict[int, IterationMetrics] = {}
         self._dispatch = {
             event_type: getattr(self, method)
             for event_type, method in self._HANDLERS.items()
@@ -114,11 +314,11 @@ class TelemetryCollector:
     def _handle(self, event) -> None:
         self._dispatch[type(event)](event)
 
-    def _current(self, iteration: int) -> Optional[object]:
+    def _current(self, iteration: int) -> Optional[IterationMetrics]:
         return self._open.get(iteration)
 
     def _on_started(self, event) -> None:
-        metrics = self._iteration_cls(
+        metrics = IterationMetrics(
             iteration=event.iteration, started_at=event.at
         )
         self._open[event.iteration] = metrics

@@ -8,7 +8,6 @@ from repro.analysis import (
     Attribution,
     DiagnosisReport,
     diagnose_runs,
-    load_run_artifact,
 )
 from repro.cli import main
 from repro.obs import HostProfile, RunManifest, ScopeStat
@@ -149,40 +148,22 @@ def test_top_attribution_of_empty_report_is_none():
         == "subsystem"
 
 
-# -- load_run_artifact -----------------------------------------------------------
-
-
-def test_load_run_artifact_sniffs_manifest_and_profile(tmp_path):
-    manifest_path = tmp_path / "manifest.json"
-    manifest(counters={"x": 1.0}).write(manifest_path)
-    profile_path = tmp_path / "profile.json"
-    fast_profile().write(profile_path)
-    kind, artifact = load_run_artifact(manifest_path)
-    assert kind == "manifest" and isinstance(artifact, RunManifest)
-    kind, artifact = load_run_artifact(profile_path)
-    assert kind == "profile" and isinstance(artifact, HostProfile)
-
-
-def test_load_run_artifact_rejects_unknown_shapes(tmp_path):
-    junk = tmp_path / "junk.json"
-    junk.write_text('{"neither": true}')
-    with pytest.raises(ValueError, match="neither a RunManifest"):
-        load_run_artifact(junk)
-    array = tmp_path / "array.json"
-    array.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError, match="not a JSON object"):
-        load_run_artifact(array)
-
-
 # -- the explain CLI -------------------------------------------------------------
 
 
+def write_bundle(directory, run_manifest, profile):
+    """The two files of a run bundle that ``explain`` reads."""
+    directory.mkdir()
+    run_manifest.write(directory / "manifest.json")
+    profile.write(directory / "profile.json")
+    return str(directory)
+
+
 def test_explain_cli_names_the_regressing_subsystem(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    current = tmp_path / "current.json"
-    fast_profile().write(base)
-    slow_profile().write(current)
-    assert main(["explain", str(base), str(current)]) == 0
+    base = write_bundle(tmp_path / "base", manifest(), fast_profile())
+    current = write_bundle(tmp_path / "current", manifest(),
+                           slow_profile())
+    assert main(["explain", base, current]) == 0
     out = capsys.readouterr().out
     assert "attribution (most suspicious first)" in out
     assert "1. [subsystem] net:" in out
@@ -190,45 +171,73 @@ def test_explain_cli_names_the_regressing_subsystem(tmp_path, capsys):
 
 
 def test_explain_cli_json_output_round_trips(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    current = tmp_path / "current.json"
-    manifest(counters={"x": 1.0}).write(base)
-    manifest(counters={
+    base = write_bundle(tmp_path / "base", manifest(counters={"x": 1.0}),
+                        fast_profile())
+    current = write_bundle(tmp_path / "current", manifest(counters={
         "x": 1.0, "obs.anomaly.detected.retry_storm": 2.0,
-    }).write(current)
-    assert main(["explain", str(base), str(current), "--json"]) == 0
+    }), fast_profile())
+    assert main(["explain", base, current, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["fingerprint_matches"] is True
     assert payload["attributions"][0]["subject"] == "retry_storm"
 
 
 def test_explain_cli_mixes_manifests_with_profile_flags(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    current = tmp_path / "current.json"
-    manifest(counters={"x": 1.0}).write(base)
-    manifest(counters={"x": 1.0}).write(current)
-    pb = tmp_path / "pb.json"
-    pc = tmp_path / "pc.json"
-    fast_profile().write(pb)
-    slow_profile().write(pc)
-    assert main(["explain", str(base), str(current),
-                 "--profile-base", str(pb),
-                 "--profile-current", str(pc)]) == 0
+    """One bundle per side carries both artifacts (there are no
+    per-artifact flags any more): the manifest pair and the profile
+    pair land in one ranked report."""
+    base = write_bundle(tmp_path / "base", manifest(counters={"x": 1.0}),
+                        fast_profile())
+    current = write_bundle(tmp_path / "current", manifest(counters={
+        "x": 2.0}), slow_profile())
+    assert main(["explain", base, current]) == 0
     out = capsys.readouterr().out
     assert "[subsystem] net:" in out
+    assert "[metric] x:" in out
+    assert out.index("[subsystem] net:") < out.index("[metric] x:")
 
 
 def test_explain_cli_rejects_manifest_as_profile_flag(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    current = tmp_path / "current.json"
-    manifest(counters={"x": 1.0}).write(base)
-    manifest(counters={"x": 1.0}).write(current)
-    assert main(["explain", str(base), str(current),
-                 "--profile-base", str(base)]) == 1
-    assert "expected a HostProfile" in capsys.readouterr().err
+    """A bundle whose ``profile.json`` is not a HostProfile (here: a
+    manifest) is refused, not diffed."""
+    base = write_bundle(tmp_path / "base", manifest(), fast_profile())
+    current = write_bundle(tmp_path / "current", manifest(),
+                           fast_profile())
+    manifest().write(tmp_path / "current" / "profile.json")
+    assert main(["explain", base, current]) == 1
+    assert "explain: unsupported profile version" in \
+        capsys.readouterr().err
 
 
 def test_explain_cli_fails_cleanly_on_missing_file(tmp_path, capsys):
-    assert main(["explain", str(tmp_path / "nope.json"),
-                 str(tmp_path / "nope2.json")]) == 1
+    assert main(["explain", str(tmp_path / "nope"),
+                 str(tmp_path / "nope2")]) == 1
     assert "explain:" in capsys.readouterr().err
+    # A directory that holds something other than a bundle, likewise.
+    (tmp_path / "junk").mkdir()
+    (tmp_path / "junk" / "manifest.json").write_text("[1, 2, 3")
+    assert main(["explain", str(tmp_path / "junk"),
+                 str(tmp_path / "junk")]) == 1
+    assert "explain:" in capsys.readouterr().err
+
+
+def test_explain_churn_vs_control_names_the_anomaly_kinds(
+        churn_bundle, tmp_path, capsys):
+    """The CI chaos job's diagnosis: the control run against the churn
+    run, both read as bundle directories."""
+    from tests.util import run_bundle
+
+    control = run_bundle(["--rounds", "2", "--request-timeout", "5"],
+                         tmp_path / "control")
+    assert control.code == 0
+    churn = churn_bundle
+    assert main(["explain", str(control.path), str(churn.path),
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["anomalies"] == {
+        "base": {}, "current": {"retry_storm": 1, "throughput_collapse": 1}}
+    blamed = {a["subject"] for a in report["attributions"]
+              if a["kind"] == "anomaly"}
+    assert blamed == {"retry_storm", "throughput_collapse"}
+    assert report["subsystem_shifts"]  # profile.json was read too
+    assert not report["fingerprint_matches"]

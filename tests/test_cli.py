@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _run_dirshard, _run_scale, build_parser, main
 from repro.obs import FakeWallClock
+from tests.util import run_bundle
 
 
 def run_on_fake_clock(runner, argv):
@@ -92,12 +93,21 @@ SMALL_SESSION = [
 ]
 
 
-def test_timeline_writes_a_loadable_perfetto_trace(tmp_path, capsys):
+@pytest.mark.parametrize("gone", [
+    "trace", "timeline", "critical-path", "metrics", "audit",
+    "incidents", "chaos", "profile", "compare",
+])
+def test_parser_rejects_the_subcommands_run_replaced(gone, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([gone])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_timeline_writes_a_loadable_perfetto_trace(tmp_path):
     import json
-    out = tmp_path / "timeline.json"
-    code = main(["timeline", "--output", str(out)] + SMALL_SESSION)
-    assert code == 0
-    trace = json.loads(out.read_text())
+    run = run_bundle(SMALL_SESSION, tmp_path)
+    assert run.code == 0
+    trace = json.loads((tmp_path / "timeline.perfetto.json").read_text())
     slices = [record for record in trace["traceEvents"]
               if record["ph"] == "X"]
     assert slices and all("ts" in r and "dur" in r and "tid" in r
@@ -105,83 +115,171 @@ def test_timeline_writes_a_loadable_perfetto_trace(tmp_path, capsys):
     assert {record["name"] for record in slices} >= {
         "iteration", "upload", "collect", "publish_update",
     }
-    assert "ui.perfetto.dev" in capsys.readouterr().err
+    # Simulated time only: a host-time track would break the replay.
+    assert {record["pid"] for record in trace["traceEvents"]} == {1}
+    assert "ui.perfetto.dev" in run.out
 
 
-def test_timeline_streams_to_stdout(capsys):
-    import json
-    code = main(["timeline"] + SMALL_SESSION)
-    assert code == 0
-    trace = json.loads(capsys.readouterr().out)
-    assert trace["traceEvents"]
+def test_timeline_streams_to_stdout(tmp_path):
+    """What streams to stdout is the report, and ``report.txt`` is
+    exactly that; the timeline (like every other artifact) is a file
+    the report names, never output."""
+    run = run_bundle(SMALL_SESSION, tmp_path)
+    assert run.code == 0
+    assert run.out == (tmp_path / "report.txt").read_text()
+    assert "1 iteration(s) -> timeline.perfetto.json" in run.out
+    assert "traceEvents" not in run.out
+    assert run.out.rstrip().endswith("run clean")
 
 
-def test_critical_path_prints_the_decomposition(capsys):
-    code = main(["critical-path", "--straggler-threshold", "0.1"]
-                + SMALL_SESSION)
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "critical path" in out
-    assert "upload" in out and "publish_update" in out
-    assert "stragglers (threshold 0.100 s)" in out
-    assert "<-- straggler" in out
+def test_critical_path_prints_the_decomposition(tmp_path):
+    run = run_bundle(SMALL_SESSION, tmp_path)
+    assert run.code == 0
+    assert "iteration 0 critical path" in run.out
+    assert "upload" in run.out and "publish_update" in run.out
+    assert "stragglers (threshold 0.000 s)" in run.out
+    assert "<-- straggler" in run.out
 
 
-# -- audit / incidents -------------------------------------------------------------
+def test_status_reads_a_bundles_progress_file(tmp_path, capsys):
+    assert run_bundle(SMALL_SESSION, tmp_path).code == 0
+    assert main(["status", str(tmp_path / "progress.jsonl")]) == 0
+    assert "iteration 0" in capsys.readouterr().out
+
+
+# -- the exit-code rule -------------------------------------------------------------
 
 AUDIT_SESSION = [
     "--trainers", "4", "--rounds", "1", "--partitions", "1",
     "--ipfs-nodes", "4", "--params", "64",
 ]
 
-
-def test_audit_honest_run_exits_zero(capsys):
-    code = main(["audit"] + AUDIT_SESSION + ["--verifiable"])
-    assert code == 0
-    assert "audit clean" in capsys.readouterr().out
+#: Every directory request times out at once: retry budgets run out on
+#: honest infrastructure, within a few simulated seconds.
+EXHAUSTED = SMALL_SESSION + ["--request-timeout", "1e-6"]
 
 
-def test_audit_injected_drop_exits_nonzero(tmp_path, capsys):
-    code = main(["audit"] + AUDIT_SESSION
-                + ["--inject", "drop", "--incidents-dir", str(tmp_path)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "audit FAILED" in out
-    assert "classification: dropped" in out
-    assert "aggregator-0" in out
-    assert list(tmp_path.glob("incident-*.json"))
+def test_audit_honest_run_exits_zero(tmp_path):
+    run = run_bundle(AUDIT_SESSION + ["--verifiable"], tmp_path)
+    assert run.code == 0
+    assert "run clean" in run.out
 
 
-def test_audit_warn_only_reports_but_exits_zero(capsys):
-    code = main(["audit"] + AUDIT_SESSION
-                + ["--inject", "drop", "--warn-only"])
-    assert code == 0
-    assert "audit FAILED" in capsys.readouterr().out
+def test_audit_injected_drop_exits_nonzero(drop_bundle):
+    assert drop_bundle.code == 1
+    assert "run FAILED" in drop_bundle.out
+    assert "1 verification failure(s)" in drop_bundle.out
+    assert "classification: dropped" in drop_bundle.out
+    assert "aggregator-0" in drop_bundle.out
+    assert list((drop_bundle.path / "incidents").glob("incident-*.json"))
 
 
-def test_audit_inject_forces_verifiable(capsys):
+def test_audit_warn_only_reports_but_exits_zero(tmp_path):
+    run = run_bundle(EXHAUSTED + ["--warn-only"], tmp_path)
+    assert run.code == 0
+    assert "run FAILED" in run.out
+
+
+def test_audit_inject_forces_verifiable(drop_bundle):
     # No --verifiable on the command line; detection still works.
-    code = main(["audit"] + AUDIT_SESSION + ["--inject", "lazy",
-                                             "--warn-only"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "forces --verifiable" in captured.err
-    assert "classification: lazy" in captured.out
-
-
-def test_incidents_writes_loadable_bundles(tmp_path, capsys):
     import json
-    out_dir = tmp_path / "inc"
-    code = main(["incidents"] + AUDIT_SESSION
-                + ["--inject", "drop", "--output-dir", str(out_dir)])
-    assert code == 0
-    bundles = sorted(out_dir.glob("incident-*.json"))
-    assert bundles
+    assert "forces --verifiable" in drop_bundle.err
+    manifest = json.loads((drop_bundle.path / "manifest.json").read_text())
+    assert manifest["fingerprint"]["verifiable"] is True
+
+
+def test_incidents_writes_loadable_bundles(drop_bundle):
+    import json
+    bundles = sorted((drop_bundle.path / "incidents").glob("*.json"))
+    assert [path.name for path in bundles] == [
+        "incident-00-i0-verification_failed.json"]
     loaded = json.loads(bundles[0].read_text())
     assert loaded["blame"]["classification"] == "dropped"
     assert loaded["blame"]["aggregator"] == "aggregator-0"
     assert "trainer-2" in loaded["blame"]["dropped_trainers"]
-    assert "bundle ->" in capsys.readouterr().out
+
+
+def test_run_overwrites_the_incidents_of_an_earlier_run(tmp_path):
+    stale = tmp_path / "incidents" / "incident-07-i3-anomaly_detected.json"
+    stale.parent.mkdir()
+    stale.write_text("{}")
+    assert run_bundle(SMALL_SESSION, tmp_path).code == 0
+    assert not list((tmp_path / "incidents").iterdir())
+
+
+@pytest.mark.parametrize("case, code, said", [
+    ("honest", 0, "run clean"),
+    ("drop", 1, "1 verification failure(s)"),
+    ("churn plan, both of its kinds expected", 0, "run clean"),
+    ("fault plan, its kind expected", 0, "run clean"),
+    ("fault plan, its kind omitted", 1,
+     "run FAILED: unexpected anomaly kind(s): throughput_collapse\n"),
+    ("an expected kind that never fired", 1,
+     "run FAILED: expected anomaly kind(s) not detected: queue_runaway\n"),
+    ("retries exhausted without a plan", 1,
+     "3 retry budget(s) exhausted with no fault plan"),
+    ("warn-only", 0, "3 retry budget(s) exhausted with no fault plan"),
+])
+def test_run_exit_code_is_one_rule(case, code, said, request, tmp_path):
+    if case == "drop":
+        run = request.getfixturevalue("drop_bundle")
+    elif case.startswith("churn plan"):
+        run = request.getfixturevalue("churn_bundle")
+    elif case.startswith("fault plan"):
+        expected, omitted = request.getfixturevalue("flap_bundles")
+        run = omitted if "omitted" in case else expected
+    else:
+        run = run_bundle({
+            "honest": SMALL_SESSION,
+            "an expected kind that never fired":
+                SMALL_SESSION + ["--expect-anomaly", "queue_runaway"],
+            "retries exhausted without a plan": EXHAUSTED,
+            "warn-only": EXHAUSTED + ["--warn-only"],
+        }[case], tmp_path)
+    assert run.code == code
+    assert said in run.out
+
+
+def test_run_replay_is_byte_identical(flap_bundles):
+    """The determinism check: everything in a bundle but the report's
+    host-profile table, ``profile.json`` and ``progress.jsonl`` is a
+    pure function of seed + configuration."""
+    first, second = (run.path for run in flap_bundles)
+    for name in ("manifest.json", "trace.jsonl", "timeline.perfetto.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    incidents = sorted(p.name for p in (first / "incidents").iterdir())
+    assert incidents == sorted(
+        p.name for p in (second / "incidents").iterdir())
+    assert incidents == ["incident-00-i0-anomaly_detected.json"]
+    for name in incidents:
+        assert (first / "incidents" / name).read_bytes() == \
+            (second / "incidents" / name).read_bytes()
+
+
+def test_run_failing_mid_round_exits_1_and_every_file_parses(
+        tmp_path, monkeypatch):
+    import json
+    from repro.core import FLSession
+    from repro.obs import HostProfile, RunManifest
+    from repro.obs.events import IterationStarted
+
+    def exploding_run(self, rounds):
+        self.sim.bus.publish(IterationStarted(at=0.0, iteration=0))
+        raise RuntimeError("mid-round crash")
+
+    monkeypatch.setattr(FLSession, "run", exploding_run)
+    run = run_bundle(SMALL_SESSION, tmp_path)
+    assert run.code == 1
+    assert "run failed" in run.err and "mid-round crash" in run.err
+    assert "run FAILED: the run raised RuntimeError" in run.out
+    assert RunManifest.load(tmp_path / "manifest.json").fingerprint["digest"]
+    assert HostProfile.load(tmp_path / "profile.json").dispatches == 0
+    assert json.loads((tmp_path / "timeline.perfetto.json").read_text())
+    for name in ("trace.jsonl", "progress.jsonl"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines and all(json.loads(line) for line in lines)
+    assert (tmp_path / "report.txt").read_text() == run.out
+    assert (tmp_path / "incidents").is_dir()
 
 
 def test_scale_parser_defaults():
@@ -392,91 +490,79 @@ def test_status_json_preserves_the_exit_contract(tmp_path, capsys):
     assert "no heartbeats" in capsys.readouterr().err
 
 
-# -- chaos --watch -----------------------------------------------------------
+# -- the watchdog is always attached -------------------------------------------
 
 
-CLEAN_CHAOS = ["chaos", "--rounds", "1", "--trainers", "4",
-               "--params", "2000"]
+CLEAN_RUN = ["--rounds", "1", "--trainers", "4", "--params", "2000"]
 
 
 def test_chaos_expect_anomaly_implies_watch_and_fails_when_absent(
-        capsys):
-    # A clean run cannot produce a retry storm, so the expectation
-    # fails; --expect-anomaly alone must attach the watchdog.
-    assert main(CLEAN_CHAOS + ["--expect-anomaly", "retry_storm"]) == 1
-    out = capsys.readouterr().out
-    assert "expected anomaly kind(s) not detected: retry_storm" in out
-    assert "watchdog: no anomalies" in out
+        tmp_path):
+    # A clean run cannot produce a retry storm, so the expectation fails.
+    run = run_bundle(CLEAN_RUN + ["--expect-anomaly", "retry_storm"],
+                     tmp_path)
+    assert run.code == 1
+    assert "expected anomaly kind(s) not detected: retry_storm" in run.out
+    assert "watchdog: no anomalies" in run.out
 
 
-def test_chaos_forbid_anomalies_passes_on_a_clean_run(capsys):
-    assert main(CLEAN_CHAOS + ["--forbid-anomalies"]) == 0
-    out = capsys.readouterr().out
-    assert "watchdog: no anomalies" in out
-    assert "chaos clean" in out
+def test_chaos_forbid_anomalies_passes_on_a_clean_run(tmp_path):
+    # Any anomaly nobody expected fails a run; a clean one has none.
+    run = run_bundle(CLEAN_RUN, tmp_path)
+    assert run.code == 0
+    assert "watchdog: no anomalies" in run.out
+    assert "run clean" in run.out
 
 
-def test_chaos_without_watch_reports_nothing_from_the_watchdog(capsys):
-    assert main(CLEAN_CHAOS) == 0
-    assert "watchdog" not in capsys.readouterr().out
+def test_expect_anomaly_rejects_an_unknown_kind(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["run", "--artifacts", "x", "--expect-anomaly", "retry_strom"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
-# -- profile -----------------------------------------------------------------
+# -- the host profile ----------------------------------------------------------
 
 
-def _profile_args(extra=()):
-    return [
-        "profile", "--trainers", "4", "--rounds", "1",
-        "--partitions", "2", "--ipfs-nodes", "4",
-        "--params", "2000", "--verifiable",
-    ] + list(extra)
+PROFILED = [
+    "--trainers", "4", "--rounds", "1", "--partitions", "2",
+    "--ipfs-nodes", "4", "--params", "2000", "--verifiable",
+]
 
 
-def test_profile_prints_the_hotspot_report(capsys):
-    assert main(_profile_args()) == 0
-    out = capsys.readouterr().out
-    assert "host-cost profile:" in out
-    assert "sim-s/wall-s" in out
-    assert "shares:" in out
-    assert "crypto" in out
+def test_profile_prints_the_hotspot_report(tmp_path):
+    run = run_bundle(PROFILED, tmp_path)
+    assert run.code == 0
+    assert "host-cost profile:" in run.out
+    assert "sim-s/wall-s" in run.out
+    assert "shares:" in run.out
+    assert "crypto" in run.out
 
 
-def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path, capsys):
+def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path):
     import json
 
-    out_path = tmp_path / "profile.json"
-    trace_path = tmp_path / "profile.perfetto.json"
-    code = main(_profile_args([
-        "--observe", "--output", str(out_path),
-        "--perfetto", str(trace_path),
-    ]))
-    capsys.readouterr()
-    assert code == 0
-    data = json.loads(out_path.read_text())
+    assert run_bundle(PROFILED, tmp_path).code == 0
+    data = json.loads((tmp_path / "profile.json").read_text())
     assert data["version"] == 2
     assert sum(data["shares"].values()) == pytest.approx(1.0)
-    assert "obs" in data["shares"]  # --observe priced the registry
+    assert "obs" in data["shares"]  # the observer stack is priced too
     assert "kernel" not in data["shares"]
     assert data["dispatches"] > 0
-    assert data["fingerprint"]["digest"]
-    trace = json.loads(trace_path.read_text())
-    assert any(event.get("ph") == "X" and event.get("pid") == 2
-               for event in trace["traceEvents"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert data["fingerprint"] == manifest["fingerprint"]
 
 
-def test_profile_with_a_population_covers_the_cohort_role(
-        tmp_path, capsys):
-    out_path = tmp_path / "profile.json"
-    code = main([
-        "profile", "--trainers", "4", "--rounds", "1",
-        "--partitions", "2", "--ipfs-nodes", "4", "--params", "2000",
-        "--population", "200", "--cohorts", "8", "--seed", "7",
-        "--output", str(out_path),
-    ])
-    capsys.readouterr()
-    assert code == 0
+def test_profile_with_a_population_covers_the_cohort_role(tmp_path):
     import json
-    data = json.loads(out_path.read_text())
+
+    run = run_bundle([
+        "--trainers", "4", "--rounds", "1", "--partitions", "2",
+        "--ipfs-nodes", "4", "--params", "2000",
+        "--population", "200", "--cohorts", "8", "--seed", "7",
+    ], tmp_path)
+    assert run.code == 0
+    data = json.loads((tmp_path / "profile.json").read_text())
     modules = {scope["phase"] for scope in data["scopes"]
                if scope["subsystem"] == "core"}
     assert "cohort" in modules

@@ -1,6 +1,7 @@
 """The NetworkProfile API: the composable profile, the one session
 signature, and the curated top-level ``repro`` surface."""
 
+import argparse
 import dataclasses
 import inspect
 
@@ -155,8 +156,30 @@ def test_public_surface_only_shrinks():
     from repro.obs import EventBus
     from repro.sim import Simulator
 
-    assert len(repro.obs.__all__) <= 91
-    assert len(repro.analysis.__all__) <= 37
+    assert len(repro.obs.__all__) <= 88
+    assert len(repro.analysis.__all__) <= 36
+    # One `run` writes one bundle and `explain` reads two of them; the
+    # eight subcommands that each rebuilt that session stay gone.
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)).choices
+    assert sorted(subcommands) == sorted(
+        "train providers-sweep commit-cost reproduce scale dirshard "
+        "status explain run".split())
+
+    def flags(subcommand):
+        return {option for action in subcommands[subcommand]._actions
+                for option in action.option_strings} - {"-h", "--help"}
+
+    assert flags("run") == set(
+        "--trainers --rounds --partitions --aggregators-per-partition "
+        "--ipfs-nodes --bandwidth-mbps --params --merge-and-download "
+        "--verifiable --seed --providers --population --cohorts --plan "
+        "--request-timeout --inject --expect-anomaly --warn-only "
+        "--artifacts".split())
+    assert flags("explain") == {"--threshold", "--json"}
     # The host profile is cProfile from outside: no layer carries a
     # hook for it, and the two hot loops have one body each.
     for hooked in (Simulator(), EventBus(),

@@ -35,6 +35,7 @@ from repro.obs.events import (
     TransferStarted,
 )
 from repro.sim import Simulator
+from tests.util import run_bundle
 
 
 def abort(at):
@@ -130,7 +131,7 @@ def test_throughput_collapse_deadline_path_is_critical():
     fired = list(detector.on_tick(150.0))
     assert len(fired) == 1
     assert fired[0].severity == "critical"
-    assert fired[0].iteration == 3
+    assert fired[0].iteration == -1  # the watchdog stamps the open round
     assert fired[0].evidence_dict()["observed"] == 1
 
 
@@ -379,6 +380,27 @@ def test_progress_heartbeat_surfaces_watchdog_state():
     assert "anomalies=1" in format_heartbeat(record)
 
 
+def test_watchdog_stamps_the_open_iteration_on_every_anomaly():
+    """One place tracks the open round: a detector that knows nothing
+    about iterations (the retry storm) is filed under the round it
+    fired in, and under -1 only between rounds."""
+    bus = EventBus()
+    published = []
+    bus.subscribe(published.append, AnomalyDetected)
+    watchdog = AnomalyWatchdog(
+        bus, detectors=[RetryStormDetector(window=10.0)])
+    bus.publish(IterationStarted(at=0.0, iteration=3,
+                                 t_train=100.0, t_sync=200.0))
+    for at in (1.0, 2.0, 3.0):
+        bus.publish(abort(at))
+    bus.publish(IterationFinished(at=50.0, iteration=3))
+    assert not list(watchdog.detectors[0].on_tick(60.0))  # re-arms
+    for at in (61.0, 62.0, 63.0):
+        bus.publish(abort(at))
+    assert [a.iteration for a in published] == [3, -1]
+    assert watchdog.anomalies == published
+
+
 # -- downstream consumers --------------------------------------------------------
 
 
@@ -441,60 +463,61 @@ def test_anomaly_event_round_trips_evidence():
 
 # -- end to end ------------------------------------------------------------------
 
-CHURN_CHAOS = [
-    "chaos", "--rounds", "2", "--aggregators-per-partition", "2",
-    "--request-timeout", "10", "--plan", "examples/plans/churn.json",
-]
+
+def test_churn_chaos_watchdog_classifies_storm_and_collapse(churn_bundle):
+    run = churn_bundle
+    assert run.code == 0
+    assert "ANOMALY [retry_storm/" in run.out
+    assert "ANOMALY [throughput_collapse/" in run.out
+    assert "[anomaly_detected]" in run.out
+    assert "run clean" in run.out
+    # Anomalies auto-sealed incident bundles.
+    assert len(list((run.path / "incidents").glob("*.json"))) == 2
 
 
-def test_churn_chaos_watchdog_classifies_storm_and_collapse(
-        tmp_path, capsys):
-    from repro.cli import main
-
-    incidents = tmp_path / "incidents"
-    code = main(CHURN_CHAOS + [
-        "--watch",
-        "--expect-anomaly", "retry_storm",
-        "--expect-anomaly", "throughput_collapse",
-        "--incidents-dir", str(incidents),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "ANOMALY [retry_storm/" in out
-    assert "ANOMALY [throughput_collapse/" in out
-    assert "[anomaly_detected]" in out
-    assert "chaos clean" in out
-    bundles = list(incidents.glob("*.json"))
-    assert bundles  # anomalies auto-sealed incident bundles
-
-
-def test_clean_chaos_run_reports_zero_anomalies(capsys):
-    from repro.cli import main
-
-    code = main(["chaos", "--rounds", "1", "--trainers", "4",
-                 "--params", "2000", "--watch", "--forbid-anomalies"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "watchdog: no anomalies" in out
-    assert "chaos clean" in out
+def test_mid_round_anomaly_is_filed_under_its_iteration(churn_bundle):
+    """The churn plan's retry storm fires at t = 22.6 s, inside round 0
+    (it used to be published, sealed and named as iteration -1)."""
+    run = churn_bundle
+    storm = next(
+        record for record in map(
+            json.loads, (run.path / "trace.jsonl").read_text().splitlines())
+        if record["event"] == "AnomalyDetected"
+        and record["kind"] == "retry_storm")
+    assert storm["at"] == pytest.approx(22.6, abs=0.1)
+    assert storm["iteration"] == 0
+    sealed = json.loads(
+        (run.path / "incidents"
+         / "incident-00-i0-anomaly_detected.json").read_text())
+    assert sealed["iteration"] == 0
+    assert sealed["trigger"]["kind"] == "retry_storm"
+    assert sealed["trigger"]["iteration"] == 0
+    assert "iter=0 RetryStormDetector" in run.out
 
 
-def test_watchdog_attached_replay_is_byte_identical(tmp_path, capsys):
-    from repro.cli import main
+def test_clean_chaos_run_reports_zero_anomalies(tmp_path):
+    run = run_bundle(["--rounds", "1", "--trainers", "4",
+                      "--params", "2000"], tmp_path)
+    assert run.code == 0
+    assert "watchdog: no anomalies" in run.out
+    assert "run clean" in run.out
+
+
+def test_watchdog_attached_replay_is_byte_identical(flap_bundles):
+    from repro.cli import _build_run_session, build_parser
+    from repro.faults import FaultPlan
     from repro.obs import RunManifest
+    from tests.conftest import FLAP
 
-    paths = [tmp_path / name for name in
-             ("watch-a.json", "watch-b.json", "bare.json")]
-    for path, watch in zip(paths, (True, True, False)):
-        argv = CHURN_CHAOS + ["--manifest", str(path)]
-        assert main(argv + ["--watch"] if watch else argv) == 0
-    capsys.readouterr()
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    watched = RunManifest.load(paths[0])
-    bare = RunManifest.load(paths[2])
-    # Watching is config-invisible: same fingerprint as the bare run.
-    assert watched.fingerprint["digest"] == bare.fingerprint["digest"]
-    # But the watched manifest carries the anomaly/evaluation counters.
-    assert watched.counters["obs.anomaly.detected"] >= 2
+    first, second = (run.path / "manifest.json" for run in flap_bundles)
+    assert first.read_bytes() == second.read_bytes()
+    watched = RunManifest.load(first)
+    # Watching is config-invisible: same fingerprint as the bare session.
+    plan = str(first.parent.parent / "flap.json")
+    args = build_parser().parse_args(
+        ["run", "--artifacts", "-", "--plan", plan] + FLAP)
+    bare, _ = _build_run_session(args, FaultPlan.load(plan))
+    assert watched.fingerprint["digest"] == bare.fingerprint()["digest"]
+    # The watched manifest carries the anomaly/evaluation counters.
+    assert watched.counters["obs.anomaly.detected"] == 1
     assert watched.counters["ml.evaluations"] > 0
-    assert "obs.anomaly.detected" not in bare.counters

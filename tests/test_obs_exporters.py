@@ -1,11 +1,11 @@
-"""JSONL trace export, the counters registry, and the trace CLI."""
+"""JSONL trace export, the counters registry, and the trace and
+timeline files of a ``cli run`` bundle."""
 
 import io
 import json
 
 import pytest
 
-from repro.cli import main
 from repro.net import Network, TransferTrace, mbps
 from repro.obs import CountersRegistry, EventBus, JsonlTraceExporter
 from repro.obs.events import (
@@ -20,6 +20,7 @@ from repro.obs.events import (
     VerificationFailed,
 )
 from repro.sim import Simulator
+from tests.util import run_bundle
 
 
 # -- JsonlTraceExporter ----------------------------------------------------------
@@ -292,45 +293,43 @@ def test_trace_detach_is_idempotent():
     assert len(trace) == 1
 
 
-# -- the trace CLI ---------------------------------------------------------------
+# -- the run bundle's trace and timeline ------------------------------------------
+
+SMALL_RUN = ["--trainers", "2", "--rounds", "1", "--partitions", "1",
+             "--ipfs-nodes", "2", "--params", "2000"]
 
 
-def test_cli_trace_writes_parseable_jsonl(tmp_path, capsys):
-    out = tmp_path / "trace.jsonl"
-    code = main([
-        "trace", "--output", str(out), "--trainers", "2", "--rounds", "1",
-        "--partitions", "1", "--ipfs-nodes", "2", "--params", "2000",
-    ])
-    assert code == 0
-    records = [json.loads(line)
-               for line in out.read_text().splitlines()]
+def test_cli_trace_writes_parseable_jsonl(tmp_path):
+    run = run_bundle(SMALL_RUN, tmp_path)
+    assert run.code == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert records, "trace must contain events"
     assert all("event" in r and "at" in r for r in records)
     kinds = {r["event"] for r in records}
     assert {"IterationStarted", "IterationFinished",
             "TransferCompleted"} <= kinds
-    # Counter summary lands on stderr, one "name value" pair per line.
-    err = capsys.readouterr().err
-    assert f"{len(records)} events" in err
-    assert "net.transfers" in err
+    # The counters the old stderr summary printed are the manifest's.
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["counters"]["net.transfers"] == sum(
+        r["event"] == "TransferCompleted" for r in records)
 
 
-def test_cli_trace_streams_to_stdout(capsys):
-    code = main([
-        "trace", "--trainers", "2", "--rounds", "1", "--partitions", "1",
-        "--ipfs-nodes", "2", "--params", "2000",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    records = [json.loads(line) for line in out.splitlines()]
-    assert records and all("event" in r for r in records)
+def test_cli_trace_streams_to_stdout(tmp_path):
+    """Nothing of the trace streams to stdout: the report counts the
+    events and names the file that holds them."""
+    run = run_bundle(SMALL_RUN, tmp_path)
+    assert run.code == 0
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    assert f"{len(lines)} events -> trace.jsonl" in run.out
+    assert '"event"' not in run.out
 
 
 def test_cli_trace_failing_run_still_leaves_valid_jsonl(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, monkeypatch):
     # A run that dies mid-round must exit non-zero yet leave the events
-    # written so far as a valid, parseable timeline (the exporter is
-    # closed/flushed via its context manager).
+    # written so far as a valid, parseable timeline (the bundle is
+    # written in a ``finally``, which closes/flushes the exporter).
     from repro.core import FLSession
     from repro.obs.events import IterationStarted as Started
 
@@ -341,31 +340,24 @@ def test_cli_trace_failing_run_still_leaves_valid_jsonl(
         raise RuntimeError("mid-round crash")
 
     monkeypatch.setattr(FLSession, "run", exploding_run)
-    out = tmp_path / "trace.jsonl"
-    code = main([
-        "trace", "--output", str(out), "--trainers", "2", "--rounds", "1",
-        "--partitions", "1", "--ipfs-nodes", "2", "--params", "2000",
-    ])
-    assert code == 1
-    records = [json.loads(line) for line in out.read_text().splitlines()]
+    run = run_bundle(SMALL_RUN, tmp_path)
+    assert run.code == 1
+    records = [json.loads(line) for line in
+               (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert [r["iteration"] for r in records] == [0, 1]
-    assert "run failed" in capsys.readouterr().err
+    assert "run failed" in run.err
 
 
 def test_cli_timeline_failing_run_still_writes_valid_json(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, monkeypatch):
     from repro.core import FLSession
 
     def exploding_run(self, rounds):
         raise RuntimeError("mid-round crash")
 
     monkeypatch.setattr(FLSession, "run", exploding_run)
-    out = tmp_path / "timeline.json"
-    code = main([
-        "timeline", "--output", str(out), "--trainers", "2", "--rounds",
-        "1", "--partitions", "1", "--ipfs-nodes", "2", "--params", "2000",
-    ])
-    assert code == 1
-    trace = json.loads(out.read_text())  # still well-formed JSON
-    assert "traceEvents" in trace
-    assert "run failed" in capsys.readouterr().err
+    run = run_bundle(SMALL_RUN, tmp_path)
+    assert run.code == 1
+    trace = json.loads((tmp_path / "timeline.perfetto.json").read_text())
+    assert "traceEvents" in trace  # still well-formed JSON
+    assert "run failed" in run.err

@@ -1,5 +1,5 @@
-"""The metrics layer: histograms, resource sampling, OpenMetrics
-exposition, run manifests and regression diffs."""
+"""The metrics layer: histograms, resource sampling, run manifests and
+regression diffs."""
 
 import json
 import math
@@ -21,8 +21,6 @@ from repro.obs import (
     RunManifest,
     TimeSeries,
     compare_manifests,
-    parse_openmetrics,
-    render_openmetrics,
 )
 from repro.obs.events import (
     BlockFetched,
@@ -33,6 +31,7 @@ from repro.obs.events import (
     UploadCompleted,
 )
 from repro.sim import Simulator
+from tests.util import run_bundle
 
 
 # -- Histogram ------------------------------------------------------------------
@@ -311,55 +310,6 @@ def test_transfer_bytes_conserved_across_subscribers_on_fig1_config():
     assert sum(metrics.bytes_received.values()) <= histogram.total
 
 
-# -- OpenMetrics exposition ------------------------------------------------------
-
-
-def test_openmetrics_round_trip():
-    bus = EventBus()
-    registry = MetricsRegistry(bus)
-    publish_synthetic_stream(bus)
-    registry.timeseries("net.flows.active").record(0.0, 2.0)
-    registry.timeseries("net.link.utilization", link="a/up").record(0.0, 0.75)
-    text = render_openmetrics(registry)
-    assert text.endswith("# EOF\n")
-    families = parse_openmetrics(text)
-
-    counters = registry.counters.counters()
-    for name, value in counters.items():
-        safe = name.replace(".", "_")
-        assert families[safe].type == "counter"
-        assert families[safe].value("_total") == value
-
-    for name, histogram in registry.histograms().items():
-        safe = name.replace(".", "_")
-        family = families[safe]
-        assert family.type == "histogram"
-        assert family.value("_count") == histogram.count
-        assert family.value("_sum") == pytest.approx(histogram.total)
-        # The +Inf bucket is cumulative-complete.
-        assert family.value("_bucket", le="+Inf") == histogram.count
-
-    assert families["net_flows_active"].value() == 2.0
-    assert families["net_link_utilization"].value(link="a/up") == 0.75
-
-
-def test_openmetrics_escapes_and_sanitizes_names():
-    registry = MetricsRegistry(EventBus())
-    registry.timeseries("weird.series", label='quo"te\\n').record(0.0, 1.0)
-    text = render_openmetrics(registry)
-    families = parse_openmetrics(text)
-    assert "weird_series" in families
-
-
-def test_parse_rejects_garbage_and_missing_eof():
-    with pytest.raises(ValueError):
-        parse_openmetrics("not a metric line at all !!!\n# EOF\n")
-    with pytest.raises(ValueError):
-        parse_openmetrics("x_total 1\n")
-    with pytest.raises(ValueError):
-        parse_openmetrics("# EOF\nx_total 1\n")
-
-
 # -- RunManifest and compare -----------------------------------------------------
 
 
@@ -472,74 +422,75 @@ CLI_SESSION_ARGS = ["--trainers", "2", "--rounds", "1", "--partitions",
                     "1", "--ipfs-nodes", "2", "--params", "2000"]
 
 
-def test_cli_metrics_writes_exposition_and_manifest(tmp_path, capsys):
-    exposition_path = tmp_path / "metrics.txt"
-    manifest_path = tmp_path / "manifest.json"
-    code = main(["metrics", "--output", str(exposition_path),
-                 "--manifest", str(manifest_path)] + CLI_SESSION_ARGS)
-    assert code == 0
-    families = parse_openmetrics(exposition_path.read_text())
-    assert families["net_transfer_duration"].type == "histogram"
-    assert families["net_transfers"].value("_total") > 0
-    manifest = RunManifest.load(manifest_path)
+def test_cli_metrics_writes_exposition_and_manifest(tmp_path):
+    """The bundle's comparable metrics file is the manifest (there is
+    no text exposition any more): counters, histogram summaries, the
+    sampler's series, keyed to the run's fingerprint."""
+    run = run_bundle(CLI_SESSION_ARGS, tmp_path)
+    assert run.code == 0
+    manifest = RunManifest.load(tmp_path / "manifest.json")
+    assert manifest.counters["net.transfers"] > 0
     assert manifest.histograms["net.transfer.duration"]["count"] == \
-        families["net_transfer_duration"].value("_count")
+        manifest.counters["net.transfers"]
+    assert "net.flows.active" in manifest.series
     assert manifest.fingerprint["digest"]
-    assert "resource samples" in capsys.readouterr().err
+    assert "resource samples -> manifest.json" in run.out
 
 
-def test_cli_metrics_streams_to_stdout(capsys):
-    code = main(["metrics"] + CLI_SESSION_ARGS)
-    assert code == 0
-    out = capsys.readouterr().out
-    parse_openmetrics(out)  # must be valid exposition
+def test_cli_metrics_streams_to_stdout(tmp_path):
+    """Nothing of the manifest streams to stdout: the report sums up
+    what it holds, and the sums are the manifest's."""
+    run = run_bundle(CLI_SESSION_ARGS, tmp_path)
+    assert run.code == 0
+    manifest = RunManifest.load(tmp_path / "manifest.json")
+    observed = sum(h["count"] for h in manifest.histograms.values())
+    assert (f"{int(observed)} observations across "
+            f"{len(manifest.histograms)} histograms") in run.out
+    assert '"counters"' not in run.out
 
 
 def test_cli_compare_detects_slow_link_regression(tmp_path, capsys):
     """The acceptance scenario: a synthetic slow-link run regresses
-    transfer durations by >= 20% and `cli compare` exits non-zero."""
-    base_path = tmp_path / "base.json"
-    slow_path = tmp_path / "slow.json"
-    assert main(["metrics", "--output", str(tmp_path / "b.txt"),
-                 "--manifest", str(base_path),
-                 "--bandwidth-mbps", "10"] + CLI_SESSION_ARGS) == 0
+    transfer durations by >= 20% and `cli explain` names the metric."""
+    assert run_bundle(CLI_SESSION_ARGS + ["--bandwidth-mbps", "10"],
+                      tmp_path / "base").code == 0
     # 6 Mbps links: every transfer takes ~1.67x as long (>= +20%).
-    assert main(["metrics", "--output", str(tmp_path / "s.txt"),
-                 "--manifest", str(slow_path),
-                 "--bandwidth-mbps", "6"] + CLI_SESSION_ARGS) == 0
-    base = RunManifest.load(base_path)
-    slow = RunManifest.load(slow_path)
+    assert run_bundle(CLI_SESSION_ARGS + ["--bandwidth-mbps", "6"],
+                      tmp_path / "slow").code == 0
+    base = RunManifest.load(tmp_path / "base" / "manifest.json")
+    slow = RunManifest.load(tmp_path / "slow" / "manifest.json")
     base_mean = base.histograms["net.transfer.duration"]["mean"]
     slow_mean = slow.histograms["net.transfer.duration"]["mean"]
     assert slow_mean >= base_mean * 1.2  # the injected regression is real
 
-    code = main(["compare", str(base_path), str(slow_path),
-                 "--threshold", "0.1"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "REGRESSION" in out
-    assert "net.transfer.duration" in out
-
-    # warn-only downgrades the failure to advisory.
-    assert main(["compare", str(base_path), str(slow_path),
-                 "--threshold", "0.1", "--warn-only"]) == 0
-    # And the clean direction exits zero.
-    assert main(["compare", str(base_path), str(base_path)]) == 0
+    assert main(["explain", str(tmp_path / "base"), str(tmp_path / "slow"),
+                 "--threshold", "0.1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    regressed = {entry["metric"]
+                 for entry in report["metrics"]["regressions"]}
+    assert "net.transfer.duration.mean" in regressed
+    assert not report["fingerprint_matches"]
+    assert "link_capacities" in report["config_changes"]
+    # And the clean direction has nothing to attribute to a metric.
+    assert main(["explain", str(tmp_path / "base"), str(tmp_path / "base"),
+                 "--json"]) == 0
+    same = json.loads(capsys.readouterr().out)
+    assert not same["metrics"]["regressions"]
 
 
 def test_cli_metrics_failing_run_still_writes_exposition(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, monkeypatch):
     from repro.core import FLSession as Session
 
     def exploding_run(self, rounds):
         raise RuntimeError("mid-round crash")
 
     monkeypatch.setattr(Session, "run", exploding_run)
-    out = tmp_path / "metrics.txt"
-    code = main(["metrics", "--output", str(out)] + CLI_SESSION_ARGS)
-    assert code == 1
-    parse_openmetrics(out.read_text())  # partial but valid
-    assert "run failed" in capsys.readouterr().err
+    run = run_bundle(CLI_SESSION_ARGS, tmp_path)
+    assert run.code == 1
+    partial = RunManifest.load(tmp_path / "manifest.json")  # still valid
+    assert partial.fingerprint["digest"]
+    assert "run failed" in run.err
 
 
 # -- sketch-backed histograms at scale -------------------------------------------
@@ -587,10 +538,9 @@ def test_histogram_merge_requires_matching_layout():
 
 
 def test_histogram_merge_is_order_independent_and_render_stable():
-    """Satellite: the OpenMetrics text of a merged histogram must not
-    depend on the order cohort shards were merged in."""
-    from repro.obs import render_histogram
-
+    """Satellite: what a merged histogram renders as (its manifest
+    summary and cumulative buckets) must not depend on the order cohort
+    shards were merged in."""
     def shard(values):
         histogram = Histogram("net.transfer.duration", unit="seconds",
                               lo=1e-3, hi=10.0, growth=4.0, max_exact=8)
@@ -609,34 +559,10 @@ def test_histogram_merge_is_order_independent_and_render_stable():
         shard(shard_values[1])).merge(shard(shard_values[0]))
     assert not ab.exact  # the union spilled: this is the sketch path
     assert ab.bucket_counts == ba.bucket_counts
-    assert render_histogram(ab) == render_histogram(ba)
+    assert ab.summary() == ba.summary()
+    assert ab.cumulative_buckets() == ba.cumulative_buckets()
     for q in (50.0, 95.0, 99.0):
         assert ab.percentile(q) == ba.percentile(q)
-
-
-def test_sketch_backed_histogram_round_trips_through_openmetrics():
-    from repro.obs import render_histogram
-
-    histogram = Histogram("net.transfer.bytes", unit="bytes",
-                          lo=1.0, hi=1e6, growth=10.0, max_exact=4)
-    for value in (0.5, 10.0, 500.0, 1e5, 5e6, 2.0):
-        histogram.observe(value)
-    assert not histogram.exact
-    families = parse_openmetrics(render_histogram(histogram))
-    family = families["net_transfer_bytes"]
-    assert family.type == "histogram"
-    assert family.value("_count") == histogram.count
-    assert family.value("_sum") == histogram.total
-    assert family.value("_bucket", le="+Inf") == histogram.count
-    # Cumulative le-buckets replay the exact bucket_counts.
-    cumulative = [
-        family.value("_bucket", le=("+Inf" if math.isinf(bound)
-                                    else repr(bound) if not float(
-                                        bound).is_integer()
-                                    else str(int(bound))))
-        for bound, _ in histogram.cumulative_buckets()
-    ]
-    assert cumulative == [c for _, c in histogram.cumulative_buckets()]
 
 
 # -- TimeSeries retention --------------------------------------------------------

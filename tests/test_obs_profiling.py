@@ -22,7 +22,6 @@ from repro.obs import (
     HostProfile,
     HostProfiler,
     MetricsRegistry,
-    PerfettoExporter,
     RunManifest,
     SYSTEM_WALL_CLOCK,
 )
@@ -354,34 +353,3 @@ def test_hotspots_are_ordered_and_format_reports_the_gauge():
     assert "sim.core.step" in report
     assert "max_min_rates" not in report  # beyond top
     assert "shares: sim 62.5% | crypto 31.2% | net 6.2%" in report
-
-
-def test_perfetto_add_profile_emits_slices():
-    profile = HostProfile(
-        wall_seconds=1.0, sim_seconds=10.0, dispatches=4,
-        scopes=(
-            ScopeStat("sim", "core", "step", 2, 0.4, 0.4),
-            ScopeStat("sim", "core", "_resume", 2, 0.2, 0.2),
-            ScopeStat("net", "bandwidth", "max_min_rates", 1, 0.1, 0.1),
-        ),
-    )
-    exporter = PerfettoExporter()
-    exporter.add_profile(profile, label="smoke")
-    trace = exporter.to_dict()
-    events = trace["traceEvents"]
-    slices = [e for e in events if e.get("ph") == "X" and e["pid"] == 2]
-    # One slice per scope, grouped on one track per subsystem.
-    assert len(slices) == 3
-    assert len({e["tid"] for e in slices}) == 2
-    sim = [e for e in slices if e["name"].startswith("sim.core")]
-    # Slices on a track are laid end to end, ordered by self time.
-    assert sim[0]["ts"] == 0.0
-    assert sim[1]["ts"] == pytest.approx(sim[0]["dur"])
-    assert not [e for e in events if e.get("ph") == "C"]
-    tracks = {e["args"]["name"] for e in events if e.get("ph") == "M"
-              and e["name"] == "thread_name"}
-    assert tracks == {"smoke:sim", "smoke:net"}
-    names = {e["args"]["name"] for e in events if e.get("ph") == "M"
-             and e["name"] == "process_name"}
-    assert "host profile" in names
-    json.dumps(trace)  # serializable

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.telemetry import IterationMetrics, SessionMetrics
+from repro.obs.telemetry import IterationMetrics, SessionMetrics
 from repro.obs import EventBus, TelemetryCollector
 from repro.obs.events import (
     BytesReceived,

@@ -1,10 +1,15 @@
-"""Shared test fixtures: small emulated IPFS deployments."""
+"""Shared test fixtures: small emulated IPFS deployments, and the
+``cli run`` driver."""
 
+import contextlib
+import io
+import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.ipfs import DHT, IPFSClient, IPFSNode, PubSub
 from repro.net import Network, Transport, mbps
+from repro.obs import FakeWallClock
 from repro.sim import Simulator
 
 
@@ -67,3 +72,28 @@ def run_proc(world: IPFSWorld, generator):
     if not process.ok:
         raise process.value
     return process.value
+
+
+@dataclass
+class BundleRun:
+    """One ``cli run``: exit code, what it printed, where the bundle is."""
+
+    code: int
+    out: str
+    err: str
+    path: pathlib.Path
+
+
+def run_bundle(argv, path) -> BundleRun:
+    """``python -m repro.cli run ARGV --artifacts PATH`` on a ticking
+    fake clock: the profiler and the heartbeat never read the host's,
+    so tier-1 stays independent of host timing."""
+    from repro.cli import _run_run, build_parser
+
+    args = build_parser().parse_args(
+        ["run", *argv, "--artifacts", str(path)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _run_run(args, clock=FakeWallClock(tick=1e-6))
+    return BundleRun(code, out.getvalue(), err.getvalue(),
+                     pathlib.Path(path))
