@@ -8,7 +8,7 @@ devices coming and going.  This example combines the full feature set:
 - 16 trainers with heterogeneous bandwidths and arrival jitter,
 - non-IID local data (Dirichlet alpha = 0.5),
 - 2 aggregators per partition with one dropping out mid-task,
-- merge-and-download, batched registration, Kademlia routing,
+- merge-and-download, batched registration,
 - verifiable aggregation with one *malicious* aggregator,
 - storage replication and per-round garbage collection.
 
@@ -65,7 +65,6 @@ def main():
             num_ipfs_nodes=8,
             bandwidth_mbps=10.0,
             trainer_bandwidths_mbps=bandwidths,
-            dht_mode="kademlia",
             replication_factor=2,
         ),
         behaviors={"aggregator-1": AlterUpdateBehavior(offset=2.0)},
@@ -74,7 +73,7 @@ def main():
     # One honest aggregator drops out before round 1.
     dead = session.aggregators.pop(2)
     print(f"deployment: {NUM_TRAINERS} heterogeneous trainers "
-          f"(5-20 Mbps), Dirichlet(0.5) data, Kademlia routing")
+          f"(5-20 Mbps), Dirichlet(0.5) data")
     print(f"adversary : aggregator-1 poisons its uploads")
     print(f"dropout   : {dead.name} never shows up")
     print()
@@ -93,8 +92,7 @@ def main():
     print("despite jitter, heterogeneity, a poisoner and a dropout:")
     print("  - every completed round installed a verified update,")
     print("  - all online trainers share one model,")
-    print(f"  - Kademlia routing RPCs: {session.dht.rpcs}, "
-          f"replications: {session.cluster.replications}")
+    print(f"  - replications: {session.cluster.replications}")
 
 
 if __name__ == "__main__":

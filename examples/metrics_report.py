@@ -9,12 +9,12 @@ aggregator and diffs the two manifests — the same machinery behind
 explain`` — and the extra provider shows up as an *improvement* in the
 transfer and upload distributions (the Fig. 1 effect).
 
-Histograms are backed by a mergeable quantile sketch (exact below a
-configurable threshold, bounded relative error above it — see
-``docs/OBSERVABILITY.md``, "Observability at scale"); the registry is
-built with a deliberately tiny threshold here so the sketch crossover,
-the cross-cohort merge, and the deterministic memory accounting are
-all visible in one short run.
+A registry histogram is a mergeable ``QuantileSketch`` (exact up to
+4 096 observations, bounded relative error above — see
+``docs/OBSERVABILITY.md``, "Observability at scale"); a figure-scale
+run like this one stays exact, so the merge demo builds three shard
+sketches with a tiny threshold to show the crossover, the cross-cohort
+merge and the deterministic memory accounting.
 
 Run:  python examples/metrics_report.py
 """
@@ -24,8 +24,8 @@ import numpy as np
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.obs import (
-    Histogram,
     MetricsRegistry,
+    QuantileSketch,
     ResourceSampler,
     RunManifest,
     compare_manifests,
@@ -56,10 +56,7 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
         datasets=shards,
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
-    # A 16-observation exactness threshold forces the busy histograms
-    # into sketch mode within one round; production registries keep the
-    # default (4096), where figure-scale runs never spill at all.
-    registry = MetricsRegistry(session.sim.bus, histogram_max_exact=16)
+    registry = MetricsRegistry(session.sim.bus)
     sampler = ResourceSampler.for_session(session, registry, interval=0.25)
     session.run(rounds=1)
     sampler.stop()
@@ -81,8 +78,8 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
         print()
         duration = registry.histogram("net.transfer.duration")
         mode = "exact" if duration.exact else \
-            f"sketch (±{duration.sketch.relative_error:.0%}, " \
-            f"{duration.sketch.bucket_count} buckets)"
+            f"sketch (±{duration.relative_error:.0%}, " \
+            f"{duration.bucket_count} buckets)"
         print(f"transfer durations [{mode}]: n={duration.count} "
               f"mean={duration.mean:.3f}s p95={duration.percentile(95):.3f}s "
               f"max={duration.maximum:.3f}s")
@@ -97,22 +94,21 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
 
 def merge_demo():
     """Cross-cohort aggregation without raw-value exchange: shard
-    histograms merge order-independently via their sketches."""
+    sketches merge order-independently."""
     shards = []
     rng = np.random.default_rng(7)
     for shard_index in range(3):
-        histogram = Histogram("net.transfer.duration", unit="seconds",
-                              lo=1e-3, hi=10.0, growth=4.0, max_exact=8)
+        sketch = QuantileSketch(max_exact=8)
         for value in rng.lognormal(mean=-1.0, sigma=1.0, size=64):
-            histogram.observe(float(value))
-        shards.append(histogram)
+            sketch.add(float(value))
+        shards.append(sketch)
     merged = shards[0]
     for shard in shards[1:]:
         merged.merge(shard)
     print(f"merged 3 cohort shards: n={merged.count} "
           f"p50={merged.percentile(50):.3f}s "
           f"p99={merged.percentile(99):.3f}s "
-          f"({merged.sketch.bucket_count} buckets, "
+          f"({merged.bucket_count} buckets, "
           f"{merged.footprint_bytes()} modelled bytes)")
     print()
 

@@ -7,9 +7,9 @@ registrations serialize through one
 :class:`~repro.core.directory.DirectoryService` process.  The directory
 is therefore always deployed as a group of shard servers
 (:class:`~repro.core.directory.ShardedDirectory`), each owning a range
-of ``(partition_id, iteration)`` keys under the Kademlia XOR metric
-already used by :mod:`repro.ipfs.kademlia`.  This module is the pure
-part — how many shards, and which of them own a key:
+of ``(partition_id, iteration)`` keys under the Kademlia XOR metric.
+This module is the pure part — how many shards, and which of them own
+a key:
 
 - :class:`DirectoryProfile` is the third composable deployment profile
   (next to :class:`~repro.net.NetworkProfile` and
@@ -33,19 +33,26 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..ipfs.kademlia import node_key, xor_distance
-
 __all__ = ["DirectoryProfile", "ShardMap", "directory_key"]
 
 _PLACEMENTS = ("consistent-hash", "modulo")
 
 
+def _node_key(name: str) -> int:
+    """A name's key in the 256-bit Kademlia space: its SHA-256."""
+    return int.from_bytes(
+        hashlib.sha256(name.encode("utf-8")).digest(), "big"
+    )
+
+
+def _xor_distance(a: int, b: int) -> int:
+    """The Kademlia metric."""
+    return a ^ b
+
+
 def directory_key(partition_id: int, iteration: int) -> int:
     """A ``(partition, iteration)`` key in the 256-bit Kademlia space."""
-    label = f"dir:{partition_id}:{iteration}"
-    return int.from_bytes(
-        hashlib.sha256(label.encode("utf-8")).digest(), "big"
-    )
+    return _node_key(f"dir:{partition_id}:{iteration}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ class ShardMap:
         self.shard_names: Tuple[str, ...] = tuple(shard_names)
         self.replication = min(max(1, replication), len(self.shard_names))
         self.placement = placement
-        self._keys = [(node_key(name), name) for name in self.shard_names]
+        self._keys = [(_node_key(name), name) for name in self.shard_names]
         self._cache: Dict[Tuple[int, int], Tuple[str, ...]] = {}
 
     def owners(self, partition_id: int, iteration: int) -> Tuple[str, ...]:
@@ -130,7 +137,7 @@ class ShardMap:
                 target = directory_key(partition_id, iteration)
                 ranked = sorted(
                     self._keys,
-                    key=lambda entry: xor_distance(entry[0], target),
+                    key=lambda entry: _xor_distance(entry[0], target),
                 )
                 owners = tuple(
                     name for _, name in ranked[:self.replication]

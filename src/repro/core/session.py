@@ -30,7 +30,7 @@ import numpy as np
 
 from ..faults import FaultInjector, FaultPlan, RetryExhaustedError, \
     RetryPolicy
-from ..ipfs import DHT, IPFSNode, KademliaDHT, PubSub, ReplicationCluster
+from ..ipfs import DHT, IPFSNode, PubSub, ReplicationCluster
 from ..ml import Dataset, Model
 from ..net import NetworkProfile, Testbed, add_directory_shards, \
     build_testbed
@@ -151,22 +151,14 @@ class FLSession:
             ),
         )
         self.sim = self.testbed.sim
-        if profile.dht_mode == "kademlia":
-            self.dht = KademliaDHT(self.sim, network=self.testbed.network,
-                                   lookup_delay=profile.dht_lookup_delay,
-                                   seed=config.seed)
-        else:
-            self.dht = DHT(self.sim, lookup_delay=profile.dht_lookup_delay,
-                           seed=config.seed)
+        self.dht = DHT(self.sim, lookup_delay=profile.dht_lookup_delay,
+                       seed=config.seed)
         self.pubsub = PubSub(self.testbed.transport)
         self.nodes: List[IPFSNode] = [
             IPFSNode(self.sim, self.testbed.transport, self.dht, name,
                      chunk_size=config.chunk_size)
             for name in self.testbed.ipfs_names
         ]
-        if profile.dht_mode == "kademlia":
-            for name in self.testbed.ipfs_names:
-                self.dht.join(name)
         self.cluster = None
         if profile.replication_factor is not None:
             self.cluster = ReplicationCluster(

@@ -25,8 +25,6 @@ from .blockstore import Blockstore
 from .cid import CID, compute_cid, verify_cid
 from .cluster import ReplicationCluster, rendezvous_rank
 from .dht import DHT, ProviderRecord
-from .kademlia import KademliaDHT, RoutingTable, bucket_index, node_key, \
-    xor_distance
 from .errors import (
     IntegrityError,
     IPFSError,
@@ -48,7 +46,6 @@ __all__ = [
     "IPFSError",
     "IPFSNode",
     "IntegrityError",
-    "KademliaDHT",
     "MergeError",
     "NodeOfflineError",
     "NotFoundError",
@@ -56,11 +53,7 @@ __all__ = [
     "PubSub",
     "PubSubMessage",
     "ReplicationCluster",
-    "RoutingTable",
     "Subscription",
-    "bucket_index",
-    "node_key",
-    "xor_distance",
     "chunk_object",
     "compute_cid",
     "get_merger",

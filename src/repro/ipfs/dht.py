@@ -4,8 +4,10 @@ The real IPFS network resolves "who has CID x?" through a Kademlia DHT
 with O(log n) hop lookups.  We model the outcome — a provider-record table
 with a configurable lookup delay — because the protocol only depends on
 *finding* providers and on the latency of doing so, not on routing-table
-internals.  Records carry an expiry (real provider records are
-re-published periodically) so tests can exercise staleness.
+internals (at the paper's 8-16 storage nodes a routed lookup is one hop
+every time; EXPERIMENTS.md, "One DHT — the number").  Records carry an
+expiry (real provider records are re-published periodically) so tests
+can exercise staleness.
 """
 
 from __future__ import annotations
@@ -96,8 +98,7 @@ class DHT:
 
         Usage: ``providers = yield from dht.find_providers(cid)``.
         Charges :attr:`lookup_delay` of simulated time per call.
-        ``querier`` names the asking host; this base implementation
-        ignores it (the Kademlia subclass charges its route).
+        ``querier`` names the asking host in the published event.
         """
         self.lookups += 1
         started = self.sim.now

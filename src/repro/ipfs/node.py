@@ -29,7 +29,7 @@ from ..obs.events import BlockFetched, BlockStored, MergeServed, \
     NodeCrashed, NodeRestarted, RetryExhausted
 from ..sim import Simulator
 from .block import Block, DEFAULT_CHUNK_SIZE, chunk_object, join_leaves, \
-    parse_manifest, reassemble
+    parse_manifest
 from .blockstore import Blockstore
 from .cid import CID, compute_cid
 from .dht import DHT
@@ -451,66 +451,6 @@ class IPFSClient:
                 started_at=fetch_started,
             ))
         return data
-
-    def get_striped(self, cid: CID, prefer_nodes: Sequence[str] = (),
-                    max_providers: int = 5):
-        """Swarm-style retrieval: stripe leaf blocks across providers.
-
-        Real bitswap downloads a chunked object block-by-block from
-        several peers in parallel; this does the same — fetch the
-        manifest, then pull the leaves concurrently round-robin over all
-        live providers, verifying every block by CID.  Falls back to a
-        whole-object :meth:`get` for unchunked content.
-
-        Raises :class:`NotFoundError` when any leaf cannot be produced
-        by any provider.
-        """
-        candidates: List[str] = list(prefer_nodes)
-        discovered = yield from self.dht.find_providers(
-            cid, limit=max_providers, querier=self.name
-        )
-        for node in discovered:
-            if node not in candidates:
-                candidates.append(node)
-        if not candidates:
-            raise NotFoundError(f"no providers for {cid!r}")
-
-        root_data = None
-        for node in candidates:
-            root_data = yield from self.get_block(cid, node)
-            if root_data is not None:
-                break
-        if root_data is None:
-            raise NotFoundError(f"could not retrieve manifest {cid!r}")
-        root = Block(root_data)
-        try:
-            leaf_cids = parse_manifest(root)
-        except ValueError:
-            return root_data  # bare block: the object itself
-
-        leaves: dict = {}
-
-        def fetch_leaf(leaf_cid, start_index):
-            for offset in range(len(candidates)):
-                node = candidates[(start_index + offset) % len(candidates)]
-                data = yield from self.get_block(leaf_cid, node)
-                if data is not None:
-                    leaves[leaf_cid] = Block(data)
-                    return
-
-        procs = [
-            self.sim.process(fetch_leaf(leaf_cid, index),
-                             name=f"{self.name}:leaf{index}")
-            for index, leaf_cid in enumerate(leaf_cids)
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
-        missing = [leaf for leaf in leaf_cids if leaf not in leaves]
-        if missing:
-            raise NotFoundError(
-                f"{len(missing)} leaf block(s) unavailable for {cid!r}"
-            )
-        return reassemble(root, [leaves[leaf] for leaf in leaf_cids])
 
     def merge_and_download(self, cids: Iterable[CID], node: str,
                            merger: str = "sum-f64"):

@@ -41,10 +41,8 @@ class NetworkProfile:
     trainer_bandwidths_mbps: Optional[Tuple[float, ...]] = None
     #: One-way propagation delay (seconds) per transfer.
     latency: float = 0.0
-    #: Provider-record resolution latency of the table-model DHT.
+    #: Provider-record resolution latency of the DHT.
     dht_lookup_delay: float = 0.02
-    #: "table" (flat provider table) or "kademlia" (routed lookups).
-    dht_mode: str = "table"
     #: Rendezvous replication factor (None = no replication cluster).
     replication_factor: Optional[int] = None
 
@@ -79,8 +77,6 @@ class NetworkProfile:
             raise ValueError("latency must be non-negative")
         if self.dht_lookup_delay < 0:
             raise ValueError("dht_lookup_delay must be non-negative")
-        if self.dht_mode not in ("table", "kademlia"):
-            raise ValueError("dht_mode must be 'table' or 'kademlia'")
         if self.replication_factor is not None \
                 and self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")

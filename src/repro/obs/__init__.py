@@ -22,7 +22,7 @@ and aggregators — publish small typed events
 - :class:`InvariantMonitors` — online protocol invariants (byte
   conservation, commitment-accumulator consistency, protocol ordering,
   blockstore leaks); violations re-enter the bus as
-  :class:`InvariantViolated` events.
+  :class:`~repro.obs.events.InvariantViolated` events.
 - :class:`FlightRecorder` — bounded ring-buffer forensics; seals an
   :class:`IncidentBundle` (event window, span chain, blame report,
   Perfetto slice) on ``VerificationFailed``/``InvariantViolated``/
@@ -43,8 +43,9 @@ the benchmark's ``sim`` / ``net`` / ``ipfs`` / ``crypto`` / ``ml`` /
 :class:`AnomalyWatchdog` (:mod:`repro.obs.anomaly`) hosts online
 detectors — retry storms, throughput collapse, queue runaway,
 simulation stall, convergence stall/divergence — that publish typed
-:class:`AnomalyDetected` events back onto the bus, auto-sealing
-incident bundles and feeding ``obs.anomaly.*`` manifest gauges.
+:class:`~repro.obs.events.AnomalyDetected` events back onto the bus,
+auto-sealing incident bundles and feeding ``obs.anomaly.*`` manifest
+gauges.
 ``python -m repro.cli run --artifacts DIR`` attaches all of them, in
 the one correct order, and writes what they saw as one run bundle; see
 ``docs/OBSERVABILITY.md``.
@@ -75,46 +76,6 @@ from .critical_path import (
     StragglerEntry,
     StragglerReport,
 )
-from .events import (
-    AnomalyDetected,
-    BlockEvicted,
-    BlockFetched,
-    BlockStored,
-    BytesReceived,
-    CohortLoadApplied,
-    CommitmentAccumulated,
-    CommitmentComputed,
-    DhtLookup,
-    DirectoryRequest,
-    Event,
-    FaultHealed,
-    FaultInjected,
-    GradientRegistered,
-    GradientsAggregated,
-    InvariantViolated,
-    IterationFinished,
-    IterationStarted,
-    MergeServed,
-    NodeCrashed,
-    NodeRestarted,
-    PROTOCOL_EVENTS,
-    PartialUpdateRegistered,
-    ParticipantDegraded,
-    RetryExhausted,
-    SnapshotSealed,
-    SyncPhaseEnded,
-    SyncPhaseStarted,
-    TakeoverPerformed,
-    TrainerCompleted,
-    TrainingEvaluated,
-    TransferAborted,
-    TransferCompleted,
-    TransferStarted,
-    UpdateRegistered,
-    UpdateVerified,
-    UploadCompleted,
-    VerificationFailed,
-)
 from .forensics import BlameReport, FlightRecorder, IncidentBundle
 from .jsonl import JsonlTraceExporter
 from .manifest import (
@@ -124,7 +85,7 @@ from .manifest import (
     compare_manifests,
     config_fingerprint,
 )
-from .metrics import Histogram, MetricsRegistry, ResourceSampler, TimeSeries
+from .metrics import MetricsRegistry, ResourceSampler, TimeSeries
 from .monitors import InvariantMonitors
 from .perfetto import PerfettoExporter
 from .profiling import (
@@ -143,56 +104,30 @@ from .telemetry import TelemetryCollector
 
 __all__ = [
     "ANOMALY_KINDS",
-    "AnomalyDetected",
     "AnomalyWatchdog",
     "BlameReport",
-    "BlockEvicted",
-    "BlockFetched",
-    "BlockStored",
-    "BytesReceived",
-    "CohortLoadApplied",
-    "CommitmentAccumulated",
-    "CommitmentComputed",
     "ConvergenceDetector",
     "CountersRegistry",
     "CriticalPath",
     "CriticalPathAnalyzer",
     "CriticalStep",
     "Detector",
-    "DhtLookup",
     "DiffEntry",
-    "DirectoryRequest",
-    "Event",
     "EventBus",
     "FakeWallClock",
-    "FaultHealed",
-    "FaultInjected",
     "FlightRecorder",
-    "Histogram",
     "HostProfile",
     "HostProfiler",
-    "GradientRegistered",
-    "GradientsAggregated",
     "IncidentBundle",
     "InvariantMonitors",
-    "InvariantViolated",
-    "IterationFinished",
-    "IterationStarted",
     "JsonlTraceExporter",
     "ManifestDiff",
-    "MergeServed",
     "MetricsRegistry",
-    "NodeCrashed",
-    "NodeRestarted",
-    "PROTOCOL_EVENTS",
-    "PartialUpdateRegistered",
-    "ParticipantDegraded",
     "PerfettoExporter",
     "ProgressReporter",
     "QuantileSketch",
     "QueueRunawayDetector",
     "ResourceSampler",
-    "RetryExhausted",
     "RetryStormDetector",
     "RunManifest",
     "SAMPLED_EVENT_FAMILIES",
@@ -201,28 +136,15 @@ __all__ = [
     "SamplingPolicy",
     "ScopeStat",
     "SimStallDetector",
-    "SnapshotSealed",
     "Span",
     "SpanCollector",
     "SpanTree",
     "StragglerEntry",
     "StragglerReport",
     "Subscription",
-    "SyncPhaseEnded",
-    "SyncPhaseStarted",
-    "TakeoverPerformed",
     "TelemetryCollector",
     "ThroughputCollapseDetector",
     "TimeSeries",
-    "TrainerCompleted",
-    "TrainingEvaluated",
-    "TransferAborted",
-    "TransferCompleted",
-    "TransferStarted",
-    "UpdateRegistered",
-    "UpdateVerified",
-    "UploadCompleted",
-    "VerificationFailed",
     "WallClock",
     "build_span_tree",
     "compare_manifests",

@@ -124,10 +124,6 @@ class Detector:
         """Periodic check at simulated instant ``now``."""
         return ()
 
-    def finalize(self, now: float) -> Iterable[AnomalyDetected]:
-        """Last chance to classify when the watchdog detaches."""
-        return ()
-
     def _anomaly(self, at: float, severity: str, *, kind: Optional[str]
                  = None, iteration: int = -1, window: float = 0.0,
                  **evidence) -> AnomalyDetected:
@@ -544,15 +540,11 @@ class AnomalyWatchdog(SimTicker):
     # -- lifecycle ---------------------------------------------------------------
 
     def finalize(self) -> List[AnomalyDetected]:
-        """Detach: stop ticking, run detector finalizers, unsubscribe.
+        """Detach: stop ticking and unsubscribe (idempotent).
 
         Returns the full anomaly list for convenience.
         """
         self.stop()
-        now = self.sim.now if self.sim is not None else 0.0
-        for detector in self.detectors:
-            for anomaly in detector.finalize(now):
-                self._publish(anomaly)
         if self._subscription is not None:
             self._subscription.cancel()
             self._subscription = None

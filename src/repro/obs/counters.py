@@ -55,51 +55,38 @@ __all__ = ["CountersRegistry"]
 class CountersRegistry:
     """Monotonic counters plus last-value gauges over bus events."""
 
-    #: Event type -> handler method name.  Class-level so coverage
-    #: tooling can ask which events this registry maps without
-    #: instantiating a bus (see ``handled_event_types``).
-    _HANDLERS = {
-        TransferCompleted: "_on_transfer",
-        TransferAborted: "_on_transfer_aborted",
-        BlockStored: "_on_block_stored",
-        BlockFetched: "_on_block_fetched",
-        BlockEvicted: "_on_block_evicted",
-        MergeServed: "_on_merge_served",
-        DhtLookup: "_on_dht_lookup",
-        DirectoryRequest: "_on_directory_request",
-        GradientRegistered: "_on_gradient",
-        CommitmentAccumulated: "_on_commitment_accumulated",
-        PartialUpdateRegistered: "_on_partial",
-        UpdateRegistered: "_on_update",
-        UpdateVerified: "_on_update_verified",
-        VerificationFailed: "_on_verification_failed",
-        InvariantViolated: "_on_invariant_violated",
-        TakeoverPerformed: "_on_takeover",
-        TrainerCompleted: "_on_trainer_completed",
-        IterationFinished: "_on_iteration_finished",
-        SnapshotSealed: "_on_snapshot_sealed",
-        FaultInjected: "_on_fault_injected",
-        FaultHealed: "_on_fault_healed",
-        NodeCrashed: "_on_node_crashed",
-        NodeRestarted: "_on_node_restarted",
-        RetryExhausted: "_on_retry_exhausted",
-        ParticipantDegraded: "_on_participant_degraded",
-        CohortLoadApplied: "_on_cohort_load",
-        TrainingEvaluated: "_on_training_evaluated",
-        AnomalyDetected: "_on_anomaly_detected",
-    }
-
-    @classmethod
-    def handled_event_types(cls):
-        """The event types this registry maps to counters."""
-        return tuple(cls._HANDLERS)
-
     def __init__(self, bus: EventBus):
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._dispatch = {
-            event_type: getattr(self, method)
-            for event_type, method in self._HANDLERS.items()
+            TransferCompleted: self._on_transfer,
+            TransferAborted: self._on_transfer_aborted,
+            BlockStored: self._on_block_stored,
+            BlockFetched: self._on_block_fetched,
+            BlockEvicted: self._on_block_evicted,
+            MergeServed: self._on_merge_served,
+            DhtLookup: self._on_dht_lookup,
+            DirectoryRequest: self._on_directory_request,
+            GradientRegistered: self._on_gradient,
+            CommitmentAccumulated: self._on_commitment_accumulated,
+            PartialUpdateRegistered: self._on_partial,
+            UpdateRegistered: self._on_update,
+            UpdateVerified: self._on_update_verified,
+            VerificationFailed: self._on_verification_failed,
+            InvariantViolated: self._on_invariant_violated,
+            TakeoverPerformed: self._on_takeover,
+            TrainerCompleted: self._on_trainer_completed,
+            IterationFinished: self._on_iteration_finished,
+            SnapshotSealed: self._on_snapshot_sealed,
+            FaultInjected: self._on_fault_injected,
+            FaultHealed: self._on_fault_healed,
+            NodeCrashed: self._on_node_crashed,
+            NodeRestarted: self._on_node_restarted,
+            RetryExhausted: self._on_retry_exhausted,
+            ParticipantDegraded: self._on_participant_degraded,
+            CohortLoadApplied: self._on_cohort_load,
+            TrainingEvaluated: self._on_training_evaluated,
+            AnomalyDetected: self._on_anomaly_detected,
         }
         self._subscription = bus.subscribe(
             self._handle, *self._dispatch.keys()

@@ -140,8 +140,8 @@ class BlockFetched(Event):
 class DhtLookup(Event):
     """One provider-record resolution.
 
-    ``hops`` is the number of routing-table hops charged (0 for the
-    flat table-model DHT, the greedy path length under Kademlia).
+    ``hops`` is the number of routing hops charged (always 0: the DHT
+    is a flat provider table).
     ``started_at`` is when the resolution began, so ``at - started_at``
     is the lookup latency; None when the producer does not track it.
     """

@@ -12,7 +12,7 @@ the ``scale`` / ``dirshard`` baseline gates exit non-zero on.
 The manifest stores *summaries*, not raw events — the JSONL trace is
 the raw record; this is the comparable one.  Nothing in it depends on
 wall-clock time, so manifests from the same scenario are bit-identical
-across machines (the property the committed golden relies on).
+across machines.
 """
 
 from __future__ import annotations

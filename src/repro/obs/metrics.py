@@ -3,12 +3,10 @@
 Counters (:mod:`repro.obs.counters`) answer *how much*; this module
 answers *how distributed* and *over time*:
 
-- :class:`Histogram` — log-spaced buckets for OpenMetrics exposition
-  backed by a :class:`~repro.obs.sketch.QuantileSketch`: below the
-  exactness threshold p50/p95/p99 are float-equal to
+- a "histogram" is a :class:`~repro.obs.sketch.QuantileSketch` by
+  name: below the exactness threshold p50/p95/p99 are float-equal to
   :func:`repro.analysis.stats.percentile`; above it the sketch bounds
-  memory at O(distinct buckets) with a guaranteed relative error, and
-  histograms :meth:`~Histogram.merge` across cohorts/shards.
+  memory at O(distinct buckets) with a guaranteed relative error.
 - :class:`TimeSeries` — a gauge sampled against the *simulated* clock,
   optionally labelled (``net.link.utilization{link="trainer-0/up"}``),
   with ring-buffer retention: when the buffer fills, every other
@@ -35,8 +33,7 @@ site as before (enforced by ``benchmarks/test_obs_overhead.py``).
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bus import EventBus
 from .counters import CountersRegistry
@@ -50,14 +47,9 @@ from .events import (
     UpdateRegistered,
     UploadCompleted,
 )
-from .sketch import (
-    DEFAULT_EXACT_THRESHOLD,
-    DEFAULT_RELATIVE_ERROR,
-    QuantileSketch,
-)
+from .sketch import QuantileSketch
 
 __all__ = [
-    "Histogram",
     "TimeSeries",
     "MetricsRegistry",
     "ResourceSampler",
@@ -75,7 +67,6 @@ DEFAULT_SERIES_RETENTION = 4096
 #: a retained ``(at, value)`` sample and a fixed per-object overhead.
 _BYTES_PER_SAMPLE = 64
 _SERIES_OVERHEAD = 256
-_HISTOGRAM_OVERHEAD = 256
 
 #: Sampler ticks between peak-memory refreshes (plus one on stop).
 _FOOTPRINT_REFRESH_TICKS = 32
@@ -83,163 +74,6 @@ _FOOTPRINT_REFRESH_TICKS = 32
 
 def _freeze_labels(labels: Dict[str, str]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class Histogram:
-    """Log-spaced bucket histogram backed by a quantile sketch.
-
-    Bucket upper bounds are ``lo * growth**k`` for ``k = 0, 1, ...``
-    until ``hi`` is covered; observations above the last bound land in
-    the implicit ``+Inf`` bucket, observations at or below ``lo`` in the
-    first.  The buckets exist for the OpenMetrics exposition (cumulative
-    ``le`` semantics); quantiles come from the sketch — exact (raw
-    values retained, float-equal to
-    :func:`repro.analysis.stats.percentile`) up to ``max_exact``
-    observations, bounded-relative-error estimates beyond.
-    """
-
-    __slots__ = ("name", "unit", "bounds", "bucket_counts",
-                 "_sketch", "_summary")
-
-    def __init__(self, name: str, unit: str = "",
-                 lo: float = 1e-3, hi: float = 1e4, growth: float = 2.0,
-                 max_exact: int = DEFAULT_EXACT_THRESHOLD,
-                 relative_error: float = DEFAULT_RELATIVE_ERROR):
-        if lo <= 0 or hi <= lo:
-            raise ValueError("need 0 < lo < hi")
-        if growth <= 1.0:
-            raise ValueError("growth must be > 1")
-        self.name = name
-        self.unit = unit
-        bounds: List[float] = [lo]
-        while bounds[-1] < hi:
-            bounds.append(bounds[-1] * growth)
-        self.bounds = bounds
-        #: Per-bucket (non-cumulative) counts; index ``len(bounds)`` is
-        #: the +Inf overflow bucket.
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self._sketch = QuantileSketch(
-            max_exact=max_exact, relative_error=relative_error)
-        self._summary: Optional[Dict[str, float]] = None
-
-    # -- recording ---------------------------------------------------------------
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        self._summary = None
-        self._sketch.add(value)
-        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram (same bucket layout) into this one.
-
-        Enables cross-cohort/shard aggregation without raw-value
-        exchange; bucket counts and sketch state merge
-        order-independently.  Returns ``self``.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge {other.name!r} into {self.name!r}: "
-                "bucket layouts differ")
-        self._summary = None
-        for index, bucket_count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket_count
-        self._sketch.merge(other._sketch)
-        return self
-
-    # -- reading -----------------------------------------------------------------
-
-    @property
-    def sketch(self) -> QuantileSketch:
-        """The backing quantile sketch (read-only use)."""
-        return self._sketch
-
-    @property
-    def exact(self) -> bool:
-        """True while quantiles are computed from retained raw values."""
-        return self._sketch.exact
-
-    @property
-    def count(self) -> int:
-        return self._sketch.count
-
-    @property
-    def total(self) -> float:
-        return self._sketch.total
-
-    @property
-    def minimum(self) -> float:
-        return self._sketch.minimum
-
-    @property
-    def maximum(self) -> float:
-        return self._sketch.maximum
-
-    @property
-    def mean(self) -> float:
-        return self._sketch.mean
-
-    def percentile(self, q: float) -> float:
-        """The q-th percentile (0.0 if empty): exact below the
-        threshold, within the sketch's relative error above it."""
-        if self._sketch.count == 0:
-            return 0.0
-        return self._sketch.percentile(q)
-
-    def values(self) -> List[float]:
-        """A copy of the raw observations, in arrival order.
-
-        Raises :class:`ValueError` once the histogram has spilled to
-        sketch mode (prefer :meth:`iter_values` or :meth:`summary`).
-        """
-        return self._sketch.values()
-
-    def iter_values(self) -> Iterator[float]:
-        """Iterate raw observations without copying (exact mode only)."""
-        return self._sketch.iter_values()
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, OpenMetrics-style.
-
-        The final pair's bound is ``inf`` and its count equals
-        :attr:`count`.
-        """
-        pairs: List[Tuple[float, int]] = []
-        running = 0
-        for bound, bucket in zip(self.bounds, self.bucket_counts):
-            running += bucket
-            pairs.append((bound, running))
-        pairs.append((float("inf"), running + self.bucket_counts[-1]))
-        return pairs
-
-    def summary(self) -> Dict[str, float]:
-        """The digest the run manifest records (cached between
-        observations, so exposition passes don't recompute quantiles)."""
-        if self._summary is None:
-            if self.count == 0:
-                self._summary = {"count": 0}
-            else:
-                self._summary = {
-                    "count": self.count,
-                    "sum": self.total,
-                    "min": self.minimum,
-                    "max": self.maximum,
-                    "mean": self.mean,
-                    "p50": self.percentile(50.0),
-                    "p95": self.percentile(95.0),
-                    "p99": self.percentile(99.0),
-                }
-        return dict(self._summary)
-
-    def footprint_bytes(self) -> int:
-        """Deterministic memory model: sketch state plus bucket array."""
-        return (_HISTOGRAM_OVERHEAD + len(self.bucket_counts) * 8
-                + self._sketch.footprint_bytes())
-
-    def __repr__(self) -> str:
-        mode = "exact" if self.exact else "sketch"
-        return f"<Histogram {self.name} n={self.count} {mode}>"
 
 
 class TimeSeries:
@@ -345,10 +179,20 @@ class TimeSeries:
         return f"<TimeSeries {self.key()} n={self.count}>"
 
 
-#: Bucket layouts by quantity kind (documented in docs/OBSERVABILITY.md).
-_SECONDS = dict(lo=1e-3, hi=1e4, growth=2.0)
-_BYTES = dict(lo=64.0, hi=1e9, growth=4.0)
-_COUNTS = dict(lo=1.0, hi=1024.0, growth=2.0)
+#: The distributions every registry derives from the event stream.
+_HISTOGRAM_NAMES = (
+    "net.transfer.duration",
+    "net.transfer.bytes",
+    "dht.lookup.hops",
+    "dht.lookup.latency",
+    "ipfs.fetch.latency",
+    "ipfs.block.bytes",
+    "protocol.upload.delay",
+    "protocol.collect.duration",
+    "protocol.publish.duration",
+    "protocol.sync.duration",
+    "protocol.commit.seconds",
+)
 
 
 class MetricsRegistry:
@@ -365,67 +209,35 @@ class MetricsRegistry:
     registry attached (the counters-detach regression is pinned by
     ``tests/test_obs_exporters.py``).
 
-    Memory is bounded by construction: histograms spill to sketches
-    past ``histogram_max_exact`` observations and series decimate past
-    ``series_retention`` samples, so attaching a registry to a
-    10^4-population cohort run costs O(metrics), not O(events).  The
-    registry also meters itself — :attr:`events_observed`,
-    :meth:`telemetry_bytes` and :attr:`peak_telemetry_bytes` feed the
-    run manifest's obs-cost gauges.
+    Memory is bounded by construction: histograms spill to sketch mode
+    past :data:`~repro.obs.sketch.DEFAULT_EXACT_THRESHOLD` observations
+    and series decimate past :data:`DEFAULT_SERIES_RETENTION` samples,
+    so attaching a registry to a 10^4-population cohort run costs
+    O(metrics), not O(events).  The registry also meters itself —
+    :attr:`events_observed`, :meth:`telemetry_bytes` and
+    :attr:`peak_telemetry_bytes` feed the run manifest's obs-cost gauges.
     """
 
-    #: Event type -> handler method name (class-level for coverage
-    #: tooling; see ``handled_event_types``).
-    _HANDLERS = {
-        TransferCompleted: "_on_transfer",
-        DhtLookup: "_on_dht_lookup",
-        BlockFetched: "_on_block_fetched",
-        UploadCompleted: "_on_upload",
-        GradientsAggregated: "_on_aggregated",
-        UpdateRegistered: "_on_update",
-        SyncPhaseEnded: "_on_sync_ended",
-        CommitmentComputed: "_on_commitment",
-    }
-
-    @classmethod
-    def handled_event_types(cls):
-        """The event types this registry folds into histograms."""
-        return tuple(cls._HANDLERS)
-
     def __init__(self, bus: EventBus,
-                 counters: Optional[CountersRegistry] = None,
-                 histogram_max_exact: int = DEFAULT_EXACT_THRESHOLD,
-                 relative_error: float = DEFAULT_RELATIVE_ERROR,
-                 series_retention: int = DEFAULT_SERIES_RETENTION):
+                 counters: Optional[CountersRegistry] = None):
         self._owns_counters = counters is None
         self.counters = counters if counters is not None \
             else CountersRegistry(bus)
-        self.series_retention = int(series_retention)
         self.events_observed = 0
         self.peak_telemetry_bytes = 0
-        self._histograms: Dict[str, Histogram] = {}
-        for name, unit, layout in (
-            ("net.transfer.duration", "seconds", _SECONDS),
-            ("net.transfer.bytes", "bytes", _BYTES),
-            ("dht.lookup.hops", "hops", _COUNTS),
-            ("dht.lookup.latency", "seconds", _SECONDS),
-            ("ipfs.fetch.latency", "seconds", _SECONDS),
-            ("ipfs.block.bytes", "bytes", _BYTES),
-            ("protocol.upload.delay", "seconds", _SECONDS),
-            ("protocol.collect.duration", "seconds", _SECONDS),
-            ("protocol.publish.duration", "seconds", _SECONDS),
-            ("protocol.sync.duration", "seconds", _SECONDS),
-            ("protocol.commit.seconds", "seconds", _SECONDS),
-        ):
-            self._histograms[name] = Histogram(
-                name, unit=unit,
-                max_exact=histogram_max_exact,
-                relative_error=relative_error,
-                **layout)
+        self._histograms: Dict[str, QuantileSketch] = {
+            name: QuantileSketch() for name in _HISTOGRAM_NAMES
+        }
         self._series: Dict[Tuple[str, Labels], TimeSeries] = {}
         self._dispatch = {
-            event_type: getattr(self, method)
-            for event_type, method in self._HANDLERS.items()
+            TransferCompleted: self._on_transfer,
+            DhtLookup: self._on_dht_lookup,
+            BlockFetched: self._on_block_fetched,
+            UploadCompleted: self._on_upload,
+            GradientsAggregated: self._on_aggregated,
+            UpdateRegistered: self._on_update,
+            SyncPhaseEnded: self._on_sync_ended,
+            CommitmentComputed: self._on_commitment,
         }
         self._subscription = bus.subscribe(
             self._handle, *self._dispatch.keys()
@@ -446,10 +258,10 @@ class MetricsRegistry:
 
     # -- access ------------------------------------------------------------------
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, name: str) -> QuantileSketch:
         return self._histograms[name]
 
-    def histograms(self) -> Dict[str, Histogram]:
+    def histograms(self) -> Dict[str, QuantileSketch]:
         return dict(self._histograms)
 
     def timeseries(self, name: str, **labels: str) -> TimeSeries:
@@ -458,23 +270,13 @@ class MetricsRegistry:
         series = self._series.get(key)
         if series is None:
             series = TimeSeries(
-                name, key[1], max_samples=self.series_retention)
+                name, key[1], max_samples=DEFAULT_SERIES_RETENTION)
             self._series[key] = series
         return series
 
     def series(self) -> List[TimeSeries]:
         """All recorded series, sorted by display key."""
         return sorted(self._series.values(), key=TimeSeries.key)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Histogram summaries plus series digests, keyed by name."""
-        merged: Dict[str, Dict[str, float]] = {
-            name: histogram.summary()
-            for name, histogram in sorted(self._histograms.items())
-        }
-        for series in self.series():
-            merged[series.key()] = series.digest()
-        return merged
 
     # -- self-accounting ---------------------------------------------------------
 
@@ -506,40 +308,40 @@ class MetricsRegistry:
         self._dispatch[type(event)](event)
 
     def _on_transfer(self, event) -> None:
-        self._histograms["net.transfer.duration"].observe(
+        self._histograms["net.transfer.duration"].add(
             event.at - event.started_at)
-        self._histograms["net.transfer.bytes"].observe(event.size)
+        self._histograms["net.transfer.bytes"].add(event.size)
 
     def _on_dht_lookup(self, event) -> None:
-        self._histograms["dht.lookup.hops"].observe(event.hops)
+        self._histograms["dht.lookup.hops"].add(event.hops)
         if event.started_at is not None:
-            self._histograms["dht.lookup.latency"].observe(
+            self._histograms["dht.lookup.latency"].add(
                 event.at - event.started_at)
 
     def _on_block_fetched(self, event) -> None:
-        self._histograms["ipfs.block.bytes"].observe(event.size)
+        self._histograms["ipfs.block.bytes"].add(event.size)
         if event.started_at is not None:
-            self._histograms["ipfs.fetch.latency"].observe(
+            self._histograms["ipfs.fetch.latency"].add(
                 event.at - event.started_at)
 
     def _on_upload(self, event) -> None:
-        self._histograms["protocol.upload.delay"].observe(event.delay)
+        self._histograms["protocol.upload.delay"].add(event.delay)
 
     def _on_aggregated(self, event) -> None:
         if event.started_at is not None:
-            self._histograms["protocol.collect.duration"].observe(
+            self._histograms["protocol.collect.duration"].add(
                 event.at - event.started_at)
 
     def _on_update(self, event) -> None:
         if event.started_at is not None:
-            self._histograms["protocol.publish.duration"].observe(
+            self._histograms["protocol.publish.duration"].add(
                 event.at - event.started_at)
 
     def _on_sync_ended(self, event) -> None:
-        self._histograms["protocol.sync.duration"].observe(event.duration)
+        self._histograms["protocol.sync.duration"].add(event.duration)
 
     def _on_commitment(self, event) -> None:
-        self._histograms["protocol.commit.seconds"].observe(event.seconds)
+        self._histograms["protocol.commit.seconds"].add(event.seconds)
 
 
 class SimTicker:

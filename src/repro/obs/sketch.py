@@ -1,9 +1,8 @@
 """Mergeable log-bucket quantile sketch for bounded-memory histograms.
 
-At figure scale (16 trainers) :class:`~repro.obs.metrics.Histogram`
-kept every raw observation so p50/p95/p99 were exact.  At cohort scale
-(10^4-10^5 participants) that store is O(events); this module replaces
-it with a two-mode structure:
+At figure scale (16 trainers) a histogram can keep every raw
+observation, so p50/p95/p99 are exact.  At cohort scale (10^4-10^5
+participants) that store is O(events); hence a two-mode structure:
 
 - **Exact mode** (up to ``max_exact`` observations): raw values are
   retained and quantiles are float-equal to
@@ -177,8 +176,8 @@ class QuantileSketch:
 
     def _exact_percentile(self, q: float) -> float:
         # Same interpolation as repro.analysis.stats.percentile, on a
-        # cached sorted view so exposition passes don't re-sort — the
-        # float-equality golden test pins the equivalence.
+        # cached sorted view so the three quantiles of a summary sort
+        # once — the float-equality golden test pins the equivalence.
         if not self._sorted:
             self._sorted = sorted(self._exact)
         ordered = self._sorted
@@ -218,35 +217,20 @@ class QuantileSketch:
         for key in sorted(self._positive):
             yield (gamma ** key) * scale, self._positive[key]
 
-    def bucket_bounds(self) -> List[Tuple[float, float, int]]:
-        """``(lower, upper, count)`` per occupied bucket, ascending.
-
-        Stable across merge order (indices are absolute), which the
-        OpenMetrics round-trip tests rely on.  Exact-mode sketches
-        report one degenerate ``(v, v, 1)``-style bucket per distinct
-        value via a spill-free view.
-        """
-        gamma = self._gamma
-        bounds: List[Tuple[float, float, int]] = []
-        if self._exact is not None:
-            if not self._sorted:
-                self._sorted = sorted(self._exact)
-            for value in self._sorted:
-                if bounds and bounds[-1][0] == value:
-                    lower, upper, count = bounds[-1]
-                    bounds[-1] = (lower, upper, count + 1)
-                else:
-                    bounds.append((value, value, 1))
-            return bounds
-        for key in sorted(self._negative, reverse=True):
-            bounds.append((-(gamma ** key), -(gamma ** (key - 1)),
-                           self._negative[key]))
-        if self._zeros:
-            bounds.append((0.0, 0.0, self._zeros))
-        for key in sorted(self._positive):
-            bounds.append((gamma ** (key - 1), gamma ** key,
-                           self._positive[key]))
-        return bounds
+    def summary(self) -> Dict[str, float]:
+        """The digest the run manifest records."""
+        if self.count == 0:
+            return {"count": 0}
+        return {
+            "count": self.count,
+            "sum": self.total,
+            "min": self.minimum,
+            "max": self.maximum,
+            "mean": self.mean,
+            "p50": self.percentile(50.0),
+            "p95": self.percentile(95.0),
+            "p99": self.percentile(99.0),
+        }
 
     # -- merging -----------------------------------------------------------------
 

@@ -264,37 +264,25 @@ class TelemetryCollector:
     pinned by ``tests/test_obs_progress.py``).
     """
 
-    #: Event type -> handler method name (class-level for coverage and
-    #: sampling-disjointness tooling; see ``handled_event_types``).
-    _HANDLERS = {
-        IterationStarted: "_on_started",
-        IterationFinished: "_on_finished",
-        GradientRegistered: "_on_gradient",
-        UpdateRegistered: "_on_update",
-        GradientsAggregated: "_on_aggregated",
-        UploadCompleted: "_on_upload",
-        BytesReceived: "_on_bytes",
-        SyncPhaseEnded: "_on_sync_ended",
-        CommitmentComputed: "_on_commitment",
-        VerificationFailed: "_on_verification_failed",
-        TrainerCompleted: "_on_trainer_completed",
-        TakeoverPerformed: "_on_takeover",
-        ParticipantDegraded: "_on_degraded",
-    }
-
-    @classmethod
-    def handled_event_types(cls):
-        """The event types this collector folds into session metrics."""
-        return tuple(cls._HANDLERS)
-
     def __init__(self, bus: EventBus):
         #: The run's accumulated metrics (same object for the session's
         #: whole lifetime, so holders never see a stale copy).
         self.session = SessionMetrics()
         self._open: Dict[int, IterationMetrics] = {}
         self._dispatch = {
-            event_type: getattr(self, method)
-            for event_type, method in self._HANDLERS.items()
+            IterationStarted: self._on_started,
+            IterationFinished: self._on_finished,
+            GradientRegistered: self._on_gradient,
+            UpdateRegistered: self._on_update,
+            GradientsAggregated: self._on_aggregated,
+            UploadCompleted: self._on_upload,
+            BytesReceived: self._on_bytes,
+            SyncPhaseEnded: self._on_sync_ended,
+            CommitmentComputed: self._on_commitment,
+            VerificationFailed: self._on_verification_failed,
+            TrainerCompleted: self._on_trainer_completed,
+            TakeoverPerformed: self._on_takeover,
+            ParticipantDegraded: self._on_degraded,
         }
         self._subscription: Subscription = bus.subscribe(
             self._handle, *PROTOCOL_EVENTS

@@ -8,8 +8,7 @@ Public surface:
 - :class:`Interrupt` — exception thrown into interrupted processes.
 - ``PRIORITY_URGENT`` / ``PRIORITY_NORMAL`` / ``PRIORITY_LATE`` — order of
   events sharing a timestamp (LATE: after everything else of that instant).
-- :class:`Store`, :class:`FilterStore`, :class:`Resource`,
-  :class:`Container` — waitable primitives.
+- :class:`Store`, :class:`FilterStore` — waitable primitives.
 """
 
 from .core import (
@@ -26,13 +25,12 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .primitives import Container, FilterStore, Resource, Store
+from .primitives import FilterStore, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Event",
     "FilterStore",
     "Interrupt",
@@ -40,7 +38,6 @@ __all__ = [
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",

@@ -102,6 +102,13 @@ def test_shard_map_owner_count_and_determinism():
             assert set(owners) <= set(names)
             assert owners == shard_map.owners(partition_id, 0)
             assert shard_map.primary(partition_id, 0) == owners[0]
+    # Consistent-hash placement is a pure function of the names: these
+    # owners are the ones every earlier run placed on.
+    pinned = ShardMap(["dir-0", "dir-1", "dir-2", "dir-3"], replication=2)
+    assert pinned.owners(0, 0) == ("dir-2", "dir-3")
+    assert pinned.owners(1, 0) == ("dir-1", "dir-0")
+    assert pinned.owners(2, 0) == ("dir-3", "dir-2")
+    assert pinned.owners(3, 7) == ("dir-0", "dir-1")
 
 
 def test_modulo_placement_spreads_primaries_evenly():

@@ -39,7 +39,6 @@ def test_default_profile_matches_legacy_defaults():
     profile = NetworkProfile()
     assert profile.num_ipfs_nodes == 8
     assert profile.bandwidth_mbps == 10.0
-    assert profile.dht_mode == "table"
     # Robustness knobs default to the legacy behaviour (single attempt,
     # wait forever) so honest runs stay bit-identical.
     assert profile.retry is None
@@ -53,7 +52,6 @@ def test_default_profile_matches_legacy_defaults():
     {"trainer_bandwidths_mbps": (10.0, -1.0)},
     {"latency": -0.1},
     {"dht_lookup_delay": -0.1},
-    {"dht_mode": "gossip"},
     {"trainer_bandwidths_mbps": (0.0,)},
     {"replication_factor": 0},
     {"directory_request_timeout": 0.0},
@@ -147,16 +145,26 @@ def test_public_surface_only_shrinks():
         "directory", "behaviors", "sim", "cohort",
     ]
     assert not any(p.kind is p.VAR_KEYWORD for p in parameters.values())
-    assert "directory_processing_delay" not in {
-        f.name for f in dataclasses.fields(NetworkProfile)}
+    profile_fields = {f.name for f in dataclasses.fields(NetworkProfile)}
+    assert "directory_processing_delay" not in profile_fields
+    # One DHT (the provider table) and one retrieval path (`get`).
+    assert "dht_mode" not in profile_fields
 
     import repro.analysis
+    import repro.ipfs
     import repro.obs
+    import repro.sim
     from repro.core.verification import PartitionCommitter
-    from repro.obs import EventBus
+    from repro.obs import EventBus, MetricsRegistry
     from repro.sim import Simulator
 
-    assert len(repro.obs.__all__) <= 88
+    assert not hasattr(repro.ipfs.IPFSClient, "get_striped")
+    assert len(repro.ipfs.__all__) <= 28
+    assert len(repro.sim.__all__) <= 14
+    # Events live in `repro.obs.events` only; a histogram is a sketch.
+    assert len(repro.obs.__all__) <= 49
+    assert list(inspect.signature(MetricsRegistry.__init__).parameters) \
+        == ["self", "bus", "counters"]
     assert len(repro.analysis.__all__) <= 36
     # One `run` writes one bundle and `explain` reads two of them; the
     # eight subcommands that each rebuilt that session stay gone.

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     ANOMALY_KINDS,
-    AnomalyDetected,
     AnomalyWatchdog,
     ConvergenceDetector,
     CountersRegistry,
@@ -22,15 +21,16 @@ from repro.obs import (
     SamplingPolicy,
     SimStallDetector,
     ThroughputCollapseDetector,
-    TrainingEvaluated,
     format_heartbeat,
 )
 from repro.obs.anomaly import default_detectors
 from repro.obs.events import (
+    AnomalyDetected,
     GradientRegistered,
     IterationFinished,
     IterationStarted,
     RetryExhausted,
+    TrainingEvaluated,
     TransferAborted,
     TransferStarted,
 )

@@ -27,9 +27,8 @@ from repro.obs import (
     EventBus,
     FlightRecorder,
     InvariantMonitors,
-    InvariantViolated,
 )
-from repro.obs.events import IterationStarted
+from repro.obs.events import InvariantViolated, IterationStarted
 
 NUM_TRAINERS = 4
 TRAINERS = tuple(f"trainer-{i}" for i in range(NUM_TRAINERS))

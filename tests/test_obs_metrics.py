@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.stats import percentile
 from repro.cli import main
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
@@ -15,7 +14,6 @@ from repro.net import NetworkProfile, TransferTrace
 from repro.obs import (
     CountersRegistry,
     EventBus,
-    Histogram,
     MetricsRegistry,
     ResourceSampler,
     RunManifest,
@@ -30,61 +28,9 @@ from repro.obs.events import (
     TransferCompleted,
     UploadCompleted,
 )
+from repro.obs.metrics import DEFAULT_SERIES_RETENTION
 from repro.sim import Simulator
 from tests.util import run_bundle
-
-
-# -- Histogram ------------------------------------------------------------------
-
-
-def test_histogram_buckets_are_log_spaced():
-    histogram = Histogram("x", lo=1.0, hi=8.0, growth=2.0)
-    assert histogram.bounds == [1.0, 2.0, 4.0, 8.0]
-
-
-def test_histogram_observe_fills_buckets_and_stats():
-    histogram = Histogram("x", lo=1.0, hi=8.0, growth=2.0)
-    for value in (0.5, 1.0, 3.0, 100.0):
-        histogram.observe(value)
-    assert histogram.count == 4
-    assert histogram.total == 104.5
-    assert histogram.minimum == 0.5
-    assert histogram.maximum == 100.0
-    # 0.5 and 1.0 in le=1, 3.0 in le=4, 100.0 overflows to +Inf.
-    assert histogram.bucket_counts == [2, 0, 1, 0, 1]
-    cumulative = histogram.cumulative_buckets()
-    assert cumulative == [(1.0, 2), (2.0, 2), (4.0, 3), (8.0, 3),
-                          (math.inf, 4)]
-    assert cumulative[-1][1] == histogram.count
-
-
-def test_histogram_percentiles_are_exact_not_bucketed():
-    histogram = Histogram("x", lo=1.0, hi=1e6, growth=10.0)
-    values = [float(v) for v in range(1, 101)]
-    for value in values:
-        histogram.observe(value)
-    # Matches analysis.stats.percentile exactly — no bucket rounding.
-    for q in (50.0, 95.0, 99.0):
-        assert histogram.percentile(q) == percentile(values, q)
-    summary = histogram.summary()
-    assert summary["p50"] == percentile(values, 50.0)
-    assert summary["p95"] == percentile(values, 95.0)
-    assert summary["mean"] == sum(values) / len(values)
-
-
-def test_empty_histogram_summary_and_percentile():
-    histogram = Histogram("x")
-    assert histogram.percentile(95.0) == 0.0
-    assert histogram.summary() == {"count": 0}
-
-
-def test_histogram_rejects_bad_layout():
-    with pytest.raises(ValueError):
-        Histogram("x", lo=0.0)
-    with pytest.raises(ValueError):
-        Histogram("x", lo=2.0, hi=1.0)
-    with pytest.raises(ValueError):
-        Histogram("x", growth=1.0)
 
 
 # -- TimeSeries ------------------------------------------------------------------
@@ -493,78 +439,6 @@ def test_cli_metrics_failing_run_still_writes_exposition(
     assert "run failed" in run.err
 
 
-# -- sketch-backed histograms at scale -------------------------------------------
-
-
-def test_histogram_spills_to_sketch_mode_past_the_threshold():
-    histogram = Histogram("x", lo=1.0, hi=1e3, growth=10.0, max_exact=50)
-    values = [float(v) for v in range(1, 201)]
-    for value in values:
-        histogram.observe(value)
-    assert not histogram.exact
-    with pytest.raises(ValueError):
-        histogram.values()
-    with pytest.raises(ValueError):
-        histogram.iter_values()
-    # Exact accounting survives the spill; quantiles stay within the
-    # sketch's relative-error bound of the exact answer.
-    assert histogram.count == 200
-    assert histogram.total == sum(values)
-    assert histogram.minimum == 1.0 and histogram.maximum == 200.0
-    eps = histogram.sketch.relative_error
-    for q in (50.0, 95.0, 99.0):
-        exact = percentile(values, q)
-        assert abs(histogram.percentile(q) - exact) <= exact * eps + 1e-9
-    # Bucket counts are sketch-independent: still per-observation exact.
-    assert sum(histogram.bucket_counts) == 200
-
-
-def test_histogram_summary_is_cached_and_copied():
-    histogram = Histogram("x")
-    histogram.observe(2.0)
-    first = histogram.summary()
-    first["count"] = -1  # caller mutation must not leak back
-    assert histogram.summary()["count"] == 1
-    histogram.observe(4.0)  # invalidates the cache
-    assert histogram.summary()["count"] == 2
-    assert histogram.summary()["p50"] == percentile([2.0, 4.0], 50.0)
-
-
-def test_histogram_merge_requires_matching_layout():
-    a = Histogram("a", lo=1.0, hi=8.0, growth=2.0)
-    b = Histogram("b", lo=1.0, hi=16.0, growth=2.0)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-def test_histogram_merge_is_order_independent_and_render_stable():
-    """Satellite: what a merged histogram renders as (its manifest
-    summary and cumulative buckets) must not depend on the order cohort
-    shards were merged in."""
-    def shard(values):
-        histogram = Histogram("net.transfer.duration", unit="seconds",
-                              lo=1e-3, hi=10.0, growth=4.0, max_exact=8)
-        for value in values:
-            histogram.observe(value)
-        return histogram
-
-    shard_values = [
-        [0.001 * (i + 1) for i in range(20)],
-        [0.5, 2.0, 8.0, 40.0],
-        [0.02, 0.03],
-    ]
-    ab = shard(shard_values[0]).merge(
-        shard(shard_values[1])).merge(shard(shard_values[2]))
-    ba = shard(shard_values[2]).merge(
-        shard(shard_values[1])).merge(shard(shard_values[0]))
-    assert not ab.exact  # the union spilled: this is the sketch path
-    assert ab.bucket_counts == ba.bucket_counts
-    assert ab.summary() == ba.summary()
-    assert ab.cumulative_buckets() == ba.cumulative_buckets()
-    for q in (50.0, 95.0, 99.0):
-        assert ab.percentile(q) == ba.percentile(q)
-
-
 # -- TimeSeries retention --------------------------------------------------------
 
 
@@ -606,14 +480,14 @@ def test_timeseries_rejects_bad_retention():
 
 def test_registry_accounts_its_own_cost():
     bus = EventBus()
-    registry = MetricsRegistry(bus, series_retention=64)
+    registry = MetricsRegistry(bus)
     publish_synthetic_stream(bus)
     assert registry.events_observed == 7
     first = registry.telemetry_bytes()
     assert first > 0
     assert registry.peak_telemetry_bytes >= first
     series = registry.timeseries("x")
-    assert series.max_samples == 64
+    assert series.max_samples == DEFAULT_SERIES_RETENTION
     series.record(0.0, 1.0)
     assert registry.telemetry_bytes() > first
     peak = registry.peak_telemetry_bytes
@@ -629,8 +503,8 @@ def test_registry_accounts_its_own_cost():
 
 def test_unobserved_cohort_run_allocates_no_telemetry_state(monkeypatch):
     """A fully-unobserved 10^4-population run must never construct a
-    histogram, time series or sketch: the zero-subscriber contract
-    extends to allocation, not just dispatch."""
+    time series or sketch: the zero-subscriber contract extends to
+    allocation, not just dispatch."""
     import repro.obs.metrics as metrics_module
     import repro.obs.sketch as sketch_module
     from repro.analysis.scale import ScaleScenario, run_scale_point
@@ -639,7 +513,6 @@ def test_unobserved_cohort_run_allocates_no_telemetry_state(monkeypatch):
         raise AssertionError(
             f"{type(self).__name__} allocated during an unobserved run")
 
-    monkeypatch.setattr(metrics_module.Histogram, "__init__", explode)
     monkeypatch.setattr(metrics_module.TimeSeries, "__init__", explode)
     monkeypatch.setattr(sketch_module.QuantileSketch, "__init__", explode)
     point = run_scale_point(10_000, ScaleScenario())

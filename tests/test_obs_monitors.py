@@ -5,7 +5,7 @@ import pytest
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
-from repro.obs import EventBus, InvariantMonitors, InvariantViolated
+from repro.obs import EventBus, InvariantMonitors
 from repro.obs.events import (
     BlockEvicted,
     BlockFetched,
@@ -13,6 +13,7 @@ from repro.obs.events import (
     BytesReceived,
     GradientRegistered,
     GradientsAggregated,
+    InvariantViolated,
     IterationStarted,
     MergeServed,
     PartialUpdateRegistered,

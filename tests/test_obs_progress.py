@@ -17,7 +17,6 @@ from repro.obs import (
     ProgressReporter,
     SAMPLED_EVENT_FAMILIES,
     SamplingPolicy,
-    TelemetryCollector,
     format_heartbeat,
     read_progress,
     sample_key,
@@ -25,6 +24,7 @@ from repro.obs import (
 from repro.obs.events import (
     IterationFinished,
     IterationStarted,
+    PROTOCOL_EVENTS,
     TransferCompleted,
     TransferStarted,
 )
@@ -129,7 +129,7 @@ def test_sampled_families_are_disjoint_from_every_exact_consumer():
     monitors = InvariantMonitors(EventBus())
     assert sampled.isdisjoint(monitors._dispatch.keys())
     monitors.close()
-    assert sampled.isdisjoint(TelemetryCollector.handled_event_types())
+    assert sampled.isdisjoint(PROTOCOL_EVENTS)
     assert sampled.isdisjoint(DEFAULT_WINDOW_EVENTS)
 
 

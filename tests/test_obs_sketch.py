@@ -48,6 +48,25 @@ def test_empty_sketch_is_safe():
     assert sketch.percentile(50.0) == 0.0
     assert sketch.mean == 0.0
     assert sketch.values() == []
+    assert sketch.summary() == {"count": 0}
+
+
+def test_summary_is_the_exact_digest_of_what_was_added_so_far():
+    sketch = QuantileSketch()
+    values = [float(v) for v in range(1, 101)]
+    for value in values:
+        sketch.add(value)
+    assert sketch.summary() == {
+        "count": 100, "sum": sum(values), "min": 1.0, "max": 100.0,
+        "mean": sum(values) / len(values),
+        "p50": percentile(values, 50.0),
+        "p95": percentile(values, 95.0),
+        "p99": percentile(values, 99.0),
+    }
+    sketch.summary()["count"] = -1  # a caller's edit must not leak back
+    sketch.add(1000.0)
+    assert sketch.summary()["count"] == 101
+    assert sketch.summary()["max"] == 1000.0
 
 
 def test_percentile_validates_q():
@@ -177,7 +196,8 @@ def test_merge_order_independence_in_sketch_mode():
     assert ab.minimum == ba.minimum
     assert ab.maximum == ba.maximum
     assert ab.total == ba.total  # pairwise float addition commutes
-    assert ab.bucket_bounds() == ba.bucket_bounds()
+    assert ab.bucket_count == ba.bucket_count
+    assert ab.summary() == ba.summary()
     for q in (1.0, 25.0, 50.0, 75.0, 95.0, 99.0):
         assert ab.percentile(q) == ba.percentile(q)
 

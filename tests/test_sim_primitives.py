@@ -1,15 +1,8 @@
-"""Unit tests for Store, FilterStore, Resource and Container."""
+"""Unit tests for Store and FilterStore."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    FilterStore,
-    Resource,
-    SimulationError,
-    Simulator,
-    Store,
-)
+from repro.sim import FilterStore, Simulator, Store
 
 
 # -- Store ------------------------------------------------------------------
@@ -181,164 +174,3 @@ def test_filter_store_none_predicate_is_fifo():
     sim.process(consumer(sim, store))
     sim.run()
     assert got == ["a"]
-
-
-# -- Resource -----------------------------------------------------------------
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    resource = Resource(sim, capacity=2)
-    log = []
-
-    def user(sim, resource, name, hold):
-        request = resource.request()
-        yield request
-        log.append((name, "acquired", sim.now))
-        yield sim.timeout(hold)
-        resource.release(request)
-
-    sim.process(user(sim, resource, "u1", 5.0))
-    sim.process(user(sim, resource, "u2", 5.0))
-    sim.process(user(sim, resource, "u3", 1.0))
-    sim.run()
-    assert log == [
-        ("u1", "acquired", 0.0),
-        ("u2", "acquired", 0.0),
-        ("u3", "acquired", 5.0),
-    ]
-
-
-def test_resource_count():
-    sim = Simulator()
-    resource = Resource(sim, capacity=3)
-
-    def holder(sim, resource):
-        request = resource.request()
-        yield request
-        yield sim.timeout(10.0)
-        resource.release(request)
-
-    sim.process(holder(sim, resource))
-    sim.process(holder(sim, resource))
-    sim.run(until=5.0)
-    assert resource.count == 2
-    sim.run()
-    assert resource.count == 0
-
-
-def test_resource_release_is_idempotent():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-
-    def user(sim, resource):
-        request = resource.request()
-        yield request
-        resource.release(request)
-        resource.release(request)  # second release is a no-op
-
-    sim.process(user(sim, resource))
-    sim.run()
-    assert resource.count == 0
-
-
-def test_resource_release_unknown_request_raises():
-    sim = Simulator()
-    r1 = Resource(sim, capacity=1)
-    r2 = Resource(sim, capacity=1)
-    request = r1.request()
-    sim.run()
-    with pytest.raises(SimulationError):
-        r2.release(request)
-
-
-def test_resource_cancel_waiting_request():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    first = resource.request()
-    second = resource.request()
-    sim.run()
-    assert first.triggered and not second.triggered
-    resource.release(second)  # cancel from the wait queue
-    resource.release(first)
-    sim.run()
-    assert resource.count == 0
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-# -- Container ----------------------------------------------------------------
-
-
-def test_container_levels():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=50.0)
-    assert tank.level == 50.0
-
-    def producer(sim, tank):
-        yield tank.put(25.0)
-
-    def consumer(sim, tank):
-        yield tank.get(60.0)
-
-    sim.process(producer(sim, tank))
-    sim.process(consumer(sim, tank))
-    sim.run()
-    assert tank.level == 15.0
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    log = []
-
-    def consumer(sim, tank):
-        yield tank.get(5.0)
-        log.append(sim.now)
-
-    def producer(sim, tank):
-        yield sim.timeout(7.0)
-        yield tank.put(5.0)
-
-    sim.process(consumer(sim, tank))
-    sim.process(producer(sim, tank))
-    sim.run()
-    assert log == [7.0]
-
-
-def test_container_put_blocks_when_full():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=10.0)
-    log = []
-
-    def producer(sim, tank):
-        yield tank.put(3.0)
-        log.append(sim.now)
-
-    def consumer(sim, tank):
-        yield sim.timeout(4.0)
-        yield tank.get(5.0)
-
-    sim.process(producer(sim, tank))
-    sim.process(consumer(sim, tank))
-    sim.run()
-    assert log == [4.0]
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10.0, init=11.0)
-    tank = Container(sim, capacity=10.0)
-    with pytest.raises(ValueError):
-        tank.put(-1.0)
-    with pytest.raises(ValueError):
-        tank.get(0.0)
-    with pytest.raises(ValueError):
-        tank.put(11.0)

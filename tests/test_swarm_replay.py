@@ -1,7 +1,6 @@
-"""Tests for swarm (striped) block retrieval and the replay adversary."""
+"""Tests for single-block retrieval and the replay adversary."""
 
 import numpy as np
-import pytest
 
 from repro.core import (
     FLSession,
@@ -10,16 +9,11 @@ from repro.core import (
     decode_partition,
     encode_partition,
 )
-from repro.ipfs import NotFoundError, ReplicationCluster, compute_cid
+from repro.ipfs import compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
 
 from tests.util import make_ipfs_world
-
-
-LARGE = np.random.default_rng(0).integers(
-    0, 256, size=1_000_000, dtype=np.uint8
-).tobytes()
 
 
 # -- get_block ---------------------------------------------------------------------
@@ -73,113 +67,6 @@ def test_get_block_corruption_returns_none():
     world.sim.process(scenario())
     world.sim.run()
     assert box["data"] is None
-
-
-# -- get_striped --------------------------------------------------------------------
-
-
-def test_striped_roundtrip_single_provider():
-    world = make_ipfs_world(num_nodes=1, bandwidth_mbps=100.0)
-    client = world.client("client-0")
-    cid = world.node(0).store_object(LARGE)
-    box = {}
-
-    def scenario():
-        box["data"] = yield from client.get_striped(
-            cid, prefer_nodes=["ipfs-0"]
-        )
-
-    world.sim.process(scenario())
-    world.sim.run()
-    assert box["data"] == LARGE
-
-
-def test_striped_bare_block():
-    world = make_ipfs_world(num_nodes=1)
-    client = world.client("client-0")
-    from repro.ipfs import Block
-    block = Block(b"not a manifest, just bytes")
-    world.node(0).store.put(block)
-    world.dht.provide(block.cid, "ipfs-0")
-    box = {}
-
-    def scenario():
-        box["data"] = yield from client.get_striped(block.cid)
-
-    world.sim.process(scenario())
-    world.sim.run()
-    assert box["data"] == b"not a manifest, just bytes"
-
-
-def test_striped_faster_with_two_providers():
-    """Striping across two replicas roughly halves the download time
-    when the provider uplinks (not the client downlink) are the
-    bottleneck — each provider carries half the leaves."""
-    times = {}
-    for replicas in (1, 2):
-        world = make_ipfs_world(num_nodes=2, bandwidth_mbps=10.0)
-        # Fat client pipe: the 10 Mbps provider uplinks are the limit.
-        fat = world.network.host("client-0")
-        fat.uplink.capacity = fat.downlink.capacity = 1e9
-        client = world.client("client-0")
-        cid = world.node(0).store_object(LARGE)
-        if replicas == 2:
-            world.node(1).store_object(LARGE)
-
-        def scenario(sim=world.sim, client=client, cid=cid,
-                     replicas=replicas):
-            yield from client.get_striped(cid)
-            times[replicas] = sim.now
-
-        world.sim.process(scenario())
-        world.sim.run()
-    assert times[2] < 0.7 * times[1]
-
-
-def test_striped_survives_one_corrupt_provider():
-    world = make_ipfs_world(num_nodes=2, bandwidth_mbps=100.0)
-    client = world.client("client-0")
-    cid = world.node(0).store_object(LARGE)
-    world.node(1).store_object(LARGE)
-    world.node(0).corrupt = True
-    box = {}
-
-    def scenario():
-        box["data"] = yield from client.get_striped(cid)
-
-    world.sim.process(scenario())
-    world.sim.run()
-    assert box["data"] == LARGE
-
-
-def test_striped_unknown_cid_raises():
-    world = make_ipfs_world(num_nodes=1)
-    client = world.client("client-0")
-
-    def scenario():
-        yield from client.get_striped(compute_cid(b"nothing"))
-
-    proc = world.sim.process(scenario())
-    with pytest.raises(NotFoundError):
-        world.sim.run()
-
-
-def test_striped_after_replication():
-    """Cluster replication + striping compose: replicas created in the
-    background later serve stripes."""
-    world = make_ipfs_world(num_nodes=3, bandwidth_mbps=100.0)
-    ReplicationCluster(world.sim, world.nodes, replication_factor=2)
-    client = world.client("client-0")
-    box = {}
-
-    def scenario(sim):
-        cid = yield from client.put(LARGE, node="ipfs-0")
-        yield sim.timeout(60.0)  # replication completes
-        box["data"] = yield from client.get_striped(cid)
-
-    world.sim.process(scenario(world.sim))
-    world.sim.run()
-    assert box["data"] == LARGE
 
 
 # -- replay adversary -----------------------------------------------------------------
