@@ -51,7 +51,9 @@ def percentile(values: Sequence[float], q: float) -> float:
     if low == high:
         return float(ordered[low])
     weight = position - low
-    return float(ordered[low] * (1 - weight) + ordered[high] * weight)
+    value = ordered[low] * (1 - weight) + ordered[high] * weight
+    # Rounding (subnormals underflow to 0.0) must not leave the bracket.
+    return float(min(max(value, ordered[low]), ordered[high]))
 
 
 def summarize(values: Sequence[float]) -> Summary:

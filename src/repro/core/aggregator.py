@@ -45,7 +45,7 @@ from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
 from .dirshard import ShardMap
-from .partition import decode_partition, encode_partition, \
+from .partition import _partition_view, encode_partition, \
     sum_encoded_partitions
 from .schedule import IterationSchedule
 from .verification import CommitmentCostModel, PartitionCommitter
@@ -364,8 +364,7 @@ class Aggregator:
             global_blob = sum_encoded_partitions(
                 list(contributions.values())
             )
-            _, counter = decode_partition(global_blob)
-            if counter <= 0:
+            if _partition_view(global_blob)[-1] <= 0:
                 return  # nothing aggregated (deadline passed with no data)
             global_blob = self.behavior.tamper_update(global_blob)
             cid = yield from self._put_with_fallback(global_blob)

@@ -17,6 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..ipfs.merge import MergeError, sum_f64
+
 __all__ = [
     "ModelPartitioner",
     "encode_partition",
@@ -81,15 +83,21 @@ class ModelPartitioner:
 
 def encode_partition(values: np.ndarray, counter: float = 1.0) -> bytes:
     """Wire-encode one partition: ``values || counter`` as float64."""
-    array = np.asarray(values, dtype=np.float64).ravel()
-    return np.concatenate([array, [float(counter)]]).tobytes()
+    array = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    return b"".join((array, np.float64(counter).tobytes()))
+
+
+def _partition_view(blob: bytes) -> np.ndarray:
+    """``values || counter`` of an encoded partition as a read-only view
+    of ``blob`` (no copy: the hot path's :func:`decode_partition`)."""
+    if len(blob) % 8 != 0 or len(blob) < 16:
+        raise ValueError("partition blob must hold >= 2 float64 values")
+    return np.frombuffer(blob, dtype=np.float64)
 
 
 def decode_partition(blob: bytes) -> Tuple[np.ndarray, float]:
     """Inverse of :func:`encode_partition`; returns (values, counter)."""
-    if len(blob) % 8 != 0 or len(blob) < 16:
-        raise ValueError("partition blob must hold >= 2 float64 values")
-    array = np.frombuffer(blob, dtype=np.float64)
+    array = _partition_view(blob)
     return array[:-1].copy(), float(array[-1])
 
 
@@ -97,13 +105,9 @@ def sum_encoded_partitions(blobs: Sequence[bytes]) -> bytes:
     """Element-wise sum of encoded partitions (counters add up too).
 
     This is the aggregator's summation and also exactly what the
-    merge-and-download provider computes (the ``sum-f64`` merger).
+    merge-and-download provider computes: the ``sum-f64`` merger itself.
     """
-    if not blobs:
-        raise ValueError("nothing to sum")
-    arrays = [np.frombuffer(blob, dtype=np.float64) for blob in blobs]
-    length = arrays[0].shape[0]
-    for array in arrays:
-        if array.shape[0] != length:
-            raise ValueError("partition length mismatch")
-    return np.sum(arrays, axis=0).tobytes()
+    try:
+        return sum_f64(blobs)
+    except MergeError as exc:
+        raise ValueError(str(exc)) from None

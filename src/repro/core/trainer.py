@@ -22,8 +22,8 @@ import numpy as np
 
 from ..faults.retry import RetryExhaustedError, RetryPolicy
 from ..ipfs import DHT, IPFSClient, IPFSError
-from ..ml import Dataset, Model, compute_gradient, evaluate_model, \
-    local_update
+from ..ml import Dataset, Model, accuracy, compute_gradient, local_update, \
+    mean_loss
 from ..net import Transport
 from ..obs.events import (
     CommitmentComputed,
@@ -39,7 +39,7 @@ from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
 from .dirshard import ShardMap
-from .partition import ModelPartitioner, decode_partition, encode_partition
+from .partition import ModelPartitioner, _partition_view, encode_partition
 from .schedule import IterationSchedule
 from .verification import CommitmentCostModel, PartitionCommitter
 
@@ -124,15 +124,17 @@ class Trainer:
 
     # -- local learning -----------------------------------------------------------
 
-    def _compute_update_vector(self, iteration: int) -> np.ndarray:
-        """The flat vector to upload, per the configured update mode."""
+    def _compute_update_vector(self, iteration: int):
+        """``(loss, vector)``: the flat vector to upload, per the configured
+        update mode, and this model's loss where the pass that built the
+        vector computed it (None: "params" trains a clone)."""
         if self.config.update_mode == "params":
             delta = local_update(
                 self.model, self.dataset, self.config.train,
                 seed=self.seed + 7919 * iteration,
             )
-            return self.model.get_params() + delta
-        return compute_gradient(self.model, self.dataset)
+            return None, self.model.get_params() + delta
+        return compute_gradient(self.model, self.dataset, with_loss=True)
 
     def _verify_update(self, partition_id: int, iteration: int,
                        blob: bytes):
@@ -158,13 +160,13 @@ class Trainer:
         return committer.verify_blob(blob, expected)
 
     def _install_update(self, averaged: np.ndarray) -> None:
-        if self.config.update_mode == "params":
-            self.model.set_params(averaged)
-        else:
-            self.model.set_params(
-                self.model.get_params()
-                - self.config.learning_rate * averaged
-            )
+        """Install the averaged update; ``averaged`` is this call's to
+        overwrite and to hand over (the model may keep it, frozen)."""
+        if self.config.update_mode != "params":
+            averaged *= self.config.learning_rate
+            np.subtract(self.model.get_params(), averaged, out=averaged)
+        averaged.flags.writeable = False
+        self.model.set_params(averaged)
 
     # -- the per-iteration process ------------------------------------------------------
 
@@ -187,16 +189,20 @@ class Trainer:
             )
         if self.local_train_seconds > 0:
             yield self.sim.timeout(self.local_train_seconds)
-        vector = self._compute_update_vector(schedule.iteration)
+        loss, vector = self._compute_update_vector(schedule.iteration)
         if self.sim.now > schedule.t_train:
             return  # Abort: did not train in time (Algorithm 1 line 10).
         if bus.wants(TrainingEvaluated):
             # Convergence telemetry: pure evaluation on the local shard
-            # (no RNG, no sim interaction), paid only when observed.
-            loss, acc = evaluate_model(self.model, self.dataset)
+            # (no RNG, no sim interaction), paid only when observed — as
+            # `evaluate_model`, but with the loss the gradient pass found.
+            if loss is None:
+                loss = mean_loss(self.model, self.dataset)
             bus.publish(TrainingEvaluated(
                 at=self.sim.now, iteration=schedule.iteration,
-                trainer=self.name, loss=loss, accuracy=acc,
+                trainer=self.name, loss=loss,
+                accuracy=(accuracy(self.model, self.dataset)
+                          if hasattr(self.model, "num_classes") else None),
                 samples=len(self.dataset.y),
             ))
 
@@ -299,7 +305,7 @@ class Trainer:
             ))
 
         # -- retrieve the updated partitions ------------------------------------
-        updated_parts = []
+        averaged = None  # allocated once the first partition is here
         for partition_id in range(self.partitioner.num_partitions):
             cid = None
             while self.sim.now < schedule.t_sync:
@@ -337,12 +343,19 @@ class Trainer:
                                "accumulated commitment",
                     ))
                 return
-            values, counter = decode_partition(blob)
-            if counter <= 0:
+            # Divide straight out of the fetched bytes into the one vector.
+            update = _partition_view(blob)
+            start, end = self.partitioner.bounds(partition_id)
+            if update.shape[0] - 1 != end - start:
+                raise ValueError(f"partition {partition_id} has wrong "
+                                 f"length {update.shape[0] - 1}")
+            if update[-1] <= 0:
                 return
-            updated_parts.append(values / counter)
+            if averaged is None:
+                averaged = np.empty(self.partitioner.num_params)
+            np.divide(update[:-1], update[-1], out=averaged[start:end])
 
-        self._install_update(self.partitioner.join(updated_parts))
+        self._install_update(averaged)
         self.completed_iterations += 1
         if bus.wants(TrainerCompleted):
             bus.publish(TrainerCompleted(

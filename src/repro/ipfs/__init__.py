@@ -19,7 +19,6 @@ from .block import (
     chunk_object,
     is_manifest,
     parse_manifest,
-    reassemble,
 )
 from .blockstore import Blockstore
 from .cid import CID, compute_cid, verify_cid
@@ -60,7 +59,6 @@ __all__ = [
     "is_manifest",
     "merger_names",
     "parse_manifest",
-    "reassemble",
     "register_merger",
     "rendezvous_rank",
     "sum_f64",

@@ -5,7 +5,9 @@ their CID.  Larger logical objects (the paper moves ~1.3 MB gradient
 partitions; go-ipfs chunks files at 256 KiB) are represented by
 :func:`chunk_object`: leaf blocks plus a root *manifest* block listing the
 leaf CIDs in order, so retrieving the root is enough to fetch and
-reassemble the object with per-chunk integrity.
+rebuild the object with per-chunk integrity.  A root built here also
+carries those CIDs as :attr:`Block.links`: the node that chunked an
+object never parses its own manifest back.
 
 Chunking copies nothing: the leaves are read-only ``memoryview`` slices of
 the object's one immutable ``bytes`` buffer (mutable input is snapshotted
@@ -23,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from .cid import CID, compute_cid
 
 __all__ = ["Block", "DEFAULT_CHUNK_SIZE", "chunk_object", "is_manifest",
-           "join_leaves", "parse_manifest", "reassemble"]
+           "join_leaves", "parse_manifest"]
 
 #: go-ipfs default chunker size.
 DEFAULT_CHUNK_SIZE = 256 * 1024
@@ -39,11 +41,15 @@ class Block:
     ``bytearray``, a view of memory somebody can still write — is
     snapshotted here, so the bytes can never change under the CID.
     ``offset`` is where a leaf cut by :func:`chunk_object` starts in the
-    buffer it views (None: not known to be such a slice).
+    buffer it views (None: not known to be such a slice); ``links`` is
+    the ordered leaf CIDs of a root that :func:`chunk_object` built (None:
+    a leaf, or bytes whose manifest has not been parsed).
     """
 
     data: bytes
     offset: Optional[int] = field(default=None, compare=False, repr=False)
+    links: Optional[Tuple[CID, ...]] = field(default=None, compare=False,
+                                             repr=False)
     cid: CID = field(init=False)
 
     def __post_init__(self):
@@ -82,12 +88,16 @@ def chunk_object(data: bytes,
         "total_size": len(view),
         "chunks": [leaf.cid.encode() for leaf in leaves],
     }
-    root = Block(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+    root = Block(json.dumps(manifest, sort_keys=True).encode("utf-8"),
+                 links=tuple(leaf.cid for leaf in leaves))
     return root, leaves
 
 
 def parse_manifest(root: Block) -> List[CID]:
-    """Extract the ordered leaf CIDs from a manifest block."""
+    """The ordered leaf CIDs of a manifest block: the links it carries,
+    or — for a root that arrived as raw bytes — its parsed manifest."""
+    if root.links is not None:
+        return list(root.links)
     try:
         manifest = json.loads(str(root.data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -125,16 +135,3 @@ def join_leaves(leaves: Sequence[Block]) -> bytes:
             return whole
     return b"".join(leaf.data for leaf in leaves)
 
-
-def reassemble(root: Block, leaves: List[Block]) -> bytes:
-    """Rebuild the original object from its manifest and leaf blocks.
-
-    ``leaves`` may be in any order; they are matched by CID.  Raises
-    ``ValueError`` on a missing or extraneous leaf.
-    """
-    wanted = parse_manifest(root)
-    by_cid = {leaf.cid: leaf for leaf in leaves}
-    missing = [cid for cid in wanted if cid not in by_cid]
-    if missing:
-        raise ValueError(f"missing {len(missing)} leaf block(s)")
-    return join_leaves([by_cid[cid] for cid in wanted])

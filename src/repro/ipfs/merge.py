@@ -15,7 +15,7 @@ for float64 arrays with and without the trailing averaging counter.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -49,30 +49,34 @@ def merger_names() -> List[str]:
     return sorted(_MERGERS)
 
 
-def sum_f64(blobs: List[bytes]) -> bytes:
+def sum_f64(blobs: Sequence[bytes]) -> bytes:
     """Element-wise sum of equal-length float64 vectors.
 
     This is the aggregation the protocol performs on gradient partitions;
     the trailing averaging counter the trainers append (Algorithm 1 line
     14) is a regular vector element and sums like any other, which is
     exactly what makes the merged result usable for averaging.
+
+    The one summation in the tree (``sum_encoded_partitions`` is this
+    function): one accumulator that starts from zero (so a lone ``-0.0``
+    comes out ``0.0``) and takes each blob in the order given — that
+    order is the float contract — with no k × n stack in between.
     """
     if not blobs:
         raise MergeError("cannot merge zero blocks")
-    vectors = []
-    length = None
+    total = None
     for blob in blobs:
         if len(blob) % 8 != 0:
             raise MergeError("blob length is not a multiple of 8 (float64)")
         vector = np.frombuffer(blob, dtype=np.float64)
-        if length is None:
-            length = vector.shape[0]
-        elif vector.shape[0] != length:
+        if total is None:
+            total = vector + 0.0
+        elif vector.shape != total.shape:
             raise MergeError(
-                f"length mismatch: {vector.shape[0]} != {length}"
+                f"length mismatch: {vector.shape[0]} != {total.shape[0]}"
             )
-        vectors.append(vector)
-    total = np.sum(vectors, axis=0)
+        else:
+            total += vector
     return total.tobytes()
 
 

@@ -44,8 +44,6 @@ KIND_PUT = "ipfs.put"
 KIND_PUT_ACK = "ipfs.put.ack"
 KIND_GET = "ipfs.get"
 KIND_GET_DATA = "ipfs.get.data"
-KIND_GET_BLOCK = "ipfs.getblock"
-KIND_GET_BLOCK_DATA = "ipfs.getblock.data"
 KIND_MERGE = "ipfs.merge"
 KIND_MERGE_DATA = "ipfs.merge.data"
 KIND_REPLICATE = "ipfs.replicate"
@@ -209,12 +207,6 @@ class IPFSNode:
         elif message.kind == KIND_GET:
             yield from self._serve_bytes(message, KIND_GET_DATA,
                                          self.load_object(message.payload))
-        elif message.kind == KIND_GET_BLOCK:
-            # One raw block: the bitswap-style exchange unit.
-            block = self.store.get(message.payload)
-            yield from self._serve_bytes(
-                message, KIND_GET_BLOCK_DATA,
-                None if block is None else block.data)
         elif message.kind == KIND_MERGE:
             yield from self._handle_merge(message)
         elif message.kind == KIND_REPLICATE:
@@ -427,30 +419,6 @@ class IPFSClient:
         """
         root, _leaves = chunk_object(data, self.chunk_size)
         return root.cid == cid or compute_cid(data) == cid
-
-    def get_block(self, cid: CID, node: str):
-        """Fetch and verify one raw block from ``node``.
-
-        Returns the block bytes, or None on miss/timeout/corruption.
-        """
-        fetch_started = self.sim.now
-        response = yield self.endpoint.request(
-            node, KIND_GET_BLOCK, cid, REQUEST_OVERHEAD + CID_WIRE_SIZE,
-            self.request_timeout)
-        if response is None or response.payload is None:
-            return None
-        data: bytes = response.payload
-        if compute_cid(data) != cid:
-            return None
-        self.bytes_downloaded += len(data) + REQUEST_OVERHEAD
-        bus = self.sim.bus
-        if bus.wants(BlockFetched):
-            bus.publish(BlockFetched(
-                at=self.sim.now, client=self.name, node=node, cid=cid,
-                size=len(data) + REQUEST_OVERHEAD,
-                started_at=fetch_started,
-            ))
-        return data
 
     def merge_and_download(self, cids: Iterable[CID], node: str,
                            merger: str = "sum-f64"):

@@ -205,7 +205,13 @@ class SyntheticModel(Model):
         return self._params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
-        self._params = self._check_flat(flat).copy()
+        checked = self._check_flat(flat)
+        # Adopt an array that cannot change under the model — read-only
+        # and owning its buffer, so no writable alias exists — and copy
+        # anything else.
+        frozen = (checked.base is flat and flat.flags.owndata
+                  and not flat.flags.writeable)
+        self._params = checked if frozen else checked.copy()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(X.shape[0])
@@ -217,8 +223,11 @@ class SyntheticModel(Model):
         # and storage measurements.
         seed_value = float(np.asarray(X).ravel()[0]) if np.asarray(X).size \
             else 0.0
-        return 0.0, (seed_value * 1e-6
-                     + np.arange(self.size, dtype=np.float64) * 1e-9)
+        # seed·1e-6 + i·1e-9, in one allocation and two in-place passes.
+        gradient = np.arange(self.size, dtype=np.float64)
+        gradient *= 1e-9
+        gradient += seed_value * 1e-6
+        return 0.0, gradient
 
 
 class LinearRegression(Model):

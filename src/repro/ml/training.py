@@ -41,10 +41,11 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def compute_gradient(model: Model, dataset: Dataset) -> np.ndarray:
-    """The full-batch gradient of the model's loss on ``dataset``."""
-    _, gradient = model.loss_and_gradient(dataset.X, dataset.y)
-    return gradient
+def compute_gradient(model: Model, dataset: Dataset, with_loss: bool = False):
+    """The full-batch gradient of the model's loss on ``dataset``;
+    ``(loss, gradient)`` ``with_loss`` — the one pass computes both."""
+    loss, gradient = model.loss_and_gradient(dataset.X, dataset.y)
+    return (loss, gradient) if with_loss else gradient
 
 
 def sgd_epoch(model: Model, dataset: Dataset, learning_rate: float,

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ipfs import Block, IntegrityError, IPFSError, chunk_object, \
-    compute_cid, reassemble
+    compute_cid
+from repro.ipfs.block import join_leaves
 
 from tests.util import make_ipfs_world, run_proc
 
@@ -54,7 +55,7 @@ def test_leaves_are_readonly_views_of_the_one_buffer():
         assert leaf.data.obj is data  # no copy
         assert leaf.offset == index * CHUNK
         assert leaf.cid == compute_cid(data[index * CHUNK:(index + 1) * CHUNK])
-    assert reassemble(root, leaves) is data
+    assert join_leaves(leaves) is data
 
 
 @pytest.mark.parametrize("wrap", [bytearray,

@@ -13,9 +13,9 @@ from repro.ipfs import (
     compute_cid,
     is_manifest,
     parse_manifest,
-    reassemble,
     verify_cid,
 )
+from repro.ipfs.block import join_leaves
 
 
 # -- CID ----------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_chunk_object_splits_on_boundary():
 def test_chunk_empty_object():
     root, leaves = chunk_object(b"", chunk_size=256)
     assert len(leaves) == 1
-    assert reassemble(root, leaves) == b""
+    assert join_leaves(leaves) == b""
 
 
 def test_chunk_invalid_size():
@@ -130,20 +130,18 @@ def test_parse_manifest_rejects_raw_block():
 def test_reassemble_roundtrip():
     data = bytes(i % 251 for i in range(5000))
     root, leaves = chunk_object(data, chunk_size=512)
-    assert reassemble(root, leaves) == data
+    assert join_leaves(leaves) == data
+    # Fewer leaves than the buffer holds are joined, never answered with it.
+    assert join_leaves(leaves[:-1]) == data[:len(data) - leaves[-1].size]
 
 
 def test_reassemble_out_of_order_leaves():
+    """As the node loads an object: leaves looked up by the CIDs the root
+    lists, whatever order they were stored in."""
     data = b"0123456789" * 100
     root, leaves = chunk_object(data, chunk_size=128)
-    assert reassemble(root, list(reversed(leaves))) == data
-
-
-def test_reassemble_missing_leaf_raises():
-    data = b"0123456789" * 100
-    root, leaves = chunk_object(data, chunk_size=128)
-    with pytest.raises(ValueError, match="missing"):
-        reassemble(root, leaves[:-1])
+    by_cid = {leaf.cid: leaf for leaf in reversed(leaves)}
+    assert join_leaves([by_cid[cid] for cid in parse_manifest(root)]) == data
 
 
 def test_manifest_cid_changes_with_data():
@@ -156,6 +154,6 @@ def test_manifest_cid_changes_with_data():
 @given(st.binary(max_size=4096), st.integers(min_value=1, max_value=1024))
 def test_chunk_reassemble_property(data, chunk_size):
     root, leaves = chunk_object(data, chunk_size=chunk_size)
-    assert reassemble(root, leaves) == data
+    assert join_leaves(leaves) == data
     expected = max(1, -(-len(data) // chunk_size))
     assert len(leaves) == expected

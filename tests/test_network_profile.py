@@ -159,7 +159,7 @@ def test_public_surface_only_shrinks():
     from repro.sim import Simulator
 
     assert not hasattr(repro.ipfs.IPFSClient, "get_striped")
-    assert len(repro.ipfs.__all__) <= 28
+    assert len(repro.ipfs.__all__) <= 27
     assert len(repro.sim.__all__) <= 14
     # Events live in `repro.obs.events` only; a histogram is a sketch.
     assert len(repro.obs.__all__) <= 49

@@ -1,4 +1,4 @@
-"""Tests for single-block retrieval and the replay adversary."""
+"""Tests for the replay adversary."""
 
 import numpy as np
 
@@ -9,64 +9,8 @@ from repro.core import (
     decode_partition,
     encode_partition,
 )
-from repro.ipfs import compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
-
-from tests.util import make_ipfs_world
-
-
-# -- get_block ---------------------------------------------------------------------
-
-
-def test_get_block_roundtrip():
-    world = make_ipfs_world(num_nodes=1)
-    client = world.client("client-0")
-    node = world.node(0)
-    from repro.ipfs import Block
-    block = Block(b"one raw block")
-    node.store.put(block)
-    box = {}
-
-    def scenario():
-        box["data"] = yield from client.get_block(block.cid, "ipfs-0")
-
-    world.sim.process(scenario())
-    world.sim.run()
-    assert box["data"] == b"one raw block"
-
-
-def test_get_block_missing_returns_none():
-    world = make_ipfs_world(num_nodes=1)
-    client = world.client("client-0")
-    box = {}
-
-    def scenario():
-        box["data"] = yield from client.get_block(
-            compute_cid(b"ghost"), "ipfs-0"
-        )
-
-    world.sim.process(scenario())
-    world.sim.run()
-    assert box["data"] is None
-
-
-def test_get_block_corruption_returns_none():
-    world = make_ipfs_world(num_nodes=1)
-    client = world.client("client-0")
-    node = world.node(0)
-    from repro.ipfs import Block
-    block = Block(b"target")
-    node.store.put(block)
-    node.corrupt = True
-    box = {}
-
-    def scenario():
-        box["data"] = yield from client.get_block(block.cid, "ipfs-0")
-
-    world.sim.process(scenario())
-    world.sim.run()
-    assert box["data"] is None
 
 
 # -- replay adversary -----------------------------------------------------------------
