@@ -85,7 +85,7 @@ def test_baseline_comparison(benchmark):
         metrics = central.run_iteration()
         results["centralized"] = {
             "delay": metrics.end_to_end_delay,
-            "bytes": central.network.bytes_delivered,
+            "bytes": central.testbed.network.bytes_delivered,
             "storage": 0.0,
         }
 

@@ -68,10 +68,9 @@ def test_convergence_equivalence(benchmark):
         for _ in range(ROUNDS):
             for kind, session in sessions.items():
                 session.run_iteration()
-                model = (session.model_of(0) if kind == "ours"
-                         else list(session.models.values())[0])
                 trajectory[kind].append((
-                    session.consensus_params(), accuracy(model, test)
+                    session.consensus_params(),
+                    accuracy(session.model_of(0), test),
                 ))
         outcome["trajectory"] = trajectory
 

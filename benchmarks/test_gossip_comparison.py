@@ -54,8 +54,7 @@ def test_gossip_vs_protocol_non_iid(benchmark):
             gossip.run_iteration()
             ours.run_iteration()
             gossip_accuracy = float(np.mean([
-                accuracy(gossip.models[name], test)
-                for name in gossip.trainer_names
+                accuracy(trainer.model, test) for trainer in gossip.trainers
             ]))
             rows.append([
                 round_index,

@@ -66,9 +66,7 @@ def main():
         ours.run_iteration()
         central.run_iteration()
         ours_acc = accuracy(ours.model_of(0), test)
-        central_acc = accuracy(
-            central.models[central.trainer_names[0]], test
-        )
+        central_acc = accuracy(central.model_of(0), test)
         drift = float(np.max(np.abs(
             ours.consensus_params() - central.consensus_params()
         )))

@@ -2,7 +2,8 @@
 
 - :class:`DirectIPLSSession` — the original IPLS with direct p2p links
   (the "direct" series of Fig. 1).
-- :class:`CentralizedSession` — classic server-mediated FedAvg.
+- :class:`CentralizedSession` — classic server-mediated FedAvg: the
+  direct IPLS with one partition and one aggregator (the server).
 - :class:`BlockchainFLSession` — flexibly-coupled blockchain FL with
   miner-side replication (the storage/communication blow-up of Sec. I).
 - :class:`GossipFLSession` — purely decentralized gossip averaging (the

@@ -19,17 +19,12 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..ml import Dataset, Model, compute_gradient, local_update
+from ..ml import Dataset, Model
 from ..net import Network, Transport, mbps
-from ..obs import TelemetryCollector
 from ..obs.events import (
     BytesReceived,
     GradientRegistered,
     GradientsAggregated,
-    IterationFinished,
-    IterationStarted,
     TrainerCompleted,
     UpdateRegistered,
     UploadCompleted,
@@ -38,7 +33,8 @@ from ..sim import Simulator
 from ..core.config import ProtocolConfig
 from ..core.partition import decode_partition, encode_partition, \
     sum_encoded_partitions
-from ..obs.telemetry import IterationMetrics, SessionMetrics
+from ..core.session import Session
+from ..core.trainer import Trainer
 
 __all__ = ["Block", "Chain", "BlockchainFLSession"]
 
@@ -118,7 +114,7 @@ def blob_hash(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class BlockchainFLSession:
+class BlockchainFLSession(Session):
     """BCFL over the emulated network: miners + trainers."""
 
     def __init__(
@@ -136,53 +132,42 @@ class BlockchainFLSession:
         if num_miners < 1:
             raise ValueError("need at least one miner")
         self.config = config
-        self.sim = sim or Simulator()
-        self.network = Network(self.sim, default_latency=latency)
-        self.trainer_names = [f"trainer-{i}" for i in range(len(datasets))]
+        sim = sim or Simulator()
+        self.network = Network(sim, default_latency=latency)
+        trainer_names = [f"trainer-{i}" for i in range(len(datasets))]
         self.miner_names = [f"miner-{i}" for i in range(num_miners)]
-        for name in self.trainer_names + self.miner_names:
+        for name in trainer_names + self.miner_names:
             self.network.add_host(name, up_bandwidth=mbps(bandwidth_mbps))
         self.transport = Transport(self.network)
-        for name in self.trainer_names + self.miner_names:
+        for name in self.miner_names:
             self.transport.endpoint(name)
-        self._template = model_factory()
-        self.models: Dict[str, Model] = {
-            name: self._template.clone() for name in self.trainer_names
-        }
-        self.datasets = dict(zip(self.trainer_names, datasets))
+        template = model_factory()
+        self.trainers = [
+            Trainer(name, sim, self.transport, config, template.clone(),
+                    dataset, seed=config.seed + index)
+            for index, (name, dataset)
+            in enumerate(zip(trainer_names, datasets))
+        ]
         self.chains: Dict[str, Chain] = {
             name: Chain() for name in self.miner_names
         }
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
-
-    def _entry_miner(self, trainer: str) -> str:
-        index = self.trainer_names.index(trainer)
-        return self.miner_names[index % len(self.miner_names)]
+        super().__init__(sim)
 
     def _leader(self, iteration: int) -> str:
         return self.miner_names[iteration % len(self.miner_names)]
 
     # -- processes ---------------------------------------------------------------
 
-    def _trainer_proc(self, name: str, iteration: int):
+    def _trainer_proc(self, index: int, iteration: int):
         bus = self.sim.bus
+        trainer = self.trainers[index]
+        name = trainer.name
         endpoint = self.transport.endpoint(name)
-        model = self.models[name]
-        if self.config.update_mode == "params":
-            delta = local_update(
-                model, self.datasets[name], self.config.train,
-                seed=self.config.seed + self.trainer_names.index(name)
-                + 7919 * iteration,
-            )
-            vector = model.get_params() + delta
-        else:
-            vector = compute_gradient(model, self.datasets[name])
+        _, vector = yield from trainer._train(iteration)
         blob = encode_partition(vector, 1.0)
         upload_started = self.sim.now
         yield endpoint.send(
-            self._entry_miner(name), KIND_SUBMIT,
+            self.miner_names[index % len(self.miner_names)], KIND_SUBMIT,
             payload={"trainer": name, "iteration": iteration, "blob": blob},
             size=len(blob) + MESSAGE_OVERHEAD,
         )
@@ -193,13 +178,7 @@ class BlockchainFLSession:
             ))
         message = yield endpoint.receive(kind=KIND_MODEL)
         values, counter = decode_partition(message.payload["blob"])
-        averaged = values / counter
-        if self.config.update_mode == "params":
-            model.set_params(averaged)
-        else:
-            model.set_params(
-                model.get_params() - self.config.learning_rate * averaged
-            )
+        trainer._install_update(values / counter)
         if bus.wants(TrainerCompleted):
             bus.publish(TrainerCompleted(
                 at=self.sim.now, iteration=iteration, trainer=name,
@@ -210,7 +189,7 @@ class BlockchainFLSession:
         endpoint = self.transport.endpoint(name)
         chain = self.chains[name]
         is_leader = self._leader(iteration) == name
-        expected_updates = len(self.trainer_names)
+        expected_updates = len(self.trainers)
         updates: Dict[str, bytes] = {}
         block_received = None
 
@@ -300,11 +279,11 @@ class BlockchainFLSession:
         ]
         model_sends = [
             endpoint.send(
-                trainer, KIND_MODEL,
+                trainer.name, KIND_MODEL,
                 payload={"iteration": iteration, "blob": aggregate},
                 size=len(aggregate) + MESSAGE_OVERHEAD,
             )
-            for trainer in self.trainer_names
+            for trainer in self.trainers
         ]
         yield self.sim.all_of(block_sends + model_sends)
         if bus.wants(UpdateRegistered):
@@ -315,57 +294,18 @@ class BlockchainFLSession:
 
     # -- driving rounds ------------------------------------------------------------
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """One BCFL round; returns its metrics."""
-        iteration = self._iteration
-        self._iteration += 1
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration))
-
-        def driver():
-            processes = [
-                self.sim.process(
-                    self._trainer_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.trainer_names
-            ] + [
-                self.sim.process(
-                    self._miner_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.miner_names
-            ]
-            yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"bcfl:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
+    def _round(self, iteration: int, schedule):
+        yield self.sim.all_of([
+            self.sim.process(self._trainer_proc(index, iteration),
+                             name=f"{trainer.name}:i{iteration}")
+            for index, trainer in enumerate(self.trainers)
+        ] + [
+            self.sim.process(self._miner_proc(name, iteration),
+                             name=f"{name}:i{iteration}")
+            for name in self.miner_names
+        ])
 
     # -- results ---------------------------------------------------------------------
-
-    def consensus_params(self) -> np.ndarray:
-        reference = self.models[self.trainer_names[0]].get_params()
-        for name in self.trainer_names[1:]:
-            if not np.allclose(self.models[name].get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(f"{name} diverged")
-        return reference
 
     def total_miner_storage(self) -> int:
         """Bytes stored across all miner replicas (the blow-up)."""

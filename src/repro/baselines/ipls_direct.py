@@ -15,15 +15,12 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..ml import Dataset, Model, compute_gradient, local_update
+from ..ml import Dataset, Model
 from ..net import Testbed, build_testbed
-from ..obs import TelemetryCollector
 from ..obs.events import (
     BytesReceived,
     GradientRegistered,
     GradientsAggregated,
-    IterationFinished,
-    IterationStarted,
     SyncPhaseEnded,
     TrainerCompleted,
     UpdateRegistered,
@@ -38,7 +35,8 @@ from ..core.partition import (
     encode_partition,
     sum_encoded_partitions,
 )
-from ..obs.telemetry import IterationMetrics, SessionMetrics
+from ..core.session import Session
+from ..core.trainer import Trainer
 
 __all__ = ["DirectIPLSSession"]
 
@@ -48,7 +46,7 @@ KIND_UPDATE = "ipls.update"
 MESSAGE_OVERHEAD = 128
 
 
-class DirectIPLSSession:
+class DirectIPLSSession(Session):
     """IPLS over direct links, with the same roles and telemetry."""
 
     def __init__(
@@ -86,36 +84,21 @@ class DirectIPLSSession:
             aggregator_names=self.testbed.aggregator_names,
             ipfs_names=self.testbed.ipfs_names,
         )
-        self.models: Dict[str, Model] = {
-            name: self._template.clone()
-            for name in self.testbed.trainer_names
-        }
-        self.datasets = {
-            name: datasets[index]
-            for index, name in enumerate(self.testbed.trainer_names)
-        }
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
+        self.trainers = [
+            Trainer(name, self.sim, self.testbed.transport, config,
+                    self._template.clone(), dataset, seed=config.seed + index)
+            for index, (name, dataset)
+            in enumerate(zip(self.testbed.trainer_names, datasets))
+        ]
+        super().__init__(self.sim)
 
     # -- participant processes -------------------------------------------------------
 
-    def _trainer_proc(self, name: str, iteration: int):
+    def _trainer_proc(self, trainer: Trainer, iteration: int):
         bus = self.sim.bus
+        name = trainer.name
         endpoint = self.testbed.transport.endpoint(name)
-        model = self.models[name]
-        if self.config.local_train_seconds > 0:
-            yield self.sim.timeout(self.config.local_train_seconds)
-        if self.config.update_mode == "params":
-            delta = local_update(
-                model, self.datasets[name], self.config.train,
-                seed=self.config.seed
-                + self.testbed.trainer_names.index(name)
-                + 7919 * iteration,
-            )
-            vector = model.get_params() + delta
-        else:
-            vector = compute_gradient(model, self.datasets[name])
+        _, vector = yield from trainer._train(iteration)
         parts = self.partitioner.split(vector)
         send_started = self.sim.now
         sends = []
@@ -144,15 +127,9 @@ class DirectIPLSSession:
                 continue
             values, counter = decode_partition(payload["blob"])
             received[payload["partition"]] = values / counter
-        updated = self.partitioner.join(
+        trainer._install_update(self.partitioner.join(
             [received[i] for i in range(self.partitioner.num_partitions)]
-        )
-        if self.config.update_mode == "params":
-            model.set_params(updated)
-        else:
-            model.set_params(
-                model.get_params() - self.config.learning_rate * updated
-            )
+        ))
         if bus.wants(TrainerCompleted):
             bus.publish(TrainerCompleted(
                 at=self.sim.now, iteration=iteration, trainer=name,
@@ -241,52 +218,13 @@ class DirectIPLSSession:
 
     # -- driving rounds -----------------------------------------------------------------
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """One direct-IPLS round; returns its metrics."""
-        iteration = self._iteration
-        self._iteration += 1
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration))
-
-        def driver():
-            processes = [
-                self.sim.process(
-                    self._trainer_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.testbed.trainer_names
-            ] + [
-                self.sim.process(
-                    self._aggregator_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.testbed.aggregator_names
-            ]
-            yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"direct:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
-
-    def consensus_params(self) -> np.ndarray:
-        reference = self.models[self.testbed.trainer_names[0]].get_params()
-        for name in self.testbed.trainer_names[1:]:
-            if not np.allclose(self.models[name].get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(f"{name} diverged")
-        return reference
+    def _round(self, iteration: int, schedule):
+        yield self.sim.all_of([
+            self.sim.process(self._trainer_proc(trainer, iteration),
+                             name=f"{trainer.name}:i{iteration}")
+            for trainer in self.trainers
+        ] + [
+            self.sim.process(self._aggregator_proc(name, iteration),
+                             name=f"{name}:i{iteration}")
+            for name in self.testbed.aggregator_names
+        ])

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from ..crypto import Commitment
-from ..faults.retry import RetryExhaustedError, RetryPolicy
+from ..faults.retry import RetryPolicy
 from ..ipfs import DHT, IPFSClient, IPFSError, PubSub
 from ..net import Transport
 from ..obs.events import (
@@ -38,7 +38,7 @@ from ..obs.events import (
     UpdateRegistered,
     VerificationFailed,
 )
-from ..sim import Interrupt, Simulator
+from ..sim import Simulator
 from .addressing import Address, GRADIENT, PARTIAL_UPDATE, UPDATE
 from .adversary import AggregatorBehavior, HonestBehavior
 from .bootstrapper import Assignment
@@ -47,7 +47,7 @@ from .directory import DirectoryClient
 from .dirshard import ShardMap
 from .partition import _partition_view, encode_partition, \
     sum_encoded_partitions
-from .schedule import IterationSchedule
+from .schedule import IterationSchedule, Participant
 from .verification import CommitmentCostModel, PartitionCommitter
 
 __all__ = ["Aggregator", "sync_topic"]
@@ -60,7 +60,7 @@ def sync_topic(partition_id: int, iteration: int) -> str:
     return f"ipls/sync/p{partition_id}/i{iteration}"
 
 
-class Aggregator:
+class Aggregator(Participant):
     """One aggregator participant."""
 
     def __init__(
@@ -80,8 +80,7 @@ class Aggregator:
         ipfs_request_timeout: float = 120.0,
         shard_map: Optional[ShardMap] = None,
     ):
-        self.name = name
-        self.sim = sim
+        super().__init__(name, sim)
         self.config = config
         self.assignment = assignment
         self.pubsub = pubsub
@@ -102,23 +101,6 @@ class Aggregator:
         )
         self.cost_model = CommitmentCostModel(config.commit_seconds_per_param)
         self.dht = dht
-        #: Child processes of the current round (download fan-out).
-        self.active_children: List = []
-        self._child_errors: List[Exception] = []
-
-    def _spawn(self, generator, name: str):
-        """Spawn a guarded child process (see ``Trainer._spawn``)."""
-        process = self.sim.process(self._guard(generator), name=name)
-        self.active_children.append(process)
-        return process
-
-    def _guard(self, generator):
-        try:
-            yield from generator
-        except Interrupt:
-            pass
-        except RetryExhaustedError as exc:
-            self._child_errors.append(exc)
 
     @property
     def _upload_node(self) -> str:
@@ -191,10 +173,7 @@ class Aggregator:
             )
             return merged, rows_by_trainer
 
-        if download_procs:
-            yield self.sim.all_of(download_procs)
-        if self._child_errors:
-            raise self._child_errors[0]
+        yield from self._join(download_procs)
         return blobs, rows_by_trainer
 
     def _merge_download(self, rows: List[dict]):
@@ -241,10 +220,7 @@ class Aggregator:
                         name=f"{self.name}:merge:{node}")
             for node, group in groups.items()
         ]
-        if procs:
-            yield self.sim.all_of(procs)
-        if self._child_errors:
-            raise self._child_errors[0]
+        yield from self._join(procs)
         # Keyed by provider node, so select_gradients (the adversary hook)
         # still sees per-source entries.
         return dict(results)
@@ -309,8 +285,7 @@ class Aggregator:
         takeovers, rejections) as :mod:`repro.obs` events on ``sim.bus``.
         """
         bus = self.sim.bus
-        self.active_children = []
-        self._child_errors = []
+        self._begin_round()
         peers = self.assignment.peers_of(self.name)
         subscription = None
         if peers:

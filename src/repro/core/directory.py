@@ -44,7 +44,7 @@ per-server; those are what the evaluation measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto import Commitment
 from ..faults.retry import RetryExhaustedError, RetryPolicy
@@ -64,8 +64,7 @@ from .dirshard import ShardMap
 from .verification import PartitionCommitter
 
 __all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryService",
-           "RejectionRecord", "RequestSpec", "REQUEST_TABLE",
-           "ShardedDirectory"]
+           "RejectionRecord", "ShardedDirectory"]
 
 KIND_REGISTER = "dir.register"
 KIND_REGISTER_BATCH = "dir.register.batch"
@@ -87,57 +86,6 @@ ENTRY_WIRE_SIZE = 160
 #: Incremental wire bytes per additional record in a bulk registration
 #: (``register_batch``) or modeled cohort registration.
 BATCH_RECORD_SIZE = 96
-
-
-@dataclass(frozen=True)
-class RequestSpec:
-    """The wire shape of one directory operation.
-
-    One row per client verb: the message ``kind``, the retry-policy
-    ``operation`` label and the payload-dependent wire ``size``.
-    """
-
-    kind: str
-    operation: str
-    size: Callable[[Any], float]
-
-
-#: The single typed table every :class:`DirectoryClient` verb goes
-#: through, so kind/size/operation plumbing lives in exactly one place.
-REQUEST_TABLE: Dict[str, RequestSpec] = {
-    "register": RequestSpec(
-        kind=KIND_REGISTER,
-        operation="directory.register",
-        size=lambda payload: REGISTER_SIZE,
-    ),
-    "register_batch": RequestSpec(
-        kind=KIND_REGISTER_BATCH,
-        operation="directory.register",
-        size=lambda payload: REGISTER_SIZE + BATCH_RECORD_SIZE
-        * max(0, len(payload["records"]) - 1),
-    ),
-    "register_cohort": RequestSpec(
-        kind=KIND_REGISTER_COHORT,
-        operation="directory.register",
-        size=lambda payload: REGISTER_SIZE + BATCH_RECORD_SIZE
-        * max(0, int(payload["count"]) - 1),
-    ),
-    "lookup": RequestSpec(
-        kind=KIND_LOOKUP,
-        operation="directory.lookup",
-        size=lambda payload: QUERY_SIZE,
-    ),
-    "lookup_cohort": RequestSpec(
-        kind=KIND_LOOKUP_COHORT,
-        operation="directory.lookup",
-        size=lambda payload: QUERY_SIZE,
-    ),
-    "accumulated": RequestSpec(
-        kind=KIND_ACCUMULATED,
-        operation="directory.accumulated",
-        size=lambda payload: QUERY_SIZE,
-    ),
-}
 
 
 @dataclass
@@ -832,15 +780,15 @@ class DirectoryClient:
         self.retry = retry
         self.request_timeout = request_timeout
 
-    def _call(self, op: str, payload, owners: Sequence[str]):
-        """One :data:`REQUEST_TABLE` operation against ``owners``.
+    def _call(self, kind: str, operation: str, size: float, payload,
+              owners: Sequence[str]):
+        """One request of message ``kind`` and wire ``size`` against
+        ``owners``; ``operation`` labels it for the retry policy.
 
         The owner loop lives inside this one generator (not a frame per
         owner or per attempt): a directory poll is the hottest path of a
         run, and every extra ``yield from`` level is resumed per event.
         """
-        spec = REQUEST_TABLE[op]
-        size = spec.size(payload)
         policy = self.retry
         attempts = max(1, policy.max_attempts) if policy is not None else 1
         bus = self.sim.bus
@@ -848,27 +796,28 @@ class DirectoryClient:
             for attempt in range(attempts):
                 # (No timeout waits forever: the first owner answers.)
                 response = yield self.endpoint.request(
-                    dst, spec.kind, payload, size, self.request_timeout)
+                    dst, kind, payload, size, self.request_timeout)
                 if response is not None:
                     return response.payload
                 if attempt + 1 < attempts:
                     yield self.sim.timeout(policy.backoff(
-                        attempt, key=f"{self.name}:{spec.operation}"
+                        attempt, key=f"{self.name}:{operation}"
                     ))
             # This owner's budget is spent: fail over to the next one.
             if bus.wants(RetryExhausted):
                 bus.publish(RetryExhausted(
                     at=self.sim.now, actor=self.name,
-                    operation=spec.operation, attempts=attempts,
+                    operation=operation, attempts=attempts,
                 ))
-        raise RetryExhaustedError(spec.operation, attempts)
+        raise RetryExhaustedError(operation, attempts)
 
     def register(self, address: Address, cid: CID,
                  commitment: Optional[Commitment] = None):
         """Register an object; returns the ack payload."""
-        return (yield from self._call("register", {
-            "address": address, "cid": cid, "commitment": commitment,
-        }, self.shard_map.owners(address.partition_id, address.iteration)))
+        return (yield from self._call(
+            KIND_REGISTER, "directory.register", REGISTER_SIZE, {
+                "address": address, "cid": cid, "commitment": commitment,
+            }, self.shard_map.owners(address.partition_id, address.iteration)))
 
     def register_batch(self, records):
         """Register many objects (Sec. VI batching), one message per
@@ -889,10 +838,12 @@ class DirectoryClient:
                 address.partition_id, address.iteration), []).append(record)
         accepted = True
         for owners, group in groups.items():
-            ack = yield from self._call("register_batch", {
-                "records": group,
-                "accumulation": accumulate_cids([r["cid"] for r in group]),
-            }, owners)
+            ack = yield from self._call(
+                KIND_REGISTER_BATCH, "directory.register",
+                REGISTER_SIZE + BATCH_RECORD_SIZE * max(0, len(group) - 1),
+                {"records": group,
+                 "accumulation": accumulate_cids([r["cid"] for r in group])},
+                owners)
             accepted &= bool(ack.get("accepted"))
         return {"accepted": accepted}
 
@@ -900,44 +851,47 @@ class DirectoryClient:
                aggregator_id: Optional[str] = None,
                uploader_id: Optional[str] = None):
         """Query entries; returns a list of result dicts."""
-        return (yield from self._call("lookup", {
-            "partition_id": partition_id,
-            "iteration": iteration,
-            "kind": kind,
-            "aggregator_id": aggregator_id,
-            "uploader_id": uploader_id,
-        }, self.shard_map.owners(partition_id, iteration)))
+        return (yield from self._call(
+            KIND_LOOKUP, "directory.lookup", QUERY_SIZE, {
+                "partition_id": partition_id,
+                "iteration": iteration,
+                "kind": kind,
+                "aggregator_id": aggregator_id,
+                "uploader_id": uploader_id,
+            }, self.shard_map.owners(partition_id, iteration)))
 
     def accumulated(self, partition_id: int, iteration: int,
                     aggregator_id: Optional[str] = None):
         """Fetch an accumulated commitment; returns (commitment, count)."""
-        payload = yield from self._call("accumulated", {
-            "partition_id": partition_id,
-            "iteration": iteration,
-            "aggregator_id": aggregator_id,
-        }, self.shard_map.owners(partition_id, iteration))
+        payload = yield from self._call(
+            KIND_ACCUMULATED, "directory.accumulated", QUERY_SIZE, {
+                "partition_id": partition_id,
+                "iteration": iteration,
+                "aggregator_id": aggregator_id,
+            }, self.shard_map.owners(partition_id, iteration))
         return payload["commitment"], payload["count"]
 
-    def _cohort_call(self, op: str, iteration: int, members: int,
-                     num_partitions: int, cohort: str):
-        """Charge a cohort's bulk load — ``members`` units per partition
-        — in one ``op`` message per owner list; returns the replies."""
+    def _cohort_load(self, iteration: int, members: int,
+                     num_partitions: int) -> Dict[Tuple[str, ...], int]:
+        """A cohort's bulk load — ``members`` units per partition — summed
+        per owner list: one message each."""
         load: Dict[Tuple[str, ...], int] = {}
         for partition_id in range(num_partitions):
             owners = self.shard_map.owners(partition_id, iteration)
             load[owners] = load.get(owners, 0) + members
-        replies = []
-        for owners, count in load.items():
-            replies.append((yield from self._call(
-                op, {"count": count, "cohort": cohort}, owners)))
-        return replies
+        return load
 
     def register_cohort(self, iteration: int, members: int,
                         num_partitions: int, cohort: str):
         """Charge a cohort's bulk registration load; returns the merged
         ack (``count`` summed over the owner lists)."""
-        acks = yield from self._cohort_call(
-            "register_cohort", iteration, members, num_partitions, cohort)
+        acks = []
+        for owners, count in self._cohort_load(
+                iteration, members, num_partitions).items():
+            acks.append((yield from self._call(
+                KIND_REGISTER_COHORT, "directory.register",
+                REGISTER_SIZE + BATCH_RECORD_SIZE * max(0, count - 1),
+                {"count": count, "cohort": cohort}, owners)))
         return {"accepted": all(ack.get("accepted") for ack in acks),
                 "count": sum(ack.get("count", 0) for ack in acks)}
 
@@ -945,6 +899,10 @@ class DirectoryClient:
                       num_partitions: int, cohort: str):
         """Charge a cohort's bulk lookup load; returns the result rows
         (a cohort lookup carries load, not state: there are none)."""
-        replies = yield from self._cohort_call(
-            "lookup_cohort", iteration, members, num_partitions, cohort)
-        return [row for reply in replies for row in reply]
+        rows = []
+        for owners, count in self._cohort_load(
+                iteration, members, num_partitions).items():
+            rows.extend((yield from self._call(
+                KIND_LOOKUP_COHORT, "directory.lookup", QUERY_SIZE,
+                {"count": count, "cohort": cohort}, owners)))
+        return rows

@@ -1,4 +1,4 @@
-"""Per-iteration schedules.
+"""Per-iteration schedules, and the participant that runs rounds on them.
 
 "In each iteration (training round), participants receive a schedule that
 contains the iteration (number) of the learning process and two UTC
@@ -9,6 +9,10 @@ absolute simulated times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
+
+from ..faults.retry import RetryExhaustedError
+from ..sim import Interrupt, Simulator
 
 __all__ = ["IterationSchedule"]
 
@@ -47,3 +51,47 @@ class IterationSchedule:
     def remaining_sync(self, now: float) -> float:
         """Seconds left until the iteration deadline (>= 0)."""
         return max(0.0, self.t_sync - now)
+
+
+class Participant:
+    """A protocol role: one process per round, plus guarded children.
+
+    Children never *fail* their process event (a same-timestamp pair of
+    failures would escape the parent's ``all_of``): an :class:`Interrupt`
+    ends a child silently, and a :class:`RetryExhaustedError` is recorded
+    for the parent to re-raise after the join.
+    """
+
+    def __init__(self, name: str, sim: Simulator):
+        self.name = name
+        self.sim = sim
+        #: Child processes of the current round.  The session's
+        #: supervisor interrupts any still alive when this participant is
+        #: crashed by fault injection.
+        self.active_children: List = []
+        self._child_errors: List[Exception] = []
+
+    def _begin_round(self) -> None:
+        self.active_children = []
+        self._child_errors = []
+
+    def _spawn(self, generator, name: str):
+        """Spawn a guarded child process for the current round."""
+        process = self.sim.process(self._guard(generator), name=name)
+        self.active_children.append(process)
+        return process
+
+    def _guard(self, generator):
+        try:
+            yield from generator
+        except Interrupt:
+            pass
+        except RetryExhaustedError as exc:
+            self._child_errors.append(exc)
+
+    def _join(self, children):
+        """Wait for ``children``; re-raise a child's exhausted retries."""
+        if children:
+            yield self.sim.all_of(children)
+        if self._child_errors:
+            raise self._child_errors[0]

@@ -1,9 +1,12 @@
 """Session orchestration: wiring the whole deployment and running rounds.
 
-:class:`FLSession` builds the emulated network, the IPFS nodes, the
-directory service and all participants from a :class:`ProtocolConfig`,
-then drives training iterations and collects the telemetry the paper's
-figures report.
+:class:`Session` is the one round driver every session shares — the
+protocol's and the four baselines' (:mod:`repro.baselines`): it counts
+iterations, owns the telemetry, publishes each round's start and end and
+drives what the round spawns in between.  :class:`FLSession` builds the
+emulated network, the IPFS nodes, the directory service and all
+participants from a :class:`ProtocolConfig`; its rounds follow the
+paper's schedule.
 
 The deployment shape is described by three composable profiles — a
 :class:`~repro.net.NetworkProfile`, an optional
@@ -46,15 +49,99 @@ from .config import ProtocolConfig
 from .directory import ShardedDirectory
 from .dirshard import DirectoryProfile, ShardMap
 from .partition import ModelPartitioner
-from .schedule import IterationSchedule
+from .schedule import IterationSchedule, Participant
 from ..obs.telemetry import IterationMetrics, SessionMetrics
 from .trainer import Trainer
 from .verification import PartitionCommitter
 
-__all__ = ["FLSession"]
+__all__ = ["FLSession", "Session"]
 
 
-class FLSession:
+class Session:
+    """One FedAvg round driver: what every session does with a round.
+
+    A subclass builds its deployment, calls ``super().__init__(sim)``
+    where the telemetry collector should subscribe, keeps its trainers
+    in :attr:`trainers` and supplies :meth:`_round`, the process
+    generator of what one round spawns.
+    """
+
+    #: The trainers, each with a ``name`` and a ``model``.
+    trainers: List[Trainer]
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        #: Telemetry is an ordinary bus subscriber: the participants
+        #: publish events and this collector folds them into the paper's
+        #: metrics.  Close it (``session.telemetry.close()``) for an
+        #: unobserved run.
+        self.telemetry = TelemetryCollector(sim.bus)
+        self.metrics: SessionMetrics = self.telemetry.session
+        self._iteration = 0
+
+    def _schedule(self, iteration: int) -> Optional[IterationSchedule]:
+        """The deadlines stamped on the round's start event; None runs
+        the round to completion without any."""
+        return None
+
+    def _round(self, iteration: int,
+               schedule: Optional[IterationSchedule]):
+        """The process generator of what one round spawns."""
+        raise NotImplementedError
+
+    def run_iteration(self) -> Optional[IterationMetrics]:
+        """Execute one full training round.
+
+        Returns the round's metrics, assembled by :attr:`telemetry` from
+        the events the participants published — or None when telemetry
+        has been closed (an unobserved run).
+        """
+        iteration = self._iteration
+        self._iteration += 1
+        schedule = self._schedule(iteration)
+        bus = self.sim.bus
+        if bus.wants(IterationStarted):
+            bus.publish(IterationStarted(
+                at=self.sim.now, iteration=iteration,
+                t_train=schedule.t_train if schedule else None,
+                t_sync=schedule.t_sync if schedule else None,
+            ))
+        process = self.sim.process(self._round(iteration, schedule),
+                                   name=f"round:{iteration}")
+        self.sim.run_until(process)
+        if not process.ok:
+            raise process.value
+        if bus.wants(IterationFinished):
+            bus.publish(IterationFinished(at=self.sim.now,
+                                          iteration=iteration))
+        if self.metrics.iterations and \
+                self.metrics.iterations[-1].iteration == iteration:
+            return self.metrics.iterations[-1]
+        return None
+
+    def run(self, rounds: int) -> SessionMetrics:
+        """Run ``rounds`` iterations back to back."""
+        for _ in range(rounds):
+            self.run_iteration()
+        return self.metrics
+
+    def model_of(self, index: int = 0) -> Model:
+        """The current model of trainer ``index``."""
+        return self.trainers[index].model
+
+    def consensus_params(self) -> np.ndarray:
+        """The shared model parameters, asserting all trainers agree."""
+        reference = self.trainers[0].model.get_params()
+        for trainer in self.trainers[1:]:
+            if not np.allclose(trainer.model.get_params(), reference,
+                               atol=1e-12):
+                raise AssertionError(
+                    f"trainer {trainer.name} diverged from trainer 0"
+                )
+        return reference
+
+
+class FLSession(Session):
     """A complete decentralized FL deployment in one object."""
 
     def __init__(
@@ -223,7 +310,7 @@ class FLSession:
 
         # -- participants ----------------------------------------------------------
         behaviors = behaviors or {}
-        self.trainers: List[Trainer] = []
+        self.trainers = []
         for index, name in enumerate(self.testbed.trainer_names):
             model = self._template.clone()
             self.trainers.append(Trainer(
@@ -300,12 +387,7 @@ class FLSession:
                     seed=cohort.seed + index,
                 ))
 
-        #: Telemetry is an ordinary bus subscriber: the protocol publishes
-        #: events and this collector folds them into the paper's metrics.
-        #: Close it (``session.telemetry.close()``) for an unobserved run.
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
+        super().__init__(self.sim)
 
         #: participant name -> its supervised process for the current
         #: round (the handle the fault injector interrupts).
@@ -317,81 +399,56 @@ class FLSession:
 
     # -- driving rounds ---------------------------------------------------------
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """Execute one full training round.
-
-        Returns the round's metrics, assembled by :attr:`telemetry` from
-        the events the participants published — or None when telemetry
-        has been closed (an unobserved run).
-        """
-        iteration = self._iteration
-        self._iteration += 1
+    def _schedule(self, iteration: int) -> IterationSchedule:
         schedule = IterationSchedule.from_durations(
             iteration, self.sim.now, self.config.t_train, self.config.t_sync
         )
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration,
-                                         t_train=schedule.t_train,
-                                         t_sync=schedule.t_sync))
         # Arm the directory's gradient-registration cutoff so late
         # registrations can never enter the accumulated commitments.
         self.directory.begin_iteration(iteration, schedule.t_train)
+        return schedule
 
-        def driver():
-            participants = (
-                [t.name for t in self.trainers]
-                + [a.name for a in self.aggregators]
-                + [c.name for c in self.cohorts]
-            )
-            yield self.bootstrapper.announce(schedule, participants)
-            self._round_processes = {}
-            processes = []
-            for role, members in (("trainer", self.trainers),
-                                  ("aggregator", self.aggregators)):
-                for participant in members:
-                    process = self._spawn_participant(
-                        participant, role, schedule
-                    )
-                    if process is not None:
-                        processes.append(process)
-            for coordinator in self.cohorts:
-                processes.append(self.sim.process(
-                    coordinator.run_iteration(schedule),
-                    name=f"{coordinator.name}:i{iteration}",
-                ))
-            if processes:
-                yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"round:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        """Run ``rounds`` iterations back to back."""
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
+    def _round(self, iteration: int, schedule: IterationSchedule):
+        """Announce the schedule, then run every participant under
+        supervision.  One whose link is down cannot be told the schedule:
+        it sits the round out, degraded."""
+        online = self.testbed.network.host_online
+        supervised = self.trainers + self.aggregators
+        unreachable = {p.name for p in supervised if not online(p.name)}
+        yield self.bootstrapper.announce(schedule, [
+            p.name for p in supervised + self.cohorts
+            if p.name not in unreachable])
+        self._round_processes = {}
+        processes = []
+        for role, members in (("trainer", self.trainers),
+                              ("aggregator", self.aggregators)):
+            for participant in members:
+                process = self._spawn_participant(
+                    participant, role, schedule, unreachable)
+                if process is not None:
+                    processes.append(process)
+        for coordinator in self.cohorts:
+            processes.append(self.sim.process(
+                coordinator.run_iteration(schedule),
+                name=f"{coordinator.name}:i{iteration}",
+            ))
+        if processes:
+            yield self.sim.all_of(processes)
 
     # -- supervision (fault tolerance) -----------------------------------------
 
     def _spawn_participant(self, participant, role: str,
-                           schedule: IterationSchedule):
+                           schedule: IterationSchedule, unreachable):
         """Spawn one participant's supervised round process.
 
-        Participants inside a crash window are not spawned at all (they
-        late-join from the round after their fault heals); the round
-        records them as degraded.
+        Participants the schedule could not reach, or inside a crash
+        window, are not spawned at all (they late-join from the round
+        after their fault heals); the round records them as degraded.
         """
+        if participant.name in unreachable:
+            self._degrade(schedule.iteration, participant.name, role,
+                          "unreachable at round start")
+            return None
         if self._injector is not None \
                 and self._injector.is_down(participant.name) is not None:
             self._degrade(schedule.iteration, participant.name, role,
@@ -413,8 +470,8 @@ class FLSession:
         orphaned child processes, and records the participant as
         degraded — the round itself carries on for everyone else.
         """
-        completed_before = getattr(participant, "completed_iterations",
-                                   None)
+        completed_before = (participant.completed_iterations
+                            if role == "trainer" else None)
         try:
             yield from participant.run_iteration(schedule)
         except Interrupt:
@@ -435,8 +492,8 @@ class FLSession:
             self._degrade(schedule.iteration, participant.name, role,
                           "round not completed")
 
-    def _interrupt_children(self, participant) -> None:
-        for child in getattr(participant, "active_children", ()):
+    def _interrupt_children(self, participant: Participant) -> None:
+        for child in participant.active_children:
             if child.is_alive:
                 child.interrupt("parent degraded")
 
@@ -518,20 +575,3 @@ class FLSession:
     def storage_bytes(self) -> float:
         """Bytes currently resident across all storage nodes."""
         return float(sum(node.store.total_bytes for node in self.nodes))
-
-    # -- results ------------------------------------------------------------------
-
-    def model_of(self, index: int = 0) -> Model:
-        """The current model of trainer ``index``."""
-        return self.trainers[index].model
-
-    def consensus_params(self) -> np.ndarray:
-        """The shared model parameters, asserting all trainers agree."""
-        reference = self.trainers[0].model.get_params()
-        for trainer in self.trainers[1:]:
-            if not np.allclose(trainer.model.get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(
-                    f"trainer {trainer.name} diverged from trainer 0"
-                )
-        return reference

@@ -16,11 +16,11 @@ the trainer aborts the iteration (Algorithm 1 line 10).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..faults.retry import RetryExhaustedError, RetryPolicy
+from ..faults.retry import RetryPolicy
 from ..ipfs import DHT, IPFSClient, IPFSError
 from ..ml import Dataset, Model, accuracy, compute_gradient, local_update, \
     mean_loss
@@ -33,42 +33,47 @@ from ..obs.events import (
     VerificationFailed,
 )
 from ..obs.profiling import SYSTEM_WALL_CLOCK
-from ..sim import Interrupt, Simulator
+from ..sim import Simulator
 from .addressing import Address, GRADIENT, UPDATE
 from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
 from .dirshard import ShardMap
 from .partition import ModelPartitioner, _partition_view, encode_partition
-from .schedule import IterationSchedule
+from .schedule import IterationSchedule, Participant
 from .verification import CommitmentCostModel, PartitionCommitter
 
 __all__ = ["Trainer"]
 
 
-class Trainer:
-    """One trainer participant."""
+class Trainer(Participant):
+    """One trainer participant.
+
+    The baselines (:mod:`repro.baselines`) build trainers too, for the
+    local learning step only (:meth:`_train`, :meth:`_install_update`):
+    they carry the vectors over their own links, so they pass no DHT,
+    assignment or partitioner.
+    """
 
     def __init__(
         self,
         name: str,
         sim: Simulator,
         transport: Transport,
-        dht: DHT,
         config: ProtocolConfig,
-        assignment: Assignment,
-        partitioner: ModelPartitioner,
         model: Model,
         dataset: Dataset,
-        committers: Optional[Dict[int, PartitionCommitter]] = None,
         seed: int = 0,
+        dht: Optional[DHT] = None,
+        assignment: Optional[Assignment] = None,
+        partitioner: Optional[ModelPartitioner] = None,
+        committers: Optional[Dict[int, PartitionCommitter]] = None,
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
         ipfs_request_timeout: float = 120.0,
         shard_map: Optional[ShardMap] = None,
     ):
-        self.name = name
-        self.sim = sim
+        super().__init__(name, sim)
         self.config = config
         self.assignment = assignment
         self.partitioner = partitioner
@@ -95,34 +100,22 @@ class Trainer:
         self.completed_iterations = 0
         #: Updates this trainer itself rejected (trainer verification).
         self.rejected_updates = 0
-        #: Child processes of the current round (upload fan-out).  The
-        #: session's supervisor interrupts any still alive when this
-        #: trainer is crashed by fault injection.
-        self.active_children: List = []
-        self._child_errors: List[Exception] = []
-
-    def _spawn(self, generator, name: str):
-        """Spawn a guarded child process for the current round.
-
-        Children never *fail* their process event (a same-timestamp pair
-        of failures would escape the parent's ``all_of``): an
-        :class:`Interrupt` ends the child silently, and a
-        :class:`RetryExhaustedError` is recorded for the parent to
-        re-raise after the join.
-        """
-        process = self.sim.process(self._guard(generator), name=name)
-        self.active_children.append(process)
-        return process
-
-    def _guard(self, generator):
-        try:
-            yield from generator
-        except Interrupt:
-            pass
-        except RetryExhaustedError as exc:
-            self._child_errors.append(exc)
 
     # -- local learning -----------------------------------------------------------
+
+    def _train(self, iteration: int):
+        """Wait out this round's deterministic arrival offset
+        (``trainer_jitter``) and the local compute time, then take the
+        learning step: returns :meth:`_compute_update_vector`'s
+        ``(loss, vector)``."""
+        if self.config.trainer_jitter > 0:
+            rng = np.random.default_rng(self.seed + 104729 * iteration)
+            yield self.sim.timeout(
+                float(rng.uniform(0.0, self.config.trainer_jitter))
+            )
+        if self.local_train_seconds > 0:
+            yield self.sim.timeout(self.local_train_seconds)
+        return self._compute_update_vector(iteration)
 
     def _compute_update_vector(self, iteration: int):
         """``(loss, vector)``: the flat vector to upload, per the configured
@@ -177,19 +170,8 @@ class Trainer:
         rejected updates) as :mod:`repro.obs` events on ``sim.bus``.
         """
         bus = self.sim.bus
-        self.active_children = []
-        self._child_errors = []
-        if self.config.trainer_jitter > 0:
-            # Deterministic per-(trainer, round) arrival offset.
-            rng = np.random.default_rng(
-                self.seed + 104729 * schedule.iteration
-            )
-            yield self.sim.timeout(
-                float(rng.uniform(0.0, self.config.trainer_jitter))
-            )
-        if self.local_train_seconds > 0:
-            yield self.sim.timeout(self.local_train_seconds)
-        loss, vector = self._compute_update_vector(schedule.iteration)
+        self._begin_round()
+        loss, vector = yield from self._train(schedule.iteration)
         if self.sim.now > schedule.t_train:
             return  # Abort: did not train in time (Algorithm 1 line 10).
         if bus.wants(TrainingEvaluated):
@@ -284,9 +266,7 @@ class Trainer:
             for partition_id, blob, commitment in prepared
         ]
         del prepared  # each upload holds its blob, until the node does
-        yield self.sim.all_of(uploads)
-        if self._child_errors:
-            raise self._child_errors[0]
+        yield from self._join(uploads)
         if failures:
             return  # a storage node died; abort this round
         if batched_records:

@@ -7,14 +7,19 @@ Run from the repo root::
 The captured values pin the paper-facing metrics of a set of reference
 configurations.  The file checked in was produced by the pre-refactor
 (mutate-in-place) telemetry implementation; the event-bus telemetry must
-reproduce every value exactly (see tests/test_obs_equivalence.py).
+reproduce every value exactly (see tests/test_obs_equivalence.py).  The
+centralized, blockchain and gossip entries were captured from the
+baselines as they stood before they shared one round driver and one
+learning step (each a session class of its own; the centralized server
+was host ``"server"``, renamed ``"aggregator-0"`` in the file).
 """
 
 import json
 import os
 import sys
 
-from repro.baselines import DirectIPLSSession
+from repro.baselines import BlockchainFLSession, CentralizedSession, \
+    DirectIPLSSession, GossipFLSession
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import (LogisticRegression, SyntheticModel,
                       make_classification, split_iid)
@@ -108,12 +113,76 @@ def direct_baseline():
     return snapshot(session.run_iteration())
 
 
+def run_record(session, rounds, params, network) -> dict:
+    """Every round's metrics, the final parameters' sha256, the bytes the
+    network delivered and the simulated end time of ``rounds`` rounds."""
+    import hashlib
+
+    session.run(rounds=rounds)
+    return {
+        "iterations": [m.to_dict() for m in session.metrics.iterations],
+        "params_sha256": hashlib.sha256(params().tobytes()).hexdigest(),
+        "bytes_delivered": network.bytes_delivered,
+        "sim_now": session.sim.now,
+    }
+
+
+def logreg_shards(count):
+    data = make_classification(num_samples=200, num_features=8,
+                               class_separation=3.0, seed=1)
+    return split_iid(data, count, seed=1)
+
+
+def logreg():
+    return LogisticRegression(num_features=8, num_classes=2, seed=0)
+
+
+def logreg_config():
+    return ProtocolConfig(num_partitions=2, t_train=300.0, t_sync=600.0,
+                          seed=2)
+
+
+def centralized_baselines():
+    """Two configurations; the caller's four partitions become one."""
+    params = CentralizedSession(logreg_config(), logreg, logreg_shards(4),
+                                bandwidth_mbps=10.0, latency=0.01)
+    gradient = CentralizedSession(
+        ProtocolConfig(num_partitions=4, t_train=600.0, t_sync=1200.0,
+                       update_mode="gradient", poll_interval=0.25),
+        lambda: SyntheticModel(20_000), dummy_datasets(16),
+        bandwidth_mbps=10.0,
+    )
+    return {
+        "logreg_params": run_record(params, 2, params.consensus_params,
+                                    params.testbed.network),
+        "synthetic_gradient": run_record(
+            gradient, 1, gradient.consensus_params,
+            gradient.testbed.network),
+    }
+
+
+def blockchain_baseline():
+    session = BlockchainFLSession(logreg_config(), logreg, logreg_shards(4),
+                                  num_miners=3, bandwidth_mbps=10.0,
+                                  latency=0.01)
+    return run_record(session, 2, session.consensus_params, session.network)
+
+
+def gossip_baseline():
+    session = GossipFLSession(logreg_config(), logreg, logreg_shards(6),
+                              fanout=2, latency=0.01, seed=1)
+    return run_record(session, 2, session.mean_params, session.network)
+
+
 def main():
     reference = {
         "fig1_like": {str(p): fig1_like(p) for p in (1, 4)},
         "fig2_like": {str(a): fig2_like(a) for a in (1, 2)},
         "verifiable": verifiable_run(),
         "direct_baseline": direct_baseline(),
+        "centralized": centralized_baselines(),
+        "blockchain": blockchain_baseline(),
+        "gossip": gossip_baseline(),
     }
     with open(OUT, "w") as handle:
         json.dump(reference, handle, indent=2, sort_keys=True)

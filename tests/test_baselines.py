@@ -1,4 +1,4 @@
-"""Tests for the three baseline systems, including cross-system
+"""Tests for the baseline systems, including cross-system
 model-equivalence (all four architectures compute the same FedAvg)."""
 
 import numpy as np
@@ -10,6 +10,7 @@ from repro.baselines import (
     CentralizedSession,
     Chain,
     DirectIPLSSession,
+    GossipFLSession,
 )
 from repro.baselines.blockchain import GENESIS, blob_hash
 from repro.core import FLSession, ProtocolConfig
@@ -81,7 +82,7 @@ def test_centralized_completes_round():
     session = CentralizedSession(config(), factory, shards)
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
-    assert metrics.bytes_received["server"] > 0
+    assert metrics.bytes_received["aggregator-0"] > 0
     session.consensus_params()
 
 
@@ -94,7 +95,7 @@ def test_centralized_server_is_bandwidth_bottleneck():
     central_metrics = central.run_iteration()
     # The server received all 8 full models.
     model_bytes = (factory().num_params() + 1) * 8
-    assert central_metrics.bytes_received["server"] >= 8 * model_bytes
+    assert central_metrics.bytes_received["aggregator-0"] >= 8 * model_bytes
 
 
 def test_centralized_validation():
@@ -224,3 +225,32 @@ def test_all_architectures_compute_identical_model():
                                atol=1e-12)
     np.testing.assert_allclose(bcfl.consensus_params(), reference,
                                atol=1e-12)
+
+
+# -- the shared learning step ---------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg, shards: DirectIPLSSession(cfg, factory, shards),
+    lambda cfg, shards: CentralizedSession(cfg, factory, shards),
+    lambda cfg, shards: BlockchainFLSession(cfg, factory, shards,
+                                            num_miners=2),
+    lambda cfg, shards: GossipFLSession(cfg, factory, shards, fanout=2),
+], ids=["direct", "centralized", "blockchain", "gossip"])
+def test_every_baseline_trainer_waits_out_its_local_training(build):
+    """Each baseline trainer waits exactly as the protocol trainer does —
+    its arrival jitter, then its local training time — so a delay
+    comparison that sets either one is fair."""
+    ends = {}
+    for label, overrides in (("plain", {}),
+                             ("training", {"local_train_seconds": 5.0}),
+                             ("jitter", {"trainer_jitter": 4.0})):
+        session = build(config(**overrides), make_shards())
+        session.run_iteration()
+        assert len(session.metrics.latest().trainers_completed) == 4
+        ends[label] = session.sim.now
+    assert ends["training"] - ends["plain"] == pytest.approx(5.0, abs=1e-9)
+    latest_arrival = max(
+        np.random.default_rng(config().seed + index).uniform(0.0, 4.0)
+        for index in range(4))
+    assert ends["jitter"] > latest_arrival

@@ -24,8 +24,14 @@ from repro import (
     RetryPolicy,
     RunManifest,
 )
-from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.ml import Dataset, LogisticRegression, SyntheticModel, \
+    make_classification, split_iid
 from repro.obs.events import TakeoverPerformed
+
+
+def dummy_datasets(count):
+    return [Dataset(np.full((1, 1), float(i + 1)), np.zeros(1))
+            for i in range(count)]
 
 
 def make_shards(num_trainers=4, seed=0):
@@ -160,6 +166,29 @@ def test_link_outage_recovers_with_retries():
 
     finalize_clean(session, monitors)
     session.consensus_params()
+
+
+def test_round_starts_without_a_participant_whose_link_is_down():
+    """An outage spanning a round boundary degrades the dark participant
+    for the round it cannot be told about; the round runs for the rest."""
+    config = ProtocolConfig(num_partitions=2, t_train=60.0, t_sync=120.0,
+                            update_mode="params", seed=1,
+                            poll_interval=0.25)
+    plan = FaultPlan.of(FaultSpec(kind="link_down", at=0.6, duration=1000.0,
+                                  target="trainer-2"))
+    session = FLSession(config, lambda: SyntheticModel(2000),
+                        dummy_datasets(4),
+                        network=NetworkProfile(num_ipfs_nodes=4),
+                        faults=plan)
+
+    first = session.run_iteration()
+    assert "trainer-2" in first.degraded
+    assert not session.testbed.network.host_online("trainer-2")
+    second = session.run_iteration()
+    assert second.degraded == {"trainer-2": "unreachable at round start"}
+    assert sorted(second.trainers_completed) == [
+        "trainer-0", "trainer-1", "trainer-3",
+    ]
 
 
 # -- seeded determinism -------------------------------------------------------------

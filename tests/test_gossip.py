@@ -41,10 +41,8 @@ def test_gossip_models_diverge_but_learn():
     assert session.model_divergence() > 0  # no consensus, by design
     data = make_classification(num_samples=300, num_features=8,
                                class_separation=3.0, seed=0)
-    accuracies = [
-        accuracy(session.models[name], data)
-        for name in session.trainer_names
-    ]
+    accuracies = [accuracy(trainer.model, data)
+                  for trainer in session.trainers]
     assert np.mean(accuracies) > 0.8  # it does learn
 
 

@@ -149,6 +149,15 @@ def test_public_surface_only_shrinks():
     assert "directory_processing_delay" not in profile_fields
     # One DHT (the provider table) and one retrieval path (`get`).
     assert "dht_mode" not in profile_fields
+    # Centralized FedAvg is the one-partition direct IPLS, options and all;
+    # each directory verb states its own wire shape (no request table).
+    import repro.core.directory
+    from repro.baselines import CentralizedSession, DirectIPLSSession
+
+    assert inspect.signature(CentralizedSession.__init__).parameters \
+        == inspect.signature(DirectIPLSSession.__init__).parameters
+    assert not [name for name in vars(repro.core.directory)
+                if name.lower().startswith("request")]
 
     import repro.analysis
     import repro.ipfs

@@ -77,3 +77,31 @@ def test_verifiable_run_matches_legacy():
 def test_direct_baseline_matches_legacy():
     assert_snapshot_equal(capture.direct_baseline(),
                           reference["direct_baseline"], "direct_baseline")
+
+
+def assert_run_equal(actual: dict, expected: dict, label: str):
+    """A baseline run is float-equal to its golden: every round's metrics,
+    the final parameters, the bytes delivered and the simulated time."""
+    assert len(actual["iterations"]) == len(expected["iterations"]), label
+    for index, (have, want) in enumerate(zip(actual["iterations"],
+                                             expected["iterations"])):
+        assert_snapshot_equal(have, want, f"{label}[round {index}]")
+    for key in ("params_sha256", "bytes_delivered", "sim_now"):
+        assert actual[key] == expected[key], f"{label}.{key}"
+
+
+def test_centralized_baseline_matches_legacy():
+    actual = capture.centralized_baselines()
+    assert set(actual) == set(reference["centralized"])
+    for config, run in actual.items():
+        assert_run_equal(run, reference["centralized"][config],
+                         f"centralized/{config}")
+
+
+def test_blockchain_baseline_matches_legacy():
+    assert_run_equal(capture.blockchain_baseline(), reference["blockchain"],
+                     "blockchain")
+
+
+def test_gossip_baseline_matches_legacy():
+    assert_run_equal(capture.gossip_baseline(), reference["gossip"], "gossip")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Summary, bootstrap_ci, percentile, summarize
-from repro.baselines import CentralizedSession, DirectIPLSSession
+from repro.baselines import DirectIPLSSession
 from repro.core import ProtocolConfig
 from repro.ml import (
     FedAvgResult,
@@ -114,20 +114,6 @@ def test_direct_ipls_gradient_mode():
     session.run(rounds=2)
     session.consensus_params()
     assert len(session.metrics.iterations) == 2
-
-
-def test_centralized_server_bandwidth_override():
-    config = ProtocolConfig(num_partitions=1, t_train=300, t_sync=600)
-    slow = CentralizedSession(config, factory, make_shards(),
-                              bandwidth_mbps=10.0,
-                              server_bandwidth_mbps=1.0)
-    fast = CentralizedSession(config, factory, make_shards(),
-                              bandwidth_mbps=10.0,
-                              server_bandwidth_mbps=100.0)
-    slow_metrics = slow.run_iteration()
-    fast_metrics = fast.run_iteration()
-    assert (slow_metrics.total_aggregation_delay
-            > fast_metrics.total_aggregation_delay)
 
 
 # -- reference FedAvg trajectories ---------------------------------------------------
