@@ -26,6 +26,7 @@ participant's :class:`~repro.core.directory.DirectoryClient` shares.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -108,7 +109,17 @@ class Session:
             ))
         process = self.sim.process(self._round(iteration, schedule),
                                    name=f"round:{iteration}")
-        self.sim.run_until(process)
+        # A round leaves no cyclic garbage — the kernel frees what it has
+        # processed by reference count alone (tests/test_payload_lifetime.py
+        # holds that, faults included) — so the cyclic collector would only
+        # walk the live heap, over and over, for nothing.  Host state only.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.sim.run_until(process)
+        finally:
+            if collecting:
+                gc.enable()
         if not process.ok:
             raise process.value
         if bus.wants(IterationFinished):

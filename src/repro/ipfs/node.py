@@ -350,24 +350,24 @@ class IPFSClient:
             return (yield from self._get_once(cid, prefer_nodes,
                                               max_providers))
         attempts = max(1, policy.max_attempts)
-        last_error: Optional[IPFSError] = None
         for attempt in range(attempts):
+            # The error is not kept in a local: its traceback holds this
+            # frame, and the two would be a cycle only the collector frees.
             try:
                 return (yield from self._get_once(cid, prefer_nodes,
                                                   max_providers))
-            except IPFSError as exc:
-                last_error = exc
-            if attempt + 1 < attempts:
-                yield self.sim.timeout(
-                    policy.backoff(attempt, key=f"{self.name}:get:{cid}")
-                )
-        bus = self.sim.bus
-        if bus.wants(RetryExhausted):
-            bus.publish(RetryExhausted(
-                at=self.sim.now, actor=self.name, operation="ipfs.get",
-                attempts=attempts,
-            ))
-        raise last_error or NotFoundError(f"could not retrieve {cid!r}")
+            except IPFSError:
+                if attempt + 1 == attempts:
+                    bus = self.sim.bus
+                    if bus.wants(RetryExhausted):
+                        bus.publish(RetryExhausted(
+                            at=self.sim.now, actor=self.name,
+                            operation="ipfs.get", attempts=attempts,
+                        ))
+                    raise
+            yield self.sim.timeout(
+                policy.backoff(attempt, key=f"{self.name}:get:{cid}")
+            )
 
     def _get_once(self, cid: CID, prefer_nodes: Sequence[str] = (),
                   max_providers: int = 5):
@@ -408,7 +408,10 @@ class IPFSClient:
                     started_at=fetch_started,
                 ))
             return data
-        raise last_error or NotFoundError(f"could not retrieve {cid!r}")
+        try:
+            raise last_error or NotFoundError(f"could not retrieve {cid!r}")
+        finally:
+            last_error = None  # the raised error's traceback holds us
 
     def _is_object(self, cid: CID, data: bytes) -> bool:
         """Integrity check of a fetched object, run on every fetch.

@@ -27,14 +27,17 @@ never read or write another's residual capacity).  The scheduler therefore
 keeps a link -> flows index, finds the component(s) of the instant's dirty
 links by BFS and re-solves only those.  Component flows are allocated in
 ``flow_id`` order — the same relative order a global recomputation would
-visit them — so the rates are bit-identical to the :func:`max_min_rates`
-oracle run over all flows (there is a property test for this).  Large
-components go to :func:`max_min_rates_vectorized`, a numpy formulation of
-the same arithmetic.  See ``docs/SCALING.md``.
+visit them — so the rates are bit-identical to a global solve over all
+flows (there is a property test for this).  Every component, of 1 flow or
+10^3, goes to the one solver, :func:`max_min_rates`, whose bottleneck
+queue costs the component's flow-link incidences times a heap operation
+and equals the full-scan progressive fill kept in
+``tests/reference_max_min.py`` bit for bit.  See ``docs/SCALING.md``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -48,12 +51,6 @@ __all__ = ["Link", "Flow", "FlowScheduler", "TransferAbortedError",
 #: Flows narrower than this (bytes) are treated as complete, guarding
 #: against float round-off never quite reaching zero.
 _EPSILON_BYTES = 1e-6
-
-#: Components at least this large are allocated via the numpy path.  The
-#: two solvers cost the same at a few hundred flows; numpy is 2x faster at
-#: 10^3 and 6x at 4 * 10^3, the scalar oracle 3x faster at 32 (table in
-#: EXPERIMENTS.md, "One solve per instant").
-_VECTORIZE_THRESHOLD = 192
 
 
 class TransferAbortedError(Exception):
@@ -115,104 +112,98 @@ class Flow:
         )
 
 
+def _incidence(flows: Sequence[Flow]
+               ) -> Tuple[List[float], List[List[int]], List[List[int]]]:
+    """The links of ``flows`` in first-seen, flow-major order (the order a
+    front-to-back bottleneck scan meets them in): their capacities, per
+    link the positions of the flows crossing it (a flow listing a link
+    twice appears twice) and per flow its link indices."""
+    index: Dict[Link, int] = {}
+    capacities: List[float] = []
+    crossing: List[List[int]] = []
+    flow_links: List[List[int]] = []
+    for position, flow in enumerate(flows):
+        ids = []
+        for link in flow.links:
+            i = index.get(link)
+            if i is None:
+                i = index[link] = len(capacities)
+                capacities.append(link.capacity)
+                crossing.append([])
+            crossing[i].append(position)
+            ids.append(i)
+        flow_links.append(ids)
+    return capacities, crossing, flow_links
+
+
 def max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     """Compute the max-min fair rate allocation for ``flows``.
 
-    Classic progressive filling: repeatedly find the most-contended link,
-    give every unfrozen flow crossing it that link's equal share, freeze
-    those flows, subtract their rates from the other links they cross.
+    Progressive filling: repeatedly take the most-contended link, give
+    every unfrozen flow crossing it that link's equal share, freeze those
+    flows and subtract their rates from the other links they cross.
     Links with infinite capacity never bottleneck; a flow crossing only
     infinite links gets an infinite rate (delivered instantaneously).
 
-    This is the reference ("oracle") implementation; the scheduler calls
-    it per affected component, and the vectorized variant must match it
-    bit-for-bit.
+    Bottlenecks come off a heap keyed ``(residual / load, first-seen
+    index)``, so a tie goes to the link a front-to-back scan meets first;
+    an entry whose key is no longer its link's share is stale.  That
+    costs the flow-link incidences times a heap operation, not
+    bottlenecks times links, and equals the full scan kept in
+    ``tests/reference_max_min.py`` bit for bit.
     """
-    rates: Dict[Flow, float] = {}
-    active: Set[Flow] = set(flows)
-    residual: Dict[Link, float] = {}
-    load: Dict[Link, int] = {}
-    for flow in flows:
-        for link in flow.links:
-            residual.setdefault(link, link.capacity)
-            load[link] = load.get(link, 0) + 1
-
-    while active:
-        bottleneck: Optional[Link] = None
-        bottleneck_share = math.inf
-        for link, count in load.items():
-            if count <= 0:
-                continue
-            share = residual[link] / count
-            if share < bottleneck_share:
-                bottleneck_share = share
-                bottleneck = link
-        if bottleneck is None or math.isinf(bottleneck_share):
-            # Every remaining flow crosses only uncontended infinite links.
-            for flow in active:
-                rates[flow] = math.inf
+    residual, crossing, flow_links = _incidence(flows)
+    load = [len(members) for members in crossing]
+    # Unfrozen flows hold inf: what a flow crossing only infinite links
+    # (or none) keeps.
+    rates = [math.inf] * len(flows)
+    unfrozen = len(flows)
+    queue = [(residual[i] / load[i], i) for i in range(len(residual))]
+    heapq.heapify(queue)
+    while unfrozen and queue:
+        share, bottleneck = heapq.heappop(queue)
+        count = load[bottleneck]
+        if count == 0 or share != residual[bottleneck] / count:
+            continue
+        if share == math.inf:
             break
-        frozen = [flow for flow in active if bottleneck in flow.links]
-        for flow in frozen:
-            rates[flow] = bottleneck_share
-            active.remove(flow)
-            for link in flow.links:
+        touched = []
+        for position in crossing[bottleneck]:
+            if rates[position] != math.inf:
+                continue  # frozen already (a link listed twice)
+            rates[position] = share
+            unfrozen -= 1
+            for i in flow_links[position]:
                 # Clamp: across many freeze rounds the subtraction drifts
                 # and can leave a residual slightly below zero, handing
                 # later flows a negative share.  Capacity can never be
-                # negative, so floor at exact 0.0.
-                remaining = residual[link] - bottleneck_share
-                residual[link] = remaining if remaining > 0.0 else 0.0
-                load[link] -= 1
-        residual[bottleneck] = 0.0
-    return rates
+                # negative, so floor at exact 0.0.  Every flow frozen here
+                # subtracts the same share, so their order moves no float.
+                remaining = residual[i] - share
+                residual[i] = remaining if remaining > 0.0 else 0.0
+                load[i] -= 1
+                touched.append(i)
+        for i in touched:
+            if load[i]:
+                heapq.heappush(queue, (residual[i] / load[i], i))
+    return dict(zip(flows, rates))
 
 
 def max_min_rates_vectorized(flows: Sequence[Flow]) -> Dict[Flow, float]:
-    """Numpy formulation of :func:`max_min_rates`, bit-identical to it.
+    """Numpy formulation of the full-scan progressive fill, bit-identical
+    to :func:`max_min_rates`.
 
-    Per filling round the O(links) bottleneck scan and the O(flows)
-    freeze-mask update run as array operations; only the per-link residual
-    subtraction stays scalar, because it must replay the oracle's
-    sequential subtract-and-clamp order to preserve float equality.
-    Intended for large connected components (wide fan-ins) where the
-    Python loop dominates.
+    No simulation path calls it: it stays importable only because the
+    benchmark's frozen tracer (``benchmarks/perf/trace.py``) imports it.
     """
-    links: List[Link] = []
-    link_index: Dict[Link, int] = {}
-    # First-seen (flow-major) link order — the oracle's dict insertion
-    # order, which its bottleneck scan iterates in.
-    flow_link_ids: List[List[int]] = []
-    for flow in flows:
-        ids = []
-        for link in flow.links:
-            idx = link_index.get(link)
-            if idx is None:
-                idx = link_index[link] = len(links)
-                links.append(link)
-            ids.append(idx)
-        flow_link_ids.append(ids)
-    num_flows = len(flows)
-    num_links = len(links)
-    if num_links == 0:
+    capacities, crossing, flow_links = _incidence(flows)
+    if not capacities:
         return {flow: math.inf for flow in flows}
-
-    # Per-link adjacency (flow indices, with multiplicity) instead of a
-    # dense incidence matrix: flows cross ~2 links, so dense (F x L) would
-    # be quadratic in memory.
-    link_flows: List[List[int]] = [[] for _ in range(num_links)]
-    for flow_idx, ids in enumerate(flow_link_ids):
-        for link_id in ids:
-            link_flows[link_id].append(flow_idx)
-
-    residual = np.array([link.capacity for link in links], dtype=float)
-    load = np.zeros(num_links, dtype=np.int64)
-    for link_id, members in enumerate(link_flows):
-        load[link_id] = len(members)
-    active = np.ones(num_flows, dtype=bool)
-    rates = np.zeros(num_flows, dtype=float)
-    remaining_active = num_flows
-
+    residual = np.array(capacities, dtype=float)
+    load = np.array([len(members) for members in crossing], dtype=np.int64)
+    active = np.ones(len(flows), dtype=bool)
+    rates = np.zeros(len(flows), dtype=float)
+    remaining_active = len(flows)
     while remaining_active:
         with np.errstate(divide="ignore", invalid="ignore"):
             share = np.where(load > 0, residual / load, math.inf)
@@ -221,24 +212,18 @@ def max_min_rates_vectorized(flows: Sequence[Flow]) -> Dict[Flow, float]:
         if math.isinf(bottleneck_share):
             rates[active] = math.inf
             break
-        # Freeze the active flows crossing the bottleneck, in flow order —
-        # the oracle's `for flow in frozen` order.
-        frozen = [i for i in link_flows[bottleneck] if active[i]]
-        seen: Set[int] = set()
-        for flow_idx in frozen:
-            if flow_idx in seen:
+        for flow_idx in crossing[bottleneck]:
+            if not active[flow_idx]:
                 continue
-            seen.add(flow_idx)
             rates[flow_idx] = bottleneck_share
             active[flow_idx] = False
             remaining_active -= 1
-            for link_id in flow_link_ids[flow_idx]:
-                # Sequential subtract-and-clamp, exactly as the oracle.
+            for link_id in flow_links[flow_idx]:
+                # Sequential subtract-and-clamp, exactly as the scan.
                 remaining = residual[link_id] - bottleneck_share
                 residual[link_id] = remaining if remaining > 0.0 else 0.0
                 load[link_id] -= 1
         residual[bottleneck] = 0.0
-
     return {flow: float(rates[i]) for i, flow in enumerate(flows)}
 
 
@@ -442,10 +427,7 @@ class FlowScheduler:
                         frontier.append(other)
         if not members:
             return {}
-        component = sorted(members, key=lambda flow: flow.flow_id)
-        if len(component) >= _VECTORIZE_THRESHOLD:
-            return max_min_rates_vectorized(component)
-        return max_min_rates(component)
+        return max_min_rates(sorted(members, key=lambda flow: flow.flow_id))
 
     def _settle(self, _event: Event) -> None:
         """Install the instant's allocation and re-arm the wakeup."""
@@ -466,7 +448,8 @@ class FlowScheduler:
             if flow.rate <= 0:
                 continue
             finish = 0.0 if math.isinf(flow.rate) else flow.remaining / flow.rate
-            next_finish = min(next_finish, finish)
+            if finish < next_finish:
+                next_finish = finish
         if math.isinf(next_finish):
             raise RuntimeError("active flows but no flow can make progress")
         self._wakeup = self.sim.timeout(max(next_finish, 0.0))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Optional
 
 from ..sim import AnyOf, Event, FilterStore, Simulator
@@ -61,7 +62,8 @@ class Endpoint:
     def __init__(self, transport: "Transport", name: str):
         self.transport = transport
         self.name = name
-        self.inbox = FilterStore(transport.sim)
+        self.inbox = FilterStore(transport.sim,
+                                 key=attrgetter("request_id"))
 
     def send(self, dst: str, kind: str, payload: Any = None,
              size: float = 0.0, request_id: Optional[int] = None) -> Event:
@@ -87,9 +89,7 @@ class Endpoint:
         """
         request_id = next(self.transport._request_ids)
         self.send(dst, kind, payload, size, request_id)
-        response = self.inbox.get(
-            lambda message: message.request_id == request_id
-        )
+        response = self.inbox.get(key=request_id)
         if timeout is None:
             return response
         sim = self.transport.sim
@@ -136,6 +136,10 @@ class Transport:
             if not transfer._ok:
                 transfer.defused()
                 self.dropped += 1
+                # Never to fire, ``delivered`` would hold whoever waits on
+                # it in a cycle (waiter -> event -> waiter's resume) that
+                # only the cyclic collector frees.
+                delivered.callbacks.clear()
                 return
             message.delivered_at = self.sim.now
             self.delivered_by_kind[message.kind] = (

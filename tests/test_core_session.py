@@ -1,5 +1,7 @@
 """End-to-end protocol tests: full sessions over the emulated deployment."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from repro.ml import (
     split_iid,
     train_test_split,
 )
+from repro.core.session import Session
 from repro.net import NetworkProfile
-from repro.sim import Store
+from repro.sim import Simulator, Store
 
 
 def make_shards(num_trainers=4, num_features=8, num_samples=240, seed=0):
@@ -377,6 +380,41 @@ def test_rounds_leave_no_mail_behind(monkeypatch):
         assert len(inboxes) == 6
         assert [inbox.items for inbox in inboxes] == [[]] * 6
     assert per_match[2] <= per_match[1] < 1.0
+
+
+class _RecordingSession(Session):
+    """A round that notes whether the cyclic collector runs, then ends
+    or raises."""
+
+    def __init__(self, fail):
+        super().__init__(Simulator())
+        self.trainers = []
+        self.fail = fail
+        self.collecting = []
+
+    def _round(self, iteration, schedule):
+        self.collecting.append(gc.isenabled())
+        yield self.sim.timeout(1.0)
+        if self.fail:
+            raise RuntimeError("the round failed")
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["ends", "raises"])
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+def test_run_iteration_pauses_the_collector_and_restores_it(enabled, fail):
+    session = _RecordingSession(fail)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail:
+            with pytest.raises(RuntimeError, match="the round failed"):
+                session.run_iteration()
+        else:
+            session.run_iteration()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert session.collecting == [False]
 
 
 # -- storage ------------------------------------------------------------------------------

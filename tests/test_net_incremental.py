@@ -1,21 +1,22 @@
 """Incremental fair-share vs the from-scratch oracle.
 
-The delta-based :class:`FlowScheduler` recomputation (once per busy
-instant, only the connected component whose flow set changed) and the
-numpy-vectorized allocator must both be *float-equal* to the original
-progressive-fill ``max_min_rates`` — that equality is what lets the
-committed golden manifests survive the scaling refactor.  Also covers
-the satellite fixes that rode along: the residual clamp, the single-pass
-abort, the wakeup cancellation counters, and the sub-ulp completion guard.
+The bottleneck-queue solver, the delta-based :class:`FlowScheduler`
+recomputation (once per busy instant, only the connected component whose
+flow set changed) and the numpy-vectorized allocator must all be
+*float-equal* to the full-scan progressive fill kept in
+``tests/reference_max_min.py`` — that equality is what lets the committed
+golden manifests survive every solver rewrite.  Also covers the satellite
+fixes that rode along: the residual clamp, the single-pass abort, the
+wakeup cancellation counters, and the sub-ulp completion guard.
 """
 
 import math
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.net import bandwidth
 from repro.net.bandwidth import (
     Flow,
     FlowScheduler,
@@ -25,6 +26,7 @@ from repro.net.bandwidth import (
     max_min_rates_vectorized,
 )
 from repro.sim import Simulator
+from tests.reference_max_min import max_min_rates as reference_rates
 
 NUM_LINKS = 5
 
@@ -58,7 +60,7 @@ _instants = st.lists(
 
 def utilization_oracle(scheduler):
     """Per-link utilization under the oracle's rates for the live flows."""
-    rates = max_min_rates(list(scheduler._flows))
+    rates = reference_rates(list(scheduler._flows))
     allocated = {}
     for flow in scheduler._flows:
         for link in flow.links:
@@ -68,9 +70,66 @@ def utilization_oracle(scheduler):
 
 def _assert_rates_match_oracle(scheduler):
     assert scheduler._settle_timer is None
-    expected = max_min_rates(list(scheduler._flows))
+    expected = reference_rates(list(scheduler._flows))
     for flow in scheduler._flows:
         assert flow.rate == expected[flow]
+
+
+def _assert_solver_matches_oracle(flows):
+    """``==`` per flow, not approx: a last-bit difference moves a finish
+    time, and seeded replays diverge."""
+    rates = max_min_rates(flows)
+    expected = reference_rates(flows)
+    assert len(rates) == len(expected) == len(flows)
+    for flow in flows:
+        assert rates[flow] == expected[flow], flow
+
+
+# Few distinct capacities, so shares tie; 0.1 is not dyadic, so repeated
+# subtraction drifts below zero and the clamp engages; inf never
+# bottlenecks.
+_capacity = st.one_of(
+    st.sampled_from([math.inf, 0.1, 1.0, 3.0, 10.0]),
+    st.floats(0.5, 1e4, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacities=st.lists(_capacity, min_size=1, max_size=8),
+    routes=st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1,
+                    max_size=40),
+)
+def test_solver_matches_oracle_on_any_incidence(capacities, routes):
+    """Arbitrary routes: shared and infinite links, a link listed twice on
+    one flow, flows crossing no link at all."""
+    links = [Link(f"l{i}", capacity) for i, capacity in enumerate(capacities)]
+    flows = [Flow(flow_id, tuple(links[i % len(links)] for i in route), 1.0,
+                  done=None)
+             for flow_id, route in enumerate(routes)]
+    _assert_solver_matches_oracle(flows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hosts=st.integers(2, 1100),
+    burst=st.integers(1, 1024),
+    capacities=st.lists(st.sampled_from([1e6, 2e6, 2.5e6, 64e6, math.inf]),
+                        min_size=1, max_size=4),
+    rng=st.randoms(use_true_random=False),
+)
+@example(hosts=1025, burst=1024, capacities=[1e6, 64e6], rng=Random(0))
+@example(hosts=2, burst=1, capacities=[1e6], rng=Random(0))
+def test_solver_matches_oracle_on_a_star_burst(hosts, burst, capacities,
+                                               rng):
+    """The paper's mininet star: every host hangs off one access link each
+    way, and a burst of 1 to 1 024 transfers starts at one instant."""
+    up = [Link(f"h{i}/up", rng.choice(capacities)) for i in range(hosts)]
+    down = [Link(f"h{i}/down", rng.choice(capacities)) for i in range(hosts)]
+    flows = [Flow(flow_id, (rng.choice(up), rng.choice(down)), 1.0,
+                  done=None)
+             for flow_id in range(burst)]
+    _assert_solver_matches_oracle(flows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +192,7 @@ def test_vectorized_allocator_matches_oracle(topology, capacities):
              done=None)
         for flow_id, (indices, size) in enumerate(topology)
     ]
-    scalar = max_min_rates(flows)
+    scalar = reference_rates(flows)
     vectorized = max_min_rates_vectorized(flows)
     for flow in flows:
         assert vectorized[flow] == scalar[flow]
@@ -166,27 +225,6 @@ def test_vectorized_allocator_handles_infinite_links():
     rates = max_min_rates_vectorized([constrained, free])
     assert rates[constrained] == 10.0
     assert math.isinf(rates[free])
-
-
-def test_scheduler_uses_vectorized_path_above_threshold(monkeypatch):
-    """A large component goes through numpy and still matches the oracle."""
-    vectorized_sizes = []
-
-    def spy(flows):
-        vectorized_sizes.append(len(flows))
-        return max_min_rates_vectorized(flows)
-
-    monkeypatch.setattr(bandwidth, "max_min_rates_vectorized", spy)
-    monkeypatch.setattr(bandwidth, "_VECTORIZE_THRESHOLD", 8)
-    sim = Simulator()
-    scheduler = FlowScheduler(sim)
-    shared = Link("shared", 100.0)
-    spurs = [Link(f"spur{i}", 5.0 + i) for i in range(12)]
-    for spur in spurs:
-        scheduler.start_flow((shared, spur), 1000.0).defused()
-    sim.run(until=sim.now)  # settle: one solve over the whole burst
-    assert vectorized_sizes == [12]
-    _assert_rates_match_oracle(scheduler)
 
 
 # -- residual clamp (satellite) ------------------------------------------------

@@ -4,8 +4,9 @@ A message is one chain of callbacks on events that exist anyway — the
 transfer's completion event, the receiver's getter, the sender's
 delivery event — plus its share of the flow scheduler's per-instant
 settle and wakeup.  No process, no process-start or process-end event,
-no put event.  These tests count ``Simulator.step`` calls and
-``Process`` constructions around fixed traffic; no host timing.
+no put event.  These tests count ``Simulator.step`` calls, ``Process``
+constructions and inbox predicate calls around fixed traffic; no host
+timing.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.net import Network, Transport
-from repro.sim import Process, Simulator
+from repro.sim import FilterStore, Process, Simulator
 from tests.reference_message_path import ReferenceNetwork, ReferenceTransport
 
 
@@ -34,6 +35,27 @@ def kernel_work(monkeypatch):
 
     monkeypatch.setattr(Simulator, "step", counting_step)
     monkeypatch.setattr(Process, "__init__", counting_init)
+    return work
+
+
+@pytest.fixture
+def inbox_work(monkeypatch):
+    """Counts of inbox gets and of the calls of their predicates."""
+    work = {"gets": 0, "predicate_calls": 0}
+    get = FilterStore.get
+
+    def counting_get(self, predicate=None, **keyed):
+        work["gets"] += 1
+        if predicate is not None:
+            asked = predicate
+
+            def predicate(item):
+                work["predicate_calls"] += 1
+                return asked(item)
+
+        return get(self, predicate, **keyed)
+
+    monkeypatch.setattr(FilterStore, "get", counting_get)
     return work
 
 
@@ -126,3 +148,27 @@ def test_directory_poll_spawns_no_process_in_net(kernel_work):
     assert [entry["cid"] for entry in poll.value]
     assert len(kernel_work["processes"]) == 1  # the poll itself
     assert kernel_work["steps"] <= 12
+
+
+def test_a_reply_is_found_by_its_request_id_not_by_predicates(inbox_work):
+    """One round of 16 exactly-simulated trainers makes 405 inbox gets.
+    The parent commit called 302 predicates for them (0.75 a get): each
+    reply getter was a ``request_id`` predicate, asked of every message
+    its inbox received while it waited and of every buffered one at each
+    new get.  Keyed by ``request_id``, a reply is a dict lookup, and the
+    only predicate left is the directory server's request-kind filter,
+    asked once per request it receives (68 lookups + 34 registrations)."""
+    config = ProtocolConfig(num_partitions=2, t_train=600.0, t_sync=1200.0,
+                            update_mode="gradient", poll_interval=0.25,
+                            seed=11)
+    datasets = [Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
+                for index in range(16)]
+    session = FLSession(config, lambda: SyntheticModel(4000), datasets,
+                        network=NetworkProfile(num_ipfs_nodes=4,
+                                               bandwidth_mbps=10.0))
+    metrics = session.run_iteration()
+    assert metrics.end_to_end_delay == 0.4984351999999999  # as before
+    delivered = session.testbed.transport.delivered_by_kind
+    assert inbox_work["gets"] == 405
+    assert inbox_work["predicate_calls"] \
+        == delivered["dir.lookup"] + delivered["dir.register"] == 102

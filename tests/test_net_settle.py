@@ -30,17 +30,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Count calls of the two solve entry points (what the benchmark's
+    """Count calls of the one solver (what the benchmark's
     ``net.recomputes`` counts)."""
     calls = []
-    for name in ("max_min_rates", "max_min_rates_vectorized"):
-        solver = getattr(bandwidth, name)
+    solver = bandwidth.max_min_rates
 
-        def counting(flows, solver=solver):
-            calls.append(len(flows))
-            return solver(flows)
+    def counting(flows):
+        calls.append(len(flows))
+        return solver(flows)
 
-        monkeypatch.setattr(bandwidth, name, counting)
+    monkeypatch.setattr(bandwidth, "max_min_rates", counting)
     return calls
 
 

@@ -16,15 +16,19 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import FLSession, NetworkProfile, ProtocolConfig
+from repro import FaultPlan, FaultSpec, FLSession, NetworkProfile, \
+    ProtocolConfig, RetryPolicy
 from repro.ml import Dataset, SyntheticModel
 from repro.net import Transport
+from repro.obs.events import TransferAborted
 
 TRAINERS = 4
 PARTITIONS = 2
+CHUNK = 4096
 
 
-def _session(chunk_size, aggregators_per_partition=1, **overrides):
+def _session(chunk_size, aggregators_per_partition=1, faults=None,
+             network=None, **overrides):
     """4 trainers x 2 partitions, each partition a little over 3 chunks."""
     partition_bytes = 3 * chunk_size + 40
     config = ProtocolConfig(
@@ -36,8 +40,9 @@ def _session(chunk_size, aggregators_per_partition=1, **overrides):
                 for index in range(TRAINERS)]
     session = FLSession(
         config, lambda: SyntheticModel(PARTITIONS * partition_bytes // 8),
-        datasets,
-        network=NetworkProfile(num_ipfs_nodes=2, bandwidth_mbps=10.0))
+        datasets, faults=faults,
+        network=network or NetworkProfile(num_ipfs_nodes=2,
+                                          bandwidth_mbps=10.0))
     return session, partition_bytes + 8  # + the averaging counter
 
 
@@ -46,6 +51,26 @@ def _payload_size(message) -> int:
     if isinstance(payload, dict):  # merge-and-download replies
         payload = payload.get("data")
     return len(payload) if isinstance(payload, (bytes, memoryview)) else 0
+
+
+@pytest.fixture
+def carriers(monkeypatch):
+    """Weak references to every message that carries at least one chunk
+    of payload, taken as it is sent."""
+    sent = []
+    send = Transport.send
+
+    def watching_send(self, message):
+        if _payload_size(message) >= CHUNK:
+            sent.append(weakref.ref(message))
+        return send(self, message)
+
+    monkeypatch.setattr(Transport, "send", watching_send)
+    return sent
+
+
+def _alive(carriers) -> int:
+    return sum(1 for carrier in carriers if carrier() is not None)
 
 
 def _live_entries(sim) -> int:
@@ -59,31 +84,21 @@ def _live_entries(sim) -> int:
     dict(aggregators_per_partition=2),
     dict(merge_and_download=True),
 ], ids=["direct", "sync", "merge"])
-def test_a_finished_round_leaves_no_payload_and_no_cycle(shape, monkeypatch):
+def test_a_finished_round_leaves_no_payload_and_no_cycle(shape, carriers):
     """With the collector off, every message that carried at least one
     chunk of payload is dead after the round's storage is collected, the
     kernel heap holds no more live entries after round 2 than after
     round 1, and ``gc.collect()`` finds nothing: the kernel frees what
     it has processed by reference count alone."""
-    chunk_size = 4096
-    carriers = []
-    send = Transport.send
-
-    def watching_send(self, message):
-        if _payload_size(message) >= chunk_size:
-            carriers.append(weakref.ref(message))
-        return send(self, message)
-
-    monkeypatch.setattr(Transport, "send", watching_send)
     gc.collect()  # whatever earlier tests left behind is not ours
     gc.disable()
     try:
-        session, _ = _session(chunk_size, **shape)
+        session, _ = _session(CHUNK, **shape)
         live = []
         for _ in range(2):
             session.run_iteration()
             session.collect_garbage(keep_iterations=1)
-            alive = sum(1 for carrier in carriers if carrier() is not None)
+            alive = _alive(carriers)
             assert alive == 0, f"{alive}/{len(carriers)} payloads alive"
             live.append(_live_entries(session.sim))
         assert len(carriers) >= 2 * (TRAINERS * PARTITIONS + PARTITIONS)
@@ -92,6 +107,41 @@ def test_a_finished_round_leaves_no_payload_and_no_cycle(shape, monkeypatch):
         session.consensus_params()
     finally:
         gc.enable()
+
+
+def test_a_faulted_round_leaves_no_payload_and_no_cycle(carriers):
+    """The same under faults: trainer-3 crashes and trainer-2's link goes
+    down while both are fetching an update.  trainer-2's fetch is cut
+    mid-transfer, times out, and its retry is refused until the link is
+    back.  Still no payload outlives the round and ``gc.collect()`` finds
+    nothing — what lets ``Session.run_iteration`` pause the collector."""
+    plan = FaultPlan.of(
+        FaultSpec(kind="crash_trainer", at=0.58, target="trainer-3"),
+        FaultSpec(kind="link_down", at=0.58, duration=2.0,
+                  target="trainer-2"),
+        seed=4)
+    network = NetworkProfile(num_ipfs_nodes=2, bandwidth_mbps=10.0,
+                             retry=RetryPolicy(max_attempts=8),
+                             directory_request_timeout=1.0,
+                             ipfs_request_timeout=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        session, _ = _session(CHUNK, faults=plan, network=network)
+        aborted = []
+        session.sim.bus.subscribe(aborted.append, TransferAborted)
+        metrics = session.run_iteration()
+        session.collect_garbage(keep_iterations=1)
+        assert _alive(carriers) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert metrics.degraded == {"trainer-3": "crashed (fault injection)"}
+    assert "trainer-2" in metrics.trainers_completed
+    cut, refused = aborted
+    assert (cut.src, cut.dst, cut.size) == ("ipfs-0", "trainer-2", 12592)
+    assert cut.at < 1.0 < refused.at  # the retry, after the timeout
+    assert (refused.src, refused.reason) == ("trainer-2", "host offline")
 
 
 def test_memory_does_not_grow_round_on_round():

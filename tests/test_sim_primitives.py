@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FilterStore, Simulator, Store
+from repro.sim import FilterStore, SimulationError, Simulator, Store
 
 
 # -- Store ------------------------------------------------------------------
@@ -63,34 +63,6 @@ def test_store_fifo_order():
     sim.process(consumer(sim, store))
     sim.run()
     assert got == [0, 1, 2]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer(sim, store):
-        yield store.put("a")
-        log.append(("put-a", sim.now))
-        yield store.put("b")
-        log.append(("put-b", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(10.0)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert log == [("put-a", 0.0), ("got", "a", 10.0), ("put-b", 10.0)]
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
 
 
 def test_store_len():
@@ -174,3 +146,61 @@ def test_filter_store_none_predicate_is_fifo():
     sim.process(consumer(sim, store))
     sim.run()
     assert got == ["a"]
+
+
+# -- keyed getters ------------------------------------------------------------
+
+
+def _keyed_store(sim):
+    return FilterStore(sim, key=lambda item: item[0])
+
+
+def test_keyed_getter_is_a_lookup_newer_predicates_are_not_asked():
+    sim = Simulator()
+    store = _keyed_store(sim)
+    asked = []
+    reply = store.get(key=7)
+    store.get(lambda item: asked.append(item) or False)
+    store.deposit((3, "other"))
+    store.deposit((7, "reply"))
+    sim.run()
+    assert reply.value == (7, "reply")
+    assert store.items == [(3, "other")]
+    assert asked == [(3, "other")]  # the reply never reached the predicate
+
+
+def test_older_unkeyed_getter_wins_a_keyed_item_newer_one_does_not():
+    sim = Simulator()
+    store = _keyed_store(sim)
+    older = store.get()
+    reply = store.get(key=1)
+    newer = store.get()
+    store.deposit((1, "first"))
+    store.deposit((1, "second"))
+    sim.run()
+    assert older.value == (1, "first")
+    assert reply.value == (1, "second")
+    assert not newer.triggered
+
+
+def test_keyed_getter_finds_a_buffered_item():
+    sim = Simulator()
+    store = _keyed_store(sim)
+    store.deposit((2, "early"))
+    store.deposit((5, "mine"))
+    reply = store.get(key=5)
+    sim.run()
+    assert reply.value == (5, "mine")
+    assert store.items == [(2, "early")]
+
+
+def test_keyed_get_misuse_raises():
+    sim = Simulator()
+    store = _keyed_store(sim)
+    store.get(key=1)
+    with pytest.raises(SimulationError, match="already waits"):
+        store.get(key=1)
+    with pytest.raises(SimulationError, match="keyed store"):
+        store.get(lambda item: True, key=2)
+    with pytest.raises(SimulationError, match="keyed store"):
+        FilterStore(sim).get(key=3)
