@@ -26,14 +26,15 @@ the unprofiled cost: the budgets below are on the share as measured.
 - watch: audit + :class:`~repro.obs.AnomalyWatchdog`, whose detectors
   must stay silent on the honest run — a false positive here is a
   correctness failure, not a perf one.
-"""
 
-import types
+A second test prices the metrics stack on an exact 128-trainer round,
+where the histograms spill to sketch mode: the ``obs`` share and the
+peak modelled telemetry memory stay inside their budgets.
+"""
 
 from _helpers import dummy_datasets, save_table
 
 from repro.analysis import format_table
-from repro.analysis.scale import ScaleScenario, run_scale_point
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
 from repro.net import NetworkProfile
@@ -57,22 +58,18 @@ SAMPLE_INTERVAL = 0.25
 MAX_UNOBSERVED_SHARE = 0.01
 MAX_OBS_SHARE = {"metrics": 0.15, "audit": 0.04, "watch": 0.04}
 
-# -- cohort-scale budget (10^3 / 10^4 trainers) ----------------------------------
-# The observed variant attaches the full bounded stack (registry,
-# 5 sim-second resource sampler, 0.25 firehose sampling) on top of the
-# default telemetry — the `cli scale --observe --event-sample-rate 0.25`
-# configuration.  Peak telemetry memory comes from the deterministic
-# obs memory model, so the byte budgets are exact-repeatable; only the
-# obs share is machine-dependent.
-SCALE_POPULATIONS = (1_000, 10_000)
-SCALE_ITERATIONS = 2
-SCALE_EVENT_SAMPLE_RATE = 0.25
-#: Measured 0.123-0.134 at 10^3 and 0.193-0.209 at 10^4.
-MAX_SCALE_OBS_SHARE = 0.30
-#: Peak modelled telemetry bytes per population (documented budget;
-#: measured 344,576 / 801,600 for the 2-iteration scenario — the
-#: committed BENCH_scale.json gates the exact values at 20%).
-MAX_TELEMETRY_BYTES = {1_000: 512 * 1024, 10_000: 1024 * 1024}
+# -- exact-population budget (128 trainers) -----------------------------------
+# Registry + a 5 sim-second resource sampler on one exact round of the
+# benchmark's exact-N configuration.  Peak telemetry memory comes from
+# the deterministic obs memory model, so its budget is exact-repeatable;
+# only the obs share is machine-dependent.
+EXACT_TRAINERS = 128
+EXACT_SAMPLE_INTERVAL = 5.0
+#: Measured 0.127-0.136 (three runs, 3.2-3.8 profiled seconds).
+MAX_EXACT_OBS_SHARE = 0.25
+#: Measured 246 400 B; every transfer histogram is past its exact
+#: threshold (14 116 observations), so this is the sketch-mode bound.
+MAX_EXACT_TELEMETRY_BYTES = 384 * 1024
 
 
 def _make_session():
@@ -189,47 +186,48 @@ def test_unobserved_run_pays_no_instrumentation_tax():
             f"its {budget:.2f} budget")
 
 
-def test_observed_cohort_scale_stays_inside_the_budget():
-    """The contract at cohort scale: in a fully observed 10^3/10^4
-    -population run ``obs`` stays inside its share of the profiled
-    wall, and the peak modelled telemetry memory inside the documented
-    per-population byte budget."""
-    observed_scenario = ScaleScenario(
-        iterations=SCALE_ITERATIONS, observed=True,
-        event_sample_rate=SCALE_EVENT_SAMPLE_RATE)
-    rows = []
-    for population in SCALE_POPULATIONS:
-        profiler = HostProfiler()
-
-        def attach(session, _registry):
-            profiler.install(session.sim)
-            # run_scale_point close()s what this returns after the run.
-            return types.SimpleNamespace(close=profiler.uninstall)
-
-        point = run_scale_point(population, observed_scenario,
-                                progress=attach)
-        profiled, obs, share = _obs_cost(profiler.profile())
-        budget = MAX_TELEMETRY_BYTES[population]
-        rows.append([population, round(profiled, 3), round(obs, 4),
-                     f"{share:.3f}", point.telemetry_peak_bytes, budget,
-                     point.events_observed])
-        assert point.telemetry_peak_bytes > 0
-        assert point.telemetry_peak_bytes <= budget, (
-            f"p{population}: peak telemetry "
-            f"{point.telemetry_peak_bytes} B exceeds the "
-            f"documented budget {budget} B"
-        )
-        assert 0 <= share <= MAX_SCALE_OBS_SHARE, (
-            f"p{population}: obs share {share:.3f} outside "
-            f"[0, {MAX_SCALE_OBS_SHARE:.2f}]")
-    save_table("obs_overhead_scale", format_table(
-        ["population", "profiled (s)", "obs self (s)", "obs share",
+def test_observed_exact_population_stays_inside_the_budget():
+    """The contract at exact N: on a fully metered 128-trainer round
+    ``obs`` stays inside its share of the profiled wall, and the peak
+    modelled telemetry memory inside its byte budget."""
+    config = ProtocolConfig(
+        num_partitions=4,
+        t_train=600.0,
+        t_sync=1200.0,
+        update_mode="gradient",
+        poll_interval=0.25,
+    )
+    session = FLSession(
+        config,
+        model_factory=lambda: SyntheticModel(40_000),
+        datasets=dummy_datasets(EXACT_TRAINERS),
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
+    )
+    registry = MetricsRegistry(session.sim.bus)
+    sampler = ResourceSampler.for_session(session, registry,
+                                          interval=EXACT_SAMPLE_INTERVAL)
+    profiler = HostProfiler().install(session.sim)
+    metrics = session.run_iteration()
+    profiler.uninstall()
+    sampler.stop()
+    registry.close()
+    assert len(metrics.trainers_completed) == EXACT_TRAINERS
+    profiled, obs, share = _obs_cost(profiler.profile())
+    peak = registry.peak_telemetry_bytes
+    save_table("obs_overhead_exact", format_table(
+        ["trainers", "profiled (s)", "obs self (s)", "obs share",
          "telemetry peak (B)", "budget (B)", "events observed"],
-        rows,
-        title=("observed stack: registry + 5 s sampler + "
-               f"{SCALE_EVENT_SAMPLE_RATE} firehose sampling; "
-               "one HostProfiler run per population"),
+        [[EXACT_TRAINERS, round(profiled, 3), round(obs, 4),
+          f"{share:.3f}", peak, MAX_EXACT_TELEMETRY_BYTES,
+          registry.events_observed]],
+        title=("registry + 5 s sampler, one exact round; one "
+               "HostProfiler run"),
     ))
+    assert 0 < peak <= MAX_EXACT_TELEMETRY_BYTES, (
+        f"peak telemetry {peak} B exceeds the documented budget "
+        f"{MAX_EXACT_TELEMETRY_BYTES} B")
+    assert 0 <= share <= MAX_EXACT_OBS_SHARE, (
+        f"obs share {share:.3f} outside [0, {MAX_EXACT_OBS_SHARE:.2f}]")
 
 
 def test_overhead_benchmark(benchmark):

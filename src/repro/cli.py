@@ -29,11 +29,10 @@ Subcommands
     violations / anomalies / incidents, the fault-plan line, the
     verdict) and the host-side ``profile.json`` and ``progress.jsonl``.
     ``--plan`` runs it under a fault plan (docs/FAULTS.md), ``--inject``
-    seeds a misbehaving aggregator, ``--population`` adds a cohort-
-    modeled remainder.  The bundle is written even when the run dies
-    mid-round, and the exit status is one rule (``_verdict``; "The run
-    bundle" in docs/OBSERVABILITY.md); ``--warn-only`` reports what the
-    rule found and exits 0.
+    seeds a misbehaving aggregator.  The bundle is written even when the
+    run dies mid-round, and the exit status is one rule (``_verdict``;
+    "The run bundle" in docs/OBSERVABILITY.md); ``--warn-only`` reports
+    what the rule found and exits 0.
 ``explain``
     Differential run diagnosis over two bundle directories: a ranked
     attribution of what changed — subsystem wall-cost shifts
@@ -42,29 +41,12 @@ Subcommands
     machine-readable report.
 ``status``
     Summarize the heartbeats of a live or finished run from a progress
-    JSONL file (``DIR/progress.jsonl`` of a bundle, or a ``scale
-    --progress`` file): last iteration, sim clock, event rate and
-    telemetry peak per label.  Exits non-zero (with a stderr message)
-    when the file is missing, unreadable or holds no heartbeats yet, so
-    scripts can poll it; ``--json`` prints the latest heartbeat as one
-    JSON object under the same exit contract.
-``scale``
-    Population scaling sweep: run the cohort-modeled scenario at each
-    ``--populations`` point, print the wall-clock-per-iteration
-    trajectory, optionally write it as a run manifest and diff it
-    against a committed baseline (``benchmarks/BENCH_scale.json``)
-    with a relative wall-clock threshold (see docs/SCALING.md).
-    ``--observe`` attaches the bounded metrics stack and reports its
-    peak telemetry memory per point; ``--progress FILE`` streams
-    heartbeat JSONL (and a stderr line) while the sweep runs.
-``dirshard``
-    Directory-sharding sweep: run the cohort-modeled scenario at each
-    ``--populations`` x ``--shards`` point and print the sustained
-    registrations/sec trajectory (register count over the busiest
-    shard's serialized seconds).  Optionally write the manifest and
-    diff it against a committed baseline
-    (``benchmarks/BENCH_dirshard.json``); per-shard load-share
-    counters are always compared warn-only (see docs/SCALING.md).
+    JSONL file (``DIR/progress.jsonl`` of a bundle): last iteration, sim
+    clock, event rate and telemetry peak per label.  Exits non-zero
+    (with a stderr message) when the file is missing, unreadable or
+    holds no heartbeats yet, so scripts can poll it; ``--json`` prints
+    the latest heartbeat as one JSON object under the same exit
+    contract.
 """
 
 from __future__ import annotations
@@ -78,23 +60,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_DIRSHARD_POPULATIONS,
-    DEFAULT_POPULATIONS,
-    DEFAULT_SHARD_COUNTS,
-    DirshardScenario,
-    ScaleScenario,
-    diagnose_runs,
-    dirshard_manifest,
-    format_dirshard_table,
-    format_scale_table,
-    format_table,
-    optimal_providers,
-    run_dirshard_sweep,
-    run_scale_sweep,
-    scale_manifest,
-)
-from .core import CohortPlan, FLSession, ProtocolConfig
+from .analysis import diagnose_runs, format_table, optimal_providers
+from .core import FLSession, ProtocolConfig
 from .core.adversary import (
     AlterUpdateBehavior,
     DropGradientsBehavior,
@@ -119,7 +86,6 @@ from .obs import (
     RunManifest,
     SYSTEM_WALL_CLOCK,
     SpanCollector,
-    compare_manifests,
     format_heartbeat,
     read_progress,
 )
@@ -216,12 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--providers", type=int, default=0,
                      help="providers per aggregator with "
                           "--merge-and-download (0 = sqrt optimum)")
-    run.add_argument("--population", type=int, default=0,
-                     help="total trainer population; > 0 attaches a "
-                          "cohort plan for the remainder beyond "
-                          "--trainers")
-    run.add_argument("--cohorts", type=int, default=16,
-                     help="statistical cohorts with --population")
     run.add_argument("--plan", default=None,
                      help="fault plan file (JSON always; YAML when "
                           "PyYAML is importable); omit for honest "
@@ -262,103 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--json", action="store_true",
                          help="emit the diagnosis as one JSON object")
 
-    scale = subparsers.add_parser(
-        "scale",
-        help="population scaling sweep (cohort-modeled trainers); "
-             "optionally diff against a committed BENCH_scale.json",
-    )
-    scale.add_argument("--populations", type=int, nargs="+",
-                       default=list(DEFAULT_POPULATIONS),
-                       help="total trainer populations to sweep")
-    scale.add_argument("--sample", type=int, default=16,
-                       help="exactly-simulated trainers per point")
-    scale.add_argument("--cohorts", type=int, default=16,
-                       help="statistical cohorts for the remainder")
-    scale.add_argument("--partitions", type=int, default=4)
-    scale.add_argument("--params", type=int, default=40_000)
-    scale.add_argument("--ipfs-nodes", type=int, default=8)
-    scale.add_argument("--bandwidth-mbps", type=float, default=10.0)
-    scale.add_argument("--iterations", type=int, default=1,
-                       help="simulated rounds per point")
-    scale.add_argument("--repeats", type=int, default=1,
-                       help="wall-clock repeats per point (min is kept)")
-    scale.add_argument("--seed", type=int, default=7)
-    scale.add_argument("--output", default=None,
-                       help="write the sweep manifest JSON here")
-    scale.add_argument("--baseline", default=None,
-                       help="committed manifest to diff against "
-                            "(e.g. benchmarks/BENCH_scale.json)")
-    scale.add_argument("--threshold", type=float, default=0.20,
-                       help="relative regression tolerance vs baseline")
-    scale.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0")
-    scale.add_argument("--observe", action="store_true",
-                       help="attach the bounded metrics stack (registry "
-                            "+ resource sampler) to every point and "
-                            "report its cost")
-    scale.add_argument("--event-sample-rate", type=float, default=1.0,
-                       help="deterministic sampling rate for the "
-                            "firehose event families (requires "
-                            "--observe to have any effect)")
-    scale.add_argument("--progress", default=None, metavar="JSONL",
-                       help="stream heartbeat records to this JSONL "
-                            "file (and stderr) while the sweep runs")
-
-    dirshard = subparsers.add_parser(
-        "dirshard",
-        help="directory-sharding sweep (registrations/sec vs shard "
-             "count); optionally diff against a committed "
-             "BENCH_dirshard.json",
-    )
-    dirshard.add_argument("--populations", type=int, nargs="+",
-                          default=list(DEFAULT_DIRSHARD_POPULATIONS),
-                          help="total trainer populations to sweep")
-    dirshard.add_argument("--shards", type=int, nargs="+",
-                          default=list(DEFAULT_SHARD_COUNTS),
-                          help="directory shard counts to sweep "
-                               "(1 = the paper's single directory)")
-    dirshard.add_argument("--replication", type=int, default=1,
-                          help="replicas per key range (capped at the "
-                               "shard count)")
-    dirshard.add_argument("--placement", default="modulo",
-                          choices=["modulo", "consistent-hash"],
-                          help="shard placement policy (modulo keeps "
-                               "load balanced at every shard count; "
-                               "see docs/SCALING.md)")
-    dirshard.add_argument("--sample", type=int, default=16,
-                          help="exactly-simulated trainers per point")
-    dirshard.add_argument("--cohorts", type=int, default=16,
-                          help="statistical cohorts for the remainder")
-    dirshard.add_argument("--partitions", type=int, default=8)
-    dirshard.add_argument("--params", type=int, default=40_000)
-    dirshard.add_argument("--ipfs-nodes", type=int, default=8)
-    dirshard.add_argument("--bandwidth-mbps", type=float, default=10.0)
-    dirshard.add_argument("--processing-delay", type=float, default=2e-5,
-                          help="directory serialization seconds per "
-                               "request unit (the work sharding divides)")
-    dirshard.add_argument("--iterations", type=int, default=1,
-                          help="simulated rounds per point")
-    dirshard.add_argument("--repeats", type=int, default=1,
-                          help="wall-clock repeats per point (min is kept)")
-    dirshard.add_argument("--seed", type=int, default=7)
-    dirshard.add_argument("--output", default=None,
-                          help="write the sweep manifest JSON here")
-    dirshard.add_argument("--baseline", default=None,
-                          help="committed manifest to diff against "
-                               "(e.g. benchmarks/BENCH_dirshard.json)")
-    dirshard.add_argument("--threshold", type=float, default=0.20,
-                          help="relative regression tolerance vs "
-                               "baseline (shard shares are always "
-                               "warn-only)")
-    dirshard.add_argument("--warn-only", action="store_true",
-                          help="report regressions but exit 0")
-
     status = subparsers.add_parser(
         "status",
         help="summarize the heartbeats of a live or finished run "
-             "(a bundle's progress.jsonl or a scale --progress file); "
-             "non-zero exit when the file is missing or holds no "
-             "heartbeats yet",
+             "(a bundle's progress.jsonl); non-zero exit when the "
+             "file is missing or holds no heartbeats yet",
     )
     status.add_argument("progress", help="progress JSONL file to read")
     status.add_argument("--tail", type=int, default=1,
@@ -566,10 +434,6 @@ def _build_run_session(args, plan: FaultPlan) -> Tuple[FLSession, int]:
         directory_request_timeout=args.request_timeout,
         retry=RetryPolicy() if args.request_timeout is not None else None,
     )
-    cohort = None
-    if args.population > 0:
-        cohort = CohortPlan(population=args.population,
-                            cohorts=args.cohorts, seed=args.seed)
     session = FLSession(
         config,
         model_factory=model_factory,
@@ -577,7 +441,6 @@ def _build_run_session(args, plan: FaultPlan) -> Tuple[FLSession, int]:
         network=network,
         faults=plan,
         behaviors=behaviors,
-        cohort=cohort,
     )
     return session, rounds
 
@@ -804,91 +667,6 @@ def _run_run(args, clock=SYSTEM_WALL_CLOCK) -> int:
     return 0 if correct or args.warn_only else 1
 
 
-def _run_scale(args, clock=SYSTEM_WALL_CLOCK) -> int:
-    scenario = ScaleScenario(
-        exact_trainers=args.sample,
-        cohorts=args.cohorts,
-        num_partitions=args.partitions,
-        model_params=args.params,
-        num_ipfs_nodes=args.ipfs_nodes,
-        bandwidth_mbps=args.bandwidth_mbps,
-        iterations=args.iterations,
-        seed=args.seed,
-        observed=args.observe,
-        event_sample_rate=args.event_sample_rate,
-    )
-    progress_stream = sys.stderr if args.progress else None
-    points = run_scale_sweep(args.populations, scenario,
-                             repeats=args.repeats,
-                             progress_jsonl=args.progress,
-                             progress_stream=progress_stream, clock=clock)
-    print(format_scale_table(
-        points,
-        title=f"Scaling in population ({scenario.exact_trainers} exact "
-              f"trainers, {scenario.cohorts} cohorts, "
-              f"{scenario.bandwidth_mbps:g} Mbps)",
-    ))
-    manifest = scale_manifest(points, scenario)
-    if args.output:
-        manifest.write(args.output)
-        print(f"manifest written to {args.output}")
-    if args.baseline:
-        baseline = RunManifest.load(args.baseline)
-        diff = compare_manifests(baseline, manifest,
-                                 threshold=args.threshold)
-        print(diff.format())
-        if diff.has_regressions and not args.warn_only:
-            return 1
-    return 0
-
-
-def _run_dirshard(args, clock=SYSTEM_WALL_CLOCK) -> int:
-    scenario = DirshardScenario(
-        exact_trainers=args.sample,
-        cohorts=args.cohorts,
-        num_partitions=args.partitions,
-        model_params=args.params,
-        num_ipfs_nodes=args.ipfs_nodes,
-        bandwidth_mbps=args.bandwidth_mbps,
-        iterations=args.iterations,
-        seed=args.seed,
-        replication=args.replication,
-        placement=args.placement,
-        processing_delay=args.processing_delay,
-    )
-    points = run_dirshard_sweep(args.populations, args.shards,
-                                scenario=scenario, repeats=args.repeats,
-                                clock=clock)
-    print(format_dirshard_table(
-        points,
-        title=f"Directory sharding ({scenario.placement} placement, "
-              f"replication {scenario.replication}, "
-              f"{scenario.processing_delay:g}s/unit serialization)",
-    ))
-    manifest = dirshard_manifest(points, scenario)
-    if args.output:
-        manifest.write(args.output)
-        print(f"manifest written to {args.output}")
-    if args.baseline:
-        baseline = RunManifest.load(args.baseline)
-        # Two counter families never gate: load shares (they move
-        # whenever the shard list or placement changes, which the
-        # fingerprint already guards) and regs_per_sec (higher is
-        # *better* there, while the manifest diff treats growth as the
-        # regression direction — max_busy_seconds, its exact inverse
-        # dividend, carries the throughput gate instead).
-        keys = set(manifest.counters) | set(baseline.counters)
-        diff = compare_manifests(
-            baseline, manifest, threshold=args.threshold,
-            thresholds={k: float("inf") for k in keys
-                        if ".share." in k or k.endswith(".regs_per_sec")},
-        )
-        print(diff.format())
-        if diff.has_regressions and not args.warn_only:
-            return 1
-    return 0
-
-
 def _run_status(args) -> int:
     try:
         records = read_progress(args.progress)
@@ -982,8 +760,6 @@ _COMMANDS = {
     "run": _run_run,
     "explain": _run_explain,
     "status": _run_status,
-    "scale": _run_scale,
-    "dirshard": _run_dirshard,
 }
 
 

@@ -7,8 +7,6 @@ Public surface:
 - :class:`Trainer` / :class:`Aggregator` / :class:`Bootstrapper` /
   :class:`DirectoryService` — the protocol roles.
 - :class:`Address`, :class:`ModelPartitioner`, :class:`IterationSchedule`.
-- :class:`CohortPlan` — scale a session past its exact trainer sample by
-  modeling the remaining population statistically per cohort.
 - :class:`DirectoryProfile` — deploy the directory as N consistent-hash
   shards (:class:`ShardedDirectory` server group, reached through
   :class:`DirectoryClient` and the shared :class:`ShardMap`); the
@@ -35,7 +33,6 @@ from .bootstrapper import (
     build_assignment,
     optimal_provider_count,
 )
-from .cohort import CohortCoordinator, CohortPlan
 from .config import ProtocolConfig
 from .directory import (
     DirectoryClient,
@@ -71,8 +68,6 @@ __all__ = [
     "AlterUpdateBehavior",
     "Assignment",
     "Bootstrapper",
-    "CohortCoordinator",
-    "CohortPlan",
     "CommitmentCostModel",
     "DirectoryClient",
     "DirectoryEntry",

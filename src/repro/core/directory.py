@@ -21,7 +21,7 @@ There is one deployment shape and one way in:
 - :class:`DirectoryClient` is what every participant holds: it places
   each request on the key's owners through the shared
   :class:`~repro.core.dirshard.ShardMap`, fails over down the owner
-  list, and splits key-spanning verbs (batches, cohort bulk load) per
+  list, and splits the key-spanning verb (batched registration) per
   owner.
 
 Commitment merge: every server folds gradient commitments into its own
@@ -69,10 +69,6 @@ __all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryService",
 KIND_REGISTER = "dir.register"
 KIND_REGISTER_BATCH = "dir.register.batch"
 KIND_REGISTER_ACK = "dir.register.ack"
-#: Cohort bulk operations (scaling): one message standing in for ``count``
-#: individual registrations/lookups from statistically-modeled trainers.
-KIND_REGISTER_COHORT = "dir.register.cohort"
-KIND_LOOKUP_COHORT = "dir.lookup.cohort"
 KIND_LOOKUP = "dir.lookup"
 KIND_LOOKUP_REPLY = "dir.lookup.reply"
 KIND_ACCUMULATED = "dir.accumulated"
@@ -83,8 +79,8 @@ KIND_ACCUMULATED_REPLY = "dir.accumulated.reply"
 REGISTER_SIZE = 448
 QUERY_SIZE = 192
 ENTRY_WIRE_SIZE = 160
-#: Incremental wire bytes per additional record in a bulk registration
-#: (``register_batch``) or modeled cohort registration.
+#: Incremental wire bytes per additional record in a batched
+#: registration (``register_batch``).
 BATCH_RECORD_SIZE = 96
 
 
@@ -191,8 +187,8 @@ class DirectoryService:
         #: Query counters (Sec. VI worries about directory load).
         self.register_count = 0
         self.lookup_count = 0
-        #: Load ledger: request units dequeued (a cohort message stands
-        #: in for ``count`` units) and serialized server seconds spent.
+        #: Load ledger: requests dequeued and serialized server seconds
+        #: spent.
         self.served_units = 0
         self.busy_seconds = 0.0
         #: The servers whose state the read accessors fold over, in
@@ -289,38 +285,26 @@ class DirectoryService:
         # (used to fetch updates for verification), so only consume
         # directory-protocol kinds here.
         served_kinds = (KIND_REGISTER, KIND_REGISTER_BATCH,
-                        KIND_REGISTER_COHORT, KIND_LOOKUP_COHORT,
                         KIND_LOOKUP, KIND_ACCUMULATED)
         while True:
             message = yield self.endpoint.inbox.get(
                 lambda m: m.kind in served_kinds
             )
             bus = self.sim.bus
-            if bus.wants(DirectoryRequest) and bus.admits(
-                    DirectoryRequest, message.kind, self.sim.now):
+            if bus.wants(DirectoryRequest):
                 bus.publish(DirectoryRequest(
                     at=self.sim.now, kind=message.kind,
                     shard=self.shard_label,
                 ))
-            # A cohort message stands in for ``count`` individual
-            # requests; the load ledger charges it accordingly.
-            units = 1
-            if message.kind in (KIND_REGISTER_COHORT,
-                                KIND_LOOKUP_COHORT):
-                units = max(1, int(message.payload.get("count", 1)))
-            self.served_units += units
+            self.served_units += 1
             if self.processing_delay > 0:
                 # Serialized server work: requests queue behind it.
-                self.busy_seconds += self.processing_delay * units
-                yield self.sim.timeout(self.processing_delay * units)
+                self.busy_seconds += self.processing_delay
+                yield self.sim.timeout(self.processing_delay)
             if message.kind == KIND_REGISTER:
                 self._handle_register(message)
             elif message.kind == KIND_REGISTER_BATCH:
                 self._handle_register_batch(message)
-            elif message.kind == KIND_REGISTER_COHORT:
-                self._handle_register_cohort(message)
-            elif message.kind == KIND_LOOKUP_COHORT:
-                self._handle_lookup_cohort(message)
             elif message.kind == KIND_LOOKUP:
                 self._handle_lookup(message)
             elif message.kind == KIND_ACCUMULATED:
@@ -421,29 +405,6 @@ class DirectoryService:
         self.endpoint.respond(message, KIND_REGISTER_ACK,
                               payload={"accepted": all_accepted},
                               size=ENTRY_WIRE_SIZE)
-
-    def _handle_register_cohort(self, message: Message) -> None:
-        """Bulk registration load from a statistically-modeled cohort.
-
-        Carries no addresses or CIDs — the cohort's members contribute
-        *load*, not protocol state — but counts against the Sec. VI
-        directory-load ledger exactly as ``count`` individual
-        registrations would.
-        """
-        count = max(0, int(message.payload.get("count", 0)))
-        self.register_count += count
-        self.endpoint.respond(message, KIND_REGISTER_ACK,
-                              payload={"accepted": True, "count": count},
-                              size=ENTRY_WIRE_SIZE)
-
-    def _handle_lookup_cohort(self, message: Message) -> None:
-        """Bulk lookup load from a statistically-modeled cohort."""
-        count = max(0, int(message.payload.get("count", 0)))
-        self.lookup_count += count
-        self.endpoint.respond(
-            message, KIND_LOOKUP_REPLY, payload=[],
-            size=ENTRY_WIRE_SIZE * max(1, count),
-        )
 
     def _register_gradient(self, address: Address, cid: CID,
                            commitment: Optional[Commitment]) -> bool:
@@ -736,8 +697,8 @@ class ShardedDirectory:
         """The critical path: the busiest single shard's serialized work.
 
         Sustained registrations/sec is ``register_count /
-        max_busy_seconds`` — the load-balance-sensitive figure the
-        dirshard benchmark gates on.
+        max_busy_seconds`` — the load-balance-sensitive figure sharding
+        exists to raise.
         """
         return max(shard.busy_seconds for shard in self.shards)
 
@@ -750,8 +711,8 @@ class DirectoryClient:
 
     Key-addressed verbs place their ``(partition, iteration)`` key
     through the :class:`~repro.core.dirshard.ShardMap` shared with the
-    session; key-spanning verbs — batched registration and cohort bulk
-    load — split per owner list, one message per owner list touched.  A
+    session; the key-spanning verb — batched registration — splits per
+    owner list, one message per owner list touched.  A
     client built without a map talks to the one well-known
     ``"directory"`` host.
 
@@ -870,39 +831,3 @@ class DirectoryClient:
                 "aggregator_id": aggregator_id,
             }, self.shard_map.owners(partition_id, iteration))
         return payload["commitment"], payload["count"]
-
-    def _cohort_load(self, iteration: int, members: int,
-                     num_partitions: int) -> Dict[Tuple[str, ...], int]:
-        """A cohort's bulk load — ``members`` units per partition — summed
-        per owner list: one message each."""
-        load: Dict[Tuple[str, ...], int] = {}
-        for partition_id in range(num_partitions):
-            owners = self.shard_map.owners(partition_id, iteration)
-            load[owners] = load.get(owners, 0) + members
-        return load
-
-    def register_cohort(self, iteration: int, members: int,
-                        num_partitions: int, cohort: str):
-        """Charge a cohort's bulk registration load; returns the merged
-        ack (``count`` summed over the owner lists)."""
-        acks = []
-        for owners, count in self._cohort_load(
-                iteration, members, num_partitions).items():
-            acks.append((yield from self._call(
-                KIND_REGISTER_COHORT, "directory.register",
-                REGISTER_SIZE + BATCH_RECORD_SIZE * max(0, count - 1),
-                {"count": count, "cohort": cohort}, owners)))
-        return {"accepted": all(ack.get("accepted") for ack in acks),
-                "count": sum(ack.get("count", 0) for ack in acks)}
-
-    def lookup_cohort(self, iteration: int, members: int,
-                      num_partitions: int, cohort: str):
-        """Charge a cohort's bulk lookup load; returns the result rows
-        (a cohort lookup carries load, not state: there are none)."""
-        rows = []
-        for owners, count in self._cohort_load(
-                iteration, members, num_partitions).items():
-            rows.extend((yield from self._call(
-                KIND_LOOKUP_COHORT, "directory.lookup", QUERY_SIZE,
-                {"count": count, "cohort": cohort}, owners)))
-        return rows

@@ -1,9 +1,8 @@
 """Directory deployment profile and key placement (Sec. VI load scaling).
 
 The paper names directory load — O(trainers x partitions) registrations
-per iteration — as the dominant scaling bottleneck, and the cohort-scale
-sweeps confirm it: everything else stays flat-to-linear while bulk
-registrations serialize through one
+per iteration — as the dominant scaling bottleneck: every registration
+and every poll serializes through one
 :class:`~repro.core.directory.DirectoryService` process.  The directory
 is therefore always deployed as a group of shard servers
 (:class:`~repro.core.directory.ShardedDirectory`), each owning a range

@@ -45,7 +45,6 @@ from ..sim import Interrupt, Simulator
 from .adversary import AggregatorBehavior
 from .aggregator import Aggregator
 from .bootstrapper import Assignment, Bootstrapper, build_assignment
-from .cohort import CohortCoordinator, CohortPlan
 from .config import ProtocolConfig
 from .directory import ShardedDirectory
 from .dirshard import DirectoryProfile, ShardMap
@@ -165,7 +164,6 @@ class FLSession(Session):
         directory: Optional[DirectoryProfile] = None,
         behaviors: Optional[Dict[str, AggregatorBehavior]] = None,
         sim: Optional[Simulator] = None,
-        cohort: Optional[CohortPlan] = None,
     ):
         """
         Parameters
@@ -199,14 +197,6 @@ class FLSession(Session):
         behaviors:
             Optional per-aggregator behaviours keyed by aggregator name
             ("aggregator-0", ...); unnamed aggregators are honest.
-        cohort:
-            Optional :class:`~repro.core.cohort.CohortPlan` scaling the
-            deployment beyond the exactly-simulated trainers: the
-            datasets define the exact sample, and the plan's remaining
-            ``population`` is modeled statistically per cohort (directory
-            and link load applied in aggregate, no protocol state).  A
-            plan whose population equals ``len(datasets)`` is exact mode
-            and builds no cohort machinery at all.
         """
         if not datasets:
             raise ValueError("need at least one trainer dataset")
@@ -361,43 +351,6 @@ class FLSession(Session):
                 shard_map=self._shard_map,
             ))
 
-        # -- statistical cohorts (scaling beyond the exact sample) --------------
-        #: Exact mode (no plan, or population == sampled trainers) builds
-        #: nothing here, keeping the session byte-identical to the
-        #: per-trainer code path.
-        self.cohort_plan: Optional[CohortPlan] = cohort
-        self.cohorts: List[CohortCoordinator] = []
-        if cohort is not None:
-            from ..net.units import mbps
-
-            member_counts = cohort.member_counts(num_trainers)
-            trainer_bw = mbps(profile.bandwidth_mbps)
-            bytes_per_trainer = float(sum(
-                (self.partitioner.partition_size(pid) + 1) * 8
-                for pid in range(config.num_partitions)
-            ))
-            for index, members in enumerate(member_counts):
-                name = f"cohort-{index}"
-                self.testbed.network.add_host(
-                    name,
-                    up_bandwidth=members * trainer_bw,
-                    down_bandwidth=members * trainer_bw,
-                )
-                self.cohorts.append(CohortCoordinator(
-                    name=name,
-                    sim=self.sim,
-                    transport=self.testbed.transport,
-                    network=self.testbed.network,
-                    config=config,
-                    members=members,
-                    upload_bytes_per_trainer=bytes_per_trainer,
-                    download_bytes_per_trainer=bytes_per_trainer,
-                    storage_node=self.testbed.ipfs_names[
-                        index % len(self.testbed.ipfs_names)],
-                    shard_map=self._shard_map,
-                    seed=cohort.seed + index,
-                ))
-
         super().__init__(self.sim)
 
         #: participant name -> its supervised process for the current
@@ -427,8 +380,7 @@ class FLSession(Session):
         supervised = self.trainers + self.aggregators
         unreachable = {p.name for p in supervised if not online(p.name)}
         yield self.bootstrapper.announce(schedule, [
-            p.name for p in supervised + self.cohorts
-            if p.name not in unreachable])
+            p.name for p in supervised if p.name not in unreachable])
         self._round_processes = {}
         processes = []
         for role, members in (("trainer", self.trainers),
@@ -438,11 +390,6 @@ class FLSession(Session):
                     participant, role, schedule, unreachable)
                 if process is not None:
                     processes.append(process)
-        for coordinator in self.cohorts:
-            processes.append(self.sim.process(
-                coordinator.run_iteration(schedule),
-                name=f"{coordinator.name}:i{iteration}",
-            ))
         if processes:
             yield self.sim.all_of(processes)
 
@@ -540,16 +487,6 @@ class FLSession(Session):
             extra["directory_replication"] = \
                 self.directory_profile.replication
             extra["directory_placement"] = self.directory_profile.placement
-        if self.cohorts:
-            # Statistical mode only: an exact-mode session (sample = 100%)
-            # must fingerprint identically to a plain per-trainer run.
-            extra["cohort_population"] = self.cohort_plan.population
-            extra["cohorts"] = len(self.cohorts)
-            extra["cohort_seed"] = self.cohort_plan.seed
-        if self.sim.bus.sampling is not None:
-            # A sampled event stream yields different telemetry: never
-            # diff it against an unsampled (or differently-sampled) run.
-            extra["event_sampling"] = self.sim.bus.sampling.describe()
         return config_fingerprint(
             self.config,
             trainers=len(self.trainers),

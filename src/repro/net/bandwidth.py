@@ -466,7 +466,7 @@ class FlowScheduler:
         self._advance()
         finished = [f for f in self._flows if f.remaining <= _EPSILON_BYTES]
         if not finished:
-            # Sub-resolution guard: at cohort-scale rates (10^8+ B/s) a
+            # Sub-resolution guard: at aggregate-link rates (10^8+ B/s) a
             # flow's residual can sit just above the byte epsilon while
             # its finish time is below one float ulp of the clock — the
             # armed wakeup then fires at the *same* timestamp, elapsed

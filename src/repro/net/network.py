@@ -182,18 +182,11 @@ class Network:
         destination.bytes_received += size
         done = self.sim.event()
         bus = self.sim.bus
-        wants_started = bus.wants(TransferStarted)
-        wants_completed = bus.wants(TransferCompleted)
-        if (wants_started or wants_completed) and not bus.admits(
-                TransferCompleted, src, dst, self.sim.now):
-            # One deterministic admission decision covers the pair, so a
-            # sampled stream never shows a start without its completion.
-            wants_started = wants_completed = False
-        if wants_started:
+        if bus.wants(TransferStarted):
             bus.publish(TransferStarted(
                 at=self.sim.now, src=src, dst=dst, size=size,
             ))
-        if wants_completed:
+        if bus.wants(TransferCompleted):
             started = self.sim.now
 
             def flow_event(event):

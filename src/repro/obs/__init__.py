@@ -30,11 +30,10 @@ and aggregators — publish small typed events
 
 The bus is zero-overhead when unsubscribed: emission sites guard event
 construction behind :meth:`EventBus.wants`, so unobserved runs pay one
-boolean check per site.  At cohort scale the stack stays bounded:
+boolean check per site.  On long, large runs the stack stays bounded:
 histograms spill to a mergeable :class:`QuantileSketch`
-(:mod:`repro.obs.sketch`), series decimate deterministically, a
-:class:`SamplingPolicy` thins the firehose families at the producer,
-and a :class:`ProgressReporter` (:mod:`repro.obs.progress`) heartbeats
+(:mod:`repro.obs.sketch`), series decimate deterministically, and a
+:class:`ProgressReporter` (:mod:`repro.obs.progress`) heartbeats
 liveness and telemetry cost.  A :class:`HostProfiler`
 (:mod:`repro.obs.profiling`) attributes *wall-clock* (host) cost to
 the ``repro`` package whose functions spent it — cProfile folded on
@@ -61,13 +60,7 @@ from .anomaly import (
     SimStallDetector,
     ThroughputCollapseDetector,
 )
-from .bus import (
-    EventBus,
-    SAMPLED_EVENT_FAMILIES,
-    SamplingPolicy,
-    Subscription,
-    sample_key,
-)
+from .bus import EventBus, Subscription
 from .counters import CountersRegistry
 from .critical_path import (
     CriticalPath,
@@ -130,10 +123,8 @@ __all__ = [
     "ResourceSampler",
     "RetryStormDetector",
     "RunManifest",
-    "SAMPLED_EVENT_FAMILIES",
     "SPAN_EVENTS",
     "SYSTEM_WALL_CLOCK",
-    "SamplingPolicy",
     "ScopeStat",
     "SimStallDetector",
     "Span",
@@ -151,5 +142,4 @@ __all__ = [
     "config_fingerprint",
     "format_heartbeat",
     "read_progress",
-    "sample_key",
 ]

@@ -1,7 +1,7 @@
 """Online anomaly watchdog: pluggable detectors over the event bus.
 
-The paper's efficiency claims assume runs do not silently degrade; at
-cohort scale nobody is reading Perfetto traces live.  This module turns
+The paper's efficiency claims assume runs do not silently degrade; on
+a long run nobody is reading Perfetto traces live.  This module turns
 the event bus into the "central vantage point" the decentralized
 protocol itself lacks: an :class:`AnomalyWatchdog` hosts small online
 detectors that watch the typed event stream plus periodically sampled
@@ -36,11 +36,6 @@ kind                  fired when
 
 Contracts, in order of importance:
 
-- **Pre-sample taps.**  Detector event taps must be disjoint from
-  :data:`~repro.obs.bus.SAMPLED_EVENT_FAMILIES` — the same guarantee
-  the invariant monitors and the flight recorder rely on — so keyed
-  event sampling can never starve a detector.  The watchdog *enforces*
-  this at construction.
 - **Sim-clock control only.**  Detection windows, tick cadence and
   every threshold read the simulated clock.  The one wall-clock check
   (:meth:`AnomalyWatchdog.check_wall`, the "wall advances but sim
@@ -65,7 +60,6 @@ import statistics
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from .bus import SAMPLED_EVENT_FAMILIES
 from .events import (
     AnomalyDetected,
     GradientRegistered,
@@ -104,16 +98,15 @@ class Detector:
     """Base class for online anomaly detectors.
 
     A detector declares the exact event types it taps
-    (:attr:`event_types`; checked against the sampled families by the
-    watchdog), folds events in :meth:`observe`, and gets a periodic
-    :meth:`on_tick` at the watchdog's sim-clock cadence for conditions
-    that are about the *absence* of events.  Both return an iterable of
-    :class:`AnomalyDetected` to publish (usually empty).
+    (:attr:`event_types`), folds events in :meth:`observe`, and gets a
+    periodic :meth:`on_tick` at the watchdog's sim-clock cadence for
+    conditions that are about the *absence* of events.  Both return an
+    iterable of :class:`AnomalyDetected` to publish (usually empty).
     """
 
     #: Catalog name stamped on emitted anomalies.
     kind: str = "anomaly"
-    #: Exact event classes to tap; must avoid the sampled families.
+    #: Exact event classes to tap.
     event_types: Tuple[type, ...] = ()
 
     def observe(self, event) -> Iterable[AnomalyDetected]:
@@ -472,8 +465,7 @@ class AnomalyWatchdog(SimTicker):
     """Hosts detectors over a bus; publishes classified anomalies.
 
     Subscribes each detector's exact event taps (never the wildcard —
-    the hot path must stay cheap) after checking every tap against
-    :data:`SAMPLED_EVENT_FAMILIES`, and ticks on the sim clock (a
+    the hot path must stay cheap) and ticks on the sim clock (a
     :class:`~repro.obs.metrics.SimTicker`, like the resource sampler)
     for absence-of-events conditions.  Every anomaly a
     detector yields is appended to :attr:`anomalies` and published on
@@ -511,12 +503,6 @@ class AnomalyWatchdog(SimTicker):
         }
         for detector in self.detectors:
             for event_type in detector.event_types:
-                if issubclass(event_type, SAMPLED_EVENT_FAMILIES):
-                    raise ValueError(
-                        f"{type(detector).__name__} taps sampled family "
-                        f"{event_type.__name__}: watchdog detectors "
-                        "must observe pre-sample events only"
-                    )
                 self._taps.setdefault(event_type, []).append(detector)
         self._subscription = bus.subscribe(self._handle, *self._taps)
         if autostart and sim is not None:

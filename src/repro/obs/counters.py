@@ -23,7 +23,6 @@ from .events import (
     BlockEvicted,
     BlockFetched,
     BlockStored,
-    CohortLoadApplied,
     CommitmentAccumulated,
     DhtLookup,
     DirectoryRequest,
@@ -84,7 +83,6 @@ class CountersRegistry:
             NodeRestarted: self._on_node_restarted,
             RetryExhausted: self._on_retry_exhausted,
             ParticipantDegraded: self._on_participant_degraded,
-            CohortLoadApplied: self._on_cohort_load,
             TrainingEvaluated: self._on_training_evaluated,
             AnomalyDetected: self._on_anomaly_detected,
         }
@@ -202,14 +200,6 @@ class CountersRegistry:
 
     def _on_iteration_finished(self, event) -> None:
         self.increment("protocol.iterations")
-
-    def _on_cohort_load(self, event) -> None:
-        self.increment("cohort.rounds")
-        self.increment("cohort.members_modeled", event.members)
-        self.increment("cohort.registrations", event.registrations)
-        self.increment("cohort.lookups", event.lookups)
-        self.increment("cohort.bytes_up", event.bytes_up)
-        self.increment("cohort.bytes_down", event.bytes_down)
 
     def _on_fault_injected(self, event) -> None:
         self.increment("faults.injected")

@@ -63,7 +63,6 @@ __all__ = [
     "MergeServed",
     "BlockEvicted",
     "InvariantViolated",
-    "CohortLoadApplied",
     # faults & churn
     "FaultInjected",
     "FaultHealed",
@@ -552,28 +551,6 @@ class InvariantViolated(Event):
     invariant: str
     subject: str
     detail: str
-
-
-@dataclass(frozen=True)
-class CohortLoadApplied(Event):
-    """One statistically-modeled trainer cohort applied its round load.
-
-    Published by :class:`~repro.core.cohort.CohortCoordinator` after the
-    cohort's aggregate directory registrations, uploads and downloads for
-    one iteration went through.  ``members`` is the number of unsampled
-    trainers the cohort stands in for; ``registrations``/``lookups`` the
-    directory operations charged on their behalf; ``bytes_up``/
-    ``bytes_down`` the aggregate payload moved over the cohort's links.
-    """
-
-    at: float
-    iteration: int
-    cohort: str
-    members: int
-    registrations: int
-    lookups: int
-    bytes_up: float
-    bytes_down: float
 
 
 @dataclass(frozen=True)

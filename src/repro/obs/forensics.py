@@ -59,7 +59,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from . import events as _events_module
-from .bus import SAMPLED_EVENT_FAMILIES, EventBus, Subscription
+from .bus import EventBus, Subscription
 from .events import (
     AnomalyDetected,
     CommitmentAccumulated,
@@ -81,25 +81,22 @@ __all__ = ["BlameReport", "DEFAULT_WINDOW_EVENTS", "FlightRecorder",
            "IncidentBundle", "MAX_BLAME_SEARCH"]
 
 #: Subset search is exponential; above this many contributors the
-#: classifier reports counts only (the honest cohort sizes of every
+#: classifier reports counts only (the honest contributor counts of every
 #: experiment in the paper are well below it).
 MAX_BLAME_SEARCH = 16
 
 #: Event types the recorder keeps in its window by default: everything
-#: except the firehose families (:data:`~repro.obs.bus.SAMPLED_EVENT_FAMILIES`
-#: — transfer markers, directory polling, per-cohort load records),
-#: which are >90% of the stream and carry no forensic signal an
-#: incident needs — recording them would blow the audit overhead budget.
-#: Deriving the exclusion from the samplable set also keeps the default
-#: window exact under any :class:`~repro.obs.bus.SamplingPolicy`: a
-#: thinned run's incident bundles are full-fidelity, not sampled.
-#: Pass ``event_types`` to the recorder to widen or narrow the window.
+#: except the firehose families — transfer markers and directory
+#: polling — which are >90% of the stream and carry no forensic signal
+#: an incident needs; recording them would blow the audit overhead
+#: budget.  Pass ``event_types`` to the recorder to widen or narrow the
+#: window.
 DEFAULT_WINDOW_EVENTS = tuple(
     obj for _, obj in sorted(
         inspect.getmembers(_events_module, inspect.isclass)
     )
     if issubclass(obj, Event) and obj is not Event
-    and obj not in SAMPLED_EVENT_FAMILIES
+    and obj not in (TransferStarted, TransferCompleted, DirectoryRequest)
 )
 
 #: Contribution bookkeeping is pruned below this many iterations back.
@@ -252,13 +249,7 @@ class FlightRecorder:
 
     @property
     def occupancy(self) -> int:
-        """Events currently held in the ring (for progress heartbeats).
-
-        Full fidelity is preserved under bus-level sampling: the
-        recorder's default window (``DEFAULT_WINDOW_EVENTS``) excludes
-        every samplable firehose family, so an incident window contains
-        exactly the events it would in an unsampled run.
-        """
+        """Events currently held in the ring (for progress heartbeats)."""
         return len(self._ring)
 
     # -- event handling ----------------------------------------------------------

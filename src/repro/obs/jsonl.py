@@ -14,7 +14,7 @@ extend an existing timeline instead (e.g. across separate runs).
 
 Writes are buffered: encoded lines accumulate until either
 ``flush_lines`` records or ``flush_bytes`` encoded bytes are pending,
-then reach the stream in one ``write`` — at cohort scale the
+then reach the stream in one ``write`` — on a polling-heavy run the
 per-event ``write`` call dominated export cost.  :meth:`~
 JsonlTraceExporter.close` (also via the context manager, including on
 the error path) always drains the buffer, so a crashed run still

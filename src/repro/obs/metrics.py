@@ -212,8 +212,8 @@ class MetricsRegistry:
     Memory is bounded by construction: histograms spill to sketch mode
     past :data:`~repro.obs.sketch.DEFAULT_EXACT_THRESHOLD` observations
     and series decimate past :data:`DEFAULT_SERIES_RETENTION` samples,
-    so attaching a registry to a 10^4-population cohort run costs
-    O(metrics), not O(events).  The registry also meters itself —
+    so attaching a registry to a long, large run costs O(metrics), not
+    O(events).  The registry also meters itself —
     :attr:`events_observed`, :meth:`telemetry_bytes` and
     :attr:`peak_telemetry_bytes` feed the run manifest's obs-cost gauges.
     """
@@ -520,7 +520,7 @@ class ResourceSampler(SimTicker):
                 now, self.directory.inbox_depth())
         # Refresh the registry's peak-memory account periodically rather
         # than every tick: the footprint walk is O(series + histograms)
-        # and at cohort scale it dominated the sampler.  The cadence is
+        # and on long runs it dominated the sampler.  The cadence is
         # a pure function of samples_taken, so the recorded peak is as
         # deterministic as the per-tick refresh was; registry.close()
         # (and stop()) take the final reading.

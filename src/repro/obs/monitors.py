@@ -110,14 +110,6 @@ class InvariantMonitors:
     (When pairing with a :class:`~repro.obs.forensics.FlightRecorder`,
     subscribe the recorder *first* so its ring buffer already holds the
     triggering event when a nested ``InvariantViolated`` reaches it.)
-
-    Exactness under bus-level sampling: every event family the monitors
-    consume (byte conservation reads ``BlockFetched``/``BytesReceived``,
-    never the transfer firehose) is outside
-    :data:`~repro.obs.bus.SAMPLED_EVENT_FAMILIES`, so a
-    :class:`~repro.obs.bus.SamplingPolicy` acts as a pre-sample tap:
-    the monitors see the full stream and their checks stay exact at any
-    sample rate (disjointness pinned by ``tests/test_obs_progress.py``).
     """
 
     def __init__(self, bus: EventBus):

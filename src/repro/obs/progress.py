@@ -1,7 +1,7 @@
 """Live run progress: a heartbeat over the event bus.
 
 At figure scale a run finishes before you wonder whether it is alive;
-at 10^4-10^5 participants it does not.  :class:`ProgressReporter` is an
+at hundreds of exact trainers it does not.  :class:`ProgressReporter` is an
 ordinary (wildcard) bus subscriber that tracks the run's position —
 iteration, simulated clock, events seen — and periodically emits a
 *heartbeat* record to stderr and, optionally, a JSONL file:
@@ -19,8 +19,7 @@ iteration, simulated clock, events seen — and periodically emits a
 recorder fields appear when a :class:`~repro.obs.metrics.MetricsRegistry`
 or :class:`~repro.obs.forensics.FlightRecorder` is attached.  The
 schema is documented in ``docs/OBSERVABILITY.md`` and consumed by
-``python -m repro.cli status`` (and by the ``scale --progress`` flag,
-which streams one heartbeat file across a whole population sweep).
+``python -m repro.cli status``.
 
 Heartbeats are paced by *wall* time (default one per second), so the
 reporter costs one counter increment and one clock read per event and

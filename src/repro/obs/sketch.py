@@ -1,8 +1,8 @@
 """Mergeable log-bucket quantile sketch for bounded-memory histograms.
 
 At figure scale (16 trainers) a histogram can keep every raw
-observation, so p50/p95/p99 are exact.  At cohort scale (10^4-10^5
-participants) that store is O(events); hence a two-mode structure:
+observation, so p50/p95/p99 are exact.  Over a long run of hundreds of
+trainers that store is O(events); hence a two-mode structure:
 
 - **Exact mode** (up to ``max_exact`` observations): raw values are
   retained and quantiles are float-equal to
@@ -40,7 +40,7 @@ __all__ = [
 
 #: Observations retained verbatim before spilling to buckets.  4096
 #: floats is ~32 KiB — far above anything a figure-scale run produces
-#: (so those stay exact) and negligible at cohort scale.
+#: (so those stay exact) and negligible on a long, large run.
 DEFAULT_EXACT_THRESHOLD = 4096
 
 #: Default relative-error bound for sketch-mode quantiles (1%).
@@ -62,7 +62,7 @@ class QuantileSketch:
 
     ``add`` values, read ``count``/``total``/``minimum``/``maximum``/
     ``mean`` and :meth:`percentile`.  ``merge`` folds another sketch in
-    (same ``relative_error`` required), enabling cross-cohort and
+    (same ``relative_error`` required), enabling cross-run and
     cross-shard aggregation without raw-value exchange.
     """
 

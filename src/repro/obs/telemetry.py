@@ -258,10 +258,7 @@ class SessionMetrics:
 class TelemetryCollector:
     """Builds a :class:`SessionMetrics` from the protocol event stream.
 
-    Consumes only :data:`~repro.obs.events.PROTOCOL_EVENTS` — none of
-    the samplable firehose families — so bus-level sampling never
-    perturbs the ``SessionMetrics`` a run reports (the disjointness is
-    pinned by ``tests/test_obs_progress.py``).
+    Consumes only :data:`~repro.obs.events.PROTOCOL_EVENTS`.
     """
 
     def __init__(self, bus: EventBus):

@@ -83,7 +83,7 @@ class Event:
     *processed* once its callbacks have run.  Processes wait for an event by
     yielding it.
 
-    Events are slotted: at 10^4-10^5 trainers the kernel allocates millions
+    Events are slotted: at 10^3 trainers the kernel allocates millions
     of them per run, and dropping the per-instance ``__dict__`` roughly
     halves their footprint.
     """
@@ -449,7 +449,7 @@ class Simulator:
         (including FIFO tie-breaking by construction order), but batches the
         queue insertion: a large batch is appended and re-heapified in one
         pass instead of sifting each entry individually.  Used for
-        fleet-wide schedules (e.g. one wakeup per cohort).
+        fleet-wide schedules (e.g. one wakeup per trainer).
         """
         timeouts: List[Timeout] = []
         entries: List[list] = []

@@ -2,17 +2,8 @@
 
 import pytest
 
-from repro.cli import _run_dirshard, _run_scale, build_parser, main
-from repro.obs import FakeWallClock
+from repro.cli import build_parser, main
 from tests.util import run_bundle
-
-
-def run_on_fake_clock(runner, argv):
-    """Run a wall-measuring subcommand on a ticking fake clock, so the
-    recorded ``wall_per_iteration`` repeats exactly: tier-1 never diffs
-    host time between two runs."""
-    return runner(build_parser().parse_args(argv),
-                  clock=FakeWallClock(tick=0.01))
 
 
 def test_parser_requires_command():
@@ -95,7 +86,7 @@ SMALL_SESSION = [
 
 @pytest.mark.parametrize("gone", [
     "trace", "timeline", "critical-path", "metrics", "audit",
-    "incidents", "chaos", "profile", "compare",
+    "incidents", "chaos", "profile", "compare", "scale", "dirshard",
 ])
 def test_parser_rejects_the_subcommands_run_replaced(gone, capsys):
     with pytest.raises(SystemExit):
@@ -282,170 +273,6 @@ def test_run_failing_mid_round_exits_1_and_every_file_parses(
     assert (tmp_path / "incidents").is_dir()
 
 
-def test_scale_parser_defaults():
-    args = build_parser().parse_args(["scale"])
-    assert args.populations == [100, 1_000, 10_000, 100_000]
-    assert args.threshold == 0.20
-    assert args.repeats == 1
-
-
-def test_scale_writes_manifest_and_compares_clean(tmp_path, capsys):
-    """Sweep a small point, then diff a rerun against it: the
-    deterministic counters must match exactly, so no regressions."""
-    baseline = tmp_path / "BENCH_scale.json"
-    small = ["scale", "--populations", "40", "--sample", "4",
-             "--cohorts", "4", "--partitions", "2", "--params", "2000",
-             "--ipfs-nodes", "4"]
-    code = run_on_fake_clock(_run_scale, small + ["--output", str(baseline)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "population" in out and "40" in out
-    assert baseline.exists()
-
-    code = run_on_fake_clock(_run_scale, small + ["--baseline", str(baseline),
-                                                  "--threshold", "0.5"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "0 regression(s)" in out
-
-
-def test_scale_detects_a_regression(tmp_path, capsys):
-    """A baseline doctored to claim a faster wall-clock must trip the
-    gate (and --warn-only must downgrade it to exit 0)."""
-    import json
-
-    baseline = tmp_path / "BENCH_scale.json"
-    small = ["scale", "--populations", "40", "--sample", "4",
-             "--cohorts", "4", "--partitions", "2", "--params", "2000",
-             "--ipfs-nodes", "4"]
-    assert main(small + ["--output", str(baseline)]) == 0
-    capsys.readouterr()
-
-    doctored = json.loads(baseline.read_text())
-    key = "scale.p40.wall_per_iteration"
-    doctored["counters"][key] = doctored["counters"][key] / 1e6
-    baseline.write_text(json.dumps(doctored))
-
-    code = main(small + ["--baseline", str(baseline)])
-    assert code == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-    code = main(small + ["--baseline", str(baseline), "--warn-only"])
-    assert code == 0
-
-
-def test_scale_observed_with_progress_and_status(tmp_path, capsys):
-    """An observed sweep reports telemetry cost in the table and the
-    manifest, streams heartbeats to JSONL, and `status` reads them."""
-    import json
-
-    manifest_path = tmp_path / "BENCH_scale.json"
-    progress_path = tmp_path / "progress.jsonl"
-    observed = ["scale", "--populations", "40", "--sample", "4",
-                "--cohorts", "4", "--partitions", "2", "--params", "2000",
-                "--ipfs-nodes", "4", "--observe",
-                "--event-sample-rate", "0.5",
-                "--progress", str(progress_path)]
-    assert run_on_fake_clock(
-        _run_scale, observed + ["--output", str(manifest_path)]) == 0
-    out = capsys.readouterr().out
-    assert "telemetry peak (B)" in out
-
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["counters"]["scale.p40.telemetry_peak_bytes"] > 0
-    assert manifest["counters"]["scale.p40.events_observed"] > 0
-
-    records = [json.loads(line)
-               for line in progress_path.read_text().splitlines()]
-    # The sweep's clock paces the reporter too: 263 events at one
-    # 10 ms read each is two paced beats plus the closing one, exactly.
-    # (Paced off the host clock this sub-second run had only the last.)
-    assert [record["seq"] for record in records] == [0, 1, 2]
-    assert records[-1]["wall_seconds"] == pytest.approx(2.71)
-    assert records[-1]["label"] == "p40"
-    assert records[-1]["peak_telemetry_bytes"] > 0
-
-    # A rerun against the observed baseline is regression-free: the
-    # telemetry counters are deterministic.
-    assert run_on_fake_clock(
-        _run_scale, observed + ["--baseline", str(manifest_path),
-                                "--threshold", "0.5"]) == 0
-    assert "0 regression(s)" in capsys.readouterr().out
-
-    assert main(["status", str(progress_path)]) == 0
-    status_out = capsys.readouterr().out
-    assert "p40" in status_out
-
-
-def test_dirshard_parser_defaults():
-    args = build_parser().parse_args(["dirshard"])
-    assert args.populations == [1_000, 100_000]
-    assert args.shards == [1, 2, 4]
-    assert args.placement == "modulo"
-    assert args.replication == 1
-    assert args.threshold == 0.20
-
-
-def test_dirshard_sweep_compares_clean_and_shares_never_gate(tmp_path,
-                                                             capsys):
-    """A small sweep diffs clean against its own rerun, and doctored
-    load-share counters only warn (the shares move with placement and
-    shard lists, which the fingerprint guards)."""
-    import json
-
-    baseline = tmp_path / "BENCH_dirshard.json"
-    small = ["dirshard", "--populations", "40", "--shards", "1", "2",
-             "--sample", "4", "--cohorts", "4", "--partitions", "2",
-             "--params", "2000", "--ipfs-nodes", "4"]
-    code = run_on_fake_clock(_run_dirshard,
-                             small + ["--output", str(baseline)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "regs/sec" in out
-    assert baseline.exists()
-
-    code = run_on_fake_clock(_run_dirshard,
-                             small + ["--baseline", str(baseline),
-                                      "--threshold", "0.5"])
-    assert code == 0
-    assert "0 regression(s)" in capsys.readouterr().out
-
-    doctored = json.loads(baseline.read_text())
-    share_key = "dirshard.p40.s2.share.directory-shard-0"
-    assert share_key in doctored["counters"]
-    doctored["counters"][share_key] /= 100.0
-    baseline.write_text(json.dumps(doctored))
-    assert run_on_fake_clock(_run_dirshard,
-                             small + ["--baseline", str(baseline),
-                                      "--threshold", "0.5"]) == 0
-
-
-def test_dirshard_detects_a_throughput_regression(tmp_path, capsys):
-    """A baseline doctored to claim a much less loaded busiest shard
-    must trip the gate (max_busy_seconds carries the throughput
-    direction); --warn-only downgrades it to exit 0."""
-    import json
-
-    baseline = tmp_path / "BENCH_dirshard.json"
-    small = ["dirshard", "--populations", "40", "--shards", "2",
-             "--sample", "4", "--cohorts", "4", "--partitions", "2",
-             "--params", "2000", "--ipfs-nodes", "4"]
-    assert main(small + ["--output", str(baseline)]) == 0
-    capsys.readouterr()
-
-    doctored = json.loads(baseline.read_text())
-    key = "dirshard.p40.s2.max_busy_seconds"
-    doctored["counters"][key] = doctored["counters"][key] / 1e6
-    baseline.write_text(json.dumps(doctored))
-
-    code = main(small + ["--baseline", str(baseline)])
-    assert code == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-    assert main(small + ["--baseline", str(baseline),
-                         "--warn-only"]) == 0
-
-
 def test_status_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["status", str(tmp_path / "absent.jsonl")]) == 1
     capsys.readouterr()
@@ -551,21 +378,6 @@ def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path):
     assert data["dispatches"] > 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert data["fingerprint"] == manifest["fingerprint"]
-
-
-def test_profile_with_a_population_covers_the_cohort_role(tmp_path):
-    import json
-
-    run = run_bundle([
-        "--trainers", "4", "--rounds", "1", "--partitions", "2",
-        "--ipfs-nodes", "4", "--params", "2000",
-        "--population", "200", "--cohorts", "8", "--seed", "7",
-    ], tmp_path)
-    assert run.code == 0
-    data = json.loads((tmp_path / "profile.json").read_text())
-    modules = {scope["phase"] for scope in data["scopes"]
-               if scope["subsystem"] == "core"}
-    assert "cohort" in modules
 
 
 # -- status exit-code contract / clock injection ------------------------------

@@ -346,9 +346,6 @@ def test_indexed_entries_equal_the_brute_force_filter():
         yield from client.register(
             Address("agg-0", 0, 0, PARTIAL_UPDATE), cids[6])
         yield from client.register(Address("t9", 0, 0, GRADIENT), cids[7])
-        # Cohort load carries no addresses: must leave the indexes alone.
-        yield from client.register_cohort(1, members=50, num_partitions=2,
-                                          cohort="cohort-0")
 
     run(sim, scenario())
     everything = list(directory._entries.values())

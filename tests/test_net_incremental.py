@@ -304,7 +304,7 @@ def test_wakeup_cancellation_counters():
 def test_sub_resolution_flow_completes_instead_of_livelocking():
     """A residual whose finish delay is below the clock's float ulp.
 
-    At cohort-scale rates (10^8+ B/s) a flow can be left with remaining
+    At aggregate-link rates (10^8+ B/s) a flow can be left with remaining
     bytes just above the epsilon while ``remaining / rate`` is smaller
     than one ulp of ``sim.now`` — the armed wakeup then fires at the
     *same* timestamp and no progress is ever possible.  The guard must

@@ -142,7 +142,7 @@ def test_public_surface_only_shrinks():
     parameters = inspect.signature(FLSession.__init__).parameters
     assert list(parameters) == [
         "self", "config", "model_factory", "datasets", "network", "faults",
-        "directory", "behaviors", "sim", "cohort",
+        "directory", "behaviors", "sim",
     ]
     assert not any(p.kind is p.VAR_KEYWORD for p in parameters.values())
     profile_fields = {f.name for f in dataclasses.fields(NetworkProfile)}
@@ -171,10 +171,16 @@ def test_public_surface_only_shrinks():
     assert len(repro.ipfs.__all__) <= 27
     assert len(repro.sim.__all__) <= 14
     # Events live in `repro.obs.events` only; a histogram is a sketch.
-    assert len(repro.obs.__all__) <= 49
+    assert len(repro.obs.__all__) <= 46
     assert list(inspect.signature(MetricsRegistry.__init__).parameters) \
         == ["self", "bus", "counters"]
-    assert len(repro.analysis.__all__) <= 36
+    assert len(repro.analysis.__all__) <= 21
+    # Exact N is the scale story: no statistical cohorts, no scale or
+    # sharding sweep and no event sampling that only they used.
+    import repro.core
+
+    assert len(repro.core.__all__) <= 41
+    assert not hasattr(EventBus, "admits")
     # One `run` writes one bundle and `explain` reads two of them; the
     # eight subcommands that each rebuilt that session stay gone.
     from repro.cli import build_parser
@@ -183,8 +189,8 @@ def test_public_surface_only_shrinks():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)).choices
     assert sorted(subcommands) == sorted(
-        "train providers-sweep commit-cost reproduce scale dirshard "
-        "status explain run".split())
+        "train providers-sweep commit-cost reproduce status explain "
+        "run".split())
 
     def flags(subcommand):
         return {option for action in subcommands[subcommand]._actions
@@ -193,7 +199,7 @@ def test_public_surface_only_shrinks():
     assert flags("run") == set(
         "--trainers --rounds --partitions --aggregators-per-partition "
         "--ipfs-nodes --bandwidth-mbps --params --merge-and-download "
-        "--verifiable --seed --providers --population --cohorts --plan "
+        "--verifiable --seed --providers --plan "
         "--request-timeout --inject --expect-anomaly --warn-only "
         "--artifacts".split())
     assert flags("explain") == {"--threshold", "--json"}

@@ -9,7 +9,6 @@ from repro.obs import (
     AnomalyWatchdog,
     ConvergenceDetector,
     CountersRegistry,
-    Detector,
     EventBus,
     FakeWallClock,
     FlightRecorder,
@@ -17,8 +16,6 @@ from repro.obs import (
     ProgressReporter,
     QueueRunawayDetector,
     RetryStormDetector,
-    SAMPLED_EVENT_FAMILIES,
-    SamplingPolicy,
     SimStallDetector,
     ThroughputCollapseDetector,
     format_heartbeat,
@@ -32,7 +29,6 @@ from repro.obs.events import (
     RetryExhausted,
     TrainingEvaluated,
     TransferAborted,
-    TransferStarted,
 )
 from repro.sim import Simulator
 from tests.util import run_bundle
@@ -275,21 +271,6 @@ def test_convergence_quiet_round_without_evaluations():
 # -- watchdog wiring -------------------------------------------------------------
 
 
-def test_watchdog_rejects_detectors_tapping_sampled_families():
-    class BadDetector(Detector):
-        kind = "bad"
-        event_types = (TransferStarted,)
-
-    with pytest.raises(ValueError, match="sampled family"):
-        AnomalyWatchdog(EventBus(), detectors=[BadDetector()])
-
-
-def test_stock_detector_taps_are_disjoint_from_sampled_families():
-    for detector in default_detectors():
-        for event_type in detector.event_types:
-            assert not issubclass(event_type, SAMPLED_EVENT_FAMILIES)
-
-
 def test_stock_detectors_cover_the_published_kind_catalog():
     kinds = {detector.kind for detector in default_detectors()}
     kinds.add("divergence")  # ConvergenceDetector's second kind
@@ -312,21 +293,6 @@ def test_watchdog_publishes_observed_anomalies_on_the_bus():
     bus.publish(abort(4.0))
     bus.publish(abort(5.0))
     assert len(watchdog.anomalies) == 1  # unsubscribed after finalize
-
-
-def test_watchdog_detectors_see_firehose_despite_aggressive_sampling():
-    # The sampled families can be thinned to near-zero without starving
-    # a detector: taps are pre-sample by construction.
-    bus = EventBus(sampling=SamplingPolicy.firehose(1e-9))
-    watchdog = AnomalyWatchdog(bus, detectors=default_detectors())
-    for event_type in watchdog._taps:
-        assert all(bus.admits(event_type, key) for key in range(64))
-    # Emission sites for sampled families *would* drop nearly all:
-    assert not all(bus.admits(TransferStarted, key)
-                   for key in range(64))
-    for at in (1.0, 2.0, 3.0):
-        bus.publish(abort(at))
-    assert watchdog.kinds() == ["retry_storm"]
 
 
 def test_watchdog_tick_loop_follows_sim_clock_and_stops():

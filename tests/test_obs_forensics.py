@@ -158,6 +158,26 @@ def test_ring_buffer_is_bounded():
     assert recorder.window[0].iteration == 6
 
 
+def test_default_window_leaves_out_the_firehose():
+    from repro.obs.events import (
+        DirectoryRequest,
+        GradientRegistered,
+        TransferCompleted,
+        TransferStarted,
+    )
+    from repro.obs.forensics import DEFAULT_WINDOW_EVENTS
+
+    bus = EventBus()
+    recorder = FlightRecorder(bus)
+    bus.publish(TransferStarted(at=1.0, src="a", dst="b", size=1.0))
+    bus.publish(DirectoryRequest(at=1.0, kind="dir.lookup", shard=None))
+    bus.publish(IterationStarted(at=1.0, iteration=0))
+    assert [type(event) for event in recorder.window] == [IterationStarted]
+    assert GradientRegistered in DEFAULT_WINDOW_EVENTS
+    assert not {TransferStarted, TransferCompleted, DirectoryRequest} \
+        & set(DEFAULT_WINDOW_EVENTS)
+
+
 def test_incident_cap_suppresses_overflow():
     bus = EventBus()
     recorder = FlightRecorder(bus, max_incidents=2)

@@ -501,13 +501,13 @@ def test_registry_accounts_its_own_cost():
 # -- the unobserved path allocates no telemetry (satellite regression) -----------
 
 
-def test_unobserved_cohort_run_allocates_no_telemetry_state(monkeypatch):
-    """A fully-unobserved 10^4-population run must never construct a
-    time series or sketch: the zero-subscriber contract extends to
-    allocation, not just dispatch."""
+def test_unobserved_exact_run_allocates_no_telemetry_state(monkeypatch):
+    """A 64-trainer exact round with nothing but the session's own
+    telemetry attached must never construct a time series or sketch:
+    the zero-subscriber contract extends to allocation, not just
+    dispatch."""
     import repro.obs.metrics as metrics_module
     import repro.obs.sketch as sketch_module
-    from repro.analysis.scale import ScaleScenario, run_scale_point
 
     def explode(self, *args, **kwargs):
         raise AssertionError(
@@ -515,7 +515,13 @@ def test_unobserved_cohort_run_allocates_no_telemetry_state(monkeypatch):
 
     monkeypatch.setattr(metrics_module.TimeSeries, "__init__", explode)
     monkeypatch.setattr(sketch_module.QuantileSketch, "__init__", explode)
-    point = run_scale_point(10_000, ScaleScenario())
-    assert point.cohorts_completed > 0
-    assert point.telemetry_peak_bytes == 0
-    assert point.events_observed == 0
+    session = FLSession(
+        ProtocolConfig(num_partitions=4, t_train=600.0, t_sync=1200.0,
+                       update_mode="gradient", poll_interval=0.25, seed=7),
+        lambda: SyntheticModel(4_000),
+        [Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
+         for index in range(64)],
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
+    )
+    metrics = session.run_iteration()
+    assert len(metrics.trainers_completed) == 64

@@ -1,199 +1,24 @@
-"""Deterministic event sampling and the live progress layer."""
+"""The live progress layer: heartbeats over the event bus."""
 
 import io
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis.scale import ScaleScenario, run_scale_point, scale_manifest
+from repro.core import FLSession, ProtocolConfig
+from repro.ml import Dataset, SyntheticModel
+from repro.net import NetworkProfile
 from repro.obs import (
     EventBus,
     FakeWallClock,
     FlightRecorder,
-    InvariantMonitors,
     MetricsRegistry,
     ProgressReporter,
-    SAMPLED_EVENT_FAMILIES,
-    SamplingPolicy,
     format_heartbeat,
     read_progress,
-    sample_key,
 )
-from repro.obs.events import (
-    IterationFinished,
-    IterationStarted,
-    PROTOCOL_EVENTS,
-    TransferCompleted,
-    TransferStarted,
-)
-from repro.obs.forensics import DEFAULT_WINDOW_EVENTS
-
-
-# -- sample_key / SamplingPolicy -------------------------------------------------
-
-
-def test_sample_key_is_a_pure_function_of_its_parts():
-    assert sample_key("a", 1, 2.5) == sample_key("a", 1, 2.5)
-    assert sample_key("a", 1) != sample_key("a", 2)
-    assert 0 <= sample_key("x") < (1 << 64)
-    # Joined with a separator, so field boundaries matter.
-    assert sample_key("ab", "c") != sample_key("a", "bc")
-
-
-def test_sampling_policy_rejects_exact_families_and_bad_rates():
-    with pytest.raises(ValueError):
-        SamplingPolicy({IterationStarted: 0.5})
-    with pytest.raises(ValueError):
-        SamplingPolicy({TransferStarted: 0.0})
-    with pytest.raises(ValueError):
-        SamplingPolicy({TransferStarted: 1.5})
-
-
-def test_firehose_covers_every_samplable_family():
-    policy = SamplingPolicy.firehose(0.25)
-    assert set(policy.rates) == set(SAMPLED_EVENT_FAMILIES)
-    assert policy.describe() == {
-        family.__name__: 0.25 for family in SAMPLED_EVENT_FAMILIES
-    }
-    assert list(policy.describe()) == sorted(policy.describe())
-
-
-def test_admission_is_deterministic_and_near_the_rate():
-    policy = SamplingPolicy.firehose(0.25)
-    decisions = [
-        policy.admits(TransferCompleted, "src", "dst", float(index))
-        for index in range(4000)
-    ]
-    replay = [
-        policy.admits(TransferCompleted, "src", "dst", float(index))
-        for index in range(4000)
-    ]
-    assert decisions == replay
-    admitted = sum(decisions)
-    assert 0.20 * 4000 < admitted < 0.30 * 4000  # SHA-256 is uniform
-    assert all(
-        policy.admits(TransferCompleted, "s", "d", index)
-        for index in range(100)
-    ) is False
-
-
-@given(
-    rate=st.sampled_from([0.1, 0.25, 0.5, 0.75]),
-    salt=st.integers(min_value=0, max_value=1_000_000),
-)
-@settings(max_examples=20, deadline=None)
-def test_admitted_fraction_of_distinct_identities_tracks_the_rate(
-        rate, salt):
-    """Property: over any population of distinct identities, keyed
-    sampling admits ≈rate of them (SHA-256 behaves uniformly), and the
-    decision for each identity is stable."""
-    policy = SamplingPolicy.firehose(rate)
-    population = 4096
-    decisions = [
-        policy.admits(TransferStarted, f"id-{salt}-{index}", salt)
-        for index in range(population)
-    ]
-    fraction = sum(decisions) / population
-    assert abs(fraction - rate) < 0.05
-    replay = [
-        policy.admits(TransferStarted, f"id-{salt}-{index}", salt)
-        for index in range(population)
-    ]
-    assert replay == decisions
-
-
-def test_rate_one_admits_everything():
-    policy = SamplingPolicy.firehose(1.0)
-    assert all(policy.admits(family, index)
-               for family in SAMPLED_EVENT_FAMILIES
-               for index in range(50))
-
-
-def test_bus_without_policy_admits_everything():
-    bus = EventBus()
-    assert bus.admits(TransferStarted, "anything")
-    bus.sampling = SamplingPolicy.firehose(1e-9)
-    assert not any(bus.admits(TransferStarted, index) for index in range(100))
-
-
-# -- pre-sample taps: exact consumers never read sampled families ----------------
-
-
-def test_sampled_families_are_disjoint_from_every_exact_consumer():
-    """The exactness contracts (byte conservation, telemetry, forensics
-    default window) hold under any sampling rate because their inputs
-    are never sampled."""
-    sampled = set(SAMPLED_EVENT_FAMILIES)
-    monitors = InvariantMonitors(EventBus())
-    assert sampled.isdisjoint(monitors._dispatch.keys())
-    monitors.close()
-    assert sampled.isdisjoint(PROTOCOL_EVENTS)
-    assert sampled.isdisjoint(DEFAULT_WINDOW_EVENTS)
-
-
-def test_monitors_stay_clean_under_aggressive_sampling():
-    from repro.analysis.scale import _build_session
-
-    scenario = ScaleScenario()
-    session = _build_session(500, scenario)
-    session.sim.bus.sampling = SamplingPolicy.firehose(0.05)
-    monitors = InvariantMonitors(session.sim.bus)
-    session.run_iteration()
-    assert monitors.violations == []
-    monitors.close()
-
-
-# -- sampled replay determinism --------------------------------------------------
-
-
-def _observed_run(population=500):
-    scenario = ScaleScenario(observed=True, event_sample_rate=0.25)
-    point = run_scale_point(population, scenario)
-    manifest = scale_manifest([point], scenario)
-    counters = {
-        name: value for name, value in manifest.counters.items()
-        if not name.endswith("wall_per_iteration")
-    }
-    return manifest.fingerprint, counters, point
-
-
-def test_sampled_observed_replay_is_byte_identical():
-    fp_a, counters_a, point_a = _observed_run()
-    fp_b, counters_b, point_b = _observed_run()
-    assert fp_a == fp_b
-    assert counters_a == counters_b
-    assert point_a.telemetry_peak_bytes == point_b.telemetry_peak_bytes > 0
-    assert point_a.events_observed == point_b.events_observed > 0
-
-
-def test_sampling_rate_enters_the_scenario_fingerprint():
-    base = scale_manifest([], ScaleScenario(observed=True,
-                                            event_sample_rate=0.25))
-    other = scale_manifest([], ScaleScenario(observed=True,
-                                             event_sample_rate=0.5))
-    unobserved = scale_manifest([], ScaleScenario())
-    assert base.fingerprint != other.fingerprint
-    assert base.fingerprint != unobserved.fingerprint
-
-
-def test_session_fingerprint_records_the_sampling_policy():
-    from repro.analysis.scale import _build_session
-
-    scenario = ScaleScenario()
-    plain = _build_session(200, scenario).fingerprint()
-    sampled_session = _build_session(200, scenario)
-    sampled_session.sim.bus.sampling = SamplingPolicy.firehose(0.25)
-    sampled = sampled_session.fingerprint()
-    assert plain != sampled
-
-
-def test_sampling_reduces_observed_events():
-    full = run_scale_point(500, ScaleScenario(observed=True))
-    thinned = run_scale_point(
-        500, ScaleScenario(observed=True, event_sample_rate=0.25))
-    assert 0 < thinned.events_observed < full.events_observed
+from repro.obs.events import IterationFinished, IterationStarted
 
 
 # -- ProgressReporter ------------------------------------------------------------
@@ -274,13 +99,21 @@ def test_read_progress_tolerates_a_truncated_tail(tmp_path):
     assert read_progress(io.StringIO("")) == []
 
 
-def test_reporter_never_touches_the_simulated_clock():
-    from repro.analysis.scale import _build_session
+def _exact_session(trainers=24):
+    return FLSession(
+        ProtocolConfig(num_partitions=4, t_train=600.0, t_sync=1200.0,
+                       update_mode="gradient", poll_interval=0.25, seed=7),
+        lambda: SyntheticModel(4_000),
+        [Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
+         for index in range(trainers)],
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
+    )
 
-    scenario = ScaleScenario()
-    bare = _build_session(200, scenario)
+
+def test_reporter_never_touches_the_simulated_clock():
+    bare = _exact_session()
     bare.run_iteration()
-    watched = _build_session(200, scenario)
+    watched = _exact_session()
     reporter = ProgressReporter(watched.sim.bus, stream=None,
                                 jsonl=io.StringIO(), interval=1e-9,
                                 clock=FakeWallClock(tick=1e-6))
