@@ -6,12 +6,12 @@ Four runs on the same deployment:
 - ``verifiable``: the same with real Pedersen commitments end to end
   (commit at trainers, accumulate at the directory, verify the update),
 - ``verifiable + full-width cost``: additionally charging the measured
-  Fig. 3 *full-width* slope (~170 us/param in pure Python: uniform Z_n
+  Fig. 3 *full-width* slope (~167 us/param in pure Python: uniform Z_n
   exponents, the paper's regime) inside the *simulated* clock, so the
   iteration timeline shows commitment computation overtaking
   communication — the paper's bottleneck finding,
 - ``verifiable + gradient cost``: charging the Fig. 3 *gradient* slope
-  instead (~15 us/param: what a commitment to 16-bit fixed-point
+  instead (~14 us/param: what a commitment to 16-bit fixed-point
   gradients costs once the multi-exponentiation works on centred
   scalars) — how far the bottleneck recedes for the traffic the
   protocol actually has.
@@ -26,8 +26,8 @@ from repro.net import NetworkProfile
 
 NUM_TRAINERS = 4
 MODEL_PARAMS = 8_000  # kept small: the commitments are computed for real
-FIG3_FULL_WIDTH_S_PER_PARAM = 170e-6
-FIG3_GRADIENT_S_PER_PARAM = 15e-6
+FIG3_FULL_WIDTH_S_PER_PARAM = 167e-6
+FIG3_GRADIENT_S_PER_PARAM = 14e-6
 
 
 def make_session(verifiable: bool, commit_seconds_per_param=None):

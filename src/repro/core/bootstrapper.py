@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from ..net import Transport
@@ -177,13 +178,31 @@ class Bootstrapper:
 
     def announce(self, schedule: IterationSchedule,
                  participants: Sequence[str]):
-        """Send the schedule to every participant; returns when delivered.
+        """Send the schedule to every participant; returns an event that
+        fires once every copy arrived or aborted, valued with the
+        participants it did not reach (a link that went down while the
+        announcement was in flight).
 
         Only its wire size travels: the session hands ``schedule`` itself
         to the roles it starts, so a message in each inbox would be one
         nobody ever receives.
         """
-        return self.sim.all_of([
-            self.network.transfer(self.name, participant, SCHEDULE_WIRE_SIZE)
-            for participant in participants
-        ])
+        announced = self.sim.event()
+        unreached: List[str] = []
+        pending = [len(participants)]
+
+        def settle(participant, event):
+            if not event.ok:
+                event.defused()
+                unreached.append(participant)
+            pending[0] -= 1
+            if not pending[0]:
+                announced.succeed(unreached)
+
+        for participant in participants:
+            transfer = self.network.transfer(
+                self.name, participant, SCHEDULE_WIRE_SIZE)
+            transfer._add_callback(partial(settle, participant))
+        if not participants:
+            announced.succeed(unreached)
+        return announced

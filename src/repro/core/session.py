@@ -374,13 +374,14 @@ class FLSession(Session):
 
     def _round(self, iteration: int, schedule: IterationSchedule):
         """Announce the schedule, then run every participant under
-        supervision.  One whose link is down cannot be told the schedule:
-        it sits the round out, degraded."""
+        supervision.  One whose link is down — at the start, or before its
+        copy of the schedule arrived — cannot be told the schedule: it
+        sits the round out, degraded."""
         online = self.testbed.network.host_online
         supervised = self.trainers + self.aggregators
         unreachable = {p.name for p in supervised if not online(p.name)}
-        yield self.bootstrapper.announce(schedule, [
-            p.name for p in supervised if p.name not in unreachable])
+        unreachable.update((yield self.bootstrapper.announce(schedule, [
+            p.name for p in supervised if p.name not in unreachable])))
         self._round_processes = {}
         processes = []
         for role, members in (("trainer", self.trainers),

@@ -14,10 +14,10 @@ plus an auto-dispatching :func:`multi_scalar_mult`.
 Every path works on the **centred lift** of its scalars: ``s·P`` becomes
 ``|s̃|·(±P)`` with ``s̃ ∈ (−n/2, n/2]`` (negating an affine point is
 free), so a quantised gradient costs its 17–19 magnitude bits whatever
-its sign, not the 256 bits of ``n − |v|``.  Window widths and the
-Straus/Pippenger choice minimise counted group additions for the term
-count and bit length actually present; the ≈ ``bits`` doublings both
-algorithms share are left out of the comparison.
+its sign, not the 256 bits of ``n − |v|``.  Pippenger's signed digits
+halve its buckets, which stay affine: their additions run in batches
+sharing one field inversion.  Window widths and the Straus/Pippenger
+choice minimise counted field multiplications for the input at hand.
 """
 
 from __future__ import annotations
@@ -72,30 +72,57 @@ def _lift(scalars: Sequence[int],
     return curve, terms, union.bit_length()
 
 
-# -- counted group additions ------------------------------------------------------
+# -- counted field multiplications -----------------------------------------------
+
+#: Field multiplications (squarings too) of a Jacobian add, mixed add and
+#: double, a batched affine add (3 for its share of the inversion, 3 for
+#: slope, x, y) and a batch's one inversion (≈ 40 on CPython's integers).
+_ADD, _MIXED, _DOUBLE, _AFFINE, _INVERSION = 16, 11, 10, 6, 40
 
 
-def _straus_adds(count: int, bits: int, width: int) -> float:
-    """Per term: the table of odd multiples (``2^(w-2)`` operations; none
-    at width 2) plus one addition per ``w + 1`` of its wNAF digits."""
-    table = (1 << (width - 2)) if width > 2 else 0
-    return count * (table + (bits + 1) / (width + 1))
+def _straus_cost(count: int, bits: int, width: int) -> float:
+    """Per term: its table of odd multiples (none at width 2) and an add
+    per ``w + 1`` wNAF digits; one shared double per digit position."""
+    table = _DOUBLE + ((1 << (width - 2)) - 1) * _ADD if width > 2 else 0
+    return count * (table + (bits + 1) / (width + 1) * _ADD) \
+        + (bits + 1) * _DOUBLE
 
 
-def _pippenger_adds(count: int, bits: int, window: int) -> int:
-    """Per window: one addition per term — into its bucket or, for the
-    point a bucket was seeded with, when the sweep reaches that bucket —
-    plus one running-total addition per bucket."""
-    return -(-bits // window) * (count + (1 << window))
+def _windows(bits: int, window: int) -> Tuple[int, List[int]]:
+    """``(offset, buckets per window)``: ``m + offset`` has the digits
+    ``d + 2^(c−1) − 1`` of ``m``'s signed digits ``d ∈ (−2^(c−1),
+    2^(c−1)]``, in one window more than ``bits / c`` (for the carry)."""
+    half = 1 << (window - 1)
+    windows = bits // window + 1
+    offset = (half - 1) * (((1 << window * windows) - 1) // ((half << 1) - 1))
+    top = (((1 << bits) - 1 + offset) >> window * (windows - 1)) - half + 1
+    return offset, [half] * (windows - 1) + [max(top, 1)]
 
 
-def _cheapest(adds, count: int, bits: int, candidates) -> Tuple[float, int]:
-    """``(additions, parameter)`` of the cheapest candidate parameter."""
-    return min([(adds(count, bits, c), c) for c in candidates])
+def _pippenger_cost(count: int, bits: int, window: int) -> float:
+    """Per window of ``B`` buckets: the terms with a non-zero digit fill
+    the ``E`` they occupy, each bit group (the buckets with bit ``k`` of
+    their digit set) sums to one point, one inversion per batched pass,
+    and a double and a mixed add per digit bit join the total."""
+    cost = 0.0
+    for buckets in _windows(bits, window)[1]:
+        placed = count - count / (2 * buckets)
+        occupied = buckets * (1 - (1 - 1 / buckets) ** placed)
+        groups = buckets.bit_length()
+        members = (buckets * (groups - 1) / 2 + 1) * occupied / buckets
+        passes = int(placed // buckets).bit_length() + groups
+        cost += (_AFFINE * (placed - occupied + members - groups)
+                 + _INVERSION * passes + (_DOUBLE + _MIXED) * window)
+    return cost
+
+
+def _cheapest(cost, count: int, bits: int, candidates) -> Tuple[float, int]:
+    """``(field multiplications, parameter)`` of the cheapest candidate."""
+    return min([(cost(count, bits, c), c) for c in candidates])
 
 
 _WIDTHS = range(2, 8)
-_WINDOWS = range(1, 17)
+_WINDOWS = range(2, 17)
 
 
 # -- the two algorithms, on lifted terms ------------------------------------------
@@ -129,36 +156,68 @@ def _straus(curve: CurveParams, terms: List[Term], width: int):
     return accumulator
 
 
+def _batch_add(curve: CurveParams, pairs: List) -> None:
+    """Append ``P + Q`` (slope ``rise / run``) to its group for each pair
+    ``(group, x1, y1, x2, rise, run)``, with one inversion in all."""
+    p = curve.p
+    prefixes, product = [], 1
+    for pair in pairs:
+        prefixes.append(product)
+        product = product * pair[5] % p
+    inverse = pow(product, -1, p)  # of all runs; peeled back to front
+    for (group, x1, y1, x2, rise, run), prefix in zip(reversed(pairs),
+                                                       reversed(prefixes)):
+        slope = rise * (inverse * prefix % p) % p
+        inverse = inverse * run % p
+        x3 = (slope * slope - x1 - x2) % p
+        group.append((x3, (slope * (x1 - x3) - y1) % p))
+
+
+def _affine_sums(curve: CurveParams, groups: List[List]) -> None:
+    """Reduce each group of affine ``(x, y)`` in place to its sum (one
+    point, or none), adding pairwise in passes of one batch each."""
+    a = curve.a
+    while True:
+        pairs = []
+        for group in groups:
+            while len(group) > 1:
+                x1, y1 = group.pop()
+                x2, y2 = group.pop()
+                if x1 != x2:
+                    pairs.append((group, x1, y1, x2, y2 - y1, x2 - x1))
+                elif y1 == y2:  # P + P: the tangent's slope
+                    pairs.append((group, x1, y1, x1, 3 * x1 * x1 + a, y1 + y1))
+                # else P + (−P): the pair cancels to the identity.
+        if not pairs:
+            return
+        _batch_add(curve, pairs)
+
+
 def _pippenger(curve: CurveParams, terms: List[Term], bits: int, window: int):
-    mask = (1 << window) - 1
+    p = curve.p
+    half = 1 << (window - 1)
+    mask = (half << 1) - 1
+    offset, sizes = _windows(bits, window)
     accumulator = _JAC_IDENTITY
-    # Only the windows some magnitude reaches, most significant first.
-    for shift in range((bits - 1) // window * window, -1, -window):
-        if accumulator[2]:
-            for _ in range(window):
-                accumulator = _jac_double(curve, accumulator)
-        buckets: List = [None] * (mask + 1)  # by digit; slot 0 unused
+    for shift in range((len(sizes) - 1) * window, -1, -window):
+        buckets: List[List] = [[] for _ in range(half)]  # digit d at d − 1
         for magnitude, x, y in terms:
-            digit = (magnitude >> shift) & mask
-            if digit:
-                held = buckets[digit]
-                # The first point of a bucket is seeded from its affine
-                # coordinates: no group operation.
-                buckets[digit] = (x, y, 1) if held is None else \
-                    _jac_add_mixed(curve, held, x, y)
-        # Σ digit · bucket[digit] by running sums, starting at the
-        # highest occupied bucket.
-        running = window_sum = None
-        for digit in range(mask, 0, -1):
-            bucket = buckets[digit]
-            if bucket is not None:
-                running = bucket if running is None else \
-                    _jac_add(curve, running, bucket)
-            if running is not None:
-                window_sum = running if window_sum is None else \
-                    _jac_add(curve, window_sum, running)
-        if window_sum is not None:
-            accumulator = _jac_add(curve, accumulator, window_sum)
+            digit = ((magnitude + offset) >> shift & mask) - half + 1
+            if digit > 0:
+                buckets[digit - 1].append((x, y))
+            elif digit < 0:  # −d·P = d·(−P), and negating is free
+                buckets[-digit - 1].append((x, p - y))
+        _affine_sums(curve, buckets)
+        # Σ d·B_d = Σ_k 2^k · (Σ of the buckets whose d has bit k set):
+        # affine sums again, then one double and mixed add per digit bit.
+        groups = [[bucket[0] for digit, bucket in enumerate(buckets, 1)
+                   if digit >> k & 1 and bucket] for k in range(window)]
+        _affine_sums(curve, groups)
+        for group in reversed(groups):
+            if accumulator[2]:
+                accumulator = _jac_double(curve, accumulator)
+            if group:
+                accumulator = _jac_add_mixed(curve, accumulator, *group[0])
     return accumulator
 
 
@@ -171,10 +230,10 @@ def straus(scalars: Sequence[int], points: Sequence[Point],
 
     Efficient for small batches (tens of points), e.g. re-checking a
     handful of accumulated commitments.  ``width = 0`` picks the wNAF
-    width from the counted-additions model.
+    width from the counted field-multiplication model.
     """
     curve, terms, bits = _lift(scalars, points)
-    width = width or _cheapest(_straus_adds, len(terms), bits, _WIDTHS)[1]
+    width = width or _cheapest(_straus_cost, len(terms), bits, _WIDTHS)[1]
     return Point.from_jacobian(curve, _straus(curve, terms, width))
 
 
@@ -182,15 +241,16 @@ def pippenger(scalars: Sequence[int], points: Sequence[Point],
               window: int = 0) -> Point:
     """Bucket-method multi-exponentiation.
 
-    Cost ≈ ``(bits/c) · (n + 2^c)`` point additions for n terms of at
-    most ``bits`` centred magnitude bits and bucket width c, versus
-    ``n · bits/2`` for naive per-term wNAF — the difference between
-    minutes and hours at model scale.  ``window = 0`` picks c from that
-    count.
+    Cost ≈ ``(bits/c) · (n + c · 2^(c−2))`` batched affine additions
+    (≈ 6 field multiplications each) for n terms of at most ``bits``
+    centred magnitude bits in signed c-bit digits, versus ``n · bits/2``
+    Jacobian additions for naive per-term wNAF — the difference between
+    minutes and hours at model scale.  ``window = 0`` picks c from the
+    counted field multiplications.
     """
     curve, terms, bits = _lift(scalars, points)
     window = window or _cheapest(
-        _pippenger_adds, len(terms), bits, _WINDOWS)[1]
+        _pippenger_cost, len(terms), bits, _WINDOWS)[1]
     return Point.from_jacobian(
         curve, _pippenger(curve, terms, bits, window)
     )
@@ -199,13 +259,13 @@ def pippenger(scalars: Sequence[int], points: Sequence[Point],
 def multi_scalar_mult(scalars: Sequence[int],
                       points: Sequence[Point]) -> Point:
     """``∑ scalar_i · point_i`` (``∏ h_i^{v_i}``) by whichever of Straus
-    and Pippenger counts fewer group additions for this input."""
+    and Pippenger counts fewer field multiplications for this input."""
     curve, terms, bits = _lift(scalars, points)
     count = len(terms)
-    straus_adds, width = _cheapest(_straus_adds, count, bits, _WIDTHS)
-    pippenger_adds, window = _cheapest(
-        _pippenger_adds, count, bits, _WINDOWS)
-    if straus_adds <= pippenger_adds:
+    straus_cost, width = _cheapest(_straus_cost, count, bits, _WIDTHS)
+    pippenger_cost, window = _cheapest(
+        _pippenger_cost, count, bits, _WINDOWS)
+    if straus_cost <= pippenger_cost:
         result = _straus(curve, terms, width)
     else:
         result = _pippenger(curve, terms, bits, window)

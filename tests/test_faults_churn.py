@@ -191,6 +191,32 @@ def test_round_starts_without_a_participant_whose_link_is_down():
     ]
 
 
+def test_link_down_while_the_announcement_is_in_flight():
+    """The link goes down after the round checked it but before the
+    96-byte schedule arrived: the participant was never told the
+    schedule, so it sits the round out like one that was dark at the
+    start — the round itself must not abort."""
+    config = ProtocolConfig(num_partitions=2, t_train=60.0, t_sync=120.0,
+                            update_mode="params", seed=1,
+                            poll_interval=0.25)
+    plan = FaultPlan.of(FaultSpec(kind="link_down", at=1e-5, duration=5.0,
+                                  target="trainer-0"))
+    session = FLSession(config, lambda: SyntheticModel(2000),
+                        dummy_datasets(4),
+                        network=NetworkProfile(num_ipfs_nodes=4),
+                        faults=plan)
+
+    first = session.run_iteration()
+    assert first.degraded == {"trainer-0": "unreachable at round start"}
+    assert sorted(first.trainers_completed) == [
+        "trainer-1", "trainer-2", "trainer-3",
+    ]
+    # The outage healed at t = 5: trainer-0 late-joins the next round.
+    second = session.run_iteration()
+    assert second.degraded == {}
+    assert len(second.trainers_completed) == 4
+
+
 # -- seeded determinism -------------------------------------------------------------
 
 
