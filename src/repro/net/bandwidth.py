@@ -9,9 +9,9 @@ The model is *flow-level*: a transfer is a fluid flow with a remaining byte
 count, and the set of concurrent flows receives a max-min fair allocation
 subject to each host's uplink and downlink capacities (progressive-filling
 algorithm).  Rates are solved **once per simulated instant**: a start,
-finish, abort or capacity change only marks its links dirty and arms one
-*settle* event at the kernel's ``PRIORITY_LATE``, which runs after every
-other event of that timestamp, re-solves the touched flows and re-arms the
+finish, abort or capacity change only marks its links dirty and registers
+one *settle* hook (``Simulator.at_instant_end``: after every event of that
+timestamp), which re-solves the touched flows and re-arms the
 next-completion wakeup (a cancellable kernel timeout, so superseded wakeups
 leave the heap instead of polluting it).  No byte moves while the clock
 stands still and a max-min allocation depends only on the flow set, so N
@@ -24,14 +24,14 @@ The solve is *incremental*: a change can only move the allocation inside the
 connected component of the flow-link bipartite graph it touches (max-min
 progressive filling decomposes across components — rounds in one component
 never read or write another's residual capacity).  The scheduler therefore
-keeps a link -> flows index, finds the component(s) of the instant's dirty
-links by BFS and re-solves only those.  Component flows are allocated in
-``flow_id`` order — the same relative order a global recomputation would
-visit them — so the rates are bit-identical to a global solve over all
-flows (there is a property test for this).  Every component, of 1 flow or
-10^3, goes to the one solver, :func:`max_min_rates`, whose bottleneck
-queue costs the component's flow-link incidences times a heap operation
-and equals the full-scan progressive fill kept in
+keeps a link -> flows index, finds the component of each flow on the
+instant's dirty links by BFS and re-solves only those: in closed form
+when it has fewer than two finite links (a directory poll), the rest in
+one call of the one solver, :func:`max_min_rates`, in ``flow_id`` order —
+the relative order a global recomputation would visit them — so the rates
+are bit-identical to a global solve over all flows (there are property
+tests for this).  Its bottleneck queue costs the flow-link incidences
+times a heap operation and equals the full-scan progressive fill kept in
 ``tests/reference_max_min.py`` bit for bit.  See ``docs/SCALING.md``.
 """
 
@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..sim import PRIORITY_LATE, Event, Simulator, Timeout
+from ..sim import Event, Simulator, Timeout
 
 __all__ = ["Link", "Flow", "FlowScheduler", "TransferAbortedError",
            "max_min_rates", "max_min_rates_vectorized"]
@@ -247,9 +247,8 @@ class FlowScheduler:
         self._last_update = sim.now
         #: Links whose flow set or capacity changed since the last solve.
         self._dirty: List[Link] = []
-        #: The LATE-priority event that will re-solve ``_dirty`` once this
-        #: instant's other events are done; None when rates are settled.
-        self._settle_timer: Optional[Timeout] = None
+        #: True while the end-of-instant hook that re-solves ``_dirty`` waits.
+        self._settle_pending = False
         #: The armed next-completion wakeup.
         self._wakeup: Optional[Timeout] = None
         #: Total bytes delivered since construction (telemetry).
@@ -359,8 +358,8 @@ class FlowScheduler:
         self._last_update = self.sim.now
         if elapsed <= 0:
             return
-        if self._settle_timer is not None:
-            # LATE priority runs the settle before the kernel leaves its
+        if self._settle_pending:
+            # The kernel runs the settle hook before it leaves its
             # timestamp; progress at unsettled rates would be wrong bytes.
             raise RuntimeError("clock advanced with a rate settle pending")
         for flow in self._flows:
@@ -392,46 +391,58 @@ class FlowScheduler:
         it is solved once, after the instant's last ordinary event.
         """
         self._dirty.extend(links)
-        if self._settle_timer is None:
-            self._settle_timer = self.sim.timeout(0.0, priority=PRIORITY_LATE)
-            self._settle_timer._add_callback(self._settle)
+        if not self._settle_pending:
+            self._settle_pending = True
+            self.sim.at_instant_end(self._settle)
 
     def _solve_dirty(self) -> Dict[Flow, float]:
-        """Max-min rates of the component(s) touching the dirty links.
+        """Max-min rates of the components of the flows on dirty links.
 
         Components are taken over *finite* links only: an infinite-capacity
-        link never bottlenecks, so it couples nothing — treating it as a
-        non-edge keeps a shared directory host from merging every
-        component.  Dirty links expand unconditionally (a capacity mutation
-        may have just made one infinite).  Solved in flow_id order, the
-        relative order a global recomputation would use.
+        link never bottlenecks, so it couples nothing, dirty or not (a
+        shared directory host).  A component with no finite link runs at
+        ``inf``, one with a single finite link at its capacity over its
+        crossings: progressive filling's first round and, there, its last,
+        so the solver's value to the bit.  The rest is pooled into one
+        solve in flow_id order, the relative order a global recomputation
+        would use.
         """
-        frontier: List[Link] = []
-        seen_links: Set[Link] = set()
-        for link in self._dirty:
-            if link not in seen_links and link in self._link_flows:
-                seen_links.add(link)
-                frontier.append(link)
-        members: Set[Flow] = set()
-        while frontier:
-            link = frontier.pop()
-            for flow in self._link_flows[link]:
-                if flow in members:
+        link_flows = self._link_flows
+        rates: Dict[Flow, float] = {}
+        pooled: List[Flow] = []
+        for link in dict.fromkeys(self._dirty):
+            for seed in link_flows.get(link, ()):
+                if seed in rates:
                     continue
-                members.add(flow)
-                for other in flow.links:
-                    if (other not in seen_links
-                            and not math.isinf(other.capacity)
-                            and other in self._link_flows):
-                        seen_links.add(other)
-                        frontier.append(other)
-        if not members:
-            return {}
-        return max_min_rates(sorted(members, key=lambda flow: flow.flow_id))
+                rates[seed] = math.inf  # seen; stays if no finite link
+                component = [seed]
+                finite: Set[Link] = set()
+                crossings = 0
+                for flow in component:  # grows while it is walked
+                    for other in flow.links:
+                        if other.capacity == math.inf:
+                            continue
+                        crossings += 1
+                        if other not in finite:
+                            finite.add(other)
+                            for peer in link_flows[other]:
+                                if peer not in rates:
+                                    rates[peer] = math.inf  # seen
+                                    component.append(peer)
+                if len(finite) == 1:
+                    share = finite.pop().capacity / crossings
+                    for flow in component:
+                        rates[flow] = share
+                elif finite:
+                    pooled.extend(component)
+        if pooled:
+            rates.update(max_min_rates(
+                sorted(pooled, key=lambda flow: flow.flow_id)))
+        return rates
 
-    def _settle(self, _event: Event) -> None:
+    def _settle(self) -> None:
         """Install the instant's allocation and re-arm the wakeup."""
-        self._settle_timer = None
+        self._settle_pending = False
         if self._wakeup is not None:
             if self._wakeup.cancel():
                 self.cancelled_wakeups += 1

@@ -8,9 +8,10 @@ Python objects (no serialization needed inside the simulator).
 A message costs no process: one callback on its transfer's completion
 event files it in the destination inbox and fires the sender's delivery
 event (three kernel steps with the waiting getter's, see
-:mod:`repro.net.network`).  A message whose transfer aborts is lost, not
-an error: ``dropped`` counts it and the sender's event never fires;
-request/response callers recover via timeout + retry.
+:mod:`repro.net.network`; two if no sender waits on that event: it is
+marked processed, not dispatched).  A message whose transfer aborts is
+lost, not an error: ``dropped`` counts it and the sender's event never
+fires; request/response callers recover via timeout + retry.
 """
 
 from __future__ import annotations
@@ -146,7 +147,11 @@ class Transport:
                 self.delivered_by_kind.get(message.kind, 0) + 1
             )
             self._endpoints[message.dst].inbox.deposit(message)
-            delivered.succeed(message)
+            if delivered.callbacks:
+                delivered.succeed(message)
+            else:  # nobody waits: processed in place, never dispatched
+                delivered._ok, delivered._value = True, message
+                delivered.callbacks = None
 
         self.network.transfer(
             message.src, message.dst, message.size

@@ -6,13 +6,12 @@ Public surface:
 - :class:`Event`, :class:`Timeout`, :class:`Process` — core event types.
 - :class:`AllOf` / :class:`AnyOf` — condition events.
 - :class:`Interrupt` — exception thrown into interrupted processes.
-- ``PRIORITY_URGENT`` / ``PRIORITY_NORMAL`` / ``PRIORITY_LATE`` — order of
-  events sharing a timestamp (LATE: after everything else of that instant).
+- ``PRIORITY_URGENT`` / ``PRIORITY_NORMAL`` — order of events sharing a
+  timestamp; :meth:`Simulator.at_instant_end` runs work after all of them.
 - :class:`Store`, :class:`FilterStore` — waitable primitives.
 """
 
 from .core import (
-    PRIORITY_LATE,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     AllOf,
@@ -34,7 +33,6 @@ __all__ = [
     "Event",
     "FilterStore",
     "Interrupt",
-    "PRIORITY_LATE",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
     "Process",

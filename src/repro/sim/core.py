@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..obs.bus import EventBus
@@ -43,18 +44,15 @@ __all__ = [
     "Simulator",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
-    "PRIORITY_LATE",
 ]
 
 # Scheduling priorities: events scheduled at the same simulated time are
 # processed in priority order, then in FIFO order of scheduling.  URGENT is
 # kernel plumbing (process start, interrupts, late waiters), NORMAL is every
-# ordinary event, LATE runs once everything else of its timestamp is done —
-# including NORMAL events scheduled after it — and before the clock moves:
-# the slot for end-of-instant work such as the flow scheduler's settle.
+# ordinary event.  End-of-instant work (the flow scheduler's settle) is no
+# event: see :meth:`Simulator.at_instant_end`.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LATE = 2
 
 _PENDING = object()  # sentinel: event value not yet decided
 
@@ -180,15 +178,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 priority: int = PRIORITY_NORMAL):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._schedule(self, priority, delay)
+        sim._schedule(self, PRIORITY_NORMAL, delay)
 
     def cancel(self) -> bool:
         """Remove this timeout from the simulator queue before it fires.
@@ -317,7 +314,11 @@ class Process(Event):
                 f"process {self.name!r} yielded a non-event: {next_target!r}"
             )
         self._target = next_target
-        next_target._add_callback(self._resume)
+        callbacks = next_target.callbacks
+        if callbacks is None:
+            next_target._add_callback(self._resume)
+        else:
+            callbacks.append(self._resume)
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'ended'}>"
@@ -409,6 +410,8 @@ class Simulator:
         #: Live tombstone count; when tombstones dominate, the queue is
         #: compacted so cancelled bulk schedules cannot leak memory.
         self._tombstones = 0
+        #: One-shot callbacks for the end of the current instant, FIFO.
+        self._instant_end: deque = deque()
         #: The simulation's observability spine: everything built on this
         #: kernel (network, IPFS, protocol roles) publishes typed events
         #: here; telemetry/tracing subscribe.  See :mod:`repro.obs`.
@@ -430,16 +433,21 @@ class Simulator:
 
     def event(self) -> Event:
         """Create a new pending event."""
-        return Event(self)
+        event = Event.__new__(Event)  # the slots, without __init__'s call
+        event.sim, event.callbacks, event._value = self, [], _PENDING
+        event._ok, event._defused, event._heap_entry = None, False, None
+        return event
 
-    def timeout(self, delay: float, value: Any = None,
-                priority: int = PRIORITY_NORMAL) -> Timeout:
-        """Create an event that fires ``delay`` time units from now.
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """Create an event that fires ``delay`` time units from now."""
+        return Timeout(self, delay, value)
 
-        ``priority`` orders it among the events of its timestamp;
-        ``PRIORITY_LATE`` makes it the last thing that instant does.
-        """
-        return Timeout(self, delay, value, priority)
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once no event of this instant is left
+        queued (also those scheduled later), before the clock moves.  One
+        hook per :meth:`step`, first in, first out: events a hook
+        schedules for now run before the next hook."""
+        self._instant_end.append(callback)
 
     def timeout_many(self, delays: Iterable[float],
                      value: Any = None) -> List[Timeout]:
@@ -496,9 +504,11 @@ class Simulator:
     def _tombstoned(self) -> None:
         """Account a cancelled entry; compact once tombstones dominate."""
         self._tombstones += 1
-        if self._tombstones > 64 and self._tombstones * 2 > len(self._queue):
-            self._queue = [e for e in self._queue if e[3] is not None]
-            heapq.heapify(self._queue)
+        queue = self._queue
+        if self._tombstones > 64 and self._tombstones * 2 > len(queue):
+            # In place: a loop may hold the heap in a local.
+            queue[:] = [e for e in queue if e[3] is not None]
+            heapq.heapify(queue)
             self._tombstones = 0
 
     def _purge_head(self) -> None:
@@ -509,13 +519,21 @@ class Simulator:
             self._tombstones -= 1
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next event or end-of-instant hook, or ``inf``."""
         self._purge_head()
+        if self._instant_end:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event, or the next end-of-instant hook
+        once no event of this instant is left."""
         queue = self._queue
+        if self._instant_end:
+            self._purge_head()
+            if not queue or queue[0][0] > self._now:
+                self._instant_end.popleft()()
+                return
         while True:
             if not queue:
                 raise SimulationError("no scheduled events")
@@ -540,12 +558,14 @@ class Simulator:
         callbacks ran, leaving later-scheduled events on the queue — the
         clock then reflects the event's time, not the queue drain.
         """
-        while not event.processed:
-            self._purge_head()
-            if not self._queue:
-                raise SimulationError(
-                    "deadlock: awaited event can never fire"
-                )
+        queue, hooks = self._queue, self._instant_end
+        while event.callbacks is not None:
+            if not hooks and (not queue or queue[0][3] is None):
+                self._purge_head()
+                if not queue:
+                    raise SimulationError(
+                        "deadlock: awaited event can never fire"
+                    )
             self.step()
 
     def run(self, until: Optional[float] = None) -> None:
@@ -558,11 +578,12 @@ class Simulator:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         while True:
             self._purge_head()
-            if not self._queue:
-                break
-            if until is not None and self._queue[0][0] > until:
-                self._now = until
-                return
+            if not self._instant_end:
+                if not self._queue:
+                    break
+                if until is not None and self._queue[0][0] > until:
+                    self._now = until
+                    return
             self.step()
         if until is not None:
             self._now = until

@@ -69,7 +69,7 @@ def utilization_oracle(scheduler):
 
 
 def _assert_rates_match_oracle(scheduler):
-    assert scheduler._settle_timer is None
+    assert not scheduler._settle_pending
     expected = reference_rates(list(scheduler._flows))
     for flow in scheduler._flows:
         assert flow.rate == expected[flow]

@@ -2,9 +2,10 @@
 
 A message is one chain of callbacks on events that exist anyway — the
 transfer's completion event, the receiver's getter, the sender's
-delivery event — plus its share of the flow scheduler's per-instant
-settle and wakeup.  No process, no process-start or process-end event,
-no put event.  These tests count ``Simulator.step`` calls, ``Process``
+delivery event when the sender waits on it — plus its share of the flow
+scheduler's per-instant settle and wakeup.  No process, no process-start
+or process-end event, no put event, no dispatch of a delivery event
+nobody waits on.  These tests count ``Simulator.step`` calls, ``Process``
 constructions and inbox predicate calls around fixed traffic; no host
 timing.
 """
@@ -79,17 +80,17 @@ def _round_trip(sim, a, b):
 
 
 def test_request_response_round_trip_spawns_no_process(kernel_work):
-    """11 steps for the round trip, against 23 steps and 4 processes on
-    the process-per-message path (measured at the parent commit; its
-    generator pair is kept under ``tests/`` and counted here next to it).
-    Per message: the transfer's event, the getter, the delivery event and
-    the flow's wakeup; the 3 settles are the scheduler's, one per busy
-    instant."""
+    """9 steps for the round trip, against 23 steps and 4 processes on
+    the process-per-message path (its generator pair is kept under
+    ``tests/`` and counted here next to it).  Per message: the transfer's
+    event, the getter and the flow's wakeup; neither end waits on its
+    delivery event, so neither is dispatched.  The 3 settles are the
+    scheduler's end-of-instant hooks, one step per busy instant."""
     sim, a, b = _pair()
     reply = _round_trip(sim, a, b)
     assert reply.value.payload == "reply" and sim.now == 1.5
     assert kernel_work["processes"] == []
-    assert kernel_work["steps"] == 11
+    assert kernel_work["steps"] == 9
 
     kernel_work.update(steps=0, processes=[])
     sim, a, b = _pair(ReferenceNetwork, ReferenceTransport)
@@ -99,10 +100,11 @@ def test_request_response_round_trip_spawns_no_process(kernel_work):
     assert kernel_work["steps"] == 23
 
 
-def test_same_instant_burst_costs_two_steps_a_message(kernel_work):
-    """64 sends at one timestamp, all through at one timestamp: two steps
-    each (the transfer's event, the delivery event) plus three scheduler
-    events for the lot, and the inbox holds them in send order."""
+def test_same_instant_burst_costs_one_step_a_message(kernel_work):
+    """64 sends at one timestamp, all through at one timestamp: one step
+    each (the transfer's event; the delivery events nobody waits on are
+    processed without a dispatch) plus three scheduler steps for the lot
+    (two settles, one wakeup), and the inbox holds them in send order."""
     sim = Simulator()
     network = Network(sim)
     network.add_host("hub", up_bandwidth=64e6)
@@ -119,7 +121,37 @@ def test_same_instant_burst_costs_two_steps_a_message(kernel_work):
     assert [message.payload for message in hub.inbox.items] == list(range(64))
     assert {message.delivered_at for message in hub.inbox.items} == {0.1}
     assert kernel_work["processes"] == []
-    assert kernel_work["steps"] == 2 * 64 + 3
+    assert kernel_work["steps"] == 64 + 3
+
+
+def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_dispatch(
+        kernel_work):
+    """The delivery event is dispatched only for a sender who subscribed
+    to it before the message arrived: yielding ``send()`` resumes the
+    sender at the delivery instant with the message; a send nobody waits
+    on is processed in place, one step cheaper."""
+    sim, a, b = _pair()
+    resumed = []
+
+    def sender():
+        message = yield a.send("b", "ping", payload="waited", size=100.0)
+        resumed.append((sim.now, message.delivered_at, message.payload))
+
+    sim.process(sender())
+    sim.run()
+    # Process start, transfer, wakeup, delivery, process end + 2 settles.
+    assert resumed == [(1.0, 1.0, "waited")]
+    assert kernel_work["steps"] == 7
+
+    kernel_work.update(steps=0)
+    sim, a, b = _pair()
+    delivered = a.send("b", "ping", payload="unwatched", size=100.0)
+    sim.run()
+    assert delivered.processed and delivered.ok
+    assert delivered.value.payload == "unwatched" and sim.now == 1.0
+    assert [message.payload for message in b.inbox.items] == ["unwatched"]
+    # Transfer and wakeup + 2 settles: no delivery dispatch.
+    assert kernel_work["steps"] == 4
 
 
 def test_directory_poll_spawns_no_process_in_net(kernel_work):

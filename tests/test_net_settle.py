@@ -1,8 +1,8 @@
 """One max-min solve per simulated instant.
 
 :class:`FlowScheduler` mutations only mark links dirty; a single
-``PRIORITY_LATE`` *settle* event per busy timestamp re-solves the touched
-component.  These tests pin what that buys (solver-call and
+*settle* per busy timestamp (an end-of-instant hook) re-solves the touched
+components.  These tests pin what that buys (solver-call and
 recomputed-flow counts the recompute-per-change scheduler fails), what it
 must not change (every completion time of a recorded scenario, float for
 float) and the two ways a reader could observe the gap between a change
@@ -122,7 +122,7 @@ def test_link_utilization_reports_the_settled_allocation_mid_instant():
     for spur in spurs[2:]:
         scheduler.start_flow((shared, spur), 1000.0)
     # Change made, settle still queued: the stored rates are stale ...
-    assert scheduler._settle_timer is not None
+    assert scheduler._settle_pending
     assert [flow.rate for flow in scheduler._flows[2:]] == [0.0, 0.0]
     # ... but the read is not, and it leaves no trace in the scheduler.
     assert scheduler.link_utilization() == utilization_oracle(scheduler)
@@ -130,7 +130,7 @@ def test_link_utilization_reports_the_settled_allocation_mid_instant():
     assert scheduler.recomputed_flows == before
     assert [flow.rate for flow in scheduler._flows[2:]] == [0.0, 0.0]
     sim.run(until=sim.now)
-    assert scheduler._settle_timer is None
+    assert not scheduler._settle_pending
     assert scheduler.link_utilization() == utilization_oracle(scheduler)
 
 
@@ -165,7 +165,7 @@ def test_advance_with_a_pending_settle_raises():
     sim = Simulator()
     scheduler = FlowScheduler(sim)
     scheduler.start_flow((Link("l", 10.0),), 100.0)
-    sim._now = 1.0  # what the kernel never does: skip a queued LATE event
+    sim._now = 1.0  # what the kernel never does: skip a queued hook
     with pytest.raises(RuntimeError, match="settle pending"):
         scheduler.start_flow((Link("m", 10.0),), 100.0)
 
@@ -179,10 +179,10 @@ def _two_transfers():
     short = network.transfer("a", "b", 100.0)
     long = network.transfer("a", "c", 300.0)
     # 5 B/s each until the short one is through at t=20; run_until returns
-    # inside that instant, before its LATE settle has run.
+    # inside that instant, before its settle has run.
     sim.run_until(short)
     assert sim.now == 20.0
-    assert network._scheduler._settle_timer is not None
+    assert network._scheduler._settle_pending
     return sim, network, long
 
 

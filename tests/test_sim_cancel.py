@@ -9,7 +9,7 @@ relies on (a superseded wakeup must never fire).
 
 import pytest
 
-from repro.sim import PRIORITY_LATE, FilterStore, SimulationError, Simulator
+from repro.sim import FilterStore, SimulationError, Simulator
 
 
 def test_cancel_prevents_firing():
@@ -208,67 +208,25 @@ def test_getter_that_lost_to_a_timeout_still_swallows_a_late_put():
     assert store.items == ["other"]
 
 
-# -- PRIORITY_LATE: the end-of-instant slot -----------------------------------
-
-
-def test_late_priority_runs_after_normal_events_scheduled_later():
-    """A LATE event waits for every NORMAL event of its timestamp —
-    also those scheduled after it, and those they go on to schedule."""
+def test_compaction_mid_run_until_keeps_the_heap_it_drains():
+    """A callback that cancels more than 64 timeouts compacts the heap
+    while ``run_until`` is walking it: the compaction rewrites that same
+    list, so the loop neither misses the survivor nor reads a drained
+    stale copy as a deadlock."""
     sim = Simulator()
-    order = []
-    sim.timeout(1.0, priority=PRIORITY_LATE)._add_callback(
-        lambda _event: order.append("late"))
-
-    def chain(_event):
-        order.append("normal")
-        sim.timeout(0.0)._add_callback(
-            lambda _event: order.append("normal-child"))
-
-    sim.timeout(1.0)._add_callback(chain)
-    sim.event().succeed()._add_callback(lambda _event: order.append("now"))
-    sim.run()
-    assert order == ["now", "normal", "normal-child", "late"]
+    doomed = [sim.timeout(10.0 + i) for i in range(200)]
+    queue = sim._queue
+    survivor = sim.timeout(500.0)
+    sim.timeout(1.0)._add_callback(
+        lambda _event: [timeout.cancel() for timeout in doomed])
+    sim.run_until(survivor)
+    assert sim._queue is queue
+    assert sim.now == 500.0 and survivor.processed
+    assert sim._tombstones < 64
 
 
-def test_late_priority_runs_before_any_later_timestamp():
+def test_run_until_on_a_queue_of_tombstones_reports_the_deadlock():
     sim = Simulator()
-    order = []
-    sim.timeout(1.0 + 1e-9)._add_callback(
-        lambda _event: order.append(("next", sim.now)))
-    sim.timeout(1.0, priority=PRIORITY_LATE)._add_callback(
-        lambda _event: order.append(("late", sim.now)))
-    sim.run(until=1.0)  # stops at the boundary, LATE included
-    assert order == [("late", 1.0)]
-    sim.run()
-    assert order == [("late", 1.0), ("next", 1.0 + 1e-9)]
-
-
-def test_late_events_keep_fifo_order_and_may_spawn_same_instant_work():
-    sim = Simulator()
-    order = []
-    first = sim.timeout(0.0, priority=PRIORITY_LATE)
-    first._add_callback(lambda _event: (
-        order.append("late-1"),
-        sim.timeout(0.0)._add_callback(
-            lambda _event: order.append("normal-after-late")),
-    ))
-    sim.timeout(0.0, priority=PRIORITY_LATE)._add_callback(
-        lambda _event: order.append("late-2"))
-    sim.run()
-    # The NORMAL event a LATE one schedules outranks the remaining LATE.
-    assert order == ["late-1", "normal-after-late", "late-2"]
-    assert sim.now == 0.0
-
-
-def test_late_timeout_cancels_and_tombstones_like_any_entry():
-    sim = Simulator()
-    fired = []
-    late = sim.timeout(1.0, priority=PRIORITY_LATE)
-    late._add_callback(lambda _event: fired.append("late"))
-    assert late.cancel() is True
-    assert late.cancel() is False
-    assert not late.triggered
-    assert sim.peek() == float("inf")  # tombstone purged from the head
-    sim.timeout(2.0)
-    sim.run()
-    assert fired == [] and sim.now == 2.0
+    sim.timeout(1.0).cancel()
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until(sim.event())
