@@ -311,9 +311,17 @@ class FLSession(Session):
 
         # -- participants ----------------------------------------------------------
         behaviors = behaviors or {}
+        # Every trainer starts from one frozen copy of the template's
+        # parameters, which a model that adopts (SyntheticModel) keeps —
+        # so the trainers' first installs share from the same base.
+        initial = self._template.get_params()
+        initial.flags.writeable = False
+        #: Update CIDs -> [(base, installed vector)], shared by the
+        #: trainers (``Trainer.installs``); cleared at each round's start
+        #: and end.
+        self._installs: Dict[tuple, list] = {}
         self.trainers = []
         for index, name in enumerate(self.testbed.trainer_names):
-            model = self._template.clone()
             self.trainers.append(Trainer(
                 name=name,
                 sim=self.sim,
@@ -322,7 +330,7 @@ class FLSession(Session):
                 config=config,
                 assignment=self.assignment,
                 partitioner=self.partitioner,
-                model=model,
+                model=self._template.clone(initial),
                 dataset=datasets[index],
                 committers=self.committers,
                 seed=config.seed + index,
@@ -330,6 +338,7 @@ class FLSession(Session):
                 directory_request_timeout=profile.directory_request_timeout,
                 ipfs_request_timeout=profile.ipfs_request_timeout,
                 shard_map=self._shard_map,
+                installs=self._installs,
             ))
         self.aggregators: List[Aggregator] = []
         for name in self.testbed.aggregator_names:
@@ -377,6 +386,7 @@ class FLSession(Session):
         supervision.  One whose link is down — at the start, or before its
         copy of the schedule arrived — cannot be told the schedule: it
         sits the round out, degraded."""
+        self._installs.clear()  # whatever a round that raised left
         online = self.testbed.network.host_online
         supervised = self.trainers + self.aggregators
         unreachable = {p.name for p in supervised if not online(p.name)}
@@ -393,6 +403,7 @@ class FLSession(Session):
                     processes.append(process)
         if processes:
             yield self.sim.all_of(processes)
+        self._installs.clear()  # a replaced base dies with its round
 
     # -- supervision (fault tolerance) -----------------------------------------
 

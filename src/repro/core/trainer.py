@@ -8,7 +8,8 @@ Per iteration a trainer:
    node, registering the CID (plus commitment) with the directory,
 3. polls the directory for the global update of every partition,
    downloads each, divides by the summed counter, and installs the new
-   model.
+   model — adopting, when it can, the one read-only vector another
+   trainer of the session computed from the same updates and base.
 
 If the training deadline ``t_train`` passes before its uploads finish,
 the trainer aborts the iteration (Algorithm 1 line 10).
@@ -72,6 +73,7 @@ class Trainer(Participant):
         directory_request_timeout: Optional[float] = None,
         ipfs_request_timeout: float = 120.0,
         shard_map: Optional[ShardMap] = None,
+        installs: Optional[Dict[tuple, list]] = None,
     ):
         super().__init__(name, sim)
         self.config = config
@@ -100,6 +102,11 @@ class Trainer(Participant):
         self.completed_iterations = 0
         #: Updates this trainer itself rejected (trainer verification).
         self.rejected_updates = 0
+        #: The session's install table, shared by its trainers: update
+        #: CIDs -> [(the frozen base a vector was computed from, None in
+        #: params mode; that read-only vector)].  None: every install
+        #: computes its own.
+        self.installs = installs
 
     # -- local learning -----------------------------------------------------------
 
@@ -285,7 +292,7 @@ class Trainer(Participant):
             ))
 
         # -- retrieve the updated partitions ------------------------------------
-        averaged = None  # allocated once the first partition is here
+        cids, updates = [], []  # the fetched blobs' read-only views
         for partition_id in range(self.partitioner.num_partitions):
             cid = None
             while self.sim.now < schedule.t_sync:
@@ -323,7 +330,6 @@ class Trainer(Participant):
                                "accumulated commitment",
                     ))
                 return
-            # Divide straight out of the fetched bytes into the one vector.
             update = _partition_view(blob)
             start, end = self.partitioner.bounds(partition_id)
             if update.shape[0] - 1 != end - start:
@@ -331,11 +337,29 @@ class Trainer(Participant):
                                  f"length {update.shape[0] - 1}")
             if update[-1] <= 0:
                 return
-            if averaged is None:
-                averaged = np.empty(self.partitioner.num_params)
-            np.divide(update[:-1], update[-1], out=averaged[start:end])
+            cids.append(cid)
+            updates.append((start, end, update))
 
-        self._install_update(averaged)
+        # Install by content: a trainer installing the same updates onto
+        # the same frozen base array adopts the vector another already
+        # computed.  In params mode the updates alone decide; a model
+        # holding a private copy computes alone.
+        params_mode = self.config.update_mode == "params"
+        base = None if params_mode else self.model.adopted()
+        shared, vector = None, None
+        if self.installs is not None and (params_mode or base is not None):
+            shared = self.installs.setdefault(tuple(cids), [])
+            vector = next((v for seen, v in shared if seen is base), None)
+        if vector is not None:
+            self.model.set_params(vector)
+        else:
+            # Divide straight out of the fetched bytes into the one vector.
+            averaged = np.empty(self.partitioner.num_params)
+            for start, end, update in updates:
+                np.divide(update[:-1], update[-1], out=averaged[start:end])
+            self._install_update(averaged)
+            if shared is not None:
+                shared.append((base, averaged))
         self.completed_iterations += 1
         if bus.wants(TrainerCompleted):
             bus.publish(TrainerCompleted(

@@ -26,7 +26,6 @@ from .data import (
 from .fedavg import FedAvgResult, fedavg_aggregate, run_fedavg, run_fedsgd
 from .metrics import accuracy, evaluate_model, mean_loss, model_distance
 from .models import (
-    DeepMLPClassifier,
     LinearRegression,
     LogisticRegression,
     MLPClassifier,
@@ -37,7 +36,6 @@ from .training import TrainConfig, compute_gradient, local_update, sgd_epoch
 
 __all__ = [
     "Dataset",
-    "DeepMLPClassifier",
     "FedAvgResult",
     "LinearRegression",
     "LogisticRegression",

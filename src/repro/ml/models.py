@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = ["Model", "LinearRegression", "LogisticRegression",
-           "MLPClassifier", "DeepMLPClassifier", "SyntheticModel"]
+           "MLPClassifier", "SyntheticModel"]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -42,10 +42,21 @@ class Model:
         raise NotImplementedError
 
     def get_params(self) -> np.ndarray:
+        """A writable copy of the parameters, the caller's to change."""
         raise NotImplementedError
 
     def set_params(self, flat: np.ndarray) -> None:
+        """Take ``flat`` as the parameters.  A model may *adopt* an array
+        that nothing can change — read-only and owning its buffer — and
+        keep that object itself instead of a copy; anything else it
+        copies.  Either way the caller's array is never written."""
         raise NotImplementedError
+
+    def adopted(self) -> Optional[np.ndarray]:
+        """The read-only array :meth:`set_params` adopted, while it is
+        still the parameters; None otherwise, and always for a model
+        that copies."""
+        return None
 
     def loss_and_gradient(
         self, X: np.ndarray, y: np.ndarray
@@ -55,10 +66,11 @@ class Model:
     def predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def clone(self) -> "Model":
-        """A structurally identical model with copied parameters."""
+    def clone(self, params: Optional[np.ndarray] = None) -> "Model":
+        """A structurally identical model with copied parameters, or with
+        ``params`` as :meth:`set_params` takes them."""
         copy = self.__class__(**self._construction_args())
-        copy.set_params(self.get_params())
+        copy.set_params(self.get_params() if params is None else params)
         return copy
 
     def _construction_args(self) -> dict:
@@ -73,120 +85,16 @@ class Model:
         return flat
 
 
-class DeepMLPClassifier(Model):
-    """An MLP of arbitrary depth with ReLU hidden layers.
-
-    Generalizes :class:`MLPClassifier` to ``hidden_layers`` of any shape,
-    reaching the parameter counts of the paper's "medium-sized models"
-    discussion when needed.  Gradients come from a standard backprop loop
-    (verified against numerical differentiation in the tests).
-    """
-
-    def __init__(self, num_features: int, hidden_layers: Tuple[int, ...],
-                 num_classes: int = 2, l2: float = 0.0,
-                 seed: Optional[int] = 0):
-        if num_features < 1 or num_classes < 2:
-            raise ValueError("invalid architecture")
-        if not hidden_layers or any(h < 1 for h in hidden_layers):
-            raise ValueError("hidden_layers must be non-empty positive")
-        self.num_features = num_features
-        self.hidden_layers = tuple(hidden_layers)
-        self.num_classes = num_classes
-        self.l2 = l2
-        rng = np.random.default_rng(seed)
-        sizes = [num_features, *hidden_layers, num_classes]
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)  # He init for ReLU
-            self.weights.append(
-                rng.normal(scale=scale, size=(fan_in, fan_out))
-            )
-            self.biases.append(np.zeros(fan_out))
-
-    def _construction_args(self) -> dict:
-        return {
-            "num_features": self.num_features,
-            "hidden_layers": self.hidden_layers,
-            "num_classes": self.num_classes,
-            "l2": self.l2,
-            "seed": 0,
-        }
-
-    def num_params(self) -> int:
-        return sum(w.size + b.size
-                   for w, b in zip(self.weights, self.biases))
-
-    def get_params(self) -> np.ndarray:
-        pieces = []
-        for w, b in zip(self.weights, self.biases):
-            pieces.append(w.ravel())
-            pieces.append(b)
-        return np.concatenate(pieces)
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = self._check_flat(flat)
-        offset = 0
-        for index, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[index] = flat[offset:offset + w.size] \
-                .reshape(w.shape).copy()
-            offset += w.size
-            self.biases[index] = flat[offset:offset + b.size].copy()
-            offset += b.size
-
-    def _forward(self, X: np.ndarray):
-        """Returns (activations per layer incl. input, output probs)."""
-        activations = [X]
-        current = X
-        for index in range(len(self.weights) - 1):
-            current = np.maximum(
-                0.0, current @ self.weights[index] + self.biases[index]
-            )
-            activations.append(current)
-        logits = current @ self.weights[-1] + self.biases[-1]
-        return activations, _softmax(logits)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[1]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
-
-    def loss_and_gradient(self, X, y):
-        count = X.shape[0]
-        activations, probabilities = self._forward(X)
-        targets = _one_hot(y, self.num_classes)
-        eps = 1e-12
-        loss = -float(
-            np.sum(targets * np.log(probabilities + eps))
-        ) / count + 0.5 * self.l2 * sum(
-            float(np.sum(w ** 2)) for w in self.weights
-        )
-        grads_w: List[np.ndarray] = [None] * len(self.weights)
-        grads_b: List[np.ndarray] = [None] * len(self.biases)
-        delta = (probabilities - targets) / count
-        for index in range(len(self.weights) - 1, -1, -1):
-            grads_w[index] = (
-                activations[index].T @ delta + self.l2 * self.weights[index]
-            )
-            grads_b[index] = delta.sum(axis=0)
-            if index > 0:
-                delta = (delta @ self.weights[index].T) \
-                    * (activations[index] > 0)
-        pieces = []
-        for gw, gb in zip(grads_w, grads_b):
-            pieces.append(gw.ravel())
-            pieces.append(gb)
-        return loss, np.concatenate(pieces)
-
-
 class SyntheticModel(Model):
     """A parameter vector with trivial learning dynamics.
 
     Used by the delay benchmarks, which sweep *model size* (the paper's
     1.3 MB / 1.1 MB partitions and Fig. 3's parameter counts): only the
-    byte volume of the parameter vector matters there, so gradients are
-    identically zero and training is free.
+    byte volume of the parameter vector matters there, so the gradient is
+    the fixed ramp ``seed·1e-6 + i·1e-9`` (``seed`` the shard's first
+    feature) and training is free.  It adopts a frozen parameter vector
+    (:meth:`Model.set_params`), so trainers installing the same update
+    can hold one array.
     """
 
     def __init__(self, size: int):
@@ -211,7 +119,10 @@ class SyntheticModel(Model):
         # anything else.
         frozen = (checked.base is flat and flat.flags.owndata
                   and not flat.flags.writeable)
-        self._params = checked if frozen else checked.copy()
+        self._params = flat if frozen else checked.copy()
+
+    def adopted(self) -> Optional[np.ndarray]:
+        return None if self._params.flags.writeable else self._params
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(X.shape[0])

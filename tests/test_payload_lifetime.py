@@ -20,7 +20,7 @@ from repro import FaultPlan, FaultSpec, FLSession, NetworkProfile, \
     ProtocolConfig, RetryPolicy
 from repro.ml import Dataset, SyntheticModel
 from repro.net import Transport
-from repro.obs.events import TransferAborted
+from repro.obs.events import TrainerCompleted, TransferAborted
 
 TRAINERS = 4
 PARTITIONS = 2
@@ -165,3 +165,33 @@ def test_memory_does_not_grow_round_on_round():
     assert stored_per_round >= TRAINERS * PARTITIONS * partition_bytes
     assert current[3] <= current[2] + partition_bytes
     assert peak <= 4 * stored_per_round
+
+
+def test_an_installed_vector_lives_until_every_trainer_replaced_it():
+    """Trainers installing one update share one vector (a table of the
+    session's maps the update to it).  With the collector off, round 0's
+    shared vector is dead once every trainer installed round 1's; while
+    round 1 installs, the table holds no vector an earlier round
+    installed, and after it the table is empty."""
+    gc.collect()
+    gc.disable()
+    try:
+        session, _ = _session(CHUNK)
+        session.run_iteration()
+        shared = weakref.ref(session.trainers[0].model._params)
+        assert all(t.model.adopted() is shared() for t in session.trainers)
+        earlier = []
+
+        def look(event):
+            earlier.extend(vector for entries in session._installs.values()
+                           for _, vector in entries if vector is shared())
+
+        session.sim.bus.subscribe(look, TrainerCompleted)
+        metrics = session.run_iteration()
+        assert len(metrics.trainers_completed) == TRAINERS
+        assert earlier == []
+        assert session._installs == {}
+        assert shared() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
