@@ -47,7 +47,6 @@ from .core import (
     DirectoryProfile,
     FLSession,
     ProtocolConfig,
-    ShardedDirectory,
 )
 from .obs.telemetry import IterationMetrics, SessionMetrics
 from .faults import (
@@ -88,7 +87,6 @@ __all__ = [
     "RetryPolicy",
     "RunManifest",
     "SessionMetrics",
-    "ShardedDirectory",
     "TelemetryCollector",
     "__version__",
 ]

@@ -5,12 +5,10 @@ Public surface:
 - :class:`ProtocolConfig` — task parameters.
 - :class:`FLSession` — build a deployment and run training rounds.
 - :class:`Trainer` / :class:`Aggregator` / :class:`Bootstrapper` /
-  :class:`DirectoryService` — the protocol roles.
+  :class:`DirectoryService` — the protocol roles; every participant
+  reaches the one directory server through a :class:`DirectoryClient`.
 - :class:`Address`, :class:`ModelPartitioner`, :class:`IterationSchedule`.
-- :class:`DirectoryProfile` — deploy the directory as N consistent-hash
-  shards (:class:`ShardedDirectory` server group, reached through
-  :class:`DirectoryClient` and the shared :class:`ShardMap`); the
-  default is the paper's single directory, a group of one.
+- :class:`DirectoryProfile` — the directory server's processing delay.
 - :class:`PartitionCommitter` — verifiable-aggregation crypto glue.
 - adversary behaviours: :class:`DropGradientsBehavior`,
   :class:`AlterUpdateBehavior`, :class:`LazyBehavior`.
@@ -37,11 +35,10 @@ from .config import ProtocolConfig
 from .directory import (
     DirectoryClient,
     DirectoryEntry,
+    DirectoryProfile,
     DirectoryService,
     RejectionRecord,
-    ShardedDirectory,
 )
-from .dirshard import DirectoryProfile, ShardMap, directory_key
 from .offload import (
     SnapshotPublisher,
     SnapshotReader,
@@ -87,13 +84,10 @@ __all__ = [
     "RejectionRecord",
     "ReplayUpdateBehavior",
     "SessionMetrics",
-    "ShardMap",
-    "ShardedDirectory",
     "SnapshotPublisher",
     "SnapshotReader",
     "Trainer",
     "accumulate_cids",
-    "directory_key",
     "decode_snapshot",
     "encode_snapshot",
     "UPDATE",

@@ -44,7 +44,6 @@ from .adversary import AggregatorBehavior, HonestBehavior
 from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
-from .dirshard import ShardMap
 from .partition import _partition_view, encode_partition, \
     sum_encoded_partitions
 from .schedule import IterationSchedule, Participant
@@ -78,7 +77,6 @@ class Aggregator(Participant):
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
         ipfs_request_timeout: float = 120.0,
-        shard_map: Optional[ShardMap] = None,
     ):
         super().__init__(name, sim)
         self.config = config
@@ -96,7 +94,7 @@ class Aggregator(Participant):
                                chunk_size=config.chunk_size,
                                retry=retry)
         self.directory = DirectoryClient(
-            name, transport, shard_map, retry=retry,
+            name, transport, retry=retry,
             request_timeout=directory_request_timeout,
         )
         self.cost_model = CommitmentCostModel(config.commit_seconds_per_param)

@@ -8,43 +8,20 @@ accumulated commitment before revealing it to trainers.
 Run by the trusted bootstrapper: "the directory service receives orders of
 magnitude fewer data per iteration than the aggregators combined do".
 
-There is one deployment shape and one way in:
-
-- :class:`DirectoryService` is one server process on the emulated
-  network answering register/lookup/accumulate queries for the keys
-  that arrive at its host.
-- :class:`ShardedDirectory` is the service as a session deploys it: a
-  group of 1..N such servers, each on its own host.  The paper's single
-  well-known directory is the group of one (on host ``"directory"``);
-  the Sec. VI load study spreads the ``(partition, iteration)`` key
-  space over more (see :mod:`repro.core.dirshard` for the placement).
-- :class:`DirectoryClient` is what every participant holds: it places
-  each request on the key's owners through the shared
-  :class:`~repro.core.dirshard.ShardMap`, fails over down the owner
-  list, and splits the key-spanning verb (batched registration) per
-  owner.
-
-Commitment merge: every server folds gradient commitments into its own
-:class:`_PartitionAccumulator`; the accumulated commitment is the
-servers' subtotals combined in shard order.  Pedersen commitments add
-on an elliptic curve — commutative and associative — so the merged
-product is byte-equal to the product one server would have folded in
-arrival order, and the :mod:`repro.obs.monitors` independent
-recomputation still gates it (a hypothesis property test pins this).
-
-Simulation compromise (documented in DESIGN.md): server *reads* — entry
-lookups, duplicate checks and accumulated-commitment queries — fold
-over the peer servers' state locally instead of exchanging inter-shard
-replication traffic, standing in for a replicated log kept in sync out
-of band (Cassano et al.'s smart-contract directory).  Writes, wire
-messages, queueing and the serialized processing delay stay strictly
-per-server; those are what the evaluation measures.
+- :class:`DirectoryService` is the one server process, on the
+  well-known ``"directory"`` host, answering register/lookup/accumulate
+  queries.
+- :class:`DirectoryClient` is what every participant holds: one
+  request per verb to that host, retried with bounded backoff under a
+  :class:`~repro.faults.RetryPolicy`.
+- :class:`DirectoryProfile` is the session's directory profile: the
+  server's serialized ``processing_delay`` per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto import Commitment
 from ..faults.retry import RetryExhaustedError, RetryPolicy
@@ -60,11 +37,13 @@ from ..obs.events import (
 )
 from ..sim import Simulator
 from .addressing import Address, GRADIENT, PARTIAL_UPDATE, UPDATE
-from .dirshard import ShardMap
 from .verification import PartitionCommitter
 
-__all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryService",
-           "RejectionRecord", "ShardedDirectory"]
+__all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryProfile",
+           "DirectoryService", "RejectionRecord"]
+
+#: The well-known host the directory runs on.
+DIRECTORY_HOST = "directory"
 
 KIND_REGISTER = "dir.register"
 KIND_REGISTER_BATCH = "dir.register.batch"
@@ -82,6 +61,23 @@ ENTRY_WIRE_SIZE = 160
 #: Incremental wire bytes per additional record in a batched
 #: registration (``register_batch``).
 BATCH_RECORD_SIZE = 96
+
+
+@dataclass(frozen=True)
+class DirectoryProfile:
+    """How the directory service is deployed (the third profile, next to
+    :class:`~repro.net.NetworkProfile` and :class:`~repro.faults.FaultPlan`).
+
+    ``processing_delay`` is the serialized server seconds per request
+    (zero by default; set it to study the directory as a bottleneck —
+    requests then queue behind each other).
+    """
+
+    processing_delay: float = 0.0
+
+    def __post_init__(self):
+        if self.processing_delay < 0:
+            raise ValueError("processing_delay must be non-negative")
 
 
 @dataclass
@@ -116,24 +112,16 @@ class _PartitionAccumulator:
 
 
 class DirectoryService:
-    """One bootstrapper-run metadata server (one shard of the group).
-
-    Writes (entries, accumulators, counters, queueing) stay local; the
-    read accessors fold over :attr:`peers` so duplicate checks,
-    verification and client reads see the whole group — the
-    replicated-log stand-in described in the module docstring.
-    """
+    """The bootstrapper-run metadata server."""
 
     def __init__(
         self,
         sim: Simulator,
         transport: Transport,
         dht: DHT,
-        name: str = "directory",
         committers: Optional[Dict[int, PartitionCommitter]] = None,
         trainer_assignment: Optional[Dict[Tuple[str, int], str]] = None,
         verifiable: bool = False,
-        expected_trainers: int = 0,
         processing_delay: float = 0.0,
     ):
         """
@@ -157,12 +145,11 @@ class DirectoryService:
         if processing_delay < 0:
             raise ValueError("processing_delay must be non-negative")
         self.sim = sim
-        self.name = name
+        self.name = DIRECTORY_HOST
         self.verifiable = verifiable
         self.processing_delay = processing_delay
         self.committers = committers or {}
         self.trainer_assignment = trainer_assignment or {}
-        self.expected_trainers = expected_trainers
         self._entries: Dict[Address, DirectoryEntry] = {}
         #: ``_entries`` bucketed the two ways it is asked for, so a lookup
         #: costs its answer and GC costs the old rounds — not every entry
@@ -179,28 +166,15 @@ class DirectoryService:
         #: commitment must never enter the accumulated product unless the
         #: aggregators can still see it.
         self._gradient_cutoff: Dict[int, float] = {}
-        #: First gradient registration per iteration (telemetry: the
-        #: paper's aggregation-delay clock starts here).
-        self.first_gradient_time: Dict[int, float] = {}
         #: Updates that failed verification.
         self.rejections: List[RejectionRecord] = []
         #: Query counters (Sec. VI worries about directory load).
         self.register_count = 0
         self.lookup_count = 0
-        #: Load ledger: requests dequeued and serialized server seconds
-        #: spent.
-        self.served_units = 0
-        self.busy_seconds = 0.0
-        #: The servers whose state the read accessors fold over, in
-        #: shard order (stable, so replays are byte-identical): this one
-        #: alone until a :class:`ShardedDirectory` joins it to its group.
-        self.peers: List["DirectoryService"] = [self]
-        #: Stamped onto ``DirectoryRequest``/``CommitmentAccumulated``
-        #: events; the group names its members when it has several.
-        self.shard_label: Optional[str] = None
-        self.endpoint = transport.endpoint(name)
-        self._ipfs = IPFSClient(name, transport, dht)
-        self._server = sim.process(self._serve(), name=f"directory:{name}")
+        self.endpoint = transport.endpoint(self.name)
+        self._ipfs = IPFSClient(self.name, transport, dht)
+        self._server = sim.process(self._serve(),
+                                   name=f"directory:{self.name}")
 
     # -- local inspection (no network; used by the session and tests) -----------
 
@@ -209,21 +183,12 @@ class DirectoryService:
         self._gradient_cutoff[iteration] = t_train
 
     def entry(self, address: Address) -> Optional[DirectoryEntry]:
-        for peer in self.peers:
-            found = peer._entries.get(address)
-            if found is not None:
-                return found
-        return None
+        return self._entries.get(address)
 
     def entries_for(self, partition_id: int, iteration: int,
                     kind: str) -> List[DirectoryEntry]:
-        key = (partition_id, iteration, kind)
-        results: List[DirectoryEntry] = []
-        for peer in self.peers:
-            bucket = peer._by_key.get(key)
-            if bucket:
-                results.extend(bucket.values())
-        return results
+        bucket = self._by_key.get((partition_id, iteration, kind))
+        return list(bucket.values()) if bucket else []
 
     def entries_before(self, iteration: int) -> List[DirectoryEntry]:
         """All entries from iterations strictly before ``iteration``
@@ -251,32 +216,14 @@ class DirectoryService:
         self, partition_id: int, iteration: int,
         aggregator_id: Optional[str] = None,
     ) -> Tuple[Optional[Commitment], int]:
-        """(product, contributor count) for a partition or one aggregator.
-
-        The peers' subtotals folded in shard order.  EC-point addition
-        is commutative and associative, so this equals one server's
-        product over the same contributions in arrival order — the
-        property the merge-algebra tests pin down.
-        """
-        key = (partition_id, iteration)
-        total: Optional[Commitment] = None
-        count = 0
-        for peer in self.peers:
-            accumulator = peer._accumulators.get(key)
-            if accumulator is None:
-                continue
-            if aggregator_id is None:
-                commitment = accumulator.total
-                contributions = accumulator.count
-            else:
-                commitment = accumulator.per_aggregator.get(aggregator_id)
-                contributions = accumulator.per_aggregator_count.get(
-                    aggregator_id, 0)
-            if commitment is not None:
-                total = commitment if total is None \
-                    else total.combine(commitment)
-                count += contributions
-        return total, count
+        """(product, contributor count) for a partition or one aggregator."""
+        accumulator = self._accumulators.get((partition_id, iteration))
+        if accumulator is None:
+            return None, 0
+        if aggregator_id is None:
+            return accumulator.total, accumulator.count
+        return (accumulator.per_aggregator.get(aggregator_id),
+                accumulator.per_aggregator_count.get(aggregator_id, 0))
 
     # -- server -------------------------------------------------------------------
 
@@ -292,14 +239,10 @@ class DirectoryService:
             )
             bus = self.sim.bus
             if bus.wants(DirectoryRequest):
-                bus.publish(DirectoryRequest(
-                    at=self.sim.now, kind=message.kind,
-                    shard=self.shard_label,
-                ))
-            self.served_units += 1
+                bus.publish(DirectoryRequest(at=self.sim.now,
+                                             kind=message.kind))
             if self.processing_delay > 0:
                 # Serialized server work: requests queue behind it.
-                self.busy_seconds += self.processing_delay
                 yield self.sim.timeout(self.processing_delay)
             if message.kind == KIND_REGISTER:
                 self._handle_register(message)
@@ -409,10 +352,7 @@ class DirectoryService:
     def _register_gradient(self, address: Address, cid: CID,
                            commitment: Optional[Commitment]) -> bool:
         """Record a gradient; False if past the iteration's cutoff."""
-        # ``entry`` (not ``_entries.get``): a replica must see a
-        # registration its peer already accepted, or a failover retry
-        # would accumulate the same commitment twice.
-        existing = self.entry(address)
+        existing = self._entries.get(address)
         if existing is not None and existing.cid == cid:
             # Idempotent retry: the first registration landed but its ack
             # was lost.  Acknowledge without re-accumulating the
@@ -425,7 +365,6 @@ class DirectoryService:
             address=address, cid=cid, commitment=commitment,
             registered_at=self.sim.now,
         ))
-        self.first_gradient_time.setdefault(address.iteration, self.sim.now)
         bus = self.sim.bus
         if bus.wants(GradientRegistered):
             bus.publish(GradientRegistered(
@@ -458,7 +397,6 @@ class DirectoryService:
                 commitment=commitment,
                 accumulated=accumulator.total,
                 count=accumulator.count,
-                shard=self.shard_label,
             ))
         if aggregator_id is not None:
             curve = self.committers[address.partition_id].curve
@@ -574,202 +512,56 @@ class DirectoryService:
         )
 
 
-class ShardedDirectory:
-    """The directory service as deployed: a group of 1..N shard servers.
-
-    Presents one server's surface everywhere the session, the fault
-    injector and the observability layer touch it — ``begin_iteration``/
-    ``entry``/``entries_for``/``entries_before``/
-    ``accumulated_commitment``/``rejections``/``first_gradient_time``/
-    the load counters/``inbox_depth`` — with each accessor aggregating
-    over the shard list in shard order (stable, so replays are
-    byte-identical).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        transport: Transport,
-        dht: DHT,
-        shard_names: Sequence[str],
-        committers: Optional[Dict[int, PartitionCommitter]] = None,
-        trainer_assignment: Optional[Dict[Tuple[str, int], str]] = None,
-        verifiable: bool = False,
-        expected_trainers: int = 0,
-        processing_delay: float = 0.0,
-    ):
-        if not shard_names:
-            raise ValueError("need at least one shard")
-        self.sim = sim
-        self.shards: List[DirectoryService] = [
-            DirectoryService(
-                sim, transport, dht,
-                name=name,
-                committers=committers,
-                trainer_assignment=trainer_assignment,
-                verifiable=verifiable,
-                expected_trainers=expected_trainers,
-                processing_delay=processing_delay,
-            )
-            for name in shard_names
-        ]
-        self.shard_names: List[str] = [shard.name for shard in self.shards]
-        self._by_name = {shard.name: shard for shard in self.shards}
-        for shard in self.shards:
-            shard.peers = self.shards
-            # A group of one is the paper's single directory and stays
-            # invisible: its events carry no shard label, so no
-            # ``dir.shard.*`` counter appears.
-            if len(self.shards) > 1:
-                shard.shard_label = shard.name
-
-    def shard(self, name: str) -> DirectoryService:
-        """The shard named ``name`` (raises ``KeyError`` if unknown)."""
-        return self._by_name[name]
-
-    # -- the DirectoryService surface ----------------------------------------------
-
-    def begin_iteration(self, iteration: int, t_train: float) -> None:
-        for shard in self.shards:
-            shard.begin_iteration(iteration, t_train)
-
-    # Group-wide reads: every member folds over the same peer list, so
-    # any one of them answers for the group.
-
-    def entry(self, address: Address) -> Optional[DirectoryEntry]:
-        return self.shards[0].entry(address)
-
-    def entries_for(self, partition_id: int, iteration: int,
-                    kind: str) -> List[DirectoryEntry]:
-        return self.shards[0].entries_for(partition_id, iteration, kind)
-
-    def accumulated_commitment(
-        self, partition_id: int, iteration: int,
-        aggregator_id: Optional[str] = None,
-    ) -> Tuple[Optional[Commitment], int]:
-        return self.shards[0].accumulated_commitment(
-            partition_id, iteration, aggregator_id
-        )
-
-    def entries_before(self, iteration: int) -> List[DirectoryEntry]:
-        results: List[DirectoryEntry] = []
-        for shard in self.shards:
-            results.extend(shard.entries_before(iteration))
-        return results
-
-    # -- aggregated telemetry ------------------------------------------------------
-
-    @property
-    def rejections(self) -> List[RejectionRecord]:
-        records: List[RejectionRecord] = []
-        for shard in self.shards:
-            records.extend(shard.rejections)
-        return records
-
-    @property
-    def first_gradient_time(self) -> Dict[int, float]:
-        merged: Dict[int, float] = {}
-        for shard in self.shards:
-            for iteration, at in shard.first_gradient_time.items():
-                if iteration not in merged or at < merged[iteration]:
-                    merged[iteration] = at
-        return merged
-
-    @property
-    def register_count(self) -> int:
-        return sum(shard.register_count for shard in self.shards)
-
-    @property
-    def lookup_count(self) -> int:
-        return sum(shard.lookup_count for shard in self.shards)
-
-    @property
-    def served_units(self) -> int:
-        return sum(shard.served_units for shard in self.shards)
-
-    @property
-    def busy_seconds(self) -> float:
-        """Serialized server seconds summed over all shards."""
-        return sum(shard.busy_seconds for shard in self.shards)
-
-    @property
-    def max_busy_seconds(self) -> float:
-        """The critical path: the busiest single shard's serialized work.
-
-        Sustained registrations/sec is ``register_count /
-        max_busy_seconds`` — the load-balance-sensitive figure sharding
-        exists to raise.
-        """
-        return max(shard.busy_seconds for shard in self.shards)
-
-    def inbox_depth(self) -> int:
-        return sum(shard.inbox_depth() for shard in self.shards)
-
-
 class DirectoryClient:
-    """Participant-side access to the directory group.
+    """Participant-side access to the directory on its well-known host.
 
-    Key-addressed verbs place their ``(partition, iteration)`` key
-    through the :class:`~repro.core.dirshard.ShardMap` shared with the
-    session; the key-spanning verb — batched registration — splits per
-    owner list, one message per owner list touched.  A
-    client built without a map talks to the one well-known
-    ``"directory"`` host.
-
-    With ``request_timeout`` unset every call waits on the key's primary
-    indefinitely — correct on honest infrastructure, where the directory
-    always answers.  Under fault injection, give the client a timeout
-    plus a :class:`~repro.faults.RetryPolicy`: each request then retries
-    with bounded backoff, fails over down the owner list when an owner
-    exhausts its budget, and raises
-    :class:`~repro.faults.RetryExhaustedError` when every owner stays
-    unreachable.  Server-side registration is idempotent, so a retried
-    register whose first ack was lost is acknowledged harmlessly.
+    With ``request_timeout`` unset every call waits indefinitely —
+    correct on honest infrastructure, where the directory always
+    answers.  Under fault injection, give the client a timeout plus a
+    :class:`~repro.faults.RetryPolicy`: each request then retries with
+    bounded backoff and raises :class:`~repro.faults.RetryExhaustedError`
+    when the directory stays unreachable.  Server-side registration is
+    idempotent, so a retried register whose first ack was lost is
+    acknowledged harmlessly.
     """
 
     def __init__(self, name: str, transport: Transport,
-                 shard_map: Optional[ShardMap] = None,
                  retry: Optional[RetryPolicy] = None,
                  request_timeout: Optional[float] = None):
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
         self.name = name
-        self.shard_map = (shard_map if shard_map is not None
-                          else ShardMap(("directory",)))
         self.endpoint = transport.endpoint(name)
         self.sim = transport.sim
         self.retry = retry
         self.request_timeout = request_timeout
 
-    def _call(self, kind: str, operation: str, size: float, payload,
-              owners: Sequence[str]):
-        """One request of message ``kind`` and wire ``size`` against
-        ``owners``; ``operation`` labels it for the retry policy.
+    def _call(self, kind: str, operation: str, size: float, payload):
+        """One request of message ``kind`` and wire ``size``;
+        ``operation`` labels it for the retry policy.
 
-        The owner loop lives inside this one generator (not a frame per
-        owner or per attempt): a directory poll is the hottest path of a
-        run, and every extra ``yield from`` level is resumed per event.
+        The retry loop lives inside this one generator (not a frame per
+        attempt): a directory poll is the hottest path of a run, and
+        every extra ``yield from`` level is resumed per event.
         """
         policy = self.retry
         attempts = max(1, policy.max_attempts) if policy is not None else 1
-        bus = self.sim.bus
-        for dst in owners:
-            for attempt in range(attempts):
-                # (No timeout waits forever: the first owner answers.)
-                response = yield self.endpoint.request(
-                    dst, kind, payload, size, self.request_timeout)
-                if response is not None:
-                    return response.payload
-                if attempt + 1 < attempts:
-                    yield self.sim.timeout(policy.backoff(
-                        attempt, key=f"{self.name}:{operation}"
-                    ))
-            # This owner's budget is spent: fail over to the next one.
-            if bus.wants(RetryExhausted):
-                bus.publish(RetryExhausted(
-                    at=self.sim.now, actor=self.name,
-                    operation=operation, attempts=attempts,
+        for attempt in range(attempts):
+            # (No timeout waits forever: the directory answers.)
+            response = yield self.endpoint.request(
+                DIRECTORY_HOST, kind, payload, size, self.request_timeout)
+            if response is not None:
+                return response.payload
+            if attempt + 1 < attempts:
+                yield self.sim.timeout(policy.backoff(
+                    attempt, key=f"{self.name}:{operation}"
                 ))
+        bus = self.sim.bus
+        if bus.wants(RetryExhausted):
+            bus.publish(RetryExhausted(
+                at=self.sim.now, actor=self.name,
+                operation=operation, attempts=attempts,
+            ))
         raise RetryExhaustedError(operation, attempts)
 
     def register(self, address: Address, cid: CID,
@@ -778,35 +570,23 @@ class DirectoryClient:
         return (yield from self._call(
             KIND_REGISTER, "directory.register", REGISTER_SIZE, {
                 "address": address, "cid": cid, "commitment": commitment,
-            }, self.shard_map.owners(address.partition_id, address.iteration)))
+            }))
 
     def register_batch(self, records):
-        """Register many objects (Sec. VI batching), one message per
-        owner list.
+        """Register many objects in one message (Sec. VI batching);
+        returns the ack payload.
 
         ``records`` is a list of dicts with ``address``, ``cid`` and
-        optional ``commitment``.  Each message carries one accumulated
-        digest over its CIDs, which the server recomputes and checks;
-        the merged ack is accepted only if every owner accepted its
-        part.
+        optional ``commitment``.  The message carries one accumulated
+        digest over their CIDs, which the server recomputes and checks.
         """
         from .offload import accumulate_cids  # local import: avoid cycle
 
-        groups: Dict[Tuple[str, ...], list] = {}
-        for record in records:
-            address = record["address"]
-            groups.setdefault(self.shard_map.owners(
-                address.partition_id, address.iteration), []).append(record)
-        accepted = True
-        for owners, group in groups.items():
-            ack = yield from self._call(
-                KIND_REGISTER_BATCH, "directory.register",
-                REGISTER_SIZE + BATCH_RECORD_SIZE * max(0, len(group) - 1),
-                {"records": group,
-                 "accumulation": accumulate_cids([r["cid"] for r in group])},
-                owners)
-            accepted &= bool(ack.get("accepted"))
-        return {"accepted": accepted}
+        return (yield from self._call(
+            KIND_REGISTER_BATCH, "directory.register",
+            REGISTER_SIZE + BATCH_RECORD_SIZE * max(0, len(records) - 1),
+            {"records": records,
+             "accumulation": accumulate_cids([r["cid"] for r in records])}))
 
     def lookup(self, partition_id: int, iteration: int, kind: str,
                aggregator_id: Optional[str] = None,
@@ -819,7 +599,7 @@ class DirectoryClient:
                 "kind": kind,
                 "aggregator_id": aggregator_id,
                 "uploader_id": uploader_id,
-            }, self.shard_map.owners(partition_id, iteration)))
+            }))
 
     def accumulated(self, partition_id: int, iteration: int,
                     aggregator_id: Optional[str] = None):
@@ -829,5 +609,5 @@ class DirectoryClient:
                 "partition_id": partition_id,
                 "iteration": iteration,
                 "aggregator_id": aggregator_id,
-            }, self.shard_map.owners(partition_id, iteration))
+            })
         return payload["commitment"], payload["count"]

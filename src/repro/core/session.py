@@ -11,17 +11,16 @@ paper's schedule.
 The deployment shape is described by three composable profiles — a
 :class:`~repro.net.NetworkProfile`, an optional
 :class:`~repro.faults.FaultPlan` and a
-:class:`~repro.core.dirshard.DirectoryProfile` — and by nothing else::
+:class:`~repro.core.directory.DirectoryProfile` — and by nothing else::
 
     session = FLSession(config, model_factory, datasets,
                         network=NetworkProfile(bandwidth_mbps=20.0),
                         faults=FaultPlan.of(...),
-                        directory=DirectoryProfile(shards=4))
+                        directory=DirectoryProfile(processing_delay=1e-3))
 
-Every session deploys the directory the same way: one
-:class:`~repro.core.directory.ShardedDirectory` group (of one server by
-default) and one :class:`~repro.core.dirshard.ShardMap`, which every
-participant's :class:`~repro.core.directory.DirectoryClient` shares.
+Every session runs one :class:`~repro.core.directory.DirectoryService`
+on the testbed's well-known ``"directory"`` host, and every participant
+reaches it through its own :class:`~repro.core.directory.DirectoryClient`.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from ..faults import FaultInjector, FaultPlan, RetryExhaustedError, \
     RetryPolicy
 from ..ipfs import DHT, IPFSNode, PubSub, ReplicationCluster
 from ..ml import Dataset, Model
-from ..net import NetworkProfile, Testbed, add_directory_shards, \
-    build_testbed
+from ..net import NetworkProfile, Testbed, build_testbed
 from ..obs import TelemetryCollector
 from ..obs.events import IterationFinished, IterationStarted, \
     ParticipantDegraded
@@ -46,8 +44,7 @@ from .adversary import AggregatorBehavior
 from .aggregator import Aggregator
 from .bootstrapper import Assignment, Bootstrapper, build_assignment
 from .config import ProtocolConfig
-from .directory import ShardedDirectory
-from .dirshard import DirectoryProfile, ShardMap
+from .directory import DirectoryProfile, DirectoryService
 from .partition import ModelPartitioner
 from .schedule import IterationSchedule, Participant
 from ..obs.telemetry import IterationMetrics, SessionMetrics
@@ -189,11 +186,9 @@ class FLSession(Session):
             timeout default on (so outages degrade rather than wedge).
         directory:
             How the directory service is deployed
-            (:class:`~repro.core.dirshard.DirectoryProfile`).  The
-            default, ``shards=1``, is the paper's single directory on
-            the well-known ``"directory"`` host; ``shards >= 2`` runs
-            one shard per key range on its own host.  Either way it is
-            one server group behind one client class.
+            (:class:`~repro.core.directory.DirectoryProfile`): the
+            paper's single directory on the well-known ``"directory"``
+            host, with the profile's serialized processing delay.
         behaviors:
             Optional per-aggregator behaviours keyed by aggregator name
             ("aggregator-0", ...); unnamed aggregators are honest.
@@ -216,10 +211,6 @@ class FLSession(Session):
         self.directory_profile: DirectoryProfile = (
             directory if directory is not None else DirectoryProfile()
         )
-        dir_profile = self.directory_profile
-        # A one-shard directory *is* the testbed's well-known
-        # "directory" host; more shards get a host each (below).
-        single_shard = dir_profile.shards == 1
         self.config = config
         num_trainers = len(datasets)
         num_aggregators = (
@@ -234,9 +225,6 @@ class FLSession(Session):
             aggregator_bandwidth_mbps=profile.aggregator_bandwidth_mbps,
             trainer_bandwidths_mbps=profile.trainer_bandwidths_mbps,
             latency=profile.latency,
-            directory_bandwidth_mbps=(
-                dir_profile.bandwidth_mbps if single_shard else None
-            ),
         )
         self.sim = self.testbed.sim
         self.dht = DHT(self.sim, lookup_delay=profile.dht_lookup_delay,
@@ -278,31 +266,14 @@ class FLSession(Session):
             aggregator_names=self.testbed.aggregator_names,
             ipfs_names=self.testbed.ipfs_names,
         )
-        shard_names = (
-            [self.testbed.directory_name] if single_shard
-            else add_directory_shards(
-                self.testbed.network,
-                self.testbed.transport,
-                dir_profile.shards,
-                bandwidth_mbps=dir_profile.bandwidth_mbps,
-            )
-        )
-        self.directory = ShardedDirectory(
+        self.directory = DirectoryService(
             self.sim,
             self.testbed.transport,
             self.dht,
-            shard_names=shard_names,
             committers=self.committers,
             trainer_assignment=self.assignment.aggregator_of,
             verifiable=config.verifiable and config.directory_verification,
-            expected_trainers=num_trainers,
-            processing_delay=dir_profile.processing_delay,
-        )
-        #: Key placement, shared by every participant's directory client.
-        self._shard_map = ShardMap(
-            shard_names,
-            replication=dir_profile.replication,
-            placement=dir_profile.placement,
+            processing_delay=self.directory_profile.processing_delay,
         )
         self.bootstrapper = Bootstrapper(
             self.sim, self.testbed.transport,
@@ -337,7 +308,6 @@ class FLSession(Session):
                 retry=profile.retry,
                 directory_request_timeout=profile.directory_request_timeout,
                 ipfs_request_timeout=profile.ipfs_request_timeout,
-                shard_map=self._shard_map,
                 installs=self._installs,
             ))
         self.aggregators: List[Aggregator] = []
@@ -357,7 +327,6 @@ class FLSession(Session):
                 retry=profile.retry,
                 directory_request_timeout=profile.directory_request_timeout,
                 ipfs_request_timeout=profile.ipfs_request_timeout,
-                shard_map=self._shard_map,
             ))
 
         super().__init__(self.sim)
@@ -491,21 +460,12 @@ class FLSession(Session):
             (host.up_bandwidth, host.down_bandwidth)
             for host in self.testbed.network.hosts()
         })
-        extra: Dict[str, object] = {}
-        if self.directory_profile.shards > 1:
-            # A group of one is invisible: it fingerprints like a
-            # session built with no directory profile at all.
-            extra["directory_shards"] = self.directory_profile.shards
-            extra["directory_replication"] = \
-                self.directory_profile.replication
-            extra["directory_placement"] = self.directory_profile.placement
         return config_fingerprint(
             self.config,
             trainers=len(self.trainers),
             aggregators=len(self.aggregators),
             ipfs_nodes=len(self.nodes),
             link_capacities=capacities,
-            **extra,
         )
 
     # -- storage management --------------------------------------------------------

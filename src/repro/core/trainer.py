@@ -39,7 +39,6 @@ from .addressing import Address, GRADIENT, UPDATE
 from .bootstrapper import Assignment
 from .config import ProtocolConfig
 from .directory import DirectoryClient
-from .dirshard import ShardMap
 from .partition import ModelPartitioner, _partition_view, encode_partition
 from .schedule import IterationSchedule, Participant
 from .verification import CommitmentCostModel, PartitionCommitter
@@ -72,7 +71,6 @@ class Trainer(Participant):
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
         ipfs_request_timeout: float = 120.0,
-        shard_map: Optional[ShardMap] = None,
         installs: Optional[Dict[tuple, list]] = None,
     ):
         super().__init__(name, sim)
@@ -88,7 +86,7 @@ class Trainer(Participant):
                                chunk_size=config.chunk_size,
                                retry=retry)
         self.directory = DirectoryClient(
-            name, transport, shard_map, retry=retry,
+            name, transport, retry=retry,
             request_timeout=directory_request_timeout,
         )
         self.cost_model = CommitmentCostModel(config.commit_seconds_per_param)

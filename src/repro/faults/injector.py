@@ -69,14 +69,6 @@ class FaultInjector:
             if spec.kind in ("link_down", "degrade_link") \
                     and spec.target not in network:
                 raise ValueError(f"{label}: unknown host {spec.target!r}")
-            if spec.kind == "directory_brownout" \
-                    and spec.target is not None:
-                shard_names = self.session.directory.shard_names
-                if spec.target not in shard_names:
-                    raise ValueError(
-                        f"{label}: unknown directory shard "
-                        f"{spec.target!r} (shards: {list(shard_names)})"
-                    )
 
     def start(self) -> None:
         """Spawn one driver process per scheduled fault."""
@@ -181,19 +173,11 @@ class FaultInjector:
 
     def _directory_brownout(self, spec: FaultSpec):
         directory = self.session.directory
-        # One shard named (validated against shard_names in _validate):
-        # only its key range degrades; otherwise the whole service.
-        shards = (directory.shards if spec.target is None
-                  else [directory.shard(spec.target)])
-        # Save each shard's own delay (they may have diverged under an
-        # earlier targeted fault) and restore them individually.
-        saved = [shard.processing_delay for shard in shards]
-        for shard in shards:
-            shard.processing_delay = spec.processing_delay
+        saved = directory.processing_delay
+        directory.processing_delay = spec.processing_delay
 
         def heal():
-            for shard, delay in zip(shards, saved):
-                shard.processing_delay = delay
+            directory.processing_delay = saved
 
         return heal
 

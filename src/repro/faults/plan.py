@@ -26,13 +26,14 @@ Fault taxonomy (``FaultSpec.kind``):
     ``bandwidth_mbps``) for ``duration`` seconds.
 ``directory_brownout``
     Elevate the directory service's ``processing_delay`` to
-    ``processing_delay`` seconds for ``duration`` seconds.  An optional
-    ``target`` names one shard host (``directory-shard-2``, or
-    ``directory`` for the default one-shard group): only that shard's
-    key range degrades, the rest keep serving at full speed.
+    ``processing_delay`` seconds for ``duration`` seconds.
 ``message_loss``
     Drop each pubsub delivery independently with ``probability`` for
     ``duration`` seconds (seeded from the plan seed and spec index).
+
+``directory_brownout`` and ``message_loss`` act on the whole service
+(the one directory server, every pubsub delivery) and take no
+``target``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
     "directory_brownout": ("processing_delay", "duration"),
     "message_loss": ("probability", "duration"),
 }
+
+#: Fault kinds that act on a whole service and so name no ``target``.
+_UNTARGETED = ("directory_brownout", "message_loss")
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,10 @@ class FaultSpec:
                 raise ValueError(
                     f"{self.kind} fault requires the {required!r} field"
                 )
+        if self.kind in _UNTARGETED and self.target is not None:
+            raise ValueError(
+                f"{self.kind} fault takes no `target` (got {self.target!r})"
+            )
         if self.kind == "degrade_link":
             if self.factor is None and self.bandwidth_mbps is None:
                 raise ValueError(

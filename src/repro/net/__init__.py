@@ -14,8 +14,7 @@ from .bandwidth import Flow, FlowScheduler, Link, TransferAbortedError, \
     max_min_rates
 from .network import Host, Network
 from .profile import NetworkProfile
-from .topology import Testbed, add_directory_shards, build_testbed, \
-    uniform_network
+from .topology import Testbed, build_testbed
 from .trace import TransferRecord, TransferTrace
 from .transport import Endpoint, Message, Transport
 from .units import gbps, kib, kilobytes, mbps, megabytes, mib
@@ -34,7 +33,6 @@ __all__ = [
     "TransferRecord",
     "TransferTrace",
     "Transport",
-    "add_directory_shards",
     "build_testbed",
     "gbps",
     "kib",
@@ -43,5 +41,4 @@ __all__ = [
     "mbps",
     "megabytes",
     "mib",
-    "uniform_network",
 ]

@@ -17,8 +17,7 @@ from .network import Network
 from .transport import Transport
 from .units import mbps
 
-__all__ = ["Testbed", "add_directory_shards", "build_testbed",
-           "uniform_network"]
+__all__ = ["Testbed", "build_testbed"]
 
 
 @dataclass
@@ -34,46 +33,6 @@ class Testbed:
     directory_name: str = "directory"
 
 
-def uniform_network(sim: Simulator, names: List[str], bandwidth: float,
-                    latency: float = 0.0) -> Network:
-    """A network where every host has the same symmetric bandwidth."""
-    network = Network(sim, default_latency=latency)
-    for name in names:
-        network.add_host(name, up_bandwidth=bandwidth,
-                         down_bandwidth=bandwidth)
-    return network
-
-
-def add_directory_shards(
-    network: Network,
-    transport: Transport,
-    count: int,
-    bandwidth_mbps: Optional[float] = None,
-    name_prefix: str = "directory-shard",
-) -> List[str]:
-    """Add ``count`` directory-shard hosts to an existing testbed.
-
-    Each shard gets its own host and endpoint (``directory-shard-0``,
-    ...) so the network model prices per-shard load and queueing; like
-    the single well-known server, shard links default to unconstrained
-    (directory traffic is metadata-only) unless ``bandwidth_mbps`` pins
-    them.  Returns the shard host names in placement order.
-    """
-    if count < 1:
-        raise ValueError("need at least one directory shard")
-    bandwidth = (
-        math.inf if bandwidth_mbps is None else mbps(bandwidth_mbps)
-    )
-    names = []
-    for index in range(count):
-        name = f"{name_prefix}-{index}"
-        network.add_host(name, up_bandwidth=bandwidth,
-                         down_bandwidth=bandwidth)
-        transport.endpoint(name)
-        names.append(name)
-    return names
-
-
 def build_testbed(
     sim: Optional[Simulator] = None,
     num_trainers: int = 16,
@@ -82,7 +41,6 @@ def build_testbed(
     bandwidth_mbps: float = 10.0,
     aggregator_bandwidth_mbps: Optional[float] = None,
     trainer_bandwidths_mbps: Optional[Sequence[float]] = None,
-    directory_bandwidth_mbps: Optional[float] = None,
     latency: float = 0.0,
 ) -> Testbed:
     """Build the paper-style deployment.
@@ -91,9 +49,8 @@ def build_testbed(
     link; aggregators too, unless ``aggregator_bandwidth_mbps`` overrides
     them (the asymmetric case of the Sec. III-E analysis, where the
     optimum provider count scales with sqrt(b/d)).  The directory
-    service, run by the well-connected bootstrapper, gets
-    ``directory_bandwidth_mbps`` (defaults to unconstrained, as directory
-    traffic is metadata-only).
+    service, run by the well-connected bootstrapper, gets an
+    unconstrained link, as directory traffic is metadata-only.
     """
     if num_trainers < 1 or num_aggregators < 1 or num_ipfs_nodes < 1:
         raise ValueError("need at least one of each participant kind")
@@ -128,12 +85,8 @@ def build_testbed(
         network.add_host(name, up_bandwidth=aggregator_bandwidth,
                          down_bandwidth=aggregator_bandwidth)
 
-    directory_bandwidth = (
-        math.inf if directory_bandwidth_mbps is None
-        else mbps(directory_bandwidth_mbps)
-    )
-    network.add_host("directory", up_bandwidth=directory_bandwidth,
-                     down_bandwidth=directory_bandwidth)
+    network.add_host("directory", up_bandwidth=math.inf,
+                     down_bandwidth=math.inf)
 
     transport = Transport(network)
     for name in trainer_names + aggregator_names + ipfs_names + ["directory"]:

@@ -309,7 +309,6 @@ class QueueRunawayDetector(Detector):
         self._armed = True
 
     def _depth(self) -> int:
-        # Spans all shards on a sharded directory.
         return self.directory.inbox_depth()
 
     def on_tick(self, now):

@@ -159,10 +159,6 @@ class CountersRegistry:
     def _on_directory_request(self, event) -> None:
         self.increment("directory.requests")
         self.increment(f"directory.requests.{event.kind}")
-        if event.shard is not None:
-            # Sharded directory only: per-shard load distribution.
-            self.increment("dir.shard.requests")
-            self.increment(f"dir.shard.{event.shard}.requests")
 
     def _on_gradient(self, event) -> None:
         self.increment("protocol.gradients_registered")

@@ -155,16 +155,10 @@ class DhtLookup(Event):
 
 @dataclass(frozen=True)
 class DirectoryRequest(Event):
-    """The directory service dequeued one request for processing.
-
-    ``shard`` names the serving shard when the directory group
-    (:class:`~repro.core.directory.ShardedDirectory`) has several; it
-    stays ``None`` for the default group of one.
-    """
+    """The directory service dequeued one request for processing."""
 
     at: float
     kind: str
-    shard: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -419,7 +413,6 @@ class CommitmentAccumulated(Event):
     commitment: object
     accumulated: object
     count: int
-    shard: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ compared when they describe the same scenario), the counters, the
 histogram summaries (count/sum/min/max/mean and exact p50/p95/p99) and
 the resource-series digests.  ``python -m repro.cli run`` writes one
 per run (``manifest.json``); :func:`compare_manifests` diffs two with
-per-metric relative-change thresholds, which ``cli explain`` ranks and
-the ``scale`` / ``dirshard`` baseline gates exit non-zero on.
+per-metric relative-change thresholds, which ``cli explain`` ranks.
 
 The manifest stores *summaries*, not raw events — the JSONL trace is
 the raw record; this is the comparable one.  Nothing in it depends on

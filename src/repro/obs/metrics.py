@@ -514,8 +514,6 @@ class ResourceSampler(SimTicker):
             self._series("ipfs.blockstore.objects").record(
                 now, total_objects)
         if self.directory is not None:
-            # inbox_depth() spans all shards when the directory is
-            # sharded; on the single server it is the inbox length.
             self._series("directory.queue.depth").record(
                 now, self.directory.inbox_depth())
         # Refresh the registry's peak-memory account periodically rather

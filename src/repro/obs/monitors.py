@@ -135,14 +135,9 @@ class InvariantMonitors:
         # byte conservation (per open iteration)
         self._fetched_bytes: Dict[str, float] = {}
 
-        # commitment consistency: the merged per-(partition, iteration)
-        # product gates UpdateVerified; the shard-keyed products gate
-        # each accumulator's own running value (shard None = the single
-        # well-known server, where the two coincide).
+        # commitment consistency: the per-(partition, iteration) product
+        # gates both the accumulator's running value and UpdateVerified.
         self._products: Dict[Tuple[int, int], Tuple[object, int]] = {}
-        self._shard_products: Dict[
-            Tuple[int, int, Optional[str]], Tuple[object, int]
-        ] = {}
 
         # blockstore leak accounting (whole session, object granularity)
         self._stored: Dict[str, str] = {}        # cid -> storing node
@@ -337,35 +332,19 @@ class InvariantMonitors:
 
     def _on_commitment_accumulated(self,
                                    event: CommitmentAccumulated) -> None:
-        # The event's accumulated/count are the *publishing
-        # accumulator's* running values — shard-local when the directory
-        # is sharded — so recompute per shard...
-        shard_key = (event.partition_id, event.iteration, event.shard)
-        previous = self._shard_products.get(shard_key)
+        key = (event.partition_id, event.iteration)
+        previous = self._products.get(key)
         if previous is None:
             product, count = event.commitment, 1
         else:
             product, count = previous[0].combine(event.commitment), \
                 previous[1] + 1
-        self._shard_products[shard_key] = (product, count)
-        # ... while the merged product (what a sharded directory reports
-        # at verification time) folds every contribution in arrival
-        # order; EC-point addition commutes, so it must equal the
-        # shard-order merge the directory performs.
-        merged_key = (event.partition_id, event.iteration)
-        merged = self._products.get(merged_key)
-        if merged is None:
-            self._products[merged_key] = (event.commitment, 1)
-        else:
-            self._products[merged_key] = (
-                merged[0].combine(event.commitment), merged[1] + 1
-            )
+        self._products[key] = (product, count)
         if product != event.accumulated or count != event.count:
-            where = f" (shard {event.shard})" if event.shard else ""
             self._violate(
                 event.at, "commitment-consistency",
                 f"partition {event.partition_id}",
-                f"directory accumulator{where} diverged from the product "
+                f"directory accumulator diverged from the product "
                 f"of contributions after {event.uploader} "
                 f"(count {event.count} vs {count})",
                 iteration=event.iteration,

@@ -86,7 +86,7 @@ SMALL_SESSION = [
 
 @pytest.mark.parametrize("gone", [
     "trace", "timeline", "critical-path", "metrics", "audit",
-    "incidents", "chaos", "profile", "compare", "scale", "dirshard",
+    "incidents", "chaos", "profile", "compare", "scale",
 ])
 def test_parser_rejects_the_subcommands_run_replaced(gone, capsys):
     with pytest.raises(SystemExit):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Address,
@@ -11,8 +13,8 @@ from repro.core import (
     PartitionCommitter,
 )
 from repro.core.directory import DirectoryClient, DirectoryService
-from repro.crypto import Commitment
-from repro.ipfs import DHT, IPFSClient, IPFSNode
+from repro.crypto import Commitment, PedersenParams, SECP256K1
+from repro.ipfs import DHT, IPFSClient, IPFSNode, compute_cid
 from repro.net import Network, Transport, mbps
 from repro.sim import Simulator
 
@@ -20,7 +22,7 @@ from repro.sim import Simulator
 PARTITION_LEN = 4
 
 
-def make_world(verifiable=False, trainer_assignment=None, num_trainers=3):
+def make_world(verifiable=False, trainer_assignment=None):
     sim = Simulator()
     network = Network(sim)
     names = ["directory", "ipfs-0"] + [f"client-{i}" for i in range(4)]
@@ -37,7 +39,6 @@ def make_world(verifiable=False, trainer_assignment=None, num_trainers=3):
         committers={0: committer, 1: committer},
         trainer_assignment=trainer_assignment or {},
         verifiable=verifiable,
-        expected_trainers=num_trainers,
     )
     return sim, transport, dht, node, directory, committer
 
@@ -291,21 +292,6 @@ def test_only_a_global_update_registration_runs_as_a_process(monkeypatch):
     assert directory.register_count == 3
 
 
-def test_first_gradient_time_recorded():
-    sim, transport, dht, node, directory, committer = make_world()
-    client = DirectoryClient("client-0", transport)
-    cid = node.store_object(b"g")
-
-    def scenario(sim):
-        yield sim.timeout(5.0)
-        yield from client.register(Address("t0", 0, 0, GRADIENT), cid)
-        yield from client.register(Address("t1", 0, 0, GRADIENT), cid)
-
-    run(sim, scenario(sim))
-    assert directory.first_gradient_time[0] >= 5.0
-    assert directory.register_count == 2
-
-
 def test_verifiable_requires_committers():
     sim = Simulator()
     network = Network(sim)
@@ -374,3 +360,199 @@ def test_indexed_entries_equal_the_brute_force_filter():
         brute.sort(key=lambda entry: entry.address.iteration)
         indexed = directory.entries_before(cutoff)
         assert [id(e) for e in indexed] == [id(e) for e in brute]
+
+
+# -- the one client against a plain-dict model ---------------------------------------
+
+UPLOADERS = ["t0", "t1", "t2", "t3"]
+ASSIGNMENT = {(uploader, partition): f"agg-{index % 2}"
+              for index, uploader in enumerate(UPLOADERS)
+              for partition in range(3)}
+#: Blob ``b``'s CID, and the vector its gradient commitment commits to.
+CIDS = [compute_cid(b"blob-%d" % blob) for blob in range(4)]
+VECTORS = [[blob + 1, 2, 3, 4] for blob in range(4)]
+#: The iteration whose gradient cutoff is armed at t = 0.
+LATE = 1
+_PARAMS = []
+
+
+def _pedersen_params():
+    if not _PARAMS:
+        _PARAMS.append(PedersenParams.setup(SECP256K1, PARTITION_LEN))
+    return _PARAMS[0]
+
+
+class DirectoryModel:
+    """What the directory should answer, kept in plain dicts.
+
+    Entries live per ``(partition, iteration, kind)`` key, address ->
+    CID, in first-registration order.  Accumulated commitments are kept
+    as summed vectors: an unblinded Pedersen commitment is additively
+    homomorphic, so the product of the commitments must equal the
+    commitment of the sum.  Iteration :data:`LATE`'s gradient cutoff
+    has passed, so none of its gradients is accepted.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.sums = {}
+        self.registers = 0
+        self.lookups = 0
+
+    def _gradient(self, address, blob):
+        key = (address.partition_id, address.iteration, GRADIENT)
+        bucket = self.entries.setdefault(key, {})
+        if bucket.get(address) == CIDS[blob]:
+            return True  # an idempotent retry folds nothing in
+        if address.iteration == LATE:
+            return False
+        bucket[address] = CIDS[blob]
+        aggregator = ASSIGNMENT[(address.uploader_id, address.partition_id)]
+        for scope in (None, aggregator):
+            vector, count = self.sums.get(
+                (address.partition_id, address.iteration, scope),
+                ([0] * PARTITION_LEN, 0))
+            self.sums[(address.partition_id, address.iteration, scope)] = (
+                [a + b for a, b in zip(vector, VECTORS[blob])], count + 1)
+        return True
+
+    def register(self, address, blob):
+        self.registers += 1
+        if address.kind == GRADIENT:
+            if self._gradient(address, blob):
+                return {"accepted": True}
+            return {"accepted": False, "reason": "past t_train"}
+        bucket = self.entries.setdefault(
+            (address.partition_id, address.iteration, address.kind), {})
+        if address.kind == UPDATE and bucket:
+            # First update wins; its own uploader re-announcing it is a
+            # retry.
+            if bucket.get(address) == CIDS[blob]:
+                return {"accepted": True}
+            return {"accepted": False, "reason": "duplicate"}
+        bucket[address] = CIDS[blob]
+        return {"accepted": True}
+
+    def register_batch(self, rows):
+        self.registers += 1
+        accepted = True
+        for address, blob in rows:
+            accepted &= self._gradient(address, blob)
+        return {"accepted": accepted}
+
+    def lookup(self, partition, iteration, kind, aggregator, uploader):
+        self.lookups += 1
+        return [
+            (address.uploader_id, str(cid))
+            for address, cid in self.entries.get(
+                (partition, iteration, kind), {}).items()
+            if uploader in (None, address.uploader_id)
+            and (aggregator is None or kind != GRADIENT or aggregator
+                 == ASSIGNMENT[(address.uploader_id, partition)])
+        ]
+
+    def accumulated(self, partition, iteration, aggregator):
+        vector, count = self.sums.get((partition, iteration, aggregator),
+                                      (None, 0))
+        if vector is None:
+            return None, 0
+        return _pedersen_params().commit(vector).to_bytes(), count
+
+
+def _address(row):
+    uploader, partition, iteration, kind, _ = row
+    return Address(uploader, partition, iteration, kind)
+
+
+registrations = st.tuples(
+    st.sampled_from(UPLOADERS), st.integers(0, 2), st.integers(0, 1),
+    st.sampled_from([GRADIENT, GRADIENT, PARTIAL_UPDATE, UPDATE]),
+    st.integers(0, 3),
+)
+aggregator_ids = st.sampled_from([None, "agg-0", "agg-1"])
+operation = st.one_of(
+    registrations.map(lambda row: ("register", row)),
+    st.lists(registrations.filter(lambda row: row[3] == GRADIENT),
+             min_size=1, max_size=4).map(lambda rows: ("batch", rows)),
+    st.tuples(st.just("lookup"), st.integers(0, 2), st.integers(0, 1),
+              st.sampled_from([GRADIENT, PARTIAL_UPDATE, UPDATE]),
+              aggregator_ids, st.sampled_from([None] + UPLOADERS)),
+    st.tuples(st.just("accumulated"), st.integers(0, 2),
+              st.integers(0, 1), aggregator_ids),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(operation, min_size=1, max_size=24))
+@example([
+    ("register", ("t0", 0, 0, GRADIENT, 0)),
+    ("register", ("t0", 0, 0, GRADIENT, 0)),  # a retry (lost ack)
+    ("register", ("t1", 0, 0, GRADIENT, 1)),
+    ("register", ("t1", 0, 0, GRADIENT, 2)),  # a new CID, same address
+    ("batch", [("t2", 0, 0, GRADIENT, 3), ("t3", 0, LATE, GRADIENT, 3)]),
+    ("register", ("t0", 0, 0, UPDATE, 0)),
+    ("register", ("t0", 0, 0, UPDATE, 0)),  # the winner retrying
+    ("register", ("t1", 0, 0, UPDATE, 1)),  # a loser
+    ("lookup", 0, 0, GRADIENT, "agg-1", None),
+    ("lookup", 0, 0, UPDATE, None, "t0"),
+    ("accumulated", 0, 0, "agg-0"),
+])
+def test_the_one_client_matches_a_dict_model(operations):
+    """Any register / re-register / batch / lookup / accumulated
+    sequence through one client gives the acks, lookup rows (in order),
+    accumulated bytes and counts, and server counters the model
+    predicts — and leaves the entries the model holds."""
+    sim, transport, dht, node, directory, committer = make_world(
+        trainer_assignment=ASSIGNMENT)
+    directory.committers.update({2: committer})
+    directory.begin_iteration(LATE, t_train=0.0)
+    client = DirectoryClient("client-0", transport)
+    params = _pedersen_params()
+    commitments = [params.commit(vector) for vector in VECTORS]
+    model = DirectoryModel()
+
+    def record(row):
+        address = _address(row)
+        return {"address": address, "cid": CIDS[row[4]],
+                "commitment": (commitments[row[4]]
+                               if address.kind == GRADIENT else None)}
+
+    def scenario():
+        for op in operations:
+            if op[0] == "register":
+                ack = yield from client.register(**record(op[1]))
+                assert ack == model.register(_address(op[1]), op[1][4]), op
+            elif op[0] == "batch":
+                ack = yield from client.register_batch(
+                    [record(row) for row in op[1]])
+                assert ack == model.register_batch(
+                    [(_address(row), row[4]) for row in op[1]]), op
+            elif op[0] == "lookup":
+                rows = yield from client.lookup(*op[1:])
+                assert [(row["uploader_id"], str(row["cid"]))
+                        for row in rows] == model.lookup(*op[1:]), op
+                for row in rows:
+                    expected = (commitments[CIDS.index(row["cid"])]
+                                if op[3] == GRADIENT else None)
+                    assert row["commitment"] is expected, op
+            else:
+                total, count = yield from client.accumulated(*op[1:])
+                assert (total and total.to_bytes(), count) \
+                    == model.accumulated(*op[1:]), op
+
+    run(sim, scenario())
+    assert directory.register_count == model.registers
+    assert directory.lookup_count == model.lookups
+    for partition in range(3):
+        for iteration in range(2):
+            for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
+                assert [
+                    (entry.address, entry.cid) for entry in
+                    directory.entries_for(partition, iteration, kind)
+                ] == list(model.entries.get(
+                    (partition, iteration, kind), {}).items())
+            for aggregator in (None, "agg-0", "agg-1"):
+                total, count = directory.accumulated_commitment(
+                    partition, iteration, aggregator)
+                assert (total and total.to_bytes(), count) \
+                    == model.accumulated(partition, iteration, aggregator)

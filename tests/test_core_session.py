@@ -426,7 +426,7 @@ def test_run_iteration_pauses_the_collector_and_restores_it(enabled, fail):
     "r-1 evicts what r registered.  Fix: skip CIDs still referenced by an "
     "entry at iteration >= cutoff — it moves the BlockEvicted counters of "
     "the benchmark's GC workloads, so it waits for a PR that re-pins them "
-    "(ROADMAP item 4)."))
+    "(ROADMAP item 1)."))
 def test_collect_garbage_keeps_the_iteration_it_was_told_to_keep():
     """Two rounds with identical gradients, then
     ``collect_garbage(keep_iterations=1)``: the newest iteration's update

@@ -38,6 +38,20 @@ def test_each_kind_enforces_its_required_fields(kind):
         FaultSpec(kind=kind, at=0.0)
 
 
+WHOLE_SERVICE_KINDS = {
+    "directory_brownout": dict(processing_delay=0.1, duration=5.0),
+    "message_loss": dict(probability=0.5, duration=5.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WHOLE_SERVICE_KINDS))
+def test_whole_service_kinds_reject_a_target(kind):
+    fields = WHOLE_SERVICE_KINDS[kind]
+    FaultSpec(kind=kind, at=0.0, **fields)
+    with pytest.raises(ValueError, match=f"{kind} fault takes no `target`"):
+        FaultSpec(kind=kind, at=0.0, target="directory", **fields)
+
+
 def test_degrade_link_needs_factor_or_bandwidth():
     with pytest.raises(ValueError, match="factor.*bandwidth_mbps"):
         FaultSpec(kind="degrade_link", at=0.0, target="trainer-0",

@@ -10,7 +10,6 @@ from repro.net import (
     build_testbed,
     mbps,
     megabytes,
-    uniform_network,
 )
 from repro.sim import Simulator
 
@@ -315,13 +314,6 @@ def test_delivered_by_kind_telemetry():
 
 
 # -- topology builders ------------------------------------------------------------
-
-
-def test_uniform_network():
-    sim = Simulator()
-    network = uniform_network(sim, ["x", "y"], bandwidth=100.0, latency=0.5)
-    assert network.host("x").up_bandwidth == 100.0
-    assert network.latency("x", "y") == 0.5
 
 
 def test_build_testbed_defaults():

@@ -170,7 +170,7 @@ def test_default_window_leaves_out_the_firehose():
     bus = EventBus()
     recorder = FlightRecorder(bus)
     bus.publish(TransferStarted(at=1.0, src="a", dst="b", size=1.0))
-    bus.publish(DirectoryRequest(at=1.0, kind="dir.lookup", shard=None))
+    bus.publish(DirectoryRequest(at=1.0, kind="dir.lookup"))
     bus.publish(IterationStarted(at=1.0, iteration=0))
     assert [type(event) for event in recorder.window] == [IterationStarted]
     assert GradientRegistered in DEFAULT_WINDOW_EVENTS
