@@ -20,8 +20,9 @@ magnitude fewer data per iteration than the aggregators combined do".
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..crypto import Commitment
 from ..faults.retry import RetryExhaustedError, RetryPolicy
@@ -52,6 +53,10 @@ KIND_LOOKUP = "dir.lookup"
 KIND_LOOKUP_REPLY = "dir.lookup.reply"
 KIND_ACCUMULATED = "dir.accumulated"
 KIND_ACCUMULATED_REPLY = "dir.accumulated.reply"
+#: What the server answers; the directory host's endpoint is shared with
+#: its own IPFS client (it fetches updates for verification).
+_SERVED_KINDS = (KIND_REGISTER, KIND_REGISTER_BATCH, KIND_LOOKUP,
+                 KIND_ACCUMULATED)
 
 #: Wire sizes (bytes): an address + CID + commitment record, a lookup
 #: query, and one lookup result row.
@@ -172,7 +177,12 @@ class DirectoryService:
         self.register_count = 0
         self.lookup_count = 0
         self.endpoint = transport.endpoint(self.name)
+        self.endpoint._take = self._take
         self._ipfs = IPFSClient(self.name, transport, dht)
+        #: Requests that arrived while the serve loop was busy, in order.
+        self._backlog: Deque[Message] = deque()
+        #: What the serve loop waits on: pending while it is idle.
+        self._next = sim.event()
         self._server = sim.process(self._serve(),
                                    name=f"directory:{self.name}")
 
@@ -210,7 +220,7 @@ class DirectoryService:
 
     def inbox_depth(self) -> int:
         """Requests queued behind the serve loop (load telemetry)."""
-        return len(self.endpoint.inbox.items)
+        return len(self._backlog) + len(self.endpoint.inbox.items)
 
     def accumulated_commitment(
         self, partition_id: int, iteration: int,
@@ -228,15 +238,9 @@ class DirectoryService:
     # -- server -------------------------------------------------------------------
 
     def _serve(self):
-        # The directory host's endpoint is shared with its own IPFS client
-        # (used to fetch updates for verification), so only consume
-        # directory-protocol kinds here.
-        served_kinds = (KIND_REGISTER, KIND_REGISTER_BATCH,
-                        KIND_LOOKUP, KIND_ACCUMULATED)
+        """Serve requests one at a time, in arrival order."""
         while True:
-            message = yield self.endpoint.inbox.get(
-                lambda m: m.kind in served_kinds
-            )
+            message = yield self._next
             bus = self.sim.bus
             if bus.wants(DirectoryRequest):
                 bus.publish(DirectoryRequest(at=self.sim.now,
@@ -252,6 +256,21 @@ class DirectoryService:
                 self._handle_lookup(message)
             elif message.kind == KIND_ACCUMULATED:
                 self._handle_accumulated(message)
+            self._next = self.sim.event()
+            if self._backlog:
+                self.sim.dispatch_in_place(self._next,
+                                           self._backlog.popleft())
+
+    def _take(self, message: Message) -> bool:
+        """The endpoint's server hook: resume the idle serve loop in
+        place, or queue the request behind the busy one."""
+        if message.kind not in _SERVED_KINDS:
+            return False
+        if self._next.triggered:
+            self._backlog.append(message)
+        else:
+            self.sim.dispatch_in_place(self._next, message)
+        return True
 
     def _handle_register(self, message: Message) -> None:
         """Gradients and partial updates are answered on the spot; a

@@ -13,10 +13,11 @@ finish, abort or capacity change only marks its links dirty and registers
 one *settle* hook (``Simulator.at_instant_end``: after every event of that
 timestamp), which re-solves the touched flows and re-arms the
 next-completion wakeup (a cancellable kernel timeout, so superseded wakeups
-leave the heap instead of polluting it).  No byte moves while the clock
-stands still and a max-min allocation depends only on the flow set, so N
-uploads starting together cost one solve over N flows instead of N solves
-over 1..N — with the same rates and finish times, float for float.
+leave the heap instead of polluting it; it dispatches the completion events
+of the flows it finishes in place, in flow order).  No byte moves while the
+clock stands still and a max-min allocation depends only on the flow set,
+so N uploads starting together cost one solve over N flows instead of N
+solves over 1..N — with the same rates and finish times, float for float.
 
 Scaling
 -------
@@ -493,4 +494,4 @@ class FlowScheduler:
         self._remove(finished)
         for flow in finished:
             self.bytes_delivered += flow.total
-            flow.done.succeed(flow.total)
+            self.sim.dispatch_in_place(flow.done, flow.total)

@@ -7,10 +7,10 @@ latency is charged once per transfer before bytes start flowing.
 
 A transfer is its completion event and nothing else — no process.  The
 offline check runs inline, a latency wait (only when latency > 0) is one
-timeout whose callback checks again, and the scheduler fires the very event
-``transfer()`` returned when the last byte is through: one kernel step per
-transfer, plus the scheduler's settle and wakeup, which all transfers of an
-instant share.  An abort fails that event with a
+timeout whose callback checks again, and the scheduler's wakeup dispatches
+the very event ``transfer()`` returned in place when the last byte is
+through: no kernel step of its own, only the settle and wakeup all
+transfers of an instant share.  An abort fails that event with a
 :class:`~repro.net.bandwidth.TransferAbortedError` naming route and size.
 
 This replaces the paper's mininet testbed: the experiments there configure

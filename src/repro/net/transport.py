@@ -5,13 +5,16 @@ and IPFS nodes in the protocol stack exchange :class:`Message` objects whose
 ``size`` charges the network and whose ``payload`` carries simulation-side
 Python objects (no serialization needed inside the simulator).
 
-A message costs no process: one callback on its transfer's completion
-event files it in the destination inbox and fires the sender's delivery
-event (three kernel steps with the waiting getter's, see
-:mod:`repro.net.network`; two if no sender waits on that event: it is
-marked processed, not dispatched).  A message whose transfer aborts is
-lost, not an error: ``dropped`` counts it and the sender's event never
-fires; request/response callers recover via timeout + retry.
+A message costs no process and no kernel step of its own: its transfer's
+completion event runs inside the flow scheduler's wakeup (see
+:meth:`~repro.sim.Simulator.dispatch_in_place`), where one callback files
+it in the destination inbox (or hands it to the endpoint's server, the
+directory) and fires the sender's delivery event, dispatched only if the
+sender waits on it.  A reply's keyed getter and the reply run in place
+too: a directory poll costs a wakeup and a settle step per message.  A
+message whose transfer aborts is lost, not an error: ``dropped`` counts
+it, the sender's event never fires and the requester drops its reply
+getter; callers recover via timeout + retry.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
-from ..sim import AnyOf, Event, FilterStore, Simulator
+from ..sim import Event, FilterStore, Simulator
 from .network import Network
 
 __all__ = ["Message", "Transport", "Endpoint"]
@@ -43,18 +46,25 @@ class Message:
     delivered_at: float = field(default=0.0, compare=False)
 
 
-class _Reply(AnyOf):
-    """First of a response getter and its deadline: the response, or None."""
+class _Reply(Event):
+    """A request's response, or None if its deadline comes first (the
+    getter is then left, waited on by nobody, to swallow a late reply)."""
 
-    __slots__ = ()
+    __slots__ = ("_response", "_deadline")
 
-    def _collect(self) -> Optional[Message]:
-        response, deadline = self._events
-        if not response.processed:
-            return None
-        # Left queued, a lost deadline holds the reply for its whole delay.
-        deadline.cancel()
-        return response._value
+    def __init__(self, sim: Simulator, response: Event, timeout: float):
+        super().__init__(sim)
+        self._response, self._deadline = response, sim.timeout(timeout)
+        response.callbacks.append(self._answer)
+        self._deadline.callbacks.append(self._expire)
+
+    def _answer(self, response: Event) -> None:
+        self._deadline.cancel()  # queued, it holds this reply to its end
+        self.sim.dispatch_in_place(self, response._value)
+
+    def _expire(self, _deadline: Event) -> None:
+        self._response.callbacks.remove(self._answer)
+        self.sim.dispatch_in_place(self, None)
 
 
 class Endpoint:
@@ -65,6 +75,9 @@ class Endpoint:
         self.name = name
         self.inbox = FilterStore(transport.sim,
                                  key=attrgetter("request_id"))
+        #: A server's own request queue: called with each arriving
+        #: message, True if the server took it (it is then not filed).
+        self._take: Optional[Callable[[Message], bool]] = None
 
     def send(self, dst: str, kind: str, payload: Any = None,
              size: float = 0.0, request_id: Optional[int] = None) -> Event:
@@ -93,8 +106,7 @@ class Endpoint:
         response = self.inbox.get(key=request_id)
         if timeout is None:
             return response
-        sim = self.transport.sim
-        return _Reply(sim, [response, sim.timeout(timeout)])
+        return _Reply(self.transport.sim, response, timeout)
 
     def respond(self, request: Message, kind: str, payload: Any = None,
                 size: float = 0.0) -> Event:
@@ -141,12 +153,19 @@ class Transport:
                 # it in a cycle (waiter -> event -> waiter's resume) that
                 # only the cyclic collector frees.
                 delivered.callbacks.clear()
+                # No reply will come: drop the requester's getter for it.
+                for name in (message.src, message.dst):
+                    if name in self._endpoints:
+                        self._endpoints[name].inbox._keyed.pop(
+                            message.request_id, None)
                 return
             message.delivered_at = self.sim.now
             self.delivered_by_kind[message.kind] = (
                 self.delivered_by_kind.get(message.kind, 0) + 1
             )
-            self._endpoints[message.dst].inbox.deposit(message)
+            endpoint = self._endpoints[message.dst]
+            if endpoint._take is None or not endpoint._take(message):
+                endpoint.inbox.deposit(message)
             if delivered.callbacks:
                 delivered.succeed(message)
             else:  # nobody waits: processed in place, never dispatched
@@ -157,3 +176,4 @@ class Transport:
             message.src, message.dst, message.size
         )._add_callback(arrive)
         return delivered
+

@@ -9,6 +9,13 @@ The kernel is the foundation for the network emulator (:mod:`repro.net`) and
 the simulated IPFS network (:mod:`repro.ipfs`), which together replace the
 mininet testbed used in the paper's evaluation.
 
+A :meth:`Simulator.step` dispatches one queued event, then the events its
+callbacks triggered through :meth:`Simulator.dispatch_in_place` in trigger
+order, until one queued for this instant comes first (the rest are then
+queued): where ``succeed`` would have run them.  It is for events that
+only hand a value on: a finished flow's completion, a reply's keyed
+getter and the reply, the directory's next request.
+
 Example
 -------
 >>> sim = Simulator()
@@ -412,6 +419,10 @@ class Simulator:
         self._tombstones = 0
         #: One-shot callbacks for the end of the current instant, FIFO.
         self._instant_end: deque = deque()
+        #: True while a step runs an event's callbacks.
+        self._dispatching = False
+        #: Heap entries of the events triggered in place, in trigger order.
+        self._in_place: deque = deque()
         #: The simulation's observability spine: everything built on this
         #: kernel (network, IPFS, protocol roles) publishes typed events
         #: here; telemetry/tracing subscribe.  See :mod:`repro.obs`.
@@ -482,6 +493,19 @@ class Simulator:
                 heapq.heappush(self._queue, entry)
         return timeouts
 
+    def dispatch_in_place(self, event: Event, value: Any = None) -> None:
+        """:meth:`Event.succeed`, dispatched inside the current step
+        rather than in one of its own (see the module docstring);
+        outside a dispatch it *is* ``succeed``."""
+        if not self._dispatching:
+            event.succeed(value)
+            return
+        if event._value is not _PENDING:
+            raise SimulationError(f"{event!r} already triggered")
+        event._ok, event._value = True, value
+        self._in_place.append(
+            [self._now, PRIORITY_NORMAL, next(self._seq), event])
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start ``generator`` as a new process."""
         return Process(self, generator, name=name)
@@ -526,8 +550,9 @@ class Simulator:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event, or the next end-of-instant hook
-        once no event of this instant is left."""
+        """Process the next queued event (and the events its callbacks
+        dispatch in place), or the next end-of-instant hook once no event
+        of this instant is left."""
         queue = self._queue
         if self._instant_end:
             self._purge_head()
@@ -544,12 +569,29 @@ class Simulator:
             self._tombstones -= 1
         self._now = entry[0]
         event._heap_entry = None  # break the entry <-> event cycle
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
+        in_place = self._in_place
+        self._dispatching = True
+        try:
+            while True:
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    exc = event._value
+                    raise exc
+                if not in_place:
+                    break
+                if queue and queue[0] < in_place[0]:
+                    self._purge_head()  # a cancelled entry is no event
+                    if queue and queue[0] < in_place[0]:
+                        break  # queued for this instant ahead of it
+                event = in_place.popleft()[3]
+        finally:
+            self._dispatching = False
+            while in_place:  # the rest waits its turn on the heap
+                entry = in_place.popleft()
+                entry[3]._heap_entry = entry
+                heapq.heappush(queue, entry)
 
     def run_until(self, event: Event) -> None:
         """Process events until ``event`` has been processed.

@@ -10,7 +10,8 @@ These mirror the classic discrete-event primitives:
 Blocking operations return :class:`~repro.sim.core.Event` objects to be
 yielded from a process.  A new item goes to the oldest waiting getter
 that accepts it, a new getter takes the oldest buffered item it accepts;
-so no waiting getter accepts a buffered item.
+so no waiting getter accepts a buffered item.  A keyed getter handed a new
+item is dispatched in place: it only hands a reply on.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Store:
                 return
         if keyed is not None:
             del self._keyed[keyed.key]
-            keyed.succeed(item)
+            self.sim.dispatch_in_place(keyed, item)  # a reply's getter
         else:
             self.items.append(item)
 

@@ -71,5 +71,7 @@ class ReferenceTransport(Transport):
         message.delivered_at = self.sim.now
         self.delivered_by_kind[message.kind] = (
             self.delivered_by_kind.get(message.kind, 0) + 1)
-        yield self._endpoints[message.dst].inbox.put(message)
+        endpoint = self._endpoints[message.dst]
+        if endpoint._take is None or not endpoint._take(message):
+            yield endpoint.inbox.put(message)
         delivered.succeed(message)

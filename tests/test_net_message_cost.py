@@ -5,9 +5,12 @@ transfer's completion event, the receiver's getter, the sender's
 delivery event when the sender waits on it — plus its share of the flow
 scheduler's per-instant settle and wakeup.  No process, no process-start
 or process-end event, no put event, no dispatch of a delivery event
-nobody waits on.  These tests count ``Simulator.step`` calls, ``Process``
-constructions and inbox predicate calls around fixed traffic; no host
-timing.
+nobody waits on, and no step of its own for an event that only hands a
+value on: a finished flow's completion, a reply's keyed getter and the
+reply are dispatched in place (``Simulator.dispatch_in_place``) inside
+the wakeup's step.  These tests count ``Simulator.step`` calls,
+``Process`` constructions and inbox predicate calls around fixed
+traffic; no host timing.
 """
 
 import numpy as np
@@ -80,31 +83,36 @@ def _round_trip(sim, a, b):
 
 
 def test_request_response_round_trip_spawns_no_process(kernel_work):
-    """9 steps for the round trip, against 23 steps and 4 processes on
-    the process-per-message path (its generator pair is kept under
-    ``tests/`` and counted here next to it).  Per message: the transfer's
-    event, the getter and the flow's wakeup; neither end waits on its
-    delivery event, so neither is dispatched.  The 3 settles are the
-    scheduler's end-of-instant hooks, one step per busy instant."""
+    """6 steps for the round trip (9 before completions and reply
+    getters ran in place), against 21 steps and 4 processes on the
+    process-per-message path (23 then; its generator pair is kept under
+    ``tests/`` and counted here next to it).  Per message the flow's
+    wakeup, with the transfer's event dispatched inside it; the server's
+    ``receive`` getter takes a step of its own, the reply's keyed getter
+    runs inside the wakeup, and neither end waits on its delivery event.
+    The 3 settles are the scheduler's end-of-instant hooks, one step per
+    busy instant."""
     sim, a, b = _pair()
     reply = _round_trip(sim, a, b)
     assert reply.value.payload == "reply" and sim.now == 1.5
     assert kernel_work["processes"] == []
-    assert kernel_work["steps"] == 9
+    assert kernel_work["steps"] == 6
 
     kernel_work.update(steps=0, processes=[])
     sim, a, b = _pair(ReferenceNetwork, ReferenceTransport)
     reply = _round_trip(sim, a, b)
     assert reply.value.payload == "reply" and sim.now == 1.5
     assert len(kernel_work["processes"]) == 4
-    assert kernel_work["steps"] == 23
+    assert kernel_work["steps"] == 21
 
 
-def test_same_instant_burst_costs_one_step_a_message(kernel_work):
-    """64 sends at one timestamp, all through at one timestamp: one step
-    each (the transfer's event; the delivery events nobody waits on are
-    processed without a dispatch) plus three scheduler steps for the lot
-    (two settles, one wakeup), and the inbox holds them in send order."""
+def test_same_instant_burst_costs_no_step_a_message(kernel_work):
+    """64 sends at one timestamp, all through at one timestamp: three
+    scheduler steps for the lot (two settles, one wakeup) and none a
+    message — the 64 transfers' events run inside the wakeup's step, in
+    flow order (64 + 3 steps before), the delivery events nobody waits
+    on are processed without a dispatch — and the inbox holds them in
+    send order."""
     sim = Simulator()
     network = Network(sim)
     network.add_host("hub", up_bandwidth=64e6)
@@ -121,7 +129,7 @@ def test_same_instant_burst_costs_one_step_a_message(kernel_work):
     assert [message.payload for message in hub.inbox.items] == list(range(64))
     assert {message.delivered_at for message in hub.inbox.items} == {0.1}
     assert kernel_work["processes"] == []
-    assert kernel_work["steps"] == 64 + 3
+    assert kernel_work["steps"] == 3
 
 
 def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_dispatch(
@@ -129,7 +137,8 @@ def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_di
     """The delivery event is dispatched only for a sender who subscribed
     to it before the message arrived: yielding ``send()`` resumes the
     sender at the delivery instant with the message; a send nobody waits
-    on is processed in place, one step cheaper."""
+    on is processed in place, one step cheaper (7 and 4 steps before the
+    transfer's event ran inside the wakeup's step)."""
     sim, a, b = _pair()
     resumed = []
 
@@ -139,9 +148,10 @@ def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_di
 
     sim.process(sender())
     sim.run()
-    # Process start, transfer, wakeup, delivery, process end + 2 settles.
+    # Process start, wakeup (and the transfer in it), delivery, process
+    # end + 2 settles.
     assert resumed == [(1.0, 1.0, "waited")]
-    assert kernel_work["steps"] == 7
+    assert kernel_work["steps"] == 6
 
     kernel_work.update(steps=0)
     sim, a, b = _pair()
@@ -150,16 +160,21 @@ def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_di
     assert delivered.processed and delivered.ok
     assert delivered.value.payload == "unwatched" and sim.now == 1.0
     assert [message.payload for message in b.inbox.items] == ["unwatched"]
-    # Transfer and wakeup + 2 settles: no delivery dispatch.
-    assert kernel_work["steps"] == 4
+    # Wakeup + 2 settles: no transfer or delivery dispatch.
+    assert kernel_work["steps"] == 3
 
 
 def test_directory_poll_spawns_no_process_in_net(kernel_work):
     """A whole round of a small session starts no process out of
-    ``repro/net`` (the parent started two per message: 298 processes and
-    1 307 steps for this round, now 54 and 569), and one poll of the
-    directory after it costs the poller's own process and 12 steps (the
-    parent: 5 processes, 24 steps)."""
+    ``repro/net`` (the process-per-message path started two per message:
+    298 processes and 1 307 steps for this round; 54 processes and 483
+    steps before events that only hand a value on were dispatched in
+    place, 302 steps now), and one poll of the directory after it costs
+    the poller's own process and 6 steps: its start, its end, and per
+    message a settle and a wakeup — the request's completion and the
+    directory's resumption run inside the first wakeup, the reply's
+    completion and keyed getter inside the second (10 steps before; the
+    process-per-message path: 5 processes, 24 steps)."""
     config = ProtocolConfig(num_partitions=2, t_train=600.0, t_sync=1200.0,
                             update_mode="gradient", poll_interval=0.25,
                             seed=5)
@@ -179,17 +194,20 @@ def test_directory_poll_spawns_no_process_in_net(kernel_work):
     session.sim.run_until(poll)
     assert [entry["cid"] for entry in poll.value]
     assert len(kernel_work["processes"]) == 1  # the poll itself
-    assert kernel_work["steps"] <= 12
+    assert kernel_work["steps"] == 6
 
 
 def test_a_reply_is_found_by_its_request_id_not_by_predicates(inbox_work):
-    """One round of 16 exactly-simulated trainers makes 405 inbox gets.
-    The parent commit called 302 predicates for them (0.75 a get): each
-    reply getter was a ``request_id`` predicate, asked of every message
-    its inbox received while it waited and of every buffered one at each
-    new get.  Keyed by ``request_id``, a reply is a dict lookup, and the
-    only predicate left is the directory server's request-kind filter,
-    asked once per request it receives (68 lookups + 34 registrations)."""
+    """One round of 16 exactly-simulated trainers makes 302 inbox gets.
+    Predicate getters once called 302 predicates for the then 405 gets
+    (0.75 a get): each reply getter was a ``request_id`` predicate,
+    asked of every message its inbox received while it waited and of
+    every buffered one at each new get.  Keyed by ``request_id``, a reply
+    is a dict lookup.  The directory server's request-kind filter was
+    the one predicate left, asked once per request it received (68
+    lookups + 34 registrations = 102 calls, and one get per request);
+    now the server takes its requests off the wire itself, so no
+    predicate is called at all."""
     config = ProtocolConfig(num_partitions=2, t_train=600.0, t_sync=1200.0,
                             update_mode="gradient", poll_interval=0.25,
                             seed=11)
@@ -201,6 +219,6 @@ def test_a_reply_is_found_by_its_request_id_not_by_predicates(inbox_work):
     metrics = session.run_iteration()
     assert metrics.end_to_end_delay == 0.4984351999999999  # as before
     delivered = session.testbed.transport.delivered_by_kind
-    assert inbox_work["gets"] == 405
-    assert inbox_work["predicate_calls"] \
-        == delivered["dir.lookup"] + delivered["dir.register"] == 102
+    assert delivered["dir.lookup"] + delivered["dir.register"] == 102
+    assert inbox_work["gets"] == 302
+    assert inbox_work["predicate_calls"] == 0

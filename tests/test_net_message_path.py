@@ -23,10 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import GRADIENT, Address
+from repro.core.directory import DirectoryClient, DirectoryService
+from repro.ipfs import DHT, compute_cid
 from repro.net import Network, Transport
 from repro.net.bandwidth import TransferAbortedError
-from repro.obs.events import (TransferAborted, TransferCompleted,
-                              TransferStarted)
+from repro.obs.events import (DirectoryRequest, TransferAborted,
+                              TransferCompleted, TransferStarted)
 from repro.sim import Simulator
 from tests.reference_message_path import ReferenceNetwork, ReferenceTransport
 
@@ -282,3 +285,101 @@ def test_late_reply_after_a_timed_out_request_is_still_swallowed(classes):
     assert got == [None]
     assert world.transport.delivered_by_kind == {"ping": 1, "pong": 1}
     assert a.inbox.items == [] and b.inbox.items == []
+
+
+@BOTH
+@pytest.mark.parametrize("ticks", [2, 3], ids=["on-the-deadline", "before-it"])
+def test_a_reply_landing_on_its_deadline_loses_to_it(classes, ticks):
+    """Request and reply take a tick each.  A deadline two ticks out is
+    due at the very instant the reply lands; it was queued first, so it
+    wins: the request resolves to None and the getter left behind
+    swallows the reply.  A tick later the reply wins and cancels it."""
+    world = World(classes)
+    client, server = world.endpoints["b"], world.endpoints["c"]
+    server.receive(kind="ping")._add_callback(lambda got: server.respond(
+        got.value, "pong", payload="pong", size=100))
+    got = []
+
+    def caller():
+        reply = yield client.request("c", "ping", size=100,
+                                     timeout=ticks * TICK)
+        got.append((world.sim.now, reply and reply.payload))
+
+    world.sim.process(caller())
+    world.sim.run()
+    assert got == [(2 * TICK, None if ticks == 2 else "pong")]
+    assert world.sim.now == 2 * TICK
+    assert world.transport.delivered_by_kind == {"ping": 1, "pong": 1}
+    assert client.inbox.items == [] and client.inbox._keyed == {}
+
+
+def _directory(classes, processing_delay):
+    """The directory and three clients on ``classes``' message path,
+    every link ``RATE``; requests and who served them, step by step."""
+    network_class, transport_class = classes
+    sim = Simulator()
+    network = network_class(sim)
+    for name in ("directory",) + HOSTS[:3]:
+        network.add_host(name, up_bandwidth=RATE)
+    transport = transport_class(network)
+    directory = DirectoryService(sim, transport, DHT(sim),
+                                 processing_delay=processing_delay)
+    clients = {name: DirectoryClient(name, transport)
+               for name in HOSTS[:3]}
+    steps, step = [], sim.step
+    sim.step = lambda: (steps.append(None), step())
+    rows = []
+    sim.bus.subscribe(lambda row: rows.append((len(steps), row)),
+                      DirectoryRequest, TransferStarted, TransferCompleted)
+    return sim, directory, clients, rows
+
+
+@BOTH
+def test_a_browned_out_directory_serves_requests_in_arrival_order(classes):
+    """Sent a tick apart — c, a, b — three registrations reach a server
+    that spends eight ticks on each: it takes them one at a time, in the
+    order they arrived, eight ticks apart, and acknowledges them so."""
+    sim, directory, clients, rows = _directory(classes, 8 * TICK)
+    acked = []
+
+    def register(name, start):
+        yield sim.timeout(start)
+        yield from clients[name].register(
+            Address(name, 0, 0, GRADIENT), compute_cid(name.encode()))
+        acked.append(name)
+
+    for start, name in enumerate("cab"):
+        sim.process(register(name, start * TICK))
+    sim.run()
+    entries = directory.entries_for(0, 0, GRADIENT)
+    assert [entry.address.uploader_id for entry in entries] == list("cab")
+    served = [row.at for _, row in rows
+              if isinstance(row, DirectoryRequest)]
+    assert [entry.registered_at for entry in entries] \
+        == pytest.approx([at + 8 * TICK for at in served])
+    assert [served[1] - served[0], served[2] - served[1]] \
+        == pytest.approx([8 * TICK] * 2)
+    assert acked == list("cab")
+    assert directory.inbox_depth() == 0
+
+
+@BOTH
+def test_an_idle_directory_answers_a_request_as_it_arrives(classes):
+    """No processing delay, nothing queued: the answer leaves the
+    directory at the instant the request arrived — on the callback path
+    inside the very step that delivered it (the reference's message
+    processes each take a step of their own)."""
+    sim, directory, clients, rows = _directory(classes, 0.0)
+    lookup = sim.process(clients["a"].lookup(0, 0, GRADIENT))
+    sim.run()
+    assert lookup.value == []
+    arrived, = [(step, row) for step, row in rows
+                if isinstance(row, TransferCompleted)
+                and row.dst == "directory"]
+    served, answered = [(step, row) for step, row in rows
+                        if isinstance(row, DirectoryRequest)
+                        or (isinstance(row, TransferStarted)
+                            and row.src == "directory")]
+    assert arrived[1].at == served[1].at == answered[1].at
+    if classes is NEW:
+        assert arrived[0] == served[0] == answered[0]
