@@ -79,8 +79,6 @@ def main():
           f"out {by_host['out'] / 1e3:.1f} kB)")
     merges = sum(node.merges_served for node in session.nodes)
     print(f"merge-and-download requests served by storage nodes: {merges}")
-    print(f"commitment work at trainers: "
-          f"{sum(metrics.commit_seconds.values()):.3f}s wall-clock")
     print()
 
     tree = spans.latest()

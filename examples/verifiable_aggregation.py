@@ -56,8 +56,6 @@ def main():
     print(f"trainers completed: {len(metrics.trainers_completed)}"
           f"/{NUM_TRAINERS}")
     print(f"verification failures: {metrics.verification_failures}")
-    print(f"commit wall-clock: "
-          f"{sum(metrics.commit_seconds.values()):.3f}s across trainers")
 
     print()
     print("=== 2. poisoning aggregator, NO verification ===")

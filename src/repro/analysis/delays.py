@@ -15,7 +15,6 @@ __all__ = [
     "aggregator_download_bytes",
     "naive_aggregation_time",
     "naive_collection_time",
-    "upload_time",
 ]
 
 
@@ -73,14 +72,3 @@ def naive_collection_time(
         num_gradients * (request_wire_bytes + gradient_wire_bytes)
         / aggregator_bandwidth
     )
-
-
-def upload_time(
-    partition_bytes: float,
-    num_partitions: int,
-    trainer_bandwidth: float,
-) -> float:
-    """A trainer's serialized upload of all its partitions."""
-    if trainer_bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return num_partitions * partition_bytes / trainer_bandwidth

@@ -116,10 +116,6 @@ class DiagnosisReport:
     #: Ranked findings, most suspicious first.
     attributions: List[Attribution] = field(default_factory=list)
 
-    def top_attribution(self) -> Optional[Attribution]:
-        """The single most suspicious finding, if any."""
-        return self.attributions[0] if self.attributions else None
-
     def to_dict(self) -> Dict[str, Any]:
         metrics = None
         if self.metrics is not None:

@@ -13,13 +13,8 @@ These closed forms are compared against the simulator in the
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
-__all__ = [
-    "aggregation_time_model",
-    "optimal_providers",
-    "sweep_provider_model",
-]
+__all__ = ["aggregation_time_model", "optimal_providers"]
 
 
 def aggregation_time_model(
@@ -57,20 +52,3 @@ def optimal_providers(
     return math.sqrt(
         aggregator_bandwidth * num_trainers / node_bandwidth
     )
-
-
-def sweep_provider_model(
-    num_trainers: int,
-    partition_bytes: float,
-    provider_counts: List[int],
-    node_bandwidth: float,
-    aggregator_bandwidth: float,
-) -> List[Tuple[int, float]]:
-    """(providers, predicted tau) pairs for a sweep, as in Fig. 1."""
-    return [
-        (count, aggregation_time_model(
-            num_trainers, partition_bytes, count,
-            node_bandwidth, aggregator_bandwidth,
-        ))
-        for count in provider_counts
-    ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-__all__ = ["format_table", "format_row", "series_shape"]
+__all__ = ["format_table", "series_shape"]
 
 
 def _render(value: Any) -> str:
@@ -22,12 +22,6 @@ def _render(value: Any) -> str:
             return f"{value:.3e}"
         return f"{value:.3f}"
     return str(value)
-
-
-def format_row(values: Sequence[Any], widths: Sequence[int]) -> str:
-    return "  ".join(
-        _render(value).rjust(width) for value, width in zip(values, widths)
-    )
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
@@ -56,10 +50,11 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
 
 def series_shape(values: Sequence[float]) -> str:
     """Classify a measured series: 'increasing', 'decreasing', 'u-shaped',
-    or 'flat' — the *shape* comparisons the reproduction checks."""
-    if len(values) < 2:
-        return "flat"
+    'flat' (no change at all) or 'mixed' — the *shape* comparisons the
+    reproduction checks."""
     deltas = [b - a for a, b in zip(values, values[1:])]
+    if not any(deltas):
+        return "flat"
     rising = [d > 0 for d in deltas]
     if all(rising):
         return "increasing"

@@ -11,13 +11,12 @@ of X and collect a metric", shared by the CLI, benchmarks and notebooks:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from .results import format_table, series_shape
 
-__all__ = ["Sweep", "SweepResults", "grid"]
+__all__ = ["Sweep", "SweepResults"]
 
 
 @dataclass
@@ -29,9 +28,6 @@ class SweepResults:
 
     def values(self) -> List[Any]:
         return [result for _, result in self.rows]
-
-    def parameters(self) -> List[Any]:
-        return [value for value, _ in self.rows]
 
     def argmin(self, key: Callable[[Any], float] = lambda r: r) -> Any:
         """Parameter value minimizing ``key(result)``."""
@@ -71,16 +67,3 @@ class Sweep:
         for value in self.values:
             results.rows.append((value, experiment(value)))
         return results
-
-
-def grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Cartesian product of named axes as a list of kwargs dicts.
-
-    >>> grid(a=[1, 2], b=["x"])
-    [{'a': 1, 'b': 'x'}, {'a': 2, 'b': 'x'}]
-    """
-    if not axes:
-        return [{}]
-    names = sorted(axes)
-    combos = itertools.product(*(axes[name] for name in names))
-    return [dict(zip(names, combo)) for combo in combos]

@@ -10,7 +10,7 @@
   accuracy/consensus trade-off of Sec. I).
 """
 
-from .blockchain import Block, BlockchainFLSession, Chain
+from .blockchain import Block, BlockchainFLSession
 from .centralized import CentralizedSession
 from .gossip import GossipFLSession
 from .ipls_direct import DirectIPLSSession
@@ -19,7 +19,6 @@ __all__ = [
     "Block",
     "BlockchainFLSession",
     "CentralizedSession",
-    "Chain",
     "DirectIPLSSession",
     "GossipFLSession",
 ]

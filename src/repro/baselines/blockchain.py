@@ -83,10 +83,6 @@ class Chain:
         return self.blocks[-1]
 
     @property
-    def height(self) -> int:
-        return len(self.blocks) - 1
-
-    @property
     def storage_bytes(self) -> int:
         return (
             sum(len(blob) for blob in self.payloads.values())
@@ -99,15 +95,6 @@ class Chain:
         if block.index != self.head.index + 1:
             raise ValueError("bad block index")
         self.blocks.append(block)
-
-    def validate(self) -> bool:
-        """Full-chain hash-link check."""
-        for previous, current in zip(self.blocks, self.blocks[1:]):
-            if current.prev_hash != previous.hash:
-                return False
-            if current.index != previous.index + 1:
-                return False
-        return True
 
 
 def blob_hash(blob: bytes) -> str:
@@ -310,10 +297,3 @@ class BlockchainFLSession(Session):
     def total_miner_storage(self) -> int:
         """Bytes stored across all miner replicas (the blow-up)."""
         return sum(chain.storage_bytes for chain in self.chains.values())
-
-    def chains_consistent(self) -> bool:
-        """All miners hold the same valid chain."""
-        heads = {chain.head.hash for chain in self.chains.values()}
-        return len(heads) == 1 and all(
-            chain.validate() for chain in self.chains.values()
-        )

@@ -146,8 +146,3 @@ class GossipFLSession(Session):
                     np.linalg.norm(params[i] - params[j])
                 ))
         return worst
-
-    def mean_params(self) -> np.ndarray:
-        return np.mean(
-            [trainer.model.get_params() for trainer in self.trainers], axis=0
-        )

@@ -24,27 +24,22 @@ from .adversary import (
     LazyBehavior,
     ReplayUpdateBehavior,
 )
-from .aggregator import Aggregator, sync_topic
+from .aggregator import Aggregator
 from .bootstrapper import (
     Assignment,
     Bootstrapper,
     build_assignment,
-    optimal_provider_count,
 )
 from .config import ProtocolConfig
 from .directory import (
     DirectoryClient,
-    DirectoryEntry,
     DirectoryProfile,
     DirectoryService,
-    RejectionRecord,
 )
 from .offload import (
     SnapshotPublisher,
     SnapshotReader,
     accumulate_cids,
-    decode_snapshot,
-    encode_snapshot,
 )
 from .partition import (
     ModelPartitioner,
@@ -67,7 +62,6 @@ __all__ = [
     "Bootstrapper",
     "CommitmentCostModel",
     "DirectoryClient",
-    "DirectoryEntry",
     "DirectoryProfile",
     "DirectoryService",
     "DropGradientsBehavior",
@@ -81,20 +75,15 @@ __all__ = [
     "PARTIAL_UPDATE",
     "PartitionCommitter",
     "ProtocolConfig",
-    "RejectionRecord",
     "ReplayUpdateBehavior",
     "SessionMetrics",
     "SnapshotPublisher",
     "SnapshotReader",
     "Trainer",
     "accumulate_cids",
-    "decode_snapshot",
-    "encode_snapshot",
     "UPDATE",
     "build_assignment",
     "decode_partition",
     "encode_partition",
-    "optimal_provider_count",
     "sum_encoded_partitions",
-    "sync_topic",
 ]

@@ -44,10 +44,6 @@ class IterationSchedule:
             t_sync=start + sync_duration,
         )
 
-    def remaining_train(self, now: float) -> float:
-        """Seconds left until the training deadline (>= 0)."""
-        return max(0.0, self.t_train - now)
-
     def remaining_sync(self, now: float) -> float:
         """Seconds left until the iteration deadline (>= 0)."""
         return max(0.0, self.t_sync - now)

@@ -15,7 +15,7 @@ The deployment shape is described by three composable profiles — a
 
     session = FLSession(config, model_factory, datasets,
                         network=NetworkProfile(bandwidth_mbps=20.0),
-                        faults=FaultPlan.of(...),
+                        faults=FaultPlan([...]),
                         directory=DirectoryProfile(processing_delay=1e-3))
 
 Every session runs one :class:`~repro.core.directory.DirectoryService`

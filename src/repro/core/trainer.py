@@ -33,7 +33,6 @@ from ..obs.events import (
     UploadCompleted,
     VerificationFailed,
 )
-from ..obs.profiling import SYSTEM_WALL_CLOCK
 from ..sim import Simulator
 from .addressing import Address, GRADIENT, UPDATE
 from .bootstrapper import Assignment
@@ -90,9 +89,6 @@ class Trainer(Participant):
             request_timeout=directory_request_timeout,
         )
         self.cost_model = CommitmentCostModel(config.commit_seconds_per_param)
-        #: Wall-clock source for the ``CommitmentComputed.seconds``
-        #: measurement; injectable so tests can fake wall time.
-        self.wall_clock = SYSTEM_WALL_CLOCK
         #: Per-trainer local compute time; defaults to the config value,
         #: override to model stragglers.
         self.local_train_seconds = config.local_train_seconds
@@ -181,8 +177,8 @@ class Trainer(Participant):
             return  # Abort: did not train in time (Algorithm 1 line 10).
         if bus.wants(TrainingEvaluated):
             # Convergence telemetry: pure evaluation on the local shard
-            # (no RNG, no sim interaction), paid only when observed — as
-            # `evaluate_model`, but with the loss the gradient pass found.
+            # (no RNG, no sim interaction), paid only when observed, reusing
+            # the loss the gradient pass found.
             if loss is None:
                 loss = mean_loss(self.model, self.dataset)
             bus.publish(TrainingEvaluated(
@@ -203,15 +199,13 @@ class Trainer(Participant):
         for partition_id, values in enumerate(parts):
             committer = self.committers.get(partition_id)
             if self.config.verifiable and committer is not None:
-                wall_start = self.wall_clock.seconds()
                 blob, commitment = committer.encode_and_commit(values)
+                delay = self.cost_model.commit_delay(len(values) + 1)
                 if bus.wants(CommitmentComputed):
                     bus.publish(CommitmentComputed(
                         at=self.sim.now, iteration=schedule.iteration,
-                        participant=self.name,
-                        seconds=self.wall_clock.seconds() - wall_start,
+                        participant=self.name, seconds=delay,
                     ))
-                delay = self.cost_model.commit_delay(len(values) + 1)
                 if delay > 0:
                     yield self.sim.timeout(delay)
             else:

@@ -13,7 +13,7 @@ committed scalars and the homomorphic check is equality, not tolerance.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class PartitionCommitter:
         global updates; also the aggregator's check on peers' partial
         updates and on merged downloads."""
         return self.commitment_of_blob(blob) == expected
-
-    @staticmethod
-    def accumulate(commitments: Sequence[Commitment],
-                   curve: CurveParams) -> Commitment:
-        """Product of commitments: commits to the sum of the pre-images."""
-        return Commitment.product(list(commitments), curve)
 
 
 class CommitmentCostModel:

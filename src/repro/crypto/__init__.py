@@ -5,21 +5,22 @@ Everything is implemented from first principles (prime-field arithmetic up)
 
 Public surface:
 
-- :data:`SECP256K1` / :data:`SECP256R1` — the paper's two curves.
-- :class:`Point`, :func:`generator`, :func:`scalar_mult` — group ops.
+- :class:`CurveParams` / :func:`curve_by_name` — the paper's two curves,
+  secp256k1 and secp256r1 (:mod:`repro.crypto.curves`).
+- :class:`Point`, :func:`generator`, :func:`wnaf` — group ops.
 - :func:`multi_scalar_mult` (Straus / Pippenger, chosen by counted
   group additions over the centred lift of the scalars).
 - :class:`PedersenParams` / :class:`Commitment` — vector commitments.
 - :class:`FixedPointCodec` — gradient <-> scalar encoding.
-- :func:`hash_to_curve`, :func:`derive_generators`, :func:`sha256`.
+- :func:`inverse_mod`, :func:`sqrt_mod`, :func:`sha256`.
 """
 
-from .curves import CurveParams, SECP256K1, SECP256R1, curve_by_name
+from .curves import CurveParams, curve_by_name
 from .encoding import FixedPointCodec
-from .field import inverse_mod, is_quadratic_residue, legendre_symbol, sqrt_mod
-from .group import Point, generator, scalar_mult, wnaf
-from .hashing import derive_generators, hash_to_curve, sha256
-from .multiexp import multi_scalar_mult, pippenger, straus
+from .field import inverse_mod, sqrt_mod
+from .group import Point, generator, wnaf
+from .hashing import sha256
+from .multiexp import multi_scalar_mult
 from .pedersen import Commitment, PedersenParams
 
 __all__ = [
@@ -28,20 +29,11 @@ __all__ = [
     "FixedPointCodec",
     "PedersenParams",
     "Point",
-    "SECP256K1",
-    "SECP256R1",
     "curve_by_name",
-    "derive_generators",
     "generator",
-    "hash_to_curve",
     "inverse_mod",
-    "is_quadratic_residue",
-    "legendre_symbol",
     "multi_scalar_mult",
-    "pippenger",
-    "scalar_mult",
     "sha256",
     "sqrt_mod",
-    "straus",
     "wnaf",
 ]

@@ -7,7 +7,7 @@ Legendre symbol and modular square roots (Tonelli–Shanks, with the fast
 
 from __future__ import annotations
 
-__all__ = ["inverse_mod", "legendre_symbol", "sqrt_mod", "is_quadratic_residue"]
+__all__ = ["inverse_mod", "legendre_symbol", "sqrt_mod"]
 
 
 def inverse_mod(value: int, modulus: int) -> int:
@@ -28,11 +28,6 @@ def legendre_symbol(value: int, prime: int) -> int:
         return 0
     symbol = pow(value, (prime - 1) // 2, prime)
     return -1 if symbol == prime - 1 else 1
-
-
-def is_quadratic_residue(value: int, prime: int) -> bool:
-    """True iff ``value`` has a square root modulo ``prime``."""
-    return legendre_symbol(value, prime) != -1
 
 
 def sqrt_mod(value: int, prime: int) -> int:

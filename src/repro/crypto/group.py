@@ -121,10 +121,6 @@ class Point:
 
     __rmul__ = __mul__
 
-    def double(self) -> "Point":
-        result = _jac_double(self.curve, self.to_jacobian())
-        return Point.from_jacobian(self.curve, result)
-
     # -- identity/equality -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

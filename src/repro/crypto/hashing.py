@@ -9,13 +9,13 @@ domain-separated seed, the standard transparent construction.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List
+from typing import Iterator
 
 from .curves import CurveParams
 from .field import sqrt_mod
 from .group import Point
 
-__all__ = ["sha256", "hash_to_curve", "derive_generators", "generator_stream"]
+__all__ = ["sha256", "hash_to_curve", "generator_stream"]
 
 DEFAULT_DOMAIN = b"repro/pedersen-generators/v1"
 
@@ -59,12 +59,3 @@ def generator_stream(curve: CurveParams,
             + index.to_bytes(8, "big")
         yield hash_to_curve(curve, seed)
         index += 1
-
-
-def derive_generators(curve: CurveParams, count: int,
-                      domain: bytes = DEFAULT_DOMAIN) -> List[Point]:
-    """The first ``count`` generators of the deterministic sequence."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    stream = generator_stream(curve, domain)
-    return [next(stream) for _ in range(count)]

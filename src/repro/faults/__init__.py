@@ -19,12 +19,11 @@ Sessions take plans directly::
 
     from repro import FLSession, FaultPlan, FaultSpec
 
-    plan = FaultPlan.of(
+    plan = FaultPlan([
         FaultSpec(kind="crash_aggregator", at=1.0, target="aggregator-0"),
         FaultSpec(kind="link_down", at=3.0, duration=30.0,
                   target="trainer-1"),
-        seed=7,
-    )
+    ], seed=7)
     session = FLSession(config, model_factory, datasets, faults=plan)
 """
 

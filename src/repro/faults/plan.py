@@ -197,12 +197,7 @@ class FaultPlan:
             return cls.from_dict(yaml.safe_load(text) or {})
         return cls.from_json(text)
 
-    # -- convenience ---------------------------------------------------------
-
-    @classmethod
-    def of(cls, *specs: FaultSpec, seed: int = 0) -> "FaultPlan":
-        """Build a plan from specs given as positional arguments."""
-        return cls(specs=tuple(specs), seed=seed)
+    # -- queries -------------------------------------------------------------
 
     def targets(self) -> Sequence[str]:
         """Distinct named targets, in first-appearance order."""

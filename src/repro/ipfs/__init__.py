@@ -17,13 +17,12 @@ from .block import (
     Block,
     DEFAULT_CHUNK_SIZE,
     chunk_object,
-    is_manifest,
     parse_manifest,
 )
 from .blockstore import Blockstore
-from .cid import CID, compute_cid, verify_cid
-from .cluster import ReplicationCluster, rendezvous_rank
-from .dht import DHT, ProviderRecord
+from .cid import CID, compute_cid
+from .cluster import ReplicationCluster
+from .dht import DHT
 from .errors import (
     IntegrityError,
     IPFSError,
@@ -31,9 +30,9 @@ from .errors import (
     NodeOfflineError,
     NotFoundError,
 )
-from .merge import get_merger, merger_names, register_merger, sum_f64
+from .merge import get_merger, register_merger, sum_f64
 from .node import IPFSClient, IPFSNode
-from .pubsub import PubSub, PubSubMessage, Subscription
+from .pubsub import PubSub, Subscription
 
 __all__ = [
     "Block",
@@ -48,19 +47,13 @@ __all__ = [
     "MergeError",
     "NodeOfflineError",
     "NotFoundError",
-    "ProviderRecord",
     "PubSub",
-    "PubSubMessage",
     "ReplicationCluster",
     "Subscription",
     "chunk_object",
     "compute_cid",
     "get_merger",
-    "is_manifest",
-    "merger_names",
     "parse_manifest",
     "register_merger",
-    "rendezvous_rank",
     "sum_f64",
-    "verify_cid",
 ]

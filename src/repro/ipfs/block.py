@@ -24,8 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cid import CID, compute_cid
 
-__all__ = ["Block", "DEFAULT_CHUNK_SIZE", "chunk_object", "is_manifest",
-           "join_leaves", "parse_manifest"]
+__all__ = ["Block", "DEFAULT_CHUNK_SIZE", "chunk_object", "join_leaves",
+           "parse_manifest"]
 
 #: go-ipfs default chunker size.
 DEFAULT_CHUNK_SIZE = 256 * 1024
@@ -105,15 +105,6 @@ def parse_manifest(root: Block) -> List[CID]:
     if not isinstance(manifest, dict) or manifest.get("magic") != _MANIFEST_MAGIC:
         raise ValueError("not a manifest block")
     return [CID.decode(text) for text in manifest["chunks"]]
-
-
-def is_manifest(block: Block) -> bool:
-    """True if ``block`` parses as a chunk manifest."""
-    try:
-        parse_manifest(block)
-        return True
-    except ValueError:
-        return False
 
 
 def join_leaves(leaves: Sequence[Block]) -> bytes:

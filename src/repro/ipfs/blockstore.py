@@ -74,9 +74,6 @@ class Blockstore:
     def unpin(self, cid: CID) -> None:
         self._pins.discard(cid)
 
-    def is_pinned(self, cid: CID) -> bool:
-        return cid in self._pins
-
     def cids(self) -> Iterable[CID]:
         return self._blocks.keys()
 

@@ -12,7 +12,7 @@ import base64
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["CID", "compute_cid", "verify_cid"]
+__all__ = ["CID", "compute_cid"]
 
 #: Multicodec prefixes: cidv1 (0x01), raw codec (0x55), sha2-256 (0x12),
 #: digest length 32 (0x20) — mirroring go-ipfs defaults.
@@ -59,8 +59,3 @@ def compute_cid(data: bytes) -> CID:
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"CID input must be bytes, got {type(data).__name__}")
     return CID(digest=hashlib.sha256(data).digest())
-
-
-def verify_cid(cid: CID, data: bytes) -> bool:
-    """True iff ``data`` hashes to ``cid`` (retrieval integrity check)."""
-    return compute_cid(data) == cid

@@ -75,10 +75,3 @@ class ReplicationCluster:
                 target_name, KIND_REPLICATE, payload=data,
                 size=len(data) + REQUEST_OVERHEAD,
             )
-
-    def live_holders(self, cid: CID) -> List[str]:
-        """Names of online nodes currently holding ``cid``."""
-        return [
-            node.name for node in self.nodes
-            if node.online and node.store.has(cid)
-        ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MergeError
 
-__all__ = ["register_merger", "get_merger", "merger_names", "sum_f64"]
+__all__ = ["register_merger", "get_merger", "sum_f64"]
 
 #: name -> reduction over a list of byte strings, returning bytes.
 _MERGERS: Dict[str, Callable[[List[bytes]], bytes]] = {}
@@ -42,11 +42,6 @@ def get_merger(name: str) -> Callable[[List[bytes]], bytes]:
         return _MERGERS[name]
     except KeyError:
         raise MergeError(f"unknown merger {name!r}") from None
-
-
-def merger_names() -> List[str]:
-    """All registered merger names."""
-    return sorted(_MERGERS)
 
 
 def sum_f64(blobs: Sequence[bytes]) -> bytes:

@@ -1,12 +1,11 @@
 """Datasets and federated partitioners.
 
-Synthetic classification/regression data (no external downloads), plus the
-three standard ways of splitting a dataset across FL trainers:
+Synthetic classification data (no external downloads), plus the two
+ways of splitting a dataset across FL trainers:
 
 - IID — uniform random shards,
 - Dirichlet non-IID — per-client class mixtures drawn from Dir(alpha),
-  the standard benchmark for heterogeneous federated data,
-- shard — sort-by-label pathological split (each client sees few classes).
+  the standard benchmark for heterogeneous federated data.
 """
 
 from __future__ import annotations
@@ -19,17 +18,15 @@ import numpy as np
 __all__ = [
     "Dataset",
     "make_classification",
-    "make_regression",
     "split_iid",
     "split_dirichlet",
-    "split_shards",
     "train_test_split",
 ]
 
 
 @dataclass
 class Dataset:
-    """Features plus labels (classification: int labels; regression: floats)."""
+    """Features plus labels."""
 
     X: np.ndarray
     y: np.ndarray
@@ -67,22 +64,6 @@ def make_classification(
         size=(num_samples, num_features)
     )
     return Dataset(features, labels)
-
-
-def make_regression(
-    num_samples: int = 1000,
-    num_features: int = 10,
-    noise: float = 0.1,
-    seed: Optional[int] = 0,
-) -> Dataset:
-    """Linear-teacher regression data."""
-    rng = np.random.default_rng(seed)
-    teacher = rng.normal(size=num_features)
-    features = rng.normal(size=(num_samples, num_features))
-    targets = features @ teacher + rng.normal(
-        scale=noise, size=num_samples
-    )
-    return Dataset(features, targets)
 
 
 def train_test_split(dataset: Dataset, test_fraction: float = 0.2,
@@ -146,26 +127,3 @@ def split_dirichlet(dataset: Dataset, num_clients: int, alpha: float = 0.5,
         )
     return [dataset.subset(np.array(sorted(idx), dtype=int))
             for idx in client_indices]
-
-
-def split_shards(dataset: Dataset, num_clients: int,
-                 shards_per_client: int = 2,
-                 seed: Optional[int] = 0) -> List[Dataset]:
-    """Pathological non-IID split: sort by label, deal out contiguous shards."""
-    if num_clients < 1 or shards_per_client < 1:
-        raise ValueError("num_clients and shards_per_client must be >= 1")
-    total_shards = num_clients * shards_per_client
-    if len(dataset) < total_shards:
-        raise ValueError("fewer samples than shards")
-    rng = np.random.default_rng(seed)
-    order = np.argsort(dataset.y, kind="stable")
-    shards = np.array_split(order, total_shards)
-    shard_ids = rng.permutation(total_shards)
-    clients = []
-    for client in range(num_clients):
-        chosen = shard_ids[
-            client * shards_per_client:(client + 1) * shards_per_client
-        ]
-        indices = np.concatenate([shards[s] for s in chosen])
-        clients.append(dataset.subset(indices))
-    return clients

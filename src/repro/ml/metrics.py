@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from .data import Dataset
 from .models import Model
 
-__all__ = ["accuracy", "evaluate_model", "mean_loss", "model_distance"]
+__all__ = ["accuracy", "mean_loss"]
 
 
 def accuracy(model: Model, dataset: Dataset) -> float:
@@ -22,28 +20,3 @@ def mean_loss(model: Model, dataset: Dataset) -> float:
     """The model's loss on ``dataset``."""
     loss, _ = model.loss_and_gradient(dataset.X, dataset.y)
     return loss
-
-
-def evaluate_model(
-    model: Model, dataset: Dataset
-) -> Tuple[float, Optional[float]]:
-    """``(loss, accuracy)`` of ``model`` on ``dataset``.
-
-    Accuracy is ``None`` for non-classifiers (models without a
-    ``num_classes`` attribute, e.g. :class:`LinearRegression` or the
-    scale-benchmark :class:`SyntheticModel`), where "fraction of exact
-    label matches" is meaningless.  Pure computation: no RNG, no
-    parameter mutation — safe to call from instrumentation paths.
-    """
-    loss = mean_loss(model, dataset)
-    acc = accuracy(model, dataset) if hasattr(model, "num_classes") else None
-    return loss, acc
-
-
-def model_distance(first: Model, second: Model) -> float:
-    """L2 distance between two models' parameter vectors.
-
-    Used by the convergence-equivalence experiment: the decentralized
-    protocol must track centralized FedAvg to numerical precision.
-    """
-    return float(np.linalg.norm(first.get_params() - second.get_params()))

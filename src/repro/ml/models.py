@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Model", "LinearRegression", "LogisticRegression",
-           "MLPClassifier", "SyntheticModel"]
+__all__ = ["Model", "LogisticRegression", "MLPClassifier",
+           "SyntheticModel"]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -139,46 +139,6 @@ class SyntheticModel(Model):
         gradient *= 1e-9
         gradient += seed_value * 1e-6
         return 0.0, gradient
-
-
-class LinearRegression(Model):
-    """Least-squares regression with L2 loss (plus optional ridge term)."""
-
-    def __init__(self, num_features: int, l2: float = 0.0,
-                 seed: Optional[int] = 0):
-        if num_features < 1:
-            raise ValueError("num_features must be >= 1")
-        self.num_features = num_features
-        self.l2 = l2
-        rng = np.random.default_rng(seed)
-        self.weights = rng.normal(scale=0.01, size=num_features)
-        self.bias = 0.0
-
-    def _construction_args(self) -> dict:
-        return {"num_features": self.num_features, "l2": self.l2, "seed": 0}
-
-    def num_params(self) -> int:
-        return self.num_features + 1
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.weights, [self.bias]])
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = self._check_flat(flat)
-        self.weights = flat[:-1].copy()
-        self.bias = float(flat[-1])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.bias
-
-    def loss_and_gradient(self, X, y):
-        residual = self.predict(X) - y
-        count = X.shape[0]
-        loss = 0.5 * float(residual @ residual) / count \
-            + 0.5 * self.l2 * float(self.weights @ self.weights)
-        grad_w = X.T @ residual / count + self.l2 * self.weights
-        grad_b = float(residual.sum()) / count
-        return loss, np.concatenate([grad_w, [grad_b]])
 
 
 class LogisticRegression(Model):

@@ -21,7 +21,7 @@ paper's mininet experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..obs.events import TransferCompleted
 from .network import Network
@@ -42,13 +42,6 @@ class TransferRecord:
     @property
     def duration(self) -> float:
         return self.finished_at - self.started_at
-
-    @property
-    def throughput(self) -> float:
-        """Average bytes/second (inf for instantaneous transfers)."""
-        if self.duration <= 0:
-            return float("inf")
-        return self.size / self.duration
 
 
 class TransferTrace:
@@ -81,14 +74,6 @@ class TransferTrace:
     def total_bytes(self) -> float:
         return sum(record.size for record in self.records)
 
-    def bytes_by_pair(self) -> Dict[Tuple[str, str], float]:
-        """Traffic matrix: (src, dst) -> bytes."""
-        matrix: Dict[Tuple[str, str], float] = {}
-        for record in self.records:
-            key = (record.src, record.dst)
-            matrix[key] = matrix.get(key, 0.0) + record.size
-        return matrix
-
     def bytes_by_host(self) -> Dict[str, Dict[str, float]]:
         """Per-host ingress/egress: host -> {'in': bytes, 'out': bytes}."""
         totals: Dict[str, Dict[str, float]] = {}
@@ -107,11 +92,6 @@ class TransferTrace:
         return max(totals, key=lambda host: (
             totals[host]["in"] + totals[host]["out"]
         ))
-
-    def filter(self, predicate: Callable[[TransferRecord], bool]
-               ) -> List[TransferRecord]:
-        """Records satisfying ``predicate``."""
-        return [record for record in self.records if predicate(record)]
 
     def window(self, start: float, end: float) -> List[TransferRecord]:
         """Transfers overlapping the time window [start, end]."""

@@ -6,7 +6,7 @@ from the units the paper reports (Mbps link speeds, MB partition sizes).
 
 from __future__ import annotations
 
-__all__ = ["mbps", "gbps", "kib", "mib", "megabytes", "kilobytes"]
+__all__ = ["mbps", "megabytes"]
 
 BITS_PER_BYTE = 8
 
@@ -16,26 +16,6 @@ def mbps(value: float) -> float:
     return value * 1_000_000 / BITS_PER_BYTE
 
 
-def gbps(value: float) -> float:
-    """Gigabits/second -> bytes/second."""
-    return value * 1_000_000_000 / BITS_PER_BYTE
-
-
-def kilobytes(value: float) -> float:
-    """Decimal kilobytes -> bytes."""
-    return value * 1_000
-
-
 def megabytes(value: float) -> float:
     """Decimal megabytes -> bytes (the paper's 1.3MB partitions)."""
     return value * 1_000_000
-
-
-def kib(value: float) -> float:
-    """Binary kibibytes -> bytes."""
-    return value * 1024
-
-
-def mib(value: float) -> float:
-    """Binary mebibytes -> bytes."""
-    return value * 1024 * 1024

@@ -50,45 +50,22 @@ the one correct order, and writes what they saw as one run bundle; see
 ``docs/OBSERVABILITY.md``.
 """
 
-from .anomaly import (
-    ANOMALY_KINDS,
-    AnomalyWatchdog,
-    ConvergenceDetector,
-    Detector,
-    QueueRunawayDetector,
-    RetryStormDetector,
-    SimStallDetector,
-    ThroughputCollapseDetector,
-)
+from .anomaly import ANOMALY_KINDS, AnomalyWatchdog
 from .bus import EventBus, Subscription
 from .counters import CountersRegistry
-from .critical_path import (
-    CriticalPath,
-    CriticalPathAnalyzer,
-    CriticalStep,
-    StragglerEntry,
-    StragglerReport,
-)
-from .forensics import BlameReport, FlightRecorder, IncidentBundle
+from .critical_path import CriticalPathAnalyzer
+from .forensics import FlightRecorder
 from .jsonl import JsonlTraceExporter
 from .manifest import (
-    DiffEntry,
     ManifestDiff,
     RunManifest,
     compare_manifests,
     config_fingerprint,
 )
-from .metrics import MetricsRegistry, ResourceSampler, TimeSeries
+from .metrics import MetricsRegistry, ResourceSampler
 from .monitors import InvariantMonitors
 from .perfetto import PerfettoExporter
-from .profiling import (
-    FakeWallClock,
-    HostProfile,
-    HostProfiler,
-    SYSTEM_WALL_CLOCK,
-    ScopeStat,
-    WallClock,
-)
+from .profiling import HostProfile, HostProfiler, SYSTEM_WALL_CLOCK, WallClock
 from .progress import ProgressReporter, format_heartbeat, read_progress
 from .sketch import QuantileSketch
 from .spans import SPAN_EVENTS, Span, SpanCollector, SpanTree, \
@@ -98,20 +75,12 @@ from .telemetry import TelemetryCollector
 __all__ = [
     "ANOMALY_KINDS",
     "AnomalyWatchdog",
-    "BlameReport",
-    "ConvergenceDetector",
     "CountersRegistry",
-    "CriticalPath",
     "CriticalPathAnalyzer",
-    "CriticalStep",
-    "Detector",
-    "DiffEntry",
     "EventBus",
-    "FakeWallClock",
     "FlightRecorder",
     "HostProfile",
     "HostProfiler",
-    "IncidentBundle",
     "InvariantMonitors",
     "JsonlTraceExporter",
     "ManifestDiff",
@@ -119,23 +88,15 @@ __all__ = [
     "PerfettoExporter",
     "ProgressReporter",
     "QuantileSketch",
-    "QueueRunawayDetector",
     "ResourceSampler",
-    "RetryStormDetector",
     "RunManifest",
     "SPAN_EVENTS",
     "SYSTEM_WALL_CLOCK",
-    "ScopeStat",
-    "SimStallDetector",
     "Span",
     "SpanCollector",
     "SpanTree",
-    "StragglerEntry",
-    "StragglerReport",
     "Subscription",
     "TelemetryCollector",
-    "ThroughputCollapseDetector",
-    "TimeSeries",
     "WallClock",
     "build_span_tree",
     "compare_manifests",

@@ -80,13 +80,6 @@ class CriticalPath:
                 return step
         return None
 
-    def phase_lengths(self) -> Dict[str, float]:
-        """Per-step-name time along the path (sums to :attr:`length`)."""
-        lengths: Dict[str, float] = {}
-        for step in self.steps:
-            lengths[step.name] = lengths.get(step.name, 0.0) + step.duration
-        return lengths
-
     def format(self) -> str:
         """A human-readable table of the chain."""
         lines = [
@@ -128,9 +121,6 @@ class StragglerReport:
     @property
     def stragglers(self) -> List[StragglerEntry]:
         return [entry for entry in self.entries if entry.is_straggler]
-
-    def for_role(self, role: str) -> List[StragglerEntry]:
-        return [entry for entry in self.entries if entry.role == role]
 
     def format(self) -> str:
         lines = [

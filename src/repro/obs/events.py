@@ -384,8 +384,9 @@ class SyncPhaseEnded(Event):
 
 @dataclass(frozen=True)
 class CommitmentComputed(Event):
-    """Wall-clock seconds spent computing a Pedersen commitment
-    (additive per participant)."""
+    """A participant committed to one partition: ``seconds`` is the
+    simulated time the commitment cost model charges for it (0.0 when
+    the session models none), additive per participant."""
 
     at: float
     iteration: int

@@ -83,11 +83,6 @@ class JsonlTraceExporter:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def buffered(self) -> int:
-        """Records encoded but not yet written to the stream."""
-        return len(self._buffer)
-
     def flush(self) -> None:
         """Drain the buffer to the stream (no-op when empty)."""
         if not self._buffer:

@@ -173,10 +173,6 @@ class ManifestDiff:
     removed: List[str] = field(default_factory=list)
     fingerprint_matches: bool = True
 
-    @property
-    def has_regressions(self) -> bool:
-        return bool(self.regressions)
-
     def format(self) -> str:
         from ..analysis import format_table
 

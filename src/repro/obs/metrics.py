@@ -144,11 +144,6 @@ class TimeSeries:
         return len(self.samples)
 
     @property
-    def stride(self) -> int:
-        """Current keep-stride (1 until the first decimation)."""
-        return self._stride
-
-    @property
     def last(self) -> float:
         return self._last
 

@@ -184,10 +184,6 @@ class InvariantMonitors:
             self.close()
         return self.violations
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
     # -- violation plumbing ------------------------------------------------------
 
     def _violate(self, at: float, invariant: str, subject: str,

@@ -366,10 +366,6 @@ class HostProfiler:
         self.wall_seconds = 0.0
         self.sim_seconds = 0.0
 
-    @property
-    def installed(self) -> bool:
-        return self._sim is not None
-
     def install(self, sim) -> "HostProfiler":
         """Start profiling; ``sim`` supplies the simulated clock."""
         if self._sim is not None:

@@ -155,14 +155,6 @@ class QuantileSketch:
                 "(use percentile()/summary instead)" % self.max_exact)
         return list(self._exact)
 
-    def iter_values(self) -> Iterator[float]:
-        """Iterate the raw observations without copying (exact mode)."""
-        if self._exact is None:
-            raise ValueError(
-                "sketch spilled past max_exact=%d; raw values are gone "
-                "(use percentile()/summary instead)" % self.max_exact)
-        return iter(self._exact)
-
     def percentile(self, q: float) -> float:
         """The q-th percentile (exact below the threshold, else within
         ``relative_error`` of the true quantile value; 0.0 if empty)."""

@@ -110,24 +110,6 @@ class Span:
         self.children.append(child)
         return child
 
-    @property
-    def self_time(self) -> float:
-        """Duration not covered by child spans (merged, clipped)."""
-        if not self.children:
-            return self.duration
-        intervals = sorted(
-            (max(self.start, child.start), min(self.end, child.end))
-            for child in self.children
-        )
-        covered = 0.0
-        cursor = self.start
-        for lo, hi in intervals:
-            if hi <= cursor:
-                continue
-            covered += hi - max(lo, cursor)
-            cursor = max(cursor, hi)
-        return self.duration - covered
-
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
         yield self
@@ -323,7 +305,7 @@ def build_span_tree(events: Iterable[Event]) -> Optional[SpanTree]:
             parent.add_child(Span(
                 name="commit", node=event.participant, start=event.at,
                 end=event.at, iteration=iteration,
-                meta={"wall_seconds": event.seconds},
+                meta={"seconds": event.seconds},
             ))
         elif isinstance(event, VerificationFailed):
             root.add_child(Span(

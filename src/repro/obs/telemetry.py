@@ -71,7 +71,8 @@ class IterationMetrics:
     bytes_received: Dict[str, float] = field(default_factory=dict)
     #: aggregator -> seconds spent in the synchronization phase.
     sync_delays: Dict[str, float] = field(default_factory=dict)
-    #: Commitment computation seconds per participant (verifiable mode).
+    #: Simulated commitment seconds charged per participant (verifiable
+    #: mode; 0.0 each without a commitment cost model).
     commit_seconds: Dict[str, float] = field(default_factory=dict)
     #: Verification failures observed (addresses as strings).
     verification_failures: List[str] = field(default_factory=list)

@@ -3,23 +3,16 @@
 Public surface:
 
 - :class:`Simulator` — the virtual clock and event queue.
-- :class:`Event`, :class:`Timeout`, :class:`Process` — core event types.
-- :class:`AllOf` / :class:`AnyOf` — condition events.
+- :class:`Event`, :class:`Timeout` — core event types; processes,
+  ``all_of`` / ``any_of`` conditions and event priorities live in
+  :mod:`repro.sim.core`.
 - :class:`Interrupt` — exception thrown into interrupted processes.
-- ``PRIORITY_URGENT`` / ``PRIORITY_NORMAL`` — order of events sharing a
-  timestamp; :meth:`Simulator.at_instant_end` runs work after all of them.
 - :class:`Store`, :class:`FilterStore` — waitable primitives.
 """
 
 from .core import (
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
-    Condition,
     Event,
     Interrupt,
-    Process,
     SimulationError,
     Simulator,
     Timeout,
@@ -27,15 +20,9 @@ from .core import (
 from .primitives import FilterStore, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Event",
     "FilterStore",
     "Interrupt",
-    "PRIORITY_NORMAL",
-    "PRIORITY_URGENT",
-    "Process",
     "SimulationError",
     "Simulator",
     "Store",

@@ -542,13 +542,6 @@ class Simulator:
             heapq.heappop(queue)
             self._tombstones -= 1
 
-    def peek(self) -> float:
-        """Time of the next event or end-of-instant hook, or ``inf``."""
-        self._purge_head()
-        if self._instant_end:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process the next queued event (and the events its callbacks
         dispatch in place), or the next end-of-instant hook once no event

@@ -40,11 +40,11 @@ def flap_bundles(tmp_path_factory):
     replay is ``cmp``-ed by the CI chaos job on every push.)"""
     root = tmp_path_factory.mktemp("flap")
     plan = root / "flap.json"
-    plan.write_text(FaultPlan.of(
+    plan.write_text(FaultPlan([
         FaultSpec(kind="link_down", at=0.05, duration=2.0,
                   target="trainer-2"),
         FaultSpec(kind="directory_brownout", at=0.02, duration=1.0,
-                  processing_delay=0.2),
+                  processing_delay=0.2)],
         seed=3).to_json())
     argv = FLAP + ["--plan", str(plan)]
     expected = run_bundle(

@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from repro.baselines import BlockchainFLSession, CentralizedSession, \
     DirectIPLSSession, GossipFLSession
 from repro import FLSession, NetworkProfile, ProtocolConfig
@@ -171,7 +173,11 @@ def blockchain_baseline():
 def gossip_baseline():
     session = GossipFLSession(logreg_config(), logreg, logreg_shards(6),
                               fanout=2, latency=0.01, seed=1)
-    return run_record(session, 2, session.mean_params, session.network)
+    def mean_params():
+        return np.mean([trainer.model.get_params()
+                        for trainer in session.trainers], axis=0)
+
+    return run_record(session, 2, mean_params, session.network)
 
 
 def main():

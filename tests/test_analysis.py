@@ -8,12 +8,10 @@ from repro.analysis import (
     aggregation_time_model,
     aggregator_download_bytes,
     format_table,
-    naive_aggregation_time,
     optimal_providers,
     series_shape,
-    sweep_provider_model,
-    upload_time,
 )
+from repro.analysis.delays import naive_aggregation_time
 
 
 # -- provider model ---------------------------------------------------------------
@@ -62,10 +60,10 @@ def test_tau_validation():
 
 
 def test_sweep_provider_model_u_shape():
-    sweep = sweep_provider_model(16, 1.3e6, [1, 2, 4, 8, 16],
-                                 node_bandwidth=1.25e6,
-                                 aggregator_bandwidth=1.25e6)
-    taus = [tau for _, tau in sweep]
+    taus = [aggregation_time_model(16, 1.3e6, providers,
+                                   node_bandwidth=1.25e6,
+                                   aggregator_bandwidth=1.25e6)
+            for providers in (1, 2, 4, 8, 16)]
     assert series_shape(taus) == "u-shaped"
 
 
@@ -84,12 +82,6 @@ def test_naive_aggregation_time():
     assert naive_aggregation_time(16, 1.25e6, 1.25e6) == pytest.approx(16.0)
     with pytest.raises(ValueError):
         naive_aggregation_time(16, 1.0, 0.0)
-
-
-def test_upload_time():
-    assert upload_time(1.3e6, 4, 1.25e6) == pytest.approx(4 * 1.04)
-    with pytest.raises(ValueError):
-        upload_time(1.0, 1, 0.0)
 
 
 # -- results utilities ---------------------------------------------------------------------
@@ -119,3 +111,4 @@ def test_series_shape_classification():
     assert series_shape([3, 1, 2, 4]) == "u-shaped"
     assert series_shape([1, 3, 2]) == "mixed"
     assert series_shape([5]) == "flat"
+    assert series_shape([5, 5, 5]) == "flat"

@@ -4,13 +4,11 @@ import json
 
 import pytest
 
-from repro.analysis import (
-    Attribution,
-    DiagnosisReport,
-    diagnose_runs,
-)
+from repro.analysis import diagnose_runs
+from repro.analysis.diagnose import Attribution, DiagnosisReport
 from repro.cli import main
-from repro.obs import HostProfile, RunManifest, ScopeStat
+from repro.obs import HostProfile, RunManifest
+from repro.obs.profiling import ScopeStat
 
 
 def scope(subsystem, self_seconds, phase="core", actor="step"):
@@ -56,8 +54,7 @@ def test_diagnose_requires_at_least_one_artifact_pair():
 def test_profile_pair_names_the_regressing_subsystem():
     report = diagnose_runs(base_profile=fast_profile(),
                            current_profile=slow_profile())
-    top = report.top_attribution()
-    assert top is not None
+    top = report.attributions[0]
     assert top.kind == "subsystem"
     assert top.subject == "net"
     assert top.magnitude == pytest.approx(3.0)
@@ -143,7 +140,7 @@ def test_report_to_dict_is_json_serializable():
 
 
 def test_top_attribution_of_empty_report_is_none():
-    assert DiagnosisReport().top_attribution() is None
+    assert DiagnosisReport().attributions == []
     assert Attribution("net", "subsystem", "grew").to_dict()["kind"] \
         == "subsystem"
 

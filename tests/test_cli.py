@@ -231,17 +231,30 @@ def test_run_exit_code_is_one_rule(case, code, said, request, tmp_path):
     assert said in run.out
 
 
-def test_run_replay_is_byte_identical(flap_bundles):
+@pytest.fixture(scope="module")
+def verifiable_bundles(tmp_path_factory):
+    """One small verifiable session run twice: its commitments' events
+    carry simulated seconds, so nothing host-timed reaches the bundle."""
+    return [run_bundle(SMALL_SESSION + ["--verifiable"],
+                       tmp_path_factory.mktemp("verifiable"))
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("pair, expected_incidents", [
+    ("flap_bundles", ["incident-00-i0-anomaly_detected.json"]),
+    ("verifiable_bundles", []),
+], ids=["flap", "verifiable"])
+def test_run_replay_is_byte_identical(request, pair, expected_incidents):
     """The determinism check: everything in a bundle but the report's
     host-profile table, ``profile.json`` and ``progress.jsonl`` is a
     pure function of seed + configuration."""
-    first, second = (run.path for run in flap_bundles)
+    first, second = (run.path for run in request.getfixturevalue(pair))
     for name in ("manifest.json", "trace.jsonl", "timeline.perfetto.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     incidents = sorted(p.name for p in (first / "incidents").iterdir())
     assert incidents == sorted(
         p.name for p in (second / "incidents").iterdir())
-    assert incidents == ["incident-00-i0-anomaly_detected.json"]
+    assert incidents == expected_incidents
     for name in incidents:
         assert (first / "incidents" / name).read_bytes() == \
             (second / "incidents" / name).read_bytes()
@@ -402,7 +415,7 @@ def test_status_empty_file_fails_with_a_message(tmp_path, capsys):
 
 def test_commit_cost_uses_the_injectable_wall_clock(capsys):
     from repro.cli import _run_commit_cost, build_parser
-    from repro.obs import FakeWallClock
+    from repro.obs.profiling import FakeWallClock
 
     args = build_parser().parse_args(
         ["commit-cost", "--sizes", "64", "--curves", "secp256k1"])

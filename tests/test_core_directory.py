@@ -13,7 +13,8 @@ from repro.core import (
     PartitionCommitter,
 )
 from repro.core.directory import DirectoryClient, DirectoryService
-from repro.crypto import Commitment, PedersenParams, SECP256K1
+from repro.crypto import Commitment, PedersenParams
+from repro.crypto.curves import SECP256K1
 from repro.ipfs import DHT, IPFSClient, IPFSNode, compute_cid
 from repro.net import Network, Transport, mbps
 from repro.sim import Simulator

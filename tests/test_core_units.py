@@ -21,9 +21,9 @@ from repro.core import (
     build_assignment,
     decode_partition,
     encode_partition,
-    optimal_provider_count,
     sum_encoded_partitions,
 )
+from repro.core.bootstrapper import optimal_provider_count
 
 
 # -- addressing --------------------------------------------------------------------
@@ -144,8 +144,6 @@ def test_schedule_from_durations():
     )
     assert schedule.t_train == 160.0
     assert schedule.t_sync == 400.0
-    assert schedule.remaining_train(130.0) == 30.0
-    assert schedule.remaining_train(200.0) == 0.0
     assert schedule.remaining_sync(150.0) == 250.0
 
 

@@ -9,7 +9,8 @@ from repro.core import (
     decode_partition,
     sum_encoded_partitions,
 )
-from repro.crypto import Commitment, SECP256K1
+from repro.crypto import Commitment
+from repro.crypto.curves import SECP256K1
 
 
 @pytest.fixture(scope="module")

@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
-    SECP256K1,
-    SECP256R1,
     curve_by_name,
     inverse_mod,
-    is_quadratic_residue,
-    legendre_symbol,
     sqrt_mod,
 )
+from repro.crypto.curves import SECP256K1, SECP256R1
+from repro.crypto.field import legendre_symbol
 
 
 # -- field ----------------------------------------------------------------------
@@ -72,11 +70,6 @@ def test_sqrt_of_square_property(value):
     square = value * value % p
     root = sqrt_mod(square, p)
     assert root * root % p == square
-
-
-def test_is_quadratic_residue():
-    assert is_quadratic_residue(2, 7)
-    assert not is_quadratic_residue(3, 7)
 
 
 # -- curve parameters --------------------------------------------------------------

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from repro.crypto import (
     Point,
-    SECP256K1,
-    SECP256R1,
     generator,
-    scalar_mult,
     wnaf,
 )
+from repro.crypto.curves import SECP256K1, SECP256R1
+from repro.crypto.group import scalar_mult
 
 
 def naive_scalar_mult(scalar: int, point: Point) -> Point:
@@ -22,7 +21,7 @@ def naive_scalar_mult(scalar: int, point: Point) -> Point:
     while scalar:
         if scalar & 1:
             result = result + addend
-        addend = addend.double()
+        addend = addend + addend
         scalar >>= 1
     return result
 
@@ -46,24 +45,20 @@ def test_point_plus_negation_is_identity():
 
 def test_addition_commutative():
     g = generator(SECP256K1)
-    g2 = g.double()
+    g2 = g + g
     assert g + g2 == g2 + g
 
 
 def test_addition_associative():
     g = generator(SECP256K1)
-    a, b, c = g, g.double(), g.double().double()
+    a, b, c = g, g + g, g + g + g + g
     assert (a + b) + c == a + (b + c)
-
-
-def test_double_equals_self_add():
-    g = generator(SECP256R1)
-    assert g.double() == g + g
 
 
 def test_known_double_secp256k1():
     """2G on secp256k1 (SEC test vector)."""
-    g2 = generator(SECP256K1).double()
+    g = generator(SECP256K1)
+    g2 = g + g
     assert g2.x == int(
         "C6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5",
         16,
@@ -96,7 +91,7 @@ def test_point_equality_and_hash():
     g2 = generator(SECP256K1)
     assert g1 == g2
     assert hash(g1) == hash(g2)
-    assert g1 != g1.double()
+    assert g1 != (g1 + g1)
 
 
 # -- scalar multiplication ------------------------------------------------------------
@@ -106,8 +101,8 @@ def test_scalar_mult_small_values():
     g = generator(SECP256K1)
     assert scalar_mult(0, g).is_identity
     assert scalar_mult(1, g) == g
-    assert scalar_mult(2, g) == g.double()
-    assert scalar_mult(3, g) == g.double() + g
+    assert scalar_mult(2, g) == g + g
+    assert scalar_mult(3, g) == g + g + g
 
 
 def test_scalar_mult_by_order_is_identity():
@@ -199,7 +194,7 @@ def test_wnaf_property(scalar):
 
 def test_compressed_roundtrip():
     g = generator(SECP256K1)
-    for point in (g, g.double(), scalar_mult(12345, g)):
+    for point in (g, g + g, scalar_mult(12345, g)):
         data = point.to_bytes()
         assert len(data) == 33
         assert Point.from_bytes(SECP256K1, data) == point

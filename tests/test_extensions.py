@@ -13,9 +13,8 @@ from repro.core import (
     SnapshotPublisher,
     SnapshotReader,
     accumulate_cids,
-    decode_snapshot,
-    encode_snapshot,
 )
+from repro.core.offload import decode_snapshot, encode_snapshot
 from repro.core.directory import DirectoryClient
 from repro.ipfs import IPFSClient, compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid

@@ -61,9 +61,9 @@ def test_trainer_crash_pre_upload_degrades_then_late_joins():
     shards = make_shards(4)
     config = ProtocolConfig(num_partitions=2, t_train=60.0, t_sync=300.0,
                             local_train_seconds=2.0)
-    plan = FaultPlan.of(
+    plan = FaultPlan([
         FaultSpec(kind="crash_trainer", at=0.5, target="trainer-1",
-                  duration=10.0),
+                  duration=10.0)],
         seed=1,
     )
     session = FLSession(config, factory, shards,
@@ -101,8 +101,8 @@ def test_aggregator_crash_mid_collect_forces_takeover_and_converges():
     config = ProtocolConfig(num_partitions=2, aggregators_per_partition=2,
                             t_train=20.0, t_sync=120.0,
                             takeover_grace=5.0, local_train_seconds=2.0)
-    plan = FaultPlan.of(
-        FaultSpec(kind="crash_aggregator", at=1.0, target="aggregator-0"),
+    plan = FaultPlan([
+        FaultSpec(kind="crash_aggregator", at=1.0, target="aggregator-0")],
         seed=2,
     )
     session = FLSession(config, factory, shards,
@@ -135,9 +135,9 @@ def test_aggregator_crash_mid_collect_forces_takeover_and_converges():
 def test_link_outage_recovers_with_retries():
     shards = make_shards(4)
     config = ProtocolConfig(num_partitions=2, t_train=200.0, t_sync=400.0)
-    plan = FaultPlan.of(
+    plan = FaultPlan([
         FaultSpec(kind="link_down", at=3.0, target="trainer-2",
-                  duration=30.0),
+                  duration=30.0)],
         seed=3,
     )
     # Tight per-attempt timeouts + a retry budget whose backoff spans the
@@ -174,8 +174,8 @@ def test_round_starts_without_a_participant_whose_link_is_down():
     config = ProtocolConfig(num_partitions=2, t_train=60.0, t_sync=120.0,
                             update_mode="params", seed=1,
                             poll_interval=0.25)
-    plan = FaultPlan.of(FaultSpec(kind="link_down", at=0.6, duration=1000.0,
-                                  target="trainer-2"))
+    plan = FaultPlan([FaultSpec(kind="link_down", at=0.6, duration=1000.0,
+                                target="trainer-2")])
     session = FLSession(config, lambda: SyntheticModel(2000),
                         dummy_datasets(4),
                         network=NetworkProfile(num_ipfs_nodes=4),
@@ -199,8 +199,8 @@ def test_link_down_while_the_announcement_is_in_flight():
     config = ProtocolConfig(num_partitions=2, t_train=60.0, t_sync=120.0,
                             update_mode="params", seed=1,
                             poll_interval=0.25)
-    plan = FaultPlan.of(FaultSpec(kind="link_down", at=1e-5, duration=5.0,
-                                  target="trainer-0"))
+    plan = FaultPlan([FaultSpec(kind="link_down", at=1e-5, duration=5.0,
+                                target="trainer-0")])
     session = FLSession(config, lambda: SyntheticModel(2000),
                         dummy_datasets(4),
                         network=NetworkProfile(num_ipfs_nodes=4),
@@ -225,13 +225,13 @@ def test_same_fault_plan_seed_gives_byte_identical_manifest():
         shards = make_shards(4)
         config = ProtocolConfig(num_partitions=2, t_train=60.0,
                                 t_sync=300.0)
-        plan = FaultPlan.of(
+        plan = FaultPlan([
             FaultSpec(kind="crash_trainer", at=0.5, target="trainer-1",
                       duration=10.0),
             FaultSpec(kind="directory_brownout", at=1.0,
                       processing_delay=1.0, duration=10.0),
             FaultSpec(kind="message_loss", at=0.0, probability=0.1,
-                      duration=30.0),
+                      duration=30.0)],
             seed=11,
         )
         session = FLSession(config, factory, shards,

@@ -93,7 +93,7 @@ def test_to_dict_elides_defaults():
 
 
 def sample_plan():
-    return FaultPlan.of(
+    return FaultPlan([
         FaultSpec(kind="crash_trainer", at=0.5, target="trainer-1",
                   duration=10.0),
         FaultSpec(kind="link_down", at=3.0, target="trainer-2",
@@ -101,7 +101,7 @@ def sample_plan():
         FaultSpec(kind="directory_brownout", at=1.0,
                   processing_delay=2.0, duration=10.0),
         FaultSpec(kind="crash_ipfs", at=2.0, target="ipfs-0",
-                  duration=20.0, lose_storage=True),
+                  duration=20.0, lose_storage=True)],
         seed=7,
     )
 

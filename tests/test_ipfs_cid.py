@@ -11,9 +11,7 @@ from repro.ipfs import (
     CID,
     chunk_object,
     compute_cid,
-    is_manifest,
     parse_manifest,
-    verify_cid,
 )
 from repro.ipfs.block import join_leaves
 
@@ -64,8 +62,8 @@ def test_compute_cid_requires_bytes():
 def test_verify_cid():
     data = b"gradient bytes"
     cid = compute_cid(data)
-    assert verify_cid(cid, data)
-    assert not verify_cid(cid, data + b"!")
+    assert compute_cid(data) == cid
+    assert compute_cid(data + b"!") != cid
 
 
 def test_cid_hashable():
@@ -77,7 +75,6 @@ def test_cid_hashable():
 def test_cid_roundtrip_property(data):
     cid = compute_cid(data)
     assert CID.decode(cid.encode()) == cid
-    assert verify_cid(cid, data)
 
 
 # -- Block / chunking ------------------------------------------------------------
@@ -93,7 +90,7 @@ def test_chunk_small_object_single_leaf():
     root, leaves = chunk_object(b"tiny", chunk_size=1024)
     assert len(leaves) == 1
     assert leaves[0].data == b"tiny"
-    assert is_manifest(root)
+    assert parse_manifest(root) == [leaves[0].cid]
 
 
 def test_chunk_object_splits_on_boundary():

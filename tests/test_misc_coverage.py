@@ -2,22 +2,14 @@
 
 import pytest
 
-from repro.analysis import format_row
-from repro.net import Message, gbps, kib, kilobytes, mib
+from repro.net import Message, mbps, megabytes
 
 from tests.util import make_ipfs_world
 
 
-def test_format_row_alignment():
-    row = format_row([1, 2.5, None], widths=[4, 8, 4])
-    assert row == "   1     2.500     -"
-
-
 def test_unit_helpers():
-    assert gbps(1) == 125_000_000.0
-    assert kilobytes(2) == 2000.0
-    assert kib(1) == 1024.0
-    assert mib(2) == 2 * 1024 * 1024
+    assert mbps(8) == 1_000_000.0
+    assert megabytes(1.3) == 1_300_000.0
 
 
 def test_message_defaults():
@@ -42,12 +34,13 @@ def test_unknown_message_kind_ignored_by_node():
 
 def test_point_from_bytes_non_residue_x():
     """An x with no curve point (x^3+7 a non-residue) must be rejected."""
-    from repro.crypto import Point, SECP256K1
-    from repro.crypto.field import is_quadratic_residue
+    from repro.crypto import Point
+    from repro.crypto.curves import SECP256K1
+    from repro.crypto.field import legendre_symbol
     x = 2
-    while is_quadratic_residue(
+    while legendre_symbol(
         (x * x * x + SECP256K1.b) % SECP256K1.p, SECP256K1.p
-    ):
+    ) != -1:
         x += 1
     data = b"\x02" + x.to_bytes(32, "big")
     with pytest.raises(ValueError):

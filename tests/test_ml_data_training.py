@@ -1,4 +1,4 @@
-"""Tests for datasets, federated partitioners, training and reference FedAvg."""
+"""Tests for datasets, federated partitioners, training and metrics."""
 
 import numpy as np
 import pytest
@@ -9,17 +9,11 @@ from repro.ml import (
     TrainConfig,
     accuracy,
     compute_gradient,
-    fedavg_aggregate,
     local_update,
     make_classification,
-    make_regression,
     mean_loss,
-    model_distance,
-    run_fedavg,
-    run_fedsgd,
     split_dirichlet,
     split_iid,
-    split_shards,
     train_test_split,
 )
 
@@ -41,15 +35,6 @@ def test_make_classification_reproducible():
     a = make_classification(seed=42)
     b = make_classification(seed=42)
     np.testing.assert_array_equal(a.X, b.X)
-
-
-def test_make_regression_teacher_signal():
-    data = make_regression(num_samples=2000, num_features=3,
-                           noise=0.01, seed=1)
-    # Targets should correlate strongly with a least-squares fit.
-    coeffs, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
-    residual = data.y - data.X @ coeffs
-    assert np.std(residual) < 0.05
 
 
 def test_dataset_validation():
@@ -109,22 +94,6 @@ def test_split_dirichlet_validation():
         split_dirichlet(data, 2, alpha=0.0)
 
 
-def test_split_shards_limits_classes_per_client():
-    data = make_classification(num_samples=400, num_classes=8, seed=4)
-    shards = split_shards(data, num_clients=8, shards_per_client=2, seed=5)
-    assert sum(len(s) for s in shards) == 400
-    for shard in shards:
-        assert len(np.unique(shard.y)) <= 4  # few classes per client
-
-
-def test_split_shards_validation():
-    data = make_classification(num_samples=10)
-    with pytest.raises(ValueError):
-        split_shards(data, num_clients=0)
-    with pytest.raises(ValueError):
-        split_shards(data, num_clients=6, shards_per_client=2)
-
-
 # -- training ----------------------------------------------------------------------
 
 
@@ -172,44 +141,7 @@ def test_local_update_deterministic_given_seed():
     np.testing.assert_array_equal(d1, d2)
 
 
-# -- reference FedAvg/FedSGD ----------------------------------------------------------
-
-
-def test_fedavg_aggregate_is_mean():
-    updates = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    np.testing.assert_allclose(fedavg_aggregate(updates), [2.0, 3.0])
-    with pytest.raises(ValueError):
-        fedavg_aggregate([])
-
-
-def test_run_fedavg_converges_iid():
-    data = make_classification(num_samples=600, num_features=5,
-                               num_classes=2, class_separation=3.0, seed=6)
-    train, test = train_test_split(data, seed=6)
-    clients = split_iid(train, 4, seed=6)
-    model = LogisticRegression(num_features=5, num_classes=2)
-    result = run_fedavg(model, clients, rounds=10,
-                        config=TrainConfig(epochs=2, learning_rate=0.5),
-                        test_set=test)
-    assert result.test_accuracy[-1] > 0.9
-    assert result.train_loss[-1] < result.train_loss[0]
-
-
-def test_fedsgd_equals_centralized_gradient_descent():
-    """With equal shard sizes, averaged FedSGD == centralized full-batch GD."""
-    data = make_classification(num_samples=400, num_features=4, seed=7)
-    clients = split_iid(data, 4, seed=7)
-    fed_model = LogisticRegression(num_features=4, seed=8)
-    central_model = LogisticRegression(num_features=4, seed=8)
-
-    run_fedsgd(fed_model, clients, rounds=5, learning_rate=0.3)
-
-    for _ in range(5):
-        grads = [compute_gradient(central_model, shard) for shard in clients]
-        step = np.mean(grads, axis=0)
-        central_model.set_params(central_model.get_params() - 0.3 * step)
-
-    assert model_distance(fed_model, central_model) < 1e-12
+# -- metrics --------------------------------------------------------------------------
 
 
 def test_metrics_accuracy_bounds():

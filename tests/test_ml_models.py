@@ -6,11 +6,10 @@ import pytest
 
 from repro.ml import (
     Dataset,
-    LinearRegression,
     LogisticRegression,
     MLPClassifier,
+    SyntheticModel,
     make_classification,
-    make_regression,
 )
 
 
@@ -35,7 +34,7 @@ def numerical_gradient(model, X, y, epsilon=1e-6):
 
 
 @pytest.mark.parametrize("model_factory", [
-    lambda: LinearRegression(num_features=5),
+    lambda: SyntheticModel(size=6),
     lambda: LogisticRegression(num_features=5, num_classes=3),
     lambda: MLPClassifier(num_features=5, hidden=7, num_classes=3),
 ])
@@ -50,7 +49,7 @@ def test_param_roundtrip(model_factory):
 
 
 @pytest.mark.parametrize("model_factory", [
-    lambda: LinearRegression(num_features=4),
+    lambda: SyntheticModel(size=4),
     lambda: LogisticRegression(num_features=4, num_classes=2),
     lambda: MLPClassifier(num_features=4, hidden=3),
 ])
@@ -61,7 +60,7 @@ def test_set_params_wrong_size_raises(model_factory):
 
 
 def test_num_params_formulas():
-    assert LinearRegression(num_features=10).num_params() == 11
+    assert SyntheticModel(size=11).num_params() == 11
     assert LogisticRegression(num_features=10, num_classes=3).num_params() == 33
     assert MLPClassifier(num_features=10, hidden=8,
                          num_classes=4).num_params() == 10 * 8 + 8 + 8 * 4 + 4
@@ -77,7 +76,7 @@ def test_clone_is_independent():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        LinearRegression(num_features=0)
+        SyntheticModel(size=0)
     with pytest.raises(ValueError):
         LogisticRegression(num_features=3, num_classes=1)
     with pytest.raises(ValueError):
@@ -85,14 +84,6 @@ def test_constructor_validation():
 
 
 # -- gradient correctness -----------------------------------------------------------
-
-
-def test_linear_regression_gradient_exact():
-    data = make_regression(num_samples=50, num_features=4, seed=2)
-    model = LinearRegression(num_features=4, l2=0.01, seed=3)
-    _, analytic = model.loss_and_gradient(data.X, data.y)
-    numeric = numerical_gradient(model, data.X, data.y)
-    np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
 
 def test_logistic_regression_gradient_exact():
@@ -116,17 +107,6 @@ def test_mlp_gradient_exact():
 
 
 # -- learning behaviour -------------------------------------------------------------
-
-
-def test_linear_regression_fits_teacher():
-    data = make_regression(num_samples=500, num_features=5,
-                           noise=0.01, seed=4)
-    model = LinearRegression(num_features=5, seed=5)
-    for _ in range(300):
-        loss, grad = model.loss_and_gradient(data.X, data.y)
-        model.set_params(model.get_params() - 0.1 * grad)
-    final_loss, _ = model.loss_and_gradient(data.X, data.y)
-    assert final_loss < 0.01
 
 
 def test_logistic_regression_separates_blobs():

@@ -19,7 +19,8 @@ import pytest
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.net import Network, Transport
-from repro.sim import FilterStore, Process, Simulator
+from repro.sim import FilterStore, Simulator
+from repro.sim.core import Process
 from tests.reference_message_path import ReferenceNetwork, ReferenceTransport
 
 

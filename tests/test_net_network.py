@@ -13,6 +13,8 @@ from repro.net import (
 )
 from repro.sim import Simulator
 
+from tests.util import next_event_time
+
 
 # -- units ---------------------------------------------------------------------
 
@@ -260,7 +262,7 @@ def test_request_answered_in_time_cancels_its_deadline():
     assert got and got[0][1] == "reply"
     # No lost-race timeout left to drain: the clock did not run on to 120.
     assert sim.now == got[0][0] < 120.0
-    assert sim.peek() == math.inf
+    assert next_event_time(sim) == math.inf
 
 
 def test_request_timeout_yields_none_and_late_reply_is_swallowed():

@@ -92,9 +92,9 @@ def test_unknown_kwarg_raises_type_error():
 
 
 def brownout_plan():
-    return FaultPlan.of(
+    return FaultPlan([
         FaultSpec(kind="directory_brownout", at=1.0,
-                  processing_delay=1.0, duration=5.0),
+                  processing_delay=1.0, duration=5.0)],
     )
 
 

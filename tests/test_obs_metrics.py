@@ -17,9 +17,9 @@ from repro.obs import (
     MetricsRegistry,
     ResourceSampler,
     RunManifest,
-    TimeSeries,
     compare_manifests,
 )
+from repro.obs.metrics import TimeSeries
 from repro.obs.events import (
     BlockFetched,
     CommitmentComputed,
@@ -30,7 +30,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import DEFAULT_SERIES_RETENTION
 from repro.sim import Simulator
-from tests.util import run_bundle
+from tests.util import next_event_time, run_bundle
 
 
 # -- TimeSeries ------------------------------------------------------------------
@@ -149,7 +149,8 @@ def test_sampler_records_on_the_sim_clock_and_stops():
     sim.run(until=3.5)
     assert sampler.samples_taken == 4  # t = 0, 1, 2, 3
     sampler.stop()
-    assert sim.peek() == float("inf")  # the pending wakeup is cancelled
+    # The pending wakeup is cancelled.
+    assert next_event_time(sim) == float("inf")
     sim.run(until=10.0)
     assert sampler.samples_taken == 4  # no ticks after stop
     sampler.stop()  # idempotent
@@ -297,20 +298,20 @@ def test_compare_flags_regression_with_direction():
     # Third transfer takes 8 s: mean and p95 durations move up >> 10%.
     slower = manifest_from_stream(extra_duration=8.0)
     diff = compare_manifests(base, slower, threshold=0.10)
-    assert diff.has_regressions
+    assert diff.regressions
     regressed = {entry.metric for entry in diff.regressions}
     assert "net.transfer.duration.mean" in regressed
     assert "net.transfer.duration.p95" in regressed
     # The reverse comparison is an improvement, not a regression.
     reverse = compare_manifests(slower, base, threshold=0.10)
-    assert not reverse.has_regressions
+    assert not reverse.regressions
     assert {e.metric for e in reverse.improvements} >= regressed
 
 
 def test_compare_identical_manifests_is_clean():
     manifest = manifest_from_stream(fingerprint={"digest": "same"})
     diff = compare_manifests(manifest, manifest)
-    assert not diff.has_regressions
+    assert not diff.regressions
     assert not diff.improvements
     assert diff.fingerprint_matches
     assert diff.unchanged > 0
@@ -333,7 +334,7 @@ def test_compare_respects_per_metric_thresholds():
 
 
 def test_diffentry_inf_change_on_zero_base():
-    from repro.obs import DiffEntry
+    from repro.obs.manifest import DiffEntry
 
     entry = DiffEntry(metric="m", base=0.0, current=1.0, threshold=0.1)
     assert entry.relative_change == math.inf
@@ -452,9 +453,9 @@ def test_timeseries_retention_decimates_deterministically():
         unbounded.record(at, value)
     assert bounded.count == unbounded.count == 1000
     assert bounded.retained <= 8
-    assert bounded.stride > 1
-    # Survivors sit on the stride grid, starting at the first record.
-    stride = bounded.stride
+    # Survivors sit on one stride grid, starting at the first record.
+    stride = int(bounded.samples[1][0] - bounded.samples[0][0])
+    assert stride > 1
     assert [at for at, _ in bounded.samples] == [
         float(i) for i in range(0, 1000, stride)][:bounded.retained]
     # Digests come from the accumulators: decimation-invariant.
@@ -467,7 +468,7 @@ def test_timeseries_retention_replays_identically():
         series = TimeSeries("x", max_samples=16)
         for index in range(5000):
             series.record(float(index) * 0.5, float(index % 13))
-        return list(series.samples), series.stride
+        return list(series.samples)
     assert run() == run()
 
 

@@ -11,13 +11,13 @@ from repro.ml import Dataset, SyntheticModel
 from repro.net import NetworkProfile
 from repro.obs import (
     EventBus,
-    FakeWallClock,
     FlightRecorder,
     MetricsRegistry,
     ProgressReporter,
     format_heartbeat,
     read_progress,
 )
+from repro.obs.profiling import FakeWallClock
 from repro.obs.events import IterationFinished, IterationStarted
 
 

@@ -39,7 +39,6 @@ def test_exact_mode_accounting_and_values():
     assert sketch.maximum == 3.0
     assert sketch.mean == 2.0
     assert sketch.values() == [3.0, 1.0, 2.0]  # arrival order
-    assert list(sketch.iter_values()) == [3.0, 1.0, 2.0]
 
 
 def test_empty_sketch_is_safe():
@@ -106,8 +105,6 @@ def test_values_raise_after_spill():
         sketch.add(value)
     with pytest.raises(ValueError):
         sketch.values()
-    with pytest.raises(ValueError):
-        sketch.iter_values()
 
 
 def test_sketch_mode_percentiles_respect_the_relative_error_bound():

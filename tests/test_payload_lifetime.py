@@ -115,10 +115,10 @@ def test_a_faulted_round_leaves_no_payload_and_no_cycle(carriers):
     mid-transfer, times out, and its retry is refused until the link is
     back.  Still no payload outlives the round and ``gc.collect()`` finds
     nothing — what lets ``Session.run_iteration`` pause the collector."""
-    plan = FaultPlan.of(
+    plan = FaultPlan([
         FaultSpec(kind="crash_trainer", at=0.58, target="trainer-3"),
         FaultSpec(kind="link_down", at=0.58, duration=2.0,
-                  target="trainer-2"),
+                  target="trainer-2")],
         seed=4)
     network = NetworkProfile(num_ipfs_nodes=2, bandwidth_mbps=10.0,
                              retry=RetryPolicy(max_attempts=8),

@@ -135,8 +135,8 @@ def test_a_model_set_from_outside_computes_from_its_own_base(update_mode,
 def test_a_trainer_kept_out_of_a_round_computes_from_its_own_base(mlp):
     """trainer-3 crashes in round 0, so it enters round 1 from the
     starting vector while the others enter from round 0's install."""
-    plan = FaultPlan.of(FaultSpec(kind="crash_trainer", at=0.01,
-                                  duration=0.2, target="trainer-3"), seed=4)
+    plan = FaultPlan([FaultSpec(kind="crash_trainer", at=0.01,
+                                duration=0.2, target="trainer-3")], seed=4)
     session = _session("gradient", faults=plan, mlp=mlp)
     metrics = session.run_iteration()
     assert "trainer-3" in metrics.degraded

@@ -6,15 +6,15 @@ import weakref
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
-    Process,
     SimulationError,
     Simulator,
     Timeout,
 )
+from repro.sim.core import AllOf, AnyOf, Process
+
+from tests.util import next_event_time
 
 
 def test_clock_starts_at_zero():
@@ -499,10 +499,10 @@ def test_is_alive_lifecycle():
 def test_peek_and_step():
     sim = Simulator()
     sim.timeout(4.0)
-    assert sim.peek() == 4.0
+    assert next_event_time(sim) == 4.0
     sim.step()
     assert sim.now == 4.0
-    assert sim.peek() == float("inf")
+    assert next_event_time(sim) == float("inf")
     with pytest.raises(SimulationError):
         sim.step()
 

@@ -4,7 +4,6 @@ paths the protocol stack relies on implicitly."""
 import pytest
 
 from repro.sim import (
-    AnyOf,
     Event,
     FilterStore,
     Interrupt,
@@ -12,6 +11,7 @@ from repro.sim import (
     Simulator,
     Store,
 )
+from repro.sim.core import AnyOf
 
 
 # -- run_until -------------------------------------------------------------------

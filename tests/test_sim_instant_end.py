@@ -10,7 +10,10 @@ in, first out.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PRIORITY_URGENT, Simulator
+from repro.sim import Simulator
+from repro.sim.core import PRIORITY_URGENT
+
+from tests.util import next_event_time
 
 
 def test_hook_runs_after_normal_events_scheduled_later():
@@ -58,12 +61,12 @@ def test_hooks_keep_fifo_order_and_may_spawn_same_instant_work():
 
     sim.at_instant_end(first)
     sim.at_instant_end(lambda: order.append("end-2"))
-    assert sim.peek() == 0.0
+    assert next_event_time(sim) == 0.0
     sim.run()
     # The NORMAL event a hook schedules outranks the remaining hook.
     assert order == ["end-1", "normal-after-end", "end-2"]
     assert sim.now == 0.0
-    assert sim.peek() == float("inf")
+    assert next_event_time(sim) == float("inf")
 
 
 def test_run_until_returns_with_the_hook_still_queued():
@@ -75,7 +78,7 @@ def test_run_until_returns_with_the_hook_still_queued():
     done._add_callback(lambda _event: sim.at_instant_end(
         lambda: order.append(sim.now)))
     sim.run_until(done)
-    assert order == [] and sim.peek() == 2.0
+    assert order == [] and next_event_time(sim) == 2.0
     sim.step()
     assert order == [2.0]
 

@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.analysis import Sweep, SweepResults, grid
+from repro.analysis import Sweep
+from repro.analysis.sweeps import SweepResults
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile, build_testbed, mbps
 
 
-# -- Sweep / grid -----------------------------------------------------------------
+# -- Sweep -----------------------------------------------------------------------
 
 
 def test_sweep_runs_in_order():
     sweep = Sweep("x", [3, 1, 2])
     results = sweep.run(lambda x: x * 10)
-    assert results.parameters() == [3, 1, 2]
+    assert [value for value, _ in results.rows] == [3, 1, 2]
     assert results.values() == [30, 10, 20]
 
 
@@ -37,13 +38,6 @@ def test_sweep_validation():
         Sweep("x", [])
     with pytest.raises(ValueError):
         SweepResults("x").argmin()
-
-
-def test_grid_cartesian_product():
-    combos = grid(a=[1, 2], b=["x", "y"])
-    assert len(combos) == 4
-    assert {"a": 1, "b": "y"} in combos
-    assert grid() == [{}]
 
 
 # -- heterogeneous bandwidths ------------------------------------------------------------

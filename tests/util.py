@@ -3,14 +3,24 @@
 
 import contextlib
 import io
+import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.ipfs import DHT, IPFSClient, IPFSNode, PubSub
 from repro.net import Network, Transport, mbps
-from repro.obs import FakeWallClock
+from repro.obs.profiling import FakeWallClock
 from repro.sim import Simulator
+
+
+def next_event_time(sim: Simulator) -> float:
+    """Time of the kernel's next live event or end-of-instant hook, or
+    ``inf``: what a step would run next, cancelled entries skipped."""
+    sim._purge_head()
+    if sim._instant_end:
+        return sim.now
+    return sim._queue[0][0] if sim._queue else math.inf
 
 
 @dataclass
