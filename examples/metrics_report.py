@@ -30,6 +30,7 @@ from repro.obs import (
     RunManifest,
     compare_manifests,
 )
+from repro.obs.sketch import RELATIVE_ERROR
 
 NUM_TRAINERS = 8
 PARTITION_PARAMS = 40_000  # ~320 kB of float64 per partition
@@ -78,7 +79,7 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
         print()
         duration = registry.histogram("net.transfer.duration")
         mode = "exact" if duration.exact else \
-            f"sketch (±{duration.relative_error:.0%}, " \
+            f"sketch (±{RELATIVE_ERROR:.0%}, " \
             f"{duration.bucket_count} buckets)"
         print(f"transfer durations [{mode}]: n={duration.count} "
               f"mean={duration.mean:.3f}s p95={duration.percentile(95):.3f}s "

@@ -47,7 +47,7 @@ def naive_collection_time(
     num_gradients: int,
     gradient_wire_bytes: float,
     aggregator_bandwidth: float,
-    request_wire_bytes: float = 0.0,
+    request_wire_bytes: float,
 ) -> float:
     """Exact duration of a symmetric naive download wave.
 

@@ -35,21 +35,18 @@ class SweepResults:
             raise ValueError("empty sweep")
         return min(self.rows, key=lambda row: key(row[1]))[0]
 
-    def argmax(self, key: Callable[[Any], float] = lambda r: r) -> Any:
+    def argmax(self) -> Any:
         if not self.rows:
             raise ValueError("empty sweep")
-        return max(self.rows, key=lambda row: key(row[1]))[0]
+        return max(self.rows, key=lambda row: row[1])[0]
 
-    def shape(self, key: Callable[[Any], float] = lambda r: r) -> str:
+    def shape(self) -> str:
         """'increasing' / 'decreasing' / 'u-shaped' / 'mixed' / 'flat'."""
-        return series_shape([key(result) for _, result in self.rows])
+        return series_shape(self.values())
 
-    def table(self, result_label: str = "result",
-              key: Callable[[Any], Any] = lambda r: r) -> str:
-        return format_table(
-            [self.parameter, result_label],
-            [[value, key(result)] for value, result in self.rows],
-        )
+    def table(self) -> str:
+        return format_table([self.parameter, "result"],
+                            [list(row) for row in self.rows])
 
 
 class Sweep:

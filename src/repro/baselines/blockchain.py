@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..ml import Dataset, Model
 from ..net import Network, Transport, mbps
@@ -111,16 +111,14 @@ class BlockchainFLSession(Session):
         datasets: Sequence[Dataset],
         num_miners: int = 4,
         bandwidth_mbps: float = 10.0,
-        latency: float = 0.0,
-        sim: Optional[Simulator] = None,
     ):
         if not datasets:
             raise ValueError("need at least one trainer dataset")
         if num_miners < 1:
             raise ValueError("need at least one miner")
         self.config = config
-        sim = sim or Simulator()
-        self.network = Network(sim, default_latency=latency)
+        sim = Simulator()
+        self.network = Network(sim)
         trainer_names = [f"trainer-{i}" for i in range(len(datasets))]
         self.miner_names = [f"miner-{i}" for i in range(num_miners)]
         for name in trainer_names + self.miner_names:

@@ -11,11 +11,10 @@ one aggregator, host ``"aggregator-0"``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..core.config import ProtocolConfig
 from ..ml import Dataset, Model
-from ..sim import Simulator
 from .ipls_direct import DirectIPLSSession
 
 __all__ = ["CentralizedSession"]
@@ -30,10 +29,8 @@ class CentralizedSession(DirectIPLSSession):
         model_factory: Callable[[], Model],
         datasets: Sequence[Dataset],
         bandwidth_mbps: float = 10.0,
-        latency: float = 0.0,
-        sim: Optional[Simulator] = None,
     ):
         super().__init__(
             replace(config, num_partitions=1, aggregators_per_partition=1),
-            model_factory, datasets, bandwidth_mbps, latency, sim,
+            model_factory, datasets, bandwidth_mbps,
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = ["GossipFLSession"]
 
 KIND_MODEL_PUSH = "gossip.push"
 MESSAGE_OVERHEAD = 128
+#: Every peer's uplink (Mbps), the paper's testbed bandwidth.
+BANDWIDTH_MBPS = 10.0
 
 
 class GossipFLSession(Session):
@@ -45,10 +47,7 @@ class GossipFLSession(Session):
         model_factory: Callable[[], Model],
         datasets: Sequence[Dataset],
         fanout: int = 2,
-        bandwidth_mbps: float = 10.0,
-        latency: float = 0.0,
         seed: int = 0,
-        sim: Optional[Simulator] = None,
     ):
         if not datasets:
             raise ValueError("need at least one trainer dataset")
@@ -56,12 +55,12 @@ class GossipFLSession(Session):
             raise ValueError("fanout must be >= 1")
         self.config = config
         self.fanout = min(fanout, max(1, len(datasets) - 1))
-        sim = sim or Simulator()
+        sim = Simulator()
         self._rng = random.Random(seed)
-        self.network = Network(sim, default_latency=latency)
+        self.network = Network(sim)
         self.trainer_names = [f"trainer-{i}" for i in range(len(datasets))]
         for name in self.trainer_names:
-            self.network.add_host(name, up_bandwidth=mbps(bandwidth_mbps))
+            self.network.add_host(name, up_bandwidth=mbps(BANDWIDTH_MBPS))
         self.transport = Transport(self.network)
         template = model_factory()
         # No global model to apply a gradient to: every trainer trains

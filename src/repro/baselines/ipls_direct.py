@@ -11,7 +11,7 @@ links between peers", the assumption the paper relaxes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ..obs.events import (
     UpdateRegistered,
     UploadCompleted,
 )
-from ..sim import Simulator
 from ..core.bootstrapper import Assignment, build_assignment
 from ..core.config import ProtocolConfig
 from ..core.partition import (
@@ -55,8 +54,6 @@ class DirectIPLSSession(Session):
         model_factory: Callable[[], Model],
         datasets: Sequence[Dataset],
         bandwidth_mbps: float = 10.0,
-        latency: float = 0.0,
-        sim: Optional[Simulator] = None,
     ):
         if not datasets:
             raise ValueError("need at least one trainer dataset")
@@ -66,12 +63,10 @@ class DirectIPLSSession(Session):
         )
         # IPFS nodes exist in the testbed but are unused by this baseline.
         self.testbed: Testbed = build_testbed(
-            sim=sim,
             num_trainers=len(datasets),
             num_aggregators=num_aggregators,
             num_ipfs_nodes=1,
             bandwidth_mbps=bandwidth_mbps,
-            latency=latency,
         )
         self.sim = self.testbed.sim
         self._template = model_factory()

@@ -42,9 +42,10 @@ Subcommands
 ``status``
     Summarize the heartbeats of a live or finished run from a progress
     JSONL file (``DIR/progress.jsonl`` of a bundle): last iteration, sim
-    clock, event rate and telemetry peak per label.  Exits non-zero
-    (with a stderr message) when the file is missing, unreadable or
-    holds no heartbeats yet, so scripts can poll it; ``--json`` prints
+    clock, event rate and telemetry peak.  Exits non-zero (with a
+    stderr message) when the file is missing, unreadable, holds a
+    corrupt line before its last, or holds no heartbeats yet, so
+    scripts can poll it; ``--json`` prints
     the latest heartbeat as one JSON object under the same exit
     contract.
 """
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument("progress", help="progress JSONL file to read")
     status.add_argument("--tail", type=int, default=1,
-                        help="heartbeats to show per label")
+                        help="latest heartbeats to show")
     status.add_argument("--json", action="store_true",
                         help="print the latest heartbeat as one JSON "
                              "object instead of the human summary "
@@ -678,6 +679,9 @@ def _run_status(args) -> int:
         print(f"status: cannot read progress file: {error}",
               file=sys.stderr)
         return 1
+    except ValueError as error:
+        print(f"status: {args.progress}: {error}", file=sys.stderr)
+        return 1
     if not records:
         print(f"status: no heartbeats in {args.progress} (yet)",
               file=sys.stderr)
@@ -685,16 +689,11 @@ def _run_status(args) -> int:
     if args.json:
         print(json.dumps(records[-1], sort_keys=True))
         return 0
-    by_label = {}
-    for record in records:
-        by_label.setdefault(record.get("label") or "run", []).append(record)
-    tail = max(args.tail, 1)
-    for label, beats in by_label.items():
-        for record in beats[-tail:]:
-            print(format_heartbeat(record))
+    for record in records[-max(args.tail, 1):]:
+        print(format_heartbeat(record))
     latest = records[-1]
     peak = latest.get("peak_telemetry_bytes")
-    summary = (f"{len(records)} heartbeat(s), {len(by_label)} label(s); "
+    summary = (f"{len(records)} heartbeat(s); "
                f"latest: iteration {latest.get('iteration', -1)} at "
                f"sim t={latest.get('sim_seconds', 0.0):.1f}s, "
                f"{latest.get('events', 0)} events")

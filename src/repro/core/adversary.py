@@ -97,16 +97,10 @@ class ReplayUpdateBehavior(AggregatorBehavior):
 
 
 class LazyBehavior(AggregatorBehavior):
-    """Aggregates only the first few gradients to "reduce costs by
-    performing less accurate computations"."""
+    """Aggregates only the first gradient (by uploader name) to "reduce
+    costs by performing less accurate computations"."""
 
     name = "lazy"
 
-    def __init__(self, max_gradients: int = 1):
-        if max_gradients < 1:
-            raise ValueError("max_gradients must be >= 1")
-        self.max_gradients = max_gradients
-
     def select_gradients(self, blobs: Dict[str, bytes]) -> Dict[str, bytes]:
-        kept_keys = sorted(blobs)[: self.max_gradients]
-        return {key: blobs[key] for key in kept_keys}
+        return {key: blobs[key] for key in sorted(blobs)[:1]}

@@ -76,7 +76,6 @@ class Aggregator(Participant):
         behavior: Optional[AggregatorBehavior] = None,
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
-        ipfs_request_timeout: float = 120.0,
     ):
         super().__init__(name, sim)
         self.config = config
@@ -90,7 +89,6 @@ class Aggregator(Participant):
             assignment.trainers_of[(self.partition_id, name)]
         )
         self.ipfs = IPFSClient(name, transport, dht,
-                               request_timeout=ipfs_request_timeout,
                                chunk_size=config.chunk_size,
                                retry=retry)
         self.directory = DirectoryClient(

@@ -28,22 +28,14 @@ __all__ = ["Assignment", "build_assignment", "Bootstrapper",
 SCHEDULE_WIRE_SIZE = 96
 
 
-def optimal_provider_count(num_trainers: int,
-                           aggregator_bandwidth: float = 1.0,
-                           node_bandwidth: float = 1.0) -> int:
-    """The paper's analytic optimum |P_ij| = sqrt(b·|T_ij|/d).
-
-    With equal bandwidths this is sqrt(|T_ij|) — e.g. 4 providers for the
-    16-trainer Fig. 1 experiment.
+def optimal_provider_count(num_trainers: int) -> int:
+    """The paper's analytic optimum |P_ij| = sqrt(b·|T_ij|/d) at equal
+    aggregator and node bandwidths (b = d): sqrt(|T_ij|) — e.g. 4
+    providers for the 16-trainer Fig. 1 experiment.
     """
     if num_trainers < 1:
         raise ValueError("num_trainers must be >= 1")
-    if aggregator_bandwidth <= 0 or node_bandwidth <= 0:
-        raise ValueError("bandwidths must be positive")
-    optimum = math.sqrt(
-        aggregator_bandwidth * num_trainers / node_bandwidth
-    )
-    return max(1, round(optimum))
+    return max(1, round(math.sqrt(num_trainers)))
 
 
 @dataclass

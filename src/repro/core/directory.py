@@ -497,9 +497,6 @@ class DirectoryService:
         ):
             if not self._visible(entry):
                 continue
-            if query.get("uploader_id") is not None \
-                    and entry.address.uploader_id != query["uploader_id"]:
-                continue
             aggregator_filter = query.get("aggregator_id")
             if aggregator_filter is not None \
                     and entry.address.kind == GRADIENT:
@@ -564,7 +561,7 @@ class DirectoryClient:
         every extra ``yield from`` level is resumed per event.
         """
         policy = self.retry
-        attempts = max(1, policy.max_attempts) if policy is not None else 1
+        attempts = policy.max_attempts if policy is not None else 1
         for attempt in range(attempts):
             # (No timeout waits forever: the directory answers.)
             response = yield self.endpoint.request(
@@ -608,8 +605,7 @@ class DirectoryClient:
              "accumulation": accumulate_cids([r["cid"] for r in records])}))
 
     def lookup(self, partition_id: int, iteration: int, kind: str,
-               aggregator_id: Optional[str] = None,
-               uploader_id: Optional[str] = None):
+               aggregator_id: Optional[str] = None):
         """Query entries; returns a list of result dicts."""
         return (yield from self._call(
             KIND_LOOKUP, "directory.lookup", QUERY_SIZE, {
@@ -617,7 +613,6 @@ class DirectoryClient:
                 "iteration": iteration,
                 "kind": kind,
                 "aggregator_id": aggregator_id,
-                "uploader_id": uploader_id,
             }))
 
     def accumulated(self, partition_id: int, iteration: int,

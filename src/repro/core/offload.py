@@ -27,7 +27,6 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto import Commitment
 from ..ipfs import CID, IPFSClient
 from ..obs.events import SnapshotSealed
 from .addressing import GRADIENT
@@ -82,26 +81,24 @@ def encode_snapshot(partition_id: int, iteration: int,
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def decode_snapshot(blob: bytes, curve=None) -> Tuple[int, int, List[dict]]:
+def decode_snapshot(blob: bytes) -> Tuple[int, int, List[dict]]:
     """Inverse of :func:`encode_snapshot`.
 
-    ``curve`` is required to revive commitments; pass None to skip them.
-    Returns ``(partition_id, iteration, rows)``.
+    Returns ``(partition_id, iteration, rows)``.  A row's commitment
+    stays in its wire form (bytes, or None): ``Commitment.from_bytes``
+    revives it on the caller's curve.
     """
     payload = json.loads(blob.decode("utf-8"))
     if payload.get("kind") != "repro-directory-snapshot-v1":
         raise ValueError("not a directory snapshot")
     rows = []
     for row in payload["rows"]:
-        commitment = None
-        if row["commitment"] is not None and curve is not None:
-            commitment = Commitment.from_bytes(
-                curve, bytes.fromhex(row["commitment"])
-            )
+        commitment = row["commitment"]
         rows.append({
             "uploader_id": row["uploader_id"],
             "cid": CID.decode(row["cid"]),
-            "commitment": commitment,
+            "commitment": (None if commitment is None
+                           else bytes.fromhex(commitment)),
         })
     return payload["partition_id"], payload["iteration"], rows
 
@@ -159,14 +156,13 @@ class SnapshotReader:
     the directory serves only the 64-byte snapshot CID.
     """
 
-    def __init__(self, ipfs: IPFSClient, curve=None):
+    def __init__(self, ipfs: IPFSClient):
         self.ipfs = ipfs
-        self.curve = curve
 
     def fetch(self, snapshot_cid: CID,
               prefer_nodes: Sequence[str] = ()):
         """Process generator: download and decode a snapshot's rows."""
         blob = yield from self.ipfs.get(snapshot_cid,
                                         prefer_nodes=prefer_nodes)
-        _partition, _iteration, rows = decode_snapshot(blob, self.curve)
+        _partition, _iteration, rows = decode_snapshot(blob)
         return rows

@@ -53,6 +53,9 @@ from .verification import PartitionCommitter
 
 __all__ = ["FLSession", "Session"]
 
+#: Simulated seconds one DHT provider lookup takes.
+DHT_LOOKUP_DELAY = 0.02
+
 
 class Session:
     """One FedAvg round driver: what every session does with a round.
@@ -160,7 +163,6 @@ class FLSession(Session):
         faults: Optional[FaultPlan] = None,
         directory: Optional[DirectoryProfile] = None,
         behaviors: Optional[Dict[str, AggregatorBehavior]] = None,
-        sim: Optional[Simulator] = None,
     ):
         """
         Parameters
@@ -217,7 +219,6 @@ class FLSession(Session):
             config.num_partitions * config.aggregators_per_partition
         )
         self.testbed: Testbed = build_testbed(
-            sim=sim,
             num_trainers=num_trainers,
             num_aggregators=num_aggregators,
             num_ipfs_nodes=profile.num_ipfs_nodes,
@@ -227,7 +228,7 @@ class FLSession(Session):
             latency=profile.latency,
         )
         self.sim = self.testbed.sim
-        self.dht = DHT(self.sim, lookup_delay=profile.dht_lookup_delay,
+        self.dht = DHT(self.sim, lookup_delay=DHT_LOOKUP_DELAY,
                        seed=config.seed)
         self.pubsub = PubSub(self.testbed.transport)
         self.nodes: List[IPFSNode] = [
@@ -307,7 +308,6 @@ class FLSession(Session):
                 seed=config.seed + index,
                 retry=profile.retry,
                 directory_request_timeout=profile.directory_request_timeout,
-                ipfs_request_timeout=profile.ipfs_request_timeout,
                 installs=self._installs,
             ))
         self.aggregators: List[Aggregator] = []
@@ -326,7 +326,6 @@ class FLSession(Session):
                 behavior=behaviors.get(name),
                 retry=profile.retry,
                 directory_request_timeout=profile.directory_request_timeout,
-                ipfs_request_timeout=profile.ipfs_request_timeout,
             ))
 
         super().__init__(self.sim)

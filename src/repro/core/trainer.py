@@ -69,7 +69,6 @@ class Trainer(Participant):
         committers: Optional[Dict[int, PartitionCommitter]] = None,
         retry: Optional[RetryPolicy] = None,
         directory_request_timeout: Optional[float] = None,
-        ipfs_request_timeout: float = 120.0,
         installs: Optional[Dict[tuple, list]] = None,
     ):
         super().__init__(name, sim)
@@ -81,7 +80,6 @@ class Trainer(Participant):
         self.committers = committers or {}
         self.seed = seed
         self.ipfs = IPFSClient(name, transport, dht,
-                               request_timeout=ipfs_request_timeout,
                                chunk_size=config.chunk_size,
                                retry=retry)
         self.directory = DirectoryClient(

@@ -47,12 +47,13 @@ class PartitionCommitter:
     # -- trainer side -------------------------------------------------------------
 
     def encode_and_commit(
-        self, values: np.ndarray, counter: float = 1.0
+        self, values: np.ndarray
     ) -> Tuple[bytes, Commitment]:
-        """Quantize, wire-encode and commit one partition.
+        """Quantize, wire-encode and commit one trainer's partition.
 
         Returns ``(blob, commitment)`` where the commitment binds exactly
-        the values carried by ``blob`` (including the counter).
+        the values carried by ``blob``, including the averaging counter
+        of one contribution.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.shape[0] != self.partition_len:
@@ -60,9 +61,9 @@ class PartitionCommitter:
                 f"expected {self.partition_len} values, got {values.shape[0]}"
             )
         quantized = self.codec.quantize(values)
-        blob = encode_partition(quantized, counter)
+        blob = encode_partition(quantized, 1.0)
         scalars = self.codec.encode(quantized) + [
-            self.codec.encode_value(counter)
+            self.codec.encode_value(1.0)
         ]
         return blob, self.params.commit(scalars)
 

@@ -241,7 +241,11 @@ def wnaf(scalar: int, width: int = 5) -> List[int]:
     return digits
 
 
-def scalar_mult(scalar: int, point: Point, width: int = 5) -> Point:
+#: The wNAF window of :func:`scalar_mult`.
+SCALAR_MULT_WIDTH = 5
+
+
+def scalar_mult(scalar: int, point: Point) -> Point:
     """Compute ``scalar * point`` via wNAF with precomputed odd multiples."""
     curve = point.curve
     scalar %= curve.n
@@ -251,10 +255,10 @@ def scalar_mult(scalar: int, point: Point, width: int = 5) -> Point:
     # Precompute P, 3P, 5P, ..., (2^(w-1)-1)P in Jacobian form.
     precomp: List[Jacobian] = [point.to_jacobian()]
     twice = _jac_double(curve, precomp[0])
-    for _ in range((1 << (width - 2)) - 1):
+    for _ in range((1 << (SCALAR_MULT_WIDTH - 2)) - 1):
         precomp.append(_jac_add(curve, precomp[-1], twice))
 
-    digits = wnaf(scalar, width)
+    digits = wnaf(scalar, SCALAR_MULT_WIDTH)
     accumulator = _JAC_IDENTITY
     for digit in reversed(digits):
         accumulator = _jac_double(curve, accumulator)

@@ -8,8 +8,7 @@ It is *vector-binding* under the discrete-log assumption and
 service accumulate trainer commitments and verify an aggregate against the
 product without touching individual gradients.
 
-Deterministic (non-hiding) commitments match the paper's usage; an
-optional blinding term ``g^r`` is supported for callers wanting hiding.
+Commitments are deterministic (non-hiding), as in the paper.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .curves import CurveParams
-from .group import Point, generator
+from .group import Point
 from .hashing import DEFAULT_DOMAIN, generator_stream
 from .multiexp import multi_scalar_mult
 
@@ -81,7 +80,6 @@ class PedersenParams:
         self.curve = curve
         self.size = size
         self.domain = domain
-        self._blinding_base = generator(curve)
         cache_key = (curve.name, domain)
         cached = _GENERATOR_CACHE.setdefault(cache_key, [])
         if len(cached) < size:
@@ -98,12 +96,11 @@ class PedersenParams:
         """Transparent setup (no trusted dealer): derive ``size`` generators."""
         return cls(curve, size, domain)
 
-    def commit(self, values: Sequence[int], randomness: int = 0) -> Commitment:
-        """Commit to a scalar vector: ``C = g^r · ∏ h_i^{v_i}``.
+    def commit(self, values: Sequence[int]) -> Commitment:
+        """Commit to a scalar vector: ``C = ∏ h_i^{v_i}``.
 
-        ``randomness = 0`` (default) gives the paper's deterministic
-        commitment.  ``values`` shorter than ``size`` are zero-padded;
-        longer is an error.
+        ``values`` shorter than ``size`` are zero-padded; longer is an
+        error.
         """
         if len(values) > self.size:
             raise ValueError(
@@ -112,16 +109,12 @@ class PedersenParams:
             )
         scalars = list(values)
         points = self.generators[:len(scalars)]
-        if randomness:
-            scalars.append(randomness)
-            points.append(self._blinding_base)
         if not scalars:
             return Commitment.identity(self.curve)
         # Reduction, zero-dropping and the centred lift happen once, in
         # the multi-exponentiation's own normalisation pass.
         return Commitment(multi_scalar_mult(scalars, points))
 
-    def verify(self, commitment: Commitment, values: Sequence[int],
-               randomness: int = 0) -> bool:
-        """Check that ``values`` (and ``randomness``) open ``commitment``."""
-        return self.commit(values, randomness) == commitment
+    def verify(self, commitment: Commitment, values: Sequence[int]) -> bool:
+        """Check that ``values`` open ``commitment``."""
+        return self.commit(values) == commitment

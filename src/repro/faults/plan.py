@@ -168,9 +168,8 @@ class FaultPlan:
         )
         return cls(specs=specs, seed=int(raw.get("seed", 0)))
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) \
-            + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

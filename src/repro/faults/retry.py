@@ -2,8 +2,8 @@
 
 The paper assumes participants survive transient infrastructure trouble
 (directory brown-outs, flapping links, IPFS node churn) by retrying; this
-module provides the one shared, configurable policy every protocol actor
-uses, so chaos runs degrade *bounded* instead of wedging forever.
+module provides the one shared policy every protocol actor uses, so
+chaos runs degrade *bounded* instead of wedging forever.
 
 Jitter must be deterministic for the seeded-replay guarantee: the same
 ``FaultPlan`` seed must yield a byte-identical manifest, so the jitter for
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["RetryPolicy", "RetryExhaustedError"]
 
@@ -23,49 +22,34 @@ __all__ = ["RetryPolicy", "RetryExhaustedError"]
 class RetryExhaustedError(Exception):
     """An operation failed on every attempt its :class:`RetryPolicy` allowed.
 
-    Carries enough context for forensics: the logical operation name, how
-    many attempts were made, and the error of the final attempt.
+    Carries enough context for forensics: the logical operation name and
+    how many attempts were made.
     """
 
-    def __init__(self, operation: str, attempts: int,
-                 last_error: Optional[BaseException] = None):
-        detail = f": {last_error}" if last_error is not None else ""
-        super().__init__(
-            f"{operation} failed after {attempts} attempt(s){detail}"
-        )
+    def __init__(self, operation: str, attempts: int):
+        super().__init__(f"{operation} failed after {attempts} attempt(s)")
         self.operation = operation
         self.attempts = attempts
-        self.last_error = last_error
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff with deterministic, keyed jitter.
 
-    Attempt *n* (0-based) that fails sleeps ``base_delay * multiplier**n``
-    seconds, capped at ``max_delay``, then scaled by a jitter factor in
+    An operation gets :attr:`max_attempts` attempts.  Attempt *n*
+    (0-based) that fails sleeps ``base_delay * multiplier**n`` seconds,
+    capped at ``max_delay``, then scaled by a jitter factor in
     ``[1 - jitter, 1 + jitter]`` derived from SHA-256 of ``key:n`` so two
     actors retrying the same instant do not stay synchronised, yet every
-    replay of the same run produces the same schedule.
+    replay of the same run produces the same schedule.  The five values
+    are class constants: every run uses this one policy.
     """
 
-    max_attempts: int = 4
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.1
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.max_delay < self.base_delay:
-            raise ValueError("max_delay must be >= base_delay")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+    max_attempts = 4
+    base_delay = 0.5
+    multiplier = 2.0
+    max_delay = 30.0
+    jitter = 0.1
 
     def backoff(self, attempt: int, key: str = "") -> float:
         """Delay (seconds) to sleep after failed ``attempt`` (0-based)."""
@@ -73,8 +57,6 @@ class RetryPolicy:
             raise ValueError("attempt must be non-negative")
         raw = min(self.base_delay * self.multiplier ** attempt,
                   self.max_delay)
-        if self.jitter <= 0.0 or raw <= 0.0:
-            return raw
         digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64  # [0, 1)
         return raw * (1.0 + self.jitter * (2.0 * unit - 1.0))

@@ -22,14 +22,10 @@ class Blockstore:
     ``sim``/``owner`` let garbage collection report evictions on the
     simulation's event bus; both default to unset so standalone stores
     (unit tests, tooling) work without a simulator.
-    :class:`~repro.ipfs.node.IPFSNode` binds them at construction.
+    :class:`~repro.ipfs.node.IPFSNode` passes both.
     """
 
-    def __init__(self, capacity_bytes: float = float("inf"),
-                 sim=None, owner: str = ""):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
+    def __init__(self, sim=None, owner: str = ""):
         self.sim = sim
         self.owner = owner
         self._blocks: Dict[CID, Block] = {}
@@ -42,21 +38,12 @@ class Blockstore:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def put(self, block: Block, pin: bool = True) -> CID:
-        """Store ``block``; raises ``IOError`` if capacity would be exceeded."""
-        if block.cid in self._blocks:
-            if pin:
-                self._pins.add(block.cid)
-            return block.cid
-        if self.total_bytes + block.size > self.capacity_bytes:
-            raise IOError(
-                f"blockstore full: {self.total_bytes + block.size} "
-                f"> {self.capacity_bytes} bytes"
-            )
-        self._blocks[block.cid] = block
-        self.total_bytes += block.size
-        if pin:
-            self._pins.add(block.cid)
+    def put(self, block: Block) -> CID:
+        """Store and pin ``block`` (only pin it when already held)."""
+        self._pins.add(block.cid)
+        if block.cid not in self._blocks:
+            self._blocks[block.cid] = block
+            self.total_bytes += block.size
         return block.cid
 
     def get(self, cid: CID) -> Optional[Block]:
@@ -65,11 +52,6 @@ class Blockstore:
 
     def has(self, cid: CID) -> bool:
         return cid in self._blocks
-
-    def pin(self, cid: CID) -> None:
-        if cid not in self._blocks:
-            raise KeyError(f"cannot pin unknown block {cid!r}")
-        self._pins.add(cid)
 
     def unpin(self, cid: CID) -> None:
         self._pins.discard(cid)

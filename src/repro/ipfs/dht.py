@@ -5,40 +5,28 @@ with O(log n) hop lookups.  We model the outcome — a provider-record table
 with a configurable lookup delay — because the protocol only depends on
 *finding* providers and on the latency of doing so, not on routing-table
 internals (at the paper's 8-16 storage nodes a routed lookup is one hop
-every time; EXPERIMENTS.md, "One DHT — the number").  Records carry an
-expiry (real provider records are re-published periodically) so tests
-can exercise staleness.
+every time; EXPERIMENTS.md, "One DHT — the number").  A record lives
+until its node withdraws it: a round's objects are all fetched long
+before a real provider record would expire.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..obs.events import DhtLookup
 from ..sim import Simulator
 from .cid import CID
 
-__all__ = ["ProviderRecord", "DHT"]
-
-
-@dataclass(frozen=True)
-class ProviderRecord:
-    """One advertisement: ``node`` had the block at ``published_at``."""
-
-    cid: CID
-    node: str
-    published_at: float
-    expires_at: float
+__all__ = ["DHT"]
 
 
 class DHT:
     """A global provider-record table with simulated lookup latency."""
 
     def __init__(self, sim: Simulator, lookup_delay: float = 0.05,
-                 record_ttl: float = math.inf, seed: int = 0):
+                 seed: int = 0):
         """
         Parameters
         ----------
@@ -47,8 +35,6 @@ class DHT:
         lookup_delay:
             Simulated seconds per :meth:`find_providers` query (a DHT walk
             costs a few round trips even on a fast network).
-        record_ttl:
-            Lifetime of a provider record; ``inf`` disables expiry.
         seed:
             Seed for the provider-shuffling RNG, for reproducible runs.
         """
@@ -56,41 +42,29 @@ class DHT:
             raise ValueError("lookup_delay must be non-negative")
         self.sim = sim
         self.lookup_delay = lookup_delay
-        self.record_ttl = record_ttl
-        self._records: Dict[CID, Dict[str, ProviderRecord]] = {}
+        #: CID -> the nodes advertising it.
+        self._records: Dict[CID, Set[str]] = {}
         self._rng = random.Random(seed)
         #: Telemetry.
         self.lookups = 0
         self.provides = 0
 
-    def provide(self, cid: CID, node: str) -> ProviderRecord:
+    def provide(self, cid: CID, node: str) -> None:
         """Advertise that ``node`` stores ``cid`` (instant, local op)."""
-        record = ProviderRecord(
-            cid=cid,
-            node=node,
-            published_at=self.sim.now,
-            expires_at=self.sim.now + self.record_ttl,
-        )
-        self._records.setdefault(cid, {})[node] = record
+        self._records.setdefault(cid, set()).add(node)
         self.provides += 1
-        return record
 
     def unprovide(self, cid: CID, node: str) -> None:
         """Withdraw an advertisement (e.g. after garbage collection)."""
         providers = self._records.get(cid)
         if providers:
-            providers.pop(node, None)
+            providers.discard(node)
             if not providers:
                 del self._records[cid]
 
     def providers_snapshot(self, cid: CID) -> List[str]:
-        """Current live providers without charging lookup delay (tests)."""
-        providers = self._records.get(cid, {})
-        now = self.sim.now
-        return sorted(
-            record.node for record in providers.values()
-            if record.expires_at > now
-        )
+        """Current providers without charging lookup delay (tests)."""
+        return sorted(self._records.get(cid, ()))
 
     def find_providers(self, cid: CID, limit: Optional[int] = None,
                        querier: Optional[str] = None):

@@ -53,6 +53,10 @@ KIND_UNPIN = "ipfs.unpin"
 REQUEST_OVERHEAD = 256
 CID_WIRE_SIZE = 64
 ACK_SIZE = 128
+#: DHT providers a get tries after its preferred nodes.
+MAX_PROVIDERS = 5
+#: Seconds a client waits for one IPFS request attempt.
+IPFS_REQUEST_TIMEOUT = 120.0
 
 
 class IPFSNode:
@@ -64,17 +68,12 @@ class IPFSNode:
     """
 
     def __init__(self, sim: Simulator, transport: Transport, dht: DHT,
-                 name: str, blockstore: Optional[Blockstore] = None,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE):
+                 name: str, chunk_size: int = DEFAULT_CHUNK_SIZE):
         self.sim = sim
         self.transport = transport
         self.dht = dht
         self.name = name
-        self.store = blockstore or Blockstore()
-        if self.store.sim is None:
-            # Bind the store to this node so GC evictions reach the bus.
-            self.store.sim = sim
-            self.store.owner = name
+        self.store = Blockstore(sim, name)
         self.chunk_size = chunk_size
         self.online = True
         self.corrupt = False
@@ -93,12 +92,13 @@ class IPFSNode:
 
     # -- local storage operations (no network) --------------------------------
 
-    def store_object(self, data: bytes, pin: bool = True) -> CID:
-        """Chunk, store and advertise ``data``; returns the root CID."""
+    def store_object(self, data: bytes) -> CID:
+        """Chunk, store, pin and advertise ``data``; returns the root
+        CID."""
         root, leaves = chunk_object(data, self.chunk_size)
         for leaf in leaves:
-            self.store.put(leaf, pin=pin)
-        self.store.put(root, pin=pin)
+            self.store.put(leaf)
+        self.store.put(root)
         self.dht.provide(root.cid, self.name)
         self._provided[root.cid] = None
         bus = self.sim.bus
@@ -298,13 +298,12 @@ class IPFSClient:
     """Client-side API: process generators for put/get/merge-and-download."""
 
     def __init__(self, name: str, transport: Transport, dht: DHT,
-                 request_timeout: float = 120.0,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  retry: Optional[RetryPolicy] = None):
         self.name = name
         self.dht = dht
         self.sim: Simulator = transport.sim
-        self.request_timeout = request_timeout
+        self.request_timeout = IPFS_REQUEST_TIMEOUT
         #: Bounded-backoff policy for :meth:`get`; None = single attempt.
         self.retry = retry
         #: Must match the chunk size of the nodes, as the object CID binds
@@ -317,7 +316,7 @@ class IPFSClient:
 
     # -- public API -------------------------------------------------------------
 
-    def put(self, data: bytes, node: str, pin: bool = True):
+    def put(self, data: bytes, node: str):
         """Upload ``data`` to ``node``; returns the root CID.
 
         The paper measures "the time between uploading the gradients to an
@@ -333,13 +332,13 @@ class IPFSClient:
         root_cid: CID = response.payload
         return root_cid
 
-    def get(self, cid: CID, prefer_nodes: Sequence[str] = (),
-            max_providers: int = 5):
+    def get(self, cid: CID, prefer_nodes: Sequence[str] = ()):
         """Download and verify the object behind ``cid``.
 
-        Tries ``prefer_nodes`` first, then up to ``max_providers`` from the
-        DHT.  Corrupted responses (hash mismatch) and timeouts skip to the
-        next provider.  When the client has a :class:`RetryPolicy`, a
+        Tries ``prefer_nodes`` first, then up to :data:`MAX_PROVIDERS`
+        from the DHT.  Corrupted responses (hash mismatch) and timeouts
+        skip to the next provider.  When the client has a
+        :class:`RetryPolicy`, a
         fully failed pass retries with bounded backoff, re-querying the
         DHT each attempt (a crashed node may have restarted and
         re-provided).  Raises the final attempt's :class:`IPFSError`
@@ -347,15 +346,13 @@ class IPFSClient:
         """
         policy = self.retry
         if policy is None:
-            return (yield from self._get_once(cid, prefer_nodes,
-                                              max_providers))
-        attempts = max(1, policy.max_attempts)
+            return (yield from self._get_once(cid, prefer_nodes))
+        attempts = policy.max_attempts
         for attempt in range(attempts):
             # The error is not kept in a local: its traceback holds this
             # frame, and the two would be a cycle only the collector frees.
             try:
-                return (yield from self._get_once(cid, prefer_nodes,
-                                                  max_providers))
+                return (yield from self._get_once(cid, prefer_nodes))
             except IPFSError:
                 if attempt + 1 == attempts:
                     bus = self.sim.bus
@@ -369,13 +366,12 @@ class IPFSClient:
                 policy.backoff(attempt, key=f"{self.name}:get:{cid}")
             )
 
-    def _get_once(self, cid: CID, prefer_nodes: Sequence[str] = (),
-                  max_providers: int = 5):
+    def _get_once(self, cid: CID, prefer_nodes: Sequence[str]):
         """One retrieval pass over preferred nodes plus DHT providers."""
         fetch_started = self.sim.now
         candidates: List[str] = list(prefer_nodes)
         discovered = yield from self.dht.find_providers(
-            cid, limit=max_providers, querier=self.name
+            cid, limit=MAX_PROVIDERS, querier=self.name
         )
         for node in discovered:
             if node not in candidates:
@@ -423,9 +419,9 @@ class IPFSClient:
         root, _leaves = chunk_object(data, self.chunk_size)
         return root.cid == cid or compute_cid(data) == cid
 
-    def merge_and_download(self, cids: Iterable[CID], node: str,
-                           merger: str = "sum-f64"):
-        """Ask ``node`` to pre-aggregate ``cids`` and return the merged bytes.
+    def merge_and_download(self, cids: Iterable[CID], node: str):
+        """Ask ``node`` to sum ``cids`` (the ``sum-f64`` merger) and return
+        the merged bytes.
 
         Returns ``(merged_bytes, count)``.  Raises :class:`MergeError` on a
         provider-side failure and :class:`NodeOfflineError` on a timeout.
@@ -435,7 +431,7 @@ class IPFSClient:
         """
         fetch_started = self.sim.now
         cid_list = list(cids)
-        request = {"cids": cid_list, "merger": merger}
+        request = {"cids": cid_list, "merger": "sum-f64"}
         size = REQUEST_OVERHEAD + CID_WIRE_SIZE * len(cid_list)
         response = yield self.endpoint.request(
             node, KIND_MERGE, request, size, self.request_timeout)

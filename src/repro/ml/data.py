@@ -91,12 +91,12 @@ def split_iid(dataset: Dataset, num_clients: int,
 
 
 def split_dirichlet(dataset: Dataset, num_clients: int, alpha: float = 0.5,
-                    seed: Optional[int] = 0,
-                    min_samples: int = 1) -> List[Dataset]:
+                    seed: Optional[int] = 0) -> List[Dataset]:
     """Non-IID partition: class proportions per client ~ Dir(alpha).
 
     Small ``alpha`` concentrates each class on few clients (highly
-    heterogeneous); large ``alpha`` approaches IID.
+    heterogeneous); large ``alpha`` approaches IID.  Every client gets
+    at least one sample.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
@@ -105,7 +105,7 @@ def split_dirichlet(dataset: Dataset, num_clients: int, alpha: float = 0.5,
     rng = np.random.default_rng(seed)
     labels = dataset.y.astype(int)
     classes = np.unique(labels)
-    for _ in range(100):  # retry until every client has min_samples
+    for _ in range(100):  # retry until no client is empty
         client_indices: List[List[int]] = [[] for _ in range(num_clients)]
         for cls in classes:
             cls_indices = np.flatnonzero(labels == cls)
@@ -119,11 +119,9 @@ def split_dirichlet(dataset: Dataset, num_clients: int, alpha: float = 0.5,
                     cls_indices[start:start + count]
                 )
                 start += count
-        if all(len(idx) >= min_samples for idx in client_indices):
+        if all(client_indices):
             break
     else:
-        raise RuntimeError(
-            "could not satisfy min_samples; lower it or raise alpha"
-        )
+        raise RuntimeError("some client stays empty; raise alpha")
     return [dataset.subset(np.array(sorted(idx), dtype=int))
             for idx in client_indices]

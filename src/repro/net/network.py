@@ -21,7 +21,7 @@ delays, which is exactly the fidelity this model provides.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from ..obs.events import TransferAborted, TransferCompleted, TransferStarted
 from ..sim import Event, Simulator
@@ -58,8 +58,7 @@ class Host:
 class Network:
     """The emulated network: a set of hosts plus a shared flow scheduler."""
 
-    def __init__(self, sim: Simulator, default_latency: float = 0.0,
-                 latency_fn: Optional[Callable[[str, str], float]] = None):
+    def __init__(self, sim: Simulator, default_latency: float = 0.0):
         """
         Parameters
         ----------
@@ -67,15 +66,12 @@ class Network:
             The simulation kernel.
         default_latency:
             One-way propagation delay (seconds) applied to every transfer
-            unless ``latency_fn`` overrides it.
-        latency_fn:
-            Optional ``(src_name, dst_name) -> seconds`` override.
+            between two different hosts.
         """
         if default_latency < 0:
             raise ValueError("latency must be non-negative")
         self.sim = sim
         self.default_latency = default_latency
-        self._latency_fn = latency_fn
         self._hosts: Dict[str, Host] = {}
         self._scheduler = FlowScheduler(sim)
         #: Hosts whose links are currently down (fault injection).
@@ -162,8 +158,6 @@ class Network:
         """One-way propagation delay between two hosts."""
         if src == dst:
             return 0.0
-        if self._latency_fn is not None:
-            return self._latency_fn(src, dst)
         return self.default_latency
 
     def transfer(self, src: str, dst: str, size: float) -> Event:

@@ -41,8 +41,6 @@ class NetworkProfile:
     trainer_bandwidths_mbps: Optional[Tuple[float, ...]] = None
     #: One-way propagation delay (seconds) per transfer.
     latency: float = 0.0
-    #: Provider-record resolution latency of the DHT.
-    dht_lookup_delay: float = 0.02
     #: Rendezvous replication factor (None = no replication cluster).
     replication_factor: Optional[int] = None
 
@@ -57,8 +55,6 @@ class NetworkProfile:
     #: infrastructure; sessions running a fault plan default this to
     #: 15 s so a brown-out or outage cannot wedge an actor.
     directory_request_timeout: Optional[float] = None
-    #: Timeout (seconds) for one IPFS request attempt.
-    ipfs_request_timeout: float = 120.0
 
     def __post_init__(self):
         if self.num_ipfs_nodes < 1:
@@ -75,13 +71,9 @@ class NetworkProfile:
                 raise ValueError("trainer bandwidths must be positive")
         if self.latency < 0:
             raise ValueError("latency must be non-negative")
-        if self.dht_lookup_delay < 0:
-            raise ValueError("dht_lookup_delay must be non-negative")
         if self.replication_factor is not None \
                 and self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
         if self.directory_request_timeout is not None \
                 and self.directory_request_timeout <= 0:
             raise ValueError("directory_request_timeout must be positive")
-        if self.ipfs_request_timeout <= 0:
-            raise ValueError("ipfs_request_timeout must be positive")

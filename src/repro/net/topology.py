@@ -34,7 +34,6 @@ class Testbed:
 
 
 def build_testbed(
-    sim: Optional[Simulator] = None,
     num_trainers: int = 16,
     num_aggregators: int = 1,
     num_ipfs_nodes: int = 8,
@@ -54,7 +53,7 @@ def build_testbed(
     """
     if num_trainers < 1 or num_aggregators < 1 or num_ipfs_nodes < 1:
         raise ValueError("need at least one of each participant kind")
-    sim = sim or Simulator()
+    sim = Simulator()
     bandwidth = mbps(bandwidth_mbps)
     aggregator_bandwidth = (
         bandwidth if aggregator_bandwidth_mbps is None

@@ -83,6 +83,33 @@ __all__ = [
     "ThroughputCollapseDetector",
 ]
 
+#: ``retry_storm``: trailing window (sim s), the events it must hold,
+#: and the multiple of the preceding window's count that makes a storm.
+RETRY_STORM_WINDOW = 60.0
+RETRY_STORM_MIN_EVENTS = 3
+RETRY_STORM_FACTOR = 4.0
+#: ``throughput_collapse``: gap floor (sim s), multiple of the trailing
+#: median gap, gaps needed before the gap trigger arms, gaps kept.
+COLLAPSE_MIN_GAP = 30.0
+COLLAPSE_GAP_FACTOR = 8.0
+COLLAPSE_WARMUP_GAPS = 4
+COLLAPSE_GAP_HISTORY = 64
+#: ``queue_runaway``: directory inbox depth that fires.
+QUEUE_LIMIT = 64
+#: ``sim_stall``: overrun past ``t_sync``, as a share of the round span.
+STALL_FACTOR = 0.25
+#: ``divergence`` / ``convergence_stall``: rounds without improvement,
+#: the relative improvement that counts, the multiple of the best mean
+#: loss that diverges, and the absolute tolerance for zero losses.
+CONVERGENCE_PATIENCE = 5
+CONVERGENCE_MIN_IMPROVEMENT = 1e-3
+DIVERGENCE_FACTOR = 2.0
+CONVERGENCE_ATOL = 1e-6
+#: Watchdog tick cadence (sim s) and the wall seconds without simulated
+#: progress that :meth:`AnomalyWatchdog.check_wall` records as a stall.
+WATCHDOG_INTERVAL = 5.0
+WALL_STALL_SECONDS = 300.0
+
 #: Every anomaly ``kind`` the stock detectors can emit.
 ANOMALY_KINDS = (
     "retry_storm",
@@ -136,38 +163,32 @@ class Detector:
 class RetryStormDetector(Detector):
     """Fault-recovery pressure: abort/exhaustion rate spike.
 
-    Keeps the last ``2 * window`` seconds of
+    Keeps the last two :data:`RETRY_STORM_WINDOW` seconds of
     ``RetryExhausted``/``TransferAborted`` timestamps; fires when the
-    current window holds at least ``min_events`` events *and* at least
-    ``storm_factor`` times the preceding window's count (an empty
-    baseline makes any ``min_events`` burst a storm).  Severity is
-    ``critical`` when a retry budget actually ran out inside the
-    window, ``warning`` for aborts that retries may still ride out.
-    Re-arms when the windowed count falls back below ``min_events``.
+    current window holds at least :data:`RETRY_STORM_MIN_EVENTS` events
+    *and* at least :data:`RETRY_STORM_FACTOR` times the preceding
+    window's count (an empty baseline makes any such burst a storm).
+    Severity is ``critical`` when a retry budget actually ran out inside
+    the window, ``warning`` for aborts that retries may still ride out.
+    Re-arms when the windowed count falls back below the minimum.
     """
 
     kind = "retry_storm"
     event_types = (RetryExhausted, TransferAborted)
 
-    def __init__(self, window: float = 60.0, min_events: int = 3,
-                 storm_factor: float = 4.0):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = float(window)
-        self.min_events = int(min_events)
-        self.storm_factor = float(storm_factor)
+    def __init__(self):
         #: (at, was a RetryExhausted) for the trailing two windows.
         self._times: Deque[Tuple[float, bool]] = deque()
         self._armed = True
 
     def _prune(self, now: float) -> None:
-        horizon = now - 2.0 * self.window
+        horizon = now - 2.0 * RETRY_STORM_WINDOW
         while self._times and self._times[0][0] < horizon:
             self._times.popleft()
 
     def _counts(self, now: float) -> Tuple[int, int, int]:
         """(current-window total, exhausted in window, baseline)."""
-        edge = now - self.window
+        edge = now - RETRY_STORM_WINDOW
         current = exhausted = 0
         for at, was_exhausted in self._times:
             if at >= edge:
@@ -182,23 +203,23 @@ class RetryStormDetector(Detector):
         current, exhausted, baseline = self._counts(now)
         if not self._armed:
             return ()
-        if current < self.min_events:
+        if current < RETRY_STORM_MIN_EVENTS:
             return ()
-        if current < self.storm_factor * baseline:
+        if current < RETRY_STORM_FACTOR * baseline:
             return ()
         self._armed = False
         return (self._anomaly(
             now, "critical" if exhausted else "warning",
-            window=self.window, events_in_window=current,
+            window=RETRY_STORM_WINDOW, events_in_window=current,
             retry_exhausted=exhausted, baseline_events=baseline,
-            storm_factor=self.storm_factor,
+            storm_factor=RETRY_STORM_FACTOR,
         ),)
 
     def on_tick(self, now):
         if not self._armed:
             self._prune(now)
             current, _, _ = self._counts(now)
-            if current < self.min_events:
+            if current < RETRY_STORM_MIN_EVENTS:
                 self._armed = True
         return ()
 
@@ -212,10 +233,10 @@ class ThroughputCollapseDetector(Detector):
     is reached, so bursty-but-complete rounds never alarm):
 
     - *gap* (``warning``): the time since the round's last
-      ``GradientRegistered`` exceeds ``gap_factor`` times the trailing
-      median inter-registration gap (floored at ``min_gap``; needs
-      ``warmup_gaps`` samples, so the very first registrations cannot
-      trip it).
+      ``GradientRegistered`` exceeds :data:`COLLAPSE_GAP_FACTOR` times
+      the trailing median inter-registration gap (floored at
+      :data:`COLLAPSE_MIN_GAP`; needs :data:`COLLAPSE_WARMUP_GAPS`
+      samples, so the very first registrations cannot trip it).
     - *deadline* (``critical``): the round's ``t_train`` deadline
       passed with registrations still missing.
 
@@ -228,15 +249,10 @@ class ThroughputCollapseDetector(Detector):
     event_types = (IterationStarted, IterationFinished,
                    GradientRegistered)
 
-    def __init__(self, expected_per_iteration: Optional[int] = None,
-                 min_gap: float = 30.0, gap_factor: float = 8.0,
-                 warmup_gaps: int = 4, gap_history: int = 64):
+    def __init__(self, expected_per_iteration: Optional[int] = None):
         self.expected_per_iteration = expected_per_iteration
-        self.min_gap = float(min_gap)
-        self.gap_factor = float(gap_factor)
-        self.warmup_gaps = int(warmup_gaps)
         #: Inter-registration gaps, across rounds (the trailing floor).
-        self._gaps: Deque[float] = deque(maxlen=int(gap_history))
+        self._gaps: Deque[float] = deque(maxlen=COLLAPSE_GAP_HISTORY)
         self._open = False
         self._fired = False
         self._started_at = 0.0
@@ -267,9 +283,9 @@ class ThroughputCollapseDetector(Detector):
                 or self._observed >= expected):
             return ()
         if (self._last_at is not None
-                and len(self._gaps) >= self.warmup_gaps):
-            floor = max(self.min_gap,
-                        self.gap_factor * statistics.median(self._gaps))
+                and len(self._gaps) >= COLLAPSE_WARMUP_GAPS):
+            floor = max(COLLAPSE_MIN_GAP,
+                        COLLAPSE_GAP_FACTOR * statistics.median(self._gaps))
             gap = now - self._last_at
             if gap > floor:
                 self._fired = True
@@ -296,16 +312,15 @@ class QueueRunawayDetector(Detector):
     endpoint's inbox length — the same probe
     :class:`~repro.obs.metrics.ResourceSampler` samples into
     ``directory.queue.depth`` — and fires ``critical`` above
-    ``queue_limit``.  Re-arms once the queue drains to half the limit,
+    :data:`QUEUE_LIMIT`.  Re-arms once the queue drains to half the limit,
     so one sustained overload produces one anomaly.  Inert without a
     directory.
     """
 
     kind = "queue_runaway"
 
-    def __init__(self, directory=None, queue_limit: int = 64):
+    def __init__(self, directory=None):
         self.directory = directory
-        self.queue_limit = int(queue_limit)
         self._armed = True
 
     def _depth(self) -> int:
@@ -315,13 +330,12 @@ class QueueRunawayDetector(Detector):
         if self.directory is None:
             return ()
         depth = self._depth()
-        if self._armed and depth > self.queue_limit:
+        if self._armed and depth > QUEUE_LIMIT:
             self._armed = False
             return (self._anomaly(
-                now, "critical", depth=depth,
-                queue_limit=self.queue_limit,
+                now, "critical", depth=depth, queue_limit=QUEUE_LIMIT,
             ),)
-        if not self._armed and depth <= self.queue_limit // 2:
+        if not self._armed and depth <= QUEUE_LIMIT // 2:
             self._armed = True
         return ()
 
@@ -331,7 +345,7 @@ class SimStallDetector(Detector):
 
     Healthy rounds end at or before ``t_sync`` (the session's driver
     joins every participant by then); a round that is *still running*
-    ``stall_factor`` of its own span past ``t_sync`` means the
+    :data:`STALL_FACTOR` of its own span past ``t_sync`` means the
     simulation is livelocked in sub-deadline wakeups — the failure mode
     of the sub-ulp bandwidth livelock — or a participant process leaked
     past the barrier.  Fires ``critical`` once per round.
@@ -340,8 +354,7 @@ class SimStallDetector(Detector):
     kind = "sim_stall"
     event_types = (IterationStarted, IterationFinished)
 
-    def __init__(self, stall_factor: float = 0.25):
-        self.stall_factor = float(stall_factor)
+    def __init__(self):
         self._open = False
         self._fired = False
         self._started_at = 0.0
@@ -360,8 +373,7 @@ class SimStallDetector(Detector):
     def on_tick(self, now):
         if not self._open or self._fired or self._t_sync is None:
             return ()
-        margin = self.stall_factor * max(self._t_sync - self._started_at,
-                                         0.0)
+        margin = STALL_FACTOR * max(self._t_sync - self._started_at, 0.0)
         if now <= self._t_sync + margin:
             return ()
         self._fired = True
@@ -377,22 +389,18 @@ class ConvergenceDetector(Detector):
     Folds :class:`TrainingEvaluated` into a per-round mean loss
     (closed out on ``IterationFinished``) and keeps the trajectory in
     :attr:`losses`.  Fires ``divergence`` (``critical``) when the round
-    mean goes non-finite or exceeds ``divergence_factor`` times the
-    best mean seen (plus ``atol``, which keeps exactly-zero synthetic
-    losses quiet), and ``convergence_stall`` (``warning``) after
-    ``patience`` consecutive rounds without a relative improvement of
-    ``min_improvement`` over the best.
+    mean goes non-finite or exceeds :data:`DIVERGENCE_FACTOR` times the
+    best mean seen (plus :data:`CONVERGENCE_ATOL`, which keeps
+    exactly-zero synthetic losses quiet), and ``convergence_stall``
+    (``warning``) after :data:`CONVERGENCE_PATIENCE` consecutive rounds
+    without a relative improvement of
+    :data:`CONVERGENCE_MIN_IMPROVEMENT` over the best.
     """
 
     kind = "convergence_stall"
     event_types = (TrainingEvaluated, IterationFinished)
 
-    def __init__(self, patience: int = 5, min_improvement: float = 1e-3,
-                 divergence_factor: float = 2.0, atol: float = 1e-6):
-        self.patience = int(patience)
-        self.min_improvement = float(min_improvement)
-        self.divergence_factor = float(divergence_factor)
-        self.atol = float(atol)
+    def __init__(self):
         #: Closed rounds' ``(iteration, mean loss)`` trajectory.
         self.losses: List[Tuple[int, float]] = []
         self._sums: Dict[int, Tuple[float, int]] = {}
@@ -416,32 +424,33 @@ class ConvergenceDetector(Detector):
                                                float("-inf"))
         best = self._best
         if not finite or (best is not None
-                          and mean > self.divergence_factor * best
-                          + self.atol):
+                          and mean > DIVERGENCE_FACTOR * best
+                          + CONVERGENCE_ATOL):
             anomalies.append(self._anomaly(
                 event.at, "critical", kind="divergence",
                 iteration=event.iteration, loss=mean,
                 best=best if best is not None else mean,
-                divergence_factor=self.divergence_factor,
+                divergence_factor=DIVERGENCE_FACTOR,
             ))
         if finite:
-            improvement_floor = (self.atol if best is None else
-                                 max(self.min_improvement * abs(best),
-                                     self.atol))
+            improvement_floor = (
+                CONVERGENCE_ATOL if best is None else
+                max(CONVERGENCE_MIN_IMPROVEMENT * abs(best),
+                    CONVERGENCE_ATOL))
             if best is None or mean < best - improvement_floor:
                 self._best = mean if best is None else min(best, mean)
                 self._since_improvement = 0
             else:
                 self._best = mean if best is None else min(best, mean)
                 self._since_improvement += 1
-                if self._since_improvement >= self.patience:
+                if self._since_improvement >= CONVERGENCE_PATIENCE:
                     self._since_improvement = 0  # re-arm
                     anomalies.append(self._anomaly(
                         event.at, "warning",
                         kind="convergence_stall",
                         iteration=event.iteration, loss=mean,
                         best=self._best,
-                        rounds_without_improvement=self.patience,
+                        rounds_without_improvement=CONVERGENCE_PATIENCE,
                     ))
         return anomalies
 
@@ -464,7 +473,8 @@ class AnomalyWatchdog(SimTicker):
     """Hosts detectors over a bus; publishes classified anomalies.
 
     Subscribes each detector's exact event taps (never the wildcard —
-    the hot path must stay cheap) and ticks on the sim clock (a
+    the hot path must stay cheap) and ticks every
+    :data:`WATCHDOG_INTERVAL` on the sim clock (a
     :class:`~repro.obs.metrics.SimTicker`, like the resource sampler)
     for absence-of-events conditions.  Every anomaly a
     detector yields is appended to :attr:`anomalies` and published on
@@ -477,15 +487,12 @@ class AnomalyWatchdog(SimTicker):
     """
 
     def __init__(self, bus, detectors: Optional[List[Detector]] = None,
-                 sim=None, interval: float = 5.0, wall_clock=None,
-                 wall_stall_seconds: float = 300.0,
-                 autostart: bool = True):
-        super().__init__(sim, interval, self._on_tick)
+                 sim=None, wall_clock=None):
+        super().__init__(sim, WATCHDOG_INTERVAL, self._on_tick)
         self.bus = bus
         self.detectors = (detectors if detectors is not None
                           else default_detectors())
         self.wall_clock = wall_clock or SYSTEM_WALL_CLOCK
-        self.wall_stall_seconds = float(wall_stall_seconds)
         #: Every anomaly published, in publish order.
         self.anomalies: List[AnomalyDetected] = []
         #: Host-side livelock observations (never published; see
@@ -504,23 +511,18 @@ class AnomalyWatchdog(SimTicker):
             for event_type in detector.event_types:
                 self._taps.setdefault(event_type, []).append(detector)
         self._subscription = bus.subscribe(self._handle, *self._taps)
-        if autostart and sim is not None:
-            self.start()
+        self.start()
 
     @classmethod
-    def for_session(cls, session, detectors: Optional[List[Detector]]
-                    = None, interval: float = 5.0,
-                    **kwargs) -> "AnomalyWatchdog":
+    def for_session(cls, session, wall_clock=None) -> "AnomalyWatchdog":
         """Wire a watchdog to everything an ``FLSession`` owns."""
-        if detectors is None:
-            expected = (len(session.trainers)
-                        * session.config.num_partitions)
-            detectors = default_detectors(
-                directory=session.directory,
-                expected_per_iteration=expected or None,
-            )
-        return cls(session.sim.bus, detectors=detectors,
-                   sim=session.sim, interval=interval, **kwargs)
+        expected = len(session.trainers) * session.config.num_partitions
+        detectors = default_detectors(
+            directory=session.directory,
+            expected_per_iteration=expected or None,
+        )
+        return cls(session.sim.bus, detectors=detectors, sim=session.sim,
+                   wall_clock=wall_clock)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -601,7 +603,7 @@ class AnomalyWatchdog(SimTicker):
             self._last_wall, self._last_sim = wall, sim_now
             return None
         elapsed = wall - self._last_wall
-        if elapsed <= self.wall_stall_seconds:
+        if elapsed <= WALL_STALL_SECONDS:
             return None
         self._last_wall = wall  # re-arm for the next stall window
         entry = {

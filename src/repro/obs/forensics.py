@@ -6,8 +6,8 @@ was bad, not *who* produced it, *which* trainers' contributions it
 omitted, or *how* it was bad.  The :class:`FlightRecorder` closes that
 gap as an ordinary bus subscriber:
 
-- it keeps the protocol-relevant events (:data:`DEFAULT_WINDOW_EVENTS`;
-  the per-chunk transfer firehose is excluded by default) in a bounded
+- it keeps the protocol-relevant events (:data:`WINDOW_EVENTS`;
+  the per-chunk transfer firehose is excluded) in a bounded
   ring buffer — the *event window*,
 - it tracks each partition's registered contributions — uploader,
   Pedersen commitment, CID — and the directory's accumulator totals,
@@ -77,21 +77,24 @@ from .events import (
 from .perfetto import PerfettoExporter
 from .spans import SPAN_EVENTS, SpanTree, build_span_tree
 
-__all__ = ["BlameReport", "DEFAULT_WINDOW_EVENTS", "FlightRecorder",
-           "IncidentBundle", "MAX_BLAME_SEARCH"]
+__all__ = ["BlameReport", "FlightRecorder", "IncidentBundle",
+           "MAX_BLAME_SEARCH", "WINDOW_EVENTS"]
 
 #: Subset search is exponential; above this many contributors the
 #: classifier reports counts only (the honest contributor counts of every
 #: experiment in the paper are well below it).
 MAX_BLAME_SEARCH = 16
 
-#: Event types the recorder keeps in its window by default: everything
-#: except the firehose families — transfer markers and directory
-#: polling — which are >90% of the stream and carry no forensic signal
-#: an incident needs; recording them would blow the audit overhead
-#: budget.  Pass ``event_types`` to the recorder to widen or narrow the
-#: window.
-DEFAULT_WINDOW_EVENTS = tuple(
+#: Events the recorder's ring holds.
+RING_CAPACITY = 512
+#: Incident bundles sealed before further triggers are only counted.
+MAX_INCIDENTS = 16
+
+#: Event types the recorder keeps in its window: everything except the
+#: firehose families — transfer markers and directory polling — which
+#: are >90% of the stream and carry no forensic signal an incident
+#: needs; recording them would blow the audit overhead budget.
+WINDOW_EVENTS = tuple(
     obj for _, obj in sorted(
         inspect.getmembers(_events_module, inspect.isclass)
     )
@@ -206,19 +209,13 @@ class IncidentBundle:
 class FlightRecorder:
     """Bounded ring-buffer recorder sealing incident bundles."""
 
-    def __init__(self, bus: EventBus, capacity: int = 512,
-                 max_incidents: int = 16, event_types=None):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if event_types is None:
-            event_types = DEFAULT_WINDOW_EVENTS
+    def __init__(self, bus: EventBus):
         self.bus = bus
-        #: Sealed bundles, oldest first (bounded by ``max_incidents``).
+        #: Sealed bundles, oldest first (at most :data:`MAX_INCIDENTS`).
         self.incidents: List[IncidentBundle] = []
         #: Incidents dropped after :attr:`incidents` filled up.
         self.suppressed = 0
-        self.max_incidents = max_incidents
-        self._ring: Deque[Event] = deque(maxlen=capacity)
+        self._ring: Deque[Event] = deque(maxlen=RING_CAPACITY)
         #: (partition, iteration) -> [(uploader, commitment, cid)].
         self._contributions: Dict[Tuple[int, int],
                                   List[Tuple[str, object, str]]] = {}
@@ -234,7 +231,7 @@ class FlightRecorder:
         self._open_iteration: int = -1
         self._span_types = tuple(SPAN_EVENTS)
         self._subscription: Subscription = bus.subscribe(
-            self._handle, *event_types
+            self._handle, *WINDOW_EVENTS
         )
 
     # -- lifecycle ---------------------------------------------------------------
@@ -307,7 +304,7 @@ class FlightRecorder:
     # -- sealing -----------------------------------------------------------------
 
     def _seal(self, kind: str, trigger: Event, iteration: int) -> None:
-        if len(self.incidents) >= self.max_incidents:
+        if len(self.incidents) >= MAX_INCIDENTS:
             self.suppressed += 1
             return
         blame = None

@@ -96,13 +96,16 @@ class RunManifest:
 
     # -- (de)serialization -------------------------------------------------------
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=indent,
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2,
                           sort_keys=True, default=str) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("a run manifest is a JSON object, not "
+                             f"{type(raw).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in raw.items() if k in known})
 
@@ -209,19 +212,15 @@ def compare_manifests(
     base: RunManifest,
     current: RunManifest,
     threshold: float = 0.10,
-    thresholds: Optional[Dict[str, float]] = None,
 ) -> ManifestDiff:
     """Diff two manifests metric by metric.
 
-    ``threshold`` is the default relative-change tolerance;
-    ``thresholds`` overrides it per metric (keys as produced by
-    :meth:`RunManifest.comparable_metrics`, e.g.
-    ``"net.transfer.duration.p95"``).  Metrics present in only one
-    manifest are listed as added/removed, never as regressions.
+    ``threshold`` is the relative-change tolerance of every metric.
+    Metrics present in only one manifest are listed as added/removed,
+    never as regressions.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    thresholds = thresholds or {}
     base_metrics = base.comparable_metrics()
     current_metrics = current.comparable_metrics()
     diff = ManifestDiff(
@@ -232,13 +231,13 @@ def compare_manifests(
         ),
     )
     for metric in sorted(set(base_metrics) & set(current_metrics)):
-        limit = thresholds.get(metric, threshold)
         entry = DiffEntry(metric=metric, base=base_metrics[metric],
-                          current=current_metrics[metric], threshold=limit)
+                          current=current_metrics[metric],
+                          threshold=threshold)
         change = entry.relative_change
-        if change > limit:
+        if change > threshold:
             diff.regressions.append(entry)
-        elif change < -limit:
+        elif change < -threshold:
             diff.improvements.append(entry)
         else:
             diff.unchanged += 1

@@ -417,8 +417,7 @@ class ResourceSampler(SimTicker):
 
     def __init__(self, sim, registry: MetricsRegistry,
                  interval: float = 1.0, network=None,
-                 nodes: Iterable = (), directory=None,
-                 autostart: bool = True):
+                 nodes: Iterable = (), directory=None):
         super().__init__(sim, interval, self.sample)
         self.registry = registry
         self.network = network
@@ -429,8 +428,7 @@ class ResourceSampler(SimTicker):
         #: skips the registry's label-freezing lookup.  Safe to hold:
         #: the registry never drops a created series.
         self._series_cache: Dict[Tuple[str, Optional[str]], TimeSeries] = {}
-        if autostart:
-            self.start()
+        self.start()
 
     def _series(self, name: str, label_value: Optional[str] = None,
                 **labels: str) -> TimeSeries:
@@ -443,13 +441,12 @@ class ResourceSampler(SimTicker):
 
     @classmethod
     def for_session(cls, session, registry: MetricsRegistry,
-                    interval: float = 1.0,
-                    autostart: bool = True) -> "ResourceSampler":
+                    interval: float = 1.0) -> "ResourceSampler":
         """Wire a sampler to everything an :class:`FLSession` owns."""
         return cls(
             session.sim, registry, interval=interval,
             network=session.testbed.network, nodes=session.nodes,
-            directory=session.directory, autostart=autostart,
+            directory=session.directory,
         )
 
     # -- lifecycle ---------------------------------------------------------------

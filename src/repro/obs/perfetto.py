@@ -54,8 +54,7 @@ class PerfettoExporter:
         for span in tree:
             self._events.append(self._slice(span))
 
-    def add_anomalies(self, anomalies: Iterable,
-                      label: str = "anomalies") -> None:
+    def add_anomalies(self, anomalies: Iterable) -> None:
         """Render :class:`~repro.obs.events.AnomalyDetected` markers.
 
         One instant marker per anomaly on a dedicated pid-1 track
@@ -64,7 +63,7 @@ class PerfettoExporter:
         ``anomaly.count`` counter track so a glance at the timeline
         shows when detections accelerated.
         """
-        tid = self._tid(label)
+        tid = self._tid("anomalies")
         for index, anomaly in enumerate(anomalies):
             args = {
                 "kind": anomaly.kind,
@@ -99,8 +98,8 @@ class PerfettoExporter:
             "displayTimeUnit": "ms",
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def write(self, destination: Union[str, os.PathLike, IO[str]]) -> None:
         """Write the trace to a path or an open text stream."""

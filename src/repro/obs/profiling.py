@@ -260,8 +260,8 @@ class HostProfile:
 
     # -- reporting --------------------------------------------------------
 
-    def format(self, top: int = 12) -> str:
-        """Human-readable hotspot report."""
+    def format(self) -> str:
+        """Human-readable report of the 12 hottest scopes."""
         from ..analysis.results import format_table
 
         lines = [
@@ -283,7 +283,7 @@ class HostProfile:
                 for subsystem, share in shares.items()))
         attributed = self.attributed_seconds
         rows = []
-        for scope in self.hotspots(top):
+        for scope in self.hotspots(12):
             share = (scope.self_seconds / attributed * 100.0
                      if attributed > 0 else 0.0)
             rows.append([
@@ -316,6 +316,9 @@ class HostProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "HostProfile":
+        if not isinstance(data, dict):
+            raise ValueError("a host profile is a JSON object, not "
+                             f"{type(data).__name__}")
         version = data.get("version", PROFILE_VERSION)
         if version != PROFILE_VERSION:
             raise ValueError(
@@ -330,8 +333,8 @@ class HostProfile:
                          for scope in data.get("scopes", [])),
         )
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def write(self, destination: Union[str, "os.PathLike[str]",
                                        IO[str]]) -> None:

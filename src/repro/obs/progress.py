@@ -8,20 +8,20 @@ iteration, simulated clock, events seen — and periodically emits a
 
 .. code-block:: json
 
-    {"seq": 3, "label": "p10000", "wall_seconds": 4.71,
+    {"seq": 3, "wall_seconds": 4.71,
      "iteration": 1, "sim_seconds": 7205.0, "events": 182344,
      "events_per_s": 40211.5, "telemetry_bytes": 801792,
      "peak_telemetry_bytes": 811264, "series_retained": 2048,
      "sketch_histograms": 2, "recorder_occupancy": 512}
 
-``seq``/``label``/``wall_seconds``/``iteration``/``sim_seconds``/
+``seq``/``wall_seconds``/``iteration``/``sim_seconds``/
 ``events``/``events_per_s`` are always present; the telemetry and
 recorder fields appear when a :class:`~repro.obs.metrics.MetricsRegistry`
 or :class:`~repro.obs.forensics.FlightRecorder` is attached.  The
 schema is documented in ``docs/OBSERVABILITY.md`` and consumed by
 ``python -m repro.cli status``.
 
-Heartbeats are paced by *wall* time (default one per second), so the
+Heartbeats are paced by *wall* time (one per second), so the
 reporter costs one counter increment and one clock read per event and
 never perturbs the simulated clock — determinism contracts are
 untouched: the reporter writes *about* the run, never into it.
@@ -40,11 +40,14 @@ from .profiling import SYSTEM_WALL_CLOCK, WallClock
 
 __all__ = ["ProgressReporter", "read_progress", "format_heartbeat"]
 
+#: Minimum *wall* seconds between heartbeats.
+HEARTBEAT_INTERVAL = 1.0
+
 
 def format_heartbeat(record: Dict[str, object]) -> str:
     """One human-readable line for a heartbeat record."""
     parts = [
-        f"[{record.get('label') or 'run'}]",
+        "[run]",
         f"iter={record.get('iteration', -1)}",
         f"sim={record.get('sim_seconds', 0.0):.1f}s",
         f"events={record.get('events', 0)}",
@@ -92,10 +95,6 @@ class ProgressReporter:
         Optional path or writable stream receiving one JSON object per
         heartbeat (paths are opened in append mode — a sweep's points
         share one file).
-    interval:
-        Minimum *wall* seconds between heartbeats.
-    label:
-        Tag carried in every record (e.g. ``p10000``).
     clock:
         The :class:`~repro.obs.profiling.WallClock` heartbeats are
         paced by; injectable for tests.
@@ -105,17 +104,11 @@ class ProgressReporter:
                  registry=None, recorder=None, watchdog=None,
                  stream: Optional[IO[str]] = sys.stderr,
                  jsonl: Union[str, "os.PathLike[str]", IO[str], None] = None,
-                 interval: float = 1.0,
-                 label: str = "",
                  clock: WallClock = SYSTEM_WALL_CLOCK):
-        if interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
         self.registry = registry
         self.recorder = recorder
         self.watchdog = watchdog
         self.stream = stream
-        self.interval = float(interval)
-        self.label = label
         self._clock = clock.seconds
         if jsonl is None or hasattr(jsonl, "write"):
             self._jsonl: Optional[IO[str]] = jsonl  # type: ignore[assignment]
@@ -158,7 +151,7 @@ class ProgressReporter:
         at = getattr(event, "at", None)
         if at is not None and at > self.sim_seconds:
             self.sim_seconds = at
-        if self._clock() - self._last_beat >= self.interval:
+        if self._clock() - self._last_beat >= HEARTBEAT_INTERVAL:
             self.heartbeat()
 
     # -- reporting ---------------------------------------------------------------
@@ -169,7 +162,6 @@ class ProgressReporter:
         elapsed = max(now - self._last_beat, 1e-9)
         record: Dict[str, object] = {
             "seq": self.heartbeats,
-            "label": self.label,
             "wall_seconds": now - self._started,
             "iteration": self.iteration,
             "sim_seconds": self.sim_seconds,
@@ -201,7 +193,7 @@ class ProgressReporter:
     def heartbeat(self, force: bool = False) -> Optional[Dict[str, object]]:
         """Emit one heartbeat (rate-limited unless ``force``)."""
         now = self._clock()
-        if not force and now - self._last_beat < self.interval:
+        if not force and now - self._last_beat < HEARTBEAT_INTERVAL:
             return None
         record = self.snapshot()
         self._last_beat = now
@@ -221,20 +213,29 @@ def read_progress(
     """Parse a progress JSONL file into heartbeat records.
 
     Tolerates a truncated final line (the run may still be writing),
-    which is what lets ``cli status`` watch a live run.
+    which is what lets ``cli status`` watch a live run.  Any earlier
+    line that is not a JSON object raises :class:`ValueError` naming
+    its line number.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(os.fspath(source), "r", encoding="utf-8") as handle:
             text = handle.read()
+    lines = text.splitlines()
     records: List[Dict[str, object]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # mid-write tail of a live run
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            if number == len(lines):
+                break  # mid-write tail of a live run
+            raise ValueError(f"line {number} is not JSON ({error})") \
+                from None
+        if not isinstance(record, dict):
+            raise ValueError(f"line {number} is not a JSON object")
+        records.append(record)
     return records

@@ -9,7 +9,8 @@ trainers that store is O(events); hence a two-mode structure:
   :func:`repro.analysis.stats.percentile` — the figure-scale behaviour,
   golden-tested in ``tests/test_obs_sketch.py``.
 - **Sketch mode** (above the threshold): values spill into DDSketch-style
-  log-gamma buckets.  With ``gamma = (1 + e) / (1 - e)`` a positive
+  log-gamma buckets.  With ``gamma = (1 + e) / (1 - e)``, ``e`` being
+  :data:`RELATIVE_ERROR`, a positive
   value ``v`` lands in bucket ``ceil(log_gamma(v))`` and is estimated as
   ``2 * gamma**i / (gamma + 1)``, which is within relative error ``e``
   of every value the bucket can hold.  Memory is O(distinct buckets),
@@ -35,7 +36,7 @@ from typing import Dict, Iterator, List, Tuple
 __all__ = [
     "QuantileSketch",
     "DEFAULT_EXACT_THRESHOLD",
-    "DEFAULT_RELATIVE_ERROR",
+    "RELATIVE_ERROR",
 ]
 
 #: Observations retained verbatim before spilling to buckets.  4096
@@ -43,8 +44,10 @@ __all__ = [
 #: (so those stay exact) and negligible on a long, large run.
 DEFAULT_EXACT_THRESHOLD = 4096
 
-#: Default relative-error bound for sketch-mode quantiles (1%).
-DEFAULT_RELATIVE_ERROR = 0.01
+#: Relative-error bound for sketch-mode quantiles (1%).
+RELATIVE_ERROR = 0.01
+_GAMMA = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR)
+_LOG_GAMMA = math.log(_GAMMA)
 
 #: Arithmetic memory model (see :meth:`QuantileSketch.footprint_bytes`):
 #: bytes per retained exact float and per occupied sketch bucket.  These
@@ -61,25 +64,18 @@ class QuantileSketch:
     """Bounded-memory quantile estimator with an exact small-n mode.
 
     ``add`` values, read ``count``/``total``/``minimum``/``maximum``/
-    ``mean`` and :meth:`percentile`.  ``merge`` folds another sketch in
-    (same ``relative_error`` required), enabling cross-run and
-    cross-shard aggregation without raw-value exchange.
+    ``mean`` and :meth:`percentile`.  ``merge`` folds another sketch in,
+    enabling cross-run and cross-shard aggregation without raw-value
+    exchange.
     """
 
-    __slots__ = ("max_exact", "relative_error", "_gamma", "_log_gamma",
-                 "count", "total", "minimum", "maximum",
+    __slots__ = ("max_exact", "count", "total", "minimum", "maximum",
                  "_exact", "_sorted", "_positive", "_negative", "_zeros")
 
-    def __init__(self, max_exact: int = DEFAULT_EXACT_THRESHOLD,
-                 relative_error: float = DEFAULT_RELATIVE_ERROR):
+    def __init__(self, max_exact: int = DEFAULT_EXACT_THRESHOLD):
         if max_exact < 0:
             raise ValueError("max_exact must be >= 0")
-        if not 0.0 < relative_error < 1.0:
-            raise ValueError("relative_error must be in (0, 1)")
         self.max_exact = int(max_exact)
-        self.relative_error = float(relative_error)
-        self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
-        self._log_gamma = math.log(self._gamma)
         self.count = 0
         self.total = 0.0
         self.minimum = float("inf")
@@ -111,7 +107,7 @@ class QuantileSketch:
             self._bucket_add(value, 1)
 
     def _index(self, magnitude: float) -> int:
-        return math.ceil(math.log(magnitude) / self._log_gamma)
+        return math.ceil(math.log(magnitude) / _LOG_GAMMA)
 
     def _bucket_add(self, value: float, n: int) -> None:
         if value > 0.0:
@@ -157,7 +153,8 @@ class QuantileSketch:
 
     def percentile(self, q: float) -> float:
         """The q-th percentile (exact below the threshold, else within
-        ``relative_error`` of the true quantile value; 0.0 if empty)."""
+        :data:`RELATIVE_ERROR` of the true quantile value; 0.0 if
+        empty)."""
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be within [0, 100]")
         if self.count == 0:
@@ -200,7 +197,7 @@ class QuantileSketch:
 
     def _ordered_buckets(self) -> Iterator[Tuple[float, int]]:
         """(estimate, count) pairs in ascending value order."""
-        gamma = self._gamma
+        gamma = _GAMMA
         scale = 2.0 / (gamma + 1.0)
         for key in sorted(self._negative, reverse=True):
             yield -(gamma ** key) * scale, self._negative[key]
@@ -234,10 +231,6 @@ class QuantileSketch:
         resulting buckets, counts, extrema and quantiles are identical
         regardless of merge direction.
         """
-        if other.relative_error != self.relative_error:
-            raise ValueError(
-                "cannot merge sketches with different relative_error "
-                f"({self.relative_error} vs {other.relative_error})")
         if other.count == 0:
             return self
         self.count += other.count

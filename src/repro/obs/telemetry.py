@@ -238,9 +238,9 @@ class SessionMetrics:
             "iterations": [m.to_dict() for m in self.iterations],
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Serialize the run's telemetry for archival/plotting."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionMetrics":

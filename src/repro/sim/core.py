@@ -185,13 +185,13 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
-        self._value = value
+        self._value = None
         sim._schedule(self, PRIORITY_NORMAL, delay)
 
     def cancel(self) -> bool:
@@ -406,8 +406,8 @@ class AnyOf(Condition):
 class Simulator:
     """The simulation environment: virtual clock plus event queue."""
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         #: Heap of [time, priority, seq, event] entries.  Entries are lists
         #: so cancellation can tombstone them in place (event slot -> None);
         #: the unique seq guarantees comparisons never reach the event.
@@ -449,9 +449,9 @@ class Simulator:
         event._ok, event._defused, event._heap_entry = None, False, None
         return event
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def at_instant_end(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once no event of this instant is left
@@ -460,11 +460,10 @@ class Simulator:
         schedules for now run before the next hook."""
         self._instant_end.append(callback)
 
-    def timeout_many(self, delays: Iterable[float],
-                     value: Any = None) -> List[Timeout]:
+    def timeout_many(self, delays: Iterable[float]) -> List[Timeout]:
         """Create one timeout per delay in a single bulk schedule.
 
-        Semantically identical to ``[sim.timeout(d, value) for d in delays]``
+        Semantically identical to ``[sim.timeout(d) for d in delays]``
         (including FIFO tie-breaking by construction order), but batches the
         queue insertion: a large batch is appended and re-heapified in one
         pass instead of sifting each entry individually.  Used for
@@ -479,7 +478,7 @@ class Simulator:
             Event.__init__(timeout, self)
             timeout.delay = delay
             timeout._ok = True
-            timeout._value = value
+            timeout._value = None
             entry = [self._now + delay, PRIORITY_NORMAL, next(self._seq),
                      timeout]
             timeout._heap_entry = entry

@@ -147,7 +147,8 @@ def logreg_config():
 def centralized_baselines():
     """Two configurations; the caller's four partitions become one."""
     params = CentralizedSession(logreg_config(), logreg, logreg_shards(4),
-                                bandwidth_mbps=10.0, latency=0.01)
+                                bandwidth_mbps=10.0)
+    params.testbed.network.default_latency = 0.01
     gradient = CentralizedSession(
         ProtocolConfig(num_partitions=4, t_train=600.0, t_sync=1200.0,
                        update_mode="gradient", poll_interval=0.25),
@@ -165,14 +166,15 @@ def centralized_baselines():
 
 def blockchain_baseline():
     session = BlockchainFLSession(logreg_config(), logreg, logreg_shards(4),
-                                  num_miners=3, bandwidth_mbps=10.0,
-                                  latency=0.01)
+                                  num_miners=3, bandwidth_mbps=10.0)
+    session.network.default_latency = 0.01
     return run_record(session, 2, session.consensus_params, session.network)
 
 
 def gossip_baseline():
     session = GossipFLSession(logreg_config(), logreg, logreg_shards(6),
-                              fanout=2, latency=0.01, seed=1)
+                              fanout=2, seed=1)
+    session.network.default_latency = 0.01
     def mean_params():
         return np.mean([trainer.model.get_params()
                         for trainer in session.trainers], axis=0)

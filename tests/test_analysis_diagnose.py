@@ -218,6 +218,25 @@ def test_explain_cli_fails_cleanly_on_missing_file(tmp_path, capsys):
     assert "explain:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, content", [
+    ("manifest.json", "[1, 2]"),
+    ("profile.json", '"x"'),
+])
+def test_explain_cli_refuses_a_non_object_bundle_file(tmp_path, capsys,
+                                                      name, content):
+    """A bundle file holding valid JSON that is not an object is one
+    ``explain:`` line and exit 1, not a traceback."""
+    base = write_bundle(tmp_path / "base", manifest(), fast_profile())
+    current = write_bundle(tmp_path / "current", manifest(),
+                           fast_profile())
+    (tmp_path / "current" / name).write_text(content)
+    assert main(["explain", base, current]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("explain: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_explain_churn_vs_control_names_the_anomaly_kinds(
         churn_bundle, tmp_path, capsys):
     """The CI chaos job's diagnosis: the control run against the churn

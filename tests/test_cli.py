@@ -302,7 +302,8 @@ def test_status_tail_limits_records(tmp_path, capsys):
         for index in range(5)))
     assert main(["status", str(path), "--tail", "2"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[p40]") == 2
+    assert out.count("[run]") == 2
+    assert "iter=3 " in out and "iter=4 " in out
 
 
 def test_status_json_prints_the_latest_heartbeat(tmp_path, capsys):

@@ -441,15 +441,14 @@ class DirectoryModel:
             accepted &= self._gradient(address, blob)
         return {"accepted": accepted}
 
-    def lookup(self, partition, iteration, kind, aggregator, uploader):
+    def lookup(self, partition, iteration, kind, aggregator):
         self.lookups += 1
         return [
             (address.uploader_id, str(cid))
             for address, cid in self.entries.get(
                 (partition, iteration, kind), {}).items()
-            if uploader in (None, address.uploader_id)
-            and (aggregator is None or kind != GRADIENT or aggregator
-                 == ASSIGNMENT[(address.uploader_id, partition)])
+            if aggregator is None or kind != GRADIENT or aggregator
+            == ASSIGNMENT[(address.uploader_id, partition)]
         ]
 
     def accumulated(self, partition, iteration, aggregator):
@@ -477,7 +476,7 @@ operation = st.one_of(
              min_size=1, max_size=4).map(lambda rows: ("batch", rows)),
     st.tuples(st.just("lookup"), st.integers(0, 2), st.integers(0, 1),
               st.sampled_from([GRADIENT, PARTIAL_UPDATE, UPDATE]),
-              aggregator_ids, st.sampled_from([None] + UPLOADERS)),
+              aggregator_ids),
     st.tuples(st.just("accumulated"), st.integers(0, 2),
               st.integers(0, 1), aggregator_ids),
 )
@@ -494,8 +493,8 @@ operation = st.one_of(
     ("register", ("t0", 0, 0, UPDATE, 0)),
     ("register", ("t0", 0, 0, UPDATE, 0)),  # the winner retrying
     ("register", ("t1", 0, 0, UPDATE, 1)),  # a loser
-    ("lookup", 0, 0, GRADIENT, "agg-1", None),
-    ("lookup", 0, 0, UPDATE, None, "t0"),
+    ("lookup", 0, 0, GRADIENT, "agg-1"),
+    ("lookup", 0, 0, UPDATE, None),
     ("accumulated", 0, 0, "agg-0"),
 ])
 def test_the_one_client_matches_a_dict_model(operations):

@@ -161,7 +161,7 @@ def test_verifiable_matches_unverified_model():
 @pytest.mark.parametrize("behavior", [
     AlterUpdateBehavior(offset=0.5),
     DropGradientsBehavior(keep_fraction=0.5),
-    LazyBehavior(max_gradients=1),
+    LazyBehavior(),
 ])
 def test_verifiable_rejects_malicious_aggregator(behavior):
     shards, _ = make_shards()

@@ -15,6 +15,7 @@ from repro.core import (
     accumulate_cids,
 )
 from repro.core.offload import decode_snapshot, encode_snapshot
+from repro.crypto import Commitment
 from repro.core.directory import DirectoryClient
 from repro.ipfs import IPFSClient, compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
@@ -148,13 +149,12 @@ def test_snapshot_encode_decode_roundtrip():
          "commitment": None},
     ]
     encoded = encode_snapshot(2, 7, rows)
-    partition_id, iteration, decoded = decode_snapshot(
-        encoded, curve=committer.curve
-    )
+    partition_id, iteration, decoded = decode_snapshot(encoded)
     assert (partition_id, iteration) == (2, 7)
     assert decoded[0]["uploader_id"] == "t0"
     assert decoded[0]["cid"] == compute_cid(b"a")
-    assert decoded[0]["commitment"] == commitment
+    assert Commitment.from_bytes(committer.curve,
+                                 decoded[0]["commitment"]) == commitment
     assert decoded[1]["commitment"] is None
 
 
@@ -169,7 +169,7 @@ def test_snapshot_publish_and_fetch_over_ipfs():
     reader_ipfs = IPFSClient("client-1", transport, dht)
     publisher_ipfs = IPFSClient("client-2", transport, dht)
     publisher = SnapshotPublisher(directory, publisher_ipfs, node="ipfs-0")
-    reader = SnapshotReader(reader_ipfs, curve=committer.curve)
+    reader = SnapshotReader(reader_ipfs)
     data_cid = node.store_object(b"gradient bytes")
     box = {}
 

@@ -96,7 +96,8 @@ def test_replication_keeps_gradients_available_after_origin_death():
     for node in session.nodes[:2]:
         node.online = False
     fetcher = IPFSClient("trainer-0", session.testbed.transport,
-                         session.dht, request_timeout=5.0)
+                         session.dht)
+    fetcher.request_timeout = 5.0
     recovered = []
 
     def fetch_all():

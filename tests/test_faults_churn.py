@@ -21,12 +21,12 @@ from repro import (
     MetricsRegistry,
     NetworkProfile,
     ProtocolConfig,
-    RetryPolicy,
     RunManifest,
 )
 from repro.ml import Dataset, LogisticRegression, SyntheticModel, \
     make_classification, split_iid
 from repro.obs.events import TakeoverPerformed
+from tests.util import PatientRetry, set_ipfs_timeout
 
 
 def dummy_datasets(count):
@@ -143,12 +143,11 @@ def test_link_outage_recovers_with_retries():
     # Tight per-attempt timeouts + a retry budget whose backoff spans the
     # whole 30 s outage, so trainer-2 degrades-and-recovers instead of
     # wedging on a dead link.
-    profile = NetworkProfile(num_ipfs_nodes=4,
-                             retry=RetryPolicy(max_attempts=8),
-                             directory_request_timeout=5.0,
-                             ipfs_request_timeout=10.0)
+    profile = NetworkProfile(num_ipfs_nodes=4, retry=PatientRetry(),
+                             directory_request_timeout=5.0)
     session = FLSession(config, factory, shards, network=profile,
                         faults=plan)
+    set_ipfs_timeout(session, 10.0)
     monitors = InvariantMonitors(session.sim.bus)
 
     first = session.run_iteration()

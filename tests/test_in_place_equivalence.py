@@ -29,6 +29,7 @@ from repro.faults import RetryPolicy
 from repro.ml import Dataset, SyntheticModel
 from repro.obs import CountersRegistry
 from repro.sim import Simulator
+from tests.util import set_ipfs_timeout
 
 #: The fault plans a session may run: a trainer's link dies mid-round
 #: (messages lost, requests retried), the directory browns out (requests
@@ -68,13 +69,14 @@ def _session(trainers=4, partitions=2, aggregators=1, merge=False,
     network = NetworkProfile(
         num_ipfs_nodes=3, bandwidth_mbps=10.0, latency=latency,
         directory_request_timeout=0.5 if faulted else None,
-        ipfs_request_timeout=1.0,
         retry=RetryPolicy() if faulted else None)
-    return FLSession(
+    session = FLSession(
         config, lambda: SyntheticModel(600), datasets, network=network,
         directory=DirectoryProfile(processing_delay=delay),
         faults=FaultPlan.from_dict({"specs": [PLANS[plan]], "seed": seed})
         if faulted else None)
+    set_ipfs_timeout(session, 1.0)
+    return session
 
 
 def _digest(**options) -> str:

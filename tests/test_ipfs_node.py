@@ -213,19 +213,6 @@ def test_merge_with_missing_cid_fails():
         run_proc(world, scenario())
 
 
-def test_merge_unknown_merger_fails():
-    world = make_ipfs_world(num_nodes=1)
-    client = world.client("client-0")
-    cid = world.node(0).store_object(np.zeros(4).tobytes())
-
-    def scenario():
-        yield from client.merge_and_download([cid], node="ipfs-0",
-                                             merger="no-such-merger")
-
-    with pytest.raises(MergeError):
-        run_proc(world, scenario())
-
-
 def test_merge_download_cheaper_than_individual_gets():
     """The point of Sec. III-E: one merged blob vs N full downloads."""
     world = make_ipfs_world(num_nodes=1, bandwidth_mbps=10.0)

@@ -1,7 +1,5 @@
 """Unit tests for Blockstore and DHT."""
 
-import math
-
 import pytest
 
 from repro.ipfs import Block, Blockstore, DHT, compute_cid
@@ -35,24 +33,13 @@ def test_put_idempotent():
     assert store.total_bytes == 4
 
 
-def test_capacity_enforced():
-    store = Blockstore(capacity_bytes=10)
-    store.put(Block(b"12345678"))
-    with pytest.raises(IOError, match="full"):
-        store.put(Block(b"abcdefgh"))
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        Blockstore(capacity_bytes=0)
-
-
 def test_pin_unpin_gc():
     store = Blockstore()
     pinned = Block(b"keep me")
     loose = Block(b"drop me")
-    store.put(pinned, pin=True)
-    store.put(loose, pin=False)
+    store.put(pinned)
+    store.put(loose)
+    store.unpin(loose.cid)
     removed = store.collect_garbage()
     assert removed == [loose.cid]
     assert store.has(pinned.cid)
@@ -63,23 +50,18 @@ def test_pin_unpin_gc():
 def test_unpin_then_gc():
     store = Blockstore()
     block = Block(b"temporary")
-    store.put(block, pin=True)
+    store.put(block)
     store.unpin(block.cid)
     store.collect_garbage()
     assert not store.has(block.cid)
 
 
-def test_pin_unknown_raises():
-    store = Blockstore()
-    with pytest.raises(KeyError):
-        store.pin(compute_cid(b"nope"))
-
-
 def test_put_existing_with_pin_pins_it():
     store = Blockstore()
     block = Block(b"data")
-    store.put(block, pin=False)
-    store.put(block, pin=True)
+    store.put(block)
+    store.unpin(block.cid)
+    store.put(block)
     assert store.collect_garbage() == []
     assert store.has(block.cid)
 
@@ -147,42 +129,6 @@ def test_unprovide():
     dht.unprovide(cid, "node-a")
     assert dht.providers_snapshot(cid) == []
     dht.unprovide(cid, "node-a")  # idempotent
-
-
-def test_record_expiry():
-    sim = Simulator()
-    dht = DHT(sim, record_ttl=10.0)
-    cid = compute_cid(b"content")
-    dht.provide(cid, "node-a")
-
-    def advance(sim):
-        yield sim.timeout(11.0)
-
-    sim.process(advance(sim))
-    sim.run()
-    assert dht.providers_snapshot(cid) == []
-
-
-def test_reprovide_refreshes_expiry():
-    sim = Simulator()
-    dht = DHT(sim, record_ttl=10.0)
-    cid = compute_cid(b"content")
-    dht.provide(cid, "node-a")
-
-    def advance(sim, dht):
-        yield sim.timeout(8.0)
-        dht.provide(cid, "node-a")
-        yield sim.timeout(8.0)
-
-    sim.process(advance(sim, dht))
-    sim.run()
-    assert dht.providers_snapshot(cid) == ["node-a"]
-
-
-def test_infinite_ttl_by_default():
-    sim = Simulator()
-    dht = DHT(sim)
-    assert math.isinf(dht.record_ttl)
 
 
 def test_negative_lookup_delay_rejected():

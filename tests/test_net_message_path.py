@@ -66,11 +66,14 @@ def _asymmetric_latency(src, dst):
 class World:
     """One simulator + network + transport and everything it did."""
 
-    def __init__(self, classes, latency=0.0, latency_fn=None):
+    def __init__(self, classes, latency=0.0, asymmetric=False):
         network_class, transport_class = classes
+        if asymmetric:
+            network_class = type("Asymmetric", (network_class,), {
+                "latency": lambda self, src, dst:
+                    _asymmetric_latency(src, dst)})
         self.sim = Simulator()
-        self.network = network_class(self.sim, default_latency=latency,
-                                     latency_fn=latency_fn)
+        self.network = network_class(self.sim, default_latency=latency)
         for name in HOSTS:
             self.network.add_host(
                 name, up_bandwidth=float("inf") if name == "hub" else RATE)
@@ -161,8 +164,7 @@ actions = st.one_of(
 schedules = st.lists(st.tuples(st.integers(0, 8), actions),
                      min_size=1, max_size=40)
 latencies = st.sampled_from([
-    dict(), dict(latency=TICK), dict(latency_fn=_asymmetric_latency),
-    dict(latency=TICK, latency_fn=_asymmetric_latency),
+    dict(), dict(latency=TICK), dict(asymmetric=True),
 ])
 
 
@@ -172,7 +174,7 @@ def test_random_traffic_matches_the_generator_pair(schedule, latency):
     """Sends (sizes down to 0, loopback, three kinds), link outages and
     heals, capacity changes — many sharing an instant with each other,
     with a latency wait's end or with a completion — under no latency,
-    a default latency, a ``latency_fn`` and both."""
+    a default latency and a per-pair one (a ``latency`` override)."""
     new, reference = World(NEW, **latency), World(REFERENCE, **latency)
     new.run(schedule)
     reference.run(schedule)

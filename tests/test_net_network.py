@@ -84,6 +84,7 @@ def test_local_transfer_is_instant():
     sim = Simulator()
     network = Network(sim, default_latency=5.0)
     network.add_host("a", up_bandwidth=1.0)
+    assert network.latency("a", "a") == 0.0
     done = network.transfer("a", "a", 1e9)
     assert done.triggered
 
@@ -102,16 +103,6 @@ def test_latency_added_once():
     sim.process(proc(sim, network))
     sim.run()
     assert done_times == [pytest.approx(12.0)]
-
-
-def test_latency_fn_override():
-    sim = Simulator()
-    network = Network(sim, default_latency=1.0,
-                      latency_fn=lambda s, d: 7.0)
-    network.add_host("a")
-    network.add_host("b")
-    assert network.latency("a", "b") == 7.0
-    assert network.latency("a", "a") == 0.0
 
 
 def test_negative_latency_rejected():

@@ -16,6 +16,7 @@ from repro import (
     RetryPolicy,
 )
 from repro.ml import LogisticRegression, make_classification, split_iid
+from tests.util import PatientRetry
 
 
 def make_shards(num_trainers=4, seed=0):
@@ -51,11 +52,9 @@ def test_default_profile_matches_legacy_defaults():
     {"aggregator_bandwidth_mbps": -1.0},
     {"trainer_bandwidths_mbps": (10.0, -1.0)},
     {"latency": -0.1},
-    {"dht_lookup_delay": -0.1},
     {"trainer_bandwidths_mbps": (0.0,)},
     {"replication_factor": 0},
     {"directory_request_timeout": 0.0},
-    {"ipfs_request_timeout": 0.0},
 ])
 def test_profile_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
@@ -107,11 +106,11 @@ def test_fault_plan_turns_robustness_knobs_on():
 
 def test_explicit_robustness_knobs_survive_fault_plan():
     shards = make_shards()
-    pinned = NetworkProfile(retry=RetryPolicy(max_attempts=2),
-                            directory_request_timeout=3.0)
+    policy = PatientRetry()
+    pinned = NetworkProfile(retry=policy, directory_request_timeout=3.0)
     session = FLSession(config(), factory, shards, network=pinned,
                         faults=brownout_plan())
-    assert session.network_profile.retry.max_attempts == 2
+    assert session.network_profile.retry is policy
     assert session.network_profile.directory_request_timeout == 3.0
 
 
@@ -142,13 +141,15 @@ def test_public_surface_only_shrinks():
     parameters = inspect.signature(FLSession.__init__).parameters
     assert list(parameters) == [
         "self", "config", "model_factory", "datasets", "network", "faults",
-        "directory", "behaviors", "sim",
+        "directory", "behaviors",
     ]
     assert not any(p.kind is p.VAR_KEYWORD for p in parameters.values())
     profile_fields = {f.name for f in dataclasses.fields(NetworkProfile)}
     assert "directory_processing_delay" not in profile_fields
     # One DHT (the provider table) and one retrieval path (`get`).
     assert "dht_mode" not in profile_fields
+    # The DHT lookup delay and the IPFS request timeout are constants.
+    assert not {"dht_lookup_delay", "ipfs_request_timeout"} & profile_fields
     # Centralized FedAvg is the one-partition direct IPLS, options and all;
     # each directory verb states its own wire shape (no request table).
     import repro.core.directory

@@ -55,7 +55,7 @@ def registered(at, iteration=0, uploader="trainer-0"):
 
 
 def test_retry_storm_fires_once_then_rearms_after_quiet_window():
-    detector = RetryStormDetector(window=60.0, min_events=3)
+    detector = RetryStormDetector()
     assert not list(detector.observe(abort(1.0)))
     assert not list(detector.observe(abort(2.0)))
     fired = list(detector.observe(abort(3.0)))
@@ -75,7 +75,7 @@ def test_retry_storm_fires_once_then_rearms_after_quiet_window():
 
 
 def test_retry_storm_exhaustion_escalates_to_critical():
-    detector = RetryStormDetector(window=60.0, min_events=3)
+    detector = RetryStormDetector()
     detector.observe(abort(1.0))
     detector.observe(abort(2.0))
     fired = list(detector.observe(exhausted(3.0)))
@@ -87,8 +87,7 @@ def test_retry_storm_steady_rate_fires_at_most_once():
     # A steady abort rate is a storm only against the initial empty
     # baseline; once the trailing window is populated the 4x factor is
     # never met again and the disarmed detector stays quiet.
-    detector = RetryStormDetector(window=60.0, min_events=3,
-                                  storm_factor=4.0)
+    detector = RetryStormDetector()
     fired = []
     for at in (10.0, 30.0, 50.0, 70.0, 90.0, 110.0, 130.0, 150.0):
         fired.extend(detector.observe(abort(at)))
@@ -100,22 +99,20 @@ def test_retry_storm_steady_rate_fires_at_most_once():
 
 
 def test_throughput_collapse_gap_path_fires_once_per_round():
-    detector = ThroughputCollapseDetector(
-        expected_per_iteration=6, min_gap=5.0, gap_factor=8.0,
-        warmup_gaps=3)
+    detector = ThroughputCollapseDetector(expected_per_iteration=6)
     detector.observe(IterationStarted(at=0.0, iteration=0,
                                       t_train=600.0, t_sync=1200.0))
-    for at in (1.0, 1.5, 2.0):  # 2 gaps of 0.5 each
+    for at in (1.0, 1.5, 2.0, 2.5):  # 3 gaps of 0.5 each
         detector.observe(registered(at))
-    detector.observe(registered(2.5))  # 3rd gap -> warmup met
-    assert not list(detector.on_tick(3.0))
-    fired = list(detector.on_tick(60.0))  # 57.5s gap >> floor
+    detector.observe(registered(3.0))  # 4th gap -> warmup met
+    assert not list(detector.on_tick(30.0))  # 27s gap: under the floor
+    fired = list(detector.on_tick(60.0))  # 57s gap: past the 30s floor
     assert len(fired) == 1
     anomaly = fired[0]
     assert anomaly.kind == "throughput_collapse"
     assert anomaly.severity == "warning"
     evidence = anomaly.evidence_dict()
-    assert evidence["observed"] == 4 and evidence["expected"] == 6
+    assert evidence["observed"] == 5 and evidence["expected"] == 6
     # Fire-once per round.
     assert not list(detector.on_tick(80.0))
 
@@ -172,19 +169,19 @@ class _FakeDirectory:
 
 def test_queue_runaway_fires_and_rearms_on_drain():
     directory = _FakeDirectory()
-    detector = QueueRunawayDetector(directory=directory, queue_limit=8)
-    directory.endpoint.inbox.items = list(range(20))
+    detector = QueueRunawayDetector(directory=directory)
+    directory.endpoint.inbox.items = list(range(100))
     fired = list(detector.on_tick(10.0))
     assert len(fired) == 1
     assert fired[0].kind == "queue_runaway"
     assert fired[0].severity == "critical"
-    assert fired[0].evidence_dict()["depth"] == 20
+    assert fired[0].evidence_dict()["depth"] == 100
     # Still over the limit: disarmed, one anomaly per overload.
     assert not list(detector.on_tick(11.0))
     # Drains to half the limit -> re-arms -> fires on the next spike.
-    directory.endpoint.inbox.items = list(range(4))
+    directory.endpoint.inbox.items = list(range(32))
     assert not list(detector.on_tick(12.0))
-    directory.endpoint.inbox.items = list(range(30))
+    directory.endpoint.inbox.items = list(range(120))
     assert len(list(detector.on_tick(13.0))) == 1
 
 
@@ -196,7 +193,7 @@ def test_queue_runaway_inert_without_directory():
 
 
 def test_sim_stall_fires_past_sync_deadline_margin():
-    detector = SimStallDetector(stall_factor=0.25)
+    detector = SimStallDetector()
     detector.observe(IterationStarted(at=0.0, iteration=0,
                                       t_train=600.0, t_sync=1200.0))
     assert not list(detector.on_tick(1400.0))  # inside the 300s margin
@@ -228,19 +225,22 @@ def _close_round(detector, iteration, loss, at):
 
 
 def test_convergence_stall_after_patience_rounds():
-    detector = ConvergenceDetector(patience=2, min_improvement=0.1)
+    detector = ConvergenceDetector()
     assert not _close_round(detector, 0, 1.0, 10.0)
     assert not _close_round(detector, 1, 0.5, 20.0)  # improvement
-    assert not _close_round(detector, 2, 0.5, 30.0)  # 1 flat round
-    fired = _close_round(detector, 3, 0.49, 40.0)    # 2nd flat round
+    for iteration in (2, 3, 4, 5):                   # 4 flat rounds
+        assert not _close_round(detector, iteration, 0.5, 10.0 * iteration)
+    # 1e-4 is under the 0.1 % floor: the 5th flat round.
+    fired = _close_round(detector, 6, 0.4999, 70.0)
     assert len(fired) == 1
     assert fired[0].kind == "convergence_stall"
     assert fired[0].severity == "warning"
-    assert detector.losses == [(0, 1.0), (1, 0.5), (2, 0.5), (3, 0.49)]
+    assert detector.losses == [(0, 1.0), (1, 0.5), (2, 0.5), (3, 0.5),
+                               (4, 0.5), (5, 0.5), (6, 0.4999)]
 
 
 def test_convergence_divergence_is_critical():
-    detector = ConvergenceDetector(divergence_factor=2.0)
+    detector = ConvergenceDetector()
     assert not _close_round(detector, 0, 0.5, 10.0)
     fired = _close_round(detector, 1, 5.0, 20.0)  # 10x the best
     assert any(a.kind == "divergence" and a.severity == "critical"
@@ -302,9 +302,8 @@ def test_watchdog_tick_loop_follows_sim_clock_and_stops():
     directory = _FakeDirectory()
     directory.endpoint.inbox.items = list(range(100))
     watchdog = AnomalyWatchdog(
-        sim.bus, sim=sim, interval=5.0,
-        detectors=[QueueRunawayDetector(directory=directory,
-                                        queue_limit=8)])
+        sim.bus, sim=sim,
+        detectors=[QueueRunawayDetector(directory=directory)])
     sim.run(until=26.0)
     assert watchdog.ticks == 5
     assert watchdog.summary() == {"queue_runaway": 1}
@@ -319,9 +318,7 @@ def test_watchdog_wall_stall_recorded_locally_never_published():
     published = []
     sim.bus.subscribe(published.append, AnomalyDetected)
     clock = FakeWallClock(tick=200.0)
-    watchdog = AnomalyWatchdog(sim.bus, sim=sim, autostart=False,
-                               wall_clock=clock,
-                               wall_stall_seconds=300.0)
+    watchdog = AnomalyWatchdog(sim.bus, sim=sim, wall_clock=clock)
     assert watchdog.check_wall() is None  # baseline read
     assert watchdog.check_wall() is None  # 200s elapsed: under limit
     entry = watchdog.check_wall()         # 400s with no sim progress
@@ -355,15 +352,14 @@ def test_watchdog_stamps_the_open_iteration_on_every_anomaly():
     bus = EventBus()
     published = []
     bus.subscribe(published.append, AnomalyDetected)
-    watchdog = AnomalyWatchdog(
-        bus, detectors=[RetryStormDetector(window=10.0)])
+    watchdog = AnomalyWatchdog(bus, detectors=[RetryStormDetector()])
     bus.publish(IterationStarted(at=0.0, iteration=3,
                                  t_train=100.0, t_sync=200.0))
     for at in (1.0, 2.0, 3.0):
         bus.publish(abort(at))
     bus.publish(IterationFinished(at=50.0, iteration=3))
-    assert not list(watchdog.detectors[0].on_tick(60.0))  # re-arms
-    for at in (61.0, 62.0, 63.0):
+    assert not list(watchdog.detectors[0].on_tick(200.0))  # re-arms
+    for at in (201.0, 202.0, 203.0):
         bus.publish(abort(at))
     assert [a.iteration for a in published] == [3, -1]
     assert watchdog.anomalies == published

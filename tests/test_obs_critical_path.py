@@ -178,14 +178,15 @@ def fig1_naive_session():
         Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
         for index in range(NUM_TRAINERS)
     ]
-    return FLSession(
+    session = FLSession(
         config,
         model_factory=lambda: SyntheticModel(PARTITION_PARAMS),
         datasets=shards,
         network=NetworkProfile(num_ipfs_nodes=8,
-                               bandwidth_mbps=BANDWIDTH_MBPS, latency=0.0,
-                               dht_lookup_delay=0.0),
+                               bandwidth_mbps=BANDWIDTH_MBPS, latency=0.0),
     )
+    session.dht.lookup_delay = 0.0  # the closed form has no DHT term
+    return session
 
 
 def test_critical_path_matches_closed_form_on_fig1_config():

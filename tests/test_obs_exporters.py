@@ -8,7 +8,9 @@ import pytest
 
 from repro.net import Network, TransferTrace, mbps
 from repro.obs import CountersRegistry, EventBus, JsonlTraceExporter
+from repro.obs.jsonl import FLUSH_BYTES, FLUSH_LINES
 from repro.obs.events import (
+    AnomalyDetected,
     BlockFetched,
     BlockStored,
     DhtLookup,
@@ -91,27 +93,16 @@ def test_exporter_truncates_path_by_default(tmp_path):
     assert record["iteration"] == 1  # second run replaced the first
 
 
-def test_exporter_append_mode_extends_an_existing_timeline(tmp_path):
-    path = tmp_path / "run.jsonl"
-    for iteration in range(2):
-        bus = EventBus()
-        with JsonlTraceExporter(bus, path, append=True):
-            bus.publish(IterationStarted(at=0.0, iteration=iteration))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["iteration"] for r in records] == [0, 1]
-
-
 def test_exporter_buffers_until_the_line_bound(tmp_path):
     bus = EventBus()
     stream = io.StringIO()
-    exporter = JsonlTraceExporter(bus, stream, flush_lines=3,
-                                  flush_bytes=1 << 20)
-    bus.publish(IterationStarted(at=0.0, iteration=0))
-    bus.publish(IterationStarted(at=1.0, iteration=1))
+    exporter = JsonlTraceExporter(bus, stream)
+    for iteration in range(FLUSH_LINES - 1):
+        bus.publish(IterationStarted(at=0.0, iteration=iteration))
     assert stream.getvalue() == ""  # nothing reaches the stream yet
-    bus.publish(IterationStarted(at=2.0, iteration=2))
+    bus.publish(IterationStarted(at=1.0, iteration=FLUSH_LINES))
     assert exporter.flushes == 1
-    assert len(stream.getvalue().splitlines()) == 3
+    assert len(stream.getvalue().splitlines()) == FLUSH_LINES
     exporter.close()
     assert exporter.flushes == 1  # empty buffer: close adds no flush
 
@@ -119,11 +110,14 @@ def test_exporter_buffers_until_the_line_bound(tmp_path):
 def test_exporter_flushes_on_the_byte_bound():
     bus = EventBus()
     stream = io.StringIO()
-    exporter = JsonlTraceExporter(bus, stream, flush_lines=10_000,
-                                  flush_bytes=64)
-    bus.publish(IterationStarted(at=0.0, iteration=0))
-    bus.publish(IterationStarted(at=1.0, iteration=1))
-    # Two ~45-byte lines exceed 64 buffered bytes: drained.
+    exporter = JsonlTraceExporter(bus, stream)
+    big = AnomalyDetected(at=0.0, iteration=0, kind="sim_stall",
+                          severity="warning",
+                          detector="x" * (FLUSH_BYTES // 2))
+    bus.publish(big)
+    assert stream.getvalue() == ""
+    bus.publish(big)
+    # Two lines of over half the byte bound each: drained.
     assert len(stream.getvalue().splitlines()) == 2
     exporter.close()
 
@@ -134,7 +128,7 @@ def test_exporter_final_flush_is_crash_safe(tmp_path):
     bus = EventBus()
     path = tmp_path / "trace.jsonl"
     with pytest.raises(RuntimeError):
-        with JsonlTraceExporter(bus, path, flush_lines=1000) as exporter:
+        with JsonlTraceExporter(bus, path) as exporter:
             for index in range(5):
                 bus.publish(IterationStarted(at=float(index),
                                              iteration=index))
@@ -144,14 +138,6 @@ def test_exporter_final_flush_is_crash_safe(tmp_path):
     assert len(lines) == 5
     assert [json.loads(line)["iteration"] for line in lines] == \
         [0, 1, 2, 3, 4]
-
-
-def test_exporter_rejects_bad_buffer_bounds():
-    bus = EventBus()
-    with pytest.raises(ValueError):
-        JsonlTraceExporter(bus, io.StringIO(), flush_lines=0)
-    with pytest.raises(ValueError):
-        JsonlTraceExporter(bus, io.StringIO(), flush_bytes=0)
 
 
 # -- CountersRegistry ------------------------------------------------------------

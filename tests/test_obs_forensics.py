@@ -29,6 +29,7 @@ from repro.obs import (
     InvariantMonitors,
 )
 from repro.obs.events import InvariantViolated, IterationStarted
+from repro.obs.forensics import MAX_INCIDENTS, RING_CAPACITY
 
 NUM_TRAINERS = 4
 TRAINERS = tuple(f"trainer-{i}" for i in range(NUM_TRAINERS))
@@ -151,11 +152,11 @@ def test_summary_names_the_accused_and_dropped():
 
 def test_ring_buffer_is_bounded():
     bus = EventBus()
-    recorder = FlightRecorder(bus, capacity=4)
-    for i in range(10):
+    recorder = FlightRecorder(bus)
+    for i in range(RING_CAPACITY + 1):
         bus.publish(IterationStarted(at=float(i), iteration=i))
-    assert len(recorder.window) == 4
-    assert recorder.window[0].iteration == 6
+    assert len(recorder.window) == RING_CAPACITY
+    assert recorder.window[0].iteration == 1
 
 
 def test_default_window_leaves_out_the_firehose():
@@ -165,7 +166,7 @@ def test_default_window_leaves_out_the_firehose():
         TransferCompleted,
         TransferStarted,
     )
-    from repro.obs.forensics import DEFAULT_WINDOW_EVENTS
+    from repro.obs.forensics import WINDOW_EVENTS
 
     bus = EventBus()
     recorder = FlightRecorder(bus)
@@ -173,19 +174,19 @@ def test_default_window_leaves_out_the_firehose():
     bus.publish(DirectoryRequest(at=1.0, kind="dir.lookup"))
     bus.publish(IterationStarted(at=1.0, iteration=0))
     assert [type(event) for event in recorder.window] == [IterationStarted]
-    assert GradientRegistered in DEFAULT_WINDOW_EVENTS
+    assert GradientRegistered in WINDOW_EVENTS
     assert not {TransferStarted, TransferCompleted, DirectoryRequest} \
-        & set(DEFAULT_WINDOW_EVENTS)
+        & set(WINDOW_EVENTS)
 
 
 def test_incident_cap_suppresses_overflow():
     bus = EventBus()
-    recorder = FlightRecorder(bus, max_incidents=2)
-    for i in range(5):
+    recorder = FlightRecorder(bus)
+    for i in range(MAX_INCIDENTS + 3):
         bus.publish(InvariantViolated(
             at=float(i), iteration=0, invariant="clock-monotonic",
             subject="x", detail="synthetic"))
-    assert len(recorder.incidents) == 2
+    assert len(recorder.incidents) == MAX_INCIDENTS
     assert recorder.suppressed == 3
 
 
@@ -199,11 +200,6 @@ def test_invariant_incident_has_no_blame():
     assert bundle.kind == "invariant_violated"
     assert bundle.blame is None
     assert bundle.to_dict()["blame"] is None
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        FlightRecorder(EventBus(), capacity=0)
 
 
 def test_monitor_violation_reaches_a_recorder_subscribed_first():

@@ -343,8 +343,16 @@ def test_hotspots_are_ordered_and_format_reports_the_gauge():
     )
     assert [scope.label for scope in profile.hotspots(2)] \
         == ["sim.core.step", "crypto.pedersen.commit"]
-    report = profile.format(top=2)
+    report = profile.format()
     assert "50.0 sim-s/wall-s" in report
     assert "sim.core.step" in report
-    assert "max_min_rates" not in report  # beyond top
     assert "shares: sim 62.5% | crypto 31.2% | net 6.2%" in report
+    many = HostProfile(
+        wall_seconds=2.0, sim_seconds=100.0, dispatches=7,
+        scopes=tuple(ScopeStat("sim", "core", f"f{index:02d}", 1,
+                               1.0 / (index + 1), 1.0 / (index + 1))
+                     for index in range(13)),
+    )
+    report = many.format()
+    assert "sim.core.f11" in report
+    assert "sim.core.f12" not in report  # beyond the top 12

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.net import NetworkProfile
@@ -30,7 +31,7 @@ def test_heartbeat_schema_and_pacing():
     human = io.StringIO()
     jsonl = io.StringIO()
     reporter = ProgressReporter(bus, stream=human, jsonl=jsonl,
-                                interval=1.0, label="demo", clock=clock)
+                                clock=clock)
     bus.publish(IterationStarted(at=10.0, iteration=0))
     assert reporter.heartbeats == 0  # no wall time elapsed yet
     clock.advance(1.5)
@@ -38,12 +39,11 @@ def test_heartbeat_schema_and_pacing():
     assert reporter.heartbeats == 1
     record = json.loads(jsonl.getvalue().splitlines()[0])
     assert record["seq"] == 0
-    assert record["label"] == "demo"
     assert record["iteration"] == 0
     assert record["sim_seconds"] == 42.0
     assert record["events"] == 2
     assert record["events_per_s"] > 0
-    assert "[demo]" in human.getvalue()
+    assert "[run]" in human.getvalue()
     # Within the interval: no new beat.
     bus.publish(IterationStarted(at=43.0, iteration=1))
     assert reporter.heartbeats == 1
@@ -57,10 +57,10 @@ def test_heartbeat_schema_and_pacing():
 def test_heartbeat_reports_registry_and_recorder_occupancy():
     bus = EventBus()
     registry = MetricsRegistry(bus)
-    recorder = FlightRecorder(bus, capacity=16)
+    recorder = FlightRecorder(bus)
     clock = FakeWallClock()
     reporter = ProgressReporter(bus, registry=registry, recorder=recorder,
-                                stream=None, interval=1.0, clock=clock)
+                                stream=None, clock=clock)
     bus.publish(IterationStarted(at=1.0, iteration=0))
     record = reporter.snapshot()
     assert record["events_observed"] == registry.events_observed
@@ -73,21 +73,17 @@ def test_heartbeat_reports_registry_and_recorder_occupancy():
     registry.close()
 
 
-def test_reporter_validates_interval_and_owns_path_files(tmp_path):
+def test_reporter_owns_path_files(tmp_path):
     bus = EventBus()
-    with pytest.raises(ValueError):
-        ProgressReporter(bus, interval=0.0, stream=None)
     path = tmp_path / "progress.jsonl"
     clock = FakeWallClock()
-    with ProgressReporter(bus, stream=None, jsonl=path, clock=clock,
-                          label="a"):
+    with ProgressReporter(bus, stream=None, jsonl=path, clock=clock):
         bus.publish(IterationStarted(at=1.0, iteration=0))
     # Append mode: a second reporter extends the same file.
-    with ProgressReporter(bus, stream=None, jsonl=path, clock=clock,
-                          label="b"):
+    with ProgressReporter(bus, stream=None, jsonl=path, clock=clock):
         pass
     records = read_progress(path)
-    assert [record["label"] for record in records] == ["a", "b"]
+    assert [record["events"] for record in records] == [1, 0]
 
 
 def test_read_progress_tolerates_a_truncated_tail(tmp_path):
@@ -97,6 +93,19 @@ def test_read_progress_tolerates_a_truncated_tail(tmp_path):
     assert len(records) == 1
     assert records[0]["seq"] == 0
     assert read_progress(io.StringIO("")) == []
+
+
+def test_read_progress_rejects_a_corrupt_earlier_line(tmp_path, capsys):
+    path = tmp_path / "progress.jsonl"
+    path.write_text('{"seq": 1}\nGARBAGE\n{"seq": 3}\n{"seq": 4')
+    with pytest.raises(ValueError, match="line 2"):
+        read_progress(path)
+    with pytest.raises(ValueError, match="line 1 is not a JSON object"):
+        read_progress(io.StringIO('[1, 2]\n{"seq": 0}\n'))
+    assert main(["status", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("status: ") and err.count("\n") == 1
 
 
 def _exact_session(trainers=24):
@@ -115,8 +124,8 @@ def test_reporter_never_touches_the_simulated_clock():
     bare.run_iteration()
     watched = _exact_session()
     reporter = ProgressReporter(watched.sim.bus, stream=None,
-                                jsonl=io.StringIO(), interval=1e-9,
-                                clock=FakeWallClock(tick=1e-6))
+                                jsonl=io.StringIO(),
+                                clock=FakeWallClock(tick=1.0))
     watched.run_iteration()
     reporter.close()
     assert reporter.heartbeats > 0

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.stats import percentile
 from repro.obs.sketch import (
     DEFAULT_EXACT_THRESHOLD,
-    DEFAULT_RELATIVE_ERROR,
+    RELATIVE_ERROR,
     QuantileSketch,
 )
 
@@ -80,10 +80,6 @@ def test_percentile_validates_q():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         QuantileSketch(max_exact=-1)
-    with pytest.raises(ValueError):
-        QuantileSketch(relative_error=0.0)
-    with pytest.raises(ValueError):
-        QuantileSketch(relative_error=1.0)
 
 
 # -- spill / sketch mode ---------------------------------------------------------
@@ -108,12 +104,12 @@ def test_values_raise_after_spill():
 
 
 def test_sketch_mode_percentiles_respect_the_relative_error_bound():
-    """Every quantile estimate must land within relative_error of the
+    """Every quantile estimate must land within RELATIVE_ERROR of the
     true quantile's neighbourhood (values at the floor/ceil ranks)."""
-    eps = 0.01
+    eps = RELATIVE_ERROR
     rng = random.Random(23)
     values = [rng.lognormvariate(1.0, 1.5) for _ in range(20_000)]
-    sketch = QuantileSketch(max_exact=256, relative_error=eps)
+    sketch = QuantileSketch(max_exact=256)
     for value in values:
         sketch.add(value)
     assert not sketch.exact
@@ -139,13 +135,13 @@ def test_sketch_extrema_and_sum_stay_exact_after_spill():
     assert sketch.total == sum(values)
     # The tail quantiles honour the relative-error bound around the
     # exact extrema (and never escape [minimum, maximum]).
-    eps = sketch.relative_error
+    eps = RELATIVE_ERROR
     assert 0.125 <= sketch.percentile(0.0) <= 0.125 * (1.0 + eps)
     assert 100.0 * (1.0 - eps) <= sketch.percentile(100.0) <= 100.0
 
 
 def test_sketch_handles_zeros_and_negatives():
-    sketch = QuantileSketch(max_exact=2, relative_error=0.01)
+    sketch = QuantileSketch(max_exact=2)
     values = [-8.0, -1.0, 0.0, 0.0, 1.0, 8.0]
     for value in values:
         sketch.add(value)
@@ -160,7 +156,7 @@ def test_sketch_handles_zeros_and_negatives():
 
 
 def test_memory_is_bounded_by_buckets_not_observations():
-    sketch = QuantileSketch(max_exact=64, relative_error=0.01)
+    sketch = QuantileSketch(max_exact=64)
     rng = random.Random(5)
     for _ in range(50_000):
         sketch.add(rng.uniform(1.0, 1000.0))
@@ -228,42 +224,6 @@ def test_merge_mixed_modes_and_empty():
     assert spilled.count == before
 
 
-def test_merge_rejects_mismatched_relative_error():
-    a = QuantileSketch(relative_error=0.01)
-    b = QuantileSketch(relative_error=0.02)
-    b.add(1.0)
-    with pytest.raises(ValueError, match=r"relative_error.*0\.01.*0\.02"):
-        a.merge(b)
-
-
-def test_merge_layout_mismatch_leaves_the_target_untouched():
-    """The error path must not half-apply: a rejected merge leaves
-    count/total/extrema exactly as they were."""
-    a = QuantileSketch(relative_error=0.01)
-    for value in (1.0, 2.0, 3.0):
-        a.add(value)
-    before = (a.count, a.total, a.minimum, a.maximum, a.exact)
-    b = QuantileSketch(relative_error=0.05)
-    b.add(99.0)
-    with pytest.raises(ValueError):
-        a.merge(b)
-    assert (a.count, a.total, a.minimum, a.maximum, a.exact) == before
-    assert percentile(a.values(), 50) == 2.0
-
-
-def test_merge_mismatch_direction_is_reported_from_the_target():
-    """Both merge directions fail; each message leads with the
-    target's own relative_error."""
-    a = QuantileSketch(relative_error=0.01)
-    b = QuantileSketch(relative_error=0.02)
-    a.add(1.0)
-    b.add(2.0)
-    with pytest.raises(ValueError, match=r"0\.01 vs 0\.02"):
-        a.merge(b)
-    with pytest.raises(ValueError, match=r"0\.02 vs 0\.01"):
-        b.merge(a)
-
-
 def test_defaults_are_sane():
     assert DEFAULT_EXACT_THRESHOLD == 4096
-    assert DEFAULT_RELATIVE_ERROR == 0.01
+    assert RELATIVE_ERROR == 0.01

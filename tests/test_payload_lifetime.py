@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro import FaultPlan, FaultSpec, FLSession, NetworkProfile, \
-    ProtocolConfig, RetryPolicy
+    ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.net import Transport
 from repro.obs.events import TrainerCompleted, TransferAborted
+from tests.util import PatientRetry, set_ipfs_timeout
 
 TRAINERS = 4
 PARTITIONS = 2
@@ -121,13 +122,13 @@ def test_a_faulted_round_leaves_no_payload_and_no_cycle(carriers):
                   target="trainer-2")],
         seed=4)
     network = NetworkProfile(num_ipfs_nodes=2, bandwidth_mbps=10.0,
-                             retry=RetryPolicy(max_attempts=8),
-                             directory_request_timeout=1.0,
-                             ipfs_request_timeout=1.0)
+                             retry=PatientRetry(),
+                             directory_request_timeout=1.0)
     gc.collect()
     gc.disable()
     try:
         session, _ = _session(CHUNK, faults=plan, network=network)
+        set_ipfs_timeout(session, 1.0)
         aborted = []
         session.sim.bus.subscribe(aborted.append, TransferAborted)
         metrics = session.run_iteration()

@@ -13,6 +13,14 @@ constant that is an identifier or a dotted path (``getattr`` dispatch,
 inside an ``__all__`` list, inside the definition it names, or inside a
 definition that is itself dead; the last rule is iterated to a fixpoint,
 so a helper that only dead code calls is dead too.
+
+The same holds for a parameter with a default: some call in those files
+must pass it, by keyword or by position, or it is a constant.  Calls
+match by name as well: ``Foo(...)`` passes to ``Foo.__init__`` (or,
+without one, to its bases' by name), ``cls(...)`` in a method to its own
+class, ``super().__init__(...)`` to the class's bases, ``x.meth(...)``
+to every ``meth``.  A ``**kwargs`` forwarder passes a name only when one
+of its own callers passes it.
 """
 
 import ast
@@ -34,6 +42,23 @@ ALLOWLIST = {
     "straus": "one side of multi_scalar_mult's selection; tested directly",
     "pippenger": "the other side of that selection; tested directly",
     "FakeWallClock": "the test double behind the WallClock seam",
+}
+
+#: Defaulted parameters kept although no shipped call passes them (at
+#: most ten), each with the reason.
+PARAM_ALLOWLIST = {
+    "cli.py::_run_run(clock)": "the seam tests drive with FakeWallClock",
+    "cli.py::_run_commit_cost(clock)": "the same seam, for commit-cost",
+    "profiling.py::FakeWallClock.__init__(start)": "the test double's state",
+    "profiling.py::FakeWallClock.__init__(tick)": "the test double's state",
+    "multiexp.py::straus(width)":
+        "straus is allowlisted above; its tests vary the window",
+    "multiexp.py::pippenger(window)":
+        "pippenger is allowlisted above; its tests vary the window",
+    "models.py::LogisticRegression.__init__(l2)":
+        "dropping `+ l2 * w` at l2 = 0 turns -0.0 into +0.0: hashes move",
+    "models.py::MLPClassifier.__init__(l2)":
+        "dropping `+ l2 * w` at l2 = 0 turns -0.0 into +0.0: hashes move",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
@@ -237,6 +262,164 @@ def unused_exports(src_files, defs, refs):
     return sorted(bad)
 
 
+# -- parameters ------------------------------------------------------------------
+
+
+class Signature:
+    """A function or method of the scanned package, as calls see it."""
+
+    def __init__(self, path, node, cls):
+        self.path = path
+        self.qualname = f"{cls.name}.{node.name}" if cls else node.name
+        self.name = node.name
+        self.cls = cls
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        #: True when a call through an instance or class supplies the
+        #: first parameter (``self`` / ``cls``).
+        self.bound = cls is not None and not static
+        self.positional = [a.arg for a in positional][self.bound:]
+        first_default = len(positional) - len(args.defaults)
+        self.defaulted = [a.arg for a in positional[first_default:]] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+        self.named = set(self.positional) | {a.arg for a in args.kwonlyargs}
+        self.varkw = args.kwarg.arg if args.kwarg else None
+
+    def __repr__(self):
+        return f"{self.path.name}::{self.qualname}"
+
+
+class Call:
+    """One call site: whom it may reach and what it passes."""
+
+    def __init__(self, node, cls, caller):
+        self.targets = _call_targets(node.func, cls, caller)
+        self.positional_count = sum(not isinstance(a, ast.Starred)
+                                    for a in node.args)
+        self.star = len(node.args) > self.positional_count
+        self.keywords = set()
+        #: The enclosing signature whose ``**kwargs`` this call forwards.
+        self.forwards = None
+        for keyword in node.keywords:
+            value = keyword.value
+            if keyword.arg is not None:
+                self.keywords.add(keyword.arg)
+            elif (isinstance(value, ast.Name) and caller is not None
+                  and value.id == caller.varkw):
+                self.forwards = caller
+            elif isinstance(value, ast.Dict):
+                self.keywords.update(
+                    k.value for k in value.keys
+                    if isinstance(k, ast.Constant))
+
+
+def _call_targets(func, cls, caller):
+    """``(kind, name, bound)``: ``kind`` "init" names a class whose
+    ``__init__`` is called, "name" any callable of that name."""
+    if isinstance(func, ast.Name):
+        if func.id == "cls" and caller is not None and caller.cls:
+            return [("init", caller.cls.name, True)]
+        return [("name", func.id, True)]
+    if not isinstance(func, ast.Attribute):
+        return []
+    if func.attr == "__init__":
+        owner = func.value
+        if (isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name)
+                and owner.func.id == "super" and cls is not None):
+            return [("init", base.id, True) for base in cls.bases
+                    if isinstance(base, ast.Name)]
+        if isinstance(owner, ast.Name):
+            return [("init", owner.id, False)]  # Base.__init__(self, ...)
+        return []
+    return [("name", func.attr, True)]
+
+
+def scan_calls(src_files, root_files):
+    """Every signature in ``src_files`` and every call in both sets."""
+    signatures, calls, classes = [], [], {}
+    for path in list(src_files) + list(root_files):
+        with_defs = path in src_files
+        for top in _parse(path).body:
+            members = [(top, None)]
+            if isinstance(top, ast.ClassDef):
+                classes.setdefault(top.name, []).append(top)
+                members = [(node, top) for node in top.body]
+            for node, cls in members:
+                caller = None
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if with_defs:
+                        caller = Signature(path, node, cls)
+                        signatures.append(caller)
+                calls.extend(Call(n, cls, caller) for n in ast.walk(node)
+                             if isinstance(n, ast.Call))
+    return signatures, calls, classes
+
+
+def _initializers(signatures, classes):
+    """Class name -> the ``__init__`` signatures ``Name(...)`` reaches."""
+    own = {}
+    for signature in signatures:
+        if signature.name == "__init__":
+            own.setdefault(signature.cls.name, []).append(signature)
+
+    def resolve(name, seen):
+        found = list(own.get(name, ()))
+        if not found:
+            for cls in classes.get(name, ()):
+                for base in cls.bases:
+                    if isinstance(base, ast.Name) and base.id not in seen:
+                        found += resolve(base.id, seen | {base.id})
+        return found
+
+    return {name: resolve(name, {name}) for name in classes}
+
+
+def unpassed_parameters(signatures, calls, classes, allow=()):
+    """``file::qualname(param)`` for every defaulted parameter no call
+    passes: the fixpoint over ``**kwargs`` forwarding."""
+    by_name = {}
+    for signature in signatures:
+        if not signature.name.startswith("__"):
+            by_name.setdefault(signature.name, []).append(signature)
+    inits = _initializers(signatures, classes)
+
+    def reached(kind, name, bound):
+        found = [(s, bound) for s in inits.get(name, ())]
+        if kind == "name":
+            found += [(s, True) for s in by_name.get(name, ())]
+        return found
+
+    passed = {signature: set() for signature in signatures}
+    changed = True
+    while changed:
+        changed = False
+        for call in calls:
+            names = set(call.keywords)
+            if call.forwards is not None:
+                forwarder = call.forwards
+                names |= passed[forwarder] - forwarder.named
+            for target in call.targets:
+                for signature, bound in reached(*target):
+                    positional = signature.positional
+                    if not bound and signature.bound:
+                        positional = [None] + positional  # explicit self
+                    if not call.star:
+                        positional = positional[:call.positional_count]
+                    new = (names | set(positional)) - {None}
+                    if not new <= passed[signature]:
+                        passed[signature] |= new
+                        changed = True
+    return sorted(
+        f"{signature!r}({name})" for signature in signatures
+        if signature.name == "__init__" or not signature.name.startswith("__")
+        for name in signature.defaulted
+        if name not in passed[signature]
+        and f"{signature!r}({name})" not in allow)
+
+
 def test_every_definition_and_export_is_reached():
     src, roots = _files()
     defs, refs = scan(src, roots)
@@ -268,3 +451,36 @@ def test_the_scan_reports_an_uncalled_public_def(tmp_path):
         "mod.py::Box.shake", "mod.py::only_dead_calls_me", "mod.py::unused"]
     # Box and used are named by main.py, unused by nothing else.
     assert unused_exports(src, defs, refs) == ["pkg.unused"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    src, roots = _files()
+    assert len(PARAM_ALLOWLIST) <= 10
+    assert unpassed_parameters(*scan_calls(src, roots),
+                               allow=PARAM_ALLOWLIST) == []
+
+
+def test_the_scan_reports_an_unpassed_parameter(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "def knob(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "def forward(**options):\n    return knob(0, **options)\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, color='red'):\n"
+        "        self.size = size\n"
+        "    @classmethod\n"
+        "    def small(cls):\n        return cls(size=0)\n\n"
+        "class Crate(Box):\n"
+        "    def __init__(self, label='', **rest):\n"
+        "        super().__init__(**rest)\n")
+    (tmp_path / "main.py").write_text(
+        "from pkg.mod import Box, Crate, forward, knob\n"
+        "knob(1, 2)\n"                 # b only by position
+        "forward(d=4)\n"               # d through the forwarder
+        "Crate(label='x', color='blue')\n"  # color through super()
+        "Box.small()\n")
+    src = sorted(pkg.glob("*.py"))
+    found = unpassed_parameters(*scan_calls(src, [tmp_path / "main.py"]))
+    # c: nobody passes it; e: forward's callers never pass it.
+    assert found == ["mod.py::knob(c)", "mod.py::knob(e)"]

@@ -17,8 +17,8 @@ from tests.util import next_event_time
 def test_cancel_prevents_firing():
     sim = Simulator()
     fired = []
-    timeout = sim.timeout(1.0, value="a")
-    timeout._add_callback(lambda event: fired.append(event.value))
+    timeout = sim.timeout(1.0)
+    timeout._add_callback(fired.append)
     assert timeout.cancel()
     sim.timeout(2.0)  # keep the run non-empty
     sim.run()
@@ -46,13 +46,13 @@ def test_cancelled_timeout_can_be_rescheduled_conceptually():
     re-arm pattern; the new timeout is independent."""
     sim = Simulator()
     fired = []
-    stale = sim.timeout(5.0, value="stale")
-    stale._add_callback(lambda event: fired.append(event.value))
+    stale = sim.timeout(5.0)
+    stale._add_callback(fired.append)
     assert stale.cancel()
-    fresh = sim.timeout(1.0, value="fresh")
-    fresh._add_callback(lambda event: fired.append(event.value))
+    fresh = sim.timeout(1.0)
+    fresh._add_callback(fired.append)
     sim.run()
-    assert fired == ["fresh"]
+    assert fired == [fresh]
     assert sim.now == 1.0
 
 
@@ -140,7 +140,7 @@ def test_timeout_many_bulk_path_heapifies_correctly():
     sim = Simulator()
     fired = []
     delays = [float(100 - i) for i in range(100)]
-    for timeout in sim.timeout_many(delays, value="tick"):
+    for timeout in sim.timeout_many(delays):
         timeout._add_callback(lambda event: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
@@ -150,10 +150,10 @@ def test_timeout_many_bulk_path_heapifies_correctly():
 
 def test_timeout_many_values_and_cancel():
     sim = Simulator()
-    timeouts = sim.timeout_many([1.0, 2.0], value=7)
+    timeouts = sim.timeout_many([1.0, 2.0])
     assert timeouts[1].cancel()
     sim.run()
-    assert timeouts[0].value == 7
+    assert timeouts[0].processed and timeouts[0].value is None
     assert not timeouts[1].processed
 
 

@@ -22,11 +22,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulator(start_time=10.0)
-    assert sim.now == 10.0
-
-
 def test_timeout_advances_clock():
     sim = Simulator()
     times = []
@@ -44,19 +39,6 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
-
-
-def test_timeout_carries_value():
-    sim = Simulator()
-    got = []
-
-    def proc(sim):
-        value = yield sim.timeout(1.0, value="payload")
-        got.append(value)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert got == ["payload"]
 
 
 def test_events_processed_in_time_order():
@@ -100,7 +82,8 @@ def test_run_until_stops_clock():
 
 
 def test_run_until_past_raises():
-    sim = Simulator(start_time=5.0)
+    sim = Simulator()
+    sim.run(until=5.0)
     with pytest.raises(ValueError):
         sim.run(until=1.0)
 
@@ -345,14 +328,14 @@ def test_all_of_waits_for_all():
     log = []
 
     def proc(sim):
-        t1 = sim.timeout(1.0, value="one")
-        t2 = sim.timeout(3.0, value="three")
+        t1 = sim.timeout(1.0)
+        t2 = sim.timeout(3.0)
         results = yield sim.all_of([t1, t2])
-        log.append((sim.now, sorted(results.values())))
+        log.append((sim.now, list(results) == [t1, t2]))
 
     sim.process(proc(sim))
     sim.run()
-    assert log == [(3.0, ["one", "three"])]
+    assert log == [(3.0, True)]
 
 
 def test_any_of_fires_on_first():
@@ -360,14 +343,14 @@ def test_any_of_fires_on_first():
     log = []
 
     def proc(sim):
-        t1 = sim.timeout(1.0, value="fast")
-        t2 = sim.timeout(3.0, value="slow")
+        t1 = sim.timeout(1.0)
+        t2 = sim.timeout(3.0)
         results = yield sim.any_of([t1, t2])
-        log.append((sim.now, list(results.values())))
+        log.append((sim.now, list(results) == [t1]))
 
     sim.process(proc(sim))
     sim.run()
-    assert log == [(1.0, ["fast"])]
+    assert log == [(1.0, True)]
 
 
 def test_processed_event_keeps_no_heap_entry():
@@ -424,8 +407,8 @@ def test_all_of_values_and_trigger_order_unchanged():
     """The condition's value maps each sub-event to its value, in the
     order they fired — detaching losers changes none of that."""
     sim = Simulator()
-    slow = sim.timeout(3.0, value="slow")
-    fast = sim.timeout(1.0, value="fast")
+    slow = sim.timeout(3.0)
+    fast = sim.timeout(1.0)
     manual = sim.event()
     log = []
 
@@ -437,7 +420,7 @@ def test_all_of_values_and_trigger_order_unchanged():
     sim.timeout(2.0)._add_callback(lambda _event: manual.succeed("manual"))
     sim.run()
     # Keyed in the order given; every value present; fires with the last.
-    assert log == [(3.0, [(slow, "slow"), (fast, "fast"),
+    assert log == [(3.0, [(slow, None), (fast, None),
                           (manual, "manual")])]
 
 

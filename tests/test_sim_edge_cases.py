@@ -96,16 +96,16 @@ def test_any_of_with_already_fired_event():
 
 def test_any_of_duplicate_events():
     sim = Simulator()
-    t = sim.timeout(2.0, value="v")
+    t = sim.timeout(2.0)
     log = []
 
     def waiter(sim):
         outcome = yield AnyOf(sim, [t, t])
-        log.append(list(outcome.values()))
+        log.append(list(outcome.items()))
 
     sim.process(waiter(sim))
     sim.run()
-    assert log == [["v"]]
+    assert log == [[(t, None)]]
 
 
 def test_all_of_mixed_simulators_rejected():

@@ -8,10 +8,24 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.faults import RetryPolicy
 from repro.ipfs import DHT, IPFSClient, IPFSNode, PubSub
 from repro.net import Network, Transport, mbps
 from repro.obs.profiling import FakeWallClock
 from repro.sim import Simulator
+
+
+class PatientRetry(RetryPolicy):
+    """Eight attempts: a backoff that outlasts a test's long outage."""
+
+    max_attempts = 8
+
+
+def set_ipfs_timeout(session, seconds: float) -> None:
+    """Shorten every participant's IPFS request timeout (constant in the
+    shipped protocol), so a test's dead fetch fails fast."""
+    for participant in session.trainers + session.aggregators:
+        participant.ipfs.request_timeout = seconds
 
 
 def next_event_time(sim: Simulator) -> float:
@@ -64,11 +78,10 @@ def make_ipfs_world(
     nodes = [
         IPFSNode(sim, transport, dht, name) for name in node_names
     ]
-    clients = {
-        name: IPFSClient(name, transport, dht,
-                         request_timeout=request_timeout)
-        for name in client_names
-    }
+    clients = {name: IPFSClient(name, transport, dht)
+               for name in client_names}
+    for client in clients.values():
+        client.request_timeout = request_timeout
     return IPFSWorld(
         sim=sim, network=network, transport=transport, dht=dht,
         pubsub=pubsub, nodes=nodes, clients=clients,
