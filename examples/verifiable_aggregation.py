@@ -75,7 +75,7 @@ def main():
     print(f"trainers completed: {len(metrics.trainers_completed)}"
           f"/{NUM_TRAINERS}  (poisoned update never served)")
     print("directory rejections:")
-    for rejection in defended.directory.rejections:
+    for rejection in defended.directory.state.rejections:
         print(f"  - {rejection.address}: {rejection.reason}")
 
 

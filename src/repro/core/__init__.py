@@ -7,6 +7,9 @@ Public surface:
 - :class:`Trainer` / :class:`Aggregator` / :class:`Bootstrapper` /
   :class:`DirectoryService` — the protocol roles; every participant
   reaches the one directory server through a :class:`DirectoryClient`.
+  The server is a serve loop around a
+  :class:`~repro.core.directory.DirectoryState`, which holds the
+  directory's rules and is read as ``session.directory.state``.
 - :class:`Address`, :class:`ModelPartitioner`, :class:`IterationSchedule`.
 - :class:`DirectoryProfile` — the directory server's processing delay.
 - :class:`PartitionCommitter` — verifiable-aggregation crypto glue.

@@ -1,33 +1,56 @@
 """The directory service (Sec. III-C, extended with Sec. IV verification).
 
-Maps addressing tuples to IPFS CIDs, accumulates Pedersen commitment
-products per partition (and per aggregator's trainer subset), and — in
-verifiable mode — checks every claimed global update against the
-accumulated commitment before revealing it to trainers.
+The paper's directory maps addressing tuples to IPFS CIDs and keeps, per
+partition, the product of the trainers' Pedersen gradient commitments
+(and per aggregator's trainer subset); in verifiable mode it checks
+every claimed global update against that product before revealing it to
+trainers.  Run by the trusted bootstrapper: "the directory service
+receives orders of magnitude fewer data per iteration than the
+aggregators combined do".
 
-Run by the trusted bootstrapper: "the directory service receives orders of
-magnitude fewer data per iteration than the aggregators combined do".
-
-- :class:`DirectoryService` is the one server process, on the
-  well-known ``"directory"`` host, answering register/lookup/accumulate
-  queries.
+- :class:`DirectoryState` holds the rules: entries, accumulated
+  commitments, cutoffs and rejections.  It has no simulator, wire or
+  clock: each verb takes ``now`` where a cutoff or an event needs it and
+  returns the reply payload.
+- :class:`DirectoryService` is the serve loop on the well-known
+  ``"directory"`` host: it takes requests off the wire one at a time,
+  hands each to its ``state`` and sends the reply.  For an update the
+  state must judge, it fetches the blob and hands the state the
+  commitment the blob opens to.
 - :class:`DirectoryClient` is what every participant holds: one
   request per verb to that host, retried with bounded backoff under a
   :class:`~repro.faults.RetryPolicy`.
 - :class:`DirectoryProfile` is the session's directory profile: the
   server's serialized ``processing_delay`` per request.
+
+The register rules:
+
+- An address keeps the CID it was first registered with.  The same CID
+  again is a retry whose ack was lost: it is acknowledged and folds
+  nothing in again.  A different CID is refused (``"conflicting
+  cid"``): its commitment would enter the product while the lookup
+  served only one of the two.
+- A gradient that arrives after its iteration's cutoff (t_train) is
+  refused (``"past t_train"``).
+- A global update: the first entry not rejected wins.  Its own uploader
+  re-announcing it is a retry; any other is refused (``"duplicate"``).
+- A batch carries gradients only.  A batch with any other record is
+  refused (``"gradients only"``), as is one whose CID accumulation does
+  not match (``"bad accumulation"``); otherwise each record follows the
+  rules above and the batch is accepted only if every record is.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..crypto import Commitment
 from ..faults.retry import RetryExhaustedError, RetryPolicy
 from ..ipfs import CID, DHT, IPFSClient
 from ..net import Message, Transport
+from ..obs.bus import EventBus
 from ..obs.events import (
     CommitmentAccumulated,
     DirectoryRequest,
@@ -41,7 +64,7 @@ from .addressing import Address, GRADIENT, PARTIAL_UPDATE, UPDATE
 from .verification import PartitionCommitter
 
 __all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryProfile",
-           "DirectoryService", "RejectionRecord"]
+           "DirectoryService", "DirectoryState", "RejectionRecord"]
 
 #: The well-known host the directory runs on.
 DIRECTORY_HOST = "directory"
@@ -92,7 +115,6 @@ class DirectoryEntry:
     address: Address
     cid: CID
     commitment: Optional[Commitment]
-    registered_at: float
     #: Updates only: None = pending verification, True/False = outcome.
     verified: Optional[bool] = None
 
@@ -103,97 +125,171 @@ class RejectionRecord:
 
     address: Address
     reason: str
-    rejected_at: float
 
 
-@dataclass
-class _PartitionAccumulator:
-    """Running commitment products for one (partition, iteration)."""
+class DirectoryState:
+    """The directory's rules (the module docstring lists them), with no
+    simulator, wire or clock.
 
-    total: Commitment
-    count: int = 0
-    per_aggregator: Dict[str, Commitment] = field(default_factory=dict)
-    per_aggregator_count: Dict[str, int] = field(default_factory=dict)
+    Entries live per ``(partition, iteration, kind)`` key, address ->
+    entry, in first-registration order, and again per iteration for
+    garbage collection.  One ``(partition, iteration, scope)`` map holds
+    the product and count of the gradient commitments accumulated for a
+    partition (scope ``None``) and for each aggregator's trainer subset
+    (scope = the aggregator, Sec. IV-B).  Events go to ``bus`` at the
+    ``now`` the verb was given.
+    """
 
-
-class DirectoryService:
-    """The bootstrapper-run metadata server."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        transport: Transport,
-        dht: DHT,
-        committers: Optional[Dict[int, PartitionCommitter]] = None,
-        trainer_assignment: Optional[Dict[Tuple[str, int], str]] = None,
-        verifiable: bool = False,
-        processing_delay: float = 0.0,
-    ):
-        """
-        Parameters
-        ----------
-        committers:
-            partition_id -> :class:`PartitionCommitter`; required when
-            ``verifiable``.
-        trainer_assignment:
-            ``(trainer_id, partition_id) -> aggregator_id``; lets the
-            directory maintain per-aggregator accumulated commitments
-            (Sec. IV-B) and answer takeover lookups.
-        processing_delay:
-            Simulated seconds of serialized server work per request.
-            Zero by default; set it to study the directory as a
-            bottleneck (the Sec. VI load concern) — requests then queue
-            behind each other.
-        """
+    def __init__(self, bus: EventBus,
+                 committers: Dict[int, PartitionCommitter],
+                 trainer_assignment: Dict[Tuple[str, int], str],
+                 verifiable: bool):
+        """``committers`` maps partition -> :class:`PartitionCommitter`
+        (the products' curve); ``trainer_assignment`` maps
+        ``(trainer_id, partition_id) -> aggregator_id`` (the
+        per-aggregator products and the lookup's filter).  When
+        ``verifiable``, a global update is served only once
+        :meth:`verdict` accepts it."""
         if verifiable and not committers:
             raise ValueError("verifiable mode needs partition committers")
-        if processing_delay < 0:
-            raise ValueError("processing_delay must be non-negative")
-        self.sim = sim
-        self.name = DIRECTORY_HOST
+        self.bus = bus
+        self.committers = committers
+        self.trainer_assignment = trainer_assignment
         self.verifiable = verifiable
-        self.processing_delay = processing_delay
-        self.committers = committers or {}
-        self.trainer_assignment = trainer_assignment or {}
-        self._entries: Dict[Address, DirectoryEntry] = {}
-        #: ``_entries`` bucketed the two ways it is asked for, so a lookup
-        #: costs its answer and GC costs the old rounds — not every entry
-        #: ever registered.  Buckets are address-keyed like ``_entries``:
-        #: a re-registration replaces the entry in its first-insertion
-        #: position, which is the order lookups have always replied in.
         self._by_key: Dict[Tuple[int, int, str],
                            Dict[Address, DirectoryEntry]] = {}
         self._by_iteration: Dict[int, Dict[Address, DirectoryEntry]] = {}
-        self._accumulators: Dict[Tuple[int, int], _PartitionAccumulator] = {}
+        self._products: Dict[Tuple[int, int, Optional[str]],
+                             Tuple[Commitment, int]] = {}
         #: iteration -> gradient-registration cutoff (the schedule's
         #: t_train).  Closes the race between a late-straddling upload
         #: and the aggregators' final post-deadline poll: a gradient
         #: commitment must never enter the accumulated product unless the
         #: aggregators can still see it.
         self._gradient_cutoff: Dict[int, float] = {}
+        #: Updates accepted in verifiable mode and not yet handed out for
+        #: fetching, oldest first: whoever serves the state fetches each
+        #: one and calls :meth:`verdict`.
+        self.to_verify: Deque[DirectoryEntry] = deque()
         #: Updates that failed verification.
         self.rejections: List[RejectionRecord] = []
-        #: Query counters (Sec. VI worries about directory load).
-        self.register_count = 0
-        self.lookup_count = 0
-        self.endpoint = transport.endpoint(self.name)
-        self.endpoint._take = self._take
-        self._ipfs = IPFSClient(self.name, transport, dht)
-        #: Requests that arrived while the serve loop was busy, in order.
-        self._backlog: Deque[Message] = deque()
-        #: What the serve loop waits on: pending while it is idle.
-        self._next = sim.event()
-        self._server = sim.process(self._serve(),
-                                   name=f"directory:{self.name}")
 
-    # -- local inspection (no network; used by the session and tests) -----------
+    # -- the verbs ------------------------------------------------------------
+
+    def register(self, address: Address, cid: CID,
+                 commitment: Optional[Commitment], now: float) -> dict:
+        """Register one object; the ack payload."""
+        if address.kind == UPDATE:
+            reason = self._update(address, cid, commitment)
+        else:
+            reason = self._record(address, cid, commitment, now)
+        if reason is None:
+            return {"accepted": True}
+        return {"accepted": False, "reason": reason}
+
+    def register_batch(self, records: List[dict], accumulation: bytes,
+                       now: float) -> dict:
+        """Register a trainer's gradient partitions at once (Sec. VI
+        batching), integrity-bound by ``accumulation`` over their CIDs;
+        the ack payload."""
+        from .offload import accumulate_cids  # local import: avoid cycle
+
+        if accumulate_cids([record["cid"] for record in records]) \
+                != accumulation:
+            return {"accepted": False, "reason": "bad accumulation"}
+        if any(record["address"].kind != GRADIENT for record in records):
+            return {"accepted": False, "reason": "gradients only"}
+        accepted = True
+        for record in records:
+            accepted &= self._record(record["address"], record["cid"],
+                                     record.get("commitment"), now) is None
+        return {"accepted": accepted}
+
+    def lookup(self, partition_id: int, iteration: int, kind: str,
+               aggregator_id: Optional[str]) -> List[dict]:
+        """One key's visible entries as reply rows, in registration
+        order.  An update is visible once it is verified; with
+        ``aggregator_id``, gradients are only those of its trainers."""
+        bucket = self._by_key.get((partition_id, iteration, kind))
+        if not bucket:
+            return []
+        entries = bucket.values()
+        if kind == UPDATE:
+            entries = [entry for entry in entries if entry.verified is True]
+        elif kind == GRADIENT and aggregator_id is not None:
+            assigned = self.trainer_assignment.get
+            entries = [
+                entry for entry in entries
+                if assigned((entry.address.uploader_id, partition_id))
+                == aggregator_id
+            ]
+        return [{"uploader_id": entry.address.uploader_id,
+                 "cid": entry.cid, "commitment": entry.commitment}
+                for entry in entries]
+
+    def accumulated(self, partition_id: int, iteration: int,
+                    aggregator_id: Optional[str]) -> dict:
+        """The product and contributor count of the gradient commitments
+        of a partition (``aggregator_id`` None) or of one aggregator's
+        trainers."""
+        product, count = self._products.get(
+            (partition_id, iteration, aggregator_id), (None, 0))
+        return {"commitment": product, "count": count}
+
+    def verdict(self, address: Address, claimed: Optional[Commitment],
+                claimed_counter: float, now: float) -> None:
+        """Judge the pending update at ``address`` by the commitment its
+        blob opened to (``claimed``, summing ``claimed_counter``
+        gradients): served if that is the partition's accumulated
+        product, rejected if not or if nothing was accumulated."""
+        entry = self._by_key[
+            (address.partition_id, address.iteration, UPDATE)][address]
+        expected, count = self._products.get(
+            (address.partition_id, address.iteration, None), (None, 0))
+        if not count:
+            self.reject(address, "no gradient commitments accumulated", now)
+            return
+        ok = claimed == expected
+        bus = self.bus
+        if bus.wants(UpdateVerified):
+            bus.publish(UpdateVerified(
+                at=now, iteration=address.iteration,
+                partition_id=address.partition_id,
+                aggregator=address.uploader_id,
+                ok=ok, expected_count=count,
+                claimed_counter=claimed_counter,
+                expected_commitment=expected,
+                claimed_commitment=claimed,
+                cid=str(entry.cid),
+            ))
+        if ok:
+            entry.verified = True
+        else:
+            self.reject(
+                address, "commitment mismatch (dropped or altered gradients)",
+                now)
+
+    def reject(self, address: Address, reason: str, now: float) -> None:
+        """Reject the pending update at ``address``: it is never served."""
+        self._by_key[(address.partition_id, address.iteration, UPDATE)][
+            address].verified = False
+        self.rejections.append(RejectionRecord(address=address,
+                                               reason=reason))
+        bus = self.bus
+        if bus.wants(VerificationFailed):
+            bus.publish(VerificationFailed(
+                at=now, iteration=address.iteration,
+                label=str(address), scope="update",
+                partition_id=address.partition_id,
+                aggregator=address.uploader_id,
+                reason=reason,
+            ))
+
+    # -- local inspection (no wire; the session and tests) --------------------
 
     def begin_iteration(self, iteration: int, t_train: float) -> None:
         """Arm the gradient-registration cutoff for ``iteration``."""
         self._gradient_cutoff[iteration] = t_train
-
-    def entry(self, address: Address) -> Optional[DirectoryEntry]:
-        return self._entries.get(address)
 
     def entries_for(self, partition_id: int, iteration: int,
                     kind: str) -> List[DirectoryEntry]:
@@ -210,56 +306,132 @@ class DirectoryService:
             for entry in self._by_iteration[older].values()
         ]
 
+    # -- the rules ------------------------------------------------------------
+
+    def _record(self, address: Address, cid: CID,
+                commitment: Optional[Commitment],
+                now: float) -> Optional[str]:
+        """Record a gradient or a partial update; why it is refused, or
+        None."""
+        bucket = self._by_key.get(
+            (address.partition_id, address.iteration, address.kind))
+        existing = bucket.get(address) if bucket else None
+        if existing is not None:
+            # A retry folds nothing in again: a commitment accumulated
+            # twice would poison verification.
+            return None if existing.cid == cid else "conflicting cid"
+        cutoff = self._gradient_cutoff.get(address.iteration)
+        if address.kind == GRADIENT and cutoff is not None and now > cutoff:
+            return "past t_train"
+        self._store(DirectoryEntry(address, cid, commitment))
+        if address.kind == PARTIAL_UPDATE:
+            return None
+        bus = self.bus
+        if bus.wants(GradientRegistered):
+            bus.publish(GradientRegistered(
+                at=now, iteration=address.iteration,
+                uploader=address.uploader_id,
+                partition_id=address.partition_id,
+                cid=str(cid),
+            ))
+        if commitment is None:
+            return None
+        partition, iteration = address.partition_id, address.iteration
+        total, count = self._fold((partition, iteration, None), commitment)
+        aggregator_id = self.trainer_assignment.get(
+            (address.uploader_id, partition))
+        if bus.wants(CommitmentAccumulated):
+            bus.publish(CommitmentAccumulated(
+                at=now, iteration=iteration, partition_id=partition,
+                uploader=address.uploader_id, aggregator=aggregator_id,
+                commitment=commitment, accumulated=total, count=count,
+            ))
+        if aggregator_id is not None:
+            self._fold((partition, iteration, aggregator_id), commitment)
+        return None
+
+    def _update(self, address: Address, cid: CID,
+                commitment: Optional[Commitment]) -> Optional[str]:
+        """Record a global update; why it is refused, or None."""
+        bucket = self._by_key.get(
+            (address.partition_id, address.iteration, UPDATE))
+        kept = [entry for entry in bucket.values()
+                if entry.verified is not False] if bucket else []
+        if kept:
+            # Its uploader re-announcing the kept entry is a retry (lost
+            # ack), not a losing race.
+            if any(entry.address == address and entry.cid == cid
+                   for entry in kept):
+                return None
+            return "duplicate"
+        entry = DirectoryEntry(address, cid, commitment,
+                               verified=None if self.verifiable else True)
+        self._store(entry)
+        if self.verifiable:
+            self.to_verify.append(entry)
+        return None
+
     def _store(self, entry: DirectoryEntry) -> None:
-        """Record ``entry`` under its address in every index."""
+        """Record ``entry`` under its address in both indexes (a rejected
+        update's successor at its address keeps its slot)."""
         address = entry.address
-        self._entries[address] = entry
         key = (address.partition_id, address.iteration, address.kind)
         self._by_key.setdefault(key, {})[address] = entry
         self._by_iteration.setdefault(address.iteration, {})[address] = entry
 
+    def _fold(self, key: Tuple[int, int, Optional[str]],
+              commitment: Commitment) -> Tuple[Commitment, int]:
+        """Fold ``commitment`` into the product at ``key``; the new
+        (product, count)."""
+        product, count = self._products.get(key, (None, 0))
+        if product is None:
+            product = Commitment.identity(self.committers[key[0]].curve)
+        folded = self._products[key] = (product.combine(commitment),
+                                        count + 1)
+        return folded
+
+
+class DirectoryService:
+    """The bootstrapper-run directory server: the serve loop around one
+    :class:`DirectoryState` (``state``), which sessions and tests read
+    directly."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        transport: Transport,
+        dht: DHT,
+        committers: Optional[Dict[int, PartitionCommitter]] = None,
+        trainer_assignment: Optional[Dict[Tuple[str, int], str]] = None,
+        verifiable: bool = False,
+        processing_delay: float = 0.0,
+    ):
+        """``committers``, ``trainer_assignment`` and ``verifiable`` are
+        the :class:`DirectoryState`'s.  ``processing_delay`` is the
+        simulated seconds of serialized server work per request (the
+        Sec. VI load concern): requests queue behind it."""
+        if processing_delay < 0:
+            raise ValueError("processing_delay must be non-negative")
+        self.state = DirectoryState(sim.bus, committers or {},
+                                    trainer_assignment or {}, verifiable)
+        self.sim = sim
+        self.name = DIRECTORY_HOST
+        self.processing_delay = processing_delay
+        #: Query counters (Sec. VI worries about directory load).
+        self.register_count = 0
+        self.lookup_count = 0
+        self.endpoint = transport.endpoint(self.name)
+        self.endpoint._take = self._take
+        self._ipfs = IPFSClient(self.name, transport, dht)
+        #: Requests that arrived while the serve loop was busy, in order.
+        self._backlog: Deque[Message] = deque()
+        #: What the serve loop waits on: pending while it is idle.
+        self._next = sim.event()
+        sim.process(self._serve(), name=f"directory:{self.name}")
+
     def inbox_depth(self) -> int:
         """Requests queued behind the serve loop (load telemetry)."""
         return len(self._backlog) + len(self.endpoint.inbox.items)
-
-    def accumulated_commitment(
-        self, partition_id: int, iteration: int,
-        aggregator_id: Optional[str] = None,
-    ) -> Tuple[Optional[Commitment], int]:
-        """(product, contributor count) for a partition or one aggregator."""
-        accumulator = self._accumulators.get((partition_id, iteration))
-        if accumulator is None:
-            return None, 0
-        if aggregator_id is None:
-            return accumulator.total, accumulator.count
-        return (accumulator.per_aggregator.get(aggregator_id),
-                accumulator.per_aggregator_count.get(aggregator_id, 0))
-
-    # -- server -------------------------------------------------------------------
-
-    def _serve(self):
-        """Serve requests one at a time, in arrival order."""
-        while True:
-            message = yield self._next
-            bus = self.sim.bus
-            if bus.wants(DirectoryRequest):
-                bus.publish(DirectoryRequest(at=self.sim.now,
-                                             kind=message.kind))
-            if self.processing_delay > 0:
-                # Serialized server work: requests queue behind it.
-                yield self.sim.timeout(self.processing_delay)
-            if message.kind == KIND_REGISTER:
-                self._handle_register(message)
-            elif message.kind == KIND_REGISTER_BATCH:
-                self._handle_register_batch(message)
-            elif message.kind == KIND_LOOKUP:
-                self._handle_lookup(message)
-            elif message.kind == KIND_ACCUMULATED:
-                self._handle_accumulated(message)
-            self._next = self.sim.event()
-            if self._backlog:
-                self.sim.dispatch_in_place(self._next,
-                                           self._backlog.popleft())
 
     def _take(self, message: Message) -> bool:
         """The endpoint's server hook: resume the idle serve loop in
@@ -272,260 +444,67 @@ class DirectoryService:
             self.sim.dispatch_in_place(self._next, message)
         return True
 
-    def _handle_register(self, message: Message) -> None:
-        """Gradients and partial updates are answered on the spot; a
-        global update may have to be fetched and verified first, which
-        takes simulated time, so only that one runs as a process."""
-        payload = message.payload
-        address: Address = payload["address"]
-        cid: CID = payload["cid"]
-        commitment: Optional[Commitment] = payload.get("commitment")
-        self.register_count += 1
+    def _serve(self):
+        """Serve requests one at a time, in arrival order: one state verb
+        and one reply each."""
+        sim, state = self.sim, self.state
+        while True:
+            message = yield self._next
+            bus = sim.bus
+            if bus.wants(DirectoryRequest):
+                bus.publish(DirectoryRequest(at=sim.now, kind=message.kind))
+            if self.processing_delay > 0:
+                # Serialized server work: requests queue behind it.
+                yield sim.timeout(self.processing_delay)
+            kind, query = message.kind, message.payload
+            if kind == KIND_LOOKUP:
+                self.lookup_count += 1
+                reply = state.lookup(query["partition_id"],
+                                     query["iteration"], query["kind"],
+                                     query.get("aggregator_id"))
+                reply_kind = KIND_LOOKUP_REPLY
+                size = ENTRY_WIRE_SIZE * max(1, len(reply))
+            elif kind == KIND_ACCUMULATED:
+                reply = state.accumulated(query["partition_id"],
+                                          query["iteration"],
+                                          query.get("aggregator_id"))
+                reply_kind, size = KIND_ACCUMULATED_REPLY, ENTRY_WIRE_SIZE
+            else:
+                self.register_count += 1
+                if kind == KIND_REGISTER:
+                    reply = state.register(query["address"], query["cid"],
+                                           query.get("commitment"), sim.now)
+                else:
+                    reply = state.register_batch(
+                        query["records"], query["accumulation"], sim.now)
+                reply_kind, size = KIND_REGISTER_ACK, ENTRY_WIRE_SIZE
+            self.endpoint.respond(message, reply_kind, payload=reply,
+                                  size=size)
+            # Only an update the state must judge takes simulated time
+            # (its fetch), so only it runs as a process.
+            while state.to_verify:
+                sim.process(self._verify(state.to_verify.popleft()),
+                            name="directory:verify")
+            self._next = sim.event()
+            if self._backlog:
+                sim.dispatch_in_place(self._next, self._backlog.popleft())
 
-        if address.kind == GRADIENT:
-            accepted = self._register_gradient(address, cid, commitment)
-            payload = {"accepted": accepted}
-            if not accepted:
-                payload["reason"] = "past t_train"
-            self.endpoint.respond(message, KIND_REGISTER_ACK,
-                                  payload=payload, size=ENTRY_WIRE_SIZE)
-        elif address.kind == PARTIAL_UPDATE:
-            self._store(DirectoryEntry(
-                address=address, cid=cid, commitment=commitment,
-                registered_at=self.sim.now,
-            ))
-            self.endpoint.respond(message, KIND_REGISTER_ACK,
-                                  payload={"accepted": True},
-                                  size=ENTRY_WIRE_SIZE)
-        else:
-            self.sim.process(
-                self._register_update(message, address, cid, commitment),
-                name=f"directory:{message.kind}",
-            )
-
-    def _register_update(self, message: Message, address: Address, cid: CID,
-                         commitment: Optional[Commitment]):
-        # Global update: only the first (verified) one is kept.
-        existing = [
-            entry for entry in self.entries_for(
-                address.partition_id, address.iteration, UPDATE)
-            if entry.verified is not False
-        ]
-        if existing:
-            # An uploader re-announcing its own kept entry is a retry
-            # (lost ack), not a losing race: acknowledge idempotently.
-            retried = any(
-                entry.address.uploader_id == address.uploader_id
-                and entry.cid == cid for entry in existing
-            )
-            payload = {"accepted": True} if retried else \
-                {"accepted": False, "reason": "duplicate"}
-            self.endpoint.respond(
-                message, KIND_REGISTER_ACK,
-                payload=payload, size=ENTRY_WIRE_SIZE,
-            )
-            yield self.sim.timeout(0)
-            return
-        entry = DirectoryEntry(
-            address=address, cid=cid, commitment=commitment,
-            registered_at=self.sim.now,
-            verified=None if self.verifiable else True,
-        )
-        self._store(entry)
-        self.endpoint.respond(message, KIND_REGISTER_ACK,
-                              payload={"accepted": True},
-                              size=ENTRY_WIRE_SIZE)
-        if self.verifiable:
-            yield from self._verify_update(entry)
-        else:
-            yield self.sim.timeout(0)
-
-    def _handle_register_batch(self, message: Message) -> None:
-        """Sec. VI batching: all of a trainer's gradient partitions in one
-        message, integrity-bound by an accumulation over the CIDs."""
-        from .offload import accumulate_cids  # local import: avoid cycle
-
-        payload = message.payload
-        records = payload["records"]
-        self.register_count += 1
-        expected = accumulate_cids([record["cid"] for record in records])
-        if expected != payload["accumulation"]:
-            self.endpoint.respond(
-                message, KIND_REGISTER_ACK,
-                payload={"accepted": False, "reason": "bad accumulation"},
-                size=ENTRY_WIRE_SIZE,
-            )
-            return
-        all_accepted = True
-        for record in records:
-            address: Address = record["address"]
-            if address.kind != GRADIENT:
-                continue  # batching is for gradient registrations only
-            all_accepted &= self._register_gradient(
-                address, record["cid"], record.get("commitment")
-            )
-        self.endpoint.respond(message, KIND_REGISTER_ACK,
-                              payload={"accepted": all_accepted},
-                              size=ENTRY_WIRE_SIZE)
-
-    def _register_gradient(self, address: Address, cid: CID,
-                           commitment: Optional[Commitment]) -> bool:
-        """Record a gradient; False if past the iteration's cutoff."""
-        existing = self._entries.get(address)
-        if existing is not None and existing.cid == cid:
-            # Idempotent retry: the first registration landed but its ack
-            # was lost.  Acknowledge without re-accumulating the
-            # commitment (accumulating twice would poison verification).
-            return True
-        cutoff = self._gradient_cutoff.get(address.iteration)
-        if cutoff is not None and self.sim.now > cutoff:
-            return False
-        self._store(DirectoryEntry(
-            address=address, cid=cid, commitment=commitment,
-            registered_at=self.sim.now,
-        ))
-        bus = self.sim.bus
-        if bus.wants(GradientRegistered):
-            bus.publish(GradientRegistered(
-                at=self.sim.now, iteration=address.iteration,
-                uploader=address.uploader_id,
-                partition_id=address.partition_id,
-                cid=str(cid),
-            ))
-        if commitment is None:
-            return True
-        key = (address.partition_id, address.iteration)
-        accumulator = self._accumulators.get(key)
-        if accumulator is None:
-            curve = self.committers[address.partition_id].curve
-            accumulator = _PartitionAccumulator(
-                total=Commitment.identity(curve)
-            )
-            self._accumulators[key] = accumulator
-        accumulator.total = accumulator.total.combine(commitment)
-        accumulator.count += 1
-        aggregator_id = self.trainer_assignment.get(
-            (address.uploader_id, address.partition_id)
-        )
-        if bus.wants(CommitmentAccumulated):
-            bus.publish(CommitmentAccumulated(
-                at=self.sim.now, iteration=address.iteration,
-                partition_id=address.partition_id,
-                uploader=address.uploader_id,
-                aggregator=aggregator_id,
-                commitment=commitment,
-                accumulated=accumulator.total,
-                count=accumulator.count,
-            ))
-        if aggregator_id is not None:
-            curve = self.committers[address.partition_id].curve
-            current = accumulator.per_aggregator.get(
-                aggregator_id, Commitment.identity(curve)
-            )
-            accumulator.per_aggregator[aggregator_id] = (
-                current.combine(commitment)
-            )
-            accumulator.per_aggregator_count[aggregator_id] = (
-                accumulator.per_aggregator_count.get(aggregator_id, 0) + 1
-            )
-        return True
-
-    def _reject(self, entry: DirectoryEntry, reason: str) -> None:
-        entry.verified = False
-        self.rejections.append(RejectionRecord(
-            address=entry.address, reason=reason,
-            rejected_at=self.sim.now,
-        ))
-        bus = self.sim.bus
-        if bus.wants(VerificationFailed):
-            bus.publish(VerificationFailed(
-                at=self.sim.now, iteration=entry.address.iteration,
-                label=str(entry.address), scope="update",
-                partition_id=entry.address.partition_id,
-                aggregator=entry.address.uploader_id,
-                reason=reason,
-            ))
-
-    def _verify_update(self, entry: DirectoryEntry):
-        """Download the claimed update and check the commitment product."""
-        address = entry.address
-        expected, count = self.accumulated_commitment(
-            address.partition_id, address.iteration
-        )
-        if expected is None or count == 0:
-            self._reject(entry, "no gradient commitments accumulated")
-            return
-        try:
-            blob = yield from self._ipfs.get(entry.cid)
-        except Exception as exc:  # unavailable/corrupt update
-            self._reject(entry, f"update retrieval failed: {exc}")
-            return
-        committer = self.committers[address.partition_id]
-        claimed, claimed_counter = committer.open_blob(blob)
-        ok = claimed == expected
-        bus = self.sim.bus
-        if bus.wants(UpdateVerified):
-            bus.publish(UpdateVerified(
-                at=self.sim.now, iteration=address.iteration,
-                partition_id=address.partition_id,
-                aggregator=address.uploader_id,
-                ok=ok, expected_count=count,
-                claimed_counter=claimed_counter,
-                expected_commitment=expected,
-                claimed_commitment=claimed,
-                cid=str(entry.cid),
-            ))
-        if ok:
-            entry.verified = True
-        else:
-            self._reject(
-                entry, "commitment mismatch (dropped or altered gradients)"
-            )
-
-    def _visible(self, entry: DirectoryEntry) -> bool:
-        """Updates must be verified (in verifiable mode) to be served."""
-        if entry.address.kind != UPDATE:
-            return True
-        return entry.verified is True
-
-    def _handle_lookup(self, message: Message) -> None:
-        query = message.payload
-        self.lookup_count += 1
-        results = []
-        for entry in self.entries_for(
-            query["partition_id"], query["iteration"], query["kind"]
-        ):
-            if not self._visible(entry):
-                continue
-            aggregator_filter = query.get("aggregator_id")
-            if aggregator_filter is not None \
-                    and entry.address.kind == GRADIENT:
-                assigned = self.trainer_assignment.get(
-                    (entry.address.uploader_id, entry.address.partition_id)
-                )
-                if assigned != aggregator_filter:
-                    continue
-            results.append({
-                "uploader_id": entry.address.uploader_id,
-                "cid": entry.cid,
-                "commitment": entry.commitment,
-            })
-        self.endpoint.respond(
-            message, KIND_LOOKUP_REPLY, payload=results,
-            size=ENTRY_WIRE_SIZE * max(1, len(results)),
-        )
-
-    def _handle_accumulated(self, message: Message) -> None:
-        query = message.payload
-        commitment, count = self.accumulated_commitment(
-            query["partition_id"], query["iteration"],
-            query.get("aggregator_id"),
-        )
-        self.endpoint.respond(
-            message, KIND_ACCUMULATED_REPLY,
-            payload={"commitment": commitment, "count": count},
-            size=ENTRY_WIRE_SIZE,
-        )
+    def _verify(self, entry: DirectoryEntry):
+        """Fetch an accepted update and hand the state the commitment it
+        opens to (nothing is fetched when nothing was accumulated)."""
+        state, address = self.state, entry.address
+        claimed, claimed_counter = None, 0
+        if state.accumulated(address.partition_id, address.iteration,
+                             None)["count"]:
+            try:
+                blob = yield from self._ipfs.get(entry.cid)
+            except Exception as exc:  # unavailable/corrupt update
+                state.reject(address, f"update retrieval failed: {exc}",
+                             self.sim.now)
+                return
+            claimed, claimed_counter = state.committers[
+                address.partition_id].open_blob(blob)
+        state.verdict(address, claimed, claimed_counter, self.sim.now)
 
 
 class DirectoryClient:

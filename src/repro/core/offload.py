@@ -128,7 +128,7 @@ class SnapshotPublisher:
                 "cid": entry.cid,
                 "commitment": entry.commitment,
             }
-            for entry in self.directory.entries_for(
+            for entry in self.directory.state.entries_for(
                 partition_id, iteration, GRADIENT
             )
         ]

@@ -346,7 +346,7 @@ class FLSession(Session):
         )
         # Arm the directory's gradient-registration cutoff so late
         # registrations can never enter the accumulated commitments.
-        self.directory.begin_iteration(iteration, schedule.t_train)
+        self.directory.state.begin_iteration(iteration, schedule.t_train)
         return schedule
 
     def _round(self, iteration: int, schedule: IterationSchedule):
@@ -479,7 +479,7 @@ class FLSession(Session):
         the number of bytes reclaimed network-wide.
         """
         cutoff = self._iteration - keep_iterations
-        for entry in self.directory.entries_before(cutoff):
+        for entry in self.directory.state.entries_before(cutoff):
             for node in self.nodes:
                 node.unpin_object(entry.cid)
         reclaimed = 0.0

@@ -1,9 +1,20 @@
-"""Integration tests for the directory service over the emulated network."""
+"""The directory: its serve loop over the emulated network, and its
+state (:class:`~repro.core.directory.DirectoryState`) against a
+plain-dict model, with no simulator."""
+
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core import (
     Address,
@@ -12,11 +23,22 @@ from repro.core import (
     UPDATE,
     PartitionCommitter,
 )
-from repro.core.directory import DirectoryClient, DirectoryService
-from repro.crypto import Commitment, PedersenParams
-from repro.crypto.curves import SECP256K1
+from repro.core.directory import (
+    DirectoryClient,
+    DirectoryService,
+    DirectoryState,
+)
+from repro.core.offload import accumulate_cids
+from repro.crypto import Commitment
 from repro.ipfs import DHT, IPFSClient, IPFSNode, compute_cid
 from repro.net import Network, Transport, mbps
+from repro.obs import EventBus
+from repro.obs.events import (
+    CommitmentAccumulated,
+    GradientRegistered,
+    UpdateVerified,
+    VerificationFailed,
+)
 from repro.sim import Simulator
 
 
@@ -88,6 +110,7 @@ def test_lookup_filters_by_partition_iteration_kind():
     p0_i0, p1_i0, p0_i1, updates = run(sim, scenario())
     assert len(p0_i0) == len(p1_i0) == len(p0_i1) == 1
     assert updates == []
+    assert (directory.register_count, directory.lookup_count) == (3, 4)
 
 
 def test_lookup_filters_by_aggregator():
@@ -183,7 +206,7 @@ def test_update_verification_accepts_honest_aggregate():
 
     results = run(sim, scenario(sim))
     assert len(results) == 1
-    assert not directory.rejections
+    assert not directory.state.rejections
 
 
 def test_update_verification_rejects_dropped_gradient():
@@ -218,8 +241,8 @@ def test_update_verification_rejects_dropped_gradient():
 
     results = run(sim, scenario(sim))
     assert results == []  # rejected updates stay invisible
-    assert len(directory.rejections) == 1
-    assert "mismatch" in directory.rejections[0].reason
+    assert len(directory.state.rejections) == 1
+    assert "mismatch" in directory.state.rejections[0].reason
 
 
 def test_update_first_wins_duplicates_refused():
@@ -260,13 +283,12 @@ def test_partial_updates_stored_without_verification():
     assert len(results) == 1
 
 
-def test_only_a_global_update_registration_runs_as_a_process(monkeypatch):
-    """Gradient and partial-update registrations never wait, so the
-    server answers them inline: no process, no zero-delay timeout.  A
-    global update may be fetched and verified, and stays a process."""
-    sim, transport, dht, node, directory, committer = make_world()
-    client = DirectoryClient("client-0", transport)
-    cid = node.store_object(b"data")
+def test_only_a_verifiable_update_registration_runs_as_a_process(
+        monkeypatch):
+    """Every registration is answered inline: no process, no zero-delay
+    timeout.  Only an update the directory must verify spawns one, for
+    its fetch (here nothing was accumulated, so it is rejected without
+    one)."""
     spawned, timeouts = [], []
     process, timeout = Simulator.process, Simulator.timeout
 
@@ -281,16 +303,77 @@ def test_only_a_global_update_registration_runs_as_a_process(monkeypatch):
     monkeypatch.setattr(Simulator, "process", counting_process)
     monkeypatch.setattr(Simulator, "timeout", counting_timeout)
     served = {}
-    for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
-        del spawned[:], timeouts[:]
-        ack = run(sim, client.register(Address("agg-a", 0, 0, kind), cid))
-        assert ack["accepted"]
-        served[kind] = (spawned[1:], len(timeouts))  # [0]: run()'s own
+    for verifiable in (False, True):
+        sim, transport, dht, node, directory, committer = make_world(
+            verifiable=verifiable)
+        client = DirectoryClient("client-0", transport)
+        cid = node.store_object(b"data")
+        for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
+            del spawned[:], timeouts[:]
+            ack = run(sim, client.register(Address("agg-a", 0, 0, kind),
+                                           cid))
+            assert ack["accepted"]
+            # spawned[0] is run()'s own process.
+            served[kind, verifiable] = (spawned[1:], len(timeouts))
+        assert directory.register_count == 3
     # Every kind pays the wakeups of its request and its ack; the
     # scheduler's settles are end-of-instant hooks, not timeouts.
-    assert served[GRADIENT] == served[PARTIAL_UPDATE] == ([], 2)
-    assert served[UPDATE] == (["directory:dir.register"], 3)
-    assert directory.register_count == 3
+    verified = served.pop((UPDATE, True))
+    assert list(served.values()) == [([], 2)] * 5
+    assert verified == (["directory:verify"], 2)
+    assert [rejection.reason for rejection in directory.state.rejections] \
+        == ["no gradient commitments accumulated"]
+
+
+def test_an_address_keeps_the_cid_it_was_first_registered_with():
+    """A second CID for a registered gradient or partial update is
+    refused, so the lookup serves the first and the product holds only
+    the first commitment: the one an honest aggregator's sum opens to.
+    The first CID again is still a retry."""
+    sim, transport, dht, node, directory, committer = make_world(
+        verifiable=True)
+    client = DirectoryClient("client-0", transport)
+    first, second = node.store_object(b"A"), node.store_object(b"B")
+    _, c_first = committer.encode_and_commit(np.ones(PARTITION_LEN))
+    _, c_second = committer.encode_and_commit(np.full(PARTITION_LEN, 2.0))
+
+    def scenario():
+        acks = []
+        for kind, commitments in ((GRADIENT, (c_first, c_second, c_first)),
+                                  (PARTIAL_UPDATE, (None,) * 3)):
+            for cid, commitment in zip((first, second, first), commitments):
+                acks.append((yield from client.register(
+                    Address("t0", 0, 0, kind), cid, commitment)))
+        gradients = yield from client.lookup(0, 0, GRADIENT)
+        partials = yield from client.lookup(0, 0, PARTIAL_UPDATE)
+        total = yield from client.accumulated(0, 0)
+        return acks, gradients + partials, total
+
+    acks, rows, total = run(sim, scenario())
+    refused = {"accepted": False, "reason": "conflicting cid"}
+    assert acks == [{"accepted": True}, refused, {"accepted": True}] * 2
+    assert [row["cid"] for row in rows] == [first, first]
+    assert total == (Commitment.product([c_first], committer.curve), 1)
+
+
+def test_a_batch_holding_anything_but_gradients_is_refused():
+    """Batching is for gradients: a batch with any other record is
+    refused with a reason, and none of its records is registered."""
+    sim, transport, dht, node, directory, committer = make_world()
+    client = DirectoryClient("client-0", transport)
+    cid = node.store_object(b"data")
+
+    def scenario():
+        ack = yield from client.register_batch([
+            {"address": Address("t0", 0, 0, GRADIENT), "cid": cid},
+            {"address": Address("t0", 0, 0, PARTIAL_UPDATE), "cid": cid},
+        ])
+        gradients = yield from client.lookup(0, 0, GRADIENT)
+        partials = yield from client.lookup(0, 0, PARTIAL_UPDATE)
+        return ack, gradients + partials
+
+    assert run(sim, scenario()) \
+        == ({"accepted": False, "reason": "gradients only"}, [])
 
 
 def test_verifiable_requires_committers():
@@ -303,256 +386,327 @@ def test_verifiable_requires_committers():
         DirectoryService(sim, transport, dht, verifiable=True)
 
 
-def test_indexed_entries_equal_the_brute_force_filter():
-    """``entries_for`` / ``entries_before`` answer from per-key indexes;
-    every answer must be the filter over all entries it replaced, element
-    for element — including the slot a re-registration keeps."""
-    sim, transport, dht, node, directory, committer = make_world()
-    client = DirectoryClient("client-0", transport)
-    cids = [node.store_object(f"blob-{i}".encode()) for i in range(8)]
-
-    def scenario():
-        # Interleave iterations, partitions and kinds.
-        for iteration in (0, 1):
-            for uploader in ("t0", "t1", "t2"):
-                yield from client.register(
-                    Address(uploader, iteration % 2, iteration, GRADIENT),
-                    cids[0])
-            yield from client.register_batch([
-                {"address": Address("t3", partition, iteration, GRADIENT),
-                 "cid": cids[1 + partition]}
-                for partition in (0, 1)
-            ])
-            yield from client.register(
-                Address("agg-0", 0, iteration, PARTIAL_UPDATE), cids[3])
-            yield from client.register(
-                Address("agg-0", 0, iteration, UPDATE), cids[4])
-        # Re-registrations: an idempotent retry (same CID), a replacement
-        # (new CID, same address) and a late entry for the older round.
-        yield from client.register(Address("t1", 0, 0, GRADIENT), cids[0])
-        yield from client.register(Address("t0", 0, 0, GRADIENT), cids[5])
-        yield from client.register(
-            Address("agg-0", 0, 0, PARTIAL_UPDATE), cids[6])
-        yield from client.register(Address("t9", 0, 0, GRADIENT), cids[7])
-
-    run(sim, scenario())
-    everything = list(directory._entries.values())
-    assert len(everything) == 15
-    assert directory.entry(Address("t0", 0, 0, GRADIENT)).cid == cids[5]
-    for partition in (0, 1, 2):
-        for iteration in (0, 1, 2):
-            for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
-                brute = [
-                    entry for entry in everything
-                    if entry.address.partition_id == partition
-                    and entry.address.iteration == iteration
-                    and entry.address.kind == kind
-                ]
-                indexed = directory.entries_for(partition, iteration, kind)
-                assert [id(e) for e in indexed] == [id(e) for e in brute]
-    # The replaced entry kept t0's first slot, ahead of t1 and t2.
-    assert [entry.address.uploader_id
-            for entry in directory.entries_for(0, 0, GRADIENT)] \
-        == ["t0", "t1", "t2", "t3", "t9"]
-    for cutoff in (0, 1, 2, 3):
-        brute = [entry for entry in everything
-                 if entry.address.iteration < cutoff]
-        # Oldest iteration first; stable within one iteration.
-        brute.sort(key=lambda entry: entry.address.iteration)
-        indexed = directory.entries_before(cutoff)
-        assert [id(e) for e in indexed] == [id(e) for e in brute]
-
-
-# -- the one client against a plain-dict model ---------------------------------------
+# -- the state against a plain-dict model -------------------------------------
 
 UPLOADERS = ["t0", "t1", "t2", "t3"]
+PARTITIONS = 2
 ASSIGNMENT = {(uploader, partition): f"agg-{index % 2}"
               for index, uploader in enumerate(UPLOADERS)
-              for partition in range(3)}
+              for partition in range(PARTITIONS)}
+KINDS = [GRADIENT, PARTIAL_UPDATE, UPDATE]
+SCOPES = [None, "agg-0", "agg-1"]
 #: Blob ``b``'s CID, and the vector its gradient commitment commits to.
 CIDS = [compute_cid(b"blob-%d" % blob) for blob in range(4)]
-VECTORS = [[blob + 1, 2, 3, 4] for blob in range(4)]
-#: The iteration whose gradient cutoff is armed at t = 0.
-LATE = 1
-_PARAMS = []
+VECTORS = [(blob + 1, 2, 3, 4) for blob in range(4)]
+_COMMITTER = []
 
 
-def _pedersen_params():
-    if not _PARAMS:
-        _PARAMS.append(PedersenParams.setup(SECP256K1, PARTITION_LEN))
-    return _PARAMS[0]
+def _committer():
+    if not _COMMITTER:
+        _COMMITTER.append(PartitionCommitter(PARTITION_LEN))
+    return _COMMITTER[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _commit(vector):
+    """The commitment to ``vector``.  An unblinded Pedersen commitment
+    is additively homomorphic, so the product of the gradients'
+    commitments must equal the commitment of their summed vectors."""
+    return _committer().params.commit(list(vector))
+
+
+def _ack(reason):
+    return {"accepted": True} if reason is None \
+        else {"accepted": False, "reason": reason}
 
 
 class DirectoryModel:
-    """What the directory should answer, kept in plain dicts.
+    """What the directory should hold, in plain dicts.
 
-    Entries live per ``(partition, iteration, kind)`` key, address ->
-    CID, in first-registration order.  Accumulated commitments are kept
-    as summed vectors: an unblinded Pedersen commitment is additively
-    homomorphic, so the product of the commitments must equal the
-    commitment of the sum.  Iteration :data:`LATE`'s gradient cutoff
-    has passed, so none of its gradients is accepted.
+    ``entries`` maps ``(partition, iteration, kind)`` to address ->
+    ``[CID, verified]`` in first-registration order, and ``iterations``
+    each iteration to its addresses in that order; ``sums`` maps
+    ``(partition, iteration, scope)`` to the summed vector and count of
+    the gradients accumulated there.  ``events`` is what the bus should
+    have carried.
     """
 
-    def __init__(self):
+    def __init__(self, verifiable):
+        self.verifiable = verifiable
         self.entries = {}
+        self.iterations = {}
         self.sums = {}
-        self.registers = 0
-        self.lookups = 0
+        self.cutoffs = {}
+        self.pending = []
+        self.rejections = []
+        self.events = []
 
-    def _gradient(self, address, blob):
-        key = (address.partition_id, address.iteration, GRADIENT)
-        bucket = self.entries.setdefault(key, {})
-        if bucket.get(address) == CIDS[blob]:
-            return True  # an idempotent retry folds nothing in
-        if address.iteration == LATE:
-            return False
-        bucket[address] = CIDS[blob]
-        aggregator = ASSIGNMENT[(address.uploader_id, address.partition_id)]
-        for scope in (None, aggregator):
-            vector, count = self.sums.get(
-                (address.partition_id, address.iteration, scope),
-                ([0] * PARTITION_LEN, 0))
-            self.sums[(address.partition_id, address.iteration, scope)] = (
-                [a + b for a, b in zip(vector, VECTORS[blob])], count + 1)
-        return True
+    def _store(self, address, blob, verified):
+        key = (address.partition_id, address.iteration, address.kind)
+        self.entries.setdefault(key, {})[address] = [CIDS[blob], verified]
+        self.iterations.setdefault(address.iteration, {})[address] = key
 
-    def register(self, address, blob):
-        self.registers += 1
-        if address.kind == GRADIENT:
-            if self._gradient(address, blob):
-                return {"accepted": True}
-            return {"accepted": False, "reason": "past t_train"}
-        bucket = self.entries.setdefault(
+    def register(self, address, blob, now):
+        """Why the registration is refused, or None."""
+        bucket = self.entries.get(
             (address.partition_id, address.iteration, address.kind), {})
-        if address.kind == UPDATE and bucket:
-            # First update wins; its own uploader re-announcing it is a
-            # retry.
-            if bucket.get(address) == CIDS[blob]:
-                return {"accepted": True}
-            return {"accepted": False, "reason": "duplicate"}
-        bucket[address] = CIDS[blob]
-        return {"accepted": True}
+        if address.kind == UPDATE:
+            kept = {kept: cid for kept, (cid, verified) in bucket.items()
+                    if verified is not False}
+            if kept:
+                return None if kept.get(address) == CIDS[blob] \
+                    else "duplicate"
+            self._store(address, blob, None if self.verifiable else True)
+            if self.verifiable:
+                self.pending.append(address)
+            return None
+        if address in bucket:
+            return None if bucket[address][0] == CIDS[blob] \
+                else "conflicting cid"
+        if address.kind == PARTIAL_UPDATE:
+            self._store(address, blob, None)
+            return None
+        if now > self.cutoffs.get(address.iteration, now):
+            return "past t_train"
+        self._store(address, blob, None)
+        partition, iteration = address.partition_id, address.iteration
+        self.events.append(("registered", now, address))
+        aggregator = ASSIGNMENT[(address.uploader_id, partition)]
+        for scope in (None, aggregator):
+            vector, count = self.sums.get((partition, iteration, scope),
+                                          ((0,) * PARTITION_LEN, 0))
+            self.sums[partition, iteration, scope] = (
+                tuple(a + b for a, b in zip(vector, VECTORS[blob])),
+                count + 1)
+        self.events.append(("accumulated", now, address, aggregator,
+                            self.sums[partition, iteration, None][1]))
+        return None
 
-    def register_batch(self, rows):
-        self.registers += 1
-        accepted = True
-        for address, blob in rows:
-            accepted &= self._gradient(address, blob)
-        return {"accepted": accepted}
+    def register_batch(self, rows, intact, now):
+        if not intact:
+            return _ack("bad accumulation")
+        if any(address.kind != GRADIENT for address, _ in rows):
+            return _ack("gradients only")
+        reasons = [self.register(address, blob, now)
+                   for address, blob in rows]
+        return {"accepted": all(reason is None for reason in reasons)}
 
     def lookup(self, partition, iteration, kind, aggregator):
-        self.lookups += 1
         return [
-            (address.uploader_id, str(cid))
-            for address, cid in self.entries.get(
+            (address.uploader_id, cid)
+            for address, (cid, verified) in self.entries.get(
                 (partition, iteration, kind), {}).items()
-            if aggregator is None or kind != GRADIENT or aggregator
-            == ASSIGNMENT[(address.uploader_id, partition)]
+            if (kind != UPDATE or verified is True)
+            and (kind != GRADIENT or aggregator is None or aggregator
+                 == ASSIGNMENT[(address.uploader_id, partition)])
         ]
 
-    def accumulated(self, partition, iteration, aggregator):
-        vector, count = self.sums.get((partition, iteration, aggregator),
+    def accumulated(self, partition, iteration, scope):
+        vector, count = self.sums.get((partition, iteration, scope),
                                       (None, 0))
-        if vector is None:
-            return None, 0
-        return _pedersen_params().commit(vector).to_bytes(), count
+        return (None if vector is None else _commit(vector)), count
+
+    def reject(self, address, reason, now):
+        key = (address.partition_id, address.iteration, UPDATE)
+        self.entries[key][address][1] = False
+        self.rejections.append((address, reason))
+        self.events.append(("failed", now, str(address), reason))
+
+    def verdict(self, address, honest, now):
+        _, count = self.sums.get(
+            (address.partition_id, address.iteration, None), (None, 0))
+        if not count:
+            self.reject(address, "no gradient commitments accumulated", now)
+            return
+        self.events.append(("verified", now, address, honest, count))
+        if honest:
+            key = (address.partition_id, address.iteration, UPDATE)
+            self.entries[key][address][1] = True
+        else:
+            self.reject(
+                address, "commitment mismatch (dropped or altered gradients)",
+                now)
 
 
-def _address(row):
-    uploader, partition, iteration, kind, _ = row
-    return Address(uploader, partition, iteration, kind)
+def _as_model_event(event):
+    if isinstance(event, GradientRegistered):
+        return ("registered", event.at, Address(
+            event.uploader, event.partition_id, event.iteration, GRADIENT))
+    if isinstance(event, CommitmentAccumulated):
+        return ("accumulated", event.at, Address(
+            event.uploader, event.partition_id, event.iteration, GRADIENT),
+            event.aggregator, event.count)
+    if isinstance(event, UpdateVerified):
+        return ("verified", event.at, Address(
+            event.aggregator, event.partition_id, event.iteration, UPDATE),
+            event.ok, event.expected_count)
+    return ("failed", event.at, event.label, event.reason)
 
 
-registrations = st.tuples(
-    st.sampled_from(UPLOADERS), st.integers(0, 2), st.integers(0, 1),
-    st.sampled_from([GRADIENT, GRADIENT, PARTIAL_UPDATE, UPDATE]),
-    st.integers(0, 3),
-)
-aggregator_ids = st.sampled_from([None, "agg-0", "agg-1"])
-operation = st.one_of(
-    registrations.map(lambda row: ("register", row)),
-    st.lists(registrations.filter(lambda row: row[3] == GRADIENT),
-             min_size=1, max_size=4).map(lambda rows: ("batch", rows)),
-    st.tuples(st.just("lookup"), st.integers(0, 2), st.integers(0, 1),
-              st.sampled_from([GRADIENT, PARTIAL_UPDATE, UPDATE]),
-              aggregator_ids),
-    st.tuples(st.just("accumulated"), st.integers(0, 2),
-              st.integers(0, 1), aggregator_ids),
-)
+#: Every (address, blob) a registration may carry.
+REGISTRATIONS = [(Address(uploader, partition, iteration, kind), blob)
+                 for uploader in UPLOADERS for partition in range(PARTITIONS)
+                 for iteration in range(2) for kind in KINDS
+                 for blob in range(4)]
+#: A batch mostly holds gradients and now and then another record.
+BATCH_ROWS = [row for row in REGISTRATIONS
+              if row[0].kind == GRADIENT] * 4 + REGISTRATIONS
+LOOKUPS = [(partition, iteration, kind, aggregator)
+           for partition in range(PARTITIONS) for iteration in range(2)
+           for kind in KINDS for aggregator in SCOPES]
+PRODUCTS = [(partition, iteration, scope) for partition in range(PARTITIONS)
+            for iteration in range(2) for scope in SCOPES]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(operation, min_size=1, max_size=24))
-@example([
-    ("register", ("t0", 0, 0, GRADIENT, 0)),
-    ("register", ("t0", 0, 0, GRADIENT, 0)),  # a retry (lost ack)
-    ("register", ("t1", 0, 0, GRADIENT, 1)),
-    ("register", ("t1", 0, 0, GRADIENT, 2)),  # a new CID, same address
-    ("batch", [("t2", 0, 0, GRADIENT, 3), ("t3", 0, LATE, GRADIENT, 3)]),
-    ("register", ("t0", 0, 0, UPDATE, 0)),
-    ("register", ("t0", 0, 0, UPDATE, 0)),  # the winner retrying
-    ("register", ("t1", 0, 0, UPDATE, 1)),  # a loser
-    ("lookup", 0, 0, GRADIENT, "agg-1"),
-    ("lookup", 0, 0, UPDATE, None),
-    ("accumulated", 0, 0, "agg-0"),
-])
-def test_the_one_client_matches_a_dict_model(operations):
-    """Any register / re-register / batch / lookup / accumulated
-    sequence through one client gives the acks, lookup rows (in order),
-    accumulated bytes and counts, and server counters the model
-    predicts — and leaves the entries the model holds."""
-    sim, transport, dht, node, directory, committer = make_world(
-        trainer_assignment=ASSIGNMENT)
-    directory.committers.update({2: committer})
-    directory.begin_iteration(LATE, t_train=0.0)
-    client = DirectoryClient("client-0", transport)
-    params = _pedersen_params()
-    commitments = [params.commit(vector) for vector in VECTORS]
-    model = DirectoryModel()
+def index_into(values):
+    """One of ``values``, drawn as its index: a strategy's repr is built
+    on every draw of a rule, and one over the values themselves (or over
+    a lambda, whose source is read) would be built at length."""
+    return st.sampled_from(range(len(values)))
 
-    def record(row):
-        address = _address(row)
-        return {"address": address, "cid": CIDS[row[4]],
-                "commitment": (commitments[row[4]]
-                               if address.kind == GRADIENT else None)}
 
-    def scenario():
-        for op in operations:
-            if op[0] == "register":
-                ack = yield from client.register(**record(op[1]))
-                assert ack == model.register(_address(op[1]), op[1][4]), op
-            elif op[0] == "batch":
-                ack = yield from client.register_batch(
-                    [record(row) for row in op[1]])
-                assert ack == model.register_batch(
-                    [(_address(row), row[4]) for row in op[1]]), op
-            elif op[0] == "lookup":
-                rows = yield from client.lookup(*op[1:])
-                assert [(row["uploader_id"], str(row["cid"]))
-                        for row in rows] == model.lookup(*op[1:]), op
-                for row in rows:
-                    expected = (commitments[CIDS.index(row["cid"])]
-                                if op[3] == GRADIENT else None)
-                    assert row["commitment"] is expected, op
-            else:
-                total, count = yield from client.accumulated(*op[1:])
-                assert (total and total.to_bytes(), count) \
-                    == model.accumulated(*op[1:]), op
+class DirectoryMachine(RuleBasedStateMachine):
+    """Any sequence of verbs, cutoffs and verdicts leaves
+    :class:`DirectoryState` answering, holding and publishing what the
+    plain-dict model does — no simulator, no wire."""
 
-    run(sim, scenario())
-    assert directory.register_count == model.registers
-    assert directory.lookup_count == model.lookups
-    for partition in range(3):
-        for iteration in range(2):
-            for kind in (GRADIENT, PARTIAL_UPDATE, UPDATE):
-                assert [
-                    (entry.address, entry.cid) for entry in
-                    directory.entries_for(partition, iteration, kind)
-                ] == list(model.entries.get(
-                    (partition, iteration, kind), {}).items())
-            for aggregator in (None, "agg-0", "agg-1"):
-                total, count = directory.accumulated_commitment(
-                    partition, iteration, aggregator)
-                assert (total and total.to_bytes(), count) \
-                    == model.accumulated(partition, iteration, aggregator)
+    @initialize(verifiable=st.booleans())
+    def build(self, verifiable):
+        bus = EventBus()
+        self.events = []
+        bus.subscribe(self.events.append, GradientRegistered,
+                      CommitmentAccumulated, UpdateVerified,
+                      VerificationFailed)
+        committers = {partition: _committer()
+                      for partition in range(PARTITIONS)}
+        self.state = DirectoryState(bus, committers, ASSIGNMENT, verifiable)
+        self.model = DirectoryModel(verifiable)
+        self.now = 0.0
+
+    @rule(row=index_into(REGISTRATIONS))
+    def register(self, row):
+        address, blob = REGISTRATIONS[row]
+        commitment = (_commit(VECTORS[blob]) if address.kind == GRADIENT
+                      else None)
+        reply = self.state.register(address, CIDS[blob], commitment,
+                                    self.now)
+        assert reply == _ack(self.model.register(address, blob, self.now))
+
+    @precondition(lambda self: self.model.iterations)
+    @rule(pick=st.integers(0, 63), same=st.booleans())
+    def reregister(self, pick, same):
+        """A retry of a registered address (same CID) or a conflicting
+        registration (another CID)."""
+        registered = [(address, key)
+                      for keys in self.model.iterations.values()
+                      for address, key in keys.items()]
+        address, key = registered[pick % len(registered)]
+        blob = CIDS.index(self.model.entries[key][address][0])
+        self.register(REGISTRATIONS.index(
+            (address, blob if same else (blob + 1) % len(CIDS))))
+
+    @rule(rows=st.lists(index_into(BATCH_ROWS), min_size=1, max_size=3),
+          intact=st.sampled_from([True, True, True, False]))
+    def batch(self, rows, intact):
+        rows = [BATCH_ROWS[row] for row in rows]
+        records = [{"address": address, "cid": CIDS[blob],
+                    "commitment": _commit(VECTORS[blob])}
+                   for address, blob in rows]
+        accumulation = accumulate_cids([CIDS[blob] for _, blob in rows])
+        reply = self.state.register_batch(
+            records, accumulation if intact
+            else bytes([accumulation[0] ^ 1]) + accumulation[1:],
+            self.now)
+        assert reply == self.model.register_batch(rows, intact, self.now)
+
+    @rule(query=index_into(LOOKUPS))
+    def lookup(self, query):
+        query = LOOKUPS[query]
+        rows = self.state.lookup(*query)
+        assert [(row["uploader_id"], row["cid"]) for row in rows] \
+            == self.model.lookup(*query)
+        for row in rows:
+            assert row["commitment"] == (
+                _commit(VECTORS[CIDS.index(row["cid"])])
+                if query[2] == GRADIENT else None)
+
+    @rule(key=index_into(PRODUCTS))
+    def accumulated(self, key):
+        key = PRODUCTS[key]
+        reply = self.state.accumulated(*key)
+        assert (reply["commitment"], reply["count"]) \
+            == self.model.accumulated(*key)
+
+    @rule(iteration=st.sampled_from([0, 1]))
+    def arm_cutoff(self, iteration):
+        """The iteration's cutoff is now, and then the clock moves past
+        it."""
+        self.state.begin_iteration(iteration, self.now)
+        self.model.cutoffs[iteration] = self.now
+        self.now += 1.0
+
+    @precondition(lambda self: self.model.pending)
+    @rule(outcome=st.sampled_from(["honest", "altered", "unavailable"]))
+    def verify(self, outcome):
+        """Judge the oldest update waiting for its fetch, as the serve
+        loop does once the blob arrived (or did not)."""
+        entry = self.state.to_verify.popleft()
+        address = self.model.pending.pop(0)
+        assert entry.address == address
+        if outcome == "unavailable":
+            self.state.reject(address, "update retrieval failed: gone",
+                              self.now)
+            self.model.reject(address, "update retrieval failed: gone",
+                              self.now)
+            return
+        vector, count = self.model.sums.get(
+            (address.partition_id, address.iteration, None),
+            ((0,) * PARTITION_LEN, 0))
+        if outcome == "altered":
+            vector = (vector[0] + 1,) + vector[1:]
+        self.state.verdict(address, _commit(vector), count, self.now)
+        self.model.verdict(address, outcome == "honest", self.now)
+
+    @rule(cutoff=st.sampled_from([0, 1, 2]))
+    def entries_before(self, cutoff):
+        assert [(entry.address, entry.cid)
+                for entry in self.state.entries_before(cutoff)] == [
+            (address, self.model.entries[key][address][0])
+            for iteration in sorted(self.model.iterations)
+            if iteration < cutoff
+            for address, key in self.model.iterations[iteration].items()
+        ]
+
+    @invariant()
+    def publishes_and_rejects_as_the_model(self):
+        assert [_as_model_event(event) for event in self.events] \
+            == self.model.events
+        assert [(rejection.address, rejection.reason)
+                for rejection in self.state.rejections] \
+            == self.model.rejections
+        assert [entry.address for entry in self.state.to_verify] \
+            == self.model.pending
+
+    def teardown(self):
+        """Every entry, every lookup and every product is the model's."""
+        if not hasattr(self, "model"):
+            return
+        for partition, iteration, kind, aggregator in LOOKUPS:
+            if aggregator is None:
+                assert [(entry.address, entry.cid, entry.verified)
+                        for entry in self.state.entries_for(
+                            partition, iteration, kind)] \
+                    == [(address, cid, verified) for address,
+                        (cid, verified) in self.model.entries.get(
+                            (partition, iteration, kind), {}).items()]
+        for query in range(len(LOOKUPS)):
+            self.lookup(query)
+        for key in range(len(PRODUCTS)):
+            self.accumulated(key)
+
+
+#: Short runs keep 500 examples near 2.5 s: most of that is Hypothesis
+#: choosing rules, and the teardown compares the whole state anyway.
+DirectoryMachine.TestCase.settings = settings(
+    max_examples=500, stateful_step_count=6, deadline=None)
+test_the_state_matches_a_dict_model = DirectoryMachine.TestCase

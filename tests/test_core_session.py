@@ -172,7 +172,7 @@ def test_verifiable_rejects_malicious_aggregator(behavior):
     metrics = session.run_iteration()
     assert metrics.verification_failures  # rejected at the directory
     assert metrics.trainers_completed == []  # poisoned update never served
-    assert session.directory.rejections
+    assert session.directory.state.rejections
 
 
 def test_unverified_protocol_accepts_poisoned_update():
@@ -441,8 +441,9 @@ def test_collect_garbage_keeps_the_iteration_it_was_told_to_keep():
         base_config(update_mode="gradient"), lambda: SyntheticModel(64),
         datasets, network=NetworkProfile(num_ipfs_nodes=4))
     session.run(rounds=2)
-    newest, previous = (session.directory.entries_for(0, iteration, "update")
-                        for iteration in (1, 0))
+    newest, previous = (
+        session.directory.state.entries_for(0, iteration, "update")
+        for iteration in (1, 0))
     assert newest[0].cid == previous[0].cid  # the premise: same objects
     session.collect_garbage(keep_iterations=1)
     assert any(node.store.has(newest[0].cid) for node in session.nodes)

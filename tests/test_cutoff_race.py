@@ -19,7 +19,7 @@ def test_directory_rejects_gradient_after_cutoff():
     sim, transport, dht, node, directory, committer = make_world()
     from repro.core.directory import DirectoryClient
     client = DirectoryClient("client-0", transport)
-    directory.begin_iteration(0, t_train=10.0)
+    directory.state.begin_iteration(0, t_train=10.0)
     cid = node.store_object(b"gradient")
 
     def scenario(sim):
@@ -43,7 +43,7 @@ def test_late_commitment_never_enters_accumulation():
     )
     from repro.core.directory import DirectoryClient
     client = DirectoryClient("client-0", transport)
-    directory.begin_iteration(0, t_train=5.0)
+    directory.state.begin_iteration(0, t_train=5.0)
     blob, commitment = committer.encode_and_commit(np.ones(4))
     cid = node.store_object(blob)
 
@@ -55,8 +55,8 @@ def test_late_commitment_never_enters_accumulation():
                                    commitment)
 
     run(sim, scenario(sim))
-    _, count = directory.accumulated_commitment(0, 0)
-    assert count == 1  # the late commitment is not in the product
+    # The late commitment is not in the product.
+    assert directory.state.accumulated(0, 0, None)["count"] == 1
 
 
 def test_straddling_upload_does_not_break_verification():
@@ -87,7 +87,7 @@ def test_straddling_upload_does_not_break_verification():
     # No verification failures: the honest 3-trainer aggregate opened the
     # accumulated commitment (which excludes the late registration).
     assert metrics.verification_failures == []
-    assert not session.directory.rejections
+    assert not session.directory.state.rejections
 
 
 def test_straddling_upload_batch_registration():

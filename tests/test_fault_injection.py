@@ -88,7 +88,8 @@ def test_replication_keeps_gradients_available_after_origin_death():
     gradient_cids = [
         entry.cid
         for partition in range(2)
-        for entry in session.directory.entries_for(partition, 0, "gradient")
+        for entry in session.directory.state.entries_for(
+            partition, 0, "gradient")
     ]
     assert len(gradient_cids) == 8
 

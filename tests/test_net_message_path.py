@@ -28,8 +28,9 @@ from repro.core.directory import DirectoryClient, DirectoryService
 from repro.ipfs import DHT, compute_cid
 from repro.net import Network, Transport
 from repro.net.bandwidth import TransferAbortedError
-from repro.obs.events import (DirectoryRequest, TransferAborted,
-                              TransferCompleted, TransferStarted)
+from repro.obs.events import (DirectoryRequest, GradientRegistered,
+                              TransferAborted, TransferCompleted,
+                              TransferStarted)
 from repro.sim import Simulator
 from tests.reference_message_path import ReferenceNetwork, ReferenceTransport
 
@@ -342,6 +343,8 @@ def test_a_browned_out_directory_serves_requests_in_arrival_order(classes):
     that spends eight ticks on each: it takes them one at a time, in the
     order they arrived, eight ticks apart, and acknowledges them so."""
     sim, directory, clients, rows = _directory(classes, 8 * TICK)
+    registered = []
+    sim.bus.subscribe(registered.append, GradientRegistered)
     acked = []
 
     def register(name, start):
@@ -353,11 +356,11 @@ def test_a_browned_out_directory_serves_requests_in_arrival_order(classes):
     for start, name in enumerate("cab"):
         sim.process(register(name, start * TICK))
     sim.run()
-    entries = directory.entries_for(0, 0, GRADIENT)
+    entries = directory.state.entries_for(0, 0, GRADIENT)
     assert [entry.address.uploader_id for entry in entries] == list("cab")
     served = [row.at for _, row in rows
               if isinstance(row, DirectoryRequest)]
-    assert [entry.registered_at for entry in entries] \
+    assert [event.at for event in registered] \
         == pytest.approx([at + 8 * TICK for at in served])
     assert [served[1] - served[0], served[2] - served[1]] \
         == pytest.approx([8 * TICK] * 2)

@@ -210,7 +210,7 @@ def test_protocol_invariants_grid(num_partitions,
     for partition in range(num_partitions):
         updates = [
             entry for entry in
-            session.directory.entries_for(partition, 0, "update")
+            session.directory.state.entries_for(partition, 0, "update")
             if entry.verified is not False
         ]
         assert len(updates) == 1

@@ -62,7 +62,7 @@ def test_trainer_verification_catches_poison_without_directory():
                for trainer in session.trainers)
     assert any("trainer-rejected" in failure
                for failure in metrics.verification_failures)
-    assert not session.directory.rejections  # directory did not check
+    assert not session.directory.state.rejections  # directory did not check
 
 
 def test_directory_verification_off_poison_lands_without_trainer_check():
@@ -99,7 +99,7 @@ def test_slow_trainers_miss_round_fast_ones_proceed():
     assert completed == {"trainer-2", "trainer-3"}
     # The update averages exactly the two punctual trainers.
     from repro.core import decode_partition
-    update = session.directory.entries_for(0, 0, "update")[0]
+    update = session.directory.state.entries_for(0, 0, "update")[0]
     node = next(node for node in session.nodes
                 if node.store.has(update.cid))
     _, counter = decode_partition(node.load_object(update.cid))
@@ -132,10 +132,10 @@ def test_collect_garbage_reclaims_old_iterations():
     assert reclaimed > 0
     assert session.storage_bytes == before - reclaimed
     # The last iteration's update objects are still retrievable.
-    update = session.directory.entries_for(0, 2, "update")[0]
+    update = session.directory.state.entries_for(0, 2, "update")[0]
     assert any(node.store.has(update.cid) for node in session.nodes)
     # Iteration 0's gradients are gone everywhere.
-    for entry in session.directory.entries_for(0, 0, "gradient"):
+    for entry in session.directory.state.entries_for(0, 0, "gradient"):
         assert not any(node.store.has(entry.cid) for node in session.nodes)
 
 

@@ -47,8 +47,8 @@ def _averaged_update(session, iteration):
     IPFS nodes store under the CIDs the directory registered."""
     pieces = []
     for partition_id in range(session.config.num_partitions):
-        (entry,) = session.directory.entries_for(partition_id, iteration,
-                                                 UPDATE)
+        (entry,) = session.directory.state.entries_for(
+            partition_id, iteration, UPDATE)
         blob = next(node.load_object(entry.cid) for node in session.nodes
                     if node.load_object(entry.cid) is not None)
         update = np.frombuffer(blob, dtype=np.float64)
