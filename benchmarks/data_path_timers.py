@@ -82,9 +82,6 @@ def main() -> None:
                 if getattr(other, "__name__", "").startswith("repro") \
                         and vars(other).get(name) is raw:
                     setattr(other, name, replacement)
-        # The merger registry holds the function itself.
-        if name == "sum_f64":
-            module.register_merger("sum-f64", replacement, replace=True)
 
     from repro.obs import CountersRegistry
 

@@ -104,14 +104,15 @@ class DiagnosisReport:
     #: Config key -> (base value, current value), differing keys only.
     config_changes: Dict[str, Tuple[Any, Any]] = field(
         default_factory=dict)
-    #: The plain manifest diff (None without both manifests).
+    #: The plain manifest diff.
     metrics: Optional[ManifestDiff] = None
     #: Anomaly kind -> detection count, per side.
     anomalies_base: Dict[str, int] = field(default_factory=dict)
     anomalies_current: Dict[str, int] = field(default_factory=dict)
-    #: Per-subsystem profile movement (empty without both profiles).
+    #: Per-subsystem profile movement.
     subsystem_shifts: List[SubsystemShift] = field(default_factory=list)
-    #: Wall-clock ratio current/base (None without both profiles).
+    #: Wall-clock ratio current/base (None when the base took no wall
+    #: time).
     slowdown: Optional[float] = None
     #: Ranked findings, most suspicious first.
     attributions: List[Attribution] = field(default_factory=list)
@@ -192,9 +193,7 @@ class DiagnosisReport:
         return "\n".join(lines)
 
 
-def _anomaly_counts(manifest: Optional[RunManifest]) -> Dict[str, int]:
-    if manifest is None:
-        return {}
+def _anomaly_counts(manifest: RunManifest) -> Dict[str, int]:
     return {
         name[len(_ANOMALY_PREFIX):]: int(value)
         for name, value in manifest.counters.items()
@@ -237,96 +236,82 @@ def _subsystem_shifts(base: HostProfile, current: HostProfile,
 
 
 def diagnose_runs(
-    base_manifest: Optional[RunManifest] = None,
-    current_manifest: Optional[RunManifest] = None,
-    base_profile: Optional[HostProfile] = None,
-    current_profile: Optional[HostProfile] = None,
+    base_manifest: RunManifest,
+    current_manifest: RunManifest,
+    base_profile: HostProfile,
+    current_profile: HostProfile,
     threshold: float = 0.10,
 ) -> DiagnosisReport:
-    """Build the differential diagnosis from whatever artifacts exist.
-
-    Any subset of artifacts works — each signal degrades independently
-    to absent — but at least one *pair* (both manifests, or both
-    profiles) is required for a differential.
-    """
-    have_manifests = (base_manifest is not None
-                      and current_manifest is not None)
-    have_profiles = (base_profile is not None
-                     and current_profile is not None)
-    if not have_manifests and not have_profiles:
-        raise ValueError(
-            "diagnosis needs two manifests or two profiles")
-
+    """Build the differential diagnosis of two run bundles' manifests
+    and host profiles."""
     report = DiagnosisReport()
     attributions: List[Attribution] = []
 
-    if have_profiles:
-        report.subsystem_shifts = _subsystem_shifts(
-            base_profile, current_profile)
-        if base_profile.wall_seconds > 0:
-            report.slowdown = (current_profile.wall_seconds
-                               / base_profile.wall_seconds)
-        for shift in report.subsystem_shifts:
-            if shift.delta_seconds <= 0:
-                continue
-            growth = (shift.delta_seconds / shift.base_seconds * 100.0
-                      if shift.base_seconds > 0 else float("inf"))
-            growth_text = ("new" if growth == float("inf")
-                           else f"+{growth:.0f}%")
-            attributions.append(Attribution(
-                subject=shift.subsystem, kind="subsystem",
-                magnitude=shift.delta_seconds,
-                detail=(
-                    f"self time {shift.base_seconds:.3f}s -> "
-                    f"{shift.current_seconds:.3f}s ({growth_text}), "
-                    f"share {shift.base_share * 100:.1f}% -> "
-                    f"{shift.current_share * 100:.1f}%"),
-            ))
+    report.subsystem_shifts = _subsystem_shifts(
+        base_profile, current_profile)
+    if base_profile.wall_seconds > 0:
+        report.slowdown = (current_profile.wall_seconds
+                           / base_profile.wall_seconds)
+    for shift in report.subsystem_shifts:
+        if shift.delta_seconds <= 0:
+            continue
+        growth = (shift.delta_seconds / shift.base_seconds * 100.0
+                  if shift.base_seconds > 0 else float("inf"))
+        growth_text = ("new" if growth == float("inf")
+                       else f"+{growth:.0f}%")
+        attributions.append(Attribution(
+            subject=shift.subsystem, kind="subsystem",
+            magnitude=shift.delta_seconds,
+            detail=(
+                f"self time {shift.base_seconds:.3f}s -> "
+                f"{shift.current_seconds:.3f}s ({growth_text}), "
+                f"share {shift.base_share * 100:.1f}% -> "
+                f"{shift.current_share * 100:.1f}%"),
+        ))
 
-    if have_manifests:
-        report.metrics = compare_manifests(
-            base_manifest, current_manifest, threshold=threshold)
-        report.fingerprint_matches = report.metrics.fingerprint_matches
-        report.config_changes = _config_changes(
-            base_manifest, current_manifest)
-        report.anomalies_base = _anomaly_counts(base_manifest)
-        report.anomalies_current = _anomaly_counts(current_manifest)
-        anomaly_kinds = sorted(set(report.anomalies_base)
-                               | set(report.anomalies_current))
-        anomaly_attributions = []
-        for kind in anomaly_kinds:
-            before = report.anomalies_base.get(kind, 0)
-            after = report.anomalies_current.get(kind, 0)
-            if after == before:
-                continue
-            if after > before and before == 0:
-                detail = (f"fired {after}x in current run only")
-            elif after > before:
-                detail = f"detections grew {before} -> {after}"
-            else:
-                detail = (f"fired {before}x in base run only"
-                          if after == 0 else
-                          f"detections fell {before} -> {after}")
-            anomaly_attributions.append(Attribution(
-                subject=kind, kind="anomaly",
-                magnitude=abs(after - before), detail=detail,
-            ))
-        anomaly_attributions.sort(key=lambda a: -a.magnitude)
-        attributions.extend(anomaly_attributions)
-        for entry in report.metrics.regressions[:_TOP_METRICS]:
-            change = entry.relative_change
-            attributions.append(Attribution(
-                subject=entry.metric, kind="metric", magnitude=change,
-                detail=(
-                    f"{entry.base:g} -> {entry.current:g} "
-                    + ("(new nonzero)" if change == float("inf")
-                       else f"({change * 100:+.1f}%)")),
-            ))
-        for key, (before, after) in report.config_changes.items():
-            attributions.append(Attribution(
-                subject=key, kind="config", magnitude=0.0,
-                detail=f"{before!r} -> {after!r}",
-            ))
+    report.metrics = compare_manifests(
+        base_manifest, current_manifest, threshold=threshold)
+    report.fingerprint_matches = report.metrics.fingerprint_matches
+    report.config_changes = _config_changes(
+        base_manifest, current_manifest)
+    report.anomalies_base = _anomaly_counts(base_manifest)
+    report.anomalies_current = _anomaly_counts(current_manifest)
+    anomaly_kinds = sorted(set(report.anomalies_base)
+                           | set(report.anomalies_current))
+    anomaly_attributions = []
+    for kind in anomaly_kinds:
+        before = report.anomalies_base.get(kind, 0)
+        after = report.anomalies_current.get(kind, 0)
+        if after == before:
+            continue
+        if after > before and before == 0:
+            detail = (f"fired {after}x in current run only")
+        elif after > before:
+            detail = f"detections grew {before} -> {after}"
+        else:
+            detail = (f"fired {before}x in base run only"
+                      if after == 0 else
+                      f"detections fell {before} -> {after}")
+        anomaly_attributions.append(Attribution(
+            subject=kind, kind="anomaly",
+            magnitude=abs(after - before), detail=detail,
+        ))
+    anomaly_attributions.sort(key=lambda a: -a.magnitude)
+    attributions.extend(anomaly_attributions)
+    for entry in report.metrics.regressions[:_TOP_METRICS]:
+        change = entry.relative_change
+        attributions.append(Attribution(
+            subject=entry.metric, kind="metric", magnitude=change,
+            detail=(
+                f"{entry.base:g} -> {entry.current:g} "
+                + ("(new nonzero)" if change == float("inf")
+                   else f"({change * 100:+.1f}%)")),
+        ))
+    for key, (before, after) in report.config_changes.items():
+        attributions.append(Attribution(
+            subject=key, kind="config", magnitude=0.0,
+            detail=f"{before!r} -> {after!r}",
+        ))
 
     report.attributions = attributions
     return report

@@ -234,21 +234,6 @@ class Aggregator(Participant):
 
     # -- synchronization (|A_i| > 1) ----------------------------------------------------
 
-    def _verify_peer_partial(self, peer: str, blob: bytes,
-                             iteration: int):
-        """Check a peer's partial against its accumulated commitment."""
-        if not self.config.verifiable or self.committer is None:
-            return True
-        expected, count = yield from self.directory.accumulated(
-            self.partition_id, iteration, aggregator_id=peer
-        )
-        if expected is None or count == 0:
-            return False
-        delay = self.cost_model.verify_delay(self.committer.partition_len + 1)
-        if delay > 0:
-            yield self.sim.timeout(delay)
-        return self.committer.verify_blob(blob, expected)
-
     def _takeover(self, peer: str, schedule: IterationSchedule):
         """Download a silent peer's trainers' gradients on its behalf."""
         results = yield from self.directory.lookup(
@@ -418,9 +403,11 @@ class Aggregator(Participant):
                     blob = yield from self.ipfs.get(payload["cid"])
                 except IPFSError:
                     continue
-                valid = yield from self._verify_peer_partial(
-                    peer, blob, schedule.iteration
-                )
+                valid = True
+                if self.config.verifiable and self.committer is not None:
+                    valid = yield from self._opens_accumulated(
+                        self.committer, self.partition_id,
+                        schedule.iteration, peer, blob)
                 if valid:
                     pending.discard(peer)
                     contributions[peer] = blob

@@ -11,7 +11,11 @@ aggregators combined do".
 - :class:`DirectoryState` holds the rules: entries, accumulated
   commitments, cutoffs and rejections.  It has no simulator, wire or
   clock: each verb takes ``now`` where a cutoff or an event needs it and
-  returns the reply payload.
+  returns the reply payload.  It is also the commitment ledger blame is
+  read from: a rejected update's
+  :class:`~repro.obs.events.VerificationFailed` carries the
+  classification :func:`~repro.core.verification.classify_rejection`
+  derives from the partition's gradient entries and products.
 - :class:`DirectoryService` is the serve loop on the well-known
   ``"directory"`` host: it takes requests off the wire one at a time,
   hands each to its ``state`` and sends the reply.  For an update the
@@ -61,7 +65,7 @@ from ..obs.events import (
 )
 from ..sim import Simulator
 from .addressing import Address, GRADIENT, PARTIAL_UPDATE, UPDATE
-from .verification import PartitionCommitter
+from .verification import PartitionCommitter, classify_rejection
 
 __all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryProfile",
            "DirectoryService", "DirectoryState", "RejectionRecord"]
@@ -267,22 +271,41 @@ class DirectoryState:
         else:
             self.reject(
                 address, "commitment mismatch (dropped or altered gradients)",
-                now)
+                now, claimed, claimed_counter)
 
-    def reject(self, address: Address, reason: str, now: float) -> None:
-        """Reject the pending update at ``address``: it is never served."""
-        self._by_key[(address.partition_id, address.iteration, UPDATE)][
+    def reject(self, address: Address, reason: str, now: float,
+               claimed: Optional[Commitment] = None,
+               claimed_counter: float = 0.0) -> None:
+        """Reject the pending update at ``address``: it is never served.
+        ``claimed`` is the commitment it opened to, summing
+        ``claimed_counter`` gradients (None when it never opened); the
+        :class:`VerificationFailed` carries the blame
+        :func:`classify_rejection` reads off the partition's gradient
+        entries and the previous iteration's product."""
+        partition, iteration = address.partition_id, address.iteration
+        self._by_key[(partition, iteration, UPDATE)][
             address].verified = False
         self.rejections.append(RejectionRecord(address=address,
                                                reason=reason))
         bus = self.bus
         if bus.wants(VerificationFailed):
+            contributions = sorted(
+                ((entry.address.uploader_id, entry.commitment,
+                  str(entry.cid))
+                 for entry in self.entries_for(partition, iteration,
+                                               GRADIENT)
+                 if entry.commitment is not None),
+                key=lambda contribution: contribution[0])
             bus.publish(VerificationFailed(
-                at=now, iteration=address.iteration,
+                at=now, iteration=iteration,
                 label=str(address), scope="update",
-                partition_id=address.partition_id,
+                partition_id=partition,
                 aggregator=address.uploader_id,
                 reason=reason,
+                **classify_rejection(
+                    iteration, reason, contributions,
+                    self._products.get((partition, iteration - 1, None)),
+                    claimed, claimed_counter),
             ))
 
     # -- local inspection (no wire; the session and tests) --------------------

@@ -105,7 +105,7 @@ def sum_encoded_partitions(blobs: Sequence[bytes]) -> bytes:
     """Element-wise sum of encoded partitions (counters add up too).
 
     This is the aggregator's summation and also exactly what the
-    merge-and-download provider computes: the ``sum-f64`` merger itself.
+    merge-and-download provider computes: :func:`~repro.ipfs.merge.sum_f64`.
     """
     try:
         return sum_f64(blobs)

@@ -85,6 +85,23 @@ class Participant:
         except RetryExhaustedError as exc:
             self._child_errors.append(exc)
 
+    def _opens_accumulated(self, committer, partition_id: int,
+                           iteration: int, scope, blob: bytes):
+        """Does ``blob`` open the directory's accumulated commitment of
+        ``partition_id`` at ``iteration``: the whole partition's
+        (``scope`` None) or one aggregator's trainers' (``scope`` = that
+        aggregator)?  False when nothing was accumulated.  Recomputing
+        the commitment is charged as simulated time (the subclass's
+        ``directory`` and ``cost_model``)."""
+        expected, count = yield from self.directory.accumulated(
+            partition_id, iteration, scope)
+        if expected is None or count == 0:
+            return False
+        delay = self.cost_model.verify_delay(committer.partition_len + 1)
+        if delay > 0:
+            yield self.sim.timeout(delay)
+        return committer.verify_blob(blob, expected)
+
     def _join(self, children):
         """Wait for ``children``; re-raise a child's exhausted retries."""
         if children:

@@ -128,29 +128,6 @@ class Trainer(Participant):
             return None, self.model.get_params() + delta
         return compute_gradient(self.model, self.dataset, with_loss=True)
 
-    def _verify_update(self, partition_id: int, iteration: int,
-                       blob: bytes):
-        """Check a downloaded update against the accumulated commitment.
-
-        Delegated verification (paper Sec. IV: "can be performed by any
-        participant").  Off unless ``config.trainer_verification``.
-        """
-        if not (self.config.verifiable
-                and self.config.trainer_verification):
-            return True
-        committer = self.committers.get(partition_id)
-        if committer is None:
-            return True
-        expected, count = yield from self.directory.accumulated(
-            partition_id, iteration
-        )
-        if expected is None or count == 0:
-            return False
-        delay = self.cost_model.verify_delay(committer.partition_len + 1)
-        if delay > 0:
-            yield self.sim.timeout(delay)
-        return committer.verify_blob(blob, expected)
-
     def _install_update(self, averaged: np.ndarray) -> None:
         """Install the averaged update; ``averaged`` is this call's to
         overwrite and to hand over (the model may keep it, frozen)."""
@@ -304,9 +281,14 @@ class Trainer(Participant):
                 blob = yield from self.ipfs.get(cid)
             except IPFSError:
                 return
-            verified = yield from self._verify_update(
-                partition_id, schedule.iteration, blob
-            )
+            verified = True
+            committer = self.committers.get(partition_id)
+            if self.config.verifiable and self.config.trainer_verification \
+                    and committer is not None:
+                # Delegated verification (Sec. IV: "can be performed by
+                # any participant").
+                verified = yield from self._opens_accumulated(
+                    committer, partition_id, schedule.iteration, None, blob)
             if not verified:
                 self.rejected_updates += 1
                 if bus.wants(VerificationFailed):

@@ -4,6 +4,8 @@ Implements Sec. IV: trainers commit to each (quantized) gradient partition
 including its averaging counter; the directory accumulates commitment
 products per partition (and per aggregator's trainer subset); aggregates
 are accepted only if their decoded values open the accumulated commitment.
+A rejected aggregate is classified where it is judged
+(:func:`classify_rejection`), from the same commitment algebra.
 
 Quantization matters: commitments live over Z_n, so trainers *upload the
 quantized values they committed to*.  Sums of fixed-point float64 values
@@ -13,7 +15,8 @@ committed scalars and the homomorphic check is equality, not tolerance.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import itertools
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +29,12 @@ from ..crypto import (
 )
 from .partition import decode_partition, encode_partition
 
-__all__ = ["PartitionCommitter", "CommitmentCostModel"]
+__all__ = ["PartitionCommitter", "CommitmentCostModel", "classify_rejection"]
+
+#: The subset search is exponential; above this many contributions the
+#: classifier reports counts only (the honest contributor counts of every
+#: experiment in the paper are well below it).
+MAX_BLAME_SEARCH = 16
 
 
 class PartitionCommitter:
@@ -119,3 +127,104 @@ class CommitmentCostModel:
     def verify_delay(self, num_params: int) -> float:
         """Verification recomputes the commitment: same cost shape."""
         return self.commit_delay(num_params)
+
+
+def classify_rejection(
+    iteration: int,
+    reason: str,
+    contributions: Sequence[Tuple[str, Commitment, str]],
+    previous: Optional[Tuple[Commitment, int]],
+    claimed: Optional[Commitment],
+    claimed_counter: float,
+) -> dict:
+    """Why a global update of ``iteration`` was rejected, from the
+    commitment algebra alone (no access to the aggregator's internals).
+
+    ``contributions`` are the partition's accumulated gradients as
+    ``(uploader, commitment, cid)``, name-sorted; ``previous`` is the
+    product and count accumulated at ``iteration - 1`` (None if nothing
+    was);
+    ``claimed`` is the commitment the update opened to (None when it was
+    never opened) and ``claimed_counter`` its averaging counter ``k``.
+    The first rule that holds classifies, ``n`` being the contribution
+    count:
+
+    ``replayed``
+        the claim is the previous round's product — a stale aggregate
+        (checked first: a replayed counter can equal ``n``);
+    ``altered``
+        ``k == n`` but the claim does not open: values were perturbed;
+    ``lazy`` / ``dropped``
+        ``1 <= k < n``: the ``k``-subset whose product is the claim
+        (the first in name order) is kept and its complement dropped;
+        ``k == 1`` is the lazy signature.  With no such subset (or more
+        than :data:`MAX_BLAME_SEARCH` contributions) it is ``dropped``
+        and names nobody;
+    ``unknown``
+        anything else (a counter outside ``[1, n]``, or no claim).
+
+    Returns the blame fields of a
+    :class:`~repro.obs.events.VerificationFailed`: ``classification``,
+    ``dropped_trainers``, ``kept_trainers``, ``dropped_cids``,
+    ``expected_count``, ``claimed_counter`` and ``detail``.
+    """
+    if claimed is None:
+        return {"classification": "unknown",
+                "detail": f"{reason} (no commitment record to classify from)"}
+    n = len(contributions)
+    names = tuple(name for name, _, _ in contributions)
+    blame = {"classification": "unknown", "expected_count": n,
+             "claimed_counter": claimed_counter}
+    if previous is not None and claimed == previous[0]:
+        blame.update(
+            classification="replayed", dropped_trainers=names,
+            dropped_cids=tuple(cid for _, _, cid in contributions),
+            detail=(f"claimed aggregate opens iteration {iteration - 1}'s "
+                    f"accumulated commitment ({previous[1]} stale "
+                    f"contributions)"))
+        return blame
+    k = int(round(claimed_counter))
+    if k == n and n > 0:
+        blame.update(
+            classification="altered", kept_trainers=names,
+            detail=(f"counter claims all {n} contributions but the "
+                    f"commitment does not open: values were altered"))
+        return blame
+    if not 1 <= k < n:
+        blame["detail"] = (f"counter {claimed_counter:g} outside [1, {n}]: "
+                           f"unclassifiable")
+        return blame
+    kept = _opening_subset(contributions, k, claimed)
+    if kept is None:
+        blame.update(
+            classification="dropped",
+            detail=(f"counter shows {k} of {n} contributions but no "
+                    f"{k}-subset opens the commitment (dropped and "
+                    f"possibly also altered)"))
+        return blame
+    dropped = [c for c in contributions if c not in kept]
+    blame.update(
+        classification="lazy" if k == 1 else "dropped",
+        kept_trainers=tuple(name for name, _, _ in kept),
+        dropped_trainers=tuple(name for name, _, _ in dropped),
+        dropped_cids=tuple(cid for _, _, cid in dropped),
+        detail=(f"aggregate provably sums exactly {k} of {n} "
+                f"contributions; omitted: "
+                f"{', '.join(name for name, _, _ in dropped)}"))
+    return blame
+
+
+def _opening_subset(contributions, k: int, target: Commitment):
+    """The first ``k``-subset of ``contributions`` (in their order) whose
+    commitment product is ``target``, or None.  Ties (identical
+    commitments) resolve to the name-first subset, as the drop and lazy
+    behaviours keep the name-first trainers."""
+    if len(contributions) > MAX_BLAME_SEARCH:
+        return None
+    for subset in itertools.combinations(contributions, k):
+        product = subset[0][1]
+        for _, commitment, _ in subset[1:]:
+            product = product.combine(commitment)
+        if product == target:
+            return subset
+    return None

@@ -10,7 +10,7 @@ Public surface:
 - :class:`IPFSClient` — participant-side put/get/merge-and-download.
 - :class:`PubSub` — topic pub/sub.
 - :class:`ReplicationCluster` — rendezvous-hashed replication.
-- :func:`register_merger` — provider-side pre-aggregation functions.
+- :func:`sum_f64` — the provider-side pre-aggregation (merge-and-download).
 """
 
 from .block import (
@@ -30,7 +30,7 @@ from .errors import (
     NodeOfflineError,
     NotFoundError,
 )
-from .merge import get_merger, register_merger, sum_f64
+from .merge import sum_f64
 from .node import IPFSClient, IPFSNode
 from .pubsub import PubSub, Subscription
 
@@ -52,8 +52,6 @@ __all__ = [
     "Subscription",
     "chunk_object",
     "compute_cid",
-    "get_merger",
     "parse_manifest",
-    "register_merger",
     "sum_f64",
 ]

@@ -3,45 +3,20 @@
 Instead of downloading every gradient partition stored on one IPFS node,
 an aggregator sends the node the set of CIDs and asks it to
 "pre-aggregate the gradient partitions for those hashes and send only the
-aggregated result".  The node applies a *merger* — a named, registered
-reduction over decoded block payloads — and returns a single merged blob.
-
-Mergers are identified by name on the wire so that the simulated provider
-and the aggregator agree on semantics.  The FL protocol registers the
-float64 vector summation used for gradients (see
-:mod:`repro.core.partition`); this module ships a generic implementation
-for float64 arrays with and without the trailing averaging counter.
+aggregated result".  The node sums the decoded float64 payloads
+(:func:`sum_f64`, the protocol's one reduction: the trailing averaging
+counter sums like any other element) and returns a single merged blob.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MergeError
 
-__all__ = ["register_merger", "get_merger", "sum_f64"]
-
-#: name -> reduction over a list of byte strings, returning bytes.
-_MERGERS: Dict[str, Callable[[List[bytes]], bytes]] = {}
-
-
-def register_merger(name: str,
-                    fn: Callable[[List[bytes]], bytes],
-                    replace: bool = False) -> None:
-    """Register a named reduction usable in merge-and-download requests."""
-    if name in _MERGERS and not replace:
-        raise ValueError(f"merger {name!r} already registered")
-    _MERGERS[name] = fn
-
-
-def get_merger(name: str) -> Callable[[List[bytes]], bytes]:
-    """Resolve a registered merger; raises :class:`MergeError` if unknown."""
-    try:
-        return _MERGERS[name]
-    except KeyError:
-        raise MergeError(f"unknown merger {name!r}") from None
+__all__ = ["sum_f64"]
 
 
 def sum_f64(blobs: Sequence[bytes]) -> bytes:
@@ -74,5 +49,3 @@ def sum_f64(blobs: Sequence[bytes]) -> bytes:
             total += vector
     return total.tobytes()
 
-
-register_merger("sum-f64", sum_f64)

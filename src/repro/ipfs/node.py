@@ -35,7 +35,7 @@ from .cid import CID, compute_cid
 from .dht import DHT
 from .errors import IntegrityError, IPFSError, MergeError, NodeOfflineError, \
     NotFoundError
-from .merge import get_merger
+from .merge import sum_f64
 
 __all__ = ["IPFSNode", "IPFSClient"]
 
@@ -247,7 +247,7 @@ class IPFSNode:
                                     size=len(data) + REQUEST_OVERHEAD)
 
     def _handle_merge(self, message: Message):
-        request = message.payload  # {"cids": [...], "merger": str}
+        request = message.payload  # {"cids": [...]}
         self.merges_served += 1
         blobs = []
         missing = []
@@ -265,8 +265,7 @@ class IPFSNode:
             )
             return
         try:
-            merger = get_merger(request["merger"])
-            merged = merger(blobs)
+            merged = sum_f64(blobs)
         except MergeError as exc:
             yield self.endpoint.respond(
                 message, KIND_MERGE_DATA,
@@ -420,8 +419,8 @@ class IPFSClient:
         return root.cid == cid or compute_cid(data) == cid
 
     def merge_and_download(self, cids: Iterable[CID], node: str):
-        """Ask ``node`` to sum ``cids`` (the ``sum-f64`` merger) and return
-        the merged bytes.
+        """Ask ``node`` to sum ``cids`` (:func:`~repro.ipfs.merge.sum_f64`)
+        and return the merged bytes.
 
         Returns ``(merged_bytes, count)``.  Raises :class:`MergeError` on a
         provider-side failure and :class:`NodeOfflineError` on a timeout.
@@ -431,7 +430,7 @@ class IPFSClient:
         """
         fetch_started = self.sim.now
         cid_list = list(cids)
-        request = {"cids": cid_list, "merger": "sum-f64"}
+        request = {"cids": cid_list}
         size = REQUEST_OVERHEAD + CID_WIRE_SIZE * len(cid_list)
         response = yield self.endpoint.request(
             node, KIND_MERGE, request, size, self.request_timeout)

@@ -6,16 +6,9 @@ byte count — the raw material for timeline analysis of protocol runs
 (who congested which link when), analogous to reading a pcap of the
 paper's mininet experiments.
 
-.. deprecated:: the monkey-patching implementation
-    :class:`TransferTrace` is now a thin subscriber over the network's
-    event bus (``network.sim.bus``) listening for
-    :class:`~repro.obs.events.TransferCompleted`.  The old version
-    wrapped ``network.transfer`` in place, which meant two concurrent
-    traces detached in creation order would restore a stale method and
-    silently keep recording.  Subscriptions compose: any number of
-    traces may attach and detach in any order.  New code can subscribe
-    to :mod:`repro.obs` events directly; this class remains for its
-    analysis helpers.
+It is a subscriber over the network's event bus (``network.sim.bus``)
+listening for :class:`~repro.obs.events.TransferCompleted`, so any
+number of traces may attach and detach in any order.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ and aggregators — publish small typed events
 - :class:`FlightRecorder` — bounded ring-buffer forensics; seals an
   :class:`IncidentBundle` (event window, span chain, blame report,
   Perfetto slice) on ``VerificationFailed``/``InvariantViolated``/
-  ``AnomalyDetected``.
+  ``AnomalyDetected``.  It keeps no commitment ledger: the blame is the
+  directory's, carried on the ``VerificationFailed``.
 
 The bus is zero-overhead when unsubscribed: emission sites guard event
 construction behind :meth:`EventBus.wants`, so unobserved runs pay one

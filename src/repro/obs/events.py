@@ -31,7 +31,7 @@ See ``docs/OBSERVABILITY.md`` for the full schema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 __all__ = [
     "Event",
@@ -425,9 +425,9 @@ class UpdateVerified(Event):
     accumulated gradient contributions, ``claimed_counter`` the
     averaging counter decoded from the claimed blob — a mismatch
     between the two is the dropped/lazy signature.  The commitment
-    fields carry :class:`~repro.crypto.Commitment` values for forensic
-    cross-checking (e.g. against the previous round's accumulator, the
-    replay signature).
+    fields carry :class:`~repro.crypto.Commitment` values; the invariant
+    monitors check ``expected_commitment`` against a product they
+    recompute themselves.
     """
 
     at: float
@@ -452,6 +452,16 @@ class VerificationFailed(Event):
     ``partition_id``/``aggregator``/``reason`` localize the failure
     (the accused party is the update's uploader for ``"update"``, the
     silent/faulty peer for ``"partial_update"``; None when unknown).
+
+    The rest is the verifier's blame, as the directory classifies a
+    rejected update (:func:`~repro.core.verification.classify_rejection`):
+    ``classification`` is ``"dropped"``, ``"altered"``, ``"replayed"``,
+    ``"lazy"`` or ``"unknown"``; ``dropped_trainers`` (with their
+    partition CIDs, aligned, in ``dropped_cids``) are the trainers the
+    aggregate provably omitted and ``kept_trainers`` those it includes;
+    ``expected_count`` is the contributions the directory accumulated
+    and ``claimed_counter`` the averaging counter the aggregate opened
+    to.  The other scopes leave them at their defaults.
     """
 
     at: float
@@ -461,6 +471,13 @@ class VerificationFailed(Event):
     partition_id: int = -1
     aggregator: Optional[str] = None
     reason: str = ""
+    classification: str = "unknown"
+    dropped_trainers: Tuple[str, ...] = ()
+    kept_trainers: Tuple[str, ...] = ()
+    dropped_cids: Tuple[str, ...] = ()
+    expected_count: int = 0
+    claimed_counter: float = 0.0
+    detail: str = ""
 
 
 @dataclass(frozen=True)

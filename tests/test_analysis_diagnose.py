@@ -42,18 +42,15 @@ def manifest(counters=None, gauges=None, fingerprint=None):
 
 
 # -- diagnose_runs ---------------------------------------------------------------
-
-
-def test_diagnose_requires_at_least_one_artifact_pair():
-    with pytest.raises(ValueError, match="two manifests or two profiles"):
-        diagnose_runs(base_manifest=manifest())
-    with pytest.raises(ValueError):
-        diagnose_runs(base_profile=fast_profile())
+#
+# A test about the manifests alone passes an identical profile pair (every
+# shift zero, so nothing to attribute), and one about the profiles alone
+# an identical manifest pair.
 
 
 def test_profile_pair_names_the_regressing_subsystem():
-    report = diagnose_runs(base_profile=fast_profile(),
-                           current_profile=slow_profile())
+    report = diagnose_runs(manifest(), manifest(), fast_profile(),
+                           slow_profile())
     top = report.attributions[0]
     assert top.kind == "subsystem"
     assert top.subject == "net"
@@ -72,7 +69,7 @@ def test_anomaly_differential_is_attributed_by_kind():
         "obs.anomaly.detected.retry_storm": 2.0,
         "obs.anomaly.detected.sim_stall": 1.0,
     })
-    report = diagnose_runs(base_manifest=base, current_manifest=current)
+    report = diagnose_runs(base, current, fast_profile(), fast_profile())
     assert report.anomalies_base == {}
     assert report.anomalies_current == {"retry_storm": 2, "sim_stall": 1}
     anomaly_attrs = [a for a in report.attributions
@@ -85,7 +82,7 @@ def test_anomaly_differential_is_attributed_by_kind():
 def test_config_drift_flags_fingerprint_mismatch():
     base = manifest(fingerprint={"digest": "abc", "trainers": 4})
     current = manifest(fingerprint={"digest": "xyz", "trainers": 8})
-    report = diagnose_runs(base_manifest=base, current_manifest=current)
+    report = diagnose_runs(base, current, fast_profile(), fast_profile())
     assert not report.fingerprint_matches
     assert report.config_changes == {"trainers": (4, 8)}
     assert any(a.kind == "config" and a.subject == "trainers"
@@ -100,7 +97,7 @@ def test_metric_regressions_rank_in_the_attribution_list():
                               "dht.lookups": 100.0})
     current = manifest(counters={"net.transfers_aborted": 10.0,
                                  "dht.lookups": 101.0})
-    report = diagnose_runs(base_manifest=base, current_manifest=current)
+    report = diagnose_runs(base, current, fast_profile(), fast_profile())
     metric_attrs = [a for a in report.attributions if a.kind == "metric"]
     assert [a.subject for a in metric_attrs] == ["net.transfers_aborted"]
     assert metric_attrs[0].magnitude == pytest.approx(4.0)
@@ -120,8 +117,9 @@ def test_fused_report_ranks_subsystems_before_anomalies_and_metrics():
 
 
 def test_identical_runs_have_nothing_to_attribute():
-    report = diagnose_runs(base_manifest=manifest(counters={"x": 1.0}),
-                           current_manifest=manifest(counters={"x": 1.0}))
+    report = diagnose_runs(manifest(counters={"x": 1.0}),
+                           manifest(counters={"x": 1.0}),
+                           fast_profile(), fast_profile())
     assert report.attributions == []
     assert "no differences worth attributing" in report.format()
 

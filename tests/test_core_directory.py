@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -710,3 +710,81 @@ class DirectoryMachine(RuleBasedStateMachine):
 DirectoryMachine.TestCase.settings = settings(
     max_examples=500, stateful_step_count=6, deadline=None)
 test_the_state_matches_a_dict_model = DirectoryMachine.TestCase
+
+
+# -- the verifier's blame, on the state alone ----------------------------------
+
+#: Trainer ``j``'s gradient commits to 2**j in the first coordinate, so
+#: every subset of them has its own product; its gradient of the round
+#: before commits to 2**j in the second, so no subset of this round's
+#: opens that round's product.
+BLAME_TRAINERS = [f"trainer-{j}" for j in range(10)]
+BLAME_CIDS = [compute_cid(b"gradient-%d" % j) for j in range(10)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_a_rejected_update_is_blamed_from_the_state(data):
+    """Any claim the state rejects is classified from its own entries and
+    products: a k-subset of this round's gradients (lazy or dropped,
+    naming the complement), the full product altered, the round before's
+    product (replayed), or garbage (by its counter alone)."""
+    n = data.draw(st.integers(1, 10), label="n")
+    m = data.draw(st.integers(1, 10), label="gradients the round before")
+    order = data.draw(st.permutations(range(n)), label="registration order")
+    claim_kind = data.draw(st.sampled_from(
+        ["subset", "altered", "replayed", "garbage"] if n > 1
+        else ["altered", "replayed", "garbage"]), label="claim")
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append, VerificationFailed)
+    state = DirectoryState(bus, {0: _committer()}, {}, True)
+    for iteration, trainers, vector in (
+            (0, range(m), lambda j: (0, 2 ** j, 0, 0)),
+            (1, order, lambda j: (2 ** j, 0, 0, 0))):
+        for j in trainers:
+            state.register(Address(BLAME_TRAINERS[j], 0, iteration, GRADIENT),
+                           BLAME_CIDS[j], _commit(vector(j)), 0.0)
+    curve = _committer().curve
+    full = state.accumulated(0, 1, None)["commitment"]
+    names = tuple(BLAME_TRAINERS[:n])
+    cids = tuple(str(cid) for cid in BLAME_CIDS[:n])
+    expected = {"kept_trainers": (), "dropped_trainers": (),
+                "dropped_cids": ()}
+    if claim_kind == "subset":
+        k = data.draw(st.integers(1, n - 1), label="k")
+        kept = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                         max_size=k, unique=True),
+                                label="kept"))
+        claim = Commitment.product(
+            [_commit((2 ** j, 0, 0, 0)) for j in kept], curve)
+        dropped = [j for j in range(n) if j not in kept]
+        expected.update(
+            classification="lazy" if k == 1 else "dropped",
+            kept_trainers=tuple(names[j] for j in kept),
+            dropped_trainers=tuple(names[j] for j in dropped),
+            dropped_cids=tuple(cids[j] for j in dropped))
+    elif claim_kind == "altered":
+        k, claim = n, full.combine(_commit((0, 0, 1, 0)))
+        expected.update(classification="altered", kept_trainers=names)
+    elif claim_kind == "replayed":
+        k, claim = m, state.accumulated(0, 0, None)["commitment"]
+        expected.update(classification="replayed", dropped_trainers=names,
+                        dropped_cids=cids)
+    else:
+        k, claim = data.draw(st.integers(0, n + 1), label="k"), \
+            _commit((0, 0, 0, 1))
+        if k == n:
+            expected.update(classification="altered", kept_trainers=names)
+        else:
+            expected["classification"] = \
+                "dropped" if 1 <= k < n else "unknown"
+    address = Address("aggregator-0", 0, 1, UPDATE)
+    state.register(address, CIDS[0], None, 0.0)
+    state.verdict(address, claim, float(k), 1.0)
+    [failure] = events
+    assert {key: getattr(failure, key) for key in expected} == expected
+    assert (failure.expected_count, failure.claimed_counter) == (n, k)
+    if claim_kind == "replayed":
+        assert failure.detail.endswith(f"({m} stale contributions)")
+    assert failure.aggregator == "aggregator-0"

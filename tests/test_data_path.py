@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.core import encode_partition, sum_encoded_partitions
-from repro.ipfs import (Block, CID, MergeError, chunk_object, get_merger,
+from repro.ipfs import (Block, CID, MergeError, chunk_object,
                         parse_manifest, sum_f64)
+from repro.ipfs import node as ipfs_node
 from repro.ml import (Dataset, LogisticRegression, MLPClassifier, Model,
                       SyntheticModel, accuracy as accuracy_of,
                       make_classification, mean_loss, split_iid)
@@ -84,7 +85,7 @@ def test_a_lone_negative_zero_sums_to_zero_like_the_reduction():
 
 
 def test_both_entry_points_are_the_one_kernel(monkeypatch):
-    assert get_merger("sum-f64") is sum_f64
+    assert ipfs_node.sum_f64 is sum_f64
     calls = []
     monkeypatch.setattr("repro.core.partition.sum_f64",
                         lambda blobs: calls.append(blobs) or b"kernel")
@@ -98,7 +99,7 @@ def test_each_entry_point_keeps_its_error_type():
         with pytest.raises(ValueError):
             sum_encoded_partitions(blobs)
         with pytest.raises(MergeError):
-            get_merger("sum-f64")(blobs)
+            sum_f64(blobs)
 
 
 # -- (b) encode copies once ------------------------------------------------------------

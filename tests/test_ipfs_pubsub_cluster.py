@@ -1,4 +1,4 @@
-"""Tests for pub/sub, replication cluster, and merger registry."""
+"""Tests for pub/sub, replication cluster, and the merge reduction."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.ipfs import (
     MergeError,
     ReplicationCluster,
     compute_cid,
-    get_merger,
-    register_merger,
     sum_f64,
 )
 from repro.ipfs.cluster import rendezvous_rank
@@ -168,7 +166,7 @@ def test_cluster_skips_offline_targets():
     world.sim.run()  # must not hang or crash
 
 
-# -- merger registry ----------------------------------------------------------------
+# -- the merge reduction ------------------------------------------------------------
 
 
 def test_sum_f64_adds_vectors():
@@ -191,18 +189,3 @@ def test_sum_f64_rejects_length_mismatch():
 def test_sum_f64_rejects_non_f64():
     with pytest.raises(MergeError):
         sum_f64([b"abc"])  # not a multiple of 8
-
-
-def test_register_merger_conflict():
-    with pytest.raises(ValueError):
-        register_merger("sum-f64", sum_f64)
-    register_merger("sum-f64", sum_f64, replace=True)  # explicit replace ok
-
-
-def test_get_unknown_merger():
-    with pytest.raises(MergeError):
-        get_merger("does-not-exist")
-
-
-def test_merger_names_contains_default():
-    assert get_merger("sum-f64") is sum_f64
