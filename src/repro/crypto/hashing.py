@@ -12,7 +12,7 @@ import hashlib
 from typing import Iterator
 
 from .curves import CurveParams
-from .field import sqrt_mod
+from .field import legendre_symbol, sqrt_mod
 from .group import Point
 
 __all__ = ["sha256", "hash_to_curve", "generator_stream"]
@@ -29,8 +29,10 @@ def hash_to_curve(curve: CurveParams, seed: bytes) -> Point:
     """Map ``seed`` to a curve point by try-and-increment.
 
     Hash ``seed || counter`` to an x candidate until x^3 + ax + b is a
-    quadratic residue; pick y's parity from the digest so the output is
-    deterministic.  The expected number of attempts is 2.
+    quadratic residue (judged by its Legendre symbol, so only the accepted
+    candidate pays an exponentiation, its square root); pick y's parity
+    from the digest so the output is deterministic.  The expected number
+    of attempts is 2.
     """
     counter = 0
     while True:
@@ -39,15 +41,13 @@ def hash_to_curve(curve: CurveParams, seed: bytes) -> Point:
         ).digest()
         x = int.from_bytes(digest, "big") % curve.p
         rhs = (x * x * x + curve.a * x + curve.b) % curve.p
-        try:
-            y = sqrt_mod(rhs, curve.p)
-        except ValueError:  # non-residue: next candidate
-            counter += 1
-            continue
-        parity_bit = digest[-1] & 1
-        if (y & 1) != parity_bit:
-            y = curve.p - y
-        return Point(curve, x, y, _skip_check=True)
+        if legendre_symbol(rhs, curve.p) != -1:
+            break
+        counter += 1
+    y = sqrt_mod(rhs, curve.p)
+    if (y & 1) != (digest[-1] & 1):
+        y = curve.p - y
+    return Point(curve, x, y, _skip_check=True)
 
 
 def generator_stream(curve: CurveParams,

@@ -24,8 +24,8 @@ from .multiexp import multi_scalar_mult
 __all__ = ["Commitment", "PedersenParams"]
 
 #: Cache of derived generator prefixes, keyed by (curve, domain); deriving
-#: generators costs two hashes plus a square root each, so benchmarks that
-#: repeatedly set up large parameter vectors share the work.
+#: a generator costs about two hashes and symbols and one square root, so
+#: benchmarks that repeatedly set up large parameter vectors share the work.
 _GENERATOR_CACHE: Dict[Tuple[str, bytes], List[Point]] = {}
 
 

@@ -1,5 +1,7 @@
 """Unit tests for prime-field arithmetic and curve parameters."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,12 @@ from repro.crypto import (
 )
 from repro.crypto.curves import SECP256K1, SECP256R1
 from repro.crypto.field import legendre_symbol
+from repro.crypto.group import Point
+from repro.crypto.hashing import hash_to_curve
+
+#: Small odd primes covering every class p mod 8: 1 (17, 41, 73, 97),
+#: 3 (3, 11, 19), 5 (5, 13, 29) and 7 (7, 23, 31).
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 73, 97)
 
 
 # -- field ----------------------------------------------------------------------
@@ -39,6 +47,59 @@ def test_legendre_symbol_values():
     assert legendre_symbol(2, 7) == 1
     assert legendre_symbol(3, 7) == -1
     assert legendre_symbol(0, 7) == 0
+
+
+def _euler(value, prime):
+    """Euler's criterion value^((p-1)/2) mod p, mapped to 1 / -1 / 0."""
+    power = pow(value % prime, (prime - 1) // 2, prime)
+    return -1 if power == prime - 1 else power
+
+
+@st.composite
+def _symbol_inputs(draw):
+    prime = draw(st.sampled_from((SECP256K1.p, SECP256R1.p) + SMALL_PRIMES))
+    value = draw(st.one_of(
+        st.integers(min_value=-2 * prime, max_value=2 * prime),
+        st.integers(min_value=-2, max_value=2).map(lambda k: k * prime),
+    ))
+    return value, prime
+
+
+@settings(max_examples=200)
+@given(_symbol_inputs())
+def test_legendre_symbol_equals_eulers_criterion(inputs):
+    """Reciprocity gives Euler's criterion on every residue class of
+    both curve primes and of small primes of each class mod 8, 0 and the
+    multiples of p included."""
+    value, prime = inputs
+    assert legendre_symbol(value, prime) == _euler(value, prime)
+
+
+def _hash_to_curve_by_square_root(curve, seed):
+    """The reference: try-and-increment that rejects a candidate when its
+    square root fails, one exponentiation per candidate."""
+    counter = 0
+    while True:
+        digest = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+        x = int.from_bytes(digest, "big") % curve.p
+        rhs = (x * x * x + curve.a * x + curve.b) % curve.p
+        try:
+            y = sqrt_mod(rhs, curve.p)
+        except ValueError:
+            counter += 1
+            continue
+        if (y & 1) != (digest[-1] & 1):
+            y = curve.p - y
+        return Point(curve, x, y, _skip_check=True)
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+def test_hash_to_curve_equals_square_root_try_and_increment(curve):
+    for index in range(200):
+        seed = b"equality/" + index.to_bytes(4, "big")
+        assert hash_to_curve(curve, seed) == \
+            _hash_to_curve_by_square_root(curve, seed)
 
 
 def test_sqrt_mod_p3mod4():

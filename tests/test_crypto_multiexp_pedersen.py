@@ -24,7 +24,7 @@ from repro.crypto.curves import SECP256K1, SECP256R1
 from repro.crypto.group import scalar_mult
 from repro.crypto.hashing import hash_to_curve
 from repro.crypto.multiexp import pippenger, straus
-from repro.crypto import multiexp
+from repro.crypto import hashing, multiexp
 
 
 def reference_msm(scalars, points):
@@ -380,6 +380,23 @@ def test_derive_generators_pinned(curve, digest):
     generators = PedersenParams(curve, 64).generators
     encoded = b"".join(g.to_bytes() for g in generators)
     assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+def test_one_square_root_per_generator(curve, monkeypatch):
+    """A candidate is judged by its Legendre symbol, so only the accepted
+    one pays a square root (about two per generator before)."""
+    roots = []
+    square_root = hashing.sqrt_mod
+
+    def counted(value, prime):
+        roots.append(value)
+        return square_root(value, prime)
+
+    monkeypatch.setattr(hashing, "sqrt_mod", counted)
+    PedersenParams(curve, 64, domain=b"test/one-square-root-per-generator")
+    assert len(roots) == 64
 
 
 def test_sha256_wrapper():

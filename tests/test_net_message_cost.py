@@ -84,34 +84,37 @@ def _round_trip(sim, a, b):
 
 
 def test_request_response_round_trip_spawns_no_process(kernel_work):
-    """6 steps for the round trip (9 before completions and reply
-    getters ran in place), against 21 steps and 4 processes on the
-    process-per-message path (23 then; its generator pair is kept under
+    """5 steps for the round trip (9 before completions and reply
+    getters ran in place, 6 while an emptied network still armed a
+    settle), against 20 steps and 4 processes on the process-per-message
+    path (23 then, 21 with that settle; its generator pair is kept under
     ``tests/`` and counted here next to it).  Per message the flow's
     wakeup, with the transfer's event dispatched inside it; the server's
     ``receive`` getter takes a step of its own, the reply's keyed getter
     runs inside the wakeup, and neither end waits on its delivery event.
-    The 3 settles are the scheduler's end-of-instant hooks, one step per
-    busy instant."""
+    The 2 settles are the scheduler's end-of-instant hooks, one step per
+    busy instant that leaves a flow to solve or a wakeup to cancel (the
+    last delivery leaves neither)."""
     sim, a, b = _pair()
     reply = _round_trip(sim, a, b)
     assert reply.value.payload == "reply" and sim.now == 1.5
     assert kernel_work["processes"] == []
-    assert kernel_work["steps"] == 6
+    assert kernel_work["steps"] == 5
 
     kernel_work.update(steps=0, processes=[])
     sim, a, b = _pair(ReferenceNetwork, ReferenceTransport)
     reply = _round_trip(sim, a, b)
     assert reply.value.payload == "reply" and sim.now == 1.5
     assert len(kernel_work["processes"]) == 4
-    assert kernel_work["steps"] == 21
+    assert kernel_work["steps"] == 20
 
 
 def test_same_instant_burst_costs_no_step_a_message(kernel_work):
-    """64 sends at one timestamp, all through at one timestamp: three
-    scheduler steps for the lot (two settles, one wakeup) and none a
+    """64 sends at one timestamp, all through at one timestamp: two
+    scheduler steps for the lot (one settle, one wakeup; the wakeup
+    empties the network, so no second settle: 3 steps before) and none a
     message — the 64 transfers' events run inside the wakeup's step, in
-    flow order (64 + 3 steps before), the delivery events nobody waits
+    flow order (64 + 3 steps before that), the delivery events nobody waits
     on are processed without a dispatch — and the inbox holds them in
     send order."""
     sim = Simulator()
@@ -130,7 +133,7 @@ def test_same_instant_burst_costs_no_step_a_message(kernel_work):
     assert [message.payload for message in hub.inbox.items] == list(range(64))
     assert {message.delivered_at for message in hub.inbox.items} == {0.1}
     assert kernel_work["processes"] == []
-    assert kernel_work["steps"] == 3
+    assert kernel_work["steps"] == 2
 
 
 def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_dispatch(
@@ -139,7 +142,8 @@ def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_di
     to it before the message arrived: yielding ``send()`` resumes the
     sender at the delivery instant with the message; a send nobody waits
     on is processed in place, one step cheaper (7 and 4 steps before the
-    transfer's event ran inside the wakeup's step)."""
+    transfer's event ran inside the wakeup's step, 6 and 3 while the
+    emptied network still armed a settle)."""
     sim, a, b = _pair()
     resumed = []
 
@@ -150,9 +154,9 @@ def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_di
     sim.process(sender())
     sim.run()
     # Process start, wakeup (and the transfer in it), delivery, process
-    # end + 2 settles.
+    # end + 1 settle.
     assert resumed == [(1.0, 1.0, "waited")]
-    assert kernel_work["steps"] == 6
+    assert kernel_work["steps"] == 5
 
     kernel_work.update(steps=0)
     sim, a, b = _pair()
@@ -161,8 +165,8 @@ def test_a_sender_who_waits_resumes_at_delivery_and_one_who_does_not_costs_no_di
     assert delivered.processed and delivered.ok
     assert delivered.value.payload == "unwatched" and sim.now == 1.0
     assert [message.payload for message in b.inbox.items] == ["unwatched"]
-    # Wakeup + 2 settles: no transfer or delivery dispatch.
-    assert kernel_work["steps"] == 3
+    # Wakeup + 1 settle: no transfer or delivery dispatch.
+    assert kernel_work["steps"] == 2
 
 
 def test_directory_poll_spawns_no_process_in_net(kernel_work):
