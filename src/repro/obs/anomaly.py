@@ -55,7 +55,6 @@ Contracts, in order of importance:
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
@@ -562,8 +561,7 @@ class AnomalyWatchdog(SimTicker):
 
     def _publish(self, anomaly: AnomalyDetected) -> None:
         if anomaly.iteration == -1 and self._iteration != -1:
-            anomaly = dataclasses.replace(anomaly,
-                                          iteration=self._iteration)
+            anomaly = anomaly._replace(iteration=self._iteration)
         self.anomalies.append(anomaly)
         self.bus.publish(anomaly)
 

@@ -2,7 +2,7 @@
 
 The bus is the repo's instrumentation spine: every layer (network,
 IPFS, directory, protocol roles) publishes :mod:`~repro.obs.events`
-dataclasses to it, and every consumer — telemetry, counters, trace
+named tuples to it, and every consumer — telemetry, counters, trace
 exporters, tests — is a subscriber.  Producers and consumers never see
 each other.
 
@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Type
 
-from .events import Event
-
 __all__ = ["EventBus", "Subscription"]
 
-Handler = Callable[[Event], None]
+Handler = Callable[[tuple], None]
 
 #: Dispatch key for subscribe-to-everything handlers.
 _ALL = object()
@@ -57,7 +55,7 @@ class Subscription:
 
 
 class EventBus:
-    """Exact-type pub/sub dispatch for :class:`~repro.obs.events.Event`."""
+    """Exact-type pub/sub dispatch for :data:`~repro.obs.events.EVENT_TYPES`."""
 
     __slots__ = ("_handlers", "_has_all", "events_published")
 
@@ -70,7 +68,7 @@ class EventBus:
     # -- subscription ----------------------------------------------------------
 
     def subscribe(self, handler: Handler,
-                  *event_types: Type[Event]) -> Subscription:
+                  *event_types: Type[tuple]) -> Subscription:
         """Deliver every published event of the given types to ``handler``.
 
         With no ``event_types``, the handler receives *all* events.
@@ -102,7 +100,7 @@ class EventBus:
         """True when at least one subscription exists."""
         return bool(self._handlers)
 
-    def wants(self, event_type: Type[Event]) -> bool:
+    def wants(self, event_type: Type[tuple]) -> bool:
         """True when publishing ``event_type`` would reach a handler.
 
         Hot emission sites call this *before constructing* the event, so
@@ -112,7 +110,7 @@ class EventBus:
 
     # -- publishing --------------------------------------------------------------
 
-    def publish(self, event: Event) -> None:
+    def publish(self, event: tuple) -> None:
         """Dispatch ``event`` to its type's handlers, then wildcards.
 
         Handlers subscribed to both see the event once per matching

@@ -1,9 +1,17 @@
 """The event taxonomy: typed records of everything the system does.
 
-Every event is a small frozen dataclass carrying the simulated time it
-happened (``at``) plus the facts of the occurrence.  Producers construct
-events *only when someone is subscribed* (guarded by
-:meth:`~repro.obs.bus.EventBus.wants`), so an unobserved run pays a
+Every event is a small :class:`~typing.NamedTuple` carrying the
+simulated time it happened (``at``) plus the facts of the occurrence:
+immutable, hashable and without a per-instance ``__dict__``.  One
+generated ``__new__`` per type keeps both class creation (paid by every
+``import repro``) and construction cheap.  Being tuples, two events of
+different types with equal values compare (and hash) equal —
+``BlockStored`` and ``BlockEvicted`` share a field list — so consumers
+key and dispatch on ``type(event)``, never on the event's value.
+:data:`EVENT_TYPES` lists every type.
+
+Producers construct events *only when someone is subscribed* (guarded
+by :meth:`~repro.obs.bus.EventBus.wants`), so an unobserved run pays a
 single boolean check per emission site.
 
 Two layers:
@@ -30,11 +38,10 @@ See ``docs/OBSERVABILITY.md`` for the full schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = [
-    "Event",
+    "EVENT_TYPES",
     # infrastructure
     "TransferStarted",
     "TransferCompleted",
@@ -78,17 +85,10 @@ __all__ = [
 ]
 
 
-class Event:
-    """Marker base class for all observable events."""
-
-    __slots__ = ()
-
-
 # -- infrastructure events ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferStarted(Event):
+class TransferStarted(NamedTuple):
     """Bytes began moving between two hosts."""
 
     at: float
@@ -97,8 +97,7 @@ class TransferStarted(Event):
     size: float
 
 
-@dataclass(frozen=True)
-class TransferCompleted(Event):
+class TransferCompleted(NamedTuple):
     """The last byte of a transfer arrived."""
 
     at: float
@@ -108,8 +107,7 @@ class TransferCompleted(Event):
     started_at: float
 
 
-@dataclass(frozen=True)
-class BlockStored(Event):
+class BlockStored(NamedTuple):
     """An IPFS node chunked and stored an object."""
 
     at: float
@@ -118,8 +116,7 @@ class BlockStored(Event):
     size: int
 
 
-@dataclass(frozen=True)
-class BlockFetched(Event):
+class BlockFetched(NamedTuple):
     """A client successfully retrieved (and verified) content.
 
     ``started_at`` is when the client began the retrieval (provider
@@ -135,8 +132,7 @@ class BlockFetched(Event):
     started_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DhtLookup(Event):
+class DhtLookup(NamedTuple):
     """One provider-record resolution.
 
     ``hops`` is the number of routing hops charged (always 0: the DHT
@@ -153,16 +149,14 @@ class DhtLookup(Event):
     started_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DirectoryRequest(Event):
+class DirectoryRequest(NamedTuple):
     """The directory service dequeued one request for processing."""
 
     at: float
     kind: str
 
 
-@dataclass(frozen=True)
-class MergeServed(Event):
+class MergeServed(NamedTuple):
     """A storage node pre-aggregated objects for a merge-and-download.
 
     ``cids`` are the consumed source objects (Sec. III-E: the client
@@ -176,8 +170,7 @@ class MergeServed(Event):
     size: int
 
 
-@dataclass(frozen=True)
-class BlockEvicted(Event):
+class BlockEvicted(NamedTuple):
     """Garbage collection removed an unpinned block from a blockstore."""
 
     at: float
@@ -186,8 +179,7 @@ class BlockEvicted(Event):
     size: int
 
 
-@dataclass(frozen=True)
-class TransferAborted(Event):
+class TransferAborted(NamedTuple):
     """An in-flight (or refused) transfer failed before the last byte.
 
     Emitted when a link outage kills flows crossing it, or when a
@@ -203,8 +195,7 @@ class TransferAborted(Event):
     reason: str
 
 
-@dataclass(frozen=True)
-class NodeCrashed(Event):
+class NodeCrashed(NamedTuple):
     """An IPFS storage node's process died.
 
     ``lost_blocks`` is the number of blocks wiped from its store
@@ -216,8 +207,7 @@ class NodeCrashed(Event):
     lost_blocks: int
 
 
-@dataclass(frozen=True)
-class NodeRestarted(Event):
+class NodeRestarted(NamedTuple):
     """A crashed IPFS node came back.
 
     ``reprovided`` counts the surviving objects whose provider records
@@ -229,8 +219,7 @@ class NodeRestarted(Event):
     reprovided: int
 
 
-@dataclass(frozen=True)
-class FaultInjected(Event):
+class FaultInjected(NamedTuple):
     """The fault injector applied one :class:`~repro.faults.FaultSpec`.
 
     ``spec_index`` is the spec's position in its plan, so the matching
@@ -243,8 +232,7 @@ class FaultInjected(Event):
     spec_index: int
 
 
-@dataclass(frozen=True)
-class FaultHealed(Event):
+class FaultHealed(NamedTuple):
     """A fault window ended and the injector restored the target."""
 
     at: float
@@ -256,8 +244,7 @@ class FaultHealed(Event):
 # -- protocol events ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IterationStarted(Event):
+class IterationStarted(NamedTuple):
     """A training round began.
 
     ``t_train``/``t_sync`` are the round's absolute deadlines (Algorithm
@@ -271,16 +258,14 @@ class IterationStarted(Event):
     t_sync: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class IterationFinished(Event):
+class IterationFinished(NamedTuple):
     """All of a round's participant processes have ended."""
 
     at: float
     iteration: int
 
 
-@dataclass(frozen=True)
-class GradientRegistered(Event):
+class GradientRegistered(NamedTuple):
     """A gradient record was accepted (before the cutoff).
 
     ``cid`` is the registered content identifier (stringified), stamped
@@ -295,8 +280,7 @@ class GradientRegistered(Event):
     cid: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PartialUpdateRegistered(Event):
+class PartialUpdateRegistered(NamedTuple):
     """An aggregator announced its partial update (|A_i| > 1 sync)."""
 
     at: float
@@ -305,8 +289,7 @@ class PartialUpdateRegistered(Event):
     partition_id: int
 
 
-@dataclass(frozen=True)
-class UpdateRegistered(Event):
+class UpdateRegistered(NamedTuple):
     """A globally updated partition's registration was acknowledged.
 
     ``started_at`` is when the aggregator began publishing the global
@@ -320,8 +303,7 @@ class UpdateRegistered(Event):
     started_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class GradientsAggregated(Event):
+class GradientsAggregated(NamedTuple):
     """An aggregator finished collecting its trainers' gradients.
 
     ``started_at`` is when the aggregator began the collection phase;
@@ -335,8 +317,7 @@ class GradientsAggregated(Event):
     started_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class UploadCompleted(Event):
+class UploadCompleted(NamedTuple):
     """A trainer finished uploading all partitions before the deadline.
 
     ``delay`` is the paper's upload delay: mean seconds from gradient
@@ -351,8 +332,7 @@ class UploadCompleted(Event):
     started_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class BytesReceived(Event):
+class BytesReceived(NamedTuple):
     """A participant's download volume for the round (additive)."""
 
     at: float
@@ -361,8 +341,7 @@ class BytesReceived(Event):
     amount: float
 
 
-@dataclass(frozen=True)
-class SyncPhaseStarted(Event):
+class SyncPhaseStarted(NamedTuple):
     """An aggregator entered the partial-update exchange."""
 
     at: float
@@ -371,8 +350,7 @@ class SyncPhaseStarted(Event):
     partition_id: int = -1
 
 
-@dataclass(frozen=True)
-class SyncPhaseEnded(Event):
+class SyncPhaseEnded(NamedTuple):
     """An aggregator left the partial-update exchange."""
 
     at: float
@@ -382,8 +360,7 @@ class SyncPhaseEnded(Event):
     partition_id: int = -1
 
 
-@dataclass(frozen=True)
-class CommitmentComputed(Event):
+class CommitmentComputed(NamedTuple):
     """A participant committed to one partition: ``seconds`` is the
     simulated time the commitment cost model charges for it (0.0 when
     the session models none), additive per participant."""
@@ -394,8 +371,7 @@ class CommitmentComputed(Event):
     seconds: float
 
 
-@dataclass(frozen=True)
-class CommitmentAccumulated(Event):
+class CommitmentAccumulated(NamedTuple):
     """The directory folded a gradient commitment into its accumulator.
 
     ``commitment`` is the contribution just folded in; ``accumulated``
@@ -416,8 +392,7 @@ class CommitmentAccumulated(Event):
     count: int
 
 
-@dataclass(frozen=True)
-class UpdateVerified(Event):
+class UpdateVerified(NamedTuple):
     """The directory checked a claimed global update's commitment.
 
     Emitted for *both* outcomes (``ok``); a failing check is followed by
@@ -442,8 +417,7 @@ class UpdateVerified(Event):
     cid: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class VerificationFailed(Event):
+class VerificationFailed(NamedTuple):
     """A commitment check failed somewhere in the protocol.
 
     ``scope`` names the checkpoint: ``"update"`` (directory-side global
@@ -480,8 +454,7 @@ class VerificationFailed(Event):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TrainerCompleted(Event):
+class TrainerCompleted(NamedTuple):
     """A trainer installed the round's global update."""
 
     at: float
@@ -489,8 +462,7 @@ class TrainerCompleted(Event):
     trainer: str
 
 
-@dataclass(frozen=True)
-class TakeoverPerformed(Event):
+class TakeoverPerformed(NamedTuple):
     """An aggregator covered a silent peer's trainer set."""
 
     at: float
@@ -499,8 +471,7 @@ class TakeoverPerformed(Event):
     peer: str
 
 
-@dataclass(frozen=True)
-class RetryExhausted(Event):
+class RetryExhausted(NamedTuple):
     """An actor gave up on an operation after its retry budget ran out.
 
     ``operation`` is the logical name (``directory.lookup``,
@@ -515,8 +486,7 @@ class RetryExhausted(Event):
     attempts: int
 
 
-@dataclass(frozen=True)
-class ParticipantDegraded(Event):
+class ParticipantDegraded(NamedTuple):
     """A participant lost (part of) a round to a fault.
 
     ``role`` is ``"trainer"`` or ``"aggregator"``; ``reason`` is a
@@ -532,8 +502,7 @@ class ParticipantDegraded(Event):
     reason: str
 
 
-@dataclass(frozen=True)
-class SnapshotSealed(Event):
+class SnapshotSealed(NamedTuple):
     """The directory sealed a completed partition map onto IPFS
     (Sec. VI map-snapshot offload)."""
 
@@ -544,8 +513,7 @@ class SnapshotSealed(Event):
     cid: str
 
 
-@dataclass(frozen=True)
-class InvariantViolated(Event):
+class InvariantViolated(NamedTuple):
     """An online invariant monitor caught a protocol-level inconsistency.
 
     Published by :class:`~repro.obs.monitors.InvariantMonitors` (never by
@@ -564,8 +532,7 @@ class InvariantViolated(Event):
     detail: str
 
 
-@dataclass(frozen=True)
-class TrainingEvaluated(Event):
+class TrainingEvaluated(NamedTuple):
     """A trainer evaluated its model on its local shard for one round.
 
     Emitted from the ML layer (behind the usual ``bus.wants()`` guard,
@@ -587,8 +554,7 @@ class TrainingEvaluated(Event):
     samples: int = 0
 
 
-@dataclass(frozen=True)
-class AnomalyDetected(Event):
+class AnomalyDetected(NamedTuple):
     """An online anomaly detector classified a degradation.
 
     Published by :class:`~repro.obs.anomaly.AnomalyWatchdog` (never by
@@ -637,4 +603,43 @@ PROTOCOL_EVENTS = (
     TrainerCompleted,
     TakeoverPerformed,
     ParticipantDegraded,
+)
+
+#: Every event type, in declaration order.
+EVENT_TYPES = (
+    TransferStarted,
+    TransferCompleted,
+    BlockStored,
+    BlockFetched,
+    DhtLookup,
+    DirectoryRequest,
+    MergeServed,
+    BlockEvicted,
+    TransferAborted,
+    NodeCrashed,
+    NodeRestarted,
+    FaultInjected,
+    FaultHealed,
+    IterationStarted,
+    IterationFinished,
+    GradientRegistered,
+    PartialUpdateRegistered,
+    UpdateRegistered,
+    GradientsAggregated,
+    UploadCompleted,
+    BytesReceived,
+    SyncPhaseStarted,
+    SyncPhaseEnded,
+    CommitmentComputed,
+    CommitmentAccumulated,
+    UpdateVerified,
+    VerificationFailed,
+    TrainerCompleted,
+    TakeoverPerformed,
+    RetryExhausted,
+    ParticipantDegraded,
+    SnapshotSealed,
+    InvariantViolated,
+    TrainingEvaluated,
+    AnomalyDetected,
 )

@@ -31,23 +31,22 @@ triggering event when a nested ``InvariantViolated`` arrives.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from . import events as _events_module
 from .bus import EventBus, Subscription
 from .events import (
+    EVENT_TYPES,
     AnomalyDetected,
     DirectoryRequest,
-    Event,
     InvariantViolated,
     IterationStarted,
     TransferCompleted,
     TransferStarted,
     VerificationFailed,
 )
+from .jsonl import event_record
 from .perfetto import PerfettoExporter
 from .spans import SPAN_EVENTS, SpanTree, build_span_tree
 
@@ -64,11 +63,9 @@ MAX_INCIDENTS = 16
 #: are >90% of the stream and carry no forensic signal an incident
 #: needs; recording them would blow the audit overhead budget.
 WINDOW_EVENTS = tuple(
-    obj for _, obj in sorted(
-        inspect.getmembers(_events_module, inspect.isclass)
-    )
-    if issubclass(obj, Event) and obj is not Event
-    and obj not in (TransferStarted, TransferCompleted, DirectoryRequest)
+    event_type for event_type in EVENT_TYPES
+    if event_type not in (TransferStarted, TransferCompleted,
+                          DirectoryRequest)
 )
 
 
@@ -101,14 +98,6 @@ class BlameReport:
         return dataclasses.asdict(self)
 
 
-def _event_record(event: Event) -> dict:
-    """One JSON-friendly dict per event (the JSONL trace schema)."""
-    record = {"event": type(event).__name__}
-    for field in dataclasses.fields(event):
-        record[field.name] = getattr(event, field.name)
-    return record
-
-
 @dataclasses.dataclass
 class IncidentBundle:
     """Everything needed to diagnose one incident offline."""
@@ -119,9 +108,9 @@ class IncidentBundle:
     iteration: int
     sealed_at: float
     #: The event that triggered sealing.
-    trigger: Event
+    trigger: tuple
     #: The ring-buffer window at sealing time (oldest first).
-    events: List[Event]
+    events: List[tuple]
     blame: Optional[BlameReport] = None
     #: Span chain of the running iteration, when reconstructible.
     span_tree: Optional[SpanTree] = None
@@ -146,9 +135,9 @@ class IncidentBundle:
             "kind": self.kind,
             "iteration": self.iteration,
             "sealed_at": self.sealed_at,
-            "trigger": _event_record(self.trigger),
+            "trigger": event_record(self.trigger),
             "blame": self.blame.to_dict() if self.blame else None,
-            "events": [_event_record(event) for event in self.events],
+            "events": [event_record(event) for event in self.events],
             "perfetto": self.perfetto(),
         }
 
@@ -183,8 +172,8 @@ class FlightRecorder:
         self.incidents: List[IncidentBundle] = []
         #: Incidents dropped after :attr:`incidents` filled up.
         self.suppressed = 0
-        self._ring: Deque[Event] = deque(maxlen=RING_CAPACITY)
-        self._span_events: List[Event] = []
+        self._ring: Deque[tuple] = deque(maxlen=RING_CAPACITY)
+        self._span_events: List[tuple] = []
         self._open_iteration: int = -1
         self._span_types = tuple(SPAN_EVENTS)
         self._subscription: Subscription = bus.subscribe(
@@ -197,7 +186,7 @@ class FlightRecorder:
         self._subscription.cancel()
 
     @property
-    def window(self) -> List[Event]:
+    def window(self) -> List[tuple]:
         """The current ring-buffer contents, oldest first."""
         return list(self._ring)
 
@@ -208,7 +197,7 @@ class FlightRecorder:
 
     # -- event handling ----------------------------------------------------------
 
-    def _handle(self, event: Event) -> None:
+    def _handle(self, event: tuple) -> None:
         self._ring.append(event)
         cls = type(event)
         if cls is IterationStarted:
@@ -232,7 +221,7 @@ class FlightRecorder:
 
     # -- sealing -----------------------------------------------------------------
 
-    def _seal(self, kind: str, trigger: Event, iteration: int) -> None:
+    def _seal(self, kind: str, trigger: tuple, iteration: int) -> None:
         if len(self.incidents) >= MAX_INCIDENTS:
             self.suppressed += 1
             return

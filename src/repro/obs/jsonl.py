@@ -5,10 +5,11 @@ One JSON object per line, one line per event::
     {"event": "TransferCompleted", "at": 1.04, "src": "trainer-0", ...}
 
 Every record has ``event`` (the event class name) and ``at`` (simulated
-seconds); the remaining keys are the event dataclass's fields.  Values
-that are not JSON-native (e.g. CIDs) are stringified.  The format is
-tail-able and concatenation-safe — the raw material for timeline
-analysis; ``python -m repro.cli run`` writes one as ``trace.jsonl``.
+seconds); the remaining keys are the event's fields, in declaration
+order.  Values that are not JSON-native (e.g. CIDs) are stringified.
+The format is tail-able and concatenation-safe — the raw material for
+timeline analysis; ``python -m repro.cli run`` writes one as
+``trace.jsonl``.
 A path destination is truncated.
 
 Writes are buffered: encoded lines accumulate until either
@@ -22,10 +23,9 @@ leaves every exported event on disk.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from typing import Dict, IO, List, Tuple, Union
+from typing import IO, List, Union
 
 from .bus import EventBus
 
@@ -34,6 +34,13 @@ __all__ = ["JsonlTraceExporter"]
 #: Buffered-record and buffered-byte limits before a flush.
 FLUSH_LINES = 256
 FLUSH_BYTES = 64 * 1024
+
+
+def event_record(event: tuple) -> dict:
+    """One event as a JSON-friendly dict: the trace record schema."""
+    record = {"event": type(event).__name__}
+    record.update(zip(event._fields, event))
+    return record
 
 
 class JsonlTraceExporter:
@@ -61,7 +68,6 @@ class JsonlTraceExporter:
         self.flushes = 0
         self._buffer: List[str] = []
         self._buffered_bytes = 0
-        self._fields: Dict[type, Tuple[str, ...]] = {}
         self._subscription = bus.subscribe(self._handle)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -95,15 +101,7 @@ class JsonlTraceExporter:
     # -- event handling ----------------------------------------------------------
 
     def _handle(self, event) -> None:
-        cls = type(event)
-        names = self._fields.get(cls)
-        if names is None:
-            names = tuple(f.name for f in dataclasses.fields(event))
-            self._fields[cls] = names
-        record = {"event": cls.__name__}
-        for name in names:
-            record[name] = getattr(event, name)
-        line = json.dumps(record, default=str) + "\n"
+        line = json.dumps(event_record(event), default=str) + "\n"
         self._buffer.append(line)
         self._buffered_bytes += len(line)
         self.events_written += 1

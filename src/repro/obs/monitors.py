@@ -54,7 +54,6 @@ from .events import (
     BlockStored,
     BytesReceived,
     CommitmentAccumulated,
-    Event,
     GradientRegistered,
     GradientsAggregated,
     InvariantViolated,
@@ -197,7 +196,7 @@ class InvariantMonitors:
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _handle(self, event: Event) -> None:
+    def _handle(self, event: tuple) -> None:
         if isinstance(event, InvariantViolated):
             return  # our own output (or a peer monitor's): never re-checked
         self.events_checked += 1

@@ -45,7 +45,6 @@ from .bus import EventBus, Subscription
 from .events import (
     BlockFetched,
     CommitmentComputed,
-    Event,
     GradientRegistered,
     GradientsAggregated,
     IterationFinished,
@@ -180,7 +179,7 @@ def _enclosing(candidates: Sequence[Span], node: str,
     return best
 
 
-def build_span_tree(events: Iterable[Event]) -> Optional[SpanTree]:
+def build_span_tree(events: Iterable[tuple]) -> Optional[SpanTree]:
     """Reconstruct one iteration's span tree from its event list.
 
     A pure function: ``events`` is every bus event of a single iteration
@@ -335,7 +334,7 @@ class SpanCollector:
     def __init__(self, bus: EventBus):
         #: iteration -> completed SpanTree.
         self.trees: Dict[int, SpanTree] = {}
-        self._buffer: List[Event] = []
+        self._buffer: List[tuple] = []
         self._open: Optional[int] = None
         self._subscription: Subscription = bus.subscribe(
             self._handle, *SPAN_EVENTS
@@ -353,7 +352,7 @@ class SpanCollector:
             return None
         return self.trees[max(self.trees)]
 
-    def _handle(self, event: Event) -> None:
+    def _handle(self, event: tuple) -> None:
         if isinstance(event, IterationStarted):
             self._open = event.iteration
             self._buffer = [event]
