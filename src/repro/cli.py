@@ -184,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="providers per aggregator with "
                           "--merge-and-download (0 = sqrt optimum)")
     run.add_argument("--plan", default=None,
-                     help="fault plan file (JSON always; YAML when "
-                          "PyYAML is importable); omit for honest "
+                     help="fault plan .json file (kinds crash_trainer, "
+                          "crash_aggregator, link_down, "
+                          "directory_brownout); omit for honest "
                           "infrastructure")
     run.add_argument("--request-timeout", type=float, default=None,
                      help="per-attempt directory request timeout in "

@@ -6,10 +6,9 @@ behaviour *under churn* — yet the seed repo only ever exercised honest
 infrastructure.  This package makes failure a first-class, reproducible
 input:
 
-- :class:`FaultPlan` / :class:`FaultSpec` — a pure-data, serializable
-  schedule of faults (participant crashes, IPFS node crash/restart,
-  link outages and degradations, directory brown-outs, pub/sub message
-  loss).
+- :class:`FaultPlan` / :class:`FaultSpec` — a pure-data schedule of
+  faults (participant crashes, link outages, directory brown-outs),
+  loaded from JSON.
 - :class:`FaultInjector` — the sim process that executes a plan against
   a session, announcing every fault on the event bus.
 - :class:`RetryPolicy` / :class:`RetryExhaustedError` — the shared

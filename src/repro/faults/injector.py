@@ -8,16 +8,13 @@ and heal is announced on the event bus (``FaultInjected`` /
 ``FaultHealed``), so counters, the flight recorder and invariant
 monitors see the full chaos timeline.
 
-Determinism: the schedule is pure data, the only randomness (pub/sub
-message loss) comes from a ``random.Random`` seeded from
-``plan.seed`` and the spec's index, and the sim kernel orders the
-driver processes like any other — the same plan against the same
-session yields byte-identical runs.
+Determinism: the schedule is pure data, no fault draws a random
+number, and the sim kernel orders the driver processes like any other —
+the same plan against the same session yields byte-identical runs.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional
 
 from ..obs.events import FaultHealed, FaultInjected
@@ -30,7 +27,7 @@ class FaultInjector:
     """Drives a fault plan against a running :class:`FLSession`.
 
     Duck-types the session: it needs ``sim``, ``testbed.network``,
-    ``nodes``, ``pubsub``, ``directory``, the participant name lists and
+    ``directory``, the participant name lists and
     the session's ``_round_processes`` registry (the per-round supervised
     processes it interrupts to crash a participant).
     """
@@ -51,7 +48,6 @@ class FaultInjector:
     def _validate(self) -> None:
         trainers = {t.name for t in self.session.trainers}
         aggregators = {a.name for a in self.session.aggregators}
-        nodes = {node.name for node in self.session.nodes}
         network = self.session.testbed.network
         for index, spec in enumerate(self.plan.specs):
             label = f"spec {index} ({spec.kind})"
@@ -62,12 +58,7 @@ class FaultInjector:
                 raise ValueError(
                     f"{label}: unknown aggregator {spec.target!r}"
                 )
-            if spec.kind == "crash_ipfs" and spec.target not in nodes:
-                raise ValueError(
-                    f"{label}: unknown IPFS node {spec.target!r}"
-                )
-            if spec.kind in ("link_down", "degrade_link") \
-                    and spec.target not in network:
+            if spec.kind == "link_down" and spec.target not in network:
                 raise ValueError(f"{label}: unknown host {spec.target!r}")
 
     def start(self) -> None:
@@ -91,7 +82,7 @@ class FaultInjector:
     def _drive(self, index: int, spec: FaultSpec):
         if spec.at > 0:
             yield self.sim.timeout(spec.at)
-        heal = self._apply(index, spec)
+        heal = self._apply(spec)
         bus = self.sim.bus
         if bus.wants(FaultInjected):
             bus.publish(FaultInjected(
@@ -101,29 +92,21 @@ class FaultInjector:
         if spec.duration is None:
             return  # permanent fault (e.g. a trainer that never rejoins)
         yield self.sim.timeout(spec.duration)
-        if heal is not None:
-            heal()
+        heal()
         if bus.wants(FaultHealed):
             bus.publish(FaultHealed(
                 at=self.sim.now, kind=spec.kind, target=spec.target,
                 spec_index=index,
             ))
 
-    def _apply(self, index: int,
-               spec: FaultSpec) -> Optional[Callable[[], None]]:
+    def _apply(self, spec: FaultSpec) -> Callable[[], None]:
         """Apply one fault; returns the closure that heals it."""
         if spec.kind in ("crash_trainer", "crash_aggregator"):
             return self._crash_participant(spec)
-        if spec.kind == "crash_ipfs":
-            return self._crash_ipfs(spec)
         if spec.kind == "link_down":
             return self._link_down(spec)
-        if spec.kind == "degrade_link":
-            return self._degrade_link(spec)
         if spec.kind == "directory_brownout":
             return self._directory_brownout(spec)
-        if spec.kind == "message_loss":
-            return self._message_loss(index, spec)
         raise ValueError(f"unknown fault kind {spec.kind!r}")
 
     # -- fault kinds ----------------------------------------------------------------
@@ -142,34 +125,10 @@ class FaultInjector:
 
         return heal
 
-    def _crash_ipfs(self, spec: FaultSpec):
-        node = next(
-            node for node in self.session.nodes if node.name == spec.target
-        )
-        node.crash(lose_storage=spec.lose_storage)
-        return node.restart
-
     def _link_down(self, spec: FaultSpec):
         network = self.session.testbed.network
         network.set_host_online(spec.target, False, reason="fault injection")
         return lambda: network.set_host_online(spec.target, True)
-
-    def _degrade_link(self, spec: FaultSpec):
-        from ..net.units import mbps
-
-        network = self.session.testbed.network
-        host = network.host(spec.target)
-        saved = (host.up_bandwidth, host.down_bandwidth)
-        if spec.bandwidth_mbps is not None:
-            up = down = mbps(spec.bandwidth_mbps)
-        else:
-            up, down = saved[0] * spec.factor, saved[1] * spec.factor
-        network.set_host_bandwidth(spec.target, up, down)
-
-        def heal():
-            network.set_host_bandwidth(spec.target, saved[0], saved[1])
-
-        return heal
 
     def _directory_brownout(self, spec: FaultSpec):
         directory = self.session.directory
@@ -180,9 +139,3 @@ class FaultInjector:
             directory.processing_delay = saved
 
         return heal
-
-    def _message_loss(self, index: int, spec: FaultSpec):
-        pubsub = self.session.pubsub
-        rng = random.Random(self.plan.seed * 1_000_003 + index)
-        pubsub.set_message_loss(spec.probability, rng)
-        return lambda: pubsub.set_message_loss(0.0)

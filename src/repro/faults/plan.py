@@ -1,10 +1,10 @@
 """Pure-data fault plans.
 
-A :class:`FaultPlan` is a seeded, serialisable schedule of
-:class:`FaultSpec` entries; it performs no side effects itself — the
+A :class:`FaultPlan` is a schedule of :class:`FaultSpec` entries; it
+performs no side effects itself — the
 :class:`~repro.faults.injector.FaultInjector` interprets it against a live
 session.  Keeping the plan pure data makes chaos scenarios reviewable,
-diffable, and loadable from JSON (or YAML when available) on the CLI.
+diffable, and loadable from a JSON file on the CLI.
 
 Fault taxonomy (``FaultSpec.kind``):
 
@@ -13,27 +13,13 @@ Fault taxonomy (``FaultSpec.kind``):
     ``duration`` the participant stays down (skipped at round start) until
     ``at + duration`` — a late-join; without one it only loses the round
     in flight.
-``crash_ipfs``
-    Take the named IPFS node process down at ``at``; with
-    ``lose_storage=True`` the blockstore is wiped too (disk loss), else
-    blocks survive and are re-provided to the DHT on restart at
-    ``at + duration``.
 ``link_down``
     Hard outage of the named host's links for ``duration`` seconds;
     in-flight transfers crossing them abort with ``TransferAborted``.
-``degrade_link``
-    Scale the host's link capacities by ``factor`` (or pin them to
-    ``bandwidth_mbps``) for ``duration`` seconds.
 ``directory_brownout``
     Elevate the directory service's ``processing_delay`` to
-    ``processing_delay`` seconds for ``duration`` seconds.
-``message_loss``
-    Drop each pubsub delivery independently with ``probability`` for
-    ``duration`` seconds (seeded from the plan seed and spec index).
-
-``directory_brownout`` and ``message_loss`` act on the whole service
-(the one directory server, every pubsub delivery) and take no
-``target``.
+    ``processing_delay`` seconds for ``duration`` seconds.  It acts on
+    the one directory server and takes no ``target``.
 """
 
 from __future__ import annotations
@@ -42,7 +28,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 
@@ -50,15 +36,9 @@ __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
     "crash_trainer": ("target",),
     "crash_aggregator": ("target",),
-    "crash_ipfs": ("target", "duration"),
     "link_down": ("target", "duration"),
-    "degrade_link": ("target", "duration"),
     "directory_brownout": ("processing_delay", "duration"),
-    "message_loss": ("probability", "duration"),
 }
-
-#: Fault kinds that act on a whole service and so name no ``target``.
-_UNTARGETED = ("directory_brownout", "message_loss")
 
 
 @dataclass(frozen=True)
@@ -69,17 +49,12 @@ class FaultSpec:
     at: float
     target: Optional[str] = None
     duration: Optional[float] = None
-    factor: Optional[float] = None
-    bandwidth_mbps: Optional[float] = None
     processing_delay: Optional[float] = None
-    probability: Optional[float] = None
-    lose_storage: bool = False
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; "
-                f"expected one of {sorted(FAULT_KINDS)}"
+                f"unknown fault kind {self.kind!r}; {_vocabulary()}"
             )
         if self.at < 0:
             raise ValueError("fault time `at` must be non-negative")
@@ -90,49 +65,35 @@ class FaultSpec:
                 raise ValueError(
                     f"{self.kind} fault requires the {required!r} field"
                 )
-        if self.kind in _UNTARGETED and self.target is not None:
+        if self.kind == "directory_brownout" and self.target is not None:
             raise ValueError(
                 f"{self.kind} fault takes no `target` (got {self.target!r})"
             )
-        if self.kind == "degrade_link":
-            if self.factor is None and self.bandwidth_mbps is None:
-                raise ValueError(
-                    "degrade_link requires `factor` or `bandwidth_mbps`"
-                )
-            if self.factor is not None and not 0.0 < self.factor:
-                raise ValueError("degrade_link `factor` must be positive")
-            if self.bandwidth_mbps is not None and self.bandwidth_mbps <= 0:
-                raise ValueError(
-                    "degrade_link `bandwidth_mbps` must be positive"
-                )
-        if self.probability is not None \
-                and not 0.0 <= self.probability <= 1.0:
-            raise ValueError("`probability` must be in [0, 1]")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Spec as a plain dict, defaults elided (stable for JSON diffs)."""
-        raw = dataclasses.asdict(self)
-        return {
-            key: value for key, value in raw.items()
-            if value is not None and (key != "lose_storage" or value)
-        }
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "FaultSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ValueError(f"unknown FaultSpec fields: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown FaultSpec fields: {sorted(unknown)}; "
+                f"{_vocabulary()}"
+            )
         return cls(**raw)
+
+
+def _vocabulary() -> str:
+    """What a spec may say, for the errors that reject one."""
+    fields = [f.name for f in dataclasses.fields(FaultSpec)]
+    return f"a spec takes {fields}, its kind one of {sorted(FAULT_KINDS)}"
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded schedule of faults.  Pure data; executed by FaultInjector.
+    """A schedule of faults.  Pure data; executed by FaultInjector.
 
-    The ``seed`` drives every stochastic fault effect (currently pubsub
-    message loss), so the same plan against the same session configuration
-    replays byte-identically.
+    ``seed`` seeds nothing: no fault kind draws a random number.  Plans
+    carry it (``examples/plans/churn.json``), and the run report prints
+    it.
     """
 
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
@@ -150,14 +111,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
-    # -- (de)serialisation ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "specs": [spec.to_dict() for spec in self.specs],
-        }
-
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "FaultPlan":
         unknown = set(raw) - {"seed", "specs"}
@@ -168,40 +121,11 @@ class FaultPlan:
         )
         return cls(specs=specs, seed=int(raw.get("seed", 0)))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    def write(self, path: Union[str, "os.PathLike[str]"]) -> None:
-        with open(os.fspath(path), "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
     @classmethod
     def load(cls, path: Union[str, "os.PathLike[str]"]) -> "FaultPlan":
-        """Load a plan from a ``.json`` (always) or ``.yaml``/``.yml``
-        (when PyYAML is importable) file."""
+        """Load a plan from a ``.json`` file."""
         name = os.fspath(path)
+        if not name.endswith(".json"):
+            raise ValueError(f"a fault plan is a .json file, not {name!r}")
         with open(name, encoding="utf-8") as handle:
-            text = handle.read()
-        if name.endswith((".yaml", ".yml")):
-            try:
-                import yaml
-            except ImportError as exc:  # pragma: no cover - env dependent
-                raise RuntimeError(
-                    "YAML fault plans need PyYAML; install it or use JSON"
-                ) from exc
-            return cls.from_dict(yaml.safe_load(text) or {})
-        return cls.from_json(text)
-
-    # -- queries -------------------------------------------------------------
-
-    def targets(self) -> Sequence[str]:
-        """Distinct named targets, in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for spec in self.specs:
-            if spec.target is not None:
-                seen.setdefault(spec.target)
-        return list(seen)
+            return cls.from_dict(json.load(handle))

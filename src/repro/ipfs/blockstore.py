@@ -50,9 +50,6 @@ class Blockstore:
         """The stored block, or None."""
         return self._blocks.get(cid)
 
-    def has(self, cid: CID) -> bool:
-        return cid in self._blocks
-
     def unpin(self, cid: CID) -> None:
         self._pins.discard(cid)
 
@@ -73,13 +70,6 @@ class Blockstore:
                     at=sim.now, node=self.owner, cid=cid, size=size,
                 ))
         return cids
-
-    def wipe(self) -> List[CID]:
-        """Drop *everything*, pinned or not (disk loss on a node crash);
-        returns the CIDs removed."""
-        removed = self._evict(list(self._blocks))
-        self._pins.clear()
-        return removed
 
     def collect_garbage(self) -> List[CID]:
         """Drop every unpinned block; returns the CIDs removed."""

@@ -15,18 +15,17 @@ object and block on every fetch; nothing is remembered between fetches.
 Memory: a stored object is one immutable buffer that its leaf blocks
 alias (:mod:`repro.ipfs.block`).  A node that holds an object complete
 serves that buffer itself — to gets, merges and replication — and keeps
-no table of buffers: they go when unpin + GC, or a crash that loses the
-disk, drops the blocks.
+no table of buffers: they go when unpin + GC drops the blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..faults.retry import RetryPolicy
 from ..net import Endpoint, Message, Transport
 from ..obs.events import BlockFetched, BlockStored, MergeServed, \
-    NodeCrashed, NodeRestarted, RetryExhausted
+    RetryExhausted
 from ..sim import Simulator
 from .block import Block, DEFAULT_CHUNK_SIZE, chunk_object, join_leaves, \
     parse_manifest
@@ -77,10 +76,6 @@ class IPFSNode:
         self.chunk_size = chunk_size
         self.online = True
         self.corrupt = False
-        #: Root CIDs this node has advertised on the DHT, in publication
-        #: order (dict used as an insertion-ordered set).  Crash/restart
-        #: withdraws and re-publishes exactly these records.
-        self._provided: Dict[CID, None] = {}
         #: Set by :class:`~repro.ipfs.cluster.ReplicationCluster`.
         self.cluster = None
         #: Telemetry.
@@ -100,7 +95,6 @@ class IPFSNode:
             self.store.put(leaf)
         self.store.put(root)
         self.dht.provide(root.cid, self.name)
-        self._provided[root.cid] = None
         bus = self.sim.bus
         if bus.wants(BlockStored):
             bus.publish(BlockStored(
@@ -137,58 +131,6 @@ class IPFSNode:
         for block in self._stored_blocks(root_cid) or ():
             if block is not None:  # a missing block holds no pin
                 self.store.unpin(block.cid)
-
-    # -- fault surface (crash / restart) ---------------------------------------
-
-    def crash(self, lose_storage: bool = False) -> None:
-        """Take the node down (fault injection).
-
-        Requests are dropped on the floor while down, and every provider
-        record the node published is withdrawn from the DHT — as a real
-        peer's records expire once it stops re-providing.  With
-        ``lose_storage`` the blockstore is wiped too (disk loss); without
-        it the blockstore survives and :meth:`restart` re-advertises it.
-        Idempotent: crashing a dead node only escalates storage loss.
-        """
-        was_online = self.online
-        self.online = False
-        if was_online:
-            for cid in self._provided:
-                self.dht.unprovide(cid, self.name)
-        lost_blocks = 0
-        if lose_storage:
-            lost_blocks = len(self.store.wipe())
-            self._provided.clear()
-        if not was_online and not lose_storage:
-            return
-        bus = self.sim.bus
-        if bus.wants(NodeCrashed):
-            bus.publish(NodeCrashed(
-                at=self.sim.now, node=self.name, lost_blocks=lost_blocks,
-            ))
-
-    def restart(self) -> int:
-        """Bring a crashed node back; returns re-provided record count.
-
-        Objects still in the blockstore are re-advertised on the DHT in
-        their original publication order (the re-provide run a restarted
-        IPFS daemon performs); records for objects lost with the disk are
-        dropped.  No-op if the node is already online.
-        """
-        if self.online:
-            return 0
-        self.online = True
-        survivors = {cid: None for cid in self._provided
-                     if self.store.has(cid)}
-        self._provided = survivors
-        for cid in survivors:
-            self.dht.provide(cid, self.name)
-        bus = self.sim.bus
-        if bus.wants(NodeRestarted):
-            bus.publish(NodeRestarted(
-                at=self.sim.now, node=self.name, reprovided=len(survivors),
-            ))
-        return len(survivors)
 
     # -- server loop ----------------------------------------------------------
 
@@ -339,8 +281,7 @@ class IPFSClient:
         skip to the next provider.  When the client has a
         :class:`RetryPolicy`, a
         fully failed pass retries with bounded backoff, re-querying the
-        DHT each attempt (a crashed node may have restarted and
-        re-provided).  Raises the final attempt's :class:`IPFSError`
+        DHT each attempt.  Raises the final attempt's :class:`IPFSError`
         (:class:`NotFoundError` et al.) when exhausted.
         """
         policy = self.retry

@@ -11,9 +11,8 @@ pubsub at these scales.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..sim import Event, Store
 from ..net import Transport
@@ -62,30 +61,13 @@ class PubSub:
         self.sim = transport.sim
         #: topic -> subscriptions in join order (a dict, not a set: a set
         #: of objects iterates in address order, which would make the
-        #: fan-out order — and with it the event trace and which
-        #: deliveries a seeded loss drops — differ between replays).
+        #: fan-out order — and with it the event trace — differ between
+        #: replays).
         self._topics: Dict[str, Dict[Subscription, None]] = {}
         #: Telemetry: messages published per topic.
         self.published: Dict[str, int] = {}
-        #: Telemetry: deliveries lost (fault injection / dead links).
+        #: Telemetry: deliveries lost to dead links.
         self.dropped = 0
-        self._loss_rate = 0.0
-        self._loss_rng: Optional[random.Random] = None
-
-    def set_message_loss(self, rate: float,
-                         rng: Optional[random.Random] = None) -> None:
-        """Drop each delivery independently with probability ``rate``.
-
-        Fault-injection hook: pass a seeded ``random.Random`` for
-        reproducible loss patterns; ``rate=0`` heals the fabric.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("loss rate must be within [0, 1]")
-        self._loss_rate = rate
-        if rate > 0.0 and rng is None and self._loss_rng is None:
-            raise ValueError("seeded rng required to enable message loss")
-        if rng is not None:
-            self._loss_rng = rng
 
     def subscribe(self, topic: str, subscriber: str) -> Subscription:
         """Join ``topic``; returns the queue to consume from."""
@@ -128,10 +110,6 @@ class PubSub:
 
     def _deliver(self, message: PubSubMessage, subscription: Subscription,
                  sender: str, size: float):
-        if self._loss_rate > 0.0 \
-                and self._loss_rng.random() < self._loss_rate:
-            self.dropped += 1
-            return
         try:
             yield self.transport.network.transfer(
                 sender, subscription.subscriber, size + _FRAME_OVERHEAD

@@ -130,28 +130,6 @@ class Network:
                 (host.uplink, host.downlink), reason):
             self._publish_aborted(*flow.transfer, reason)
 
-    def set_host_bandwidth(self, name: str,
-                           up_bandwidth: Optional[float] = None,
-                           down_bandwidth: Optional[float] = None) -> None:
-        """Change a host's link capacities mid-run (bytes/second).
-
-        In-flight flows keep the bytes already delivered and share the
-        new capacities from now on.
-        """
-        host = self._hosts[name]
-        for capacity in (up_bandwidth, down_bandwidth):
-            if capacity is not None and capacity <= 0:
-                raise ValueError("link capacity must be positive")
-        changed = []
-        if up_bandwidth is not None:
-            host.uplink.capacity = float(up_bandwidth)
-            changed.append(host.uplink)
-        if down_bandwidth is not None:
-            host.downlink.capacity = float(down_bandwidth)
-            changed.append(host.downlink)
-        if changed:
-            self._scheduler.rates_changed(changed)
-
     # -- data movement ---------------------------------------------------------
 
     def latency(self, src: str, dst: str) -> float:

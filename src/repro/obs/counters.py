@@ -32,8 +32,6 @@ from .events import (
     InvariantViolated,
     IterationFinished,
     MergeServed,
-    NodeCrashed,
-    NodeRestarted,
     PartialUpdateRegistered,
     ParticipantDegraded,
     RetryExhausted,
@@ -79,8 +77,6 @@ class CountersRegistry:
             SnapshotSealed: self._on_snapshot_sealed,
             FaultInjected: self._on_fault_injected,
             FaultHealed: self._on_fault_healed,
-            NodeCrashed: self._on_node_crashed,
-            NodeRestarted: self._on_node_restarted,
             RetryExhausted: self._on_retry_exhausted,
             ParticipantDegraded: self._on_participant_degraded,
             TrainingEvaluated: self._on_training_evaluated,
@@ -203,13 +199,6 @@ class CountersRegistry:
 
     def _on_fault_healed(self, event) -> None:
         self.increment("faults.healed")
-
-    def _on_node_crashed(self, event) -> None:
-        self.increment("ipfs.node_crashes")
-        self.increment("ipfs.blocks_lost", event.lost_blocks)
-
-    def _on_node_restarted(self, event) -> None:
-        self.increment("ipfs.node_restarts")
 
     def _on_retry_exhausted(self, event) -> None:
         self.increment("protocol.retries_exhausted")

@@ -74,8 +74,6 @@ __all__ = [
     "FaultInjected",
     "FaultHealed",
     "TransferAborted",
-    "NodeCrashed",
-    "NodeRestarted",
     "RetryExhausted",
     "ParticipantDegraded",
     # learning & anomaly telemetry
@@ -193,30 +191,6 @@ class TransferAborted(NamedTuple):
     dst: str
     size: float
     reason: str
-
-
-class NodeCrashed(NamedTuple):
-    """An IPFS storage node's process died.
-
-    ``lost_blocks`` is the number of blocks wiped from its store
-    (0 when the disk survives the crash).
-    """
-
-    at: float
-    node: str
-    lost_blocks: int
-
-
-class NodeRestarted(NamedTuple):
-    """A crashed IPFS node came back.
-
-    ``reprovided`` counts the surviving objects whose provider records
-    were re-published to the DHT.
-    """
-
-    at: float
-    node: str
-    reprovided: int
 
 
 class FaultInjected(NamedTuple):
@@ -616,8 +590,6 @@ EVENT_TYPES = (
     MergeServed,
     BlockEvicted,
     TransferAborted,
-    NodeCrashed,
-    NodeRestarted,
     FaultInjected,
     FaultHealed,
     IterationStarted,

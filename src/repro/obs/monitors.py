@@ -115,8 +115,6 @@ class InvariantMonitors:
         self.bus = bus
         #: Every violation caught, in detection order.
         self.violations: List[InvariantViolated] = []
-        #: Events inspected (for progress/coverage reporting).
-        self.events_checked = 0
         self._finalized = False
 
         # clock / iteration monotonicity
@@ -125,7 +123,6 @@ class InvariantMonitors:
         self._actor_iteration: Dict[str, int] = {}
 
         # protocol ordering (per open iteration)
-        self._open_iteration: Optional[int] = None
         self._registered: Set[str] = set()       # trainers with gradients in
         self._uploaded: Set[str] = set()         # trainers past UploadCompleted
         self._aggregated: Set[str] = set()       # aggregators past collection
@@ -199,7 +196,6 @@ class InvariantMonitors:
     def _handle(self, event: tuple) -> None:
         if isinstance(event, InvariantViolated):
             return  # our own output (or a peer monitor's): never re-checked
-        self.events_checked += 1
         at = getattr(event, "at", None)
         if at is not None:
             if at < self._last_at - _CLOCK_TOL:
@@ -239,7 +235,6 @@ class InvariantMonitors:
                 iteration=event.iteration,
             )
         self._last_iteration = event.iteration
-        self._open_iteration = event.iteration
         self._registered = set()
         self._uploaded = set()
         self._aggregated = set()

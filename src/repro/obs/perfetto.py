@@ -98,9 +98,6 @@ class PerfettoExporter:
             "displayTimeUnit": "ms",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def write(self, destination: Union[str, os.PathLike, IO[str]]) -> None:
         """Write the trace to a path or an open text stream."""
         if hasattr(destination, "write"):

@@ -12,8 +12,7 @@ The paper measures (Sec. V):
 Protocol participants only publish :mod:`repro.obs` events; a
 :class:`TelemetryCollector` (every session owns one) folds the event
 stream into :class:`IterationMetrics` / :class:`SessionMetrics`, the
-stable analysis-facing API.  Archived runs round-trip through
-:meth:`SessionMetrics.to_json` / :meth:`SessionMetrics.from_json`.
+stable analysis-facing API; ``to_dict`` snapshots them as plain JSON.
 
 Routing: events carry an ``iteration``; the collector only applies them
 while that iteration is *open* (between ``IterationStarted`` and
@@ -25,7 +24,6 @@ state at round end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -182,34 +180,6 @@ class IterationMetrics:
             "mean_bytes_received": self.mean_bytes_received,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IterationMetrics":
-        """Rebuild from a :meth:`to_dict` snapshot.
-
-        Derived values present in the snapshot are ignored — they are
-        recomputed from the raw fields, so a loaded run answers every
-        property exactly as the live one did.
-        """
-        return cls(
-            iteration=data["iteration"],
-            started_at=data.get("started_at", 0.0),
-            finished_at=data.get("finished_at", 0.0),
-            upload_delays=dict(data.get("upload_delays", {})),
-            first_gradient_at=data.get("first_gradient_at"),
-            gradients_aggregated_at=dict(
-                data.get("gradients_aggregated_at", {})),
-            update_registered_at=dict(
-                data.get("update_registered_at", {})),
-            bytes_received=dict(data.get("bytes_received", {})),
-            sync_delays=dict(data.get("sync_delays", {})),
-            commit_seconds=dict(data.get("commit_seconds", {})),
-            verification_failures=list(
-                data.get("verification_failures", [])),
-            trainers_completed=list(data.get("trainers_completed", [])),
-            takeovers=list(data.get("takeovers", [])),
-            degraded=dict(data.get("degraded", {})),
-        )
-
 
 @dataclass
 class SessionMetrics:
@@ -237,23 +207,6 @@ class SessionMetrics:
         return {
             "iterations": [m.to_dict() for m in self.iterations],
         }
-
-    def to_json(self) -> str:
-        """Serialize the run's telemetry for archival/plotting."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionMetrics":
-        """Rebuild a run from a :meth:`to_dict` snapshot."""
-        return cls(iterations=[
-            IterationMetrics.from_dict(entry)
-            for entry in data.get("iterations", [])
-        ])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SessionMetrics":
-        """Load an archived run; inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
 
 class TelemetryCollector:

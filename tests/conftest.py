@@ -7,9 +7,10 @@ once and shared by every test that reads it (tests/test_cli.py,
 tests/test_obs_anomaly.py, tests/test_analysis_diagnose.py).
 """
 
+import json
+
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec
 from tests.util import run_bundle
 
 #: The CI chaos job's churn invocation.
@@ -24,7 +25,7 @@ FLAP = ["--rounds", "2", "--request-timeout", "1"]
 
 @pytest.fixture(scope="session")
 def churn_bundle(tmp_path_factory):
-    """The seeded churn plan, both of its anomaly kinds expected."""
+    """The churn plan, both of its anomaly kinds expected."""
     return run_bundle(
         CHURN + ["--expect-anomaly", "retry_storm",
                  "--expect-anomaly", "throughput_collapse"],
@@ -33,19 +34,18 @@ def churn_bundle(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def flap_bundles(tmp_path_factory):
-    """A seeded fault plan run twice: ``expected`` names the anomaly kind
+    """A fault plan run twice: ``expected`` names the anomaly kind
     it causes, ``omitted`` does not.  What ``--expect-anomaly`` lists
     never reaches the simulation, so the two are also each other's
     replay.  (Not the churn plan: that costs 15 s a run here, and its
     replay is ``cmp``-ed by the CI chaos job on every push.)"""
     root = tmp_path_factory.mktemp("flap")
     plan = root / "flap.json"
-    plan.write_text(FaultPlan([
-        FaultSpec(kind="link_down", at=0.05, duration=2.0,
-                  target="trainer-2"),
-        FaultSpec(kind="directory_brownout", at=0.02, duration=1.0,
-                  processing_delay=0.2)],
-        seed=3).to_json())
+    plan.write_text(json.dumps({"seed": 3, "specs": [
+        {"kind": "link_down", "at": 0.05, "duration": 2.0,
+         "target": "trainer-2"},
+        {"kind": "directory_brownout", "at": 0.02, "duration": 1.0,
+         "processing_delay": 0.2}]}))
     argv = FLAP + ["--plan", str(plan)]
     expected = run_bundle(
         argv + ["--expect-anomaly", "throughput_collapse"],

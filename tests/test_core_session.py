@@ -446,7 +446,7 @@ def test_collect_garbage_keeps_the_iteration_it_was_told_to_keep():
         for iteration in (1, 0))
     assert newest[0].cid == previous[0].cid  # the premise: same objects
     session.collect_garbage(keep_iterations=1)
-    assert any(node.store.has(newest[0].cid) for node in session.nodes)
+    assert any(newest[0].cid in node.store for node in session.nodes)
     assert session.storage_bytes > 0
 
 

@@ -113,7 +113,7 @@ def test_replication_keeps_gradients_available_after_origin_death():
     session.sim.run_until(proc)
     live_replicas = sum(
         1 for cid in gradient_cids
-        if any(node.online and node.store.has(cid)
+        if any(node.online and cid in node.store
                for node in session.nodes)
     )
     # Everything with a live replica must have been retrieved.

@@ -6,8 +6,8 @@ the machinery actually fire: a trainer crash before upload, an
 aggregator crash mid-collect forcing a peer takeover, and a 30 s link
 outage ridden out by the shared retry policy — each asserting the run
 completes, the surviving trainers stay in consensus, and the invariant
-monitors report zero violations.  A final test pins the seeded-replay
-guarantee: the same ``FaultPlan`` seed yields a byte-identical
+monitors report zero violations.  A final test pins the replay
+guarantee: the same ``FaultPlan`` yields a byte-identical
 ``RunManifest``.
 """
 
@@ -216,7 +216,7 @@ def test_link_down_while_the_announcement_is_in_flight():
     assert len(second.trainers_completed) == 4
 
 
-# -- seeded determinism -------------------------------------------------------------
+# -- determinism -------------------------------------------------------------
 
 
 def test_same_fault_plan_seed_gives_byte_identical_manifest():
@@ -229,7 +229,7 @@ def test_same_fault_plan_seed_gives_byte_identical_manifest():
                       duration=10.0),
             FaultSpec(kind="directory_brownout", at=1.0,
                       processing_delay=1.0, duration=10.0),
-            FaultSpec(kind="message_loss", at=0.0, probability=0.1,
+            FaultSpec(kind="link_down", at=2.0, target="trainer-2",
                       duration=30.0)],
             seed=11,
         )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ipfs import Block, IntegrityError, IPFSError, chunk_object, \
+from repro.ipfs import Block, IntegrityError, chunk_object, \
     compute_cid
 from repro.ipfs.block import join_leaves
 
@@ -157,24 +157,6 @@ def test_reput_and_unpin_gc_leave_no_buffer_behind():
     assert len(node.store) == 0 and node.store.total_bytes == 0
     assert _buffers(node) == []
     assert node.load_object(cid) is None
-
-
-def test_crash_losing_storage_then_restart_serves_nothing():
-    world, node = _node()
-    client = world.client("client-0")
-    client.request_timeout = 5.0
-    data = bytes(range(256))
-    cid = node.store_object(data)
-    node.crash(lose_storage=True)
-    assert _buffers(node) == [] and node.store.total_bytes == 0
-    assert node.restart() == 0
-    assert node.load_object(cid) is None
-
-    def scenario():
-        return (yield from client.get(cid, prefer_nodes=["ipfs-0"]))
-
-    with pytest.raises(IPFSError):
-        run_proc(world, scenario())
 
 
 # -- same addresses -------------------------------------------------------------------

@@ -259,7 +259,7 @@ def test_unpin_releases_object():
     world.sim.process(scenario(world.sim))
     world.sim.run()
     node.store.collect_garbage()
-    assert not node.store.has(box["cid"])
+    assert box["cid"] not in node.store
 
 
 def test_client_telemetry():

@@ -140,7 +140,7 @@ def test_cluster_replicates_puts():
     world.sim.process(scenario(world.sim))
     world.sim.run()
     holders = [node.name for node in cluster.nodes
-               if node.online and node.store.has(box["cid"])]
+               if node.online and box["cid"] in node.store]
     assert "ipfs-0" in holders  # origin keeps it
     assert len(holders) >= 2
 

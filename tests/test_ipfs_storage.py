@@ -14,7 +14,7 @@ def test_put_and_get():
     block = Block(b"data")
     cid = store.put(block)
     assert store.get(cid) is block
-    assert store.has(cid)
+    assert cid in store
     assert cid in store
     assert len(store) == 1
 
@@ -42,8 +42,8 @@ def test_pin_unpin_gc():
     store.unpin(loose.cid)
     removed = store.collect_garbage()
     assert removed == [loose.cid]
-    assert store.has(pinned.cid)
-    assert not store.has(loose.cid)
+    assert pinned.cid in store
+    assert loose.cid not in store
     assert store.total_bytes == pinned.size
 
 
@@ -53,7 +53,7 @@ def test_unpin_then_gc():
     store.put(block)
     store.unpin(block.cid)
     store.collect_garbage()
-    assert not store.has(block.cid)
+    assert block.cid not in store
 
 
 def test_put_existing_with_pin_pins_it():
@@ -63,7 +63,7 @@ def test_put_existing_with_pin_pins_it():
     store.unpin(block.cid)
     store.put(block)
     assert store.collect_garbage() == []
-    assert store.has(block.cid)
+    assert block.cid in store
 
 
 def test_cids_iteration():

@@ -37,6 +37,7 @@ from repro.obs.events import (DirectoryRequest, GradientRegistered,
                               TransferStarted)
 from repro.sim import Simulator
 from tests.reference_message_path import ReferenceNetwork, ReferenceTransport
+from tests.util import set_host_capacity
 
 NEW = (Network, Transport)
 REFERENCE = (ReferenceNetwork, ReferenceTransport)
@@ -114,7 +115,7 @@ class World:
         elif verb == "online":
             self.network.set_host_online(*args)
         else:
-            self.network.set_host_bandwidth(*args)
+            set_host_capacity(self.network, *args)
 
     def run(self, schedule):
         for tick, action in schedule:

@@ -24,6 +24,7 @@ from repro.net.bandwidth import FlowScheduler, Link
 from repro.obs import MetricsRegistry, ResourceSampler
 from repro.sim import Simulator
 from tests.test_net_incremental import utilization_oracle
+from tests.util import set_host_capacity
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -188,7 +189,7 @@ def _two_transfers():
 
 def test_run_until_may_return_before_the_settle_then_capacity_changes():
     sim, network, long = _two_transfers()
-    network.set_host_bandwidth("a", up_bandwidth=20.0)
+    set_host_capacity(network, "a", up=20.0)
     sim.run()
     assert long.processed and long.ok
     assert sim.now == 30.0  # 200 B left at t=20, alone on 20 B/s

@@ -38,7 +38,7 @@ from repro.obs.events import (
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Event types in ``repro.obs.events``.
-EVENT_TYPE_COUNT = 35
+EVENT_TYPE_COUNT = 33
 #: Dataclasses the ``repro`` modules define once ``import repro`` ran;
 #: none of them is an event type.
 IMPORT_DATACLASS_COUNT = 36

@@ -215,54 +215,3 @@ def test_session_latest_and_mean():
     # None iterations are skipped, not averaged as zero.
     assert session.mean_over_iterations("mean_upload_delay") == 4.0
     assert session.mean_over_iterations("sync_delay") is None
-
-
-# -- archive round-trip ----------------------------------------------------------
-
-
-def full_metrics():
-    return IterationMetrics(
-        iteration=2,
-        started_at=10.0,
-        finished_at=50.0,
-        upload_delays={"trainer-0": 1.25},
-        first_gradient_at=12.0,
-        gradients_aggregated_at={"aggregator-0": 30.0},
-        update_registered_at={"aggregator-0": 40.0},
-        bytes_received={"aggregator-0": 4096.0},
-        sync_delays={"aggregator-0": 5.0},
-        commit_seconds={"trainer-0": 0.125},
-        verification_failures=["bad-entry"],
-        trainers_completed=["trainer-0"],
-        takeovers=["aggregator-1"],
-    )
-
-
-def test_iteration_metrics_from_dict_roundtrip():
-    original = full_metrics()
-    rebuilt = IterationMetrics.from_dict(original.to_dict())
-    assert rebuilt == original
-    assert rebuilt.to_dict() == original.to_dict()
-
-
-def test_from_dict_recomputes_derived_values():
-    snapshot = full_metrics().to_dict()
-    snapshot["aggregation_delay"] = -999.0  # tampered derived value
-    rebuilt = IterationMetrics.from_dict(snapshot)
-    assert rebuilt.aggregation_delay == 18.0
-
-
-def test_from_dict_tolerates_missing_optionals():
-    metrics = IterationMetrics.from_dict({"iteration": 7})
-    assert metrics.iteration == 7
-    assert metrics.upload_delays == {}
-    assert metrics.first_gradient_at is None
-
-
-def test_session_metrics_json_roundtrip():
-    session = SessionMetrics(iterations=[
-        full_metrics(), IterationMetrics(iteration=3)
-    ])
-    rebuilt = SessionMetrics.from_json(session.to_json())
-    assert rebuilt == session
-    assert rebuilt.to_json() == session.to_json()

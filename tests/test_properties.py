@@ -215,7 +215,7 @@ def test_protocol_invariants_grid(num_partitions,
         ]
         assert len(updates) == 1
         node = next(node for node in session.nodes
-                    if node.store.has(updates[0].cid))
+                    if updates[0].cid in node.store)
         blob = node.load_object(updates[0].cid)
         _, counter = decode_partition(blob)
         assert counter == float(num_trainers)

@@ -101,7 +101,7 @@ def test_slow_trainers_miss_round_fast_ones_proceed():
     from repro.core import decode_partition
     update = session.directory.state.entries_for(0, 0, "update")[0]
     node = next(node for node in session.nodes
-                if node.store.has(update.cid))
+                if update.cid in node.store)
     _, counter = decode_partition(node.load_object(update.cid))
     assert counter == 2.0
 
@@ -133,10 +133,10 @@ def test_collect_garbage_reclaims_old_iterations():
     assert session.storage_bytes == before - reclaimed
     # The last iteration's update objects are still retrievable.
     update = session.directory.state.entries_for(0, 2, "update")[0]
-    assert any(node.store.has(update.cid) for node in session.nodes)
+    assert any(update.cid in node.store for node in session.nodes)
     # Iteration 0's gradients are gone everywhere.
     for entry in session.directory.state.entries_for(0, 0, "gradient"):
-        assert not any(node.store.has(entry.cid) for node in session.nodes)
+        assert not any(entry.cid in node.store for node in session.nodes)
 
 
 def test_collect_garbage_keeps_protocol_working():

@@ -7,16 +7,20 @@ other than its defining module uses it.  Tests are not a reason to keep
 either: a helper that only its own tests call is dead surface.
 
 The scan is by name, not by type: ``obj.run`` reaches every method
-called ``run``.  A reference is a ``Name``, an ``Attribute`` or a string
-constant that is an identifier or a dotted path (``getattr`` dispatch,
-``"repro.ml.compute_gradient"``).  It does not count inside an import,
-inside an ``__all__`` list, inside the definition it names, or inside a
-definition that is itself dead; the last rule is iterated to a fixpoint,
-so a helper that only dead code calls is dead too.
+called ``run``.  Only ``self.run``, ``cls.run``, ``super().run`` and
+``ClassName.run`` know their class: they reach a ``run`` of that class,
+of its bases or of its subclasses, and no other.  A special method
+lives while its class does.  A reference is a ``Name``, an
+``Attribute`` or a string constant that is an identifier or a dotted
+path (``getattr`` dispatch, ``"repro.ml.compute_gradient"``).  It does
+not count inside an import, inside an ``__all__`` list, inside the
+definition it names, or inside a definition that is itself dead; the
+last rule is iterated to a fixpoint, so a helper that only dead code
+calls is dead too.
 
 The same holds for a parameter with a default: some call in those files
 must pass it, by keyword or by position, or it is a constant.  Calls
-match by name as well: ``Foo(...)`` passes to ``Foo.__init__`` (or,
+match by name: ``Foo(...)`` passes to ``Foo.__init__`` (or,
 without one, to its bases' by name), ``cls(...)`` in a method to its own
 class, ``super().__init__(...)`` to the class's bases, ``x.meth(...)``
 to every ``meth``.  A ``**kwargs`` forwarder passes a name only when one
@@ -25,8 +29,11 @@ of its own callers passes it.
 
 import ast
 import functools
+import json
 import re
 from pathlib import Path
+
+from repro.faults import FAULT_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -42,6 +49,11 @@ ALLOWLIST = {
     "straus": "one side of multi_scalar_mult's selection; tested directly",
     "pippenger": "the other side of that selection; tested directly",
     "FakeWallClock": "the test double behind the WallClock seam",
+    "rates_changed":
+        "no fault kind changes a link's capacity, but the flow golden "
+        "(tests/data/capture_flow_golden.py) and the solver properties "
+        "of tests/test_net_incremental.py and tests/test_net_components.py "
+        "drive one through it",
 }
 
 #: Defaulted parameters kept although no shipped call passes them (at
@@ -67,11 +79,13 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 class Definition:
     """One module-level function/class or method."""
 
-    def __init__(self, qualname, path, node):
+    def __init__(self, qualname, path, node, owner=None):
         self.qualname = qualname
         self.name = node.name
         self.path = path
         self.node = node
+        #: The name of the class a method belongs to; None for the rest.
+        self.owner = owner
 
     @property
     def public(self):
@@ -82,16 +96,22 @@ class Definition:
 
 
 class _Scanner(ast.NodeVisitor):
-    """Collects one file's definitions and its (name, enclosing) refs."""
+    """Collects one file's definitions, its top-level classes and its
+    (name, enclosing, class) refs."""
 
     def __init__(self, path, with_defs):
         self.path = path
         self.with_defs = with_defs
         self.defs = []
-        self.refs = []  # (name, frozenset of enclosing Definitions)
+        #: (name, frozenset of enclosing Definitions, class name or None)
+        self.refs = []
+        #: top-level class name -> the names of its bases
+        self.classes = {}
         self._stack = []
         self._enclosing = frozenset()
         self._class = None
+        self._depth = 0
+        self._owner = None  # the top-level class this code sits in
 
     def _define(self, node):
         if not self.with_defs:
@@ -102,22 +122,31 @@ class _Scanner(ast.NodeVisitor):
             qual = f"{self._class.name}.{node.name}"
         else:
             return None  # nested helper: part of its enclosing definition
-        d = Definition(qual, self.path, node)
+        d = Definition(qual, self.path, node,
+                       self._owner if self._stack else None)
         self.defs.append(d)
         return d
 
     def _visit_def(self, node, is_class):
         d = self._define(node)
-        outer, enclosing = self._class, self._enclosing
+        outer, enclosing, owner = self._class, self._enclosing, self._owner
+        if is_class and self._depth == 0:
+            self._owner = node.name
+            self.classes[node.name] = [
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))]
         if d is not None:
             self._stack.append(d)
             self._enclosing = enclosing | {d}
             if is_class and len(self._stack) == 1:
                 self._class = node
+        self._depth += 1
         self.generic_visit(node)
+        self._depth -= 1
         if d is not None:
             self._stack.pop()
-        self._class, self._enclosing = outer, enclosing
+        self._class, self._enclosing, self._owner = outer, enclosing, owner
 
     def visit_FunctionDef(self, node):
         self._visit_def(node, False)
@@ -138,14 +167,23 @@ class _Scanner(ast.NodeVisitor):
             return
         self.generic_visit(node)
 
-    def _ref(self, name):
-        self.refs.append((name, self._enclosing))
+    def _ref(self, name, cls=None):
+        self.refs.append((name, self._enclosing, cls))
 
     def visit_Name(self, node):
         self._ref(node.id)
 
     def visit_Attribute(self, node):
-        self._ref(node.attr)
+        value = node.value
+        if isinstance(value, ast.Name) and value.id in ("self", "cls") \
+                or (isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id == "super"):
+            self._ref(node.attr, self._owner)
+        elif isinstance(value, ast.Name):
+            self._ref(node.attr, value.id)  # a class's name, or not
+        else:
+            self._ref(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
@@ -165,34 +203,76 @@ def _files():
     return src, roots
 
 
+def _families(classes):
+    """Class name -> the names of it, its bases and its subclasses,
+    transitively."""
+    subclasses = {}
+    for name, bases in classes.items():
+        for base in bases:
+            subclasses.setdefault(base, set()).add(name)
+
+    def closure(name, edges):
+        found, todo = set(), [name]
+        while todo:
+            for other in edges.get(todo.pop(), ()):
+                if other not in found:
+                    found.add(other)
+                    todo.append(other)
+        return found
+
+    return {name: frozenset({name} | closure(name, classes)
+                            | closure(name, subclasses))
+            for name in classes}
+
+
 def scan(src_files, root_files):
     """Parse the tree; return (definitions, refs by name).
 
-    Each ref is ``(path, enclosing)``: the file it is in and the set of
-    definitions it sits inside.
+    Each ref is ``(path, enclosing, family)``: the file it is in, the set
+    of definitions it sits inside, and the names of the classes whose
+    methods it can reach (None: any definition of its name).
     """
     defs = []
-    refs = {}
+    raw = []
+    classes = {}
     for path, with_defs in ([(p, True) for p in src_files]
                             + [(p, False) for p in root_files]):
         s = _Scanner(path, with_defs)
         s.visit(_parse(path))
         defs.extend(s.defs)
-        for name, enclosing in s.refs:
-            refs.setdefault(name, []).append((path, enclosing))
+        raw.extend((path, ref) for ref in s.refs)
+        for name, bases in s.classes.items():
+            classes.setdefault(name, []).extend(bases)
+    families = _families(classes)
+    refs = {}
+    for path, (name, enclosing, cls) in raw:
+        refs.setdefault(name, []).append(
+            (path, enclosing, families.get(cls)))
     return defs, refs
 
 
+def _reaches(d, family):
+    return family is None or d.owner in family
+
+
 def dead_definitions(defs, refs):
-    """The fixpoint: definitions no live code outside themselves names."""
+    """The fixpoint: definitions no live code outside themselves names.
+    A special method (``__init__``, ``__len__``) lives while its class
+    does: the language calls it."""
+    classes = {(d.path, d.qualname): d for d in defs if d.owner is None}
     dead = set()
     while True:
         newly = set()
         for d in defs:
             if d in dead:
                 continue
-            if not any(d not in enc and not (enc & dead)
-                       for _, enc in refs.get(d.name, ())):
+            if d.name.startswith("__") and d.name.endswith("__") \
+                    and d.owner is not None:
+                if classes[d.path, d.owner] in dead:
+                    newly.add(d)
+            elif not any(d not in enc and not (enc & dead)
+                         and _reaches(d, family)
+                         for _, enc, family in refs.get(d.name, ())):
                 newly.add(d)
         if not newly:
             return dead
@@ -257,7 +337,7 @@ def unused_exports(src_files, defs, refs):
     for init, name in package_exports(src_files):
         home = _defining_module(init, name)
         if not any(path != home and path != init and not (enc & dead)
-                   for path, enc in refs.get(name, ())):
+                   for path, enc, _ in refs.get(name, ())):
             bad.append(f"{init.parent.name}.{name}")
     return sorted(bad)
 
@@ -428,6 +508,15 @@ def test_every_definition_and_export_is_reached():
     assert unused_exports(src, defs, refs) == []
 
 
+def test_every_fault_kind_is_used_by_a_shipped_plan():
+    """A fault kind is a definition too: it stays only while a plan under
+    ``examples/plans/`` uses it."""
+    used = {spec["kind"]
+            for path in (ROOT / "examples" / "plans").glob("*.json")
+            for spec in json.loads(path.read_text())["specs"]}
+    assert sorted(set(FAULT_KINDS) - used) == []
+
+
 def test_the_scan_reports_an_uncalled_public_def(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
@@ -451,6 +540,46 @@ def test_the_scan_reports_an_uncalled_public_def(tmp_path):
         "mod.py::Box.shake", "mod.py::only_dead_calls_me", "mod.py::unused"]
     # Box and used are named by main.py, unused by nothing else.
     assert unused_exports(src, defs, refs) == ["pkg.unused"]
+
+
+def test_the_scan_resolves_self_cls_super_and_class_names(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "class Base:\n"
+        "    def __len__(self):\n        return self.size()\n"
+        "    def render(self):\n        return self.to_json()\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls.parse()\n"
+        "    def size(self):\n        return 0\n"
+        "    def to_json(self):\n        return ''\n"
+        "    def parse(self):\n        return 1\n\n"
+        "class Child(Base):\n"
+        "    def to_json(self):\n        return super().to_json()\n"
+        "    def close(self):\n        return 2\n\n"
+        "class Other:\n"
+        "    def to_json(self):\n        return '{}'\n"
+        "    def parse(self):\n        return 3\n"
+        "    def close(self):\n        return 4\n"
+        "    def size(self):\n        return 5\n"
+        "    def load(self):\n        return 6\n\n"
+        "class Stranger:\n"
+        "    def load(self):\n        return 7\n")
+    (tmp_path / "main.py").write_text(
+        "from pkg.mod import Child, Other, Stranger\n"
+        "Child().render()\n"
+        "Child.make()\n"
+        "Other()\n"
+        "Stranger()\n"
+        "handle.close()\n")  # not self / cls / a class: any close
+    src = sorted(pkg.glob("*.py"))
+    defs, refs = scan(src, [tmp_path / "main.py"])
+    # self.to_json in Base reaches Base's and Child's (a subclass), not
+    # Other's; Base.__len__ lives with Base, and so self.size() in it
+    # reaches Base.size alone.  Other.load and Stranger.load: nobody.
+    assert unreached(defs, refs) == [
+        "mod.py::Other.load", "mod.py::Other.parse", "mod.py::Other.size",
+        "mod.py::Other.to_json", "mod.py::Stranger.load"]
 
 
 def test_every_defaulted_parameter_is_passed():

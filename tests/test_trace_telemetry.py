@@ -123,7 +123,7 @@ def run_small_session(rounds=2, **config_overrides):
 
 def test_metrics_to_dict_roundtrips_through_json():
     session = run_small_session()
-    blob = session.metrics.to_json()
+    blob = json.dumps(session.metrics.to_dict())
     parsed = json.loads(blob)
     assert len(parsed["iterations"]) == 2
     first = parsed["iterations"][0]

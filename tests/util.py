@@ -88,6 +88,21 @@ def make_ipfs_world(
     )
 
 
+def set_host_capacity(network: Network, name: str, up=None,
+                      down=None) -> None:
+    """Change a host's link capacities mid-run (bytes/second); in-flight
+    flows keep the bytes already delivered and share the new capacities
+    from now on.  No fault kind does this; the solver tests do."""
+    host = network._hosts[name]
+    changed = []
+    for link, capacity in ((host.uplink, up), (host.downlink, down)):
+        if capacity is not None:
+            link.capacity = float(capacity)
+            changed.append(link)
+    if changed:
+        network._scheduler.rates_changed(changed)
+
+
 def run_proc(world: IPFSWorld, generator):
     """Run one client process to completion and return its value."""
     process = world.sim.process(generator)
