@@ -465,8 +465,7 @@ class _ObserverStack:
         self.monitors = InvariantMonitors(bus)
         self.registry = MetricsRegistry(bus)
         self.sampler = ResourceSampler.for_session(session, self.registry)
-        self.watchdog = AnomalyWatchdog.for_session(session,
-                                                    wall_clock=clock)
+        self.watchdog = AnomalyWatchdog.for_session(session)
         self.spans = SpanCollector(bus)
         self.trace = JsonlTraceExporter(
             bus, os.path.join(directory, "trace.jsonl"))

@@ -151,7 +151,7 @@ class Trainer(Participant):
         if self.sim.now > schedule.t_train:
             return  # Abort: did not train in time (Algorithm 1 line 10).
         if bus.wants(TrainingEvaluated):
-            # Convergence telemetry: pure evaluation on the local shard
+            # Evaluation telemetry: pure evaluation on the local shard
             # (no RNG, no sim interaction), paid only when observed, reusing
             # the loss the gradient pass found.
             if loss is None:

@@ -79,7 +79,6 @@ class PedersenParams:
             raise ValueError("size must be >= 1")
         self.curve = curve
         self.size = size
-        self.domain = domain
         cache_key = (curve.name, domain)
         cached = _GENERATOR_CACHE.setdefault(cache_key, [])
         if len(cached) < size:

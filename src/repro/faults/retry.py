@@ -22,14 +22,13 @@ __all__ = ["RetryPolicy", "RetryExhaustedError"]
 class RetryExhaustedError(Exception):
     """An operation failed on every attempt its :class:`RetryPolicy` allowed.
 
-    Carries enough context for forensics: the logical operation name and
-    how many attempts were made.
+    Carries the logical operation name; the message says how many
+    attempts were made.
     """
 
     def __init__(self, operation: str, attempts: int):
         super().__init__(f"{operation} failed after {attempts} attempt(s)")
         self.operation = operation
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,10 @@ class DHT:
         #: CID -> the nodes advertising it.
         self._records: Dict[CID, Set[str]] = {}
         self._rng = random.Random(seed)
-        #: Telemetry.
-        self.lookups = 0
-        self.provides = 0
 
     def provide(self, cid: CID, node: str) -> None:
         """Advertise that ``node`` stores ``cid`` (instant, local op)."""
         self._records.setdefault(cid, set()).add(node)
-        self.provides += 1
 
     def unprovide(self, cid: CID, node: str) -> None:
         """Withdraw an advertisement (e.g. after garbage collection)."""
@@ -74,7 +70,6 @@ class DHT:
         Charges :attr:`lookup_delay` of simulated time per call.
         ``querier`` names the asking host in the published event.
         """
-        self.lookups += 1
         started = self.sim.now
         if self.lookup_delay > 0:
             yield self.sim.timeout(self.lookup_delay)

@@ -79,11 +79,9 @@ class IPFSNode:
         #: Set by :class:`~repro.ipfs.cluster.ReplicationCluster`.
         self.cluster = None
         #: Telemetry.
-        self.puts_served = 0
-        self.gets_served = 0
         self.merges_served = 0
         self.endpoint: Endpoint = transport.endpoint(name)
-        self._server = sim.process(self._serve(), name=f"ipfs-node:{name}")
+        sim.process(self._serve(), name=f"ipfs-node:{name}")
 
     # -- local storage operations (no network) --------------------------------
 
@@ -161,7 +159,6 @@ class IPFSNode:
     def _handle_put(self, message: Message):
         data: bytes = message.payload
         root_cid = self.store_object(data)
-        self.puts_served += 1
         if self.cluster is not None:
             self.cluster.schedule_replication(self, root_cid)
         yield self.endpoint.respond(
@@ -179,7 +176,6 @@ class IPFSNode:
                      data: Optional[bytes]):
         """Answer a get with ``data`` (None: a miss).  Whichever path
         produced the bytes, they leave through :meth:`_maybe_corrupt`."""
-        self.gets_served += 1
         if data is None:
             yield self.endpoint.respond(message, kind, payload=None,
                                         size=ACK_SIZE)
@@ -252,7 +248,6 @@ class IPFSClient:
         self.chunk_size = chunk_size
         self.endpoint = transport.endpoint(name)
         #: Telemetry (bytes).
-        self.bytes_uploaded = 0.0
         self.bytes_downloaded = 0.0
 
     # -- public API -------------------------------------------------------------
@@ -269,7 +264,6 @@ class IPFSClient:
             node, KIND_PUT, bytes(data), size, self.request_timeout)
         if response is None:
             raise NodeOfflineError(f"put to {node!r} timed out")
-        self.bytes_uploaded += size
         root_cid: CID = response.payload
         return root_cid
 

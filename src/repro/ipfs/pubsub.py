@@ -64,10 +64,6 @@ class PubSub:
         #: fan-out order — and with it the event trace — differ between
         #: replays).
         self._topics: Dict[str, Dict[Subscription, None]] = {}
-        #: Telemetry: messages published per topic.
-        self.published: Dict[str, int] = {}
-        #: Telemetry: deliveries lost to dead links.
-        self.dropped = 0
 
     def subscribe(self, topic: str, subscriber: str) -> Subscription:
         """Join ``topic``; returns the queue to consume from."""
@@ -93,7 +89,6 @@ class PubSub:
         The message is also delivered to the sender itself if subscribed
         (matching real pubsub semantics).
         """
-        self.published[topic] = self.published.get(topic, 0) + 1
         message = PubSubMessage(
             topic=topic, sender=sender, payload=payload,
             published_at=self.sim.now,
@@ -116,7 +111,6 @@ class PubSub:
             )
         except TransferAbortedError:
             # Best-effort fabric: a dead link eats the frame.
-            self.dropped += 1
             return
         delivered = PubSubMessage(
             topic=message.topic,

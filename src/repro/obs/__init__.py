@@ -41,8 +41,7 @@ the ``repro`` package whose functions spent it — cProfile folded on
 the benchmark's ``sim`` / ``net`` / ``ipfs`` / ``crypto`` / ``ml`` /
 ``core`` / ``obs`` / ``faults`` partition, no hook in any layer.  An
 :class:`AnomalyWatchdog` (:mod:`repro.obs.anomaly`) hosts online
-detectors — retry storms, throughput collapse, queue runaway,
-simulation stall, convergence stall/divergence — that publish typed
+detectors — retry storms and throughput collapse — that publish typed
 :class:`~repro.obs.events.AnomalyDetected` events back onto the bus,
 auto-sealing incident bundles and feeding ``obs.anomaly.*`` manifest
 gauges.

@@ -4,8 +4,8 @@ The paper's efficiency claims assume runs do not silently degrade; on
 a long run nobody is reading Perfetto traces live.  This module turns
 the event bus into the "central vantage point" the decentralized
 protocol itself lacks: an :class:`AnomalyWatchdog` hosts small online
-detectors that watch the typed event stream plus periodically sampled
-substrate state, and publish a typed
+detectors that watch the typed event stream plus a periodic sim-clock
+tick, and publish a typed
 :class:`~repro.obs.events.AnomalyDetected` back onto the bus whenever a
 degradation is classified.  Downstream the anomaly is just another
 event: :class:`~repro.obs.counters.CountersRegistry` counts it into
@@ -26,22 +26,16 @@ kind                  fired when
                       against the preceding trailing window
 ``throughput_collapse`` registrations stall mid-round (trailing-
                       median gap floor) or miss the round deadline
-``queue_runaway``     directory inbox depth exceeds its limit
-``sim_stall``         a round overruns ``t_sync`` by a margin while
-                      still open (livelock tripwire)
-``divergence``        per-round mean loss blows past the best seen
-``convergence_stall`` no relative loss improvement for ``patience``
-                      rounds
 ===================== ===========================================
+
+A kind stays in the catalog only while a shipped run fires it: CI's
+chaos job and the churn bundle expect both (``tests/test_reach.py``).
 
 Contracts, in order of importance:
 
 - **Sim-clock control only.**  Detection windows, tick cadence and
-  every threshold read the simulated clock.  The one wall-clock check
-  (:meth:`AnomalyWatchdog.check_wall`, the "wall advances but sim
-  doesn't" livelock probe) records locally and never publishes: a
-  bus event stamped from wall time would differ between replays and
-  break byte-identical manifests.
+  every threshold read the simulated clock; nothing here reads the
+  wall clock, so no anomaly can differ between replays.
 - **Replay-safe.**  Ticks only read state; detectors are deterministic
   functions of the event stream and tick instants; published anomalies
   carry only sim-time evidence.  A watchdog-attached seeded replay is
@@ -65,20 +59,15 @@ from .events import (
     IterationFinished,
     IterationStarted,
     RetryExhausted,
-    TrainingEvaluated,
     TransferAborted,
 )
 from .metrics import SimTicker
-from .profiling import SYSTEM_WALL_CLOCK
 
 __all__ = [
     "ANOMALY_KINDS",
     "AnomalyWatchdog",
-    "ConvergenceDetector",
     "Detector",
-    "QueueRunawayDetector",
     "RetryStormDetector",
-    "SimStallDetector",
     "ThroughputCollapseDetector",
 ]
 
@@ -93,31 +82,11 @@ COLLAPSE_MIN_GAP = 30.0
 COLLAPSE_GAP_FACTOR = 8.0
 COLLAPSE_WARMUP_GAPS = 4
 COLLAPSE_GAP_HISTORY = 64
-#: ``queue_runaway``: directory inbox depth that fires.
-QUEUE_LIMIT = 64
-#: ``sim_stall``: overrun past ``t_sync``, as a share of the round span.
-STALL_FACTOR = 0.25
-#: ``divergence`` / ``convergence_stall``: rounds without improvement,
-#: the relative improvement that counts, the multiple of the best mean
-#: loss that diverges, and the absolute tolerance for zero losses.
-CONVERGENCE_PATIENCE = 5
-CONVERGENCE_MIN_IMPROVEMENT = 1e-3
-DIVERGENCE_FACTOR = 2.0
-CONVERGENCE_ATOL = 1e-6
-#: Watchdog tick cadence (sim s) and the wall seconds without simulated
-#: progress that :meth:`AnomalyWatchdog.check_wall` records as a stall.
+#: Watchdog tick cadence (sim s).
 WATCHDOG_INTERVAL = 5.0
-WALL_STALL_SECONDS = 300.0
 
 #: Every anomaly ``kind`` the stock detectors can emit.
-ANOMALY_KINDS = (
-    "retry_storm",
-    "throughput_collapse",
-    "queue_runaway",
-    "sim_stall",
-    "divergence",
-    "convergence_stall",
-)
+ANOMALY_KINDS = ("retry_storm", "throughput_collapse")
 
 
 class Detector:
@@ -143,16 +112,14 @@ class Detector:
         """Periodic check at simulated instant ``now``."""
         return ()
 
-    def _anomaly(self, at: float, severity: str, *, kind: Optional[str]
-                 = None, iteration: int = -1, window: float = 0.0,
+    def _anomaly(self, at: float, severity: str, *, window: float = 0.0,
                  **evidence) -> AnomalyDetected:
         """Build a canonically ordered anomaly event.
 
-        Leave ``iteration`` at -1 unless the anomaly is about a round
-        other than the open one: the watchdog stamps the open round.
+        Its ``iteration`` is -1: the watchdog stamps the open round.
         """
         return AnomalyDetected(
-            at=at, iteration=iteration, kind=kind or self.kind,
+            at=at, iteration=-1, kind=self.kind,
             severity=severity, detector=type(self).__name__,
             window=float(window),
             evidence=tuple(sorted(evidence.items())),
@@ -304,167 +271,13 @@ class ThroughputCollapseDetector(Detector):
         return ()
 
 
-class QueueRunawayDetector(Detector):
-    """Directory inbox depth crossed its runaway limit.
-
-    Purely tick-driven (no event taps): each tick reads the directory
-    endpoint's inbox length — the same probe
-    :class:`~repro.obs.metrics.ResourceSampler` samples into
-    ``directory.queue.depth`` — and fires ``critical`` above
-    :data:`QUEUE_LIMIT`.  Re-arms once the queue drains to half the limit,
-    so one sustained overload produces one anomaly.  Inert without a
-    directory.
-    """
-
-    kind = "queue_runaway"
-
-    def __init__(self, directory=None):
-        self.directory = directory
-        self._armed = True
-
-    def _depth(self) -> int:
-        return self.directory.inbox_depth()
-
-    def on_tick(self, now):
-        if self.directory is None:
-            return ()
-        depth = self._depth()
-        if self._armed and depth > QUEUE_LIMIT:
-            self._armed = False
-            return (self._anomaly(
-                now, "critical", depth=depth, queue_limit=QUEUE_LIMIT,
-            ),)
-        if not self._armed and depth <= QUEUE_LIMIT // 2:
-            self._armed = True
-        return ()
-
-
-class SimStallDetector(Detector):
-    """A round is still open well past its sync deadline.
-
-    Healthy rounds end at or before ``t_sync`` (the session's driver
-    joins every participant by then); a round that is *still running*
-    :data:`STALL_FACTOR` of its own span past ``t_sync`` means the
-    simulation is livelocked in sub-deadline wakeups — the failure mode
-    of the sub-ulp bandwidth livelock — or a participant process leaked
-    past the barrier.  Fires ``critical`` once per round.
-    """
-
-    kind = "sim_stall"
-    event_types = (IterationStarted, IterationFinished)
-
-    def __init__(self):
-        self._open = False
-        self._fired = False
-        self._started_at = 0.0
-        self._t_sync: Optional[float] = None
-
-    def observe(self, event):
-        if isinstance(event, IterationStarted):
-            self._open = True
-            self._fired = False
-            self._started_at = event.at
-            self._t_sync = event.t_sync
-        elif isinstance(event, IterationFinished):
-            self._open = False
-        return ()
-
-    def on_tick(self, now):
-        if not self._open or self._fired or self._t_sync is None:
-            return ()
-        margin = STALL_FACTOR * max(self._t_sync - self._started_at, 0.0)
-        if now <= self._t_sync + margin:
-            return ()
-        self._fired = True
-        return (self._anomaly(
-            now, "critical", window=margin, t_sync=self._t_sync,
-            overrun=now - self._t_sync,
-        ),)
-
-
-class ConvergenceDetector(Detector):
-    """Convergence telemetry: per-round loss trajectory watchdog.
-
-    Folds :class:`TrainingEvaluated` into a per-round mean loss
-    (closed out on ``IterationFinished``) and keeps the trajectory in
-    :attr:`losses`.  Fires ``divergence`` (``critical``) when the round
-    mean goes non-finite or exceeds :data:`DIVERGENCE_FACTOR` times the
-    best mean seen (plus :data:`CONVERGENCE_ATOL`, which keeps
-    exactly-zero synthetic losses quiet), and ``convergence_stall``
-    (``warning``) after :data:`CONVERGENCE_PATIENCE` consecutive rounds
-    without a relative improvement of
-    :data:`CONVERGENCE_MIN_IMPROVEMENT` over the best.
-    """
-
-    kind = "convergence_stall"
-    event_types = (TrainingEvaluated, IterationFinished)
-
-    def __init__(self):
-        #: Closed rounds' ``(iteration, mean loss)`` trajectory.
-        self.losses: List[Tuple[int, float]] = []
-        self._sums: Dict[int, Tuple[float, int]] = {}
-        self._best: Optional[float] = None
-        self._since_improvement = 0
-
-    def observe(self, event):
-        if isinstance(event, TrainingEvaluated):
-            total, count = self._sums.get(event.iteration, (0.0, 0))
-            self._sums[event.iteration] = (total + event.loss, count + 1)
-            return ()
-        if not isinstance(event, IterationFinished):
-            return ()
-        total, count = self._sums.pop(event.iteration, (0.0, 0))
-        if count == 0:
-            return ()  # nobody evaluated this round
-        mean = total / count
-        self.losses.append((event.iteration, mean))
-        anomalies = []
-        finite = mean == mean and mean not in (float("inf"),
-                                               float("-inf"))
-        best = self._best
-        if not finite or (best is not None
-                          and mean > DIVERGENCE_FACTOR * best
-                          + CONVERGENCE_ATOL):
-            anomalies.append(self._anomaly(
-                event.at, "critical", kind="divergence",
-                iteration=event.iteration, loss=mean,
-                best=best if best is not None else mean,
-                divergence_factor=DIVERGENCE_FACTOR,
-            ))
-        if finite:
-            improvement_floor = (
-                CONVERGENCE_ATOL if best is None else
-                max(CONVERGENCE_MIN_IMPROVEMENT * abs(best),
-                    CONVERGENCE_ATOL))
-            if best is None or mean < best - improvement_floor:
-                self._best = mean if best is None else min(best, mean)
-                self._since_improvement = 0
-            else:
-                self._best = mean if best is None else min(best, mean)
-                self._since_improvement += 1
-                if self._since_improvement >= CONVERGENCE_PATIENCE:
-                    self._since_improvement = 0  # re-arm
-                    anomalies.append(self._anomaly(
-                        event.at, "warning",
-                        kind="convergence_stall",
-                        iteration=event.iteration, loss=mean,
-                        best=self._best,
-                        rounds_without_improvement=CONVERGENCE_PATIENCE,
-                    ))
-        return anomalies
-
-
-def default_detectors(directory=None,
-                      expected_per_iteration: Optional[int] = None
+def default_detectors(expected_per_iteration: Optional[int] = None
                       ) -> List[Detector]:
-    """The stock detector set, wired to whatever substrate is given."""
+    """The stock detector set, one per :data:`ANOMALY_KINDS` entry."""
     return [
         RetryStormDetector(),
         ThroughputCollapseDetector(
             expected_per_iteration=expected_per_iteration),
-        QueueRunawayDetector(directory=directory),
-        SimStallDetector(),
-        ConvergenceDetector(),
     ]
 
 
@@ -486,22 +299,16 @@ class AnomalyWatchdog(SimTicker):
     """
 
     def __init__(self, bus, detectors: Optional[List[Detector]] = None,
-                 sim=None, wall_clock=None):
+                 sim=None):
         super().__init__(sim, WATCHDOG_INTERVAL, self._on_tick)
         self.bus = bus
         self.detectors = (detectors if detectors is not None
                           else default_detectors())
-        self.wall_clock = wall_clock or SYSTEM_WALL_CLOCK
         #: Every anomaly published, in publish order.
         self.anomalies: List[AnomalyDetected] = []
-        #: Host-side livelock observations (never published; see
-        #: :meth:`check_wall`).
-        self.wall_stalls: List[dict] = []
         self.ticks = 0
-        self._last_wall: Optional[float] = None
-        self._last_sim: Optional[float] = None
         #: The open iteration (-1 between rounds), tracked here once and
-        #: stamped on every anomaly a detector left iteration-less.
+        #: stamped on every anomaly.
         self._iteration = -1
         self._taps: Dict[type, List[Detector]] = {
             IterationStarted: [], IterationFinished: [],
@@ -513,15 +320,12 @@ class AnomalyWatchdog(SimTicker):
         self.start()
 
     @classmethod
-    def for_session(cls, session, wall_clock=None) -> "AnomalyWatchdog":
-        """Wire a watchdog to everything an ``FLSession`` owns."""
+    def for_session(cls, session) -> "AnomalyWatchdog":
+        """Wire a watchdog to an ``FLSession``'s bus, clock and
+        expected registrations per round."""
         expected = len(session.trainers) * session.config.num_partitions
-        detectors = default_detectors(
-            directory=session.directory,
-            expected_per_iteration=expected or None,
-        )
-        return cls(session.sim.bus, detectors=detectors, sim=session.sim,
-                   wall_clock=wall_clock)
+        detectors = default_detectors(expected_per_iteration=expected or None)
+        return cls(session.sim.bus, detectors=detectors, sim=session.sim)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -535,14 +339,6 @@ class AnomalyWatchdog(SimTicker):
             self._subscription.cancel()
             self._subscription = None
         return self.anomalies
-
-    close = finalize
-
-    def __enter__(self) -> "AnomalyWatchdog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.finalize()
 
     # -- reporting ---------------------------------------------------------------
 
@@ -560,8 +356,7 @@ class AnomalyWatchdog(SimTicker):
     # -- the hot paths -----------------------------------------------------------
 
     def _publish(self, anomaly: AnomalyDetected) -> None:
-        if anomaly.iteration == -1 and self._iteration != -1:
-            anomaly = anomaly._replace(iteration=self._iteration)
+        anomaly = anomaly._replace(iteration=self._iteration)
         self.anomalies.append(anomaly)
         self.bus.publish(anomaly)
 
@@ -581,33 +376,3 @@ class AnomalyWatchdog(SimTicker):
         for detector in self.detectors:
             for anomaly in detector.on_tick(now):
                 self._publish(anomaly)
-        self.check_wall()
-
-    # -- the host-side livelock probe --------------------------------------------
-
-    def check_wall(self) -> Optional[dict]:
-        """Record a wall-clock stall: wall advances, sim does not.
-
-        Sim-driven ticks cannot observe this themselves (a stuck sim
-        clock stops the tick loop too), so the host loop — a progress
-        heartbeat, a CLI poll — calls this from wall-paced code.  The
-        observation stays local (:attr:`wall_stalls`) and is surfaced
-        through the heartbeat only: publishing a wall-time-derived
-        event would make replays diverge.
-        """
-        wall = self.wall_clock.seconds()
-        sim_now = self.sim.now if self.sim is not None else 0.0
-        if self._last_wall is None or sim_now > self._last_sim:
-            self._last_wall, self._last_sim = wall, sim_now
-            return None
-        elapsed = wall - self._last_wall
-        if elapsed <= WALL_STALL_SECONDS:
-            return None
-        self._last_wall = wall  # re-arm for the next stall window
-        entry = {
-            "kind": "wall_stall",
-            "sim_now": sim_now,
-            "wall_elapsed": elapsed,
-        }
-        self.wall_stalls.append(entry)
-        return entry

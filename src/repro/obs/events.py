@@ -513,11 +513,11 @@ class TrainingEvaluated(NamedTuple):
     so unobserved runs never pay the evaluation) right after local
     training: ``loss`` is the model's loss on the trainer's shard,
     ``accuracy`` the classification accuracy when the model is a
-    classifier (``None`` otherwise), ``samples`` the shard size.  The
-    convergence detectors (:mod:`repro.obs.anomaly`) fold these into a
-    per-iteration trajectory; evaluation is pure computation — no RNG,
-    no simulated-clock interaction — so emitting it never perturbs a
-    seeded replay.
+    classifier (``None`` otherwise), ``samples`` the shard size.
+    :class:`~repro.obs.counters.CountersRegistry` folds these into
+    ``ml.evaluations`` and the ``ml.*.last`` gauges.  Evaluation is pure
+    computation — no RNG, no simulated-clock interaction — so emitting
+    it never perturbs a seeded replay.
     """
 
     at: float
@@ -534,10 +534,9 @@ class AnomalyDetected(NamedTuple):
     Published by :class:`~repro.obs.anomaly.AnomalyWatchdog` (never by
     producers), so counters, traces and the forensics flight recorder
     pick anomalies up like any other event — the recorder treats this as
-    a seal trigger.  ``kind`` is the catalog name (``retry_storm``,
-    ``throughput_collapse``, ``queue_runaway``, ``sim_stall``,
-    ``divergence``, ``convergence_stall`` — see
-    ``docs/OBSERVABILITY.md``), ``severity`` is ``"warning"`` or
+    a seal trigger.  ``kind`` is the catalog name (``retry_storm`` or
+    ``throughput_collapse`` — see ``docs/OBSERVABILITY.md``),
+    ``severity`` is ``"warning"`` or
     ``"critical"``, ``detector`` the detector class that fired, and
     ``window`` the trailing detection window in simulated seconds (0
     when the detector is not window-based).  ``evidence`` is a

@@ -65,7 +65,6 @@ class JsonlTraceExporter:
                                 encoding="utf-8")
             self._owns_stream = True
         self.events_written = 0
-        self.flushes = 0
         self._buffer: List[str] = []
         self._buffered_bytes = 0
         self._subscription = bus.subscribe(self._handle)
@@ -79,7 +78,6 @@ class JsonlTraceExporter:
         self._stream.write("".join(self._buffer))
         self._buffer.clear()
         self._buffered_bytes = 0
-        self.flushes += 1
 
     def close(self) -> None:
         """Unsubscribe and flush; closes the stream if we opened it."""

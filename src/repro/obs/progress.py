@@ -62,9 +62,6 @@ def format_heartbeat(record: Dict[str, object]) -> str:
     anomalies = record.get("anomalies")
     if anomalies:
         parts.append(f"anomalies={anomalies}")
-    stalls = record.get("wall_stalls")
-    if stalls:
-        parts.append(f"wall_stalls={stalls}")
     parts.append(f"wall={record.get('wall_seconds', 0.0):.1f}s")
     return " ".join(parts)
 
@@ -84,10 +81,7 @@ class ProgressReporter:
         ring occupancy.
     watchdog:
         Optional :class:`~repro.obs.anomaly.AnomalyWatchdog`; adds the
-        running anomaly count (and kinds once any fired), and each
-        heartbeat doubles as the watchdog's wall-paced host loop: it
-        calls ``check_wall()``, the one livelock probe the sim-driven
-        tick cannot perform on itself.
+        running anomaly count (and kinds once any fired).
     stream:
         Human-readable heartbeat destination (default ``sys.stderr``;
         pass ``None`` to disable).
@@ -181,13 +175,10 @@ class ProgressReporter:
             record["recorder_occupancy"] = self.recorder.occupancy
         watchdog = self.watchdog
         if watchdog is not None:
-            watchdog.check_wall()
             record["anomalies"] = len(watchdog.anomalies)
             kinds = watchdog.kinds()
             if kinds:
                 record["anomaly_kinds"] = kinds
-            if watchdog.wall_stalls:
-                record["wall_stalls"] = len(watchdog.wall_stalls)
         return record
 
     def heartbeat(self, force: bool = False) -> Optional[Dict[str, object]]:

@@ -71,13 +71,9 @@ class SimulationError(Exception):
 class Interrupt(Exception):
     """Raised inside a process that was interrupted by another process.
 
-    The ``cause`` attribute carries the value passed to
+    Its one argument (``args[0]``) is the cause passed to
     :meth:`Process.interrupt`.
     """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:

@@ -67,15 +67,16 @@ def test_anomaly_differential_is_attributed_by_kind():
     current = manifest(counters={
         "obs.anomaly.detected": 3.0,
         "obs.anomaly.detected.retry_storm": 2.0,
-        "obs.anomaly.detected.sim_stall": 1.0,
+        "obs.anomaly.detected.throughput_collapse": 1.0,
     })
     report = diagnose_runs(base, current, fast_profile(), fast_profile())
     assert report.anomalies_base == {}
-    assert report.anomalies_current == {"retry_storm": 2, "sim_stall": 1}
+    assert report.anomalies_current == {"retry_storm": 2,
+                                         "throughput_collapse": 1}
     anomaly_attrs = [a for a in report.attributions
                      if a.kind == "anomaly"]
     assert [a.subject for a in anomaly_attrs] \
-        == ["retry_storm", "sim_stall"]  # sorted by count delta
+        == ["retry_storm", "throughput_collapse"]  # by count delta
     assert "fired 2x in current run only" in anomaly_attrs[0].detail
 
 
@@ -107,7 +108,7 @@ def test_metric_regressions_rank_in_the_attribution_list():
 def test_fused_report_ranks_subsystems_before_anomalies_and_metrics():
     base = manifest(counters={"x": 1.0})
     current = manifest(counters={
-        "x": 5.0, "obs.anomaly.detected.queue_runaway": 1.0})
+        "x": 5.0, "obs.anomaly.detected.throughput_collapse": 1.0})
     report = diagnose_runs(
         base_manifest=base, current_manifest=current,
         base_profile=fast_profile(), current_profile=slow_profile())
@@ -128,11 +129,11 @@ def test_report_to_dict_is_json_serializable():
     report = diagnose_runs(
         base_manifest=manifest(counters={"x": 1.0}),
         current_manifest=manifest(
-            counters={"x": 9.0, "obs.anomaly.detected.divergence": 1.0}),
+            counters={"x": 9.0, "obs.anomaly.detected.retry_storm": 1.0}),
         base_profile=fast_profile(), current_profile=slow_profile())
     payload = json.loads(json.dumps(report.to_dict(), default=str))
     assert payload["slowdown"] == pytest.approx(2.5)
-    assert payload["anomalies"]["current"] == {"divergence": 1}
+    assert payload["anomalies"]["current"] == {"retry_storm": 1}
     assert payload["attributions"][0]["subject"] == "net"
     assert payload["metrics"]["regressions"]
 

@@ -206,7 +206,7 @@ def test_run_overwrites_the_incidents_of_an_earlier_run(tmp_path):
     ("fault plan, its kind omitted", 1,
      "run FAILED: unexpected anomaly kind(s): throughput_collapse\n"),
     ("an expected kind that never fired", 1,
-     "run FAILED: expected anomaly kind(s) not detected: queue_runaway\n"),
+     "run FAILED: expected anomaly kind(s) not detected: retry_storm\n"),
     ("retries exhausted without a plan", 1,
      "3 retry budget(s) exhausted with no fault plan"),
     ("warn-only", 0, "3 retry budget(s) exhausted with no fault plan"),
@@ -223,7 +223,7 @@ def test_run_exit_code_is_one_rule(case, code, said, request, tmp_path):
         run = run_bundle({
             "honest": SMALL_SESSION,
             "an expected kind that never fired":
-                SMALL_SESSION + ["--expect-anomaly", "queue_runaway"],
+                SMALL_SESSION + ["--expect-anomaly", "retry_storm"],
             "retries exhausted without a plan": EXHAUSTED,
             "warn-only": EXHAUSTED + ["--warn-only"],
         }[case], tmp_path)
@@ -356,10 +356,12 @@ def test_chaos_forbid_anomalies_passes_on_a_clean_run(tmp_path):
 
 
 def test_expect_anomaly_rejects_an_unknown_kind(capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["run", "--artifacts", "x", "--expect-anomaly", "retry_strom"])
-    assert "invalid choice" in capsys.readouterr().err
+    # A typo, and a kind the watchdog no longer has.
+    for kind in ("retry_strom", "sim_stall"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--artifacts", "x", "--expect-anomaly", kind])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 # -- the host profile ----------------------------------------------------------

@@ -182,6 +182,5 @@ def test_backoff_rejects_negative_attempt():
 def test_retry_exhausted_error_carries_context():
     error = RetryExhaustedError("directory.lookup", 4)
     assert error.operation == "directory.lookup"
-    assert error.attempts == 4
     assert "directory.lookup" in str(error)
     assert "4 attempt" in str(error)

@@ -92,14 +92,6 @@ def test_publish_charges_network():
     assert arrival["t"] > 0.7  # ~0.8s for 1MB at 10Mbps
 
 
-def test_publish_telemetry():
-    world = make_ipfs_world(num_nodes=1)
-    world.pubsub.publish("t", "client-0", payload=1)
-    world.pubsub.publish("t", "client-0", payload=2)
-    world.sim.run()
-    assert world.pubsub.published["t"] == 2
-
-
 # -- rendezvous hashing / cluster --------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ipfs import Block, Blockstore, DHT, compute_cid
+from repro.obs.events import DhtLookup
 from repro.sim import Simulator
 
 
@@ -147,7 +148,8 @@ def test_lookup_telemetry():
         yield from dht.find_providers(cid)
         yield from dht.find_providers(cid)
 
+    lookups = []
+    sim.bus.subscribe(lookups.append, DhtLookup)
     sim.process(proc(sim, dht))
     sim.run()
-    assert dht.lookups == 2
-    assert dht.provides == 1
+    assert [event.providers for event in lookups] == [1, 1]

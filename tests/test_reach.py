@@ -25,6 +25,13 @@ without one, to its bases' by name), ``cls(...)`` in a method to its own
 class, ``super().__init__(...)`` to the class's bases, ``x.meth(...)``
 to every ``meth``.  A ``**kwargs`` forwarder passes a name only when one
 of its own callers passes it.
+
+State is held to the same rule: an attribute that ``src/repro`` sets on
+``self`` stays only if some load in those files reads it.  Loads resolve
+as definitions do (``self.x`` to the class family, ``obj.x`` to every
+``x``); updating ``self.x`` in place (``+=``, ``self.x[k] = ...``) is
+not a read, and a string names an attribute only as ``getattr`` /
+``hasattr``'s second argument.
 """
 
 import ast
@@ -34,6 +41,7 @@ import re
 from pathlib import Path
 
 from repro.faults import FAULT_KINDS
+from repro.obs import ANOMALY_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -71,6 +79,24 @@ PARAM_ALLOWLIST = {
         "dropping `+ l2 * w` at l2 = 0 turns -0.0 into +0.0: hashes move",
     "models.py::MLPClassifier.__init__(l2)":
         "dropping `+ l2 * w` at l2 = 0 turns -0.0 into +0.0: hashes move",
+}
+
+#: ``self`` attributes kept although no shipped code reads them (at most
+#: six), each with the reason.
+STATE_ALLOWLIST = {
+    "transport.py::Transport.dropped":
+        "tests/test_net_message_path.py compares it against "
+        "tests/reference_message_path.py",
+    "transport.py::Transport.delivered_by_kind":
+        "the same comparison, per message kind",
+    "trainer.py::Trainer.rejected_updates":
+        "goes or stays with ProtocolConfig.trainer_verification "
+        "(ROADMAP item 1b)",
+    "profiling.py::FakeWallClock.reads":
+        "the test double's read count (FakeWallClock is allowlisted above)",
+    "session.py::FLSession.network_profile":
+        "the one view of the profile after a fault plan's defaults "
+        "(tests/test_network_profile.py)",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
@@ -500,12 +526,144 @@ def unpassed_parameters(signatures, calls, classes, allow=()):
         and f"{signature!r}({name})" not in allow)
 
 
+# -- state -----------------------------------------------------------------------
+
+
+def _self_attribute(node):
+    """``x`` for ``self.x`` / ``cls.x``; None for anything else."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id in ("self", "cls"):
+        return node.attr
+    return None
+
+
+def _updates(tree):
+    """ids of the attribute loads that only update what they load: the
+    container of a subscript store, and a read of ``self.x`` in the value
+    assigned to ``self.x``."""
+    skip = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        updated = set()
+        for target in targets:
+            while isinstance(target, ast.Subscript):
+                skip.add(id(target.value))
+                target = target.value
+            updated.add(_self_attribute(target))
+        for sub in ast.walk(node.value) if node.value is not None else ():
+            if _self_attribute(sub) in updated - {None}:
+                skip.add(id(sub))
+    return skip
+
+
+def unread_state(src_files, root_files, allow=()):
+    """``file::Class.attr`` for every ``self.attr`` a class in
+    ``src_files`` assigns and no load in either set reads."""
+    stores, loads, classes = {}, {}, {}
+    for path in list(src_files) + list(root_files):
+        for top in _parse(path).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            if owner is not None:
+                classes.setdefault(owner, []).extend(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in top.bases
+                    if isinstance(base, (ast.Name, ast.Attribute)))
+            skip = _updates(top)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("getattr", "hasattr")
+                        and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)):
+                    loads.setdefault(node.args[1].value, []).append(None)
+                if not isinstance(node, ast.Attribute):
+                    continue
+                own = _self_attribute(node) is not None
+                if isinstance(node.ctx, ast.Load):
+                    if id(node) not in skip:
+                        value = node.value
+                        loads.setdefault(node.attr, []).append(
+                            owner if own else value.id
+                            if isinstance(value, ast.Name) else None)
+                elif own and owner is not None and path in src_files:
+                    stores[f"{path.name}::{owner}.{node.attr}"] = \
+                        (owner, node.attr)
+    families = _families(classes)
+    return sorted(
+        key for key, (owner, attr) in stores.items()
+        if key not in allow and not any(
+            families.get(cls) is None or owner in families[cls]
+            for cls in loads.get(attr, ())))
+
+
 def test_every_definition_and_export_is_reached():
     src, roots = _files()
     defs, refs = scan(src, roots)
     assert len(ALLOWLIST) <= 8
     assert unreached(defs, refs, ALLOWLIST) == []
     assert unused_exports(src, defs, refs) == []
+
+
+def test_every_assigned_attribute_is_read():
+    """A counter only a test reads is not kept alive by that test."""
+    src, roots = _files()
+    assert len(STATE_ALLOWLIST) <= 6
+    assert unread_state(src, roots, STATE_ALLOWLIST) == []
+    # And no allowlist entry outlives the attribute it excuses.
+    assert set(STATE_ALLOWLIST) <= set(unread_state(src, roots))
+
+
+def _chaos_job_expected_kinds(workflow):
+    """``--expect-anomaly`` kinds in the CI chaos job's steps, except a
+    step allowed to fail."""
+    job = re.search(r"^  chaos:\n(.*?)(?=^  \S|\Z)", workflow,
+                    re.M | re.S).group(1)
+    return {kind for step in re.split(r"^      - ", job, flags=re.M)
+            if "continue-on-error: true" not in step
+            for kind in re.findall(r"--expect-anomaly\s+(\w+)", step)}
+
+
+def _fixture_expected_kinds(path, fixture):
+    """The literals after each ``"--expect-anomaly"`` in ``fixture``."""
+    [function] = [node for node in _parse(path).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == fixture]
+    return {kind.value
+            for node in ast.walk(function) if isinstance(node, ast.List)
+            for flag, kind in zip(node.elts, node.elts[1:])
+            if isinstance(flag, ast.Constant)
+            and flag.value == "--expect-anomaly"}
+
+
+def test_every_anomaly_kind_is_expected_by_a_run_that_must_pass():
+    """An anomaly kind stays only while a run that must exit 0 names it
+    with ``--expect-anomaly``: CI's chaos job, or the churn bundle every
+    tier-1 run makes.  A run that fails because the kind never fired
+    does not count."""
+    expected = _chaos_job_expected_kinds(
+        (ROOT / ".github" / "workflows" / "ci.yml").read_text())
+    expected |= _fixture_expected_kinds(ROOT / "tests" / "conftest.py",
+                                        "churn_bundle")
+    assert sorted(set(ANOMALY_KINDS) - expected) == []
+
+
+def test_the_chaos_scan_skips_a_step_allowed_to_fail():
+    workflow = (
+        "jobs:\n"
+        "  chaos:\n"
+        "    steps:\n"
+        "      - name: churn\n"
+        "        run: cli run --expect-anomaly retry_storm\n"
+        "      - name: advisory\n"
+        "        continue-on-error: true\n"
+        "        run: cli run --expect-anomaly sim_stall\n"
+        "  net:\n"
+        "    steps:\n"
+        "      - run: cli run --expect-anomaly queue_runaway\n")
+    assert _chaos_job_expected_kinds(workflow) == {"retry_storm"}
 
 
 def test_every_fault_kind_is_used_by_a_shipped_plan():
@@ -613,3 +771,34 @@ def test_the_scan_reports_an_unpassed_parameter(tmp_path):
     found = unpassed_parameters(*scan_calls(src, [tmp_path / "main.py"]))
     # c: nobody passes it; e: forward's callers never pass it.
     assert found == ["mod.py::knob(c)", "mod.py::knob(e)"]
+
+
+def test_the_scan_reports_state_nobody_reads(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "class Base:\n"
+        "    def __init__(self):\n"
+        "        self.size = 0\n"
+        "        self.hits = 0\n"
+        "        self.seen = {}\n"
+        "        self.name = 'b'\n"
+        "    def touch(self, key):\n"
+        "        self.hits += 1\n"
+        "        self.seen[key] = self.seen.get(key, 0) + 1\n\n"
+        "class Child(Base):\n"
+        "    def grow(self):\n        return self.size + 1\n\n"
+        "class Other:\n"
+        "    def __init__(self):\n"
+        "        self.size = 1\n"
+        "        self.kind = 'o'\n"
+        "        self.label = 'x'\n")
+    (tmp_path / "main.py").write_text(
+        "from pkg.mod import Child, Other\n"
+        "box = Child()\n"
+        "print(box.name, getattr(Other(), 'kind'), 'label')\n")
+    found = unread_state(sorted(pkg.glob("*.py")), [tmp_path / "main.py"])
+    # hits and seen are only updated; Child's self.size reads Base's, not
+    # Other's; a bare string is not a read.
+    assert found == ["mod.py::Base.hits", "mod.py::Base.seen",
+                     "mod.py::Other.label", "mod.py::Other.size"]

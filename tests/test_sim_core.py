@@ -238,7 +238,7 @@ def test_interrupt_raises_in_target():
         try:
             yield sim.timeout(100.0)
         except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
+            log.append((sim.now, interrupt.args))
 
     def interrupter(sim, victim):
         yield sim.timeout(2.0)
@@ -247,7 +247,7 @@ def test_interrupt_raises_in_target():
     victim = sim.process(sleeper(sim))
     sim.process(interrupter(sim, victim))
     sim.run()
-    assert log == [(2.0, "wake up")]
+    assert log == [(2.0, ("wake up",))]
 
 
 def test_interrupted_process_can_wait_again():
