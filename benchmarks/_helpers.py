@@ -10,24 +10,9 @@ dependent and are not asserted.
 
 import os
 
-import numpy as np
 import pytest
 
-from repro.ml import Dataset
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def dummy_datasets(count: int):
-    """Placeholder shards for delay experiments (no real learning).
-
-    Each shard carries a distinct marker value so SyntheticModel
-    gradients differ per trainer (distinct CIDs on the storage network).
-    """
-    return [
-        Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
-        for index in range(count)
-    ]
 
 
 def save_table(name: str, table: str) -> None:

@@ -8,9 +8,10 @@ benchmark quantifies one training iteration across all four
 architectures on identical workloads.
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
 from repro.analysis import format_table
+from repro.analysis.figures import marker_datasets
 from repro.baselines import (
     BlockchainFLSession,
     CentralizedSession,
@@ -44,7 +45,7 @@ def test_baseline_comparison(benchmark):
     outcome = {}
 
     def experiment():
-        shards = dummy_datasets(NUM_TRAINERS)
+        shards = marker_datasets(NUM_TRAINERS)
         results = {}
 
         ours = FLSession(

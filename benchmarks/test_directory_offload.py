@@ -10,9 +10,10 @@ Two measurements:
    served by the directory host (which drop to a single CID handout).
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
 from repro.analysis import format_table
+from repro.analysis.figures import marker_datasets
 from repro.core import (
     Address,
     DirectoryProfile,
@@ -45,7 +46,7 @@ def run_session(batch: bool, processing_delay: float = 0.0):
     session = FLSession(
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
-        dummy_datasets(NUM_TRAINERS),
+        marker_datasets(NUM_TRAINERS),
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
         directory=DirectoryProfile(processing_delay=processing_delay),
     )

@@ -3,7 +3,8 @@ aggregator (bottom) vs the number of aggregators per partition |A_i|.
 
 Paper setup: 16 trainers, 8 IPFS nodes, 4 partitions of 1.1 MB each, each
 aggregator responsible for one partition, 20 Mbps links, merge-and-
-download disabled, |A_i| in {1, 2, 4}.
+download disabled, |A_i| in {1, 2, 4}.  Built by
+``repro.analysis.figures.fig2_table``.
 
 Expected shape (asserted):
 - gradient-aggregation delay decreases steeply with |A_i| (roughly
@@ -13,79 +14,23 @@ Expected shape (asserted):
 - bytes received per aggregator follow (|T_ij| + |A_i| - 1) * S.
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
-from repro.analysis import aggregator_download_bytes, format_table, \
-    series_shape
-from repro.core import FLSession, ProtocolConfig
-from repro.ml import SyntheticModel
-from repro.net import NetworkProfile
+from repro.analysis import series_shape
+from repro.analysis.figures import fig2_table
 
 NUM_TRAINERS = 16
-NUM_PARTITIONS = 4
-PARTITION_PARAMS = 137_500  # ~1.1 MB of float64 each
-AGGREGATORS_PER_PARTITION = [1, 2, 4]
-BANDWIDTH_MBPS = 20.0
-
-
-def run_sweep():
-    rows = []
-    for count in AGGREGATORS_PER_PARTITION:
-        config = ProtocolConfig(
-            num_partitions=NUM_PARTITIONS,
-            aggregators_per_partition=count,
-            t_train=600.0,
-            t_sync=1200.0,
-            takeover_grace=60.0,
-            merge_and_download=False,
-            update_mode="gradient",
-            poll_interval=0.25,
-        )
-        session = FLSession(
-            config,
-            lambda: SyntheticModel(PARTITION_PARAMS * NUM_PARTITIONS),
-            dummy_datasets(NUM_TRAINERS),
-            network=NetworkProfile(num_ipfs_nodes=8,
-                                   bandwidth_mbps=BANDWIDTH_MBPS),
-        )
-        metrics = session.run_iteration()
-        partition_bytes = (PARTITION_PARAMS + 1) * 8
-        predicted = aggregator_download_bytes(
-            NUM_TRAINERS // count, count, partition_bytes
-        )
-        rows.append({
-            "aggregators_per_partition": count,
-            "grad_agg_delay_s": metrics.aggregation_delay,
-            "sync_delay_s": metrics.sync_delay or 0.0,
-            "total_agg_delay_s": metrics.total_aggregation_delay,
-            "bytes_per_aggregator": metrics.mean_bytes_received,
-            "predicted_bytes": predicted,
-            "completed": len(metrics.trainers_completed),
-        })
-    return rows
 
 
 def test_fig2_aggregators_sweep(benchmark):
     outcome = {}
 
     def experiment():
-        outcome["rows"] = run_sweep()
+        outcome["rows"], outcome["table"] = fig2_table()
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
     rows = outcome["rows"]
-
-    table = format_table(
-        ["|A_i|", "grad agg (s)", "sync (s)", "total (s)",
-         "MB/aggregator", "predicted MB"],
-        [[row["aggregators_per_partition"], row["grad_agg_delay_s"],
-          row["sync_delay_s"], row["total_agg_delay_s"],
-          row["bytes_per_aggregator"] / 1e6,
-          row["predicted_bytes"] / 1e6]
-         for row in rows],
-        title="Fig. 2 — delays and data received vs aggregators per "
-              "partition (16 trainers, 4x1.1MB partitions, 20 Mbps)",
-    )
-    save_table("fig2_aggregators", table)
+    save_table("fig2_aggregators", outcome["table"])
     benchmark.extra_info.update({
         f"A{row['aggregators_per_partition']}_total_s":
             round(row["total_agg_delay_s"], 3)

@@ -19,95 +19,38 @@ parameters, as two Pedersen series per curve:
 Both must be linear in the parameter count, near-identical across the
 two curves and orders of magnitude above SHA-256; the paper's
 minutes-scale claim for a 5M-parameter model is asserted on the
-full-width series, the one that matches its exponents.
+full-width series, the one that matches its exponents.  Built by
+``repro.analysis.figures.fig3_table``, on the host's wall clock.
 """
 
-import random
-import time
-
-import numpy as np
 from _helpers import save_table
 
-from repro.analysis import format_table
-from repro.core import PartitionCommitter
-from repro.crypto import PedersenParams, curve_by_name, sha256
-
-SIZES = [1_000, 4_000, 16_000]
-EXTRAPOLATION_PARAMS = 5_000_000  # "medium-sized models like MobileNetV1"
-
-
-def measure_sha256(size: int, vector: np.ndarray) -> float:
-    blob = vector.tobytes()
-    started = time.perf_counter()
-    sha256(blob)
-    return time.perf_counter() - started
-
-
-def measure_commit(size: int, curve: str, vector: np.ndarray) -> float:
-    committer = PartitionCommitter(partition_len=size, curve=curve,
-                                   fractional_bits=16)
-    started = time.perf_counter()
-    committer.encode_and_commit(vector)
-    return time.perf_counter() - started
-
-
-def measure_full_width(size: int, curve: str) -> float:
-    params = PedersenParams.setup(curve_by_name(curve), size)
-    rng = random.Random(size)
-    scalars = [rng.randrange(params.curve.n) for _ in range(size)]
-    started = time.perf_counter()
-    params.commit(scalars)
-    return time.perf_counter() - started
-
-
-SERIES = ("secp256k1_s", "secp256r1_s", "secp256k1_full_s", "secp256r1_full_s")
-
-
-def run_sweep():
-    rng = np.random.default_rng(0)
-    rows = []
-    for size in SIZES:
-        vector = rng.normal(size=size)
-        rows.append({
-            "params": size,
-            "sha256_s": measure_sha256(size, vector),
-            "secp256k1_s": measure_commit(size, "secp256k1", vector),
-            "secp256r1_s": measure_commit(size, "secp256r1", vector),
-            "secp256k1_full_s": measure_full_width(size, "secp256k1"),
-            "secp256r1_full_s": measure_full_width(size, "secp256r1"),
-        })
-    return rows
+from repro.analysis.figures import (
+    EXTRAPOLATION_PARAMS,
+    FIG3_SERIES,
+    FIG3_SIZES,
+    fig3_table,
+)
+from repro.obs import SYSTEM_WALL_CLOCK
 
 
 def test_fig3_commitment_cost(benchmark):
     outcome = {}
 
     def experiment():
-        outcome["rows"] = run_sweep()
+        outcome["rows"], outcome["table"] = fig3_table(FIG3_SIZES,
+                                                       SYSTEM_WALL_CLOCK)
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
     rows = outcome["rows"]
+    save_table("fig3_commitments", outcome["table"])
 
-    # Per-parameter slope from the largest measurement (most amortized).
-    slopes = {name: rows[-1][name] / rows[-1]["params"] for name in SERIES}
+    # Per-parameter slope from the largest measurement (most amortized),
+    # as the table's extrapolated row has it.
+    slopes = {name: rows[-1][name] / rows[-1]["params"]
+              for name in FIG3_SERIES}
     extrapolated_s = {name: slope * EXTRAPOLATION_PARAMS
                       for name, slope in slopes.items()}
-
-    table_rows = [
-        [row["params"], row["sha256_s"]] + [row[name] for name in SERIES]
-        + [row["secp256k1_s"] / max(row["sha256_s"], 1e-9)]
-        for row in rows
-    ]
-    table_rows.append([EXTRAPOLATION_PARAMS, None]
-                      + [extrapolated_s[name] for name in SERIES] + [None])
-    table = format_table(
-        ["params", "sha256 (s)", "k1 gradient (s)", "r1 gradient (s)",
-         "k1 full-width (s)", "r1 full-width (s)", "gradient/hash ratio"],
-        table_rows,
-        title="Fig. 3 — commitment vs hash cost by model size "
-              "(last row: linear extrapolation)",
-    )
-    save_table("fig3_commitments", table)
     benchmark.extra_info.update({
         "slope_us_per_param_k1": round(slopes["secp256k1_s"] * 1e6, 3),
         "slope_us_per_param_k1_full":
@@ -119,7 +62,7 @@ def test_fig3_commitment_cost(benchmark):
     })
 
     size_ratio = rows[-1]["params"] / rows[0]["params"]
-    for k1, r1 in (SERIES[:2], SERIES[2:]):
+    for k1, r1 in (FIG3_SERIES[:2], FIG3_SERIES[2:]):
         for row in rows:
             # Commitments are orders of magnitude above SHA-256 at every
             # size, and the two curves within a small constant of each

@@ -32,9 +32,10 @@ where the histograms spill to sketch mode: the ``obs`` share and the
 peak modelled telemetry memory stay inside their budgets.
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
 from repro.analysis import format_table
+from repro.analysis.figures import marker_datasets
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
 from repro.net import NetworkProfile
@@ -85,7 +86,7 @@ def _make_session():
     return FLSession(
         config,
         model_factory=lambda: SyntheticModel(PARTITION_PARAMS),
-        datasets=dummy_datasets(NUM_TRAINERS),
+        datasets=marker_datasets(NUM_TRAINERS),
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
 
@@ -200,7 +201,7 @@ def test_observed_exact_population_stays_inside_the_budget():
     session = FLSession(
         config,
         model_factory=lambda: SyntheticModel(40_000),
-        datasets=dummy_datasets(EXACT_TRAINERS),
+        datasets=marker_datasets(EXACT_TRAINERS),
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
     registry = MetricsRegistry(session.sim.bus)

@@ -7,9 +7,10 @@ the paper's Sec. V/VI discussion flags.  Sweep the poll interval and
 measure both sides of the trade.
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
-from repro.analysis import Sweep, format_table
+from repro.analysis import format_table
+from repro.analysis.figures import marker_datasets
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
 from repro.net import NetworkProfile
@@ -30,7 +31,7 @@ def run_with_interval(poll_interval: float) -> dict:
     session = FLSession(
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
-        dummy_datasets(NUM_TRAINERS),
+        marker_datasets(NUM_TRAINERS),
         network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
     metrics = session.run_iteration()
@@ -46,23 +47,21 @@ def test_poll_interval_tradeoff(benchmark):
     outcome = {}
 
     def experiment():
-        outcome["results"] = Sweep("poll_interval", POLL_INTERVALS).run(
-            run_with_interval
-        )
+        outcome["rows"] = [run_with_interval(interval)
+                           for interval in POLL_INTERVALS]
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
-    results = outcome["results"]
+    rows = outcome["rows"]
 
     save_table("poll_interval", format_table(
         ["poll interval (s)", "end-to-end (s)", "iteration (s)",
          "directory lookups"],
         [[interval, row["end_to_end"], row["iteration"], row["lookups"]]
-         for interval, row in results.rows],
+         for interval, row in zip(POLL_INTERVALS, rows)],
         title=f"Polling cadence trade-off ({NUM_TRAINERS} trainers, "
               "2 partitions)",
     ))
 
-    rows = results.values()
     assert all(row["completed"] == NUM_TRAINERS for row in rows)
     # Coarser polling -> slower rounds ...
     delays = [row["iteration"] for row in rows]

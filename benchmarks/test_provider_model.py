@@ -4,10 +4,11 @@ The paper derives tau(P) = S * (T/(dP) + P/b) with the optimum at
 P* = sqrt(b*T/d).  This benchmark sweeps the simulator over provider
 counts and checks that (a) the analytic tau curve is u-shaped with its
 discrete argmin at round(P*), and (b) the simulated end-to-end delay's
-argmin agrees with the analytic optimum.
+argmin agrees with the analytic optimum.  Each point is the Fig. 1
+scenario (``repro.analysis.figures.fig1_session``).
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
 from repro.analysis import (
     aggregation_time_model,
@@ -15,39 +16,19 @@ from repro.analysis import (
     optimal_providers,
     series_shape,
 )
-from repro.core import FLSession, ProtocolConfig
-from repro.ml import SyntheticModel
-from repro.net import NetworkProfile, mbps, megabytes
+from repro.analysis.figures import fig1_session
+from repro.net import mbps, megabytes
 
 NUM_TRAINERS = 16
-PARTITION_PARAMS = 162_500  # ~1.3 MB
 PROVIDER_COUNTS = [1, 2, 3, 4, 6, 8, 12, 16]
 BANDWIDTH_MBPS = 10.0
 
 
 def simulated_delay(providers: int,
                     aggregator_bandwidth_mbps=None) -> float:
-    config = ProtocolConfig(
-        num_partitions=1,
-        t_train=3600.0,
-        t_sync=7200.0,
-        merge_and_download=True,
-        providers_per_aggregator=providers,
-        update_mode="gradient",
-        poll_interval=0.25,
-    )
-    session = FLSession(
-        config,
-        lambda: SyntheticModel(PARTITION_PARAMS),
-        dummy_datasets(NUM_TRAINERS),
-        network=NetworkProfile(
-            num_ipfs_nodes=max(PROVIDER_COUNTS),
-            bandwidth_mbps=BANDWIDTH_MBPS,
-            aggregator_bandwidth_mbps=aggregator_bandwidth_mbps,
-        ),
-    )
-    metrics = session.run_iteration()
-    return metrics.end_to_end_delay
+    session = fig1_session(
+        providers, aggregator_bandwidth_mbps=aggregator_bandwidth_mbps)
+    return session.run_iteration().end_to_end_delay
 
 
 def test_provider_optimum_matches_analysis(benchmark):
@@ -77,13 +58,10 @@ def test_provider_optimum_matches_analysis(benchmark):
         for providers in PROVIDER_COUNTS
     }
 
-    table = save_rows = [
-        [providers, analytic[providers], simulated[providers]]
-        for providers in PROVIDER_COUNTS
-    ]
     save_table("provider_model", format_table(
         ["providers", "analytic tau (s)", "simulated end-to-end (s)"],
-        save_rows,
+        [[providers, analytic[providers], simulated[providers]]
+         for providers in PROVIDER_COUNTS],
         title="Sec. III-E model vs simulation (16 trainers, 1.3MB, "
               "10 Mbps)",
     ))

@@ -17,9 +17,10 @@ Two sweeps, both exact (no participant is modelled statistically):
   allocation.
 """
 
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
-from repro.analysis import Sweep, format_table
+from repro.analysis import format_table
+from repro.analysis.figures import marker_datasets
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
 from repro.net import NetworkProfile
@@ -41,7 +42,7 @@ def build_session(num_trainers: int) -> FLSession:
     return FLSession(
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
-        dummy_datasets(num_trainers),
+        marker_datasets(num_trainers),
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
 
@@ -66,24 +67,22 @@ def test_scalability_in_trainers(benchmark):
     outcome = {}
 
     def experiment():
-        outcome["results"] = Sweep("trainers", TRAINER_COUNTS).run(
-            run_with_trainers
-        )
+        outcome["rows"] = [run_with_trainers(count)
+                           for count in TRAINER_COUNTS]
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
-    results = outcome["results"]
+    rows = outcome["rows"]
 
     save_table("scalability", format_table(
         ["trainers", "collection (s)", "end-to-end (s)",
          "dir registers", "dir lookups"],
         [[row["trainers"], row["collection"], row["end_to_end"],
           row["registrations"], row["lookups"]]
-         for row in results.values()],
+         for row in rows],
         title=f"Scalability in trainer count ({NUM_PARTITIONS} partitions, "
               "8 IPFS nodes, 10 Mbps)",
     ))
 
-    rows = results.values()
     # Every configuration completes fully.
     assert all(row["completed"] == row["trainers"] for row in rows)
     # Collection grows with trainers (the linear D formula) ...
@@ -103,12 +102,11 @@ def test_scalability_in_population(benchmark):
     outcome = {}
 
     def experiment():
-        outcome["results"] = Sweep("trainers", POPULATIONS).run(
-            run_with_trainers
-        )
+        outcome["rows"] = [run_with_trainers(count)
+                           for count in POPULATIONS]
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
-    rows = list(outcome["results"].values())
+    rows = outcome["rows"]
 
     save_table("scalability_population", format_table(
         ["trainers", "end-to-end (s)", "dir registers", "dir lookups",

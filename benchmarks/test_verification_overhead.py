@@ -24,9 +24,10 @@ committer the sessions use.
 import time
 
 import pytest
-from _helpers import dummy_datasets, save_table
+from _helpers import save_table
 
 from repro.analysis import format_table
+from repro.analysis.figures import marker_datasets
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
 from repro.net import NetworkProfile
@@ -68,7 +69,7 @@ def make_session(verifiable: bool, commit_seconds_per_param=None):
     return FLSession(
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
-        dummy_datasets(NUM_TRAINERS),
+        marker_datasets(NUM_TRAINERS),
         network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
 

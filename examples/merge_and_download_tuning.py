@@ -2,62 +2,32 @@
 """Tuning merge-and-download: how many IPFS providers per aggregator?
 
 Reproduces the Fig. 1 trade-off interactively: sweeps |P_ij| for a
-16-trainer task with 1.3 MB gradient partitions at 10 Mbps and compares
-the simulated optimum with the paper's closed form
+16-trainer task with 1.3 MB gradient partitions at 10 Mbps (the Fig. 1
+scenario, ``repro.analysis.figures.fig1_session``) and compares the
+simulated optimum with the paper's closed form
 
     |P_ij|* = sqrt(b * |T_ij| / d)  (= sqrt(16) = 4 at equal bandwidths).
 
 Run:  python examples/merge_and_download_tuning.py
 """
 
-import numpy as np
-
 from repro.analysis import (
     aggregation_time_model,
     format_table,
     optimal_providers,
 )
-from repro import FLSession, NetworkProfile, ProtocolConfig
-from repro.ml import Dataset, SyntheticModel
+from repro.analysis.figures import FIG1_PROVIDERS, fig1_session
 from repro.net import mbps, megabytes
 
 NUM_TRAINERS = 16
-PARTITION_PARAMS = 162_500  # ~1.3 MB of float64
 BANDWIDTH_MBPS = 10.0
-PROVIDER_COUNTS = [1, 2, 4, 8, 16]
-
-
-def delay_shards():
-    """Distinct dummy shards (delay experiment: no real learning)."""
-    return [Dataset(np.full((1, 1), float(i + 1)), np.zeros(1))
-            for i in range(NUM_TRAINERS)]
-
-
-def run_once(providers: int):
-    config = ProtocolConfig(
-        num_partitions=1,
-        t_train=600.0,
-        t_sync=1200.0,
-        merge_and_download=True,
-        providers_per_aggregator=providers,
-        update_mode="gradient",
-        poll_interval=0.25,
-    )
-    session = FLSession(
-        config,
-        model_factory=lambda: SyntheticModel(PARTITION_PARAMS),
-        datasets=delay_shards(),
-        network=NetworkProfile(num_ipfs_nodes=max(PROVIDER_COUNTS),
-                               bandwidth_mbps=BANDWIDTH_MBPS),
-    )
-    return session.run_iteration()
 
 
 def main():
     bandwidth = mbps(BANDWIDTH_MBPS)
     rows = []
-    for providers in PROVIDER_COUNTS:
-        metrics = run_once(providers)
+    for providers in FIG1_PROVIDERS:
+        metrics = fig1_session(providers).run_iteration()
         analytic = aggregation_time_model(
             NUM_TRAINERS, megabytes(1.3), providers, bandwidth, bandwidth
         )

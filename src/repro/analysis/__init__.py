@@ -6,6 +6,9 @@
 - :func:`format_table` / :func:`series_shape` — benchmark output helpers.
 - :func:`diagnose_runs` — differential run diagnosis over manifest +
   profile pairs (``python -m repro.cli explain``).
+
+The paper's figures are built in :mod:`repro.analysis.figures`, which
+this package does not import: it needs the whole protocol stack.
 """
 
 from .diagnose import diagnose_runs
@@ -13,10 +16,8 @@ from .delays import aggregator_download_bytes
 from .providers import aggregation_time_model, optimal_providers
 from .results import format_table, series_shape
 from .stats import percentile
-from .sweeps import Sweep
 
 __all__ = [
-    "Sweep",
     "aggregation_time_model",
     "aggregator_download_bytes",
     "diagnose_runs",

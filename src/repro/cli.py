@@ -11,12 +11,9 @@ Subcommands
 ``train``
     Run federated training on a synthetic classification task and print
     per-round telemetry (delays, bytes, accuracy).
-``providers-sweep``
-    The Fig. 1 experiment: merge-and-download delays vs provider count.
-``commit-cost``
-    The Fig. 3 experiment: SHA-256 vs Pedersen commitment cost by size.
 ``reproduce``
-    Run the paper-figure benchmarks (tables under benchmarks/results/).
+    Print the paper's figure tables (:mod:`repro.analysis.figures`) as
+    the figure benchmarks write them under ``benchmarks/results/``.
 ``run``
     Run one session under the whole observer stack — flight recorder,
     invariant monitors, metrics registry + resource sampler, anomaly
@@ -57,11 +54,18 @@ import glob
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .analysis import diagnose_runs, format_table, optimal_providers
+from .analysis import diagnose_runs, format_table
+from .analysis.figures import (
+    FIG3_SIZES,
+    fig1_table,
+    fig2_table,
+    fig3_table,
+    marker_datasets,
+)
 from .core import FLSession, ProtocolConfig
 from .core.adversary import (
     AlterUpdateBehavior,
@@ -69,7 +73,6 @@ from .core.adversary import (
     LazyBehavior,
     ReplayUpdateBehavior,
 )
-from .crypto import sha256
 from .faults import FaultPlan, RetryPolicy
 from .obs import (
     ANOMALY_KINDS,
@@ -90,9 +93,7 @@ from .obs import (
     format_heartbeat,
     read_progress,
 )
-from .core.verification import PartitionCommitter
 from .ml import (
-    Dataset,
     LogisticRegression,
     SyntheticModel,
     TrainConfig,
@@ -102,7 +103,7 @@ from .ml import (
     split_iid,
     train_test_split,
 )
-from .net import NetworkProfile, mbps, megabytes
+from .net import NetworkProfile
 
 __all__ = ["main", "build_parser"]
 
@@ -113,6 +114,13 @@ _INJECTABLE = {
     "alter": lambda: AlterUpdateBehavior(offset=1.0),
     "lazy": lambda: LazyBehavior(),
     "replay": lambda: ReplayUpdateBehavior(),
+}
+
+#: ``reproduce --figures`` choices (Fig. 3 times commitments for real).
+_FIGURES = {
+    "fig1": fig1_table,
+    "fig2": fig2_table,
+    "fig3": lambda: fig3_table(FIG3_SIZES, SYSTEM_WALL_CLOCK),
 }
 
 
@@ -142,25 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--non-iid", action="store_true",
                        help="Dirichlet(0.5) shards instead of IID")
     train.add_argument("--seed", type=int, default=0)
-
-    sweep = subparsers.add_parser(
-        "providers-sweep",
-        help="Fig. 1: delays vs number of IPFS providers",
-    )
-    sweep.add_argument("--trainers", type=int, default=16)
-    sweep.add_argument("--partition-mb", type=float, default=1.3)
-    sweep.add_argument("--bandwidth-mbps", type=float, default=10.0)
-    sweep.add_argument("--providers", type=int, nargs="+",
-                       default=[1, 2, 4, 8, 16])
-
-    cost = subparsers.add_parser(
-        "commit-cost",
-        help="Fig. 3: SHA-256 vs Pedersen commitment cost",
-    )
-    cost.add_argument("--sizes", type=int, nargs="+",
-                      default=[1000, 4000])
-    cost.add_argument("--curves", nargs="+",
-                      default=["secp256k1", "secp256r1"])
 
     run = subparsers.add_parser(
         "run",
@@ -241,12 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     reproduce = subparsers.add_parser(
         "reproduce",
-        help="run the paper-figure benchmarks (writes tables under "
-             "benchmarks/results/)",
+        help="print the paper's figure tables, as the figure benchmarks "
+             "write them under benchmarks/results/",
     )
     reproduce.add_argument(
-        "--figures", nargs="+", default=["fig1", "fig2", "fig3"],
-        choices=["fig1", "fig2", "fig3", "all"],
+        "--figures", nargs="+", default=list(_FIGURES), choices=_FIGURES,
     )
     return parser
 
@@ -311,79 +299,6 @@ def _run_train(args) -> int:
     return 0
 
 
-# -- providers-sweep ---------------------------------------------------------------
-
-
-def _run_providers_sweep(args) -> int:
-    partition_params = int(megabytes(args.partition_mb) / 8)
-    shards = [
-        Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
-        for index in range(args.trainers)
-    ]
-    rows = []
-    for providers in args.providers:
-        config = ProtocolConfig(
-            num_partitions=1,
-            t_train=3600.0,
-            t_sync=7200.0,
-            merge_and_download=True,
-            providers_per_aggregator=providers,
-            update_mode="gradient",
-            poll_interval=0.25,
-        )
-        session = FLSession(
-            config,
-            model_factory=lambda: SyntheticModel(partition_params),
-            datasets=shards,
-            network=NetworkProfile(num_ipfs_nodes=max(args.providers),
-                                   bandwidth_mbps=args.bandwidth_mbps),
-        )
-        metrics = session.run_iteration()
-        rows.append([
-            providers,
-            metrics.mean_upload_delay,
-            metrics.aggregation_delay,
-            metrics.end_to_end_delay,
-        ])
-    print(format_table(
-        ["providers", "upload (s)", "aggregation (s)", "end-to-end (s)"],
-        rows,
-        title=f"{args.trainers} trainers, {args.partition_mb} MB "
-              f"partition, {args.bandwidth_mbps} Mbps",
-    ))
-    bandwidth = mbps(args.bandwidth_mbps)
-    p_star = optimal_providers(args.trainers, node_bandwidth=bandwidth,
-                               aggregator_bandwidth=bandwidth)
-    print(f"\nanalytic optimum sqrt(b*T/d) = {p_star:.1f} providers")
-    return 0
-
-
-# -- commit-cost ---------------------------------------------------------------------
-
-
-def _run_commit_cost(args, clock=SYSTEM_WALL_CLOCK) -> int:
-    rng = np.random.default_rng(0)
-    rows = []
-    for size in args.sizes:
-        vector = rng.normal(size=size)
-        started = clock.seconds()
-        sha256(vector.tobytes())
-        hash_seconds = clock.seconds() - started
-        row = [size, hash_seconds]
-        for curve in args.curves:
-            committer = PartitionCommitter(partition_len=size, curve=curve)
-            started = clock.seconds()
-            committer.encode_and_commit(vector)
-            row.append(clock.seconds() - started)
-        rows.append(row)
-    print(format_table(
-        ["params", "sha256 (s)"] + [f"{curve} (s)" for curve in args.curves],
-        rows,
-        title="commitment cost by model size",
-    ))
-    return 0
-
-
 # -- run -----------------------------------------------------------------------------
 
 
@@ -393,10 +308,7 @@ def _build_run_session(args, plan: FaultPlan) -> Tuple[FLSession, int]:
     verifiable = args.verifiable
     rounds = args.rounds
     behaviors = None
-    datasets = [
-        Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
-        for index in range(args.trainers)
-    ]
+    datasets = marker_datasets(args.trainers)
     model_factory = lambda: SyntheticModel(args.params)  # noqa: E731
     if args.inject is not None:
         behaviors = {"aggregator-0": _INJECTABLE[args.inject]()}
@@ -725,36 +637,13 @@ def _run_explain(args) -> int:
 
 
 def _run_reproduce(args) -> int:
-    import pytest as pytest_module
-    targets = {
-        "fig1": "test_fig1_providers.py",
-        "fig2": "test_fig2_aggregators.py",
-        "fig3": "test_fig3_commitments.py",
-    }
-    figures = args.figures
-    if "all" in figures:
-        selection = None  # the whole benchmarks directory
-    else:
-        selection = [targets[figure] for figure in figures]
-    bench_dir = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)
-        ))),
-        "benchmarks",
-    )
-    if not os.path.isdir(bench_dir):
-        print("benchmarks/ directory not found next to the package; "
-              "run from a source checkout")
-        return 1
-    paths = ([bench_dir] if selection is None
-             else [os.path.join(bench_dir, name) for name in selection])
-    return pytest_module.main(paths + ["--benchmark-only", "-q"])
+    for figure in args.figures:
+        print(_FIGURES[figure]()[1])
+    return 0
 
 
 _COMMANDS = {
     "train": _run_train,
-    "providers-sweep": _run_providers_sweep,
-    "commit-cost": _run_commit_cost,
     "reproduce": _run_reproduce,
     "run": _run_run,
     "explain": _run_explain,
@@ -762,11 +651,11 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: List[str]) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -12,6 +12,8 @@ from repro.analysis import (
     series_shape,
 )
 from repro.analysis.delays import naive_aggregation_time
+from repro.analysis.figures import FIG3_SERIES, fig3_table
+from repro.obs.profiling import FakeWallClock
 
 
 # -- provider model ---------------------------------------------------------------
@@ -112,3 +114,20 @@ def test_series_shape_classification():
     assert series_shape([1, 3, 2]) == "mixed"
     assert series_shape([5]) == "flat"
     assert series_shape([5, 5, 5]) == "flat"
+
+
+# -- figures ------------------------------------------------------------------------
+
+
+def test_fig3_table_uses_the_injectable_wall_clock():
+    clock = FakeWallClock(tick=0.5)
+    rows, table = fig3_table([64], clock)
+    # SHA-256 and the four Pedersen series each bracket with two reads.
+    assert clock.reads == 10
+    assert [rows[0][name] for name in ("sha256_s",) + FIG3_SERIES] \
+        == [0.5] * 5
+    # The last row extrapolates 0.5 s / 64 params to 5M params.
+    assert [line.split() for line in table.splitlines()[4:]] == [
+        ["64"] + ["0.500"] * 5 + ["1.000"],
+        ["5000000", "-"] + ["3.906e+04"] * 4 + ["-"],
+    ]

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from tests.util import run_bundle
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def test_parser_requires_command():
@@ -50,32 +54,10 @@ def test_train_non_iid_merge(capsys):
     assert "merge-and-download" in capsys.readouterr().out
 
 
-def test_providers_sweep_small(capsys):
-    code = main([
-        "providers-sweep", "--trainers", "4",
-        "--partition-mb", "0.1", "--providers", "1", "2",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "analytic optimum" in out
-    assert "providers" in out
-
-
-def test_commit_cost_small(capsys):
-    code = main([
-        "commit-cost", "--sizes", "64", "--curves", "secp256k1",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "secp256k1" in out
-    assert "sha256" in out
-
-
-def test_reproduce_parser():
-    args = build_parser().parse_args(["reproduce", "--figures", "fig1"])
-    assert args.figures == ["fig1"]
-    args = build_parser().parse_args(["reproduce"])
-    assert args.figures == ["fig1", "fig2", "fig3"]
+def test_reproduce_prints_the_committed_fig1_table(capsys):
+    committed = (RESULTS / "fig1_providers.txt").read_text(encoding="utf-8")
+    assert main(["reproduce", "--figures", "fig1"]) == 0
+    assert capsys.readouterr().out == committed
 
 
 SMALL_SESSION = [
@@ -414,17 +396,3 @@ def test_status_empty_file_fails_with_a_message(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "no heartbeats" in captured.err
     assert captured.out == ""
-
-
-def test_commit_cost_uses_the_injectable_wall_clock(capsys):
-    from repro.cli import _run_commit_cost, build_parser
-    from repro.obs.profiling import FakeWallClock
-
-    args = build_parser().parse_args(
-        ["commit-cost", "--sizes", "64", "--curves", "secp256k1"])
-    clock = FakeWallClock(tick=0.5)
-    assert _run_commit_cost(args, clock=clock) == 0
-    out = capsys.readouterr().out
-    # Each measurement brackets with two reads: 0.5 s per column.
-    assert clock.reads == 4
-    assert "5.000e-01" in out or "0.5" in out

@@ -190,8 +190,7 @@ def test_public_surface_only_shrinks():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)).choices
     assert sorted(subcommands) == sorted(
-        "train providers-sweep commit-cost reproduce status explain "
-        "run".split())
+        "train reproduce run explain status".split())
 
     def flags(subcommand):
         return {option for action in subcommands[subcommand]._actions

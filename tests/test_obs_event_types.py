@@ -70,8 +70,8 @@ def test_event_types_are_every_named_tuple_of_the_module():
 
 
 def test_coverage_test_collects_one_case_per_event_type():
-    out = _python("-m", "pytest", "--collect-only", "-p", "no:cacheprovider",
-                  "tests/test_obs_event_coverage.py")
+    out = _python("-m", "pytest", "--collect-only", "-q",
+                  "-p", "no:cacheprovider", "tests/test_obs_event_coverage.py")
     cases = [line for line in out.splitlines() if "::" in line]
     assert len(cases) == EVENT_TYPE_COUNT + 1, out
 

@@ -68,7 +68,6 @@ ALLOWLIST = {
 #: most ten), each with the reason.
 PARAM_ALLOWLIST = {
     "cli.py::_run_run(clock)": "the seam tests drive with FakeWallClock",
-    "cli.py::_run_commit_cost(clock)": "the same seam, for commit-cost",
     "profiling.py::FakeWallClock.__init__(start)": "the test double's state",
     "profiling.py::FakeWallClock.__init__(tick)": "the test double's state",
     "multiexp.py::straus(width)":

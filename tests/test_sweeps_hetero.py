@@ -1,44 +1,10 @@
-"""Tests for the sweep utilities and heterogeneous-bandwidth topologies."""
+"""Tests for heterogeneous-bandwidth topologies."""
 
 import pytest
 
-from repro.analysis import Sweep
-from repro.analysis.sweeps import SweepResults
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile, build_testbed, mbps
-
-
-# -- Sweep -----------------------------------------------------------------------
-
-
-def test_sweep_runs_in_order():
-    sweep = Sweep("x", [3, 1, 2])
-    results = sweep.run(lambda x: x * 10)
-    assert [value for value, _ in results.rows] == [3, 1, 2]
-    assert results.values() == [30, 10, 20]
-    table = results.table().splitlines()
-    assert table[0].split() == ["x", "result"]
-    assert table[-1].split() == ["2", "20"]
-
-
-def test_sweep_argmin_argmax_shape():
-    results = Sweep("p", [1, 2, 4, 8]).run(lambda p: (p - 4) ** 2)
-    assert results.argmin() == 4
-    assert results.argmax() == 8  # (8-4)^2 = 16 is the largest
-    assert results.shape() == "u-shaped"
-
-
-def test_sweep_with_key():
-    results = Sweep("p", [1, 2]).run(lambda p: {"delay": 10.0 / p})
-    assert results.argmin(key=lambda r: r["delay"]) == 2
-
-
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        Sweep("x", [])
-    with pytest.raises(ValueError):
-        SweepResults("x").argmin()
 
 
 # -- heterogeneous bandwidths ------------------------------------------------------------
