@@ -44,10 +44,10 @@ def timed_commits(session, spent):
     for committer in set(session.committers.values()):
         commit = committer.encode_and_commit
 
-        def timed(values, counter=1.0, commit=commit):
+        def timed(values, commit=commit):
             started = time.perf_counter()
             try:
-                return commit(values, counter)
+                return commit(values)
             finally:
                 spent.append(time.perf_counter() - started)
 

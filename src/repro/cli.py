@@ -17,14 +17,14 @@ Subcommands
 ``run``
     Run one session under the whole observer stack — flight recorder,
     invariant monitors, metrics registry + resource sampler, anomaly
-    watchdog, span collector, JSONL trace, progress heartbeat, host
-    profiler — and write the run bundle into ``--artifacts DIR``:
-    ``manifest.json``, ``trace.jsonl``, ``timeline.perfetto.json`` and
+    watchdog, span collector, JSONL trace, host profiler — and write
+    the run bundle into ``--artifacts DIR``: ``manifest.json``,
+    ``trace.jsonl``, ``timeline.perfetto.json`` and
     ``incidents/`` (pure functions of seed + configuration: a replay
     reproduces them byte for byte), ``report.txt`` (what was printed:
     critical path and stragglers per iteration, the host-profile table,
     violations / anomalies / incidents, the fault-plan line, the
-    verdict) and the host-side ``profile.json`` and ``progress.jsonl``.
+    verdict) and the host-side ``profile.json``.
     ``--plan`` runs it under a fault plan (docs/FAULTS.md), ``--inject``
     seeds a misbehaving aggregator.  The bundle is written even when the
     run dies mid-round, and the exit status is one rule (``_verdict``;
@@ -36,15 +36,6 @@ Subcommands
     (``profile.json``), anomaly kinds that fired in one run only, metric
     regressions and config drift (``manifest.json``); ``--json`` for the
     machine-readable report.
-``status``
-    Summarize the heartbeats of a live or finished run from a progress
-    JSONL file (``DIR/progress.jsonl`` of a bundle): last iteration, sim
-    clock, event rate and telemetry peak.  Exits non-zero (with a
-    stderr message) when the file is missing, unreadable, holds a
-    corrupt line before its last, or holds no heartbeats yet, so
-    scripts can poll it; ``--json`` prints
-    the latest heartbeat as one JSON object under the same exit
-    contract.
 """
 
 from __future__ import annotations
@@ -85,13 +76,10 @@ from .obs import (
     JsonlTraceExporter,
     MetricsRegistry,
     PerfettoExporter,
-    ProgressReporter,
     ResourceSampler,
     RunManifest,
     SYSTEM_WALL_CLOCK,
     SpanCollector,
-    format_heartbeat,
-    read_progress,
 )
 from .ml import (
     LogisticRegression,
@@ -155,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run a session under the whole observer stack and write "
              "the run bundle (manifest, trace, timeline, incidents, "
-             "report, host profile, progress); non-zero exit unless "
+             "report, host profile); non-zero exit unless "
              "the run was correct",
     )
     run.add_argument("--trainers", type=int, default=4)
@@ -212,21 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "metric diff (0.10 = 10%%)")
     explain.add_argument("--json", action="store_true",
                          help="emit the diagnosis as one JSON object")
-
-    status = subparsers.add_parser(
-        "status",
-        help="summarize the heartbeats of a live or finished run "
-             "(a bundle's progress.jsonl); non-zero exit when the "
-             "file is missing or holds no heartbeats yet",
-    )
-    status.add_argument("progress", help="progress JSONL file to read")
-    status.add_argument("--tail", type=int, default=1,
-                        help="latest heartbeats to show")
-    status.add_argument("--json", action="store_true",
-                        help="print the latest heartbeat as one JSON "
-                             "object instead of the human summary "
-                             "(same non-zero exit when there is "
-                             "nothing to report)")
 
     reproduce = subparsers.add_parser(
         "reproduce",
@@ -381,14 +354,6 @@ class _ObserverStack:
         self.spans = SpanCollector(bus)
         self.trace = JsonlTraceExporter(
             bus, os.path.join(directory, "trace.jsonl"))
-        # Opened here, not by the reporter (which appends): a bundle
-        # holds one run.
-        self._heartbeats = open(os.path.join(directory, "progress.jsonl"),
-                                "w", encoding="utf-8")
-        self.progress = ProgressReporter(
-            bus, registry=self.registry, recorder=self.recorder,
-            watchdog=self.watchdog, stream=None, jsonl=self._heartbeats,
-            clock=clock)
         self.profiler = HostProfiler(clock).install(session.sim)
 
     def detach(self, session: FLSession, completed: bool) -> list:
@@ -407,8 +372,6 @@ class _ObserverStack:
         self.recorder.close()
         self.spans.close()
         self.registry.close()
-        self.progress.close()
-        self._heartbeats.close()
         self.trace.close()
         return violations
 
@@ -580,41 +543,6 @@ def _run_run(args, clock=SYSTEM_WALL_CLOCK) -> int:
     return 0 if correct or args.warn_only else 1
 
 
-def _run_status(args) -> int:
-    try:
-        records = read_progress(args.progress)
-    except FileNotFoundError:
-        print(f"status: progress file not found: {args.progress}",
-              file=sys.stderr)
-        return 1
-    except OSError as error:
-        print(f"status: cannot read progress file: {error}",
-              file=sys.stderr)
-        return 1
-    except ValueError as error:
-        print(f"status: {args.progress}: {error}", file=sys.stderr)
-        return 1
-    if not records:
-        print(f"status: no heartbeats in {args.progress} (yet)",
-              file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(records[-1], sort_keys=True))
-        return 0
-    for record in records[-max(args.tail, 1):]:
-        print(format_heartbeat(record))
-    latest = records[-1]
-    peak = latest.get("peak_telemetry_bytes")
-    summary = (f"{len(records)} heartbeat(s); "
-               f"latest: iteration {latest.get('iteration', -1)} at "
-               f"sim t={latest.get('sim_seconds', 0.0):.1f}s, "
-               f"{latest.get('events', 0)} events")
-    if peak is not None:
-        summary += f", telemetry peak {peak / 1024.0:.1f} KiB"
-    print(summary)
-    return 0
-
-
 def _run_explain(args) -> int:
     try:
         manifests = [RunManifest.load(os.path.join(bundle, "manifest.json"))
@@ -647,7 +575,6 @@ _COMMANDS = {
     "reproduce": _run_reproduce,
     "run": _run_run,
     "explain": _run_explain,
-    "status": _run_status,
 }
 
 

@@ -33,13 +33,12 @@ The bus is zero-overhead when unsubscribed: emission sites guard event
 construction behind :meth:`EventBus.wants`, so unobserved runs pay one
 boolean check per site.  On long, large runs the stack stays bounded:
 histograms spill to a mergeable :class:`QuantileSketch`
-(:mod:`repro.obs.sketch`), series decimate deterministically, and a
-:class:`ProgressReporter` (:mod:`repro.obs.progress`) heartbeats
-liveness and telemetry cost.  A :class:`HostProfiler`
-(:mod:`repro.obs.profiling`) attributes *wall-clock* (host) cost to
-the ``repro`` package whose functions spent it — cProfile folded on
-the benchmark's ``sim`` / ``net`` / ``ipfs`` / ``crypto`` / ``ml`` /
-``core`` / ``obs`` / ``faults`` partition, no hook in any layer.  An
+(:mod:`repro.obs.sketch`) and series decimate deterministically.
+A :class:`HostProfiler` (:mod:`repro.obs.profiling`) attributes
+*wall-clock* (host) cost to the ``repro`` package whose functions spent
+it — cProfile folded on the benchmark's ``sim`` / ``net`` / ``ipfs`` /
+``crypto`` / ``ml`` / ``core`` / ``obs`` / ``faults`` partition, no hook
+in any layer.  An
 :class:`AnomalyWatchdog` (:mod:`repro.obs.anomaly`) hosts online
 detectors — retry storms and throughput collapse — that publish typed
 :class:`~repro.obs.events.AnomalyDetected` events back onto the bus,
@@ -66,7 +65,6 @@ from .metrics import MetricsRegistry, ResourceSampler
 from .monitors import InvariantMonitors
 from .perfetto import PerfettoExporter
 from .profiling import HostProfile, HostProfiler, SYSTEM_WALL_CLOCK, WallClock
-from .progress import ProgressReporter, format_heartbeat, read_progress
 from .sketch import QuantileSketch
 from .spans import SPAN_EVENTS, Span, SpanCollector, SpanTree, \
     build_span_tree
@@ -86,7 +84,6 @@ __all__ = [
     "ManifestDiff",
     "MetricsRegistry",
     "PerfettoExporter",
-    "ProgressReporter",
     "QuantileSketch",
     "ResourceSampler",
     "RunManifest",
@@ -101,6 +98,4 @@ __all__ = [
     "build_span_tree",
     "compare_manifests",
     "config_fingerprint",
-    "format_heartbeat",
-    "read_progress",
 ]

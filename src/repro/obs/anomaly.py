@@ -11,10 +11,8 @@ degradation is classified.  Downstream the anomaly is just another
 event: :class:`~repro.obs.counters.CountersRegistry` counts it into
 ``obs.anomaly.*`` manifest gauges, the
 :class:`~repro.obs.forensics.FlightRecorder` treats it as a seal
-trigger (anomalies auto-produce incident bundles), Perfetto timelines
-show instant markers, and the
-:class:`~repro.obs.progress.ProgressReporter` heartbeat carries a
-running count.
+trigger (anomalies auto-produce incident bundles), and Perfetto
+timelines show instant markers.
 
 Detector catalog (``docs/OBSERVABILITY.md`` documents evidence
 schemas):

@@ -190,11 +190,6 @@ class FlightRecorder:
         """The current ring-buffer contents, oldest first."""
         return list(self._ring)
 
-    @property
-    def occupancy(self) -> int:
-        """Events currently held in the ring (for progress heartbeats)."""
-        return len(self._ring)
-
     # -- event handling ----------------------------------------------------------
 
     def _handle(self, event: tuple) -> None:

@@ -76,6 +76,14 @@ def test_parser_rejects_the_subcommands_run_replaced(gone, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_status_is_not_a_subcommand(capsys):
+    # `explain` is the one reader of a bundle; nothing is left to poll.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["status", "x"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'status'" in capsys.readouterr().err
+
+
 def test_timeline_writes_a_loadable_perfetto_trace(tmp_path):
     import json
     run = run_bundle(SMALL_SESSION, tmp_path)
@@ -112,12 +120,6 @@ def test_critical_path_prints_the_decomposition(tmp_path):
     assert "upload" in run.out and "publish_update" in run.out
     assert "stragglers (threshold 0.000 s)" in run.out
     assert "<-- straggler" in run.out
-
-
-def test_status_reads_a_bundles_progress_file(tmp_path, capsys):
-    assert run_bundle(SMALL_SESSION, tmp_path).code == 0
-    assert main(["status", str(tmp_path / "progress.jsonl")]) == 0
-    assert "iteration 0" in capsys.readouterr().out
 
 
 # -- the exit-code rule -------------------------------------------------------------
@@ -159,6 +161,16 @@ def test_audit_inject_forces_verifiable(drop_bundle):
     assert "forces --verifiable" in drop_bundle.err
     manifest = json.loads((drop_bundle.path / "manifest.json").read_text())
     assert manifest["fingerprint"]["verifiable"] is True
+
+
+def test_run_bundle_holds_the_six_entries(drop_bundle):
+    """Each entry answers one of a run's four questions: where simulated
+    time went, where host time went, whether it was correct, and how it
+    differs from another run."""
+    assert sorted(p.name for p in drop_bundle.path.iterdir()) == [
+        "incidents", "manifest.json", "profile.json", "report.txt",
+        "timeline.perfetto.json", "trace.jsonl"]
+    assert (drop_bundle.path / "incidents").is_dir()
 
 
 def test_incidents_writes_loadable_bundles(drop_bundle):
@@ -228,8 +240,8 @@ def verifiable_bundles(tmp_path_factory):
 ], ids=["flap", "verifiable"])
 def test_run_replay_is_byte_identical(request, pair, expected_incidents):
     """The determinism check: everything in a bundle but the report's
-    host-profile table, ``profile.json`` and ``progress.jsonl`` is a
-    pure function of seed + configuration."""
+    host-profile table and ``profile.json`` is a pure function of seed +
+    configuration."""
     first, second = (run.path for run in request.getfixturevalue(pair))
     for name in ("manifest.json", "trace.jsonl", "timeline.perfetto.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -261,56 +273,10 @@ def test_run_failing_mid_round_exits_1_and_every_file_parses(
     assert RunManifest.load(tmp_path / "manifest.json").fingerprint["digest"]
     assert HostProfile.load(tmp_path / "profile.json").dispatches == 0
     assert json.loads((tmp_path / "timeline.perfetto.json").read_text())
-    for name in ("trace.jsonl", "progress.jsonl"):
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines and all(json.loads(line) for line in lines)
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    assert lines and all(json.loads(line) for line in lines)
     assert (tmp_path / "report.txt").read_text() == run.out
     assert (tmp_path / "incidents").is_dir()
-
-
-def test_status_missing_file_fails_cleanly(tmp_path, capsys):
-    assert main(["status", str(tmp_path / "absent.jsonl")]) == 1
-    capsys.readouterr()
-
-
-def test_status_tail_limits_records(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "progress.jsonl"
-    path.write_text("".join(
-        json.dumps({"seq": index, "label": "p40", "iteration": index,
-                    "sim_seconds": float(index), "events": index,
-                    "events_per_s": 1.0, "wall_seconds": 0.1}) + "\n"
-        for index in range(5)))
-    assert main(["status", str(path), "--tail", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[run]") == 2
-    assert "iter=3 " in out and "iter=4 " in out
-
-
-def test_status_json_prints_the_latest_heartbeat(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "progress.jsonl"
-    path.write_text("".join(
-        json.dumps({"seq": index, "label": "p40", "iteration": index,
-                    "sim_seconds": float(index), "events": index,
-                    "events_per_s": 1.0, "wall_seconds": 0.1}) + "\n"
-        for index in range(3)))
-    assert main(["status", str(path), "--json"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["seq"] == 2  # the latest record, as one JSON object
-    assert record["label"] == "p40"
-
-
-def test_status_json_preserves_the_exit_contract(tmp_path, capsys):
-    assert main(["status", str(tmp_path / "absent.jsonl"),
-                 "--json"]) == 1
-    assert "not found" in capsys.readouterr().err
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert main(["status", str(empty), "--json"]) == 1
-    assert "no heartbeats" in capsys.readouterr().err
 
 
 # -- the watchdog is always attached -------------------------------------------
@@ -376,23 +342,3 @@ def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path):
     assert data["dispatches"] > 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert data["fingerprint"] == manifest["fingerprint"]
-
-
-# -- status exit-code contract / clock injection ------------------------------
-
-
-def test_status_missing_file_names_the_path_on_stderr(tmp_path, capsys):
-    missing = tmp_path / "absent.jsonl"
-    assert main(["status", str(missing)]) == 1
-    err = capsys.readouterr().err
-    assert "not found" in err
-    assert str(missing) in err
-
-
-def test_status_empty_file_fails_with_a_message(tmp_path, capsys):
-    path = tmp_path / "progress.jsonl"
-    path.write_text("")
-    assert main(["status", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "no heartbeats" in captured.err
-    assert captured.out == ""

@@ -190,7 +190,7 @@ def test_public_surface_only_shrinks():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)).choices
     assert sorted(subcommands) == sorted(
-        "train reproduce run explain status".split())
+        "train reproduce run explain".split())
 
     def flags(subcommand):
         return {option for action in subcommands[subcommand]._actions

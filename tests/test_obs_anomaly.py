@@ -11,15 +11,12 @@ from repro.obs import (
     EventBus,
     FlightRecorder,
     PerfettoExporter,
-    ProgressReporter,
-    format_heartbeat,
 )
 from repro.obs.anomaly import (
     RetryStormDetector,
     ThroughputCollapseDetector,
     default_detectors,
 )
-from repro.obs.profiling import FakeWallClock
 from repro.obs.events import (
     AnomalyDetected,
     GradientRegistered,
@@ -188,19 +185,6 @@ def test_watchdog_tick_loop_follows_sim_clock_and_stops():
     assert next_event_time(sim) == float("inf")  # no stale wakeup left behind
     sim.run(until=100.0)
     assert watchdog.ticks == 5  # stop() cancelled the pending wakeup
-
-
-def test_progress_heartbeat_surfaces_watchdog_state():
-    bus = EventBus()
-    watchdog = AnomalyWatchdog(bus, detectors=[RetryStormDetector()])
-    reporter = ProgressReporter(bus, watchdog=watchdog, stream=None,
-                                clock=FakeWallClock())
-    for at in (1.0, 2.0, 3.0):
-        bus.publish(abort(at))
-    record = reporter.snapshot()
-    assert record["anomalies"] == 1
-    assert record["anomaly_kinds"] == ["retry_storm"]
-    assert "anomalies=1" in format_heartbeat(record)
 
 
 def test_watchdog_stamps_the_open_iteration_on_every_anomaly():

@@ -124,8 +124,8 @@ class BundleRun:
 
 def run_bundle(argv, path) -> BundleRun:
     """``python -m repro.cli run ARGV --artifacts PATH`` on a ticking
-    fake clock: the profiler and the heartbeat never read the host's,
-    so tier-1 stays independent of host timing."""
+    fake clock: the profiler never reads the host's, so tier-1 stays
+    independent of host timing."""
     from repro.cli import _run_run, build_parser
 
     args = build_parser().parse_args(
