@@ -68,8 +68,10 @@ EXACT_TRAINERS = 128
 EXACT_SAMPLE_INTERVAL = 5.0
 #: Measured 0.127-0.136 (three runs, 3.2-3.8 profiled seconds).
 MAX_EXACT_OBS_SHARE = 0.25
-#: Measured 246 400 B; every transfer histogram is past its exact
-#: threshold (14 116 observations), so this is the sketch-mode bound.
+#: Measured 276 480 B.  A series costs a constant and the sampler
+#: refreshes the peak on every tick, so the peak is the last tick before
+#: the two transfer histograms spill to sketch mode (3 860 exact values
+#: each; 14 116 observations by the end of the round).
 MAX_EXACT_TELEMETRY_BYTES = 384 * 1024
 
 

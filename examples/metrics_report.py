@@ -9,12 +9,10 @@ aggregator and diffs the two manifests — the same machinery behind
 explain`` — and the extra provider shows up as an *improvement* in the
 transfer and upload distributions (the Fig. 1 effect).
 
-A registry histogram is a mergeable ``QuantileSketch`` (exact up to
-4 096 observations, bounded relative error above — see
-``docs/OBSERVABILITY.md``, "Observability at scale"); a figure-scale
-run like this one stays exact, so the merge demo builds three shard
-sketches with a tiny threshold to show the crossover, the cross-cohort
-merge and the deterministic memory accounting.
+A registry histogram is a ``QuantileSketch`` (exact up to 4 096
+observations, bounded relative error above — see
+``docs/OBSERVABILITY.md``, "Quantile sketches"); a figure-scale run
+like this one stays exact.
 
 Run:  python examples/metrics_report.py
 """
@@ -25,7 +23,6 @@ from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
 from repro.obs import (
     MetricsRegistry,
-    QuantileSketch,
     ResourceSampler,
     RunManifest,
     compare_manifests,
@@ -93,30 +90,8 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
     return manifest
 
 
-def merge_demo():
-    """Cross-cohort aggregation without raw-value exchange: shard
-    sketches merge order-independently."""
-    shards = []
-    rng = np.random.default_rng(7)
-    for shard_index in range(3):
-        sketch = QuantileSketch(max_exact=8)
-        for value in rng.lognormal(mean=-1.0, sigma=1.0, size=64):
-            sketch.add(float(value))
-        shards.append(sketch)
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged.merge(shard)
-    print(f"merged 3 cohort shards: n={merged.count} "
-          f"p50={merged.percentile(50):.3f}s "
-          f"p99={merged.percentile(99):.3f}s "
-          f"({merged.bucket_count} buckets, "
-          f"{merged.footprint_bytes()} modelled bytes)")
-    print()
-
-
 def main():
     baseline = run_session(providers_per_aggregator=1)
-    merge_demo()
     wider = run_session(providers_per_aggregator=2)
 
     print("rerun with one extra provider per aggregator, manifest diff")

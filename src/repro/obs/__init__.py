@@ -32,8 +32,8 @@ and aggregators — publish small typed events
 The bus is zero-overhead when unsubscribed: emission sites guard event
 construction behind :meth:`EventBus.wants`, so unobserved runs pay one
 boolean check per site.  On long, large runs the stack stays bounded:
-histograms spill to a mergeable :class:`QuantileSketch`
-(:mod:`repro.obs.sketch`) and series decimate deterministically.
+histograms spill to a :class:`QuantileSketch` (:mod:`repro.obs.sketch`)
+and a series is its running digest.
 A :class:`HostProfiler` (:mod:`repro.obs.profiling`) attributes
 *wall-clock* (host) cost to the ``repro`` package whose functions spent
 it — cProfile folded on the benchmark's ``sim`` / ``net`` / ``ipfs`` /

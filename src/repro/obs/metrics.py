@@ -9,11 +9,7 @@ answers *how distributed* and *over time*:
   memory at O(distinct buckets) with a guaranteed relative error.
 - :class:`TimeSeries` — a gauge sampled against the *simulated* clock,
   optionally labelled (``net.link.utilization{link="trainer-0/up"}``),
-  with ring-buffer retention: when the buffer fills, every other
-  retained sample is dropped and the keep-stride doubles, so retention
-  is bounded and *deterministic* (a replay decimates identically).
-  Digests come from running accumulators over **all** records, so they
-  are unaffected by decimation.
+  kept as its count/min/max/mean/last digest in running accumulators.
 - :class:`MetricsRegistry` — an ordinary bus subscriber deriving
   latency/size histograms from events the producers already publish,
   and accounting its own cost (``events_observed``,
@@ -53,23 +49,14 @@ __all__ = [
     "TimeSeries",
     "MetricsRegistry",
     "ResourceSampler",
-    "DEFAULT_SERIES_RETENTION",
 ]
 
 #: Label key/value pairs, kept as a sorted tuple so series hash cleanly.
 Labels = Tuple[Tuple[str, str], ...]
 
-#: Retained samples per series before decimation halves them.  Must be
-#: even so the doubled keep-stride stays aligned with the record grid.
-DEFAULT_SERIES_RETENTION = 4096
-
-#: Memory-model constants (platform-stable, not ``sys.getsizeof``):
-#: a retained ``(at, value)`` sample and a fixed per-object overhead.
-_BYTES_PER_SAMPLE = 64
+#: Memory-model constant (platform-stable, not ``sys.getsizeof``): a
+#: series is its accumulators, so it costs the same at any record count.
 _SERIES_OVERHEAD = 256
-
-#: Sampler ticks between peak-memory refreshes (plus one on stop).
-_FOOTPRINT_REFRESH_TICKS = 32
 
 
 def _freeze_labels(labels: Dict[str, str]) -> Labels:
@@ -77,42 +64,23 @@ def _freeze_labels(labels: Dict[str, str]) -> Labels:
 
 
 class TimeSeries:
-    """A gauge sampled against the simulated clock, with bounded
-    retention.
+    """A gauge the sampler reads on the simulated clock, kept as its
+    digest: running count/min/max/mean/last accumulators, no samples."""
 
-    When ``max_samples`` is set (the registry default) and the buffer
-    fills, every other retained sample is dropped and the keep-stride
-    doubles — a deterministic function of the record count alone, so a
-    seeded replay retains byte-identical samples.  :meth:`digest` is
-    computed from running accumulators over *all* records and is
-    therefore identical whether or not decimation occurred.
-    """
-
-    __slots__ = ("name", "labels", "samples", "max_samples",
-                 "_stride", "_next_keep",
+    __slots__ = ("name", "labels",
                  "_count", "_total", "_min", "_max", "_last")
 
-    def __init__(self, name: str, labels: Labels = (),
-                 max_samples: int = 0):
-        if max_samples and (max_samples < 2 or max_samples % 2):
-            raise ValueError("max_samples must be 0 or an even int >= 2")
+    def __init__(self, name: str, labels: Labels = ()):
         self.name = name
         self.labels = labels
-        #: Retained ``(simulated_time, value)`` pairs in record order;
-        #: a decimated subset of all records once the buffer has filled.
-        self.samples: List[Tuple[float, float]] = []
-        self.max_samples = int(max_samples)
-        self._stride = 1
-        self._next_keep = 0
         self._count = 0
         self._total = 0.0
         self._min = float("inf")
         self._max = float("-inf")
         self._last = 0.0
 
-    def record(self, at: float, value: float) -> None:
+    def record(self, value: float) -> None:
         value = float(value)
-        index = self._count
         self._count += 1
         self._total += value
         if value < self._min:
@@ -120,35 +88,15 @@ class TimeSeries:
         if value > self._max:
             self._max = value
         self._last = value
-        if index != self._next_keep:
-            return  # decimated: off the keep-stride grid
-        if self.max_samples and len(self.samples) == self.max_samples:
-            # Halve retention, double the stride.  The incoming record
-            # index is max_samples * stride, which (max_samples even)
-            # sits on the doubled grid, as do the survivors.
-            del self.samples[1::2]
-            self._stride *= 2
-        self.samples.append((float(at), value))
-        self._next_keep = index + self._stride
 
     # -- reading -----------------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        """Total records seen (retained or not)."""
-        return self._count
-
-    @property
-    def retained(self) -> int:
-        """Samples currently held in the ring."""
-        return len(self.samples)
 
     @property
     def last(self) -> float:
         return self._last
 
     def digest(self) -> Dict[str, float]:
-        """Count/min/max/mean/last digest over *all* records."""
+        """Count/min/max/mean/last digest over every record."""
         if not self._count:
             return {"count": 0}
         return {
@@ -159,10 +107,6 @@ class TimeSeries:
             "last": self._last,
         }
 
-    def footprint_bytes(self) -> int:
-        """Deterministic memory model of the retained samples."""
-        return _SERIES_OVERHEAD + len(self.samples) * _BYTES_PER_SAMPLE
-
     def key(self) -> str:
         """Stable display key: ``name{k=v,...}`` (plain name if unlabelled)."""
         if not self.labels:
@@ -171,14 +115,13 @@ class TimeSeries:
         return f"{self.name}{{{inner}}}"
 
     def __repr__(self) -> str:
-        return f"<TimeSeries {self.key()} n={self.count}>"
+        return f"<TimeSeries {self.key()} n={self._count}>"
 
 
 #: The distributions every registry derives from the event stream.
 _HISTOGRAM_NAMES = (
     "net.transfer.duration",
     "net.transfer.bytes",
-    "dht.lookup.hops",
     "dht.lookup.latency",
     "ipfs.fetch.latency",
     "ipfs.block.bytes",
@@ -206,9 +149,8 @@ class MetricsRegistry:
 
     Memory is bounded by construction: histograms spill to sketch mode
     past :data:`~repro.obs.sketch.DEFAULT_EXACT_THRESHOLD` observations
-    and series decimate past :data:`DEFAULT_SERIES_RETENTION` samples,
-    so attaching a registry to a long, large run costs O(metrics), not
-    O(events).  The registry also meters itself —
+    and a series is its digest, so attaching a registry to a long, large
+    run costs O(metrics), not O(events).  The registry also meters itself —
     :attr:`events_observed`, :meth:`telemetry_bytes` and
     :attr:`peak_telemetry_bytes` feed the run manifest's obs-cost gauges.
     """
@@ -264,8 +206,7 @@ class MetricsRegistry:
         key = (name, _freeze_labels(labels))
         series = self._series.get(key)
         if series is None:
-            series = TimeSeries(
-                name, key[1], max_samples=DEFAULT_SERIES_RETENTION)
+            series = TimeSeries(name, key[1])
             self._series[key] = series
         return series
 
@@ -278,15 +219,13 @@ class MetricsRegistry:
     def telemetry_bytes(self) -> int:
         """Modelled resident telemetry memory; refreshes the peak.
 
-        A deterministic arithmetic model (sketch buckets, retained
-        samples — see :mod:`repro.obs.sketch`), so the manifests and CI
-        budgets built on it are platform-stable.
+        A deterministic arithmetic model (sketch values and buckets —
+        see :mod:`repro.obs.sketch` — plus a constant per series), so
+        the manifests and CI budgets built on it are platform-stable.
         """
-        resident = 0
+        resident = len(self._series) * _SERIES_OVERHEAD
         for histogram in self._histograms.values():
             resident += histogram.footprint_bytes()
-        for series in self._series.values():
-            resident += series.footprint_bytes()
         if resident > self.peak_telemetry_bytes:
             self.peak_telemetry_bytes = resident
         return resident
@@ -308,7 +247,6 @@ class MetricsRegistry:
         self._histograms["net.transfer.bytes"].add(event.size)
 
     def _on_dht_lookup(self, event) -> None:
-        self._histograms["dht.lookup.hops"].add(event.hops)
         if event.started_at is not None:
             self._histograms["dht.lookup.latency"].add(
                 event.at - event.started_at)
@@ -404,9 +342,10 @@ class ResourceSampler(SimTicker):
     - ``directory.queue.depth`` — requests waiting in the directory's
       inbox.
 
-    Each tick ends by refreshing the registry's telemetry-memory peak,
-    so ``peak_telemetry_bytes`` tracks the high-water mark even when
-    series later decimate.
+    Each tick ends by refreshing the registry's telemetry-memory peak
+    (O(histograms): a series costs a constant), so
+    ``peak_telemetry_bytes`` tracks the high-water mark before a
+    histogram spills to sketch mode.
 
     The sampler is pull-based and opt-in: an unobserved run never
     constructs one, so the zero-subscriber overhead contract holds — the
@@ -475,21 +414,20 @@ class ResourceSampler(SimTicker):
 
     def sample(self) -> None:
         """Take one sample at the current simulated instant."""
-        now = self.sim.now
         registry = self.registry
         self.samples_taken += 1
         if self.network is not None:
             self._series("net.flows.active").record(
-                now, self.network.active_transfers)
+                self.network.active_transfers)
             self._series("sched.stale_wakeups").record(
-                now, self.network.stale_wakeups)
+                self.network.stale_wakeups)
             registry.counters.set_gauge(
                 "sched.stale_wakeups", self.network.stale_wakeups)
             for link_name, utilization in \
                     self.network.link_utilization().items():
                 self._series(
                     "net.link.utilization", link_name, link=link_name
-                ).record(now, utilization)
+                ).record(utilization)
         if self.nodes:
             total_bytes = 0.0
             total_objects = 0
@@ -500,19 +438,10 @@ class ResourceSampler(SimTicker):
                 self._series(
                     "ipfs.blockstore.node.bytes", node.name,
                     node=node.name
-                ).record(now, store.total_bytes)
-            self._series("ipfs.blockstore.bytes").record(
-                now, total_bytes)
-            self._series("ipfs.blockstore.objects").record(
-                now, total_objects)
+                ).record(store.total_bytes)
+            self._series("ipfs.blockstore.bytes").record(total_bytes)
+            self._series("ipfs.blockstore.objects").record(total_objects)
         if self.directory is not None:
             self._series("directory.queue.depth").record(
-                now, self.directory.inbox_depth())
-        # Refresh the registry's peak-memory account periodically rather
-        # than every tick: the footprint walk is O(series + histograms)
-        # and on long runs it dominated the sampler.  The cadence is
-        # a pure function of samples_taken, so the recorded peak is as
-        # deterministic as the per-tick refresh was; registry.close()
-        # (and stop()) take the final reading.
-        if self.samples_taken % _FOOTPRINT_REFRESH_TICKS == 0:
-            registry.telemetry_bytes()
+                self.directory.inbox_depth())
+        registry.telemetry_bytes()

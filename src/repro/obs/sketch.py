@@ -1,11 +1,11 @@
-"""Mergeable log-bucket quantile sketch for bounded-memory histograms.
+"""Log-bucket quantile sketch for bounded-memory histograms.
 
 At figure scale (16 trainers) a histogram can keep every raw
 observation, so p50/p95/p99 are exact.  Over a long run of hundreds of
 trainers that store is O(events); hence a two-mode structure:
 
-- **Exact mode** (up to ``max_exact`` observations): raw values are
-  retained and quantiles are float-equal to
+- **Exact mode** (up to :data:`DEFAULT_EXACT_THRESHOLD` observations):
+  raw values are retained and quantiles are float-equal to
   :func:`repro.analysis.stats.percentile` — the figure-scale behaviour,
   golden-tested in ``tests/test_obs_sketch.py``.
 - **Sketch mode** (above the threshold): values spill into DDSketch-style
@@ -15,14 +15,6 @@ trainers that store is O(events); hence a two-mode structure:
   ``2 * gamma**i / (gamma + 1)``, which is within relative error ``e``
   of every value the bucket can hold.  Memory is O(distinct buckets),
   independent of the observation count.
-
-Bucket indices are *absolute* (a function of the value and ``gamma``
-only), so :meth:`QuantileSketch.merge` is order-independent: merging
-shard A into B yields the same buckets, counts, min/max and quantile
-estimates as merging B into A.  Only the floating-point ``total`` can
-differ by an ulp across *multi-way* merge orders (float addition is
-commutative but not associative); merge shards in a deterministic
-order when byte-identical sums matter.
 
 Zeros are counted in a dedicated slot and negative values in a mirrored
 bucket map, so the sketch accepts any float the histograms can see.
@@ -64,18 +56,13 @@ class QuantileSketch:
     """Bounded-memory quantile estimator with an exact small-n mode.
 
     ``add`` values, read ``count``/``total``/``minimum``/``maximum``/
-    ``mean`` and :meth:`percentile`.  ``merge`` folds another sketch in,
-    enabling cross-run and cross-shard aggregation without raw-value
-    exchange.
+    ``mean`` and :meth:`percentile`.
     """
 
-    __slots__ = ("max_exact", "count", "total", "minimum", "maximum",
+    __slots__ = ("count", "total", "minimum", "maximum",
                  "_exact", "_sorted", "_positive", "_negative", "_zeros")
 
-    def __init__(self, max_exact: int = DEFAULT_EXACT_THRESHOLD):
-        if max_exact < 0:
-            raise ValueError("max_exact must be >= 0")
-        self.max_exact = int(max_exact)
+    def __init__(self):
         self.count = 0
         self.total = 0.0
         self.minimum = float("inf")
@@ -101,28 +88,28 @@ class QuantileSketch:
         if self._exact is not None:
             self._exact.append(value)
             self._sorted = []
-            if len(self._exact) > self.max_exact:
+            if len(self._exact) > DEFAULT_EXACT_THRESHOLD:
                 self._spill()
         else:
-            self._bucket_add(value, 1)
+            self._bucket_add(value)
 
     def _index(self, magnitude: float) -> int:
         return math.ceil(math.log(magnitude) / _LOG_GAMMA)
 
-    def _bucket_add(self, value: float, n: int) -> None:
+    def _bucket_add(self, value: float) -> None:
         if value > 0.0:
             key = self._index(value)
-            self._positive[key] = self._positive.get(key, 0) + n
+            self._positive[key] = self._positive.get(key, 0) + 1
         elif value < 0.0:
             key = self._index(-value)
-            self._negative[key] = self._negative.get(key, 0) + n
+            self._negative[key] = self._negative.get(key, 0) + 1
         else:
-            self._zeros += n
+            self._zeros += 1
 
     def _spill(self) -> None:
         """Leave exact mode: fold retained values into buckets."""
         for value in self._exact:
-            self._bucket_add(value, 1)
+            self._bucket_add(value)
         self._exact = None
         self._sorted = []
 
@@ -147,8 +134,9 @@ class QuantileSketch:
         """The raw observations in arrival order (exact mode only)."""
         if self._exact is None:
             raise ValueError(
-                "sketch spilled past max_exact=%d; raw values are gone "
-                "(use percentile()/summary instead)" % self.max_exact)
+                "sketch spilled past %d values; raw values are gone "
+                "(use percentile()/summary instead)"
+                % DEFAULT_EXACT_THRESHOLD)
         return list(self._exact)
 
     def percentile(self, q: float) -> float:
@@ -220,44 +208,6 @@ class QuantileSketch:
             "p95": self.percentile(95.0),
             "p99": self.percentile(99.0),
         }
-
-    # -- merging -----------------------------------------------------------------
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch; returns ``self``.
-
-        Exact + exact stays exact when the union fits under
-        ``max_exact``; any other combination spills both sides.  The
-        resulting buckets, counts, extrema and quantiles are identical
-        regardless of merge direction.
-        """
-        if other.count == 0:
-            return self
-        self.count += other.count
-        self.total += other.total
-        if other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
-        if (self._exact is not None and other._exact is not None
-                and len(self._exact) + len(other._exact) <= self.max_exact):
-            self._exact.extend(other._exact)
-            self._sorted = []
-            return self
-        if self._exact is not None:
-            self._spill()
-        if other._exact is not None:
-            for value in other._exact:
-                self._bucket_add(value, 1)
-        else:
-            for key, bucket_count in other._positive.items():
-                self._positive[key] = \
-                    self._positive.get(key, 0) + bucket_count
-            for key, bucket_count in other._negative.items():
-                self._negative[key] = \
-                    self._negative.get(key, 0) + bucket_count
-            self._zeros += other._zeros
-        return self
 
     # -- accounting --------------------------------------------------------------
 

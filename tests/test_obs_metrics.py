@@ -28,7 +28,6 @@ from repro.obs.events import (
     TransferCompleted,
     UploadCompleted,
 )
-from repro.obs.metrics import DEFAULT_SERIES_RETENTION
 from repro.sim import Simulator
 from tests.util import next_event_time, run_bundle
 
@@ -41,9 +40,9 @@ def test_timeseries_digest_and_key():
                         (("link", "trainer-0/up"),))
     assert series.key() == "net.link.utilization{link=trainer-0/up}"
     assert series.digest() == {"count": 0}
-    series.record(0.0, 0.5)
-    series.record(1.0, 1.0)
-    series.record(2.0, 0.1)
+    series.record(0.5)
+    series.record(1.0)
+    series.record(0.1)
     assert series.last == 0.1
     assert series.digest() == {
         "count": 3, "min": 0.1, "max": 1.0,
@@ -77,7 +76,8 @@ def test_registry_derives_histograms_from_events():
     publish_synthetic_stream(bus)
     assert registry.histogram("net.transfer.duration").values() == [1.0, 2.0]
     assert registry.histogram("net.transfer.bytes").total == 1500.0
-    assert registry.histogram("dht.lookup.hops").values() == [3.0]
+    # A lookup's hop count is published as 0: no histogram folds it.
+    assert "dht.lookup.hops" not in registry.histograms()
     assert registry.histogram("dht.lookup.latency").values() == \
         [pytest.approx(0.2)]
     assert registry.histogram("ipfs.fetch.latency").values() == [1.0]
@@ -98,7 +98,7 @@ def test_registry_ignores_events_without_correlation_keys():
                              size=10))  # no started_at
     assert registry.histogram("dht.lookup.latency").count == 0
     assert registry.histogram("ipfs.fetch.latency").count == 0
-    assert registry.histogram("dht.lookup.hops").count == 1
+    assert registry.events_observed == 2
     assert registry.histogram("ipfs.block.bytes").count == 1
 
 
@@ -131,7 +131,7 @@ def test_timeseries_get_or_create_by_name_and_labels():
     b = registry.timeseries("net.link.utilization", link="b/up")
     assert a is not b
     assert a is registry.timeseries("net.link.utilization", link="a/up")
-    a.record(0.0, 1.0)
+    a.record(1.0)
     assert [s.key() for s in registry.series()] == [
         "net.link.utilization{link=a/up}",
         "net.link.utilization{link=b/up}",
@@ -269,7 +269,7 @@ def manifest_from_stream(extra_duration=None, fingerprint=None):
             at=extra_duration, src="a", dst="b", size=1000.0,
             started_at=0.0,
         ))
-    registry.timeseries("directory.queue.depth").record(0.0, 3.0)
+    registry.timeseries("directory.queue.depth").record(3.0)
     return RunManifest.collect(registry, fingerprint=fingerprint)
 
 
@@ -425,43 +425,7 @@ def test_cli_metrics_failing_run_still_writes_exposition(
     assert "run failed" in run.err
 
 
-# -- TimeSeries retention --------------------------------------------------------
-
-
-def test_timeseries_retention_decimates_deterministically():
-    bounded = TimeSeries("x", max_samples=8)
-    unbounded = TimeSeries("x")
-    for index in range(1000):
-        at = float(index)
-        value = math.sin(index / 7.0)
-        bounded.record(at, value)
-        unbounded.record(at, value)
-    assert bounded.count == unbounded.count == 1000
-    assert bounded.retained <= 8
-    # Survivors sit on one stride grid, starting at the first record.
-    stride = int(bounded.samples[1][0] - bounded.samples[0][0])
-    assert stride > 1
-    assert [at for at, _ in bounded.samples] == [
-        float(i) for i in range(0, 1000, stride)][:bounded.retained]
-    # Digests come from the accumulators: decimation-invariant.
-    assert bounded.digest() == unbounded.digest()
-    assert bounded.last == unbounded.last
-
-
-def test_timeseries_retention_replays_identically():
-    def run():
-        series = TimeSeries("x", max_samples=16)
-        for index in range(5000):
-            series.record(float(index) * 0.5, float(index % 13))
-        return list(series.samples)
-    assert run() == run()
-
-
-def test_timeseries_rejects_bad_retention():
-    with pytest.raises(ValueError):
-        TimeSeries("x", max_samples=1)
-    with pytest.raises(ValueError):
-        TimeSeries("x", max_samples=7)  # odd strides break the grid
+# -- self-accounting -------------------------------------------------------------
 
 
 def test_registry_accounts_its_own_cost():
@@ -472,9 +436,7 @@ def test_registry_accounts_its_own_cost():
     first = registry.telemetry_bytes()
     assert first > 0
     assert registry.peak_telemetry_bytes >= first
-    series = registry.timeseries("x")
-    assert series.max_samples == DEFAULT_SERIES_RETENTION
-    series.record(0.0, 1.0)
+    registry.timeseries("x").record(1.0)
     assert registry.telemetry_bytes() > first
     peak = registry.peak_telemetry_bytes
     registry.close()
@@ -482,6 +444,19 @@ def test_registry_accounts_its_own_cost():
     # Unwatched events after close are not folded.
     publish_synthetic_stream(bus)
     assert registry.events_observed == 7
+
+
+def test_a_series_costs_the_same_after_one_record_and_after_ten_thousand():
+    """A series is its digest: its modelled bytes do not grow with the
+    records it has folded."""
+    registry = MetricsRegistry(EventBus())
+    series = registry.timeseries("x")
+    series.record(1.0)
+    after_one = registry.telemetry_bytes()
+    for index in range(1, 10_000):
+        series.record(math.sin(index / 7.0))
+    assert series.digest()["count"] == 10_000
+    assert registry.telemetry_bytes() == after_one
 
 
 # -- the unobserved path allocates no telemetry (satellite regression) -----------

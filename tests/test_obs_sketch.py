@@ -21,7 +21,7 @@ def test_exact_mode_percentiles_are_float_equal_to_the_golden():
     analysis.stats.percentile — the PR-3 exactness contract."""
     rng = random.Random(11)
     values = [rng.lognormvariate(0.0, 2.0) for _ in range(1000)]
-    sketch = QuantileSketch(max_exact=4096)
+    sketch = QuantileSketch()
     for value in values:
         sketch.add(value)
     assert sketch.exact
@@ -30,7 +30,7 @@ def test_exact_mode_percentiles_are_float_equal_to_the_golden():
 
 
 def test_exact_mode_accounting_and_values():
-    sketch = QuantileSketch(max_exact=16)
+    sketch = QuantileSketch()
     for value in (3.0, 1.0, 2.0):
         sketch.add(value)
     assert sketch.count == 3
@@ -78,27 +78,33 @@ def test_percentile_validates_q():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        QuantileSketch(max_exact=-1)
+    """The exactness threshold is one module constant, not a knob."""
+    with pytest.raises(TypeError):
+        QuantileSketch(16)
 
 
 # -- spill / sketch mode ---------------------------------------------------------
 
 
-def test_spill_happens_strictly_above_max_exact():
-    sketch = QuantileSketch(max_exact=10)
-    for index in range(10):
-        sketch.add(float(index + 1))
+def _filled(values):
+    sketch = QuantileSketch()
+    for value in values:
+        sketch.add(value)
+    return sketch
+
+
+def test_spill_happens_strictly_above_the_threshold():
+    sketch = _filled(float(index + 1)
+                     for index in range(DEFAULT_EXACT_THRESHOLD))
     assert sketch.exact  # exactly at the threshold: still exact
-    sketch.add(11.0)
+    sketch.add(0.5)
     assert not sketch.exact
-    assert sketch.count == 11
+    assert sketch.count == DEFAULT_EXACT_THRESHOLD + 1
 
 
 def test_values_raise_after_spill():
-    sketch = QuantileSketch(max_exact=2)
-    for value in (1.0, 2.0, 3.0):
-        sketch.add(value)
+    sketch = _filled(float(index + 1)
+                     for index in range(DEFAULT_EXACT_THRESHOLD + 1))
     with pytest.raises(ValueError):
         sketch.values()
 
@@ -109,9 +115,7 @@ def test_sketch_mode_percentiles_respect_the_relative_error_bound():
     eps = RELATIVE_ERROR
     rng = random.Random(23)
     values = [rng.lognormvariate(1.0, 1.5) for _ in range(20_000)]
-    sketch = QuantileSketch(max_exact=256)
-    for value in values:
-        sketch.add(value)
+    sketch = _filled(values)
     assert not sketch.exact
     ordered = sorted(values)
     slack = 1e-9
@@ -125,10 +129,10 @@ def test_sketch_mode_percentiles_respect_the_relative_error_bound():
 
 
 def test_sketch_extrema_and_sum_stay_exact_after_spill():
-    sketch = QuantileSketch(max_exact=4)
-    values = [0.5, 100.0, 2.0, 8.0, 0.125, 64.0]
-    for value in values:
-        sketch.add(value)
+    values = [0.5, 100.0, 2.0, 8.0, 0.125, 64.0] \
+        + [1.0 + index / DEFAULT_EXACT_THRESHOLD
+           for index in range(DEFAULT_EXACT_THRESHOLD)]
+    sketch = _filled(values)
     assert not sketch.exact
     assert sketch.minimum == 0.125
     assert sketch.maximum == 100.0
@@ -141,10 +145,8 @@ def test_sketch_extrema_and_sum_stay_exact_after_spill():
 
 
 def test_sketch_handles_zeros_and_negatives():
-    sketch = QuantileSketch(max_exact=2)
-    values = [-8.0, -1.0, 0.0, 0.0, 1.0, 8.0]
-    for value in values:
-        sketch.add(value)
+    # 700 copies of the pattern: 4 200 values, past the threshold.
+    sketch = _filled([-8.0, -1.0, 0.0, 0.0, 1.0, 8.0] * 700)
     assert not sketch.exact
     assert sketch.minimum == -8.0
     assert sketch.maximum == 8.0
@@ -156,72 +158,15 @@ def test_sketch_handles_zeros_and_negatives():
 
 
 def test_memory_is_bounded_by_buckets_not_observations():
-    sketch = QuantileSketch(max_exact=64)
     rng = random.Random(5)
-    for _ in range(50_000):
-        sketch.add(rng.uniform(1.0, 1000.0))
+    sketch = _filled(rng.uniform(1.0, 1000.0) for _ in range(50_000))
     # log_gamma(1000) buckets at 1% error is ~346; far below 50k values.
     assert sketch.bucket_count < 400
     assert sketch.footprint_bytes() < 64 * 1024
-    exact = QuantileSketch(max_exact=100_000)
-    for _ in range(50_000):
-        exact.add(1.0)
+    # Cheaper than the exact sketch holding the threshold's worth.
+    exact = _filled([1.0] * DEFAULT_EXACT_THRESHOLD)
+    assert exact.exact
     assert sketch.footprint_bytes() < exact.footprint_bytes()
-
-
-# -- merging ---------------------------------------------------------------------
-
-
-def _filled(values, **kwargs):
-    sketch = QuantileSketch(**kwargs)
-    for value in values:
-        sketch.add(value)
-    return sketch
-
-
-def test_merge_order_independence_in_sketch_mode():
-    rng = random.Random(7)
-    shard_a = [rng.lognormvariate(0.0, 2.0) for _ in range(5000)]
-    shard_b = [rng.expovariate(0.1) for _ in range(5000)]
-    ab = _filled(shard_a, max_exact=64).merge(_filled(shard_b, max_exact=64))
-    ba = _filled(shard_b, max_exact=64).merge(_filled(shard_a, max_exact=64))
-    assert ab.count == ba.count == 10_000
-    assert ab.minimum == ba.minimum
-    assert ab.maximum == ba.maximum
-    assert ab.total == ba.total  # pairwise float addition commutes
-    assert ab.bucket_count == ba.bucket_count
-    assert ab.summary() == ba.summary()
-    for q in (1.0, 25.0, 50.0, 75.0, 95.0, 99.0):
-        assert ab.percentile(q) == ba.percentile(q)
-
-
-def test_merge_of_exact_sketches_stays_exact_under_the_threshold():
-    a = _filled([1.0, 2.0], max_exact=8)
-    b = _filled([3.0, 4.0], max_exact=8)
-    a.merge(b)
-    assert a.exact
-    assert a.count == 4
-    assert a.percentile(50.0) == percentile([1.0, 2.0, 3.0, 4.0], 50.0)
-
-
-def test_merge_spills_when_the_union_exceeds_the_threshold():
-    a = _filled([float(i + 1) for i in range(5)], max_exact=8)
-    b = _filled([float(i + 6) for i in range(5)], max_exact=8)
-    a.merge(b)
-    assert not a.exact
-    assert a.count == 10
-    assert a.minimum == 1.0 and a.maximum == 10.0
-
-
-def test_merge_mixed_modes_and_empty():
-    exact = _filled([2.0, 4.0], max_exact=8)
-    spilled = _filled([float(i + 1) for i in range(20)], max_exact=4)
-    spilled.merge(exact)
-    assert not spilled.exact
-    assert spilled.count == 22
-    before = spilled.count
-    spilled.merge(QuantileSketch(max_exact=8))  # empty: no-op
-    assert spilled.count == before
 
 
 def test_defaults_are_sane():
