@@ -25,8 +25,9 @@ Subpackages
 - :mod:`repro.faults` — deterministic fault injection and churn.
 - :mod:`repro.obs` — typed event bus, telemetry, counters, monitors,
   flight recorder, run manifests.
-- :mod:`repro.baselines` — IPLS-direct, centralized FL, blockchain FL.
-- :mod:`repro.analysis` — analytic delay/provider models and result tables.
+- :mod:`repro.baselines` — IPLS-direct, centralized FL.
+- :mod:`repro.analysis` — analytic delay/provider models (blockchain FL's
+  round cost among them) and result tables.
 
 Quickstart
 ----------

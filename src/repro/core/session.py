@@ -1,7 +1,7 @@
 """Session orchestration: wiring the whole deployment and running rounds.
 
 :class:`Session` is the one round driver every session shares — the
-protocol's and the four baselines' (:mod:`repro.baselines`): it counts
+protocol's and the two baselines' (:mod:`repro.baselines`): it counts
 iterations, owns the telemetry, publishes each round's start and end and
 drives what the round spawns in between.  :class:`FLSession` builds the
 emulated network, the IPFS nodes, the directory service and all

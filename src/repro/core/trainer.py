@@ -48,10 +48,10 @@ __all__ = ["Trainer"]
 class Trainer(Participant):
     """One trainer participant.
 
-    The baselines (:mod:`repro.baselines`) build trainers too, for the
-    local learning step only (:meth:`_train`, :meth:`_install_update`):
-    they carry the vectors over their own links, so they pass no DHT,
-    assignment or partitioner.
+    Direct IPLS and centralized FL (:mod:`repro.baselines`) build
+    trainers too, for the local learning step only (:meth:`_train`,
+    :meth:`_install_update`): they carry the vectors over direct links,
+    so they pass no DHT, assignment or partitioner.
     """
 
     def __init__(

@@ -8,20 +8,17 @@ The captured values pin the paper-facing metrics of a set of reference
 configurations.  The file checked in was produced by the pre-refactor
 (mutate-in-place) telemetry implementation; the event-bus telemetry must
 reproduce every value exactly (see tests/test_obs_equivalence.py).  The
-centralized, blockchain and gossip entries were captured from the
-baselines as they stood before they shared one round driver and one
-learning step (each a session class of its own; the centralized server
-was host ``"server"``, renamed ``"aggregator-0"`` in the file).
+centralized entries were captured from the baseline as it stood before
+the baselines shared one round driver and one learning step (a session
+class of its own; the server was host ``"server"``, renamed
+``"aggregator-0"`` in the file).
 """
 
 import json
 import os
 import sys
 
-import numpy as np
-
-from repro.baselines import BlockchainFLSession, CentralizedSession, \
-    DirectIPLSSession, GossipFLSession
+from repro.baselines import CentralizedSession, DirectIPLSSession
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import (LogisticRegression, SyntheticModel,
                       make_classification, split_iid)
@@ -164,24 +161,6 @@ def centralized_baselines():
     }
 
 
-def blockchain_baseline():
-    session = BlockchainFLSession(logreg_config(), logreg, logreg_shards(4),
-                                  num_miners=3, bandwidth_mbps=10.0)
-    session.network.default_latency = 0.01
-    return run_record(session, 2, session.consensus_params, session.network)
-
-
-def gossip_baseline():
-    session = GossipFLSession(logreg_config(), logreg, logreg_shards(6),
-                              fanout=2, seed=1)
-    session.network.default_latency = 0.01
-    def mean_params():
-        return np.mean([trainer.model.get_params()
-                        for trainer in session.trainers], axis=0)
-
-    return run_record(session, 2, mean_params, session.network)
-
-
 def main():
     reference = {
         "fig1_like": {str(p): fig1_like(p) for p in (1, 4)},
@@ -189,8 +168,6 @@ def main():
         "verifiable": verifiable_run(),
         "direct_baseline": direct_baseline(),
         "centralized": centralized_baselines(),
-        "blockchain": blockchain_baseline(),
-        "gossip": gossip_baseline(),
     }
     with open(OUT, "w") as handle:
         json.dump(reference, handle, indent=2, sort_keys=True)

@@ -2,17 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
     aggregation_time_model,
-    aggregator_download_bytes,
     format_table,
     optimal_providers,
     series_shape,
 )
-from repro.analysis.delays import naive_aggregation_time
+from repro.analysis.delays import (
+    aggregator_download_bytes,
+    blockchain_round_cost,
+    naive_aggregation_time,
+)
 from repro.analysis.figures import FIG3_SERIES, fig3_table
+from repro.core.partition import encode_partition
+from repro.net import mbps
 from repro.obs.profiling import FakeWallClock
 
 
@@ -84,6 +90,32 @@ def test_naive_aggregation_time():
     assert naive_aggregation_time(16, 1.25e6, 1.25e6) == pytest.approx(16.0)
     with pytest.raises(ValueError):
         naive_aggregation_time(16, 1.0, 0.0)
+
+
+# What the simulated blockchain FL session (miners gossiping every submit,
+# a leader forging the block) measured for one round of SyntheticModel
+# updates: end-to-end delay, network bytes delivered, miner storage.
+@pytest.mark.parametrize("trainers, miners, params, bandwidth_mbps, delay, "
+                         "network, storage", [
+    (16, 4, 130_000, 10, 29.124115200000002, 86_331_672, 70_722_592),
+    (8, 2, 1_000, 20, 0.05537600000000001, 203_528, 145_168),
+    (6, 3, 5_000, 10, 0.449728, 1_043_792, 841_704),
+    (4, 1, 2_000, 10, 0.1032704, 129_088, 80_552),
+    (12, 4, 70_000, 100, 1.20992448, 35_288_952, 29_122_464),
+])
+def test_blockchain_round_cost_matches_the_simulated_round(
+        trainers, miners, params, bandwidth_mbps, delay, network, storage):
+    blob_bytes = len(encode_partition(np.zeros(params)))
+    cost = blockchain_round_cost(trainers, miners, blob_bytes,
+                                 mbps(bandwidth_mbps))
+    assert cost[0] == pytest.approx(delay, rel=1e-12)
+    assert cost[1:] == (network, storage)
+
+
+@pytest.mark.parametrize("trainers, miners", [(0, 1), (4, 0), (6, 4)])
+def test_blockchain_round_cost_validation(trainers, miners):
+    with pytest.raises(ValueError):
+        blockchain_round_cost(trainers, miners, 1_000, mbps(10.0))
 
 
 # -- results utilities ---------------------------------------------------------------------

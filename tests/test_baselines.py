@@ -1,21 +1,16 @@
 """Tests for the baseline systems, including cross-system
-model-equivalence (all four architectures compute the same FedAvg)."""
+model-equivalence (all three architectures compute the same FedAvg), and
+blockchain FL's closed-form round cost against our protocol's."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    Block,
-    BlockchainFLSession,
-    CentralizedSession,
-    DirectIPLSSession,
-    GossipFLSession,
-)
-from repro.baselines.blockchain import Chain
-from repro.baselines.blockchain import GENESIS, blob_hash
+from repro.analysis.delays import blockchain_round_cost
+from repro.baselines import CentralizedSession, DirectIPLSSession
 from repro.core import FLSession, ProtocolConfig
+from repro.core.partition import encode_partition
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import NetworkProfile
+from repro.net import NetworkProfile, mbps
 
 
 def make_shards(num_trainers=4, seed=0):
@@ -103,53 +98,26 @@ def test_centralized_validation():
         CentralizedSession(config(), factory, datasets=[])
 
 
-# -- BlockchainFLSession --------------------------------------------------------------
+# -- blockchain FL (closed form) ---------------------------------------------------
 
 
-def test_chain_genesis_and_append():
-    chain = Chain()
-    assert chain.head is GENESIS
-    block = Block(index=1, prev_hash=GENESIS.hash, iteration=0,
-                  update_hashes=("a",), aggregate_hash="b")
-    chain.append(block)
-    assert chain.blocks == [GENESIS, block]
-
-
-def test_chain_rejects_bad_link():
-    chain = Chain()
-    bad = Block(index=1, prev_hash="f" * 64, iteration=0,
-                update_hashes=(), aggregate_hash="")
-    with pytest.raises(ValueError):
-        chain.append(bad)
-
-
-def test_block_hash_changes_with_content():
-    b1 = Block(index=1, prev_hash="0" * 64, iteration=0,
-               update_hashes=("a",), aggregate_hash="h")
-    b2 = Block(index=1, prev_hash="0" * 64, iteration=0,
-               update_hashes=("b",), aggregate_hash="h")
-    assert b1.hash != b2.hash
-
-
-def test_bcfl_completes_round_and_chains_agree():
-    shards = make_shards()
-    session = BlockchainFLSession(config(), factory, shards, num_miners=3)
-    metrics = session.run_iteration()
-    assert len(metrics.trainers_completed) == 4
-    assert len({chain.head.hash for chain in session.chains.values()}) == 1
-    for chain in session.chains.values():
-        assert len(chain.blocks) == 2  # genesis + one round
-    session.consensus_params()
+def update_blob_bytes(model_factory):
+    return len(encode_partition(model_factory().get_params()))
 
 
 def test_bcfl_storage_blowup():
-    """Every miner stores every update: total storage ~ miners x updates."""
+    """Every miner stores every update: total storage ~ miners x updates,
+    beyond what our protocol's IPFS nodes hold after the same round."""
     shards = make_shards(num_trainers=4)
-    session = BlockchainFLSession(config(), factory, shards, num_miners=4)
-    session.run_iteration()
+    ours = FLSession(config(), factory, shards,
+                     network=NetworkProfile(num_ipfs_nodes=4))
+    ours.run_iteration()
+    _, _, storage = blockchain_round_cost(4, 4, update_blob_bytes(factory),
+                                          mbps(10.0))
     update_bytes = (factory().num_params() + 1) * 8
     # 4 miners x (4 updates + 1 aggregate) payloads, plus headers.
-    assert session.total_miner_storage() >= 4 * 4 * update_bytes
+    assert storage >= 4 * 4 * update_bytes
+    assert storage > sum(node.store.total_bytes for node in ours.nodes)
 
 
 def test_bcfl_moves_more_bytes_than_decentralized():
@@ -161,36 +129,19 @@ def test_bcfl_moves_more_bytes_than_decentralized():
     def big_factory():
         return LogisticRegression(num_features=200, num_classes=2, seed=0)
 
-    bcfl = BlockchainFLSession(config(), big_factory, shards, num_miners=4)
     ours = FLSession(config(), big_factory, shards,
                      network=NetworkProfile(num_ipfs_nodes=4))
-    bcfl_metrics = bcfl.run_iteration()
-    ours_metrics = ours.run_iteration()
-    bcfl_bytes = sum(bcfl_metrics.bytes_received.values())
-    ours_bytes = sum(ours_metrics.bytes_received.values())
-    assert bcfl_bytes > 2 * ours_bytes
-
-
-def test_bcfl_multiple_rounds_extend_chain():
-    shards = make_shards()
-    session = BlockchainFLSession(config(), factory, shards, num_miners=2)
-    session.run(rounds=3)
-    assert all(len(chain.blocks) == 4 for chain in session.chains.values())
-    assert len({chain.head.hash for chain in session.chains.values()}) == 1
-
-
-def test_bcfl_validation():
-    with pytest.raises(ValueError):
-        BlockchainFLSession(config(), factory, datasets=[])
-    with pytest.raises(ValueError):
-        BlockchainFLSession(config(), factory, make_shards(), num_miners=0)
+    ours.run_iteration()
+    _, bcfl_bytes, _ = blockchain_round_cost(
+        8, 4, update_blob_bytes(big_factory), mbps(10.0))
+    assert bcfl_bytes > ours.testbed.network.bytes_delivered
 
 
 # -- cross-system equivalence -----------------------------------------------------------
 
 
 def test_all_architectures_compute_identical_model():
-    """Centralized, direct IPLS, BCFL and our protocol must produce the
+    """Centralized, direct IPLS and our protocol must produce the
     exact same FedAvg model from the same seeds — the strongest form of
     the paper's convergence-equivalence claim."""
     shards = make_shards(num_trainers=4, seed=9)
@@ -199,17 +150,13 @@ def test_all_architectures_compute_identical_model():
                      network=NetworkProfile(num_ipfs_nodes=4))
     direct = DirectIPLSSession(cfg, factory, shards)
     central = CentralizedSession(cfg, factory, shards)
-    bcfl = BlockchainFLSession(cfg, factory, shards, num_miners=2)
     ours.run_iteration()
     direct.run_iteration()
     central.run_iteration()
-    bcfl.run_iteration()
     reference = ours.consensus_params()
     np.testing.assert_allclose(direct.consensus_params(), reference,
                                atol=1e-12)
     np.testing.assert_allclose(central.consensus_params(), reference,
-                               atol=1e-12)
-    np.testing.assert_allclose(bcfl.consensus_params(), reference,
                                atol=1e-12)
 
 
@@ -219,10 +166,7 @@ def test_all_architectures_compute_identical_model():
 @pytest.mark.parametrize("build", [
     lambda cfg, shards: DirectIPLSSession(cfg, factory, shards),
     lambda cfg, shards: CentralizedSession(cfg, factory, shards),
-    lambda cfg, shards: BlockchainFLSession(cfg, factory, shards,
-                                            num_miners=2),
-    lambda cfg, shards: GossipFLSession(cfg, factory, shards, fanout=2),
-], ids=["direct", "centralized", "blockchain", "gossip"])
+], ids=["direct", "centralized"])
 def test_every_baseline_trainer_waits_out_its_local_training(build):
     """Each baseline trainer waits exactly as the protocol trainer does —
     its arrival jitter, then its local training time — so a delay

@@ -96,12 +96,3 @@ def test_centralized_baseline_matches_legacy():
     for config, run in actual.items():
         assert_run_equal(run, reference["centralized"][config],
                          f"centralized/{config}")
-
-
-def test_blockchain_baseline_matches_legacy():
-    assert_run_equal(capture.blockchain_baseline(), reference["blockchain"],
-                     "blockchain")
-
-
-def test_gossip_baseline_matches_legacy():
-    assert_run_equal(capture.gossip_baseline(), reference["gossip"], "gossip")
