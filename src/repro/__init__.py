@@ -6,10 +6,12 @@ A decentralized federated-learning system where participants communicate
 aggregation via homomorphic Pedersen vector commitments and the
 merge-and-download provider-side pre-aggregation optimization.
 
-The primary entry points live right here::
+The four entry points live right here: a session, its task
+parameters, a network and a churn plan::
 
-    from repro import (FLSession, ProtocolConfig, NetworkProfile,
-                       FaultPlan, DirectoryProfile)
+    from repro import FLSession, ProtocolConfig, NetworkProfile, FaultPlan
+
+Everything else is imported from its subpackage.
 
 Subpackages
 -----------
@@ -44,50 +46,16 @@ Quickstart
 >>> _ = session.run(rounds=1)
 """
 
-from .core import (
-    DirectoryProfile,
-    FLSession,
-    ProtocolConfig,
-)
-from .obs.telemetry import IterationMetrics, SessionMetrics
-from .faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    RetryExhaustedError,
-    RetryPolicy,
-)
+from .core import FLSession, ProtocolConfig
+from .faults import FaultPlan
 from .net import NetworkProfile
-from .obs import (
-    CountersRegistry,
-    EventBus,
-    FlightRecorder,
-    InvariantMonitors,
-    MetricsRegistry,
-    RunManifest,
-    TelemetryCollector,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CountersRegistry",
-    "DirectoryProfile",
-    "EventBus",
     "FLSession",
-    "FaultInjector",
     "FaultPlan",
-    "FaultSpec",
-    "FlightRecorder",
-    "InvariantMonitors",
-    "IterationMetrics",
-    "MetricsRegistry",
     "NetworkProfile",
     "ProtocolConfig",
-    "RetryExhaustedError",
-    "RetryPolicy",
-    "RunManifest",
-    "SessionMetrics",
-    "TelemetryCollector",
     "__version__",
 ]

@@ -15,13 +15,11 @@ blockchain FL's round cost) are in :mod:`repro.analysis.delays`.
 from .diagnose import diagnose_runs
 from .providers import aggregation_time_model, optimal_providers
 from .results import format_table, series_shape
-from .stats import percentile
 
 __all__ = [
     "aggregation_time_model",
     "diagnose_runs",
     "format_table",
     "optimal_providers",
-    "percentile",
     "series_shape",
 ]

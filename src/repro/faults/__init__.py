@@ -6,9 +6,9 @@ behaviour *under churn* — yet the seed repo only ever exercised honest
 infrastructure.  This package makes failure a first-class, reproducible
 input:
 
-- :class:`FaultPlan` / :class:`FaultSpec` — a pure-data schedule of
-  faults (participant crashes, link outages, directory brown-outs),
-  loaded from JSON.
+- :class:`FaultPlan` — a pure-data schedule of faults (participant
+  crashes, link outages, directory brown-outs), loaded from JSON; each
+  entry is a :class:`~repro.faults.plan.FaultSpec`.
 - :class:`FaultInjector` — the sim process that executes a plan against
   a session, announcing every fault on the event bus.
 - :class:`RetryPolicy` / :class:`RetryExhaustedError` — the shared
@@ -16,25 +16,23 @@ input:
 
 Sessions take plans directly::
 
-    from repro import FLSession, FaultPlan, FaultSpec
+    from repro import FLSession, FaultPlan
 
-    plan = FaultPlan([
-        FaultSpec(kind="crash_aggregator", at=1.0, target="aggregator-0"),
-        FaultSpec(kind="link_down", at=3.0, duration=30.0,
-                  target="trainer-1"),
-    ], seed=7)
+    plan = FaultPlan.from_dict({"specs": [
+        {"kind": "crash_aggregator", "at": 1.0, "target": "aggregator-0"},
+        {"kind": "link_down", "at": 3.0, "duration": 30.0,
+         "target": "trainer-1"},
+    ]})
     session = FLSession(config, model_factory, datasets, faults=plan)
 """
 
 from .injector import FaultInjector
-from .plan import FAULT_KINDS, FaultPlan, FaultSpec
+from .plan import FaultPlan
 from .retry import RetryExhaustedError, RetryPolicy
 
 __all__ = [
-    "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
-    "FaultSpec",
     "RetryExhaustedError",
     "RetryPolicy",
 ]

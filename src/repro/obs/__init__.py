@@ -32,7 +32,7 @@ and aggregators — publish small typed events
 The bus is zero-overhead when unsubscribed: emission sites guard event
 construction behind :meth:`EventBus.wants`, so unobserved runs pay one
 boolean check per site.  On long, large runs the stack stays bounded:
-histograms spill to a :class:`QuantileSketch` (:mod:`repro.obs.sketch`)
+histograms spill to a :class:`~repro.obs.sketch.QuantileSketch`
 and a series is its running digest.
 A :class:`HostProfiler` (:mod:`repro.obs.profiling`) attributes
 *wall-clock* (host) cost to the ``repro`` package whose functions spent
@@ -50,7 +50,7 @@ the one correct order, and writes what they saw as one run bundle; see
 """
 
 from .anomaly import ANOMALY_KINDS, AnomalyWatchdog
-from .bus import EventBus, Subscription
+from .bus import EventBus
 from .counters import CountersRegistry
 from .critical_path import CriticalPathAnalyzer
 from .forensics import FlightRecorder
@@ -65,9 +65,7 @@ from .metrics import MetricsRegistry, ResourceSampler
 from .monitors import InvariantMonitors
 from .perfetto import PerfettoExporter
 from .profiling import HostProfile, HostProfiler, SYSTEM_WALL_CLOCK, WallClock
-from .sketch import QuantileSketch
-from .spans import SPAN_EVENTS, Span, SpanCollector, SpanTree, \
-    build_span_tree
+from .spans import SpanCollector
 from .telemetry import TelemetryCollector
 
 __all__ = [
@@ -84,18 +82,12 @@ __all__ = [
     "ManifestDiff",
     "MetricsRegistry",
     "PerfettoExporter",
-    "QuantileSketch",
     "ResourceSampler",
     "RunManifest",
-    "SPAN_EVENTS",
     "SYSTEM_WALL_CLOCK",
-    "Span",
     "SpanCollector",
-    "SpanTree",
-    "Subscription",
     "TelemetryCollector",
     "WallClock",
-    "build_span_tree",
     "compare_manifests",
     "config_fingerprint",
 ]

@@ -194,7 +194,7 @@ class TransferAborted(NamedTuple):
 
 
 class FaultInjected(NamedTuple):
-    """The fault injector applied one :class:`~repro.faults.FaultSpec`.
+    """The fault injector applied one :class:`~repro.faults.plan.FaultSpec`.
 
     ``spec_index`` is the spec's position in its plan, so the matching
     :class:`FaultHealed` can be correlated.

@@ -13,7 +13,6 @@ Public surface:
 from .core import (
     Event,
     Interrupt,
-    SimulationError,
     Simulator,
     Timeout,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Event",
     "FilterStore",
     "Interrupt",
-    "SimulationError",
     "Simulator",
     "Store",
     "Timeout",

@@ -19,10 +19,9 @@ from hypothesis.stateful import (
 from repro.core import (
     Address,
     GRADIENT,
-    PARTIAL_UPDATE,
-    UPDATE,
     PartitionCommitter,
 )
+from repro.core.addressing import PARTIAL_UPDATE, UPDATE
 from repro.core.directory import (
     DirectoryClient,
     DirectoryService,
@@ -30,7 +29,8 @@ from repro.core.directory import (
 )
 from repro.core.offload import accumulate_cids
 from repro.crypto import Commitment
-from repro.ipfs import DHT, IPFSClient, IPFSNode, compute_cid
+from repro.ipfs import DHT, IPFSClient, IPFSNode
+from repro.ipfs.cid import compute_cid
 from repro.net import Network, Transport, mbps
 from repro.obs import EventBus
 from repro.obs.events import (

@@ -11,18 +11,17 @@ from repro.core import (
     AlterUpdateBehavior,
     DropGradientsBehavior,
     GRADIENT,
-    HonestBehavior,
-    IterationSchedule,
     LazyBehavior,
     ModelPartitioner,
-    PARTIAL_UPDATE,
     ProtocolConfig,
-    UPDATE,
     build_assignment,
     decode_partition,
     encode_partition,
     sum_encoded_partitions,
 )
+from repro.core.addressing import PARTIAL_UPDATE, UPDATE
+from repro.core.adversary import HonestBehavior
+from repro.core.schedule import IterationSchedule
 from repro.core.bootstrapper import optimal_provider_count
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CommitmentCostModel,
     PartitionCommitter,
     decode_partition,
     sum_encoded_partitions,
 )
+from repro.core.verification import CommitmentCostModel
 from repro.crypto import Commitment
 from repro.crypto.curves import SECP256K1
 

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import (
-    curve_by_name,
-    inverse_mod,
-    sqrt_mod,
-)
+from repro.crypto import curve_by_name
 from repro.crypto.curves import SECP256K1, SECP256R1
-from repro.crypto.field import legendre_symbol
+from repro.crypto.field import inverse_mod, legendre_symbol, sqrt_mod
 from repro.crypto.group import Point
 from repro.crypto.hashing import hash_to_curve
 

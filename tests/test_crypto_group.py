@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import (
-    Point,
-    generator,
-    wnaf,
-)
 from repro.crypto.curves import SECP256K1, SECP256R1
-from repro.crypto.group import scalar_mult
+from repro.crypto.group import Point, generator, scalar_mult, wnaf
 
 
 def naive_scalar_mult(scalar: int, point: Point) -> Point:

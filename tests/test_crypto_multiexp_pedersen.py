@@ -15,15 +15,12 @@ from repro.crypto import (
     Commitment,
     FixedPointCodec,
     PedersenParams,
-    Point,
-    generator,
-    multi_scalar_mult,
     sha256,
 )
 from repro.crypto.curves import SECP256K1, SECP256R1
-from repro.crypto.group import scalar_mult
+from repro.crypto.group import Point, generator, scalar_mult
 from repro.crypto.hashing import hash_to_curve
-from repro.crypto.multiexp import pippenger, straus
+from repro.crypto.multiexp import multi_scalar_mult, pippenger, straus
 from repro.crypto import hashing, multiexp
 
 

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.core import encode_partition, sum_encoded_partitions
-from repro.ipfs import (Block, CID, MergeError, chunk_object,
-                        parse_manifest, sum_f64)
+from repro.ipfs import CID, MergeError, sum_f64
 from repro.ipfs import node as ipfs_node
+from repro.ipfs.block import Block, chunk_object, parse_manifest
 from repro.ml import (Dataset, LogisticRegression, MLPClassifier, Model,
                       SyntheticModel, accuracy as accuracy_of,
                       make_classification, mean_loss, split_iid)

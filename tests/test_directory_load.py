@@ -10,7 +10,8 @@ from repro.core import (
     ProtocolConfig,
 )
 from repro.core.directory import DirectoryClient, DirectoryService
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan
+from repro.faults.plan import FaultSpec
 from repro.ipfs import DHT, IPFSNode
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import Network, NetworkProfile, Transport, mbps

@@ -12,12 +12,13 @@ from repro.core import (
     ProtocolConfig,
     SnapshotPublisher,
     SnapshotReader,
-    accumulate_cids,
 )
-from repro.core.offload import decode_snapshot, encode_snapshot
+from repro.core.offload import (accumulate_cids, decode_snapshot,
+                                encode_snapshot)
 from repro.crypto import Commitment
 from repro.core.directory import DirectoryClient
-from repro.ipfs import IPFSClient, compute_cid
+from repro.ipfs import IPFSClient
+from repro.ipfs.cid import compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
 

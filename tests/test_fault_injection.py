@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import FLSession, ProtocolConfig
-from repro.ipfs import IPFSClient, IPFSError, NotFoundError
+from repro.ipfs import IPFSClient, IPFSError
+from repro.ipfs.errors import NotFoundError
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
 

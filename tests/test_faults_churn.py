@@ -15,14 +15,12 @@ import numpy as np
 
 from repro import (
     FaultPlan,
-    FaultSpec,
     FLSession,
-    InvariantMonitors,
-    MetricsRegistry,
     NetworkProfile,
     ProtocolConfig,
-    RunManifest,
 )
+from repro.faults.plan import FaultSpec
+from repro.obs import InvariantMonitors, MetricsRegistry, RunManifest
 from repro.ml import Dataset, LogisticRegression, SyntheticModel, \
     make_classification, split_iid
 from repro.obs.events import TakeoverPerformed

@@ -6,12 +6,11 @@ import json
 import pytest
 
 from repro.faults import (
-    FAULT_KINDS,
     FaultPlan,
-    FaultSpec,
     RetryExhaustedError,
     RetryPolicy,
 )
+from repro.faults.plan import FAULT_KINDS, FaultSpec
 
 
 # -- FaultSpec validation ---------------------------------------------------------

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ipfs import Block, IntegrityError, chunk_object, \
-    compute_cid
-from repro.ipfs.block import join_leaves
+from repro.ipfs.block import Block, chunk_object, join_leaves
+from repro.ipfs.cid import compute_cid
+from repro.ipfs.errors import IntegrityError
 
 from tests.util import make_ipfs_world, run_proc
 

@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ipfs import (
-    Block,
-    CID,
-    chunk_object,
-    compute_cid,
-    parse_manifest,
-)
-from repro.ipfs.block import join_leaves
+from repro.ipfs import CID
+from repro.ipfs.block import (Block, chunk_object, join_leaves,
+                              parse_manifest)
+from repro.ipfs.cid import compute_cid
 
 
 # -- CID ----------------------------------------------------------------------

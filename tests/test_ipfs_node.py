@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ipfs import (
-    IntegrityError,
-    MergeError,
-    NodeOfflineError,
-    NotFoundError,
-    compute_cid,
-)
+from repro.ipfs import MergeError
+from repro.ipfs.cid import compute_cid
+from repro.ipfs.errors import IntegrityError, NodeOfflineError, NotFoundError
 from repro.net import mbps
 from repro.obs.events import BlockFetched
 

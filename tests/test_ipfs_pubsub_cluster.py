@@ -6,9 +6,9 @@ import pytest
 from repro.ipfs import (
     MergeError,
     ReplicationCluster,
-    compute_cid,
     sum_f64,
 )
+from repro.ipfs.cid import compute_cid
 from repro.ipfs.cluster import rendezvous_rank
 
 from tests.util import make_ipfs_world

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.ipfs import Block, Blockstore, DHT, compute_cid
+from repro.ipfs import DHT
+from repro.ipfs.block import Block
+from repro.ipfs.blockstore import Blockstore
+from repro.ipfs.cid import compute_cid
 from repro.obs.events import DhtLookup
 from repro.sim import Simulator
 

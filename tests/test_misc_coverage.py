@@ -21,7 +21,7 @@ def test_message_defaults():
 
 def test_unpin_object_missing_is_noop():
     world = make_ipfs_world(num_nodes=1)
-    from repro.ipfs import compute_cid
+    from repro.ipfs.cid import compute_cid
     world.node(0).unpin_object(compute_cid(b"never stored"))
 
 
@@ -34,7 +34,7 @@ def test_unknown_message_kind_ignored_by_node():
 
 def test_point_from_bytes_non_residue_x():
     """An x with no curve point (x^3+7 a non-residue) must be rejected."""
-    from repro.crypto import Point
+    from repro.crypto.group import Point
     from repro.crypto.curves import SECP256K1
     from repro.crypto.field import legendre_symbol
     x = 2
@@ -48,6 +48,6 @@ def test_point_from_bytes_non_residue_x():
 
 
 def test_commitment_cost_model_repr_paths():
-    from repro.core import CommitmentCostModel
+    from repro.core.verification import CommitmentCostModel
     model = CommitmentCostModel(1e-6)
     assert model.commit_delay(0) == 0.0

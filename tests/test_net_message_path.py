@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from repro.core import GRADIENT, Address
 from repro.core.directory import DirectoryClient, DirectoryService
-from repro.ipfs import DHT, compute_cid
+from repro.ipfs import DHT
+from repro.ipfs.cid import compute_cid
 from repro.net import Network, Transport
 from repro.net.bandwidth import TransferAbortedError
 from repro.obs.events import (DirectoryRequest, GradientRegistered,

@@ -13,7 +13,8 @@ from repro.core.partition import encode_partition
 from repro.ipfs.node import CID_WIRE_SIZE, REQUEST_OVERHEAD
 from repro.ml import Dataset, SyntheticModel
 from repro.net import NetworkProfile, mbps
-from repro.obs import CriticalPathAnalyzer, SpanCollector, build_span_tree
+from repro.obs import CriticalPathAnalyzer, SpanCollector
+from repro.obs.spans import build_span_tree
 from repro.obs.events import (
     BlockFetched,
     GradientRegistered,

@@ -3,8 +3,8 @@
 import io
 import json
 
-from repro.obs import EventBus, PerfettoExporter, SpanCollector, \
-    build_span_tree
+from repro.obs import EventBus, PerfettoExporter, SpanCollector
+from repro.obs.spans import build_span_tree
 from repro.obs.events import (
     BlockFetched,
     GradientRegistered,

@@ -1,6 +1,7 @@
 """Span-tree reconstruction from bus events (repro.obs.spans)."""
 
-from repro.obs import EventBus, SpanCollector, build_span_tree
+from repro.obs import EventBus, SpanCollector
+from repro.obs.spans import build_span_tree
 from repro.obs.events import (
     BlockFetched,
     CommitmentComputed,

@@ -16,8 +16,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import FaultPlan, FaultSpec, FLSession, NetworkProfile, \
-    ProtocolConfig
+from repro import FaultPlan, FLSession, NetworkProfile, ProtocolConfig
+from repro.faults.plan import FaultSpec
 from repro.ml import Dataset, SyntheticModel
 from repro.net import Transport
 from repro.obs.events import TrainerCompleted, TransferAborted

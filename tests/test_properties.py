@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FLSession, ProtocolConfig, decode_partition
-from repro.ipfs import compute_cid
+from repro.ipfs.cid import compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
 from repro.net.bandwidth import Flow, FlowScheduler, Link, max_min_rates

@@ -2,15 +2,23 @@
 
 A definition in ``src/repro`` stays only if a workload, a figure
 benchmark, the CLI, an example or another definition that is itself
-reached uses it; a name stays in a package's ``__all__`` only if a file
-other than its defining module uses it.  Tests are not a reason to keep
-either: a helper that only its own tests call is dead surface.
+reached uses it.  Tests are not a reason to keep it: a helper that only
+its own tests call is dead surface.
 
-The scan is by name, not by type: ``obj.run`` reaches every method
-called ``run``.  Only ``self.run``, ``cls.run``, ``super().run`` and
-``ClassName.run`` know their class: they reach a ``run`` of that class,
-of its bases or of its subclasses, and no other.  A special method
-lives while its class does.  A reference is a ``Name``, an
+Exports are held by imports, not by names.  A name stays in
+``repro.<pkg>.__all__`` only if a shipped file outside ``repro/<pkg>/``
+imports it from ``repro.<pkg>`` or from a module under it (relative
+imports resolved; reading ``repro.<pkg>.name`` through an ``import``
+counts too).  A name stays in ``repro.__all__`` only if a benchmark or
+an example imports it ``from repro``.  No package ``__init__`` imports a
+public name its ``__all__`` does not list, so every name has one
+package home; a test imports an unexported name from its module.
+
+The definition scan is by name, not by type: ``obj.run`` reaches every
+method called ``run``.  Only ``self.run``, ``cls.run``, ``super().run``
+and ``ClassName.run`` know their class: they reach a ``run`` of that
+class, of its bases or of its subclasses, and no other.  A special
+method lives while its class does.  A reference is a ``Name``, an
 ``Attribute`` or a string constant that is an identifier or a dotted
 path (``getattr`` dispatch, ``"repro.ml.compute_gradient"``).  It does
 not count inside an import, inside an ``__all__`` list, inside the
@@ -40,7 +48,7 @@ import json
 import re
 from pathlib import Path
 
-from repro.faults import FAULT_KINDS
+from repro.faults.plan import FAULT_KINDS
 from repro.obs import ANOMALY_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -317,53 +325,112 @@ def unreached(defs, refs, allow=()):
                   and not _enclosing_dead(d, dead))
 
 
-def _defining_module(package_init, name, seen=()):
-    """Follow ``from .x import name`` until the file that defines it."""
-    for node in _parse(package_init).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                and node.name == name:
-            return package_init
+# -- exports ---------------------------------------------------------------------
+
+#: Exported names kept although no shipped file outside their package
+#: imports them (at most three): an exception a caller must be able to
+#: catch, each with the reason.
+EXPORT_ALLOWLIST = {}
+
+
+def _module_name(path, top):
+    """``pkg.sub.mod`` for ``top/sub/mod.py``, ``pkg.sub`` for its
+    ``__init__.py``, where ``top`` is the directory of package ``pkg``."""
+    parts = path.relative_to(top.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path, module):
+    """``(module, name)`` for every name the file imports ``from`` a
+    module and every ``module.name`` it reads through an import.
+    ``module`` is the file's own dotted name, which resolves relative
+    imports (None: the file is outside the package)."""
+    tree = _parse(path)
+    bound, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.asname or alias.name.split(".")[0]
+                bound[head] = alias.name if alias.asname else head
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                if module is None:
+                    continue
+                package = module.split(".")
+                if path.name != "__init__.py":
+                    package.pop()
+                package = package[:len(package) - node.level + 1]
+                base = ".".join(package + ([base] if base else []))
+            for alias in node.names:
+                found.add((base, alias.name))
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            if base:
+                found.add((base, node.attr))
+    return found
+
+
+def _exports(init):
+    for node in _parse(init).body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name
+                isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            return package_init
-        if isinstance(node, ast.ImportFrom) and node.level and any(
-                (a.asname or a.name) == name for a in node.names):
-            base = package_init.parent
-            for _ in range(node.level - 1):
-                base = base.parent
-            target = base.joinpath(*(node.module or "").split("."))
-            path = (target / "__init__.py" if target.is_dir()
-                    else target.with_suffix(".py"))
-            if path in seen:
-                return None
-            return _defining_module(path, name, seen + (path,))
-    return None
+            return ast.literal_eval(node.value)
+    return []
 
 
-def package_exports(src_files):
-    """``(package __init__, name)`` for every public ``__all__`` entry."""
-    out = []
-    for path in src_files:
-        if path.name != "__init__.py":
-            continue
-        for node in _parse(path).body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets):
-                out.extend((path, n) for n in ast.literal_eval(node.value)
-                           if not n.startswith("_"))
-    return out
+def unimported_exports(src_files, root_files, allow=()):
+    """``package.name`` for every public ``__all__`` entry no shipped file
+    imports from outside its package, and for every public name a
+    package's ``__init__`` imports but does not export.
 
-
-def unused_exports(src_files, defs, refs):
-    dead = dead_definitions(defs, refs)
+    A subpackage's name counts when a file outside the subpackage's
+    directory imports it from the subpackage or from a module under it;
+    a name of the top package (the shallowest ``__init__``) only when a
+    file of ``root_files`` imports it from the top package itself.
+    """
+    inits = [p for p in src_files if p.name == "__init__.py"]
+    top = min(inits, key=lambda p: len(p.parts)).parent
+    uses = [(path, module, name)
+            for path in list(src_files) + list(root_files)
+            for module, name in _imports(
+                path, _module_name(path, top) if path in src_files
+                else None)]
     bad = []
-    for init, name in package_exports(src_files):
-        home = _defining_module(init, name)
-        if not any(path != home and path != init and not (enc & dead)
-                   for path, enc, _ in refs.get(name, ())):
-            bad.append(f"{init.parent.name}.{name}")
+    for init in inits:
+        package, exported = _module_name(init, top), _exports(init)
+        for name in exported:
+            if name.startswith("_") or f"{package}.{name}" in allow:
+                continue
+            if init.parent == top:
+                used = any(path in root_files and module == package
+                           for path, module, n in uses if n == name)
+            else:
+                used = any(not path.is_relative_to(init.parent)
+                           and (module == package
+                                or module.startswith(package + "."))
+                           for path, module, n in uses if n == name)
+            if not used:
+                bad.append(f"{package}.{name}")
+        for node in _parse(init).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bad.extend(
+                    f"{package}.{name} is imported, not exported"
+                    for name in (a.asname or a.name.split(".")[0]
+                                 for a in node.names)
+                    if not name.startswith("_") and name not in exported)
     return sorted(bad)
 
 
@@ -603,7 +670,8 @@ def test_every_definition_and_export_is_reached():
     defs, refs = scan(src, roots)
     assert len(ALLOWLIST) <= 8
     assert unreached(defs, refs, ALLOWLIST) == []
-    assert unused_exports(src, defs, refs) == []
+    assert len(EXPORT_ALLOWLIST) <= 3
+    assert unimported_exports(src, roots, EXPORT_ALLOWLIST) == []
 
 
 def test_every_assigned_attribute_is_read():
@@ -679,7 +747,8 @@ def test_the_scan_reports_an_uncalled_public_def(tmp_path):
     pkg.mkdir()
     (pkg / "__init__.py").write_text(
         "from .mod import used, unused, Box\n"
-        "__all__ = ['used', 'unused', 'Box']\n")
+        "from .sub import Thing\n"
+        "__all__ = ['used', 'unused', 'Box', 'Thing']\n")
     (pkg / "mod.py").write_text(
         "def helper():\n    return 1\n\n"
         "def only_dead_calls_me():\n    return 2\n\n"
@@ -689,14 +758,55 @@ def test_the_scan_reports_an_uncalled_public_def(tmp_path):
         "    def open(self):\n        return self.peek()\n"
         "    def peek(self):\n        return 3\n"
         "    def shake(self):\n        return 4\n")
+    for sub in ("sub", "other"):
+        (pkg / sub).mkdir()
+    (pkg / "sub" / "__init__.py").write_text(
+        "from .a import KINDS, Subscription, Thing, generator, hidden, "
+        "sibling\n"
+        "__all__ = ['KINDS', 'Subscription', 'Thing', 'generator', "
+        "'sibling']\n")
+    (pkg / "sub" / "a.py").write_text(
+        "from typing import Dict\n"
+        "KINDS: Dict[str, int] = {'a': 1}\n"
+        "class Subscription:\n    pass\n"
+        "class Thing:\n    pass\n"
+        "def generator():\n    return KINDS\n"
+        "def hidden():\n    return 0\n"
+        "def sibling():\n    return 1\n")
+    (pkg / "sub" / "b.py").write_text(
+        "from .a import sibling\n"
+        "def use():\n    return sibling()\n")
+    (pkg / "other" / "__init__.py").write_text(
+        "from .c import Subscription\n__all__ = ['Subscription']\n")
+    (pkg / "other" / "c.py").write_text(
+        "class Subscription:\n"
+        "    def generator(self):\n        return 2\n"
+        "    def pick(self, generator):\n"
+        "        return generator.generator()\n")
     (tmp_path / "main.py").write_text(
-        "from pkg import used, Box\nused()\nBox().open()\n")
+        "import pkg.other.c\n"
+        "from pkg import used, Box\n"
+        "from pkg.sub import Thing\n"
+        "from pkg.sub.b import use\n"
+        "used()\nBox().open()\n"
+        "box = pkg.other.c.Subscription()\nbox.pick(box)\n"
+        "Thing()\nuse()\n")
     src = sorted(pkg.glob("*.py"))
     defs, refs = scan(src, [tmp_path / "main.py"])
     assert unreached(defs, refs) == [
         "mod.py::Box.shake", "mod.py::only_dead_calls_me", "mod.py::unused"]
-    # Box and used are named by main.py, unused by nothing else.
-    assert unused_exports(src, defs, refs) == ["pkg.unused"]
+    # An export counts only when a file outside its package imports it
+    # from that package.  Every name below is used by live code, which
+    # a match by name would count: sibling is imported inside pkg.sub
+    # alone, only pkg.other's Subscription is read (through an import
+    # of its module), generator is only a parameter and a method, KINDS
+    # (annotated) is read only by its own module, and main.py imports
+    # Thing from pkg.sub, not pkg.
+    assert unimported_exports(sorted(pkg.rglob("*.py")),
+                              [tmp_path / "main.py"]) == [
+        "pkg.Thing", "pkg.sub.KINDS", "pkg.sub.Subscription",
+        "pkg.sub.generator", "pkg.sub.hidden is imported, not exported",
+        "pkg.sub.sibling", "pkg.unused"]
 
 
 def test_the_scan_resolves_self_cls_super_and_class_names(tmp_path):

@@ -14,8 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import FaultPlan, FaultSpec, FLSession, NetworkProfile, \
-    ProtocolConfig
+from repro import FaultPlan, FLSession, NetworkProfile, ProtocolConfig
+from repro.faults.plan import FaultSpec
 from repro.core.addressing import UPDATE
 from repro.ml import Dataset, MLPClassifier, SyntheticModel, \
     make_classification, split_iid

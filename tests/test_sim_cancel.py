@@ -9,7 +9,8 @@ relies on (a superseded wakeup must never fire).
 
 import pytest
 
-from repro.sim import FilterStore, SimulationError, Simulator
+from repro.sim import FilterStore, Simulator
+from repro.sim.core import SimulationError
 
 from tests.util import next_event_time
 

@@ -8,11 +8,10 @@ import pytest
 from repro.sim import (
     Event,
     Interrupt,
-    SimulationError,
     Simulator,
     Timeout,
 )
-from repro.sim.core import AllOf, AnyOf, Process
+from repro.sim.core import AllOf, AnyOf, Process, SimulationError
 
 from tests.util import next_event_time
 

@@ -7,11 +7,10 @@ from repro.sim import (
     Event,
     FilterStore,
     Interrupt,
-    SimulationError,
     Simulator,
     Store,
 )
-from repro.sim.core import AnyOf
+from repro.sim.core import AnyOf, SimulationError
 
 
 # -- run_until -------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import FilterStore, SimulationError, Simulator, Store
+from repro.sim import FilterStore, Simulator, Store
+from repro.sim.core import SimulationError
 
 
 # -- Store ------------------------------------------------------------------

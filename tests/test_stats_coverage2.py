@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import percentile
+from repro.analysis.stats import percentile
 from repro.baselines import DirectIPLSSession
 from repro.core import ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
