@@ -14,6 +14,7 @@ Commitments are deterministic (non-hiding), as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
 from .curves import CurveParams
@@ -23,9 +24,10 @@ from .multiexp import multi_scalar_mult
 
 __all__ = ["Commitment", "PedersenParams"]
 
-#: Cache of derived generator prefixes, keyed by (curve, domain); deriving
-#: a generator costs about two hashes and symbols and one square root, so
-#: benchmarks that repeatedly set up large parameter vectors share the work.
+#: Cache of generator prefixes, keyed by (curve, domain); a generator costs
+#: about two hashes and Legendre symbols plus a square root (derived) or a
+#: squaring (a shipped root verified), so sessions and benchmarks that set
+#: up parameter vectors repeatedly in one process share the work.
 _GENERATOR_CACHE: Dict[Tuple[str, bytes], List[Point]] = {}
 
 
@@ -82,17 +84,15 @@ class PedersenParams:
         cache_key = (curve.name, domain)
         cached = _GENERATOR_CACHE.setdefault(cache_key, [])
         if len(cached) < size:
-            stream = generator_stream(curve, domain)
-            for _ in range(len(cached)):
-                next(stream)  # skip already-derived prefix
-            while len(cached) < size:
-                cached.append(next(stream))
+            cached.extend(islice(generator_stream(curve, domain, len(cached)),
+                                 size - len(cached)))
         self.generators: List[Point] = cached[:size]
 
     @classmethod
     def setup(cls, curve: CurveParams, size: int,
               domain: bytes = DEFAULT_DOMAIN) -> "PedersenParams":
-        """Transparent setup (no trusted dealer): derive ``size`` generators."""
+        """Transparent setup (no trusted dealer): ``size`` generators, each
+        derived or checked against its shipped root."""
         return cls(curve, size, domain)
 
     def commit(self, values: Sequence[int]) -> Commitment:

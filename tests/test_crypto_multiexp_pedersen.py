@@ -2,6 +2,7 @@
 and the fixed-point codec."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -18,10 +19,11 @@ from repro.crypto import (
     sha256,
 )
 from repro.crypto.curves import SECP256K1, SECP256R1
+from repro.crypto.field import legendre_symbol, sqrt_mod
 from repro.crypto.group import Point, generator, scalar_mult
 from repro.crypto.hashing import hash_to_curve
 from repro.crypto.multiexp import multi_scalar_mult, pippenger, straus
-from repro.crypto import hashing, multiexp
+from repro.crypto import hashing, multiexp, pedersen
 
 
 def reference_msm(scalars, points):
@@ -394,6 +396,89 @@ def test_one_square_root_per_generator(curve, monkeypatch):
     monkeypatch.setattr(hashing, "sqrt_mod", counted)
     PedersenParams(curve, 64, domain=b"test/one-square-root-per-generator")
     assert len(roots) == 64
+
+
+@pytest.fixture
+def square_roots(monkeypatch):
+    """The values hash-to-curve takes square roots of, with an empty
+    generator cache."""
+    roots = []
+    square_root = hashing.sqrt_mod
+
+    def counted(value, prime):
+        roots.append(value)
+        return square_root(value, prime)
+
+    monkeypatch.setattr(hashing, "sqrt_mod", counted)
+    monkeypatch.setattr(pedersen, "_GENERATOR_CACHE", {})
+    return roots
+
+
+def test_extending_the_cache_derives_only_the_new_generators(square_roots):
+    domain = b"test/extend-the-cache"
+    first = PedersenParams(SECP256K1, 10, domain=domain).generators
+    assert len(square_roots) == 10
+    longer = PedersenParams(SECP256K1, 20, domain=domain).generators
+    assert len(square_roots) == 20
+    assert longer[:10] == first
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+def test_shipped_roots_replace_every_default_square_root(curve, square_roots):
+    assert len(PedersenParams(curve, 4096).generators) == 4096
+    assert square_roots == []
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+@pytest.mark.parametrize("start", [0, 4032])
+def test_verified_generators_equal_derived_ones(curve, start):
+    stream = hashing.generator_stream(curve, start=start)
+    verified = list(itertools.islice(stream, 64))
+    assert verified == [hash_to_curve(
+        curve, hashing._seed(curve, hashing.DEFAULT_DOMAIN, index))
+                        for index in range(start, start + 64)]
+
+
+def _later_residue_root(curve, seed):
+    """The root, with the digest's parity, of the second candidate of
+    ``seed`` whose right-hand side is a residue."""
+    residues = 0
+    for counter in itertools.count():
+        digest = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+        x = int.from_bytes(digest, "big") % curve.p
+        rhs = (x * x * x + curve.a * x + curve.b) % curve.p
+        if legendre_symbol(rhs, curve.p) == 1:
+            residues += 1
+            if residues == 2:
+                root = sqrt_mod(rhs, curve.p)
+                return root if (root & 1) == (digest[-1] & 1) \
+                    else curve.p - root
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+@pytest.mark.parametrize("tamper", ["flipped byte", "negated root",
+                                    "later residue"])
+def test_a_wrong_shipped_root_raises_naming_its_generator(
+        curve, tamper, monkeypatch):
+    index = 5
+    table = bytearray(hashing._roots(curve, hashing.DEFAULT_DOMAIN))
+    offset = 32 * index
+    root = int.from_bytes(table[offset:offset + 32], "big")
+    if tamper == "flipped byte":
+        table[offset + 7] ^= 0x01
+    else:
+        wrong = curve.p - root if tamper == "negated root" \
+            else _later_residue_root(
+                curve, hashing._seed(curve, hashing.DEFAULT_DOMAIN, index))
+        table[offset:offset + 32] = wrong.to_bytes(32, "big")
+    monkeypatch.setattr(hashing, "_roots", lambda curve, domain: table)
+    stream = hashing.generator_stream(curve)
+    assert len(list(itertools.islice(stream, index))) == index
+    with pytest.raises(ValueError, match=rf"root of generator {index}:"):
+        next(stream)
 
 
 def test_sha256_wrapper():
