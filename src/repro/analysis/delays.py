@@ -16,13 +16,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = [
-    "aggregator_download_bytes",
-    "blockchain_round_cost",
-    "naive_aggregation_time",
-    "naive_collection_time",
-]
-
 
 def aggregator_download_bytes(
     trainers_per_aggregator: int,

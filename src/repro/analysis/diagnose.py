@@ -33,13 +33,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..obs.manifest import ManifestDiff, RunManifest, compare_manifests
 from ..obs.profiling import HostProfile
 
-__all__ = [
-    "Attribution",
-    "DiagnosisReport",
-    "SubsystemShift",
-    "diagnose_runs",
-]
-
 #: Counter prefix the watchdog's per-kind detections land under.
 _ANOMALY_PREFIX = "obs.anomaly.detected."
 

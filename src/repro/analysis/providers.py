@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["aggregation_time_model", "optimal_providers"]
-
 
 def aggregation_time_model(
     num_trainers: int,

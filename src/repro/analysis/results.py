@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-__all__ = ["format_table", "series_shape"]
-
 
 def _render(value: Any) -> str:
     if value is None:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["percentile"]
-
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The q-th percentile (0..100) by linear interpolation."""

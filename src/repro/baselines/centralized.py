@@ -17,8 +17,6 @@ from ..core.config import ProtocolConfig
 from ..ml import Dataset, Model
 from .ipls_direct import DirectIPLSSession
 
-__all__ = ["CentralizedSession"]
-
 
 class CentralizedSession(DirectIPLSSession):
     """Server-mediated FedAvg over the emulated network."""

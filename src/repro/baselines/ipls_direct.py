@@ -37,8 +37,6 @@ from ..core.partition import (
 from ..core.session import Session
 from ..core.trainer import Trainer
 
-__all__ = ["DirectIPLSSession"]
-
 KIND_GRADIENT = "ipls.gradient"
 KIND_PARTIAL = "ipls.partial"
 KIND_UPDATE = "ipls.update"

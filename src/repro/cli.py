@@ -93,8 +93,6 @@ from .ml import (
 )
 from .net import NetworkProfile
 
-__all__ = ["main", "build_parser"]
-
 #: ``--inject`` choices: seeded aggregator misbehaviours (fresh
 #: instance per run — behaviours keep per-round state).
 _INJECTABLE = {

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Address", "GRADIENT", "PARTIAL_UPDATE", "UPDATE"]
-
 GRADIENT = "gradient"
 PARTIAL_UPDATE = "partial_update"
 UPDATE = "update"

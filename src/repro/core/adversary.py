@@ -13,15 +13,6 @@ from typing import Dict
 
 from .partition import decode_partition, encode_partition
 
-__all__ = [
-    "AggregatorBehavior",
-    "HonestBehavior",
-    "DropGradientsBehavior",
-    "AlterUpdateBehavior",
-    "LazyBehavior",
-    "ReplayUpdateBehavior",
-]
-
 
 class AggregatorBehavior:
     """Strategy interface; the default is honest."""

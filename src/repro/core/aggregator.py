@@ -49,8 +49,6 @@ from .partition import _partition_view, encode_partition, \
 from .schedule import IterationSchedule, Participant
 from .verification import CommitmentCostModel, PartitionCommitter
 
-__all__ = ["Aggregator", "sync_topic"]
-
 CID_WIRE_SIZE = 64
 
 

@@ -22,9 +22,6 @@ from ..sim import Simulator
 from .config import ProtocolConfig
 from .schedule import IterationSchedule
 
-__all__ = ["Assignment", "build_assignment", "Bootstrapper",
-           "optimal_provider_count"]
-
 SCHEDULE_WIRE_SIZE = 96
 
 

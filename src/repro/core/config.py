@@ -7,8 +7,6 @@ from typing import Optional
 
 from ..ml import TrainConfig
 
-__all__ = ["ProtocolConfig"]
-
 
 @dataclass
 class ProtocolConfig:

@@ -67,9 +67,6 @@ from ..sim import Simulator
 from .addressing import Address, GRADIENT, PARTIAL_UPDATE, UPDATE
 from .verification import PartitionCommitter, classify_rejection
 
-__all__ = ["DirectoryClient", "DirectoryEntry", "DirectoryProfile",
-           "DirectoryService", "DirectoryState", "RejectionRecord"]
-
 #: The well-known host the directory runs on.
 DIRECTORY_HOST = "directory"
 

@@ -32,14 +32,6 @@ from ..obs.events import SnapshotSealed
 from .addressing import GRADIENT
 from .directory import DirectoryService
 
-__all__ = [
-    "accumulate_cids",
-    "encode_snapshot",
-    "decode_snapshot",
-    "SnapshotPublisher",
-    "SnapshotReader",
-]
-
 
 def accumulate_cids(cids: Sequence[CID]) -> bytes:
     """Order-independent accumulation over a set of CIDs.

@@ -19,13 +19,6 @@ import numpy as np
 
 from ..ipfs.merge import MergeError, sum_f64
 
-__all__ = [
-    "ModelPartitioner",
-    "encode_partition",
-    "decode_partition",
-    "sum_encoded_partitions",
-]
-
 
 class ModelPartitioner:
     """Splits a ``num_params`` vector into ``num_partitions`` slices."""

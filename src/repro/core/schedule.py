@@ -14,8 +14,6 @@ from typing import List
 from ..faults.retry import RetryExhaustedError
 from ..sim import Interrupt, Simulator
 
-__all__ = ["IterationSchedule"]
-
 
 @dataclass(frozen=True)
 class IterationSchedule:

@@ -51,8 +51,6 @@ from ..obs.telemetry import IterationMetrics, SessionMetrics
 from .trainer import Trainer
 from .verification import PartitionCommitter
 
-__all__ = ["FLSession", "Session"]
-
 #: Simulated seconds one DHT provider lookup takes.
 DHT_LOOKUP_DELAY = 0.02
 

@@ -42,8 +42,6 @@ from .partition import ModelPartitioner, _partition_view, encode_partition
 from .schedule import IterationSchedule, Participant
 from .verification import CommitmentCostModel, PartitionCommitter
 
-__all__ = ["Trainer"]
-
 
 class Trainer(Participant):
     """One trainer participant.

@@ -29,8 +29,6 @@ from ..crypto import (
 )
 from .partition import decode_partition, encode_partition
 
-__all__ = ["PartitionCommitter", "CommitmentCostModel", "classify_rejection"]
-
 #: The subset search is exponential; above this many contributions the
 #: classifier reports counts only (the honest contributor counts of every
 #: experiment in the paper are well below it).

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CurveParams", "SECP256K1", "SECP256R1", "curve_by_name"]
-
 
 @dataclass(frozen=True)
 class CurveParams:

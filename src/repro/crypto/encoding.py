@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FixedPointCodec"]
-
 
 @dataclass(frozen=True)
 class FixedPointCodec:

@@ -1,13 +1,14 @@
 """Prime-field arithmetic.
 
 Helpers over GF(p) used by the elliptic-curve layer: modular inverse,
-Legendre symbol (by reciprocity) and modular square roots (Tonelli–Shanks,
-with the fast ``p ≡ 3 (mod 4)`` path both secp curves take).
+Legendre symbol (by reciprocity) and modular square roots.  Square roots
+need p ≡ 3 (mod 4), which both secp curves have
+(``tests/test_crypto_field_curves.py`` asserts it for every curve): one
+exponentiation gives the root, and −1 is a non-residue, which the shipped
+generator witnesses rely on (``repro.crypto.hashing``).
 """
 
 from __future__ import annotations
-
-__all__ = ["inverse_mod", "legendre_symbol", "sqrt_mod"]
 
 
 def inverse_mod(value: int, modulus: int) -> int:
@@ -41,46 +42,19 @@ def legendre_symbol(value: int, prime: int) -> int:
 
 
 def sqrt_mod(value: int, prime: int) -> int:
-    """A square root of ``value`` modulo an odd prime.
+    """A square root of ``value`` modulo a prime ``p ≡ 3 (mod 4)``.
 
     Returns the even root's companion arbitrarily (callers needing a
     specific parity, e.g. point decompression, adjust themselves).
-    Raises ``ValueError`` if ``value`` is a non-residue.
+    Raises ``ValueError`` if ``value`` is a non-residue or the prime is
+    not 3 mod 4.
     """
+    if prime % 4 != 3:
+        raise ValueError(f"square roots need a prime ≡ 3 (mod 4), not {prime}")
     value %= prime
-    if value == 0:
-        return 0
-    if prime % 4 == 3:
-        # One exponentiation: the candidate root squares back to
-        # ``value`` exactly when ``value`` is a residue.
-        root = pow(value, (prime + 1) // 4, prime)
-        if root * root % prime != value:
-            raise ValueError(f"{value} is not a quadratic residue mod {prime}")
-        return root
-    if legendre_symbol(value, prime) != 1:
+    # One exponentiation: the candidate root squares back to ``value``
+    # exactly when ``value`` is a residue (0 included).
+    root = pow(value, (prime + 1) // 4, prime)
+    if root * root % prime != value:
         raise ValueError(f"{value} is not a quadratic residue mod {prime}")
-    # Tonelli–Shanks for p ≡ 1 (mod 4).
-    q, s = prime - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    non_residue = 2
-    while legendre_symbol(non_residue, prime) != -1:
-        non_residue += 1
-    c = pow(non_residue, q, prime)
-    x = pow(value, (q + 1) // 2, prime)
-    t = pow(value, q, prime)
-    m = s
-    while t != 1:
-        t2 = t
-        i = 0
-        for i in range(1, m):
-            t2 = t2 * t2 % prime
-            if t2 == 1:
-                break
-        b = pow(c, 1 << (m - i - 1), prime)
-        x = x * b % prime
-        t = t * b * b % prime
-        c = b * b % prime
-        m = i
-    return x
+    return root

@@ -18,8 +18,6 @@ from typing import List, Optional, Tuple
 from .curves import CurveParams
 from .field import inverse_mod, sqrt_mod
 
-__all__ = ["Point", "generator", "wnaf", "scalar_mult"]
-
 #: Jacobian triple (X, Y, Z); Z == 0 encodes the identity.
 Jacobian = Tuple[int, int, int]
 

@@ -34,8 +34,6 @@ from .group import (
     wnaf,
 )
 
-__all__ = ["multi_scalar_mult", "straus", "pippenger"]
-
 #: A lifted term ``(magnitude > 0, x, ±y)``.
 Term = Tuple[int, int, int]
 

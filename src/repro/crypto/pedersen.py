@@ -22,12 +22,11 @@ from .group import Point
 from .hashing import DEFAULT_DOMAIN, generator_stream
 from .multiexp import multi_scalar_mult
 
-__all__ = ["Commitment", "PedersenParams"]
-
 #: Cache of generator prefixes, keyed by (curve, domain); a generator costs
-#: about two hashes and Legendre symbols plus a square root (derived) or a
-#: squaring (a shipped root verified), so sessions and benchmarks that set
-#: up parameter vectors repeatedly in one process share the work.
+#: about two hashes plus, derived, a Legendre symbol per candidate and a
+#: square root, or, verified against its shipped witnesses, a squaring per
+#: candidate, so sessions and benchmarks that set up parameter vectors
+#: repeatedly in one process share the work.
 _GENERATOR_CACHE: Dict[Tuple[str, bytes], List[Point]] = {}
 
 

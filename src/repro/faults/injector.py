@@ -20,8 +20,6 @@ from typing import Callable, Dict, List, Optional
 from ..obs.events import FaultHealed, FaultInjected
 from .plan import FaultPlan, FaultSpec
 
-__all__ = ["FaultInjector"]
-
 
 class FaultInjector:
     """Drives a fault plan against a running :class:`FLSession`.

@@ -30,8 +30,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
-__all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
-
 #: Fault kinds and the spec fields each requires beyond ``kind``/``at``.
 FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
     "crash_trainer": ("target",),

@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "RetryExhaustedError"]
-
 
 class RetryExhaustedError(Exception):
     """An operation failed on every attempt its :class:`RetryPolicy` allowed.

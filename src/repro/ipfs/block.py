@@ -24,9 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cid import CID, compute_cid
 
-__all__ = ["Block", "DEFAULT_CHUNK_SIZE", "chunk_object", "join_leaves",
-           "parse_manifest"]
-
 #: go-ipfs default chunker size.
 DEFAULT_CHUNK_SIZE = 256 * 1024
 

@@ -8,8 +8,6 @@ from ..obs.events import BlockEvicted
 from .block import Block
 from .cid import CID
 
-__all__ = ["Blockstore"]
-
 
 class Blockstore:
     """The datastore of one IPFS node.

@@ -12,8 +12,6 @@ import base64
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["CID", "compute_cid"]
-
 #: Multicodec prefixes: cidv1 (0x01), raw codec (0x55), sha2-256 (0x12),
 #: digest length 32 (0x20) — mirroring go-ipfs defaults.
 _PREFIX = bytes([0x01, 0x55, 0x12, 0x20])

@@ -22,8 +22,6 @@ from ..sim import Simulator
 from .cid import CID
 from .node import IPFSNode, KIND_REPLICATE, REQUEST_OVERHEAD
 
-__all__ = ["rendezvous_rank", "ReplicationCluster"]
-
 
 def rendezvous_rank(cid: CID, node_names: Sequence[str]) -> List[str]:
     """Node names ordered by descending rendezvous weight for ``cid``."""

@@ -19,8 +19,6 @@ from ..obs.events import DhtLookup
 from ..sim import Simulator
 from .cid import CID
 
-__all__ = ["DHT"]
-
 
 class DHT:
     """A global provider-record table with simulated lookup latency."""

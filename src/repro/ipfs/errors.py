@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-__all__ = ["IPFSError", "NotFoundError", "IntegrityError", "NodeOfflineError",
-           "MergeError"]
-
 
 class IPFSError(Exception):
     """Base class for IPFS failures."""

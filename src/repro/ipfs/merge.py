@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import MergeError
 
-__all__ = ["sum_f64"]
-
 
 def sum_f64(blobs: Sequence[bytes]) -> bytes:
     """Element-wise sum of equal-length float64 vectors.

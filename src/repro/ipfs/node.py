@@ -36,8 +36,6 @@ from .errors import IntegrityError, IPFSError, MergeError, NodeOfflineError, \
     NotFoundError
 from .merge import sum_f64
 
-__all__ = ["IPFSNode", "IPFSClient"]
-
 # Message kinds.
 KIND_PUT = "ipfs.put"
 KIND_PUT_ACK = "ipfs.put.ack"

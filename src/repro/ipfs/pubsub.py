@@ -18,8 +18,6 @@ from ..sim import Event, Store
 from ..net import Transport
 from ..net.bandwidth import TransferAbortedError
 
-__all__ = ["PubSubMessage", "PubSub", "Subscription"]
-
 #: Wire overhead of a pubsub frame beyond its payload.
 _FRAME_OVERHEAD = 128
 

@@ -15,14 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "make_classification",
-    "split_iid",
-    "split_dirichlet",
-    "train_test_split",
-]
-
 
 @dataclass
 class Dataset:

@@ -7,8 +7,6 @@ import numpy as np
 from .data import Dataset
 from .models import Model
 
-__all__ = ["accuracy", "mean_loss"]
-
 
 def accuracy(model: Model, dataset: Dataset) -> float:
     """Fraction of correctly classified samples."""

@@ -19,9 +19,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Model", "LogisticRegression", "MLPClassifier",
-           "SyntheticModel"]
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)

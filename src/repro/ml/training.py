@@ -21,8 +21,6 @@ import numpy as np
 from .data import Dataset
 from .models import Model
 
-__all__ = ["TrainConfig", "compute_gradient", "local_update", "sgd_epoch"]
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -47,9 +47,6 @@ import numpy as np
 
 from ..sim import Event, Simulator, Timeout
 
-__all__ = ["Link", "Flow", "FlowScheduler", "TransferAbortedError",
-           "max_min_rates", "max_min_rates_vectorized"]
-
 #: Flows narrower than this (bytes) are treated as complete, guarding
 #: against float round-off never quite reaching zero.
 _EPSILON_BYTES = 1e-6

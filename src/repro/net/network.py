@@ -27,8 +27,6 @@ from ..obs.events import TransferAborted, TransferCompleted, TransferStarted
 from ..sim import Event, Simulator
 from .bandwidth import FlowScheduler, Link, TransferAbortedError
 
-__all__ = ["Host", "Network"]
-
 
 class Host:
     """A network endpoint with dedicated uplink/downlink capacities."""

@@ -21,8 +21,6 @@ from typing import Optional, Tuple
 
 from ..faults.retry import RetryPolicy
 
-__all__ = ["NetworkProfile"]
-
 
 @dataclass(frozen=True)
 class NetworkProfile:

@@ -17,8 +17,6 @@ from .network import Network
 from .transport import Transport
 from .units import mbps
 
-__all__ = ["Testbed", "build_testbed"]
-
 
 @dataclass
 class Testbed:

@@ -19,8 +19,6 @@ from typing import Dict, List, Optional
 from ..obs.events import TransferCompleted
 from .network import Network
 
-__all__ = ["TransferRecord", "TransferTrace"]
-
 
 @dataclass(frozen=True)
 class TransferRecord:

@@ -27,8 +27,6 @@ from typing import Any, Callable, Dict, Optional
 from ..sim import Event, FilterStore, Simulator
 from .network import Network
 
-__all__ = ["Message", "Transport", "Endpoint"]
-
 
 @dataclass
 class Message:

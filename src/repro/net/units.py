@@ -6,8 +6,6 @@ from the units the paper reports (Mbps link speeds, MB partition sizes).
 
 from __future__ import annotations
 
-__all__ = ["mbps", "megabytes"]
-
 BITS_PER_BYTE = 8
 
 

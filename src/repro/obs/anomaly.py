@@ -61,14 +61,6 @@ from .events import (
 )
 from .metrics import SimTicker
 
-__all__ = [
-    "ANOMALY_KINDS",
-    "AnomalyWatchdog",
-    "Detector",
-    "RetryStormDetector",
-    "ThroughputCollapseDetector",
-]
-
 #: ``retry_storm``: trailing window (sim s), the events it must hold,
 #: and the multiple of the preceding window's count that makes a storm.
 RETRY_STORM_WINDOW = 60.0

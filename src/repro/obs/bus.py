@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Type
 
-__all__ = ["EventBus", "Subscription"]
-
 Handler = Callable[[tuple], None]
 
 #: Dispatch key for subscribe-to-everything handlers.

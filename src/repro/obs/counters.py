@@ -46,8 +46,6 @@ from .events import (
     VerificationFailed,
 )
 
-__all__ = ["CountersRegistry"]
-
 
 class CountersRegistry:
     """Monotonic counters plus last-value gauges over bus events."""

@@ -27,14 +27,6 @@ from typing import Dict, List, Mapping, Optional, Union
 
 from .spans import Span, SpanCollector, SpanTree
 
-__all__ = [
-    "CriticalStep",
-    "CriticalPath",
-    "StragglerEntry",
-    "StragglerReport",
-    "CriticalPathAnalyzer",
-]
-
 
 @dataclass(frozen=True)
 class CriticalStep:

@@ -40,48 +40,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-__all__ = [
-    "EVENT_TYPES",
-    # infrastructure
-    "TransferStarted",
-    "TransferCompleted",
-    "BlockStored",
-    "BlockFetched",
-    "DhtLookup",
-    "DirectoryRequest",
-    # protocol
-    "IterationStarted",
-    "IterationFinished",
-    "GradientRegistered",
-    "PartialUpdateRegistered",
-    "UpdateRegistered",
-    "GradientsAggregated",
-    "UploadCompleted",
-    "BytesReceived",
-    "SyncPhaseStarted",
-    "SyncPhaseEnded",
-    "CommitmentComputed",
-    "CommitmentAccumulated",
-    "UpdateVerified",
-    "VerificationFailed",
-    "TrainerCompleted",
-    "TakeoverPerformed",
-    "SnapshotSealed",
-    "MergeServed",
-    "BlockEvicted",
-    "InvariantViolated",
-    # faults & churn
-    "FaultInjected",
-    "FaultHealed",
-    "TransferAborted",
-    "RetryExhausted",
-    "ParticipantDegraded",
-    # learning & anomaly telemetry
-    "TrainingEvaluated",
-    "AnomalyDetected",
-    "PROTOCOL_EVENTS",
-]
-
 
 # -- infrastructure events ---------------------------------------------------------
 

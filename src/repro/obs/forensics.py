@@ -50,9 +50,6 @@ from .jsonl import event_record
 from .perfetto import PerfettoExporter
 from .spans import SPAN_EVENTS, SpanTree, build_span_tree
 
-__all__ = ["BlameReport", "FlightRecorder", "IncidentBundle",
-           "WINDOW_EVENTS"]
-
 #: Events the recorder's ring holds.
 RING_CAPACITY = 512
 #: Incident bundles sealed before further triggers are only counted.

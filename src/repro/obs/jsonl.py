@@ -29,8 +29,6 @@ from typing import IO, List, Union
 
 from .bus import EventBus
 
-__all__ = ["JsonlTraceExporter"]
-
 #: Buffered-record and buffered-byte limits before a flush.
 FLUSH_LINES = 256
 FLUSH_BYTES = 64 * 1024

@@ -25,9 +25,6 @@ from typing import Any, Dict, IO, List, Optional, Union
 
 from .metrics import MetricsRegistry
 
-__all__ = ["RunManifest", "ManifestDiff", "DiffEntry", "compare_manifests",
-           "config_fingerprint", "MANIFEST_VERSION"]
-
 MANIFEST_VERSION = 1
 
 

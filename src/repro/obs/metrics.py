@@ -45,12 +45,6 @@ from .events import (
 )
 from .sketch import QuantileSketch
 
-__all__ = [
-    "TimeSeries",
-    "MetricsRegistry",
-    "ResourceSampler",
-]
-
 #: Label key/value pairs, kept as a sorted tuple so series hash cleanly.
 Labels = Tuple[Tuple[str, str], ...]
 

@@ -69,8 +69,6 @@ from .events import (
     UploadCompleted,
 )
 
-__all__ = ["InvariantMonitors", "ACTOR_FIELDS"]
-
 #: Which attribute names the acting participant for iteration-scoped
 #: events (used for per-actor iteration monotonicity).  Events without
 #: a single actor (verification outcomes, directory bookkeeping) are

@@ -29,8 +29,6 @@ from typing import Dict, IO, Iterable, List, Optional, Union
 
 from .spans import SESSION_NODE, Span, SpanTree
 
-__all__ = ["PerfettoExporter"]
-
 #: Single synthetic process all node tracks live under.
 _PID = 1
 _PROCESS_NAME = "repro"

@@ -45,18 +45,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
-__all__ = [
-    "FakeWallClock",
-    "HostProfile",
-    "HostProfiler",
-    "LAYERS",
-    "PROFILE_VERSION",
-    "SYSTEM_WALL_CLOCK",
-    "ScopeStat",
-    "WallClock",
-    "fold_by_package",
-]
-
 #: 2 = the package partition; 1 was the hand-placed ``kernel`` /
 #: ``directory`` scopes and is refused, never diffed against this one.
 PROFILE_VERSION = 2

@@ -25,12 +25,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Tuple
 
-__all__ = [
-    "QuantileSketch",
-    "DEFAULT_EXACT_THRESHOLD",
-    "RELATIVE_ERROR",
-]
-
 #: Observations retained verbatim before spilling to buckets.  4096
 #: floats is ~32 KiB — far above anything a figure-scale run produces
 #: (so those stay exact) and negligible on a long, large run.

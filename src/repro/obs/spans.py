@@ -61,9 +61,6 @@ from .events import (
     VerificationFailed,
 )
 
-__all__ = ["Span", "SpanTree", "SpanCollector", "build_span_tree",
-           "SPAN_EVENTS"]
-
 #: Everything the span reconstruction consumes.
 SPAN_EVENTS = PROTOCOL_EVENTS + (
     SyncPhaseStarted,

@@ -45,8 +45,6 @@ from .events import (
     VerificationFailed,
 )
 
-__all__ = ["IterationMetrics", "SessionMetrics", "TelemetryCollector"]
-
 
 @dataclass
 class IterationMetrics:

@@ -39,20 +39,6 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..obs.bus import EventBus
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Process",
-    "Condition",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "SimulationError",
-    "Simulator",
-    "PRIORITY_URGENT",
-    "PRIORITY_NORMAL",
-]
-
 # Scheduling priorities: events scheduled at the same simulated time are
 # processed in priority order, then in FIFO order of scheduling.  URGENT is
 # kernel plumbing (process start, interrupts, late waiters), NORMAL is every

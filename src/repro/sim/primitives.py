@@ -21,8 +21,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from .core import Event, Simulator, SimulationError
 
-__all__ = ["Store", "FilterStore"]
-
 
 class _StoreGet(Event):
     __slots__ = ("predicate", "key", "arrival")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import curve_by_name
-from repro.crypto.curves import SECP256K1, SECP256R1
+from repro.crypto.curves import _CURVES, SECP256K1, SECP256R1
 from repro.crypto.field import inverse_mod, legendre_symbol, sqrt_mod
 from repro.crypto.group import Point
 from repro.crypto.hashing import hash_to_curve
@@ -104,11 +104,10 @@ def test_sqrt_mod_p3mod4():
     assert root * root % p == 4
 
 
-def test_sqrt_mod_p1mod4_tonelli_shanks():
-    p = 13  # ≡ 1 (mod 4)
-    for value in (1, 3, 4, 9, 10, 12):
-        root = sqrt_mod(value, p)
-        assert root * root % p == value
+def test_sqrt_mod_p1mod4_raises():
+    """Only p ≡ 3 (mod 4) is supported: every curve has it."""
+    with pytest.raises(ValueError, match="3 \\(mod 4\\)"):
+        sqrt_mod(4, 13)
 
 
 def test_sqrt_mod_non_residue_raises():
@@ -130,6 +129,14 @@ def test_sqrt_of_square_property(value):
 
 
 # -- curve parameters --------------------------------------------------------------
+
+
+def test_every_curve_prime_is_3_mod_4():
+    """``sqrt_mod``'s one exponentiation and the shipped generator
+    witnesses (−1 a non-residue) both need it."""
+    assert _CURVES
+    for curve in _CURVES.values():
+        assert curve.p % 4 == 3, curve.name
 
 
 def test_base_points_on_curve():

@@ -357,6 +357,10 @@ def test_hash_to_curve_deterministic():
     assert hash_to_curve(SECP256K1, b"a") != hash_to_curve(SECP256K1, b"b")
 
 
+def test_an_empty_witness_derives():
+    assert hash_to_curve(SECP256K1, b"a", []) == hash_to_curve(SECP256K1, b"a")
+
+
 def test_derive_generators_distinct():
     gens = PedersenParams(SECP256K1, 20).generators
     assert len({g.to_bytes() for g in gens}) == 20
@@ -459,13 +463,62 @@ def _later_residue_root(curve, seed):
 
 @pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
                          ids=lambda curve: curve.name)
+def test_shipped_witnesses_replace_every_default_symbol(curve, monkeypatch):
+    """Verified set-up computes no Legendre symbol and no square root:
+    a rejected candidate's witness is checked by one squaring."""
+    calls = []
+
+    def counting(name):
+        function = getattr(hashing, name)
+
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    for name in ("legendre_symbol", "sqrt_mod"):
+        monkeypatch.setattr(hashing, name, counting(name))
+    monkeypatch.setattr(pedersen, "_GENERATOR_CACHE", {})
+    assert len(PedersenParams(curve, 4096).generators) == 4096
+    assert calls == []
+
+
+def _shipped_table(curve, index):
+    """The shipped witness table as a bytearray, and the offset of
+    generator ``index``'s first witness in it."""
+    table = bytearray(hashing._table(curve, hashing.DEFAULT_DOMAIN))
+    counts = table[:hashing._TABLE_GENERATORS]
+    return table, len(counts) + 32 * (sum(counts[:index]) + index)
+
+
+def _raises_at(curve, table, index, monkeypatch):
+    """Generators before ``index`` verify, generator ``index`` raises
+    naming itself."""
+    monkeypatch.setattr(hashing, "_table", lambda curve, domain: table)
+    stream = hashing.generator_stream(curve)
+    assert len(list(itertools.islice(stream, index))) == index
+    with pytest.raises(ValueError, match=rf"witnesses of generator {index}:"):
+        next(stream)
+
+
+def test_the_tables_hold_a_header_and_one_witness_per_candidate():
+    rejected = {}
+    for curve in (SECP256K1, SECP256R1):
+        table, end = _shipped_table(curve, hashing._TABLE_GENERATORS)
+        assert len(table) == end
+        rejected[curve.name] = sum(table[:hashing._TABLE_GENERATORS])
+    assert rejected == {"secp256k1": 4116, "secp256r1": 4249}
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
 @pytest.mark.parametrize("tamper", ["flipped byte", "negated root",
                                     "later residue"])
 def test_a_wrong_shipped_root_raises_naming_its_generator(
         curve, tamper, monkeypatch):
     index = 5
-    table = bytearray(hashing._roots(curve, hashing.DEFAULT_DOMAIN))
-    offset = 32 * index
+    table, start = _shipped_table(curve, index)
+    offset = start + 32 * table[index]
     root = int.from_bytes(table[offset:offset + 32], "big")
     if tamper == "flipped byte":
         table[offset + 7] ^= 0x01
@@ -474,11 +527,26 @@ def test_a_wrong_shipped_root_raises_naming_its_generator(
             else _later_residue_root(
                 curve, hashing._seed(curve, hashing.DEFAULT_DOMAIN, index))
         table[offset:offset + 32] = wrong.to_bytes(32, "big")
-    monkeypatch.setattr(hashing, "_roots", lambda curve, domain: table)
-    stream = hashing.generator_stream(curve)
-    assert len(list(itertools.islice(stream, index))) == index
-    with pytest.raises(ValueError, match=rf"root of generator {index}:"):
-        next(stream)
+    _raises_at(curve, table, index, monkeypatch)
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+@pytest.mark.parametrize("tamper", ["flipped byte", "zero witness",
+                                    "count too low", "count too high"])
+def test_a_wrong_shipped_witness_raises_naming_its_generator(
+        curve, tamper, monkeypatch):
+    table, _ = _shipped_table(curve, 0)
+    index = next(i for i in range(5, hashing._TABLE_GENERATORS)
+                 if table[i])
+    _, offset = _shipped_table(curve, index)
+    if tamper == "flipped byte":
+        table[offset + 7] ^= 0x01
+    elif tamper == "zero witness":
+        table[offset:offset + 32] = bytes(32)
+    else:
+        table[index] += -1 if tamper == "count too low" else 1
+    _raises_at(curve, table, index, monkeypatch)
 
 
 def test_sha256_wrapper():

@@ -12,7 +12,10 @@ imports resolved; reading ``repro.<pkg>.name`` through an ``import``
 counts too).  A name stays in ``repro.__all__`` only if a benchmark or
 an example imports it ``from repro``.  No package ``__init__`` imports a
 public name its ``__all__`` does not list, so every name has one
-package home; a test imports an unexported name from its module.
+package home; a test imports an unexported name from its module.  Only
+a package ``__init__`` assigns ``__all__``: nothing reads a module's own
+list (there is no ``import *``), so it would be a second surface that
+no rule checks.
 
 The definition scan is by name, not by type: ``obj.run`` reaches every
 method called ``run``.  Only ``self.run``, ``cls.run``, ``super().run``
@@ -391,6 +394,16 @@ def _exports(init):
     return []
 
 
+def module_all_lists(src_files):
+    """The files other than package ``__init__``s that assign
+    ``__all__`` (plainly, annotated or augmented)."""
+    return sorted(
+        str(path) for path in src_files if path.name != "__init__.py"
+        and any(isinstance(node, ast.Name) and node.id == "__all__"
+                and isinstance(node.ctx, ast.Store)
+                for node in ast.walk(_parse(path))))
+
+
 def unimported_exports(src_files, root_files, allow=()):
     """``package.name`` for every public ``__all__`` entry no shipped file
     imports from outside its package, and for every public name a
@@ -672,6 +685,21 @@ def test_every_definition_and_export_is_reached():
     assert unreached(defs, refs, ALLOWLIST) == []
     assert len(EXPORT_ALLOWLIST) <= 3
     assert unimported_exports(src, roots, EXPORT_ALLOWLIST) == []
+    assert module_all_lists(src) == []
+
+
+def test_the_scan_reports_a_module_all_list(tmp_path):
+    sources = {
+        "__init__.py": "from .a import f\n__all__ = ['f']\n",
+        "a.py": "__all__ = ['f']\n\ndef f():\n    return 1\n",
+        "b.py": "from typing import List\n__all__: List[str] = []\n",
+        "c.py": "__all__ = []\n__all__ += ['g']\n",
+        "d.py": "def g():\n    return __all__\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+    assert module_all_lists(sorted(tmp_path.glob("*.py"))) == [
+        str(tmp_path / name) for name in ("a.py", "b.py", "c.py")]
 
 
 def test_every_assigned_attribute_is_read():
