@@ -1,16 +1,17 @@
 #!/usr/bin/env python
 """Anatomy of one training iteration: a flow-level timeline.
 
-Attaches a transfer trace to the emulated network, runs a single
-verifiable merge-and-download round, and prints the phases of Algorithm 1
-as they appear on the wire — upload wave, merge-and-download wave, update
-distribution — plus the traffic matrix by host role.
+Collects every event of a single verifiable merge-and-download round
+with a plain list subscriber on the session's bus, and prints the phases
+of Algorithm 1 as they appear on the wire — upload wave,
+merge-and-download wave, update distribution — plus the traffic matrix
+by host role, summed over the ``TransferCompleted`` events.
 
-A span collector rides along on the same bus and reconstructs the causal
-span tree of the round, from which the example prints the per-node phase
-windows, the critical path through the aggregation delay, and the
-straggler ranking.  (``python -m repro.cli run`` writes the same tree
-as a Perfetto trace, ``timeline.perfetto.json``.)
+The same events fold into the causal span tree of the round, from which
+the example prints the per-node phase windows, the critical path through
+the aggregation delay, and the straggler ranking.  (``python -m
+repro.cli run`` folds its ``trace.jsonl`` the same way into a Perfetto
+trace, ``timeline.perfetto.json``.)
 
 Run:  python examples/iteration_timeline.py
 """
@@ -19,8 +20,9 @@ from collections import defaultdict
 
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import TransferTrace
-from repro.obs import CriticalPathAnalyzer, SpanCollector
+from repro.obs import CriticalPathAnalyzer
+from repro.obs.events import TransferCompleted
+from repro.obs.spans import span_trees
 
 
 def role(host: str) -> str:
@@ -45,12 +47,14 @@ def main():
         datasets=shards,
         network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
-    trace = TransferTrace(session.testbed.network)
-    spans = SpanCollector(session.sim.bus)
+    events = []
+    session.sim.bus.subscribe(events.append)
     metrics = session.run_iteration()
+    transfers = [event for event in events
+                 if type(event) is TransferCompleted]
 
-    print(f"one iteration, {len(trace)} transfers, "
-          f"{trace.total_bytes() / 1e3:.1f} kB on the wire")
+    print(f"one iteration, {len(transfers)} transfers, "
+          f"{sum(t.size for t in transfers) / 1e3:.1f} kB on the wire")
     print()
 
     print("phase markers (simulated seconds):")
@@ -64,24 +68,27 @@ def main():
 
     print("traffic matrix by role (kB):")
     matrix = defaultdict(float)
-    for record in trace.records:
-        matrix[(role(record.src), role(record.dst))] += record.size
+    by_host = defaultdict(lambda: {"in": 0.0, "out": 0.0})
+    for transfer in transfers:
+        matrix[(role(transfer.src), role(transfer.dst))] += transfer.size
+        by_host[transfer.src]["out"] += transfer.size
+        by_host[transfer.dst]["in"] += transfer.size
     width = max(len(f"{src} -> {dst}") for src, dst in matrix)
     for (src, dst), size in sorted(matrix.items(),
                                    key=lambda kv: -kv[1]):
         print(f"  {f'{src} -> {dst}':<{width}}  {size / 1e3:10.2f}")
     print()
 
-    busiest = trace.busiest_host()
-    by_host = trace.bytes_by_host()[busiest]
+    busiest = max(by_host, key=lambda host: sum(by_host[host].values()))
     print(f"busiest host: {busiest} "
-          f"(in {by_host['in'] / 1e3:.1f} kB, "
-          f"out {by_host['out'] / 1e3:.1f} kB)")
+          f"(in {by_host[busiest]['in'] / 1e3:.1f} kB, "
+          f"out {by_host[busiest]['out'] / 1e3:.1f} kB)")
     merges = sum(node.merges_served for node in session.nodes)
     print(f"merge-and-download requests served by storage nodes: {merges}")
     print()
 
-    tree = spans.latest()
+    trees = span_trees(events)
+    tree = trees[max(trees)]
     print(f"span tree: {len(tree)} spans across {len(tree.nodes())} nodes")
     for node, node_spans in sorted(tree.by_node().items()):
         phases = [span for span in node_spans if not span.is_instant]
@@ -94,7 +101,7 @@ def main():
         print(f"  {node:<14} {windows}")
     print()
 
-    analyzer = CriticalPathAnalyzer(spans)
+    analyzer = CriticalPathAnalyzer(trees)
     path = analyzer.analyze(tree.iteration)
     print(path.format())
     print()

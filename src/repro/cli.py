@@ -17,9 +17,9 @@ Subcommands
 ``run``
     Run one session under the whole observer stack — flight recorder,
     invariant monitors, metrics registry + resource sampler, anomaly
-    watchdog, span collector, JSONL trace, host profiler — and write
-    the run bundle into ``--artifacts DIR``: ``manifest.json``,
-    ``trace.jsonl``, ``timeline.perfetto.json`` and
+    watchdog, JSONL trace, host profiler — and write the run bundle
+    into ``--artifacts DIR``: ``manifest.json``, ``trace.jsonl``,
+    ``timeline.perfetto.json`` (folded from the trace after the run) and
     ``incidents/`` (pure functions of seed + configuration: a replay
     reproduces them byte for byte), ``report.txt`` (what was printed:
     critical path and stragglers per iteration, the host-profile table,
@@ -75,11 +75,10 @@ from .obs import (
     InvariantMonitors,
     JsonlTraceExporter,
     MetricsRegistry,
-    PerfettoExporter,
     ResourceSampler,
     RunManifest,
     SYSTEM_WALL_CLOCK,
-    SpanCollector,
+    fold_trace,
 )
 from .ml import (
     LogisticRegression,
@@ -349,7 +348,6 @@ class _ObserverStack:
         self.registry = MetricsRegistry(bus)
         self.sampler = ResourceSampler.for_session(session, self.registry)
         self.watchdog = AnomalyWatchdog.for_session(session)
-        self.spans = SpanCollector(bus)
         self.trace = JsonlTraceExporter(
             bus, os.path.join(directory, "trace.jsonl"))
         self.profiler = HostProfiler(clock).install(session.sim)
@@ -368,7 +366,6 @@ class _ObserverStack:
             session.collect_garbage(keep_iterations=0)
         violations = self.monitors.finalize()
         self.recorder.close()
-        self.spans.close()
         self.registry.close()
         self.trace.close()
         return violations
@@ -430,9 +427,7 @@ def _write_bundle(args, plan: FaultPlan, session: FLSession, failure,
     fingerprint = session.fingerprint()
     RunManifest.collect(registry, fingerprint).write(
         os.path.join(directory, "manifest.json"))
-    trees = stack.spans.trees
-    timeline = PerfettoExporter(trees[i] for i in sorted(trees))
-    timeline.add_anomalies(watchdog.anomalies)
+    timeline, trees = fold_trace(os.path.join(directory, "trace.jsonl"))
     timeline.write(os.path.join(directory, "timeline.perfetto.json"))
     for index, bundle in enumerate(recorder.incidents):
         bundle.write(os.path.join(
@@ -451,7 +446,7 @@ def _write_bundle(args, plan: FaultPlan, session: FLSession, failure,
              f"{args.ipfs_nodes} IPFS nodes @ {args.bandwidth_mbps:g} "
              f"Mbps, seed {args.seed}, config "
              f"{fingerprint['digest'][:12]}", ""]
-    analyzer = CriticalPathAnalyzer(stack.spans)
+    analyzer = CriticalPathAnalyzer(trees)
     for iteration in analyzer.iterations():
         path = analyzer.analyze(iteration)
         if path is None:

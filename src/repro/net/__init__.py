@@ -15,7 +15,6 @@ from .bandwidth import FlowScheduler, Link, TransferAbortedError, \
 from .network import Network
 from .profile import NetworkProfile
 from .topology import Testbed, build_testbed
-from .trace import TransferTrace
 from .transport import Endpoint, Message, Transport
 from .units import mbps, megabytes
 
@@ -28,7 +27,6 @@ __all__ = [
     "NetworkProfile",
     "Testbed",
     "TransferAbortedError",
-    "TransferTrace",
     "Transport",
     "build_testbed",
     "max_min_rates",

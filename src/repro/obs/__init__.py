@@ -12,13 +12,11 @@ and aggregators — publish small typed events
 - :class:`CountersRegistry` — named counters/gauges (directory load,
   DHT hops, bytes by layer).
 - :class:`JsonlTraceExporter` — streams every event to a JSON-lines
-  timeline file.
-- :class:`SpanCollector` — reconstructs per-iteration causal span trees
-  (:mod:`repro.obs.spans`); :class:`CriticalPathAnalyzer` decomposes the
-  aggregation delay along the slowest chain and ranks stragglers;
-  :class:`PerfettoExporter` renders the trees as a Perfetto timeline.
-- :class:`~repro.net.trace.TransferTrace` — flow records, now a thin
-  subscriber over ``TransferStarted``/``TransferCompleted``.
+  trace file; :func:`~repro.obs.jsonl.read_trace` reads it back.
+- :func:`fold_trace` — folds a trace into per-iteration causal span
+  trees (:func:`~repro.obs.spans.span_trees`) and renders them as a
+  Perfetto timeline; :class:`CriticalPathAnalyzer` decomposes the
+  aggregation delay along the slowest chain and ranks stragglers.
 - :class:`InvariantMonitors` — online protocol invariants (byte
   conservation, commitment-accumulator consistency, protocol ordering,
   blockstore leaks); violations re-enter the bus as
@@ -44,8 +42,9 @@ detectors — retry storms and throughput collapse — that publish typed
 :class:`~repro.obs.events.AnomalyDetected` events back onto the bus,
 auto-sealing incident bundles and feeding ``obs.anomaly.*`` manifest
 gauges.
-``python -m repro.cli run --artifacts DIR`` attaches all of them, in
-the one correct order, and writes what they saw as one run bundle; see
+``python -m repro.cli run --artifacts DIR`` attaches the live ones, in
+the one correct order, writes what they saw as one run bundle and
+folds the bundle's timeline from its trace; see
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -63,9 +62,8 @@ from .manifest import (
 )
 from .metrics import MetricsRegistry, ResourceSampler
 from .monitors import InvariantMonitors
-from .perfetto import PerfettoExporter
+from .perfetto import fold_trace
 from .profiling import HostProfile, HostProfiler, SYSTEM_WALL_CLOCK, WallClock
-from .spans import SpanCollector
 from .telemetry import TelemetryCollector
 
 __all__ = [
@@ -81,13 +79,12 @@ __all__ = [
     "JsonlTraceExporter",
     "ManifestDiff",
     "MetricsRegistry",
-    "PerfettoExporter",
     "ResourceSampler",
     "RunManifest",
     "SYSTEM_WALL_CLOCK",
-    "SpanCollector",
     "TelemetryCollector",
     "WallClock",
     "compare_manifests",
     "config_fingerprint",
+    "fold_trace",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Union
 
-from .spans import Span, SpanCollector, SpanTree
+from .spans import Span, SpanTree
 
 
 @dataclass(frozen=True)
@@ -129,37 +129,23 @@ class StragglerReport:
         return "\n".join(lines)
 
 
-SpanSource = Union[SpanCollector, SpanTree, Mapping[int, SpanTree]]
-
-
 class CriticalPathAnalyzer:
     """Derives critical paths and straggler rankings from span trees.
 
-    ``source`` is a live :class:`SpanCollector`, a single
-    :class:`SpanTree`, or a mapping ``iteration -> SpanTree`` (e.g. a
-    replay).  Analysis is read-only and repeatable.
+    ``source`` is a single :class:`SpanTree` or a mapping
+    ``iteration -> SpanTree`` (:func:`~repro.obs.spans.span_trees`).
+    Analysis is read-only and repeatable.
     """
 
-    def __init__(self, source: SpanSource):
-        self._source = source
-
-    # -- tree resolution ---------------------------------------------------
+    def __init__(self, source: Union[SpanTree, Mapping[int, SpanTree]]):
+        self._trees = ({source.iteration: source}
+                       if isinstance(source, SpanTree) else source)
 
     def tree(self, iteration: int) -> Optional[SpanTree]:
-        source = self._source
-        if isinstance(source, SpanCollector):
-            return source.tree(iteration)
-        if isinstance(source, SpanTree):
-            return source if source.iteration == iteration else None
-        return source.get(iteration)
+        return self._trees.get(iteration)
 
     def iterations(self) -> List[int]:
-        source = self._source
-        if isinstance(source, SpanCollector):
-            return sorted(source.trees)
-        if isinstance(source, SpanTree):
-            return [source.iteration]
-        return sorted(source)
+        return sorted(self._trees)
 
     # -- critical path -----------------------------------------------------
 

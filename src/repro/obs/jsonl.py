@@ -10,7 +10,8 @@ order.  Values that are not JSON-native (e.g. CIDs) are stringified.
 The format is tail-able and concatenation-safe — the raw material for
 timeline analysis; ``python -m repro.cli run`` writes one as
 ``trace.jsonl``.
-A path destination is truncated.
+A path destination is truncated.  :func:`read_trace` reads a trace back
+as typed events.
 
 Writes are buffered: encoded lines accumulate until either
 :data:`FLUSH_LINES` records or :data:`FLUSH_BYTES` encoded bytes are
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, List, Union
+from typing import IO, Iterable, Iterator, List, Sequence, Union
 
 from .bus import EventBus
+from .events import EVENT_TYPES
 
 #: Buffered-record and buffered-byte limits before a flush.
 FLUSH_LINES = 256
@@ -39,6 +41,25 @@ def event_record(event: tuple) -> dict:
     record = {"event": type(event).__name__}
     record.update(zip(event._fields, event))
     return record
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def read_trace(lines: Iterable[str],
+               types: Sequence[type] = EVENT_TYPES) -> Iterator[tuple]:
+    """The inverse of :func:`event_record`: the records of ``types`` in
+    a trace's ``lines``, in order, as events (JSON lists as tuples,
+    stringified values as strings).  Another type's record is skipped
+    by the name at its head, before it is decoded."""
+    by_name = {cls.__name__: cls for cls in types}
+    start = len('{"event": "')
+    for line in lines:
+        cls = by_name.get(line[start:line.index('"', start)])
+        if cls is not None:
+            yield cls(**{key: _tuples(value) for key, value
+                         in json.loads(line).items() if key != "event"})
 
 
 class JsonlTraceExporter:

@@ -8,12 +8,11 @@ spans, and metadata records (``"ph": "M"``) naming the process and
 threads.  Timestamps are simulated seconds scaled to microseconds, the
 trace format's native unit.
 
-The output is a plain dict / JSON file; nothing here imports the bus,
-so export works on live collectors and replayed trees alike::
+The output is a plain dict / JSON file.  :func:`fold_trace` rebuilds a
+run's timeline from the ``trace.jsonl`` it wrote::
 
-    collector = SpanCollector(session.sim.bus)
-    session.run(rounds=3)
-    PerfettoExporter(collector.trees.values()).write("timeline.json")
+    timeline, trees = fold_trace("bundle/trace.jsonl")
+    timeline.write("timeline.json")
 
 Every timestamp is simulated time, so the trace of a seeded run is
 byte-identical on replay; host (wall-clock) cost lives in the
@@ -25,9 +24,11 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Dict, IO, Iterable, List, Optional, Union
+from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
-from .spans import SESSION_NODE, Span, SpanTree
+from .events import AnomalyDetected
+from .jsonl import read_trace
+from .spans import SESSION_NODE, SPAN_EVENTS, Span, SpanTree, span_trees
 
 #: Single synthetic process all node tracks live under.
 _PID = 1
@@ -152,3 +153,17 @@ class PerfettoExporter:
                 "args": {"name": node},
             })
         return records
+
+
+def fold_trace(path: Union[str, os.PathLike]
+               ) -> Tuple[PerfettoExporter, Dict[int, SpanTree]]:
+    """A run's timeline and ``{iteration: SpanTree}``, rebuilt from its
+    trace: the :func:`~repro.obs.spans.span_trees` in iteration order,
+    and a marker per ``AnomalyDetected`` record."""
+    with open(path, encoding="utf-8") as stream:
+        events = list(read_trace(stream, SPAN_EVENTS + (AnomalyDetected,)))
+    trees = span_trees(events)
+    timeline = PerfettoExporter(trees[i] for i in sorted(trees))
+    timeline.add_anomalies(
+        event for event in events if type(event) is AnomalyDetected)
+    return timeline, trees

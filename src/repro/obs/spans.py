@@ -11,9 +11,9 @@ content fetches and registration instants nested below them.
 Causality is reconstructed from the correlation keys stamped onto
 events (``iteration``, ``partition_id``, node name, ``started_at``):
 no producer knows about spans, and the reconstruction is a pure
-function over the event list (:func:`build_span_tree`), so it works
-identically on a live bus (via :class:`SpanCollector`) and on replayed
-event streams.
+function over the event list (:func:`build_span_tree`).
+:func:`span_trees` folds a whole stream into one tree per round, so a
+run's timeline is rebuilt from its ``trace.jsonl`` after the run.
 
 Span taxonomy (see ``docs/OBSERVABILITY.md``):
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .bus import EventBus, Subscription
 from .events import (
     BlockFetched,
     CommitmentComputed,
@@ -319,50 +318,29 @@ def build_span_tree(events: Iterable[tuple]) -> Optional[SpanTree]:
     return SpanTree(root)
 
 
-class SpanCollector:
-    """Buffers bus events per iteration and builds one tree per round.
-
-    Iteration-scoped events route by their ``iteration`` field;
-    infrastructure events (fetches) are attributed to the currently open
-    iteration, matching the sequential rounds a session runs.  Trees
-    appear in :attr:`trees` as their :class:`IterationFinished` lands.
-    """
-
-    def __init__(self, bus: EventBus):
-        #: iteration -> completed SpanTree.
-        self.trees: Dict[int, SpanTree] = {}
-        self._buffer: List[tuple] = []
-        self._open: Optional[int] = None
-        self._subscription: Subscription = bus.subscribe(
-            self._handle, *SPAN_EVENTS
-        )
-
-    def close(self) -> None:
-        """Stop collecting (already-built trees stay available)."""
-        self._subscription.cancel()
-
-    def tree(self, iteration: int) -> Optional[SpanTree]:
-        return self.trees.get(iteration)
-
-    def latest(self) -> Optional[SpanTree]:
-        if not self.trees:
-            return None
-        return self.trees[max(self.trees)]
-
-    def _handle(self, event: tuple) -> None:
+def span_trees(events: Iterable[tuple]) -> Dict[int, SpanTree]:
+    """Fold a session's event stream (publish order, as a subscriber
+    or :func:`~repro.obs.jsonl.read_trace` sees it) into one tree per
+    finished iteration.  Only :data:`SPAN_EVENTS` count; an event joins
+    the open round unless its ``iteration`` names another, events
+    outside a round are dropped, and an unfinished round has no tree."""
+    trees: Dict[int, SpanTree] = {}
+    buffer: List[tuple] = []
+    open_iteration: Optional[int] = None
+    for event in events:
+        if not isinstance(event, SPAN_EVENTS):
+            continue
         if isinstance(event, IterationStarted):
-            self._open = event.iteration
-            self._buffer = [event]
-            return
-        if self._open is None:
-            return  # stale event from a closed round: drop, like telemetry
-        iteration = getattr(event, "iteration", self._open)
-        if iteration != self._open:
-            return
-        self._buffer.append(event)
+            open_iteration = event.iteration
+            buffer = [event]
+            continue
+        if open_iteration is None or getattr(
+                event, "iteration", open_iteration) != open_iteration:
+            continue
+        buffer.append(event)
         if isinstance(event, IterationFinished):
-            tree = build_span_tree(self._buffer)
-            if tree is not None:
-                self.trees[tree.iteration] = tree
-            self._buffer = []
-            self._open = None
+            tree = build_span_tree(buffer)
+            trees[tree.iteration] = tree
+            buffer = []
+            open_iteration = None
+    return trees

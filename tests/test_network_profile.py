@@ -139,7 +139,7 @@ def test_public_surface_only_shrinks():
     public = {
         "repro": 4, "repro.analysis": 5, "repro.baselines": 2,
         "repro.core": 21, "repro.crypto": 6, "repro.faults": 4,
-        "repro.ipfs": 9, "repro.ml": 14, "repro.net": 14, "repro.obs": 21,
+        "repro.ipfs": 9, "repro.ml": 14, "repro.net": 13, "repro.obs": 20,
         "repro.sim": 6,
     }
     for package, bound in public.items():

@@ -10,7 +10,6 @@ from repro.obs import (
     CountersRegistry,
     EventBus,
     FlightRecorder,
-    PerfettoExporter,
 )
 from repro.obs.anomaly import (
     RetryStormDetector,
@@ -26,6 +25,7 @@ from repro.obs.events import (
     TrainingEvaluated,
     TransferAborted,
 )
+from repro.obs.perfetto import PerfettoExporter
 from repro.sim import Simulator
 from tests.util import next_event_time, run_bundle
 

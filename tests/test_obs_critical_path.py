@@ -13,8 +13,8 @@ from repro.core.partition import encode_partition
 from repro.ipfs.node import CID_WIRE_SIZE, REQUEST_OVERHEAD
 from repro.ml import Dataset, SyntheticModel
 from repro.net import NetworkProfile, mbps
-from repro.obs import CriticalPathAnalyzer, SpanCollector
-from repro.obs.spans import build_span_tree
+from repro.obs import CriticalPathAnalyzer
+from repro.obs.spans import build_span_tree, span_trees
 from repro.obs.events import (
     BlockFetched,
     GradientRegistered,
@@ -200,9 +200,10 @@ def test_critical_path_matches_closed_form_on_fig1_config():
     of the request and response wire bytes.
     """
     session = fig1_naive_session()
-    collector = SpanCollector(session.sim.bus)
+    events = []
+    session.sim.bus.subscribe(events.append)
     session.run(rounds=1)
-    path = CriticalPathAnalyzer(collector).analyze(0)
+    path = CriticalPathAnalyzer(span_trees(events)).analyze(0)
     assert path is not None
 
     blob_bytes = len(encode_partition(np.zeros(PARTITION_PARAMS), 1.0))
@@ -231,9 +232,10 @@ def test_straggler_report_on_fig1_config_is_symmetric():
     # 16 trainers, 2 per storage node, identical links: everyone lands
     # together, so every trainer is tied at slack 0.
     session = fig1_naive_session()
-    collector = SpanCollector(session.sim.bus)
+    events = []
+    session.sim.bus.subscribe(events.append)
     session.run(rounds=1)
-    report = CriticalPathAnalyzer(collector).straggler_report(0)
+    report = CriticalPathAnalyzer(span_trees(events)).straggler_report(0)
     trainers = [e for e in report.entries if e.role == "trainer"]
     assert len(trainers) == NUM_TRAINERS
     assert all(entry.slack == pytest.approx(0.0, abs=1e-9)

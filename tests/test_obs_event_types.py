@@ -6,6 +6,8 @@
 - Events are tuples, so equality and hashing are by value across types.
   Consumers key on ``type(event)``, so two events of different types
   with equal values stay two records.
+- A trace reads back as the events it recorded
+  (:func:`~repro.obs.jsonl.read_trace`), one case per type.
 - ``import repro`` defines a pinned number of dataclasses, none of them
   an event type: a count, not a clock, of what set-up generates.
 """
@@ -20,8 +22,11 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 from repro.obs import EventBus, FlightRecorder, JsonlTraceExporter
 from repro.obs import events as events_module
+from repro.obs.jsonl import read_trace
 from repro.obs.events import (
     EVENT_TYPES,
     BlockEvicted,
@@ -41,7 +46,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EVENT_TYPE_COUNT = 33
 #: Dataclasses the ``repro`` modules define once ``import repro`` ran;
 #: none of them is an event type.
-IMPORT_DATACLASS_COUNT = 36
+IMPORT_DATACLASS_COUNT = 35
 
 
 def _python(*args: str) -> str:
@@ -115,6 +120,45 @@ def test_equal_values_of_two_types_stay_two_records_in_order():
         {"event": "BlockEvicted", "at": 1.0, "node": "ipfs-0",
          "cid": "bafy", "size": 3},
     ]
+    read = list(read_trace(io.StringIO(stream.getvalue())))
+    assert [type(event) for event in read] == [BlockStored, BlockEvicted]
+    assert read == [stored, evicted]
+
+
+class Opaque:
+    """A field value JSON cannot encode: the trace keeps its ``str``."""
+
+    def __str__(self):
+        return "commitment(7)"
+
+
+#: One value per field annotation the event types use.
+SAMPLES = {
+    "float": 2.5, "Optional[float]": 0.75, "int": 3, "bool": True,
+    "str": "ipfs-0", "Optional[str]": "bafy",
+    "Tuple[str, ...]": ("trainer-0", "trainer-1"),
+    "tuple": (("kind", "retry"), ("count", 3)),
+    "object": Opaque(), "Optional[object]": Opaque(),
+}
+
+
+@pytest.mark.parametrize("event_type", EVENT_TYPES,
+                         ids=lambda cls: cls.__name__)
+def test_a_trace_reads_back_as_the_published_event(event_type):
+    event = event_type(**{
+        name: SAMPLES[getattr(hint, "__forward_arg__", hint)]
+        for name, hint in event_type.__annotations__.items()})
+    bus = EventBus()
+    stream = io.StringIO()
+    with JsonlTraceExporter(bus, stream):
+        bus.publish(event)
+
+    [read] = read_trace(io.StringIO(stream.getvalue()))
+    assert type(read) is event_type
+    # Equal as tuples: a JSON list came back as a tuple (nested too).
+    assert read == event._replace(**{
+        name: str(value) for name, value in event._asdict().items()
+        if isinstance(value, Opaque)})
 
 
 def test_count_reads_the_field():

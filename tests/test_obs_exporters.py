@@ -6,8 +6,13 @@ import json
 
 import pytest
 
-from repro.net import Network, TransferTrace, mbps
-from repro.obs import CountersRegistry, EventBus, JsonlTraceExporter
+from repro.obs import (
+    CountersRegistry,
+    CriticalPathAnalyzer,
+    EventBus,
+    JsonlTraceExporter,
+    fold_trace,
+)
 from repro.obs.jsonl import FLUSH_BYTES, FLUSH_LINES
 from repro.obs.events import (
     AnomalyDetected,
@@ -21,7 +26,6 @@ from repro.obs.events import (
     TransferCompleted,
     VerificationFailed,
 )
-from repro.sim import Simulator
 from tests.util import run_bundle
 
 
@@ -225,55 +229,6 @@ def test_two_counters_registries_never_double_count():
     assert not bus.active
 
 
-# -- TransferTrace on the bus (satellite: detach-order regression) ---------------
-
-
-def make_network():
-    sim = Simulator()
-    network = Network(sim)
-    for name in ("a", "b"):
-        network.add_host(name, up_bandwidth=mbps(10))
-    return sim, network
-
-
-def run_transfer(sim, network, size=1000.0):
-    def proc():
-        yield network.transfer("a", "b", size)
-
-    sim.process(proc())
-    sim.run()
-
-
-def test_two_traces_detach_in_any_order():
-    # The legacy monkey-patch implementation restored ``network.transfer``
-    # on detach, so detaching traces out of LIFO order re-attached a dead
-    # trace's wrapper.  On the bus each trace is an independent
-    # subscription, so any detach order works.
-    sim, network = make_network()
-    first = TransferTrace(network)
-    second = TransferTrace(network)
-    run_transfer(sim, network)
-    assert len(first) == len(second) == 1
-
-    first.detach()  # out of LIFO order: second is still attached
-    run_transfer(sim, network)
-    assert len(first) == 1  # detached trace stays frozen
-    assert len(second) == 2  # survivor keeps recording
-
-    second.detach()
-    run_transfer(sim, network)
-    assert len(first) == 1 and len(second) == 2
-
-
-def test_trace_detach_is_idempotent():
-    sim, network = make_network()
-    trace = TransferTrace(network)
-    run_transfer(sim, network)
-    trace.detach()
-    trace.detach()
-    assert len(trace) == 1
-
-
 # -- the run bundle's trace and timeline ------------------------------------------
 
 SMALL_RUN = ["--trainers", "2", "--rounds", "1", "--partitions", "1",
@@ -342,3 +297,26 @@ def test_cli_timeline_failing_run_still_writes_valid_json(
     trace = json.loads((tmp_path / "timeline.perfetto.json").read_text())
     assert "traceEvents" in trace  # still well-formed JSON
     assert "run failed" in run.err
+
+
+@pytest.mark.parametrize("fixture", ["flap_bundles", "drop_bundle"])
+def test_timeline_and_critical_path_are_a_fold_of_the_trace(
+        fixture, request, tmp_path):
+    """The bundle's simulated-time files are a function of its trace:
+    ``trace.jsonl`` alone rebuilds ``timeline.perfetto.json`` byte for
+    byte, and the report's critical-path and straggler lines."""
+    run = request.getfixturevalue(fixture)
+    bundle = (run[0] if fixture == "flap_bundles" else run).path
+    timeline, trees = fold_trace(bundle / "trace.jsonl")
+    timeline.write(tmp_path / "timeline.perfetto.json")
+    assert (tmp_path / "timeline.perfetto.json").read_bytes() \
+        == (bundle / "timeline.perfetto.json").read_bytes()
+
+    analyzer = CriticalPathAnalyzer(trees)
+    folded = "".join(
+        f"{analyzer.analyze(i).format()}\n"
+        f"{analyzer.straggler_report(i).format()}\n\n"
+        for i in analyzer.iterations())
+    report = (bundle / "report.txt").read_text()
+    paths = report.split("\n\n", 1)[1].split("host-cost profile")[0]
+    assert folded and paths == folded

@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
-from repro.net import NetworkProfile, TransferTrace
+from repro.net import NetworkProfile
 from repro.obs import (
     CountersRegistry,
     EventBus,
@@ -241,16 +241,18 @@ def fig1_session():
 def test_transfer_bytes_conserved_across_subscribers_on_fig1_config():
     """Every subscriber of TransferCompleted must account the same
     bytes: the metrics histogram, the counters registry and the
-    flow-record trace are three independent views of one stream."""
+    TransferCompleted events themselves are three independent views of
+    one stream."""
     session = fig1_session()
     registry = MetricsRegistry(session.sim.bus)
-    trace = TransferTrace(session.testbed.network)
+    transfers = []
+    session.sim.bus.subscribe(transfers.append, TransferCompleted)
     metrics = session.run_iteration()
     histogram = registry.histogram("net.transfer.bytes")
     assert histogram.total == registry.counters.get("net.bytes")
-    assert histogram.total == trace.total_bytes()
+    assert histogram.total == sum(event.size for event in transfers)
     assert histogram.count == registry.counters.get("net.transfers")
-    assert histogram.count == len(trace)
+    assert histogram.count == len(transfers)
     # And the telemetry layer's per-iteration download totals are a
     # subset of the same stream: no participant can have received more
     # than crossed the network.

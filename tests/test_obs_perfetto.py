@@ -3,8 +3,9 @@
 import io
 import json
 
-from repro.obs import EventBus, PerfettoExporter, SpanCollector
-from repro.obs.spans import build_span_tree
+from repro.obs import EventBus
+from repro.obs.perfetto import PerfettoExporter
+from repro.obs.spans import build_span_tree, span_trees
 from repro.obs.events import (
     BlockFetched,
     GradientRegistered,
@@ -128,10 +129,11 @@ def test_write_to_path_and_stream(tmp_path):
 
 def test_export_from_a_live_collector():
     bus = EventBus()
-    collector = SpanCollector(bus)
+    events = []
+    bus.subscribe(events.append)
     for event in round_events():
         bus.publish(event)
-    trace = PerfettoExporter(collector.trees.values()).to_dict()
+    trace = PerfettoExporter(span_trees(events).values()).to_dict()
     names = {record["name"] for record in trace["traceEvents"]
              if record["ph"] in {"X", "i"}}
     assert {"iteration", "upload", "collect", "publish_update",

@@ -1,10 +1,10 @@
 """Span-tree reconstruction from bus events (repro.obs.spans)."""
 
-from repro.obs import EventBus, SpanCollector
-from repro.obs.spans import build_span_tree
+from repro.obs.spans import build_span_tree, span_trees
 from repro.obs.events import (
     BlockFetched,
     CommitmentComputed,
+    DirectoryRequest,
     GradientRegistered,
     GradientsAggregated,
     IterationFinished,
@@ -164,55 +164,49 @@ def test_tree_query_helpers():
         == "ipfs-0"
 
 
-# -- SpanCollector ---------------------------------------------------------------
+# -- the fold over a whole stream ------------------------------------------------
 
 
-def test_collector_builds_one_tree_per_finished_iteration():
-    bus = EventBus()
-    collector = SpanCollector(bus)
-    for event in one_round_events(iteration=0):
-        bus.publish(event)
-    assert sorted(collector.trees) == [0]
-    assert collector.tree(0).iteration == 0
-    assert collector.latest() is collector.tree(0)
-    assert collector.tree(1) is None
+def test_fold_builds_one_tree_per_finished_iteration():
+    # A trace holds every event type; only the span events count.
+    other = DirectoryRequest(at=0.05, kind="lookup")
+    trees = span_trees([other] + one_round_events(iteration=0)
+                       + [other] + one_round_events(iteration=1))
+    assert sorted(trees) == [0, 1]
+    assert trees[1].iteration == 1
+    assert len(trees[0]) == len(build_span_tree(one_round_events(0)))
 
 
-def test_collector_attributes_infra_events_to_the_open_iteration():
-    bus = EventBus()
-    collector = SpanCollector(bus)
-    bus.publish(IterationStarted(at=0.0, iteration=7))
-    bus.publish(GradientsAggregated(at=3.0, iteration=7,
-                                    aggregator="aggregator-0",
-                                    partition_id=0, started_at=0.0))
-    # BlockFetched carries no iteration; it lands in the open round 7.
-    bus.publish(BlockFetched(at=2.0, client="aggregator-0", node="ipfs-0",
-                             cid="c", size=10, started_at=1.0))
-    bus.publish(IterationFinished(at=4.0, iteration=7))
-    [fetch] = collector.tree(7).named("fetch")
+def test_fold_attributes_infra_events_to_the_open_iteration():
+    trees = span_trees([
+        IterationStarted(at=0.0, iteration=7),
+        GradientsAggregated(at=3.0, iteration=7, aggregator="aggregator-0",
+                            partition_id=0, started_at=0.0),
+        # BlockFetched carries no iteration; it lands in the open round 7.
+        BlockFetched(at=2.0, client="aggregator-0", node="ipfs-0",
+                     cid="c", size=10, started_at=1.0),
+        IterationFinished(at=4.0, iteration=7),
+    ])
+    [fetch] = trees[7].named("fetch")
     assert fetch.iteration == 7 and fetch.parent.name == "collect"
 
 
-def test_collector_drops_events_outside_any_open_iteration():
-    bus = EventBus()
-    collector = SpanCollector(bus)
-    # Before any round and with a stale iteration number: both dropped.
-    bus.publish(BlockFetched(at=0.5, client="x", node="ipfs-0", cid="c",
-                             size=10))
-    bus.publish(IterationStarted(at=1.0, iteration=1))
-    bus.publish(TrainerCompleted(at=1.5, iteration=0, trainer="trainer-9"))
-    bus.publish(IterationFinished(at=2.0, iteration=1))
-    tree = collector.tree(1)
-    assert tree.named("fetch") == [] and tree.named("install") == []
+def test_fold_drops_events_outside_any_open_iteration():
+    trees = span_trees([
+        # Before any round and with a stale iteration number: both dropped.
+        BlockFetched(at=0.5, client="x", node="ipfs-0", cid="c", size=10),
+        IterationStarted(at=1.0, iteration=1),
+        TrainerCompleted(at=1.5, iteration=0, trainer="trainer-9"),
+        IterationFinished(at=2.0, iteration=1),
+    ])
+    assert trees[1].named("fetch") == [] and trees[1].named("install") == []
 
 
-def test_collector_close_stops_collecting_but_keeps_trees():
-    bus = EventBus()
-    collector = SpanCollector(bus)
-    for event in one_round_events(iteration=0):
-        bus.publish(event)
-    collector.close()
-    assert not bus.active
-    bus.publish(IterationStarted(at=10.0, iteration=1))
-    bus.publish(IterationFinished(at=11.0, iteration=1))
-    assert sorted(collector.trees) == [0]
+def test_fold_builds_no_tree_for_a_round_that_never_finished():
+    # A run that died mid-round: its open round leaves no tree, and a
+    # restarted round discards what the unfinished one buffered.
+    unfinished = one_round_events(iteration=0)[:-1]
+    assert span_trees(unfinished) == {}
+    trees = span_trees(unfinished + one_round_events(iteration=1))
+    assert sorted(trees) == [1]
+    assert len(trees[1]) == len(build_span_tree(one_round_events(1)))

@@ -1,4 +1,4 @@
-"""Tests for transfer tracing, telemetry export and trainer jitter."""
+"""Tests for transfer events, telemetry export and trainer jitter."""
 
 import json
 
@@ -6,24 +6,21 @@ import pytest
 
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import Network, NetworkProfile, TransferTrace, mbps
+from repro.net import Network, NetworkProfile, mbps
+from repro.obs.events import TransferCompleted
 from repro.sim import Simulator
 
 
-# -- TransferTrace -----------------------------------------------------------------
+# -- transfers on the bus -------------------------------------------------------
 
 
-def make_traced_network():
+def test_trace_records_transfers():
     sim = Simulator()
     network = Network(sim)
     for name in ("a", "b", "c"):
         network.add_host(name, up_bandwidth=mbps(10))
-    trace = TransferTrace(network)
-    return sim, network, trace
-
-
-def test_trace_records_transfers():
-    sim, network, trace = make_traced_network()
+    transfers = []
+    sim.bus.subscribe(transfers.append, TransferCompleted)
 
     def proc():
         yield network.transfer("a", "b", 1000.0)
@@ -31,56 +28,12 @@ def test_trace_records_transfers():
 
     sim.process(proc())
     sim.run()
-    assert len(trace) == 2
-    assert trace.total_bytes() == 1500.0
-    first = trace.records[0]
-    assert (first.src, first.dst, first.size) == ("a", "b", 1000.0)
-    assert first.finished_at > first.started_at
-    assert first.size / first.duration == pytest.approx(mbps(10))
-
-
-def test_trace_traffic_matrix_and_hosts():
-    sim, network, trace = make_traced_network()
-
-    def proc():
-        yield network.transfer("a", "b", 100.0)
-        yield network.transfer("a", "b", 200.0)
-        yield network.transfer("c", "a", 50.0)
-
-    sim.process(proc())
-    sim.run()
-    hosts = trace.bytes_by_host()
-    assert hosts["a"]["out"] == 300.0
-    assert hosts["a"]["in"] == 50.0
-    assert trace.busiest_host() == "a"
-
-
-def test_trace_window_and_filter():
-    sim, network, trace = make_traced_network()
-
-    def proc(sim):
-        yield network.transfer("a", "b", 1000.0)   # finishes ~0.0008s
-        yield sim.timeout(10.0)
-        yield network.transfer("a", "c", 1000.0)
-
-    sim.process(proc(sim))
-    sim.run()
-    early = trace.window(0.0, 1.0)
-    assert len(early) == 1
-    to_c = [record for record in trace.records if record.dst == "c"]
-    assert len(to_c) == 1
-
-
-def test_trace_detach_stops_recording():
-    sim, network, trace = make_traced_network()
-    trace.detach()
-
-    def proc():
-        yield network.transfer("a", "b", 100.0)
-
-    sim.process(proc())
-    sim.run()
-    assert len(trace) == 0
+    assert [(t.src, t.dst, t.size) for t in transfers] == [
+        ("a", "b", 1000.0), ("b", "c", 500.0)]
+    first = transfers[0]
+    assert first.at > first.started_at
+    assert first.size / (first.at - first.started_at) \
+        == pytest.approx(mbps(10))
 
 
 def test_trace_on_full_session():
@@ -92,14 +45,14 @@ def test_trace_on_full_session():
         lambda: LogisticRegression(num_features=8, seed=0),
         shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
-    trace = TransferTrace(session.testbed.network)
+    transfers = []
+    session.sim.bus.subscribe(transfers.append, TransferCompleted)
     session.run_iteration()
-    assert len(trace) > 0
     # Gradients flow trainer -> node; updates node -> trainer.
-    uploads = [r for r in trace.records
-               if r.src.startswith("trainer") and r.dst.startswith("ipfs")]
-    downloads = [r for r in trace.records
-                 if r.src.startswith("ipfs") and r.dst.startswith("trainer")]
+    uploads = [t for t in transfers
+               if t.src.startswith("trainer") and t.dst.startswith("ipfs")]
+    downloads = [t for t in transfers
+                 if t.src.startswith("ipfs") and t.dst.startswith("trainer")]
     assert uploads and downloads
 
 
