@@ -18,7 +18,7 @@ the unprofiled cost: the budgets below are on the share as measured.
 
 - unobserved (telemetry closed before the round): ``obs`` share < 1 % —
   the bus machinery itself;
-- metrics: :class:`~repro.obs.MetricsRegistry` + a quarter-second
+- metrics: :class:`~repro.obs.MetricsRegistry` + the round-boundary
   :class:`~repro.obs.ResourceSampler` on top of telemetry;
 - audit: :class:`~repro.obs.InvariantMonitors` +
   :class:`~repro.obs.FlightRecorder` (the correctness half of the
@@ -51,27 +51,25 @@ from repro.obs import (
 NUM_TRAINERS = 16
 PARTITION_PARAMS = 162_500  # ~1.3 MB of float64, as in Fig. 1
 ROUNDS = 2
-SAMPLE_INTERVAL = 0.25
 #: Budgets on the ``obs`` share of the profiled wall.  Measured over
-#: five runs here: unobserved 0.003-0.004, telemetry 0.005-0.006,
-#: metrics 0.096-0.105, audit 0.014-0.019, watch 0.015-0.017 (the
-#: committed table is benchmarks/results/obs_overhead.txt).
+#: five runs on a 2-CPU VM: unobserved 0.006-0.008, telemetry
+#: 0.009-0.016, metrics 0.109-0.120, audit 0.019-0.025, watch
+#: 0.016-0.038 (the committed table is
+#: benchmarks/results/obs_overhead.txt).
 MAX_UNOBSERVED_SHARE = 0.01
 MAX_OBS_SHARE = {"metrics": 0.15, "audit": 0.04, "watch": 0.04}
 
 # -- exact-population budget (128 trainers) -----------------------------------
-# Registry + a 5 sim-second resource sampler on one exact round of the
+# Registry + the round-boundary resource sampler on one exact round of the
 # benchmark's exact-N configuration.  Peak telemetry memory comes from
 # the deterministic obs memory model, so its budget is exact-repeatable;
 # only the obs share is machine-dependent.
 EXACT_TRAINERS = 128
-EXACT_SAMPLE_INTERVAL = 5.0
-#: Measured 0.127-0.136 (three runs, 3.2-3.8 profiled seconds).
+#: Measured 0.165-0.185 (five runs, 2.2-3.3 profiled seconds).
 MAX_EXACT_OBS_SHARE = 0.25
-#: Measured 276 480 B.  A series costs a constant and the sampler
-#: refreshes the peak on every tick, so the peak is the last tick before
-#: the two transfer histograms spill to sketch mode (3 860 exact values
-#: each; 14 116 observations by the end of the round).
+#: Measured 288 000 B, the exact peak: the footprint just before the two
+#: transfer histograms spill to sketch mode (4 096 exact values each;
+#: 14 116 observations by the end of the round).
 MAX_EXACT_TELEMETRY_BYTES = 384 * 1024
 
 
@@ -121,16 +119,15 @@ def _one_run(observed: bool):
 
 def _one_metrics_run():
     """The full metrics stack: telemetry + MetricsRegistry (with its
-    owned counters) + a quarter-second resource sampler."""
+    owned counters) + the round-boundary resource sampler."""
     session = _make_session()
     registry = MetricsRegistry(session.sim.bus)
-    sampler = ResourceSampler.for_session(session, registry,
-                                          interval=SAMPLE_INTERVAL)
+    sampler = ResourceSampler.for_session(session, registry)
     _metrics, profile = _profiled_rounds(session)
-    sampler.stop()
+    sampler.close()
     registry.close()
     assert registry.histogram("net.transfer.duration").count > 0
-    assert sampler.samples_taken > ROUNDS
+    assert sampler.samples_taken == 2 * ROUNDS
     return profile
 
 
@@ -162,7 +159,7 @@ def test_unobserved_run_pays_no_instrumentation_tax():
                        _obs_cost(_one_run(observed=False))),
         "observed": ("telemetry subscribed",
                      _obs_cost(_one_run(observed=True))),
-        "metrics": ("registry + 0.25 s sampler",
+        "metrics": ("registry + boundary sampler",
                     _obs_cost(_one_metrics_run())),
         "audit": ("monitors + flight recorder",
                   _obs_cost(_one_audit_run(watch=False))),
@@ -207,12 +204,11 @@ def test_observed_exact_population_stays_inside_the_budget():
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
     registry = MetricsRegistry(session.sim.bus)
-    sampler = ResourceSampler.for_session(session, registry,
-                                          interval=EXACT_SAMPLE_INTERVAL)
+    sampler = ResourceSampler.for_session(session, registry)
     profiler = HostProfiler().install(session.sim)
     metrics = session.run_iteration()
     profiler.uninstall()
-    sampler.stop()
+    sampler.close()
     registry.close()
     assert len(metrics.trainers_completed) == EXACT_TRAINERS
     profiled, obs, share = _obs_cost(profiler.profile())
@@ -223,7 +219,7 @@ def test_observed_exact_population_stays_inside_the_budget():
         [[EXACT_TRAINERS, round(profiled, 3), round(obs, 4),
           f"{share:.3f}", peak, MAX_EXACT_TELEMETRY_BYTES,
           registry.events_observed]],
-        title=("registry + 5 s sampler, one exact round; one "
+        title=("registry + boundary sampler, one exact round; one "
                "HostProfiler run"),
     ))
     assert 0 < peak <= MAX_EXACT_TELEMETRY_BYTES, (

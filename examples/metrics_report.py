@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The metrics layer end to end: sketches, sampling, manifest diffs.
+"""The metrics layer end to end: sketches, storage series, manifest diffs.
 
 Runs a short merge-and-download session with a ``MetricsRegistry`` and
 a ``ResourceSampler`` attached, prints the interesting part of its run
@@ -55,20 +55,21 @@ def run_session(providers_per_aggregator: int) -> RunManifest:
         network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
     registry = MetricsRegistry(session.sim.bus)
-    sampler = ResourceSampler.for_session(session, registry, interval=0.25)
+    sampler = ResourceSampler.for_session(session, registry)
     session.run(rounds=1)
-    sampler.stop()
+    sampler.close()
     registry.close()
 
     manifest = RunManifest.collect(registry, session.fingerprint())
     if providers_per_aggregator == 1:  # print the baseline's manifest
         print(f"baseline run ({providers_per_aggregator} provider, "
-              f"{NUM_TRAINERS} trainers, {sampler.samples_taken} resource "
-              f"samples) — run manifest excerpt:")
+              f"{NUM_TRAINERS} trainers, {sampler.samples_taken} "
+              f"round-boundary reads) — run manifest excerpt:")
         for name, summary in (
                 ("net.transfer.duration",
                  manifest.histograms["net.transfer.duration"]),
-                ("net.flows.active", manifest.series["net.flows.active"]),
+                ("ipfs.blockstore.objects",
+                 manifest.series["ipfs.blockstore.objects"]),
                 ("ipfs.blockstore.bytes",
                  manifest.series["ipfs.blockstore.bytes"])):
             print(f"  {name}: " + ", ".join(

@@ -16,11 +16,11 @@ Subcommands
     the figure benchmarks write them under ``benchmarks/results/``.
 ``run``
     Run one session under the whole observer stack — flight recorder,
-    invariant monitors, metrics registry + resource sampler, anomaly
-    watchdog, JSONL trace, host profiler — and write the run bundle
-    into ``--artifacts DIR``: ``manifest.json``, ``trace.jsonl``,
-    ``timeline.perfetto.json`` (folded from the trace after the run) and
-    ``incidents/`` (pure functions of seed + configuration: a replay
+    invariant monitors, metrics registry + round-boundary resource
+    sampler, anomaly watchdog, JSONL trace, host profiler — and write
+    the run bundle into ``--artifacts DIR``: ``manifest.json``,
+    ``trace.jsonl``, ``timeline.perfetto.json`` (folded from the trace
+    after the run) and ``incidents/`` (pure functions of seed + configuration: a replay
     reproduces them byte for byte), ``report.txt`` (what was printed:
     critical path and stragglers per iteration, the host-profile table,
     violations / anomalies / incidents, the fault-plan line, the
@@ -356,7 +356,7 @@ class _ObserverStack:
         """Stop everything, flush the streamed files and return the
         run's invariant violations."""
         self.profiler.uninstall()
-        self.sampler.stop()
+        self.sampler.close()
         self.watchdog.finalize()
         if completed:
             # Evict every finished round's objects first, so the
@@ -417,6 +417,14 @@ def _verdict(args, session: FLSession, failure, violations, stack,
     return survivors, problems
 
 
+def _anomaly_line(anomaly) -> str:
+    """One ``AnomalyDetected`` as its ``report.txt`` line."""
+    evidence = " ".join(f"{key}={value}" for key, value in anomaly.evidence)
+    return (f"ANOMALY [{anomaly.kind}/{anomaly.severity}] "
+            f"t={anomaly.at:.3f} iter={anomaly.iteration} "
+            f"{anomaly.detector}: {evidence}")
+
+
 def _write_bundle(args, plan: FaultPlan, session: FLSession, failure,
                   violations, stack: _ObserverStack) -> Tuple[str, bool]:
     """Write the bundle's files; returns the report (also written as
@@ -472,12 +480,7 @@ def _write_bundle(args, plan: FaultPlan, session: FLSession, failure,
     for violation in violations:
         lines.append(f"VIOLATION [{violation.invariant}] "
                      f"{violation.subject}: {violation.detail}")
-    for anomaly in watchdog.anomalies:
-        evidence = " ".join(
-            f"{key}={value}" for key, value in anomaly.evidence)
-        lines.append(f"ANOMALY [{anomaly.kind}/{anomaly.severity}] "
-                     f"t={anomaly.at:.3f} iter={anomaly.iteration} "
-                     f"{anomaly.detector}: {evidence}")
+    lines += [_anomaly_line(anomaly) for anomaly in watchdog.anomalies]
     lines.append("watchdog: no anomalies" if not watchdog.anomalies else
                  "watchdog: " + ", ".join(
                      f"{kind}={count}" for kind, count

@@ -449,10 +449,6 @@ class DirectoryService:
         self._next = sim.event()
         sim.process(self._serve(), name=f"directory:{self.name}")
 
-    def inbox_depth(self) -> int:
-        """Requests queued behind the serve loop (load telemetry)."""
-        return len(self._backlog) + len(self.endpoint.inbox.items)
-
     def _take(self, message: Message) -> bool:
         """The endpoint's server hook: resume the idle serve loop in
         place, or queue the request behind the busy one."""

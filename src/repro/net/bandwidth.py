@@ -261,35 +261,6 @@ class FlowScheduler:
         #: solve per busy instant, over the touched component only).
         self.recomputed_flows = 0
 
-    @property
-    def active_flows(self) -> int:
-        """Number of in-flight flows."""
-        return len(self._flows)
-
-    def link_utilization(self) -> Dict[Link, float]:
-        """Instantaneous allocated-rate / capacity per busy link.
-
-        Only links crossed by at least one in-flight flow appear; links
-        of infinite capacity report 0.0.  Rates are the max-min
-        allocation of the current flow set: a read that lands between a
-        change and its settle solves the pending component on the side
-        (nothing is stored), so observers never see a half-settled instant
-        and never perturb the run.
-        """
-        pending = self._solve_dirty() if self._dirty else {}
-        allocated: Dict[Link, float] = {}
-        for flow in self._flows:
-            rate = pending.get(flow, flow.rate)
-            if math.isinf(rate):
-                rate = 0.0
-            for link in flow.links:
-                allocated[link] = allocated.get(link, 0.0) + rate
-        return {
-            link: (0.0 if math.isinf(link.capacity)
-                   else rate / link.capacity)
-            for link, rate in allocated.items()
-        }
-
     def start_flow(self, links: Tuple[Link, ...], size: float,
                    done: Optional[Event] = None,
                    transfer: tuple = ()) -> Event:

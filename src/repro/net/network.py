@@ -209,11 +209,6 @@ class Network:
         return self._scheduler.bytes_delivered
 
     @property
-    def active_transfers(self) -> int:
-        """Number of transfers currently moving bytes."""
-        return self._scheduler.active_flows
-
-    @property
     def stale_wakeups(self) -> int:
         """Superseded scheduler wakeups that fired anyway (should stay 0
         while kernel timeout cancellation works)."""
@@ -229,13 +224,3 @@ class Network:
         """Flows whose rate the scheduler re-solved, cumulative (one
         solve per busy simulated instant, over the touched component)."""
         return self._scheduler.recomputed_flows
-
-    def link_utilization(self) -> Dict[str, float]:
-        """Instantaneous utilization of every link carrying traffic,
-        keyed by link name (``host/up``, ``host/down``): the max-min
-        allocation of the flows in flight now, also mid-instant."""
-        return {
-            link.name: utilization
-            for link, utilization in
-            self._scheduler.link_utilization().items()
-        }

@@ -59,7 +59,6 @@ from .events import (
     RetryExhausted,
     TransferAborted,
 )
-from .metrics import SimTicker
 
 #: ``retry_storm``: trailing window (sim s), the events it must hold,
 #: and the multiple of the preceding window's count that makes a storm.
@@ -271,21 +270,60 @@ def default_detectors(expected_per_iteration: Optional[int] = None
     ]
 
 
+class SimTicker:
+    """The sim-clock tick loop: ``tick()`` runs every ``interval``
+    simulated seconds between :meth:`start` and :meth:`stop`.
+
+    The pending wakeup is kept and cancelled on stop (an O(1)
+    tombstone), so a stopped ticker leaves nothing on the queue.  Stop
+    it before draining the simulator with ``sim.run()`` or the
+    re-arming tick keeps the queue alive forever;
+    ``session.run(...)`` / ``run_iteration()`` use ``run_until`` and
+    are safe with a live ticker.  ``sim=None`` never ticks.
+    """
+
+    def __init__(self, sim, interval: float, tick):
+        self.sim = sim
+        self.interval = interval
+        self._tick = tick
+        self._wakeup = None
+
+    def start(self) -> None:
+        """Begin ticking; a no-op when already active."""
+        if self._wakeup is None and self.sim is not None:
+            self._arm()
+
+    def stop(self) -> None:
+        """Stop ticking; safe to call more than once."""
+        wakeup, self._wakeup = self._wakeup, None
+        if wakeup is not None:
+            wakeup.cancel()
+
+    def _arm(self) -> None:
+        self._wakeup = self.sim.timeout(self.interval)
+        self._wakeup._add_callback(self._fire)
+
+    def _fire(self, wakeup) -> None:
+        self._tick()
+        if self._wakeup is wakeup:  # the tick did not stop or restart us
+            self._arm()
+
+
 class AnomalyWatchdog(SimTicker):
     """Hosts detectors over a bus; publishes classified anomalies.
 
     Subscribes each detector's exact event taps (never the wildcard —
     the hot path must stay cheap) and ticks every
-    :data:`WATCHDOG_INTERVAL` on the sim clock (a
-    :class:`~repro.obs.metrics.SimTicker`, like the resource sampler)
-    for absence-of-events conditions.  Every anomaly a
+    :data:`WATCHDOG_INTERVAL` on the sim clock (a :class:`SimTicker`,
+    the only observer that schedules kernel events) for
+    absence-of-events conditions.  Every anomaly a
     detector yields is appended to :attr:`anomalies` and published on
     the bus, where counters, forensics, traces and progress pick it up.
 
     Construct with ``sim=None`` for a pure event-driven watchdog (unit
     tests); :meth:`for_session` wires a live session end to end.  Call
     :meth:`finalize` before draining the simulator with ``sim.run()``
-    (same contract as the resource sampler's ``stop``).
+    (the :class:`SimTicker` contract).
     """
 
     def __init__(self, bus, detectors: Optional[List[Detector]] = None,

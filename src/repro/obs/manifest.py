@@ -161,7 +161,7 @@ class ManifestDiff:
     """The outcome of comparing two manifests.
 
     Higher is treated as worse for every metric: the manifest tracks
-    delays, sizes, loads and queue depths, where growth is the
+    delays, sizes, loads and storage, where growth is the
     regression direction.  A change below ``-threshold`` is reported as
     an improvement but never fails the comparison.
     """

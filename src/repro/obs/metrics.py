@@ -7,17 +7,17 @@ answers *how distributed* and *over time*:
   name: below the exactness threshold p50/p95/p99 are float-equal to
   :func:`repro.analysis.stats.percentile`; above it the sketch bounds
   memory at O(distinct buckets) with a guaranteed relative error.
-- :class:`TimeSeries` — a gauge sampled against the *simulated* clock,
-  optionally labelled (``net.link.utilization{link="trainer-0/up"}``),
-  kept as its count/min/max/mean/last digest in running accumulators.
+- :class:`TimeSeries` — a gauge read at round boundaries, optionally
+  labelled (``ipfs.blockstore.node.bytes{node="ipfs-0"}``), kept as its
+  count/min/max/mean/last digest in running accumulators.
 - :class:`MetricsRegistry` — an ordinary bus subscriber deriving
   latency/size histograms from events the producers already publish,
   and accounting its own cost (``events_observed``,
   :meth:`~MetricsRegistry.telemetry_bytes`, ``peak_telemetry_bytes``)
   so run manifests can gate observability regressions.
-- :class:`ResourceSampler` — a sim-clock probe recording per-link
-  utilization, active flows, blockstore occupancy and directory queue
-  depth into the registry's time series.
+- :class:`ResourceSampler` — reads blockstore occupancy and stale
+  scheduler wakeups into the registry's time series at every round
+  boundary.
 
 Metric names extend the :class:`~repro.obs.counters.CountersRegistry`
 dotted scheme (``layer.metric``); the stable set is documented in
@@ -38,12 +38,14 @@ from .events import (
     CommitmentComputed,
     DhtLookup,
     GradientsAggregated,
+    IterationFinished,
+    IterationStarted,
     SyncPhaseEnded,
     TransferCompleted,
     UpdateRegistered,
     UploadCompleted,
 )
-from .sketch import QuantileSketch
+from .sketch import DEFAULT_EXACT_THRESHOLD, QuantileSketch
 
 #: Label key/value pairs, kept as a sorted tuple so series hash cleanly.
 Labels = Tuple[Tuple[str, str], ...]
@@ -58,7 +60,7 @@ def _freeze_labels(labels: Dict[str, str]) -> Labels:
 
 
 class TimeSeries:
-    """A gauge the sampler reads on the simulated clock, kept as its
+    """A gauge the sampler reads at round boundaries, kept as its
     digest: running count/min/max/mean/last accumulators, no samples."""
 
     __slots__ = ("name", "labels",
@@ -84,10 +86,6 @@ class TimeSeries:
         self._last = value
 
     # -- reading -----------------------------------------------------------------
-
-    @property
-    def last(self) -> float:
-        return self._last
 
     def digest(self) -> Dict[str, float]:
         """Count/min/max/mean/last digest over every record."""
@@ -155,6 +153,9 @@ class MetricsRegistry:
         self.counters = counters if counters is not None \
             else CountersRegistry(bus)
         self.events_observed = 0
+        #: High-water mark of :meth:`telemetry_bytes`.  Exact: between
+        #: spills the modelled footprint only grows, and every spill and
+        #: :meth:`close` refresh it first.
         self.peak_telemetry_bytes = 0
         self._histograms: Dict[str, QuantileSketch] = {
             name: QuantileSketch() for name in _HISTOGRAM_NAMES
@@ -231,211 +232,106 @@ class MetricsRegistry:
 
     # -- event handlers ----------------------------------------------------------
 
+    def _add(self, name: str, value: float) -> None:
+        histogram = self._histograms[name]
+        if histogram.count == DEFAULT_EXACT_THRESHOLD:
+            # This add spills the histogram to buckets, the one step
+            # at which the modelled footprint falls: take the peak first.
+            self.telemetry_bytes()
+        histogram.add(value)
+
     def _handle(self, event) -> None:
         self.events_observed += 1
         self._dispatch[type(event)](event)
 
     def _on_transfer(self, event) -> None:
-        self._histograms["net.transfer.duration"].add(
-            event.at - event.started_at)
-        self._histograms["net.transfer.bytes"].add(event.size)
+        self._add("net.transfer.duration", event.at - event.started_at)
+        self._add("net.transfer.bytes", event.size)
 
     def _on_dht_lookup(self, event) -> None:
         if event.started_at is not None:
-            self._histograms["dht.lookup.latency"].add(
-                event.at - event.started_at)
+            self._add("dht.lookup.latency", event.at - event.started_at)
 
     def _on_block_fetched(self, event) -> None:
-        self._histograms["ipfs.block.bytes"].add(event.size)
+        self._add("ipfs.block.bytes", event.size)
         if event.started_at is not None:
-            self._histograms["ipfs.fetch.latency"].add(
-                event.at - event.started_at)
+            self._add("ipfs.fetch.latency", event.at - event.started_at)
 
     def _on_upload(self, event) -> None:
-        self._histograms["protocol.upload.delay"].add(event.delay)
+        self._add("protocol.upload.delay", event.delay)
 
     def _on_aggregated(self, event) -> None:
         if event.started_at is not None:
-            self._histograms["protocol.collect.duration"].add(
-                event.at - event.started_at)
+            self._add("protocol.collect.duration",
+                      event.at - event.started_at)
 
     def _on_update(self, event) -> None:
         if event.started_at is not None:
-            self._histograms["protocol.publish.duration"].add(
-                event.at - event.started_at)
+            self._add("protocol.publish.duration",
+                      event.at - event.started_at)
 
     def _on_sync_ended(self, event) -> None:
-        self._histograms["protocol.sync.duration"].add(event.duration)
+        self._add("protocol.sync.duration", event.duration)
 
     def _on_commitment(self, event) -> None:
-        self._histograms["protocol.commit.seconds"].add(event.seconds)
+        self._add("protocol.commit.seconds", event.seconds)
 
 
-class SimTicker:
-    """The sim-clock tick loop: ``tick()`` runs every ``interval``
-    simulated seconds between :meth:`start` and :meth:`stop`.
+class ResourceSampler:
+    """Substrate state read into a registry at round boundaries.
 
-    The pending wakeup is kept and cancelled on stop (an O(1)
-    tombstone), so a stopped ticker leaves nothing on the queue.  Stop
-    it before draining the simulator with ``sim.run()`` or the
-    re-arming tick keeps the queue alive forever;
-    ``session.run(...)`` / ``run_iteration()`` use ``run_until`` and
-    are safe with a live ticker.  ``sim=None`` never ticks.
-    """
+    An ordinary subscriber to ``IterationStarted`` and
+    ``IterationFinished``: it schedules no kernel event, so an observed
+    run dispatches exactly the steps of a bare one.  At each boundary
+    it records only what a boundary read gives exactly:
 
-    def __init__(self, sim, interval: float, tick):
-        if interval <= 0:
-            raise ValueError("tick interval must be positive")
-        self.sim = sim
-        self.interval = float(interval)
-        self._tick = tick
-        self._wakeup = None
-
-    @property
-    def active(self) -> bool:
-        return self._wakeup is not None
-
-    def start(self) -> None:
-        """Begin ticking; a no-op when already active."""
-        if self._wakeup is None and self.sim is not None:
-            self._arm()
-
-    def stop(self) -> None:
-        """Stop ticking; safe to call more than once."""
-        wakeup, self._wakeup = self._wakeup, None
-        if wakeup is not None:
-            wakeup.cancel()
-
-    def _arm(self) -> None:
-        self._wakeup = self.sim.timeout(self.interval)
-        self._wakeup._add_callback(self._fire)
-
-    def _fire(self, wakeup) -> None:
-        self._tick()
-        if self._wakeup is wakeup:  # the tick did not stop or restart us
-            self._arm()
-
-
-class ResourceSampler(SimTicker):
-    """Periodic sim-clock sampling of substrate state into a registry.
-
-    Every ``interval`` simulated seconds (and once immediately on
-    start) the sampler records:
-
-    - ``net.flows.active`` — in-flight transfer count;
+    - ``ipfs.blockstore.bytes`` / ``ipfs.blockstore.objects`` — resident
+      storage across the session's nodes, plus per-node
+      ``ipfs.blockstore.node.bytes{node=...}``.  Storage only grows
+      inside a round (eviction happens in ``collect_garbage``, between
+      rounds), so the ``IterationFinished`` read is the exact maximum;
     - ``sched.stale_wakeups`` (series + counters gauge) — superseded
       flow-scheduler wakeups that fired anyway; stays 0 while kernel
       timeout cancellation holds, so any nonzero value flags heap
-      pollution;
-    - ``net.link.utilization{link=...}`` — allocated rate over capacity
-      for every link currently crossed by a flow (idle links are not
-      sampled, so the series measures utilization *while active*);
-    - ``ipfs.blockstore.bytes`` / ``ipfs.blockstore.objects`` — resident
-      storage across the given nodes, plus per-node
-      ``ipfs.blockstore.node.bytes{node=...}``;
-    - ``directory.queue.depth`` — requests waiting in the directory's
-      inbox.
+      pollution.
 
-    Each tick ends by refreshing the registry's telemetry-memory peak
-    (O(histograms): a series costs a constant), so
-    ``peak_telemetry_bytes`` tracks the high-water mark before a
-    histogram spills to sketch mode.
-
-    The sampler is pull-based and opt-in: an unobserved run never
-    constructs one, so the zero-subscriber overhead contract holds — the
-    same reasoning as the ``bus.wants()`` guards at emission sites, with
-    construction standing in for subscription.  See :class:`SimTicker`
-    for the stop-before-``sim.run()`` rule.
+    Opt-in like every observer: an unobserved run never constructs one.
     """
 
-    def __init__(self, sim, registry: MetricsRegistry,
-                 interval: float = 1.0, network=None,
-                 nodes: Iterable = (), directory=None):
-        super().__init__(sim, interval, self.sample)
+    def __init__(self, bus: EventBus, registry: MetricsRegistry,
+                 network, nodes: Iterable):
         self.registry = registry
         self.network = network
         self.nodes = list(nodes)
-        self.directory = directory
         self.samples_taken = 0
-        #: (name, label value) -> TimeSeries, so the per-tick hot path
-        #: skips the registry's label-freezing lookup.  Safe to hold:
-        #: the registry never drops a created series.
-        self._series_cache: Dict[Tuple[str, Optional[str]], TimeSeries] = {}
-        self.start()
-
-    def _series(self, name: str, label_value: Optional[str] = None,
-                **labels: str) -> TimeSeries:
-        key = (name, label_value)
-        series = self._series_cache.get(key)
-        if series is None:
-            series = self.registry.timeseries(name, **labels)
-            self._series_cache[key] = series
-        return series
+        self._subscription = bus.subscribe(
+            self._on_boundary, IterationStarted, IterationFinished)
 
     @classmethod
-    def for_session(cls, session, registry: MetricsRegistry,
-                    interval: float = 1.0) -> "ResourceSampler":
+    def for_session(cls, session,
+                    registry: MetricsRegistry) -> "ResourceSampler":
         """Wire a sampler to everything an :class:`FLSession` owns."""
-        return cls(
-            session.sim, registry, interval=interval,
-            network=session.testbed.network, nodes=session.nodes,
-            directory=session.directory,
-        )
+        return cls(session.sim.bus, registry,
+                   session.testbed.network, session.nodes)
 
-    # -- lifecycle ---------------------------------------------------------------
+    def close(self) -> None:
+        """Detach; safe to call more than once."""
+        self._subscription.cancel()
 
-    def start(self) -> None:
-        """Sample immediately, then every :attr:`interval` sim-seconds."""
-        if not self.active:
-            self.sample()
-            super().start()
-
-    def stop(self) -> None:
-        """Stop sampling; safe to call more than once."""
-        super().stop()
-        self.registry.telemetry_bytes()  # final peak refresh
-
-    # Alias so samplers read like the other obs resources.
-    close = stop
-
-    def __enter__(self) -> "ResourceSampler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- sampling ----------------------------------------------------------------
-
-    def sample(self) -> None:
-        """Take one sample at the current simulated instant."""
+    def _on_boundary(self, _event) -> None:
         registry = self.registry
         self.samples_taken += 1
-        if self.network is not None:
-            self._series("net.flows.active").record(
-                self.network.active_transfers)
-            self._series("sched.stale_wakeups").record(
-                self.network.stale_wakeups)
-            registry.counters.set_gauge(
-                "sched.stale_wakeups", self.network.stale_wakeups)
-            for link_name, utilization in \
-                    self.network.link_utilization().items():
-                self._series(
-                    "net.link.utilization", link_name, link=link_name
-                ).record(utilization)
-        if self.nodes:
-            total_bytes = 0.0
-            total_objects = 0
-            for node in self.nodes:
-                store = node.store
-                total_bytes += store.total_bytes
-                total_objects += len(store)
-                self._series(
-                    "ipfs.blockstore.node.bytes", node.name,
-                    node=node.name
-                ).record(store.total_bytes)
-            self._series("ipfs.blockstore.bytes").record(total_bytes)
-            self._series("ipfs.blockstore.objects").record(total_objects)
-        if self.directory is not None:
-            self._series("directory.queue.depth").record(
-                self.directory.inbox_depth())
-        registry.telemetry_bytes()
+        stale = self.network.stale_wakeups
+        registry.timeseries("sched.stale_wakeups").record(stale)
+        registry.counters.set_gauge("sched.stale_wakeups", stale)
+        total_bytes = 0.0
+        total_objects = 0
+        for node in self.nodes:
+            store = node.store
+            total_bytes += store.total_bytes
+            total_objects += len(store)
+            registry.timeseries(
+                "ipfs.blockstore.node.bytes", node=node.name
+            ).record(store.total_bytes)
+        registry.timeseries("ipfs.blockstore.bytes").record(total_bytes)
+        registry.timeseries("ipfs.blockstore.objects").record(total_objects)

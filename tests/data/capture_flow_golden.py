@@ -71,7 +71,7 @@ def completion_scenario():
 
     sim.process(driver())
     sim.run()
-    assert scheduler.active_flows == 0 and len(rows) == NUM_FLOWS
+    assert not scheduler._flows and len(rows) == NUM_FLOWS
     return rows
 
 

@@ -243,7 +243,7 @@ def test_host_going_offline_during_the_latency_wait_loses_the_message(
     world.sim.run()
     assert not delivered.triggered
     assert world.transport.dropped == 1
-    assert world.network.active_transfers == 0
+    assert world.network._scheduler._flows == []
     assert world.rows == [
         TransferStarted(at=0.0, src="a", dst="b", size=100.0),
         TransferAborted(at=1.0, src="a", dst="b", size=100.0,
@@ -391,7 +391,7 @@ def test_a_browned_out_directory_serves_requests_in_arrival_order(classes):
     assert [served[1] - served[0], served[2] - served[1]] \
         == pytest.approx([8 * TICK] * 2)
     assert acked == list("cab")
-    assert directory.inbox_depth() == 0
+    assert not directory._backlog and not directory.endpoint.inbox.items
 
 
 @BOTH

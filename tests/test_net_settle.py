@@ -5,8 +5,8 @@
 components.  These tests pin what that buys (solver-call and
 recomputed-flow counts the recompute-per-change scheduler fails), what it
 must not change (every completion time of a recorded scenario, float for
-float) and the two ways a reader could observe the gap between a change
-and its settle (rate reads, a clock advance).
+float) and what a reader could observe of the gap between a change and
+its settle (a clock advance).
 """
 
 import importlib.util
@@ -21,9 +21,7 @@ from repro.ml import Dataset, SyntheticModel
 from repro.net import Network
 from repro.net import bandwidth
 from repro.net.bandwidth import FlowScheduler, Link
-from repro.obs import MetricsRegistry, ResourceSampler
 from repro.sim import Simulator
-from tests.test_net_incremental import utilization_oracle
 from tests.util import set_host_capacity
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -106,57 +104,6 @@ def test_completion_times_match_recompute_per_change_golden():
                            "flow_completion_golden.json")) as handle:
         golden = json.load(handle)
     assert capture.completion_scenario() == golden
-
-
-# -- settled reads -------------------------------------------------------------
-
-
-def test_link_utilization_reports_the_settled_allocation_mid_instant():
-    sim = Simulator()
-    scheduler = FlowScheduler(sim)
-    shared = Link("shared", 100.0)
-    spurs = [Link(f"spur{i}", 30.0 + i) for i in range(4)]
-    for spur in spurs[:2]:
-        scheduler.start_flow((shared, spur), 1000.0)
-    sim.run(until=1.0)
-    before = scheduler.recomputed_flows
-    for spur in spurs[2:]:
-        scheduler.start_flow((shared, spur), 1000.0)
-    # Change made, settle still queued: the stored rates are stale ...
-    assert scheduler._settle_pending
-    assert [flow.rate for flow in scheduler._flows[2:]] == [0.0, 0.0]
-    # ... but the read is not, and it leaves no trace in the scheduler.
-    assert scheduler.link_utilization() == utilization_oracle(scheduler)
-    assert scheduler.link_utilization()[shared] == 1.0
-    assert scheduler.recomputed_flows == before
-    assert [flow.rate for flow in scheduler._flows[2:]] == [0.0, 0.0]
-    sim.run(until=sim.now)
-    assert not scheduler._settle_pending
-    assert scheduler.link_utilization() == utilization_oracle(scheduler)
-
-
-def test_resource_sampler_tick_on_a_busy_instant_records_settled_rates():
-    sim = Simulator()
-    network = Network(sim)
-    for name in ("a", "b", "c"):
-        network.add_host(name, up_bandwidth=10.0, down_bandwidth=40.0)
-
-    def start_transfers(_event):
-        network.transfer("a", "c", 100.0)
-        network.transfer("b", "c", 100.0)
-
-    # Scheduled before the sampler's t=1 tick, so the tick lands after the
-    # starts and before their settle.
-    sim.timeout(1.0)._add_callback(start_transfers)
-    registry = MetricsRegistry(sim.bus)
-    sampler = ResourceSampler(sim, registry, interval=1.0, network=network)
-    sim.run(until=1.0)
-    sampler.stop()
-    assert registry.timeseries("net.flows.active").last == 2
-    assert {
-        link: registry.timeseries("net.link.utilization", link=link).last
-        for link in ("a/up", "b/up", "c/down")
-    } == {"a/up": 1.0, "b/up": 1.0, "c/down": 0.5}
 
 
 # -- a settle never spans a clock advance --------------------------------------

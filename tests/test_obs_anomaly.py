@@ -301,6 +301,26 @@ def test_mid_round_anomaly_is_filed_under_its_iteration(churn_bundle):
     assert "iter=0 RetryStormDetector" in run.out
 
 
+def test_reported_anomalies_are_the_traced_ones(churn_bundle, flap_bundles,
+                                               drop_bundle):
+    """The report's ANOMALY lines, read off the watchdog's list, are
+    the trace's ``AnomalyDetected`` records, in order."""
+    from repro.cli import _anomaly_line
+    from repro.obs.jsonl import read_trace
+
+    reported = 0
+    for run in (churn_bundle, flap_bundles[0], drop_bundle):
+        lines = [line for line in
+                 (run.path / "report.txt").read_text().splitlines()
+                 if line.startswith("ANOMALY ")]
+        with open(run.path / "trace.jsonl") as trace:
+            traced = [_anomaly_line(anomaly) for anomaly
+                      in read_trace(trace, (AnomalyDetected,))]
+        assert lines == traced
+        reported += len(lines)
+    assert reported >= 3  # churn's storm and collapse, flap's collapse
+
+
 def test_clean_chaos_run_reports_zero_anomalies(tmp_path):
     run = run_bundle(["--rounds", "1", "--trainers", "4",
                       "--params", "2000"], tmp_path)

@@ -19,7 +19,7 @@ from repro.obs import (
     RunManifest,
     compare_manifests,
 )
-from repro.obs.metrics import TimeSeries
+from repro.obs.metrics import _SERIES_OVERHEAD, TimeSeries
 from repro.obs.events import (
     BlockFetched,
     CommitmentComputed,
@@ -28,22 +28,20 @@ from repro.obs.events import (
     TransferCompleted,
     UploadCompleted,
 )
-from repro.sim import Simulator
-from tests.util import next_event_time, run_bundle
+from tests.util import run_bundle
 
 
 # -- TimeSeries ------------------------------------------------------------------
 
 
 def test_timeseries_digest_and_key():
-    series = TimeSeries("net.link.utilization",
-                        (("link", "trainer-0/up"),))
-    assert series.key() == "net.link.utilization{link=trainer-0/up}"
+    series = TimeSeries("ipfs.blockstore.node.bytes",
+                        (("node", "ipfs-0"),))
+    assert series.key() == "ipfs.blockstore.node.bytes{node=ipfs-0}"
     assert series.digest() == {"count": 0}
     series.record(0.5)
     series.record(1.0)
     series.record(0.1)
-    assert series.last == 0.1
     assert series.digest() == {
         "count": 3, "min": 0.1, "max": 1.0,
         "mean": pytest.approx(1.6 / 3), "last": 0.1,
@@ -127,39 +125,18 @@ def test_registry_leaves_borrowed_counters_attached():
 
 def test_timeseries_get_or_create_by_name_and_labels():
     registry = MetricsRegistry(EventBus())
-    a = registry.timeseries("net.link.utilization", link="a/up")
-    b = registry.timeseries("net.link.utilization", link="b/up")
+    a = registry.timeseries("ipfs.blockstore.node.bytes", node="a")
+    b = registry.timeseries("ipfs.blockstore.node.bytes", node="b")
     assert a is not b
-    assert a is registry.timeseries("net.link.utilization", link="a/up")
+    assert a is registry.timeseries("ipfs.blockstore.node.bytes", node="a")
     a.record(1.0)
     assert [s.key() for s in registry.series()] == [
-        "net.link.utilization{link=a/up}",
-        "net.link.utilization{link=b/up}",
+        "ipfs.blockstore.node.bytes{node=a}",
+        "ipfs.blockstore.node.bytes{node=b}",
     ]
 
 
 # -- ResourceSampler -------------------------------------------------------------
-
-
-def test_sampler_records_on_the_sim_clock_and_stops():
-    sim = Simulator()
-    registry = MetricsRegistry(sim.bus)
-    sampler = ResourceSampler(sim, registry, interval=1.0)
-    # The sampler's own ticks keep the queue alive.
-    sim.run(until=3.5)
-    assert sampler.samples_taken == 4  # t = 0, 1, 2, 3
-    sampler.stop()
-    # The pending wakeup is cancelled.
-    assert next_event_time(sim) == float("inf")
-    sim.run(until=10.0)
-    assert sampler.samples_taken == 4  # no ticks after stop
-    sampler.stop()  # idempotent
-
-
-def test_sampler_rejects_bad_interval():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        ResourceSampler(sim, MetricsRegistry(sim.bus), interval=0.0)
 
 
 def small_session(bandwidth_mbps=10.0, num_trainers=4, seed=0):
@@ -187,26 +164,71 @@ def small_session(bandwidth_mbps=10.0, num_trainers=4, seed=0):
 def test_sampler_observes_session_resources():
     session = small_session()
     registry = MetricsRegistry(session.sim.bus)
-    sampler = ResourceSampler.for_session(session, registry, interval=0.25)
-    session.run(rounds=1)
-    sampler.stop()
+    sampler = ResourceSampler.for_session(session, registry)
+    session.run(rounds=2)
+    sampler.close()
     registry.close()
+    assert sampler.samples_taken == 4  # each round's start and finish
     digests = {series.key(): series.digest()
                for series in registry.series()}
-    # Flows were in flight at some sample instant, and utilization of a
-    # saturated 10 Mbps link reads 1.0.
-    assert digests["net.flows.active"]["max"] >= 1
-    utilization = [d for k, d in digests.items()
-                   if k.startswith("net.link.utilization{")]
-    assert utilization and max(d["max"] for d in utilization) == \
-        pytest.approx(1.0)
-    # Gradients were resident on the blockstores during the round.
-    assert digests["ipfs.blockstore.bytes"]["max"] > 0
-    assert digests["ipfs.blockstore.objects"]["max"] >= 1
     per_node = [k for k in digests
                 if k.startswith("ipfs.blockstore.node.bytes{")]
+    assert sorted(digests) == sorted(
+        per_node + ["ipfs.blockstore.bytes", "ipfs.blockstore.objects",
+                    "sched.stale_wakeups"])
     assert len(per_node) == len(session.nodes)
-    assert "directory.queue.depth" in digests
+    # Nothing is evicted inside a round, so the round's last read is
+    # what the stores hold now.
+    assert digests["ipfs.blockstore.bytes"]["max"] == \
+        digests["ipfs.blockstore.bytes"]["last"] == session.storage_bytes
+    assert digests["ipfs.blockstore.objects"]["max"] >= 1
+    assert digests["sched.stale_wakeups"]["max"] == 0
+    assert registry.counters.gauges()["sched.stale_wakeups"] == 0
+
+
+def _steps(observe):
+    """Kernel steps of two rounds of the small session, with
+    ``observe(session)`` attached first."""
+    session = small_session()
+    observe(session)
+    steps, step = [], session.sim.step
+    session.sim.step = lambda: (steps.append(None), step())
+    session.run(rounds=2)
+    return len(steps)
+
+
+def test_registry_and_sampler_schedule_no_kernel_event():
+    """An observed run dispatches exactly the steps of a bare one."""
+    def metered(session):
+        registry = MetricsRegistry(session.sim.bus)
+        ResourceSampler.for_session(session, registry)
+
+    assert _steps(metered) == _steps(lambda session: None)
+
+
+def test_peak_telemetry_is_the_exact_high_water_mark():
+    """Five rounds of 32 trainers make 4 410 transfers: both transfer
+    histograms spill to sketch mode in round five.  The registry's peak
+    equals a subscriber that takes the modelled total after every
+    event."""
+    session = small_session(num_trainers=32)
+    registry = MetricsRegistry(session.sim.bus)
+    sampler = ResourceSampler.for_session(session, registry)
+    totals = []
+
+    def modelled_total(_event):
+        totals.append(
+            len(registry.series()) * _SERIES_OVERHEAD
+            + sum(histogram.footprint_bytes()
+                  for histogram in registry.histograms().values()))
+
+    session.sim.bus.subscribe(modelled_total)  # after every handler
+    session.run(rounds=5)
+    sampler.close()
+    registry.close()
+    assert registry.sketch_histograms() == 2
+    assert totals[-1] < max(totals)  # the spill let the footprint fall
+    assert registry.peak_telemetry_bytes == max(totals)
 
 
 # -- conservation across subscribers (satellite invariant) -----------------------
@@ -271,7 +293,7 @@ def manifest_from_stream(extra_duration=None, fingerprint=None):
             at=extra_duration, src="a", dst="b", size=1000.0,
             started_at=0.0,
         ))
-    registry.timeseries("directory.queue.depth").record(3.0)
+    registry.timeseries("ipfs.blockstore.bytes").record(3.0)
     return RunManifest.collect(registry, fingerprint=fingerprint)
 
 
@@ -283,7 +305,7 @@ def test_manifest_json_round_trip(tmp_path):
     assert loaded == manifest
     assert json.loads(manifest.to_json())["version"] == manifest.version
     assert loaded.histograms["net.transfer.duration"]["count"] == 2
-    assert "directory.queue.depth" in loaded.series
+    assert "ipfs.blockstore.bytes" in loaded.series
     # Empty histograms are omitted from the manifest entirely.
     assert "protocol.collect.duration" not in loaded.histograms
 
@@ -366,7 +388,7 @@ def test_cli_metrics_writes_exposition_and_manifest(tmp_path):
     assert manifest.counters["net.transfers"] > 0
     assert manifest.histograms["net.transfer.duration"]["count"] == \
         manifest.counters["net.transfers"]
-    assert "net.flows.active" in manifest.series
+    assert "ipfs.blockstore.bytes" in manifest.series
     assert manifest.fingerprint["digest"]
     assert "resource samples -> manifest.json" in run.out
 

@@ -123,7 +123,7 @@ def test_flow_scheduler_conserves_bytes(sizes, capacity):
         sim.process(proc(size))
     sim.run()
     assert scheduler.bytes_delivered == pytest.approx(sum(sizes))
-    assert scheduler.active_flows == 0
+    assert scheduler._flows == []
 
 
 # -- simulated-time monotonicity ---------------------------------------------------------
