@@ -4,19 +4,26 @@
 
 Wraps the functions of the gradient data path (EXPERIMENTS.md, "Each byte
 once") with ``perf_counter`` timers — self time: a wrapped callee is
-subtracted from its wrapped caller — builds the benchmark's `fig2_sync`
-workload and runs its rounds as ``benchmarks/perf/child.py`` does (a
-`CountersRegistry`, which wants `TrainingEvaluated`; `collect_garbage`
-after each round), discards one round and reports milliseconds and calls
-per round over the next ``--rounds``.  ``--root`` points at another checkout (the parent commit)
+subtracted from its wrapped caller on the same thread — builds the
+benchmark's `fig2_sync` workload and runs its rounds as
+``benchmarks/perf/child.py`` does (a `CountersRegistry`, which wants
+`TrainingEvaluated`; `collect_garbage` after each round), discards one
+round and reports milliseconds and calls per round over the next
+``--rounds``.  ``--root`` points at another checkout (the parent commit)
 so both sides are read by one script; names a checkout does not have are
 skipped.  Information only: the claim is measured by the harness.
+
+A chunked object's leaves are hashed on two lanes (the calling thread and
+the helper thread of `repro.ipfs.block`), and each thread keeps its own
+stack of open timers, so `compute_cid` sums the time of both lanes: it is
+CPU time spent hashing, not a share of the round wall.
 """
 
 import argparse
 import importlib
 import pathlib
 import sys
+import threading
 import time
 
 #: (module, owner class or None, function, label)
@@ -49,21 +56,24 @@ def main() -> None:
     sys.path[:0] = [args.root + "/src", args.root + "/benchmarks/perf"]
     import workloads
 
-    seconds, calls, nested = {}, {}, []
+    seconds, calls = {}, {}
+    lock, lanes = threading.Lock(), threading.local()
 
     def timed(function, label):
         def wrapper(*positional, **keywords):
+            nested = vars(lanes).setdefault("nested", [])
             nested.append(0.0)
             started = time.perf_counter()
             try:
                 return function(*positional, **keywords)
             finally:
                 elapsed = time.perf_counter() - started
-                seconds[label] = seconds.get(label, 0.0) + elapsed \
-                    - nested.pop()
-                calls[label] = calls.get(label, 0) + 1
+                own = elapsed - nested.pop()
                 if nested:
                     nested[-1] += elapsed
+                with lock:
+                    seconds[label] = seconds.get(label, 0.0) + own
+                    calls[label] = calls.get(label, 0) + 1
         return wrapper
 
     for module_name, owner_name, name, label in TARGETS:

@@ -11,6 +11,9 @@ assumes availability but "we do not assume correctness of retrieved data;
 this is up to the parties to check" — and falls back to other DHT
 providers on corruption or timeouts.  That check hashes every fetched
 object and block on every fetch; nothing is remembered between fetches.
+Storing and checking both chunk through
+:func:`~repro.ipfs.block.chunk_object`, which hashes an object's leaves
+on two lanes (this thread and one helper thread); no hash is skipped.
 
 Memory: a stored object is one immutable buffer that its leaf blocks
 alias (:mod:`repro.ipfs.block`).  A node that holds an object complete

@@ -161,7 +161,14 @@ class IncidentBundle:
 
 
 class FlightRecorder:
-    """Bounded ring-buffer recorder sealing incident bundles."""
+    """Bounded ring-buffer recorder sealing incident bundles.
+
+    Unlike :func:`~repro.obs.spans.span_trees`, it closes a round's span
+    chain only at the next ``IterationStarted``, never at
+    ``IterationFinished``: a span event without an ``iteration`` field (a
+    ``BlockFetched``) published after the round's end still joins that
+    round's chain, and an incident sealed between rounds carries it.
+    """
 
     def __init__(self, bus: EventBus):
         self.bus = bus

@@ -24,6 +24,10 @@ Contracts (pinned by ``tests/test_obs_profiling.py``):
   code is not: a profiled Fig. 1 round takes ~2x the bare wall and
   shares lean towards call-heavy code.  Read *where*, not *how long*;
   wall is measured unprofiled by ``benchmarks/perf``.
+- **One thread.**  ``cProfile`` sees only the thread that enabled it:
+  the leaves the :mod:`repro.ipfs.block` helper lane hashes are not in
+  the profile, and the caller's wait for that lane is charged through
+  ``chunk_object`` to ``ipfs``.
 - **Deterministic on a fake clock.**  The profile's timer is the
   injected :class:`WallClock` — the one clock every wall-time read in
   the repo goes through (:data:`SYSTEM_WALL_CLOCK` by default) — so

@@ -7,6 +7,11 @@ addresses stored, what happens to the buffer when the blocks go, and
 that a corrupt node is still caught on the whole-buffer path.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +250,55 @@ def test_corrupt_node_is_caught_on_the_whole_buffer_path():
     # Nothing about the failed fetch was remembered: healed, node 0 serves.
     world.node(0).corrupt = False
     assert run_proc(world, fetch(["ipfs-0"])) is data
+
+
+# -- the hashing helper lane holds nothing -----------------------------------------
+
+
+def test_two_lane_chunking_leaves_no_reference_to_the_buffer():
+    data = _distinct(5 * CHUNK + 1)
+    before = sys.getrefcount(data)
+    for _ in range(3):
+        root, leaves = chunk_object(data, CHUNK)
+        assert all(leaf.data.obj is data for leaf in leaves)
+        assert sys.getrefcount(data) > before
+        del root, leaves
+        assert sys.getrefcount(data) == before
+
+
+def test_one_leaf_objects_start_no_thread():
+    """In a fresh interpreter: objects of one leaf (and the empty one)
+    are hashed on the calling thread alone; the first object of two
+    leaves starts the one helper lane, and later ones reuse it."""
+    script = (
+        "import threading\n"
+        "from repro.ipfs.block import chunk_object\n"
+        "chunk_object(b'x' * 64, 64)\n"
+        "chunk_object(b'', 64)\n"
+        "print(threading.active_count())\n"
+        "chunk_object(b'x' * 65, 64)\n"
+        "chunk_object(b'y' * 640, 64)\n"
+        "print(threading.active_count())\n"
+    )
+    assert _fresh_python(script).split() == ["1", "2"]
+
+
+def test_a_forked_child_starts_its_own_helper_lane():
+    script = (
+        "import os, signal\n"
+        "from repro.ipfs.block import chunk_object\n"
+        "chunk_object(b'x' * 640, 64)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(30)  # a child left waiting on no lane dies\n"
+        "    os._exit(len(chunk_object(b'y' * 640, 64)[1]))\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    assert _fresh_python(script).split() == ["10"]
+
+
+def _fresh_python(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=90,
+                          env={**os.environ, "PYTHONPATH": src}).stdout

@@ -1,11 +1,16 @@
 """Unit and property tests for CIDs, blocks and chunking."""
 
 import hashlib
+import json
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ipfs.block as block_module
 from repro.ipfs import CID
 from repro.ipfs.block import (Block, chunk_object, join_leaves,
                               parse_manifest)
@@ -150,3 +155,93 @@ def test_chunk_reassemble_property(data, chunk_size):
     assert join_leaves(leaves) == data
     expected = max(1, -(-len(data) // chunk_size))
     assert len(leaves) == expected
+
+
+# -- two hashing lanes --------------------------------------------------------------
+
+
+def _reference_chunks(data, chunk_size):
+    """Serial, copying reference: (offset, bytes, CID) per leaf and the
+    root CID, every hash taken with ``hashlib`` on this thread."""
+    pieces = [(offset, data[offset:offset + chunk_size])
+              for offset in range(0, len(data), chunk_size)] or [(None, b"")]
+    leaves = [(offset, piece, CID(hashlib.sha256(piece).digest()))
+              for offset, piece in pieces]
+    manifest = {"magic": "repro-ipfs-manifest-v1", "total_size": len(data),
+                "chunks": [cid.encode() for _, _, cid in leaves]}
+    root = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return leaves, CID(hashlib.sha256(root).digest())
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_two_lane_chunking_equals_a_serial_reference(data):
+    chunk_size = data.draw(st.integers(min_value=1, max_value=48))
+    size = data.draw(st.integers(min_value=0, max_value=5 * chunk_size + 1))
+    payload = random.Random(data.draw(st.integers(0, 2**16))).randbytes(size)
+    root, leaves = chunk_object(payload, chunk_size)
+    expected, expected_root = _reference_chunks(payload, chunk_size)
+    assert [(leaf.offset, bytes(leaf.data), leaf.cid) for leaf in leaves] \
+        == expected
+    assert root.cid == expected_root
+    assert list(root.links) == [cid for _, _, cid in expected]
+
+
+def _raise_once_on(monkeypatch, piece):
+    """Patch the CID the blocks take so that hashing ``piece`` raises
+    once; returns the list of threads it raised on."""
+    raised_on = []
+
+    def compute(data):
+        if not raised_on and bytes(data) == piece:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("hash failed")
+        return compute_cid(data)
+
+    monkeypatch.setattr(block_module, "compute_cid", compute)
+    return raised_on
+
+
+@pytest.mark.parametrize("leaf, lane", [(3, "helper"), (0, "caller")])
+def test_an_exception_on_either_lane_is_raised_in_the_caller(
+        monkeypatch, leaf, lane):
+    chunk = 32
+    payload = random.Random(leaf).randbytes(5 * chunk + 1)
+    raised_on = _raise_once_on(
+        monkeypatch, payload[leaf * chunk:(leaf + 1) * chunk])
+    with pytest.raises(RuntimeError, match="hash failed"):
+        chunk_object(payload, chunk)
+    assert (raised_on[0] is threading.main_thread()) == (lane == "caller")
+    # The lanes survive: the next call hashes every leaf again.
+    root, leaves = chunk_object(payload, chunk)
+    assert root.cid == _reference_chunks(payload, chunk)[1]
+    assert len(leaves) == 6
+
+
+def test_concurrent_callers_get_their_own_leaves():
+    """Six threads on two cores chunk distinct objects at once through
+    the one helper lane: each answer reaches the call that asked."""
+    chunk = 16
+    payloads = [random.Random(seed).randbytes(5 * chunk + 1)
+                for seed in range(6)]
+    expected = [_reference_chunks(payload, chunk)[1] for payload in payloads]
+    wrong = []
+
+    def work(index):
+        for _ in range(100):
+            if chunk_object(payloads[index], chunk)[0].cid != expected[index]:
+                wrong.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,))
+                   for index in range(len(payloads))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

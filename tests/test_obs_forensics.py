@@ -28,8 +28,14 @@ from repro.obs import (
     FlightRecorder,
     InvariantMonitors,
 )
-from repro.obs.events import InvariantViolated, IterationStarted
+from repro.obs.events import (
+    BlockFetched,
+    InvariantViolated,
+    IterationFinished,
+    IterationStarted,
+)
 from repro.obs.forensics import MAX_INCIDENTS, RING_CAPACITY
+from repro.obs.spans import span_trees
 
 NUM_TRAINERS = 4
 TRAINERS = tuple(f"trainer-{i}" for i in range(NUM_TRAINERS))
@@ -217,3 +223,40 @@ def test_monitor_violation_reaches_a_recorder_subscribed_first():
     assert bundle.kind == "invariant_violated"
     kinds = [type(event).__name__ for event in bundle.events]
     assert "IterationStarted" in kinds
+
+
+def test_recorder_keeps_a_round_open_past_its_end():
+    """Unlike ``span_trees``, the recorder closes a round only at the next
+    ``IterationStarted``: a ``BlockFetched`` (no ``iteration`` field)
+    published after ``IterationFinished`` still joins the finished
+    round's span chain, also in an incident sealed between rounds."""
+    bus = EventBus()
+    recorder = FlightRecorder(bus)
+    seen = []
+    bus.subscribe(seen.append)
+
+    def fetch(at):
+        bus.publish(BlockFetched(at=at, client="trainer-0", node="ipfs-0",
+                                 cid="bcid", size=10, started_at=at - 0.5))
+
+    def leak(at):
+        bus.publish(InvariantViolated(at=at, iteration=-1,
+                                      invariant="no-leak", subject="x",
+                                      detail="synthetic"))
+
+    bus.publish(IterationStarted(at=0.0, iteration=0))
+    fetch(2.0)
+    bus.publish(IterationFinished(at=5.0, iteration=0))
+    fetch(6.0)
+    leak(7.0)  # sealed between rounds
+    bus.publish(IterationStarted(at=8.0, iteration=1))
+    leak(9.0)  # sealed in round 1, before any of its fetches
+
+    between, in_round = recorder.incidents
+    chain = between.span_tree
+    assert chain.iteration == 0 and chain.root.end == 5.0
+    assert [span.end for span in chain.named("fetch")] == [2.0, 6.0]
+    folded = span_trees(seen)[0]
+    assert [span.end for span in folded.named("fetch")] == [2.0]
+    assert in_round.span_tree.iteration == 1
+    assert in_round.span_tree.named("fetch") == []
