@@ -341,7 +341,7 @@ class _ObserverStack:
     so its window is the rounds and nothing else.
     """
 
-    def __init__(self, session: FLSession, directory: str, clock):
+    def __init__(self, session: FLSession, directory: str):
         bus = session.sim.bus
         self.recorder = FlightRecorder(bus)
         self.monitors = InvariantMonitors(bus)
@@ -350,7 +350,7 @@ class _ObserverStack:
         self.watchdog = AnomalyWatchdog.for_session(session)
         self.trace = JsonlTraceExporter(
             bus, os.path.join(directory, "trace.jsonl"))
-        self.profiler = HostProfiler(clock).install(session.sim)
+        self.profiler = HostProfiler().install(session.sim)
 
     def detach(self, session: FLSession, completed: bool) -> list:
         """Stop everything, flush the streamed files and return the
@@ -510,14 +510,14 @@ def _write_bundle(args, plan: FaultPlan, session: FLSession, failure,
     return report, not problems
 
 
-def _run_run(args, clock=SYSTEM_WALL_CLOCK) -> int:
+def _run_run(args) -> int:
     plan = FaultPlan.load(args.plan) if args.plan else FaultPlan()
     session, rounds = _build_run_session(args, plan)
     incidents = os.path.join(args.artifacts, "incidents")
     os.makedirs(incidents, exist_ok=True)
     for stale in glob.glob(os.path.join(incidents, "incident-*.json")):
         os.remove(stale)  # a bundle holds one run
-    stack = _ObserverStack(session, args.artifacts, clock)
+    stack = _ObserverStack(session, args.artifacts)
     failure = None
     completed = False
     try:

@@ -34,9 +34,9 @@ histograms spill to a :class:`~repro.obs.sketch.QuantileSketch`
 and a series is its running digest.
 A :class:`HostProfiler` (:mod:`repro.obs.profiling`) attributes
 *wall-clock* (host) cost to the ``repro`` package whose functions spent
-it — cProfile folded on the benchmark's ``sim`` / ``net`` / ``ipfs`` /
-``crypto`` / ``ml`` / ``core`` / ``obs`` / ``faults`` partition, no hook
-in any layer.  An
+it — a signal-driven sampler of the main thread's stack, charged on the
+benchmark's ``sim`` / ``net`` / ``ipfs`` / ``crypto`` / ``ml`` /
+``core`` / ``obs`` / ``faults`` partition, no hook in any layer.  An
 :class:`AnomalyWatchdog` (:mod:`repro.obs.anomaly`) hosts online
 detectors — retry storms and throughput collapse — that publish typed
 :class:`~repro.obs.events.AnomalyDetected` events back onto the bus,

@@ -35,6 +35,10 @@ from .events import EVENT_TYPES
 FLUSH_LINES = 256
 FLUSH_BYTES = 64 * 1024
 
+#: ``json.dumps(record, default=str)``, the same bytes, without building
+#: an encoder per record.
+_encode = json.JSONEncoder(default=str).encode
+
 
 def event_record(event: tuple) -> dict:
     """One event as a JSON-friendly dict: the trace record schema."""
@@ -118,7 +122,7 @@ class JsonlTraceExporter:
     # -- event handling ----------------------------------------------------------
 
     def _handle(self, event) -> None:
-        line = json.dumps(event_record(event), default=str) + "\n"
+        line = _encode(event_record(event)) + "\n"
         self._buffer.append(line)
         self._buffered_bytes += len(line)
         self.events_written += 1

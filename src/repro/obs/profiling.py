@@ -1,38 +1,46 @@
 """Host-cost profiler: where does the *wall* clock go?
 
 Every other layer of :mod:`repro.obs` measures the simulated clock;
-this module measures the host.  A :class:`HostProfiler` runs
-``cProfile`` over the installed window and folds it by package, the
-partition ``benchmarks/perf/trace.py`` reports as ``*.share``:
+this module measures the host.  A :class:`HostProfiler` samples the
+main thread's stack every :data:`SAMPLE_INTERVAL` seconds of wall time
+over the installed window and charges the time since the previous
+sample to the partition ``benchmarks/perf/trace.py`` reports as
+``*.share``:
 
-- a function's own time belongs to the ``repro.<package>`` that
-  defines it (:data:`LAYERS`; any other ``repro`` package is ``other``);
+- the innermost frame of a function defined in ``repro/<package>/``
+  is charged, under that package (:data:`LAYERS`; any other ``repro``
+  package is ``other``);
 - builtins, numpy, hashlib and the standard library have no package,
-  so their time is charged through the callers table to whoever
-  called them (``other`` when nothing profiled did).
+  so their time goes to the ``repro`` frame that called them (a stack
+  with no such frame goes to ``other``).
 
 One scope is one ``repro`` function (subsystem = package, phase =
-module, actor = function name).  Self times are exclusive, so they
-partition the profiled time and the subsystem shares sum to 1.
+module, actor = function name).  Each sample's time goes to exactly one
+scope, so self times partition the sampled time and the subsystem
+shares sum to 1.
 
 Contracts (pinned by ``tests/test_obs_profiling.py``):
 
 - **Nothing in the run knows.**  No layer carries a profiler hook; an
   unprofiled run pays nothing and a profiled one is byte-identical to
   it (fingerprints, manifests, model parameters, ``sim.now``).
-- **The price is cProfile's.**  Every Python call is slowed and native
-  code is not: a profiled Fig. 1 round takes ~2x the bare wall and
-  shares lean towards call-heavy code.  Read *where*, not *how long*;
-  wall is measured unprofiled by ``benchmarks/perf``.
-- **One thread.**  ``cProfile`` sees only the thread that enabled it:
-  the leaves the :mod:`repro.ipfs.block` helper lane hashes are not in
-  the profile, and the caller's wait for that lane is charged through
-  ``chunk_object`` to ``ipfs``.
-- **Deterministic on a fake clock.**  The profile's timer is the
-  injected :class:`WallClock` — the one clock every wall-time read in
-  the repo goes through (:data:`SYSTEM_WALL_CLOCK` by default) — so
-  under :class:`FakeWallClock` a profile is a pure function of the
-  call sequence.
+- **The price is a signal per sample.**  Python code runs at full
+  speed between samples, and a sample is weighted by the wall time it
+  closes, so native calls (hashlib, numpy) keep their whole length even
+  when several timer signals coalesce into one.  A share is a sampling
+  estimate: a share *p* over *n* samples is good to about
+  ``sqrt(p * (1 - p) / n)``, and the report prints *n*.
+- **One thread.**  Signal handlers run on the main thread, so only its
+  stack is sampled: the leaves the :mod:`repro.ipfs.block` helper lane
+  hashes are not in the profile, and the main thread's wait on that
+  lane is charged to ``chunk_object``, in ``ipfs``.
+  :meth:`HostProfiler.install` must run on the main thread, and owns
+  ``ITIMER_REAL`` and ``SIGALRM`` for the window.
+- **Deterministic on a fake clock.**  The sampler reads the injected
+  :class:`WallClock` — the one clock every wall-time read in the repo
+  goes through (:data:`SYSTEM_WALL_CLOCK` by default) — so under
+  :class:`FakeWallClock` the charge of a sequence of stacks is a pure
+  function of the stacks.  *When* a sample falls is the host's.
 
 See "Profiling" in ``docs/OBSERVABILITY.md`` for the artifact schema
 (``python -m repro.cli run`` writes one as ``profile.json``).
@@ -44,20 +52,22 @@ import io
 import json
 import os
 import re
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
-#: 2 = the package partition; 1 was the hand-placed ``kernel`` /
-#: ``directory`` scopes and is refused, never diffed against this one.
-PROFILE_VERSION = 2
+#: 3 = sampled stacks; 2 was a deterministic profiler's call counts and
+#: inclusive times, 1 the hand-placed ``kernel`` / ``directory`` scopes.
+#: Both are refused, never diffed against this one.
+PROFILE_VERSION = 3
 
 #: The packages host time is attributed to (plus ``other``).
 LAYERS = ("sim", "net", "ipfs", "crypto", "ml", "core", "obs", "faults")
 _LAYER_OF_PATH = re.compile(r"[\\/]repro[\\/](\w+)[\\/]")
 
-_NS = 1_000_000_000
+#: Wall seconds between samples: ≈ 200 samples on a Fig. 1 round, and
+#: no wall the sampler's handler adds that runs can tell from noise.
+SAMPLE_INTERVAL = 0.0005
 
 
 class WallClock:
@@ -70,11 +80,8 @@ class WallClock:
 
     __slots__ = ()
 
-    #: Monotonic float seconds / integer nanoseconds: the builtins
-    #: themselves, because the profiler reads ``nanoseconds`` twice
-    #: per profiled call and a Python wrapper there costs 0.3x the run.
+    #: Monotonic float seconds: the builtin itself.
     seconds = staticmethod(time.perf_counter)
-    nanoseconds = staticmethod(time.perf_counter_ns)
 
 
 #: The process-wide default clock.  Components take a ``clock``
@@ -90,91 +97,35 @@ class FakeWallClock(WallClock):
     progression; :meth:`advance` injects extra elapsed time.
     """
 
-    __slots__ = ("_now_ns", "tick_ns", "reads")
+    __slots__ = ("_now", "tick", "reads")
 
     def __init__(self, start: float = 0.0, tick: float = 0.0):
-        self._now_ns = int(round(start * _NS))
-        self.tick_ns = int(round(tick * _NS))
+        self._now = start
+        self.tick = tick
         self.reads = 0
 
-    def nanoseconds(self) -> int:
-        value = self._now_ns
-        self._now_ns += self.tick_ns
+    def seconds(self) -> float:
+        value = self._now
+        self._now += self.tick
         self.reads += 1
         return value
-
-    def seconds(self) -> float:
-        return self.nanoseconds() / _NS
 
     def advance(self, seconds: float) -> None:
         """Inject ``seconds`` of elapsed wall time."""
         if seconds < 0:
             raise ValueError("cannot advance a monotonic clock backwards")
-        self._now_ns += int(round(seconds * _NS))
+        self._now += seconds
 
 
-def _layer_of(function) -> Optional[str]:
-    """Package of a ``(file, line, name)`` stats key; None off-repo."""
-    match = _LAYER_OF_PATH.search(function[0])
-    if match is None:
-        return None
-    return match.group(1) if match.group(1) in LAYERS else "other"
-
-
-def fold_by_package(stats) -> Dict[Tuple[str, str, str], List[float]]:
-    """Fold ``cProfile`` stats into exclusive per-function scopes.
-
-    ``stats`` is ``cProfile.Profile.stats``: function -> (primitive
-    calls, calls, self s, total s, callers), callers: function ->
-    (calls, primitive calls, self s, total s) spent in the callee on
-    that caller's behalf.  Returns ``(package, module, function) ->
-    [calls, self s, total s]`` with one scope per ``repro`` function,
-    its self seconds including the off-repo work done on its behalf;
-    they add up to the profiled time.
-    """
-    memo: dict = {}
-
-    def owners(function, visiting) -> dict:
-        """The functions on whose behalf ``function`` ran, as shares."""
-        if _layer_of(function) is not None:
-            return {function: 1.0}
-        if function in memo:
-            return memo[function]
-        callers = stats[function][4]
-        weight = sum(edge[3] for edge in callers.values())
-        if not callers or weight <= 0 or function in visiting:
-            return {function: 1.0}  # nobody to charge: lands in "other"
-        visiting.add(function)
-        shares: dict = {}
-        for caller, edge in callers.items():
-            for owner, share in owners(caller, visiting).items():
-                shares[owner] = shares.get(owner, 0.0) \
-                    + share * edge[3] / weight
-        visiting.discard(function)
-        memo[function] = shares
-        return shares
-
-    scopes: Dict[Tuple[str, str, str], List[float]] = {}
-
-    def scope_of(function) -> List[float]:
-        path = function[0]
-        module = ("builtin" if path == "~" else
-                  re.sub(r"\.py$", "", os.path.basename(path)))
-        return scopes.setdefault(
-            (_layer_of(function) or "other", module, function[2]),
-            [0, 0.0, 0.0])
-
-    for function, (_, calls, own, total, callers) in stats.items():
-        if _layer_of(function) is not None or not callers:
-            stat = scope_of(function)
-            stat[0] += calls
-            stat[1] += own
-            stat[2] += total
-            continue
-        for caller, edge in callers.items():
-            for owner, share in owners(caller, set()).items():
-                scope_of(owner)[1] += edge[2] * share
-    return scopes
+def _scope_of(code) -> Tuple[Optional[str], str, str]:
+    """``(package, module, function)`` of a code object; the package is
+    None outside ``repro/<package>/``."""
+    path = code.co_filename
+    match = _LAYER_OF_PATH.search(path)
+    layer = (None if match is None else
+             match.group(1) if match.group(1) in LAYERS else "other")
+    return (layer, re.sub(r"\.py$", "", os.path.basename(path)),
+            code.co_name)
 
 
 @dataclass(frozen=True)
@@ -185,11 +136,10 @@ class ScopeStat:
     subsystem: str
     phase: str
     actor: str
-    calls: int
-    #: Exclusive wall seconds (children subtracted).
+    #: Samples charged here.
+    samples: int
+    #: Wall seconds those samples closed (exclusive).
     self_seconds: float
-    #: Inclusive wall seconds.
-    total_seconds: float
 
     @property
     def label(self) -> str:
@@ -212,7 +162,6 @@ class HostProfile:
     fingerprint: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    dispatches: int = 0
     #: Sorted by descending self time.
     scopes: Tuple[ScopeStat, ...] = ()
 
@@ -222,6 +171,11 @@ class HostProfile:
     def attributed_seconds(self) -> float:
         """Wall seconds inside any scope (self times partition this)."""
         return sum(scope.self_seconds for scope in self.scopes)
+
+    @property
+    def samples(self) -> int:
+        """Samples taken in the window."""
+        return sum(scope.samples for scope in self.scopes)
 
     @property
     def sim_per_wall(self) -> float:
@@ -260,7 +214,7 @@ class HostProfile:
             f"host-cost profile: {self.sim_seconds:.1f} sim-s in "
             f"{self.wall_seconds:.3f} wall-s "
             f"({self.sim_per_wall:.1f} sim-s/wall-s), "
-            f"{self.dispatches} dispatches",
+            f"{self.samples} samples",
         ]
         coverage = (self.attributed_seconds / self.wall_seconds * 100.0
                     if self.wall_seconds > 0 else 0.0)
@@ -279,16 +233,13 @@ class HostProfile:
             share = (scope.self_seconds / attributed * 100.0
                      if attributed > 0 else 0.0)
             rows.append([
-                scope.label, scope.calls,
+                scope.label, scope.samples,
                 round(scope.self_seconds, 4),
-                round(scope.total_seconds, 4),
                 f"{share:.1f}%",
             ])
         if rows:
             lines.append(format_table(
-                ["scope", "calls", "self (s)", "total (s)", "share"],
-                rows,
-            ))
+                ["scope", "samples", "self (s)", "share"], rows))
         return "\n".join(lines)
 
     # -- serialization ----------------------------------------------------
@@ -300,7 +251,7 @@ class HostProfile:
             "wall_seconds": self.wall_seconds,
             "sim_seconds": self.sim_seconds,
             "sim_per_wall": self.sim_per_wall,
-            "dispatches": self.dispatches,
+            "samples": self.samples,
             "attributed_seconds": self.attributed_seconds,
             "shares": self.shares(),
             "scopes": [scope.to_dict() for scope in self.scopes],
@@ -311,16 +262,15 @@ class HostProfile:
         if not isinstance(data, dict):
             raise ValueError("a host profile is a JSON object, not "
                              f"{type(data).__name__}")
-        version = data.get("version", PROFILE_VERSION)
+        version = data.get("version")
         if version != PROFILE_VERSION:
             raise ValueError(
                 f"unsupported profile version {version!r}: this build "
-                f"reads version {PROFILE_VERSION} (package partition)")
+                f"reads version {PROFILE_VERSION} (sampled stacks)")
         return cls(
             fingerprint=dict(data.get("fingerprint", {})),
             wall_seconds=float(data.get("wall_seconds", 0.0)),
             sim_seconds=float(data.get("sim_seconds", 0.0)),
-            dispatches=int(data.get("dispatches", 0)),
             scopes=tuple(ScopeStat.from_dict(scope)
                          for scope in data.get("scopes", [])),
         )
@@ -343,82 +293,109 @@ class HostProfile:
 
 
 class HostProfiler:
-    """``cProfile`` over a simulator's run, folded by package.
+    """A wall-clock stack sampler over a simulator's run.
 
-    :meth:`install` starts the profile on the calling thread,
-    :meth:`uninstall` stops it and closes the window (windows
-    accumulate across re-installs), :meth:`profile` folds whatever has
-    been collected so far into an immutable :class:`HostProfile`.
+    :meth:`install` arms the real-time interval timer, whose
+    ``SIGALRM`` handler samples the interrupted stack; :meth:`uninstall`
+    disarms it and closes the window (windows accumulate across
+    re-installs); :meth:`profile` snapshots whatever has been sampled
+    so far as an immutable :class:`HostProfile`.
     """
 
     def __init__(self, clock: WallClock = SYSTEM_WALL_CLOCK):
         self.clock = clock
-        self._profile = None
         self._sim = None
-        self._wall_start_ns = 0
+        #: The ``SIGALRM`` handler :meth:`install` replaced.
+        self._previous = None
+        self._wall_start = 0.0
         self._sim_start = 0.0
+        #: The clock at the previous sample (or at install).
+        self._last = 0.0
+        #: code object -> :func:`_scope_of` it, memoised.
+        self._scopes: Dict[Any, Tuple[Optional[str], str, str]] = {}
+        #: scope -> [samples, seconds].
+        self._charged: Dict[Tuple[str, str, str], List] = {}
         #: Closed (uninstalled) window totals.
         self.wall_seconds = 0.0
         self.sim_seconds = 0.0
 
     def install(self, sim) -> "HostProfiler":
-        """Start profiling; ``sim`` supplies the simulated clock."""
+        """Start sampling; ``sim`` supplies the simulated clock."""
+        # Imported here so ``import repro`` does not pay for it.
+        import signal
+
         if self._sim is not None:
             raise RuntimeError("profiler is already installed")
-        if self._profile is None:
-            # Imported here so ``import repro`` does not pay for it.
-            import cProfile
-            self._profile = cProfile.Profile(self.clock.nanoseconds, 1 / _NS)
-        self._wall_start_ns = self.clock.nanoseconds()
-        try:
-            if sys.getprofile() is not None:  # 3.12+ checks in enable();
-                raise ValueError              # earlier ones replace it
-            self._profile.enable()
-        except ValueError:
-            raise RuntimeError("another profiler is already active "
-                               "on this thread") from None
+        if signal.getitimer(signal.ITIMER_REAL) != (0.0, 0.0):
+            raise RuntimeError("the real-time interval timer is already "
+                               "armed")
+        self._previous = signal.signal(
+            signal.SIGALRM, lambda _signum, frame: self._sample(frame))
         self._sim = sim
         self._sim_start = sim.now
+        self._wall_start = self._last = self.clock.seconds()
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_INTERVAL,
+                         SAMPLE_INTERVAL)
         return self
 
     def uninstall(self) -> None:
-        """Stop profiling and fold the window into the totals."""
+        """Stop sampling and fold the window into the totals."""
         sim = self._sim
         if sim is None:
             return
-        self._profile.disable()
-        now = self.clock.nanoseconds()
-        self.wall_seconds += (now - self._wall_start_ns) / _NS
+        import signal
+
+        # Disarm first, so no new sample arrives once the handler that
+        # takes it is swapped back out.
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, self._previous)
+        self.wall_seconds += self.clock.seconds() - self._wall_start
         self.sim_seconds += sim.now - self._sim_start
         self._sim = None
+
+    def _sample(self, frame) -> None:
+        """Charge the wall time since the previous sample to the
+        innermost ``repro/<package>/`` frame of ``frame``'s stack, or,
+        when there is none, to the innermost frame under ``other``."""
+        now = self.clock.seconds()
+        elapsed, self._last = now - self._last, now
+        scopes = self._scopes
+        innermost = None
+        while frame is not None:
+            code = frame.f_code
+            scope = scopes.get(code)
+            if scope is None:
+                scope = scopes[code] = _scope_of(code)
+            if scope[0] is not None:
+                break
+            innermost = innermost or scope
+            frame = frame.f_back
+        else:  # nothing in repro/<package>/ is on the stack
+            scope = ("other",) + (innermost or (None, "", ""))[1:]
+        stat = self._charged.get(scope)
+        if stat is None:
+            stat = self._charged[scope] = [0, 0.0]
+        stat[0] += 1
+        stat[1] += elapsed
 
     def profile(self, fingerprint: Optional[Dict[str, Any]] = None
                 ) -> HostProfile:
         """Snapshot the current attribution as a :class:`HostProfile`."""
-        from ..sim import Simulator
-
         wall = self.wall_seconds
         sim_seconds = self.sim_seconds
-        stats: dict = {}
         if self._sim is not None:
-            wall += (self.clock.nanoseconds() - self._wall_start_ns) / _NS
+            wall += self.clock.seconds() - self._wall_start
             sim_seconds += self._sim.now - self._sim_start
-        if self._profile is not None:
-            self._profile.snapshot_stats()  # create_stats() would disable
-            stats = self._profile.stats
-        code = Simulator.step.__code__
-        step = (code.co_filename, code.co_firstlineno, code.co_name)
         scopes = sorted(
             (ScopeStat(subsystem=key[0], phase=key[1], actor=key[2],
-                       calls=stat[0], self_seconds=stat[1],
-                       total_seconds=stat[2])
-             for key, stat in fold_by_package(stats).items()),
+                       samples=stat[0], self_seconds=stat[1])
+             # list(): a sample may land while this iterates.
+             for key, stat in list(self._charged.items())),
             key=lambda scope: (-scope.self_seconds, scope.label),
         )
         return HostProfile(
             fingerprint=dict(fingerprint or {}),
             wall_seconds=wall,
             sim_seconds=sim_seconds,
-            dispatches=stats[step][1] if step in stats else 0,
             scopes=tuple(scopes),
         )

@@ -1,10 +1,11 @@
 """Session-scoped run bundles.
 
 A ``cli run`` of a configuration that spends its rounds waiting (the
-churn plan's takeovers, a rejected update's 1 200 s of polling) takes
-10+ s under the always-on host profiler, so each such bundle is made
-once and shared by every test that reads it (tests/test_cli.py,
-tests/test_obs_anomaly.py, tests/test_analysis_diagnose.py).
+churn plan's takeovers, a rejected update's 1 200 s of polling)
+publishes ~90 k events and writes every one of them, ≈ 3 s a run, so
+each such bundle is made once and shared by every test that reads it
+(tests/test_cli.py, tests/test_obs_anomaly.py,
+tests/test_analysis_diagnose.py).
 """
 
 import json
@@ -37,8 +38,9 @@ def flap_bundles(tmp_path_factory):
     """A fault plan run twice: ``expected`` names the anomaly kind
     it causes, ``omitted`` does not.  What ``--expect-anomaly`` lists
     never reaches the simulation, so the two are also each other's
-    replay.  (Not the churn plan: that costs 15 s a run here, and its
-    replay is ``cmp``-ed by the CI chaos job on every push.)"""
+    replay.  (Not the churn plan: that costs three times as long a
+    run, and its replay is ``cmp``-ed by the CI chaos job on every
+    push.)"""
     root = tmp_path_factory.mktemp("flap")
     plan = root / "flap.json"
     plan.write_text(json.dumps({"seed": 3, "specs": [

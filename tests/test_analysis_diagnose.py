@@ -13,14 +13,13 @@ from repro.obs.profiling import ScopeStat
 
 def scope(subsystem, self_seconds, phase="core", actor="step"):
     return ScopeStat(subsystem=subsystem, phase=phase, actor=actor,
-                     calls=100, self_seconds=self_seconds,
-                     total_seconds=self_seconds)
+                     samples=100, self_seconds=self_seconds)
 
 
 def fast_profile():
     return HostProfile(
         fingerprint={"digest": "abc", "trainers": 4},
-        wall_seconds=2.0, sim_seconds=1200.0, dispatches=1000,
+        wall_seconds=2.0, sim_seconds=1200.0,
         scopes=(scope("sim", 0.5), scope("net", 0.4)),
     )
 
@@ -29,7 +28,7 @@ def slow_profile():
     # net blew up 0.4s -> 3.4s; sim barely moved.
     return HostProfile(
         fingerprint={"digest": "abc", "trainers": 4},
-        wall_seconds=5.0, sim_seconds=1200.0, dispatches=1000,
+        wall_seconds=5.0, sim_seconds=1200.0,
         scopes=(scope("net", 3.4), scope("sim", 0.6)),
     )
 

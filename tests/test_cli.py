@@ -271,7 +271,7 @@ def test_run_failing_mid_round_exits_1_and_every_file_parses(
     assert "run failed" in run.err and "mid-round crash" in run.err
     assert "run FAILED: the run raised RuntimeError" in run.out
     assert RunManifest.load(tmp_path / "manifest.json").fingerprint["digest"]
-    assert HostProfile.load(tmp_path / "profile.json").dispatches == 0
+    assert HostProfile.load(tmp_path / "profile.json").sim_seconds == 0.0
     assert json.loads((tmp_path / "timeline.perfetto.json").read_text())
     lines = (tmp_path / "trace.jsonl").read_text().splitlines()
     assert lines and all(json.loads(line) for line in lines)
@@ -322,23 +322,30 @@ PROFILED = [
 
 
 def test_profile_prints_the_hotspot_report(tmp_path):
+    from repro.obs import HostProfile
+
     run = run_bundle(PROFILED, tmp_path)
     assert run.code == 0
-    assert "host-cost profile:" in run.out
+    profile = HostProfile.load(tmp_path / "profile.json")
+    assert f"{profile.samples} samples" in run.out
     assert "sim-s/wall-s" in run.out
-    assert "shares:" in run.out
-    assert "crypto" in run.out
+    assert "shares: " in run.out
+    # Which scopes the samples hit is the host's; that the report
+    # prints the hottest of them is not.
+    assert profile.scopes[0].label in run.out
 
 
 def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path):
     import json
+    from repro.obs.profiling import LAYERS
 
     assert run_bundle(PROFILED, tmp_path).code == 0
     data = json.loads((tmp_path / "profile.json").read_text())
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert sum(data["shares"].values()) == pytest.approx(1.0)
-    assert "obs" in data["shares"]  # the observer stack is priced too
-    assert "kernel" not in data["shares"]
-    assert data["dispatches"] > 0
+    assert set(data["shares"]) <= set(LAYERS) | {"other"}
+    assert data["samples"] == sum(
+        scope["samples"] for scope in data["scopes"]) > 0
+    assert 0 < data["attributed_seconds"] <= data["wall_seconds"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert data["fingerprint"] == manifest["fingerprint"]

@@ -200,8 +200,8 @@ def test_public_surface_only_shrinks():
         "--request-timeout --inject --expect-anomaly --warn-only "
         "--artifacts".split())
     assert flags("explain") == {"--threshold", "--json"}
-    # The host profile is cProfile from outside: no layer carries a
-    # hook for it, and the two hot loops have one body each.
+    # The host profile samples the stack from outside: no layer carries
+    # a hook for it, and the two hot loops have one body each.
     for hooked in (Simulator(), EventBus(),
                    PartitionCommitter(partition_len=1)):
         assert not hasattr(hooked, "profiler"), type(hooked).__name__

@@ -7,7 +7,8 @@
   Consumers key on ``type(event)``, so two events of different types
   with equal values stay two records.
 - A trace reads back as the events it recorded
-  (:func:`~repro.obs.jsonl.read_trace`), one case per type.
+  (:func:`~repro.obs.jsonl.read_trace`), one case per type, and each
+  line is the bytes ``json.dumps(record, default=str)`` gives.
 - ``import repro`` defines a pinned number of dataclasses, none of them
   an event type: a count, not a clock, of what set-up generates.
 """
@@ -26,7 +27,7 @@ import pytest
 
 from repro.obs import EventBus, FlightRecorder, JsonlTraceExporter
 from repro.obs import events as events_module
-from repro.obs.jsonl import read_trace
+from repro.obs.jsonl import event_record, read_trace
 from repro.obs.events import (
     EVENT_TYPES,
     BlockEvicted,
@@ -153,6 +154,9 @@ def test_a_trace_reads_back_as_the_published_event(event_type):
     with JsonlTraceExporter(bus, stream):
         bus.publish(event)
 
+    # The writer's cached encoder writes what json.dumps would.
+    assert stream.getvalue() \
+        == json.dumps(event_record(event), default=str) + "\n"
     [read] = read_trace(io.StringIO(stream.getvalue()))
     assert type(read) is event_type
     # Equal as tuples: a JSON list came back as a tuple (nested too).

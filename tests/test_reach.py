@@ -78,7 +78,8 @@ ALLOWLIST = {
 #: Defaulted parameters kept although no shipped call passes them (at
 #: most ten), each with the reason.
 PARAM_ALLOWLIST = {
-    "cli.py::_run_run(clock)": "the seam tests drive with FakeWallClock",
+    "profiling.py::HostProfiler.__init__(clock)":
+        "the seam tests drive the sampler through with FakeWallClock",
     "profiling.py::FakeWallClock.__init__(start)": "the test double's state",
     "profiling.py::FakeWallClock.__init__(tick)": "the test double's state",
     "multiexp.py::straus(width)":

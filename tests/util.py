@@ -11,7 +11,6 @@ from typing import Dict, List
 from repro.faults import RetryPolicy
 from repro.ipfs import DHT, IPFSClient, IPFSNode, PubSub
 from repro.net import Network, Transport, mbps
-from repro.obs.profiling import FakeWallClock
 from repro.sim import Simulator
 
 
@@ -123,15 +122,17 @@ class BundleRun:
 
 
 def run_bundle(argv, path) -> BundleRun:
-    """``python -m repro.cli run ARGV --artifacts PATH`` on a ticking
-    fake clock: the profiler never reads the host's, so tier-1 stays
-    independent of host timing."""
+    """``python -m repro.cli run ARGV --artifacts PATH``, in process.
+
+    The host profiler samples for real; only ``profile.json`` and the
+    report's profile section depend on when its samples fall, and no
+    test reads more of them than their structure."""
     from repro.cli import _run_run, build_parser
 
     args = build_parser().parse_args(
         ["run", *argv, "--artifacts", str(path)])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _run_run(args, clock=FakeWallClock(tick=1e-6))
+        code = _run_run(args)
     return BundleRun(code, out.getvalue(), err.getvalue(),
                      pathlib.Path(path))
